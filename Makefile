@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-smoke bench-shard bench-shard-smoke bench-workload bench-workload-smoke obs-smoke shard-net-smoke profile fuzz experiments examples clean
+.PHONY: all build vet lint test race cover bench bench-json bench-smoke bench-shard bench-shard-smoke bench-workload bench-workload-smoke bench-e2e bench-e2e-smoke obs-smoke shard-net-smoke profile fuzz experiments examples clean
 
 all: build vet lint test
 
@@ -36,13 +36,16 @@ cover:
 bench:
 	$(GO) test -run XXX -bench=. -benchmem .
 
-# Kernel/index microbenchmarks distilled to JSON (cited from README.md).
+# Kernel/index microbenchmarks distilled to JSON (cited from README.md and
+# DESIGN.md). BenchmarkDot, BenchmarkSum and BenchmarkAccumulators are the
+# measurements behind the sparse kernels' crossover constants. Every line
+# runs with -benchmem so B/op and allocs/op are recorded.
 bench-json: bench-workload
-	{ $(GO) test -run XXX -bench='BenchmarkExpand$$' . ; \
+	{ $(GO) test -run XXX -bench='BenchmarkExpand$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe' -benchmem ./internal/core/ ; \
-	  $(GO) test -run XXX -bench=BenchmarkAccumulators ./internal/sparse/ ; } \
+	  $(GO) test -run XXX -bench='BenchmarkAccumulators|BenchmarkDot|BenchmarkSum' -benchmem ./internal/sparse/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
-	$(GO) test -run XXX -bench='BenchmarkQuery/' -cpu 1,2,4 . \
+	$(GO) test -run XXX -bench='BenchmarkQuery/' -benchmem -cpu 1,2,4 . \
 		| $(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # The Zipf-skewed overlapping-meta-path stream: whole-path cache vs the
@@ -51,7 +54,7 @@ bench-json: bench-workload
 # an unloaded multi-core machine; CI only smoke-runs it (single vCPU numbers
 # are not comparable — see README).
 bench-workload:
-	$(GO) test -run XXX -bench='BenchmarkWorkload/' -benchtime=4000x . \
+	$(GO) test -run XXX -bench='BenchmarkWorkload/' -benchmem -benchtime=4000x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_workload.json
 
 # Sharded vs unsharded end-to-end query cost. The committed BENCH_shard.json
@@ -76,6 +79,17 @@ bench-workload-smoke:
 	$(GO) test -run XXX -bench='BenchmarkWorkload/' -benchtime=1x .
 	$(GO) test -run XXX -bench=BenchmarkCacheProbe -benchtime=100x -benchmem ./internal/core/
 
+# The end-to-end serving benchmark (bench/README.md): real -serve and
+# -shard-serve processes driven over loopback, every reply checked bit for
+# bit against an in-process oracle. The full run takes ~3 min and writes
+# bench/out/; the smoke is one short round of everything (< 20 s) and is what
+# CI runs, so the harness and its oracle guard every change.
+bench-e2e:
+	$(GO) run ./bench -seed 1
+
+bench-e2e-smoke:
+	$(GO) run ./bench -smoke
+
 # Boot `netout -serve` with an event log and assert every observability
 # surface answers: /metrics, /debug/events, /debug/requests, /readyz, the
 # traceparent response header and the on-disk JSONL journal.
@@ -99,12 +113,14 @@ profile:
 		-o results/netout.test .
 	@echo "profiles written: go tool pprof results/netout.test results/cpu.prof"
 
-# Short fuzzing passes over the three parsers (regression seeds always run
-# as part of `make test`).
+# Short fuzzing passes over the three parsers and the sparse kernels (Dot,
+# Sum and Take against their reference implementations); regression seeds
+# always run as part of `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/oql/
 	$(GO) test -fuzz=FuzzReadTSV -fuzztime=30s ./internal/hinio/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/aminer/
+	$(GO) test -fuzz=FuzzSparseKernels -fuzztime=30s ./internal/sparse/
 
 # Regenerate every paper table and figure (EXPERIMENTS.md documents the
 # expected shapes). The paper-scale run:
@@ -121,4 +137,4 @@ examples:
 	$(GO) run ./examples/progressive
 
 clean:
-	rm -rf results test_output.txt bench_output.txt
+	rm -rf results test_output.txt bench_output.txt .bench_build bench/out

@@ -143,15 +143,11 @@ type indexedMaterializer struct {
 	acc   *sparse.Accumulator
 }
 
-// maxDenseChunkSpan caps the dense chunk scratch, entries (8 B each); it
-// mirrors metapath.MaxDenseSpan.
-const maxDenseChunkSpan = 4 << 20
-
 // chunkAcc returns the accumulator used to combine chunk vectors. Chunk
 // coordinates are raw vertex IDs, so the dense scratch is sized to the whole
 // graph's ID space when that fits under the cap.
 func (m *indexedMaterializer) chunkAcc(hint int) sparse.Acc {
-	if n := m.tr.Graph().NumVertices(); n <= maxDenseChunkSpan {
+	if n := m.tr.Graph().NumVertices(); n <= sparse.MaxDenseSpan {
 		if m.dense == nil {
 			m.dense = sparse.NewDenseAccumulator(n)
 		}

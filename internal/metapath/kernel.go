@@ -19,7 +19,8 @@ const (
 	// coordinate space, one hash per scattered edge. The fallback.
 	KernelMap
 	// KernelDense scatters into a dense scratch sized to the target type's
-	// ID span with a touched list: hash-free adds, sort only the output.
+	// ID span with a touched list: hash-free adds, and a drain that scans
+	// the touched range when it is dense and sorts the list when it is not.
 	KernelDense
 	// KernelMerge k-way-merges the already-sorted CSR adjacency rows
 	// directly into a sorted vector, touching no scratch at all. Only
@@ -51,7 +52,12 @@ const (
 	MergeMaxFrontier = 4
 	// MaxDenseSpan is the largest target-type ID span (entries, 8 B each)
 	// the dense kernel will allocate scratch for.
-	MaxDenseSpan = 4 << 20
+	MaxDenseSpan = sparse.MaxDenseSpan
+	// maxHopBuf is the largest intermediate-frontier buffer (coordinates,
+	// 12 B each: 3 MiB) a traverser keeps between NeighborVector calls; a
+	// wider hop gets a one-off buffer, so one wide query cannot pin memory
+	// for the life of a serving process.
+	maxHopBuf = 1 << 18
 )
 
 // KernelCounts reports how many hops each kernel expanded, for heuristic
@@ -82,7 +88,8 @@ func (tr *Traverser) pick(nnz int, next hin.TypeID) Kernel {
 	return KernelMap
 }
 
-// expandMap is the fallback kernel: scatter through the map accumulator.
+// expandMap is the fallback kernel: scatter through the map accumulator. It
+// has no output-buffer hook: its result is always freshly allocated.
 func (tr *Traverser) expandMap(frontier sparse.Vector, next hin.TypeID) sparse.Vector {
 	tr.counts.Map++
 	for i := range frontier.Idx {
@@ -96,8 +103,9 @@ func (tr *Traverser) expandMap(frontier sparse.Vector, next hin.TypeID) sparse.V
 }
 
 // expandDense scatters into the dense scratch, offset by the target type's
-// span base so the scratch is sized to one type, not the whole graph.
-func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID) sparse.Vector {
+// span base so the scratch is sized to one type, not the whole graph. The
+// result is written into buf when it has room (see expandInto).
+func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	lo, hi, ok := tr.g.TypeIDSpan(next)
 	if !ok {
 		return sparse.Vector{} // no vertices of the target type at all
@@ -115,11 +123,20 @@ func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID) sparse
 			tr.dense.Add(int32(u)-base, w*float64(mults[j]))
 		}
 	}
-	out := tr.dense.Take()
+	out := tr.dense.TakeInto(buf)
 	for i := range out.Idx {
 		out.Idx[i] += base
 	}
 	return out
+}
+
+// outVector returns an empty vector with room for n coordinates: buf's
+// storage when it is large enough, a fresh allocation otherwise.
+func outVector(buf sparse.Vector, n int) sparse.Vector {
+	if cap(buf.Idx) >= n && cap(buf.Val) >= n {
+		return sparse.Vector{Idx: buf.Idx[:0], Val: buf.Val[:0]}
+	}
+	return sparse.Vector{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 }
 
 // mergeCursor is one frontier row being consumed by the merge path.
@@ -132,8 +149,9 @@ type mergeCursor struct {
 // expandMerge k-way-merges the sorted CSR rows of the frontier vertices
 // straight into a sorted output vector: no scratch, no post-sort. The head
 // scan is linear in the number of rows, so KernelAuto only routes frontiers
-// with NNZ ≤ MergeMaxFrontier here.
-func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID) sparse.Vector {
+// with NNZ ≤ MergeMaxFrontier here. The result is written into buf when it
+// has room (see expandInto).
+func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	tr.counts.Merge++
 	cursors := tr.cursors[:0]
 	total := 0
@@ -152,7 +170,7 @@ func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID) sparse
 	if len(cursors) == 1 {
 		// Single row: a straight scale of the adjacency row.
 		c := cursors[0]
-		out := sparse.Vector{Idx: make([]int32, 0, len(c.nbrs)), Val: make([]float64, 0, len(c.nbrs))}
+		out := outVector(buf, len(c.nbrs))
 		for j, u := range c.nbrs {
 			if x := c.w * float64(c.mults[j]); x != 0 {
 				out.Idx = append(out.Idx, int32(u))
@@ -161,7 +179,7 @@ func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID) sparse
 		}
 		return out
 	}
-	out := sparse.Vector{Idx: make([]int32, 0, total), Val: make([]float64, 0, total)}
+	out := outVector(buf, total)
 	for {
 		best := -1
 		var bestID hin.VertexID

@@ -305,3 +305,120 @@ func FuzzExpandKernels(f *testing.F) {
 		}
 	})
 }
+
+// expandChain is NeighborVector as it was before the hop buffers: every hop
+// a freshly allocated Expand result. The reference the scratch-owned
+// implementation must match bit for bit.
+func expandChain(tr *Traverser, p Path, v hin.VertexID) sparse.Vector {
+	cur := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}
+	for hop := 0; hop < p.Hops() && !cur.IsZero(); hop++ {
+		cur = tr.Expand(cur, p.Type(hop+1))
+	}
+	return cur
+}
+
+// A returned Φ must own its storage: later NeighborVector calls on the same
+// traverser recycle the hop buffers, and none of that may show through a
+// vector handed out earlier (under any kernel, at any path length).
+func TestQuickNeighborVectorDoesNotAliasScratch(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomGraph(r)
+		for _, k := range []Kernel{KernelAuto, KernelDense, KernelMerge, KernelMap} {
+			tr, ref := NewTraverser(g), NewTraverser(g)
+			tr.SetKernel(k)
+			var got, want []sparse.Vector
+			for i := 0; i < 12; i++ {
+				p := randomValidPath(r, g.Schema(), 5)
+				src := g.VerticesOfType(p.Source())
+				if len(src) == 0 {
+					continue
+				}
+				v := src[r.Intn(len(src))]
+				phi, err := tr.NeighborVector(p, v)
+				if err != nil {
+					return false
+				}
+				got = append(got, phi)
+				want = append(want, expandChain(ref, p, v))
+			}
+			// Compare only after every call has had its chance to scribble.
+			for i := range got {
+				if !got[i].Equal(want[i]) || len(got[i].Val) != len(want[i].Val) {
+					t.Logf("seed %d kernel %v call %d: Φ = %v, want %v", seed, k, i, got[i], want[i])
+					return false
+				}
+				for _, b := range tr.hops {
+					if len(got[i].Idx) > 0 && cap(b.Idx) > 0 && &got[i].Idx[0] == &b.Idx[:1][0] {
+						t.Logf("seed %d kernel %v call %d: Φ shares a hop buffer", seed, k, i)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One wide query must not pin its hop buffer: an intermediate frontier past
+// maxHopBuf gets a one-off buffer and the traverser keeps what it had.
+func TestHopBufferRetentionBounded(t *testing.T) {
+	s := hin.MustSchema("hub", "leaf")
+	hub, _ := s.TypeByName("hub")
+	leaf, _ := s.TypeByName("leaf")
+	s.AllowLink(hub, leaf)
+	b := hin.NewBuilder(s)
+	h := b.MustAddVertex(hub, "h")
+	small := b.MustAddVertex(hub, "small")
+	for i := 0; i < maxHopBuf+10; i++ {
+		l := b.MustAddVertex(leaf, fmt.Sprintf("l%d", i))
+		b.MustAddEdge(h, l)
+		if i < 3 {
+			b.MustAddEdge(small, l)
+		}
+	}
+	g := b.Build()
+	p := MustNew(hub, leaf, hub)
+	tr := NewTraverser(g)
+	// Narrow call first: its 3-leaf frontier is kept.
+	if _, err := tr.NeighborVector(p, small); err != nil {
+		t.Fatal(err)
+	}
+	kept := cap(tr.hops[1].Idx)
+	if kept == 0 || kept > maxHopBuf {
+		t.Fatalf("narrow frontier buffer cap = %d", kept)
+	}
+	phi, err := tr.NeighborVector(p, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(maxHopBuf + 10); phi.At(int32(h)) != want || phi.At(int32(small)) != 3 {
+		t.Fatalf("Φ(h) = %v", phi)
+	}
+	for i, buf := range tr.hops {
+		if cap(buf.Idx) > maxHopBuf || cap(buf.Val) > maxHopBuf {
+			t.Fatalf("hop buffer %d retained %d coordinates, bound %d", i, cap(buf.Idx), maxHopBuf)
+		}
+	}
+}
+
+// A zero-hop path's Φ is the seed itself — freshly allocated, not the seed
+// buffer the traverser recycles.
+func TestNeighborVectorZeroHops(t *testing.T) {
+	g, ids := kernelGraph(t)
+	author, _ := g.Schema().TypeByName("author")
+	tr := NewTraverser(g)
+	first, err := tr.NeighborVector(MustNew(author), ids["a1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.NeighborVector(MustNew(author), ids["a2"]); err != nil {
+		t.Fatal(err)
+	}
+	if want := sparse.FromMap(map[int32]float64{int32(ids["a1"]): 1}); !first.Equal(want) {
+		t.Fatalf("Φ = %v, want %v", first, want)
+	}
+}

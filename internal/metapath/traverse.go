@@ -23,6 +23,9 @@ type Traverser struct {
 	dense *sparse.DenseAccumulator
 	// cursors is the reusable row set for KernelMerge.
 	cursors []mergeCursor
+	// hops are the two ping-pong buffers NeighborVector writes the seed and
+	// every intermediate frontier into; only the final Φ is allocated.
+	hops [2]sparse.Vector
 	// kernel forces a specific kernel when != KernelAuto.
 	kernel Kernel
 	counts KernelCounts
@@ -51,14 +54,25 @@ func (tr *Traverser) NeighborVector(p Path, v hin.VertexID) (sparse.Vector, erro
 		return sparse.Vector{}, fmt.Errorf("metapath: vertex %d has type %s, path starts at %s",
 			v, tr.g.Schema().TypeName(tr.g.Type(v)), tr.g.Schema().TypeName(p.Source()))
 	}
-	cur := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}
-	for hop := 0; hop < p.Hops(); hop++ {
-		cur = tr.Expand(cur, p.Type(hop+1))
+	last := p.Hops() - 1
+	if last < 0 {
+		return sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}, nil
+	}
+	cur := sparse.Vector{Idx: append(tr.hops[0].Idx[:0], int32(v)), Val: append(tr.hops[0].Val[:0], 1)}
+	tr.hops[0] = cur
+	for hop := 0; hop < last; hop++ {
+		// cur lives in hops[hop&1]; the other buffer holds a frontier that
+		// is already consumed.
+		b := &tr.hops[(hop+1)&1]
+		cur = tr.expandInto(KernelAuto, cur, p.Type(hop+1), *b)
 		if cur.IsZero() {
-			break
+			return sparse.Vector{}, nil // empty frontier: Φ_P(v) is zero
+		}
+		if cap(cur.Idx) <= maxHopBuf {
+			*b = cur // keep the (possibly grown) buffer for the next call
 		}
 	}
-	return cur, nil
+	return tr.expandInto(KernelAuto, cur, p.Type(last+1), sparse.Vector{}), nil
 }
 
 // Expand advances a weighted frontier one hop to the given neighbor type:
@@ -76,14 +90,23 @@ func (tr *Traverser) Expand(frontier sparse.Vector, next hin.TypeID) sparse.Vect
 // adaptive heuristic (and to any SetKernel override). All kernels are
 // bit-equal, so the choice affects speed only, never the vector.
 func (tr *Traverser) ExpandWith(k Kernel, frontier sparse.Vector, next hin.TypeID) sparse.Vector {
+	return tr.expandInto(k, frontier, next, sparse.Vector{})
+}
+
+// expandInto is ExpandWith with an output buffer: the merge and dense
+// kernels write the result into buf's storage when it has room, so the
+// result may alias buf (and never aliases anything else the traverser
+// owns). The zero buf always yields a freshly allocated vector — the only
+// kind that may escape to a caller, a cache or an index.
+func (tr *Traverser) expandInto(k Kernel, frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	if k == KernelAuto {
 		k = tr.pick(frontier.NNZ(), next)
 	}
 	switch k {
 	case KernelMerge:
-		return tr.expandMerge(frontier, next)
+		return tr.expandMerge(frontier, next, buf)
 	case KernelDense:
-		return tr.expandDense(frontier, next)
+		return tr.expandDense(frontier, next, buf)
 	default:
 		return tr.expandMap(frontier, next)
 	}

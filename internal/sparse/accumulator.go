@@ -1,10 +1,5 @@
 package sparse
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Acc is the contract every frontier accumulator satisfies: scatter adds in,
 // one sorted Vector out. The map-backed Accumulator and the DenseAccumulator
 // are interchangeable behind it (property-tested to emit identical vectors),
@@ -66,23 +61,9 @@ func (acc *Accumulator) Take() Vector {
 	if len(acc.m) == 0 {
 		return Vector{}
 	}
-	pairs := acc.pairs[:0]
-	for ix, x := range acc.m {
-		if x != 0 {
-			pairs = append(pairs, coord{ix, x})
-		}
-	}
+	var v Vector
+	v, acc.pairs = sortedVector(acc.m, acc.pairs[:0])
 	clear(acc.m)
-	acc.pairs = pairs // keep the grown scratch for the next Take
-	slices.SortFunc(pairs, func(a, b coord) int { return cmp.Compare(a.ix, b.ix) })
-	v := Vector{
-		Idx: make([]int32, len(pairs)),
-		Val: make([]float64, len(pairs)),
-	}
-	for i, c := range pairs {
-		v.Idx[i] = c.ix
-		v.Val[i] = c.x
-	}
 	return v
 }
 

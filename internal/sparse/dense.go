@@ -2,12 +2,27 @@ package sparse
 
 import "slices"
 
+// MaxDenseSpan is the largest coordinate span (entries, 8 B each) any dense
+// scratch in the repository is sized for: the traverser's per-hop scratch,
+// the indexed materializer's chunk scratch and Sum's pooled scratch. Wider
+// coordinate spaces fall back to the map-backed Accumulator, so no scratch
+// ever pins more than ~32 MiB.
+const MaxDenseSpan = 4 << 20
+
+// scanTakeRatio is the Take crossover: a drain whose touched coordinates
+// span fewer than scanTakeRatio slots each is emitted by one linear scan of
+// that range instead of sorting the touched list. In BenchmarkAccumulators'
+// take arms the scan stops winning between 8 and 16 slots per coordinate at
+// 64–1 024 touched and between 32 and 64 at 16 384 (the sort is n·log n, the
+// scan n·slots); the wide frontiers that dominate traversal sit at 1–8.
+const scanTakeRatio = 16
+
 // DenseAccumulator is the Gustavson-style scratch structure for frontier
 // accumulation: a dense value array indexed by coordinate plus a touched
 // list. Compared to the map-backed Accumulator it trades O(span) resident
-// memory and a touched-list sort for hash-free O(1) scatter adds; clearing
-// is O(touched), not O(span), so a long-lived accumulator amortizes its
-// scratch across many drains.
+// memory for hash-free O(1) scatter adds; clearing is O(touched) (or one
+// pass over the touched range, see Take), not O(span), so a long-lived
+// accumulator amortizes its scratch across many drains.
 //
 // The scratch grows lazily (Grow), so a zero-sized accumulator costs nothing
 // until its first dense hop. The adaptive kernel in internal/metapath
@@ -62,28 +77,56 @@ func (acc *DenseAccumulator) AddVector(v Vector, w float64) {
 // Len reports the number of touched coordinates (including exact cancels).
 func (acc *DenseAccumulator) Len() int { return len(acc.touched) }
 
-// Take drains the accumulator into a sorted Vector and resets it for reuse.
-// Only the touched list is sorted — the dense scratch is never scanned.
-func (acc *DenseAccumulator) Take() Vector {
-	if len(acc.touched) == 0 {
+// Take drains the accumulator into a freshly allocated sorted Vector and
+// resets it for reuse.
+func (acc *DenseAccumulator) Take() Vector { return acc.TakeInto(Vector{}) }
+
+// TakeInto is Take writing into buf's storage when it has room for every
+// touched coordinate (a fresh vector is allocated otherwise), so a caller
+// that drains intermediates can recycle one buffer. The result aliases buf
+// in that case; buf's previous contents are overwritten.
+//
+// When the touched coordinates are dense in their own [lo, hi] range the
+// range is scanned once, emitting and zeroing as it goes; sparse drains sort
+// the touched list instead. Both emit the non-zero coordinates in ascending
+// order, so the output does not depend on which ran.
+func (acc *DenseAccumulator) TakeInto(buf Vector) Vector {
+	n := len(acc.touched)
+	if n == 0 {
 		return Vector{}
 	}
-	slices.Sort(acc.touched)
-	out := Vector{
-		Idx: make([]int32, 0, len(acc.touched)),
-		Val: make([]float64, 0, len(acc.touched)),
+	out := Vector{Idx: buf.Idx[:0], Val: buf.Val[:0]}
+	if cap(out.Idx) < n || cap(out.Val) < n {
+		out = Vector{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 	}
-	prev := int32(-1)
-	for _, ix := range acc.touched {
-		if ix == prev {
-			continue // coordinate re-touched after cancelling to zero
+	lo, hi := acc.touched[0], acc.touched[0]
+	for _, ix := range acc.touched[1:] {
+		lo, hi = min(lo, ix), max(hi, ix)
+	}
+	if int(hi-lo) < scanTakeRatio*n {
+		// Cancelled coordinates already hold 0 and re-touched ones are met
+		// once, so the scan needs neither rule of the sort path spelled out.
+		for ix, x := range acc.val[lo : hi+1] {
+			if x != 0 {
+				out.Idx = append(out.Idx, lo+int32(ix))
+				out.Val = append(out.Val, x)
+				acc.val[int(lo)+ix] = 0
+			}
 		}
-		prev = ix
-		if x := acc.val[ix]; x != 0 {
-			out.Idx = append(out.Idx, ix)
-			out.Val = append(out.Val, x)
+	} else {
+		slices.Sort(acc.touched)
+		prev := int32(-1)
+		for _, ix := range acc.touched {
+			if ix == prev {
+				continue // coordinate re-touched after cancelling to zero
+			}
+			prev = ix
+			if x := acc.val[ix]; x != 0 {
+				out.Idx = append(out.Idx, ix)
+				out.Val = append(out.Val, x)
+			}
+			acc.val[ix] = 0
 		}
-		acc.val[ix] = 0
 	}
 	acc.touched = acc.touched[:0]
 	return out

@@ -1,0 +1,490 @@
+package sparse
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"testing/quick"
+)
+
+// Reference kernels: the implementations Dot, Sum and DenseAccumulator.Take
+// replaced, kept as the oracle the production kernels must match
+// Float64bits for Float64bits (and as the "before" arm of the benchmarks
+// that place the crossover constants).
+
+// refDot is the linear merge over both index lists.
+func refDot(a, b Vector) float64 {
+	var s float64
+	i, j := 0, 0
+	for i < len(a.Idx) && j < len(b.Idx) {
+		switch {
+		case a.Idx[i] < b.Idx[j]:
+			i++
+		case a.Idx[i] > b.Idx[j]:
+			j++
+		default:
+			s += a.Val[i] * b.Val[j]
+			i++
+			j++
+		}
+	}
+	return s
+}
+
+// refSum accumulates through the map-backed Accumulator.
+func refSum(vs []Vector) Vector {
+	acc := NewAccumulator(0)
+	for _, v := range vs {
+		acc.AddVector(v, 1)
+	}
+	return acc.Take()
+}
+
+// refTake drains by sorting the touched list, whatever its density.
+func refTake(acc *DenseAccumulator) Vector {
+	slices.Sort(acc.touched)
+	out := Vector{Idx: make([]int32, 0, len(acc.touched)), Val: make([]float64, 0, len(acc.touched))}
+	prev := int32(-1)
+	for _, ix := range acc.touched {
+		if ix == prev {
+			continue
+		}
+		prev = ix
+		if x := acc.val[ix]; x != 0 {
+			out.Idx = append(out.Idx, ix)
+			out.Val = append(out.Val, x)
+		}
+		acc.val[ix] = 0
+	}
+	acc.touched = acc.touched[:0]
+	return out
+}
+
+// scanTake drains by scanning the touched range, whatever its density (the
+// other benchmark arm; production picks between the two).
+func scanTake(acc *DenseAccumulator) Vector {
+	out := Vector{Idx: make([]int32, 0, len(acc.touched)), Val: make([]float64, 0, len(acc.touched))}
+	lo, hi := slices.Min(acc.touched), slices.Max(acc.touched)
+	for ix := lo; ix <= hi; ix++ {
+		if x := acc.val[ix]; x != 0 {
+			out.Idx = append(out.Idx, ix)
+			out.Val = append(out.Val, x)
+			acc.val[ix] = 0
+		}
+	}
+	acc.touched = acc.touched[:0]
+	return out
+}
+
+// bitsEqual is Equal with values compared by Float64bits, so +0/−0 and NaN
+// payloads count.
+func bitsEqual(a, b Vector) bool {
+	if len(a.Idx) != len(b.Idx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i := range a.Idx {
+		if a.Idx[i] != b.Idx[i] || math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// orderSensitive are values whose sums depend on the order of addition and
+// that cancel exactly in pairs; negZero is stored on purpose although the
+// constructors would drop it.
+var (
+	negZero        = math.Copysign(0, -1)
+	orderSensitive = []float64{1, -1, 2, -2, 0.1, -0.1, 1.0 / 3, 1e16, -1e16, 1e-300, negZero}
+)
+
+// rawVector draws n distinct coordinates from [base, base+width) with
+// order-sensitive values, bypassing the zero-dropping constructors.
+func rawVector(r *rand.Rand, n int, base int32, width int) Vector {
+	n = min(n, width)
+	seen := make(map[int32]bool, n)
+	v := Vector{}
+	for len(v.Idx) < n {
+		ix := base + int32(r.Intn(width))
+		if !seen[ix] {
+			seen[ix] = true
+			v.Idx = append(v.Idx, ix)
+		}
+	}
+	slices.Sort(v.Idx)
+	for range v.Idx {
+		v.Val = append(v.Val, orderSensitive[r.Intn(len(orderSensitive))])
+	}
+	return v
+}
+
+func checkDot(a, b Vector) error {
+	for _, p := range [][2]Vector{{a, b}, {b, a}} {
+		got, want := p[0].Dot(p[1]), refDot(p[0], p[1])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("Dot = %x, merge = %x (|a|=%d |b|=%d)",
+				math.Float64bits(got), math.Float64bits(want), p[0].NNZ(), p[1].NNZ())
+		}
+	}
+	return nil
+}
+
+// Dot must equal the merge bit for bit across skew ratios 1:1 … 1:4096 and
+// every span relation: nested, overlapping, disjoint on either side, empty.
+func TestQuickDotMatchesMerge(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		for _, ratio := range []int{1, 2, 4, 7, 8, 9, 16, 64, 512, 4096} {
+			short := r.Intn(9) // 0 … 8 coordinates, empty included
+			long := max(short, 1) * ratio
+			width := long * (1 + r.Intn(3))
+			b := rawVector(r, long, 1000, width)
+			for _, a := range []Vector{
+				rawVector(r, short, 1000, width),                                           // nested
+				rawVector(r, short, 1000+int32(width)/2, width),                            // overlapping the tail
+				rawVector(r, short, 0, 1000),                                               // disjoint below
+				rawVector(r, short, 1000+int32(width), 1000),                               // disjoint above
+				rawVector(r, short, 0, 2000+width),                                         // containing
+				{Idx: b.Idx[:min(short, len(b.Idx))], Val: b.Val[:min(short, len(b.Idx))]}, // shared prefix: all hits
+				{},
+			} {
+				if err := checkDot(a, b); err != nil {
+					t.Logf("seed %d ratio %d: %v", seed, ratio, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func checkSum(vs []Vector) error {
+	got, want := Sum(vs), refSum(vs)
+	if !bitsEqual(got, want) {
+		return fmt.Errorf("Sum = %v, map sum = %v", got, want)
+	}
+	return nil
+}
+
+// cancelling returns k vectors over one small coordinate block in which
+// many coordinates cancel to exactly 0 mid-way and are touched again later.
+func cancelling(r *rand.Rand, k int, base int32, width int) []Vector {
+	vs := make([]Vector, 0, 2*k)
+	for i := 0; i < k; i++ {
+		v := rawVector(r, 1+r.Intn(width), base, width)
+		neg := v.Scale(-1)
+		vs = append(vs, v, neg, rawVector(r, 1+r.Intn(width), base, width))
+	}
+	return vs
+}
+
+// Sum must equal the map accumulation bit for bit: narrow and negative
+// spans, exact cancellation with re-touch, −0, empty operands, strided
+// CombineConcat blocks, and spans on both sides of the dense cap.
+func TestQuickSumMatchesMap(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		k := 1 + r.Intn(12)
+		random := make([]Vector, k)
+		for i := range random {
+			random[i] = rawVector(r, r.Intn(40), int32(r.Intn(100)), 1+r.Intn(300))
+		}
+		const stride = 1 << 20
+		concat := func(blocks int) []Vector {
+			vs := make([]Vector, 1+r.Intn(4))
+			for i := range vs {
+				for m := 0; m < blocks; m++ {
+					blk := rawVector(r, r.Intn(6), int32(m*stride)+int32(r.Intn(50)), 64)
+					vs[i].Idx = append(vs[i].Idx, blk.Idx...)
+					vs[i].Val = append(vs[i].Val, blk.Val...)
+				}
+			}
+			return vs
+		}
+		for name, vs := range map[string][]Vector{
+			"random":     random,
+			"cancelling": cancelling(r, 1+r.Intn(4), int32(r.Intn(1000)), 1+r.Intn(32)),
+			"negative":   cancelling(r, 2, -500, 1000),
+			"empties":    {{}, rawVector(r, 5, 7, 50), {}, {}},
+			"allEmpty":   {{}, {}},
+			"none":       nil,
+			"concat3":    concat(3), // 3 strides: dense
+			"concat6":    concat(6), // 6 strides: past the cap, map fallback
+			"atCap":      {{Idx: []int32{5, 5 + MaxDenseSpan - 1}, Val: []float64{0.1, negZero}}, {Idx: []int32{5}, Val: []float64{-0.1}}},
+			"pastCap":    {{Idx: []int32{5, 5 + MaxDenseSpan}, Val: []float64{0.1, 1}}, {Idx: []int32{5 + MaxDenseSpan}, Val: []float64{1e16}}},
+			"extremes":   {{Idx: []int32{math.MinInt32, math.MaxInt32}, Val: []float64{1, 2}}},
+		} {
+			if err := checkSum(vs); err != nil {
+				t.Logf("seed %d %s: %v", seed, name, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// takeSequences draws Add sequences on both sides of the scan/sort rule:
+// a dense cluster, a sparse scatter, and a cluster with one far outlier.
+// Roughly a third of the adds cancel an earlier one exactly, and cancelled
+// coordinates are touched again.
+func takeSequences(r *rand.Rand, size int) [][]coord {
+	draw := func(n, base, width int) []coord {
+		var s []coord
+		for i := 0; i < n; i++ {
+			c := coord{int32(base + r.Intn(width)), orderSensitive[r.Intn(len(orderSensitive))]}
+			s = append(s, c)
+			if r.Intn(3) == 0 {
+				s = append(s, coord{c.ix, -c.x})
+			}
+			if r.Intn(4) == 0 {
+				s = append(s, coord{c.ix, orderSensitive[r.Intn(len(orderSensitive))]})
+			}
+		}
+		return s
+	}
+	return [][]coord{
+		draw(1+r.Intn(200), r.Intn(size/2), 64),
+		draw(1+r.Intn(50), 0, size),
+		append(draw(1+r.Intn(100), r.Intn(64), 32), coord{int32(size - 1), 3}),
+		draw(1, r.Intn(size), 1),
+		nil,
+	}
+}
+
+// checkTake replays s into both accumulators and compares acc.TakeInto(buf)
+// with the sort drain of ref; it returns the taken vector.
+func checkTake(acc, ref *DenseAccumulator, s []coord, buf Vector) (Vector, error) {
+	for _, c := range s {
+		acc.Add(c.ix, c.x)
+		ref.Add(c.ix, c.x)
+	}
+	if acc.Len() != ref.Len() {
+		return Vector{}, fmt.Errorf("Len = %d, want %d", acc.Len(), ref.Len())
+	}
+	got, want := acc.TakeInto(buf), refTake(ref)
+	if !bitsEqual(got, want) {
+		return got, fmt.Errorf("Take = %v, sort drain = %v", got, want)
+	}
+	if acc.Len() != 0 {
+		return got, fmt.Errorf("Len = %d after Take", acc.Len())
+	}
+	for ix, x := range acc.val {
+		if math.Float64bits(x) != 0 {
+			return got, fmt.Errorf("scratch[%d] = %x after Take", ix, math.Float64bits(x))
+		}
+	}
+	return got, nil
+}
+
+// Take (scan or sort, fresh or into a recycled buffer) must equal the sort
+// drain bit for bit and leave the scratch all +0.
+func TestQuickTakeMatchesSort(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		const size = 1 << 12
+		acc, ref := NewDenseAccumulator(size), NewDenseAccumulator(size)
+		var buf Vector
+		for round := 0; round < 3; round++ {
+			for i, s := range takeSequences(r, size) {
+				b := buf
+				if r.Intn(2) == 0 {
+					b = Vector{} // fresh output
+				}
+				got, err := checkTake(acc, ref, s, b)
+				if err != nil {
+					t.Logf("seed %d round %d seq %d: %v", seed, round, i, err)
+					return false
+				}
+				if cap(got.Idx) > cap(buf.Idx) {
+					buf = got // recycle the grown buffer, like the traverser's hop buffers
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TakeInto writes into the buffer exactly when it has room for every
+// touched coordinate, and a fresh Take never hands out scratch.
+func TestTakeIntoBuffer(t *testing.T) {
+	acc := NewDenseAccumulator(64)
+	buf := Vector{Idx: make([]int32, 0, 4), Val: make([]float64, 0, 4)}
+	for _, ix := range []int32{9, 3, 7} {
+		acc.Add(ix, float64(ix))
+	}
+	got := acc.TakeInto(buf)
+	if !got.Equal(FromMap(map[int32]float64{3: 3, 7: 7, 9: 9})) {
+		t.Fatalf("TakeInto = %v", got)
+	}
+	if &got.Idx[0] != &buf.Idx[:1][0] || &got.Val[0] != &buf.Val[:1][0] {
+		t.Error("TakeInto with room should write into the buffer")
+	}
+	for ix := int32(0); ix < 5; ix++ {
+		acc.Add(ix, 1)
+	}
+	big := acc.TakeInto(buf)
+	if big.NNZ() != 5 || &big.Idx[0] == &buf.Idx[:1][0] {
+		t.Errorf("TakeInto without room should allocate, got %v", big)
+	}
+	acc.Add(1, 1)
+	fresh := acc.Take()
+	acc.Add(2, 1)
+	if again := acc.Take(); &fresh.Idx[0] == &again.Idx[0] || fresh.Idx[0] != 1 {
+		t.Error("Take results must not share storage")
+	}
+}
+
+// A scratch that outgrew MaxDenseSpan must not ride the pool: whatever the
+// pool hands out after an oversized call is within the cap.
+func TestSumScratchRetentionBounded(t *testing.T) {
+	// The next Grow past 5/8 of the cap doubles the scratch beyond it.
+	sumScratch.Put(NewDenseAccumulator(MaxDenseSpan * 5 / 8))
+	wide := Vector{Idx: []int32{0, MaxDenseSpan * 7 / 8}, Val: []float64{1, 2}}
+	if got := Sum([]Vector{wide, wide}); !got.Equal(wide.Scale(2)) {
+		t.Fatalf("Sum = %v", got)
+	}
+	for i := 0; i < 8; i++ {
+		if acc := sumScratch.Get().(*DenseAccumulator); acc.Size() > MaxDenseSpan {
+			t.Fatalf("pool retained a scratch of %d entries, cap %d", acc.Size(), MaxDenseSpan)
+		}
+	}
+}
+
+// FuzzSparseKernels decodes arbitrary bytes into a handful of vectors and
+// an Add sequence and holds Dot, Sum and Take to their reference kernels.
+// The seeds cover: empty input, a lopsided pair (gallop), cancelling
+// blocks, a strided pair, and a far outlier (sort drain).
+func FuzzSparseKernels(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 200, 3, 1, 7, 2, 9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{4, 4, 1, 1, 1, 2, 1, 1, 1, 3, 1, 10, 1, 11, 1, 0, 1, 1})
+	f.Add([]byte{2, 2, 255, 1, 255, 2, 255, 3, 255, 4})
+	f.Add([]byte{3, 3, 1, 1, 2, 2, 250, 250, 250, 250, 250, 250, 250, 250, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pop := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		// A vector is a run of (gap, value) bytes; gap 255 jumps a stride,
+		// large enough that a few of them cross the dense cap.
+		decode := func(n int) Vector {
+			var v Vector
+			ix := int32(pop()) - 64
+			for i := 0; i < n; i++ {
+				gap := pop()
+				if gap == 255 {
+					gap = MaxDenseSpan / 3
+				}
+				ix += int32(gap) + 1
+				v.Idx = append(v.Idx, ix)
+				v.Val = append(v.Val, orderSensitive[pop()%len(orderSensitive)])
+			}
+			return v
+		}
+		na, nb := pop()%8, pop()
+		a, b := decode(na), decode(nb)
+		if err := checkDot(a, b); err != nil {
+			t.Fatal(err)
+		}
+		vs := []Vector{a, b, a.Scale(-1), decode(pop() % 16), b}
+		if err := checkSum(vs); err != nil {
+			t.Fatal(err)
+		}
+		const size = 1 << 10
+		acc, ref := NewDenseAccumulator(size), NewDenseAccumulator(size)
+		var s []coord
+		for len(data) >= 2 {
+			ix := int32(pop()) * int32(1+pop()%4) // 0 … 1020, clustered low
+			s = append(s, coord{ix, orderSensitive[int(ix)%len(orderSensitive)]})
+			if ix%3 == 0 {
+				s = append(s, coord{ix, -s[len(s)-1].x}, coord{ix, 2})
+			}
+		}
+		if _, err := checkTake(acc, ref, s, Vector{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+var (
+	sinkFloat  float64
+	sinkVector Vector
+)
+
+// benchVector draws n sorted distinct coordinates from [0, width).
+func benchVector(r *rand.Rand, n, width int) Vector {
+	v := rawVector(r, n, 0, width)
+	for i := range v.Val {
+		v.Val[i] = float64(1 + r.Intn(9))
+	}
+	return v
+}
+
+// BenchmarkDot places gallopRatio: merge (the reference kernel) against
+// gallop across length ratios, for a scoring-sized long operand (a 4 096
+// coordinate S) and a small one (256). "pick" is the production Dot; at
+// ratio 1 it must not lose to merge (the balanced zipf_warm case).
+func BenchmarkDot(b *testing.B) {
+	for _, long := range []int{256, 4096} {
+		for _, ratio := range []int{1, 2, 4, 8, 16, 64, 512} {
+			if long/ratio == 0 {
+				continue
+			}
+			r := rand.New(rand.NewSource(1))
+			l := benchVector(r, long, 4*long)
+			s := benchVector(r, long/ratio, 4*long)
+			for _, arm := range []struct {
+				name string
+				dot  func(a, b Vector) float64
+			}{{"merge", refDot}, {"gallop", dotGallop}, {"pick", Vector.Dot}} {
+				b.Run(fmt.Sprintf("%s/long=%d/ratio=%d", arm.name, long, ratio), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkFloat = arm.dot(s, l)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkSum compares the pooled dense Sum with the map reference over
+// k vectors × nnz coordinates drawn from a 4 096-wide block (the reference
+// reduction of one query: |Sr| = k).
+func BenchmarkSum(b *testing.B) {
+	for _, k := range []int{4, 32, 256} {
+		for _, nnz := range []int{4, 64} {
+			r := rand.New(rand.NewSource(1))
+			vs := make([]Vector, k)
+			for i := range vs {
+				vs[i] = benchVector(r, nnz, 4096)
+			}
+			for _, arm := range []struct {
+				name string
+				sum  func([]Vector) Vector
+			}{{"map", refSum}, {"dense", Sum}} {
+				b.Run(fmt.Sprintf("%s/k=%d/nnz=%d", arm.name, k, nnz), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkVector = arm.sum(vs)
+					}
+				})
+			}
+		}
+	}
+}
