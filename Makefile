@@ -38,10 +38,13 @@ bench:
 
 # Kernel/index microbenchmarks distilled to JSON (cited from README.md and
 # DESIGN.md). BenchmarkDot, BenchmarkSum and BenchmarkAccumulators are the
-# measurements behind the sparse kernels' crossover constants. Every line
-# runs with -benchmem so B/op and allocs/op are recorded.
+# measurements behind the sparse kernels' crossover constants;
+# BenchmarkReferenceSide measures per-vertex loads + Sum against one
+# set-frontier propagation, the two branches of referenceSide (DESIGN.md
+# "Reference side"). Every line runs with -benchmem so B/op and allocs/op
+# are recorded.
 bench-json: bench-workload
-	{ $(GO) test -run XXX -bench='BenchmarkExpand$$' -benchmem . ; \
+	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide' -benchmem . ; \
 	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe' -benchmem ./internal/core/ ; \
 	  $(GO) test -run XXX -bench='BenchmarkAccumulators|BenchmarkDot|BenchmarkSum' -benchmem ./internal/sparse/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
@@ -62,7 +65,7 @@ bench-workload:
 # parity (shards=1 within noise of unsharded), while speedup from shards=2/4
 # needs real cores — see README's multi-core protocol.
 bench-shard:
-	$(GO) test -run XXX -bench='BenchmarkShard/' . \
+	$(GO) test -run XXX -bench='BenchmarkShard/' -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_shard.json
 
 # One iteration per shard arm: proves the sharded path still executes.
@@ -113,14 +116,16 @@ profile:
 		-o results/netout.test .
 	@echo "profiles written: go tool pprof results/netout.test results/cpu.prof"
 
-# Short fuzzing passes over the three parsers and the sparse kernels (Dot,
-# Sum and Take against their reference implementations); regression seeds
-# always run as part of `make test`.
+# Short fuzzing passes over the three parsers, the sparse kernels (Dot, Sum
+# and Take against their reference implementations) and the set-frontier
+# propagation (against the per-vertex sum); regression seeds always run as
+# part of `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/oql/
 	$(GO) test -fuzz=FuzzReadTSV -fuzztime=30s ./internal/hinio/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/aminer/
 	$(GO) test -fuzz=FuzzSparseKernels -fuzztime=30s ./internal/sparse/
+	$(GO) test -fuzz=FuzzSetVector -fuzztime=30s ./internal/metapath/
 
 # Regenerate every paper table and figure (EXPERIMENTS.md documents the
 # expected shapes). The paper-scale run:

@@ -17,6 +17,7 @@
 package netout_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -27,6 +28,7 @@ import (
 
 	"netout"
 	"netout/internal/gen"
+	"netout/internal/sparse"
 )
 
 type benchFixture struct {
@@ -363,6 +365,62 @@ func BenchmarkExpand(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReferenceSide is the evidence behind referenceSide's "never more
+// work" rule on traversal-only materializers: the reference aggregate
+// S = Σ_{v∈Sr} Φ_P(v) computed the per-vertex way (one NeighborVector per
+// reference, then sparse.Sum) against one set-frontier propagation
+// (Traverser.SetVector), at |Sr| = 1, 8, 64 and the whole author type, on
+// 2-, 4- and 6-hop feature paths. `make bench-json` distills this into
+// BENCH_kernel.json.
+func BenchmarkReferenceSide(b *testing.B) {
+	f := getFixture(b)
+	author, _ := f.graph.Schema().TypeByName("author")
+	all := f.graph.VerticesOfType(author)
+	shuffled := slices.Clone(all)
+	r := rand.New(rand.NewSource(13))
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, dotted := range []string{
+		"author.paper.venue",
+		"author.paper.venue.paper.author",
+		"author.paper.author.paper.venue.paper.author",
+	} {
+		p, err := netout.ParseMetaPath(f.graph.Schema(), dotted)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range []int{1, 8, 64, len(all)} {
+			refs := slices.Clone(shuffled[:n])
+			slices.Sort(refs)
+			name := fmt.Sprintf("hops=%d/refs=%d", p.Hops(), n)
+			b.Run(name+"/per-vertex", func(b *testing.B) {
+				tr := netout.NewTraverser(f.graph)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					vecs := make([]netout.Vector, len(refs))
+					for j, v := range refs {
+						vecs[j], _ = tr.NeighborVector(p, v)
+					}
+					benchSink = sparse.Sum(vecs)
+				}
+			})
+			b.Run(name+"/propagation", func(b *testing.B) {
+				tr := netout.NewTraverser(f.graph)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, exact, err := tr.SetVector(context.Background(), p, refs)
+					if err != nil || !exact {
+						b.Fatalf("SetVector: exact=%v err=%v", exact, err)
+					}
+					benchSink = s
+				}
+			})
+		}
+	}
+}
+
+// benchSink keeps benchmarked results alive.
+var benchSink netout.Vector
 
 // BenchmarkQuery measures one full query end to end — all authors as both
 // candidate and reference set, ranked under each measure — on the scale-1

@@ -185,6 +185,14 @@ type Timing struct {
 	IndexedVectors   int64
 }
 
+// charge adds a materializer stats delta to the breakdown.
+func (tm *Timing) charge(d MatStats) {
+	tm.NotIndexed += d.TraversalTime
+	tm.Indexed += d.IndexedTime
+	tm.TraversedVectors += d.TraversedVectors
+	tm.IndexedVectors += d.IndexedVectors
+}
+
 // Result is the outcome of one query.
 type Result struct {
 	// Entries is the ranked outlier list, most outlying first (ascending
@@ -232,7 +240,8 @@ func (e *Engine) Execute(src string) (*Result, error) {
 }
 
 // ExecuteContext is Execute with cancellation: the query aborts with the
-// context's error at the next per-vertex materialization step. The analyst
+// context's error at the next per-vertex materialization step (or the next
+// hop of the reference side's propagation). The analyst
 // interactivity the paper motivates ("react to outliers or further
 // elaborate their queries") needs runaway queries to be abortable.
 func (e *Engine) ExecuteContext(ctx context.Context, src string) (*Result, error) {
@@ -540,7 +549,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	tr.EndPhase("plan", obs.SpanStats{})
 	ifq.SetPhase("materialize")
 
-	plan := &queryPlan{q: q, cands: cands, refs: refs, paths: paths, weights: weights, ifq: ifq}
+	plan := &queryPlan{q: q, cands: cands, refs: refs, paths: paths, weights: weights, combine: e.combine, ifq: ifq}
 	if sg := e.shardGroup(); sg != nil {
 		if err := e.executeSharded(ctx, plan, res, tr, sg); err != nil {
 			return nil, err
@@ -549,7 +558,8 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		return res, nil
 	}
 	if ws, ok := e.pipelineWorkers(len(cands)); ok {
-		err := e.executeParallel(ctx, plan, res, tr, ws)
+		plan.workers = ws
+		err := e.executeParallel(ctx, plan, res, tr)
 		e.releaseWorkers(ws)
 		if err != nil {
 			return nil, err
@@ -558,54 +568,49 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		return res, nil
 	}
 
-	// Sequential path: materialize Φ for Sr and Sc under every feature
-	// meta-path, then score, then rank.
+	// Sequential path: reduce the reference side, materialize Φ for Sc under
+	// every feature meta-path — unless the reference pass already holds those
+	// vectors — then score, then rank.
 	matBefore := e.mat.Stats()
 	cacheBefore, _ := CacheStatsOf(e.mat)
-	candPerPath := make([][]sparse.Vector, len(q.Features))
-	refPerPath := make([][]sparse.Vector, len(q.Features))
-	candDone := make([]int, len(q.Features))
-	var matErr error
-	for m := range q.Features {
-		candPerPath[m], refPerPath[m], candDone[m], matErr = e.materializeFeature(ctx, paths[m], cands, refs, &res.Timing)
-		if matErr != nil {
-			break
-		}
+	scorers, candPerPath, err := e.referenceSide(ctx, plan, e.mat)
+	if err != nil {
+		return nil, err
 	}
-	if matErr != nil {
-		// Graceful degradation: an expired deadline under NetOut returns the
-		// ranking over the prefix of candidates materialized under EVERY
-		// feature (a candidate's score needs all of its Φ vectors; the
-		// feature loop is feature-major, so that prefix is the minimum of
-		// the per-feature progress). Scores over the prefix are exact —
-		// NetOut is separable, so a candidate's arithmetic never reads other
-		// candidates. References are materialized before candidates per
-		// feature; a deadline that strikes during a feature's reference side
-		// leaves that feature without a scorer, so the prefix is empty and
-		// the error stands, as it does for cancellation and real failures.
-		prefix := 0
-		if e.measure == MeasureNetOut && degradable(matErr) {
-			prefix = len(cands)
-			for m := range q.Features {
-				if refPerPath[m] == nil {
-					prefix = 0
-					break
-				}
-				if candDone[m] < prefix {
-					prefix = candDone[m]
+	if candPerPath == nil {
+		candPerPath = make([][]sparse.Vector, len(paths))
+		var matErr error
+		for m := 0; m < len(paths) && matErr == nil; m++ {
+			candPerPath[m], matErr = loadVectors(ctx, e.mat, paths[m], cands)
+		}
+		if matErr != nil {
+			// Graceful degradation: an expired deadline under NetOut returns the
+			// ranking over the prefix of candidates materialized under EVERY
+			// feature (a candidate's score needs all of its Φ vectors; the
+			// loop is feature-major, so that prefix is the minimum of the
+			// per-feature progress, zero while a feature is unreached). Scores
+			// over the prefix are exact — NetOut is separable, so a candidate's
+			// arithmetic never reads other candidates. With an empty prefix the
+			// error stands, as it does for cancellation and real failures.
+			prefix := 0
+			if e.measure == MeasureNetOut && degradable(matErr) {
+				prefix = len(cands)
+				for m := range candPerPath {
+					prefix = min(prefix, len(candPerPath[m]))
 				}
 			}
+			if prefix == 0 {
+				return nil, matErr
+			}
+			cands = cands[:prefix]
+			for m := range candPerPath {
+				candPerPath[m] = candPerPath[m][:prefix]
+			}
+			res.Partial = true
 		}
-		if prefix == 0 {
-			return nil, matErr
-		}
-		cands = cands[:prefix]
-		for m := range candPerPath {
-			candPerPath[m] = candPerPath[m][:prefix]
-		}
-		res.Partial = true
 	}
 	matDelta := e.mat.Stats().Sub(matBefore)
+	res.Timing.charge(matDelta)
 	cacheAfter, _ := CacheStatsOf(e.mat)
 	tr.EndPhase("materialize", obs.SpanStats{
 		TraversedVectors: matDelta.TraversedVectors,
@@ -621,27 +626,21 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	scoreStart := time.Now()
 	combined := make([]float64, len(cands))
 	seen := make([]bool, len(cands)) // candidate characterized by ≥1 path
-	switch e.combine {
-	case CombineConcat:
-		stride := int32(e.g.NumVertices())
-		candVecs := concatVectors(candPerPath, weights, stride)
-		refVecs := concatVectors(refPerPath, weights, stride)
-		rs := newRefScorer(e.measure, refVecs)
-		for i, phi := range candVecs {
-			if s := rs.score(phi); !math.IsNaN(s) {
+	if scorers.concat != nil {
+		for i, phi := range concatVectors(candPerPath, weights, scorers.stride) {
+			if s := scorers.concat.score(phi); !math.IsNaN(s) {
 				combined[i] = s
 				seen[i] = true
 			}
 		}
-	default: // CombineAverage
+	} else { // CombineAverage
 		// The average is renormalized per candidate by the summed weight of
 		// the paths that actually characterize it: a candidate with zero
 		// visibility under one path still gets a proper weighted mean of the
 		// paths it IS visible under, instead of a score deflated by the
 		// invisible paths' weight (which would fake extra outlierness).
 		seenWeight := make([]float64, len(cands))
-		for m := range q.Features {
-			rs := newRefScorer(e.measure, refPerPath[m])
+		for m, rs := range scorers.perPath {
 			for i, phi := range candPerPath[m] {
 				s := rs.score(phi)
 				if math.IsNaN(s) {
@@ -678,42 +677,6 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	res.Timing.Scoring += time.Since(scoreStart)
 	res.Timing.Total = time.Since(start)
 	return res, nil
-}
-
-// materializeFeature computes Φ_p for all reference and candidate vertices,
-// charging materializer time to the timing breakdown (also on error, so a
-// degraded query's cost accounting covers the work it actually did). done
-// reports how many candidate vectors were completed; on error the returned
-// candVecs hold exactly that prefix, and refVecs are non-nil only if the
-// reference side completed — the inputs deadline degradation needs.
-func (e *Engine) materializeFeature(ctx context.Context, p metapath.Path, cands, refs []hin.VertexID, tm *Timing) (candVecs, refVecs []sparse.Vector, done int, err error) {
-	before := e.mat.Stats()
-	defer func() {
-		d := e.mat.Stats().Sub(before)
-		tm.NotIndexed += d.TraversalTime
-		tm.Indexed += d.IndexedTime
-		tm.TraversedVectors += d.TraversedVectors
-		tm.IndexedVectors += d.IndexedVectors
-	}()
-	refVecs = make([]sparse.Vector, len(refs))
-	for j, v := range refs {
-		if err = ctxErr(ctx); err != nil {
-			return nil, nil, 0, err
-		}
-		if refVecs[j], err = e.mat.NeighborVector(p, v); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	candVecs = make([]sparse.Vector, len(cands))
-	for i, v := range cands {
-		if err = ctxErr(ctx); err != nil {
-			return candVecs[:i], refVecs, i, err
-		}
-		if candVecs[i], err = e.mat.NeighborVector(p, v); err != nil {
-			return candVecs[:i], refVecs, i, err
-		}
-	}
-	return candVecs, refVecs, len(cands), nil
 }
 
 // CandidateSet parses the query and resolves only its candidate set. Used

@@ -109,7 +109,7 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	nA := len(cands)
-	res, err := eng.ExecuteContext(newDeadlineAfter(int64(1+nA+nA/2)), faultQuery)
+	res, err := eng.ExecuteContext(newDeadlineAfter(int64(1+setPolls+nA/2)), faultQuery)
 	if err != nil || !res.Partial {
 		t.Fatalf("degradation setup: err=%v partial=%v", err, res != nil && res.Partial)
 	}

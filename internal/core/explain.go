@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -124,27 +125,23 @@ func (e *Engine) explainQuery(q *oql.Query, candidateName string, topN int, tr *
 	}
 	tr.EndPhase("plan", obs.SpanStats{})
 
-	// Materialize the candidate's Φ and the reference sum under every path
-	// up front, so the trace's materialize phase covers all network work.
+	// Materialize the candidate's Φ under every path and reduce the reference
+	// side up front, so the trace's materialize phase covers all network
+	// work. S comes from referenceSide — the function Execute reduces with —
+	// under CombineAverage whatever the engine combines with: an explanation
+	// is per path.
 	matBefore := e.mat.Stats()
 	cacheBefore, _ := CacheStatsOf(e.mat)
-	phis := make([]sparse.Vector, len(q.Features))
-	refSums := make([]sparse.Vector, len(q.Features))
-	for m := range q.Features {
-		phi, err := e.mat.NeighborVector(paths[m], target)
-		if err != nil {
+	phis := make([]sparse.Vector, len(paths))
+	for m := range paths {
+		if phis[m], err = e.mat.NeighborVector(paths[m], target); err != nil {
 			return nil, err
 		}
-		phis[m] = phi
-		refSum := sparse.NewAccumulator(64)
-		for _, r := range refs {
-			rv, err := e.mat.NeighborVector(paths[m], r)
-			if err != nil {
-				return nil, err
-			}
-			refSum.AddVector(rv, 1)
-		}
-		refSums[m] = refSum.Take()
+	}
+	// The signature carries no context, so the reduction cannot be cancelled.
+	scorers, _, err := e.referenceSide(context.TODO(), &queryPlan{refs: refs, paths: paths, combine: CombineAverage}, e.mat)
+	if err != nil {
+		return nil, err
 	}
 	matDelta := e.mat.Stats().Sub(matBefore)
 	cacheAfter, _ := CacheStatsOf(e.mat)
@@ -161,7 +158,7 @@ func (e *Engine) explainQuery(q *oql.Query, candidateName string, topN int, tr *
 	// candidate, not by the total feature weight.
 	seenWeight := 0.0
 	for m, f := range q.Features {
-		phi, s := phis[m], refSums[m]
+		phi, s := phis[m], scorers.perPath[m].s
 		pe := PathExplanation{
 			Path:       strings.Join(f.Segments, "."),
 			Weight:     f.Weight,

@@ -23,6 +23,7 @@ import (
 	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/sparse"
+	"netout/internal/xerr"
 )
 
 // faultMat wraps a real materializer and calls hook before every load. The
@@ -60,22 +61,46 @@ func (f *faultMat) view() (Materializer, error) {
 type deadlineAfterCtx struct {
 	context.Context
 	remaining atomic.Int64
+	err       error
 }
 
 func newDeadlineAfter(polls int64) *deadlineAfterCtx {
-	c := &deadlineAfterCtx{Context: context.Background()}
+	c := &deadlineAfterCtx{Context: context.Background(), err: context.DeadlineExceeded}
 	c.remaining.Store(polls)
+	return c
+}
+
+// newCancelAfter is newDeadlineAfter reporting context.Canceled.
+func newCancelAfter(polls int64) *deadlineAfterCtx {
+	c := newDeadlineAfter(polls)
+	c.err = context.Canceled
 	return c
 }
 
 func (c *deadlineAfterCtx) Err() error {
 	if c.remaining.Add(-1) < 0 {
-		return context.DeadlineExceeded
+		return c.err
 	}
 	return nil
 }
 
 const faultQuery = `FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`
+
+// setPolls is what the reference side of faultQuery costs a baseline engine
+// in context polls: one propagation, polled before each of its two hops. The
+// candidates still load one by one after it, a poll each.
+const setPolls = 2
+
+// faultRefQuery is faultQuery against an explicit reference set that is not
+// the candidate set (every test graph has at least five authors), so on
+// every materializer the faultRefs reference loads are followed by one load
+// per candidate. Fault placement by load count goes through it: under
+// faultQuery a faultMat's single pass over Sr = Sc is the reference pass and
+// no candidate is loaded afterwards.
+const (
+	faultRefQuery = `FIND OUTLIERS FROM author COMPARED TO author{"A0", "A1", "A2"} JUDGED BY author.paper.venue;`
+	faultRefs     = 3
+)
 
 // fireOnce returns a hook that panics with msg on exactly the first load.
 func fireOnce(msg string) func(metapath.Path, hin.VertexID) {
@@ -227,7 +252,7 @@ func TestServePoolOverloadSheds(t *testing.T) {
 // are separable, so every scored candidate's value is final).
 func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(11)))
-	full, err := NewEngine(g).Execute(faultQuery)
+	full, err := NewEngine(g).Execute(faultRefQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,19 +260,14 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 	for _, e := range full.Entries {
 		fullScore[e.Vertex] = e.Score
 	}
-	cands, err := NewEngine(g).CandidateSet(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nA := int64(len(cands))
 
-	// Load 1..nA is the reference side, load nA+1 the first candidate;
-	// stalling load nA+2 past the deadline leaves a non-empty candidate
-	// prefix, which the worker turns into a partial result that the caller
-	// collects within DrainGrace.
+	// Load 1..faultRefs is the reference side, the next load the first
+	// candidate; stalling the one after past the deadline leaves a non-empty
+	// candidate prefix, which the worker turns into a partial result that
+	// the caller collects within DrainGrace.
 	var loads atomic.Int64
 	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
-		if loads.Add(1) == nA+2 {
+		if loads.Add(1) == faultRefs+2 {
 			time.Sleep(300 * time.Millisecond)
 		}
 	}}
@@ -262,7 +282,7 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 	}
 	defer pool.Close()
 
-	res, err := pool.Execute(context.Background(), faultQuery)
+	res, err := pool.Execute(context.Background(), faultRefQuery)
 	if err != nil {
 		t.Fatalf("Execute: %v, want a degraded partial result", err)
 	}
@@ -311,10 +331,10 @@ func TestSequentialDeadlinePartialPrefix(t *testing.T) {
 	if K < 1 {
 		t.Fatalf("graph too small: %d candidates", nA)
 	}
-	// Poll budget: 1 at query start, nA across the reference loop, then K
-	// candidate checks — check K+1 (0-indexed candidate K) trips the
-	// deadline, so exactly K candidates were materialized.
-	ctx := newDeadlineAfter(int64(1 + nA + K))
+	// Poll budget: 1 at query start, setPolls across the reference
+	// propagation, then K candidate checks — check K+1 (0-indexed candidate K)
+	// trips the deadline, so exactly K candidates were materialized.
+	ctx := newDeadlineAfter(int64(1 + setPolls + K))
 	res, err := NewEngine(g).ExecuteContext(ctx, faultQuery)
 	if err != nil {
 		t.Fatalf("ExecuteContext: %v, want a degraded partial result", err)
@@ -364,18 +384,67 @@ func TestSequentialDeadlinePartialPrefix(t *testing.T) {
 // contract.
 func TestSequentialCancellationDoesNotDegrade(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(3)))
-	cands, _ := NewEngine(g).CandidateSet(faultQuery)
 	ctx, cancel := context.WithCancel(context.Background())
 	var loads atomic.Int64
-	nA := int64(len(cands))
 	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
-		if loads.Add(1) == nA+2 { // mid-candidate-phase, where degradation COULD apply
+		if loads.Add(1) == faultRefs+2 { // mid-candidate-phase, where degradation COULD apply
 			cancel()
 		}
 	}}
-	res, err := NewEngine(g, WithMaterializer(fm)).ExecuteContext(ctx, faultQuery)
+	res, err := NewEngine(g, WithMaterializer(fm)).ExecuteContext(ctx, faultRefQuery)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
+	}
+}
+
+// The reference side never degrades, on either branch and in every executor:
+// without it no candidate has a score. A propagation interrupted between its
+// hops fails the query with the context's error — cancelled or expired —
+// and so does a deadline inside the single pass that loads Sr = Sc on a
+// stateful materializer, because that pass IS the reference pass. Once that
+// pass completes nothing is left to load, so a deadline that used to strike
+// the second pass (Partial at the parent commit) now finds a complete answer.
+func TestReferenceSideFailsWhole(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(5)))
+	full, err := NewEngine(g).Execute(faultQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nA := full.CandidateCount
+	for _, ex := range []struct {
+		name string
+		opts []Option
+	}{
+		{"sequential", []Option{WithQueryParallelism(1)}},
+		{"pipeline", []Option{WithQueryParallelism(4)}},
+		{"shards", []Option{WithShards(2)}},
+	} {
+		t.Run(ex.name, func(t *testing.T) {
+			eng := NewEngine(g, ex.opts...)
+			defer eng.Close()
+			// Polls: query start, before hop 0, before hop 1 (which fails).
+			for _, ctx := range []*deadlineAfterCtx{newCancelAfter(2), newDeadlineAfter(2)} {
+				if res, err := eng.ExecuteContext(ctx, faultQuery); !errors.Is(err, ctx.err) || res != nil {
+					t.Fatalf("mid-propagation %v: got (%v, %v), want the bare error", ctx.err, res, err)
+				}
+			}
+			if ex.name == "shards" {
+				return // sharded execution never reuses the reference pass
+			}
+			mat, err := NewCached(g, 64<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reuse := NewEngine(g, append(ex.opts, WithMaterializer(mat))...)
+			res, err := reuse.ExecuteContext(newDeadlineAfter(int64(1+nA/2)), faultQuery)
+			if !errors.Is(err, context.DeadlineExceeded) || xerr.CodeOf(err) != xerr.DeadlineExceeded || res != nil {
+				t.Fatalf("deadline inside the reuse pass: got (%v, %v), want DEADLINE_EXCEEDED", res, err)
+			}
+			res, err = reuse.ExecuteContext(newDeadlineAfter(int64(1+nA)), faultQuery)
+			if err != nil || res.Partial || !resultsEqual(res, full) {
+				t.Fatalf("deadline after the reuse pass: err=%v, want the complete answer", err)
+			}
+		})
 	}
 }
 
@@ -403,13 +472,13 @@ func TestPipelineDeadlinePartial(t *testing.T) {
 	nA := len(cands)
 	reg := obs.NewRegistry()
 	eng := NewEngine(g, WithQueryParallelism(4), WithObs(reg, nil))
-	// Poll budget: 1 at query start + nA reference checks + nA-1 candidate
-	// checks. Exactly one candidate poll (the chronologically last of the nA
+	// Poll budget: 1 at query start + setPolls across the reference
+	// propagation + nA-1 candidate checks. Exactly one candidate poll (the chronologically last of the nA
 	// issued) trips the deadline, so exactly one chunk fails and every other
 	// chunk is deterministically complete — for any worker schedule. With
 	// 280+ candidates and parallelChunk=128 there are ≥3 chunks, so the
 	// partial result is a non-empty strict subset.
-	ctx := newDeadlineAfter(int64(2 * nA))
+	ctx := newDeadlineAfter(int64(1 + setPolls + nA - 1))
 	res, err := eng.ExecuteContext(ctx, faultQuery)
 	if err != nil {
 		t.Fatalf("ExecuteContext: %v, want a degraded partial result", err)
@@ -794,9 +863,9 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 	eng := NewEngine(g, WithShards(2))
 	defer eng.Close()
 	// Poll budget mirrors TestSequentialDeadlinePartialPrefix: 1 at query
-	// start, nA across the coordinator's reference reduction, then K
+	// start, setPolls across the coordinator's reference propagation, then K
 	// candidate checks shared by the shards.
-	ctx := newDeadlineAfter(int64(1 + nA + K))
+	ctx := newDeadlineAfter(int64(1 + setPolls + K))
 	res, err := eng.ExecuteContext(ctx, faultQuery)
 	if err != nil {
 		t.Fatalf("ExecuteContext: %v, want a degraded partial result", err)
@@ -832,8 +901,9 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 	}
 
 	// Degradation is NetOut-only (prefix scores under the relative measures
-	// are not exact), exactly like the unsharded contract: the same expiry
-	// under PathSim fails the query instead.
+	// are not exact), exactly like the unsharded contract: an expiry K
+	// candidates past PathSim's per-vertex reduction (a poll per reference)
+	// fails the query instead.
 	psEng := NewEngine(g, WithMeasure(MeasurePathSim), WithShards(2))
 	defer psEng.Close()
 	if _, err := psEng.ExecuteContext(newDeadlineAfter(int64(1+nA+K)), faultQuery); !errors.Is(err, context.DeadlineExceeded) {

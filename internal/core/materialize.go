@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -101,6 +102,24 @@ func (b *baseline) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vecto
 	b.stats.TraversalTime += time.Since(start)
 	b.stats.TraversedVectors++
 	return vec, err
+}
+
+// setVector is the baseline's set-frontier reduction (Traverser.SetVector),
+// accounted as one traversed vector.
+func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
+	start := time.Now()
+	s, exact, err := b.tr.SetVector(ctx, p, set)
+	b.stats.TraversalTime += time.Since(start)
+	b.stats.TraversedVectors++
+	return s, exact, err
+}
+
+// setMaterializer is implemented by materializers for which a load is
+// always a traversal and leaves nothing behind — the baseline and its views.
+// Only there is reducing a whole set in one propagation never more work than
+// loading its vertices one by one (see referenceSide).
+type setMaterializer interface {
+	setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error)
 }
 
 func (b *baseline) Strategy() Strategy { return StrategyBaseline }

@@ -19,8 +19,13 @@ import (
 // reference aggregate only — so the candidate set splits into fixed-size
 // chunks and a worker pool runs materialize→score FUSED per chunk: each
 // worker materializes a chunk's Φ vectors on its own materializer view,
-// scores them against the shared refScorer, feeds its bounded top-n
-// selector, and drops the vectors before touching the next chunk. Peak
+// scores them against the shared scorers, feeds its bounded top-n selector,
+// and drops the vectors before touching the next chunk. The reference side
+// comes first and is referenceSide's: one propagation per feature path on
+// the engine's own baseline (O(1) vectors held), or per-vertex loads shared
+// among the workers chunk by chunk (O(|Sr|) vectors held until the scorers
+// are built — and, when Sr is Sc, through the candidate phase, whose chunks
+// are then scored straight out of them with nothing loaded twice). Peak
 // memory is O(workers·chunk + |Sr|) vectors instead of O(|Sc|·paths), and a
 // query uses every core instead of one.
 //
@@ -30,17 +35,21 @@ import (
 // property tests:
 //
 //   - Scores: each candidate's arithmetic touches only its own Φ and the
-//     reference precompute. The refScorer is built once, sequentially, from
-//     the reference-ordered vector slices, so the float association of the
-//     reference sums matches the sequential path exactly; per-candidate
-//     score = same ops in the same order ⇒ same bits.
+//     reference precompute. Both executors get that precompute from
+//     referenceSide: a propagation is one sequential computation, and
+//     per-vertex loads land in reference-ordered slots whichever worker
+//     performs them, so the scorers sum them in the sequential path's
+//     association; per-candidate score = same ops in the same order ⇒ same
+//     bits.
 //   - Ranking: (score, vertex) is a strict total order over candidates, so
 //     the top-k set and its sorted order are unique; per-worker bounded
 //     selection + merge always reconstructs them (a global top-k entry is
 //     necessarily in its worker's top-k).
 //   - Counters: the reference phase is a barrier, so under the shared cache
 //     every (path, vertex) load is classified hit/miss identically for any
-//     schedule; traversal/indexed counts are per-load and order-free.
+//     schedule; traversal/indexed counts are per-load and order-free, and
+//     both executors skip the same loads (the second pass over Sr = Sc) and
+//     count a propagation the same way (one traversed vector per path).
 const parallelChunk = 128
 
 // queryPlan carries a resolved query between the planner and an executor.
@@ -50,6 +59,10 @@ type queryPlan struct {
 	refs    []hin.VertexID
 	paths   []metapath.Path
 	weights []float64
+	combine Combination
+	// workers are the chunk pipeline's workers when it executes the plan
+	// (nil otherwise): referenceSide shares its per-vertex loads among them.
+	workers []*pipeWorker
 	// ifq is the query's live in-flight record for phase and chunk-progress
 	// updates (nil when no inspector is attached; all mutators are nil-safe).
 	ifq *obs.InflightQuery
@@ -163,73 +176,37 @@ func runChunks(ws []*pipeWorker, n int, fn func(w *pipeWorker, lo, hi int) error
 // same phase sequence as the sequential path (materialize → score → rank);
 // scoring is fused into the materialize span's wall time, so the score span
 // is recorded (near-)empty with the counters aggregated across workers.
-func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Result, tr *obs.Tracer, ws []*pipeWorker) error {
-	cands, refs, paths, weights := plan.cands, plan.refs, plan.paths, plan.weights
+func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Result, tr *obs.Tracer) error {
+	cands, paths, ws := plan.cands, plan.paths, plan.workers
 	matBefore := e.mat.Stats()
 	cacheBefore, _ := CacheStatsOf(e.mat)
 	// Views of the cached materializer share its counters, so per-view
-	// deltas would count every load len(ws) times; take one whole-phase
-	// delta on the shared state instead. Baseline/PM/SPM views carry
-	// private stats: sum the per-worker deltas.
+	// deltas would count every load len(ws) times; the whole-phase delta on
+	// the engine's own materializer covers them. Baseline/PM/SPM views carry
+	// private stats: the per-worker deltas are added to it.
 	_, statsShared := e.mat.(*cached)
 
-	// Reference phase (a barrier: scorers need all of Sr). Chunk-parallel
-	// materialization into slot-addressed, reference-ordered slices.
-	refPerPath := make([][]sparse.Vector, len(paths))
-	for m := range refPerPath {
-		refPerPath[m] = make([]sparse.Vector, len(refs))
-	}
-	// The inspector's chunk progress resets per chunked phase: a reader sees
+	// Reference phase (a barrier: scoring needs all of Sr). The inspector's
+	// chunk progress resets per chunked phase: a reader sees
 	// "materialize:refs 3/7" then "materialize 12/40". Updates touch only the
 	// record's atomics — never the result — so determinism is unaffected.
 	plan.ifq.SetPhase("materialize:refs")
-	plan.ifq.StartChunks((len(refs)+parallelChunk-1)/parallelChunk, len(ws))
-	err := runChunks(ws, len(refs), func(w *pipeWorker, lo, hi int) error {
-		for m := range paths {
-			for j := lo; j < hi; j++ {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				vec, err := w.mat.NeighborVector(paths[m], refs[j])
-				if err != nil {
-					return err
-				}
-				refPerPath[m][j] = vec
-			}
-		}
-		plan.ifq.ChunkDone()
-		return nil
-	})
+	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
 	if err != nil {
 		return err
 	}
 
-	// Reference-side precompute, built once and shared read-only by every
-	// worker. Sequential on purpose: summing per-worker partial sums would
-	// change the floating-point association and break bit-identity with the
-	// sequential path.
-	stride := int32(e.g.NumVertices())
-	var concatRS *refScorer // CombineConcat: one scorer over combined vectors
-	var pathRS []*refScorer // CombineAverage: one scorer per feature path
-	if e.combine == CombineConcat {
-		concatRS = newRefScorer(e.measure, concatVectors(refPerPath, weights, stride))
-	} else {
-		pathRS = make([]*refScorer, len(paths))
-		for m := range paths {
-			pathRS[m] = newRefScorer(e.measure, refPerPath[m])
-		}
-	}
-	refPerPath = nil // scorers hold what they need; separable measures free Sr now
-
-	// Candidate phase: fused materialize→score per chunk. seen is written at
-	// disjoint per-chunk slots; everything else a worker touches is its own.
+	// Candidate phase: fused materialize→score per chunk — or, when the
+	// reference pass already holds the candidates' vectors, score alone.
+	// seen is written at disjoint per-chunk slots; everything else a worker
+	// touches is its own.
 	seen := make([]bool, len(cands))
 	for _, w := range ws {
 		w.sel = newTopSelector(plan.q.TopK)
 		if len(w.vecs) != len(paths) {
 			w.vecs = make([][]sparse.Vector, len(paths))
 		}
-		if concatRS == nil && w.sum == nil {
+		if scorers.concat == nil && w.sum == nil {
 			w.sum = make([]float64, parallelChunk)
 			w.sumW = make([]float64, parallelChunk)
 			w.ok = make([]bool, parallelChunk)
@@ -245,22 +222,30 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 	plan.ifq.SetPhase("materialize")
 	plan.ifq.StartChunks(nChunks, len(ws))
 	err = runChunks(ws, len(cands), func(w *pipeWorker, lo, hi int) error {
-		for m := range paths {
-			buf := w.vecs[m][:0]
-			for _, v := range cands[lo:hi] {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				vec, err := w.mat.NeighborVector(paths[m], v)
-				if err != nil {
-					return err
-				}
-				buf = append(buf, vec)
+		vecs := w.vecs
+		if held != nil {
+			vecs = make([][]sparse.Vector, len(paths))
+			for m := range vecs {
+				vecs[m] = held[m][lo:hi]
 			}
-			w.vecs[m] = buf
+		} else {
+			for m := range paths {
+				buf := vecs[m][:0]
+				for _, v := range cands[lo:hi] {
+					if err := ctxErr(ctx); err != nil {
+						return err
+					}
+					vec, err := w.mat.NeighborVector(paths[m], v)
+					if err != nil {
+						return err
+					}
+					buf = append(buf, vec)
+				}
+				vecs[m] = buf
+			}
 		}
 		start := time.Now()
-		w.scoreChunk(e, plan, concatRS, pathRS, stride, seen, lo, hi)
+		w.scoreChunk(e, plan, scorers, vecs, seen, lo, hi)
 		w.scoreNs += time.Since(start).Nanoseconds()
 		chunkDone[lo/parallelChunk] = true
 		plan.ifq.ChunkDone()
@@ -276,18 +261,13 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 		res.Partial = true
 	}
 
-	var d MatStats
-	if statsShared {
-		d = e.mat.Stats().Sub(matBefore)
-	} else {
+	d := e.mat.Stats().Sub(matBefore)
+	if !statsShared {
 		for _, w := range ws {
 			d = d.Add(w.mat.Stats().Sub(w.base))
 		}
 	}
-	res.Timing.NotIndexed += d.TraversalTime
-	res.Timing.Indexed += d.IndexedTime
-	res.Timing.TraversedVectors += d.TraversedVectors
-	res.Timing.IndexedVectors += d.IndexedVectors
+	res.Timing.charge(d)
 	cacheAfter, _ := CacheStatsOf(e.mat)
 	tr.EndPhase("materialize", obs.SpanStats{
 		TraversedVectors: d.TraversedVectors,
@@ -323,16 +303,16 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 	return nil
 }
 
-// scoreChunk scores the freshly-materialized chunk [lo, hi) in w.vecs,
-// marks characterized candidates in seen and pushes their entries into the
-// worker's selector. The combination arithmetic replicates the sequential
-// path operation for operation (see executeQuery) so scores are
+// scoreChunk scores the chunk [lo, hi) — vecs[m] holds its Φ vectors under
+// path m — marks characterized candidates in seen and pushes their entries
+// into the worker's selector. The combination arithmetic replicates the
+// sequential path operation for operation (see executeQuery) so scores are
 // bit-identical.
-func (w *pipeWorker) scoreChunk(e *Engine, plan *queryPlan, concatRS *refScorer, pathRS []*refScorer, stride int32, seen []bool, lo, hi int) {
+func (w *pipeWorker) scoreChunk(e *Engine, plan *queryPlan, scorers *queryScorers, vecs [][]sparse.Vector, seen []bool, lo, hi int) {
 	cands := plan.cands
-	if concatRS != nil {
-		for i, phi := range concatVectors(w.vecs, plan.weights, stride) {
-			if s := concatRS.score(phi); !math.IsNaN(s) {
+	if scorers.concat != nil {
+		for i, phi := range concatVectors(vecs, plan.weights, scorers.stride) {
+			if s := scorers.concat.score(phi); !math.IsNaN(s) {
 				seen[lo+i] = true
 				w.sel.push(Entry{Vertex: cands[lo+i], Name: e.g.Name(cands[lo+i]), Score: s})
 			}
@@ -343,10 +323,9 @@ func (w *pipeWorker) scoreChunk(e *Engine, plan *queryPlan, concatRS *refScorer,
 	for i := 0; i < n; i++ {
 		w.sum[i], w.sumW[i], w.ok[i] = 0, 0, false
 	}
-	for m := range pathRS {
-		rs := pathRS[m]
+	for m, rs := range scorers.perPath {
 		wt := plan.weights[m]
-		for i, phi := range w.vecs[m] {
+		for i, phi := range vecs[m] {
 			s := rs.score(phi)
 			if math.IsNaN(s) {
 				continue

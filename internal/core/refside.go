@@ -1,0 +1,112 @@
+package core
+
+import (
+	"context"
+	"slices"
+
+	"netout/internal/hin"
+	"netout/internal/metapath"
+	"netout/internal/sparse"
+)
+
+// referenceSide reduces the reference set of a planned query to its scorers
+// — everything Equation (1) needs from Sr. Every executor (sequential, chunk
+// pipeline, in-process and remote shards) and Explain/SuggestFeatures call
+// it, so the reduction is written once and their scores and counters agree
+// by construction. mat is the caller's own materializer. Any failure,
+// cancellation and deadline included, fails the query whole: without the
+// reduction no candidate can be scored, so there is no prefix to keep.
+//
+// Two branches, chosen from what the code can observe:
+//
+//   - Set-frontier: S = Σ_{vj∈Sr} Φ(vj) by ONE propagation per feature path
+//     (metapath.Traverser.SetVector), when S is all the measure needs
+//     (NetOut; CosSim and PathSim are not linear in the indicator of Sr),
+//     the paths combine after scoring (CombineConcat sums w·Φ, and
+//     w·(a+b) ≠ w·a+w·b in floats), and every load of mat is a traversal
+//     (setMaterializer). There the propagation never does more work than
+//     the loop below, for any Sr. S is Float64bits-identical to the loop's:
+//     path counts are integers, exact below 2⁵³, and SetVector reports when
+//     a count got there — then this branch is abandoned for the other.
+//   - Per-vertex loads + sparse.Sum, for everything else: on a stateful
+//     materializer (cached, PM/SPM) a load may be a hit and warms the cache
+//     for the candidates. When Sr and Sc are the same set the loaded vectors
+//     ARE the candidates' vectors and come back as held (held[m][i] is
+//     Φ_paths[m](cands[i])), so the caller scores them instead of loading
+//     each vertex a second time; held is nil otherwise. The pipeline's
+//     workers (plan.workers) share the loads chunk by chunk; slots are
+//     reference-ordered, so the sums associate the same for any schedule.
+func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materializer) (scorers *queryScorers, held [][]sparse.Vector, err error) {
+	refs, paths := plan.refs, plan.paths
+	stride := int32(e.g.NumVertices())
+	if sm, ok := mat.(setMaterializer); ok && e.measure == MeasureNetOut && plan.combine == CombineAverage {
+		scorers = &queryScorers{weights: plan.weights, stride: stride, perPath: make([]*refScorer, len(paths))}
+		exact := true
+		for m := 0; m < len(paths) && exact; m++ {
+			var s sparse.Vector
+			if s, exact, err = sm.setVector(ctx, paths[m], refs); err != nil {
+				return nil, nil, err
+			}
+			scorers.perPath[m] = &refScorer{m: MeasureNetOut, s: s}
+		}
+		if exact {
+			return scorers, nil, nil
+		}
+	}
+	vecs := make([][]sparse.Vector, len(paths))
+	for m := range vecs {
+		vecs[m] = make([]sparse.Vector, len(refs))
+	}
+	load := func(mat Materializer, lo, hi int) error {
+		for m := range paths {
+			for j := lo; j < hi; j++ {
+				if err := ctxErr(ctx); err != nil {
+					return err
+				}
+				vec, err := mat.NeighborVector(paths[m], refs[j])
+				if err != nil {
+					return err
+				}
+				vecs[m][j] = vec
+			}
+		}
+		return nil
+	}
+	if ws := plan.workers; ws != nil {
+		plan.ifq.StartChunks((len(refs)+parallelChunk-1)/parallelChunk, len(ws))
+		err = runChunks(ws, len(refs), func(w *pipeWorker, lo, hi int) error {
+			if err := load(w.mat, lo, hi); err != nil {
+				return err
+			}
+			plan.ifq.ChunkDone()
+			return nil
+		})
+	} else {
+		err = load(mat, 0, len(refs))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	scorers = newQueryScorers(e.measure, plan.combine, vecs, plan.weights, stride)
+	if slices.Equal(refs, plan.cands) {
+		held = vecs
+	}
+	return scorers, held, nil
+}
+
+// loadVectors materializes Φ_p(v) for vs in order. On error it returns the
+// vectors completed so far — the prefix deadline degradation keeps.
+func loadVectors(ctx context.Context, mat Materializer, p metapath.Path, vs []hin.VertexID) ([]sparse.Vector, error) {
+	vecs := make([]sparse.Vector, 0, len(vs))
+	for _, v := range vs {
+		if err := ctxErr(ctx); err != nil {
+			return vecs, err
+		}
+		vec, err := mat.NeighborVector(p, v)
+		if err != nil {
+			return vecs, err
+		}
+		vecs = append(vecs, vec)
+	}
+	return vecs, nil
+}

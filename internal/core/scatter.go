@@ -20,19 +20,23 @@ import (
 // client — owns its own materializer view (a private arena view for PM/SPM,
 // a warm-shared handle for the cached strategy) and scores its local
 // candidates with the fused materialize+score loop into a bounded top-n
-// heap. The reference side reduces ONCE on the coordinator via the refScorer
-// and is broadcast read-only (in-process as a shared pointer; over the wire
-// as a ShardBroadcast); the coordinator then performs a deterministic k-way
-// merge of the per-shard rankings under the established (score, vertex)
-// total order.
+// heap. The reference side reduces ONCE on the coordinator, through the same
+// referenceSide unsharded execution uses — one propagation per feature path
+// on a baseline coordinator, per-vertex loads otherwise — and is broadcast
+// read-only (in-process as a shared pointer; over the wire as a
+// ShardBroadcast). Shards score candidates elsewhere, so unlike the
+// unsharded executors the tier never reuses the reference vectors for
+// Sr = Sc: each shard loads its own. The coordinator then performs a
+// deterministic k-way merge of the per-shard rankings under the established
+// (score, vertex) total order.
 //
 // Determinism contract, mirroring pipeline.go: for any shard count — local
 // or remote — the sharded execution produces the SAME Entries and Skipped as
 // unsharded execution, bit for bit.
 //
-//   - Scores: the reference reduction is built sequentially on the
-//     coordinator in the sequential path's exact order, so the broadcast
-//     aggregate's floating-point association is identical; each candidate's
+//   - Scores: the reference reduction is referenceSide's, the function the
+//     sequential path reduces with, so the broadcast aggregate is the same
+//     bits by construction; each candidate's
 //     combination arithmetic (queryScorers.score) replicates the sequential
 //     operations operation for operation, and no arithmetic ever crosses
 //     candidates. The wire codec ships floats as their exact IEEE-754 bits
@@ -416,11 +420,12 @@ func (e *Engine) Close() {
 	}
 }
 
-// queryScorers is the broadcast reference reduction: one refScorer over the
-// concatenated vectors (CombineConcat) or one per feature path
-// (CombineAverage), built once on the coordinator and shared read-only by
-// every shard. For NetOut/CosSim each refScorer is a single aggregate
-// vector — the "one small message" the network transport broadcasts.
+// queryScorers is a query's reduced reference side (referenceSide builds it
+// for every executor): one refScorer over the concatenated vectors
+// (CombineConcat) or one per feature path (CombineAverage), read-only once
+// built — pipeline workers and shards share it. For NetOut/CosSim each
+// refScorer is a single aggregate vector — the "one small message" the
+// network transport broadcasts.
 type queryScorers struct {
 	concat  *refScorer
 	perPath []*refScorer
@@ -658,42 +663,25 @@ func (e *Engine) shardDegradable(sr *ShardResponse) bool {
 // assembly) — with per-shard sub-spans folded into the trace, the wide
 // event and Result.Shards.
 func (e *Engine) executeSharded(ctx context.Context, plan *queryPlan, res *Result, tr *obs.Tracer, sg *shardGroup) error {
-	cands, refs, paths, weights := plan.cands, plan.refs, plan.paths, plan.weights
+	cands, paths, weights := plan.cands, plan.paths, plan.weights
 
-	// Reference reduction, once on the coordinator: feature-major over the
-	// reference set in the sequential path's exact order, so the broadcast
-	// aggregate's floating-point association is bit-identical to unsharded
-	// execution. A failure here fails the query whole — without the
-	// reduction no shard has a scorer, so there is no prefix to keep.
+	// Reference reduction, once on the coordinator (referenceSide: the same
+	// function, hence the same aggregate bits, as unsharded execution). The
+	// candidates are scored elsewhere, so vectors it holds are dropped.
 	plan.ifq.SetPhase("reduce")
 	matBefore := e.mat.Stats()
 	cacheBefore, _ := CacheStatsOf(e.mat)
-	refPerPath := make([][]sparse.Vector, len(paths))
-	for m := range paths {
-		refPerPath[m] = make([]sparse.Vector, len(refs))
-		for j, v := range refs {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			vec, err := e.mat.NeighborVector(paths[m], v)
-			if err != nil {
-				return err
-			}
-			refPerPath[m][j] = vec
-		}
+	scorers, _, err := e.referenceSide(ctx, plan, e.mat)
+	if err != nil {
+		return err
 	}
-	scorers := newQueryScorers(e.measure, e.combine, refPerPath, weights, int32(e.g.NumVertices()))
-	refPerPath = nil // scorers hold what they need; separable measures free Sr now
 	var bcast *ShardBroadcast
 	if sg.remote {
 		bcast = scorers.broadcast()
 	}
 	d := e.mat.Stats().Sub(matBefore)
 	cacheMid, _ := CacheStatsOf(e.mat)
-	res.Timing.NotIndexed += d.TraversalTime
-	res.Timing.Indexed += d.IndexedTime
-	res.Timing.TraversedVectors += d.TraversedVectors
-	res.Timing.IndexedVectors += d.IndexedVectors
+	res.Timing.charge(d)
 	tr.EndPhase("reduce", obs.SpanStats{
 		TraversedVectors: d.TraversedVectors,
 		IndexedVectors:   d.IndexedVectors,
@@ -743,10 +731,7 @@ func (e *Engine) executeSharded(ctx context.Context, plan *queryPlan, res *Resul
 			sd = sd.Add(sr.Stats)
 		}
 	}
-	res.Timing.NotIndexed += sd.TraversalTime
-	res.Timing.Indexed += sd.IndexedTime
-	res.Timing.TraversedVectors += sd.TraversedVectors
-	res.Timing.IndexedVectors += sd.IndexedVectors
+	res.Timing.charge(sd)
 	cacheAfter, _ := CacheStatsOf(e.mat)
 	tr.EndPhase("scatter", obs.SpanStats{
 		TraversedVectors: sd.TraversedVectors,

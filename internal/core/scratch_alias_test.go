@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,6 +84,46 @@ func TestNeighborVectorResultsOwnTheirStorage(t *testing.T) {
 			for i := range got {
 				vecBitEqual(t, labels[i], want[i], got[i])
 			}
+		}
+	}
+}
+
+// The baseline's set-frontier reduction runs through the same hop buffers as
+// NeighborVector: every S it hands out must still equal the per-vertex sum a
+// throwaway traverser computes after later calls of both kinds have run.
+func TestSetVectorResultOwnsItsStorage(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := randomBibGraph(rand.New(rand.NewSource(seed)))
+		a, _ := g.Schema().TypeByName("author")
+		authors := g.VerticesOfType(a)
+		mat := NewBaseline(g).(*baseline)
+		var got, want []sparse.Vector
+		var labels []string
+		for _, set := range [][]hin.VertexID{authors, authors[:2], authors[2:], authors} {
+			for _, dotted := range aliasPaths {
+				p, err := metapath.ParseDotted(g.Schema(), dotted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, exact, err := mat.setVector(context.Background(), p, set)
+				if err != nil || !exact {
+					t.Fatalf("setVector(%s): exact=%v err=%v", dotted, exact, err)
+				}
+				vecs := make([]sparse.Vector, len(set))
+				for i, v := range set {
+					if vecs[i], err = metapath.NewTraverser(g).NeighborVector(p, v); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := mat.NeighborVector(p, v); err != nil { // scribble between reductions
+						t.Fatal(err)
+					}
+				}
+				got, want = append(got, s), append(want, sparse.Sum(vecs))
+				labels = append(labels, fmt.Sprintf("seed %d %s |set|=%d", seed, dotted, len(set)))
+			}
+		}
+		for i := range got {
+			vecBitEqual(t, labels[i], want[i], got[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -99,20 +100,24 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 }
 
 func (e *Engine) evaluateFeaturePath(p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool, error) {
-	refVecs := make([]sparse.Vector, len(refs))
-	var err error
-	for j, v := range refs {
-		if refVecs[j], err = e.mat.NeighborVector(p, v); err != nil {
-			return Suggestion{}, false, err
-		}
+	// One path alone: its scorer is the measure's whole reference side. The
+	// signature carries no context, so the evaluation cannot be cancelled.
+	ctx := context.TODO()
+	plan := &queryPlan{cands: cands, refs: refs, paths: []metapath.Path{p}, combine: CombineAverage}
+	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
+	if err != nil {
+		return Suggestion{}, false, err
 	}
-	candVecs := make([]sparse.Vector, len(cands))
-	for i, v := range cands {
-		if candVecs[i], err = e.mat.NeighborVector(p, v); err != nil {
-			return Suggestion{}, false, err
-		}
+	var candVecs []sparse.Vector
+	if held != nil {
+		candVecs = held[0]
+	} else if candVecs, err = loadVectors(ctx, e.mat, p, cands); err != nil {
+		return Suggestion{}, false, err
 	}
-	scores := ScoreVectors(e.measure, candVecs, refVecs)
+	scores := make([]float64, len(candVecs))
+	for i, phi := range candVecs {
+		scores[i] = scorers.perPath[0].score(phi)
+	}
 	var finite []float64
 	minIdx := -1
 	for i, s := range scores {

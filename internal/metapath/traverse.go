@@ -1,6 +1,8 @@
 package metapath
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"netout/internal/hin"
@@ -23,8 +25,9 @@ type Traverser struct {
 	dense *sparse.DenseAccumulator
 	// cursors is the reusable row set for KernelMerge.
 	cursors []mergeCursor
-	// hops are the two ping-pong buffers NeighborVector writes the seed and
-	// every intermediate frontier into; only the final Φ is allocated.
+	// hops are the two ping-pong buffers NeighborVector and SetVector write
+	// the seed and every intermediate frontier into; only the final vector is
+	// allocated.
 	hops [2]sparse.Vector
 	// kernel forces a specific kernel when != KernelAuto.
 	kernel Kernel
@@ -47,32 +50,125 @@ func (tr *Traverser) NeighborVector(p Path, v hin.VertexID) (sparse.Vector, erro
 	if p.IsZero() {
 		return sparse.Vector{}, fmt.Errorf("metapath: zero path")
 	}
-	if !tr.g.Valid(v) {
-		return sparse.Vector{}, fmt.Errorf("metapath: vertex %d out of range", v)
+	if err := tr.checkSource(p, v); err != nil {
+		return sparse.Vector{}, err
 	}
-	if tr.g.Type(v) != p.Source() {
-		return sparse.Vector{}, fmt.Errorf("metapath: vertex %d has type %s, path starts at %s",
-			v, tr.g.Schema().TypeName(tr.g.Type(v)), tr.g.Schema().TypeName(p.Source()))
-	}
-	last := p.Hops() - 1
-	if last < 0 {
+	if p.Hops() == 0 {
 		return sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}, nil
 	}
-	cur := sparse.Vector{Idx: append(tr.hops[0].Idx[:0], int32(v)), Val: append(tr.hops[0].Val[:0], 1)}
-	tr.hops[0] = cur
-	for hop := 0; hop < last; hop++ {
+	tr.hops[0] = sparse.Vector{Idx: append(tr.hops[0].Idx[:0], int32(v)), Val: append(tr.hops[0].Val[:0], 1)}
+	return tr.expandPath(p, tr.hops[0], nil)
+}
+
+// checkSource reports whether v can start a walk along p.
+func (tr *Traverser) checkSource(p Path, v hin.VertexID) error {
+	if !tr.g.Valid(v) {
+		return fmt.Errorf("metapath: vertex %d out of range", v)
+	}
+	if tr.g.Type(v) != p.Source() {
+		return fmt.Errorf("metapath: vertex %d has type %s, path starts at %s",
+			v, tr.g.Schema().TypeName(tr.g.Type(v)), tr.g.Schema().TypeName(p.Source()))
+	}
+	return nil
+}
+
+// expandPath expands cur — a seed frontier living in hops[0] — along every
+// hop of p (at least one). Intermediate frontiers ping-pong between the two
+// hop buffers; only the final vector is allocated. step, when non-nil, sees
+// each frontier before it is expanded, and an error from it ends the walk.
+func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vector) error) (sparse.Vector, error) {
+	last := p.Hops() - 1
+	for hop := 0; ; hop++ {
+		if step != nil {
+			if err := step(cur); err != nil {
+				return sparse.Vector{}, err
+			}
+		}
+		if hop == last {
+			return tr.expandInto(KernelAuto, cur, p.Type(last+1), sparse.Vector{}), nil
+		}
 		// cur lives in hops[hop&1]; the other buffer holds a frontier that
 		// is already consumed.
 		b := &tr.hops[(hop+1)&1]
 		cur = tr.expandInto(KernelAuto, cur, p.Type(hop+1), *b)
 		if cur.IsZero() {
-			return sparse.Vector{}, nil // empty frontier: Φ_P(v) is zero
+			return sparse.Vector{}, nil // empty frontier: the result is zero
 		}
 		if cap(cur.Idx) <= maxHopBuf {
 			*b = cur // keep the (possibly grown) buffer for the next call
 		}
 	}
-	return tr.expandInto(KernelAuto, cur, p.Type(last+1), sparse.Vector{}), nil
+}
+
+// maxExactCount is 2⁵³: every non-negative integer below it is a float64,
+// and sums of such integers that stay below it are exact in any order.
+const maxExactCount = 1 << 53
+
+// errInexact ends a SetVector walk whose counts left that domain.
+var errInexact = errors.New("metapath: path count reached 2^53")
+
+// SetVector computes Σ_{v∈set} Φ_P(v) with ONE frontier propagation seeded
+// with weight 1 on every vertex of set (ascending, duplicate-free, all of
+// type P.Source()) instead of |set| traversals: path counting is linear in
+// the seed. Hop h scatters each row of the union frontier once, where the
+// per-vertex walks scatter it once per vertex that reaches it, and drains
+// once instead of |set| times, so the propagation never does more work than
+// they do.
+//
+// exact reports that every count on the way stayed below 2⁵³. Multiplicities
+// are positive integers, so every value is then an exactly represented
+// integer, nothing was rounded, and s is Float64bits-identical to sparse.Sum
+// over the per-vertex vectors in any order. Otherwise s is zero and the
+// caller must sum per vertex. The context is checked before every hop; like
+// NeighborVector's, the result is freshly allocated.
+func (tr *Traverser) SetVector(ctx context.Context, p Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error) {
+	if p.IsZero() {
+		return sparse.Vector{}, false, fmt.Errorf("metapath: zero path")
+	}
+	if len(set) == 0 {
+		return sparse.Vector{}, true, nil
+	}
+	var seed sparse.Vector
+	if p.Hops() > 0 {
+		seed = outVector(tr.hops[0], len(set))
+	}
+	for _, v := range set {
+		if err := tr.checkSource(p, v); err != nil {
+			return sparse.Vector{}, false, err
+		}
+		seed.Idx = append(seed.Idx, int32(v))
+		seed.Val = append(seed.Val, 1)
+	}
+	if p.Hops() == 0 {
+		return seed, true, nil
+	}
+	if cap(seed.Idx) <= maxHopBuf {
+		tr.hops[0] = seed
+	}
+	inDomain := func(frontier sparse.Vector) error {
+		for _, x := range frontier.Val {
+			if x >= maxExactCount {
+				return errInexact
+			}
+		}
+		return nil
+	}
+	s, err = tr.expandPath(p, seed, func(frontier sparse.Vector) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return inDomain(frontier)
+	})
+	if err == nil {
+		err = inDomain(s)
+	}
+	switch {
+	case err == errInexact:
+		return sparse.Vector{}, false, nil
+	case err != nil:
+		return sparse.Vector{}, false, err
+	}
+	return s, true, nil
 }
 
 // Expand advances a weighted frontier one hop to the given neighbor type:
