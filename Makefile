@@ -41,10 +41,12 @@ bench:
 # measurements behind the sparse kernels' crossover constants;
 # BenchmarkReferenceSide measures per-vertex loads + Sum against one
 # set-frontier propagation, the two branches of referenceSide (DESIGN.md
-# "Reference side"). Every line runs with -benchmem so B/op and allocs/op
-# are recorded.
+# "Reference side"); BenchmarkCandidateSide one walk per candidate against
+# one reverse propagation plus the visibility table, the evidence for
+# candSideMinShare (DESIGN.md "Candidate side"). Every line runs with
+# -benchmem so B/op and allocs/op are recorded.
 bench-json: bench-workload
-	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide' -benchmem . ; \
+	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide|BenchmarkCandidateSide' -benchmem . ; \
 	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe' -benchmem ./internal/core/ ; \
 	  $(GO) test -run XXX -bench='BenchmarkAccumulators|BenchmarkDot|BenchmarkSum' -benchmem ./internal/sparse/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
@@ -72,7 +74,8 @@ bench-shard:
 bench-shard-smoke:
 	$(GO) test -run XXX -bench='BenchmarkShard/' -benchtime=1x .
 
-# One iteration of every benchmark: catches bit-rot without measuring.
+# One iteration of every benchmark (BenchmarkCandidateSide's 60 arms
+# included): catches bit-rot without measuring.
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x ./...
 

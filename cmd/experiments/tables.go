@@ -136,6 +136,24 @@ TOP 5;`, man.Hub)
 	fmt.Println()
 }
 
+// caseStudyQueries are the three queries of Table 5.
+func caseStudyQueries(man *netout.Manifest) []struct{ title, src string } {
+	return []struct{ title, src string }{
+		{
+			fmt.Sprintf("Sc = Sr = author{%q}.paper.author, P = author.paper.venue", man.Hub),
+			fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, man.Hub),
+		},
+		{
+			fmt.Sprintf("Sc = Sr = author{%q}.paper.author, P = author.paper.author", man.Hub),
+			fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.author TOP 10;`, man.Hub),
+		},
+		{
+			fmt.Sprintf("Sc = Sr = venue{%q}.paper.author, P = author.paper.venue", man.MainVenue),
+			fmt.Sprintf(`FIND OUTLIERS FROM venue{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, man.MainVenue),
+		},
+	}
+}
+
 // table5 reproduces the three case-study queries of Table 5.
 func (h *harness) table5() {
 	g, man := h.network()
@@ -155,20 +173,7 @@ func (h *harness) table5() {
 		kind[n] = "normal coauthor"
 	}
 
-	queries := []struct{ title, src string }{
-		{
-			fmt.Sprintf("Sc = Sr = author{%q}.paper.author, P = author.paper.venue", man.Hub),
-			fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, man.Hub),
-		},
-		{
-			fmt.Sprintf("Sc = Sr = author{%q}.paper.author, P = author.paper.author", man.Hub),
-			fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.author TOP 10;`, man.Hub),
-		},
-		{
-			fmt.Sprintf("Sc = Sr = venue{%q}.paper.author, P = author.paper.venue", man.MainVenue),
-			fmt.Sprintf(`FIND OUTLIERS FROM venue{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, man.MainVenue),
-		},
-	}
+	queries := caseStudyQueries(man)
 	eng := netout.NewEngine(g)
 	results := make([]*netout.Result, len(queries))
 	for qi, q := range queries {

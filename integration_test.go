@@ -193,3 +193,39 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// The allocation gate: a warm whole-type NetOut scan on the baseline — the
+// query BenchmarkQuery/NetOut times, on its graph — scores every candidate
+// from the visibility table and one reverse propagation, so what it
+// allocates is per query, not per candidate: parse, plan, two propagated
+// vectors, the numerators, the score buffers, the top-k heap. Walking per
+// candidate cost 2 008 allocations; measured now: 68, and the ceiling leaves
+// ~20 % headroom. testing.AllocsPerRun pins GOMAXPROCS to 1, so this is the
+// sequential executor on any machine.
+func TestWarmScanAllocationCeiling(t *testing.T) {
+	const ceiling = 82
+	cfg := netout.ScaledGenConfig(1)
+	cfg.Seed = 1
+	g, _, err := netout.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := netout.NewEngine(g)
+	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 25;`
+	run := func() {
+		res, err := eng.Execute(src)
+		if err != nil || len(res.Entries) != 25 {
+			t.Fatalf("scan: err=%v", err)
+		}
+	}
+	run() // cold: fills the table
+	res, _ := eng.Execute(src)
+	if res.Timing.IndexedVectors != int64(res.CandidateCount) {
+		t.Fatalf("warm scan read %d of %d norms from the table", res.Timing.IndexedVectors, res.CandidateCount)
+	}
+	if n := testing.AllocsPerRun(20, run); n > ceiling {
+		t.Fatalf("warm whole-type scan: %.0f allocations per query, ceiling %d", n, ceiling)
+	} else {
+		t.Logf("warm whole-type scan: %.0f allocations per query (ceiling %d)", n, ceiling)
+	}
+}

@@ -23,7 +23,8 @@ import (
 // NewView returns a materializer that shares m's pre-computed state but is
 // safe to use concurrently with other views of m:
 //
-//   - baseline: no shared state; the view is a fresh baseline.
+//   - baseline: a fresh traverser and private statistics over the root's
+//     visibility table (atomic words, see visTable).
 //   - PM/SPM: the immutable index is shared; traversal scratch space and
 //     statistics are private to the view.
 //   - cached: the view references the SAME shard set, singleflight group
@@ -36,7 +37,7 @@ func NewView(m Materializer) (Materializer, error) {
 	}
 	switch v := m.(type) {
 	case *baseline:
-		return NewBaseline(v.tr.Graph()), nil
+		return &baseline{tr: metapath.NewTraverser(v.tr.Graph()), vis: v.vis}, nil
 	case *indexedMaterializer:
 		return &indexedMaterializer{
 			tr:       metapath.NewTraverser(v.tr.Graph()),
@@ -66,7 +67,7 @@ type BatchOptions struct {
 	// Combination is the multi-path combination mode (default average).
 	Combination Combination
 	// Materializer, if set, is the shared strategy whose index the workers
-	// reuse through views; nil means each worker gets its own baseline.
+	// reuse through views; nil means views of one fresh baseline.
 	Materializer Materializer
 	// QueryParallelism bounds each worker engine's intra-query pipeline
 	// (WithQueryParallelism). Default 1: the batch already parallelizes
@@ -110,16 +111,14 @@ func ExecuteBatch(g *hin.Graph, queries []string, opts BatchOptions) ([]BatchRes
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	engines := make([]*Engine, workers)
+	root := opts.Materializer
+	if root == nil {
+		root = NewBaseline(g)
+	}
 	for w := 0; w < workers; w++ {
-		var mat Materializer
-		if opts.Materializer != nil {
-			view, err := NewView(opts.Materializer)
-			if err != nil {
-				return nil, err
-			}
-			mat = view
-		} else {
-			mat = NewBaseline(g)
+		mat, err := NewView(root)
+		if err != nil {
+			return nil, err
 		}
 		engines[w] = NewEngine(g,
 			WithMeasure(opts.Measure),

@@ -1,0 +1,362 @@
+package core
+
+import (
+	"context"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"netout/internal/hin"
+	"netout/internal/metapath"
+	"netout/internal/sparse"
+)
+
+// candidateSide is the candidate-side twin of referenceSide: built once per
+// query — per request on a shard, over the shard's slice — it is the
+// per-candidate body of every executor. The sequential path loads and ranks
+// the whole set in one call, the chunk pipeline a chunk at a time on each
+// worker's view, a shard one candidate at a time, so the load order each of
+// them has always had (and with it every cache counter) is theirs still.
+// Read-only once built: workers share it and bring their own materializer and
+// candBuf.
+//
+// Two ways to score, chosen from what the code can observe:
+//
+//   - From vectors: Φ_P(v) per (path, candidate) — held by the reference pass
+//     when Sr ≡ Sc, loaded through the materializer otherwise — scored by the
+//     query's scorers. Any measure, combination and materializer.
+//   - From norms, where referenceSide could propagate (NetOut, CombineAverage,
+//     a setMaterializer): Ω_P(v) = Φ_P(v)·S / ‖Φ_P(v)‖², and the denominator
+//     is a per-(path, vertex) scalar the materializer memoizes (visTable).
+//     A path with enough of the slice's norms known (visTable.propagate) also
+//     gets every numerator at once: N = M_P·S is S propagated back along
+//     P⁻¹ (Traverser.SeedVector; edges are symmetric), one walk instead of
+//     one per candidate. A candidate whose norm is known then costs a table
+//     read and a division; one whose norm is not costs the walk it always
+//     did — Φ drained into scratch when only its norm is wanted — and leaves
+//     the norm behind. N is exact or absent: SeedVector reports when a count
+//     reached 2⁵³ and the path then keeps walking per vertex. Below 2⁵³ every
+//     term of Φ·S is a non-negative integer bounded by N[v], so every product
+//     and partial sum of Dot is exact in any order, fused or not, and N[v] is
+//     Float64bits-identical to it; the norm is the very float64 Norm2Sq
+//     returned. Scores are therefore the per-vertex path's bit for bit.
+type candidateSide struct {
+	g       *hin.Graph
+	scorers *queryScorers
+	paths   []metapath.Path
+	cands   []hin.VertexID
+	// held[m][i] is Φ_paths[m](cands[i]) when the reference pass already
+	// loaded the candidates' vectors (nil otherwise).
+	held [][]sparse.Vector
+	// memo[m] is path m's norm table (nil entry: none fits) and num[m][i] its
+	// numerator N[cands[i]] (nil: the path walks per vertex). memo itself is
+	// nil when candidates are scored from vectors.
+	memo []*visPath
+	num  [][]float64
+}
+
+// The crossover of the reverse propagation, as the visTable applies it
+// (visTable.propagate): a path is propagated when the slice holds at least
+// candSideMinKnown candidates whose norm is known and they are at least
+// 1/candSideMinShare of the source type.
+//
+// The share is measured: in BenchmarkCandidateSide (BENCH_kernel.json) the
+// warm propagated scan is 1.9–11× ahead of the per-vertex one from 50 % of
+// the type up on all three scan paths, 1.7–2.3× ahead at 25 % on the author
+// and term paths and level with it on the venue path, and 1.3–2.8× behind at
+// 10 %. The count is a floor under it for the paper's sake: the anchor-derived sets
+// of Table 4 cover up to 60 % of the small venue and term types, where the
+// share alone would propagate them, but stay under 600 candidates at every
+// scale cmd/experiments runs — so Baseline there keeps meaning one traversal
+// per candidate (TestAnchorQueriesStayPerVertex), while a scan of a type of a
+// thousand vertices clears it, and so does a shard's half of one twice that.
+const (
+	candSideMinKnown = 1024
+	candSideMinShare = 4
+)
+
+// newCandidateSide plans the scoring of cands. mat is the caller's own
+// materializer; a reverse propagation runs on it, and its failure — the
+// context's included — fails the caller whole, like the reference side's.
+func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
+	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
+	sm, ok := mat.(setMaterializer)
+	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil {
+		return cs, nil
+	}
+	cs.memo = make([]*visPath, len(paths))
+	cs.num = make([][]float64, len(paths))
+	for m, p := range paths {
+		tbl, propagate := sm.norms(p, cands)
+		cs.memo[m] = tbl
+		if !propagate {
+			continue
+		}
+		n, exact, err := sm.seedVector(ctx, p.Reverse(), scorers.perPath[m].s)
+		if err != nil {
+			return nil, err
+		}
+		if exact {
+			cs.num[m] = gather(n, cands)
+		}
+	}
+	return cs, nil
+}
+
+// gather returns n's values at the coordinates vs, one per vertex. vs ascends
+// — candidate sets and their shard slices are sorted — so one cursor walks n
+// beside it; a vertex out of order, which only a foreign shard request can
+// hold, is searched for instead.
+func gather(n sparse.Vector, vs []hin.VertexID) []float64 {
+	out := make([]float64, len(vs))
+	j, passed := 0, hin.InvalidVertex
+	for i, v := range vs {
+		if v <= passed {
+			out[i] = n.At(int32(v))
+			continue
+		}
+		passed = v
+		for j < len(n.Idx) && n.Idx[j] < int32(v) {
+			j++
+		}
+		if j < len(n.Idx) && n.Idx[j] == int32(v) {
+			out[i] = n.Val[j]
+		}
+	}
+	return out
+}
+
+// candBuf is one goroutine's reusable scratch for walking candidate ranges.
+type candBuf struct {
+	lo, n int // the loaded range is cands[lo : lo+n]
+	// vecs[m][i] is Φ_paths[m](cands[lo+i]) when scoring from vectors not
+	// held; omega[m][i] its Ω under path m when scoring from norms.
+	vecs  [][]sparse.Vector
+	omega [][]float64
+	one   []sparse.Vector // one candidate's vectors, gathered for the scorers
+	// scores[i] is the combined score of cands[lo+i]; ok[i] is false when no
+	// path characterizes it.
+	scores []float64
+	ok     []bool
+}
+
+// load materializes on mat what scoring cands[lo:hi] needs, path by path,
+// polling ctx before every (path, candidate). It returns how many leading
+// candidates are complete under every path — hi-lo, or with the error the
+// prefix that deadline degradation may keep (buf then covers that prefix).
+func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int, buf *candBuf) (int, error) {
+	buf.lo, buf.n = lo, hi-lo
+	if cs.held != nil {
+		return buf.n, nil
+	}
+	if len(buf.vecs) != len(cs.paths) {
+		buf.vecs = make([][]sparse.Vector, len(cs.paths))
+		buf.omega = make([][]float64, len(cs.paths))
+	}
+	sm, _ := mat.(setMaterializer) // every view of one is one
+	for m, p := range cs.paths {
+		if cs.memo != nil {
+			buf.omega[m] = slices.Grow(buf.omega[m][:0], hi-lo)
+		} else {
+			buf.vecs[m] = slices.Grow(buf.vecs[m][:0], hi-lo)
+		}
+		for i, v := range cs.cands[lo:hi] {
+			err := ctxErr(ctx)
+			if err == nil && cs.memo != nil {
+				var w float64
+				w, err = cs.pathOmega(sm, m, lo+i)
+				buf.omega[m] = append(buf.omega[m], w)
+			} else if err == nil {
+				var phi sparse.Vector
+				phi, err = mat.NeighborVector(p, v)
+				buf.vecs[m] = append(buf.vecs[m], phi)
+			}
+			if err != nil {
+				// A candidate counts once every path has it: nothing before
+				// the last path, that path's progress within it.
+				buf.n = 0
+				if m == len(cs.paths)-1 {
+					buf.n = i
+				}
+				return buf.n, err
+			}
+		}
+	}
+	return buf.n, nil
+}
+
+// pathOmega is Ω under path m of candidate i, scored from norms: NaN when it
+// is invisible under the path.
+func (cs *candidateSide) pathOmega(sm setMaterializer, m, i int) (float64, error) {
+	p, tbl, v := cs.paths[m], cs.memo[m], cs.cands[i]
+	if num := cs.num[m]; num != nil {
+		vis, err := sm.visibility(p, v, tbl)
+		return netOut(num[i], vis), err
+	}
+	phi, err := sm.NeighborVector(p, v)
+	if err != nil {
+		return 0, err
+	}
+	vis := phi.Norm2Sq()
+	tbl.put(v, vis)
+	return netOut(phi.Dot(cs.scorers.perPath[m].s), vis), nil
+}
+
+// score combines what load left in buf into buf.scores and buf.ok.
+func (cs *candidateSide) score(buf *candBuf) {
+	buf.scores, buf.ok = slices.Grow(buf.scores[:0], buf.n), slices.Grow(buf.ok[:0], buf.n)
+	if len(buf.one) != len(cs.paths) {
+		buf.one = make([]sparse.Vector, len(cs.paths))
+	}
+	for i := 0; i < buf.n; i++ {
+		var s float64
+		var ok bool
+		if cs.memo != nil {
+			var mean weightedMean
+			for m, w := range cs.scorers.weights {
+				mean.add(w, buf.omega[m][i])
+			}
+			s, ok = mean.value()
+		} else {
+			for m := range cs.paths {
+				if cs.held != nil {
+					buf.one[m] = cs.held[m][buf.lo+i]
+				} else {
+					buf.one[m] = buf.vecs[m][i]
+				}
+			}
+			s, ok = cs.scorers.score(buf.one)
+		}
+		buf.scores, buf.ok = append(buf.scores, s), append(buf.ok, ok)
+	}
+}
+
+// collect offers buf's scored candidates to sel and appends the ones no
+// path characterizes to skipped, in candidate order.
+func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.VertexID) []hin.VertexID {
+	for i, s := range buf.scores {
+		v := cs.cands[buf.lo+i]
+		if !buf.ok[i] {
+			skipped = append(skipped, v)
+			continue
+		}
+		sel.push(Entry{Vertex: v, Name: cs.g.Name(v), Score: s})
+	}
+	return skipped
+}
+
+// ---------------------------------------------------------------------------
+// Visibility table
+
+// maxVisBytes bounds the norm tables of one baseline and all its views.
+const maxVisBytes = 64 << 20
+
+// visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
+// traversals have computed: one visPath per feature path, created on first
+// use. The root baseline owns it and every NewView shares it, so pipeline
+// workers, shard runners, a shard server's view pool and a ServePool's
+// engines fill and read the same tables. When a new path's table would push
+// the total past limit, whole tables go, oldest first; a reader holding an
+// evicted table keeps a consistent one for the rest of its query.
+type visTable struct {
+	limit int64
+	// minKnown and minShare are the propagation crossover (candSideMinKnown,
+	// candSideMinShare; tests lower them to reach the branch on small graphs).
+	minKnown, minShare int
+
+	mu    sync.Mutex
+	paths map[string]*visPath
+	order []string // keys of paths, oldest first
+	bytes int64
+}
+
+// visPath is one path's table, indexed by vertex ID offset by the source
+// type's first ID (the dense kernel's span trick: one slot per vertex of the
+// type when a loader added them together).
+type visPath struct {
+	lo hin.VertexID
+	n  int // vertices of the source type
+	// bits[v-lo] is Float64bits(‖Φ(v)‖²)+1, or 0 while unknown: +0 is a
+	// legitimate visibility (an invisible vertex), so absence needs a word of
+	// its own, and no norm is the NaN whose bits are all ones. Every writer
+	// of a slot stores the same word — the norm is a function of (path,
+	// vertex) — so concurrent fills need atomicity, not ordering.
+	bits []atomic.Uint64
+}
+
+// path returns p's table, creating it when it fits (nil otherwise).
+func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if vp := t.paths[p.Key()]; vp != nil {
+		return vp
+	}
+	lo, hi, ok := g.TypeIDSpan(p.Source())
+	size := (int64(hi) - int64(lo) + 1) * 8
+	if !ok || size > t.limit {
+		return nil
+	}
+	for t.bytes+size > t.limit {
+		t.bytes -= int64(len(t.paths[t.order[0]].bits)) * 8
+		delete(t.paths, t.order[0])
+		t.order = t.order[1:]
+	}
+	vp := &visPath{lo: lo, n: g.NumVerticesOfType(p.Source()), bits: make([]atomic.Uint64, size/8)}
+	if t.paths == nil {
+		t.paths = make(map[string]*visPath)
+	}
+	t.paths[p.Key()] = vp
+	t.order = append(t.order, p.Key())
+	t.bytes += size
+	return vp
+}
+
+func (t *visTable) residentBytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.bytes
+}
+
+// slot is v's word, nil when v is outside the table (or there is none).
+func (vp *visPath) slot(v hin.VertexID) *atomic.Uint64 {
+	if vp == nil || v < vp.lo || int(v-vp.lo) >= len(vp.bits) {
+		return nil
+	}
+	return &vp.bits[v-vp.lo]
+}
+
+func (vp *visPath) get(v hin.VertexID) (vis float64, ok bool) {
+	if s := vp.slot(v); s != nil {
+		if w := s.Load(); w != 0 {
+			return math.Float64frombits(w - 1), true
+		}
+	}
+	return 0, false
+}
+
+func (vp *visPath) put(v hin.VertexID, vis float64) {
+	if s := vp.slot(v); s != nil {
+		s.Store(math.Float64bits(vis) + 1)
+	}
+}
+
+// propagate reports whether enough of cands have their norm in vp to pay
+// for the path's reverse propagation (see candSideMinKnown).
+func (t *visTable) propagate(vp *visPath, cands []hin.VertexID) bool {
+	if vp == nil {
+		return false
+	}
+	need := max(t.minKnown, (vp.n+t.minShare-1)/t.minShare)
+	for i, v := range cands {
+		if len(cands)-i < need {
+			break // too few candidates left to get there
+		}
+		if _, ok := vp.get(v); ok {
+			if need--; need <= 0 {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/oql"
-	"netout/internal/sparse"
 	"netout/internal/xerr"
 )
 
@@ -433,17 +431,17 @@ func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
 	return metapath.KernelCounts{}, false
 }
 
-// kernelDelta maps the non-zero per-kernel hop deltas for an event.
-func kernelDelta(before, after metapath.KernelCounts) map[string]int64 {
+// kernelDelta maps the non-zero per-kernel hop counts of an interval for an
+// event.
+func kernelDelta(d metapath.KernelCounts) map[string]int64 {
 	out := make(map[string]int64, 3)
-	if d := after.Map - before.Map; d > 0 {
-		out["map"] = int64(d)
-	}
-	if d := after.Dense - before.Dense; d > 0 {
-		out["dense"] = int64(d)
-	}
-	if d := after.Merge - before.Merge; d > 0 {
-		out["merge"] = int64(d)
+	for _, k := range [...]struct {
+		name string
+		hops uint64
+	}{{"map", d.Map}, {"dense", d.Dense}, {"merge", d.Merge}} {
+		if k.hops > 0 {
+			out[k.name] = int64(k.hops)
+		}
 	}
 	if len(out) == 0 {
 		return nil
@@ -482,13 +480,17 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	// Kernel counters are snapshotted around execution when the materializer
 	// exposes them (see kernelCountsOf); the delta is computed inside the
 	// observation defer so recovered panics still report the work done.
-	kernelBefore, kernelTrack := kernelCountsOf(e.mat)
+	kernelBefore, _ := kernelCountsOf(e.mat)
+	var plan *queryPlan
 	defer func() {
 		var kernels map[string]int64
-		if kernelTrack {
-			if after, ok := kernelCountsOf(e.mat); ok {
-				kernels = kernelDelta(kernelBefore, after)
+		if after, ok := kernelCountsOf(e.mat); ok {
+			// Hops done on worker and shard views count too: they are the
+			// query's work wherever it ran.
+			if plan != nil {
+				after = after.Add(plan.viewKernels)
 			}
+			kernels = kernelDelta(after.Sub(kernelBefore))
 		}
 		e.observeQuery(ctx, tr, q, res, err, kernels)
 	}()
@@ -549,7 +551,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	tr.EndPhase("plan", obs.SpanStats{})
 	ifq.SetPhase("materialize")
 
-	plan := &queryPlan{q: q, cands: cands, refs: refs, paths: paths, weights: weights, combine: e.combine, ifq: ifq}
+	plan = &queryPlan{q: q, cands: cands, refs: refs, paths: paths, weights: weights, combine: e.combine, ifq: ifq}
 	if sg := e.shardGroup(); sg != nil {
 		if err := e.executeSharded(ctx, plan, res, tr, sg); err != nil {
 			return nil, err
@@ -568,46 +570,30 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		return res, nil
 	}
 
-	// Sequential path: reduce the reference side, materialize Φ for Sc under
-	// every feature meta-path — unless the reference pass already holds those
-	// vectors — then score, then rank.
+	// Sequential path: reduce the reference side, then the candidate side over
+	// the whole set in one range — load, score, rank.
 	matBefore := e.mat.Stats()
 	cacheBefore, _ := CacheStatsOf(e.mat)
-	scorers, candPerPath, err := e.referenceSide(ctx, plan, e.mat)
+	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
 	if err != nil {
 		return nil, err
 	}
-	if candPerPath == nil {
-		candPerPath = make([][]sparse.Vector, len(paths))
-		var matErr error
-		for m := 0; m < len(paths) && matErr == nil; m++ {
-			candPerPath[m], matErr = loadVectors(ctx, e.mat, paths[m], cands)
+	cs, err := newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, paths, cands, held)
+	if err != nil {
+		return nil, err
+	}
+	var buf candBuf
+	if done, matErr := cs.load(ctx, e.mat, 0, len(cands), &buf); matErr != nil {
+		// Graceful degradation: an expired deadline under NetOut returns the
+		// ranking over the prefix of candidates loaded under EVERY feature.
+		// Scores over the prefix are exact — NetOut is separable, so a
+		// candidate's arithmetic never reads other candidates. With an empty
+		// prefix the error stands, as it does for cancellation and real
+		// failures.
+		if e.measure != MeasureNetOut || !degradable(matErr) || done == 0 {
+			return nil, matErr
 		}
-		if matErr != nil {
-			// Graceful degradation: an expired deadline under NetOut returns the
-			// ranking over the prefix of candidates materialized under EVERY
-			// feature (a candidate's score needs all of its Φ vectors; the
-			// loop is feature-major, so that prefix is the minimum of the
-			// per-feature progress, zero while a feature is unreached). Scores
-			// over the prefix are exact — NetOut is separable, so a candidate's
-			// arithmetic never reads other candidates. With an empty prefix the
-			// error stands, as it does for cancellation and real failures.
-			prefix := 0
-			if e.measure == MeasureNetOut && degradable(matErr) {
-				prefix = len(cands)
-				for m := range candPerPath {
-					prefix = min(prefix, len(candPerPath[m]))
-				}
-			}
-			if prefix == 0 {
-				return nil, matErr
-			}
-			cands = cands[:prefix]
-			for m := range candPerPath {
-				candPerPath[m] = candPerPath[m][:prefix]
-			}
-			res.Partial = true
-		}
+		res.Partial = true
 	}
 	matDelta := e.mat.Stats().Sub(matBefore)
 	res.Timing.charge(matDelta)
@@ -624,54 +610,12 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	// over combined vectors).
 	ifq.SetPhase("score")
 	scoreStart := time.Now()
-	combined := make([]float64, len(cands))
-	seen := make([]bool, len(cands)) // candidate characterized by ≥1 path
-	if scorers.concat != nil {
-		for i, phi := range concatVectors(candPerPath, weights, scorers.stride) {
-			if s := scorers.concat.score(phi); !math.IsNaN(s) {
-				combined[i] = s
-				seen[i] = true
-			}
-		}
-	} else { // CombineAverage
-		// The average is renormalized per candidate by the summed weight of
-		// the paths that actually characterize it: a candidate with zero
-		// visibility under one path still gets a proper weighted mean of the
-		// paths it IS visible under, instead of a score deflated by the
-		// invisible paths' weight (which would fake extra outlierness).
-		seenWeight := make([]float64, len(cands))
-		for m, rs := range scorers.perPath {
-			for i, phi := range candPerPath[m] {
-				s := rs.score(phi)
-				if math.IsNaN(s) {
-					continue
-				}
-				combined[i] += weights[m] * s
-				seenWeight[i] += weights[m]
-				seen[i] = true
-			}
-		}
-		for i := range combined {
-			if seenWeight[i] > 0 {
-				combined[i] /= seenWeight[i]
-			}
-		}
-	}
+	cs.score(&buf)
 	tr.EndPhase("score", obs.SpanStats{})
 	ifq.SetPhase("rank")
 
 	sel := newTopSelector(q.TopK)
-	for i, v := range cands {
-		if !seen[i] {
-			res.Skipped = append(res.Skipped, v)
-			continue
-		}
-		sel.push(Entry{
-			Vertex: v,
-			Name:   e.g.Name(v),
-			Score:  combined[i],
-		})
-	}
+	res.Skipped = cs.collect(&buf, sel, nil)
 	res.Entries = sel.ranked()
 	tr.EndPhase("rank", obs.SpanStats{})
 	res.Timing.Scoring += time.Since(scoreStart)

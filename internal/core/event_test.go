@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -376,5 +377,45 @@ func TestServePoolEmitsEventsWithQueueWait(t *testing.T) {
 	pool.Close()
 	if err := pool.Ready(); err == nil {
 		t.Fatal("closed pool still reports ready")
+	}
+}
+
+// The event's kernel counts are the query's hops wherever they ran. The
+// parent read only the engine's own traverser, so a pipelined or sharded
+// query journaled the reference side's two hops and dropped every hop a
+// worker or shard view expanded: on the same query, cold and warm, the
+// pipeline's and the in-process shards' totals must equal the sequential
+// engine's. (Remote shards have no wire field for them.)
+func TestEventKernelsCountWorkerViews(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(47)))
+	total := func(opts ...Option) []int64 {
+		ring := obs.NewEventRing(4)
+		eng := NewEngine(g, append(opts, WithMaterializer(eagerBaseline(g)), WithEventSink(ring))...)
+		defer eng.Close()
+		var sums []int64
+		for run := 0; run < 2; run++ {
+			if _, err := eng.Execute(faultQuery); err != nil {
+				t.Fatal(err)
+			}
+			var sum int64
+			for _, n := range ring.Snapshot()[0].Kernels {
+				sum += n
+			}
+			sums = append(sums, sum)
+		}
+		return sums
+	}
+	want := total(WithQueryParallelism(1))
+	if want[0] <= want[1] || want[1] == 0 {
+		t.Fatalf("sequential kernel hops cold/warm = %v, want a cold walk per candidate and a warm pair of propagations", want)
+	}
+	if got := total(WithQueryParallelism(2)); !slices.Equal(got, want) {
+		t.Fatalf("pipeline(2) kernel hops cold/warm = %v, want the sequential %v", got, want)
+	}
+	// Each shard propagates its own numerators once the table is warm: two
+	// hops more per shard beyond the first.
+	want[1] += 2
+	if got := total(WithShards(2)); !slices.Equal(got, want) {
+		t.Fatalf("shards(2) kernel hops cold/warm = %v, want %v", got, want)
 	}
 }

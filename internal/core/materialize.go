@@ -77,7 +77,8 @@ type Materializer interface {
 	// Strategy identifies the implementation.
 	Strategy() Strategy
 	// IndexBytes reports the in-memory size of the pre-materialized index
-	// (0 for the baseline), as studied in Figure 5b.
+	// (for the baseline, of the visibilities it has memoized), as studied in
+	// Figure 5b.
 	IndexBytes() int64
 	// Stats returns cumulative cost counters since construction.
 	Stats() MatStats
@@ -89,41 +90,82 @@ type Materializer interface {
 type baseline struct {
 	tr    *metapath.Traverser
 	stats MatStats
+	// vis memoizes the visibilities its traversals compute; the root's table
+	// is shared with every view (NewView).
+	vis *visTable
 }
 
 // NewBaseline returns the traversal-only materializer of Section 6.1.
 func NewBaseline(g *hin.Graph) Materializer {
-	return &baseline{tr: metapath.NewTraverser(g)}
+	return &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: maxVisBytes, minKnown: candSideMinKnown, minShare: candSideMinShare}}
 }
 
 func (b *baseline) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	start := time.Now()
 	vec, err := b.tr.NeighborVector(p, v)
+	b.traversed(start)
+	return vec, err
+}
+
+// traversed accounts one traversal begun at start.
+func (b *baseline) traversed(start time.Time) {
 	b.stats.TraversalTime += time.Since(start)
 	b.stats.TraversedVectors++
-	return vec, err
 }
 
 // setVector is the baseline's set-frontier reduction (Traverser.SetVector),
 // accounted as one traversed vector.
 func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
-	start := time.Now()
-	s, exact, err := b.tr.SetVector(ctx, p, set)
-	b.stats.TraversalTime += time.Since(start)
-	b.stats.TraversedVectors++
-	return s, exact, err
+	defer b.traversed(time.Now())
+	return b.tr.SetVector(ctx, p, set)
+}
+
+// seedVector is its weighted form (Traverser.SeedVector), accounted the same.
+func (b *baseline) seedVector(ctx context.Context, p metapath.Path, seed sparse.Vector) (sparse.Vector, bool, error) {
+	defer b.traversed(time.Now())
+	return b.tr.SeedVector(ctx, p, seed)
+}
+
+func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, bool) {
+	tbl := b.vis.path(b.tr.Graph(), p)
+	return tbl, b.vis.propagate(tbl, cands)
+}
+
+// visibility returns ‖Φ_p(v)‖² from tbl — an indexed vector, not timed: the
+// read is one atomic load, two clock reads would cost more — or by a
+// traversal that allocates nothing and leaves the norm in tbl.
+func (b *baseline) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
+	if vis, ok := tbl.get(v); ok {
+		b.stats.IndexedVectors++
+		return vis, nil
+	}
+	defer b.traversed(time.Now())
+	vis, err := b.tr.Visibility(p, v)
+	if err == nil {
+		tbl.put(v, vis)
+	}
+	return vis, err
 }
 
 // setMaterializer is implemented by materializers for which a load is
-// always a traversal and leaves nothing behind — the baseline and its views.
-// Only there is reducing a whole set in one propagation never more work than
-// loading its vertices one by one (see referenceSide).
+// always a traversal and leaves no vector behind — the baseline and its
+// views. Only there is reducing a whole set in one propagation never more
+// work than loading its vertices one by one (see referenceSide), and only
+// there does a candidate's vector serve nothing but its two scalars, the
+// connectivity Φ·S and the visibility ‖Φ‖² the materializer memoizes (see
+// candidateSide).
 type setMaterializer interface {
+	Materializer
 	setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error)
+	seedVector(ctx context.Context, p metapath.Path, seed sparse.Vector) (s sparse.Vector, exact bool, err error)
+	// norms is p's visibility table (nil when none fits) and whether enough
+	// of cands is in it to propagate the path's numerators.
+	norms(p metapath.Path, cands []hin.VertexID) (tbl *visPath, propagate bool)
+	visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error)
 }
 
 func (b *baseline) Strategy() Strategy { return StrategyBaseline }
-func (b *baseline) IndexBytes() int64  { return 0 }
+func (b *baseline) IndexBytes() int64  { return b.vis.residentBytes() }
 func (b *baseline) Stats() MatStats    { return b.stats }
 
 // ---------------------------------------------------------------------------

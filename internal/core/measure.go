@@ -128,11 +128,7 @@ func newRefScorer(m Measure, refs []sparse.Vector) *refScorer {
 func (rs *refScorer) score(phi sparse.Vector) float64 {
 	switch rs.m {
 	case MeasureNetOut:
-		vis := phi.Norm2Sq()
-		if vis == 0 {
-			return math.NaN()
-		}
-		return phi.Dot(rs.s) / vis
+		return netOut(phi.Dot(rs.s), phi.Norm2Sq())
 	case MeasureCosSim:
 		n := phi.Normalize()
 		if n.IsZero() {
@@ -150,6 +146,17 @@ func (rs *refScorer) score(phi sparse.Vector) float64 {
 		}
 		return sum
 	}
+}
+
+// netOut is Equation (1) for one candidate from its two scalars, the
+// connectivity to the reference aggregate Φ·S and the visibility ‖Φ‖²: NaN
+// at zero visibility. (A vector of zero norm is empty, so computing its dot
+// first costs nothing.)
+func netOut(dot, vis float64) float64 {
+	if vis == 0 {
+		return math.NaN()
+	}
+	return dot / vis
 }
 
 // NormalizedConnectivity returns σ(a,b) = κ(a,b)/κ(a,a) (Definition 9)

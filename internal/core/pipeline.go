@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,16 +10,15 @@ import (
 	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/oql"
-	"netout/internal/sparse"
 )
 
 // Chunked intra-query pipeline. A query's candidates are independent of each
 // other once the reference side is fixed — Ω(vi) reads Φ(vi) and the
 // reference aggregate only — so the candidate set splits into fixed-size
 // chunks and a worker pool runs materialize→score FUSED per chunk: each
-// worker materializes a chunk's Φ vectors on its own materializer view,
-// scores them against the shared scorers, feeds its bounded top-n selector,
-// and drops the vectors before touching the next chunk. The reference side
+// worker loads a chunk through the query's candidateSide on its own
+// materializer view, scores it, feeds its bounded top-n selector, and drops
+// the vectors before touching the next chunk. The reference side
 // comes first and is referenceSide's: one propagation per feature path on
 // the engine's own baseline (O(1) vectors held), or per-vertex loads shared
 // among the workers chunk by chunk (O(|Sr|) vectors held until the scorers
@@ -63,6 +61,10 @@ type queryPlan struct {
 	// workers are the chunk pipeline's workers when it executes the plan
 	// (nil otherwise): referenceSide shares its per-vertex loads among them.
 	workers []*pipeWorker
+	// viewKernels sums the expansion-kernel deltas of the views that worked
+	// for the query (pipeline workers, in-process shards); the engine's own
+	// traverser is read directly (executeQuery).
+	viewKernels metapath.KernelCounts
 	// ifq is the query's live in-flight record for phase and chunk-progress
 	// updates (nil when no inspector is attached; all mutators are nil-safe).
 	ifq *obs.InflightQuery
@@ -70,16 +72,14 @@ type queryPlan struct {
 
 // pipeWorker is one pipeline worker's private state.
 type pipeWorker struct {
-	mat  Materializer // view of the engine's materializer (NewView)
-	base MatStats     // stats snapshot at construction, for delta aggregation
-	sel  *topSelector
-	// vecs[m] is the reusable chunk buffer of Φ vectors under path m.
-	vecs [][]sparse.Vector
-	// sum/sumW/ok are CombineAverage chunk scratch (weighted score
-	// accumulation, mirroring the sequential combined/seenWeight/seen).
-	sum, sumW []float64
-	ok        []bool
-	scoreNs   int64
+	mat Materializer // view of the engine's materializer (NewView)
+	// base and kernels are the view's counters at acquisition, for delta
+	// aggregation.
+	base    MatStats
+	kernels metapath.KernelCounts
+	sel     *topSelector
+	buf     candBuf // reusable chunk scratch
+	scoreNs int64
 }
 
 // pipelineWorkers decides whether the parallel pipeline applies and builds
@@ -108,6 +108,7 @@ func (e *Engine) pipelineWorkers(nCands int) ([]*pipeWorker, bool) {
 		// Re-snapshot at acquisition: a recycled worker's view has
 		// accumulated stats from earlier queries.
 		w.base = w.mat.Stats()
+		w.kernels, _ = kernelCountsOf(w.mat)
 		w.scoreNs = 0
 		ws = append(ws, w)
 	}
@@ -197,57 +198,32 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 	}
 
 	// Candidate phase: fused materialize→score per chunk — or, when the
-	// reference pass already holds the candidates' vectors, score alone.
-	// seen is written at disjoint per-chunk slots; everything else a worker
-	// touches is its own.
-	seen := make([]bool, len(cands))
+	// reference pass already holds the candidates' vectors, score alone. A
+	// chunk's skip list is written at the chunk's own slot; everything else
+	// a worker touches is its own.
+	cs, err := newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, paths, cands, held)
+	if err != nil {
+		return err
+	}
 	for _, w := range ws {
 		w.sel = newTopSelector(plan.q.TopK)
-		if len(w.vecs) != len(paths) {
-			w.vecs = make([][]sparse.Vector, len(paths))
-		}
-		if scorers.concat == nil && w.sum == nil {
-			w.sum = make([]float64, parallelChunk)
-			w.sumW = make([]float64, parallelChunk)
-			w.ok = make([]bool, parallelChunk)
-		}
 	}
-	// chunkDone marks fully materialized-and-scored chunks. Each slot is
-	// written only by the worker owning that chunk and read after runChunks
-	// joins, so there is no race. It exists for graceful degradation: when a
-	// deadline expires mid-phase, the done chunks carry exact scores (NetOut
-	// is separable per candidate) and form the partial result.
+	// A chunk reaches its selector and its skip list only once it is fully
+	// loaded, so after a failure both hold exactly the chunks that finished:
+	// when a deadline expires mid-phase those carry exact scores (NetOut is
+	// separable per candidate) and form the partial result.
 	nChunks := (len(cands) + parallelChunk - 1) / parallelChunk
-	chunkDone := make([]bool, nChunks)
+	skipped := make([][]hin.VertexID, nChunks)
 	plan.ifq.SetPhase("materialize")
 	plan.ifq.StartChunks(nChunks, len(ws))
 	err = runChunks(ws, len(cands), func(w *pipeWorker, lo, hi int) error {
-		vecs := w.vecs
-		if held != nil {
-			vecs = make([][]sparse.Vector, len(paths))
-			for m := range vecs {
-				vecs[m] = held[m][lo:hi]
-			}
-		} else {
-			for m := range paths {
-				buf := vecs[m][:0]
-				for _, v := range cands[lo:hi] {
-					if err := ctxErr(ctx); err != nil {
-						return err
-					}
-					vec, err := w.mat.NeighborVector(paths[m], v)
-					if err != nil {
-						return err
-					}
-					buf = append(buf, vec)
-				}
-				vecs[m] = buf
-			}
+		if _, err := cs.load(ctx, w.mat, lo, hi, &w.buf); err != nil {
+			return err
 		}
 		start := time.Now()
-		w.scoreChunk(e, plan, scorers, vecs, seen, lo, hi)
+		cs.score(&w.buf)
+		skipped[lo/parallelChunk] = cs.collect(&w.buf, w.sel, nil)
 		w.scoreNs += time.Since(start).Nanoseconds()
-		chunkDone[lo/parallelChunk] = true
 		plan.ifq.ChunkDone()
 		return nil
 	})
@@ -255,9 +231,6 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 		if e.measure != MeasureNetOut || !degradable(err) {
 			return err
 		}
-		// Deadline-bounded degradation: keep the chunks that finished. A
-		// failed chunk never reached scoreChunk, so the selectors and seen
-		// hold exactly the done chunks' candidates.
 		res.Partial = true
 	}
 
@@ -265,6 +238,11 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 	if !statsShared {
 		for _, w := range ws {
 			d = d.Add(w.mat.Stats().Sub(w.base))
+		}
+	}
+	for _, w := range ws {
+		if after, ok := kernelCountsOf(w.mat); ok {
+			plan.viewKernels = plan.viewKernels.Add(after.Sub(w.kernels))
 		}
 	}
 	res.Timing.charge(d)
@@ -285,13 +263,11 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 	for _, w := range ws[1:] {
 		sel.merge(w.sel)
 	}
-	for i, v := range cands {
-		// Skipped means "characterized by no feature path", a judgment only
-		// possible for candidates in chunks that actually ran; on a partial
-		// result the unreached chunks' candidates are simply absent.
-		if chunkDone[i/parallelChunk] && !seen[i] {
-			res.Skipped = append(res.Skipped, v)
-		}
+	// Skipped means "characterized by no feature path", a judgment only
+	// possible for candidates in chunks that actually ran; on a partial
+	// result the unreached chunks' candidates are simply absent.
+	for _, chunk := range skipped {
+		res.Skipped = append(res.Skipped, chunk...)
 	}
 	res.Entries = sel.ranked()
 	tr.EndPhase("rank", obs.SpanStats{})
@@ -301,49 +277,4 @@ func (e *Engine) executeParallel(ctx context.Context, plan *queryPlan, res *Resu
 	}
 	res.Timing.Scoring += time.Duration(scoreNs) + time.Since(rankStart)
 	return nil
-}
-
-// scoreChunk scores the chunk [lo, hi) — vecs[m] holds its Φ vectors under
-// path m — marks characterized candidates in seen and pushes their entries
-// into the worker's selector. The combination arithmetic replicates the
-// sequential path operation for operation (see executeQuery) so scores are
-// bit-identical.
-func (w *pipeWorker) scoreChunk(e *Engine, plan *queryPlan, scorers *queryScorers, vecs [][]sparse.Vector, seen []bool, lo, hi int) {
-	cands := plan.cands
-	if scorers.concat != nil {
-		for i, phi := range concatVectors(vecs, plan.weights, scorers.stride) {
-			if s := scorers.concat.score(phi); !math.IsNaN(s) {
-				seen[lo+i] = true
-				w.sel.push(Entry{Vertex: cands[lo+i], Name: e.g.Name(cands[lo+i]), Score: s})
-			}
-		}
-		return
-	}
-	n := hi - lo
-	for i := 0; i < n; i++ {
-		w.sum[i], w.sumW[i], w.ok[i] = 0, 0, false
-	}
-	for m, rs := range scorers.perPath {
-		wt := plan.weights[m]
-		for i, phi := range vecs[m] {
-			s := rs.score(phi)
-			if math.IsNaN(s) {
-				continue
-			}
-			w.sum[i] += wt * s
-			w.sumW[i] += wt
-			w.ok[i] = true
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !w.ok[i] {
-			continue
-		}
-		sc := w.sum[i]
-		if w.sumW[i] > 0 {
-			sc = w.sum[i] / w.sumW[i]
-		}
-		seen[lo+i] = true
-		w.sel.push(Entry{Vertex: cands[lo+i], Name: e.g.Name(cands[lo+i]), Score: sc})
-	}
 }

@@ -22,7 +22,10 @@ import (
 // author population left paperless — zero visibility under every
 // author.paper.* feature path, so NaN scores and the Skipped list are
 // exercised at scale.
-func bigBibGraph(r *rand.Rand) *hin.Graph {
+func bigBibGraph(r *rand.Rand) *hin.Graph { return bibGraphOf(r, 280+r.Intn(60)) }
+
+// bibGraphOf is bigBibGraph with the author count chosen by the caller.
+func bibGraphOf(r *rand.Rand, nA int) *hin.Graph {
 	s := hin.MustSchema("author", "paper", "venue", "term")
 	a, _ := s.TypeByName("author")
 	p, _ := s.TypeByName("paper")
@@ -32,7 +35,7 @@ func bigBibGraph(r *rand.Rand) *hin.Graph {
 	s.AllowLink(p, v)
 	s.AllowLink(p, tm)
 	b := hin.NewBuilder(s)
-	nA, nV, nT := 280+r.Intn(60), 5+r.Intn(5), 8+r.Intn(8)
+	nV, nT := 5+r.Intn(5), 8+r.Intn(8)
 	var authors, venues, terms []hin.VertexID
 	for i := 0; i < nA; i++ {
 		authors = append(authors, b.MustAddVertex(a, fmt.Sprintf("A%d", i)))

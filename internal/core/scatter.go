@@ -137,6 +137,9 @@ type ShardResponse struct {
 	Duration time.Duration
 
 	err error
+	// kernels is the shard's expansion-kernel delta for this request. It has
+	// no wire form: only in-process shards report it.
+	kernels metapath.KernelCounts
 	// remote and addr mark a reply that crossed a process boundary; the
 	// coordinator widens the degradation rule for those (transport loss and
 	// overload fold into Partial) and stamps the address into the per-shard
@@ -499,36 +502,47 @@ func scorersFromRequest(req *ShardRequest, b *ShardBroadcast) (*queryScorers, er
 	return qs, nil
 }
 
-// score combines one candidate's per-path vectors into its outlier score,
-// replicating the sequential combination arithmetic operation for operation
-// (see executeQuery) so sharded scores are bit-identical. ok is false for a
-// candidate with zero visibility under every path (skipped from ranking).
+// score combines one candidate's per-path vectors into its outlier score —
+// the one combination arithmetic every executor scores through (candidateSide).
+// ok is false for a candidate with zero visibility under every path (skipped
+// from ranking).
 func (qs *queryScorers) score(vecs []sparse.Vector) (float64, bool) {
 	if qs.concat != nil {
 		s := qs.concat.score(concatOne(vecs, qs.weights, qs.stride))
-		if math.IsNaN(s) {
-			return 0, false
-		}
-		return s, true
+		return s, !math.IsNaN(s)
 	}
-	var sum, sumW float64
-	ok := false
+	var mean weightedMean
 	for m, rs := range qs.perPath {
-		s := rs.score(vecs[m])
-		if math.IsNaN(s) {
-			continue
-		}
-		sum += qs.weights[m] * s
-		sumW += qs.weights[m]
-		ok = true
+		mean.add(qs.weights[m], rs.score(vecs[m]))
 	}
-	if !ok {
-		return 0, false
+	return mean.value()
+}
+
+// weightedMean is CombineAverage over one candidate's per-path scores, in
+// path order. The average is renormalized by the summed weight of the paths
+// that actually characterize the candidate: one with zero visibility under a
+// path (a NaN score) still gets a proper weighted mean of the paths it IS
+// visible under, instead of a score deflated by the invisible paths' weight
+// (which would fake extra outlierness).
+type weightedMean struct {
+	sum, w float64
+	ok     bool
+}
+
+func (a *weightedMean) add(w, s float64) {
+	if !math.IsNaN(s) {
+		a.sum += w * s
+		a.w += w
+		a.ok = true
 	}
-	if sumW > 0 {
-		sum /= sumW
+}
+
+// value is the mean; ok is false when no path contributed.
+func (a *weightedMean) value() (float64, bool) {
+	if a.w > 0 {
+		return a.sum / a.w, a.ok
 	}
-	return sum, true
+	return a.sum, a.ok
 }
 
 // shardFailure builds the classified failure reply for a request that never
@@ -573,8 +587,9 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req 
 }
 
 // serveShard scores the shard's candidate slice against the broadcast
-// reference reduction: fused materialize+score per candidate, ascending
-// order, into a bounded top-n heap. Failures never escape the shard — a
+// reference reduction: its own candidateSide over the slice, then fused
+// materialize+score per candidate, ascending order, into a bounded top-n
+// heap. Failures never escape the shard — a
 // panic or per-vertex error is recorded on the response together with the
 // exact prefix of fully-scored candidates, so the coordinator can degrade
 // the query instead of the fault killing it (or the process). Shared by the
@@ -588,35 +603,33 @@ func serveShard(ctx context.Context, g *hin.Graph, mat Materializer, req *ShardR
 		Candidates: len(req.Candidates),
 	}
 	base := mat.Stats()
+	kernels, _ := kernelCountsOf(mat)
 	sel := newTopSelector(req.TopK)
 	err := func() (err error) {
 		defer recoverAsError(&err)
-		vecs := make([]sparse.Vector, len(req.Paths))
-		for i, v := range req.Candidates {
-			for m := range req.Paths {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				vec, mErr := mat.NeighborVector(req.Paths[m], v)
-				if mErr != nil {
-					return mErr
-				}
-				vecs[m] = vec
-			}
-			if s, ok := scorers.score(vecs); ok {
-				sel.push(Entry{Vertex: v, Name: g.Name(v), Score: s})
-			} else {
-				resp.Skipped = append(resp.Skipped, v)
-			}
+		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil)
+		if err != nil {
+			return err
+		}
+		var buf candBuf
+		for i := range req.Candidates {
 			// A candidate interrupted mid-materialization is in neither
 			// Entries nor Skipped; Done advances only past fully-scored ones,
 			// so the response always describes an exact prefix.
+			if _, err := cs.load(ctx, mat, i, i+1, &buf); err != nil {
+				return err
+			}
+			cs.score(&buf)
+			resp.Skipped = cs.collect(&buf, sel, resp.Skipped)
 			resp.Done = i + 1
 		}
 		return nil
 	}()
 	resp.Entries = sel.ranked()
 	resp.Stats = mat.Stats().Sub(base)
+	if after, ok := kernelCountsOf(mat); ok {
+		resp.kernels = after.Sub(kernels)
+	}
 	resp.Duration = time.Since(start)
 	if err != nil {
 		resp.err = err
@@ -730,6 +743,9 @@ func (e *Engine) executeSharded(ctx context.Context, plan *queryPlan, res *Resul
 		for _, sr := range resps {
 			sd = sd.Add(sr.Stats)
 		}
+	}
+	for _, sr := range resps {
+		plan.viewKernels = plan.viewKernels.Add(sr.kernels)
 	}
 	res.Timing.charge(sd)
 	cacheAfter, _ := CacheStatsOf(e.mat)

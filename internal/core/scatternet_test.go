@@ -55,9 +55,15 @@ func (f *fakeRemote) Call(ctx context.Context, req *ShardRequest, b *ShardBroadc
 // materializer, mirroring n shard server processes hosting the network.
 func newFakeFleet(t *testing.T, g *hin.Graph, n int) []RemoteShard {
 	t.Helper()
+	return fakeFleetOf(g, n, NewBaseline)
+}
+
+// fakeFleetOf is newFakeFleet with the shards' materializer chosen by the
+// caller.
+func fakeFleetOf(g *hin.Graph, n int, newMat func(*hin.Graph) Materializer) []RemoteShard {
 	remotes := make([]RemoteShard, n)
 	for i := range remotes {
-		mat := NewBaseline(g)
+		mat := newMat(g)
 		remotes[i] = &fakeRemote{
 			addr: fmt.Sprintf("fake-shard-%d", i),
 			serve: func(ctx context.Context, req *ShardRequest, b *ShardBroadcast) *ShardResponse {

@@ -200,16 +200,14 @@ func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
 		queryPar = 1
 	}
 	engines := make([]*Engine, workers)
+	root := opts.Materializer
+	if root == nil {
+		root = NewBaseline(g)
+	}
 	for w := range engines {
-		var mat Materializer
-		if opts.Materializer != nil {
-			view, err := NewView(opts.Materializer)
-			if err != nil {
-				return nil, err
-			}
-			mat = view
-		} else {
-			mat = NewBaseline(g)
+		mat, err := NewView(root)
+		if err != nil {
+			return nil, err
 		}
 		engines[w] = NewEngine(g,
 			WithMeasure(opts.Measure),

@@ -66,6 +66,16 @@ type KernelCounts struct {
 	Map, Dense, Merge uint64
 }
 
+// Add returns the sum c + o, for aggregating per-view deltas.
+func (c KernelCounts) Add(o KernelCounts) KernelCounts {
+	return KernelCounts{Map: c.Map + o.Map, Dense: c.Dense + o.Dense, Merge: c.Merge + o.Merge}
+}
+
+// Sub returns the difference c - o, for snapshot-style interval measurement.
+func (c KernelCounts) Sub(o KernelCounts) KernelCounts {
+	return KernelCounts{Map: c.Map - o.Map, Dense: c.Dense - o.Dense, Merge: c.Merge - o.Merge}
+}
+
 // SetKernel forces the expansion kernel (KernelAuto restores the adaptive
 // heuristic). For benchmarks and equivalence tests.
 func (tr *Traverser) SetKernel(k Kernel) { tr.kernel = k }

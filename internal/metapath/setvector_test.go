@@ -308,3 +308,173 @@ func FuzzSetVector(f *testing.F) {
 		}
 	})
 }
+
+// SeedVector along P⁻¹ seeded with S is the product M_P·S: coordinate v is
+// Φ_P(v)·S, for every v of P's source type at once — the identity the
+// candidate side's numerators rest on. Held Float64bits-strict against the
+// per-vertex dots under every kernel, on graphs where S comes from a random
+// reference subset; and the seed, which the walk only reads, must come back
+// untouched.
+func TestQuickSeedVectorIsEveryDotAtOnce(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := sparseGraph(r)
+		for i := 0; i < 8; i++ {
+			p := randomValidPath(r, g.Schema(), 6)
+			if i == 0 {
+				p = MustNew(p.Source()) // zero hops: N is S itself
+			}
+			src := g.VerticesOfType(p.Source())
+			s := sumOfVectors(t, g, p, randomSubset(r, src))
+			kept := s.Clone()
+			for _, k := range []Kernel{KernelAuto, KernelDense, KernelMerge, KernelMap} {
+				tr := NewTraverser(g)
+				tr.SetKernel(k)
+				n, exact, err := tr.SeedVector(context.Background(), p.Reverse(), s)
+				if err != nil || !exact {
+					t.Logf("seed %d kernel %v: SeedVector(%v): exact=%v err=%v", seed, k, p.Reverse(), exact, err)
+					return false
+				}
+				// Scribble over the scratch before comparing: N owns its storage.
+				if _, err := tr.NeighborVector(p, src[0]); err != nil {
+					t.Log(err)
+					return false
+				}
+				for _, v := range src {
+					phi, err := NewTraverser(g).NeighborVector(p, v)
+					if err != nil {
+						t.Log(err)
+						return false
+					}
+					if want, got := phi.Dot(s), n.At(int32(v)); math.Float64bits(want) != math.Float64bits(got) {
+						t.Logf("seed %d kernel %v path %v: N[%d] = %v, want Φ·S = %v", seed, k, p, v, got, want)
+						return false
+					}
+				}
+				if !sameBits(s, kept) {
+					t.Logf("seed %d kernel %v: SeedVector wrote to its seed", seed, k)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exact is only claimed for seeds that are non-negative integers below 2⁵³:
+// a fraction or a negative weight voids the argument that nothing rounds, a
+// seed at the bound fails the same guard the frontiers do, and a seed of the
+// wrong type is an error.
+func TestSeedVectorSeedDomain(t *testing.T) {
+	g, ids := kernelGraph(t)
+	author, _ := g.Schema().TypeByName("author")
+	paper, _ := g.Schema().TypeByName("paper")
+	apa := MustNew(author, paper, author)
+	tr := NewTraverser(g)
+	bg := context.Background()
+	seed := func(x float64) sparse.Vector {
+		return sparse.Vector{Idx: []int32{int32(ids["a1"]), int32(ids["a2"])}, Val: []float64{1, x}}
+	}
+	for _, x := range []float64{0.5, -1, maxExactCount, math.Inf(1), math.NaN()} {
+		if s, exact, err := tr.SeedVector(bg, apa, seed(x)); err != nil || exact || !s.IsZero() {
+			t.Fatalf("seed weight %v: SeedVector = (%v, exact=%v, %v), want (zero, false, nil)", x, s, exact, err)
+		}
+	}
+	for _, hops := range []Path{apa, MustNew(author)} {
+		want := sparse.Sum([]sparse.Vector{mustPhi(t, g, hops, ids["a1"]), mustPhi(t, g, hops, ids["a2"]).Scale(3)})
+		if s, exact, err := tr.SeedVector(bg, hops, seed(3)); err != nil || !exact || !sameBits(s, want) {
+			t.Fatalf("%v: SeedVector = (%v, exact=%v, %v), want %v", hops, s, exact, err, want)
+		}
+	}
+	if s, exact, err := tr.SeedVector(bg, apa, sparse.Vector{}); err != nil || !exact || !s.IsZero() {
+		t.Fatalf("empty seed: (%v, exact=%v, %v), want (zero, true, nil)", s, exact, err)
+	}
+	if _, _, err := tr.SeedVector(bg, apa, sparse.Vector{Idx: []int32{int32(ids["p1"])}, Val: []float64{1}}); err == nil {
+		t.Fatal("a paper accepted as the seed of an author path")
+	}
+	if _, _, err := tr.SeedVector(bg, Path{}, seed(1)); err == nil {
+		t.Fatal("zero path accepted")
+	}
+}
+
+func mustPhi(t *testing.T, g *hin.Graph, p Path, v hin.VertexID) sparse.Vector {
+	t.Helper()
+	phi, err := NewTraverser(g).NeighborVector(p, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phi
+}
+
+// Visibility is NeighborVector(p, v).Norm2Sq() bit for bit under every
+// kernel — it drains the same Φ into the traverser's hop scratch — and that
+// scratch must not show through results handed out before or after it.
+func TestQuickVisibilityMatchesNorm(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := sparseGraph(r)
+		for i := 0; i < 8; i++ {
+			p := randomValidPath(r, g.Schema(), 6)
+			if i == 0 {
+				p = MustNew(p.Source())
+			}
+			for _, k := range []Kernel{KernelAuto, KernelDense, KernelMerge, KernelMap} {
+				tr := NewTraverser(g)
+				tr.SetKernel(k)
+				for _, v := range g.VerticesOfType(p.Source()) {
+					want := mustPhi(t, g, p, v)
+					before, err := tr.NeighborVector(p, v)
+					if err != nil {
+						t.Log(err)
+						return false
+					}
+					vis, err := tr.Visibility(p, v)
+					if err != nil || math.Float64bits(vis) != math.Float64bits(want.Norm2Sq()) {
+						t.Logf("seed %d kernel %v: Visibility(%v, %d) = (%v, %v), want %v", seed, k, p, v, vis, err, want.Norm2Sq())
+						return false
+					}
+					after, err := tr.NeighborVector(p, v)
+					if err != nil || !sameBits(before, want) || !sameBits(after, want) {
+						t.Logf("seed %d kernel %v: Φ_%v(%d) changed around Visibility", seed, k, p, v)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A cold table fill is one Visibility per vertex: once the traverser's
+// scratch has grown to the widest Φ it must allocate nothing, on the merge
+// kernel (the singleton first hop) and the dense one (every later hop) alike.
+func TestVisibilityAllocatesNothing(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(1))) // types a, b, c, all linked
+	tr := NewTraverser(g)
+	for _, p := range []Path{MustNew(0, 1), MustNew(0, 1, 2), MustNew(0, 1, 0, 2, 1)} {
+		src := g.VerticesOfType(p.Source())
+		walk := func() {
+			for _, v := range src {
+				if _, err := tr.Visibility(p, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		walk() // warm-up: grow the hop buffers and the dense scratch
+		if n := testing.AllocsPerRun(20, walk); n != 0 {
+			t.Fatalf("%v: %v allocations per fill of %d vertices, want 0", p, n, len(src))
+		}
+	}
+	if _, err := tr.Visibility(MustNew(1, 0), g.VerticesOfType(0)[0]); err == nil {
+		t.Fatal("a vertex of type a accepted as the source of a path from b")
+	}
+	if counts := tr.KernelCounts(); counts.Merge == 0 || counts.Dense == 0 {
+		t.Fatalf("kernel counts %+v: the fixture should reach both the merge and the dense kernel", counts)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"netout/internal/hin"
 	"netout/internal/sparse"
@@ -25,9 +26,9 @@ type Traverser struct {
 	dense *sparse.DenseAccumulator
 	// cursors is the reusable row set for KernelMerge.
 	cursors []mergeCursor
-	// hops are the two ping-pong buffers NeighborVector and SetVector write
-	// the seed and every intermediate frontier into; only the final vector is
-	// allocated.
+	// hops are the two ping-pong buffers NeighborVector, SetVector and
+	// SeedVector write the seed and every intermediate frontier into; only the
+	// final vector is allocated (Visibility drains that one into them too).
 	hops [2]sparse.Vector
 	// kernel forces a specific kernel when != KernelAuto.
 	kernel Kernel
@@ -56,8 +57,14 @@ func (tr *Traverser) NeighborVector(p Path, v hin.VertexID) (sparse.Vector, erro
 	if p.Hops() == 0 {
 		return sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}, nil
 	}
+	return tr.expandPath(p, tr.unitSeed(v), nil, false)
+}
+
+// unitSeed writes the one-vertex seed frontier of a walk from v into
+// hops[0].
+func (tr *Traverser) unitSeed(v hin.VertexID) sparse.Vector {
 	tr.hops[0] = sparse.Vector{Idx: append(tr.hops[0].Idx[:0], int32(v)), Val: append(tr.hops[0].Val[:0], 1)}
-	return tr.expandPath(p, tr.hops[0], nil)
+	return tr.hops[0]
 }
 
 // checkSource reports whether v can start a walk along p.
@@ -72,11 +79,14 @@ func (tr *Traverser) checkSource(p Path, v hin.VertexID) error {
 	return nil
 }
 
-// expandPath expands cur — a seed frontier living in hops[0] — along every
-// hop of p (at least one). Intermediate frontiers ping-pong between the two
-// hop buffers; only the final vector is allocated. step, when non-nil, sees
-// each frontier before it is expanded, and an error from it ends the walk.
-func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vector) error) (sparse.Vector, error) {
+// expandPath expands the seed frontier cur — in hops[0], or storage the
+// caller owns and the walk only reads — along every hop of p (at least one).
+// Intermediate frontiers ping-pong between the two hop buffers. The final
+// vector is freshly allocated unless scratch is set: then it is drained into
+// the hop buffer the walk has just finished with, and is valid only until the
+// traverser's next call. step, when non-nil, sees each frontier before it is
+// expanded, and an error from it ends the walk.
+func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vector) error, scratch bool) (sparse.Vector, error) {
 	last := p.Hops() - 1
 	for hop := 0; ; hop++ {
 		if step != nil {
@@ -84,11 +94,11 @@ func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vect
 				return sparse.Vector{}, err
 			}
 		}
-		if hop == last {
+		if hop == last && !scratch {
 			return tr.expandInto(KernelAuto, cur, p.Type(last+1), sparse.Vector{}), nil
 		}
-		// cur lives in hops[hop&1]; the other buffer holds a frontier that
-		// is already consumed.
+		// cur lives in hops[hop&1] (or, at hop 0, outside the traverser); the
+		// other buffer holds a frontier that is already consumed.
 		b := &tr.hops[(hop+1)&1]
 		cur = tr.expandInto(KernelAuto, cur, p.Type(hop+1), *b)
 		if cur.IsZero() {
@@ -97,6 +107,9 @@ func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vect
 		if cap(cur.Idx) <= maxHopBuf {
 			*b = cur // keep the (possibly grown) buffer for the next call
 		}
+		if hop == last {
+			return cur, nil
+		}
 	}
 }
 
@@ -104,7 +117,7 @@ func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vect
 // and sums of such integers that stay below it are exact in any order.
 const maxExactCount = 1 << 53
 
-// errInexact ends a SetVector walk whose counts left that domain.
+// errInexact ends a SeedVector walk whose counts left that domain.
 var errInexact = errors.New("metapath: path count reached 2^53")
 
 // SetVector computes Σ_{v∈set} Φ_P(v) with ONE frontier propagation seeded
@@ -113,37 +126,45 @@ var errInexact = errors.New("metapath: path count reached 2^53")
 // the seed. Hop h scatters each row of the union frontier once, where the
 // per-vertex walks scatter it once per vertex that reaches it, and drains
 // once instead of |set| times, so the propagation never does more work than
-// they do.
-//
-// exact reports that every count on the way stayed below 2⁵³. Multiplicities
-// are positive integers, so every value is then an exactly represented
-// integer, nothing was rounded, and s is Float64bits-identical to sparse.Sum
-// over the per-vertex vectors in any order. Otherwise s is zero and the
-// caller must sum per vertex. The context is checked before every hop; like
-// NeighborVector's, the result is freshly allocated.
+// they do. It is SeedVector on the unit seed, and exact means what it means
+// there: s is then Float64bits-identical to sparse.Sum over the per-vertex
+// vectors in any order.
 func (tr *Traverser) SetVector(ctx context.Context, p Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error) {
-	if p.IsZero() {
-		return sparse.Vector{}, false, fmt.Errorf("metapath: zero path")
-	}
-	if len(set) == 0 {
-		return sparse.Vector{}, true, nil
-	}
-	var seed sparse.Vector
-	if p.Hops() > 0 {
-		seed = outVector(tr.hops[0], len(set))
-	}
+	seed := outVector(tr.hops[0], len(set))
 	for _, v := range set {
-		if err := tr.checkSource(p, v); err != nil {
-			return sparse.Vector{}, false, err
-		}
 		seed.Idx = append(seed.Idx, int32(v))
 		seed.Val = append(seed.Val, 1)
 	}
-	if p.Hops() == 0 {
-		return seed, true, nil
-	}
 	if cap(seed.Idx) <= maxHopBuf {
 		tr.hops[0] = seed
+	}
+	return tr.SeedVector(ctx, p, seed)
+}
+
+// SeedVector computes Σ_u seed[u]·Φ_P(u) with one frontier propagation from
+// the weighted seed (duplicate-free coordinates, all vertices of type
+// P.Source(); only read). Edges are symmetric, so along P.Reverse() it is
+// the product M_P·seed: seeded with S = Σ_{vj∈Sr} Φ_P(vj) it yields Φ_P(v)·S
+// for every v of P's source type at once.
+//
+// exact reports that the seed held non-negative integers and every count on
+// the way stayed below 2⁵³. Multiplicities are positive integers, so every
+// value is then an exactly represented integer and nothing was rounded: s is
+// the true count vector, whatever order a per-vertex computation of the same
+// sums would add them in. Otherwise s is zero and the caller must compute per
+// vertex. The context is checked before every hop; like NeighborVector's,
+// the result is freshly allocated.
+func (tr *Traverser) SeedVector(ctx context.Context, p Path, seed sparse.Vector) (s sparse.Vector, exact bool, err error) {
+	if p.IsZero() {
+		return sparse.Vector{}, false, fmt.Errorf("metapath: zero path")
+	}
+	for i, ix := range seed.Idx {
+		if err := tr.checkSource(p, hin.VertexID(ix)); err != nil {
+			return sparse.Vector{}, false, err
+		}
+		if x := seed.Val[i]; !(x >= 0 && x == math.Trunc(x)) {
+			return sparse.Vector{}, false, nil
+		}
 	}
 	inDomain := func(frontier sparse.Vector) error {
 		for _, x := range frontier.Val {
@@ -153,14 +174,21 @@ func (tr *Traverser) SetVector(ctx context.Context, p Path, set []hin.VertexID) 
 		}
 		return nil
 	}
-	s, err = tr.expandPath(p, seed, func(frontier sparse.Vector) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	switch {
+	case seed.IsZero():
+		return sparse.Vector{}, true, nil
+	case p.Hops() == 0:
+		s, err = seed.Clone(), inDomain(seed)
+	default:
+		s, err = tr.expandPath(p, seed, func(frontier sparse.Vector) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return inDomain(frontier)
+		}, false)
+		if err == nil {
+			err = inDomain(s)
 		}
-		return inDomain(frontier)
-	})
-	if err == nil {
-		err = inDomain(s)
 	}
 	switch {
 	case err == errInexact:
@@ -254,11 +282,20 @@ func (tr *Traverser) ExpandSet(set []hin.VertexID, next hin.TypeID) []hin.Vertex
 }
 
 // Visibility returns κ(v,v) = |π_{PP⁻¹}(v,v)| = ‖Φ_P(v)‖₂², the vertex's
-// potential for connectivity under feature path p (Section 5.1).
+// potential for connectivity under feature path p (Section 5.1). It is
+// NeighborVector(p, v).Norm2Sq() bit for bit — the same walk through the same
+// kernels — with Φ drained into the traverser's hop scratch instead of a
+// fresh vector, so a warmed-up traverser allocates nothing.
 func (tr *Traverser) Visibility(p Path, v hin.VertexID) (float64, error) {
-	phi, err := tr.NeighborVector(p, v)
-	if err != nil {
+	if p.IsZero() {
+		return 0, fmt.Errorf("metapath: zero path")
+	}
+	if err := tr.checkSource(p, v); err != nil {
 		return 0, err
 	}
+	if p.Hops() == 0 {
+		return 1, nil
+	}
+	phi, _ := tr.expandPath(p, tr.unitSeed(v), nil, true) // no step, no error
 	return phi.Norm2Sq(), nil
 }
