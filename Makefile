@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-smoke bench-shard bench-shard-smoke bench-workload bench-workload-smoke bench-e2e bench-e2e-smoke obs-smoke shard-net-smoke profile fuzz experiments examples clean
+.PHONY: all build vet lint test race cover bench bench-json bench-smoke bench-workload bench-workload-smoke bench-e2e bench-e2e-smoke obs-smoke shard-net-smoke profile fuzz experiments examples loc clean
 
 all: build vet lint test
 
@@ -22,9 +22,9 @@ lint:
 test: vet
 	$(GO) test ./...
 
-# -cpu 1,4 runs every test at both GOMAXPROCS values: 1 pins the sequential
-# engine path, 4 exercises the intra-query pipeline and the re-entrant
-# Engine under contention. This is also the gate for the fault-injection
+# -cpu 1,4 runs every test at both GOMAXPROCS values: 1 pins inline
+# execution, 4 exercises local candidate ranges and the re-entrant Engine
+# under contention. This is also the gate for the fault-injection
 # suite (internal/core/faultinject_test.go): panic isolation, admission
 # control and deadline degradation are only proven if they hold under -race.
 race:
@@ -61,18 +61,6 @@ bench-json: bench-workload
 bench-workload:
 	$(GO) test -run XXX -bench='BenchmarkWorkload/' -benchmem -benchtime=4000x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_workload.json
-
-# Sharded vs unsharded end-to-end query cost. The committed BENCH_shard.json
-# comes from this target; on a single-vCPU CI box it documents overhead
-# parity (shards=1 within noise of unsharded), while speedup from shards=2/4
-# needs real cores — see README's multi-core protocol.
-bench-shard:
-	$(GO) test -run XXX -bench='BenchmarkShard/' -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_shard.json
-
-# One iteration per shard arm: proves the sharded path still executes.
-bench-shard-smoke:
-	$(GO) test -run XXX -bench='BenchmarkShard/' -benchtime=1x .
 
 # One iteration of every benchmark (BenchmarkCandidateSide's 60 arms
 # included): catches bit-rot without measuring.
@@ -143,6 +131,12 @@ examples:
 	$(GO) run ./examples/movies
 	$(GO) run ./examples/relational
 	$(GO) run ./examples/progressive
+
+# The two tracked size numbers (ROADMAP): non-test Go outside bench/, and of
+# that the engine.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 clean:
 	rm -rf results test_output.txt bench_output.txt .bench_build bench/out

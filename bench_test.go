@@ -528,39 +528,6 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkShard measures the scatter–gather shard tier against unsharded
-// execution on the same end-to-end query as BenchmarkQuery. shards=1 is the
-// tier's honest overhead baseline — the full reduce→scatter→merge machinery
-// with a single shard — and must sit within noise of unsharded; higher
-// shard counts only pay off with real cores (CI is single-vCPU, so the
-// committed BENCH_shard.json documents overhead parity, not speedup; see
-// README for the local multi-core protocol). `make bench-shard` distills
-// this into BENCH_shard.json.
-func BenchmarkShard(b *testing.B) {
-	f := getFixture(b)
-	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 25;`
-	run := func(b *testing.B, opts ...netout.EngineOption) {
-		eng := netout.NewEngine(f.graph, opts...)
-		defer eng.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("unsharded", func(b *testing.B) {
-		// Sequential baseline: the shard tier replaces the chunk pipeline,
-		// so it is compared against the pipeline-off path.
-		run(b, netout.WithQueryParallelism(1))
-	})
-	for _, s := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			run(b, netout.WithShards(s))
-		})
-	}
-}
-
 func BenchmarkParseQuery(b *testing.B) {
 	src := `FIND OUTLIERS
 FROM venue{"SIGMOD"}.paper.author AS A WHERE COUNT(A.paper) >= 5

@@ -53,9 +53,8 @@ func main() {
 		loadIndex   = flag.String("load-index", "", "load a previously saved index instead of building one")
 		combine     = flag.String("combine", "average", "multi-path combination: average or concat")
 		workers     = flag.Int("workers", 1, "parallel workers for -file query batches")
-		parallelism = flag.Int("parallelism", 0, "intra-query pipeline workers (0 = GOMAXPROCS, 1 = sequential)")
-		shards      = flag.Int("shards", 0, "scatter–gather shards per engine; candidates are range-partitioned and merged deterministically (0 = unsharded)")
-		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard server addresses; candidates scatter over the network to them instead of in-process shards")
+		parallelism = flag.Int("parallelism", 0, "local candidate ranges per query, one goroutine each, merged deterministically (0 = GOMAXPROCS, 1 = inline)")
+		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard server addresses; candidates scatter over the network to them instead of local ranges")
 		shardServe  = flag.Bool("shard-serve", false, "run as a shard server: host this network behind the shard protocol on -shard-listen")
 		shardListen = flag.String("shard-listen", "127.0.0.1:9200", "with -shard-serve: listen address for the shard protocol")
 		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "graceful-shutdown window for in-flight work on SIGINT/SIGTERM (serve, shard-serve and admin servers)")
@@ -208,7 +207,6 @@ func main() {
 		netout.WithMaterializer(mat),
 		netout.WithCombination(comb),
 		netout.WithQueryParallelism(*parallelism),
-		netout.WithShards(*shards),
 		netout.WithRemoteShards(remotes...),
 		netout.WithObs(reg, slow),
 		netout.WithEventSink(events),
@@ -226,7 +224,7 @@ func main() {
 	case *serveAddr != "":
 		if err := runServe(g, serveConfig{
 			addr: *serveAddr, workers: *workers, maxQueue: *maxQueue, timeout: *timeout,
-			parallelism: *parallelism, shards: *shards, remotes: remotes,
+			parallelism: *parallelism, remotes: remotes,
 			measure: m, combine: comb, mat: mat,
 			reg: reg, slow: slow, events: events, ring: ring, inflight: inflight,
 			drainGrace: *drainGrace, adminSrv: adminSrv,

@@ -43,7 +43,6 @@ type serveConfig struct {
 	maxQueue    int
 	timeout     time.Duration
 	parallelism int
-	shards      int
 	remotes     []netout.RemoteShard
 	measure     netout.Measure
 	combine     netout.Combination
@@ -69,7 +68,6 @@ func runServe(g *netout.Graph, cfg serveConfig) error {
 		Combination:      cfg.combine,
 		Materializer:     cfg.mat,
 		QueryParallelism: cfg.parallelism,
-		Shards:           cfg.shards,
 		RemoteShards:     cfg.remotes,
 		MaxQueue:         cfg.maxQueue,
 		DefaultTimeout:   cfg.timeout,

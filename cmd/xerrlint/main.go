@@ -38,7 +38,7 @@ var defaultScope = []string{
 	"internal/core/engine.go",
 	"internal/core/batch.go",
 	"internal/core/progressive.go",
-	"internal/core/pipeline.go",
+	"internal/core/execute.go",
 	"internal/core/parallel.go",
 	"internal/core/scatter.go",
 	"internal/shardnet",

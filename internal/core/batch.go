@@ -69,7 +69,7 @@ type BatchOptions struct {
 	// Materializer, if set, is the shared strategy whose index the workers
 	// reuse through views; nil means views of one fresh baseline.
 	Materializer Materializer
-	// QueryParallelism bounds each worker engine's intra-query pipeline
+	// QueryParallelism bounds each worker engine's local ranges per query
 	// (WithQueryParallelism). Default 1: the batch already parallelizes
 	// across queries, so per-query fan-out would oversubscribe the machine.
 	QueryParallelism int

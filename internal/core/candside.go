@@ -9,17 +9,14 @@ import (
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
+	"netout/internal/obs"
 	"netout/internal/sparse"
 )
 
 // candidateSide is the candidate-side twin of referenceSide: built once per
-// query — per request on a shard, over the shard's slice — it is the
-// per-candidate body of every executor. The sequential path loads and ranks
-// the whole set in one call, the chunk pipeline a chunk at a time on each
-// worker's view, a shard one candidate at a time, so the load order each of
-// them has always had (and with it every cache counter) is theirs still.
-// Read-only once built: workers share it and bring their own materializer and
-// candBuf.
+// query — per request on a shard, over the shard's slice — it is what
+// scoreRange walks, a chunk at a time. Read-only once built: a query's local
+// ranges share one and bring their own materializer and candBuf.
 //
 // Two ways to score, chosen from what the code can observe:
 //
@@ -54,6 +51,9 @@ type candidateSide struct {
 	// nil when candidates are scored from vectors.
 	memo []*visPath
 	num  [][]float64
+	// ifq receives scoreRange's chunk progress (nil-safe; nil on a shard
+	// server).
+	ifq *obs.InflightQuery
 }
 
 // The crossover of the reverse propagation, as the visTable applies it
@@ -254,11 +254,11 @@ const maxVisBytes = 64 << 20
 
 // visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
 // traversals have computed: one visPath per feature path, created on first
-// use. The root baseline owns it and every NewView shares it, so pipeline
-// workers, shard runners, a shard server's view pool and a ServePool's
-// engines fill and read the same tables. When a new path's table would push
-// the total past limit, whole tables go, oldest first; a reader holding an
-// evicted table keeps a consistent one for the rest of its query.
+// use. The root baseline owns it and every NewView shares it, so a query's
+// local ranges, a shard server's view pool and a ServePool's engines fill and
+// read the same tables. When a new path's table would push the total past
+// limit, whole tables go, oldest first; a reader holding an evicted table
+// keeps a consistent one for the rest of its query.
 type visTable struct {
 	limit int64
 	// minKnown and minShare are the propagation crossover (candSideMinKnown,

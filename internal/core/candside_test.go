@@ -75,13 +75,13 @@ func eagerBaseline(g *hin.Graph) Materializer {
 	return &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: maxVisBytes, minKnown: 1, minShare: candSideMinShare}}
 }
 
-// candSideExecutors are the four ways a query reaches candidateSide, each
-// over an eager baseline of its own.
+// candSideExecutors are the three places a query's candidate ranges run, each
+// over an eager baseline of its own (the in-process shard arm went with the
+// tier; "pipeline" and "remote" cover it).
 func candSideExecutors(g *hin.Graph) map[string]*Engine {
 	return map[string]*Engine{
 		"sequential": NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(1)),
 		"pipeline":   NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(4)),
-		"shards":     NewEngine(g, WithMaterializer(eagerBaseline(g)), WithShards(2)),
 		"remote":     NewEngine(g, WithMaterializer(eagerBaseline(g)), WithRemoteShards(fakeFleetOf(g, 2, eagerBaseline)...)),
 	}
 }
@@ -441,8 +441,8 @@ func TestVisTableTooSmallForThePath(t *testing.T) {
 }
 
 // Deadlines on the warm, propagated candidate side. A deadline between the
-// hops of the reverse propagation fails the query whole in the unsharded
-// executors, like one inside the reference side; on a shard it costs that
+// hops of the reverse propagation fails the query whole in local
+// execution, like one inside the reference side; on a shard it costs that
 // shard its whole slice. One that expires among the candidates still yields
 // an exact Done-prefix Partial in all three executors: every entry carries
 // the full run's score, nothing is skipped that the full run ranks.
@@ -454,7 +454,10 @@ func TestCandidateSideDeadlines(t *testing.T) {
 	}{
 		{"sequential", []Option{WithQueryParallelism(1)}},
 		{"pipeline", []Option{WithQueryParallelism(4)}},
-		{"shards", []Option{WithShards(2)}},
+		// The in-process shard arm no longer exists; a fake remote fleet is
+		// the same shape — a candidateSide, and so a reverse propagation, per
+		// shard over its own slice — and polls the same context.
+		{"remote", []Option{WithRemoteShards(fakeFleetOf(g, 2, eagerBaseline)...)}},
 	} {
 		t.Run(ex.name, func(t *testing.T) {
 			eng := NewEngine(g, append(ex.opts, WithMaterializer(eagerBaseline(g)))...)
@@ -483,7 +486,7 @@ func TestCandidateSideDeadlines(t *testing.T) {
 				K = nA - 1
 			}
 			props := int64(setPolls)
-			if ex.name == "shards" {
+			if ex.name == "remote" {
 				props *= 2
 			}
 			res, err := eng.ExecuteContext(newDeadlineAfter(1+setPolls+props+int64(K)), faultQuery)
@@ -504,7 +507,7 @@ func TestCandidateSideDeadlines(t *testing.T) {
 			}
 			// A shard that runs out of budget inside its propagation leaves
 			// its two polls' worth of candidates to the other one.
-			if slack := covered - K; ex.name == "sequential" && slack != 0 || ex.name == "shards" && (slack < 0 || slack > setPolls) {
+			if slack := covered - K; ex.name == "sequential" && slack != 0 || ex.name == "remote" && (slack < 0 || slack > setPolls) {
 				t.Fatalf("partial covers %d candidates, want the %d-poll budget", covered, K)
 			}
 			for _, e := range res.Entries {

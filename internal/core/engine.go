@@ -36,23 +36,15 @@ type Engine struct {
 	mat     Materializer
 	measure Measure
 	combine Combination
-	// parallelism bounds the intra-query pipeline's worker count
-	// (WithQueryParallelism); 0 means GOMAXPROCS, 1 means sequential.
+	// parallelism bounds how many local ranges a query's candidates split
+	// into (WithQueryParallelism); 0 means GOMAXPROCS, 1 means inline.
 	parallelism int
-	// workerPool recycles pipeline workers across queries: a worker's
-	// materializer view and traversal scratch are the expensive parts of
-	// query setup, and both are reusable as-is.
-	workerPool sync.Pool
-	// shards is the configured shard count (WithShards); the resident
-	// scatter–gather group behind it starts lazily on first sharded query
-	// (shardOnce) and is torn down by Close. shardGrp stays nil when the
-	// materializer has no concurrent views — the engine then runs unsharded.
-	shards    int
-	shardOnce sync.Once
-	shardGrp  *shardGroup
+	// viewPool recycles the materializer views local ranges run on
+	// (acquireViews).
+	viewPool sync.Pool
 	// remotes, when set via WithRemoteShards, scatter queries across
-	// out-of-process shards instead of resident goroutines; they take
-	// precedence over shards. The engine does not own the clients.
+	// out-of-process shards instead of local ranges. The engine does not own
+	// the clients.
 	remotes []RemoteShard
 
 	// obs and slow, when set via WithObs, receive per-query metrics (latency
@@ -84,13 +76,13 @@ func WithMeasure(m Measure) Option { return func(e *Engine) { e.measure = m } }
 // WithMaterializer selects the materialization strategy (default Baseline).
 func WithMaterializer(m Materializer) Option { return func(e *Engine) { e.mat = m } }
 
-// WithQueryParallelism bounds the intra-query execution pipeline: queries
-// with enough candidates split the candidate set into chunks and run
-// materialize→score fused per chunk on n workers, each holding a view of
-// the engine's materializer. n <= 0 (the default) uses GOMAXPROCS; n == 1
-// forces the sequential path. Results are identical for every n — the
-// pipeline changes wall-clock time and peak memory, never the ranking, the
-// skip list or the vector counters.
+// WithQueryParallelism bounds intra-query parallelism: a query with more than
+// a chunk of candidates (128) splits them into up to n contiguous ranges,
+// each scored by its own goroutine on a view of the engine's materializer,
+// and merges the ranges' rankings. n <= 0 (the default) uses GOMAXPROCS;
+// n == 1 runs every query inline. Results are identical for every n — the
+// ranges change wall-clock time, never the ranking, the skip list or the
+// vector counters (execute.go).
 func WithQueryParallelism(n int) Option {
 	return func(e *Engine) {
 		if n < 0 {
@@ -113,7 +105,7 @@ func WithObs(reg *obs.Registry, slow *obs.SlowLog) Option {
 // describing what it did — identity, configuration, per-phase costs, kernel
 // counts, outcome. nil disables emission. The sink must be safe for
 // concurrent use; emission is side-effect-free with respect to results, so
-// the pipeline's determinism contract is unaffected.
+// the determinism contract is unaffected.
 func WithEventSink(s obs.EventSink) Option {
 	return func(e *Engine) { e.events = s }
 }
@@ -149,7 +141,7 @@ func (e *Engine) Materializer() Materializer { return e.mat }
 // Combination returns the configured multi-path combination mode.
 func (e *Engine) Combination() Combination { return e.combine }
 
-// QueryParallelism returns the effective intra-query worker count.
+// QueryParallelism returns the effective bound on a query's local ranges.
 func (e *Engine) QueryParallelism() int {
 	if e.parallelism > 0 {
 		return e.parallelism
@@ -165,9 +157,8 @@ type Entry struct {
 }
 
 // Timing is the per-query cost breakdown reported in the Figure 4 study.
-// Under the parallel pipeline the durations are summed across workers
-// (CPU time, not wall time); the vector counters are exact and identical
-// for every worker count.
+// Durations are summed across ranges (CPU time, not wall time); the vector
+// counters are exact and identical for every range count.
 type Timing struct {
 	Total        time.Duration
 	SetRetrieval time.Duration
@@ -202,34 +193,40 @@ type Result struct {
 	Skipped []hin.VertexID
 	// CandidateCount and ReferenceCount are the sizes of Sc and Sr.
 	CandidateCount, ReferenceCount int
-	// Partial marks a deadline-degraded result: the query's deadline expired
-	// mid-pipeline under the NetOut measure and the engine returned the
-	// ranking over the candidates scored so far instead of a bare
-	// context.DeadlineExceeded. Scores of the entries present are exact
-	// (NetOut is separable per candidate once the reference side is fixed);
-	// what is missing is the candidates never reached. Entries and Skipped
+	// Partial marks a degraded result: under the NetOut measure the query's
+	// deadline expired mid-execution (or one of its candidate ranges
+	// panicked) and the engine returned the ranking over the candidates
+	// scored so far instead of the bare error. Scores of the entries present
+	// are exact (NetOut is separable per candidate once the reference side
+	// is fixed); what is missing is the candidates never reached. Entries and Skipped
 	// cover only the processed prefix; CandidateCount still reports the full
 	// |Sc|. Cancellation never degrades — a cancelled caller gets the error.
 	Partial bool
-	// Shards is the per-shard accounting of a sharded execution (WithShards),
-	// one entry per shard in index order; nil for unsharded queries. On a
-	// Partial result the entries with Partial=true are the shards that
-	// degraded — a deadline-expired or panicking shard contributes the exact
-	// prefix of candidates it fully scored (Done of Candidates) instead of
-	// failing the query.
+	// Shards is the per-range accounting of a query that ran as more than one
+	// candidate range — local ranges or remote shards — one entry per range
+	// in index order; nil for a query that ran inline. On a Partial result
+	// the entries with Partial=true are the ranges that degraded: a
+	// deadline-expired or panicking range contributes the exact prefix of
+	// candidates it fully scored (Done of Candidates) instead of failing the
+	// query.
 	Shards []ShardStatus
 	Timing Timing
 	// Trace is the per-phase breakdown (parse → validate → plan →
 	// materialize → score → rank); phases recorded contiguously, so their
 	// durations sum to the trace total. The parse span is present only for
-	// queries entered as text (Execute/ExecuteContext). Under the parallel
-	// pipeline scoring is fused into the materialize span and the score
-	// span is (near-)empty; the span's vector and cache counters aggregate
-	// all workers and match the sequential execution exactly. Sharded
-	// execution replaces materialize → score → rank with reduce (reference
-	// side, on the coordinator) → scatter (per-shard fused scoring) → merge
-	// (k-way merge), plus one ShardSpan per shard on the trace.
+	// queries entered as text (Execute/ExecuteContext). Scoring is fused
+	// into the materialize span and the score span is (near-)empty; the
+	// span's vector and cache counters aggregate every range and are the
+	// same for any range count. Remote execution replaces materialize →
+	// score → rank with reduce (reference side, on the coordinator) →
+	// scatter (the shards' fused scoring) → merge (k-way merge). Either way
+	// a query of more than one range has one ShardSpan per range on the
+	// trace.
 	Trace *obs.Trace
+
+	// panics counts the ranges of a Partial result that degraded on a
+	// recovered panic (observeQuery).
+	panics int
 }
 
 // Execute parses, validates and runs a query given as OQL text.
@@ -295,9 +292,17 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 		if err != nil {
 			outcome = "error"
 		}
+		// A recovered panic counts whether it failed the query or one of its
+		// ranges degraded on it.
+		panics := 0
 		if IsPanicError(err) {
+			panics = 1
+		} else if res != nil {
+			panics = res.panics
+		}
+		if panics > 0 {
 			e.obs.Counter("netout_query_panics_total",
-				"Recovered panics converted into query errors.").Inc()
+				"Recovered panics converted into query errors or degraded ranges.").Add(int64(panics))
 		}
 		if err == nil && res != nil && res.Partial {
 			e.obs.Counter("netout_query_partial_total",
@@ -316,9 +321,9 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 		for _, s := range trace.Spans {
 			e.obs.Histogram(`netout_query_phase_seconds{phase="`+s.Phase+`"}`,
 				"Per-phase query wall time.", nil).Observe(s.Duration.Seconds())
-			// Summing across spans covers both phase shapes: unsharded
-			// queries attribute all vector work to the materialize span,
-			// sharded ones split it between reduce and scatter.
+			// Summing across spans covers both phase shapes: local execution
+			// attributes all vector work to the materialize span, remote
+			// execution splits it between reduce and scatter.
 			traversed += s.Stats.TraversedVectors
 			indexed += s.Stats.IndexedVectors
 		}
@@ -331,7 +336,7 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 		if res != nil && len(res.Shards) > 0 {
 			for _, st := range res.Shards {
 				e.obs.Counter(`netout_shard_queries_total{shard="`+strconv.Itoa(st.Shard)+`"}`,
-					"Per-shard requests served by the scatter-gather tier.").Inc()
+					"Candidate ranges scored, by range index (remote shards and local ranges).").Inc()
 				if st.Partial {
 					e.obs.Counter("netout_shard_partials_total",
 						"Shards that contributed an exact-prefix partial to a degraded query.").Inc()
@@ -485,8 +490,8 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	defer func() {
 		var kernels map[string]int64
 		if after, ok := kernelCountsOf(e.mat); ok {
-			// Hops done on worker and shard views count too: they are the
-			// query's work wherever it ran.
+			// Hops done on the ranges' views count too: they are the query's
+			// work wherever it ran.
 			if plan != nil {
 				after = after.Add(plan.viewKernels)
 			}
@@ -495,9 +500,9 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		e.observeQuery(ctx, tr, q, res, err, kernels)
 	}()
 	// Panic isolation (registered after observeQuery so it runs first and
-	// the observation sees the error): a panic anywhere in execution — the
-	// engine's own phases or a pipeline worker's re-raised chunk failure —
-	// returns a *PanicError instead of unwinding through the serving layers.
+	// the observation sees the error): a panic in the engine's own phases
+	// returns a *PanicError instead of unwinding through the serving layers
+	// (one inside a candidate range is recovered there, see scoreRange).
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, newPanicError(r)
@@ -549,76 +554,11 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		}
 	}
 	tr.EndPhase("plan", obs.SpanStats{})
-	ifq.SetPhase("materialize")
 
 	plan = &queryPlan{q: q, cands: cands, refs: refs, paths: paths, weights: weights, combine: e.combine, ifq: ifq}
-	if sg := e.shardGroup(); sg != nil {
-		if err := e.executeSharded(ctx, plan, res, tr, sg); err != nil {
-			return nil, err
-		}
-		res.Timing.Total = time.Since(start)
-		return res, nil
-	}
-	if ws, ok := e.pipelineWorkers(len(cands)); ok {
-		plan.workers = ws
-		err := e.executeParallel(ctx, plan, res, tr)
-		e.releaseWorkers(ws)
-		if err != nil {
-			return nil, err
-		}
-		res.Timing.Total = time.Since(start)
-		return res, nil
-	}
-
-	// Sequential path: reduce the reference side, then the candidate side over
-	// the whole set in one range — load, score, rank.
-	matBefore := e.mat.Stats()
-	cacheBefore, _ := CacheStatsOf(e.mat)
-	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
-	if err != nil {
+	if err := e.run(ctx, plan, res, tr); err != nil {
 		return nil, err
 	}
-	cs, err := newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, paths, cands, held)
-	if err != nil {
-		return nil, err
-	}
-	var buf candBuf
-	if done, matErr := cs.load(ctx, e.mat, 0, len(cands), &buf); matErr != nil {
-		// Graceful degradation: an expired deadline under NetOut returns the
-		// ranking over the prefix of candidates loaded under EVERY feature.
-		// Scores over the prefix are exact — NetOut is separable, so a
-		// candidate's arithmetic never reads other candidates. With an empty
-		// prefix the error stands, as it does for cancellation and real
-		// failures.
-		if e.measure != MeasureNetOut || !degradable(matErr) || done == 0 {
-			return nil, matErr
-		}
-		res.Partial = true
-	}
-	matDelta := e.mat.Stats().Sub(matBefore)
-	res.Timing.charge(matDelta)
-	cacheAfter, _ := CacheStatsOf(e.mat)
-	tr.EndPhase("materialize", obs.SpanStats{
-		TraversedVectors: matDelta.TraversedVectors,
-		IndexedVectors:   matDelta.IndexedVectors,
-		CacheHits:        cacheAfter.Hits - cacheBefore.Hits,
-		CacheMisses:      cacheAfter.Misses - cacheBefore.Misses,
-	})
-
-	// Combine across paths (Section 5.1 leaves the method open and names
-	// two: independent per-path scores averaged, or connectivity redefined
-	// over combined vectors).
-	ifq.SetPhase("score")
-	scoreStart := time.Now()
-	cs.score(&buf)
-	tr.EndPhase("score", obs.SpanStats{})
-	ifq.SetPhase("rank")
-
-	sel := newTopSelector(q.TopK)
-	res.Skipped = cs.collect(&buf, sel, nil)
-	res.Entries = sel.ranked()
-	tr.EndPhase("rank", obs.SpanStats{})
-	res.Timing.Scoring += time.Since(scoreStart)
 	res.Timing.Total = time.Since(start)
 	return res, nil
 }

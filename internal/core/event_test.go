@@ -383,9 +383,9 @@ func TestServePoolEmitsEventsWithQueueWait(t *testing.T) {
 // The event's kernel counts are the query's hops wherever they ran. The
 // parent read only the engine's own traverser, so a pipelined or sharded
 // query journaled the reference side's two hops and dropped every hop a
-// worker or shard view expanded: on the same query, cold and warm, the
-// pipeline's and the in-process shards' totals must equal the sequential
-// engine's. (Remote shards have no wire field for them.)
+// range's view expanded: on the same query, cold and warm, the totals of
+// two and of three local ranges must equal the sequential engine's. (Remote
+// shards have no wire field for them.)
 func TestEventKernelsCountWorkerViews(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(47)))
 	total := func(opts ...Option) []int64 {
@@ -412,10 +412,10 @@ func TestEventKernelsCountWorkerViews(t *testing.T) {
 	if got := total(WithQueryParallelism(2)); !slices.Equal(got, want) {
 		t.Fatalf("pipeline(2) kernel hops cold/warm = %v, want the sequential %v", got, want)
 	}
-	// Each shard propagates its own numerators once the table is warm: two
-	// hops more per shard beyond the first.
-	want[1] += 2
-	if got := total(WithShards(2)); !slices.Equal(got, want) {
-		t.Fatalf("shards(2) kernel hops cold/warm = %v, want %v", got, want)
+	// The in-process shards this arm used to run propagated their numerators
+	// per shard. Local ranges share one candidate side, so three of them
+	// still propagate once: not a hop beyond the sequential engine's.
+	if got := total(WithQueryParallelism(3)); !slices.Equal(got, want) {
+		t.Fatalf("ranges(3) kernel hops cold/warm = %v, want the sequential %v", got, want)
 	}
 }

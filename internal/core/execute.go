@@ -1,0 +1,424 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"time"
+
+	"netout/internal/hin"
+	"netout/internal/metapath"
+	"netout/internal/obs"
+	"netout/internal/oql"
+	"netout/internal/xerr"
+)
+
+// Execution. Equation (1) makes Ω(v) a function of Φ(v) and the reduced
+// reference side only, so every execution of a query is the same thing:
+// reduce Sr once (referenceSide), split the ascending candidate set into R
+// contiguous ranges, score each range into a bounded top-k (scoreRange), and
+// k-way merge. What varies is where a range runs:
+//
+//   - inline (R = 1): on the engine's own materializer, on the caller's
+//     goroutine;
+//   - local ranges (R = min(QueryParallelism, ⌈|Sc|/128⌉) > 1): one goroutine
+//     per range, each on a pooled view of the engine's materializer, all
+//     sharing ONE candidateSide — so the vectors a reference pass over
+//     Sr ≡ Sc holds, and the single reverse propagation of a warm scan, serve
+//     every range;
+//   - remote (WithRemoteShards): one RemoteShard.Call per shard process; the
+//     shard server wraps the same scoreRange (ServeShardRequest) around a
+//     candidateSide over its own slice.
+//
+// Determinism contract: for any R, local or remote, Entries and Skipped are
+// those of R = 1 bit for bit, and locally so is every vector and cache
+// counter.
+//
+//   - Scores: a candidate's arithmetic reads its own Φ and the reference
+//     reduction, nothing else. The reduction is referenceSide's wherever the
+//     ranges run: a propagation is one sequential computation, per-vertex
+//     loads land in reference-ordered slots whichever view performs them, and
+//     the wire ships floats as their IEEE-754 bits.
+//   - Ranking: (score, vertex) is a strict total order over a query's
+//     candidates (entryBefore), so the global top k and its order are unique,
+//     every member of it is in its own range's top k, and mergeRanked
+//     reconstructs exactly what one selector over all candidates retains.
+//   - Skipped: ranges are contiguous in ascending candidate order, so the
+//     skip lists concatenated in range order are the R = 1 skip list.
+//   - Counters: the reference side is a barrier, so under the shared cache
+//     every (path, vertex) load is classified hit or miss the same for any
+//     schedule; traversed/indexed counts are per load, and every R skips the
+//     same loads and counts a propagation the same way.
+//
+// Degradation contract (Engine.degrades is the one place it is decided): under
+// NetOut a range that hit the deadline or panicked contributes the exact
+// prefix of candidates it fully scored — prefix scores are exact because the
+// measure is separable once the reference reduction is fixed — and the query
+// completes with Partial=true. A remote reply additionally degrades on
+// transport loss, admission shed and remote defects, the network's
+// equivalents of a range dying mid-query. Cancellation, protocol skew, any
+// other error, an empty total prefix, and every failure of the reference side
+// fail the query.
+
+// parallelChunk is how many candidates scoreRange loads, scores and drops at
+// a time, and the fewest a local range is worth a goroutine for.
+const parallelChunk = 128
+
+// chunksOf is how many chunks n candidates (or references) make.
+func chunksOf(n int) int { return (n + parallelChunk - 1) / parallelChunk }
+
+// queryPlan carries a resolved query from the planner to its execution.
+type queryPlan struct {
+	q       *oql.Query
+	cands   []hin.VertexID
+	refs    []hin.VertexID
+	paths   []metapath.Path
+	weights []float64
+	combine Combination
+	// views are the pooled materializer views the query's local ranges run
+	// on, one per range; nil when it runs inline or on remote shards.
+	// referenceSide shares its per-vertex loads among them.
+	views []Materializer
+	// viewKernels sums the expansion-kernel deltas of views; the engine's own
+	// traverser is read directly (executeQuery).
+	viewKernels metapath.KernelCounts
+	// ifq is the query's live in-flight record for phase and chunk-progress
+	// updates (nil when no inspector is attached; all mutators are nil-safe).
+	ifq *obs.InflightQuery
+}
+
+// rangeResult is what scoring one contiguous candidate range produced,
+// wherever it ran.
+type rangeResult struct {
+	// entries is the range's bounded top k, ranked; skipped its candidates no
+	// path characterizes, in candidate order. Both cover exactly the first
+	// done candidates of the range: all of them, or with err the prefix fully
+	// scored before the fault.
+	entries []Entry
+	skipped []hin.VertexID
+	done    int
+	err     error
+	// cands is the size of the range.
+	cands int
+	// stats is the work of a range that ran in another process (a local
+	// range's is read off its view); addr names that process.
+	stats MatStats
+	addr  string
+	// scoring is the time spent in the outlierness arithmetic, duration the
+	// range's wall time.
+	scoring, duration time.Duration
+}
+
+// scoreRange scores cands[lo:hi] of cs on mat, parallelChunk candidates at a
+// time: load, score, offer to one bounded selector, drop the vectors. It is
+// the body of inline execution, of a local range and of a shard server's
+// request. Faults never escape it — a panic or a per-vertex error comes back
+// on the result beside the exact prefix scored before it (a failed load
+// leaves buf covering the candidates complete under every path, and those are
+// still scored and kept), so the caller can degrade instead of the fault
+// killing the query, or the process.
+func scoreRange(ctx context.Context, cs *candidateSide, mat Materializer, lo, hi, topK int) (rr rangeResult) {
+	start := time.Now()
+	sel := newTopSelector(topK)
+	defer func() {
+		rr.entries = sel.ranked()
+		rr.duration = time.Since(start)
+	}()
+	defer recoverAsError(&rr.err)
+	buf := candBufs.Get().(*candBuf)
+	defer candBufs.Put(buf)
+	for ; lo < hi && rr.err == nil; lo += parallelChunk {
+		var n int
+		n, rr.err = cs.load(ctx, mat, lo, min(lo+parallelChunk, hi), buf)
+		scoreStart := time.Now()
+		cs.score(buf)
+		rr.skipped = cs.collect(buf, sel, rr.skipped)
+		rr.scoring += time.Since(scoreStart)
+		rr.done += n
+		cs.ifq.ChunkDone()
+	}
+	return rr
+}
+
+// candBufs recycles scoreRange's chunk scratch across ranges and queries
+// (load resets whatever a buffer held).
+var candBufs = sync.Pool{New: func() any { return new(candBuf) }}
+
+// fanOut splits vs into n contiguous ranges (hin.PartitionVertices) and runs
+// fn on the bounds of each: inline when n is 1, otherwise one goroutine per
+// range, all joined before it returns. fn must recover its own panics — one
+// that escaped a goroutine would kill the process.
+func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
+	if n <= 1 {
+		fn(0, 0, len(vs))
+		return
+	}
+	var wg sync.WaitGroup
+	lo := 0
+	for i, r := range hin.PartitionVertices(vs, n) {
+		wg.Add(1)
+		go func(i, lo, hi int) {
+			defer wg.Done()
+			fn(i, lo, hi)
+		}(i, lo, lo+len(r))
+		lo += len(r)
+	}
+	wg.Wait()
+}
+
+// acquireViews returns one view of the engine's materializer per local range
+// a set of nCands candidates splits into, recycled across queries — a view's
+// traversal scratch is the expensive part of query setup. nil means inline:
+// parallelism 1, no more than a chunk of candidates, or a materializer
+// without concurrent views.
+func (e *Engine) acquireViews(nCands int) []Materializer {
+	n := min(e.QueryParallelism(), chunksOf(nCands))
+	if n <= 1 {
+		return nil
+	}
+	views := make([]Materializer, 0, n)
+	for len(views) < n {
+		view, _ := e.viewPool.Get().(Materializer)
+		if view == nil {
+			var err error
+			if view, err = NewView(e.mat); err != nil {
+				e.releaseViews(views)
+				return nil
+			}
+		}
+		views = append(views, view)
+	}
+	return views
+}
+
+func (e *Engine) releaseViews(views []Materializer) {
+	for _, view := range views {
+		e.viewPool.Put(view)
+	}
+}
+
+// viewTotals sums the cumulative counters of views, for a delta around their
+// use. Views of the cached materializer share its counters — the engine's own
+// delta already covers them — and report none here.
+func viewTotals(views []Materializer) (st MatStats, k metapath.KernelCounts) {
+	for _, view := range views {
+		if _, shared := view.(*cached); !shared {
+			st = st.Add(view.Stats())
+		}
+		if c, ok := kernelCountsOf(view); ok {
+			k = k.Add(c)
+		}
+	}
+	return st, k
+}
+
+// run executes a planned query, filling res in place: the reference side
+// once, the candidate ranges wherever they run, one degradation rule, one
+// merge. Span names are a contract with the dashboards and the benchmark
+// harness: local execution records materialize (reference side and the fused
+// load+score of every range) → score (empty) → rank (merge); remote execution
+// reduce (reference side) → scatter (the shards' work) → merge.
+func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.Tracer) error {
+	cands := plan.cands
+	remote := len(e.remotes) > 0
+	phase := [3]string{"materialize", "score", "rank"}
+	if remote {
+		phase = [3]string{"reduce", "scatter", "merge"}
+	} else {
+		plan.views = e.acquireViews(len(cands))
+		defer e.releaseViews(plan.views)
+	}
+	matLast := e.mat.Stats()
+	cacheLast, _ := CacheStatsOf(e.mat)
+	// endPhase closes a span with the work of the engine's own materializer
+	// since the last one, plus off: what the phase cost on views and shards.
+	endPhase := func(name string, off MatStats) {
+		mat := e.mat.Stats()
+		cache, _ := CacheStatsOf(e.mat)
+		d := mat.Sub(matLast).Add(off)
+		res.Timing.charge(d)
+		tr.EndPhase(name, obs.SpanStats{
+			TraversedVectors: d.TraversedVectors,
+			IndexedVectors:   d.IndexedVectors,
+			CacheHits:        cache.Hits - cacheLast.Hits,
+			CacheMisses:      cache.Misses - cacheLast.Misses,
+		})
+		matLast, cacheLast = mat, cache
+	}
+	viewStats, viewKernels := viewTotals(plan.views)
+
+	// The inspector's chunk progress restarts with each phase that has any: a
+	// reader sees "materialize 3/7", then "score 12/40". Updates touch only
+	// the record's atomics, never the result.
+	plan.ifq.SetPhase(phase[0])
+	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
+	if err != nil {
+		return err
+	}
+	var cs *candidateSide
+	var bcast *ShardBroadcast
+	if remote {
+		bcast = scorers.broadcast()
+		endPhase(phase[0], MatStats{})
+	} else {
+		// One candidate side over the whole set, shared by every range.
+		if cs, err = newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, plan.paths, cands, held); err != nil {
+			return err
+		}
+		cs.ifq = plan.ifq
+	}
+
+	plan.ifq.SetPhase(phase[1])
+	results := make([]rangeResult, max(len(plan.views), len(e.remotes), 1))
+	plan.ifq.StartChunks(chunksOf(len(cands)), len(results))
+	fanOut(cands, len(results), func(i, lo, hi int) {
+		switch {
+		case remote:
+			results[i] = e.callRemote(ctx, plan, bcast, i, cands[lo:hi:hi])
+		case plan.views == nil:
+			results[i] = scoreRange(ctx, cs, e.mat, lo, hi, plan.q.TopK)
+		default:
+			results[i] = scoreRange(ctx, cs, plan.views[i], lo, hi, plan.q.TopK)
+		}
+		results[i].cands = hi - lo
+	})
+	off, kernels := viewTotals(plan.views)
+	off, plan.viewKernels = off.Sub(viewStats), kernels.Sub(viewKernels)
+	for _, rr := range results {
+		off = off.Add(rr.stats)
+		res.Timing.Scoring += rr.scoring
+	}
+	if !remote {
+		// Local ranges fuse loading with scoring, so all of it belongs to the
+		// first span and the second stays empty.
+		endPhase(phase[0], off)
+		off = MatStats{}
+	}
+	endPhase(phase[1], off)
+
+	plan.ifq.SetPhase(phase[2])
+	mergeStart := time.Now()
+	totalDone := 0
+	var failErr, degradedErr error
+	for _, rr := range results {
+		totalDone += rr.done
+		switch {
+		case rr.err == nil:
+		case e.degrades(rr.err, remote):
+			if xerr.KindOf(rr.err) == xerr.KindDefect {
+				res.panics++
+			}
+			if degradedErr == nil {
+				degradedErr = rr.err
+			}
+		case failErr == nil:
+			failErr = rr.err
+		}
+	}
+	if failErr != nil {
+		return failErr
+	}
+	if degradedErr != nil {
+		if totalDone == 0 {
+			// No range completed a candidate: there is nothing to degrade to,
+			// so the first failing range's error stands.
+			return degradedErr
+		}
+		res.Partial = true
+	}
+
+	// One range's ranking and skip list are the query's as they stand; more
+	// are merged, the skip lists concatenated in range order.
+	res.Entries, res.Skipped = results[0].entries, results[0].skipped
+	if len(results) > 1 {
+		lists := make([][]Entry, len(results))
+		for i, rr := range results {
+			lists[i] = rr.entries
+		}
+		for _, rr := range results[1:] {
+			res.Skipped = append(res.Skipped, rr.skipped...)
+		}
+		res.Entries = mergeRanked(lists, plan.q.TopK)
+	}
+	if len(results) > 1 || remote {
+		// Per-range accounting, in the shard tier's vocabulary: a local range
+		// is a shard without an address.
+		for i, rr := range results {
+			st := ShardStatus{Shard: i, Addr: rr.addr, Duration: rr.duration,
+				Candidates: rr.cands, Done: rr.done, Partial: rr.err != nil}
+			if rr.err != nil {
+				st.Err = rr.err.Error()
+			}
+			tr.AddShard(st)
+			res.Shards = append(res.Shards, st)
+		}
+	}
+	endPhase(phase[2], MatStats{})
+	res.Timing.Scoring += time.Since(mergeStart)
+	return nil
+}
+
+// degrades decides whether a failed range folds into an exact-prefix Partial
+// instead of failing the query (see the degradation contract above). A lost
+// remote shard is operationally the same event as a panicking local range:
+// its Done-prefix is exact and the rest of the fleet's work should survive.
+// Remote INTERNAL failures that are not defects (protocol-level rejections)
+// fail the query: they signal misconfiguration, not load.
+func (e *Engine) degrades(err error, remote bool) bool {
+	if e.measure != MeasureNetOut {
+		return false
+	}
+	if degradable(err) || xerr.KindOf(err) == xerr.KindDefect {
+		return true
+	}
+	if remote {
+		switch xerr.CodeOf(err) {
+		case xerr.DeadlineExceeded, xerr.ResourceExhausted, xerr.Unavailable:
+			return true
+		}
+	}
+	return false
+}
+
+// callRemote runs range i — cands, a slice of the query's candidate set — on
+// its remote shard. Whatever the network does comes back as a rangeResult: a
+// transport error, a nil reply or a panicking client is a classified failure
+// with an empty prefix, a reply stamped with a foreign protocol revision a
+// non-degradable one (a mixed-revision fleet's payload cannot be trusted to
+// mean what this coordinator thinks it means), and a failure the remote
+// reported is rebuilt from its wire triple beside the prefix the reply carried.
+func (e *Engine) callRemote(ctx context.Context, plan *queryPlan, bcast *ShardBroadcast, i int, cands []hin.VertexID) rangeResult {
+	start := time.Now()
+	shard := e.remotes[i]
+	req := &ShardRequest{
+		Version:    ShardProtocolVersion,
+		QueryID:    obs.RequestIDFrom(ctx),
+		Shard:      i,
+		TopK:       plan.q.TopK,
+		Measure:    e.measure,
+		Combine:    plan.combine,
+		Weights:    plan.weights,
+		Paths:      plan.paths,
+		Candidates: cands,
+	}
+	resp, err := func() (resp *ShardResponse, err error) {
+		defer recoverAsError(&err)
+		return shard.Call(ctx, req, bcast)
+	}()
+	switch {
+	case err != nil:
+	case resp == nil:
+		err = xerr.Newf(xerr.Unavailable, "core: remote shard %s returned no response", shard.Addr())
+	case resp.Version != ShardProtocolVersion:
+		err = xerr.Newf(xerr.Internal,
+			"core: shard protocol skew: shard %d (%s) replied version %d, coordinator speaks %d",
+			i, shard.Addr(), resp.Version, ShardProtocolVersion)
+	default:
+		rr := rangeResult{entries: resp.Entries, skipped: resp.Skipped, done: resp.Done,
+			stats: resp.Stats, addr: shard.Addr(), duration: resp.Duration}
+		if resp.Err != "" {
+			rr.err = xerr.FromWire(resp.Code, resp.Kind, resp.Err)
+		}
+		return rr
+	}
+	return rangeResult{err: err, addr: shard.Addr(), duration: time.Since(start)}
+}

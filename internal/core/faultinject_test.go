@@ -417,7 +417,9 @@ func TestReferenceSideFailsWhole(t *testing.T) {
 	}{
 		{"sequential", []Option{WithQueryParallelism(1)}},
 		{"pipeline", []Option{WithQueryParallelism(4)}},
-		{"shards", []Option{WithShards(2)}},
+		// Remote shards stand where the in-process ones did: the reference
+		// side reduces on the coordinator either way.
+		{"remote", []Option{WithRemoteShards(newFakeFleet(t, g, 2)...)}},
 	} {
 		t.Run(ex.name, func(t *testing.T) {
 			eng := NewEngine(g, ex.opts...)
@@ -428,8 +430,8 @@ func TestReferenceSideFailsWhole(t *testing.T) {
 					t.Fatalf("mid-propagation %v: got (%v, %v), want the bare error", ctx.err, res, err)
 				}
 			}
-			if ex.name == "shards" {
-				return // sharded execution never reuses the reference pass
+			if ex.name == "remote" {
+				return // remote execution never reuses the reference pass
 			}
 			mat, err := NewCached(g, 64<<20)
 			if err != nil {
@@ -775,41 +777,52 @@ func TestRegisterMaterializerMetricsIdempotent(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter–gather shard tier faults
+// Range faults. These ran on the in-process shard tier until it became
+// WithQueryParallelism; they prove the same isolation on local ranges, over
+// bigBibGraph (three chunks, so three ranges).
 
-// One panicking shard must be isolated: the other shards' exact results are
-// merged into a Partial result with per-shard accounting, instead of the
-// panic failing the query whole (the unsharded behavior) or killing the
-// process. The hook counter skips the coordinator's nA reference loads, so
-// the panic fires inside exactly one shard's scoring loop.
+// rangeFaultFixture is bigBibGraph with the full run of src on it, as score
+// and skip lookups.
+func rangeFaultFixture(t *testing.T, seed int64, src string) (g *hin.Graph, nA int, score map[hin.VertexID]float64) {
+	t.Helper()
+	g = bigBibGraph(rand.New(rand.NewSource(seed)))
+	full, err := NewEngine(g).Execute(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	score = map[hin.VertexID]float64{}
+	for _, e := range full.Entries {
+		score[e.Vertex] = e.Score
+	}
+	return g, full.CandidateCount, score
+}
+
+// One panicking range must be isolated: the other ranges' exact results are
+// merged into a Partial result with per-range accounting, instead of the
+// panic failing the query whole or killing the process. The hook counter
+// skips the faultRefs reference loads, so the panic fires inside exactly one
+// range's scoring loop. (The shard tier reloaded Sr = Sc per shard and the
+// fault was placed nA loads in; ranges score the vectors the reference pass
+// holds and load nothing, hence the explicit reference set.)
 func TestShardPanicIsolatesToPartial(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(9)))
-	full, err := NewEngine(g).Execute(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := NewEngine(g).CandidateSet(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nA := len(cands)
+	g, _, fullScore := rangeFaultFixture(t, 9, faultRefQuery)
 	var loads atomic.Int64
 	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
-		if loads.Add(1) == int64(nA)+2 {
+		if loads.Add(1) == faultRefs+2 {
 			panic("injected shard fault")
 		}
 	}}
-	eng := NewEngine(g, WithMaterializer(fm), WithShards(2))
+	eng := NewEngine(g, WithMaterializer(fm), WithQueryParallelism(3))
 	defer eng.Close()
-	res, err := eng.Execute(faultQuery)
+	res, err := eng.Execute(faultRefQuery)
 	if err != nil {
 		t.Fatalf("Execute: %v, want the panic degraded to a partial result", err)
 	}
 	if !res.Partial {
 		t.Fatal("res.Partial = false, want true")
 	}
-	if len(res.Shards) != 2 {
-		t.Fatalf("len(res.Shards) = %d, want 2", len(res.Shards))
+	if len(res.Shards) != 3 {
+		t.Fatalf("len(res.Shards) = %d, want 3", len(res.Shards))
 	}
 	panicked := 0
 	for _, st := range res.Shards {
@@ -829,10 +842,6 @@ func TestShardPanicIsolatesToPartial(t *testing.T) {
 	}
 	// Every surviving entry is exact: bit-identical to the full run's score
 	// for the same vertex.
-	fullScore := map[hin.VertexID]float64{}
-	for _, e := range full.Entries {
-		fullScore[e.Vertex] = e.Score
-	}
 	for _, e := range res.Entries {
 		want, ok := fullScore[e.Vertex]
 		if !ok || math.Float64bits(want) != math.Float64bits(e.Score) {
@@ -841,30 +850,69 @@ func TestShardPanicIsolatesToPartial(t *testing.T) {
 	}
 }
 
-// A shard tripping the query deadline degrades to a merged partial: the
-// poll budget admits the reference reduction plus exactly K candidate
-// checks across the shards, so K candidates total are scored (exact,
-// bit-identical to the full run) and the rest are accounted as not done.
+// Regression: a panic recovered inside a range is a recovered panic whether
+// it failed the query or the range degraded. The parent counted only
+// IsPanicError(err) on the query's own error, so the scenario above — local
+// ranges or a fleet whose shard panics — left netout_query_panics_total at 0.
+// The wide event names the panic on the struck range.
+func TestDegradedRangePanicIsCounted(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(9)))
+	panicAt := func(n int64) Materializer {
+		var loads atomic.Int64
+		return &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+			if loads.Add(1) == n {
+				panic("injected range fault")
+			}
+		}}
+	}
+	shards := 0
+	for name, opts := range map[string][]Option{
+		"local": {WithMaterializer(panicAt(faultRefs + 2)), WithQueryParallelism(3)},
+		// The second shard of two panics on its second candidate.
+		"remote": {WithRemoteShards(fakeFleetOf(g, 2, func(g *hin.Graph) Materializer {
+			if shards++; shards == 2 {
+				return panicAt(2)
+			}
+			return NewBaseline(g)
+		})...)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			ring := obs.NewEventRing(2)
+			res, err := NewEngine(g, append(opts, WithObs(reg, nil), WithEventSink(ring))...).Execute(faultRefQuery)
+			if err != nil || !res.Partial {
+				t.Fatalf("got (partial=%v, %v), want the panic degraded to a partial result", res != nil && res.Partial, err)
+			}
+			var sb strings.Builder
+			reg.WritePrometheus(&sb)
+			if !strings.Contains(sb.String(), "netout_query_panics_total 1") {
+				t.Fatalf("scrape does not count the degraded range's panic:\n%s", sb.String())
+			}
+			named := 0
+			for _, sh := range ring.Snapshot()[0].Shards {
+				if strings.Contains(sh.Err, "panic") {
+					named++
+				}
+			}
+			if named != 1 {
+				t.Fatalf("event names the panic on %d ranges, want 1: %+v", named, ring.Snapshot()[0].Shards)
+			}
+		})
+	}
+}
+
+// A deadline that expires among the ranges degrades to a merged partial: the
+// poll budget admits the reference reduction plus exactly K candidate checks
+// across the ranges, so K candidates total are scored (exact, bit-identical
+// to the full run) and the rest are accounted as not done.
 func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(13)))
-	full, err := NewEngine(g).Execute(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := NewEngine(g).CandidateSet(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nA := len(cands)
+	g, nA, fullScore := rangeFaultFixture(t, 13, faultQuery)
 	K := nA / 2
-	if K < 1 {
-		t.Fatalf("graph too small: %d candidates", nA)
-	}
-	eng := NewEngine(g, WithShards(2))
+	eng := NewEngine(g, WithQueryParallelism(3))
 	defer eng.Close()
 	// Poll budget mirrors TestSequentialDeadlinePartialPrefix: 1 at query
-	// start, setPolls across the coordinator's reference propagation, then K
-	// candidate checks shared by the shards.
+	// start, setPolls across the reference propagation, then K candidate
+	// checks shared by the ranges.
 	ctx := newDeadlineAfter(int64(1 + setPolls + K))
 	res, err := eng.ExecuteContext(ctx, faultQuery)
 	if err != nil {
@@ -889,10 +937,6 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 	if totalDone != K {
 		t.Fatalf("shards scored %d candidates total, want exactly the %d-poll budget", totalDone, K)
 	}
-	fullScore := map[hin.VertexID]float64{}
-	for _, e := range full.Entries {
-		fullScore[e.Vertex] = e.Score
-	}
 	for _, e := range res.Entries {
 		want, ok := fullScore[e.Vertex]
 		if !ok || math.Float64bits(want) != math.Float64bits(e.Score) {
@@ -901,41 +945,63 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 	}
 
 	// Degradation is NetOut-only (prefix scores under the relative measures
-	// are not exact), exactly like the unsharded contract: an expiry K
-	// candidates past PathSim's per-vertex reduction (a poll per reference)
-	// fails the query instead.
-	psEng := NewEngine(g, WithMeasure(MeasurePathSim), WithShards(2))
+	// are not exact): an expiry K candidates past PathSim's per-vertex
+	// reduction (a poll per reference) fails the query instead. The reference
+	// set is explicit because ranges, unlike the shards this ran on, score
+	// Sr = Sc out of the reference pass and would never poll again.
+	psEng := NewEngine(g, WithMeasure(MeasurePathSim), WithQueryParallelism(3))
 	defer psEng.Close()
-	if _, err := psEng.ExecuteContext(newDeadlineAfter(int64(1+nA+K)), faultQuery); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("PathSim sharded deadline err = %v, want context.DeadlineExceeded", err)
+	if _, err := psEng.ExecuteContext(newDeadlineAfter(int64(1+faultRefs+K)), faultRefQuery); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PathSim ranged deadline err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// Executing on a Close()d sharded engine is a caller bug that must surface
-// as a recovered *PanicError — never a hang or a process crash. Close
-// before first use simply declines sharding: the engine keeps answering
-// unsharded.
+// Regression: the chunk pipeline was the one executor without the empty-prefix
+// rule — a deadline that expired after the reference side and before any chunk
+// finished came back Partial=true with no entries, where the sequential path
+// and the shard tier returned the error. Under the one rule it is
+// DEADLINE_EXCEEDED, and the same budget plus one full chunk is still an
+// exact-prefix Partial.
+func TestRangesWithEmptyPrefixFailTheQuery(t *testing.T) {
+	g, _, fullScore := rangeFaultFixture(t, 11, faultQuery)
+	eng := NewEngine(g, WithQueryParallelism(4))
+	res, err := eng.ExecuteContext(newDeadlineAfter(1+setPolls), faultQuery)
+	if res != nil || !errors.Is(err, context.DeadlineExceeded) || xerr.CodeOf(err) != xerr.DeadlineExceeded {
+		t.Fatalf("deadline before any candidate: got (%+v, %v), want (nil, DEADLINE_EXCEEDED)", res, err)
+	}
+	res, err = eng.ExecuteContext(newDeadlineAfter(1+setPolls+parallelChunk), faultQuery)
+	if err != nil || !res.Partial {
+		t.Fatalf("deadline one chunk in: err=%v, want a Partial result", err)
+	}
+	if covered := len(res.Entries) + len(res.Skipped); covered != parallelChunk {
+		t.Fatalf("partial covers %d candidates, want the %d-poll budget", covered, parallelChunk)
+	}
+	for _, e := range res.Entries {
+		if want, ok := fullScore[e.Vertex]; !ok || math.Float64bits(want) != math.Float64bits(e.Score) {
+			t.Fatalf("partial score for %s = %v, want the full run's %v", e.Name, e.Score, want)
+		}
+	}
+}
+
+// Close is a no-op now that no engine holds resident goroutines: before or
+// after first use, a closed engine keeps answering, ranges included. (The
+// half of this test that expected a *PanicError from a query after Close
+// went with the resident shard goroutines it tested.)
 func TestShardedEngineCloseSemantics(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(17)))
-
-	// Close before any query: no group ever starts; queries run unsharded.
-	pre := NewEngine(g, WithShards(3))
-	pre.Close()
-	res, err := pre.Execute(faultQuery)
+	g := bigBibGraph(rand.New(rand.NewSource(17)))
+	want, err := NewEngine(g, WithQueryParallelism(1)).Execute(faultQuery)
 	if err != nil {
-		t.Fatalf("Execute after early Close: %v", err)
-	}
-	if len(res.Shards) != 0 {
-		t.Fatalf("closed-before-use engine still sharded: %+v", res.Shards)
-	}
-
-	// Close after use: the next query fails with a recovered panic.
-	eng := NewEngine(g, WithShards(3))
-	if _, err := eng.Execute(faultQuery); err != nil {
 		t.Fatal(err)
 	}
-	eng.Close()
-	if _, err := eng.Execute(faultQuery); !IsPanicError(err) {
-		t.Fatalf("Execute after Close: %v, want a *PanicError", err)
+	eng := NewEngine(g, WithQueryParallelism(3))
+	for i := 0; i < 2; i++ {
+		eng.Close()
+		res, err := eng.Execute(faultQuery)
+		if err != nil {
+			t.Fatalf("Execute after Close #%d: %v", i+1, err)
+		}
+		if !bitIdentical(want, res) || len(res.Shards) != 3 {
+			t.Fatalf("Execute after Close #%d: %d ranges, identical to inline = %v", i+1, len(res.Shards), bitIdentical(want, res))
+		}
 	}
 }

@@ -14,12 +14,12 @@ import (
 // subtly, strand its caller: a ServePool worker that panics before writing
 // job.done leaves the caller blocked forever on a background context, and a
 // dead worker silently shrinks pool capacity for everyone else. Every worker
-// goroutine (ServePool workers, ExecuteBatch workers, pipeline chunk
-// workers, parallel index builders) therefore converts panics into
+// goroutine (ServePool workers, ExecuteBatch workers, a query's candidate
+// ranges, parallel index builders) therefore converts panics into
 // *PanicError replies at its unit-of-work boundary and keeps running.
 
 // PanicError is a panic recovered by a serving-layer worker and converted
-// into a per-query (or per-chunk) error. Value is the original panic value;
+// into a per-query (or per-range) error. Value is the original panic value;
 // Stack is the goroutine stack captured at the recovery point, preserved so
 // the bug stays debuggable after isolation.
 type PanicError struct {

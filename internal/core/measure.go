@@ -74,9 +74,8 @@ func ScoreVectors(m Measure, cands, refs []sparse.Vector) []float64 {
 
 // refScorer is a measure's reference-side precomputation: everything that
 // depends only on Sr, computed once per (query, path) and then shared
-// read-only — the sequential path builds one per ScoreVectors call, the
-// chunked pipeline builds one up front and lets every worker score against
-// it concurrently.
+// read-only — ScoreVectors builds one per call, a query one up front that
+// every candidate range scores against concurrently.
 type refScorer struct {
 	m Measure
 	// s is the separable reference aggregate of Equation (1): Σ Φ(vj) for

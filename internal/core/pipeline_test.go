@@ -309,14 +309,14 @@ func TestTopSelectorMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d k=%d: ranked = %v, want %v", trial, k, got, want)
 			}
 
-			// Split across three selectors and merge — the worker shape.
+			// Split across three selectors and merge — the range shape
+			// (topSelector.merge went with the chunk pipeline; ranges merge
+			// their ranked lists).
 			parts := []*topSelector{newTopSelector(k), newTopSelector(k), newTopSelector(k)}
 			for i, e := range entries {
 				parts[i%3].push(e)
 			}
-			parts[0].merge(parts[1])
-			parts[0].merge(parts[2])
-			if got := parts[0].ranked(); !equal(got, want) {
+			if got := mergeRanked([][]Entry{parts[0].ranked(), parts[1].ranked(), parts[2].ranked()}, k); !equal(got, want) {
 				t.Fatalf("trial %d k=%d: merged = %v, want %v", trial, k, got, want)
 			}
 		}

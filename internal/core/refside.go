@@ -10,10 +10,10 @@ import (
 )
 
 // referenceSide reduces the reference set of a planned query to its scorers
-// — everything Equation (1) needs from Sr. Every executor (sequential, chunk
-// pipeline, in-process and remote shards) and Explain/SuggestFeatures call
-// it, so the reduction is written once and their scores and counters agree
-// by construction. mat is the caller's own materializer. Any failure,
+// — everything Equation (1) needs from Sr. Query execution, wherever its
+// candidate ranges run, and Explain/SuggestFeatures call it, so the
+// reduction is written once and their scores and counters agree by
+// construction. mat is the caller's own materializer. Any failure,
 // cancellation and deadline included, fails the query whole: without the
 // reduction no candidate can be scored, so there is no prefix to keep.
 //
@@ -33,9 +33,10 @@ import (
 //     for the candidates. When Sr and Sc are the same set the loaded vectors
 //     ARE the candidates' vectors and come back as held (held[m][i] is
 //     Φ_paths[m](cands[i])), so the caller scores them instead of loading
-//     each vertex a second time; held is nil otherwise. The pipeline's
-//     workers (plan.workers) share the loads chunk by chunk; slots are
-//     reference-ordered, so the sums associate the same for any schedule.
+//     each vertex a second time; held is nil otherwise. A query running as
+//     local ranges shares the loads among their views (plan.views), a
+//     contiguous range of Sr each; slots are reference-ordered, so the sums
+//     associate the same for any schedule.
 func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materializer) (scorers *queryScorers, held [][]sparse.Vector, err error) {
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
@@ -72,17 +73,24 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materia
 		}
 		return nil
 	}
-	if ws := plan.workers; ws != nil {
-		plan.ifq.StartChunks((len(refs)+parallelChunk-1)/parallelChunk, len(ws))
-		err = runChunks(ws, len(refs), func(w *pipeWorker, lo, hi int) error {
-			if err := load(w.mat, lo, hi); err != nil {
-				return err
-			}
-			plan.ifq.ChunkDone()
-			return nil
-		})
-	} else {
+	if plan.views == nil {
 		err = load(mat, 0, len(refs))
+	} else {
+		errs := make([]error, len(plan.views))
+		plan.ifq.StartChunks(chunksOf(len(refs)), len(errs))
+		fanOut(refs, len(errs), func(i, lo, hi int) {
+			defer recoverAsError(&errs[i])
+			for ; lo < hi && errs[i] == nil; lo += parallelChunk {
+				errs[i] = load(plan.views[i], lo, min(lo+parallelChunk, hi))
+				plan.ifq.ChunkDone()
+			}
+		})
+		for _, rangeErr := range errs {
+			if rangeErr != nil {
+				err = rangeErr // the first failing range's, by index
+				break
+			}
+		}
 	}
 	if err != nil {
 		return nil, nil, err

@@ -135,7 +135,6 @@ func TestComparedToCandidateSetEqualsOmittingIt(t *testing.T) {
 	executors := map[string]func() []Option{
 		"sequential": func() []Option { return []Option{WithQueryParallelism(1)} },
 		"pipeline":   func() []Option { return []Option{WithQueryParallelism(4)} },
-		"shards":     func() []Option { return []Option{WithShards(2)} },
 		"remote":     func() []Option { return []Option{WithRemoteShards(newFakeFleet(t, g, 2)...)} },
 	}
 	for _, measure := range allMeasures {
@@ -218,7 +217,10 @@ func TestReferenceSideFallsThroughPast2To53(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{{WithQueryParallelism(1)}, {WithShards(2)}} {
+	// The arm that loads the candidates a second time was the in-process
+	// shard tier; a remote fleet is what still does (six candidates are one
+	// inline range locally).
+	for _, opts := range [][]Option{{WithQueryParallelism(1)}, {WithRemoteShards(newFakeFleet(t, g, 2)...)}} {
 		eng := NewEngine(g, opts...)
 		got, err := eng.Execute(faultQuery)
 		if err != nil {

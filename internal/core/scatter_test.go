@@ -1,12 +1,15 @@
 package core
 
-// The scatter–gather shard tier's determinism contract (scatter.go): for
-// ANY shard count, sharded execution must produce results bit-identical to
-// unsharded execution — same entries, same Float64bits scores, same skip
-// order — across measures, combinations, strategies, and cold vs warm
-// caches. Tolerance-based comparison would hide exactly the bug class these
-// tests exist to catch (re-associated floating point, differing tie-breaks),
-// so scores compare via math.Float64bits. All tests here must pass under
+// The determinism contract of execution (execute.go), held on local ranges:
+// for ANY range count, a query must produce results bit-identical to inline
+// execution — same entries, same Float64bits scores, same skip order —
+// across measures, combinations, strategies, and cold vs warm caches. These
+// tests ran on the in-process shard tier until it became
+// WithQueryParallelism; they keep what they proved, on bigBibGraph, whose
+// several hundred authors are three chunks and so up to three real ranges.
+// Tolerance-based comparison would hide exactly the bug class these tests
+// exist to catch (re-associated floating point, differing tie-breaks), so
+// scores compare via math.Float64bits. All tests here must pass under
 // `go test -race -cpu 1,4`.
 
 import (
@@ -39,9 +42,9 @@ func bitIdentical(a, b *Result) bool {
 	return true
 }
 
-// Sharded execution is bit-identical to unsharded for every shard count,
-// measure and combination — including shard counts exceeding the candidate
-// count, where trailing shards receive empty ranges.
+// Execution over local ranges is bit-identical to inline for every range
+// count, measure and combination — including a parallelism exceeding the
+// chunk count, which the chunk count caps.
 func TestQuickShardCountsAgree(t *testing.T) {
 	queries := []string{
 		`FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`,
@@ -51,12 +54,12 @@ func TestQuickShardCountsAgree(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomBibGraph(r)
+		g := bigBibGraph(r)
 		for _, m := range []Measure{MeasureNetOut, MeasurePathSim, MeasureCosSim} {
 			for _, comb := range []Combination{CombineAverage, CombineConcat} {
-				plain := NewEngine(g, WithMeasure(m), WithCombination(comb))
+				plain := NewEngine(g, WithMeasure(m), WithCombination(comb), WithQueryParallelism(1))
 				for _, shards := range []int{1, 2, 3, 7} {
-					eng := NewEngine(g, WithMeasure(m), WithCombination(comb), WithShards(shards))
+					eng := NewEngine(g, WithMeasure(m), WithCombination(comb), WithQueryParallelism(shards))
 					for _, src := range queries {
 						want, err1 := plain.Execute(src)
 						got, err2 := eng.Execute(src)
@@ -78,18 +81,19 @@ func TestQuickShardCountsAgree(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+	// Graphs are twenty times the size the shard tier's were: fewer of them.
+	if err := quick.Check(f, &quick.Config{MaxCount: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Sharded execution is bit-identical under the indexed and cached
-// strategies too — shard views share the PM index read-only and the warm
-// cache itself — on both a cold and a warm cache.
+// Ranges are bit-identical under the indexed and cached strategies too —
+// their views share the PM index read-only and the warm cache itself — on
+// both a cold and a warm cache.
 func TestShardedStrategiesAgree(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(11)))
+	g := bigBibGraph(rand.New(rand.NewSource(11)))
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author TOP 5;`
-	want, err := NewEngine(g).Execute(src)
+	want, err := NewEngine(g, WithQueryParallelism(1)).Execute(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +110,7 @@ func TestShardedStrategiesAgree(t *testing.T) {
 	for name, mk := range mats {
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				eng := NewEngine(g, WithMaterializer(mk()), WithShards(shards))
+				eng := NewEngine(g, WithMaterializer(mk()), WithQueryParallelism(shards))
 				defer eng.Close()
 				for pass, label := range []string{"cold", "warm"} {
 					got, err := eng.Execute(src)
@@ -169,79 +173,79 @@ func TestMergeRankedMatchesSelector(t *testing.T) {
 	}
 }
 
-// A sharded result carries full per-shard accounting: S statuses whose
-// candidate counts partition |Sc|, all complete on a healthy run, and the
-// trace records the scatter–gather phase shape (reduce → scatter → merge)
-// with one shard sub-span per shard.
+// A query of several ranges carries full per-range accounting: R statuses
+// whose candidate counts partition |Sc|, all complete on a healthy run, one
+// sub-span per range on the trace — and the phase shape of where the ranges
+// ran: materialize → score → rank locally, reduce → scatter → merge remotely.
 func TestShardedResultAccounting(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(3)))
+	g := bigBibGraph(rand.New(rand.NewSource(3)))
 	const shards = 3
-	eng := NewEngine(g, WithShards(shards))
-	defer eng.Close()
-	if eng.Shards() != shards {
-		t.Fatalf("Shards() = %d, want %d", eng.Shards(), shards)
-	}
-	res, err := eng.Execute(`FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Shards) != shards {
-		t.Fatalf("len(res.Shards) = %d, want %d", len(res.Shards), shards)
-	}
-	total := 0
-	for i, st := range res.Shards {
-		if st.Shard != i {
-			t.Errorf("Shards[%d].Shard = %d", i, st.Shard)
-		}
-		if st.Partial || st.Err != "" {
-			t.Errorf("healthy shard %d marked partial: %+v", i, st)
-		}
-		if st.Done != st.Candidates {
-			t.Errorf("shard %d: Done %d != Candidates %d", i, st.Done, st.Candidates)
-		}
-		total += st.Candidates
-	}
-	if total != res.CandidateCount {
-		t.Errorf("shard candidates sum to %d, want |Sc| = %d", total, res.CandidateCount)
-	}
-	for _, phase := range []string{"parse", "validate", "plan", "reduce", "scatter", "merge"} {
-		if _, ok := res.Trace.Span(phase); !ok {
-			t.Errorf("trace missing %q span; spans = %+v", phase, res.Trace.Spans)
-		}
-	}
-	if _, ok := res.Trace.Span("materialize"); ok {
-		t.Error("sharded trace still records an unsharded materialize span")
-	}
-	if len(res.Trace.Shards) != shards {
-		t.Errorf("len(Trace.Shards) = %d, want %d", len(res.Trace.Shards), shards)
+	for _, ex := range []struct {
+		name           string
+		opt            Option
+		phases, absent []string
+	}{
+		{"local", WithQueryParallelism(shards), []string{"materialize", "score", "rank"}, []string{"reduce", "scatter", "merge"}},
+		{"remote", WithRemoteShards(newFakeFleet(t, g, shards)...), []string{"reduce", "scatter", "merge"}, []string{"materialize", "score", "rank"}},
+	} {
+		t.Run(ex.name, func(t *testing.T) {
+			res, err := NewEngine(g, ex.opt).Execute(`FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Shards) != shards {
+				t.Fatalf("len(res.Shards) = %d, want %d", len(res.Shards), shards)
+			}
+			total := 0
+			for i, st := range res.Shards {
+				if st.Shard != i {
+					t.Errorf("Shards[%d].Shard = %d", i, st.Shard)
+				}
+				if st.Partial || st.Err != "" {
+					t.Errorf("healthy shard %d marked partial: %+v", i, st)
+				}
+				if st.Done != st.Candidates {
+					t.Errorf("shard %d: Done %d != Candidates %d", i, st.Done, st.Candidates)
+				}
+				total += st.Candidates
+			}
+			if total != res.CandidateCount {
+				t.Errorf("shard candidates sum to %d, want |Sc| = %d", total, res.CandidateCount)
+			}
+			for _, phase := range append([]string{"parse", "validate", "plan"}, ex.phases...) {
+				if _, ok := res.Trace.Span(phase); !ok {
+					t.Errorf("trace missing %q span; spans = %+v", phase, res.Trace.Spans)
+				}
+			}
+			for _, phase := range ex.absent {
+				if _, ok := res.Trace.Span(phase); ok {
+					t.Errorf("trace records a %q span of the other phase shape", phase)
+				}
+			}
+			if len(res.Trace.Shards) != shards {
+				t.Errorf("len(Trace.Shards) = %d, want %d", len(res.Trace.Shards), shards)
+			}
+		})
 	}
 }
 
-// An unsharded engine (WithShards(0) or the default) never starts a shard
-// group and its results carry no shard accounting, while WithShards(1) runs
-// the real single-shard scatter path; Close on any engine is safe and
-// idempotent.
+// A query that runs inline — parallelism 1, or no more than a chunk of
+// candidates whatever the parallelism — carries no range accounting; Close on
+// any engine is safe and idempotent.
 func TestUnshardedEngineHasNoShardState(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(5)))
-	eng := NewEngine(g, WithShards(0))
-	res, err := eng.Execute(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Shards) != 0 || len(res.Trace.Shards) != 0 {
-		t.Fatalf("WithShards(0) produced shard accounting: %+v", res.Shards)
-	}
-	eng.Close()
-	eng.Close() // idempotent
-
-	one := NewEngine(g, WithShards(1))
-	defer one.Close()
-	res, err = one.Execute(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Shards) != 1 || res.Shards[0].Done != res.CandidateCount {
-		t.Fatalf("WithShards(1) accounting = %+v, want one complete shard", res.Shards)
+	for name, eng := range map[string]*Engine{
+		"parallelism 1": NewEngine(bigBibGraph(rand.New(rand.NewSource(5))), WithQueryParallelism(1)),
+		"one chunk":     NewEngine(randomBibGraph(rand.New(rand.NewSource(5))), WithQueryParallelism(4)),
+	} {
+		res, err := eng.Execute(faultQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Shards) != 0 || len(res.Trace.Shards) != 0 {
+			t.Fatalf("%s produced range accounting: %+v", name, res.Shards)
+		}
+		eng.Close()
+		eng.Close() // idempotent
 	}
 
 	var nilEng *Engine

@@ -25,9 +25,9 @@ import (
 // fakeRemote implements RemoteShard in-process over its own materializer
 // (each fake is "another process" as far as sharing goes). intercept, when
 // set, replaces the call entirely; mutate, when set, edits the reply before
-// it returns — both simulate remote misbehavior. The unexported err field
-// is stripped before returning, exactly as a wire crossing would, so the
-// coordinator exercises its xerr.FromWire reconstruction.
+// it returns — both simulate remote misbehavior. A reply carries only what
+// the wire ships (Err/Code/Kind), so the coordinator exercises its
+// xerr.FromWire reconstruction.
 type fakeRemote struct {
 	addr      string
 	serve     func(ctx context.Context, req *ShardRequest, b *ShardBroadcast) *ShardResponse
@@ -42,9 +42,6 @@ func (f *fakeRemote) Call(ctx context.Context, req *ShardRequest, b *ShardBroadc
 		return f.intercept(req)
 	}
 	resp := f.serve(ctx, req, b)
-	resp.err = nil // the wire ships only Err/Code/Kind
-	resp.remote = false
-	resp.addr = ""
 	if f.mutate != nil {
 		f.mutate(resp)
 	}
@@ -117,10 +114,10 @@ func TestRemoteShardsBitIdentical(t *testing.T) {
 	}
 }
 
-// Remote shards take precedence over WithShards when both are configured.
+// Remote shards take precedence over local ranges when both are configured.
 func TestRemoteShardsWinOverLocal(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(22)))
-	eng := NewEngine(g, WithShards(5), WithRemoteShards(newFakeFleet(t, g, 2)...))
+	g := bigBibGraph(rand.New(rand.NewSource(22)))
+	eng := NewEngine(g, WithQueryParallelism(5), WithRemoteShards(newFakeFleet(t, g, 2)...))
 	defer eng.Close()
 	if eng.Shards() != 2 {
 		t.Fatalf("Shards() = %d, want the 2 remotes to win over 5 locals", eng.Shards())

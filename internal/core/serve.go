@@ -73,27 +73,19 @@ type ServeOptions struct {
 	// (warm-shared for caches, read-only for PM/SPM indexes); nil means
 	// each worker gets its own baseline.
 	Materializer Materializer
-	// QueryParallelism bounds each worker engine's intra-query pipeline
-	// (WithQueryParallelism). The pool default is 1 — pools already spread
-	// queries across Workers cores, and letting every worker fan out to
-	// GOMAXPROCS more goroutines would oversubscribe the machine. Raise it
-	// for pools sized below the core count that still see huge single
-	// queries.
+	// QueryParallelism bounds the local ranges each worker engine splits a
+	// query's candidates into (WithQueryParallelism). The pool default is 1 —
+	// pools already spread queries across Workers cores, and letting every
+	// worker fan out to GOMAXPROCS more goroutines would oversubscribe the
+	// machine. Raise it for pools sized below the core count that still see
+	// huge single queries.
 	QueryParallelism int
-	// Shards, when > 0, gives every worker engine a resident scatter–gather
-	// shard group (WithShards): a query's candidates split across Shards
-	// goroutines with private materializer views and the results are k-way
-	// merged, bit-identical to unsharded execution. A slow or panicking
-	// shard degrades its query to Partial instead of failing it (NetOut).
-	// Each worker holds its own group, so the pool runs Workers × Shards
-	// resident goroutines; Close releases them.
-	Shards int
 	// RemoteShards, when non-empty, scatters every worker engine's queries
-	// across out-of-process shard servers instead of resident goroutines
-	// (WithRemoteShards); it takes precedence over Shards. The clients are
-	// shared by every worker — RemoteShard implementations are safe for
-	// concurrent use — and are NOT closed by the pool: close them wherever
-	// they were dialed, after the pool drains.
+	// across out-of-process shard servers instead of local ranges
+	// (WithRemoteShards). The clients are shared by every worker —
+	// RemoteShard implementations are safe for concurrent use — and are NOT
+	// closed by the pool: close them wherever they were dialed, after the
+	// pool drains.
 	RemoteShards []RemoteShard
 	// MaxQueue, when positive, turns on admission control: at most MaxQueue
 	// queries may be queued waiting for a worker, and further Execute calls
@@ -214,7 +206,6 @@ func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
 			WithCombination(opts.Combination),
 			WithMaterializer(mat),
 			WithQueryParallelism(queryPar),
-			WithShards(opts.Shards),
 			WithRemoteShards(opts.RemoteShards...),
 			WithObs(opts.Obs, opts.SlowLog),
 			WithEventSink(opts.Events),
@@ -249,9 +240,6 @@ func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
 		p.wg.Add(1)
 		go func(eng *Engine) {
 			defer p.wg.Done()
-			// Release the engine's resident shard goroutines (if any) once
-			// the pool drains; a no-op for unsharded engines.
-			defer eng.Close()
 			for job := range p.jobs {
 				p.serveJob(eng, job)
 			}

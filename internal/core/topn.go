@@ -16,8 +16,8 @@ func entryBefore(a, b Entry) bool {
 // topSelector retains the best k entries under entryBefore without holding
 // the full candidate set: a bounded binary max-heap whose root is the worst
 // retained entry, making selection O(n log k) against the old full
-// sort.Slice+truncate's O(n log n) — and, under the chunked pipeline,
-// letting every scored-and-ranked candidate vector be dropped immediately.
+// sort.Slice+truncate's O(n log n) — and letting scoreRange drop every
+// chunk's vectors as soon as it is scored.
 // k <= 0 means unbounded (the query has no TOP clause): entries are simply
 // collected and sorted at the end.
 type topSelector struct {
@@ -55,15 +55,6 @@ func (s *topSelector) push(e Entry) {
 	}
 }
 
-// merge absorbs every entry retained by o. The k globally-best entries are
-// always contained in the union of per-worker top-k sets, so merging the
-// workers' selectors loses nothing.
-func (s *topSelector) merge(o *topSelector) {
-	for _, e := range o.entries {
-		s.push(e)
-	}
-}
-
 // ranked returns the retained entries most outlying first, consuming the
 // selector.
 func (s *topSelector) ranked() []Entry {
@@ -71,11 +62,11 @@ func (s *topSelector) ranked() []Entry {
 	return s.entries
 }
 
-// mergeRanked is the scatter–gather coordinator's deterministic k-way
-// merge: lists are per-shard rankings, each ascending under entryBefore,
+// mergeRanked is the deterministic k-way merge of a query's candidate
+// ranges: lists are per-range rankings, each ascending under entryBefore,
 // and the result is the global top k in that same order. It uses the exact
 // total order ranked() sorts by — ascending score, vertex ID tie-break —
-// and candidates are unique across shards (ranges are disjoint), so the
+// and candidates are unique across ranges (they are disjoint), so the
 // order is strict and the output is identical to pushing every entry
 // through one topSelector and ranking, duplicated scores included. k <= 0
 // merges everything.

@@ -211,31 +211,30 @@ func WithMeasure(m Measure) EngineOption { return core.WithMeasure(m) }
 // WithMaterializer selects the materialization strategy.
 func WithMaterializer(m Materializer) EngineOption { return core.WithMaterializer(m) }
 
-// WithQueryParallelism bounds the engine's intra-query execution pipeline:
-// queries with enough candidates split the candidate set into chunks and
-// run materialize→score fused per chunk on n workers. n <= 0 (the default)
-// uses GOMAXPROCS; n == 1 forces the sequential path. Results are identical
-// for every n.
+// WithQueryParallelism bounds intra-query parallelism: a query with more
+// than a chunk of candidates (128) splits them into up to n contiguous
+// ranges, each scored by its own goroutine on a view of the engine's
+// materializer, and k-way merges the ranges' rankings. n <= 0 (the default)
+// uses GOMAXPROCS; n == 1 runs every query inline. Results are identical for
+// every n, and under NetOut a range that runs out of deadline or panics
+// degrades the query to an exact-prefix partial instead of failing it.
 func WithQueryParallelism(n int) EngineOption { return core.WithQueryParallelism(n) }
 
-// WithShards enables the scatter–gather shard tier: the candidate space is
-// range-partitioned into n shards, each a resident goroutine with its own
-// materializer view; a coordinator fans queries out and k-way merges the
-// per-shard rankings. Results are bit-identical to unsharded execution for
-// every n, and a slow or failing shard degrades to an exact-prefix partial
-// instead of failing the query. n <= 0 (the default) disables sharding.
-// Call Engine.Close when done to release the shard goroutines.
-func WithShards(n int) EngineOption { return core.WithShards(n) }
+// WithShards is WithQueryParallelism(n).
+//
+// Deprecated: in-process sharding and intra-query parallelism are one
+// mechanism; use WithQueryParallelism.
+func WithShards(n int) EngineOption { return core.WithQueryParallelism(n) }
 
-// ShardStatus is one shard's per-query accounting, attached to Result.Shards
-// for sharded executions.
+// ShardStatus is one candidate range's per-query accounting, attached to
+// Result.Shards when a query ran as more than one range (local ranges or
+// remote shards).
 type ShardStatus = core.ShardStatus
 
 // The versioned shard protocol: a coordinator speaks to shards in
 // ShardRequest/ShardResponse pairs, with the reference reduction broadcast
-// alongside as a ShardBroadcast. In-process shards share the reduction by
-// pointer; internal/shardnet serializes exactly these messages across a
-// network boundary.
+// alongside as a ShardBroadcast; internal/shardnet serializes exactly these
+// messages across a network boundary.
 type (
 	ShardRequest   = core.ShardRequest
 	ShardResponse  = core.ShardResponse
@@ -254,10 +253,10 @@ const ShardProtocolVersion = core.ShardProtocolVersion
 type RemoteShard = core.RemoteShard
 
 // WithRemoteShards scatters queries across out-of-process shard servers,
-// one RemoteShard client per shard in shard order, instead of resident
-// goroutines. Results stay bit-identical to unsharded execution while every
-// shard is healthy; a lost, shed or panicking remote shard degrades the
-// query to an exact-prefix partial. Takes precedence over WithShards. The
+// one RemoteShard client per shard in shard order, instead of local ranges.
+// Results stay bit-identical to inline execution while every shard is
+// healthy; a lost, shed or panicking remote shard degrades the query to an
+// exact-prefix partial. Takes precedence over WithQueryParallelism. The
 // engine does not own the clients — close them where they were dialed.
 func WithRemoteShards(shards ...RemoteShard) EngineOption {
 	return core.WithRemoteShards(shards...)
