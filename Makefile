@@ -37,8 +37,11 @@ bench:
 	$(GO) test -run XXX -bench=. -benchmem .
 
 # Kernel/index microbenchmarks distilled to JSON (cited from README.md and
-# DESIGN.md). BenchmarkDot, BenchmarkSum and BenchmarkAccumulators are the
-# measurements behind the sparse kernels' crossover constants;
+# DESIGN.md). BenchmarkExpand's nnz rows are the evidence for the merge and
+# dense crossovers and its hop/share rows for the pull kernel's
+# (pullEdgeGain, DESIGN.md "Expansion kernels"); BenchmarkDot, BenchmarkSum
+# and BenchmarkAccumulators are the measurements behind the sparse kernels'
+# crossover constants;
 # BenchmarkReferenceSide measures per-vertex loads + Sum against one
 # set-frontier propagation, the two branches of referenceSide (DESIGN.md
 # "Reference side"); BenchmarkCandidateSide one walk per candidate against
@@ -62,8 +65,9 @@ bench-workload:
 	$(GO) test -run XXX -bench='BenchmarkWorkload/' -benchmem -benchtime=4000x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_workload.json
 
-# One iteration of every benchmark (BenchmarkCandidateSide's 60 arms
-# included): catches bit-rot without measuring.
+# One iteration of every benchmark (BenchmarkCandidateSide's 60 arms and
+# BenchmarkExpand's pull and share arms included): catches bit-rot without
+# measuring.
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x ./...
 
@@ -108,14 +112,15 @@ profile:
 	@echo "profiles written: go tool pprof results/netout.test results/cpu.prof"
 
 # Short fuzzing passes over the three parsers, the sparse kernels (Dot, Sum
-# and Take against their reference implementations) and the set-frontier
-# propagation (against the per-vertex sum); regression seeds always run as
-# part of `make test`.
+# and Take against their reference implementations), the four expansion
+# kernels against each other and the set-frontier propagation (against the
+# per-vertex sum); regression seeds always run as part of `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/oql/
 	$(GO) test -fuzz=FuzzReadTSV -fuzztime=30s ./internal/hinio/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/aminer/
 	$(GO) test -fuzz=FuzzSparseKernels -fuzztime=30s ./internal/sparse/
+	$(GO) test -fuzz=FuzzExpandKernels -fuzztime=30s ./internal/metapath/
 	$(GO) test -fuzz=FuzzSetVector -fuzztime=30s ./internal/metapath/
 
 # Regenerate every paper table and figure (EXPERIMENTS.md documents the

@@ -318,27 +318,32 @@ func BenchmarkNeighborVector(b *testing.B) {
 	}
 }
 
-// BenchmarkExpand compares the three frontier-expansion kernels on one hop
-// (author frontier → paper) at several frontier sizes. The merge path's head
-// scan is linear in the frontier size, so it only runs at the sizes the
-// adaptive heuristic would actually route to it. `make bench-json` distills
-// this (plus BenchmarkPathIndexProbe) into BENCH_kernel.json.
+// BenchmarkExpand compares the frontier-expansion kernels on one hop. The
+// nnz rows (author frontier → paper on the fixture graph) are the evidence
+// for the merge and dense crossovers: the merge path's head scan is linear in
+// the frontier size, so it only runs at the sizes the adaptive heuristic
+// would actually route to it. The hop/share rows are the evidence for the
+// pull crossover (pullEdgeGain, DESIGN.md "Expansion kernels"): dense against
+// pull at a random 5, 10, 25, 50 and 100 % of the source type on the three
+// hops a whole-type scan walks, over the scale-4 generator graph the serving
+// benchmark uses. `make bench-json` distills this (plus
+// BenchmarkPathIndexProbe) into BENCH_kernel.json.
 func BenchmarkExpand(b *testing.B) {
 	f := getFixture(b)
 	author, _ := f.graph.Schema().TypeByName("author")
 	paper, _ := f.graph.Schema().TypeByName("paper")
-	// Clone: VerticesOfType aliases the graph's internal per-type list, and
-	// the shuffle below must not disturb its sorted order.
-	authors := slices.Clone(f.graph.VerticesOfType(author))
-	r := rand.New(rand.NewSource(11))
-	r.Shuffle(len(authors), func(i, j int) { authors[i], authors[j] = authors[j], authors[i] })
-	frontier := func(n int) netout.Vector {
-		if n > len(authors) {
-			n = len(authors)
-		}
+	// frontier draws n vertices of a type (all of them past its size), in
+	// ascending order with weights 1–5.
+	frontier := func(g *netout.Graph, t netout.TypeID, n int, seed int64) netout.Vector {
+		// Clone: VerticesOfType aliases the graph's internal per-type list, and
+		// the shuffle below must not disturb its sorted order.
+		vs := slices.Clone(g.VerticesOfType(t))
+		r := rand.New(rand.NewSource(seed))
+		r.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+		n = min(n, len(vs))
 		idx := make([]int32, n)
 		for i := 0; i < n; i++ {
-			idx[i] = int32(authors[i])
+			idx[i] = int32(vs[i])
 		}
 		slices.Sort(idx)
 		val := make([]float64, n)
@@ -348,10 +353,12 @@ func BenchmarkExpand(b *testing.B) {
 		return netout.Vector{Idx: idx, Val: val}
 	}
 	for _, size := range []int{1, 4, 32, 256, 2048} {
-		fr := frontier(size)
+		fr := frontier(f.graph, author, size, 11)
 		kernels := []netout.ExpandKernel{netout.KernelMap, netout.KernelDense}
 		if size <= 4 {
 			kernels = append(kernels, netout.KernelMerge)
+		} else {
+			kernels = append(kernels, netout.KernelPull)
 		}
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("nnz=%d/%v", fr.NNZ(), k), func(b *testing.B) {
@@ -362,6 +369,30 @@ func BenchmarkExpand(b *testing.B) {
 					_ = tr.Expand(fr, paper)
 				}
 			})
+		}
+	}
+
+	cfg := netout.ScaledGenConfig(4)
+	cfg.Seed = 1
+	g, _, err := netout.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, hop := range [][2]string{{"author", "paper"}, {"paper", "venue"}, {"venue", "paper"}} {
+		from, _ := g.Schema().TypeByName(hop[0])
+		to, _ := g.Schema().TypeByName(hop[1])
+		for _, share := range []int{5, 10, 25, 50, 100} {
+			fr := frontier(g, from, (g.NumVerticesOfType(from)*share+99)/100, 11)
+			for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelPull} {
+				b.Run(fmt.Sprintf("hop=%s.%s/share=%d/%v", hop[0], hop[1], share, k), func(b *testing.B) {
+					tr := netout.NewTraverser(g)
+					tr.SetKernel(k)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						_ = tr.Expand(fr, to)
+					}
+				})
+			}
 		}
 	}
 }

@@ -28,12 +28,13 @@ import (
 //     is a per-(path, vertex) scalar the materializer memoizes (visTable).
 //     A path with enough of the slice's norms known (visTable.propagate) also
 //     gets every numerator at once: N = M_P·S is S propagated back along
-//     P⁻¹ (Traverser.SeedVector; edges are symmetric), one walk instead of
-//     one per candidate. A candidate whose norm is known then costs a table
-//     read and a division; one whose norm is not costs the walk it always
-//     did — Φ drained into scratch when only its norm is wanted — and leaves
-//     the norm behind. N is exact or absent: SeedVector reports when a count
-//     reached 2⁵³ and the path then keeps walking per vertex. Below 2⁵³ every
+//     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
+//     one per candidate, its last hop gathered at this side's candidates
+//     only. A candidate whose norm is known then costs a table read and a
+//     division; one whose norm is not costs the walk it always did — Φ
+//     drained into scratch when only its norm is wanted — and leaves the
+//     norm behind. N is exact or absent: SeedValues reports when a count it
+//     used reached 2⁵³ and the path then keeps walking per vertex. Below 2⁵³ every
 //     term of Φ·S is a non-negative integer bounded by N[v], so every product
 //     and partial sum of Dot is exact in any order, fused or not, and N[v] is
 //     Float64bits-identical to it; the norm is the very float64 Norm2Sq
@@ -87,44 +88,19 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 	}
 	cs.memo = make([]*visPath, len(paths))
 	cs.num = make([][]float64, len(paths))
+	var err error
 	for m, p := range paths {
 		tbl, propagate := sm.norms(p, cands)
 		cs.memo[m] = tbl
 		if !propagate {
 			continue
 		}
-		n, exact, err := sm.seedVector(ctx, p.Reverse(), scorers.perPath[m].s)
-		if err != nil {
+		// exact or nil: a path whose used numerators left 2⁵³ walks per vertex.
+		if cs.num[m], _, err = sm.seedValues(ctx, p.Reverse(), scorers.perPath[m].s, cands); err != nil {
 			return nil, err
-		}
-		if exact {
-			cs.num[m] = gather(n, cands)
 		}
 	}
 	return cs, nil
-}
-
-// gather returns n's values at the coordinates vs, one per vertex. vs ascends
-// — candidate sets and their shard slices are sorted — so one cursor walks n
-// beside it; a vertex out of order, which only a foreign shard request can
-// hold, is searched for instead.
-func gather(n sparse.Vector, vs []hin.VertexID) []float64 {
-	out := make([]float64, len(vs))
-	j, passed := 0, hin.InvalidVertex
-	for i, v := range vs {
-		if v <= passed {
-			out[i] = n.At(int32(v))
-			continue
-		}
-		passed = v
-		for j < len(n.Idx) && n.Idx[j] < int32(v) {
-			j++
-		}
-		if j < len(n.Idx) && n.Idx[j] == int32(v) {
-			out[i] = n.Val[j]
-		}
-	}
-	return out
 }
 
 // candBuf is one goroutine's reusable scratch for walking candidate ranges.
@@ -141,10 +117,13 @@ type candBuf struct {
 	ok     []bool
 }
 
-// load materializes on mat what scoring cands[lo:hi] needs, path by path,
-// polling ctx before every (path, candidate). It returns how many leading
-// candidates are complete under every path — hi-lo, or with the error the
-// prefix that deadline degradation may keep (buf then covers that prefix).
+// load materializes on mat what scoring cands[lo:hi] needs, path by path.
+// ctx is polled before every traversal and every load of a vector; a path
+// whose numerators were propagated may need neither for a whole call — a
+// table read costs less than the poll — and is polled once per call instead.
+// It returns how many leading candidates are complete under every path —
+// hi-lo, or with the error the prefix that deadline degradation may keep (buf
+// then covers that prefix).
 func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int, buf *candBuf) (int, error) {
 	buf.lo, buf.n = lo, hi-lo
 	if cs.held != nil {
@@ -156,18 +135,24 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 	}
 	sm, _ := mat.(setMaterializer) // every view of one is one
 	for m, p := range cs.paths {
-		if cs.memo != nil {
-			buf.omega[m] = slices.Grow(buf.omega[m][:0], hi-lo)
-		} else {
+		if cs.memo == nil {
 			buf.vecs[m] = slices.Grow(buf.vecs[m][:0], hi-lo)
+		} else {
+			buf.omega[m] = slices.Grow(buf.omega[m][:0], hi-lo)
+			if cs.num[m] != nil {
+				if err := ctxErr(ctx); err != nil {
+					buf.n = 0
+					return 0, err
+				}
+			}
 		}
 		for i, v := range cs.cands[lo:hi] {
-			err := ctxErr(ctx)
-			if err == nil && cs.memo != nil {
+			var err error
+			if cs.memo != nil {
 				var w float64
-				w, err = cs.pathOmega(sm, m, lo+i)
+				w, err = cs.pathOmega(ctx, sm, m, lo+i)
 				buf.omega[m] = append(buf.omega[m], w)
-			} else if err == nil {
+			} else if err = ctxErr(ctx); err == nil {
 				var phi sparse.Vector
 				phi, err = mat.NeighborVector(p, v)
 				buf.vecs[m] = append(buf.vecs[m], phi)
@@ -187,12 +172,16 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 }
 
 // pathOmega is Ω under path m of candidate i, scored from norms: NaN when it
-// is invisible under the path.
-func (cs *candidateSide) pathOmega(sm setMaterializer, m, i int) (float64, error) {
+// is invisible under the path. ctx is polled before a traversal, not before
+// a table read.
+func (cs *candidateSide) pathOmega(ctx context.Context, sm setMaterializer, m, i int) (float64, error) {
 	p, tbl, v := cs.paths[m], cs.memo[m], cs.cands[i]
 	if num := cs.num[m]; num != nil {
-		vis, err := sm.visibility(p, v, tbl)
+		vis, err := sm.visibility(ctx, p, v, tbl)
 		return netOut(num[i], vis), err
+	}
+	if err := ctxErr(ctx); err != nil {
+		return 0, err
 	}
 	phi, err := sm.NeighborVector(p, v)
 	if err != nil {

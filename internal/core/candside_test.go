@@ -239,7 +239,7 @@ func TestCandidateSideMatchesPerVertexLoop(t *testing.T) {
 
 // Multiplicities near 2¹⁴ keep every Φ and every S of a two-hop path below
 // 2⁵³ — the reference side propagates — but push N = M_P·S past it, where the
-// per-vertex dots round and their order shows. SeedVector must notice and the
+// per-vertex dots round and their order shows. SeedValues must notice and the
 // path keep walking per vertex: scores stay the reference's bit for bit, and
 // the counters show the abandoned attempt and not one table read.
 func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
@@ -255,7 +255,7 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
 	}
-	if _, exact, err := probe.seedVector(context.Background(), p.Reverse(), agg); err != nil || exact {
+	if _, exact, err := probe.seedValues(context.Background(), p.Reverse(), agg, all); err != nil || exact {
 		t.Fatalf("fixture: N stays in the exact domain (exact=%v, err=%v)", exact, err)
 	}
 	want := perVertexResult(t, g, all, all, []metapath.Path{p}, []float64{1}, 0)
@@ -478,12 +478,14 @@ func TestCandidateSideDeadlines(t *testing.T) {
 			if !errors.Is(err, context.DeadlineExceeded) || mid != nil {
 				t.Fatalf("deadline inside the reverse propagation: got (%v, %v), want the bare error", mid, err)
 			}
-			// Past the propagation (setPolls more, per shard), K candidate polls.
-			K := nA / 2
+			// Past the propagation (setPolls more, per shard) the table answers
+			// every candidate and a range polls once per 128-candidate step,
+			// not per read: a budget of K polls is K whole steps.
+			K := 1
 			if ex.name == "pipeline" {
-				// Chunks poll concurrently: only a budget one short of all
-				// candidates fails exactly one chunk on every schedule.
-				K = nA - 1
+				// Three one-step ranges poll concurrently: only a budget one
+				// short of all of them fails exactly one on every schedule.
+				K = chunksOf(nA) - 1
 			}
 			props := int64(setPolls)
 			if ex.name == "remote" {
@@ -505,10 +507,21 @@ func TestCandidateSideDeadlines(t *testing.T) {
 			if covered == 0 || covered >= nA {
 				t.Fatalf("partial covers %d of %d candidates", covered, nA)
 			}
-			// A shard that runs out of budget inside its propagation leaves
-			// its two polls' worth of candidates to the other one.
-			if slack := covered - K; ex.name == "sequential" && slack != 0 || ex.name == "remote" && (slack < 0 || slack > setPolls) {
-				t.Fatalf("partial covers %d candidates, want the %d-poll budget", covered, K)
+			// Every range stops at a step boundary, and the steps add up to the
+			// budget; a shard that runs out of it inside its propagation leaves
+			// its two polls' worth of steps to the other one.
+			steps := covered / parallelChunk
+			if ex.name == "remote" {
+				steps = 0
+				for _, sh := range res.Shards {
+					if sh.Done%parallelChunk != 0 && sh.Done != sh.Candidates {
+						t.Fatalf("shard %d stopped inside a step: %d of %d candidates", sh.Shard, sh.Done, sh.Candidates)
+					}
+					steps += chunksOf(sh.Done)
+				}
+			}
+			if ex.name == "sequential" && covered != K*parallelChunk || ex.name == "remote" && (steps < K || steps > K+setPolls) {
+				t.Fatalf("partial covers %d candidates in %d steps, want the %d-step budget", covered, steps, K)
 			}
 			for _, e := range res.Entries {
 				if s, ok := score[e.Vertex]; !ok || math.Float64bits(s) != math.Float64bits(e.Score) {
@@ -522,6 +535,7 @@ func TestCandidateSideDeadlines(t *testing.T) {
 			}
 			if ex.name == "sequential" {
 				cands, _ := eng.CandidateSet(faultQuery)
+				K *= parallelChunk
 				for _, v := range cands[:K] {
 					if _, ranked := score[v]; !ranked && !skip[v] {
 						t.Fatalf("candidate %d of the prefix is nowhere in the full run", v)
@@ -537,29 +551,42 @@ func TestCandidateSideDeadlines(t *testing.T) {
 	}
 }
 
-// gather walks a cursor beside ascending vertices and must not trust it for
-// anything else: a shard request is foreign input, and one whose candidates
-// repeat or descend still gets every numerator, found by search.
-func TestGatherSurvivesDisorder(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	n := sparse.Vector{}
-	for ix := int32(0); ix < 200; ix++ {
-		if r.Intn(2) == 0 {
-			n.Idx, n.Val = append(n.Idx, ix), append(n.Val, float64(1+r.Intn(9)))
-		}
+// A table read polls nothing, the traversal a miss causes polls first: with
+// ten norms missing from the second step of a warm scan, a deadline that
+// expires on the fifth miss keeps the exact prefix before it — one full step,
+// the ten hits that follow and four filled holes.
+func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(17)))
+	mat := eagerBaseline(g)
+	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
+	full, err := eng.Execute(faultQuery)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for trial := 0; trial < 50; trial++ {
-		vs := make([]hin.VertexID, 1+r.Intn(40))
-		for i := range vs {
-			vs[i] = hin.VertexID(r.Intn(210))
-		}
-		if trial%2 == 0 {
-			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		}
-		for i, x := range gather(n, vs) {
-			if want := n.At(int32(vs[i])); x != want {
-				t.Fatalf("gather(%v)[%d] = %v, want N[%d] = %v", vs, i, x, vs[i], want)
-			}
+	cands, _ := eng.CandidateSet(faultQuery)
+	author, _ := g.Schema().TypeByName("author")
+	paper, _ := g.Schema().TypeByName("paper")
+	venue, _ := g.Schema().TypeByName("venue")
+	tbl := mat.(*baseline).vis.path(g, metapath.MustNew(author, paper, venue))
+	const first, holes, served = parallelChunk + 10, 10, 4
+	for _, v := range cands[first : first+holes] {
+		tbl.slot(v).Store(0)
+	}
+	// Polls: query start, two hops of S, two of N, one per step, one per miss.
+	res, err := eng.ExecuteContext(newDeadlineAfter(1+setPolls+setPolls+2+served), faultQuery)
+	if err != nil || !res.Partial {
+		t.Fatalf("deadline at a miss: (%v, %v), want a Partial result", res, err)
+	}
+	if covered := len(res.Entries) + len(res.Skipped); covered != first+served {
+		t.Fatalf("partial covers %d candidates, want the %d before the fifth miss", covered, first+served)
+	}
+	score := map[hin.VertexID]float64{}
+	for _, e := range full.Entries {
+		score[e.Vertex] = e.Score
+	}
+	for _, e := range res.Entries {
+		if s, ok := score[e.Vertex]; !ok || math.Float64bits(s) != math.Float64bits(e.Score) || e.Vertex >= cands[first+served] {
+			t.Fatalf("partial entry %s = %v: want the full run's %v, inside the prefix", e.Name, e.Score, s)
 		}
 	}
 }

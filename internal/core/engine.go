@@ -439,11 +439,11 @@ func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
 // kernelDelta maps the non-zero per-kernel hop counts of an interval for an
 // event.
 func kernelDelta(d metapath.KernelCounts) map[string]int64 {
-	out := make(map[string]int64, 3)
+	out := make(map[string]int64, 4)
 	for _, k := range [...]struct {
 		name string
 		hops uint64
-	}{{"map", d.Map}, {"dense", d.Dense}, {"merge", d.Merge}} {
+	}{{"map", d.Map}, {"dense", d.Dense}, {"merge", d.Merge}, {"pull", d.Pull}} {
 		if k.hops > 0 {
 			out[k.name] = int64(k.hops)
 		}

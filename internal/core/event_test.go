@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -417,5 +418,26 @@ func TestEventKernelsCountWorkerViews(t *testing.T) {
 	// still propagate once: not a hop beyond the sequential engine's.
 	if got := total(WithQueryParallelism(3)); !slices.Equal(got, want) {
 		t.Fatalf("ranges(3) kernel hops cold/warm = %v, want the sequential %v", got, want)
+	}
+}
+
+// A warm whole-type scan is two propagations of two hops, every frontier
+// most of its type: the event must name the kernel that ran them.
+func TestEventKernelsNamePull(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(47)))
+	ring := obs.NewEventRing(4)
+	eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1))
+	defer eng.Close()
+	for run := 0; run < 2; run++ {
+		if _, err := eng.Execute(faultQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k := ring.Snapshot()[0].Kernels; k["pull"] != 4 || len(k) != 1 {
+		t.Fatalf("warm scan kernels = %v, want four pulled hops and nothing else", k)
+	}
+	want := map[string]int64{"map": 1, "dense": 2, "merge": 3, "pull": 4}
+	if got := kernelDelta(metapath.KernelCounts{Map: 1, Dense: 2, Merge: 3, Pull: 4}); !maps.Equal(got, want) {
+		t.Fatalf("kernelDelta = %v, want %v", got, want)
 	}
 }

@@ -120,10 +120,11 @@ func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.Ver
 	return b.tr.SetVector(ctx, p, set)
 }
 
-// seedVector is its weighted form (Traverser.SeedVector), accounted the same.
-func (b *baseline) seedVector(ctx context.Context, p metapath.Path, seed sparse.Vector) (sparse.Vector, bool, error) {
+// seedValues is its weighted form read at the vertices at
+// (Traverser.SeedValues), accounted the same.
+func (b *baseline) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, at []hin.VertexID) ([]float64, bool, error) {
 	defer b.traversed(time.Now())
-	return b.tr.SeedVector(ctx, p, seed)
+	return b.tr.SeedValues(ctx, p, seed, at)
 }
 
 func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, bool) {
@@ -131,13 +132,17 @@ func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, bool)
 	return tbl, b.vis.propagate(tbl, cands)
 }
 
-// visibility returns ‖Φ_p(v)‖² from tbl — an indexed vector, not timed: the
-// read is one atomic load, two clock reads would cost more — or by a
-// traversal that allocates nothing and leaves the norm in tbl.
-func (b *baseline) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
+// visibility returns ‖Φ_p(v)‖² from tbl — an indexed vector, neither timed
+// nor preceded by a poll of ctx: the read is one atomic load, two clock reads
+// or the context's mutex would cost more — or by a traversal that allocates
+// nothing and leaves the norm in tbl.
+func (b *baseline) visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
 	if vis, ok := tbl.get(v); ok {
 		b.stats.IndexedVectors++
 		return vis, nil
+	}
+	if err := ctxErr(ctx); err != nil {
+		return 0, err
 	}
 	defer b.traversed(time.Now())
 	vis, err := b.tr.Visibility(p, v)
@@ -157,11 +162,11 @@ func (b *baseline) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (fl
 type setMaterializer interface {
 	Materializer
 	setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error)
-	seedVector(ctx context.Context, p metapath.Path, seed sparse.Vector) (s sparse.Vector, exact bool, err error)
+	seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, at []hin.VertexID) (vals []float64, exact bool, err error)
 	// norms is p's visibility table (nil when none fits) and whether enough
 	// of cands is in it to propagate the path's numerators.
 	norms(p metapath.Path, cands []hin.VertexID) (tbl *visPath, propagate bool)
-	visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error)
+	visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error)
 }
 
 func (b *baseline) Strategy() Strategy { return StrategyBaseline }

@@ -127,7 +127,7 @@ func TestSubpathBitIdenticalProperty(t *testing.T) {
 }
 
 // TestSubpathKernelsBitIdentical pins decomposed Φ vectors against
-// whole-path traversal under every forced kernel: all four must agree with
+// whole-path traversal under every forced kernel: all five must agree with
 // the decomposed result to the bit, regardless of which prefix it resumed
 // from.
 func TestSubpathKernelsBitIdentical(t *testing.T) {
@@ -143,7 +143,7 @@ func TestSubpathKernelsBitIdentical(t *testing.T) {
 		"author.paper.venue.paper.author.paper.term",
 	}
 	a, _ := g.Schema().TypeByName("author")
-	kernels := []metapath.Kernel{metapath.KernelAuto, metapath.KernelMap, metapath.KernelDense, metapath.KernelMerge}
+	kernels := []metapath.Kernel{metapath.KernelAuto, metapath.KernelMap, metapath.KernelDense, metapath.KernelMerge, metapath.KernelPull}
 	for _, dotted := range paths { // shortest first, so longer paths resume
 		p, err := metapath.ParseDotted(g.Schema(), dotted)
 		if err != nil {

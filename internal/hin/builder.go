@@ -135,7 +135,10 @@ func (b *Builder) Build() *Graph {
 		names:  append([]string(nil), b.names...),
 		byType: make([][]VertexID, nt),
 		byName: make([]map[string]VertexID, nt),
+		nt:     nt,
 		off:    make([]int64, n*nt+1),
+
+		typeEdges: make([]int64, nt*nt),
 	}
 	for t := 0; t < nt; t++ {
 		g.byName[t] = make(map[string]VertexID, len(b.byName[t]))
@@ -159,6 +162,7 @@ func (b *Builder) Build() *Graph {
 	for v := 0; v < n; v++ {
 		for u := range b.edges[v] {
 			counts[v*nt+int(b.types[u])]++
+			g.typeEdges[int(b.types[v])*nt+int(b.types[u])]++
 			total++
 		}
 	}

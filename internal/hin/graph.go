@@ -28,13 +28,19 @@ type Graph struct {
 	byName []map[string]VertexID
 
 	// CSR blocks: the neighbors of vertex v with type t occupy
-	// nbr[off[k]:off[k+1]] with k = int(v)*numTypes + int(t); mult holds the
-	// parallel edge multiplicities.
+	// nbr[off[k]:off[k+1]] with k = int(v)*nt + int(t); mult holds the
+	// parallel edge multiplicities. nt is the schema's type count, kept
+	// beside the offsets so a row lookup does not chase the schema pointer.
+	nt   int
 	off  []int64
 	nbr  []VertexID
 	mult []int32
 
 	numEdges int64 // total directed edge count, multiplicities included
+	// typeEdges[t*nt+u] counts the adjacency entries from vertices of
+	// type t to neighbors of type u (distinct pairs, multiplicities not
+	// included); symmetric in t and u.
+	typeEdges []int64
 }
 
 // Schema returns the graph's schema.
@@ -94,14 +100,21 @@ func (g *Graph) VertexByName(t TypeID, name string) (VertexID, bool) {
 // returned slices alias the graph's internal storage and must not be
 // modified.
 func (g *Graph) Neighbors(v VertexID, t TypeID) (nbrs []VertexID, mults []int32) {
-	k := int64(v)*int64(g.schema.NumTypes()) + int64(t)
+	k := int64(v)*int64(g.nt) + int64(t)
 	lo, hi := g.off[k], g.off[k+1]
 	return g.nbr[lo:hi], g.mult[lo:hi]
 }
 
+// EdgesBetween reports how many (vertex of type t, distinct neighbor of type
+// u) pairs the graph holds: the adjacency entries a hop from all of t to u
+// reads. Edges are symmetric, so EdgesBetween(t, u) == EdgesBetween(u, t).
+func (g *Graph) EdgesBetween(t, u TypeID) int64 {
+	return g.typeEdges[int(t)*g.nt+int(u)]
+}
+
 // Degree reports the number of distinct neighbors of v having type t.
 func (g *Graph) Degree(v VertexID, t TypeID) int {
-	k := int64(v)*int64(g.schema.NumTypes()) + int64(t)
+	k := int64(v)*int64(g.nt) + int64(t)
 	return int(g.off[k+1] - g.off[k])
 }
 

@@ -7,13 +7,16 @@ import (
 
 // Kernel selects the frontier-expansion algorithm a Traverser uses for one
 // hop of Φ_P materialization. The default, KernelAuto, picks per hop from
-// the frontier's NNZ and the target type's vertex-ID span; forcing a kernel
-// is for benchmarks and equivalence tests. All kernels produce bit-equal
-// sorted vectors (property- and fuzz-tested).
+// the frontier's NNZ and share of its type and the target type's vertex-ID
+// span; forcing a kernel is for benchmarks and equivalence tests. All kernels
+// produce bit-equal sorted vectors (property- and fuzz-tested): each adds a
+// coordinate's products in ascending source order, and rounds a product
+// before adding it — the explicit float64 conversions forbid fusing the two,
+// which a compiler could otherwise do in one kernel and not in another.
 type Kernel int
 
 const (
-	// KernelAuto picks merge, dense or map per hop (the default).
+	// KernelAuto picks merge, pull, dense or map per hop (the default).
 	KernelAuto Kernel = iota
 	// KernelMap scatters into the map-backed Accumulator: unbounded
 	// coordinate space, one hash per scattered edge. The fallback.
@@ -26,6 +29,12 @@ const (
 	// directly into a sorted vector, touching no scratch at all. Only
 	// sensible for tiny frontiers (the scan over row heads is linear in k).
 	KernelMerge
+	// KernelPull gathers instead of scattering: the frontier is written once
+	// into a dense array over its own type's ID span, and every vertex of the
+	// target type sums that array over its own adjacency row — no accumulator,
+	// no drain. It costs the whole type pair whatever the frontier, so it pays
+	// when the frontier is a large share of its type.
+	KernelPull
 )
 
 func (k Kernel) String() string {
@@ -38,6 +47,8 @@ func (k Kernel) String() string {
 		return "dense"
 	case KernelMerge:
 		return "merge"
+	case KernelPull:
+		return "pull"
 	}
 	return "Kernel(?)"
 }
@@ -46,7 +57,9 @@ func (k Kernel) String() string {
 // DESIGN.md "Expansion kernels"): the merge path wins while the head scan
 // over frontier rows stays trivially small; the dense scratch wins over the
 // map at every frontier size but is capped so a traverser never pins more
-// than ~32 MiB of scratch per hop on huge vertex types.
+// than ~32 MiB of scratch per hop on huge vertex types; pull wins once the
+// edges the frontier would scatter are a large enough share of all the edges
+// between the two types.
 const (
 	// MergeMaxFrontier is the largest frontier NNZ the merge path accepts.
 	MergeMaxFrontier = 4
@@ -58,22 +71,31 @@ const (
 	// wider hop gets a one-off buffer, so one wide query cannot pin memory
 	// for the life of a serving process.
 	maxHopBuf = 1 << 18
+	// pullEdgeGain is how many pulled edges or row heads cost what one pushed
+	// edge does (pullPays): BenchmarkExpand's share rows (BENCH_kernel.json)
+	// cross at about 20, 45 and 55 % of the source type on paper→venue,
+	// venue→paper and author→paper, where this rule puts 25, 50 and 35 %.
+	pullEdgeGain = 4
+	// pullMinEdges keeps hops of a few dozen edges pushed: a guard, not a
+	// crossover. The estimate in pullPays says little about five vertices of
+	// seven, and a push is bounded by the frontier, a pull by the type.
+	pullMinEdges = 64
 )
 
 // KernelCounts reports how many hops each kernel expanded, for heuristic
 // observability and tests.
 type KernelCounts struct {
-	Map, Dense, Merge uint64
+	Map, Dense, Merge, Pull uint64
 }
 
 // Add returns the sum c + o, for aggregating per-view deltas.
 func (c KernelCounts) Add(o KernelCounts) KernelCounts {
-	return KernelCounts{Map: c.Map + o.Map, Dense: c.Dense + o.Dense, Merge: c.Merge + o.Merge}
+	return KernelCounts{Map: c.Map + o.Map, Dense: c.Dense + o.Dense, Merge: c.Merge + o.Merge, Pull: c.Pull + o.Pull}
 }
 
 // Sub returns the difference c - o, for snapshot-style interval measurement.
 func (c KernelCounts) Sub(o KernelCounts) KernelCounts {
-	return KernelCounts{Map: c.Map - o.Map, Dense: c.Dense - o.Dense, Merge: c.Merge - o.Merge}
+	return KernelCounts{Map: c.Map - o.Map, Dense: c.Dense - o.Dense, Merge: c.Merge - o.Merge, Pull: c.Pull - o.Pull}
 }
 
 // SetKernel forces the expansion kernel (KernelAuto restores the adaptive
@@ -83,19 +105,43 @@ func (tr *Traverser) SetKernel(k Kernel) { tr.kernel = k }
 // KernelCounts returns how many hops each kernel has expanded so far.
 func (tr *Traverser) KernelCounts() KernelCounts { return tr.counts }
 
-// pick chooses the kernel for one hop: merge for tiny frontiers, dense when
-// the target type's ID span affords a scratch array, map otherwise.
-func (tr *Traverser) pick(nnz int, next hin.TypeID) Kernel {
+// pick chooses the kernel for one hop: merge for tiny frontiers, pull when
+// the frontier is a large enough share of its type (pullPays), otherwise a
+// push kernel.
+func (tr *Traverser) pick(frontier sparse.Vector, next hin.TypeID) Kernel {
 	if tr.kernel != KernelAuto {
 		return tr.kernel
 	}
-	if nnz <= MergeMaxFrontier {
+	if frontier.NNZ() <= MergeMaxFrontier {
 		return KernelMerge
 	}
+	if tr.pullPays(frontier, next, tr.g.NumVerticesOfType(next)) {
+		return KernelPull
+	}
+	return tr.pickPush(next)
+}
+
+// pickPush chooses between the scatter kernels: dense when the target type's
+// ID span affords a scratch array, map otherwise.
+func (tr *Traverser) pickPush(next hin.TypeID) Kernel {
 	if lo, hi, ok := tr.g.TypeIDSpan(next); ok && int64(hi)-int64(lo) < MaxDenseSpan {
 		return KernelDense
 	}
 	return KernelMap
+}
+
+// pullPays compares, in edges, pushing the frontier with gathering targets
+// vertices of the next type (all of them for the kernel proper). Pushing
+// reads the frontier's rows, estimated as its share of its type (taken from
+// the first vertex) times all the edges between the two types; pulling reads
+// the targets' share of those edges plus one row head each, at 1/pullEdgeGain
+// of the price: no read-modify-write, no touched list, no drain.
+func (tr *Traverser) pullPays(frontier sparse.Vector, next hin.TypeID, targets int) bool {
+	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
+	edges := float64(tr.g.EdgesBetween(cur, next))
+	all := float64(tr.g.NumVerticesOfType(next))
+	pushed := edges * float64(frontier.NNZ()) / float64(tr.g.NumVerticesOfType(cur))
+	return pushed >= pullMinEdges && pushed*pullEdgeGain >= (edges+all)*float64(targets)/all
 }
 
 // expandMap is the fallback kernel: scatter through the map accumulator. It
@@ -106,7 +152,7 @@ func (tr *Traverser) expandMap(frontier sparse.Vector, next hin.TypeID) sparse.V
 		w := frontier.Val[i]
 		nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[i]), next)
 		for j, u := range nbrs {
-			tr.acc.Add(int32(u), w*float64(mults[j]))
+			tr.acc.Add(int32(u), float64(w*float64(mults[j])))
 		}
 	}
 	return tr.acc.Take()
@@ -130,7 +176,7 @@ func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID, buf sp
 		w := frontier.Val[i]
 		nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[i]), next)
 		for j, u := range nbrs {
-			tr.dense.Add(int32(u)-base, w*float64(mults[j]))
+			tr.dense.Add(int32(u)-base, float64(w*float64(mults[j])))
 		}
 	}
 	out := tr.dense.TakeInto(buf)
@@ -138,6 +184,123 @@ func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID, buf sp
 		out.Idx[i] += base
 	}
 	return out
+}
+
+// expandPull is the gather kernel: out[u] = Σ_w in[w]·mult(u,w) over u's
+// neighbors w of the frontier's type, for every u of the target type in
+// ascending order. Edges are symmetric with equal multiplicity and u's row
+// ascends, so each coordinate adds the products the push kernels add over an
+// ascending frontier, in their order (a vertex outside the frontier adds +0,
+// which changes no sum): the result is bit-equal to theirs. ok is false, and
+// nothing counted, when scatterIn refuses the frontier; the caller pushes.
+//
+// The result is written into buf once it has room for a coordinate per target
+// vertex (a hop buffer grows to that once). The zero buf asks for a fresh
+// result: gathered into the traverser's spare buffer and copied out at the
+// size of its non-zeros, not of the target type.
+func (tr *Traverser) expandPull(frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) (out sparse.Vector, ok bool) {
+	in, lo, ok := tr.scatterIn(frontier)
+	if !ok {
+		return sparse.Vector{}, false
+	}
+	tr.counts.Pull++
+	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
+	targets := tr.g.VerticesOfType(next)
+	fresh := cap(buf.Idx) == 0
+	if fresh {
+		buf = tr.spare
+	}
+	out = outVector(buf, len(targets))
+	// Every row writes its slot; only a non-zero sum keeps it.
+	idx, val, n := out.Idx[:len(targets)], out.Val[:len(targets)], 0
+	for _, u := range targets {
+		nbrs, mults := tr.g.Neighbors(u, cur)
+		idx[n], val[n] = int32(u), rowSum(in, lo, nbrs, mults)
+		if val[n] != 0 {
+			n++
+		}
+	}
+	out.Idx, out.Val = idx[:n], val[:n]
+	tr.clearIn(frontier, lo)
+	if fresh {
+		if cap(out.Idx) <= maxHopBuf {
+			tr.spare = out
+		}
+		out = out.Clone()
+	}
+	return out, true
+}
+
+// gatherAt is the pull kernel for the target vertices at only: vals[i]
+// becomes coordinate at[i] of the expanded frontier (not empty), 0 for a
+// vertex not of type next. It reports false, vals untouched, when gathering
+// those rows does not pay (pullPays; a forced kernel decides instead) or
+// scatterIn refuses.
+func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.VertexID, vals []float64) bool {
+	if tr.kernel != KernelPull && (tr.kernel != KernelAuto || !tr.pullPays(frontier, next, len(at))) {
+		return false
+	}
+	in, lo, ok := tr.scatterIn(frontier)
+	if !ok {
+		return false
+	}
+	tr.counts.Pull++
+	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
+	for i, v := range at {
+		if tr.g.Valid(v) && tr.g.Type(v) == next {
+			nbrs, mults := tr.g.Neighbors(v, cur)
+			vals[i] = rowSum(in, lo, nbrs, mults)
+		}
+	}
+	tr.clearIn(frontier, lo)
+	return true
+}
+
+// scatterIn writes the frontier into the pull scratch, indexed by vertex ID
+// minus lo, the first ID of the frontier's type. ok is false, and the scratch
+// all zero again, for a frontier pull cannot take: empty, not ascending, of
+// mixed types, or of a type whose ID span is past MaxDenseSpan.
+func (tr *Traverser) scatterIn(frontier sparse.Vector) (in []float64, lo int32, ok bool) {
+	if frontier.IsZero() {
+		return nil, 0, false
+	}
+	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
+	first, last, _ := tr.g.TypeIDSpan(cur)
+	span := int64(last) - int64(first) + 1
+	if span > MaxDenseSpan {
+		return nil, 0, false
+	}
+	if int64(len(tr.in)) < span {
+		tr.in = make([]float64, span)
+	}
+	in, lo = tr.in, int32(first)
+	prev := int32(-1)
+	for i, ix := range frontier.Idx {
+		if ix <= prev || tr.g.Type(hin.VertexID(ix)) != cur {
+			tr.clearIn(sparse.Vector{Idx: frontier.Idx[:i]}, lo)
+			return nil, 0, false
+		}
+		prev = ix
+		in[ix-lo] = frontier.Val[i]
+	}
+	return in, lo, true
+}
+
+// clearIn zeroes the pull scratch at the frontier's coordinates.
+func (tr *Traverser) clearIn(frontier sparse.Vector, lo int32) {
+	for _, ix := range frontier.Idx {
+		tr.in[ix-lo] = 0
+	}
+}
+
+// rowSum sums in over one adjacency row, each neighbor weighted by its edge
+// multiplicity, in the row's ascending order.
+func rowSum(in []float64, lo int32, nbrs []hin.VertexID, mults []int32) float64 {
+	var s float64
+	for j, w := range nbrs {
+		s += float64(in[int32(w)-lo] * float64(mults[j]))
+	}
+	return s
 }
 
 // outVector returns an empty vector with room for n coordinates: buf's
@@ -182,7 +345,7 @@ func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID, buf sp
 		c := cursors[0]
 		out := outVector(buf, len(c.nbrs))
 		for j, u := range c.nbrs {
-			if x := c.w * float64(c.mults[j]); x != 0 {
+			if x := float64(c.w * float64(c.mults[j])); x != 0 {
 				out.Idx = append(out.Idx, int32(u))
 				out.Val = append(out.Val, x)
 			}
@@ -209,7 +372,7 @@ func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID, buf sp
 		for ci := range cursors {
 			c := &cursors[ci]
 			if len(c.nbrs) > 0 && c.nbrs[0] == bestID {
-				sum += c.w * float64(c.mults[0])
+				sum += float64(c.w * float64(c.mults[0]))
 				c.nbrs, c.mults = c.nbrs[1:], c.mults[1:]
 			}
 		}

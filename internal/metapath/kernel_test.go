@@ -2,6 +2,7 @@ package metapath
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,7 @@ import (
 	"netout/internal/sparse"
 )
 
-var forcedKernels = []Kernel{KernelMap, KernelDense, KernelMerge}
+var forcedKernels = []Kernel{KernelMap, KernelDense, KernelMerge, KernelPull}
 
 // expandAll runs one hop under every forced kernel plus auto and checks the
 // results are bit-equal, returning the map-kernel result.
@@ -19,7 +20,7 @@ func expandAll(t *testing.T, g *hin.Graph, frontier sparse.Vector, next hin.Type
 	tr := NewTraverser(g)
 	tr.SetKernel(KernelMap)
 	want := tr.Expand(frontier, next)
-	for _, k := range []Kernel{KernelDense, KernelMerge, KernelAuto} {
+	for _, k := range []Kernel{KernelDense, KernelMerge, KernelPull, KernelAuto} {
 		tr.SetKernel(k)
 		if got := tr.Expand(frontier, next); !got.Equal(want) {
 			t.Fatalf("kernel %v: Expand = %v, want %v (frontier %v)", k, got, want, frontier)
@@ -88,33 +89,106 @@ func TestKernelHeuristic(t *testing.T) {
 	// Tiny frontier routes through the merge path.
 	tiny := sparse.FromMap(map[int32]float64{int32(ids["a1"]): 1})
 	tr.Expand(tiny, paper)
-	if c := tr.KernelCounts(); c.Merge != 1 || c.Map != 0 || c.Dense != 0 {
+	if c := tr.KernelCounts(); c.Merge != 1 || c.Map != 0 || c.Dense != 0 || c.Pull != 0 {
 		t.Fatalf("tiny frontier counts = %+v, want one merge", c)
-	}
-	// Above MergeMaxFrontier the dense scratch takes over (the paper span
-	// here is far under MaxDenseSpan), and at the boundary merge still wins.
-	if k := tr.pick(MergeMaxFrontier+1, paper); k != KernelDense {
-		t.Fatalf("pick(%d, paper) = %v, want dense", MergeMaxFrontier+1, k)
-	}
-	if k := tr.pick(MergeMaxFrontier, paper); k != KernelMerge {
-		t.Fatalf("pick(%d, paper) = %v, want merge", MergeMaxFrontier, k)
 	}
 	// Forced kernels override the heuristic.
 	tr.SetKernel(KernelMap)
-	if k := tr.pick(1, paper); k != KernelMap {
+	if k := tr.pick(tiny, paper); k != KernelMap {
 		t.Fatalf("forced map, pick = %v", k)
 	}
-	tr.SetKernel(KernelAuto)
+
+	// 256 sources × 512 targets, every source linked to 8 targets: 2 048
+	// edges between the types.
+	wide, srcs, dst := bipartite(t, 256, 512, 8)
+	tr = NewTraverser(wide)
+	front := func(n int) sparse.Vector {
+		f := sparse.Vector{}
+		for _, v := range srcs[:n] {
+			f.Idx, f.Val = append(f.Idx, int32(v)), append(f.Val, 1)
+		}
+		return f
+	}
+	// Pull reads all 2 048 edges and 512 row heads; a frontier of n sources
+	// pushes 8n edges, each worth pullEdgeGain pulled ones: the crossover is
+	// the smallest n with 8n·pullEdgeGain ≥ 2 560.
+	cross := (2048 + 512 + 8*pullEdgeGain - 1) / (8 * pullEdgeGain)
+	for _, c := range []struct {
+		n    int
+		want Kernel
+	}{
+		{MergeMaxFrontier, KernelMerge},
+		{MergeMaxFrontier + 1, KernelDense},
+		{cross - 1, KernelDense},
+		{cross, KernelPull},
+		{256, KernelPull},
+	} {
+		if k := tr.pick(front(c.n), dst); k != c.want {
+			t.Errorf("pick(%d of 256 sources) = %v, want %v", c.n, k, c.want)
+		}
+	}
+	// Gathering a few targets costs their rows only, so it pays against far
+	// smaller frontiers than gathering them all.
+	if !tr.pullPays(front(8), dst, 16) || tr.pullPays(front(8), dst, 512) {
+		t.Error("pullPays does not scale pull's cost with the targets gathered")
+	}
+	// A hop too small to matter stays pushed whatever its share: the whole
+	// source type of kernelGraph is three authors over four edges.
+	authors := sparse.FromMap(map[int32]float64{int32(ids["a1"]): 1, int32(ids["a2"]): 1, int32(ids["a3"]): 1})
+	if NewTraverser(g).pullPays(authors, paper, 2) {
+		t.Errorf("a hop of 4 edges pulled, floor %d", pullMinEdges)
+	}
+	// A kernel counts what ran: a frontier pull cannot take is pushed.
+	tr.SetKernel(KernelPull)
+	unsorted := sparse.Vector{Idx: []int32{int32(srcs[1]), int32(srcs[0])}, Val: []float64{1, 1}}
+	tr.Expand(unsorted, dst)
+	tr.Expand(front(2), dst)
+	if c := tr.KernelCounts(); c.Dense != 1 || c.Pull != 1 {
+		t.Fatalf("forced pull on an unsorted then a sorted frontier: counts %+v, want one dense, one pull", c)
+	}
+}
+
+// bipartite builds nSrc sources and nDst targets, source i linked to the deg
+// targets i, i+1, … (mod nDst) with multiplicity 1 + i%3.
+func bipartite(t testing.TB, nSrc, nDst, deg int) (*hin.Graph, []hin.VertexID, hin.TypeID) {
+	t.Helper()
+	s := hin.MustSchema("src", "dst")
+	src, _ := s.TypeByName("src")
+	dst, _ := s.TypeByName("dst")
+	s.AllowLink(src, dst)
+	b := hin.NewBuilder(s)
+	srcs := make([]hin.VertexID, nSrc)
+	dsts := make([]hin.VertexID, nDst)
+	for i := range srcs {
+		srcs[i] = b.MustAddVertex(src, fmt.Sprintf("s%d", i))
+	}
+	for i := range dsts {
+		dsts[i] = b.MustAddVertex(dst, fmt.Sprintf("d%d", i))
+	}
+	for i, v := range srcs {
+		for j := 0; j < deg; j++ {
+			if err := b.AddEdgeMult(v, dsts[(i+j)%nDst], int32(1+i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return b.Build(), srcs, dst
 }
 
 // randomFrontier draws a random weighted frontier over the vertices of a
-// type, with negative weights included so cancellation paths are exercised.
+// type: small integers of both signs, so sums cancel exactly, or fractions
+// across eighty binary orders of magnitude, whose sums round differently in
+// every order they could be added in.
 func randomFrontier(r *rand.Rand, g *hin.Graph, t hin.TypeID) sparse.Vector {
 	vs := g.VerticesOfType(t)
 	m := make(map[int32]float64)
 	n := r.Intn(len(vs) + 1)
+	fractions := r.Intn(2) == 0
 	for i := 0; i < n; i++ {
 		w := float64(r.Intn(9) - 4)
+		if fractions {
+			w = math.Ldexp(r.Float64()-0.5, r.Intn(80)-40)
+		}
 		if w != 0 {
 			m[int32(vs[r.Intn(len(vs))])] = w
 		}
@@ -122,14 +196,45 @@ func randomFrontier(r *rand.Rand, g *hin.Graph, t hin.TypeID) sparse.Vector {
 	return sparse.FromMap(m)
 }
 
+// interleavedGraph is a dense three-type multigraph whose types take turns
+// receiving vertex IDs, so every type's ID span is wider than its count: the
+// dense and pull scratches have holes that belong to other types.
+func interleavedGraph(r *rand.Rand) *hin.Graph {
+	s := hin.MustSchema("a", "b", "c")
+	s.AllowLink(0, 1)
+	s.AllowLink(1, 2)
+	s.AllowLink(0, 2)
+	bld := hin.NewBuilder(s)
+	vs := make([][]hin.VertexID, 3)
+	for i := 0; i < 12+r.Intn(12); i++ {
+		t := hin.TypeID(r.Intn(3))
+		vs[t] = append(vs[t], bld.MustAddVertex(t, fmt.Sprintf("%d.%d", t, i)))
+	}
+	for _, pair := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		for _, x := range vs[pair[0]] {
+			for _, y := range vs[pair[1]] {
+				if r.Float64() < 0.5 {
+					if err := bld.AddEdgeMult(x, y, int32(1+r.Intn(4))); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+	return bld.Build()
+}
+
 func TestQuickExpandKernelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r)
+		if seed&1 == 1 {
+			g = interleavedGraph(r)
+		}
 		s := g.Schema()
 		src := hin.TypeID(r.Intn(s.NumTypes()))
 		nexts := s.AllowedFrom(src)
-		if len(nexts) == 0 {
+		if len(nexts) == 0 || g.NumVerticesOfType(src) == 0 {
 			return true
 		}
 		next := nexts[r.Intn(len(nexts))]
@@ -137,11 +242,19 @@ func TestQuickExpandKernelsAgree(t *testing.T) {
 		tr := NewTraverser(g)
 		tr.SetKernel(KernelMap)
 		want := tr.Expand(frontier, next)
-		for _, k := range []Kernel{KernelDense, KernelMerge, KernelAuto} {
+		for _, k := range []Kernel{KernelDense, KernelMerge, KernelPull, KernelAuto} {
 			tr.SetKernel(k)
-			if !tr.Expand(frontier, next).Equal(want) {
-				return false
+			// Twice: the second pull finds the scratch the first left behind.
+			for rep := 0; rep < 2; rep++ {
+				if got := tr.Expand(frontier, next); !sameBits(got, want) {
+					t.Logf("seed %d kernel %v: Expand = %v, want %v (frontier %v)", seed, k, got, want, frontier)
+					return false
+				}
 			}
+		}
+		if !frontier.IsZero() && tr.KernelCounts().Pull == 0 {
+			t.Logf("seed %d: the forced pull never ran on %v", seed, frontier)
+			return false
 		}
 		return true
 	}
@@ -163,7 +276,7 @@ func TestQuickNeighborVectorKernelsAgree(t *testing.T) {
 		}
 		v := src[r.Intn(len(src))]
 		var want sparse.Vector
-		for i, k := range []Kernel{KernelMap, KernelDense, KernelMerge, KernelAuto} {
+		for i, k := range []Kernel{KernelMap, KernelDense, KernelMerge, KernelPull, KernelAuto} {
 			tr := NewTraverser(g)
 			tr.SetKernel(k)
 			phi, err := tr.NeighborVector(p, v)
@@ -227,10 +340,13 @@ func TestQuickExpandSetKernelsAgree(t *testing.T) {
 }
 
 // FuzzExpandKernels decodes arbitrary bytes into a tiny two-type network, a
-// frontier and a hop direction, then asserts the three kernels agree
-// bit-for-bit. The seed corpus covers the structural edges: empty frontier,
-// single row, duplicate-free fan-in, cancellation, and self-type hops with
-// no allowed neighbors.
+// frontier and a hop direction, then asserts the four kernels agree
+// bit-for-bit. The two types take turns receiving vertex IDs (each type's
+// span has the other's vertices as holes), weights are thirds of both signs
+// (sums round, opposite weights still cancel exactly) and repeated edges
+// raise multiplicities. The seed corpus covers the structural edges: empty
+// frontier, single row, duplicate-free fan-in, cancellation, and self-type
+// hops with no allowed neighbors.
 func FuzzExpandKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 0, 0, 1, 1, 2, 3, 0, 1})
@@ -255,11 +371,13 @@ func FuzzExpandKernels(f *testing.F) {
 		bld := hin.NewBuilder(s)
 		as := make([]hin.VertexID, nA)
 		bs := make([]hin.VertexID, nB)
-		for i := range as {
-			as[i] = bld.MustAddVertex(ta, fmt.Sprintf("a%d", i))
-		}
-		for i := range bs {
-			bs[i] = bld.MustAddVertex(tb, fmt.Sprintf("b%d", i))
+		for i := 0; i < max(nA, nB); i++ {
+			if i < nA {
+				as[i] = bld.MustAddVertex(ta, fmt.Sprintf("a%d", i))
+			}
+			if i < nB {
+				bs[i] = bld.MustAddVertex(tb, fmt.Sprintf("b%d", i))
+			}
 		}
 		nEdges := int(pop() % 32)
 		for i := 0; i < nEdges; i++ {
@@ -272,7 +390,7 @@ func FuzzExpandKernels(f *testing.F) {
 		nFront := int(pop() % 8)
 		for i := 0; i < nFront; i++ {
 			v := as[int(pop())%nA]
-			w := float64(int(pop()) - 128)
+			w := float64(int(pop())-128) / 3
 			if w != 0 {
 				m[int32(v)] = w
 			}
@@ -281,7 +399,7 @@ func FuzzExpandKernels(f *testing.F) {
 		tr := NewTraverser(g)
 		tr.SetKernel(KernelMap)
 		want := tr.Expand(frontier, tb)
-		for _, k := range []Kernel{KernelDense, KernelMerge, KernelAuto} {
+		for _, k := range []Kernel{KernelDense, KernelMerge, KernelPull, KernelAuto} {
 			tr.SetKernel(k)
 			if got := tr.Expand(frontier, tb); !got.Equal(want) {
 				t.Fatalf("kernel %v: Expand = %v, want %v (frontier %v, graph %d/%d)",
@@ -297,7 +415,7 @@ func FuzzExpandKernels(f *testing.F) {
 		back := sparse.FromMap(mB)
 		tr.SetKernel(KernelMap)
 		wantBack := tr.Expand(back, ta)
-		for _, k := range []Kernel{KernelDense, KernelMerge, KernelAuto} {
+		for _, k := range []Kernel{KernelDense, KernelMerge, KernelPull, KernelAuto} {
 			tr.SetKernel(k)
 			if got := tr.Expand(back, ta); !got.Equal(wantBack) {
 				t.Fatalf("kernel %v (reverse): Expand = %v, want %v", k, got, wantBack)
@@ -324,7 +442,7 @@ func TestQuickNeighborVectorDoesNotAliasScratch(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r)
-		for _, k := range []Kernel{KernelAuto, KernelDense, KernelMerge, KernelMap} {
+		for _, k := range []Kernel{KernelAuto, KernelDense, KernelMerge, KernelPull, KernelMap} {
 			tr, ref := NewTraverser(g), NewTraverser(g)
 			tr.SetKernel(k)
 			var got, want []sparse.Vector

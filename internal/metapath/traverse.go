@@ -15,7 +15,7 @@ import (
 // Traverser amortizes allocations across many vertices; it is not safe for
 // concurrent use (create one per goroutine).
 //
-// Each hop runs through one of three expansion kernels — merge, dense or
+// Each hop runs through one of four expansion kernels — merge, pull, dense or
 // map — picked per hop by an adaptive heuristic (see kernel.go and the
 // "Expansion kernels" section of DESIGN.md).
 type Traverser struct {
@@ -26,9 +26,14 @@ type Traverser struct {
 	dense *sparse.DenseAccumulator
 	// cursors is the reusable row set for KernelMerge.
 	cursors []mergeCursor
-	// hops are the two ping-pong buffers NeighborVector, SetVector and
-	// SeedVector write the seed and every intermediate frontier into; only the
-	// final vector is allocated (Visibility drains that one into them too).
+	// in is KernelPull's scratch, all zero between hops: the frontier scattered
+	// over its own type's ID span, grown lazily to the widest type pulled
+	// from. spare is where a pull gathers a result it will hand out fresh.
+	in    []float64
+	spare sparse.Vector
+	// hops are the two ping-pong buffers NeighborVector, SetVector, SeedVector
+	// and SeedValues write the seed and every intermediate frontier into; only
+	// the final vector is allocated (Visibility drains that one into them too).
 	hops [2]sparse.Vector
 	// kernel forces a specific kernel when != KernelAuto.
 	kernel Kernel
@@ -57,7 +62,7 @@ func (tr *Traverser) NeighborVector(p Path, v hin.VertexID) (sparse.Vector, erro
 	if p.Hops() == 0 {
 		return sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}, nil
 	}
-	return tr.expandPath(p, tr.unitSeed(v), nil, false)
+	return tr.expandPath(p, p.Hops(), tr.unitSeed(v), nil, false)
 }
 
 // unitSeed writes the one-vertex seed frontier of a walk from v into
@@ -80,14 +85,14 @@ func (tr *Traverser) checkSource(p Path, v hin.VertexID) error {
 }
 
 // expandPath expands the seed frontier cur — in hops[0], or storage the
-// caller owns and the walk only reads — along every hop of p (at least one).
-// Intermediate frontiers ping-pong between the two hop buffers. The final
-// vector is freshly allocated unless scratch is set: then it is drained into
-// the hop buffer the walk has just finished with, and is valid only until the
-// traverser's next call. step, when non-nil, sees each frontier before it is
-// expanded, and an error from it ends the walk.
-func (tr *Traverser) expandPath(p Path, cur sparse.Vector, step func(sparse.Vector) error, scratch bool) (sparse.Vector, error) {
-	last := p.Hops() - 1
+// caller owns and the walk only reads — along the first hops hops of p (at
+// least one). Intermediate frontiers ping-pong between the two hop buffers.
+// The final vector is freshly allocated unless scratch is set: then it is
+// drained into hops[hops&1], the buffer the walk has just finished with, and
+// is valid only until the traverser's next call. step, when non-nil, sees
+// each frontier before it is expanded, and an error from it ends the walk.
+func (tr *Traverser) expandPath(p Path, hops int, cur sparse.Vector, step func(sparse.Vector) error, scratch bool) (sparse.Vector, error) {
+	last := hops - 1
 	for hop := 0; ; hop++ {
 		if step != nil {
 			if err := step(cur); err != nil {
@@ -155,6 +160,54 @@ func (tr *Traverser) SetVector(ctx context.Context, p Path, set []hin.VertexID) 
 // vertex. The context is checked before every hop; like NeighborVector's,
 // the result is freshly allocated.
 func (tr *Traverser) SeedVector(ctx context.Context, p Path, seed sparse.Vector) (s sparse.Vector, exact bool, err error) {
+	return tr.seedWalk(ctx, p, p.Hops(), seed, false)
+}
+
+// SeedValues is SeedVector read at the vertices at: vals[i] is coordinate
+// at[i] of SeedVector(p, seed), 0 for a vertex that is not of type
+// P.Target(), whatever at's order. Where pulling pays the last hop is gathered
+// at those vertices only (gatherAt), so it costs their adjacency rows, not
+// the type's. exact is SeedVector's for the seed and every frontier on the
+// way, and answers for the values returned only: a count past 2⁵³ at a vertex
+// that was not asked for voids nothing. vals is nil unless exact.
+func (tr *Traverser) SeedValues(ctx context.Context, p Path, seed sparse.Vector, at []hin.VertexID) (vals []float64, exact bool, err error) {
+	// The frontier before the last hop (the seed itself on a one-hop path),
+	// in hop scratch and checked against 2⁵³ like every frontier.
+	hops := max(p.Hops()-1, 0)
+	frontier, exact, err := tr.seedWalk(ctx, p, hops, seed, true)
+	if !exact || err != nil {
+		return nil, false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	vals = make([]float64, len(at))
+	if frontier.IsZero() {
+		return vals, true, nil // nothing reaches the last hop
+	}
+	if p.Hops() == 0 || !tr.gatherAt(frontier, p.Target(), at, vals) {
+		full := frontier // zero hops: the values are the seed's
+		if p.Hops() > 0 {
+			// Finish the walk by pushing, and look the vertices up.
+			full = tr.expandInto(KernelAuto, frontier, p.Target(), tr.hops[(hops+1)&1])
+		}
+		for i, v := range at {
+			vals[i] = full.At(int32(v))
+		}
+	}
+	for _, x := range vals {
+		if x >= maxExactCount {
+			return nil, false, nil
+		}
+	}
+	return vals, true, nil
+}
+
+// seedWalk validates the seed of SeedVector and propagates it along the
+// first hops hops of p, checking the context and the 2⁵³ domain before every
+// hop and on the result. With scratch the result lives in hop scratch (or,
+// for zero hops, is the seed itself).
+func (tr *Traverser) seedWalk(ctx context.Context, p Path, hops int, seed sparse.Vector, scratch bool) (s sparse.Vector, exact bool, err error) {
 	if p.IsZero() {
 		return sparse.Vector{}, false, fmt.Errorf("metapath: zero path")
 	}
@@ -177,15 +230,17 @@ func (tr *Traverser) SeedVector(ctx context.Context, p Path, seed sparse.Vector)
 	switch {
 	case seed.IsZero():
 		return sparse.Vector{}, true, nil
-	case p.Hops() == 0:
+	case hops == 0 && scratch:
+		s, err = seed, inDomain(seed)
+	case hops == 0:
 		s, err = seed.Clone(), inDomain(seed)
 	default:
-		s, err = tr.expandPath(p, seed, func(frontier sparse.Vector) error {
+		s, err = tr.expandPath(p, hops, seed, func(frontier sparse.Vector) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			return inDomain(frontier)
-		}, false)
+		}, scratch)
 		if err == nil {
 			err = inDomain(s)
 		}
@@ -202,9 +257,10 @@ func (tr *Traverser) SeedVector(ctx context.Context, p Path, seed sparse.Vector)
 // Expand advances a weighted frontier one hop to the given neighbor type:
 // out[u] = Σ_w frontier[w] · mult(w,u) over neighbors u of type next. The
 // expansion kernel is chosen per hop (tiny frontiers merge sorted CSR rows
-// directly; mid/dense frontiers scatter into a dense scratch; the map
-// accumulator is the fallback for huge sparse types). Expand does not
-// require the frontier to be sorted, only duplicate-free.
+// directly; a frontier that is most of its type is gathered by the target
+// type's rows; others scatter into a dense scratch; the map accumulator is
+// the fallback for huge sparse types). Expand does not require the frontier
+// to be sorted, only duplicate-free.
 func (tr *Traverser) Expand(frontier sparse.Vector, next hin.TypeID) sparse.Vector {
 	return tr.ExpandWith(KernelAuto, frontier, next)
 }
@@ -217,14 +273,20 @@ func (tr *Traverser) ExpandWith(k Kernel, frontier sparse.Vector, next hin.TypeI
 	return tr.expandInto(k, frontier, next, sparse.Vector{})
 }
 
-// expandInto is ExpandWith with an output buffer: the merge and dense
+// expandInto is ExpandWith with an output buffer: the merge, pull and dense
 // kernels write the result into buf's storage when it has room, so the
 // result may alias buf (and never aliases anything else the traverser
 // owns). The zero buf always yields a freshly allocated vector — the only
 // kind that may escape to a caller, a cache or an index.
 func (tr *Traverser) expandInto(k Kernel, frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	if k == KernelAuto {
-		k = tr.pick(frontier.NNZ(), next)
+		k = tr.pick(frontier, next)
+	}
+	if k == KernelPull {
+		if out, ok := tr.expandPull(frontier, next, buf); ok {
+			return out
+		}
+		k = tr.pickPush(next)
 	}
 	switch k {
 	case KernelMerge:
@@ -296,6 +358,6 @@ func (tr *Traverser) Visibility(p Path, v hin.VertexID) (float64, error) {
 	if p.Hops() == 0 {
 		return 1, nil
 	}
-	phi, _ := tr.expandPath(p, tr.unitSeed(v), nil, true) // no step, no error
+	phi, _ := tr.expandPath(p, p.Hops(), tr.unitSeed(v), nil, true) // no step, no error
 	return phi.Norm2Sq(), nil
 }

@@ -87,8 +87,8 @@ type Event struct {
 	// Shards is the per-shard breakdown of a sharded (scatter–gather)
 	// execution; absent for unsharded queries.
 	Shards []EventShard `json:"shards,omitempty"`
-	// Kernels counts expansion hops by kernel (merge/dense/map) during the
-	// query, when the materializer exposes its traverser's counters.
+	// Kernels counts expansion hops by kernel (merge/pull/dense/map) during
+	// the query, when the materializer exposes its traverser's counters.
 	Kernels map[string]int64 `json:"kernels,omitempty"`
 	// Plan lists the subpath planner's decisions, one rendered line per
 	// feature meta-path (absent when no planner is active) — how this query

@@ -114,14 +114,15 @@ func NewTraverser(g *Graph) *Traverser { return metapath.NewTraverser(g) }
 // (Traverser.SetKernel). KernelAuto, the default, picks per hop.
 type ExpandKernel = metapath.Kernel
 
-// Expansion kernels: auto picks merge/dense/map per hop from the frontier
-// size and the target type's vertex-ID span; the forced kernels exist for
-// benchmarks and equivalence tests.
+// Expansion kernels: auto picks merge/pull/dense/map per hop from the
+// frontier's size and share of its type and the target type's vertex-ID span;
+// the forced kernels exist for benchmarks and equivalence tests.
 const (
 	KernelAuto  ExpandKernel = metapath.KernelAuto
 	KernelMap   ExpandKernel = metapath.KernelMap
 	KernelDense ExpandKernel = metapath.KernelDense
 	KernelMerge ExpandKernel = metapath.KernelMerge
+	KernelPull  ExpandKernel = metapath.KernelPull
 )
 
 // KernelCounts reports how many hops each expansion kernel handled
