@@ -46,11 +46,14 @@ bench:
 # set-frontier propagation, the two branches of referenceSide (DESIGN.md
 # "Reference side"); BenchmarkCandidateSide one walk per candidate against
 # one reverse propagation plus the visibility table, the evidence for
-# candSideMinShare (DESIGN.md "Candidate side"). Every line runs with
-# -benchmem so B/op and allocs/op are recorded.
+# candSideMinShare (DESIGN.md "Candidate side"); BenchmarkWaist finishing a
+# subpath-cache miss by expansion against combination from a waist table, the
+# evidence for waistRatio and the tables' byte shares (DESIGN.md
+# "Subpath-decomposed cache"). Every line runs with -benchmem so B/op and
+# allocs/op are recorded.
 bench-json: bench-workload
 	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide|BenchmarkCandidateSide' -benchmem . ; \
-	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe' -benchmem ./internal/core/ ; \
+	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe|BenchmarkWaist' -benchmem ./internal/core/ ; \
 	  $(GO) test -run XXX -bench='BenchmarkAccumulators|BenchmarkDot|BenchmarkSum' -benchmem ./internal/sparse/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
 	$(GO) test -run XXX -bench='BenchmarkQuery/' -benchmem -cpu 1,2,4 . \
@@ -65,9 +68,9 @@ bench-workload:
 	$(GO) test -run XXX -bench='BenchmarkWorkload/' -benchmem -benchtime=4000x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_workload.json
 
-# One iteration of every benchmark (BenchmarkCandidateSide's 60 arms and
-# BenchmarkExpand's pull and share arms included): catches bit-rot without
-# measuring.
+# One iteration of every benchmark (BenchmarkCandidateSide's 60 arms,
+# BenchmarkExpand's pull and share arms and BenchmarkWaist included): catches
+# bit-rot without measuring.
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x ./...
 

@@ -34,12 +34,15 @@ type CacheStats struct {
 	// number of NeighborVector calls.
 	Deduped int64
 	// PrefixHits counts misses that resumed traversal from a cached prefix
-	// frontier instead of the source vertex (subpath mode only); HopsSaved
-	// totals the hops those resumes skipped. Prefix resumes still count as
-	// Misses — they traverse the network for the remaining hops — so the
-	// Hits+Misses == loads contract is unchanged.
-	PrefixHits, HopsSaved int64
-	Bytes                 int64
+	// frontier instead of the source vertex, WaistFinishes misses that stopped
+	// expanding at a waist of the path and combined the rest from a table of
+	// suffix vectors (subpath mode only); HopsSaved totals the hops both
+	// skipped. Either way the load is still one Miss — it traverses the
+	// network for the other hops — so the Hits+Misses == loads contract is
+	// unchanged.
+	PrefixHits, WaistFinishes, HopsSaved int64
+	// Bytes is what the cache holds: entries and waist tables.
+	Bytes int64
 }
 
 // HitRate returns Hits/(Hits+Misses) in [0,1], or 0 before any load —
@@ -56,8 +59,8 @@ func (s CacheStats) HitRate() float64 {
 func (s CacheStats) String() string {
 	out := fmt.Sprintf("hits %d, misses %d (%.1f%% hit rate), deduped %d, evictions %d, %.1f MB resident",
 		s.Hits, s.Misses, 100*s.HitRate(), s.Deduped, s.Evictions, float64(s.Bytes)/1e6)
-	if s.PrefixHits > 0 {
-		out += fmt.Sprintf(", %d prefix resumes (%d hops saved)", s.PrefixHits, s.HopsSaved)
+	if s.PrefixHits > 0 || s.WaistFinishes > 0 {
+		out += fmt.Sprintf(", %d prefix resumes, %d misses finished at a waist (%d hops saved)", s.PrefixHits, s.WaistFinishes, s.HopsSaved)
 	}
 	return out
 }
@@ -69,18 +72,20 @@ type CacheOption func(*sharedCacheState)
 // shared at (canonical subpath, vertex) granularity, a miss on Φ_P(v)
 // resumes hop-by-hop expansion from the longest cached prefix of P at v
 // (e.g. an APAPA miss resumes from a cached APA entry, skipping two hops),
-// and profitable intermediate frontiers are persisted under the same byte
-// budget for other paths to resume from. Decomposed evaluation is
-// bit-identical to whole-path traversal (see materializeDecomposed); only
-// which work is skipped changes.
+// profitable intermediate frontiers are persisted under the same byte
+// budget for other paths to resume from, and a frontier that reaches a waist
+// of the path — a type much smaller than its neighbours, like a venue
+// between papers — is finished from a table of per-vertex suffix vectors
+// under that budget too. Decomposed evaluation is bit-identical to whole-path
+// traversal (see materializeDecomposed); only which work is skipped changes.
 func WithSubpathCache() CacheOption {
 	return func(st *sharedCacheState) { st.subpath = true }
 }
 
 // WithCachePlanner toggles the cost-based planner for subpath evaluation
 // (default on when WithSubpathCache is set; no effect otherwise). Off means
-// the naive policy: adaptive kernels per hop and every intermediate
-// persisted, leaving the LRU to discard the unprofitable ones.
+// the naive policy: every intermediate persisted, leaving the LRU to discard
+// the unprofitable ones.
 func WithCachePlanner(on bool) CacheOption {
 	return func(st *sharedCacheState) { st.plannerOff = !on }
 }

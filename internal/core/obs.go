@@ -59,7 +59,7 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 		func() float64 { return float64(st.evictions.Load()) })
 	reg.CounterFunc("netout_cache_prefix_hits_total", "Misses resumed from a cached subpath prefix frontier.",
 		func() float64 { return float64(st.prefixHits.Load()) })
-	reg.CounterFunc("netout_cache_hops_saved_total", "Traversal hops skipped by subpath prefix resumes.",
+	reg.CounterFunc("netout_cache_hops_saved_total", "Traversal hops subpath misses did not expand: those before a prefix resume and those after a waist.",
 		func() float64 { return float64(st.hopsSaved.Load()) })
 	reg.GaugeFunc("netout_cache_bytes", "Resident cache payload bytes.",
 		func() float64 { return float64(st.bytes.Load()) })
@@ -72,7 +72,7 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	reg.CounterFunc("netout_mat_indexed_seconds_total", "Seconds spent on warm loads and probes.",
 		func() float64 { return float64(st.indexedNs.Load()) / 1e9 })
 	if pl := st.planner; pl != nil {
-		const planHelp = "Subpath planner decisions by choice (traversal shape, persistence, pinned kernels)."
+		const planHelp = "Subpath planner decisions by choice (traversal shape, persistence)."
 		for c := planChoice(0); c < planChoiceCount; c++ {
 			c := c
 			reg.CounterFunc(`netout_plan_decisions_total{choice="`+c.String()+`"}`, planHelp,

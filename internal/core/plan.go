@@ -11,35 +11,28 @@ import (
 )
 
 // The cost-based planner behind the subpath cache (ROADMAP item 2, Atrapos-
-// style): before materializing Φ_P it decides, per hop, which expansion
-// kernel to run and which intermediate frontiers are worth persisting, from
-// live statistics the system already collects — per-(type,type) mean degrees
-// sampled from the graph, type cardinalities and ID spans, and the cache's
-// own hit-rate feedback. Decisions are deliberately conservative about
-// bit-identity: kernels are interchangeable (all three are property-tested
-// bit-equal), and persist/skip changes only which work is reused, so no
-// planner choice can alter a result — only its cost.
+// style): before materializing Φ_P it decides which intermediate frontiers
+// are worth persisting, from live statistics the system already collects —
+// per-(type,type) mean degrees sampled from the graph, type cardinalities and
+// the cache's own hit-rate feedback. Persist/skip changes only which work is
+// reused, so no planner choice can alter a result — only its cost. (It used
+// to pin an expansion kernel per hop from the same estimates; measured, the
+// traverser's own per-hop choice from the real frontier was faster, and the
+// pinning kept the pull kernel out of reach.)
 
 // planChoice enumerates the planner's recorded decisions, exported as
 // netout_plan_decisions_total{choice=...}.
 type planChoice int
 
 const (
-	// planFullTraverse: a cache miss found no usable prefix and traversed
-	// the whole path from the source vertex.
+	// planFullTraverse: a cache miss found no usable prefix and started from
+	// the source vertex.
 	planFullTraverse planChoice = iota
 	// planPrefixResume: a miss resumed from a cached prefix frontier.
 	planPrefixResume
 	// planPersistIntermediate: an intermediate frontier was persisted for
 	// future paths to resume from.
 	planPersistIntermediate
-	// planKernelAuto / planKernelDense / planKernelMap: per-hop kernel
-	// choices made while building a plan. Auto means the frontier estimate
-	// is small enough that the per-hop adaptive heuristic (which sees the
-	// real NNZ) should decide; dense/map are pinned from the estimates.
-	planKernelAuto
-	planKernelDense
-	planKernelMap
 
 	planChoiceCount
 )
@@ -52,12 +45,6 @@ func (c planChoice) String() string {
 		return "prefix-resume"
 	case planPersistIntermediate:
 		return "persist-intermediate"
-	case planKernelAuto:
-		return "kernel-auto"
-	case planKernelDense:
-		return "kernel-dense"
-	case planKernelMap:
-		return "kernel-map"
 	}
 	return "unknown"
 }
@@ -98,9 +85,6 @@ type pathPlan struct {
 	builtAt int64
 	// est[h] is the estimated frontier NNZ after h hops (est[0] = 1).
 	est []float64
-	// kernels[h] is the expansion kernel for hop h (KernelAuto defers to the
-	// per-hop adaptive heuristic).
-	kernels []metapath.Kernel
 	// persist[b], for 2 <= b < Len, marks the prefix of b types worth
 	// persisting when traversal passes its boundary.
 	persist []bool
@@ -187,13 +171,12 @@ func (pl *Planner) plan(p metapath.Path, loads int64) *pathPlan {
 }
 
 // buildLocked constructs a plan: frontier-size estimates by mean-degree
-// products capped at type cardinality, kernels from the estimates, persist
-// boundaries from the work-saved/bytes trade-off under the reuse signal.
+// products capped at type cardinality, persist boundaries from the
+// work-saved/bytes trade-off under the reuse signal.
 func (pl *Planner) buildLocked(p metapath.Path, loads int64) *pathPlan {
 	hops := p.Hops()
 	est := make([]float64, hops+1)
 	est[0] = 1
-	kernels := make([]metapath.Kernel, hops)
 	// cumEdges[h] estimates the edges traversed to complete hops 0..h-1 —
 	// the work a resume from the boundary after hop h-1 skips.
 	cumEdges := make([]float64, hops+1)
@@ -206,7 +189,6 @@ func (pl *Planner) buildLocked(p metapath.Path, loads int64) *pathPlan {
 		}
 		est[h+1] = e
 		cumEdges[h+1] = cumEdges[h] + est[h]*deg
-		kernels[h] = pl.kernelFor(est[h], to)
 	}
 	persist := make([]bool, p.Len())
 	reuse := pl.reuseLikely(loads)
@@ -216,8 +198,8 @@ func (pl *Planner) buildLocked(p metapath.Path, loads int64) *pathPlan {
 			cumEdges[b-1] >= plannerMinWorkSaved &&
 			bytesEst <= pl.maxBytes/plannerEntryShare
 	}
-	pp := &pathPlan{builtAt: loads, est: est, kernels: kernels, persist: persist}
-	pp.summary = renderPlan(p, pp, reuse)
+	pp := &pathPlan{builtAt: loads, est: est, persist: persist}
+	pp.summary = pl.renderPlan(p, pp, reuse)
 	return pp
 }
 
@@ -248,24 +230,6 @@ func (pl *Planner) meanDegLocked(from, to hin.TypeID) float64 {
 	return d
 }
 
-// kernelFor picks the expansion kernel for a hop whose frontier NNZ is
-// estimated at nnz. Small estimates defer to the adaptive heuristic (which
-// reads the real NNZ and may pick the merge path); larger ones are pinned
-// to dense or map under exactly the span guard the heuristic itself uses,
-// so a misestimate can cost time but never an unbounded scratch allocation.
-func (pl *Planner) kernelFor(nnz float64, to hin.TypeID) metapath.Kernel {
-	if nnz <= metapath.MergeMaxFrontier {
-		pl.count(planKernelAuto)
-		return metapath.KernelAuto
-	}
-	if lo, hi, ok := pl.g.TypeIDSpan(to); ok && int64(hi)-int64(lo) < metapath.MaxDenseSpan {
-		pl.count(planKernelDense)
-		return metapath.KernelDense
-	}
-	pl.count(planKernelMap)
-	return metapath.KernelMap
-}
-
 // reuseLikely reports whether persisted intermediates can expect reuse:
 // optimistically yes during warmup (no signal yet), afterwards only while
 // the cache's observed hit rate clears the floor. A standalone planner
@@ -281,8 +245,13 @@ func (pl *Planner) reuseLikely(loads int64) bool {
 
 // renderPlan formats one plan as a single trace/event line, e.g.
 //
-//	plan (0 1 0 1 0): est=[1 3 9 27 81] kernels=[auto dense dense dense] persist=[3 4]
-func renderPlan(p metapath.Path, pp *pathPlan, reuse bool) string {
+//	plan (0 1 2 1 0): est=[1 3 2 90 200] persist=[3] waist=venue@2
+//
+// waist= names the boundaries misses of this path finish from (type@hops
+// done): with one, a miss expands up to it and combines the rest, which is
+// why it is fast — or, marked "(dropped)", why it no longer is: the suffix's
+// table outgrew its share of the budget.
+func (pl *Planner) renderPlan(p metapath.Path, pp *pathPlan, reuse bool) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan %s: est=[", p.String())
 	for i, e := range pp.est {
@@ -290,13 +259,6 @@ func renderPlan(p metapath.Path, pp *pathPlan, reuse bool) string {
 			sb.WriteByte(' ')
 		}
 		fmt.Fprintf(&sb, "%.0f", e)
-	}
-	sb.WriteString("] kernels=[")
-	for i, k := range pp.kernels {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(k.String())
 	}
 	sb.WriteString("] persist=[")
 	first := true
@@ -311,6 +273,21 @@ func renderPlan(p metapath.Path, pp *pathPlan, reuse bool) string {
 		first = false
 	}
 	sb.WriteString("]")
+	ratio := waistRatio
+	if pl.st != nil {
+		ratio = pl.st.waists.ratio
+	}
+	sep := " waist="
+	for b := 1; b < p.Hops(); b++ {
+		if !isWaist(pl.g, p, b, ratio) {
+			continue
+		}
+		fmt.Fprintf(&sb, "%s%s@%d", sep, pl.g.Schema().TypeName(p.Type(b)), b)
+		if pl.st != nil && pl.st.waistDropped(p.Key()[b:]) {
+			sb.WriteString("(dropped)")
+		}
+		sep = ","
+	}
 	if !reuse {
 		sb.WriteString(" (reuse unlikely: persistence off)")
 	}

@@ -73,8 +73,8 @@ type sharedCacheState struct {
 	// misses resume from the longest cached prefix of the path and may
 	// persist intermediate frontiers for other paths to resume from.
 	subpath bool
-	// planner drives the kernel/persist decisions of subpath evaluation;
-	// nil means the naive policy (adaptive kernels, persist everything).
+	// planner drives the persist decisions of subpath evaluation; nil means
+	// the naive policy (persist everything).
 	planner *Planner
 	// plannerOff suppresses the default planner under WithSubpathCache.
 	plannerOff bool
@@ -82,6 +82,10 @@ type sharedCacheState struct {
 	// traversers pools per-goroutine scratch space for cache misses
 	// (metapath.Traverser is not safe for concurrent use).
 	traversers sync.Pool
+
+	// waists are the suffix-vector tables subpath misses finish from
+	// (waist.go); their bytes are part of bytes below.
+	waists waistSet
 
 	// victim rotates eviction across shards (approximate global LRU).
 	victim atomic.Uint64
@@ -94,7 +98,8 @@ type sharedCacheState struct {
 
 	// prefixHits counts misses that resumed from a cached proper-prefix
 	// frontier instead of traversing from the source; hopsSaved totals the
-	// hops those resumes skipped. Both are zero outside subpath mode.
+	// hops misses did not expand: those before a resume and those after a
+	// waist. Both are zero outside subpath mode.
 	prefixHits atomic.Int64
 	hopsSaved  atomic.Int64
 
@@ -105,7 +110,7 @@ type sharedCacheState struct {
 }
 
 func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
-	st := &sharedCacheState{g: g, maxBytes: maxBytes}
+	st := &sharedCacheState{g: g, maxBytes: maxBytes, waists: waistSet{ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare}}
 	st.traversers.New = func() any { return metapath.NewTraverser(g) }
 	for i := range st.shards {
 		st.shards[i].entries = make(map[ckey]*list.Element)
@@ -198,16 +203,19 @@ func (st *sharedCacheState) load(p metapath.Path, v hin.VertexID, key ckey) (spa
 
 // materializeDecomposed computes Φ_P(v) by subpath decomposition: resume
 // hop-by-hop expansion from the longest cached prefix frontier of P at v,
-// persisting the intermediates the planner deems profitable along the way.
+// persisting the intermediates the planner deems profitable along the way,
+// and stop expanding at the first waist the frontier reaches (waist.go): the
+// rest of the path is then combined from that waist's table of suffix vectors.
 //
 // Bit-identity: a cached prefix entry is, by induction, exactly the frontier
 // whole-path traversal holds after that prefix's hops (the entry was itself
 // produced by this expansion sequence from the seed vertex), and every
 // expansion kernel is bit-equal, so resuming performs the identical floating-
 // point operation sequence as Traverser.NeighborVector — Float64bits-equal
-// output, not merely approximately equal. Suffix recombination (summing
-// Φ_suffix over the frontier) would reassociate the additions and break this,
-// which is why only prefix reuse is implemented.
+// output, not merely approximately equal. Finishing at a waist reassociates
+// the additions instead, which is invisible exactly while every count is
+// below 2⁵³ (Traverser.Combine checks, and says why); a combination that
+// leaves that domain is thrown away and the hops are expanded after all.
 //
 // The caller (load) holds the singleflight slot for the FULL key only;
 // prefix probes and intermediate inserts touch one shard lock at a time, so
@@ -233,30 +241,50 @@ func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexI
 		}
 	}
 	tr := st.traversers.Get().(*metapath.Traverser)
+	defer st.traversers.Put(tr)
+	saved := startHop
 	for hop := startHop; hop < p.Hops(); hop++ {
-		kern := metapath.KernelAuto
-		if plan != nil {
-			kern = plan.kernels[hop]
-		}
-		cur = tr.ExpandWith(kern, cur, p.Type(hop+1))
-		if cur.IsZero() {
-			break // empty frontier: Φ_P(v) is zero, like whole-path traversal
+		if !cur.IsZero() && isWaist(st.g, p, hop, st.waists.ratio) {
+			vec, ok, err := st.finishAtWaist(tr, p, hop, cur)
+			if err != nil {
+				return sparse.Vector{}, err
+			}
+			if ok {
+				cur = vec
+				saved += p.Hops() - hop
+				st.waists.finished.Add(1)
+				break
+			}
 		}
 		// Persist the boundary frontier (prefix of hop+2 types) when the plan
 		// marks it profitable; without a planner, persist everything and let
-		// the LRU sort it out.
-		if b := hop + 2; b < p.Len() && (plan == nil || plan.persist[b]) {
+		// the LRU sort it out. Only a frontier that escapes — to the cache or
+		// the caller — is allocated; the others live in the traverser's hop
+		// scratch, the previous one in the other slot.
+		b := hop + 2
+		persist := b < p.Len() && (plan == nil || plan.persist[b])
+		if persist || b == p.Len() {
+			cur = tr.Expand(cur, p.Type(hop+1))
+		} else {
+			cur = tr.ExpandScratch(cur, p.Type(hop+1), hop)
+		}
+		if cur.IsZero() {
+			break // empty frontier: Φ_P(v) is zero, like whole-path traversal
+		}
+		if persist {
 			st.insert(ckey{path: pk[:b], v: v}, cur)
 			if st.planner != nil {
 				st.planner.count(planPersistIntermediate)
 			}
 		}
 	}
-	st.traversers.Put(tr)
+	if cur.IsZero() {
+		cur = sparse.Vector{} // never a view of hop scratch
+	}
 	st.insert(key, cur)
+	st.hopsSaved.Add(int64(saved))
 	if startHop > 0 {
 		st.prefixHits.Add(1)
-		st.hopsSaved.Add(int64(startHop))
 		if st.planner != nil {
 			st.planner.count(planPrefixResume)
 		}
@@ -273,8 +301,8 @@ func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexI
 // budget is then enforced by evicting LRU tails, rotating across shards.
 func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
 	size := cacheEntrySize(key, vec)
-	if size > st.maxBytes {
-		return // larger than the whole cache: do not thrash
+	if size > st.maxBytes-st.waists.bytes.Load() {
+		return // larger than the whole LRU: do not thrash
 	}
 	sh := st.shard(key)
 	sh.mu.Lock()
@@ -290,10 +318,13 @@ func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
 	sh.bytes += size
 	sh.mu.Unlock()
 	st.bytes.Add(size)
-	for st.bytes.Load() > st.maxBytes {
-		if !st.evictOne() {
-			break
-		}
+	st.enforceBudget()
+}
+
+// enforceBudget evicts LRU tails, rotating across shards, until the cache —
+// entries and waist tables — is back under its byte budget.
+func (st *sharedCacheState) enforceBudget() {
+	for st.bytes.Load() > st.maxBytes && st.evictOne() {
 	}
 }
 
@@ -333,20 +364,22 @@ func (st *sharedCacheState) matStats() MatStats {
 
 func (st *sharedCacheState) cacheStats() CacheStats {
 	return CacheStats{
-		Hits:       st.hits.Load(),
-		Misses:     st.misses.Load(),
-		Evictions:  st.evictions.Load(),
-		Deduped:    st.deduped.Load(),
-		PrefixHits: st.prefixHits.Load(),
-		HopsSaved:  st.hopsSaved.Load(),
-		Bytes:      st.bytes.Load(),
+		Hits:          st.hits.Load(),
+		Misses:        st.misses.Load(),
+		Evictions:     st.evictions.Load(),
+		Deduped:       st.deduped.Load(),
+		PrefixHits:    st.prefixHits.Load(),
+		HopsSaved:     st.hopsSaved.Load(),
+		WaistFinishes: st.waists.finished.Load(),
+		Bytes:         st.bytes.Load(),
 	}
 }
 
-// recomputeBytes walks every shard and re-sums entry sizes; tests use it to
-// verify the atomic byte accounting against ground truth.
+// recomputeBytes walks every shard and every waist table and re-sums what
+// they hold; tests use it to verify the atomic byte accounting against ground
+// truth.
 func (st *sharedCacheState) recomputeBytes() int64 {
-	var total int64
+	total := st.recomputeWaistBytes()
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()

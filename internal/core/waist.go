@@ -1,0 +1,224 @@
+package core
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"netout/internal/hin"
+	"netout/internal/metapath"
+	"netout/internal/sparse"
+)
+
+// Waist tables: where a subpath-cache miss stops expanding and finishes by
+// Section 6.2's decomposition, Φ_{P1·P2}(v) = Σ_j |π_P1(v,vj)|·Φ_P2(vj).
+//
+// A waist is an interior boundary of a path whose type is much smaller than
+// the types on both sides of it (a venue between papers): every walk is
+// squeezed through a few vertices there and fans out again, so the rest of
+// the path is a weighted sum of a few per-vertex vectors that every other
+// walk through the same vertices needs too. Those vectors — Φ_{P[b:]}(u) for
+// each vertex u of the waist's type — live in a waistTable, filled on first
+// use by one plain traversal and never evicted one by one: the LRU beside it
+// holds a handful of entries per shard on a small budget and would churn
+// exactly the entries every miss needs. The tables are charged to the cache's
+// byte budget (sharedCacheState.bytes), so the LRU shrinks to what they leave;
+// a table that outgrows its share is dropped whole and its suffix expanded
+// from then on.
+
+const (
+	// waistRatio is how many times smaller than BOTH its neighbours on the path
+	// a type must be for its boundary to be a waist: one slot then stands for at
+	// least that many vertices on either side, so a table is small next to the
+	// entries it competes with for the budget and every slot is shared widely.
+	// It is a screen for bytes, not for time. In BenchmarkWaist's waist= rows
+	// (BENCH_kernel.json; table in DESIGN.md "Subpath-decomposed cache")
+	// combining beats expanding per miss wherever it was measured — 4–370× on
+	// the generator's venues at 290, 33 and 16 papers per venue (rule: yes),
+	// 3–10× at 8 and 2, 4–32× at its terms (10 papers each) and authors (4;
+	// rule: no) — while a full table grows from 34–146 KiB at 290 papers per
+	// venue to 0.3–3.4 MiB at 16 and 0.4–26 MiB below, and the author and term
+	// tables take 0.4–1.3 MiB: a small cache's whole allowance for tables, of
+	// which they would fill a quarter before being dropped.
+	waistRatio = 16
+	// waistTableShare and waistTotalShare bound the tables by what they
+	// actually hold: one table at most 1/waistTableShare of the byte budget,
+	// all of them together 1/waistTotalShare. In BenchmarkWaist's budget= rows
+	// (a spill-shaped load list on a 1 MiB cache) these shares admit both venue
+	// tables of the serving benchmark's graph (179 KiB, 17 % of the budget) and
+	// run level with unbounded tables (52 against 58 µs per load, 144 without
+	// tables); a share that drops the larger table gives back half the gain
+	// (83–86 µs), and the LRU's hit rate moves by under a point either way.
+	waistTableShare = 4
+	waistTotalShare = 2
+	// waistSlotOverhead is charged per filled slot beside the coordinates: the
+	// heap copy of the vector's two slice headers.
+	waistSlotOverhead = 2 * 24
+)
+
+// waistTable holds Φ_suffix(u) for the vertices u of the suffix's source
+// type, one slot per vertex in the order of Graph.VerticesOfType. Not
+// visPath's ID-span layout: a type worth a table is a small one, and a loader
+// that interleaves types spreads it over the whole ID range (the generator's
+// 58 venues span 21 417 IDs — 171 KB of empty slots per table, more than the
+// vectors); finding a slot is a binary search over a few dozen IDs instead.
+type waistTable struct {
+	suffix metapath.Path
+	ids    []hin.VertexID // Graph.VerticesOfType(suffix.Source()): ascending
+	// A nil slot is unfilled; the zero vector is a legitimate Φ. Every writer
+	// of a slot stores the same vector — Φ is a function of (path, vertex) —
+	// and stored vectors are immutable, so readers need atomicity only.
+	slots []atomic.Pointer[sparse.Vector]
+	// bytes is what the table is charged for (guarded by waistSet.mu).
+	bytes int64
+}
+
+// waistSet is the tables of one cache, shared by all its views.
+type waistSet struct {
+	// ratio, tableShare and totalShare are waistRatio, waistTableShare and
+	// waistTotalShare (tests lower the ratio to reach the branch on small
+	// graphs; BenchmarkWaist varies the shares).
+	ratio                  int
+	tableShare, totalShare int64
+
+	mu sync.Mutex
+	// tables maps a suffix's key to its table; a nil entry is a suffix whose
+	// table was dropped: it is not retried, and takes no more fills from the
+	// misses still holding it.
+	tables map[string]*waistTable
+
+	bytes    atomic.Int64 // of all live tables; part of sharedCacheState.bytes
+	finished atomic.Int64 // misses finished by combination
+}
+
+// isWaist reports whether the frontier after b hops of p stands at a waist:
+// at least one hop done, at least two to go, and the type there at least
+// ratio times smaller than both its neighbours on the path.
+func isWaist(g *hin.Graph, p metapath.Path, b, ratio int) bool {
+	if b < 1 || p.Hops()-b < 2 {
+		return false
+	}
+	n := g.NumVerticesOfType(p.Type(b)) * ratio
+	return n > 0 && n <= g.NumVerticesOfType(p.Type(b-1)) && n <= g.NumVerticesOfType(p.Type(b+1))
+}
+
+// finishAtWaist completes Φ_p from frontier, the frontier after b hops of p,
+// by combination over the table of p's suffix from b. ok is false — and the
+// caller keeps expanding, frontier untouched — when the suffix has no table
+// (dropped, or never affordable) or a combined count reached 2⁵³, where the
+// sums stop being order-free (Traverser.Combine).
+func (st *sharedCacheState) finishAtWaist(tr *metapath.Traverser, p metapath.Path, b int, frontier sparse.Vector) (out sparse.Vector, ok bool, err error) {
+	tbl := st.waistTable(p.Key()[b:])
+	if tbl == nil {
+		return sparse.Vector{}, false, nil
+	}
+	out, ok = tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
+		vec, e := st.waistVector(tbl, u)
+		if e != nil {
+			err = e
+		}
+		return vec
+	}, p.Target())
+	return out, ok && err == nil, err
+}
+
+// waistTable returns the table of the suffix with the given key, creating it
+// — every slot empty — when its slot array fits the shares; nil otherwise.
+func (st *sharedCacheState) waistTable(suffix string) *waistTable {
+	ws := &st.waists
+	ws.mu.Lock()
+	tbl, known := ws.tables[suffix]
+	if !known {
+		p := metapath.FromKey(suffix)
+		tbl = &waistTable{suffix: p, ids: st.g.VerticesOfType(p.Source())}
+		if ws.tables == nil {
+			ws.tables = make(map[string]*waistTable)
+		}
+		ws.tables[suffix] = tbl
+		if st.growWaistLocked(tbl, 8*int64(len(tbl.ids))) {
+			tbl.slots = make([]atomic.Pointer[sparse.Vector], len(tbl.ids))
+		} else {
+			tbl = nil
+		}
+	}
+	ws.mu.Unlock()
+	if !known {
+		st.enforceBudget()
+	}
+	return tbl
+}
+
+// waistVector returns Φ_suffix(u) from tbl, filling the slot by one traversal
+// when it is empty. A fill is a traversed vector but no load: the miss it
+// serves is counted by its own flight. A vector the table cannot take (it was
+// dropped, now or meanwhile) is still the caller's to use.
+func (st *sharedCacheState) waistVector(tbl *waistTable, u hin.VertexID) (sparse.Vector, error) {
+	i, _ := slices.BinarySearch(tbl.ids, u) // found: u is of the suffix's source type
+	slot := &tbl.slots[i]
+	if vec := slot.Load(); vec != nil {
+		return *vec, nil
+	}
+	// The caller's traverser holds the frontier in its hop scratch.
+	tr := st.traversers.Get().(*metapath.Traverser)
+	vec, err := tr.NeighborVector(tbl.suffix, u)
+	st.traversers.Put(tr)
+	if err != nil {
+		return sparse.Vector{}, err
+	}
+	st.traversedVecs.Add(1)
+	if cap(vec.Idx) > len(vec.Idx) {
+		vec = vec.Clone() // stored at the size of its non-zeros
+	}
+	ws := &st.waists
+	ws.mu.Lock()
+	if ws.tables[tbl.suffix.Key()] == tbl && slot.Load() == nil && st.growWaistLocked(tbl, int64(vec.Bytes())+waistSlotOverhead) {
+		slot.Store(&vec)
+	}
+	ws.mu.Unlock()
+	st.enforceBudget()
+	return vec, nil
+}
+
+// growWaistLocked charges n more bytes to tbl, or drops it — false — when
+// that would take it, or all tables together, past their share of the budget.
+func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
+	ws := &st.waists
+	if tbl.bytes+n > st.maxBytes/ws.tableShare || ws.bytes.Load()+n > st.maxBytes/ws.totalShare {
+		ws.tables[tbl.suffix.Key()] = nil
+		ws.bytes.Add(-tbl.bytes)
+		st.bytes.Add(-tbl.bytes)
+		tbl.bytes = 0
+		return false
+	}
+	tbl.bytes += n
+	ws.bytes.Add(n)
+	st.bytes.Add(n)
+	return true
+}
+
+// waistDropped reports whether the suffix's table was dropped for its size.
+func (st *sharedCacheState) waistDropped(suffix string) bool {
+	st.waists.mu.Lock()
+	defer st.waists.mu.Unlock()
+	tbl, known := st.waists.tables[suffix]
+	return known && tbl == nil
+}
+
+// recomputeWaistBytes re-sums what the live tables hold, for recomputeBytes.
+func (st *sharedCacheState) recomputeWaistBytes() int64 {
+	st.waists.mu.Lock()
+	defer st.waists.mu.Unlock()
+	var total int64
+	for _, tbl := range st.waists.tables {
+		if tbl == nil {
+			continue
+		}
+		total += 8 * int64(len(tbl.slots))
+		for i := range tbl.slots {
+			if vec := tbl.slots[i].Load(); vec != nil {
+				total += int64(vec.Bytes()) + waistSlotOverhead
+			}
+		}
+	}
+	return total
+}

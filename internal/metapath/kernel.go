@@ -167,23 +167,28 @@ func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID, buf sp
 		return sparse.Vector{} // no vertices of the target type at all
 	}
 	tr.counts.Dense++
-	if tr.dense == nil {
-		tr.dense = sparse.NewDenseAccumulator(0)
-	}
-	tr.dense.Grow(int(hi) - int(lo) + 1)
-	base := int32(lo)
+	acc, base := tr.denseOver(lo, hi), int32(lo)
 	for i := range frontier.Idx {
 		w := frontier.Val[i]
 		nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[i]), next)
 		for j, u := range nbrs {
-			tr.dense.Add(int32(u)-base, float64(w*float64(mults[j])))
+			acc.Add(int32(u)-base, float64(w*float64(mults[j])))
 		}
 	}
-	out := tr.dense.TakeInto(buf)
+	out := acc.TakeInto(buf)
 	for i := range out.Idx {
 		out.Idx[i] += base
 	}
 	return out
+}
+
+// denseOver returns the dense scratch, grown to hold the ID span [lo, hi].
+func (tr *Traverser) denseOver(lo, hi hin.VertexID) *sparse.DenseAccumulator {
+	if tr.dense == nil {
+		tr.dense = sparse.NewDenseAccumulator(0)
+	}
+	tr.dense.Grow(int(hi) - int(lo) + 1)
+	return tr.dense
 }
 
 // expandPull is the gather kernel: out[u] = Σ_w in[w]·mult(u,w) over u's

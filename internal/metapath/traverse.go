@@ -259,25 +259,74 @@ func (tr *Traverser) seedWalk(ctx context.Context, p Path, hops int, seed sparse
 // expansion kernel is chosen per hop (tiny frontiers merge sorted CSR rows
 // directly; a frontier that is most of its type is gathered by the target
 // type's rows; others scatter into a dense scratch; the map accumulator is
-// the fallback for huge sparse types). Expand does not require the frontier
-// to be sorted, only duplicate-free.
+// the fallback for huge sparse types). All kernels are bit-equal, so the
+// choice affects speed only, never the vector. Expand does not require the
+// frontier to be sorted, only duplicate-free.
 func (tr *Traverser) Expand(frontier sparse.Vector, next hin.TypeID) sparse.Vector {
-	return tr.ExpandWith(KernelAuto, frontier, next)
+	return tr.expandInto(KernelAuto, frontier, next, sparse.Vector{})
 }
 
-// ExpandWith is Expand with the kernel chosen by the caller — the hook the
-// cost-based planner uses to pin a kernel per hop. KernelAuto defers to the
-// adaptive heuristic (and to any SetKernel override). All kernels are
-// bit-equal, so the choice affects speed only, never the vector.
-func (tr *Traverser) ExpandWith(k Kernel, frontier sparse.Vector, next hin.TypeID) sparse.Vector {
-	return tr.expandInto(k, frontier, next, sparse.Vector{})
+// ExpandScratch is Expand for a frontier the caller will not keep: the
+// result lives in hop buffer slot (0 or 1) and is valid until that slot is
+// written again — by this method or by any walk (NeighborVector, SetVector,
+// SeedVector, SeedValues, Visibility). The frontier may live in the other
+// slot, so a caller walking hop by hop alternates slots and allocates nothing
+// once the buffers have grown.
+func (tr *Traverser) ExpandScratch(frontier sparse.Vector, next hin.TypeID, slot int) sparse.Vector {
+	b := &tr.hops[slot&1]
+	out := tr.expandInto(KernelAuto, frontier, next, *b)
+	if cap(out.Idx) > 0 && cap(out.Idx) <= maxHopBuf {
+		*b = out // keep the (possibly grown) buffer
+	}
+	return out
 }
 
-// expandInto is ExpandWith with an output buffer: the merge, pull and dense
-// kernels write the result into buf's storage when it has room, so the
-// result may alias buf (and never aliases anything else the traverser
-// owns). The zero buf always yields a freshly allocated vector — the only
-// kind that may escape to a caller, a cache or an index.
+// Combine returns Σ_i frontier.Val[i]·suffix(frontier.Idx[i]): Section 6.2's
+// decomposition Φ_{P1·P2}(v) = Σ_j |π_P1(v,vj)|·Φ_P2(vj), with frontier the
+// vector Φ_P1(v) and suffix(vj) the vector Φ_P2(vj), whose coordinates are
+// vertices of type target. The sums are scattered into the dense scratch the
+// dense kernel uses, offset by target's ID span; the result is freshly
+// allocated at the size of its non-zeros.
+//
+// exact reports that every coordinate of the result is below 2⁵³. All terms
+// are non-negative, so every product and partial sum is bounded by the
+// coordinate it ends in: below 2⁵³ each was an exactly represented integer
+// and nothing was rounded — and walking P1·P2 hop by hop from v adds up the
+// same integers under the same bound, so the result is Float64bits-identical
+// to NeighborVector's (SeedVector's argument). Otherwise the vector must not
+// be used; exact is also false, nothing computed, when target's span is past
+// MaxDenseSpan.
+func (tr *Traverser) Combine(frontier sparse.Vector, suffix func(hin.VertexID) sparse.Vector, target hin.TypeID) (out sparse.Vector, exact bool) {
+	lo, hi, ok := tr.g.TypeIDSpan(target)
+	if !ok {
+		return sparse.Vector{}, true // no vertex of the target type: Φ is zero
+	}
+	if int64(hi)-int64(lo) >= MaxDenseSpan {
+		return sparse.Vector{}, false
+	}
+	acc, base := tr.denseOver(lo, hi), int32(lo)
+	for i, u := range frontier.Idx {
+		w, vec := frontier.Val[i], suffix(hin.VertexID(u))
+		for k, ix := range vec.Idx {
+			acc.Add(ix-base, w*vec.Val[k])
+		}
+	}
+	out, exact = acc.Take(), true
+	for i := range out.Idx {
+		out.Idx[i] += base
+		if !(out.Val[i] < maxExactCount) { // an overflow to +Inf fails too
+			exact = false
+		}
+	}
+	return out, exact
+}
+
+// expandInto is Expand with a kernel of the caller's choice and an output
+// buffer: the merge, pull and dense kernels write the result into buf's
+// storage when it has room, so the result may alias buf (and never aliases
+// anything else the traverser owns). The zero buf always yields a freshly
+// allocated vector — the only kind that may escape to a caller, a cache or an
+// index.
 func (tr *Traverser) expandInto(k Kernel, frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	if k == KernelAuto {
 		k = tr.pick(frontier, next)

@@ -284,7 +284,7 @@ func TestExpositionConformance(t *testing.T) {
 	reg.Histogram("netout_shard_merge_seconds", "Merge latency.", nil).Observe(0.0004)
 	// The subpath planner's decision family: CounterFunc samples sharing one
 	// family, split by a choice label (core.RegisterMaterializerMetrics shape).
-	planChoices := []string{"full-traverse", "prefix-resume", "persist-intermediate", "kernel-auto", "kernel-dense", "kernel-map"}
+	planChoices := []string{"full-traverse", "prefix-resume", "persist-intermediate"}
 	for i, choice := range planChoices {
 		v := float64(i + 1)
 		reg.CounterFunc(`netout_plan_decisions_total{choice="`+choice+`"}`, "Planner decisions.",

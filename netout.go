@@ -298,10 +298,12 @@ type CacheOption = core.CacheOption
 
 // WithSubpathCache enables subpath-decomposed evaluation: cache entries are
 // shared at (canonical subpath, vertex) granularity across queries and
-// views, misses resume from the longest cached prefix of the meta-path, and
+// views, misses resume from the longest cached prefix of the meta-path,
 // profitable intermediate frontiers are persisted under the same byte
-// budget. Results are bit-identical to whole-path evaluation; only the work
-// skipped changes.
+// budget, and a miss whose frontier reaches a waist of the path (a type much
+// smaller than its neighbours) is finished from a table of suffix vectors
+// under that budget too. Results are bit-identical to whole-path evaluation;
+// only the work skipped changes.
 func WithSubpathCache() CacheOption { return core.WithSubpathCache() }
 
 // WithCachePlanner toggles the cost-based planner steering subpath
@@ -319,7 +321,8 @@ func PlannerOf(m Materializer) *Planner { return core.PlannerOf(m) }
 // CacheStats reports hit/miss/eviction counters of a cached materializer.
 // Under concurrent use Deduped counts loads that were coalesced into
 // another goroutine's in-flight traversal (a subset of Hits). In subpath
-// mode PrefixHits/HopsSaved report partial reuse on the miss path.
+// mode PrefixHits/WaistFinishes/HopsSaved report partial reuse on the miss
+// path.
 type CacheStats = core.CacheStats
 
 // CacheStatsOf extracts cache counters from a NewCached materializer.
