@@ -27,7 +27,6 @@ import (
 	"testing"
 
 	"netout"
-	"netout/internal/gen"
 	"netout/internal/sparse"
 )
 
@@ -773,71 +772,5 @@ func BenchmarkSuggestFeatures(b *testing.B) {
 		if _, err := eng.SuggestFeatures(src, 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkWorkload replays a Zipf-skewed stream of queries whose feature
-// meta-paths overlap — short paths are prefixes of longer ones, popular
-// anchors recur under different features — the cross-query reuse pattern
-// the subpath cache targets. Three arms share the exact same stream and
-// byte budget: a whole-path cache, the subpath-decomposed cache with the
-// cost-based planner, and the subpath cache with the planner disabled
-// (persist everything). ns/op is per query; the cache stays warm across
-// iterations, so long runs measure the steady state. hit-pct counts full
-// cache hits — a prefix entry persisted while answering a long path IS the
-// short path's entry, which is why the subpath arms convert whole-path
-// misses into hits. prefix-resumes counts misses that restarted from a
-// cached prefix frontier instead of the anchor vertex.
-//
-// CI runs this with -benchtime=1x on a single vCPU (smoke only). The
-// committed BENCH_workload.json comes from `make bench-workload` on an
-// unloaded multi-core machine.
-func BenchmarkWorkload(b *testing.B) {
-	f := getFixture(b)
-	names, err := netout.RandomVertexNames(f.graph, "author", 100, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	features := []string{
-		"author.paper.venue",
-		"author.paper.venue.paper.author",
-		"author.paper.venue.paper.author.paper.venue",
-		"author.paper.author",
-		"author.paper.author.paper.venue",
-		"author.paper.author.paper.term",
-	}
-	anchorPick := gen.NewZipfSampler(len(names), 0.9)
-	featPick := gen.NewZipfSampler(len(features), 0.7)
-	r := rand.New(rand.NewSource(11))
-	stream := make([]string, 1024)
-	for i := range stream {
-		stream[i] = fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY %s TOP 10;`,
-			names[anchorPick.Sample(r)], features[featPick.Sample(r)])
-	}
-	const budget = 32 << 20
-	for _, arm := range []struct {
-		name string
-		opts []netout.CacheOption
-	}{
-		{"wholepath", nil},
-		{"subpath", []netout.CacheOption{netout.WithSubpathCache()}},
-		{"subpath-noplanner", []netout.CacheOption{netout.WithSubpathCache(), netout.WithCachePlanner(false)}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			mat, err := netout.NewCached(f.graph, budget, arm.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := netout.NewEngine(f.graph, netout.WithMaterializer(mat))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(stream[i%len(stream)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cs, _ := netout.CacheStatsOf(mat)
-			b.ReportMetric(100*cs.HitRate(), "hit-pct")
-			b.ReportMetric(float64(cs.PrefixHits), "prefix-resumes")
-		})
 	}
 }

@@ -47,8 +47,7 @@ func main() {
 		strategy    = flag.String("strategy", "baseline", "materialization strategy: baseline, pm, spm or cached")
 		threshold   = flag.Float64("spm-threshold", 0.01, "SPM relative frequency threshold")
 		cacheMB     = flag.Int("cache-mb", 64, "cache size in MB for -strategy cached")
-		subpath     = flag.Bool("subpath-cache", false, "with -strategy cached: share cache entries at (subpath, vertex) granularity, resuming misses from cached prefixes")
-		planner     = flag.Bool("planner", true, "with -subpath-cache: steer kernel and persistence choices with the cost-based planner (false = naive persist-everything policy)")
+		_           = flag.Bool("subpath-cache", false, "deprecated, ignored: -strategy cached always keys its cache on (subpath, vertex)")
 		saveIndex   = flag.String("save-index", "", "write the pm/spm index to this file after building")
 		loadIndex   = flag.String("load-index", "", "load a previously saved index instead of building one")
 		combine     = flag.String("combine", "average", "multi-path combination: average or concat")
@@ -115,7 +114,7 @@ func main() {
 				mat.Strategy(), float64(mat.IndexBytes())/1e6, *loadIndex)
 		}
 	} else {
-		mat, err = buildMaterializer(g, *strategy, *threshold, int64(*cacheMB)<<20, *subpath, *planner, queries, *quiet)
+		mat, err = buildMaterializer(g, *strategy, *threshold, int64(*cacheMB)<<20, queries, *quiet)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -319,16 +318,12 @@ func splitStatements(src string) []string {
 	return out
 }
 
-func buildMaterializer(g *netout.Graph, strategy string, threshold float64, cacheBytes int64, subpath, planner bool, queries []string, quiet bool) (netout.Materializer, error) {
+func buildMaterializer(g *netout.Graph, strategy string, threshold float64, cacheBytes int64, queries []string, quiet bool) (netout.Materializer, error) {
 	switch strategy {
 	case "baseline":
 		return netout.NewBaseline(g), nil
 	case "cached":
-		var opts []netout.CacheOption
-		if subpath {
-			opts = append(opts, netout.WithSubpathCache(), netout.WithCachePlanner(planner))
-		}
-		return netout.NewCached(g, cacheBytes, opts...)
+		return netout.NewCached(g, cacheBytes)
 	case "pm":
 		if !quiet {
 			fmt.Println("pre-materializing all length-2 meta-paths (PM) ...")

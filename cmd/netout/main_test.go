@@ -101,7 +101,7 @@ func TestBuildMaterializer(t *testing.T) {
 	g := smallGraph(t)
 	q := `FIND OUTLIERS FROM author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue;`
 	for _, strat := range []string{"baseline", "pm", "spm", "cached"} {
-		mat, err := buildMaterializer(g, strat, 0.5, 1<<20, false, true, []string{q}, true)
+		mat, err := buildMaterializer(g, strat, 0.5, 1<<20, []string{q}, true)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -109,13 +109,13 @@ func TestBuildMaterializer(t *testing.T) {
 			t.Fatalf("%s: nil materializer", strat)
 		}
 	}
-	if _, err := buildMaterializer(g, "spm", 0.5, 0, false, true, nil, true); err == nil {
+	if _, err := buildMaterializer(g, "spm", 0.5, 0, nil, true); err == nil {
 		t.Error("spm without queries should fail")
 	}
-	if _, err := buildMaterializer(g, "cached", 0.5, 0, false, true, nil, true); err == nil {
+	if _, err := buildMaterializer(g, "cached", 0.5, 0, nil, true); err == nil {
 		t.Error("cached with zero budget should fail")
 	}
-	if _, err := buildMaterializer(g, "wat", 0.5, 0, false, true, nil, true); err == nil {
+	if _, err := buildMaterializer(g, "wat", 0.5, 0, nil, true); err == nil {
 		t.Error("unknown strategy should fail")
 	}
 }

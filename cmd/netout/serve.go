@@ -178,6 +178,9 @@ type jsonError struct {
 	} `json:"error"`
 }
 
+// maxQueryBody bounds a POSTed query; a longer body is refused with 413.
+const maxQueryBody = 1 << 20
+
 // serveHandler builds the serve-mode HTTP handler around an existing pool
 // (split from runServe so tests can drive it through httptest). Admin
 // options configure the mux's optional surfaces (readiness, event ring,
@@ -229,10 +232,17 @@ func serveHandler(pool queryExecutor, reg *netout.MetricsRegistry, slow *netout.
 		}
 		src := r.URL.Query().Get("q")
 		if src == "" && r.Body != nil {
-			b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+			// One byte past the limit tells a longer body from one that fits:
+			// OQL needs no terminator, so a silently cut query would parse.
+			b, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody+1))
 			if err != nil {
 				writeError(http.StatusBadRequest, netout.CodeInvalidArgument,
 					"reading request body: "+err.Error())
+				return
+			}
+			if len(b) > maxQueryBody {
+				writeError(http.StatusRequestEntityTooLarge, netout.CodeInvalidArgument,
+					fmt.Sprintf("request body exceeds %d bytes", maxQueryBody))
 				return
 			}
 			src = string(b)

@@ -60,6 +60,7 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 		code     string
 		noBody   bool
 		contains string // substring of the JSON error message
+		pad      int    // blanks between the query and a second feature path
 	}{
 		"overloaded": {
 			err:    netout.ErrOverloaded,
@@ -96,6 +97,14 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 			status: http.StatusNotFound,
 			code:   "NOT_FOUND",
 		},
+		// A body past the limit used to be cut there and its prefix — a
+		// complete query, OQL needs no terminator — answered with 200.
+		"oversized body": {
+			pad:      maxQueryBody,
+			status:   http.StatusRequestEntityTooLarge,
+			code:     "INVALID_ARGUMENT",
+			contains: "exceeds",
+		},
 		// THE seed bug: an unclassified error must be the server's fault
 		// (500), never blamed on the client's query (400).
 		"unclassified": {
@@ -111,10 +120,16 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 			srv := httptest.NewServer(serveHandler(fake, reg, netout.NewSlowLog(4)))
 			defer srv.Close()
 
-			resp, err := http.Post(srv.URL+"/query", "text/plain",
-				strings.NewReader("FIND OUTLIERS FROM author JUDGED BY author.paper.venue;"))
+			query := "FIND OUTLIERS FROM author JUDGED BY author.paper.venue;"
+			if tc.pad > 0 {
+				query = strings.TrimSuffix(query, ";") + strings.Repeat(" ", tc.pad) + ", author.paper.term TOP 3;"
+			}
+			resp, err := http.Post(srv.URL+"/query", "text/plain", strings.NewReader(query))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.pad > 0 && fake.lastCtx != nil {
+				t.Fatal("the cut query reached the executor")
 			}
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()

@@ -36,10 +36,9 @@ type CacheStats struct {
 	// PrefixHits counts misses that resumed traversal from a cached prefix
 	// frontier instead of the source vertex, WaistFinishes misses that stopped
 	// expanding at a waist of the path and combined the rest from a table of
-	// suffix vectors (subpath mode only); HopsSaved totals the hops both
-	// skipped. Either way the load is still one Miss — it traverses the
-	// network for the other hops — so the Hits+Misses == loads contract is
-	// unchanged.
+	// suffix vectors; HopsSaved totals the hops both skipped. Either way the
+	// load is still one Miss — it traverses the network for the other hops —
+	// so the Hits+Misses == loads contract is unchanged.
 	PrefixHits, WaistFinishes, HopsSaved int64
 	// Bytes is what the cache holds: entries and waist tables.
 	Bytes int64
@@ -65,81 +64,53 @@ func (s CacheStats) String() string {
 	return out
 }
 
-// CacheOption configures a NewCached materializer.
-type CacheOption func(*sharedCacheState)
+// CacheOption is what the deprecated options return. The cache has one mode
+// and nothing to configure; NewCached ignores them.
+type CacheOption struct{}
 
-// WithSubpathCache enables subpath-decomposed evaluation: cache entries are
-// shared at (canonical subpath, vertex) granularity, a miss on Φ_P(v)
-// resumes hop-by-hop expansion from the longest cached prefix of P at v
-// (e.g. an APAPA miss resumes from a cached APA entry, skipping two hops),
-// profitable intermediate frontiers are persisted under the same byte
-// budget for other paths to resume from, and a frontier that reaches a waist
-// of the path — a type much smaller than its neighbours, like a venue
-// between papers — is finished from a table of per-vertex suffix vectors
-// under that budget too. Decomposed evaluation is bit-identical to whole-path
-// traversal (see materializeDecomposed); only which work is skipped changes.
-func WithSubpathCache() CacheOption {
-	return func(st *sharedCacheState) { st.subpath = true }
-}
-
-// WithCachePlanner toggles the cost-based planner for subpath evaluation
-// (default on when WithSubpathCache is set; no effect otherwise). Off means
-// the naive policy: every intermediate persisted, leaving the LRU to discard
-// the unprofitable ones.
-func WithCachePlanner(on bool) CacheOption {
-	return func(st *sharedCacheState) { st.plannerOff = !on }
-}
+// WithSubpathCache does nothing: subpath-decomposed evaluation is the only
+// thing NewCached does.
+//
+// Deprecated: drop the option.
+func WithSubpathCache() CacheOption { return CacheOption{} }
 
 // NewCached returns a materializer that memoizes neighbor vectors in an
 // LRU cache bounded to maxBytes of vector payload (plus fixed per-entry
 // overhead). maxBytes must be positive.
 //
+// Entries are keyed on (canonical subpath, vertex): a miss on Φ_P(v) resumes
+// hop-by-hop expansion from the longest cached prefix of P at v (an APAPA
+// miss resumes from a cached APA entry, skipping two hops), intermediate
+// frontiers small enough for the budget are kept for other paths to resume
+// from, and a frontier that reaches a waist of the path — a type much smaller
+// than its neighbours, like a venue between papers — is finished from a table
+// of per-vertex suffix vectors under that budget too. Decomposed evaluation
+// is bit-identical to whole-path traversal (see materializeDecomposed); only
+// which work is skipped changes.
+//
 // The cache is safe for concurrent use, and concurrent misses on the same
 // (path, vertex) traverse the network once (singleflight). Views created
 // with NewView share the same warm state and counters.
-func NewCached(g *hin.Graph, maxBytes int64, opts ...CacheOption) (Materializer, error) {
+func NewCached(g *hin.Graph, maxBytes int64, _ ...CacheOption) (Materializer, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("core: cache size must be positive, got %d", maxBytes)
 	}
-	st := newSharedCacheState(g, maxBytes)
-	for _, o := range opts {
-		o(st)
-	}
-	if st.subpath && !st.plannerOff {
-		st.planner = newPlanner(g, st)
-	}
-	return &cached{state: st}, nil
+	return &cached{state: newSharedCacheState(g, maxBytes)}, nil
 }
 
 func (c *cached) Strategy() Strategy { return StrategyCached }
 func (c *cached) IndexBytes() int64  { return c.state.bytes.Load() }
 func (c *cached) Stats() MatStats    { return c.state.matStats() }
 
-// CacheStats returns hit/miss/eviction counters, aggregated over every view
-// of the cache. The materializer must have been created by NewCached.
-func (c *cached) CacheStats() CacheStats { return c.state.cacheStats() }
-
-// CacheStatsOf extracts cache counters from a materializer created by
-// NewCached (or any view of one); ok is false for other strategies.
+// CacheStatsOf extracts cache counters, aggregated over every view, from a
+// materializer created by NewCached (or any view of one); ok is false for
+// other strategies.
 func CacheStatsOf(m Materializer) (CacheStats, bool) {
 	c, ok := m.(*cached)
 	if !ok {
 		return CacheStats{}, false
 	}
-	return c.CacheStats(), true
-}
-
-// Planner returns the cost-based planner steering this cache's subpath
-// evaluation, or nil when the planner (or subpath mode) is disabled.
-func (c *cached) Planner() *Planner { return c.state.planner }
-
-// PlannerOf extracts the planner from a materializer created by NewCached
-// (or any view of one); nil for other strategies or when disabled.
-func PlannerOf(m Materializer) *Planner {
-	if c, ok := m.(*cached); ok {
-		return c.state.planner
-	}
-	return nil
+	return c.state.cacheStats(), true
 }
 
 // cacheKey builds the probe key for Φ_P(v). Path.Key is precomputed and

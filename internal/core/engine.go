@@ -544,13 +544,14 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		ReferenceCount: len(refs),
 	}
 	res.Timing.SetRetrieval = time.Since(setStart)
-	// When the materializer runs a subpath planner, stamp its per-path
-	// decisions into the trace during the plan phase; observeQuery copies
-	// them onto the wide event, so /debug/events shows how each feature
-	// path was going to be evaluated.
-	if pl := PlannerOf(e.mat); pl != nil {
+	// A cached materializer names the waist that misses of a feature path
+	// finish from; observeQuery copies the lines onto the wide event, so
+	// /debug/events shows why such a path is cheap — or no longer is.
+	if c, ok := e.mat.(*cached); ok {
 		for _, p := range paths {
-			tr.AddPlan(pl.PlanSummary(p))
+			if line := c.state.waistLine(p); line != "" {
+				tr.AddPlan(line)
+			}
 		}
 	}
 	tr.EndPhase("plan", obs.SpanStats{})

@@ -27,7 +27,6 @@ import (
 //	netout_mat_indexed_vectors_total    counter │
 //	netout_mat_traversal_seconds_total  counter │
 //	netout_mat_indexed_seconds_total    counter ┘
-//	netout_plan_decisions_total{choice} counter (subpath planner only)
 //
 // Only the cached materializer's full MatStats are exported: its counters
 // are shared atomics, safe to read from the scrape goroutine. Baseline and
@@ -71,12 +70,4 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 		func() float64 { return float64(st.traversalNs.Load()) / 1e9 })
 	reg.CounterFunc("netout_mat_indexed_seconds_total", "Seconds spent on warm loads and probes.",
 		func() float64 { return float64(st.indexedNs.Load()) / 1e9 })
-	if pl := st.planner; pl != nil {
-		const planHelp = "Subpath planner decisions by choice (traversal shape, persistence)."
-		for c := planChoice(0); c < planChoiceCount; c++ {
-			c := c
-			reg.CounterFunc(`netout_plan_decisions_total{choice="`+c.String()+`"}`, planHelp,
-				func() float64 { return float64(pl.decisions[c].Load()) })
-		}
-	}
 }

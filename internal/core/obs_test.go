@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"netout/internal/obs"
 	"netout/internal/oql"
@@ -194,9 +195,17 @@ func TestResultTracePhases(t *testing.T) {
 			t.Fatalf("span %d = %q, want %q", i, res.Trace.Spans[i].Phase, want)
 		}
 	}
-	sum, total := res.Trace.PhaseSum(), res.Trace.Total
-	if sum > total || total-sum > total/20 {
-		t.Fatalf("phase sum %v vs total %v: off by more than 5%%", sum, total)
+	// Spans are contiguous by construction: each starts where the previous
+	// one ended, the first at the trace's beginning, and none outlasts it.
+	var next time.Duration
+	for i, sp := range res.Trace.Spans {
+		if sp.Start != next {
+			t.Fatalf("span %d (%s) starts at %v, the previous one ended at %v", i, sp.Phase, sp.Start, next)
+		}
+		next = sp.Start + sp.Duration
+	}
+	if sum, total := res.Trace.PhaseSum(), res.Trace.Total; sum != next || sum > total {
+		t.Fatalf("phase sum %v, last span ends at %v, total %v", sum, next, total)
 	}
 	matSpan, ok := res.Trace.Span("materialize")
 	if !ok {

@@ -16,18 +16,15 @@ import (
 // to the caller, into the cache, into an index — owns its storage.
 
 // aliasMaterializers builds one of every materializer that traverses through
-// a long-lived Traverser: baseline, the cache (whole-path, subpath with and
-// without the planner) and a PM view, whose longer paths take the
-// traverser's odd-tail hop.
+// a long-lived Traverser: baseline, the cache (ample: every intermediate
+// frontier is copied out of hop scratch and kept; byte-starved: none is, and
+// results are evicted behind the caller's back) and a PM view, whose longer
+// paths take the traverser's odd-tail hop.
 func aliasMaterializers(t *testing.T, g *hin.Graph) map[string]Materializer {
 	t.Helper()
 	mats := map[string]Materializer{"baseline": NewBaseline(g)}
-	for name, opts := range map[string][]CacheOption{
-		"cached":            nil,
-		"subpath":           {WithSubpathCache()},
-		"subpath-noplanner": {WithSubpathCache(), WithCachePlanner(false)},
-	} {
-		m, err := NewCached(g, 64<<20, opts...)
+	for name, maxBytes := range map[string]int64{"cached": 64 << 20, "cached-starved": 900} {
+		m, err := NewCached(g, maxBytes)
 		if err != nil {
 			t.Fatal(err)
 		}

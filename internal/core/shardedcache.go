@@ -69,16 +69,6 @@ type sharedCacheState struct {
 	shards   [cacheShardCount]cacheShard
 	flight   flightGroup
 
-	// subpath enables subpath-decomposed evaluation (WithSubpathCache):
-	// misses resume from the longest cached prefix of the path and may
-	// persist intermediate frontiers for other paths to resume from.
-	subpath bool
-	// planner drives the persist decisions of subpath evaluation; nil means
-	// the naive policy (persist everything).
-	planner *Planner
-	// plannerOff suppresses the default planner under WithSubpathCache.
-	plannerOff bool
-
 	// traversers pools per-goroutine scratch space for cache misses
 	// (metapath.Traverser is not safe for concurrent use).
 	traversers sync.Pool
@@ -99,7 +89,7 @@ type sharedCacheState struct {
 	// prefixHits counts misses that resumed from a cached proper-prefix
 	// frontier instead of traversing from the source; hopsSaved totals the
 	// hops misses did not expand: those before a resume and those after a
-	// waist. Both are zero outside subpath mode.
+	// waist.
 	prefixHits atomic.Int64
 	hopsSaved  atomic.Int64
 
@@ -110,7 +100,10 @@ type sharedCacheState struct {
 }
 
 func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
-	st := &sharedCacheState{g: g, maxBytes: maxBytes, waists: waistSet{ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare}}
+	st := &sharedCacheState{g: g, maxBytes: maxBytes, waists: waistSet{
+		ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare,
+		tables: make(map[string]*waistTable), lines: make(map[string]string),
+	}}
 	st.traversers.New = func() any { return metapath.NewTraverser(g) }
 	for i := range st.shards {
 		st.shards[i].entries = make(map[ckey]*list.Element)
@@ -164,24 +157,13 @@ func (st *sharedCacheState) lookup(key ckey) (sparse.Vector, bool) {
 // raced with a completed insert is served warm too.
 func (st *sharedCacheState) load(p metapath.Path, v hin.VertexID, key ckey) (sparse.Vector, error) {
 	start := time.Now()
-	sh := st.shard(key)
 	traversed := false
 	vec, err := st.flight.do(key, func() (sparse.Vector, error) {
-		if vec, ok := sh.get(key); ok {
+		if vec, ok := st.shard(key).get(key); ok {
 			return vec, nil
 		}
 		traversed = true
-		if st.subpath {
-			return st.materializeDecomposed(p, v, key)
-		}
-		tr := st.traversers.Get().(*metapath.Traverser)
-		vec, err := tr.NeighborVector(p, v)
-		st.traversers.Put(tr)
-		if err != nil {
-			return sparse.Vector{}, err
-		}
-		st.insert(key, vec)
-		return vec, nil
+		return st.materializeDecomposed(p, v, key)
 	})
 	elapsed := time.Since(start).Nanoseconds()
 	if traversed {
@@ -201,11 +183,19 @@ func (st *sharedCacheState) load(p metapath.Path, v hin.VertexID, key ckey) (spa
 	return vec, err
 }
 
+// prefixEntryShare caps one kept intermediate frontier at 1/prefixEntryShare
+// of the cache budget: a single huge frontier must not evict the long tail of
+// small, highly reusable entries. The size is the frontier's own — measured
+// when the miss holds it, not estimated before. Evidence: BenchmarkWaist's
+// budget= rows in BENCH_kernel.json and the served table in DESIGN.md
+// "Subpath-decomposed cache".
+const prefixEntryShare = 64
+
 // materializeDecomposed computes Φ_P(v) by subpath decomposition: resume
 // hop-by-hop expansion from the longest cached prefix frontier of P at v,
-// persisting the intermediates the planner deems profitable along the way,
-// and stop expanding at the first waist the frontier reaches (waist.go): the
-// rest of the path is then combined from that waist's table of suffix vectors.
+// keeping the intermediate frontiers that are small enough along the way, and
+// stop expanding at the first waist the frontier reaches (waist.go): the rest
+// of the path is then combined from that waist's table of suffix vectors.
 //
 // Bit-identity: a cached prefix entry is, by induction, exactly the frontier
 // whole-path traversal holds after that prefix's hops (the entry was itself
@@ -222,18 +212,15 @@ func (st *sharedCacheState) load(p metapath.Path, v hin.VertexID, key ckey) (spa
 // an entry evicted between probe and use merely degrades this call to more
 // traversal — the probed vector value itself is immutable and stays valid.
 func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexID, key ckey) (sparse.Vector, error) {
-	var plan *pathPlan
-	if st.planner != nil {
-		plan = st.planner.planFor(p)
-	}
 	pk := p.Key()
 	// Probe prefixes longest-first. A prefix of k types covers k-1 hops; the
-	// shortest useful prefix has 2 types (1 hop). Probes move entries to the
-	// LRU front but do not count as Hits — the Hits+Misses == loads contract
-	// tracks NeighborVector calls, and this whole call is one Miss.
+	// shortest one kept has 3 types: a one-hop prefix is one adjacency row,
+	// read faster than it is looked up. Probes move entries to the LRU front
+	// but do not count as Hits — the Hits+Misses == loads contract tracks
+	// NeighborVector calls, and this whole call is one Miss.
 	cur := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}
 	startHop := 0
-	for k := p.Len() - 1; k >= 2; k-- {
+	for k := p.Len() - 1; k >= 3; k-- {
 		pref := ckey{path: pk[:k], v: v}
 		if vec, ok := st.shard(pref).get(pref); ok {
 			cur, startHop = vec, k-1
@@ -242,7 +229,6 @@ func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexI
 	}
 	tr := st.traversers.Get().(*metapath.Traverser)
 	defer st.traversers.Put(tr)
-	saved := startHop
 	for hop := startHop; hop < p.Hops(); hop++ {
 		if !cur.IsZero() && isWaist(st.g, p, hop, st.waists.ratio) {
 			vec, ok, err := st.finishAtWaist(tr, p, hop, cur)
@@ -251,45 +237,34 @@ func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexI
 			}
 			if ok {
 				cur = vec
-				saved += p.Hops() - hop
+				st.hopsSaved.Add(int64(p.Hops() - hop))
 				st.waists.finished.Add(1)
 				break
 			}
 		}
-		// Persist the boundary frontier (prefix of hop+2 types) when the plan
-		// marks it profitable; without a planner, persist everything and let
-		// the LRU sort it out. Only a frontier that escapes — to the cache or
-		// the caller — is allocated; the others live in the traverser's hop
-		// scratch, the previous one in the other slot.
-		b := hop + 2
-		persist := b < p.Len() && (plan == nil || plan.persist[b])
-		if persist || b == p.Len() {
+		// Only a frontier that escapes — to the caller or the cache — is
+		// allocated; every intermediate lands in the traverser's hop scratch,
+		// the previous one in the other slot.
+		b := hop + 2 // types covered once this hop is done
+		if b == p.Len() {
 			cur = tr.Expand(cur, p.Type(hop+1))
-		} else {
-			cur = tr.ExpandScratch(cur, p.Type(hop+1), hop)
+			break
 		}
+		cur = tr.ExpandScratch(cur, p.Type(hop+1), hop)
 		if cur.IsZero() {
 			break // empty frontier: Φ_P(v) is zero, like whole-path traversal
 		}
-		if persist {
-			st.insert(ckey{path: pk[:b], v: v}, cur)
-			if st.planner != nil {
-				st.planner.count(planPersistIntermediate)
-			}
+		if pref := (ckey{path: pk[:b], v: v}); b >= 3 && cacheEntrySize(pref, cur) <= st.maxBytes/prefixEntryShare {
+			st.insert(pref, cur.Clone()) // at the size of its non-zeros
 		}
 	}
 	if cur.IsZero() {
 		cur = sparse.Vector{} // never a view of hop scratch
 	}
 	st.insert(key, cur)
-	st.hopsSaved.Add(int64(saved))
 	if startHop > 0 {
 		st.prefixHits.Add(1)
-		if st.planner != nil {
-			st.planner.count(planPrefixResume)
-		}
-	} else if st.planner != nil {
-		st.planner.count(planFullTraverse)
+		st.hopsSaved.Add(int64(startHop))
 	}
 	return cur, nil
 }

@@ -8,13 +8,14 @@ import (
 	"sync"
 	"testing"
 
+	"netout/internal/hin"
 	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/sparse"
 )
 
-// Tests for the subpath-decomposed cache and its cost-based planner. The
-// load-bearing property throughout: decomposed evaluation is BIT-identical
+// Tests for the subpath-decomposed cache. The load-bearing property
+// throughout: decomposed evaluation is BIT-identical
 // to whole-path evaluation — Float64bits-equal scores and vectors, equal
 // ranks and skip lists — for every kernel, measure, worker count and cache
 // condition (cold, warm, byte-starved). Decomposition may only change which
@@ -67,9 +68,9 @@ var overlappingQueries = []string{
 }
 
 // TestSubpathBitIdenticalProperty is the acceptance property: for every
-// measure × worker count × {planner on, planner off} × {roomy, byte-starved}
-// cache, with each query run cold then warm, the subpath-decomposed engine's
-// output is bit-identical to the baseline engine's.
+// measure × worker count × {ample, byte-starved} cache, with each query run
+// cold then warm, the subpath-decomposed engine's output is bit-identical to
+// the baseline engine's.
 func TestSubpathBitIdenticalProperty(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -77,11 +78,9 @@ func TestSubpathBitIdenticalProperty(t *testing.T) {
 		variants := []struct {
 			name  string
 			bytes int64
-			opts  []CacheOption
 		}{
-			{"planner", 64 << 20, []CacheOption{WithSubpathCache()}},
-			{"noplanner", 64 << 20, []CacheOption{WithSubpathCache(), WithCachePlanner(false)}},
-			{"starved", 900, []CacheOption{WithSubpathCache()}},
+			{"ample", 64 << 20},
+			{"starved", 900},
 		}
 		for _, m := range []Measure{MeasureNetOut, MeasurePathSim, MeasureCosSim} {
 			base := NewEngine(g, WithMeasure(m))
@@ -95,7 +94,7 @@ func TestSubpathBitIdenticalProperty(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				for _, v := range variants {
-					mat, err := NewCached(g, v.bytes, v.opts...)
+					mat, err := NewCached(g, v.bytes)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,7 +113,7 @@ func TestSubpathBitIdenticalProperty(t *testing.T) {
 					if cs.Hits+cs.Misses == 0 {
 						t.Fatalf("seed %d %s: cache saw no loads", seed, v.name)
 					}
-					if v.name == "planner" && cs.PrefixHits == 0 {
+					if v.name == "ample" && cs.PrefixHits == 0 {
 						t.Fatalf("seed %d workers=%d: overlapping queries produced no prefix resumes: %+v", seed, workers, cs)
 					}
 					if cs.HopsSaved < cs.PrefixHits {
@@ -133,7 +132,7 @@ func TestSubpathBitIdenticalProperty(t *testing.T) {
 func TestSubpathKernelsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	g := randomBibGraph(r)
-	mat, err := NewCached(g, 64<<20, WithSubpathCache())
+	mat, err := NewCached(g, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +170,14 @@ func TestSubpathKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSubpathEvictionDegradesToTraversal churns a byte-starved subpath
-// cache (planner off: persist everything, maximum eviction pressure) and
+// TestSubpathEvictionDegradesToTraversal churns a byte-starved cache and
 // checks that an evicted subpath entry only ever costs extra traversal —
 // the vectors stay bit-identical to baseline on every round — while the
 // byte accounting and the Hits+Misses == loads contract hold exactly.
 func TestSubpathEvictionDegradesToTraversal(t *testing.T) {
 	g := fig1Graph(t)
 	const maxBytes = 300 // a couple of entries: constant eviction
-	mat, err := NewCached(g, maxBytes, WithSubpathCache(), WithCachePlanner(false))
+	mat, err := NewCached(g, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestSubpathEvictionDegradesToTraversal(t *testing.T) {
 // full traversal (no prefix available) and still produce the right vector.
 func TestSubpathEvictedPrefixMidWorkload(t *testing.T) {
 	g := fig1Graph(t)
-	mat, err := NewCached(g, 1<<20, WithSubpathCache())
+	mat, err := NewCached(g, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +276,7 @@ func TestSubpathEvictedPrefixMidWorkload(t *testing.T) {
 func TestSubpathConcurrentStress(t *testing.T) {
 	g := fig1Graph(t)
 	const maxBytes = 400
-	mat, err := NewCached(g, maxBytes, WithSubpathCache())
+	mat, err := NewCached(g, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,27 +355,31 @@ func TestSubpathConcurrentStress(t *testing.T) {
 }
 
 // TestCacheProbeNoAllocs pins the hot-path micro-fix: a warm cache probe —
-// key construction included — allocates nothing, for both whole-path and
-// subpath caches. Before Path.Key was precomputed and the cache key became
-// a comparable struct, every probe built a fresh string.
+// key construction included — allocates nothing, on an ample cache and on a
+// byte-starved one that holds the entry and nothing else. Before Path.Key was
+// precomputed and the cache key became a comparable struct, every probe built
+// a fresh string.
 func TestCacheProbeNoAllocs(t *testing.T) {
 	g := fig1Graph(t)
 	p, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
 	a, _ := g.Schema().TypeByName("author")
 	zoe, _ := g.VertexByName(a, "Zoe")
 	for _, tc := range []struct {
-		name string
-		opts []CacheOption
+		name  string
+		bytes int64
 	}{
-		{"wholepath", nil},
-		{"subpath", []CacheOption{WithSubpathCache()}},
+		{"ample", 1 << 20},
+		{"starved", 200},
 	} {
-		mat, err := NewCached(g, 1<<20, tc.opts...)
+		mat, err := NewCached(g, tc.bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := mat.NeighborVector(p, zoe); err != nil { // warm the entry
 			t.Fatal(err)
+		}
+		if cs, _ := CacheStatsOf(mat); cs.Bytes == 0 {
+			t.Fatalf("%s: fixture: the entry does not fit %d bytes", tc.name, tc.bytes)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := mat.NeighborVector(p, zoe); err != nil {
@@ -390,68 +392,12 @@ func TestCacheProbeNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPlannerDecisions unit-tests the cost model: estimate shape, persist
-// gating by the byte budget, decision counters and plan rendering.
-func TestPlannerDecisions(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := randomBibGraph(r)
-	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pl := NewPlanner(g, 64<<20)
-	pp := pl.planFor(p)
-	if len(pp.est) != p.Hops()+1 || pp.est[0] != 1 {
-		t.Fatalf("estimate shape: %v", pp.est)
-	}
-	if len(pp.persist) != p.Len() {
-		t.Fatalf("plan shape: %d persist flags", len(pp.persist))
-	}
-	if pp.persist[0] || pp.persist[1] {
-		t.Fatal("persist flags below 2 types must never be set")
-	}
-	if s := pl.PlanSummary(p); !strings.Contains(s, "plan (") || !strings.Contains(s, "persist=[") || strings.Contains(s, "kernels=") {
-		t.Fatalf("summary rendering: %q", s)
-	}
-	counts := pl.DecisionCounts()
-	if len(counts) != int(planChoiceCount) {
-		t.Fatalf("DecisionCounts has %d labels, want %d", len(counts), planChoiceCount)
-	}
-	for choice, n := range counts {
-		if strings.HasPrefix(choice, "kernel-") || n != 0 {
-			t.Fatalf("building a plan counted %q = %d: kernels are the traverser's per-hop choice now", choice, n)
-		}
-	}
-
-	// A budget smaller than any entry's share must turn persistence off.
-	tiny := NewPlanner(g, plannerEntryShare)
-	for b, on := range tiny.planFor(p).persist {
-		if on {
-			t.Fatalf("tiny budget persisted boundary %d", b)
-		}
-	}
-
-	// Replan cadence: the memoized plan is rebuilt after plannerReplanEvery
-	// loads (observable through builtAt).
-	first := pl.planFor(p)
-	for i := 0; i < plannerReplanEvery+1; i++ {
-		pl.planFor(p)
-	}
-	if again := pl.planFor(p); again.builtAt == first.builtAt {
-		t.Fatal("plan not rebuilt after replan cadence")
-	}
-}
-
-// TestSubpathPlanInTraceAndEvent checks the planner's decisions surface in
-// the query trace, its terminal rendering, and the wide event (the
-// /debug/events view).
+// TestSubpathPlanInTraceAndEvent checks the one plan line left: a feature
+// path with a waist is named in the query trace, its terminal rendering and
+// the wide event (the /debug/events view); a path without one stamps nothing.
 func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 	g := fig1Graph(t)
-	mat, err := NewCached(g, 1<<20, WithSubpathCache())
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat, _ := eagerWaists(t, g, 1<<20, 1) // ratio 1: the venue between papers is a waist
 	ring := obs.NewEventRing(4)
 	eng := NewEngine(g, WithMaterializer(mat), WithEventSink(ring))
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue.paper.author, author.paper.venue TOP 5;`
@@ -459,27 +405,25 @@ func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace.Plan) != 2 {
-		t.Fatalf("trace has %d plan lines, want one per feature path: %v", len(res.Trace.Plan), res.Trace.Plan)
+	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
+	if want := long.String() + ": waist=venue@2"; len(res.Trace.Plan) != 1 || res.Trace.Plan[0] != want {
+		t.Fatalf("trace plan lines %q, want only %q", res.Trace.Plan, want)
 	}
-	if !strings.Contains(res.Trace.Format(), "plan (") {
-		t.Fatalf("trace rendering lacks plan lines:\n%s", res.Trace.Format())
+	if !strings.Contains(res.Trace.Format(), "plan "+res.Trace.Plan[0]) {
+		t.Fatalf("trace rendering lacks the plan line:\n%s", res.Trace.Format())
 	}
 	evs := ring.Snapshot()
-	if len(evs) != 1 || len(evs[0].Plan) != 2 {
-		t.Fatalf("event plan lines: %+v", evs)
+	if len(evs) != 1 || len(evs[0].Plan) != 1 || evs[0].Plan[0] != res.Trace.Plan[0] {
+		t.Fatalf("event plan lines %+v, want the trace's %q", evs, res.Trace.Plan)
 	}
-	if evs[0].Plan[0] != res.Trace.Plan[0] {
-		t.Fatalf("event and trace disagree: %q vs %q", evs[0].Plan[0], res.Trace.Plan[0])
-	}
-	// A whole-path cache stamps nothing.
+	// Under the production ratio neither path of this graph has a waist.
 	plain, _ := NewCached(g, 1<<20)
 	res2, err := NewEngine(g, WithMaterializer(plain)).Execute(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res2.Trace.Plan) != 0 {
-		t.Fatalf("whole-path cache stamped plan lines: %v", res2.Trace.Plan)
+		t.Fatalf("paths without a waist stamped plan lines: %v", res2.Trace.Plan)
 	}
 }
 
@@ -489,7 +433,7 @@ func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 // through another.
 func TestSubpathSharedAcrossViews(t *testing.T) {
 	g := fig1Graph(t)
-	mat, err := NewCached(g, 1<<20, WithSubpathCache())
+	mat, err := NewCached(g, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,52 +457,91 @@ func TestSubpathSharedAcrossViews(t *testing.T) {
 	}
 }
 
-// TestSubpathPlannerMetrics checks the netout_plan_* and prefix-hit metric
-// families register and expose live values for a subpath cache.
-func TestSubpathPlannerMetrics(t *testing.T) {
-	g := fig1Graph(t)
-	mat, err := NewCached(g, 1<<20, WithSubpathCache())
+// TestPrefixAdmission pins the one admission rule: an intermediate frontier
+// is kept iff it covers at least two hops and its measured entry size is at
+// most maxBytes/prefixEntryShare. On a hub-and-leaves graph (a–b–c–d: one
+// hub a with 20 b's of 10 c's each, eight leaf a's with one b of two c's) the
+// mean degrees say every a.b.c frontier is small; the hub's is not.
+func TestPrefixAdmission(t *testing.T) {
+	s := hin.MustSchema("a", "b", "c", "d")
+	s.AllowLink(0, 1)
+	s.AllowLink(1, 2)
+	s.AllowLink(2, 3)
+	bld := hin.NewBuilder(s)
+	ds := []hin.VertexID{bld.MustAddVertex(3, "d0"), bld.MustAddVertex(3, "d1"), bld.MustAddVertex(3, "d2")}
+	fan := func(name string, bs, cs int) hin.VertexID {
+		a := bld.MustAddVertex(0, name)
+		for i := 0; i < bs; i++ {
+			b := bld.MustAddVertex(1, fmt.Sprintf("%s.b%d", name, i))
+			bld.MustAddEdge(a, b)
+			for j := 0; j < cs; j++ {
+				c := bld.MustAddVertex(2, fmt.Sprintf("%s.b%d.c%d", name, i, j))
+				bld.MustAddEdge(b, c)
+				bld.MustAddEdge(c, ds[(i+j)%len(ds)])
+			}
+		}
+		return a
+	}
+	hub := fan("hub", 20, 10)
+	var leaves []hin.VertexID
+	for i := 0; i < 8; i++ {
+		leaves = append(leaves, fan(fmt.Sprintf("leaf%d", i), 1, 2))
+	}
+	g := bld.Build()
+
+	const maxBytes = 64 << 10 // an intermediate may take 1 KiB: 80 coordinates
+	mat, err := NewCached(g, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	RegisterMaterializerMetrics(reg, mat)
-	short, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
-	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
-	a, _ := g.Schema().TypeByName("author")
-	zoe, _ := g.VertexByName(a, "Zoe")
-	if _, err := mat.NeighborVector(short, zoe); err != nil {
-		t.Fatal(err)
+	st := mat.(*cached).state
+	abcd, abcba := metapath.MustNew(0, 1, 2, 3), metapath.MustNew(0, 1, 2, 1, 0)
+	abc := abcd.Key()[:3]
+	base := NewBaseline(g)
+	load := func(p metapath.Path, v hin.VertexID) {
+		t.Helper()
+		got, err := mat.NeighborVector(p, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := base.NeighborVector(p, v)
+		vecBitEqual(t, fmt.Sprintf("%v from %s", p, g.Name(v)), want, got)
 	}
-	if _, err := mat.NeighborVector(long, zoe); err != nil {
-		t.Fatal(err)
+	resident := func(path string, v hin.VertexID) bool {
+		key := ckey{path: path, v: v}
+		_, ok := st.shard(key).entries[key]
+		return ok
 	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		`netout_cache_prefix_hits_total 1`,
-		`netout_cache_hops_saved_total 2`,
-		`netout_plan_decisions_total{choice="prefix-resume"} 1`,
-		`netout_plan_decisions_total{choice="full-traverse"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition lacks %q", want)
+	all := append([]hin.VertexID{hub}, leaves...)
+	for _, v := range all {
+		load(abcd, v)
+	}
+	frontier, _ := base.NeighborVector(metapath.MustNew(0, 1, 2), hub)
+	if size := cacheEntrySize(ckey{path: abc, v: hub}, frontier); size <= maxBytes/prefixEntryShare {
+		t.Fatalf("fixture: the hub's two-hop frontier takes %d bytes, inside the share", size)
+	}
+	if resident(abc, hub) {
+		t.Fatal("the hub's two-hop frontier was kept past its share of the budget")
+	}
+	for _, v := range all {
+		if v != hub && !resident(abc, v) {
+			t.Fatalf("the two-hop frontier of %s was not kept", g.Name(v))
+		}
+		if resident(abc[:2], v) {
+			t.Fatalf("a one-hop prefix of %s was stored", g.Name(v))
 		}
 	}
-
-	pl := PlannerOf(mat)
-	if pl == nil {
-		t.Fatal("PlannerOf returned nil for a planner-enabled cache")
+	// A longer path over the same two hops: the leaves resume, the hub walks.
+	for _, v := range all {
+		load(abcba, v)
 	}
-	if pl.DecisionCounts()["prefix-resume"] != 1 {
-		t.Fatalf("decision counts: %v", pl.DecisionCounts())
+	cs, _ := CacheStatsOf(mat)
+	want := CacheStats{Misses: 2 * int64(len(all)), PrefixHits: int64(len(leaves)), HopsSaved: 2 * int64(len(leaves)), Bytes: cs.Bytes}
+	if cs != want {
+		t.Fatalf("cache stats %+v, want %+v", cs, want)
 	}
-	if PlannerOf(NewBaseline(g)) != nil {
-		t.Error("PlannerOf on baseline should be nil")
-	}
-	if plain, _ := NewCached(g, 1<<10); PlannerOf(plain) != nil {
-		t.Error("PlannerOf on a whole-path cache should be nil")
+	if ground := st.recomputeBytes(); ground != cs.Bytes || cs.Bytes > maxBytes {
+		t.Fatalf("bytes: atomic %d, ground truth %d, budget %d", cs.Bytes, ground, maxBytes)
 	}
 }
 
@@ -570,27 +553,31 @@ func BenchmarkCacheProbe(b *testing.B) {
 	const nAuthors = 4096
 	g, apa, authors := pathIndexGraph(b, nAuthors)
 	for _, tc := range []struct {
-		name string
-		opts []CacheOption
+		name  string
+		bytes int64
+		hot   int // authors probed: their 48 KB entries must all stay resident
 	}{
-		{"wholepath", nil},
-		{"subpath", []CacheOption{WithSubpathCache()}},
+		{"ample", 256 << 20, nAuthors},
+		{"starved", 1 << 20, 16},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			mat, err := NewCached(g, 256<<20, tc.opts...)
+			mat, err := NewCached(g, tc.bytes)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, v := range authors { // warm every entry
+			for _, v := range authors[:tc.hot] { // warm every entry
 				if _, err := mat.NeighborVector(apa, v); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if cs, _ := CacheStatsOf(mat); cs.Evictions != 0 {
+				b.Fatalf("fixture: %d evictions while warming, the probes would miss", cs.Evictions)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var nnz int
 			for i := 0; i < b.N; i++ {
-				vec, err := mat.NeighborVector(apa, authors[i%nAuthors])
+				vec, err := mat.NeighborVector(apa, authors[i%tc.hot])
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,9 +47,9 @@ const (
 	// all of them together 1/waistTotalShare. In BenchmarkWaist's budget= rows
 	// (a spill-shaped load list on a 1 MiB cache) these shares admit both venue
 	// tables of the serving benchmark's graph (179 KiB, 17 % of the budget) and
-	// run level with unbounded tables (52 against 58 µs per load, 144 without
-	// tables); a share that drops the larger table gives back half the gain
-	// (83–86 µs), and the LRU's hit rate moves by under a point either way.
+	// run level with unbounded tables (48 against 49 µs per load, 119 without
+	// tables); a share that drops the larger table gives back a third of the
+	// gain (69–71 µs), and the LRU's hit rate moves by a point or two either way.
 	waistTableShare = 4
 	waistTotalShare = 2
 	// waistSlotOverhead is charged per filled slot beside the coordinates: the
@@ -86,6 +87,8 @@ type waistSet struct {
 	// table was dropped: it is not retried, and takes no more fills from the
 	// misses still holding it.
 	tables map[string]*waistTable
+	// lines memoizes waistLine per path key; emptied when a table is dropped.
+	lines map[string]string
 
 	bytes    atomic.Int64 // of all live tables; part of sharedCacheState.bytes
 	finished atomic.Int64 // misses finished by combination
@@ -131,9 +134,6 @@ func (st *sharedCacheState) waistTable(suffix string) *waistTable {
 	if !known {
 		p := metapath.FromKey(suffix)
 		tbl = &waistTable{suffix: p, ids: st.g.VerticesOfType(p.Source())}
-		if ws.tables == nil {
-			ws.tables = make(map[string]*waistTable)
-		}
 		ws.tables[suffix] = tbl
 		if st.growWaistLocked(tbl, 8*int64(len(tbl.ids))) {
 			tbl.slots = make([]atomic.Pointer[sparse.Vector], len(tbl.ids))
@@ -185,6 +185,7 @@ func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
 	ws := &st.waists
 	if tbl.bytes+n > st.maxBytes/ws.tableShare || ws.bytes.Load()+n > st.maxBytes/ws.totalShare {
 		ws.tables[tbl.suffix.Key()] = nil
+		clear(ws.lines)
 		ws.bytes.Add(-tbl.bytes)
 		st.bytes.Add(-tbl.bytes)
 		tbl.bytes = 0
@@ -196,12 +197,35 @@ func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
 	return true
 }
 
-// waistDropped reports whether the suffix's table was dropped for its size.
-func (st *sharedCacheState) waistDropped(suffix string) bool {
-	st.waists.mu.Lock()
-	defer st.waists.mu.Unlock()
-	tbl, known := st.waists.tables[suffix]
-	return known && tbl == nil
+// waistLine renders the one decision about p that the counters do not show —
+// where its misses stop expanding — as the plan line of the query trace and
+// wide event: "(0 1 2 1 0): waist=venue@2" (type@hops done), with "(dropped)"
+// once the suffix's table outgrew its share and the hops are expanded after
+// all. A path without a waist has no line. Every query asks for its paths'
+// lines, so they are kept until a table is dropped.
+func (st *sharedCacheState) waistLine(p metapath.Path) string {
+	ws := &st.waists
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	line, ok := ws.lines[p.Key()]
+	if ok {
+		return line
+	}
+	for b := 1; b < p.Hops(); b++ {
+		if !isWaist(st.g, p, b, ws.ratio) {
+			continue
+		}
+		sep := ","
+		if line == "" {
+			line, sep = p.String()+":", " waist="
+		}
+		line += fmt.Sprintf("%s%s@%d", sep, st.g.Schema().TypeName(p.Type(b)), b)
+		if tbl, known := ws.tables[p.Key()[b:]]; known && tbl == nil {
+			line += "(dropped)"
+		}
+	}
+	ws.lines[p.Key()] = line
+	return line
 }
 
 // recomputeWaistBytes re-sums what the live tables hold, for recomputeBytes.

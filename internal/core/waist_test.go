@@ -25,9 +25,9 @@ import (
 // eagerWaists builds a subpath cache whose waist rule is lowered to ratio, so
 // graphs of a few dozen vertices reach the branch (ratio 1: any interior type
 // no larger than its neighbours).
-func eagerWaists(t testing.TB, g *hin.Graph, maxBytes int64, ratio int, opts ...CacheOption) (Materializer, *sharedCacheState) {
+func eagerWaists(t testing.TB, g *hin.Graph, maxBytes int64, ratio int) (Materializer, *sharedCacheState) {
 	t.Helper()
-	mat, err := NewCached(g, maxBytes, append([]CacheOption{WithSubpathCache()}, opts...)...)
+	mat, err := NewCached(g, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func checkBytes(t *testing.T, label string, st *sharedCacheState) {
 // (randomHIN: interleaved vertex IDs, multiplicities up to 9, a tenth of t0
 // without an edge — empty frontiers — and suffix vectors that are zero
 // wherever a waist vertex has no neighbour of the next type), every Φ of
-// every random path from t0 is the traverser's bit for bit — cold, warm, on a
-// roomy and on a starved budget, with the planner on and off — and the roomy
-// arms really finish misses at a waist.
+// every random path from t0 is the traverser's bit for bit — cold, warm, on an
+// ample and on a starved budget — and the ample arm really finishes misses at
+// a waist.
 func TestQuickWaistFinishIsTraversal(t *testing.T) {
 	var finished int64
 	f := func(seed int64) bool {
@@ -74,13 +74,11 @@ func TestQuickWaistFinishIsTraversal(t *testing.T) {
 		for _, arm := range []struct {
 			name  string
 			bytes int64
-			opts  []CacheOption
 		}{
-			{"planner", 8 << 20, nil},
-			{"noplanner", 8 << 20, []CacheOption{WithCachePlanner(false)}},
-			{"starved", 4 << 10, nil},
+			{"ample", 8 << 20},
+			{"starved", 4 << 10},
 		} {
-			mat, st := eagerWaists(t, g, arm.bytes, 1, arm.opts...)
+			mat, st := eagerWaists(t, g, arm.bytes, 1)
 			for run := 0; run < 2; run++ { // cold tables, then warm ones
 				for _, p := range paths {
 					for _, v := range g.VerticesOfType(0) {
@@ -182,27 +180,24 @@ func TestWaistFallsThroughPast2To53(t *testing.T) {
 	if !differs {
 		t.Fatalf("fixture: combination and traversal agree past 2^53 (%v): the check would be untested", combined)
 	}
-	for _, planner := range []bool{true, false} {
-		mat, st := eagerWaists(t, g, 1<<20, 1, WithCachePlanner(planner))
-		for run := 0; run < 2; run++ {
-			got, err := mat.NeighborVector(p, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vecBitEqual(t, fmt.Sprintf("planner=%v run %d", planner, run), want, got)
+	mat, st := eagerWaists(t, g, 1<<20, 1)
+	for run := 0; run < 2; run++ {
+		got, err := mat.NeighborVector(p, a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cs, _ := CacheStatsOf(mat)
-		if cs.WaistFinishes != 0 || cs.Misses != 1 || cs.HopsSaved != 0 {
-			t.Fatalf("planner=%v: %+v, want one miss, expanded to the end", planner, cs)
-		}
-		checkBytes(t, "past 2^53", st)
+		vecBitEqual(t, fmt.Sprintf("run %d", run), want, got)
 	}
+	cs, _ := CacheStatsOf(mat)
+	if cs.WaistFinishes != 0 || cs.Misses != 1 || cs.HopsSaved != 0 {
+		t.Fatalf("%+v, want one miss, expanded to the end", cs)
+	}
+	checkBytes(t, "past 2^53", st)
 }
 
 // The counters of a finished miss, without a new series: one Miss and one
 // traversed vector per load, one more traversed vector per slot filled, the
-// skipped hops in HopsSaved, the finish in CacheStats and its String — not
-// among the planner's decisions: it happens with the planner off too — the
+// skipped hops in HopsSaved, the finish in CacheStats and its String, the
 // table in Bytes and IndexBytes, and the plan line naming the waist.
 func TestWaistAccounting(t *testing.T) {
 	g := fig1Graph(t)
@@ -237,15 +232,11 @@ func TestWaistAccounting(t *testing.T) {
 	if s := cs.String(); !strings.Contains(s, "1 misses finished at a waist (4 hops saved)") {
 		t.Fatalf("String() = %q", s)
 	}
-	pl := PlannerOf(mat)
-	if d := pl.DecisionCounts(); d["prefix-resume"] != 1 || d["full-traverse"] != 1 || len(d) != 3 {
-		t.Fatalf("planner decisions %v, want one resume and one full traverse among three choices", d)
-	}
-	if s := pl.PlanSummary(long); !strings.HasSuffix(s, " waist=venue@2") {
+	if s := st.waistLine(long); s != long.String()+": waist=venue@2" {
 		t.Fatalf("plan line %q does not name the waist", s)
 	}
-	if s := pl.PlanSummary(short); strings.Contains(s, "waist=") {
-		t.Fatalf("plan line %q names a waist on a path without one", s)
+	if s := st.waistLine(short); s != "" {
+		t.Fatalf("plan line %q on a path without a waist", s)
 	}
 	// A second author through the same venues reads the slots: no fill.
 	before = mat.Stats().TraversedVectors
@@ -300,7 +291,7 @@ func TestWaistRuleAndShares(t *testing.T) {
 		bytes   int64
 		dropped bool
 	}{{8 << 20, false}, {96 << 10, true}} {
-		mat, err := NewCached(g, tc.bytes, WithSubpathCache())
+		mat, err := NewCached(g, tc.bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,18 +307,14 @@ func TestWaistRuleAndShares(t *testing.T) {
 				checkBytes(t, fmt.Sprintf("budget %d", tc.bytes), st)
 			}
 		}
-		if got := st.waistDropped(long.Key()[2:5]); got != tc.dropped {
-			t.Fatalf("budget %d: venue.paper.author table dropped = %v, want %v", tc.bytes, got, tc.dropped)
-		}
-		if st.waistDropped(long.Key()[2:]) {
-			t.Fatalf("budget %d: the venue-wide table was dropped", tc.bytes)
+		if line := st.waistLine(long); line != long.String()+": waist=venue@2" {
+			t.Fatalf("budget %d: plan line %q: the venue-wide table should be live", tc.bytes, line)
 		}
 		cs, _ := CacheStatsOf(mat)
 		if cs.WaistFinishes == 0 {
 			t.Fatalf("budget %d: no miss finished at the waist: %+v", tc.bytes, cs)
 		}
-		// Plans are memoized; a fresh planner over the same state renders now.
-		line := newPlanner(g, st).PlanSummary(parse("author.paper.venue.paper.author"))
+		line := st.waistLine(parse("author.paper.venue.paper.author"))
 		if strings.Contains(line, "waist=venue@2(dropped)") != tc.dropped || !strings.Contains(line, "waist=venue@2") {
 			t.Fatalf("budget %d: plan line %q", tc.bytes, line)
 		}

@@ -10,8 +10,8 @@ import (
 // 1/(rank+1)^s via binary search over the cumulative weight table. s = 0
 // degenerates to uniform sampling. It is the workhorse behind skewed author
 // productivity and venue popularity, and is exported for workload
-// generators (the root package's BenchmarkWorkload replays a Zipf-skewed
-// query stream through it).
+// generators (the serving benchmark's zipf_warm and zipf_spill streams are
+// drawn through it).
 type ZipfSampler struct {
 	cum []float64
 }

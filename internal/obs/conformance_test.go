@@ -282,14 +282,6 @@ func TestExpositionConformance(t *testing.T) {
 	reg.Counter(`netout_shard_queries_total{shard="1"}`, "Shard requests by shard.").Add(5)
 	reg.Counter("netout_shard_partials_total", "Shard partials.").Inc()
 	reg.Histogram("netout_shard_merge_seconds", "Merge latency.", nil).Observe(0.0004)
-	// The subpath planner's decision family: CounterFunc samples sharing one
-	// family, split by a choice label (core.RegisterMaterializerMetrics shape).
-	planChoices := []string{"full-traverse", "prefix-resume", "persist-intermediate"}
-	for i, choice := range planChoices {
-		v := float64(i + 1)
-		reg.CounterFunc(`netout_plan_decisions_total{choice="`+choice+`"}`, "Planner decisions.",
-			func() float64 { return v })
-	}
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
@@ -330,19 +322,6 @@ func TestExpositionConformance(t *testing.T) {
 	}
 	if p := fams["netout_shard_partials_total"]; p == nil || p.typ != "counter" || p.samples[0].value != 1 {
 		t.Fatalf("netout_shard_partials_total = %+v", p)
-	}
-	plan := fams["netout_plan_decisions_total"]
-	if plan == nil || plan.typ != "counter" || len(plan.samples) != len(planChoices) {
-		t.Fatalf("netout_plan_decisions_total family = %+v", plan)
-	}
-	seen := map[string]float64{}
-	for _, s := range plan.samples {
-		seen[s.labels["choice"]] = s.value
-	}
-	for i, choice := range planChoices {
-		if seen[choice] != float64(i+1) {
-			t.Fatalf("plan choice %q = %v, want %d (have %v)", choice, seen[choice], i+1, seen)
-		}
 	}
 	// The hostile label value round-trips through escaping.
 	evil := fams["netout_evil_total"]

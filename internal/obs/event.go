@@ -13,9 +13,8 @@ import (
 // completed query. Aggregate metrics answer "how is the fleet doing";
 // the slow log answers "what were the worst queries"; the journal answers
 // the workload question in between — what exactly did EVERY query do —
-// which is the recorded workload the Atrapos-style adaptive planner
-// (ROADMAP item 2) trains on and the raw material for after-the-fact
-// debugging of any single request ID.
+// which is the raw material for after-the-fact debugging of any single
+// request ID.
 //
 // Events are emitted from the engine's observeQuery seam, so there is
 // exactly one event per completed query (ok, error, partial or recovered
@@ -90,9 +89,9 @@ type Event struct {
 	// Kernels counts expansion hops by kernel (merge/pull/dense/map) during
 	// the query, when the materializer exposes its traverser's counters.
 	Kernels map[string]int64 `json:"kernels,omitempty"`
-	// Plan lists the subpath planner's decisions, one rendered line per
-	// feature meta-path (absent when no planner is active) — how this query
-	// was going to be evaluated, inspectable at /debug/events.
+	// Plan names, per feature meta-path that has one, the waist the cache
+	// finishes that path's misses from ("(0 1 2 1 0): waist=venue@2") — why
+	// such a path is cheap, or "(dropped)" why it no longer is.
 	Plan []string `json:"plan,omitempty"`
 	// Candidates and References are |Sc| and |Sr|; Entries is the ranked
 	// result size.

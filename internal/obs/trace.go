@@ -57,8 +57,9 @@ type Trace struct {
 	// queries. The shards' wall clocks overlap — they run concurrently
 	// inside the scatter span — so their durations do NOT sum into Total.
 	Shards []ShardSpan
-	// Plan lists the materializer planner's decisions for the query, one
-	// rendered line per feature meta-path (empty when no planner is active).
+	// Plan names, one rendered line per feature meta-path that has one, the
+	// waist a cached materializer finishes that path's misses from (empty
+	// otherwise).
 	Plan []string
 }
 
@@ -136,7 +137,7 @@ func (t *Trace) Format() string {
 		sb.WriteString(")\n")
 	}
 	for _, p := range t.Plan {
-		fmt.Fprintf(&sb, "  %s\n", p)
+		fmt.Fprintf(&sb, "  plan %s\n", p)
 	}
 	return sb.String()
 }
@@ -168,7 +169,7 @@ func (tr *Tracer) EndPhase(phase string, st SpanStats) {
 	tr.last = now
 }
 
-// AddPlan appends one planner decision line to the trace being recorded.
+// AddPlan appends one plan line to the trace being recorded.
 func (tr *Tracer) AddPlan(note string) {
 	tr.trace.Plan = append(tr.trace.Plan, note)
 }

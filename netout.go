@@ -285,44 +285,40 @@ func NewSPMVertices(g *Graph, vertices []VertexID) Materializer {
 
 // NewCached returns a materializer that memoizes neighbor vectors in an
 // LRU cache bounded to maxBytes: no offline indexing phase, but repeated
-// workloads approach PM speed for their hot vertices. The cache is sharded
-// and safe for concurrent use from any number of goroutines; concurrent
-// misses on the same vector are deduplicated so the network is traversed
-// once. Views made with NewMaterializerView share the same warm cache.
+// workloads approach PM speed for their hot vertices. Entries are shared at
+// (canonical subpath, vertex) granularity across queries and views: a miss
+// resumes from the longest cached prefix of the meta-path, intermediate
+// frontiers small enough for the budget are kept under it, and a miss whose
+// frontier reaches a waist of the path (a type much smaller than its
+// neighbours) is finished from a table of suffix vectors under that budget
+// too — bit-identical to whole-path evaluation; only the work skipped
+// changes. The cache is sharded and safe for concurrent use from any number
+// of goroutines; concurrent misses on the same vector are deduplicated so the
+// network is traversed once. Views made with NewMaterializerView share the
+// same warm cache.
 func NewCached(g *Graph, maxBytes int64, opts ...CacheOption) (Materializer, error) {
 	return core.NewCached(g, maxBytes, opts...)
 }
 
-// CacheOption configures a NewCached materializer.
+// CacheOption is what the two deprecated options below return; NewCached
+// ignores them.
 type CacheOption = core.CacheOption
 
-// WithSubpathCache enables subpath-decomposed evaluation: cache entries are
-// shared at (canonical subpath, vertex) granularity across queries and
-// views, misses resume from the longest cached prefix of the meta-path,
-// profitable intermediate frontiers are persisted under the same byte
-// budget, and a miss whose frontier reaches a waist of the path (a type much
-// smaller than its neighbours) is finished from a table of suffix vectors
-// under that budget too. Results are bit-identical to whole-path evaluation;
-// only the work skipped changes.
+// WithSubpathCache does nothing: subpath keys are the only cache mode.
+//
+// Deprecated: drop the option.
 func WithSubpathCache() CacheOption { return core.WithSubpathCache() }
 
-// WithCachePlanner toggles the cost-based planner steering subpath
-// evaluation (default on when WithSubpathCache is set).
-func WithCachePlanner(on bool) CacheOption { return core.WithCachePlanner(on) }
-
-// Planner is the cost-based subpath-evaluation planner; its decisions are
-// visible in query traces, wide events and netout_plan_* metrics.
-type Planner = core.Planner
-
-// PlannerOf extracts the planner from a NewCached materializer (nil when
-// the planner or subpath mode is disabled, or for other strategies).
-func PlannerOf(m Materializer) *Planner { return core.PlannerOf(m) }
+// WithCachePlanner does nothing: the cache admits an intermediate frontier by
+// its measured size and plans nothing.
+//
+// Deprecated: drop the option.
+func WithCachePlanner(bool) CacheOption { return CacheOption{} }
 
 // CacheStats reports hit/miss/eviction counters of a cached materializer.
 // Under concurrent use Deduped counts loads that were coalesced into
-// another goroutine's in-flight traversal (a subset of Hits). In subpath
-// mode PrefixHits/WaistFinishes/HopsSaved report partial reuse on the miss
-// path.
+// another goroutine's in-flight traversal (a subset of Hits).
+// PrefixHits/WaistFinishes/HopsSaved report partial reuse on the miss path.
 type CacheStats = core.CacheStats
 
 // CacheStatsOf extracts cache counters from a NewCached materializer.
