@@ -9,8 +9,10 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# Any file gofmt would rewrite fails the target, named.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:" >&2; echo "$$out" >&2; exit 1; }
 
 # Serving-scope error hygiene: naked fmt.Errorf/errors.New are forbidden in
 # internal/core's serving files and cmd/netout — untyped errors classify as
@@ -126,13 +128,15 @@ examples:
 	$(GO) run ./examples/progressive
 
 # The two tracked size numbers (ROADMAP): non-test Go outside bench/, and of
-# that the engine. The first may not pass LOC_CEILING, so it only rises in a
-# diff that raises the literal too.
-LOC_CEILING = 19899
+# that the engine. Neither may pass its ceiling, so each only rises in a diff
+# that raises the literal too.
+LOC_CEILING = 19387
+CORE_LOC_CEILING = 5759
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
-	find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; \
-	[ $$n -le $(LOC_CEILING) ] || { echo "make loc: $$n lines, ceiling $(LOC_CEILING) (Makefile)" >&2; exit 1; }
+	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \
+	[ $$n -le $(LOC_CEILING) ] || { echo "make loc: $$n lines, ceiling $(LOC_CEILING) (Makefile)" >&2; exit 1; }; \
+	[ $$c -le $(CORE_LOC_CEILING) ] || { echo "make loc: internal/core $$c lines, ceiling $(CORE_LOC_CEILING) (Makefile)" >&2; exit 1; }
 
 clean:
 	rm -rf results test_output.txt bench_output.txt .bench_build bench/out

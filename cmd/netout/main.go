@@ -22,12 +22,12 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"netout"
 	"netout/internal/shardnet"
-	"netout/internal/trie"
 )
 
 // eventSlowAlways is the latency above which a query's wide event is always
@@ -196,7 +196,7 @@ func main() {
 		if a = strings.TrimSpace(a); a == "" {
 			continue
 		}
-		cl := shardnet.Dial(a, shardnet.ClientOptions{Obs: reg})
+		cl := shardnet.Dial(a, reg)
 		defer cl.Close()
 		remotes = append(remotes, cl)
 	}
@@ -571,11 +571,9 @@ func dispatch(eng *netout.Engine, names *nameIndex, src, bare string, timing boo
 		if len(fields) < 2 {
 			return netout.Errorf(netout.CodeInvalidArgument, ".names wants: .names <type> [<prefix>]")
 		}
-		prefix := ""
-		if len(fields) > 2 {
-			prefix = fields[2]
-		}
-		return names.print(fields[1], prefix, 25)
+		// Names contain spaces: the prefix is the rest of the line.
+		rest := strings.TrimSpace(strings.TrimPrefix(bare, ".names"))
+		return names.print(fields[1], strings.TrimSpace(strings.TrimPrefix(rest, fields[1])), 25)
 	case ".explain":
 		if len(fields) < 3 {
 			return netout.Errorf(netout.CodeInvalidArgument, ".explain wants: .explain <name> <query>")
@@ -621,8 +619,13 @@ func dispatch(eng *netout.Engine, names *nameIndex, src, bare string, timing boo
 		return nil
 	case ".hist":
 		query := strings.TrimSpace(strings.TrimPrefix(bare, ".hist"))
+		q, err := netout.ParseQuery(query + ";")
+		if err != nil {
+			return err
+		}
 		// Drop any TOP clause so the histogram covers the full candidate set.
-		res, err := eng.Execute(query + ";")
+		q.TopK = 0
+		res, err := eng.ExecuteQuery(q)
 		if err != nil {
 			return err
 		}
@@ -670,14 +673,16 @@ func printSchema(g *netout.Graph) {
 	}
 }
 
-// nameIndex lazily builds per-type radix tries for prefix lookup.
+// nameIndex answers prefix look-ups over a type's vertex names: sorted once
+// per type on first use, the names with a prefix are the run between two
+// binary searches.
 type nameIndex struct {
-	g     *netout.Graph
-	tries map[string]*trie.Trie
+	g      *netout.Graph
+	sorted map[string][]string
 }
 
 func newNameIndex(g *netout.Graph) *nameIndex {
-	return &nameIndex{g: g, tries: map[string]*trie.Trie{}}
+	return &nameIndex{g: g, sorted: map[string][]string{}}
 }
 
 func (ni *nameIndex) print(typeName, prefix string, limit int) error {
@@ -685,15 +690,17 @@ func (ni *nameIndex) print(typeName, prefix string, limit int) error {
 	if !ok {
 		return netout.Errorf(netout.CodeNotFound, "unknown vertex type %q", typeName)
 	}
-	tr := ni.tries[typeName]
-	if tr == nil {
-		tr = &trie.Trie{}
+	names, ok := ni.sorted[typeName]
+	if !ok {
 		for _, v := range ni.g.VerticesOfType(t) {
-			tr.Put(ni.g.Name(v), int32(v))
+			names = append(names, ni.g.Name(v))
 		}
-		ni.tries[typeName] = tr
+		sort.Strings(names)
+		ni.sorted[typeName] = names
 	}
-	keys, _ := tr.WithPrefix(prefix)
+	lo := sort.SearchStrings(names, prefix)
+	keys := names[lo:]
+	keys = keys[:sort.Search(len(keys), func(i int) bool { return !strings.HasPrefix(keys[i], prefix) })]
 	for i, k := range keys {
 		if i >= limit {
 			fmt.Printf("  ... and %d more\n", len(keys)-limit)

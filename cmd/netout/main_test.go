@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,7 +163,7 @@ func TestNameIndex(t *testing.T) {
 	if err := ni.print("author", "Christos", 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := ni.print("author", "Christos", 5); err != nil { // cached trie path
+	if err := ni.print("author", "Christos", 5); err != nil { // already sorted
 		t.Fatal(err)
 	}
 	if err := ni.print("nosuch", "", 5); err == nil {
@@ -200,6 +201,68 @@ func TestDispatchCommands(t *testing.T) {
 		if err := dispatch(eng, ni, bare+";", bare, false); err == nil {
 			t.Errorf("dispatch(%q) should fail", bare)
 		}
+	}
+}
+
+// captureStdout returns what fn printed to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return <-out
+}
+
+// Vertex names contain spaces, so the prefix of .names is the rest of the
+// line: "Author 0-000" narrows to the authors it starts, where taking only
+// the next word listed every "Author".
+func TestNamesPrefixIsTheRestOfTheLine(t *testing.T) {
+	g := smallGraph(t)
+	eng := netout.NewEngine(g)
+	bare := ".names author Author 0-000"
+	var derr error
+	out := captureStdout(t, func() { derr = dispatch(eng, newNameIndex(g), bare+";", bare, false) })
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) == 0 || len(lines) > 10 {
+		t.Fatalf(".names listed %d lines, want the handful of names Author 0-000 starts:\n%s", len(lines), out)
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(strings.TrimSpace(l), "Author 0-000") {
+			t.Fatalf(".names listed %q under the prefix Author 0-000:\n%s", l, out)
+		}
+	}
+}
+
+// .hist covers the full candidate set whether or not the query has a TOP
+// clause.
+func TestHistIgnoresTop(t *testing.T) {
+	g := smallGraph(t)
+	eng := netout.NewEngine(g)
+	q := `.hist FIND OUTLIERS FROM author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue`
+	var hists [2]string
+	for i, bare := range []string{q, q + " TOP 3"} {
+		var derr error
+		hists[i] = captureStdout(t, func() { derr = dispatch(eng, newNameIndex(g), bare+";", bare, false) })
+		if derr != nil {
+			t.Fatal(derr)
+		}
+	}
+	if hists[0] == "" || hists[0] != hists[1] {
+		t.Fatalf(".hist with TOP 3 differs from .hist without:\n%s\nvs\n%s", hists[1], hists[0])
 	}
 }
 

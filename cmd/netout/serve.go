@@ -193,7 +193,7 @@ func serveHandler(pool queryExecutor, reg *netout.MetricsRegistry, slow *netout.
 		if reg != nil {
 			code := strconv.Itoa(status)
 			reg.Counter(`netout_http_responses_total{code="`+code+`"}`, responsesHelp).Inc()
-			reg.Histogram(`netout_http_request_seconds{code="`+code+`"}`, requestSecondsHelp, nil).
+			reg.Histogram(`netout_http_request_seconds{code="`+code+`"}`, requestSecondsHelp).
 				Observe(elapsed.Seconds())
 		}
 	}

@@ -2,7 +2,7 @@
 // layer, every constructed error must carry a taxonomy code, so naked
 // fmt.Errorf(...) and errors.New(...) calls are forbidden there — use
 // xerr.New/Newf/Wrap/Defectf/Interrupt (or the netout facade's
-// NewError/Errorf/WrapError) instead. An untyped error silently classifies
+// NewError/Errorf) instead. An untyped error silently classifies
 // as INTERNAL at the HTTP boundary, which is exactly the bug class this
 // repo's issue #6 removed; the linter keeps it from creeping back.
 //
@@ -39,7 +39,6 @@ var defaultScope = []string{
 	"internal/core/batch.go",
 	"internal/core/progressive.go",
 	"internal/core/execute.go",
-	"internal/core/parallel.go",
 	"internal/core/scatter.go",
 	"internal/shardnet",
 	"cmd/netout",

@@ -271,7 +271,7 @@ func TestFacadeCachedAndPersistence(t *testing.T) {
 		t.Fatalf("cache stats = %+v ok=%v", cs, ok)
 	}
 
-	pm := netout.NewPMParallel(g, 2)
+	pm := netout.NewPM(g)
 	path := filepath.Join(t.TempDir(), "idx.noix")
 	if err := netout.SaveIndexFile(pm, path); err != nil {
 		t.Fatal(err)

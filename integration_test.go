@@ -36,7 +36,7 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 
 	// --- Strategy equivalence (the Figure 3 correctness precondition):
 	// Baseline, PM, SPM and Cached agree on every workload query.
-	pm := netout.NewPMParallel(g, 4)
+	pm := netout.NewPM(g)
 	cached, err := netout.NewCached(g, 32<<20)
 	if err != nil {
 		t.Fatal(err)

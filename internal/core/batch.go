@@ -103,29 +103,12 @@ func ExecuteBatch(g *hin.Graph, queries []string, opts BatchOptions) ([]BatchRes
 	if workers > len(queries) && len(queries) > 0 {
 		workers = len(queries)
 	}
-	queryPar := opts.QueryParallelism
-	if queryPar <= 0 {
-		queryPar = 1
-	}
-	results := make([]BatchResult, len(queries))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	engines := make([]*Engine, workers)
-	root := opts.Materializer
-	if root == nil {
-		root = NewBaseline(g)
-	}
-	for w := 0; w < workers; w++ {
-		mat, err := NewView(root)
-		if err != nil {
-			return nil, err
-		}
-		engines[w] = NewEngine(g,
-			WithMeasure(opts.Measure),
-			WithCombination(opts.Combination),
-			WithMaterializer(mat),
-			WithQueryParallelism(queryPar),
-			WithObs(opts.Obs, opts.SlowLog))
+	engines, err := newWorkerEngines(g, workers, opts.QueryParallelism, opts.Materializer,
+		WithMeasure(opts.Measure),
+		WithCombination(opts.Combination),
+		WithObs(opts.Obs, opts.SlowLog))
+	if err != nil {
+		return nil, err
 	}
 	if opts.Obs != nil && opts.Materializer != nil {
 		RegisterMaterializerMetrics(opts.Obs, opts.Materializer)
@@ -134,24 +117,18 @@ func ExecuteBatch(g *hin.Graph, queries []string, opts BatchOptions) ([]BatchRes
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for w := 0; w < workers; w++ {
+	results := make([]BatchResult, len(queries))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for _, eng := range engines {
 		wg.Add(1)
 		go func(eng *Engine) {
 			defer wg.Done()
 			for i := range jobs {
-				// Panic isolation: a panicking query becomes that entry's
-				// *PanicError and the worker moves on, so one hostile query
-				// neither kills the process nor silently drops the rest of
-				// its worker's share of the batch.
-				var res *Result
-				err := func() (err error) {
-					defer recoverAsError(&err)
-					res, err = eng.ExecuteContext(ctx, queries[i])
-					return err
-				}()
+				res, err := eng.executeIsolated(ctx, queries[i])
 				results[i] = BatchResult{Index: i, Result: res, Err: err}
 			}
-		}(engines[w])
+		}(eng)
 	}
 dispatch:
 	for i := range queries {
@@ -170,4 +147,40 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 	return results, nil
+}
+
+// newWorkerEngines builds the engines of a worker pool (ExecuteBatch,
+// ServePool): workers of them (default GOMAXPROCS), each on its own view of
+// root (nil: of one fresh baseline), each splitting a query into at most
+// queryPar local ranges — default 1, since a pool already spreads queries
+// across cores and per-query fan-out on top would oversubscribe the machine.
+func newWorkerEngines(g *hin.Graph, workers, queryPar int, root Materializer, opts ...Option) ([]*Engine, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if queryPar <= 0 {
+		queryPar = 1
+	}
+	if root == nil {
+		root = NewBaseline(g)
+	}
+	opts = append(opts, WithQueryParallelism(queryPar))
+	engines := make([]*Engine, workers)
+	for w := range engines {
+		mat, err := NewView(root)
+		if err != nil {
+			return nil, err
+		}
+		engines[w] = NewEngine(g, append(opts, WithMaterializer(mat))...)
+	}
+	return engines, nil
+}
+
+// executeIsolated is ExecuteContext behind a pool worker's panic isolation: a
+// panicking query becomes that query's *PanicError and the worker moves on,
+// so one hostile query neither kills the process, strands its caller nor
+// shrinks the pool.
+func (e *Engine) executeIsolated(ctx context.Context, src string) (res *Result, err error) {
+	defer recoverAsError(&err)
+	return e.ExecuteContext(ctx, src)
 }

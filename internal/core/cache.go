@@ -121,16 +121,8 @@ func cacheKey(p metapath.Path, v hin.VertexID) ckey {
 }
 
 func (c *cached) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
-	g := c.state.g
-	if p.IsZero() {
-		return sparse.Vector{}, fmt.Errorf("core: zero meta-path")
-	}
-	if !g.Valid(v) {
-		return sparse.Vector{}, fmt.Errorf("core: vertex %d out of range", v)
-	}
-	if g.Type(v) != p.Source() {
-		return sparse.Vector{}, fmt.Errorf("core: vertex %d has type %s, path starts at %s",
-			v, g.Schema().TypeName(g.Type(v)), g.Schema().TypeName(p.Source()))
+	if err := metapath.CheckSource(c.state.g, p, v); err != nil {
+		return sparse.Vector{}, err
 	}
 	key := cacheKey(p, v)
 	if vec, ok := c.state.lookup(key); ok {

@@ -454,33 +454,72 @@ func TestIndexLoadErrors(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel PM
+// The one index build
 
-func TestNewPMParallelMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	g := randomBibGraph(r)
-	seq := NewPM(g)
-	par := NewPMParallel(g, 4)
-	if par.Strategy() != StrategyPM {
-		t.Fatal("strategy wrong")
+// buildIndex, behind NewPM and NewSPMVertices, against a loop of plain
+// Traverser.NeighborVector per (path, vertex) kept here as the reference:
+// the same IndexBytes, every vector Float64bits-equal, and both unchanged by
+// a SaveIndex/LoadIndex round trip. (SaveIndex walks its tables in map order,
+// so file bytes are not compared.)
+func TestBuildIndexMatchesPerVertexTraversal(t *testing.T) {
+	g := randomBibGraph(rand.New(rand.NewSource(11)))
+	paths := allLength2Paths(g.Schema())
+	var some []hin.VertexID
+	for v := 0; v < g.NumVertices(); v += 3 {
+		some = append(some, hin.VertexID(v))
 	}
-	if par.IndexBytes() != seq.IndexBytes() {
-		t.Fatalf("index sizes differ: %d vs %d", par.IndexBytes(), seq.IndexBytes())
-	}
-	for _, src := range randomQueries(r, g) {
-		rs, err1 := NewEngine(g, WithMaterializer(seq)).Execute(src)
-		rp, err2 := NewEngine(g, WithMaterializer(par)).Execute(src)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+	isSome := func(v hin.VertexID) bool { return v%3 == 0 }
+	for _, tc := range []struct {
+		name     string
+		built    Materializer
+		strategy Strategy
+		indexed  func(hin.VertexID) bool
+	}{
+		{"PM", NewPM(g), StrategyPM, func(hin.VertexID) bool { return true }},
+		{"SPM", NewSPMVertices(g, some), StrategySPM, isSome},
+	} {
+		if tc.built.Strategy() != tc.strategy {
+			t.Fatalf("%s: strategy %s", tc.name, tc.built.Strategy())
 		}
-		if !resultsEqual(rs, rp) {
-			t.Fatalf("parallel PM diverges on %q", src)
+		tr := metapath.NewTraverser(g)
+		ref := newPathIndex(g)
+		for _, p := range paths {
+			for _, v := range g.VerticesOfType(p.Source()) {
+				if !tc.indexed(v) {
+					continue
+				}
+				vec, err := tr.NeighborVector(p, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.put(p, v, vec)
+			}
 		}
-	}
-	// workers <= 0 defaults to GOMAXPROCS.
-	def := NewPMParallel(g, 0)
-	if def.IndexBytes() != seq.IndexBytes() {
-		t.Fatal("default-worker PM diverges")
+		var file bytes.Buffer
+		if err := SaveIndex(tc.built, &file); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadIndex(g, &file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, m := range map[string]Materializer{"built": tc.built, "reloaded": loaded} {
+			label = tc.name + " " + label
+			if m.IndexBytes() != ref.bytes {
+				t.Fatalf("%s: IndexBytes %d, per-vertex loop %d", label, m.IndexBytes(), ref.bytes)
+			}
+			ix := m.(*indexedMaterializer).ix
+			for _, p := range paths {
+				for _, v := range g.VerticesOfType(p.Source()) {
+					want, inRef := ref.get(p, v)
+					got, ok := ix.get(p, v)
+					if ok != inRef || ok != tc.indexed(v) {
+						t.Fatalf("%s: %v from %d indexed=%v, reference %v", label, p, v, ok, inRef)
+					}
+					vecBitEqual(t, fmt.Sprintf("%s %v from %d", label, p, v), want, got)
+				}
+			}
+		}
 	}
 }
 

@@ -50,11 +50,11 @@ func ParseCombination(name string) (Combination, error) {
 // CombineAverage). Queries with a single feature meta-path are unaffected.
 func WithCombination(c Combination) Option { return func(e *Engine) { e.combine = c } }
 
-// concatOne is concatVectors for a single candidate — vecs[m] is the
-// candidate's vector under feature path m — used by the shard tier's fused
-// loop, which holds one candidate's vectors at a time. The arithmetic
-// (weight scaling, block offsets, append order) replicates concatVectors
-// exactly so sharded CombineConcat scores stay bit-identical.
+// concatOne shifts each path's vector into its own coordinate block of width
+// stride and concatenates, scaling values by the path weight: vecs[m] is one
+// vertex's vector under feature path m. It is the only concatenation
+// arithmetic (weight scaling, block offsets, append order), so CombineConcat
+// scores are bit-identical wherever a vertex is combined.
 func concatOne(vecs []sparse.Vector, weights []float64, stride int32) sparse.Vector {
 	var totalNNZ int
 	for m := range vecs {
@@ -76,34 +76,19 @@ func concatOne(vecs []sparse.Vector, weights []float64, stride int32) sparse.Vec
 	return v
 }
 
-// concatVectors shifts each path's vector into its own coordinate block of
-// width `stride` and concatenates, scaling values by the path weight.
-// perPath[i][m] is candidate i's vector under feature path m.
+// concatVectors is concatOne over a vertex set held path-major: perPath[m][i]
+// is vertex i's vector under feature path m.
 func concatVectors(perPath [][]sparse.Vector, weights []float64, stride int32) []sparse.Vector {
 	if len(perPath) == 0 {
 		return nil
 	}
-	n := len(perPath[0])
-	out := make([]sparse.Vector, n)
-	for i := 0; i < n; i++ {
-		var totalNNZ int
+	out := make([]sparse.Vector, len(perPath[0]))
+	one := make([]sparse.Vector, len(perPath))
+	for i := range out {
 		for m := range perPath {
-			totalNNZ += perPath[m][i].NNZ()
+			one[m] = perPath[m][i]
 		}
-		v := sparse.Vector{
-			Idx: make([]int32, 0, totalNNZ),
-			Val: make([]float64, 0, totalNNZ),
-		}
-		for m := range perPath {
-			offset := int32(m) * stride
-			src := perPath[m][i]
-			w := weights[m]
-			for k := range src.Idx {
-				v.Idx = append(v.Idx, src.Idx[k]+offset)
-				v.Val = append(v.Val, w*src.Val[k])
-			}
-		}
-		out[i] = v
+		out[i] = concatOne(one, weights, stride)
 	}
 	return out
 }

@@ -316,11 +316,11 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 			// lives in its own metric.
 			e.obs.Counter(`netout_query_errors_total{outcome="`+xerr.Outcome(err)+`"}`, errorsHelp).Inc()
 		}
-		e.obs.Histogram("netout_query_seconds", "Query wall time.", nil).Observe(trace.Total.Seconds())
+		e.obs.Histogram("netout_query_seconds", "Query wall time.").Observe(trace.Total.Seconds())
 		var traversed, indexed int64
 		for _, s := range trace.Spans {
 			e.obs.Histogram(`netout_query_phase_seconds{phase="`+s.Phase+`"}`,
-				"Per-phase query wall time.", nil).Observe(s.Duration.Seconds())
+				"Per-phase query wall time.").Observe(s.Duration.Seconds())
 			// Summing across spans covers both phase shapes: local execution
 			// attributes all vector work to the materialize span, remote
 			// execution splits it between reduce and scatter.
@@ -344,7 +344,7 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 			}
 			if s, ok := trace.Span("merge"); ok {
 				e.obs.Histogram("netout_shard_merge_seconds",
-					"Coordinator k-way merge time for sharded queries.", nil).Observe(s.Duration.Seconds())
+					"Coordinator k-way merge time for sharded queries.").Observe(s.Duration.Seconds())
 			}
 		}
 	}
@@ -512,43 +512,21 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		return nil, err
 	}
 	ifq.SetPhase("validate")
-	if _, err := oql.Validate(q, e.g.Schema()); err != nil {
-		return nil, err
-	}
-	tr.EndPhase("validate", obs.SpanStats{})
-	ifq.SetPhase("plan")
-
-	// Plan: resolve the candidate/reference sets and the feature meta-paths.
-	setStart := time.Now()
-	cands, err := e.EvalSetContext(ctx, q.From)
+	plan, err = e.resolve(ctx, q, func() {
+		tr.EndPhase("validate", obs.SpanStats{})
+		ifq.SetPhase("plan")
+	})
 	if err != nil {
 		return nil, err
 	}
-	refs := cands
-	if q.ComparedTo != nil {
-		refs, err = e.EvalSetContext(ctx, q.ComparedTo)
-		if err != nil {
-			return nil, err
-		}
-	}
-	paths := make([]metapath.Path, len(q.Features))
-	weights := make([]float64, len(q.Features))
-	for m, f := range q.Features {
-		if paths[m], err = metapath.FromNames(e.g.Schema(), f.Segments...); err != nil {
-			return nil, err
-		}
-		weights[m] = f.Weight
-	}
-	res = &Result{
-		CandidateCount: len(cands),
-		ReferenceCount: len(refs),
-	}
-	res.Timing.SetRetrieval = time.Since(setStart)
+	plan.ifq = ifq
+	res = &Result{CandidateCount: len(plan.cands), ReferenceCount: len(plan.refs)}
+	res.Timing.SetRetrieval = plan.setRetrieval
 	// A cached materializer names the waist that misses of a feature path
 	// finish from; observeQuery copies the lines onto the wide event, so
 	// /debug/events shows why such a path is cheap — or no longer is.
 	if c, ok := e.mat.(*cached); ok {
-		for _, p := range paths {
+		for _, p := range plan.paths {
 			if line := c.state.waistLine(p); line != "" {
 				tr.AddPlan(line)
 			}
@@ -556,12 +534,48 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	}
 	tr.EndPhase("plan", obs.SpanStats{})
 
-	plan = &queryPlan{q: q, cands: cands, refs: refs, paths: paths, weights: weights, combine: e.combine, ifq: ifq}
 	if err := e.run(ctx, plan, res, tr); err != nil {
 		return nil, err
 	}
 	res.Timing.Total = time.Since(start)
 	return res, nil
+}
+
+// resolve turns a parsed query into what every way of running it starts
+// from — Execute, progressive execution, Explain and SuggestFeatures: the
+// query validated against the schema, Sc and Sr as ascending vertex sets
+// (Sr is Sc when COMPARED TO is omitted), and the feature meta-paths with
+// their weights. validated, when non-nil, runs between validation and set
+// evaluation, where a traced caller closes its validate span.
+func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*queryPlan, error) {
+	elemType, err := oql.Validate(q, e.g.Schema())
+	if err != nil {
+		return nil, err
+	}
+	if validated != nil {
+		validated()
+	}
+	start := time.Now()
+	plan := &queryPlan{q: q, elemType: elemType, combine: e.combine}
+	if plan.cands, err = e.EvalSetContext(ctx, q.From); err != nil {
+		return nil, err
+	}
+	plan.refs = plan.cands
+	if q.ComparedTo != nil {
+		if plan.refs, err = e.EvalSetContext(ctx, q.ComparedTo); err != nil {
+			return nil, err
+		}
+	}
+	plan.paths = make([]metapath.Path, len(q.Features))
+	plan.weights = make([]float64, len(q.Features))
+	for m, f := range q.Features {
+		if plan.paths[m], err = metapath.FromNames(e.g.Schema(), f.Segments...); err != nil {
+			return nil, err
+		}
+		plan.weights[m] = f.Weight
+	}
+	plan.setRetrieval = time.Since(start)
+	return plan, nil
 }
 
 // CandidateSet parses the query and resolves only its candidate set. Used

@@ -66,14 +66,20 @@ const parallelChunk = 128
 // chunksOf is how many chunks n candidates (or references) make.
 func chunksOf(n int) int { return (n + parallelChunk - 1) / parallelChunk }
 
-// queryPlan carries a resolved query from the planner to its execution.
+// queryPlan carries a resolved query (Engine.resolve) to its execution.
 type queryPlan struct {
-	q       *oql.Query
-	cands   []hin.VertexID
-	refs    []hin.VertexID
-	paths   []metapath.Path
-	weights []float64
-	combine Combination
+	q *oql.Query
+	// elemType is the vertex type of the candidates, the type Explain and
+	// SuggestFeatures look names and alternative paths up under.
+	elemType hin.TypeID
+	cands    []hin.VertexID
+	refs     []hin.VertexID
+	paths    []metapath.Path
+	weights  []float64
+	combine  Combination
+	// setRetrieval is what evaluating the sets and resolving the paths took
+	// (Timing.SetRetrieval).
+	setRetrieval time.Duration
 	// views are the pooled materializer views the query's local ranges run
 	// on, one per range; nil when it runs inline or on remote shards.
 	// referenceSide shares its per-vertex loads among them.

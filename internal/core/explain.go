@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"netout/internal/hin"
-	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/oql"
 	"netout/internal/sparse"
@@ -95,51 +94,37 @@ func (e *Engine) explainQuery(q *oql.Query, candidateName string, topN int, tr *
 	if e.measure != MeasureNetOut {
 		return nil, fmt.Errorf("core: explanations are defined for the NetOut measure (engine uses %s)", e.measure)
 	}
-	elemType, err := oql.Validate(q, e.g.Schema())
+	// The signature carries no context, so neither set evaluation nor the
+	// reduction below can be cancelled.
+	ctx := context.TODO()
+	plan, err := e.resolve(ctx, q, func() { tr.EndPhase("validate", obs.SpanStats{}) })
 	if err != nil {
 		return nil, err
 	}
-	tr.EndPhase("validate", obs.SpanStats{})
-	target, ok := e.g.VertexByName(elemType, candidateName)
+	target, ok := e.g.VertexByName(plan.elemType, candidateName)
 	if !ok {
-		return nil, fmt.Errorf("core: no %s named %q", e.g.Schema().TypeName(elemType), candidateName)
+		return nil, fmt.Errorf("core: no %s named %q", e.g.Schema().TypeName(plan.elemType), candidateName)
 	}
-	cands, err := e.EvalSet(q.From)
-	if err != nil {
-		return nil, err
-	}
-	if !containsVertex(cands, target) {
+	if !containsVertex(plan.cands, target) {
 		return nil, fmt.Errorf("core: %q is not in the query's candidate set", candidateName)
 	}
-	refs := cands
-	if q.ComparedTo != nil {
-		if refs, err = e.EvalSet(q.ComparedTo); err != nil {
-			return nil, err
-		}
-	}
-	paths := make([]metapath.Path, len(q.Features))
-	for m, f := range q.Features {
-		if paths[m], err = metapath.FromNames(e.g.Schema(), f.Segments...); err != nil {
-			return nil, err
-		}
-	}
+	// An explanation is per path: S under CombineAverage whatever the engine
+	// combines with.
+	plan.combine = CombineAverage
 	tr.EndPhase("plan", obs.SpanStats{})
 
 	// Materialize the candidate's Φ under every path and reduce the reference
 	// side up front, so the trace's materialize phase covers all network
-	// work. S comes from referenceSide — the function Execute reduces with —
-	// under CombineAverage whatever the engine combines with: an explanation
-	// is per path.
+	// work. S comes from referenceSide, the function Execute reduces with.
 	matBefore := e.mat.Stats()
 	cacheBefore, _ := CacheStatsOf(e.mat)
-	phis := make([]sparse.Vector, len(paths))
-	for m := range paths {
-		if phis[m], err = e.mat.NeighborVector(paths[m], target); err != nil {
+	phis := make([]sparse.Vector, len(plan.paths))
+	for m, p := range plan.paths {
+		if phis[m], err = e.mat.NeighborVector(p, target); err != nil {
 			return nil, err
 		}
 	}
-	// The signature carries no context, so the reduction cannot be cancelled.
-	scorers, _, err := e.referenceSide(context.TODO(), &queryPlan{refs: refs, paths: paths, combine: CombineAverage}, e.mat)
+	scorers, _, err := e.referenceSide(ctx, plan, e.mat)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -440,6 +441,127 @@ func TestSuggestFeaturesErrors(t *testing.T) {
 	// Candidate set of size < 3.
 	if _, err := eng.SuggestFeatures(`FIND OUTLIERS FROM author{"Hermit"} JUDGED BY author.paper.venue;`, 2); err == nil {
 		t.Error("tiny candidate set should fail")
+	}
+}
+
+// suggestPerVertex is the loop evaluateFeaturePath was before it scored
+// through candidateSide and scoreRange, kept as the reference: Φ_p of every
+// reference and candidate vertex by plain traversal, one refScorer, a score per
+// candidate, NaNs dropped, the rest sorted; the first minimum in candidate
+// order is the top outlier.
+func suggestPerVertex(t *testing.T, g *hin.Graph, measure Measure, p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool) {
+	t.Helper()
+	tr := metapath.NewTraverser(g)
+	loadVectors := func(vs []hin.VertexID) []sparse.Vector {
+		vecs := make([]sparse.Vector, len(vs))
+		for i, v := range vs {
+			var err error
+			if vecs[i], err = tr.NeighborVector(p, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vecs
+	}
+	scores := ScoreVectors(measure, loadVectors(cands), loadVectors(refs))
+	var finite []float64
+	minIdx := -1
+	for i, s := range scores {
+		if math.IsNaN(s) {
+			continue
+		}
+		finite = append(finite, s)
+		if minIdx < 0 || s < scores[minIdx] {
+			minIdx = i
+		}
+	}
+	if len(finite) < 3 {
+		return Suggestion{}, false
+	}
+	sort.Float64s(finite)
+	return Suggestion{
+		Path:          p.Dotted(g.Schema()),
+		Separation:    (finite[len(finite)/2] + 1) / (finite[0] + 1),
+		Characterized: float64(len(finite)) / float64(len(cands)),
+		TopOutlier:    g.Name(cands[minIdx]),
+		TopScore:      finite[0],
+	}, true
+}
+
+// SuggestFeatures scores through the executor's candidateSide and scoreRange;
+// every number it reports is the per-vertex loop's bit for bit — under all
+// three measures, for anchored, whole-type and COMPARED TO queries, on the
+// cached strategy, and on a baseline whose second pass over a whole type takes
+// the propagated branch (crossover lowered so this graph reaches it).
+func TestSuggestMatchesPerVertexLoop(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(23)))
+	queries := []string{
+		`FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`,
+		`FIND OUTLIERS FROM author{"A3"}.paper.venue.paper.author JUDGED BY author.paper.venue;`,
+		`FIND OUTLIERS FROM author{"A3"}.paper.venue.paper.author COMPARED TO author JUDGED BY author.paper.term;`,
+	}
+	for _, measure := range allMeasures {
+		// PathSim pays |Sc|·|Sr| dots per path: the short paths are enough.
+		maxHops := 4
+		if measure == MeasurePathSim {
+			maxHops = 2
+		}
+		cache, err := NewCached(g, 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, mat := range map[string]Materializer{"baseline": NewBaseline(g), "eager": eagerBaseline(g), "cached": cache} {
+			eng := NewEngine(g, WithMeasure(measure), WithMaterializer(mat))
+			for _, src := range queries {
+				q := mustParse(t, src)
+				plan, err := eng.resolve(context.Background(), q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Suggestion
+				for _, p := range metapath.Enumerate(g.Schema(), plan.elemType, 2, maxHops) {
+					if sug, ok := suggestPerVertex(t, g, measure, p, plan.cands, plan.refs); ok {
+						want = append(want, sug)
+					}
+				}
+				if len(want) < 3 {
+					t.Fatalf("%q: only %d paths characterize three candidates", src, len(want))
+				}
+				// Twice: the second pass finds the norms the first left behind.
+				for pass := 0; pass < 2; pass++ {
+					before := mat.Stats()
+					got, err := eng.SuggestFeaturesQuery(q, maxHops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s %s pass %d %q", measure, name, pass, src)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d suggestions, want %d", label, len(got), len(want))
+					}
+					byPath := map[string]Suggestion{}
+					for _, sug := range got {
+						byPath[sug.Path] = sug
+					}
+					for _, w := range want {
+						x, ok := byPath[w.Path]
+						if !ok || x.TopOutlier != w.TopOutlier ||
+							math.Float64bits(x.Separation) != math.Float64bits(w.Separation) ||
+							math.Float64bits(x.Characterized) != math.Float64bits(w.Characterized) ||
+							math.Float64bits(x.TopScore) != math.Float64bits(w.TopScore) {
+							t.Fatalf("%s: %s = %+v (found %v), want %+v", label, w.Path, x, ok, w)
+						}
+					}
+					// A norm read from the table is a candidate of a propagated
+					// path; the default crossover is out of this graph's reach.
+					propagated := mat.Stats().Sub(before).IndexedVectors > 0
+					if name == "baseline" && propagated {
+						t.Fatalf("%s: propagated below the crossover", label)
+					}
+					if name == "eager" && measure == MeasureNetOut && pass == 1 && src == queries[0] && !propagated {
+						t.Fatalf("%s: the warm whole-type pass did not propagate", label)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 // Fault-injection harness for the serving-robustness layer: deterministic
 // panics, stalls and cancellations injected at the materializer seam (a
-// faultMat wrapping a real materializer via the viewable interface) and at
-// the parallel index builder (pmBuildHook). Every test here must pass under
+// faultMat wrapping a real materializer via the viewable interface). Every
+// test here must pass under
 // `go test -race -cpu 1,4` — the whole point is proving the isolation,
 // shedding and degradation paths are correct under concurrency, not just on
 // the happy path.
@@ -264,7 +264,7 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 	// Load 1..faultRefs is the reference side, the next load the first
 	// candidate; stalling the one after past the deadline leaves a non-empty
 	// candidate prefix, which the worker turns into a partial result that
-	// the caller collects within DrainGrace.
+	// the caller collects within the pool's grace.
 	var loads atomic.Int64
 	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
 		if loads.Add(1) == faultRefs+2 {
@@ -275,11 +275,11 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 	pool, err := NewServePool(g, ServeOptions{
 		Workers: 1, Materializer: fm, Obs: reg,
 		DefaultTimeout: 60 * time.Millisecond,
-		DrainGrace:     5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.grace = 5 * time.Second
 	defer pool.Close()
 
 	res, err := pool.Execute(context.Background(), faultRefQuery)
@@ -679,49 +679,6 @@ func TestProgressiveCancelAndDeadlinePartial(t *testing.T) {
 	}
 	if fullProg.Partial {
 		t.Fatal("full progressive run marked Partial")
-	}
-}
-
-// The parallel index builder: a panic in a build worker no longer kills the
-// process from an unrecoverable goroutine; it is re-raised as a *PanicError
-// in the caller's goroutine after all workers join, where it CAN be
-// recovered — and a clean rebuild works.
-func TestNewPMParallelPanicRecovered(t *testing.T) {
-	g := randomBibGraph(rand.New(rand.NewSource(29)))
-	var fired atomic.Bool
-	pmBuildHook = func(metapath.Path, hin.VertexID) {
-		if fired.CompareAndSwap(false, true) {
-			panic("injected build fault")
-		}
-	}
-	defer func() { pmBuildHook = nil }()
-
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("expected NewPMParallel to re-raise the build failure")
-			}
-			pe, ok := r.(*PanicError)
-			if !ok {
-				t.Fatalf("recovered %T (%v), want *PanicError", r, r)
-			}
-			if pe.Value != "injected build fault" || pe.Stack == "" {
-				t.Fatalf("PanicError not captured faithfully: %+v", pe)
-			}
-		}()
-		NewPMParallel(g, 4)
-	}()
-
-	// Disarmed, the parallel build completes and answers like the baseline.
-	pm := NewPMParallel(g, 4)
-	want, err := NewEngine(g).Execute(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewEngine(g, WithMaterializer(pm)).Execute(faultQuery)
-	if err != nil || !resultsEqual(got, want) {
-		t.Fatalf("rebuilt PM: err=%v, matches baseline=%v", err, err == nil && resultsEqual(got, want))
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // job.done leaves the caller blocked forever on a background context, and a
 // dead worker silently shrinks pool capacity for everyone else. Every worker
 // goroutine (ServePool workers, ExecuteBatch workers, a query's candidate
-// ranges, parallel index builders) therefore converts panics into
-// *PanicError replies at its unit-of-work boundary and keeps running.
+// ranges) therefore converts panics into *PanicError replies at its
+// unit-of-work boundary and keeps running.
 
 // PanicError is a panic recovered by a serving-layer worker and converted
 // into a per-query (or per-range) error. Value is the original panic value;

@@ -231,16 +231,8 @@ func (m *indexedMaterializer) IndexBytes() int64  { return m.ix.bytes }
 func (m *indexedMaterializer) Stats() MatStats    { return m.stats }
 
 func (m *indexedMaterializer) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
-	g := m.tr.Graph()
-	if p.IsZero() {
-		return sparse.Vector{}, fmt.Errorf("core: zero meta-path")
-	}
-	if !g.Valid(v) {
-		return sparse.Vector{}, fmt.Errorf("core: vertex %d out of range", v)
-	}
-	if g.Type(v) != p.Source() {
-		return sparse.Vector{}, fmt.Errorf("core: vertex %d has type %s, path starts at %s",
-			v, g.Schema().TypeName(g.Type(v)), g.Schema().TypeName(p.Source()))
+	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
+		return sparse.Vector{}, err
 	}
 	// Whole-path fast path: length-2 paths are looked up directly.
 	if p.Hops() == 2 {
@@ -325,13 +317,34 @@ func (m *indexedMaterializer) traverseFrontier(p metapath.Path, fromHop int, fro
 }
 
 // ---------------------------------------------------------------------------
-// PM
+// PM and SPM
+
+// buildIndex is the one index build: Φ_p(v) by plain traversal for every
+// path of paths (length 2, Section 6.2) from every vertex sources returns for
+// the path's source type. Construction cost is deliberately front-loaded (it
+// models an offline indexing phase).
+func buildIndex(g *hin.Graph, strategy Strategy, paths []metapath.Path, sources func(hin.TypeID) []hin.VertexID) Materializer {
+	tr := metapath.NewTraverser(g)
+	ix := newPathIndex(g)
+	for _, p := range paths {
+		if p.Hops() != 2 {
+			panic(fmt.Sprintf("core: %s pre-materializes length-2 paths only, got %v", strategy, p))
+		}
+		for _, v := range sources(p.Source()) {
+			vec, err := tr.NeighborVector(p, v)
+			if err != nil {
+				// Unreachable: sources are handed out by type.
+				panic(err)
+			}
+			ix.put(p, v, vec)
+		}
+	}
+	return &indexedMaterializer{tr: tr, ix: ix, strategy: strategy}
+}
 
 // NewPM builds the full pre-materialization strategy: Φ vectors for every
-// schema-valid length-2 meta-path from every vertex. Construction cost is
-// deliberately front-loaded (it models an offline indexing phase); query
-// time then pays only index lookups plus single-hop traversal for
-// odd-length paths.
+// schema-valid length-2 meta-path from every vertex. Query time then pays
+// only index lookups plus single-hop traversal for odd-length paths.
 func NewPM(g *hin.Graph) Materializer {
 	return NewPMPaths(g, allLength2Paths(g.Schema()))
 }
@@ -339,26 +352,8 @@ func NewPM(g *hin.Graph) Materializer {
 // NewPMPaths builds PM restricted to a subset of length-2 meta-paths
 // (Section 6.2: "we may compute all length-2 paths or only a subset").
 func NewPMPaths(g *hin.Graph, paths []metapath.Path) Materializer {
-	tr := metapath.NewTraverser(g)
-	ix := newPathIndex(g)
-	for _, p := range paths {
-		if p.Hops() != 2 {
-			panic(fmt.Sprintf("core: PM pre-materializes length-2 paths only, got %v", p))
-		}
-		for _, v := range g.VerticesOfType(p.Source()) {
-			vec, err := tr.NeighborVector(p, v)
-			if err != nil {
-				// Unreachable: sources are enumerated by type.
-				panic(err)
-			}
-			ix.put(p, v, vec)
-		}
-	}
-	return &indexedMaterializer{tr: tr, ix: ix, strategy: StrategyPM}
+	return buildIndex(g, StrategyPM, paths, g.VerticesOfType)
 }
-
-// ---------------------------------------------------------------------------
-// SPM
 
 // SPMConfig configures selective pre-materialization.
 type SPMConfig struct {
@@ -396,31 +391,17 @@ func NewSPM(g *hin.Graph, initQueries []string, cfg SPMConfig) (Materializer, er
 			selected = append(selected, v)
 		}
 	}
-	return newSPMFromVertices(g, selected), nil
+	return NewSPMVertices(g, selected), nil
 }
 
 // NewSPMVertices builds SPM with an explicit pre-selected vertex set,
 // bypassing the frequency-counting phase. Useful for tests and for callers
 // that track query logs themselves.
 func NewSPMVertices(g *hin.Graph, vertices []hin.VertexID) Materializer {
-	return newSPMFromVertices(g, vertices)
-}
-
-func newSPMFromVertices(g *hin.Graph, selected []hin.VertexID) Materializer {
-	tr := metapath.NewTraverser(g)
-	ix := newPathIndex(g)
 	byType := make(map[hin.TypeID][]hin.VertexID)
-	for _, v := range selected {
+	for _, v := range vertices {
 		byType[g.Type(v)] = append(byType[g.Type(v)], v)
 	}
-	for _, p := range allLength2Paths(g.Schema()) {
-		for _, v := range byType[p.Source()] {
-			vec, err := tr.NeighborVector(p, v)
-			if err != nil {
-				panic(err)
-			}
-			ix.put(p, v, vec)
-		}
-	}
-	return &indexedMaterializer{tr: tr, ix: ix, strategy: StrategySPM}
+	return buildIndex(g, StrategySPM, allLength2Paths(g.Schema()),
+		func(t hin.TypeID) []hin.VertexID { return byType[t] })
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"netout/internal/hin"
-	"netout/internal/metapath"
 	"netout/internal/oql"
 	"netout/internal/sparse"
 	"netout/internal/xerr"
@@ -151,50 +150,29 @@ func (e *Engine) ExecuteQueryProgressiveContext(ctx context.Context, q *oql.Quer
 		opts.ChunkSize = 64
 	}
 	start := time.Now()
-	if _, err := oql.Validate(q, e.g.Schema()); err != nil {
-		return nil, err
-	}
-
-	setStart := time.Now()
-	cands, err := e.EvalSetContext(ctx, q.From)
+	plan, err := e.resolve(ctx, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	refs := cands
-	if q.ComparedTo != nil {
-		refs, err = e.EvalSetContext(ctx, q.ComparedTo)
-		if err != nil {
-			return nil, err
-		}
-	}
+	cands, refs, paths := plan.cands, plan.refs, plan.paths
 	res := &Result{CandidateCount: len(cands), ReferenceCount: len(refs)}
-	res.Timing.SetRetrieval = time.Since(setStart)
+	res.Timing.SetRetrieval = plan.setRetrieval
 
-	// Materialize candidate vectors (combined across features when needed).
-	weights := make([]float64, len(q.Features))
-	paths := make([]metapath.Path, len(q.Features))
-	for m, f := range q.Features {
-		p, err := metapath.FromNames(e.g.Schema(), f.Segments...)
-		if err != nil {
-			return nil, err
-		}
-		paths[m] = p
-		weights[m] = f.Weight
-	}
+	// A vertex's vector, concatenated across features when there are several.
 	stride := int32(e.g.NumVertices())
+	one := make([]sparse.Vector, len(paths))
 	combinedVec := func(v hin.VertexID) (sparse.Vector, error) {
-		if len(paths) == 1 {
-			return e.mat.NeighborVector(paths[0], v)
-		}
-		perPath := make([][]sparse.Vector, len(paths))
-		for m := range paths {
-			vec, err := e.mat.NeighborVector(paths[m], v)
+		for m, p := range paths {
+			vec, err := e.mat.NeighborVector(p, v)
 			if err != nil {
 				return sparse.Vector{}, err
 			}
-			perPath[m] = []sparse.Vector{vec}
+			one[m] = vec
 		}
-		return concatVectors(perPath, weights, stride)[0], nil
+		if len(paths) == 1 {
+			return one[0], nil
+		}
+		return concatOne(one, plan.weights, stride), nil
 	}
 
 	candVecs := make([]sparse.Vector, len(cands))

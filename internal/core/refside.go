@@ -4,8 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"netout/internal/hin"
-	"netout/internal/metapath"
 	"netout/internal/sparse"
 )
 
@@ -100,21 +98,4 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materia
 		held = vecs
 	}
 	return scorers, held, nil
-}
-
-// loadVectors materializes Φ_p(v) for vs in order. On error it returns the
-// vectors completed so far — the prefix deadline degradation keeps.
-func loadVectors(ctx context.Context, mat Materializer, p metapath.Path, vs []hin.VertexID) ([]sparse.Vector, error) {
-	vecs := make([]sparse.Vector, 0, len(vs))
-	for _, v := range vs {
-		if err := ctxErr(ctx); err != nil {
-			return vecs, err
-		}
-		vec, err := mat.NeighborVector(p, v)
-		if err != nil {
-			return vecs, err
-		}
-		vecs = append(vecs, vec)
-	}
-	return vecs, nil
 }

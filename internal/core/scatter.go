@@ -114,8 +114,8 @@ func (st ShardRefState) scorer(m Measure) *refScorer {
 
 // RemoteShard is a coordinator-side client for one out-of-process shard.
 // Call executes one shard request against the remote process and returns
-// its reply; implementations own connection management, retry/backoff,
-// hedging and deadline propagation (internal/shardnet.Client). Call must be
+// its reply; implementations own connection management, retry/backoff and
+// deadline propagation (internal/shardnet.Client). Call must be
 // safe for concurrent use — one client serves every ServePool worker — and
 // should return an error only for transport-level faults (the remote
 // expressing a failure returns a response with Err/Code/Kind set instead).

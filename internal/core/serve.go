@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +40,7 @@ type ServePool struct {
 
 	maxQueue int           // admission control: queue bound (0 = unbounded)
 	timeout  time.Duration // default per-query deadline (0 = none)
-	grace    time.Duration // post-deadline wait for a degraded reply
+	grace    time.Duration // post-deadline wait for a degraded reply (serveDrainGrace)
 
 	served    atomic.Int64
 	failed    atomic.Int64
@@ -60,6 +59,14 @@ type ServePool struct {
 	queueHist *obs.Histogram
 	execHist  *obs.Histogram
 }
+
+// serveDrainGrace bounds how long Execute waits, after a query's deadline
+// expires, for the worker's own reply — which under the NetOut measure is a
+// Partial=true result covering the work done so far (see Result.Partial). The
+// worker observes the same expired deadline at its next per-vertex check, so
+// the reply normally arrives promptly; the bound keeps a stalled materializer
+// from stranding the caller.
+const serveDrainGrace = 250 * time.Millisecond
 
 // ServeOptions configures NewServePool.
 type ServeOptions struct {
@@ -98,15 +105,6 @@ type ServeOptions struct {
 	// deadline always wins; DefaultTimeout is the pool's backstop against
 	// runaway queries from callers that never set one.
 	DefaultTimeout time.Duration
-	// DrainGrace bounds how long Execute waits, after a query's deadline
-	// expires, for the worker's own reply — which under the NetOut measure
-	// is a Partial=true result covering the work done so far (see
-	// Result.Partial). The worker observes the same expired deadline at its
-	// next per-vertex check, so the reply normally arrives promptly; the
-	// bound keeps a stalled materializer from stranding the caller. Default
-	// 250ms; negative disables the wait (expired deadlines return
-	// context.DeadlineExceeded immediately, as before).
-	DrainGrace time.Duration
 	// Obs, if set, receives the pool's metrics: served/failed totals,
 	// shed/panic/timeout/partial counters, and cumulative
 	// queue-wait/execute seconds (read from the same atomics Stats reports,
@@ -183,41 +181,19 @@ type serveDone struct {
 // NewServePool starts a worker pool over g. Callers must Close the pool to
 // release its workers.
 func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	queryPar := opts.QueryParallelism
-	if queryPar <= 0 {
-		queryPar = 1
-	}
-	engines := make([]*Engine, workers)
-	root := opts.Materializer
-	if root == nil {
-		root = NewBaseline(g)
-	}
-	for w := range engines {
-		mat, err := NewView(root)
-		if err != nil {
-			return nil, err
-		}
-		engines[w] = NewEngine(g,
-			WithMeasure(opts.Measure),
-			WithCombination(opts.Combination),
-			WithMaterializer(mat),
-			WithQueryParallelism(queryPar),
-			WithRemoteShards(opts.RemoteShards...),
-			WithObs(opts.Obs, opts.SlowLog),
-			WithEventSink(opts.Events),
-			WithInflight(opts.Inflight))
+	engines, err := newWorkerEngines(g, opts.Workers, opts.QueryParallelism, opts.Materializer,
+		WithMeasure(opts.Measure),
+		WithCombination(opts.Combination),
+		WithRemoteShards(opts.RemoteShards...),
+		WithObs(opts.Obs, opts.SlowLog),
+		WithEventSink(opts.Events),
+		WithInflight(opts.Inflight))
+	if err != nil {
+		return nil, err
 	}
 	maxQueue := opts.MaxQueue
 	if maxQueue < 0 {
 		maxQueue = 0
-	}
-	grace := opts.DrainGrace
-	if grace == 0 {
-		grace = 250 * time.Millisecond
 	}
 	p := &ServePool{
 		// The queue buffer IS the admission bound: with MaxQueue set, a send
@@ -225,10 +201,10 @@ func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
 		jobs:     make(chan serveJob, maxQueue),
 		maxQueue: maxQueue,
 		timeout:  opts.DefaultTimeout,
-		grace:    grace,
+		grace:    serveDrainGrace,
 	}
 	if opts.Obs != nil {
-		p.registerMetrics(opts.Obs, workers)
+		p.registerMetrics(opts.Obs, len(engines))
 		if opts.Materializer != nil {
 			RegisterMaterializerMetrics(opts.Obs, opts.Materializer)
 		}
@@ -248,10 +224,10 @@ func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
 	return p, nil
 }
 
-// serveJob runs one query on a worker's engine, isolating panics: the reply
-// channel is ALWAYS written (a panic would otherwise strand the caller
+// serveJob runs one query on a worker's engine behind executeIsolated, so the
+// reply channel is ALWAYS written (a panic would otherwise strand the caller
 // forever on a background context) and the worker survives to take the next
-// job, so one hostile query cannot shrink pool capacity.
+// job.
 func (p *ServePool) serveJob(eng *Engine, job serveJob) {
 	wait := time.Since(job.enqueued)
 	p.queueNs.Add(wait.Nanoseconds())
@@ -262,12 +238,7 @@ func (p *ServePool) serveJob(eng *Engine, job serveJob) {
 	// reports how long it sat in the queue before a worker picked it up.
 	ctx := obs.WithQueueWait(job.ctx, wait)
 	start := time.Now()
-	var res *Result
-	err := func() (err error) {
-		defer recoverAsError(&err)
-		res, err = eng.ExecuteContext(ctx, job.src)
-		return err
-	}()
+	res, err := eng.executeIsolated(ctx, job.src)
 	elapsed := time.Since(start)
 	p.executeNs.Add(elapsed.Nanoseconds())
 	if p.execHist != nil {
@@ -404,9 +375,9 @@ func (p *ServePool) registerMetrics(reg *obs.Registry, workers int) {
 	reg.CounterFunc("netout_serve_canceled_total", "Queries aborted by caller cancellation (not timeouts).",
 		func() float64 { return float64(p.canceled.Load()) })
 	p.queueHist = reg.Histogram("netout_serve_queue_seconds",
-		"Per-query time spent waiting for a free worker.", nil)
+		"Per-query time spent waiting for a free worker.")
 	p.execHist = reg.Histogram("netout_serve_execute_seconds",
-		"Per-query worker execution time.", nil)
+		"Per-query worker execution time.")
 }
 
 // Ready reports whether the pool can accept queries: nil while open,

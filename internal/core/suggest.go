@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
 	"netout/internal/oql"
-	"netout/internal/sparse"
 )
 
 // Feature suggestion implements the last extension Section 8 sketches:
@@ -58,27 +56,19 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 	if maxHops < 2 {
 		maxHops = 2
 	}
-	candType, err := oql.Validate(q, e.g.Schema())
+	// The signature carries no context, so the evaluation cannot be cancelled.
+	ctx := context.TODO()
+	plan, err := e.resolve(ctx, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	cands, err := e.EvalSet(q.From)
-	if err != nil {
-		return nil, err
-	}
-	if len(cands) < 3 {
-		return nil, fmt.Errorf("core: candidate set too small (%d) to rank feature paths", len(cands))
-	}
-	refs := cands
-	if q.ComparedTo != nil {
-		if refs, err = e.EvalSet(q.ComparedTo); err != nil {
-			return nil, err
-		}
+	if len(plan.cands) < 3 {
+		return nil, fmt.Errorf("core: candidate set too small (%d) to rank feature paths", len(plan.cands))
 	}
 
 	var out []Suggestion
-	for _, p := range metapath.Enumerate(e.g.Schema(), candType, 2, maxHops) {
-		sug, ok, err := e.evaluateFeaturePath(p, cands, refs)
+	for _, p := range metapath.Enumerate(e.g.Schema(), plan.elemType, 2, maxHops) {
+		sug, ok, err := e.evaluateFeaturePath(ctx, p, plan.cands, plan.refs)
 		if err != nil {
 			return nil, err
 		}
@@ -99,50 +89,38 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 	return out, nil
 }
 
-func (e *Engine) evaluateFeaturePath(p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool, error) {
-	// One path alone: its scorer is the measure's whole reference side. The
-	// signature carries no context, so the evaluation cannot be cancelled.
-	ctx := context.TODO()
-	plan := &queryPlan{cands: cands, refs: refs, paths: []metapath.Path{p}, combine: CombineAverage}
+// evaluateFeaturePath scores the candidates under p alone, the way Execute
+// would: one path at weight 1, so its scorer is the measure's whole reference
+// side and the weighted mean of one score is that score bit for bit. ok is
+// false when p characterizes fewer than three candidates.
+func (e *Engine) evaluateFeaturePath(ctx context.Context, p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool, error) {
+	plan := &queryPlan{cands: cands, refs: refs, paths: []metapath.Path{p}, weights: []float64{1}, combine: CombineAverage}
 	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
 	if err != nil {
 		return Suggestion{}, false, err
 	}
-	var candVecs []sparse.Vector
-	if held != nil {
-		candVecs = held[0]
-	} else if candVecs, err = loadVectors(ctx, e.mat, p, cands); err != nil {
+	cs, err := newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, plan.paths, cands, held)
+	if err != nil {
 		return Suggestion{}, false, err
 	}
-	scores := make([]float64, len(candVecs))
-	for i, phi := range candVecs {
-		scores[i] = scorers.perPath[0].score(phi)
+	// Unbounded, so the ranking is every characterized candidate in
+	// (score, vertex) order.
+	rr := scoreRange(ctx, cs, e.mat, 0, len(cands), 0)
+	if rr.err != nil {
+		return Suggestion{}, false, rr.err
 	}
-	var finite []float64
-	minIdx := -1
-	for i, s := range scores {
-		if math.IsNaN(s) {
-			continue
-		}
-		finite = append(finite, s)
-		if minIdx < 0 || s < scores[minIdx] {
-			minIdx = i
-		}
-	}
-	if len(finite) < 3 {
+	ranked := rr.entries
+	if len(ranked) < 3 {
 		return Suggestion{}, false, nil
 	}
-	sort.Float64s(finite)
-	median := finite[len(finite)/2]
-	min := finite[0]
-	sug := Suggestion{
+	top, median := ranked[0], ranked[len(ranked)/2].Score
+	return Suggestion{
 		Path:          p.Dotted(e.g.Schema()),
-		Separation:    (median + 1) / (min + 1),
-		Characterized: float64(len(finite)) / float64(len(cands)),
-		TopOutlier:    e.g.Name(cands[minIdx]),
-		TopScore:      min,
-	}
-	return sug, true, nil
+		Separation:    (median + 1) / (top.Score + 1),
+		Characterized: float64(len(ranked)) / float64(len(cands)),
+		TopOutlier:    top.Name,
+		TopScore:      top.Score,
+	}, true, nil
 }
 
 // FormatSuggestions renders suggestions for terminal display.

@@ -53,10 +53,7 @@ func (tr *Traverser) Graph() *hin.Graph { return tr.g }
 // multiplicities multiplicatively along each route. The source vertex must
 // have type P.Source().
 func (tr *Traverser) NeighborVector(p Path, v hin.VertexID) (sparse.Vector, error) {
-	if p.IsZero() {
-		return sparse.Vector{}, fmt.Errorf("metapath: zero path")
-	}
-	if err := tr.checkSource(p, v); err != nil {
+	if err := CheckSource(tr.g, p, v); err != nil {
 		return sparse.Vector{}, err
 	}
 	if p.Hops() == 0 {
@@ -72,17 +69,25 @@ func (tr *Traverser) unitSeed(v hin.VertexID) sparse.Vector {
 	return tr.hops[0]
 }
 
-// checkSource reports whether v can start a walk along p.
-func (tr *Traverser) checkSource(p Path, v hin.VertexID) error {
-	if !tr.g.Valid(v) {
+// CheckSource reports why v cannot start a walk along p in g (nil when it
+// can): the zero path, a vertex outside g, or one of another type than p's
+// source. It is the source validation of every materializer, and allocates
+// nothing on success.
+func CheckSource(g *hin.Graph, p Path, v hin.VertexID) error {
+	if p.IsZero() {
+		return errZeroPath
+	}
+	if !g.Valid(v) {
 		return fmt.Errorf("metapath: vertex %d out of range", v)
 	}
-	if tr.g.Type(v) != p.Source() {
+	if g.Type(v) != p.Source() {
 		return fmt.Errorf("metapath: vertex %d has type %s, path starts at %s",
-			v, tr.g.Schema().TypeName(tr.g.Type(v)), tr.g.Schema().TypeName(p.Source()))
+			v, g.Schema().TypeName(g.Type(v)), g.Schema().TypeName(p.Source()))
 	}
 	return nil
 }
+
+var errZeroPath = errors.New("metapath: zero path")
 
 // expandPath expands the seed frontier cur — in hops[0], or storage the
 // caller owns and the walk only reads — along the first hops hops of p (at
@@ -209,10 +214,10 @@ func (tr *Traverser) SeedValues(ctx context.Context, p Path, seed sparse.Vector,
 // for zero hops, is the seed itself).
 func (tr *Traverser) seedWalk(ctx context.Context, p Path, hops int, seed sparse.Vector, scratch bool) (s sparse.Vector, exact bool, err error) {
 	if p.IsZero() {
-		return sparse.Vector{}, false, fmt.Errorf("metapath: zero path")
+		return sparse.Vector{}, false, errZeroPath
 	}
 	for i, ix := range seed.Idx {
-		if err := tr.checkSource(p, hin.VertexID(ix)); err != nil {
+		if err := CheckSource(tr.g, p, hin.VertexID(ix)); err != nil {
 			return sparse.Vector{}, false, err
 		}
 		if x := seed.Val[i]; !(x >= 0 && x == math.Trunc(x)) {
@@ -398,10 +403,7 @@ func (tr *Traverser) ExpandSet(set []hin.VertexID, next hin.TypeID) []hin.Vertex
 // kernels — with Φ drained into the traverser's hop scratch instead of a
 // fresh vector, so a warmed-up traverser allocates nothing.
 func (tr *Traverser) Visibility(p Path, v hin.VertexID) (float64, error) {
-	if p.IsZero() {
-		return 0, fmt.Errorf("metapath: zero path")
-	}
-	if err := tr.checkSource(p, v); err != nil {
+	if err := CheckSource(tr.g, p, v); err != nil {
 		return 0, err
 	}
 	if p.Hops() == 0 {

@@ -267,13 +267,13 @@ func TestExpositionConformance(t *testing.T) {
 	reg.Counter(`netout_queries_total{outcome="error"}`, "Queries by outcome.").Add(2)
 	reg.Gauge("netout_index_bytes", "Index size.").Set(1.5e6)
 	reg.GaugeFunc("netout_workers", "Workers.", func() float64 { return 4 })
-	h := reg.Histogram("netout_query_seconds", "Query latency.", nil)
+	h := reg.Histogram("netout_query_seconds", "Query latency.")
 	for _, v := range []float64{0.0001, 0.003, 0.02, 0.4, 30} { // incl. +Inf bucket
 		h.Observe(v)
 	}
 	// A labeled histogram — the serve layer's netout_http_request_seconds shape.
-	reg.Histogram(`netout_http_request_seconds{code="200"}`, "Request latency.", nil).Observe(0.01)
-	reg.Histogram(`netout_http_request_seconds{code="500"}`, "Request latency.", nil).Observe(0.2)
+	reg.Histogram(`netout_http_request_seconds{code="200"}`, "Request latency.").Observe(0.01)
+	reg.Histogram(`netout_http_request_seconds{code="500"}`, "Request latency.").Observe(0.2)
 	// Hostile dynamic label values and HELP text must be escaped, not corrupting.
 	reg.Counter("netout_evil_total{q=\"a\\\"b\\\\c\nd\"}", "Help with \\ and\nnewline.").Inc()
 	// The shard tier's families (core.observeQuery shape): a per-shard
@@ -281,7 +281,7 @@ func TestExpositionConformance(t *testing.T) {
 	reg.Counter(`netout_shard_queries_total{shard="0"}`, "Shard requests by shard.").Add(5)
 	reg.Counter(`netout_shard_queries_total{shard="1"}`, "Shard requests by shard.").Add(5)
 	reg.Counter("netout_shard_partials_total", "Shard partials.").Inc()
-	reg.Histogram("netout_shard_merge_seconds", "Merge latency.", nil).Observe(0.0004)
+	reg.Histogram("netout_shard_merge_seconds", "Merge latency.").Observe(0.0004)
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
@@ -372,7 +372,7 @@ func TestRegistrationRejectsMalformedNames(t *testing.T) {
 // the final exposition agreeing exactly with the work done.
 func TestInstrumentsConcurrentWithScrapes(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("netout_stress_seconds", "Stress.", []float64{0.001, 0.01, 0.1, 1})
+	h := reg.Histogram("netout_stress_seconds", "Stress.")
 	g := reg.Gauge("netout_stress_gauge", "Stress.")
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup

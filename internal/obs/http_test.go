@@ -69,6 +69,7 @@ func TestAdminMuxEventsAndRequests(t *testing.T) {
 	tab := NewInflight()
 	q := tab.Register("rid-8", "trace-8", "FIND OTHERS;")
 	q.SetPhase("materialize")
+	q.Begin = time.Now().Add(-3 * time.Second)
 	defer tab.Deregister(q)
 	srv := httptest.NewServer(NewAdminMux(NewRegistry(), nil,
 		WithEventRing(ring), WithInflight(tab)))
@@ -94,6 +95,15 @@ func TestAdminMuxEventsAndRequests(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0].RequestID != "rid-8" || rows[0].Phase != "materialize" {
 		t.Fatalf("JSON rows = %+v", rows)
+	}
+	// elapsed_us is microseconds: a query begun 3 s ago reads about 3e6, not
+	// the 3e9 of a time.Duration marshalled as it stands.
+	var raw []map[string]any
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if us, _ := raw[0]["elapsed_us"].(float64); us < 3e6 || us > 60e6 {
+		t.Fatalf("elapsed_us = %v for a query begun 3 s ago, want microseconds", raw[0]["elapsed_us"])
 	}
 }
 

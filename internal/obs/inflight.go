@@ -86,16 +86,16 @@ func (q *InflightQuery) Progress() (done, total, workers int64) {
 
 // InflightSnapshot is one row of the live table, consistent at read time.
 type InflightSnapshot struct {
-	ID                  uint64        `json:"id"`
-	RequestID           string        `json:"request_id,omitempty"`
-	TraceID             string        `json:"trace_id,omitempty"`
-	Query               string        `json:"query"`
-	Begin               time.Time     `json:"begin"`
-	Elapsed             time.Duration `json:"elapsed_us"`
-	Phase               string        `json:"phase"`
-	ChunksDone          int64         `json:"chunks_done,omitempty"`
-	ChunksTotal         int64         `json:"chunks_total,omitempty"`
-	Workers             int64         `json:"workers,omitempty"`
+	ID          uint64    `json:"id"`
+	RequestID   string    `json:"request_id,omitempty"`
+	TraceID     string    `json:"trace_id,omitempty"`
+	Query       string    `json:"query"`
+	Begin       time.Time `json:"begin"`
+	ElapsedUs   int64     `json:"elapsed_us"`
+	Phase       string    `json:"phase"`
+	ChunksDone  int64     `json:"chunks_done,omitempty"`
+	ChunksTotal int64     `json:"chunks_total,omitempty"`
+	Workers     int64     `json:"workers,omitempty"`
 }
 
 // Inflight is the table of currently executing queries. All methods are
@@ -166,7 +166,7 @@ func (t *Inflight) Snapshot() []InflightSnapshot {
 			TraceID:     q.TraceID,
 			Query:       q.Query,
 			Begin:       q.Begin,
-			Elapsed:     now.Sub(q.Begin),
+			ElapsedUs:   now.Sub(q.Begin).Microseconds(),
 			Phase:       q.Phase(),
 			ChunksDone:  done,
 			ChunksTotal: total,
@@ -199,7 +199,7 @@ func (t *Inflight) Format() string {
 	fmt.Fprintf(&sb, "in-flight queries: %d (oldest first)\n", len(rows))
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "#%d  elapsed %v  phase %s", r.ID,
-			r.Elapsed.Round(time.Millisecond), r.Phase)
+			(time.Duration(r.ElapsedUs) * time.Microsecond).Round(time.Millisecond), r.Phase)
 		if r.ChunksTotal > 0 {
 			fmt.Fprintf(&sb, "  chunks %d/%d on %d workers", r.ChunksDone, r.ChunksTotal, r.Workers)
 		}

@@ -352,13 +352,10 @@ func canonicalLabels(name, body string) string {
 
 // register returns the existing metric under name (panicking if it has a
 // different kind — mixing types under one name is a programming error, like
-// expvar) or creates it with mk.
+// expvar) or creates it with mk. The name is split, validated and
+// canonicalized on first registration only: a served query looks up a dozen
+// instruments, all registered long before.
 func (r *Registry) register(name, help string, kind metricKind, mk func(m *metric)) *metric {
-	family, labels := splitName(name)
-	if !isValidMetricName(family) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	labels = canonicalLabels(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
@@ -371,6 +368,11 @@ func (r *Registry) register(name, help string, kind metricKind, mk func(m *metri
 		}
 		return m
 	}
+	family, labels := splitName(name)
+	if !isValidMetricName(family) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	labels = canonicalLabels(name, labels)
 	m := &metric{name: name, family: family, labels: labels, kind: kind, help: help}
 	mk(m)
 	r.metrics[name] = m
@@ -396,12 +398,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it if
-// needed with the given bucket upper bounds (nil means DefLatencyBuckets).
-// Buckets are fixed at first registration.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+// needed over DefLatencyBuckets — every series here is a latency in seconds.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.register(name, help, kindHistogram, func(m *metric) {
 		if m.h == nil {
-			m.h = newHistogram(buckets)
+			m.h = newHistogram(nil)
 		}
 	}).h
 }

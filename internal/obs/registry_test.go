@@ -45,7 +45,11 @@ func TestCounterAndGaugeConcurrent(t *testing.T) {
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("test_seconds", "latency", []float64{1, 2, 5})
+	// The registry only makes latency histograms; give the registered series
+	// three round bounds to count against.
+	reg.Histogram("test_seconds", "latency")
+	h := newHistogram([]float64{1, 2, 5})
+	reg.metrics["test_seconds"].h = h
 	// Bucket semantics are cumulative "le": a value equal to an upper bound
 	// belongs to that bucket, not the next.
 	for _, v := range []float64{0.5, 1.0, 1.5, 2.0, 5.0, 7.0} {

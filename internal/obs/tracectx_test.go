@@ -28,21 +28,21 @@ func TestParseTraceparentRoundTrip(t *testing.T) {
 func TestParseTraceparentRejects(t *testing.T) {
 	valid := "00-" + wantTraceID + "-" + wantSpanID + "-01"
 	bad := map[string]string{
-		"empty":          "",
-		"truncated":      valid[:54],
-		"overlong":       valid + "0",
-		"uppercase hex":  strings.ToUpper(valid),
-		"version ff":     "ff" + valid[2:],
-		"non-hex vers":   "zz" + valid[2:],
-		"zero trace id":  "00-" + strings.Repeat("0", 32) + "-" + wantSpanID + "-01",
-		"zero span id":   "00-" + wantTraceID + "-" + strings.Repeat("0", 16) + "-01",
-		"wrong dash 1":   valid[:2] + "_" + valid[3:],
-		"wrong dash 2":   valid[:35] + "_" + valid[36:],
-		"wrong dash 3":   valid[:52] + "_" + valid[53:],
-		"non-hex trace":  "00-" + strings.Repeat("g", 32) + "-" + wantSpanID + "-01",
-		"non-hex span":   "00-" + wantTraceID + "-" + strings.Repeat("g", 16) + "-01",
-		"non-hex flags":  valid[:53] + "zz",
-		"spaces":         strings.ReplaceAll(valid, "-", " "),
+		"empty":         "",
+		"truncated":     valid[:54],
+		"overlong":      valid + "0",
+		"uppercase hex": strings.ToUpper(valid),
+		"version ff":    "ff" + valid[2:],
+		"non-hex vers":  "zz" + valid[2:],
+		"zero trace id": "00-" + strings.Repeat("0", 32) + "-" + wantSpanID + "-01",
+		"zero span id":  "00-" + wantTraceID + "-" + strings.Repeat("0", 16) + "-01",
+		"wrong dash 1":  valid[:2] + "_" + valid[3:],
+		"wrong dash 2":  valid[:35] + "_" + valid[36:],
+		"wrong dash 3":  valid[:52] + "_" + valid[53:],
+		"non-hex trace": "00-" + strings.Repeat("g", 32) + "-" + wantSpanID + "-01",
+		"non-hex span":  "00-" + wantTraceID + "-" + strings.Repeat("g", 16) + "-01",
+		"non-hex flags": valid[:53] + "zz",
+		"spaces":        strings.ReplaceAll(valid, "-", " "),
 	}
 	for name, h := range bad {
 		if sc, ok := ParseTraceparent(h); ok {

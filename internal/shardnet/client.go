@@ -14,66 +14,46 @@ import (
 	"netout/internal/xerr"
 )
 
-// ClientOptions configures a remote shard client.
-type ClientOptions struct {
-	// MaxAttempts bounds how many times one Call tries the shard (first
-	// attempt + retries). Only transport faults (UNAVAILABLE) and admission
-	// sheds (RESOURCE_EXHAUSTED replies) retry — they are the "try again"
-	// codes by definition; skew, validation failures and interrupts never
-	// do. Default 3.
-	MaxAttempts int
-	// Backoff is the first retry's sleep; it doubles per retry. The sleep
-	// is context-aware, so a cancelled query never sits out a backoff.
-	// Default 25ms.
-	Backoff time.Duration
-	// Hedge, when positive, launches a second identical call if the first
-	// has not answered within this long, and Call returns whichever
-	// finishes first (the loser is cancelled). Hedging is safe because
-	// shard requests are idempotent reads. 0 disables.
-	Hedge time.Duration
-	// DialTimeout bounds one TCP connect. Default 2s.
-	DialTimeout time.Duration
-	// CallTimeout bounds one attempt when the query's context carries no
-	// deadline of its own — the client's backstop against a hung shard.
-	// Default 30s.
-	CallTimeout time.Duration
-	// DrainGrace extends the connection read deadline past the query's
-	// deadline, mirroring core.ServeOptions.DrainGrace: a shard observing
+// The client's timing has one production setting, so it is constants; tests
+// in this package assign the Client's fields after Dial.
+const (
+	// defaultMaxAttempts bounds how many times one Call tries the shard
+	// (first attempt + retries). Only transport faults (UNAVAILABLE) and
+	// admission sheds (RESOURCE_EXHAUSTED replies) retry — they are the "try
+	// again" codes by definition; skew, validation failures and interrupts
+	// never do.
+	defaultMaxAttempts = 3
+	// defaultBackoff is the first retry's sleep; it doubles per retry. The
+	// sleep is context-aware, so a cancelled query never sits out a backoff.
+	defaultBackoff = 25 * time.Millisecond
+	// defaultDialTimeout bounds one TCP connect.
+	defaultDialTimeout = 2 * time.Second
+	// defaultCallTimeout bounds one attempt when the query's context carries
+	// no deadline of its own — the client's backstop against a hung shard.
+	defaultCallTimeout = 30 * time.Second
+	// defaultDrainGrace extends the connection read deadline past the
+	// query's deadline, mirroring core.ServePool's grace: a shard observing
 	// the expired deadline replies promptly with its exact prefix, and this
 	// window lets that degraded reply land instead of being severed
-	// mid-flight. Default 250ms.
-	DrainGrace time.Duration
-	// Obs, if set, receives per-shard RPC metrics (attempt counts by
-	// outcome, retries, hedges, call latency), labeled by shard address.
-	Obs *obs.Registry
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 25 * time.Millisecond
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 30 * time.Second
-	}
-	if o.DrainGrace == 0 {
-		o.DrainGrace = 250 * time.Millisecond
-	}
-	return o
-}
+	// mid-flight.
+	defaultDrainGrace = 250 * time.Millisecond
+)
 
 // Client is a coordinator-side remote shard: it implements core.RemoteShard
 // over the shardnet codec with connection pooling, bounded retry with
-// exponential backoff, optional hedging, and deadline propagation. Safe for
-// concurrent use — every ServePool worker shares one Client per shard.
+// exponential backoff, and deadline propagation. Safe for concurrent use —
+// every ServePool worker shares one Client per shard.
 type Client struct {
 	addr string
-	opts ClientOptions
+	// obs, if set, receives per-shard RPC metrics (attempt counts by outcome,
+	// retries, call latency), labeled by shard address.
+	obs *obs.Registry
+
+	maxAttempts int
+	backoff     time.Duration
+	dialTimeout time.Duration
+	callTimeout time.Duration
+	drainGrace  time.Duration
 
 	mu     sync.Mutex
 	idle   []*clientConn
@@ -94,9 +74,11 @@ const maxIdleConns = 8
 // Dial returns a client for the shard at addr. Connection establishment is
 // lazy — the first Call dials — so constructing a fleet of clients never
 // blocks on a down shard; the per-call retry/degradation machinery owns
-// that failure instead.
-func Dial(addr string, opts ClientOptions) *Client {
-	return &Client{addr: addr, opts: opts.withDefaults()}
+// that failure instead. reg, if non-nil, receives the client's RPC metrics.
+func Dial(addr string, reg *obs.Registry) *Client {
+	return &Client{addr: addr, obs: reg,
+		maxAttempts: defaultMaxAttempts, backoff: defaultBackoff,
+		dialTimeout: defaultDialTimeout, callTimeout: defaultCallTimeout, drainGrace: defaultDrainGrace}
 }
 
 // Addr names the remote endpoint (core.RemoteShard).
@@ -124,7 +106,7 @@ func (c *Client) getConn() (*clientConn, error) {
 		return cc, nil
 	}
 	c.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
 		return nil, xerr.Wrap(xerr.Unavailable, err)
 	}
@@ -143,69 +125,11 @@ func (c *Client) putConn(cc *clientConn) {
 	cc.c.Close()
 }
 
-func (c *Client) counter(name, help string) *obs.Counter {
-	return c.opts.Obs.Counter(name+`{addr="`+c.addr+`"}`, help)
-}
-
 func (c *Client) observe(outcome string, d time.Duration) {
-	if c.opts.Obs == nil {
-		return
-	}
-	c.opts.Obs.Counter(`netout_shard_rpc_total{addr="`+c.addr+`",outcome="`+outcome+`"}`,
+	c.obs.Counter(`netout_shard_rpc_total{addr="`+c.addr+`",outcome="`+outcome+`"}`,
 		"Remote shard RPC attempts by shard address and outcome.").Inc()
-	c.opts.Obs.Histogram(`netout_shard_rpc_seconds{addr="`+c.addr+`"}`,
-		"Remote shard RPC attempt latency.", nil).Observe(d.Seconds())
-}
-
-// Call implements core.RemoteShard: one scattered shard request, retried
-// and optionally hedged. A non-nil response with Err set is a shard-side
-// failure the coordinator classifies; a returned error is transport-level
-// loss (or an interrupt) after retries were exhausted.
-func (c *Client) Call(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
-	if c.opts.Hedge <= 0 {
-		return c.callRetry(ctx, req, b)
-	}
-	type outcome struct {
-		resp *core.ShardResponse
-		err  error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffered for both racers: the loser's send never blocks, so its
-	// goroutine exits even though nobody reads it.
-	ch := make(chan outcome, 2)
-	launch := func() {
-		go func() {
-			resp, err := c.callRetry(hctx, req, b)
-			ch <- outcome{resp, err}
-		}()
-	}
-	launch()
-	inFlight := 1
-	hedge := time.NewTimer(c.opts.Hedge)
-	defer hedge.Stop()
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			if o.err == nil {
-				return o.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			inFlight--
-			if inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-hedge.C:
-			if c.opts.Obs != nil {
-				c.counter(`netout_shard_rpc_hedges_total`, "Hedged (duplicate) remote shard RPCs launched.").Inc()
-			}
-			launch()
-			inFlight++
-		}
-	}
+	c.obs.Histogram(`netout_shard_rpc_seconds{addr="`+c.addr+`"}`,
+		"Remote shard RPC attempt latency.").Observe(d.Seconds())
 }
 
 // retryable reports whether one attempt's outcome warrants another try:
@@ -219,15 +143,20 @@ func retryable(resp *core.ShardResponse, err error) bool {
 	return resp.Err != "" && resp.Code == xerr.ResourceExhausted
 }
 
-func (c *Client) callRetry(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
-	backoff := c.opts.Backoff
+// Call implements core.RemoteShard: one scattered shard request, retried
+// with backoff. A non-nil response with Err set is a shard-side failure the
+// coordinator classifies; a returned error is transport-level loss (or an
+// interrupt) after retries were exhausted.
+func (c *Client) Call(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
+	backoff := c.backoff
 	for attempt := 0; ; attempt++ {
 		resp, err := c.callOnce(ctx, req, b)
-		if !retryable(resp, err) || attempt+1 >= c.opts.MaxAttempts {
+		if !retryable(resp, err) || attempt+1 >= c.maxAttempts {
 			return resp, err
 		}
-		if c.opts.Obs != nil {
-			c.counter(`netout_shard_rpc_retries_total`, "Remote shard RPC retries after a retryable failure.").Inc()
+		if c.obs != nil {
+			c.obs.Counter(`netout_shard_rpc_retries_total{addr="`+c.addr+`"}`,
+				"Remote shard RPC retries after a retryable failure.").Inc()
 		}
 		t := time.NewTimer(backoff)
 		select {
@@ -243,7 +172,7 @@ func (c *Client) callRetry(ctx context.Context, req *core.ShardRequest, b *core.
 func (c *Client) callOnce(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
 	start := time.Now()
 	resp, err := c.attempt(ctx, req, b)
-	if c.opts.Obs != nil {
+	if c.obs != nil {
 		out := "ok"
 		switch {
 		case err != nil:
@@ -265,9 +194,9 @@ func (c *Client) attempt(ctx context.Context, req *core.ShardRequest, b *core.Sh
 		return nil, err
 	}
 	// Deadline propagation: the shard receives the REMAINING budget (clock-
-	// skew safe), and the connection read deadline runs DrainGrace past it
+	// skew safe), and the connection read deadline runs drainGrace past it
 	// so the shard's post-expiry degraded reply can still land. Without a
-	// caller deadline, CallTimeout backstops a hung shard.
+	// caller deadline, callTimeout backstops a hung shard.
 	var budget time.Duration
 	if dl, ok := ctx.Deadline(); ok {
 		budget = time.Until(dl)
@@ -278,11 +207,9 @@ func (c *Client) attempt(ctx context.Context, req *core.ShardRequest, b *core.Sh
 	}
 	connDL := budget
 	if connDL <= 0 {
-		connDL = c.opts.CallTimeout
+		connDL = c.callTimeout
 	}
-	if c.opts.DrainGrace > 0 {
-		connDL += c.opts.DrainGrace
-	}
+	connDL += c.drainGrace
 	cc.c.SetDeadline(time.Now().Add(connDL))
 	// Cancellation watchdog: an expired deadline is already covered by the
 	// connection deadline above, but an explicit cancel must unblock a

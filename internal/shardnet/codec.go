@@ -2,7 +2,7 @@
 // tier (ROADMAP item 1, distributed half): a length-prefixed binary codec
 // over the PR 9 ShardRequest/ShardResponse protocol, a shard server hosting
 // a graph slice with per-shard admission control, and a coordinator-side
-// client with retry, hedging and deadline propagation implementing
+// client with retry and deadline propagation implementing
 // core.RemoteShard.
 //
 // # Wire format

@@ -83,14 +83,19 @@ func startShard(t *testing.T, g *hin.Graph, opts ServerOptions) (*Server, string
 	return srv, lis.Addr().String()
 }
 
-func fleetOf(t *testing.T, g *hin.Graph, n int, copts ClientOptions) ([]core.RemoteShard, []*Server, []*Client) {
+// fleetOf starts n shard servers over g with a client each; tune, when
+// non-nil, adjusts every client's timing before its first call.
+func fleetOf(t *testing.T, g *hin.Graph, n int, tune func(*Client)) ([]core.RemoteShard, []*Server, []*Client) {
 	t.Helper()
 	remotes := make([]core.RemoteShard, n)
 	servers := make([]*Server, n)
 	clients := make([]*Client, n)
 	for i := range remotes {
 		srv, addr := startShard(t, g, ServerOptions{})
-		c := Dial(addr, copts)
+		c := Dial(addr, nil)
+		if tune != nil {
+			tune(c)
+		}
 		servers[i], clients[i], remotes[i] = srv, c, c
 	}
 	return remotes, servers, clients
@@ -151,7 +156,7 @@ func TestNetworkShardsBitIdentical(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		srv, addr := startShard(t, g, ServerOptions{Obs: serverReg})
 		defer srv.Close()
-		c := Dial(addr, ClientOptions{Obs: clientReg})
+		c := Dial(addr, clientReg)
 		defer c.Close()
 		servers = append(servers, srv)
 		remotes = append(remotes, c)
@@ -210,7 +215,7 @@ func TestNetworkShardKilledMidQueryDegradesToExactPrefix(t *testing.T) {
 		wantScore[e.Vertex] = math.Float64bits(e.Score)
 	}
 
-	remotes, servers, clients := fleetOf(t, g, 3, ClientOptions{MaxAttempts: 2, Backoff: time.Millisecond})
+	remotes, servers, clients := fleetOf(t, g, 3, func(c *Client) { c.maxAttempts, c.backoff = 2, time.Millisecond })
 	victim := servers[1]
 	reached := make(chan struct{})
 	release := make(chan struct{})
@@ -287,7 +292,7 @@ func TestNetworkShardKilledMidQueryDegradesToExactPrefix(t *testing.T) {
 // over TCP, the mixed-revision-fleet scenario.
 func TestNetworkForgedVersionSkewFailsQuery(t *testing.T) {
 	g := testGraph(t)
-	remotes, servers, clients := fleetOf(t, g, 2, ClientOptions{})
+	remotes, servers, clients := fleetOf(t, g, 2, nil)
 	defer closeFleet(servers, clients)
 	servers[1].forgeVersion = core.ShardProtocolVersion + 7
 
@@ -324,7 +329,8 @@ func TestNetworkAdmissionShed(t *testing.T) {
 		<-release
 	}
 
-	c := Dial(addr, ClientOptions{MaxAttempts: 1})
+	c := Dial(addr, nil)
+	c.maxAttempts = 1
 	defer c.Close()
 	// Park one request mid-execution (holds worker slot + view)...
 	parked := make(chan struct{})
@@ -395,7 +401,8 @@ func TestClientRetriesAfterConnDrop(t *testing.T) {
 	}()
 
 	reg := obs.NewRegistry()
-	c := Dial(lis.Addr().String(), ClientOptions{MaxAttempts: 3, Backoff: time.Millisecond, Obs: reg})
+	c := Dial(lis.Addr().String(), reg)
+	c.backoff = time.Millisecond
 	defer c.Close()
 	resp, err := c.Call(context.Background(), minimalRequest(0), nil)
 	if err != nil {
@@ -414,44 +421,10 @@ func TestClientRetriesAfterConnDrop(t *testing.T) {
 	}
 }
 
-// Hedging: when the first attempt stalls, a hedge launches after the hedge
-// delay and the call returns the fast replica's answer. The gated first
-// handler never completes until the test releases it, so a successful
-// return proves the hedge raced past it.
-func TestClientHedgedRequestWinsOverStall(t *testing.T) {
-	g := testGraph(t)
-	srv, addr := startShard(t, g, ServerOptions{})
-	defer srv.Close()
-	release := make(chan struct{})
-	defer close(release)
-	var first atomic.Bool
-	srv.gate = func(*core.ShardRequest) {
-		if first.CompareAndSwap(false, true) {
-			<-release
-		}
-	}
-
-	reg := obs.NewRegistry()
-	c := Dial(addr, ClientOptions{Hedge: 20 * time.Millisecond, Obs: reg})
-	defer c.Close()
-	resp, err := c.Call(context.Background(), minimalRequest(0), nil)
-	if err != nil {
-		t.Fatalf("hedged call: %v", err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("hedged call answered %+v", resp)
-	}
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "netout_shard_rpc_hedges_total") {
-		t.Error("hedge counter not registered")
-	}
-}
-
 // An expired or cancelled context never touches the network: the call
 // returns the context's own interrupt.
 func TestClientContextInterrupt(t *testing.T) {
-	c := Dial("127.0.0.1:1", ClientOptions{}) // nothing listens; must not matter
+	c := Dial("127.0.0.1:1", nil) // nothing listens; must not matter
 	defer c.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
@@ -481,7 +454,7 @@ func TestNetworkDeadlinePropagation(t *testing.T) {
 	}
 
 	remotes, servers, clients := fleetOf(t, g, 2,
-		ClientOptions{MaxAttempts: 1, DrainGrace: 200 * time.Millisecond})
+		func(c *Client) { c.maxAttempts, c.drainGrace = 1, 200*time.Millisecond })
 	release := make(chan struct{})
 	var once atomic.Bool
 	servers[1].gate = func(*core.ShardRequest) {
@@ -529,7 +502,7 @@ func TestNetworkDeadlinePropagation(t *testing.T) {
 // read-ahead loss would corrupt the second query's frames.
 func TestConnectionReuseAcrossQueries(t *testing.T) {
 	g := testGraph(t)
-	remotes, servers, clients := fleetOf(t, g, 2, ClientOptions{})
+	remotes, servers, clients := fleetOf(t, g, 2, nil)
 	defer closeFleet(servers, clients)
 	eng := core.NewEngine(g, core.WithMeasure(core.MeasureNetOut), core.WithRemoteShards(remotes...))
 	defer eng.Close()

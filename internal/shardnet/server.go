@@ -229,7 +229,7 @@ func (s *Server) observe(outcome string, d time.Duration) {
 	s.opts.Obs.Counter(`netout_shardsrv_requests_total{outcome="`+outcome+`"}`,
 		"Shard requests served by outcome.").Inc()
 	s.opts.Obs.Histogram("netout_shardsrv_seconds",
-		"Shard request service time (admission to response).", nil).Observe(d.Seconds())
+		"Shard request service time (admission to response).").Observe(d.Seconds())
 }
 
 // shedResponse is the typed admission-control rejection: a well-formed

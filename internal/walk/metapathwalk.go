@@ -1,7 +1,6 @@
 package walk
 
 import (
-	"fmt"
 	"math"
 
 	"netout/internal/hin"
@@ -20,18 +19,11 @@ import (
 // The result is a distribution over source-type vertices summing to 1
 // (dead-end mass returns to the source).
 func PPRMetaPath(g *hin.Graph, p metapath.Path, source hin.VertexID, opts PPROptions) (sparse.Vector, error) {
-	if p.IsZero() {
-		return sparse.Vector{}, fmt.Errorf("walk: zero meta-path")
-	}
 	if err := p.Validate(g.Schema()); err != nil {
 		return sparse.Vector{}, err
 	}
-	if !g.Valid(source) {
-		return sparse.Vector{}, fmt.Errorf("walk: source vertex %d out of range", source)
-	}
-	if g.Type(source) != p.Source() {
-		return sparse.Vector{}, fmt.Errorf("walk: source %d has type %s, path starts at %s",
-			source, g.Schema().TypeName(g.Type(source)), g.Schema().TypeName(p.Source()))
+	if err := metapath.CheckSource(g, p, source); err != nil {
+		return sparse.Vector{}, err
 	}
 	opts.defaults()
 	sym := p.Symmetric()

@@ -324,10 +324,6 @@ type CacheStats = core.CacheStats
 // CacheStatsOf extracts cache counters from a NewCached materializer.
 func CacheStatsOf(m Materializer) (CacheStats, bool) { return core.CacheStatsOf(m) }
 
-// NewPMParallel builds the PM index with a worker pool; the result is
-// identical to NewPM's.
-func NewPMParallel(g *Graph, workers int) Materializer { return core.NewPMParallel(g, workers) }
-
 // SaveIndex / LoadIndex persist a pre-materialized PM or SPM index so the
 // offline indexing phase can be shipped to query servers. The index must be
 // loaded against the same graph it was built from.
@@ -455,9 +451,6 @@ var ErrPoolClosed = core.ErrPoolClosed
 // into a per-query error, with the stack captured at the panic site.
 type PanicError = core.PanicError
 
-// IsPanicError reports whether err wraps a recovered worker panic.
-func IsPanicError(err error) bool { return core.IsPanicError(err) }
-
 // ErrorCode is a stable, machine-readable classification of a serving
 // error. Codes — not error strings — are the contract HTTP statuses and
 // metrics labels are derived from.
@@ -491,15 +484,6 @@ func Errorf(code ErrorCode, format string, args ...any) error {
 	return xerr.Newf(code, format, args...)
 }
 
-// WrapError classifies an existing error without changing its message or
-// its errors.Is/As chain. Wrapping nil returns nil.
-func WrapError(code ErrorCode, err error) error {
-	if e := xerr.Wrap(code, err); e != nil {
-		return e
-	}
-	return nil
-}
-
 // ErrorCodeOf classifies any error: typed errors report their own code,
 // context.DeadlineExceeded / context.Canceled map to their codes, and
 // everything unclassified is CodeInternal — an unknown failure is the
@@ -511,19 +495,6 @@ func ErrorCodeOf(err error) ErrorCode { return xerr.CodeOf(err) }
 // 499 Canceled (StatusClientClosedRequest), 503 Unavailable, 500 otherwise;
 // nil maps to 200.
 func ErrorHTTPStatus(err error) int { return xerr.HTTPStatus(err) }
-
-// ErrorOutcome maps an error to its metrics outcome label ("ok" for nil;
-// "invalid", "not_found", "overloaded", "deadline", "canceled",
-// "unavailable" or "internal" otherwise).
-func ErrorOutcome(err error) string { return xerr.Outcome(err) }
-
-// ErrorRequestID extracts the request ID an error was stamped with by the
-// serving layer ("" when there is none).
-func ErrorRequestID(err error) string { return xerr.RequestIDOf(err) }
-
-// ErrorStack extracts the captured stack from a defect (a recovered panic)
-// anywhere in err's chain; "" for failures, which carry no stack.
-func ErrorStack(err error) string { return xerr.StackOf(err) }
 
 // StatusClientClosedRequest is the non-standard 499 status (from nginx)
 // written for canceled requests, distinguishing "the client hung up" from
@@ -553,9 +524,6 @@ func ParseTraceparent(h string) (SpanContext, bool) { return obs.ParseTraceparen
 
 // NewTraceID returns a fresh random 32-hex-char W3C trace ID.
 func NewTraceID() string { return obs.NewTraceID() }
-
-// NewSpanID returns a fresh random 16-hex-char W3C span ID.
-func NewSpanID() string { return obs.NewSpanID() }
 
 // ContextWithSpanContext returns ctx carrying a span context that the engine
 // stamps onto the query's trace (TraceID/SpanID/ParentSpanID) and wide event.
