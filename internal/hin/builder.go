@@ -2,7 +2,7 @@ package hin
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
@@ -21,7 +21,7 @@ type Builder struct {
 	names  []string
 	byName []map[string]VertexID
 	// edges[v] maps neighbor -> multiplicity. A map keeps AddEdge O(1)
-	// amortized; Build converts to sorted CSR.
+	// amortized; Build lays the rows out sorted.
 	edges []map[VertexID]int32
 }
 
@@ -125,7 +125,9 @@ func (b *Builder) bump(v, u VertexID, mult int32) {
 }
 
 // Build finalizes the builder into an immutable Graph. The builder remains
-// usable afterwards (Build copies), though reusing it is uncommon.
+// usable afterwards (Build copies), though reusing it is uncommon. It panics
+// on a network of more than 2³²−1 adjacency entries, which the graph's 32-bit
+// row heads could not address.
 func (b *Builder) Build() *Graph {
 	nt := b.schema.NumTypes()
 	n := len(b.types)
@@ -136,9 +138,8 @@ func (b *Builder) Build() *Graph {
 		byType: make([][]VertexID, nt),
 		byName: make([]map[string]VertexID, nt),
 		nt:     nt,
-		off:    make([]int64, n*nt+1),
-
-		typeEdges: make([]int64, nt*nt),
+		head:   make([]rowHead, n*nt),
+		pairs:  make([]Pair, nt*nt),
 	}
 	for t := 0; t < nt; t++ {
 		g.byName[t] = make(map[string]VertexID, len(b.byName[t]))
@@ -146,63 +147,63 @@ func (b *Builder) Build() *Graph {
 			g.byName[t][name] = v
 		}
 	}
+	// IDs are assigned in increasing order, so every byType list ascends.
 	for v := 0; v < n; v++ {
 		g.byType[b.types[v]] = append(g.byType[b.types[v]], VertexID(v))
 	}
-	// byType slices are already ascending because vertex IDs are assigned in
-	// increasing order, but sort defensively in case of future mutation paths.
-	for t := 0; t < nt; t++ {
-		vs := g.byType[t]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	}
 
-	// First pass: count per-(vertex,type) neighbors to size the CSR arrays.
-	counts := make([]int64, n*nt)
-	var total int64
+	// First pass: count each row's entries into its head's hi.
+	total := 0
 	for v := 0; v < n; v++ {
 		for u := range b.edges[v] {
-			counts[v*nt+int(b.types[u])]++
-			g.typeEdges[int(b.types[v])*nt+int(b.types[u])]++
-			total++
+			g.head[v*nt+int(b.types[u])].hi++
 		}
+		total += len(b.edges[v])
+	}
+	if uint64(total) > math.MaxUint32 {
+		panic(fmt.Sprintf("hin: %d adjacency entries, a Graph addresses at most %d", total, uint32(math.MaxUint32)))
 	}
 	g.nbr = make([]VertexID, total)
 	g.mult = make([]int32, total)
-	var running int64
-	for k := 0; k < n*nt; k++ {
-		g.off[k] = running
-		running += counts[k]
-	}
-	g.off[n*nt] = running
 
-	// Second pass: fill and sort each block.
-	fill := make([]int64, n*nt)
-	copy(fill, g.off[:n*nt])
-	for v := 0; v < n; v++ {
-		for u, m := range b.edges[v] {
-			k := v*nt + int(b.types[u])
-			g.nbr[fill[k]] = u
-			g.mult[fill[k]] = m
-			fill[k]++
-			g.numEdges += int64(m)
+	// Second pass: lay the rows out pair by pair, each pair's in vertex
+	// order. A head's hi becomes the fill cursor, starting at lo.
+	off := make([]uint32, nt*(n+nt))
+	var at uint32
+	for k := range g.pairs {
+		p, rows, base := &g.pairs[k], g.byType[k/nt], at
+		p.Off, off = off[:len(rows)+1:len(rows)+1], off[len(rows)+1:]
+		for i, v := range rows {
+			h := &g.head[int(v)*nt+k%nt]
+			p.Off[i] = at - base
+			h.lo, h.hi, at = at, at, at+h.hi
+		}
+		p.Off[len(rows)] = at - base
+		p.Nbr, p.Mult, p.Unit = g.nbr[base:at:at], g.mult[base:at:at], true
+		if at > base && int(at-base) < flatRowMean*len(rows) {
+			p.Row = make([]int32, at-base)
+			for i := range rows {
+				for j := p.Off[i]; j < p.Off[i+1]; j++ {
+					p.Row[j] = int32(i)
+				}
+			}
 		}
 	}
-	for k := 0; k < n*nt; k++ {
-		lo, hi := g.off[k], g.off[k+1]
-		block := blockSorter{nbr: g.nbr[lo:hi], mult: g.mult[lo:hi]}
-		sort.Sort(block)
+
+	// Third pass: edges are stored in both directions with one multiplicity,
+	// so sweeping the sources w in ascending order and writing each edge
+	// (w, u) as the entry w of u's row fills every row already ascending.
+	for w := 0; w < n; w++ {
+		tw := int(b.types[w])
+		for u, m := range b.edges[w] {
+			h := &g.head[int(u)*nt+tw]
+			g.nbr[h.hi], g.mult[h.hi] = VertexID(w), m
+			h.hi++
+			g.numEdges += int64(m)
+			if m != 1 {
+				g.pairs[int(b.types[u])*nt+tw].Unit = false
+			}
+		}
 	}
 	return g
-}
-
-type blockSorter struct {
-	nbr  []VertexID
-	mult []int32
-}
-
-func (s blockSorter) Len() int           { return len(s.nbr) }
-func (s blockSorter) Less(i, j int) bool { return s.nbr[i] < s.nbr[j] }
-func (s blockSorter) Swap(i, j int) {
-	s.nbr[i], s.nbr[j] = s.nbr[j], s.nbr[i]
-	s.mult[i], s.mult[j] = s.mult[j], s.mult[i]
 }

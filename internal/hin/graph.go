@@ -2,7 +2,7 @@ package hin
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex in a Graph. IDs are dense, starting at 0.
@@ -12,10 +12,11 @@ type VertexID int32
 const InvalidVertex VertexID = -1
 
 // Graph is an immutable heterogeneous information network. Build one with a
-// Builder. Adjacency is stored per (vertex, neighbor type): Neighbors(v, t)
-// returns the distinct neighbors of v with type t together with edge
-// multiplicities, so meta-path traversal never scans neighbors of other
-// types.
+// Builder. Adjacency is stored pair-major: for every ordered type pair (t, u)
+// the rows of VerticesOfType(t) toward u lie contiguous, in vertex order, in
+// one store (Pair), so a hop over a whole type reads one run; a row-head table
+// finds any single row in O(1) (Neighbors), so meta-path traversal never scans
+// neighbors of other types.
 type Graph struct {
 	schema *Schema
 	types  []TypeID
@@ -27,21 +28,48 @@ type Graph struct {
 	// within a type (the builder enforces this).
 	byName []map[string]VertexID
 
-	// CSR blocks: the neighbors of vertex v with type t occupy
-	// nbr[off[k]:off[k+1]] with k = int(v)*nt + int(t); mult holds the
-	// parallel edge multiplicities. nt is the schema's type count, kept
-	// beside the offsets so a row lookup does not chase the schema pointer.
-	nt   int
-	off  []int64
-	nbr  []VertexID
-	mult []int32
+	// The neighbors of vertex v with type t occupy nbr[h.lo:h.hi] with
+	// h = head[int(v)*nt+int(t)]; mult holds the parallel edge multiplicities.
+	// nt is the schema's type count, kept beside the heads so a row lookup
+	// does not chase the schema pointer. pairs[t*nt+u] is the run of nbr and
+	// mult holding every row from type t toward u; the runs tile the store.
+	nt    int
+	head  []rowHead
+	nbr   []VertexID
+	mult  []int32
+	pairs []Pair
 
 	numEdges int64 // total directed edge count, multiplicities included
-	// typeEdges[t*nt+u] counts the adjacency entries from vertices of
-	// type t to neighbors of type u (distinct pairs, multiplicities not
-	// included); symmetric in t and u.
-	typeEdges []int64
 }
+
+// rowHead bounds one adjacency row within nbr and mult: 8 bytes per (vertex,
+// type), and Build refuses a store past the 2³²−1 entries it can address.
+type rowHead struct{ lo, hi uint32 }
+
+// Pair is the adjacency from one vertex type t toward another, u: the rows of
+// VerticesOfType(t), in that order, as one contiguous run. The slices alias
+// the graph's storage and must not be modified.
+type Pair struct {
+	// Off[i]:Off[i+1] bounds the row of the i-th vertex of type t within Nbr
+	// and Mult; len(Off) is the type's vertex count plus one.
+	Off  []uint32
+	Nbr  []VertexID
+	Mult []int32
+	// Row[j] is the rank i of the row that entry j belongs to, kept only for
+	// a pair of short rows (mean row length under flatRowMean): what a
+	// gather walking the entries in storage order needs. nil otherwise.
+	Row []int32
+	// Unit reports that every multiplicity in Mult is 1.
+	Unit bool
+}
+
+// flatRowMean is the mean row length under which a pair keeps Row, at 4 bytes
+// per entry, and with that the crossover between the pull kernel's two bodies
+// (metapath.pullRows). Its evidence is metapath's BenchmarkExpand, pull=flat
+// against pull=rows in BENCH_kernel.json: on the generator graph flat wins
+// 2.4–3.9× at 1.0, 2.5 and 5.0 entries per row and loses 1.5–3.3× at 10.5, 55
+// and 291; on uniform synthetic rows it wins up to 8 and loses from 16.
+const flatRowMean = 8
 
 // Schema returns the graph's schema.
 func (g *Graph) Schema() *Schema { return g.schema }
@@ -100,55 +128,83 @@ func (g *Graph) VertexByName(t TypeID, name string) (VertexID, bool) {
 // returned slices alias the graph's internal storage and must not be
 // modified.
 func (g *Graph) Neighbors(v VertexID, t TypeID) (nbrs []VertexID, mults []int32) {
-	k := int64(v)*int64(g.nt) + int64(t)
-	lo, hi := g.off[k], g.off[k+1]
-	return g.nbr[lo:hi], g.mult[lo:hi]
+	h := g.head[int(v)*g.nt+int(t)]
+	return g.nbr[h.lo:h.hi], g.mult[h.lo:h.hi]
 }
+
+// Pair returns the adjacency from type t toward type u: every row
+// Neighbors(v, u) of a vertex v of type t, in VerticesOfType(t) order.
+func (g *Graph) Pair(t, u TypeID) Pair { return g.pairs[int(t)*g.nt+int(u)] }
 
 // EdgesBetween reports how many (vertex of type t, distinct neighbor of type
 // u) pairs the graph holds: the adjacency entries a hop from all of t to u
 // reads. Edges are symmetric, so EdgesBetween(t, u) == EdgesBetween(u, t).
 func (g *Graph) EdgesBetween(t, u TypeID) int64 {
-	return g.typeEdges[int(t)*g.nt+int(u)]
+	return int64(len(g.Pair(t, u).Nbr))
 }
 
 // Degree reports the number of distinct neighbors of v having type t.
 func (g *Graph) Degree(v VertexID, t TypeID) int {
-	k := int64(v)*int64(g.nt) + int64(t)
-	return int(g.off[k+1] - g.off[k])
+	h := g.head[int(v)*g.nt+int(t)]
+	return int(h.hi - h.lo)
 }
 
 // TotalDegree reports the number of distinct neighbors of v of any type.
-func (g *Graph) TotalDegree(v VertexID) int {
-	n := g.schema.NumTypes()
-	k := int64(v) * int64(n)
-	return int(g.off[k+int64(n)] - g.off[k])
+func (g *Graph) TotalDegree(v VertexID) (d int) {
+	for t := 0; t < g.nt; t++ {
+		d += g.Degree(v, TypeID(t))
+	}
+	return d
 }
 
 // EdgeMultiplicity reports the multiplicity of the edge from v to u, or 0 if
 // no edge exists.
 func (g *Graph) EdgeMultiplicity(v, u VertexID) int32 {
 	nbrs, mults := g.Neighbors(v, g.types[u])
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= u })
-	if i < len(nbrs) && nbrs[i] == u {
+	if i, ok := slices.BinarySearch(nbrs, u); ok {
 		return mults[i]
 	}
 	return 0
 }
 
-// Validate performs an integrity check over the whole graph: offsets are
-// monotone, neighbor lists are sorted and unique, every stored edge respects
-// the schema, and every edge has a symmetric counterpart. It is intended for
-// tests and loaders, not hot paths.
+// Validate performs an integrity check over the whole graph: the pairs' runs
+// tile the store and every row head lies where its pair's offsets put it, Row
+// is kept for the short-row pairs and ranks their entries, Unit is true of the
+// all-ones pairs, neighbor lists are sorted and unique, every stored edge
+// respects the schema, and every edge has a symmetric counterpart. It is
+// intended for tests and loaders, not hot paths.
 func (g *Graph) Validate() error {
 	nt := g.schema.NumTypes()
-	if len(g.off) != len(g.types)*nt+1 {
-		return fmt.Errorf("hin: offset table has %d entries, want %d", len(g.off), len(g.types)*nt+1)
+	if g.nt != nt || len(g.head) != len(g.types)*nt || len(g.pairs) != nt*nt || len(g.mult) != len(g.nbr) {
+		return fmt.Errorf("hin: %d row heads, %d pairs, %d/%d entries for %d vertices of %d types", len(g.head), len(g.pairs), len(g.nbr), len(g.mult), len(g.types), nt)
 	}
-	for k := 0; k+1 < len(g.off); k++ {
-		if g.off[k] > g.off[k+1] {
-			return fmt.Errorf("hin: offsets not monotone at block %d", k)
+	base := 0
+	for k, p := range g.pairs {
+		t, u := k/nt, k%nt
+		rows, n := g.byType[t], len(p.Nbr)
+		short := n > 0 && n < flatRowMean*len(rows)
+		if len(p.Off) != len(rows)+1 || len(p.Mult) != n || base+n > len(g.nbr) ||
+			(n > 0 && (&p.Nbr[0] != &g.nbr[base] || &p.Mult[0] != &g.mult[base])) ||
+			(p.Row != nil) != short || (short && len(p.Row) != n) {
+			return fmt.Errorf("hin: pair %d->%d is not %d entries at %d with %d offsets and %d row ranks for %d rows", t, u, n, base, len(p.Off), len(p.Row), len(rows))
 		}
+		unit, ranked, at := true, true, uint32(0)
+		for i, v := range rows {
+			h, hi := g.head[int(v)*nt+u], p.Off[i+1]
+			if p.Off[i] != at || hi < at || int(hi) > n || int(h.lo) != base+int(at) || int(h.hi) != base+int(hi) {
+				return fmt.Errorf("hin: row %d of pair %d->%d at %d: offsets %d:%d, head %d:%d", i, t, u, base, p.Off[i], hi, h.lo, h.hi)
+			}
+			for ; at < hi; at++ {
+				unit, ranked = unit && p.Mult[at] == 1, ranked && (!short || p.Row[at] == int32(i))
+			}
+		}
+		if int(at) != n || p.Unit != unit || !ranked {
+			return fmt.Errorf("hin: pair %d->%d: rows cover %d of %d entries, Unit = %v, row ranks right = %v", t, u, at, n, p.Unit, ranked)
+		}
+		base += n
+	}
+	if base != len(g.nbr) {
+		return fmt.Errorf("hin: pair runs cover %d of %d adjacency entries", base, len(g.nbr))
 	}
 	for v := 0; v < len(g.types); v++ {
 		for t := 0; t < nt; t++ {

@@ -1,6 +1,8 @@
 package metapath
 
 import (
+	"slices"
+
 	"netout/internal/hin"
 	"netout/internal/sparse"
 )
@@ -59,7 +61,8 @@ func (k Kernel) String() string {
 // map at every frontier size but is capped so a traverser never pins more
 // than ~32 MiB of scratch per hop on huge vertex types; pull wins once the
 // edges the frontier would scatter are a large enough share of all the edges
-// between the two types.
+// between the two types. Which body a pull then runs (pullRows) is a constant
+// of hin, flatRowMean: Build needs it to keep Pair.Row for short rows only.
 const (
 	// MergeMaxFrontier is the largest frontier NNZ the merge path accepts.
 	MergeMaxFrontier = 4
@@ -73,8 +76,8 @@ const (
 	maxHopBuf = 1 << 18
 	// pullEdgeGain is how many pulled edges or row heads cost what one pushed
 	// edge does (pullPays): BenchmarkExpand's share rows (BENCH_kernel.json)
-	// cross at about 20, 45 and 55 % of the source type on paper→venue,
-	// venue→paper and author→paper, where this rule puts 25, 50 and 35 %.
+	// cross near 25, 25 and 10 % of the source type on paper→venue, venue→paper
+	// and author→paper; the rule, older than the flat body, says 25, 50, 35 %.
 	pullEdgeGain = 4
 	// pullMinEdges keeps hops of a few dozen edges pushed: a guard, not a
 	// crossover. The estimate in pullPays says little about five vertices of
@@ -218,10 +221,10 @@ func (tr *Traverser) expandPull(frontier sparse.Vector, next hin.TypeID, buf spa
 	out = outVector(buf, len(targets))
 	// Every row writes its slot; only a non-zero sum keeps it.
 	idx, val, n := out.Idx[:len(targets)], out.Val[:len(targets)], 0
-	for _, u := range targets {
-		nbrs, mults := tr.g.Neighbors(u, cur)
-		idx[n], val[n] = int32(u), rowSum(in, lo, nbrs, mults)
-		if val[n] != 0 {
+	pullRows(tr.g.Pair(next, cur), 0, in, lo, val)
+	for i, u := range targets {
+		if x := val[i]; x != 0 {
+			idx[n], val[n] = int32(u), x
 			n++
 		}
 	}
@@ -240,7 +243,9 @@ func (tr *Traverser) expandPull(frontier sparse.Vector, next hin.TypeID, buf spa
 // becomes coordinate at[i] of the expanded frontier (not empty), 0 for a
 // vertex not of type next. It reports false, vals untouched, when gathering
 // those rows does not pay (pullPays; a forced kernel decides instead) or
-// scatterIn refuses.
+// scatterIn refuses. A run of the type's vertex list (what PartitionVertices
+// hands a local range or a shard) is gathered from the pair's run like the
+// whole type, anything else row by row.
 func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.VertexID, vals []float64) bool {
 	if tr.kernel != KernelPull && (tr.kernel != KernelAuto || !tr.pullPays(frontier, next, len(at))) {
 		return false
@@ -251,14 +256,56 @@ func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.
 	}
 	tr.counts.Pull++
 	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
-	for i, v := range at {
-		if tr.g.Valid(v) && tr.g.Type(v) == next {
-			nbrs, mults := tr.g.Neighbors(v, cur)
-			vals[i] = rowSum(in, lo, nbrs, mults)
+	if first, ok := runOf(tr.g.VerticesOfType(next), at); ok {
+		pullRows(tr.g.Pair(next, cur), first, in, lo, vals)
+	} else {
+		for i, v := range at {
+			if tr.g.Valid(v) && tr.g.Type(v) == next {
+				nbrs, mults := tr.g.Neighbors(v, cur)
+				vals[i] = rowSum(in, lo, nbrs, mults)
+			}
 		}
 	}
 	tr.clearIn(frontier, lo)
 	return true
+}
+
+// runOf reports whether at is the run vs[first:first+len(at)] of the ascending
+// list vs, and where it starts.
+func runOf(vs, at []hin.VertexID) (first int, ok bool) {
+	if len(at) == 0 {
+		return 0, false
+	}
+	first, _ = slices.BinarySearch(vs, at[0])
+	return first, len(at) <= len(vs)-first && slices.Equal(vs[first:first+len(at)], at)
+}
+
+// pullRows writes out[i] = Σ_j in[Nbr[j]]·Mult[j] over row first+i of the pair.
+// A pair that keeps Row (short rows) is walked flat, entry by entry in storage
+// order: no loop per row, whose trip count of one to eight no branch predictor
+// learns. Any other sums each row in a register, which a read-modify-write per
+// entry loses to. Both add a row's rounded products in ascending order onto
+// +0, as rowSum and the push kernels do: which one runs shows in no bit.
+func pullRows(p hin.Pair, first int, in []float64, lo int32, out []float64) {
+	off := p.Off[first : first+len(out)+1]
+	if p.Row == nil {
+		for i := range out {
+			out[i] = rowSum(in, lo, p.Nbr[off[i]:off[i+1]], p.Mult[off[i]:off[i+1]])
+		}
+		return
+	}
+	clear(out)
+	a, b := off[0], off[len(out)]
+	nbr, mult, row := p.Nbr[a:b], p.Mult[a:b], p.Row[a:b]
+	if p.Unit { // x·1 is x: skip the multiplicity's load, conversion and product
+		for j, w := range nbr {
+			out[int(row[j])-first] += in[int32(w)-lo]
+		}
+		return
+	}
+	for j, w := range nbr {
+		out[int(row[j])-first] += float64(in[int32(w)-lo] * float64(mult[j]))
+	}
 }
 
 // scatterIn writes the frontier into the pull scratch, indexed by vertex ID

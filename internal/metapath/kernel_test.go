@@ -176,18 +176,22 @@ func bipartite(t testing.TB, nSrc, nDst, deg int) (*hin.Graph, []hin.VertexID, h
 }
 
 // randomFrontier draws a random weighted frontier over the vertices of a
-// type: small integers of both signs, so sums cancel exactly, or fractions
+// type: small integers of both signs, so sums cancel exactly; fractions
 // across eighty binary orders of magnitude, whose sums round differently in
-// every order they could be added in.
+// every order they could be added in; or subnormals, whose products with a
+// multiplicity round at the bottom of the range.
 func randomFrontier(r *rand.Rand, g *hin.Graph, t hin.TypeID) sparse.Vector {
 	vs := g.VerticesOfType(t)
 	m := make(map[int32]float64)
 	n := r.Intn(len(vs) + 1)
-	fractions := r.Intn(2) == 0
+	mode := r.Intn(3)
 	for i := 0; i < n; i++ {
 		w := float64(r.Intn(9) - 4)
-		if fractions {
+		switch mode {
+		case 1:
 			w = math.Ldexp(r.Float64()-0.5, r.Intn(80)-40)
+		case 2:
+			w = math.Ldexp(w, -1074+r.Intn(3))
 		}
 		if w != 0 {
 			m[int32(vs[r.Intn(len(vs))])] = w
@@ -224,12 +228,76 @@ func interleavedGraph(r *rand.Rand) *hin.Graph {
 	return bld.Build()
 }
 
+// lopsidedGraph puts type pairs on both sides of the pull kernel's crossover
+// in one network: a few dozen a's against a handful of b's and c's, densely
+// linked, so the rows of b and c toward a are long (a hop from a gathers them
+// with a register sum per row) and the rows of a are short (a hop into a walks
+// the entries flat). Types take turns receiving IDs; multiplicities are all 1
+// (the flat body's shortcut) on every other draw, 1–maxMult otherwise.
+func lopsidedGraph(r *rand.Rand, maxMult int) *hin.Graph {
+	s := hin.MustSchema("a", "b", "c")
+	s.AllowLink(0, 1)
+	s.AllowLink(0, 2)
+	s.AllowLink(1, 2)
+	bld := hin.NewBuilder(s)
+	left := []int{24 + r.Intn(16), 2 + r.Intn(2), 3 + r.Intn(4)}
+	vs := make([][]hin.VertexID, 3)
+	for left[0]+left[1]+left[2] > 0 {
+		if t := r.Intn(3); left[t] > 0 {
+			left[t]--
+			vs[t] = append(vs[t], bld.MustAddVertex(hin.TypeID(t), fmt.Sprintf("%d.%d", t, left[t])))
+		}
+	}
+	unit := r.Intn(2) == 0
+	for _, link := range []struct {
+		t, u    int
+		density float64
+	}{{0, 1, 0.8}, {0, 2, 0.5}, {1, 2, 0.6}} {
+		for _, x := range vs[link.t] {
+			for _, y := range vs[link.u] {
+				if r.Float64() < link.density {
+					m := int32(1)
+					if !unit {
+						m += int32(r.Intn(maxMult))
+					}
+					if err := bld.AddEdgeMult(x, y, m); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+	return bld.Build()
+}
+
+// pullBodies counts, per body of the pull kernel (the pair keeps Row or not)
+// and per multiplicity shortcut (the pair is all ones or not), the hops a
+// property test forced through it; all four must have run.
+type pullBodies map[[2]bool]int
+
+func (c pullBodies) saw(g *hin.Graph, from, to hin.TypeID) {
+	if p := g.Pair(to, from); len(p.Nbr) > 0 {
+		c[[2]bool{p.Row != nil, p.Unit}]++
+	}
+}
+
+func (c pullBodies) check(t *testing.T) {
+	t.Helper()
+	if len(c) != 4 {
+		t.Fatalf("pull bodies exercised ([flat, unit] → hops): %v, want all four", c)
+	}
+}
+
 func TestQuickExpandKernelsAgree(t *testing.T) {
+	bodies := pullBodies{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r)
-		if seed&1 == 1 {
+		switch uint64(seed) % 3 {
+		case 1:
 			g = interleavedGraph(r)
+		case 2:
+			g = lopsidedGraph(r, 4)
 		}
 		s := g.Schema()
 		src := hin.TypeID(r.Intn(s.NumTypes()))
@@ -239,6 +307,9 @@ func TestQuickExpandKernelsAgree(t *testing.T) {
 		}
 		next := nexts[r.Intn(len(nexts))]
 		frontier := randomFrontier(r, g, src)
+		if !frontier.IsZero() {
+			bodies.saw(g, src, next)
+		}
 		tr := NewTraverser(g)
 		tr.SetKernel(KernelMap)
 		want := tr.Expand(frontier, next)
@@ -258,9 +329,10 @@ func TestQuickExpandKernelsAgree(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	bodies.check(t)
 }
 
 // Multi-hop NeighborVector must be kernel-independent too: hop sizes cross
@@ -297,9 +369,13 @@ func TestQuickNeighborVectorKernelsAgree(t *testing.T) {
 }
 
 func TestQuickExpandSetKernelsAgree(t *testing.T) {
+	bodies := pullBodies{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r)
+		if seed&1 == 1 {
+			g = lopsidedGraph(r, 4)
+		}
 		s := g.Schema()
 		src := hin.TypeID(r.Intn(s.NumTypes()))
 		nexts := s.AllowedFrom(src)
@@ -313,6 +389,9 @@ func TestQuickExpandSetKernelsAgree(t *testing.T) {
 			if r.Float64() < 0.5 {
 				set = append(set, v)
 			}
+		}
+		if len(set) > 0 {
+			bodies.saw(g, src, next)
 		}
 		var want []hin.VertexID
 		for i, k := range forcedKernels {
@@ -337,22 +416,28 @@ func TestQuickExpandSetKernelsAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+	bodies.check(t)
 }
 
 // FuzzExpandKernels decodes arbitrary bytes into a tiny two-type network, a
 // frontier and a hop direction, then asserts the four kernels agree
 // bit-for-bit. The two types take turns receiving vertex IDs (each type's
 // span has the other's vertices as holes), weights are thirds of both signs
-// (sums round, opposite weights still cancel exactly) and repeated edges
-// raise multiplicities. The seed corpus covers the structural edges: empty
-// frontier, single row, duplicate-free fan-in, cancellation, and self-type
-// hops with no allowed neighbors.
+// (sums round, opposite weights still cancel exactly), scaled by a byte of the
+// input into the subnormals or up by 2⁴⁰, and repeated edges raise
+// multiplicities. The seed corpus covers the structural edges: empty
+// frontier, single row, duplicate-free fan-in, cancellation, self-type hops
+// with no allowed neighbors, and both bodies of the pull kernel — eight a's on
+// one b make that b's row long (gathered by a register sum) and the a's rows
+// short (walked flat), with all multiplicities 1 and with repeats.
 func FuzzExpandKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 0, 0, 1, 1, 2, 3, 0, 1})
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0})                   // single row, repeated edge (multiplicity)
 	f.Add([]byte{2, 1, 0, 0, 1, 0, 0, 1, 1, 255})           // two rows into one paper: cancellation candidates
 	f.Add([]byte{8, 8, 0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 5, 4}) // wider fan
+	f.Add([]byte{7, 0, 8, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 3, 0, 200, 1, 100, 2, 50, 1})
+	f.Add([]byte{7, 0, 12, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 0, 0, 0, 0, 5, 0, 6, 0, 4, 7, 129, 1, 127, 2, 3, 5, 90, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pop := func() byte {
 			if len(data) == 0 {
@@ -396,12 +481,13 @@ func FuzzExpandKernels(f *testing.F) {
 			}
 		}
 		frontier := sparse.FromMap(m)
+		frontier = frontier.Scale(math.Ldexp(1, []int{0, -1070, 40, -1030}[pop()%4]))
 		tr := NewTraverser(g)
 		tr.SetKernel(KernelMap)
 		want := tr.Expand(frontier, tb)
 		for _, k := range []Kernel{KernelDense, KernelMerge, KernelPull, KernelAuto} {
 			tr.SetKernel(k)
-			if got := tr.Expand(frontier, tb); !got.Equal(want) {
+			if got := tr.Expand(frontier, tb); !sameBits(got, want) {
 				t.Fatalf("kernel %v: Expand = %v, want %v (frontier %v, graph %d/%d)",
 					k, got, want, frontier, nA, nB)
 			}
@@ -417,7 +503,7 @@ func FuzzExpandKernels(f *testing.F) {
 		wantBack := tr.Expand(back, ta)
 		for _, k := range []Kernel{KernelDense, KernelMerge, KernelPull, KernelAuto} {
 			tr.SetKernel(k)
-			if got := tr.Expand(back, ta); !got.Equal(wantBack) {
+			if got := tr.Expand(back, ta); !sameBits(got, wantBack) {
 				t.Fatalf("kernel %v (reverse): Expand = %v, want %v", k, got, wantBack)
 			}
 		}

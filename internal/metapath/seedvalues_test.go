@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,34 +13,65 @@ import (
 )
 
 // candidateSlices are the shapes SeedValues is asked for: the whole source
-// type, its two shard halves, a random ascending subset, and what only a
-// foreign shard request can hold — vertices out of order and repeated, of
-// another type, and past the end of the graph.
+// type and its two shard halves (runs of the type, gathered from the pair's
+// storage), the type with one vertex missing from the middle and a random
+// ascending subset (runs with gaps, gathered row by row), what only a foreign
+// shard request can hold — vertices out of order and repeated, of another
+// type, and past the end of the graph — and nothing at all.
 func candidateSlices(r *rand.Rand, g *hin.Graph, src []hin.VertexID) [][]hin.VertexID {
 	foreign := []hin.VertexID{hin.VertexID(g.NumVertices()), hin.InvalidVertex}
 	for i := 0; i < 2*len(src); i++ {
 		foreign = append(foreign, hin.VertexID(r.Intn(g.NumVertices())))
 	}
-	return [][]hin.VertexID{src, src[:len(src)/2], src[len(src)/2:], randomSubset(r, src), foreign, nil}
+	gap := slices.Delete(slices.Clone(src), len(src)/2, len(src)/2+1)
+	return [][]hin.VertexID{src, src[:len(src)/2], src[len(src)/2:], gap, randomSubset(r, src), foreign, nil}
+}
+
+func TestRunOf(t *testing.T) {
+	vs := []hin.VertexID{2, 3, 5, 8, 9}
+	for _, c := range []struct {
+		at    []hin.VertexID
+		first int
+		ok    bool
+	}{
+		{vs, 0, true}, {vs[1:4], 1, true}, {vs[4:], 4, true},
+		{nil, 0, false}, {[]hin.VertexID{}, 0, false},
+		{[]hin.VertexID{3, 8}, 0, false},              // a gap
+		{[]hin.VertexID{5, 3}, 0, false},              // descending
+		{[]hin.VertexID{3, 3}, 0, false},              // repeated
+		{[]hin.VertexID{4, 5}, 0, false},              // starts on no vertex of the list
+		{[]hin.VertexID{8, 9, 10}, 0, false},          // runs off the end
+		{[]hin.VertexID{hin.InvalidVertex}, 0, false}, // before the first
+		{[]hin.VertexID{11}, 0, false},                // past the last
+	} {
+		if first, ok := runOf(vs, c.at); ok != c.ok || (ok && first != c.first) {
+			t.Errorf("runOf(%v, %v) = (%d, %v), want (%d, %v)", vs, c.at, first, ok, c.first, c.ok)
+		}
+	}
 }
 
 // The candidates-only final hop is the full walk read at the candidates:
 // SeedValues(p, seed, at)[i] is SeedVector(p, seed) at at[i], Float64bits for
 // Float64bits, under every kernel (a forced pull gathers the rows, the push
 // kernels finish the walk and look the vertices up, auto decides by cost), on
-// block-numbered and interleaved graphs, for zero to six hops, including
-// walks whose frontier dies on the way. The seed comes back untouched and
-// the pull scratch all zero.
+// block-numbered, interleaved and lopsided graphs (both bodies of the gather,
+// with and without the unit shortcut), for zero to six hops, including walks
+// whose frontier dies on the way. The seed comes back untouched and the pull
+// scratch all zero.
 func TestQuickSeedValuesIsSeedVectorAtCandidates(t *testing.T) {
 	bg := context.Background()
+	bodies := pullBodies{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := sparseGraph(r)
-		if seed&1 == 1 {
+		g, maxHops := sparseGraph(r), 6
+		switch uint64(seed) % 3 {
+		case 1:
 			g = interleavedGraph(r)
+		case 2:
+			g, maxHops = lopsidedGraph(r, 2), 3 // twice three dense hops stay below 2⁵³
 		}
 		for i := 0; i < 6; i++ {
-			p := randomValidPath(r, g.Schema(), 6)
+			p := randomValidPath(r, g.Schema(), maxHops)
 			if i == 0 {
 				p = MustNew(p.Source()) // zero hops: N is S itself
 			}
@@ -53,6 +85,9 @@ func TestQuickSeedValuesIsSeedVectorAtCandidates(t *testing.T) {
 			if err != nil || !exact {
 				t.Logf("seed %d: SeedVector(%v): exact=%v err=%v", seed, p.Reverse(), exact, err)
 				return false
+			}
+			if p.Hops() > 0 && !s.IsZero() {
+				bodies.saw(g, p.Type(1), p.Source())
 			}
 			for _, at := range candidateSlices(r, g, src) {
 				for _, k := range []Kernel{KernelAuto, KernelPull, KernelDense, KernelMerge, KernelMap} {
@@ -91,6 +126,7 @@ func TestQuickSeedValuesIsSeedVectorAtCandidates(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+	bodies.check(t)
 }
 
 // exact answers for the numerators that are used, and only for them: with

@@ -61,10 +61,12 @@ type Client struct {
 }
 
 // clientConn keeps a connection WITH its buffered reader: the reader may
-// have read ahead, so re-wrapping the conn on reuse would lose bytes.
+// have read ahead, so re-wrapping the conn on reuse would lose bytes. payload
+// is the frame buffer every response on the connection is read into.
 type clientConn struct {
-	c  net.Conn
-	br *bufio.Reader
+	c       net.Conn
+	br      *bufio.Reader
+	payload []byte
 }
 
 // maxIdleConns bounds the per-client idle pool; beyond it, returning
@@ -234,7 +236,7 @@ func (c *Client) attempt(ctx context.Context, req *core.ShardRequest, b *core.Sh
 		cc.c.Close()
 		return nil, c.classify(ctx, err)
 	}
-	resp, err := ReadResponse(cc.br)
+	resp, err := readMessage(cc.br, &cc.payload, kindResponse, decodeResponse)
 	if err != nil {
 		cc.c.Close()
 		return nil, c.classify(ctx, err)

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"netout/internal/core"
@@ -398,29 +399,36 @@ func decodeResponse(payload []byte) (*core.ShardResponse, error) {
 
 // ---- framing ---------------------------------------------------------------
 
-// writeFrame sends one length-prefixed payload. The length prefix and
-// payload go out in a single Write so the transport never interleaves a
-// partial frame from concurrent misuse (callers still own per-connection
-// serialization).
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameBytes {
-		return xerr.Newf(xerr.Internal, "shardnet: frame of %d bytes exceeds MaxFrameBytes", len(payload))
+// frames recycles encode buffers, so encoding allocates nothing once a buffer
+// has grown to the traffic's frame size.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFrame sends one length-prefixed payload, built by encode in a pooled
+// buffer behind four bytes reserved for the prefix. Prefix and payload go out
+// in a single Write so the transport never interleaves a partial frame from
+// concurrent misuse (callers still own per-connection serialization).
+func writeFrame(w io.Writer, encode func([]byte) []byte) error {
+	f := frames.Get().(*[]byte)
+	defer frames.Put(f)
+	*f = encode(append((*f)[:0], 0, 0, 0, 0))
+	frame := *f
+	if len(frame)-4 > MaxFrameBytes {
+		return xerr.Newf(xerr.Internal, "shardnet: frame of %d bytes exceeds MaxFrameBytes", len(frame)-4)
 	}
-	frame := make([]byte, 0, 4+len(payload))
-	frame = appendU32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	if _, err := w.Write(frame); err != nil {
 		return xerr.Wrap(xerr.Unavailable, err)
 	}
 	return nil
 }
 
-// readFrame reads one length-prefixed payload of the expected kind. A clean
-// EOF before any byte of the length prefix returns io.EOF unwrapped — that
-// is a peer closing an idle connection, not an error; everything else is
-// classified (UNAVAILABLE for transport faults, INTERNAL for protocol
-// violations).
-func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
+// readFrame reads one length-prefixed payload of the expected kind into *buf,
+// grown when the frame needs it: the payload is valid until the next read into
+// the buffer, and the decoders copy out everything they return. A clean EOF before any byte of the length prefix returns io.EOF
+// unwrapped — that is a peer closing an idle connection, not an error;
+// everything else is classified (UNAVAILABLE for transport faults, INTERNAL
+// for protocol violations).
+func readFrame(r io.Reader, wantKind byte, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -432,7 +440,10 @@ func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 	if n < 1 || n > MaxFrameBytes {
 		return nil, xerr.Newf(xerr.Internal, "shardnet: frame length %d outside (0, %d]", n, MaxFrameBytes)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, xerr.Wrap(xerr.Unavailable, err)
 	}
@@ -444,29 +455,31 @@ func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 
 // WriteRequest sends one request frame.
 func WriteRequest(w io.Writer, r *Request) error {
-	return writeFrame(w, appendRequest(nil, r))
+	return writeFrame(w, func(b []byte) []byte { return appendRequest(b, r) })
 }
 
 // ReadRequest reads one request frame. io.EOF (unwrapped) means the peer
 // closed the connection cleanly between requests.
 func ReadRequest(r io.Reader) (*Request, error) {
-	payload, err := readFrame(r, kindRequest)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRequest(payload)
+	return readMessage(r, new([]byte), kindRequest, decodeRequest)
 }
 
 // WriteResponse sends one response frame.
 func WriteResponse(w io.Writer, resp *core.ShardResponse) error {
-	return writeFrame(w, appendResponse(nil, resp))
+	return writeFrame(w, func(b []byte) []byte { return appendResponse(b, resp) })
 }
 
 // ReadResponse reads one response frame.
 func ReadResponse(r io.Reader) (*core.ShardResponse, error) {
-	payload, err := readFrame(r, kindResponse)
+	return readMessage(r, new([]byte), kindResponse, decodeResponse)
+}
+
+// readMessage reads and decodes one frame through buf, the frame buffer a
+// connection reuses from message to message.
+func readMessage[T any](r io.Reader, buf *[]byte, kind byte, decode func([]byte) (*T, error)) (*T, error) {
+	payload, err := readFrame(r, kind, buf)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResponse(payload)
+	return decode(payload)
 }

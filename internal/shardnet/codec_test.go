@@ -424,3 +424,128 @@ func FuzzReadResponse(f *testing.F) {
 		ReadResponse(bytes.NewReader(data))
 	})
 }
+
+// A connection reads every frame into one buffer (Server.serveConn,
+// Client.attempt), so nothing a decoder returns may alias it: each message
+// must survive the buffer being overwritten. The frames themselves are what
+// they were before buffers were pooled — the length prefix, then the payload
+// appendRequest/appendResponse build from nil — and a buffer that has grown
+// to a frame's size is the one the next frame lands in.
+func TestDecodedMessagesDoNotAliasFrameBuffer(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var wire bytes.Buffer
+	var payload []byte
+	scribble := func() {
+		payload = payload[:cap(payload)]
+		for i := range payload {
+			payload[i] ^= 0xA5
+		}
+	}
+	framed := func(payload []byte) bool {
+		got := wire.Bytes()
+		return binary.BigEndian.Uint32(got) == uint32(len(payload)) && bytes.Equal(got[4:], payload)
+	}
+	for i := 0; i < 100; i++ {
+		req, resp := randRequest(r), randResponse(r)
+		if err := WriteRequest(&wire, req); err != nil {
+			t.Fatal(err)
+		}
+		if !framed(appendRequest(nil, req)) {
+			t.Fatalf("round %d: request frame is not prefix + payload", i)
+		}
+		gotReq, err := readMessage(&wire, &payload, kindRequest, decodeRequest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble()
+		requestsEqual(t, req, gotReq)
+
+		if err := WriteResponse(&wire, resp); err != nil {
+			t.Fatal(err)
+		}
+		want := appendResponse(nil, resp)
+		if !framed(want) {
+			t.Fatalf("round %d: response frame is not prefix + payload", i)
+		}
+		before := &payload[:1][0]
+		gotResp, err := readMessage(&wire, &payload, kindResponse, decodeResponse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) <= cap(payload) && before != &payload[:1][0] {
+			t.Fatalf("round %d: a %d-byte frame did not reuse the connection's %d-byte buffer", i, len(want), cap(payload))
+		}
+		scribble()
+		responsesEqual(t, resp, gotResp)
+	}
+}
+
+// scanRequest is the shape of a scan_shards call: one feature path, cands
+// candidates and a reference aggregate of nnz coordinates.
+func scanRequest(cands, nnz int) *Request {
+	req := &core.ShardRequest{Version: core.ShardProtocolVersion, QueryID: "q", TopK: 10,
+		Weights: []float64{1}, Paths: []metapath.Path{metapath.FromKey("\x00\x01\x02")}}
+	for i := 0; i < cands; i++ {
+		req.Candidates = append(req.Candidates, hin.VertexID(i))
+	}
+	agg := sparse.Vector{Idx: make([]int32, nnz), Val: make([]float64, nnz)}
+	for i := range agg.Idx {
+		agg.Idx[i], agg.Val[i] = int32(i), float64(i)
+	}
+	return &Request{Req: req, Broadcast: &core.ShardBroadcast{Refs: []core.ShardRefState{{Agg: agg}}}}
+}
+
+// The codec's allocation ceilings — deterministic where nanoseconds are not,
+// so they gate in `make test`. Encoding builds the frame in a pooled buffer:
+// a warm pool leaves nothing to allocate but the odd slot the runtime drops.
+// Decoding into a connection's buffer allocates the values it returns and
+// nothing that grows with the frame: twice the candidates and coordinates
+// cost the same number of allocations.
+func TestCodecAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	var wire bytes.Buffer
+	req := scanRequest(2000, 4000)
+	encode := func() {
+		wire.Reset()
+		if err := WriteRequest(&wire, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if n := testing.AllocsPerRun(100, encode); n > 2 {
+		t.Errorf("encoding a %d-byte request: %v allocations with a warm pool, ceiling 2", wire.Len(), n)
+	}
+	decodeAllocs := func(r *Request) float64 {
+		wire.Reset()
+		if err := WriteRequest(&wire, r); err != nil {
+			t.Fatal(err)
+		}
+		frame, rd := bytes.Clone(wire.Bytes()), bytes.NewReader(nil)
+		var payload []byte
+		decode := func() {
+			rd.Reset(frame)
+			if _, err := readMessage(rd, &payload, kindRequest, decodeRequest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode()
+		return testing.AllocsPerRun(100, decode)
+	}
+	small, large := decodeAllocs(req), decodeAllocs(scanRequest(4000, 8000))
+	if small != large || small > 16 {
+		t.Errorf("decoding: %v allocations for one frame, %v for one twice its size; want equal and at most 16", small, large)
+	}
+	resp := randResponse(rand.New(rand.NewSource(8)))
+	respond := func() {
+		wire.Reset()
+		if err := WriteResponse(&wire, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	respond()
+	if n := testing.AllocsPerRun(100, respond); n > 2 {
+		t.Errorf("encoding a response: %v allocations with a warm pool, ceiling 2", n)
+	}
+}

@@ -1,0 +1,5 @@
+//go:build !race
+
+package shardnet
+
+const raceEnabled = false

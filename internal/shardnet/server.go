@@ -155,8 +155,9 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
+	var payload []byte // one frame buffer for the life of the connection
 	for {
-		wire, err := ReadRequest(conn)
+		wire, err := readMessage(conn, &payload, kindRequest, decodeRequest)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				s.opts.Logf("shardnet: %s: read: %v", conn.RemoteAddr(), err)
