@@ -616,11 +616,9 @@ func BenchmarkAblationBatchWorkers(b *testing.B) {
 	qs := f.sets["Q1"]
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			eng := netout.NewEngine(f.graph, netout.WithMaterializer(f.pm))
 			for i := 0; i < b.N; i++ {
-				results, err := netout.ExecuteBatch(f.graph, qs, netout.BatchOptions{
-					Workers:      workers,
-					Materializer: f.pm,
-				})
+				results, err := netout.ExecuteBatch(eng, qs, netout.BatchOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -84,9 +84,10 @@ JUDGED BY author.paper.venue, author.paper.author : 2.0 TOP 10;`, man.Hub)
 
 	// --- Batch workers over the shared PM index.
 	fmt.Printf("batch execution of %d Q1 queries over the shared PM index:\n", len(q1))
+	pmEngine := netout.NewEngine(g, netout.WithMaterializer(pm))
 	for _, workers := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		results, err := netout.ExecuteBatch(g, q1, netout.BatchOptions{Workers: workers, Materializer: pm})
+		results, err := netout.ExecuteBatch(pmEngine, q1, netout.BatchOptions{Workers: workers})
 		if err != nil {
 			log.Fatal(err)
 		}

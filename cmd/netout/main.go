@@ -129,55 +129,52 @@ func main() {
 	}
 	statsMat = mat
 
-	// The query journal and in-flight table ride along whenever any
-	// observability surface is on (-metrics-addr, -serve or -event-log):
-	// one wide event per completed query into the ring (served at
-	// /debug/events) and, with -event-log, an append-only JSONL file.
+	// The admin surfaces: Prometheus metrics, liveness/readiness, the
+	// slow-query log, the event ring, the in-flight table and pprof. Serve
+	// mode always has them (the /query front end and the admin endpoints share
+	// one mux), so a -metrics-addr there is optional — set it to scrape on a
+	// separate port. Elsewhere the endpoint serves for as long as the process
+	// runs, so it is most useful with the REPL or long query files; one-shot
+	// runs still expose their final counters until exit.
 	var (
-		ring     *netout.EventRing
-		inflight *netout.Inflight
-		events   netout.EventSink
-	)
-	if *metricsAddr != "" || *serveAddr != "" || *eventLog != "" {
-		ring = netout.NewEventRing(0)
-		inflight = netout.NewInflight()
-		events = ring
-		if *eventLog != "" {
-			f, err := os.OpenFile(*eventLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			events = netout.CombineEventSinks(ring, netout.NewJSONLEventWriter(f))
-		}
-		if *eventSample < 1 {
-			events = netout.NewSampledEventSink(events, *eventSample, eventSlowAlways)
-		}
-	}
-
-	// The admin endpoint: Prometheus metrics, liveness/readiness, the
-	// slow-query log, the event journal, the in-flight table and pprof. It
-	// serves for as long as the process runs, so it is most useful with the
-	// REPL or long query files; one-shot runs still expose their final
-	// counters until exit. Serve mode always has metrics (the /query front
-	// end and the admin endpoints share one mux), so a -metrics-addr there
-	// is optional — set it to scrape on a separate port.
-	var (
-		reg      *netout.MetricsRegistry
-		slow     *netout.SlowLog
-		adminSrv *http.Server
+		reg       *netout.MetricsRegistry
+		slow      *netout.SlowLog
+		inflight  *netout.Inflight
+		adminOpts []netout.AdminOption
+		adminSrv  *http.Server
+		events    netout.EventSink
 	)
 	if *metricsAddr != "" || *serveAddr != "" {
 		reg = netout.DefaultMetrics()
 		slow = netout.NewSlowLog(16)
+		ring := netout.NewEventRing(0)
+		inflight = netout.NewInflight()
 		netout.RegisterProcessMetrics(reg)
 		netout.RegisterMaterializerMetrics(reg, mat)
+		inflight.RegisterMetrics(reg)
+		adminOpts = []netout.AdminOption{netout.AdminWithEventRing(ring), netout.AdminWithInflight(inflight)}
+		events = ring
+	}
+	// One wide event per completed query, whichever mode runs it: into the
+	// ring (/debug/events), with -event-log into an append-only JSONL file —
+	// both behind the -event-sample sampler — and into the slow log
+	// (/debug/slow), which sees every query.
+	if *eventLog != "" {
+		f, err := os.OpenFile(*eventLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer f.Close()
+		events = netout.CombineEventSinks(events, netout.NewJSONLEventWriter(f))
+	}
+	if events != nil && *eventSample < 1 {
+		events = netout.NewSampledEventSink(events, *eventSample, eventSlowAlways)
+	}
+	if slow != nil {
+		events = netout.CombineEventSinks(events, slow)
 	}
 	if *metricsAddr != "" {
-		inflight.RegisterMetrics(reg)
-		adminSrv = hardenedServer(*metricsAddr, netout.NewAdminMux(reg, slow,
-			netout.AdminWithEventRing(ring),
-			netout.AdminWithInflight(inflight)))
+		adminSrv = hardenedServer(*metricsAddr, netout.NewAdminMux(reg, slow, adminOpts...))
 		go func() {
 			if err := adminSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("metrics server: %v", err)
@@ -189,7 +186,7 @@ func main() {
 	}
 
 	// Remote shard fleet: one lazy-dialing client per -shard-addrs entry.
-	// The clients are shared by every engine and pool worker; transport
+	// The clients are shared by the engine and every pool worker; transport
 	// failures fold into the exact-prefix Partial contract downstream.
 	var remotes []netout.RemoteShard
 	for _, a := range strings.Split(*shardAddrs, ",") {
@@ -201,13 +198,14 @@ func main() {
 		remotes = append(remotes, cl)
 	}
 
+	// The one engine: every mode below runs it, or a pool built from it.
 	eng := netout.NewEngine(g,
 		netout.WithMeasure(m),
 		netout.WithMaterializer(mat),
 		netout.WithCombination(comb),
 		netout.WithQueryParallelism(*parallelism),
 		netout.WithRemoteShards(remotes...),
-		netout.WithObs(reg, slow),
+		netout.WithObs(reg),
 		netout.WithEventSink(events),
 		netout.WithInflight(inflight))
 	defer eng.Close()
@@ -221,11 +219,9 @@ func main() {
 			log.Fatal(err)
 		}
 	case *serveAddr != "":
-		if err := runServe(g, serveConfig{
+		if err := runServe(eng, serveConfig{
 			addr: *serveAddr, workers: *workers, maxQueue: *maxQueue, timeout: *timeout,
-			parallelism: *parallelism, remotes: remotes,
-			measure: m, combine: comb, mat: mat,
-			reg: reg, slow: slow, events: events, ring: ring, inflight: inflight,
+			reg: reg, slow: slow, adminOpts: adminOpts,
 			drainGrace: *drainGrace, adminSrv: adminSrv,
 			quiet: *quiet,
 		}); err != nil {
@@ -241,10 +237,7 @@ func main() {
 		}
 		fmt.Print(x.Format())
 	case len(queries) > 0 && *workers > 1:
-		results, err := netout.ExecuteBatch(g, queries, netout.BatchOptions{
-			Workers: *workers, Measure: m, Combination: comb, Materializer: mat,
-			QueryParallelism: *parallelism, Obs: reg, SlowLog: slow,
-		})
+		results, err := netout.ExecuteBatch(eng, queries, netout.BatchOptions{Workers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -269,7 +262,7 @@ func main() {
 			}
 		}
 	default:
-		repl(eng, *timing)
+		replFrom(eng, *timing, os.Stdin)
 	}
 }
 
@@ -406,7 +399,8 @@ type jsonResult struct {
 	ReferenceCount int         `json:"references"`
 	TotalMicros    int64       `json:"total_us"`
 	Timing         *jsonTiming `json:"timing,omitempty"`
-	Trace          []jsonSpan  `json:"trace,omitempty"`
+	// Trace is the per-phase breakdown, in the rows the query's wide event has.
+	Trace []netout.QueryEventPhase `json:"trace,omitempty"`
 }
 
 type jsonEntry struct {
@@ -424,57 +418,45 @@ type jsonTiming struct {
 	ScoringUs        int64 `json:"scoring_us"`
 }
 
-type jsonSpan struct {
-	Phase            string `json:"phase"`
-	DurationUs       int64  `json:"duration_us"`
-	TraversedVectors int64  `json:"traversed_vectors,omitempty"`
-	IndexedVectors   int64  `json:"indexed_vectors,omitempty"`
-	CacheHits        int64  `json:"cache_hits,omitempty"`
-	CacheMisses      int64  `json:"cache_misses,omitempty"`
+// newJSONResult builds the machine-readable shape of res: the -json object
+// and, with the serving identities added by the handler, the /query body.
+func newJSONResult(res *netout.Result, timing bool) jsonResult {
+	jr := jsonResult{
+		Partial:        res.Partial,
+		Skipped:        len(res.Skipped),
+		CandidateCount: res.CandidateCount,
+		ReferenceCount: res.ReferenceCount,
+		TotalMicros:    res.Timing.Total.Microseconds(),
+	}
+	for i, e := range res.Entries {
+		jr.Entries = append(jr.Entries, jsonEntry{Rank: i + 1, Name: e.Name, Score: e.Score})
+	}
+	if !timing {
+		return jr
+	}
+	t := res.Timing
+	jr.Timing = &jsonTiming{
+		SetRetrievalUs:   t.SetRetrieval.Microseconds(),
+		TraversalUs:      t.NotIndexed.Microseconds(),
+		TraversedVectors: t.TraversedVectors,
+		IndexedUs:        t.Indexed.Microseconds(),
+		IndexedVectors:   t.IndexedVectors,
+		ScoringUs:        t.Scoring.Microseconds(),
+	}
+	if res.Trace != nil {
+		jr.Trace = res.Trace.Event().Phases
+	}
+	return jr
 }
 
 func printResult(w io.Writer, res *netout.Result, timing bool) {
-	if jsonResults {
-		jr := jsonResult{
-			Partial:        res.Partial,
-			Skipped:        len(res.Skipped),
-			CandidateCount: res.CandidateCount,
-			ReferenceCount: res.ReferenceCount,
-			TotalMicros:    res.Timing.Total.Microseconds(),
-		}
-		for i, e := range res.Entries {
-			jr.Entries = append(jr.Entries, jsonEntry{Rank: i + 1, Name: e.Name, Score: e.Score})
-		}
-		if timing {
-			t := res.Timing
-			jr.Timing = &jsonTiming{
-				SetRetrievalUs:   t.SetRetrieval.Microseconds(),
-				TraversalUs:      t.NotIndexed.Microseconds(),
-				TraversedVectors: t.TraversedVectors,
-				IndexedUs:        t.Indexed.Microseconds(),
-				IndexedVectors:   t.IndexedVectors,
-				ScoringUs:        t.Scoring.Microseconds(),
-			}
-			if res.Trace != nil {
-				for _, s := range res.Trace.Spans {
-					jr.Trace = append(jr.Trace, jsonSpan{
-						Phase:            s.Phase,
-						DurationUs:       s.Duration.Microseconds(),
-						TraversedVectors: s.Stats.TraversedVectors,
-						IndexedVectors:   s.Stats.IndexedVectors,
-						CacheHits:        s.Stats.CacheHits,
-						CacheMisses:      s.Stats.CacheMisses,
-					})
-				}
-			}
-		}
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(jr); err != nil {
-			fmt.Fprintf(os.Stderr, "netout: encoding result: %v\n", err)
-		}
+	if !jsonResults {
+		printResultTable(w, res, timing)
 		return
 	}
-	printResultTable(w, res, timing)
+	if err := json.NewEncoder(w).Encode(newJSONResult(res, timing)); err != nil {
+		fmt.Fprintf(os.Stderr, "netout: encoding result: %v\n", err)
+	}
 }
 
 // statsMat is the materializer whose cache counters the timing output
@@ -522,8 +504,6 @@ const replHelp = `commands (all terminated by ';'):
   .hist <query>                histogram of the candidate score distribution
   .help                        this message
   quit`
-
-func repl(eng *netout.Engine, timing bool) { replFrom(eng, timing, os.Stdin) }
 
 // replFrom runs the REPL loop over an arbitrary input stream (tests inject
 // scripted sessions here).
@@ -598,25 +578,7 @@ func dispatch(eng *netout.Engine, names *nameIndex, src, bare string, timing boo
 		fmt.Print(netout.FormatSuggestions(sugs, 10))
 		return nil
 	case ".progressive":
-		query := strings.TrimSpace(strings.TrimPrefix(bare, ".progressive"))
-		res, err := eng.ExecuteProgressive(query+";", netout.ProgressiveOptions{
-			OnSnapshot: func(s netout.ProgressiveSnapshot) bool {
-				fmt.Printf("  [%d/%d refs]", s.ProcessedRefs, s.TotalRefs)
-				for i, est := range s.TopK {
-					if i >= 3 {
-						break
-					}
-					fmt.Printf("  %s=%.3f±%.3f", est.Name, est.Score, est.HalfWidth)
-				}
-				fmt.Println()
-				return true
-			},
-		})
-		if err != nil {
-			return err
-		}
-		printResult(os.Stdout, res, timing)
-		return nil
+		return runProgressive(eng, strings.TrimSpace(strings.TrimPrefix(bare, ".progressive"))+";", timing)
 	case ".hist":
 		query := strings.TrimSpace(strings.TrimPrefix(bare, ".hist"))
 		q, err := netout.ParseQuery(query + ";")

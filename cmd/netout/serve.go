@@ -37,44 +37,30 @@ import (
 // request supplied one, else freshly generated); error bodies repeat it in
 // JSON so a 500 can be correlated with its stack at /debug/slow.
 
+// serveConfig is what the HTTP server needs beyond the engine: the pool's
+// own bounds and the admin surfaces its mux mounts.
 type serveConfig struct {
-	addr        string
-	workers     int
-	maxQueue    int
-	timeout     time.Duration
-	parallelism int
-	remotes     []netout.RemoteShard
-	measure     netout.Measure
-	combine     netout.Combination
-	mat         netout.Materializer
-	reg         *netout.MetricsRegistry
-	slow        *netout.SlowLog
-	events      netout.EventSink
-	ring        *netout.EventRing
-	inflight    *netout.Inflight
-	drainGrace  time.Duration
-	adminSrv    *http.Server
-	quiet       bool
+	addr       string
+	workers    int
+	maxQueue   int
+	timeout    time.Duration
+	reg        *netout.MetricsRegistry
+	slow       *netout.SlowLog
+	adminOpts  []netout.AdminOption
+	drainGrace time.Duration
+	adminSrv   *http.Server
+	quiet      bool
 }
 
-// runServe starts the pool and blocks serving HTTP on cfg.addr until
+// runServe builds the pool from eng and blocks serving HTTP on cfg.addr until
 // SIGINT/SIGTERM, then drains: in-flight requests get cfg.drainGrace to
 // finish before the server force-closes, and the separate admin endpoint
 // (if any) drains under the same grace.
-func runServe(g *netout.Graph, cfg serveConfig) error {
-	pool, err := netout.NewServePool(g, netout.ServeOptions{
-		Workers:          cfg.workers,
-		Measure:          cfg.measure,
-		Combination:      cfg.combine,
-		Materializer:     cfg.mat,
-		QueryParallelism: cfg.parallelism,
-		RemoteShards:     cfg.remotes,
-		MaxQueue:         cfg.maxQueue,
-		DefaultTimeout:   cfg.timeout,
-		Obs:              cfg.reg,
-		SlowLog:          cfg.slow,
-		Events:           cfg.events,
-		Inflight:         cfg.inflight,
+func runServe(eng *netout.Engine, cfg serveConfig) error {
+	pool, err := netout.NewServePool(eng, netout.ServeOptions{
+		Workers:        cfg.workers,
+		MaxQueue:       cfg.maxQueue,
+		DefaultTimeout: cfg.timeout,
 	})
 	if err != nil {
 		return err
@@ -89,9 +75,7 @@ func runServe(g *netout.Graph, cfg serveConfig) error {
 			lis.Addr(), cfg.maxQueue, cfg.timeout)
 	}
 	srv := hardenedServer(cfg.addr, serveHandler(pool, cfg.reg, cfg.slow,
-		netout.AdminWithReadiness(pool.Ready),
-		netout.AdminWithEventRing(cfg.ring),
-		netout.AdminWithInflight(cfg.inflight)))
+		append(cfg.adminOpts, netout.AdminWithReadiness(pool.Ready))...))
 	stop := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -187,19 +171,14 @@ const maxQueryBody = 1 << 20
 // in-flight table).
 func serveHandler(pool queryExecutor, reg *netout.MetricsRegistry, slow *netout.SlowLog, adminOpts ...netout.AdminOption) http.Handler {
 	mux := netout.NewAdminMux(reg, slow, adminOpts...)
-	const responsesHelp = "HTTP /query responses by status code."
-	const requestSecondsHelp = "HTTP /query request latency by status code."
-	recordResponse := func(status int, elapsed time.Duration) {
-		if reg != nil {
-			code := strconv.Itoa(status)
-			reg.Counter(`netout_http_responses_total{code="`+code+`"}`, responsesHelp).Inc()
-			reg.Histogram(`netout_http_request_seconds{code="`+code+`"}`, requestSecondsHelp).
-				Observe(elapsed.Seconds())
-		}
-	}
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
-		countResponse := func(status int) { recordResponse(status, time.Since(begin)) }
+		countResponse := func(status int) {
+			if reg != nil {
+				reg.Histogram(`netout_http_request_seconds{code="`+strconv.Itoa(status)+`"}`,
+					"HTTP /query request latency by status code.").Observe(time.Since(begin).Seconds())
+			}
+		}
 		// Resolve the request ID first: every response — including the
 		// early 400s below — must be correlatable.
 		rid := r.Header.Get("X-Request-Id")
@@ -267,18 +246,8 @@ func serveHandler(pool queryExecutor, reg *netout.MetricsRegistry, slow *netout.
 			writeError(netout.ErrorHTTPStatus(err), netout.ErrorCodeOf(err), err.Error())
 			return
 		}
-		jr := jsonResult{
-			RequestID:      rid,
-			TraceID:        sc.TraceID,
-			Partial:        res.Partial,
-			Skipped:        len(res.Skipped),
-			CandidateCount: res.CandidateCount,
-			ReferenceCount: res.ReferenceCount,
-			TotalMicros:    res.Timing.Total.Microseconds(),
-		}
-		for i, e := range res.Entries {
-			jr.Entries = append(jr.Entries, jsonEntry{Rank: i + 1, Name: e.Name, Score: e.Score})
-		}
+		jr := newJSONResult(res, false)
+		jr.RequestID, jr.TraceID = rid, sc.TraceID
 		// Encode to a buffer before touching the ResponseWriter: an encode
 		// failure (e.g. a NaN score) must produce a clean 500, not a 200
 		// header followed by a half-written body with an error message

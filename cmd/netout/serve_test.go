@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,14 +24,12 @@ func serveTestServer(t *testing.T) (*httptest.Server, *netout.ServePool, *netout
 	slow := netout.NewSlowLog(4)
 	ring := netout.NewEventRing(16)
 	inflight := netout.NewInflight()
-	pool, err := netout.NewServePool(g, netout.ServeOptions{
+	eng := netout.NewEngine(g, netout.WithObs(reg),
+		netout.WithEventSink(netout.CombineEventSinks(ring, slow)), netout.WithInflight(inflight))
+	pool, err := netout.NewServePool(eng, netout.ServeOptions{
 		Workers:        2,
 		MaxQueue:       4,
 		DefaultTimeout: 30 * time.Second,
-		Obs:            reg,
-		SlowLog:        slow,
-		Events:         ring,
-		Inflight:       inflight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +94,55 @@ func TestServeHandlerErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var je jsonError
+		json.NewDecoder(resp.Body).Decode(&je)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Fatalf("%s: status = %d, want %d", name, resp.StatusCode, tc.want)
 		}
+		if tc.body == "" {
+			continue // refused by the handler: no query ever ran
+		}
+		// A query the engine refused — at the parser as much as at validation
+		// — is found at /debug/slow from the 400's request ID, with its error.
+		rid := resp.Header.Get("X-Request-Id")
+		slow, err := http.Get(srv.URL + "/debug/slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, _ := io.ReadAll(slow.Body)
+		slow.Body.Close()
+		if rid == "" || !strings.Contains(string(page), "rid="+rid) || !strings.Contains(string(page), "error: "+je.Error.Message) {
+			t.Fatalf("%s: /debug/slow does not list rid %q with error %q:\n%s", name, rid, je.Error.Message, page)
+		}
+	}
+}
+
+// The -json object and the /query body are one shape from one builder: the
+// body is the -json object plus the serving identities.
+func TestQueryBodyIsTheJSONResult(t *testing.T) {
+	srv, _, _ := serveTestServer(t)
+	q := `FIND OUTLIERS FROM author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue TOP 3;`
+	resp, err := http.Post(srv.URL+"/query", "text/plain", strings.NewReader(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body jsonResult
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if body.RequestID != resp.Header.Get("X-Request-Id") || body.TraceID == "" {
+		t.Fatalf("body identities = %q/%q, want the response's request ID and a trace ID", body.RequestID, body.TraceID)
+	}
+	res, err := netout.NewEngine(smallGraph(t)).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newJSONResult(res, false)
+	want.RequestID, want.TraceID, want.TotalMicros = body.RequestID, body.TraceID, body.TotalMicros
+	if !reflect.DeepEqual(body, want) {
+		t.Fatalf("/query body = %+v\n-json object = %+v", body, want)
 	}
 }
 

@@ -158,7 +158,7 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 					t.Fatalf("message %q does not contain %q", je.Error.Message, tc.contains)
 				}
 			}
-			sample := `netout_http_responses_total{code="` + strconv.Itoa(tc.status) + `"}`
+			sample := `netout_http_request_seconds_count{code="` + strconv.Itoa(tc.status) + `"}`
 			if got := counterValue(t, reg, sample); got != 1 {
 				t.Fatalf("%s = %v, want 1", sample, got)
 			}
@@ -226,7 +226,7 @@ func TestServeHandlerSuccessRequestID(t *testing.T) {
 	if jr.RequestID == "" || jr.RequestID != resp.Header.Get("X-Request-Id") {
 		t.Fatalf("result rid %q != header rid %q", jr.RequestID, resp.Header.Get("X-Request-Id"))
 	}
-	if got := counterValue(t, reg, `netout_http_responses_total{code="200"}`); got != 1 {
+	if got := counterValue(t, reg, `netout_http_request_seconds_count{code="200"}`); got != 1 {
 		t.Fatalf("200 counter = %v, want 1", got)
 	}
 }
@@ -259,10 +259,10 @@ func TestServeHandlerEncodeFailureClean500(t *testing.T) {
 	if je.Error.Code != "INTERNAL" {
 		t.Fatalf("body code = %q, want INTERNAL", je.Error.Code)
 	}
-	if got := counterValue(t, reg, `netout_http_responses_total{code="500"}`); got != 1 {
+	if got := counterValue(t, reg, `netout_http_request_seconds_count{code="500"}`); got != 1 {
 		t.Fatalf("500 counter = %v, want 1", got)
 	}
-	if got := counterValue(t, reg, `netout_http_responses_total{code="200"}`); got != 0 {
+	if got := counterValue(t, reg, `netout_http_request_seconds_count{code="200"}`); got != 0 {
 		t.Fatalf("200 counter = %v, want 0 (no success must be recorded)", got)
 	}
 }
@@ -274,7 +274,7 @@ func TestServeHandlerClosedPool503(t *testing.T) {
 	g := smallGraph(t)
 	reg := netout.NewMetricsRegistry()
 	slow := netout.NewSlowLog(4)
-	pool, err := netout.NewServePool(g, netout.ServeOptions{Workers: 1, Obs: reg, SlowLog: slow})
+	pool, err := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithEventSink(slow)), netout.ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

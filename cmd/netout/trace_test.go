@@ -157,9 +157,8 @@ func TestServeObservabilitySurfaces(t *testing.T) {
 	g := smallGraph(t)
 	reg := netout.NewMetricsRegistry()
 	inflight := netout.NewInflight()
-	pool, err := netout.NewServePool(g, netout.ServeOptions{
-		Workers: 2, Obs: reg, Inflight: inflight,
-	})
+	pool, err := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithInflight(inflight)),
+		netout.ServeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +199,6 @@ func TestServeObservabilitySurfaces(t *testing.T) {
 	}
 	if got := counterValue(t, reg, `netout_http_request_seconds_count{code="400"}`); got != 1 {
 		t.Fatalf("request histogram code=400 count = %v, want 1", got)
-	}
-	// The response counters kept their exact correspondence.
-	if got := counterValue(t, reg, `netout_http_responses_total{code="200"}`); got != 1 {
-		t.Fatalf("responses code=200 = %v, want 1", got)
 	}
 
 	// Draining: /healthz stays 200 (alive) while /readyz flips to 503.

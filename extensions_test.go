@@ -111,7 +111,7 @@ func TestFacadeBatch(t *testing.T) {
 		`FIND OUTLIERS FROM author{"Ann"}.paper.author JUDGED BY author.paper.venue;`,
 		`FIND OUTLIERS FROM author{"Eve"}.paper.author JUDGED BY author.paper.venue;`,
 	}
-	results, err := netout.ExecuteBatch(g, queries, netout.BatchOptions{Workers: 2, Materializer: pm})
+	results, err := netout.ExecuteBatch(netout.NewEngine(g, netout.WithMaterializer(pm)), queries, netout.BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"sync"
 
-	"netout/internal/hin"
 	"netout/internal/metapath"
-	"netout/internal/obs"
 	"netout/internal/xerr"
 )
 
@@ -60,24 +58,8 @@ type viewable interface {
 
 // BatchOptions configures ExecuteBatch.
 type BatchOptions struct {
-	// Workers is the pool size (default: GOMAXPROCS).
+	// Workers is the pool size (default: GOMAXPROCS, at most one per query).
 	Workers int
-	// Measure is the outlierness measure (default MeasureNetOut).
-	Measure Measure
-	// Combination is the multi-path combination mode (default average).
-	Combination Combination
-	// Materializer, if set, is the shared strategy whose index the workers
-	// reuse through views; nil means views of one fresh baseline.
-	Materializer Materializer
-	// QueryParallelism bounds each worker engine's local ranges per query
-	// (WithQueryParallelism). Default 1: the batch already parallelizes
-	// across queries, so per-query fan-out would oversubscribe the machine.
-	QueryParallelism int
-	// Obs and SlowLog, if set, are wired into every worker engine: each
-	// query observes its latency, phase breakdown and outcome into Obs and
-	// offers itself to SlowLog (see Engine's WithObs).
-	Obs     *obs.Registry
-	SlowLog *obs.SlowLog
 	// Context, if set, cancels the whole batch: dispatch stops at the next
 	// query, in-flight queries abort at per-vertex granularity, and entries
 	// never dispatched report ctx.Err(). nil means the batch runs to
@@ -92,10 +74,12 @@ type BatchResult struct {
 	Err    error
 }
 
-// ExecuteBatch runs the queries in parallel and returns per-query results
-// in input order. Individual query failures are reported per entry, not as
-// a global error; the global error covers setup problems only.
-func ExecuteBatch(g *hin.Graph, queries []string, opts BatchOptions) ([]BatchResult, error) {
+// ExecuteBatch runs the queries in parallel on worker engines built from eng
+// (its configuration, each on its own view of its materializer) and returns
+// per-query results in input order. Individual query failures are reported
+// per entry, not as a global error; the global error covers setup problems
+// only.
+func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -103,15 +87,9 @@ func ExecuteBatch(g *hin.Graph, queries []string, opts BatchOptions) ([]BatchRes
 	if workers > len(queries) && len(queries) > 0 {
 		workers = len(queries)
 	}
-	engines, err := newWorkerEngines(g, workers, opts.QueryParallelism, opts.Materializer,
-		WithMeasure(opts.Measure),
-		WithCombination(opts.Combination),
-		WithObs(opts.Obs, opts.SlowLog))
+	engines, err := eng.workers(workers)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Obs != nil && opts.Materializer != nil {
-		RegisterMaterializerMetrics(opts.Obs, opts.Materializer)
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -147,33 +125,6 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 	return results, nil
-}
-
-// newWorkerEngines builds the engines of a worker pool (ExecuteBatch,
-// ServePool): workers of them (default GOMAXPROCS), each on its own view of
-// root (nil: of one fresh baseline), each splitting a query into at most
-// queryPar local ranges — default 1, since a pool already spreads queries
-// across cores and per-query fan-out on top would oversubscribe the machine.
-func newWorkerEngines(g *hin.Graph, workers, queryPar int, root Materializer, opts ...Option) ([]*Engine, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if queryPar <= 0 {
-		queryPar = 1
-	}
-	if root == nil {
-		root = NewBaseline(g)
-	}
-	opts = append(opts, WithQueryParallelism(queryPar))
-	engines := make([]*Engine, workers)
-	for w := range engines {
-		mat, err := NewView(root)
-		if err != nil {
-			return nil, err
-		}
-		engines[w] = NewEngine(g, append(opts, WithMaterializer(mat))...)
-	}
-	return engines, nil
 }
 
 // executeIsolated is ExecuteContext behind a pool worker's panic isolation: a

@@ -47,16 +47,17 @@ type Engine struct {
 	// the clients.
 	remotes []RemoteShard
 
-	// obs and slow, when set via WithObs, receive per-query metrics (latency
-	// histograms, outcome counters, vector counters) and slow-query entries.
-	obs  *obs.Registry
-	slow *obs.SlowLog
+	// obs, when set via WithObs, receives per-query metrics (latency
+	// histograms, outcome counters, vector counters).
+	obs *obs.Registry
 	// events, when set via WithEventSink, receives one wide Event per
 	// completed query (ok, error, partial or recovered panic).
 	events obs.EventSink
 	// inflight, when set via WithInflight, tracks executing queries for the
 	// /debug/requests inspector.
 	inflight *obs.Inflight
+	// opts is what NewEngine was given, replayed for a pool's workers.
+	opts []Option
 }
 
 // ctxErr reports the context error, if any (nil context never cancels).
@@ -92,19 +93,20 @@ func WithQueryParallelism(n int) Option {
 	}
 }
 
-// WithObs connects the engine to an observability registry and (optionally)
-// a slow-query log: every query observes its latency and phase breakdown
-// into reg's instruments, and completed queries are offered to slow. Either
-// argument may be nil. Queries always carry a Trace regardless.
-func WithObs(reg *obs.Registry, slow *obs.SlowLog) Option {
-	return func(e *Engine) { e.obs, e.slow = reg, slow }
+// WithObs connects the engine to an observability registry: every query
+// observes its latency and phase breakdown into reg's instruments. nil
+// disables it. Queries always carry a Trace regardless.
+func WithObs(reg *obs.Registry) Option {
+	return func(e *Engine) { e.obs = reg }
 }
 
-// WithEventSink connects the engine to a wide-event journal: every completed
+// WithEventSink connects the engine to its per-query record: every completed
 // query (ok, error, partial or recovered panic) emits exactly one obs.Event
 // describing what it did — identity, configuration, per-phase costs, kernel
-// counts, outcome. nil disables emission. The sink must be safe for
-// concurrent use; emission is side-effect-free with respect to results, so
+// counts, outcome, and the stack of a recovered panic. The journal, the
+// /debug/events ring and the slow-query log (obs.SlowLog) are all sinks;
+// obs.CombineSinks feeds several. nil disables emission. The sink must be safe
+// for concurrent use; emission is side-effect-free with respect to results, so
 // the determinism contract is unaffected.
 func WithEventSink(s obs.EventSink) Option {
 	return func(e *Engine) { e.events = s }
@@ -119,7 +121,7 @@ func WithInflight(t *obs.Inflight) Option {
 
 // NewEngine creates an engine over g with the given options.
 func NewEngine(g *hin.Graph, opts ...Option) *Engine {
-	e := &Engine{g: g, tr: metapath.NewTraverser(g), measure: MeasureNetOut}
+	e := &Engine{g: g, tr: metapath.NewTraverser(g), measure: MeasureNetOut, opts: opts}
 	for _, o := range opts {
 		o(e)
 	}
@@ -127,6 +129,35 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 		e.mat = NewBaseline(g)
 	}
 	return e
+}
+
+// workers builds the engines of a worker pool (ExecuteBatch, ServePool) from
+// e: n of them (default GOMAXPROCS), each a new engine from e's own options —
+// so whatever e was configured with, a worker is too — on its own view of e's
+// materializer. An unset query parallelism means 1 here, not GOMAXPROCS: a
+// pool already spreads queries across cores, and per-query fan-out on top
+// would oversubscribe the machine. With a registry on e, the materializer's
+// instruments and the in-flight gauge are registered there (once per pair).
+func (e *Engine) workers(n int) ([]*Engine, error) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	if e.obs != nil {
+		RegisterMaterializerMetrics(e.obs, e.mat)
+		if e.inflight != nil {
+			e.inflight.RegisterMetrics(e.obs)
+		}
+	}
+	engines := make([]*Engine, n)
+	for i := range engines {
+		mat, err := NewView(e.mat)
+		if err != nil {
+			return nil, err
+		}
+		engines[i] = NewEngine(e.g, append(e.opts[:len(e.opts):len(e.opts)], WithMaterializer(mat))...)
+		engines[i].parallelism = max(e.parallelism, 1)
+	}
+	return engines, nil
 }
 
 // Graph returns the engine's network.
@@ -243,18 +274,11 @@ func (e *Engine) ExecuteContext(ctx context.Context, src string) (*Result, error
 	tr := obs.StartTrace()
 	q, err := oql.Parse(src)
 	if err != nil {
-		if e.obs != nil {
-			e.obs.Counter(`netout_queries_total{outcome="error"}`, queriesHelp).Inc()
-			e.obs.Counter(`netout_query_errors_total{outcome="`+xerr.Outcome(err)+`"}`, errorsHelp).Inc()
-		}
-		// A parse failure never reaches executeQuery's observation defer, but
-		// the journal's contract is one event per completed query, including
-		// this kind: emit it here with the raw source (there is no *oql.Query
-		// to print) and a parse-only trace.
+		// A parse failure never reaches executeQuery, but it is a finished
+		// query like any other: observed here with the raw source (there is no
+		// *oql.Query to print) and a parse-only trace.
 		tr.EndPhase("parse", obs.SpanStats{})
-		trace := tr.Finish()
-		stampIdentity(ctx, trace)
-		e.emitEvent(ctx, trace, src, nil, err, nil)
+		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, nil)
 		return nil, err
 	}
 	tr.EndPhase("parse", obs.SpanStats{})
@@ -273,15 +297,11 @@ func stampIdentity(ctx context.Context, trace *obs.Trace) {
 	}
 }
 
-const queriesHelp = "Queries executed by outcome (parse/validation failures and cancellations count as errors)."
-
-const errorsHelp = "Query errors by taxonomy outcome (finer-grained companion to netout_queries_total)."
-
-// observeQuery seals the trace onto the result and feeds the configured
-// registry and slow-query log. The serving layer's request ID, when ctx
-// carries one, is stamped onto the trace so the slow log and /debug/slow
-// are addressable by the X-Request-Id a client saw.
-func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query, res *Result, err error, kernels map[string]int64) {
+// observeQuery seals the trace onto the result, feeds the configured registry
+// and emits the query's event. The serving layer's request ID, when ctx
+// carries one, is stamped onto the trace so the event — and with it
+// /debug/slow — is addressable by the X-Request-Id a client saw.
+func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, res *Result, err error, kernels map[string]int64) {
 	trace := tr.Finish()
 	stampIdentity(ctx, trace)
 	if res != nil {
@@ -308,13 +328,15 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 			e.obs.Counter("netout_query_partial_total",
 				"Queries answered with a deadline-degraded Partial=true result.").Inc()
 		}
-		e.obs.Counter(`netout_queries_total{outcome="`+outcome+`"}`, queriesHelp).Inc()
+		e.obs.Counter(`netout_queries_total{outcome="`+outcome+`"}`,
+			"Queries executed by outcome (parse/validation failures and cancellations count as errors).").Inc()
 		if err != nil {
 			// Finer-grained taxonomy counter alongside the coarse ok/error
 			// pair: the coarse counter's exact Served/Failed correspondence is
 			// load-bearing for dashboards and tests, so the breakdown by code
 			// lives in its own metric.
-			e.obs.Counter(`netout_query_errors_total{outcome="`+xerr.Outcome(err)+`"}`, errorsHelp).Inc()
+			e.obs.Counter(`netout_query_errors_total{outcome="`+xerr.Outcome(err)+`"}`,
+				"Query errors by taxonomy outcome (finer-grained companion to netout_queries_total).").Inc()
 		}
 		e.obs.Histogram("netout_query_seconds", "Query wall time.").Observe(trace.Total.Seconds())
 		var traversed, indexed int64
@@ -348,65 +370,30 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, q *oql.Query,
 			}
 		}
 	}
-	if e.slow != nil {
-		if err == nil {
-			e.slow.Record(q.String(), trace.Total, trace)
-		} else {
-			// Failures are retained by recency with their request ID, error
-			// text and (for defects) stack, so a 500's X-Request-Id locates
-			// the crashing frame at /debug/slow.
-			e.slow.RecordFailure(q.String(), trace.Total, trace, err.Error(), xerr.StackOf(err))
-		}
-	}
-	e.emitEvent(ctx, trace, q.String(), res, err, kernels)
+	e.emitEvent(ctx, trace, text, res, err, kernels)
 }
 
-// emitEvent builds and emits the wide event for one completed query. The
+// emitEvent completes and emits the wide event for one finished query. The
 // event's durations and counters are read from the same sealed trace the
-// /metrics instruments observed, so the three views always agree.
+// /metrics instruments observed, so the views always agree. query is the text
+// already capped for retention (obs.TruncateQuery).
 func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, res *Result, err error, kernels map[string]int64) {
 	if e.events == nil {
 		return
 	}
-	ev := &obs.Event{
-		Time:         time.Now(),
-		RequestID:    trace.RequestID,
-		TraceID:      trace.TraceID,
-		SpanID:       trace.SpanID,
-		ParentSpanID: trace.ParentSpanID,
-		Query:        obs.TruncateQuery(query),
-		Measure:      e.measure.String(),
-		Strategy:     e.mat.Strategy().String(),
-		Parallelism:  e.QueryParallelism(),
-		QueueWaitUs:  obs.QueueWaitFrom(ctx).Microseconds(),
-		TotalUs:      trace.Total.Microseconds(),
-		Kernels:      kernels,
-		Plan:         trace.Plan,
-		Outcome:      xerr.Outcome(err),
-	}
-	for _, s := range trace.Spans {
-		ev.Phases = append(ev.Phases, obs.EventPhase{
-			Phase:            s.Phase,
-			DurationUs:       s.Duration.Microseconds(),
-			TraversedVectors: s.Stats.TraversedVectors,
-			IndexedVectors:   s.Stats.IndexedVectors,
-			CacheHits:        s.Stats.CacheHits,
-			CacheMisses:      s.Stats.CacheMisses,
-		})
-	}
-	for _, ss := range trace.Shards {
-		ev.Shards = append(ev.Shards, obs.EventShard{
-			Shard:      ss.Shard,
-			Addr:       ss.Addr,
-			DurationUs: ss.Duration.Microseconds(),
-			Candidates: ss.Candidates,
-			Done:       ss.Done,
-			Partial:    ss.Partial,
-			Err:        ss.Err,
-		})
-	}
+	ev := trace.Event()
+	ev.Query = query
+	ev.Measure = e.measure.String()
+	ev.Strategy = e.mat.Strategy().String()
+	ev.Parallelism = e.QueryParallelism()
+	ev.QueueWaitUs = obs.QueueWaitFrom(ctx).Microseconds()
+	ev.Kernels = kernels
+	ev.Outcome = xerr.Outcome(err)
 	if err != nil {
+		// A failure carries its error text and, for a defect, its stack, so a
+		// 500's X-Request-Id locates the crashing frame at /debug/slow.
 		ev.Error = err.Error()
+		ev.Stack = xerr.StackOf(err)
 	}
 	if res != nil {
 		ev.Candidates = res.CandidateCount
@@ -470,6 +457,12 @@ func (e *Engine) ExecuteQueryContext(ctx context.Context, q *oql.Query) (*Result
 // any) has already been recorded.
 func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer) (res *Result, err error) {
 	start := time.Now()
+	// The canonical text is rendered once, for whoever records the query: the
+	// in-flight table now, the event when it finishes.
+	var text string
+	if e.inflight != nil || e.events != nil {
+		text = obs.TruncateQuery(q.String())
+	}
 	// Live registration for the /debug/requests inspector. Deregistration is
 	// the first defer, so it runs last — after observation — and a panicking
 	// query still leaves the table.
@@ -479,7 +472,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		if sc, ok := obs.SpanContextFrom(ctx); ok {
 			traceID = sc.TraceID
 		}
-		ifq = e.inflight.Register(obs.RequestIDFrom(ctx), traceID, q.String())
+		ifq = e.inflight.Register(obs.RequestIDFrom(ctx), traceID, text)
 	}
 	defer e.inflight.Deregister(ifq)
 	// Kernel counters are snapshotted around execution when the materializer
@@ -497,7 +490,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 			}
 			kernels = kernelDelta(after.Sub(kernelBefore))
 		}
-		e.observeQuery(ctx, tr, q, res, err, kernels)
+		e.observeQuery(ctx, tr, text, res, err, kernels)
 	}()
 	// Panic isolation (registered after observeQuery so it runs first and
 	// the observation sees the error): a panic in the engine's own phases

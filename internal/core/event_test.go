@@ -46,7 +46,7 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(41)))
 	ring := obs.NewEventRing(16)
 	reg := obs.NewRegistry()
-	eng := NewEngine(g, WithObs(reg, nil), WithEventSink(ring), WithInflight(obs.NewInflight()))
+	eng := NewEngine(g, WithObs(reg), WithEventSink(ring), WithInflight(obs.NewInflight()))
 
 	emitted := 0
 	expectOne := func(label, wantOutcome string, wantPartial bool) *obs.Event {
@@ -125,6 +125,16 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectOne("pre-parsed", "ok", false)
+
+	// One observation per finished query too: the registry's latency histogram
+	// counts all five of eng's queries, the parse failure among them.
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	for _, want := range []string{"netout_query_seconds_count 5", `netout_queries_total{outcome="error"} 2`, `netout_query_phase_seconds_count{phase="parse"} 4`} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("scrape is missing %q:\n%s", want, sb.String())
+		}
+	}
 }
 
 // TestEventAgreesWithTraceAndMetrics pins the three views of one query — the
@@ -134,7 +144,7 @@ func TestEventAgreesWithTraceAndMetrics(t *testing.T) {
 	ring := obs.NewEventRing(8)
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowLog(4)
-	eng := NewEngine(g, WithObs(reg, slow), WithEventSink(ring))
+	eng := NewEngine(g, WithObs(reg), WithEventSink(obs.CombineSinks(ring, slow)))
 
 	ctx := obs.WithRequestID(context.Background(), "rid-evt")
 	sc := obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), ParentSpanID: obs.NewSpanID()}
@@ -256,7 +266,7 @@ func TestInflightVisibleMidExecution(t *testing.T) {
 	tab := obs.NewInflight()
 	reg := obs.NewRegistry()
 	tab.RegisterMetrics(reg)
-	eng := NewEngine(g, WithMaterializer(fm), WithInflight(tab), WithObs(reg, nil))
+	eng := NewEngine(g, WithMaterializer(fm), WithInflight(tab), WithObs(reg))
 
 	srv := httptest.NewServer(obs.NewAdminMux(reg, nil, obs.WithInflight(tab)))
 	defer srv.Close()
@@ -331,17 +341,15 @@ func TestInflightChunkProgressUnderPipeline(t *testing.T) {
 }
 
 // TestServePoolEmitsEventsWithQueueWait checks the serving integration: pool
-// queries journal through ServeOptions.Events with the queue wait attached,
+// queries journal through the engine's sink with the queue wait attached,
 // and the serve histograms appear in the scrape.
 func TestServePoolEmitsEventsWithQueueWait(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(61)))
 	ring := obs.NewEventRing(8)
 	reg := obs.NewRegistry()
 	tab := obs.NewInflight()
-	pool, err := NewServePool(g, ServeOptions{
-		Workers: 2, Materializer: NewBaseline(g), Obs: reg,
-		Events: ring, Inflight: tab,
-	})
+	pool, err := NewServePool(NewEngine(g, WithObs(reg), WithEventSink(ring), WithInflight(tab)),
+		ServeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,5 +447,114 @@ func TestEventKernelsNamePull(t *testing.T) {
 	want := map[string]int64{"map": 1, "dense": 2, "merge": 3, "pull": 4}
 	if got := kernelDelta(metapath.KernelCounts{Map: 1, Dense: 2, Merge: 3, Pull: 4}); !maps.Equal(got, want) {
 		t.Fatalf("kernelDelta = %v, want %v", got, want)
+	}
+}
+
+// TestPoolsInheritTheEngine pins what building pools from an Engine buys: a
+// ServePool and an ExecuteBatch over an engine with a non-default measure and
+// combination, two remote shards, a registry, an event ring and an in-flight
+// table run every query exactly as the engine itself does. The parent's
+// BatchOptions mirrored six of an engine's options and had no Events, Inflight
+// or RemoteShards, so its batch journaled nothing and executed locally.
+func TestPoolsInheritTheEngine(t *testing.T) {
+	g := randomBibGraph(rand.New(rand.NewSource(67)))
+	queries := []string{
+		`FIND OUTLIERS FROM author JUDGED BY author.paper.venue : 2, author.paper.term : 1;`,
+		`FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author TOP 5;`,
+	}
+	tab := obs.NewInflight()
+	var seenInflight atomic.Int64
+	root := NewBaseline(g)
+	fleet := make([]RemoteShard, 2)
+	for i := range fleet {
+		fleet[i] = &fakeRemote{
+			addr: fmt.Sprintf("fake-shard-%d", i),
+			// A view per call: one client serves every pool worker at once.
+			serve: func(ctx context.Context, req *ShardRequest, b *ShardBroadcast) *ShardResponse {
+				seenInflight.Store(max(seenInflight.Load(), tab.Len()))
+				mat, err := NewView(root)
+				if err != nil {
+					t.Error(err)
+				}
+				return ServeShardRequest(ctx, g, mat, req, b)
+			},
+		}
+	}
+	ring := obs.NewEventRing(16)
+	reg := obs.NewRegistry()
+	eng := NewEngine(g, WithMeasure(MeasureCosSim), WithCombination(CombineConcat),
+		WithRemoteShards(fleet...), WithObs(reg), WithEventSink(ring), WithInflight(tab))
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = eng.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emitted := len(queries)
+
+	check := func(t *testing.T, got []*Result) {
+		t.Helper()
+		emitted += len(queries)
+		evs := ring.Snapshot()
+		if len(evs) != emitted {
+			t.Fatalf("ring has %d events, want %d: exactly one per query", len(evs), emitted)
+		}
+		for _, ev := range evs[:len(queries)] {
+			if ev.Outcome != "ok" || ev.Measure != MeasureCosSim.String() || len(ev.Shards) != len(fleet) {
+				t.Fatalf("pool event = %+v, want an ok %s query over %d shards", ev, MeasureCosSim, len(fleet))
+			}
+		}
+		for i, res := range got {
+			if !bitIdentical(res, want[i]) {
+				t.Fatalf("query %d diverges from the engine's own Execute", i)
+			}
+			if len(res.Shards) != len(fleet) || res.Shards[1].Addr != fleet[1].Addr() {
+				t.Fatalf("query %d: Result.Shards = %+v, want the two remotes", i, res.Shards)
+			}
+		}
+		if seenInflight.Swap(0) == 0 || tab.Len() != 0 {
+			t.Fatalf("in-flight table: never saw a running query, or kept one (%d)", tab.Len())
+		}
+	}
+
+	t.Run("ServePool", func(t *testing.T) {
+		pool, err := NewServePool(eng, ServeOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		got := make([]*Result, len(queries))
+		for i, q := range queries {
+			if got[i], err = pool.Execute(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, got)
+	})
+	t.Run("ExecuteBatch", func(t *testing.T) {
+		results, err := ExecuteBatch(eng, queries, BatchOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Result, len(queries))
+		for i, br := range results {
+			if br.Err != nil {
+				t.Fatal(br.Err)
+			}
+			got[i] = br.Result
+		}
+		check(t, got)
+	})
+	// The registry saw all of it, and the in-flight gauge rides along.
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	for _, want := range []string{
+		fmt.Sprintf(`netout_queries_total{outcome="ok"} %d`, emitted),
+		"netout_inflight_queries 0",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("scrape is missing %q:\n%s", want, sb.String())
+		}
 	}
 }

@@ -576,7 +576,7 @@ func TestExecuteBatch(t *testing.T) {
 		`bogus query`,
 		`FIND OUTLIERS FROM author JUDGED BY author.paper.author;`,
 	}
-	results, err := ExecuteBatch(g, queries, BatchOptions{Workers: 3})
+	results, err := ExecuteBatch(NewEngine(g), queries, BatchOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +609,7 @@ func TestExecuteBatchSharedIndex(t *testing.T) {
 				fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue;`, n))
 		}
 	}
-	results, err := ExecuteBatch(g, queries, BatchOptions{Workers: 4, Materializer: pm})
+	results, err := ExecuteBatch(NewEngine(g, WithMaterializer(pm)), queries, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func TestExecuteBatchSharedCache(t *testing.T) {
 				fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue;`, n))
 		}
 	}
-	results, err := ExecuteBatch(g, queries, BatchOptions{Workers: 4, Materializer: mat})
+	results, err := ExecuteBatch(NewEngine(g, WithMaterializer(mat)), queries, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func TestNewViewErrors(t *testing.T) {
 
 func TestExecuteBatchEmpty(t *testing.T) {
 	g := fig1Graph(t)
-	results, err := ExecuteBatch(g, nil, BatchOptions{})
+	results, err := ExecuteBatch(NewEngine(g), nil, BatchOptions{})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty batch: %v, %v", results, err)
 	}

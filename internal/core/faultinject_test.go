@@ -123,7 +123,7 @@ func TestServePoolWorkerPanicIsolation(t *testing.T) {
 			g := randomBibGraph(rand.New(rand.NewSource(7)))
 			fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected serve fault")}
 			reg := obs.NewRegistry()
-			pool, err := NewServePool(g, ServeOptions{Workers: workers, Materializer: fm, Obs: reg})
+			pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestServePoolOverloadSheds(t *testing.T) {
 		<-gate // stall every load until the gate opens
 	}}
 	reg := obs.NewRegistry()
-	pool, err := NewServePool(g, ServeOptions{Workers: 1, MaxQueue: 1, Materializer: fm, Obs: reg})
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1, MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +272,8 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 		}
 	}}
 	reg := obs.NewRegistry()
-	pool, err := NewServePool(g, ServeOptions{
-		Workers: 1, Materializer: fm, Obs: reg,
-		DefaultTimeout: 60 * time.Millisecond,
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{
+		Workers: 1, DefaultTimeout: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +472,7 @@ func TestPipelineDeadlinePartial(t *testing.T) {
 	}
 	nA := len(cands)
 	reg := obs.NewRegistry()
-	eng := NewEngine(g, WithQueryParallelism(4), WithObs(reg, nil))
+	eng := NewEngine(g, WithQueryParallelism(4), WithObs(reg))
 	// Poll budget: 1 at query start + setPolls across the reference
 	// propagation + nA-1 candidate checks. Exactly one candidate poll (the chronologically last of the nA
 	// issued) trips the deadline, so exactly one chunk fails and every other
@@ -525,7 +524,7 @@ func TestQueryPanicIsolation(t *testing.T) {
 			g := bigBibGraph(rand.New(rand.NewSource(13)))
 			fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected query fault")}
 			reg := obs.NewRegistry()
-			eng := NewEngine(g, WithMaterializer(fm), WithQueryParallelism(par), WithObs(reg, nil))
+			eng := NewEngine(g, WithMaterializer(fm), WithQueryParallelism(par), WithObs(reg))
 			res, err := eng.Execute(faultQuery)
 			if !IsPanicError(err) || res != nil {
 				t.Fatalf("got (%v, %v), want (nil, *PanicError)", res, err)
@@ -567,8 +566,8 @@ func TestBatchCancellation(t *testing.T) {
 			for i := range queries {
 				queries[i] = faultQuery
 			}
-			results, err := ExecuteBatch(g, queries, BatchOptions{
-				Workers: workers, Materializer: fm, Context: ctx,
+			results, err := ExecuteBatch(NewEngine(g, WithMaterializer(fm)), queries, BatchOptions{
+				Workers: workers, Context: ctx,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -596,7 +595,7 @@ func TestBatchPanicEntry(t *testing.T) {
 			for i := range queries {
 				queries[i] = faultQuery
 			}
-			results, err := ExecuteBatch(g, queries, BatchOptions{Workers: workers, Materializer: fm})
+			results, err := ExecuteBatch(NewEngine(g, WithMaterializer(fm)), queries, BatchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -693,14 +692,13 @@ func TestRegisterMaterializerMetricsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
+	eng := NewEngine(g, WithMaterializer(mat), WithObs(reg))
 	for i := 0; i < 2; i++ { // the call-twice regression for ExecuteBatch
-		if _, err := ExecuteBatch(g, []string{faultQuery}, BatchOptions{
-			Workers: 2, Materializer: mat, Obs: reg,
-		}); err != nil {
+		if _, err := ExecuteBatch(eng, []string{faultQuery}, BatchOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pool, err := NewServePool(g, ServeOptions{Workers: 2, Materializer: mat, Obs: reg})
+	pool, err := NewServePool(eng, ServeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -836,7 +834,7 @@ func TestDegradedRangePanicIsCounted(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			ring := obs.NewEventRing(2)
-			res, err := NewEngine(g, append(opts, WithObs(reg, nil), WithEventSink(ring))...).Execute(faultRefQuery)
+			res, err := NewEngine(g, append(opts, WithObs(reg), WithEventSink(ring))...).Execute(faultRefQuery)
 			if err != nil || !res.Partial {
 				t.Fatalf("got (partial=%v, %v), want the panic degraded to a partial result", res != nil && res.Partial, err)
 			}

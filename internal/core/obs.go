@@ -13,30 +13,16 @@ import (
 // never a second counter that could drift. A /metrics scrape therefore
 // matches Stats()/CacheStats()/ServeStats exactly, by construction.
 
-// RegisterMaterializerMetrics exposes a materializer on reg:
+// RegisterMaterializerMetrics exposes a materializer on reg: netout_index_bytes
+// for every strategy, and for the cached one the netout_cache_* and
+// netout_mat_* families read from its shared atomic counters (README's metric
+// table says what each answers). Only the cached materializer's full MatStats
+// are exported: its counters are safe to read from the scrape goroutine.
+// Baseline and PM/SPM carry unsynchronized per-view stats, so for those only
+// the index size — immutable after construction — is exposed.
 //
-//	netout_index_bytes                  gauge (all strategies)
-//	netout_cache_hits_total             counter ┐
-//	netout_cache_misses_total           counter │
-//	netout_cache_deduped_total          counter │ cached strategy only
-//	netout_cache_evictions_total        counter │ (read from the shared
-//	netout_cache_prefix_hits_total      counter │  atomic counters)
-//	netout_cache_hops_saved_total       counter │
-//	netout_cache_bytes                  gauge   │
-//	netout_mat_traversed_vectors_total  counter │
-//	netout_mat_indexed_vectors_total    counter │
-//	netout_mat_traversal_seconds_total  counter │
-//	netout_mat_indexed_seconds_total    counter ┘
-//
-// Only the cached materializer's full MatStats are exported: its counters
-// are shared atomics, safe to read from the scrape goroutine. Baseline and
-// PM/SPM carry unsynchronized per-view stats, so for those only the index
-// size — immutable after construction — is exposed.
-//
-// Registration is idempotent per (registry, materializer): a ServePool and
-// an ExecuteBatch sharing one registry and one materializer (as cmd/netout
-// wires them) register the collectors once, instead of double-registering on
-// every batch invocation.
+// Registration is idempotent per (registry, materializer): every pool built
+// from an engine calls it (Engine.workers), and so may the engine's owner.
 func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%T:%p", m, m)) {
 		return

@@ -66,7 +66,7 @@ func TestServePoolMetricsMatchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewServePool(g, ServeOptions{Workers: 3, Materializer: mat, Obs: reg, SlowLog: slow})
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat), WithObs(reg), WithEventSink(slow)), ServeOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,10 @@ func TestServePoolMetricsMatchStats(t *testing.T) {
 
 	// Pool traffic: scrape == ServeStats, exactly.
 	exact := map[string]float64{
-		"netout_serve_workers":               3,
-		"netout_serve_served_total":          float64(st.Served),
-		"netout_serve_failed_total":          float64(st.Failed),
-		"netout_serve_queue_seconds_total":   float64(st.QueueWait.Nanoseconds()) / 1e9,
-		"netout_serve_execute_seconds_total": float64(st.Execute.Nanoseconds()) / 1e9,
+		"netout_serve_workers":             3,
+		"netout_serve_served_total":        float64(st.Served),
+		"netout_serve_failed_total":        float64(st.Failed),
+		"netout_serve_queue_seconds_count": float64(st.Served + st.Failed),
 
 		// Shared cache: scrape == CacheStatsOf, exactly.
 		"netout_cache_hits_total":      float64(cs.Hits),
@@ -177,7 +176,7 @@ func TestResultTracePhases(t *testing.T) {
 	g := fig1Graph(t)
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowLog(4)
-	eng := NewEngine(g, WithObs(reg, slow))
+	eng := NewEngine(g, WithObs(reg), WithEventSink(slow))
 
 	res, err := eng.Execute(`FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netout/internal/hin"
 	"netout/internal/obs"
 	"netout/internal/xerr"
 )
@@ -25,8 +24,9 @@ var ErrOverloaded = xerr.New(xerr.ResourceExhausted, "core: serve pool overloade
 var ErrPoolClosed = xerr.New(xerr.Unavailable, "core: ServePool is closed")
 
 // ServePool is the serving front door for heavy query traffic: a bounded
-// pool of workers, each with its own engine, all sharing one materializer
-// through views. With a cached materializer the pool realizes the shared
+// pool of workers, each with its own engine built from the one engine the
+// caller configured (Engine.workers), all sharing its materializer through
+// views. With a cached materializer the pool realizes the shared
 // warm cache end to end — every worker's traversals warm every other
 // worker's lookups, and concurrent misses on the same vertex are
 // singleflighted. Unlike ExecuteBatch (one shot over a fixed query slice),
@@ -38,9 +38,8 @@ type ServePool struct {
 	jobs   chan serveJob
 	wg     sync.WaitGroup
 
-	maxQueue int           // admission control: queue bound (0 = unbounded)
-	timeout  time.Duration // default per-query deadline (0 = none)
-	grace    time.Duration // post-deadline wait for a degraded reply (serveDrainGrace)
+	timeout time.Duration // default per-query deadline (0 = none)
+	grace   time.Duration // post-deadline wait for a degraded reply (serveDrainGrace)
 
 	served    atomic.Int64
 	failed    atomic.Int64
@@ -52,10 +51,8 @@ type ServePool struct {
 	partials  atomic.Int64
 	canceled  atomic.Int64
 
-	// queueHist and execHist are per-query latency distributions, set when
-	// the pool has a registry. They exist ALONGSIDE the *_seconds_total
-	// CounterFuncs above, which keep their exact ServeStats correspondence;
-	// the histograms add the shape (quantiles) the totals cannot express.
+	// queueHist and execHist are the per-query distributions of the two
+	// durations summed above, set when the engine has a registry.
 	queueHist *obs.Histogram
 	execHist  *obs.Histogram
 }
@@ -68,32 +65,12 @@ type ServePool struct {
 // from stranding the caller.
 const serveDrainGrace = 250 * time.Millisecond
 
-// ServeOptions configures NewServePool.
+// ServeOptions configures NewServePool: what is the pool's own. Everything
+// about how a query runs — measure, materializer, query parallelism, remote
+// shards, registry, event sink, in-flight table — is the engine's.
 type ServeOptions struct {
 	// Workers is the pool size (default: GOMAXPROCS).
 	Workers int
-	// Measure is the outlierness measure (default MeasureNetOut).
-	Measure Measure
-	// Combination is the multi-path combination mode (default average).
-	Combination Combination
-	// Materializer, if set, is shared across the workers via NewView
-	// (warm-shared for caches, read-only for PM/SPM indexes); nil means
-	// each worker gets its own baseline.
-	Materializer Materializer
-	// QueryParallelism bounds the local ranges each worker engine splits a
-	// query's candidates into (WithQueryParallelism). The pool default is 1 —
-	// pools already spread queries across Workers cores, and letting every
-	// worker fan out to GOMAXPROCS more goroutines would oversubscribe the
-	// machine. Raise it for pools sized below the core count that still see
-	// huge single queries.
-	QueryParallelism int
-	// RemoteShards, when non-empty, scatters every worker engine's queries
-	// across out-of-process shard servers instead of local ranges
-	// (WithRemoteShards). The clients are shared by every worker —
-	// RemoteShard implementations are safe for concurrent use — and are NOT
-	// closed by the pool: close them wherever they were dialed, after the
-	// pool drains.
-	RemoteShards []RemoteShard
 	// MaxQueue, when positive, turns on admission control: at most MaxQueue
 	// queries may be queued waiting for a worker, and further Execute calls
 	// fail fast with ErrOverloaded instead of blocking unboundedly. 0 (the
@@ -105,22 +82,6 @@ type ServeOptions struct {
 	// deadline always wins; DefaultTimeout is the pool's backstop against
 	// runaway queries from callers that never set one.
 	DefaultTimeout time.Duration
-	// Obs, if set, receives the pool's metrics: served/failed totals,
-	// shed/panic/timeout/partial counters, and cumulative
-	// queue-wait/execute seconds (read from the same atomics Stats reports,
-	// so a scrape matches ServeStats exactly), the shared materializer's
-	// instruments, and every worker engine's per-query latency histograms.
-	Obs *obs.Registry
-	// SlowLog, if set, retains the pool's slowest queries with their traces.
-	SlowLog *obs.SlowLog
-	// Events, if set, receives one wide obs.Event per completed query from
-	// every worker engine (see WithEventSink). The sink must be safe for
-	// concurrent use — workers emit concurrently.
-	Events obs.EventSink
-	// Inflight, if set, tracks every executing query for the
-	// /debug/requests inspector; its gauge is registered on Obs when both
-	// are present.
-	Inflight *obs.Inflight
 }
 
 // ServeStats summarizes a pool's lifetime traffic.
@@ -178,39 +139,25 @@ type serveDone struct {
 	err error
 }
 
-// NewServePool starts a worker pool over g. Callers must Close the pool to
-// release its workers.
-func NewServePool(g *hin.Graph, opts ServeOptions) (*ServePool, error) {
-	engines, err := newWorkerEngines(g, opts.Workers, opts.QueryParallelism, opts.Materializer,
-		WithMeasure(opts.Measure),
-		WithCombination(opts.Combination),
-		WithRemoteShards(opts.RemoteShards...),
-		WithObs(opts.Obs, opts.SlowLog),
-		WithEventSink(opts.Events),
-		WithInflight(opts.Inflight))
+// NewServePool starts a worker pool whose engines are built from eng: its
+// configuration, each on its own view of its materializer. With a registry on
+// eng (WithObs) the pool's traffic counters are registered there. The pool
+// does not close eng's remote shards. Callers must Close the pool to release
+// its workers.
+func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
+	engines, err := eng.workers(opts.Workers)
 	if err != nil {
 		return nil, err
-	}
-	maxQueue := opts.MaxQueue
-	if maxQueue < 0 {
-		maxQueue = 0
 	}
 	p := &ServePool{
 		// The queue buffer IS the admission bound: with MaxQueue set, a send
 		// that cannot buffer means MaxQueue queries are already waiting.
-		jobs:     make(chan serveJob, maxQueue),
-		maxQueue: maxQueue,
-		timeout:  opts.DefaultTimeout,
-		grace:    serveDrainGrace,
+		jobs:    make(chan serveJob, max(opts.MaxQueue, 0)),
+		timeout: opts.DefaultTimeout,
+		grace:   serveDrainGrace,
 	}
-	if opts.Obs != nil {
-		p.registerMetrics(opts.Obs, len(engines))
-		if opts.Materializer != nil {
-			RegisterMaterializerMetrics(opts.Obs, opts.Materializer)
-		}
-		if opts.Inflight != nil {
-			opts.Inflight.RegisterMetrics(opts.Obs)
-		}
+	if eng.obs != nil {
+		p.registerMetrics(eng.obs, len(engines))
 	}
 	for _, eng := range engines {
 		p.wg.Add(1)
@@ -278,7 +225,7 @@ func (p *ServePool) serveJob(eng *Engine, job serveJob) {
 // Every query is stamped with a per-request correlation ID — the caller's,
 // when ctx carries one (obs.WithRequestID), or a fresh one. The ID rides
 // the context into the engine's trace (Result.Trace.RequestID) and the
-// slow-query log, and every error Execute returns carries it
+// query's event, and every error Execute returns carries it
 // (xerr.RequestIDOf), so a failure is correlatable end to end.
 func (p *ServePool) Execute(ctx context.Context, src string) (*Result, error) {
 	if ctx == nil {
@@ -306,7 +253,7 @@ func (p *ServePool) Execute(ctx context.Context, src string) (*Result, error) {
 		return nil, xerr.WithRequestID(xerr.Interrupt(err), rid)
 	}
 	job := serveJob{ctx: ctx, src: src, enqueued: time.Now(), done: make(chan serveDone, 1)}
-	if p.maxQueue > 0 {
+	if cap(p.jobs) > 0 {
 		// Admission control: never block on the queue. A send that cannot
 		// complete immediately means the buffer already holds MaxQueue
 		// waiting queries — shed this one.
@@ -360,10 +307,6 @@ func (p *ServePool) registerMetrics(reg *obs.Registry, workers int) {
 		func() float64 { return float64(p.served.Load()) })
 	reg.CounterFunc("netout_serve_failed_total", "Queries that failed or were cancelled in the serve pool.",
 		func() float64 { return float64(p.failed.Load()) })
-	reg.CounterFunc("netout_serve_queue_seconds_total", "Total seconds queries spent waiting for a free worker.",
-		func() float64 { return float64(p.queueNs.Load()) / 1e9 })
-	reg.CounterFunc("netout_serve_execute_seconds_total", "Total seconds workers spent executing queries.",
-		func() float64 { return float64(p.executeNs.Load()) / 1e9 })
 	reg.CounterFunc("netout_serve_shed_total", "Queries rejected with ErrOverloaded by admission control.",
 		func() float64 { return float64(p.shed.Load()) })
 	reg.CounterFunc("netout_serve_panics_total", "Worker panics recovered and converted into query errors.",

@@ -34,7 +34,7 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewServePool(g, ServeOptions{Workers: 4, Materializer: mat})
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 
 func TestServePoolContextAndClose(t *testing.T) {
 	g := fig1Graph(t)
-	pool, err := NewServePool(g, ServeOptions{Workers: 2})
+	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestServeStatsMeansGuardZeroCounts(t *testing.T) {
 func TestServePoolDefaultsAndErrors(t *testing.T) {
 	g := fig1Graph(t)
 	// Default worker count and baseline materializer.
-	pool, err := NewServePool(g, ServeOptions{})
+	pool, err := NewServePool(NewEngine(g), ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestServePoolDefaultsAndErrors(t *testing.T) {
 	pool.Close()
 
 	// A materializer that cannot be viewed is a setup error.
-	if _, err := NewServePool(g, ServeOptions{Materializer: badMaterializer{}}); err == nil {
+	if _, err := NewServePool(NewEngine(g, WithMaterializer(badMaterializer{})), ServeOptions{}); err == nil {
 		t.Fatal("unviewable materializer should fail pool construction")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
@@ -24,7 +23,7 @@ import (
 // anonymous error that the HTTP layer would misclassify as a 400.
 func TestServePoolClosedTyped(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(41)))
-	pool, err := NewServePool(g, ServeOptions{Workers: 1})
+	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 		}
 	}}
 	reg := obs.NewRegistry()
-	pool, err := NewServePool(g, ServeOptions{Workers: 1, Materializer: fm, Obs: reg})
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 // ID is honored verbatim.
 func TestServePoolRequestIDThreading(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(47)))
-	pool, err := NewServePool(g, ServeOptions{Workers: 1})
+	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestServePoolPanicRequestIDLocatesStack(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(53)))
 	fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected rid fault")}
 	slow := obs.NewSlowLog(4)
-	pool, err := NewServePool(g, ServeOptions{Workers: 1, Materializer: fm, SlowLog: slow})
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithEventSink(slow)), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,32 +159,27 @@ func TestServePoolPanicRequestIDLocatesStack(t *testing.T) {
 
 	// The failure ring is written by the engine's observation hook on the
 	// worker goroutine; Execute has returned, so it is already recorded.
-	var entry *obs.SlowEntry
-	deadline := time.Now().Add(5 * time.Second)
-	for entry == nil {
-		for _, f := range slow.Failures() {
-			if f.RequestID == rid {
-				f := f
-				entry = &f
-			}
-		}
-		if entry == nil {
-			if time.Now().After(deadline) {
-				t.Fatalf("no failure entry with rid %q in the slow log (failures: %+v)", rid, slow.Failures())
-			}
-			time.Sleep(time.Millisecond)
+	var entry *obs.Event
+	for _, f := range slow.Failures() {
+		if f.RequestID == rid {
+			entry = f
 		}
 	}
-	if !strings.Contains(entry.Err, "injected rid fault") {
-		t.Fatalf("failure entry error = %q", entry.Err)
+	if entry == nil {
+		t.Fatalf("no failure event with rid %q in the slow log (failures: %+v)", rid, slow.Failures())
+	}
+	if !strings.Contains(entry.Error, "injected rid fault") {
+		t.Fatalf("failure event error = %q", entry.Error)
 	}
 	if !strings.Contains(entry.Stack, "injected rid fault") && !strings.Contains(entry.Stack, "NeighborVector") {
 		t.Fatalf("failure entry retains no usable stack:\n%s", entry.Stack)
 	}
 	// And the rendered /debug/slow page carries the correlation.
 	page := slow.Format()
-	if !strings.Contains(page, "rid="+rid) {
-		t.Fatalf("slow log page does not mention rid %q:\n%s", rid, page)
+	for _, want := range []string{"rid=" + rid, "error: ", "injected rid fault", "NeighborVector"} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("slow log page does not mention %q:\n%s", want, page)
+		}
 	}
 }
 

@@ -9,20 +9,19 @@ import (
 	"time"
 )
 
-// The wide-event query journal: one flat, self-contained JSON record per
-// completed query. Aggregate metrics answer "how is the fleet doing";
-// the slow log answers "what were the worst queries"; the journal answers
-// the workload question in between — what exactly did EVERY query do —
-// which is the raw material for after-the-fact debugging of any single
-// request ID.
+// The wide event: one flat, self-contained record per completed query, and
+// the only one. Aggregate metrics answer "how is the fleet doing"; the event
+// answers what exactly did THIS query do, and every per-query surface is a
+// sink that keeps some of them — the JSONL journal all it is given, the ring
+// the most recent, the slow log (slowlog.go) the slowest and the failed.
 //
 // Events are emitted from the engine's observeQuery seam, so there is
 // exactly one event per completed query (ok, error, partial or recovered
 // panic), and its durations and counters are read from the same sealed
 // trace the /metrics instruments observe.
 
-// MaxQueryText bounds the query text retained in events and slow-log
-// entries: a megabyte query string must not turn bounded rings into
+// MaxQueryText bounds the query text retained in events and in-flight
+// records: a megabyte query string must not turn bounded rings into
 // unbounded memory.
 const MaxQueryText = 2048
 
@@ -102,11 +101,58 @@ type Event struct {
 	// ...); Error is the failure message for non-ok outcomes.
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
+	// Stack is the stack captured where a defect (a recovered panic) was
+	// raised; "" for every other outcome. It is what lets an operator walk
+	// from a 500's X-Request-Id to the crashing frame.
+	Stack string `json:"stack,omitempty"`
 	// Partial marks a deadline-degraded result.
 	Partial bool `json:"partial,omitempty"`
 	// TopScore is the most outlying entry's score (nil when there are no
 	// entries — 0 is a legitimate score).
 	TopScore *float64 `json:"top_score,omitempty"`
+
+	// trace is the sealed trace the event was started from (Trace.Event),
+	// kept so /debug/slow renders phases with Trace.Format; nil for an event
+	// built any other way.
+	trace *Trace
+}
+
+// Event starts the wide event of the query t traced: completion time,
+// identity, total, phases, shards and plan are read from the sealed trace;
+// the caller adds what a trace does not know (text, configuration, outcome).
+func (t *Trace) Event() *Event {
+	ev := &Event{
+		Time:         time.Now(),
+		RequestID:    t.RequestID,
+		TraceID:      t.TraceID,
+		SpanID:       t.SpanID,
+		ParentSpanID: t.ParentSpanID,
+		TotalUs:      t.Total.Microseconds(),
+		Plan:         t.Plan,
+		trace:        t,
+	}
+	for _, s := range t.Spans {
+		ev.Phases = append(ev.Phases, EventPhase{
+			Phase:            s.Phase,
+			DurationUs:       s.Duration.Microseconds(),
+			TraversedVectors: s.Stats.TraversedVectors,
+			IndexedVectors:   s.Stats.IndexedVectors,
+			CacheHits:        s.Stats.CacheHits,
+			CacheMisses:      s.Stats.CacheMisses,
+		})
+	}
+	for _, ss := range t.Shards {
+		ev.Shards = append(ev.Shards, EventShard{
+			Shard:      ss.Shard,
+			Addr:       ss.Addr,
+			DurationUs: ss.Duration.Microseconds(),
+			Candidates: ss.Candidates,
+			Done:       ss.Done,
+			Partial:    ss.Partial,
+			Err:        ss.Err,
+		})
+	}
+	return ev
 }
 
 // EventSink receives completed query events. Implementations must be safe
@@ -172,9 +218,6 @@ func NewEventRing(n int) *EventRing {
 	}
 	return &EventRing{events: make([]*Event, n)}
 }
-
-// Cap returns the ring's retention capacity.
-func (r *EventRing) Cap() int { return len(r.events) }
 
 // Emit retains ev, evicting the oldest retained event once full.
 func (r *EventRing) Emit(ev *Event) {

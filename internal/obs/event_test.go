@@ -33,8 +33,8 @@ func TestTruncateQuery(t *testing.T) {
 
 func TestEventRingOrderAndWrap(t *testing.T) {
 	r := NewEventRing(4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", r.Cap())
+	if len(r.events) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(r.events))
 	}
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("empty ring snapshot has %d events", len(got))
@@ -66,7 +66,7 @@ func TestEventRingOrderAndWrap(t *testing.T) {
 		}
 	}
 	// Default capacity.
-	if NewEventRing(0).Cap() != 256 {
+	if len(NewEventRing(0).events) != 256 {
 		t.Fatal("default ring capacity is not 256")
 	}
 }

@@ -8,41 +8,18 @@ import (
 	"time"
 )
 
-// SlowEntry is one retained slow query or failure.
-type SlowEntry struct {
-	// When is the query's completion time.
-	When time.Time
-	// Query is the OQL source text, capped at MaxQueryText.
-	Query string
-	// RequestID is the serving layer's correlation ID ("" outside serving).
-	RequestID string
-	// Duration is the query's wall time.
-	Duration time.Duration
-	// Trace is the query's phase breakdown (may be nil).
-	Trace *Trace
-	// Err is the failure message ("" for retained slow successes).
-	Err string
-	// Stack is the captured stack when the failure was a defect (a
-	// recovered panic); "" otherwise. This is what lets an operator walk
-	// from a 500's X-Request-Id to the crashing frame via /debug/slow.
-	Stack string
-}
-
-// SlowLog retains the N slowest queries seen so far in a fixed-size buffer
-// (a new query replaces the fastest retained entry once the buffer is
-// full), plus a same-sized ring of the most recent failed queries with
-// their request IDs, errors and — for defects — stacks. Memory is bounded
-// regardless of traffic volume. It is safe for concurrent use.
+// SlowLog is the EventSink behind /debug/slow. It retains the N slowest
+// successful queries seen so far (a new one replaces the fastest retained once
+// the buffer is full) plus a same-sized ring of the most recent failures —
+// kept by recency, not duration: a panic is worth finding even when the query
+// died fast. What it keeps is the queries' wide events themselves, so a 5xx's
+// X-Request-Id leads to its error text and, for a defect, its stack. Memory is
+// bounded regardless of traffic volume. It is safe for concurrent use.
 type SlowLog struct {
-	mu      sync.Mutex
-	cap     int
-	entries []SlowEntry
-
-	// failures is a ring of the last cap failed queries; failNext is the
-	// ring cursor. Failures are retained by recency, not duration — a panic
-	// is worth finding even when the query died fast.
-	failures []SlowEntry
-	failNext int
+	mu       sync.Mutex
+	cap      int
+	slowest  []*Event
+	failures *EventRing // the last cap failed queries
 }
 
 // NewSlowLog creates a slow log retaining the n slowest queries and the n
@@ -51,115 +28,84 @@ func NewSlowLog(n int) *SlowLog {
 	if n <= 0 {
 		n = 16
 	}
-	return &SlowLog{cap: n}
+	return &SlowLog{cap: n, failures: NewEventRing(n)}
 }
 
-// Cap returns the retention capacity.
-func (sl *SlowLog) Cap() int { return sl.cap }
-
-// Record offers one successfully completed query to the log. The request
-// ID, when the query ran under a serving context, is read from the trace.
-func (sl *SlowLog) Record(query string, d time.Duration, trace *Trace) {
-	e := SlowEntry{When: time.Now(), Query: TruncateQuery(query), Duration: d, Trace: trace}
-	if trace != nil {
-		e.RequestID = trace.RequestID
+// Emit offers one completed query to the log: an event with error text goes
+// to the failure ring, any other competes for a slowest slot.
+func (sl *SlowLog) Emit(ev *Event) {
+	if ev.Error != "" {
+		sl.failures.Emit(ev)
+		return
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if len(sl.entries) < sl.cap {
-		sl.entries = append(sl.entries, e)
+	if len(sl.slowest) < sl.cap {
+		sl.slowest = append(sl.slowest, ev)
 		return
 	}
-	// Full: replace the fastest retained entry if this one is slower.
+	// Full: replace the fastest retained event if this one is slower.
 	min := 0
-	for i := 1; i < len(sl.entries); i++ {
-		if sl.entries[i].Duration < sl.entries[min].Duration {
+	for i, e := range sl.slowest {
+		if e.TotalUs < sl.slowest[min].TotalUs {
 			min = i
 		}
 	}
-	if d > sl.entries[min].Duration {
-		sl.entries[min] = e
+	if ev.TotalUs > sl.slowest[min].TotalUs {
+		sl.slowest[min] = ev
 	}
 }
 
-// RecordFailure retains one failed query in the failure ring: the error
-// text, the stack when the failure was a recovered panic (stack may be ""),
-// and the request ID from the trace so /debug/slow is addressable by the
-// X-Request-Id a client saw on its 5xx.
-func (sl *SlowLog) RecordFailure(query string, d time.Duration, trace *Trace, errText, stack string) {
-	e := SlowEntry{When: time.Now(), Query: TruncateQuery(query), Duration: d, Trace: trace, Err: errText, Stack: stack}
-	if trace != nil {
-		e.RequestID = trace.RequestID
-	}
+// Snapshot returns the retained successful queries, slowest first.
+func (sl *SlowLog) Snapshot() []*Event {
 	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if len(sl.failures) < sl.cap {
-		sl.failures = append(sl.failures, e)
-		sl.failNext = len(sl.failures) % sl.cap
-		return
-	}
-	sl.failures[sl.failNext] = e
-	sl.failNext = (sl.failNext + 1) % sl.cap
-}
-
-// Snapshot returns the retained slow entries, slowest first.
-func (sl *SlowLog) Snapshot() []SlowEntry {
-	sl.mu.Lock()
-	out := append([]SlowEntry(nil), sl.entries...)
+	out := append([]*Event(nil), sl.slowest...)
 	sl.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Duration > out[j].Duration })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TotalUs > out[j].TotalUs })
 	return out
 }
 
 // Failures returns the retained failed queries, most recent first.
-func (sl *SlowLog) Failures() []SlowEntry {
-	sl.mu.Lock()
-	out := append([]SlowEntry(nil), sl.failures...)
-	sl.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].When.After(out[j].When) })
-	return out
-}
+func (sl *SlowLog) Failures() []*Event { return sl.failures.Snapshot() }
 
 // Format renders the slow log for terminal or /debug/slow display: the
-// slowest successes first, then the recent-failure ring with request IDs
-// and stacks.
+// slowest successes first, then the recent-failure ring.
 func (sl *SlowLog) Format() string {
-	entries := sl.Snapshot()
-	failures := sl.Failures()
+	slowest, failures := sl.Snapshot(), sl.Failures()
 	var sb strings.Builder
-	if len(entries) == 0 {
+	if len(slowest) == 0 {
 		sb.WriteString("slow-query log: empty\n")
 	} else {
-		fmt.Fprintf(&sb, "slow-query log: %d slowest queries (capacity %d)\n", len(entries), sl.cap)
-		for i, e := range entries {
-			fmt.Fprintf(&sb, "#%d  %v  %s", i+1,
-				e.Duration.Round(time.Microsecond), e.When.Format(time.RFC3339))
-			if e.RequestID != "" {
-				fmt.Fprintf(&sb, "  rid=%s", e.RequestID)
-			}
-			fmt.Fprintf(&sb, "\n    %s\n", e.Query)
-			if e.Trace != nil {
-				for _, line := range strings.Split(strings.TrimRight(e.Trace.Format(), "\n"), "\n") {
-					fmt.Fprintf(&sb, "    %s\n", line)
-				}
-			}
-		}
+		fmt.Fprintf(&sb, "slow-query log: %d slowest queries (capacity %d)\n", len(slowest), sl.cap)
+	}
+	for i, ev := range slowest {
+		writeRetained(&sb, '#', i+1, ev)
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(&sb, "recent failures: %d retained (capacity %d), most recent first\n", len(failures), sl.cap)
-		for i, e := range failures {
-			fmt.Fprintf(&sb, "!%d  %v  %s", i+1,
-				e.Duration.Round(time.Microsecond), e.When.Format(time.RFC3339))
-			if e.RequestID != "" {
-				fmt.Fprintf(&sb, "  rid=%s", e.RequestID)
-			}
-			fmt.Fprintf(&sb, "\n    %s\n    error: %s\n", e.Query, e.Err)
-			if e.Stack != "" {
-				for _, line := range strings.Split(strings.TrimRight(e.Stack, "\n"), "\n") {
-					fmt.Fprintf(&sb, "    %s\n", line)
-				}
-			}
-		}
+	}
+	for i, ev := range failures {
+		writeRetained(&sb, '!', i+1, ev)
 	}
 	return sb.String()
+}
+
+// writeRetained renders one retained event: duration, completion time and
+// request ID, the query, then whatever the event has of error text, phase
+// trace and stack.
+func writeRetained(sb *strings.Builder, mark byte, rank int, ev *Event) {
+	fmt.Fprintf(sb, "%c%d  %v  %s", mark, rank,
+		time.Duration(ev.TotalUs)*time.Microsecond, ev.Time.Format(time.RFC3339))
+	if ev.RequestID != "" {
+		fmt.Fprintf(sb, "  rid=%s", ev.RequestID)
+	}
+	body := ev.Query + "\n"
+	if ev.Error != "" {
+		body += "error: " + ev.Error + "\n"
+	}
+	if ev.trace != nil {
+		body += ev.trace.Format()
+	}
+	body = strings.TrimRight(body+ev.Stack, "\n")
+	sb.WriteString("\n    " + strings.ReplaceAll(body, "\n", "\n    ") + "\n")
 }

@@ -79,11 +79,11 @@ func TestTraceShardRendering(t *testing.T) {
 
 func TestSlowLogRetainsSlowest(t *testing.T) {
 	sl := NewSlowLog(3)
-	if sl.Cap() != 3 {
-		t.Fatalf("cap = %d", sl.Cap())
+	if sl.cap != 3 {
+		t.Fatalf("cap = %d", sl.cap)
 	}
 	for i := 1; i <= 6; i++ {
-		sl.Record(fmt.Sprintf("q%d", i), time.Duration(i)*time.Millisecond, nil)
+		sl.Emit(&Event{Query: fmt.Sprintf("q%d", i), TotalUs: int64(i) * 1000})
 	}
 	got := sl.Snapshot()
 	if len(got) != 3 {
@@ -96,7 +96,7 @@ func TestSlowLogRetainsSlowest(t *testing.T) {
 		}
 	}
 	// A faster query than everything retained is dropped.
-	sl.Record("fast", time.Microsecond, nil)
+	sl.Emit(&Event{Query: "fast", TotalUs: 1})
 	if got := sl.Snapshot(); len(got) != 3 || got[2].Query != "q4" {
 		t.Fatalf("fast query displaced a slow one: %+v", got)
 	}
@@ -116,7 +116,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sl.Record("q", time.Duration(w*200+i)*time.Microsecond, nil)
+				sl.Emit(&Event{Query: "q", TotalUs: int64(w*200 + i)})
 			}
 		}(w)
 	}
@@ -126,7 +126,38 @@ func TestSlowLogConcurrent(t *testing.T) {
 		t.Fatalf("retained %d entries, want 8", len(got))
 	}
 	// The overall slowest observation must have been retained.
-	if got[0].Duration != time.Duration(7*200+199)*time.Microsecond {
-		t.Fatalf("slowest retained = %v", got[0].Duration)
+	if got[0].TotalUs != 7*200+199 {
+		t.Fatalf("slowest retained = %dus", got[0].TotalUs)
+	}
+}
+
+// The slow log is an EventSink: an event with error text goes to the failure
+// ring (kept by recency, oldest evicted), and /debug/slow renders what was
+// retained — request ID, error, the phases of the trace the event was started
+// from, and a defect's stack.
+func TestSlowLogRetainsFailureEvents(t *testing.T) {
+	var sink EventSink = NewSlowLog(2)
+	sl := sink.(*SlowLog)
+	tr := StartTrace()
+	tr.EndPhase("parse", SpanStats{})
+	tr.EndPhase("materialize", SpanStats{TraversedVectors: 3})
+	for i := 1; i <= 3; i++ {
+		ev := tr.Finish().Event()
+		ev.Query, ev.RequestID = fmt.Sprintf("q%d", i), fmt.Sprintf("rid-%d", i)
+		ev.Outcome, ev.Error, ev.Stack = "internal", fmt.Sprintf("boom %d", i), "goroutine 1 [running]:\nmain.crash()\n"
+		sink.Emit(ev)
+	}
+	got := sl.Failures()
+	if len(got) != 2 || got[0].Query != "q3" || got[1].Query != "q2" || len(sl.Snapshot()) != 0 {
+		t.Fatalf("failure ring = %+v, want q3 then q2 and no slow entries", got)
+	}
+	page := sl.Format()
+	for _, want := range []string{"rid=rid-3", "error: boom 3", "materialize", "3 traversed", "main.crash()", "rid=rid-2"} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("Format misses %q:\n%s", want, page)
+		}
+	}
+	if strings.Contains(page, "rid-1") {
+		t.Fatalf("the evicted failure is still rendered:\n%s", page)
 	}
 }

@@ -403,12 +403,12 @@ type (
 	BatchResult  = core.BatchResult
 )
 
-// ExecuteBatch runs queries in parallel with a worker pool, sharing the
-// given materializer across workers via views: PM/SPM indexes read-only,
-// cached materializers warm — one worker's traversal is every other
-// worker's cache hit.
-func ExecuteBatch(g *Graph, queries []string, opts BatchOptions) ([]BatchResult, error) {
-	return core.ExecuteBatch(g, queries, opts)
+// ExecuteBatch runs queries in parallel on worker engines built from eng: its
+// measure, sinks and shards, each on its own view of its materializer —
+// PM/SPM indexes read-only, cached materializers warm, so one worker's
+// traversal is every other worker's cache hit.
+func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
+	return core.ExecuteBatch(eng, queries, opts)
 }
 
 // NewMaterializerView returns a materializer that shares m's pre-computed
@@ -426,11 +426,13 @@ type (
 	ServeStats   = core.ServeStats
 )
 
-// NewServePool starts a bounded worker pool over g that accepts queries
-// from any number of goroutines via ServePool.Execute. Close the pool to
-// release its workers.
-func NewServePool(g *Graph, opts ServeOptions) (*ServePool, error) {
-	return core.NewServePool(g, opts)
+// NewServePool starts a bounded worker pool that accepts queries from any
+// number of goroutines via ServePool.Execute. Its engines are built from eng
+// — configure measure, materializer, shards, registry and sinks there, once —
+// and ServeOptions holds only the pool's own size, queue bound and default
+// deadline. Close the pool to release its workers.
+func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
+	return core.NewServePool(eng, opts)
 }
 
 // Serving robustness: admission control, panic isolation and the typed
@@ -502,8 +504,8 @@ func ErrorHTTPStatus(err error) int { return xerr.HTTPStatus(err) }
 const StatusClientClosedRequest = xerr.StatusClientClosedRequest
 
 // ContextWithRequestID returns ctx carrying a request correlation ID that
-// ServePool.Execute and the engine will propagate into traces, the slow
-// log and returned errors.
+// ServePool.Execute and the engine will propagate into traces, events and
+// returned errors.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
 	return obs.WithRequestID(ctx, id)
 }
@@ -542,7 +544,8 @@ func SpanContextFromContext(ctx context.Context) (SpanContext, bool) {
 // Observability types: a MetricsRegistry holds atomic counters, gauges and
 // fixed-bucket latency histograms exposed in Prometheus text format; a
 // QueryTrace is the per-phase breakdown attached to every Result; a SlowLog
-// retains the N slowest queries with their traces.
+// is the EventSink that retains the N slowest queries' events and the last N
+// failures'.
 type (
 	MetricsRegistry = obs.Registry
 	MetricCounter   = obs.Counter
@@ -553,7 +556,6 @@ type (
 	TraceSpanStats  = obs.SpanStats
 	TraceShardSpan  = obs.ShardSpan
 	SlowLog         = obs.SlowLog
-	SlowEntry       = obs.SlowEntry
 )
 
 // NewMetricsRegistry creates an empty metrics registry.
@@ -562,13 +564,14 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // DefaultMetrics returns the process-wide metrics registry.
 func DefaultMetrics() *MetricsRegistry { return obs.Default() }
 
-// NewSlowLog creates a slow-query log retaining the n slowest queries.
+// NewSlowLog creates a slow-query log retaining the n slowest queries and
+// the n most recent failures; hand it to WithEventSink (through
+// CombineEventSinks when there are other sinks) and to NewAdminMux.
 func NewSlowLog(n int) *SlowLog { return obs.NewSlowLog(n) }
 
-// WithObs connects an engine to a metrics registry and slow-query log;
-// either may be nil. Every query then observes its latency, phase breakdown
-// and outcome into the registry's instruments.
-func WithObs(reg *MetricsRegistry, slow *SlowLog) EngineOption { return core.WithObs(reg, slow) }
+// WithObs connects an engine to a metrics registry: every query then observes
+// its latency, phase breakdown and outcome into the registry's instruments.
+func WithObs(reg *MetricsRegistry) EngineOption { return core.WithObs(reg) }
 
 // Wide-event query journal: one flat JSON record per completed query (ok,
 // error, partial or recovered panic), emitted through an EventSink.

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Observability smoke test: boot `netout -serve` with an event log, run one
 # query, and assert every admin surface answers — /metrics, /debug/events,
-# /debug/requests, /readyz — and that the JSONL journal got the event.
-# Run via `make obs-smoke`; CI runs it next to bench-smoke.
+# /debug/slow, /debug/requests, /readyz — and that the JSONL journal got the
+# event; then run a two-query batch on two workers and assert it journals one
+# event per query, like every other mode. Run via `make obs-smoke`; CI runs it
+# next to bench-smoke.
 set -eu
 
 PORT="${OBS_SMOKE_PORT:-19187}"
@@ -54,6 +56,10 @@ grep -q '^netout_http_request_seconds_bucket' "$TMP/metrics" \
     || fail "/metrics missing the request latency histogram"
 curl -fsS "http://$ADDR/debug/events" >"$TMP/events" || fail "/debug/events unreachable"
 grep -q '"outcome": "ok"' "$TMP/events" || fail "/debug/events has no ok event"
+RID="$(tr -d '\r' <"$TMP/headers" | sed -n 's/^[Xx]-[Rr]equest-[Ii]d: //p')"
+[ -n "$RID" ] || fail "response carries no X-Request-Id header"
+curl -fsS "http://$ADDR/debug/slow" >"$TMP/slow" || fail "/debug/slow unreachable"
+grep -q "rid=$RID" "$TMP/slow" || fail "/debug/slow does not list request $RID: $(cat "$TMP/slow")"
 curl -fsS "http://$ADDR/debug/requests" >"$TMP/requests" || fail "/debug/requests unreachable"
 grep -q 'in-flight' "$TMP/requests" || fail "/debug/requests did not answer"
 
@@ -61,4 +67,16 @@ grep -q 'in-flight' "$TMP/requests" || fail "/debug/requests did not answer"
 [ -s "$LOG" ] || fail "event log $LOG is empty"
 grep -q '"outcome":"ok"' "$LOG" || fail "event log has no ok event: $(cat "$LOG")"
 
-echo "obs-smoke: OK ($(wc -l <"$LOG") event(s) journaled)"
+SERVED="$(wc -l <"$LOG")"
+
+# A batch on two workers runs on engines built from the one configured engine,
+# so it journals through the same sink: one line per query (the parent's
+# BatchOptions had no event sink and wrote none).
+BATCH_LOG="$TMP/batch.jsonl"
+printf '%s\n%s\n' "$Q" "$Q" >"$TMP/q.oql"
+"$BIN" -gen 1 -quiet -file "$TMP/q.oql" -workers 2 -event-log "$BATCH_LOG" >"$TMP/batch.out" 2>&1 \
+    || fail "batch run failed: $(cat "$TMP/batch.out")"
+[ "$(wc -l <"$BATCH_LOG")" -eq 2 ] \
+    || fail "batch of 2 queries journaled $(wc -l <"$BATCH_LOG") events, want 2"
+
+echo "obs-smoke: OK ($SERVED served + 2 batch event(s) journaled)"
