@@ -135,8 +135,8 @@ examples:
 # The two tracked size numbers (ROADMAP): non-test Go outside bench/, and of
 # that the engine. Neither may pass its ceiling, so each only rises in a diff
 # that raises the literal too.
-LOC_CEILING = 19304
-CORE_LOC_CEILING = 5632
+LOC_CEILING = 19828
+CORE_LOC_CEILING = 5952
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \

@@ -15,7 +15,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -428,8 +427,11 @@ func newJSONResult(res *netout.Result, timing bool) jsonResult {
 		ReferenceCount: res.ReferenceCount,
 		TotalMicros:    res.Timing.Total.Microseconds(),
 	}
+	if len(res.Entries) > 0 { // none stays nil and encodes null, as it always has
+		jr.Entries = make([]jsonEntry, len(res.Entries))
+	}
 	for i, e := range res.Entries {
-		jr.Entries = append(jr.Entries, jsonEntry{Rank: i + 1, Name: e.Name, Score: e.Score})
+		jr.Entries[i] = jsonEntry{Rank: i + 1, Name: e.Name, Score: e.Score}
 	}
 	if !timing {
 		return jr
@@ -454,9 +456,13 @@ func printResult(w io.Writer, res *netout.Result, timing bool) {
 		printResultTable(w, res, timing)
 		return
 	}
-	if err := json.NewEncoder(w).Encode(newJSONResult(res, timing)); err != nil {
+	jr := newJSONResult(res, timing)
+	line, err := appendJSONResult(nil, &jr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "netout: encoding result: %v\n", err)
+		return
 	}
+	w.Write(line)
 }
 
 // statsMat is the materializer whose cache counters the timing output

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -252,15 +251,18 @@ func serveHandler(pool queryExecutor, reg *netout.MetricsRegistry, slow *netout.
 		// failure (e.g. a NaN score) must produce a clean 500, not a 200
 		// header followed by a half-written body with an error message
 		// glued onto valid JSON.
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(jr); err != nil {
+		buf := jsonBufs.Get().(*[]byte)
+		defer jsonBufs.Put(buf)
+		body, err := appendJSONResult((*buf)[:0], &jr)
+		if err != nil {
 			writeError(http.StatusInternalServerError, netout.CodeInternal,
 				"encoding result: "+err.Error())
 			return
 		}
+		*buf = body
 		countResponse(http.StatusOK)
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf.Bytes())
+		w.Write(body)
 	})
 	return mux
 }

@@ -58,6 +58,9 @@ type Engine struct {
 	inflight *obs.Inflight
 	// opts is what NewEngine was given, replayed for a pool's workers.
 	opts []Option
+	// compiled is the serve pool's compiled-query cache (compiled.go), set on
+	// its workers only: nil on every other engine, which compiles per call.
+	compiled *compiledCache
 }
 
 // ctxErr reports the context error, if any (nil context never cancels).
@@ -272,17 +275,24 @@ func (e *Engine) Execute(src string) (*Result, error) {
 // elaborate their queries") needs runaway queries to be abortable.
 func (e *Engine) ExecuteContext(ctx context.Context, src string) (*Result, error) {
 	tr := obs.StartTrace()
-	q, err := oql.Parse(src)
+	cq := e.compiled.lookup(src)
+	var q *oql.Query
+	var err error
+	if rq, _ := cq.resolved(); rq != nil {
+		q = rq.q
+	} else {
+		q, err = oql.Parse(src)
+	}
 	if err != nil {
 		// A parse failure never reaches executeQuery, but it is a finished
 		// query like any other: observed here with the raw source (there is no
 		// *oql.Query to print) and a parse-only trace.
 		tr.EndPhase("parse", obs.SpanStats{})
-		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, nil)
+		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, nil, cq)
 		return nil, err
 	}
 	tr.EndPhase("parse", obs.SpanStats{})
-	return e.executeQuery(ctx, q, tr)
+	return e.executeQuery(ctx, q, tr, cq)
 }
 
 // stampIdentity copies the request ID and span context carried by ctx onto
@@ -301,9 +311,10 @@ func stampIdentity(ctx context.Context, trace *obs.Trace) {
 // and emits the query's event. The serving layer's request ID, when ctx
 // carries one, is stamped onto the trace so the event — and with it
 // /debug/slow — is addressable by the X-Request-Id a client saw.
-func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, res *Result, err error, kernels map[string]int64) {
+func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, res *Result, err error, kernels map[string]int64, cq *compiledQuery) {
 	trace := tr.Finish()
 	stampIdentity(ctx, trace)
+	trace.Compiled, trace.RefSide = cq.labels()
 	if res != nil {
 		res.Trace = trace
 	}
@@ -450,17 +461,21 @@ func (e *Engine) ExecuteQuery(q *oql.Query) (*Result, error) {
 // threaded through the whole call chain (never stored on the Engine), so
 // concurrent queries on one engine each observe exactly their own context.
 func (e *Engine) ExecuteQueryContext(ctx context.Context, q *oql.Query) (*Result, error) {
-	return e.executeQuery(ctx, q, obs.StartTrace())
+	return e.executeQuery(ctx, q, obs.StartTrace(), nil)
 }
 
 // executeQuery runs a parsed query against a trace whose parse phase (if
-// any) has already been recorded.
-func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer) (res *Result, err error) {
+// any) has already been recorded. cq is the serve pool's entry for the query's
+// text (compiledCache.lookup; nil outside a pool): retained, it supplies the
+// canonical text, the resolution and — through referenceSide — the reduced
+// reference side, and the validate and plan spans close at once; blank, a
+// clean complete execution fills it.
+func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer, cq *compiledQuery) (res *Result, err error) {
 	start := time.Now()
 	// The canonical text is rendered once, for whoever records the query: the
 	// in-flight table now, the event when it finishes.
-	var text string
-	if e.inflight != nil || e.events != nil {
+	rq, text := cq.resolved()
+	if rq == nil && (e.inflight != nil || e.events != nil) {
 		text = obs.TruncateQuery(q.String())
 	}
 	// Live registration for the /debug/requests inspector. Deregistration is
@@ -490,7 +505,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 			}
 			kernels = kernelDelta(after.Sub(kernelBefore))
 		}
-		e.observeQuery(ctx, tr, text, res, err, kernels)
+		e.observeQuery(ctx, tr, text, res, err, kernels, cq)
 	}()
 	// Panic isolation (registered after observeQuery so it runs first and
 	// the observation sees the error): a panic in the engine's own phases
@@ -505,16 +520,21 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 		return nil, err
 	}
 	ifq.SetPhase("validate")
-	plan, err = e.resolve(ctx, q, func() {
+	validated := func() {
 		tr.EndPhase("validate", obs.SpanStats{})
 		ifq.SetPhase("plan")
-	})
-	if err != nil {
-		return nil, err
 	}
-	plan.ifq = ifq
-	res = &Result{CandidateCount: len(plan.cands), ReferenceCount: len(plan.refs)}
-	res.Timing.SetRetrieval = plan.setRetrieval
+	res = &Result{}
+	if rq != nil {
+		validated()
+	} else {
+		if rq, err = e.resolve(ctx, q, validated); err != nil {
+			return nil, err
+		}
+		res.Timing.SetRetrieval = rq.setRetrieval
+	}
+	plan = &queryPlan{resolvedQuery: rq, compiled: cq, ifq: ifq}
+	res.CandidateCount, res.ReferenceCount = len(rq.cands), len(rq.refs)
 	// A cached materializer names the waist that misses of a feature path
 	// finish from; observeQuery copies the lines onto the wide event, so
 	// /debug/events shows why such a path is cheap — or no longer is.
@@ -530,6 +550,9 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 	if err := e.run(ctx, plan, res, tr); err != nil {
 		return nil, err
 	}
+	if !res.Partial {
+		e.compiled.put(cq, text, rq, plan.scorers)
+	}
 	res.Timing.Total = time.Since(start)
 	return res, nil
 }
@@ -540,7 +563,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer)
 // (Sr is Sc when COMPARED TO is omitted), and the feature meta-paths with
 // their weights. validated, when non-nil, runs between validation and set
 // evaluation, where a traced caller closes its validate span.
-func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*queryPlan, error) {
+func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*resolvedQuery, error) {
 	elemType, err := oql.Validate(q, e.g.Schema())
 	if err != nil {
 		return nil, err
@@ -549,7 +572,7 @@ func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*
 		validated()
 	}
 	start := time.Now()
-	plan := &queryPlan{q: q, elemType: elemType, combine: e.combine}
+	plan := &resolvedQuery{q: q, elemType: elemType, combine: e.combine}
 	if plan.cands, err = e.EvalSetContext(ctx, q.From); err != nil {
 		return nil, err
 	}

@@ -66,8 +66,10 @@ const parallelChunk = 128
 // chunksOf is how many chunks n candidates (or references) make.
 func chunksOf(n int) int { return (n + parallelChunk - 1) / parallelChunk }
 
-// queryPlan carries a resolved query (Engine.resolve) to its execution.
-type queryPlan struct {
+// resolvedQuery is the half of a query's plan that is a function of its text
+// over the immutable graph (Engine.resolve builds it, the only place): shared
+// read-only by every execution a ServePool serves from its compiled entry.
+type resolvedQuery struct {
 	q *oql.Query
 	// elemType is the vertex type of the candidates, the type Explain and
 	// SuggestFeatures look names and alternative paths up under.
@@ -78,8 +80,19 @@ type queryPlan struct {
 	weights  []float64
 	combine  Combination
 	// setRetrieval is what evaluating the sets and resolving the paths took
-	// (Timing.SetRetrieval).
+	// (Timing.SetRetrieval of the execution that did).
 	setRetrieval time.Duration
+}
+
+// queryPlan carries a resolved query through one execution: the per-run half.
+type queryPlan struct {
+	*resolvedQuery
+	// compiled is the serve pool's entry for the query's text: retained (a
+	// hit), blank (a miss this execution may fill) or nil (no pool; every
+	// method is nil-safe). scorers is what referenceSide reduced Sr to, kept
+	// for the entry.
+	compiled *compiledQuery
+	scorers  *queryScorers
 	// views are the pooled materializer views the query's local ranges run
 	// on, one per range; nil when it runs inline or on remote shards.
 	// referenceSide shares its per-vertex loads among them.
@@ -260,6 +273,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	if err != nil {
 		return err
 	}
+	plan.scorers = scorers
 	var cs *candidateSide
 	var bcast *ShardBroadcast
 	if remote {

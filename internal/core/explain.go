@@ -124,7 +124,7 @@ func (e *Engine) explainQuery(q *oql.Query, candidateName string, topN int, tr *
 			return nil, err
 		}
 	}
-	scorers, _, err := e.referenceSide(ctx, plan, e.mat)
+	scorers, _, err := e.referenceSide(ctx, &queryPlan{resolvedQuery: plan}, e.mat)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,12 @@ import (
 // cancellation and deadline included, fails the query whole: without the
 // reduction no candidate can be scored, so there is no prefix to keep.
 //
-// Two branches, chosen from what the code can observe:
+// A plan whose compiled entry holds the reduction — a serve pool computed it
+// for this text before, and the graph is immutable — gets that object back
+// and loads nothing: it IS what the branches below produce, so scores are
+// bit-identical, and held is nil, so the candidates load through the
+// materializer as any COMPARED TO query's do. Otherwise two branches, chosen
+// from what the code can observe:
 //
 //   - Set-frontier: S = Σ_{vj∈Sr} Φ(vj) by ONE propagation per feature path
 //     (metapath.Traverser.SetVector), when S is all the measure needs
@@ -36,6 +41,9 @@ import (
 //     contiguous range of Sr each; slots are reference-ordered, so the sums
 //     associate the same for any schedule.
 func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materializer) (scorers *queryScorers, held [][]sparse.Vector, err error) {
+	if scorers = plan.compiled.memo(); scorers != nil {
+		return scorers, nil, nil
+	}
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
 	if sm, ok := mat.(setMaterializer); ok && e.measure == MeasureNetOut && plan.combine == CombineAverage {

@@ -82,7 +82,7 @@ func TestReferenceSideMatchesPerVertexLoop(t *testing.T) {
 					for name, mat := range refSideMaterializers(t, g) {
 						label := fmt.Sprintf("seed %d |Sr|=%d %v %v %s", seed, len(refs), measure, combine, name)
 						e := NewEngine(g, WithMeasure(measure), WithCombination(combine), WithMaterializer(mat))
-						plan := &queryPlan{cands: authors, refs: refs, paths: paths, weights: []float64{1, 2.5, 0.3}, combine: combine}
+						plan := &queryPlan{resolvedQuery: &resolvedQuery{cands: authors, refs: refs, paths: paths, weights: []float64{1, 2.5, 0.3}, combine: combine}}
 						want := loopScorers(t, e, plan)
 						got, held, err := e.referenceSide(context.Background(), plan, mat)
 						if err != nil {

@@ -38,6 +38,9 @@ type ServePool struct {
 	jobs   chan serveJob
 	wg     sync.WaitGroup
 
+	// compiled is the workers' compiled-query cache (compiled.go).
+	compiled *compiledCache
+
 	timeout time.Duration // default per-query deadline (0 = none)
 	grace   time.Duration // post-deadline wait for a degraded reply (serveDrainGrace)
 
@@ -152,14 +155,16 @@ func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
 	p := &ServePool{
 		// The queue buffer IS the admission bound: with MaxQueue set, a send
 		// that cannot buffer means MaxQueue queries are already waiting.
-		jobs:    make(chan serveJob, max(opts.MaxQueue, 0)),
-		timeout: opts.DefaultTimeout,
-		grace:   serveDrainGrace,
+		jobs:     make(chan serveJob, max(opts.MaxQueue, 0)),
+		compiled: newCompiledCache(eng.mat),
+		timeout:  opts.DefaultTimeout,
+		grace:    serveDrainGrace,
 	}
 	if eng.obs != nil {
 		p.registerMetrics(eng.obs, len(engines))
 	}
 	for _, eng := range engines {
+		eng.compiled = p.compiled
 		p.wg.Add(1)
 		go func(eng *Engine) {
 			defer p.wg.Done()
@@ -317,6 +322,14 @@ func (p *ServePool) registerMetrics(reg *obs.Registry, workers int) {
 		func() float64 { return float64(p.partials.Load()) })
 	reg.CounterFunc("netout_serve_canceled_total", "Queries aborted by caller cancellation (not timeouts).",
 		func() float64 { return float64(p.canceled.Load()) })
+	reg.CounterFunc(`netout_compiled_queries_total{result="hit"}`, "Queries by whether the pool held their text's compiled entry (parse, resolution, reduced reference side).",
+		func() float64 { return float64(p.compiled.hits.Load()) })
+	reg.CounterFunc(`netout_compiled_queries_total{result="miss"}`, "Queries by whether the pool held their text's compiled entry (parse, resolution, reduced reference side).",
+		func() float64 { return float64(p.compiled.misses.Load()) })
+	reg.GaugeFunc("netout_compiled_entries", "Compiled-query entries the pool holds.",
+		func() float64 { return float64(p.compiled.count.Load()) })
+	reg.GaugeFunc("netout_compiled_bytes", "Bytes the compiled-query entries are charged (under the cached strategy, part of netout_cache_bytes).",
+		func() float64 { return float64(p.compiled.bytes.Load()) })
 	p.queueHist = reg.Histogram("netout_serve_queue_seconds",
 		"Per-query time spent waiting for a free worker.")
 	p.execHist = reg.Histogram("netout_serve_execute_seconds",
@@ -363,4 +376,5 @@ func (p *ServePool) Close() {
 	close(p.jobs)
 	p.mu.Unlock()
 	p.wg.Wait()
+	p.compiled.close()
 }

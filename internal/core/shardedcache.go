@@ -77,6 +77,12 @@ type sharedCacheState struct {
 	// (waist.go); their bytes are part of bytes below.
 	waists waistSet
 
+	// compiled are the compiled-query caches of the serve pools built over
+	// this materializer, from newCompiledCache to close (compiled.go); their
+	// bytes are part of bytes below.
+	compiledMu sync.Mutex
+	compiled   []*compiledCache
+
 	// victim rotates eviction across shards (approximate global LRU).
 	victim atomic.Uint64
 
@@ -297,7 +303,7 @@ func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
 }
 
 // enforceBudget evicts LRU tails, rotating across shards, until the cache —
-// entries and waist tables — is back under its byte budget.
+// entries, waist tables and compiled queries — is back under its byte budget.
 func (st *sharedCacheState) enforceBudget() {
 	for st.bytes.Load() > st.maxBytes && st.evictOne() {
 	}
@@ -350,11 +356,16 @@ func (st *sharedCacheState) cacheStats() CacheStats {
 	}
 }
 
-// recomputeBytes walks every shard and every waist table and re-sums what
-// they hold; tests use it to verify the atomic byte accounting against ground
-// truth.
+// recomputeBytes walks every shard, every waist table and every attached
+// compiled cache and re-sums what they hold; tests use it to verify the atomic
+// byte accounting against ground truth.
 func (st *sharedCacheState) recomputeBytes() int64 {
 	total := st.recomputeWaistBytes()
+	st.compiledMu.Lock()
+	for _, c := range st.compiled {
+		total += c.recomputeBytes()
+	}
+	st.compiledMu.Unlock()
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()

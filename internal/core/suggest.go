@@ -94,7 +94,7 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 // side and the weighted mean of one score is that score bit for bit. ok is
 // false when p characterizes fewer than three candidates.
 func (e *Engine) evaluateFeaturePath(ctx context.Context, p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool, error) {
-	plan := &queryPlan{cands: cands, refs: refs, paths: []metapath.Path{p}, weights: []float64{1}, combine: CombineAverage}
+	plan := &queryPlan{resolvedQuery: &resolvedQuery{cands: cands, refs: refs, paths: []metapath.Path{p}, weights: []float64{1}, combine: CombineAverage}}
 	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
 	if err != nil {
 		return Suggestion{}, false, err

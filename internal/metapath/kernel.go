@@ -271,13 +271,22 @@ func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.
 }
 
 // runOf reports whether at is the run vs[first:first+len(at)] of the ascending
-// list vs, and where it starts.
-func runOf(vs, at []hin.VertexID) (first int, ok bool) {
+// list vs, and where it starts. at is vertex IDs, as such or as the
+// coordinates of a vector.
+func runOf[V ~int32](vs []hin.VertexID, at []V) (first int, ok bool) {
 	if len(at) == 0 {
 		return 0, false
 	}
-	first, _ = slices.BinarySearch(vs, at[0])
-	return first, len(at) <= len(vs)-first && slices.Equal(vs[first:first+len(at)], at)
+	first, _ = slices.BinarySearch(vs, hin.VertexID(at[0]))
+	if len(at) > len(vs)-first {
+		return first, false
+	}
+	for i, v := range vs[first : first+len(at)] {
+		if v != hin.VertexID(at[i]) {
+			return first, false
+		}
+	}
+	return first, true
 }
 
 // pullRows writes out[i] = Σ_j in[Nbr[j]]·Mult[j] over row first+i of the pair.

@@ -398,6 +398,33 @@ func TestSeedVectorSeedDomain(t *testing.T) {
 	if _, _, err := tr.SeedVector(bg, Path{}, seed(1)); err == nil {
 		t.Fatal("zero path accepted")
 	}
+	// A seed over the whole source type is vouched for by the type's vertex
+	// list, not vertex by vertex (seedWalk): its values are still checked, and
+	// one foreign vertex after the run, or a source type the graph does not
+	// have, is still the error it was.
+	whole := sparse.Vector{}
+	for _, v := range g.VerticesOfType(author) {
+		whole.Idx, whole.Val = append(whole.Idx, int32(v)), append(whole.Val, 2)
+	}
+	var perVertex []sparse.Vector
+	for _, v := range g.VerticesOfType(author) {
+		perVertex = append(perVertex, mustPhi(t, g, apa, v).Scale(2))
+	}
+	if s, exact, err := tr.SeedVector(bg, apa, whole); err != nil || !exact || !sameBits(s, sparse.Sum(perVertex)) {
+		t.Fatalf("whole-type seed: (%v, exact=%v, %v)", s, exact, err)
+	}
+	whole.Val[len(whole.Val)-1] = 0.5
+	if s, exact, err := tr.SeedVector(bg, apa, whole); err != nil || exact || !s.IsZero() {
+		t.Fatalf("whole-type seed with a fraction: (%v, exact=%v, %v), want (zero, false, nil)", s, exact, err)
+	}
+	whole.Val[len(whole.Val)-1] = 2
+	whole.Idx, whole.Val = append(whole.Idx, int32(ids["p1"])), append(whole.Val, 1)
+	if _, _, err := tr.SeedVector(bg, apa, whole); err == nil {
+		t.Fatal("a paper accepted after a run of authors")
+	}
+	if _, _, err := tr.SeedVector(bg, MustNew(hin.TypeID(200), paper), sparse.Vector{Idx: []int32{-1}, Val: []float64{1}}); err == nil {
+		t.Fatal("an out-of-range vertex accepted as the seed of a path whose source type the graph lacks")
+	}
 }
 
 func mustPhi(t *testing.T, g *hin.Graph, p Path, v hin.VertexID) sparse.Vector {

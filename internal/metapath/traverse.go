@@ -216,9 +216,18 @@ func (tr *Traverser) seedWalk(ctx context.Context, p Path, hops int, seed sparse
 	if p.IsZero() {
 		return sparse.Vector{}, false, errZeroPath
 	}
+	// A seed that is a run of the source type's vertex list — a whole-type
+	// reference set — needs no check per vertex: the list vouches for all. (A
+	// path off the wire may name a type the graph lacks; CheckSource says so.)
+	var listed bool
+	if t := p.Source(); int(t) < tr.g.Schema().NumTypes() {
+		_, listed = runOf(tr.g.VerticesOfType(t), seed.Idx)
+	}
 	for i, ix := range seed.Idx {
-		if err := CheckSource(tr.g, p, hin.VertexID(ix)); err != nil {
-			return sparse.Vector{}, false, err
+		if !listed {
+			if err := CheckSource(tr.g, p, hin.VertexID(ix)); err != nil {
+				return sparse.Vector{}, false, err
+			}
 		}
 		if x := seed.Val[i]; !(x >= 0 && x == math.Trunc(x)) {
 			return sparse.Vector{}, false, nil

@@ -92,6 +92,12 @@ type Event struct {
 	// finishes that path's misses from ("(0 1 2 1 0): waist=venue@2") — why
 	// such a path is cheap, or "(dropped)" why it no longer is.
 	Plan []string `json:"plan,omitempty"`
+	// Compiled is "hit" when a serve pool held the query text's compiled entry
+	// (parse, resolution) and "miss" when it did not; RefSide is "memo" when
+	// the reduced reference side came from that entry and "computed" when this
+	// query reduced it. Both absent for a query outside a pool.
+	Compiled string `json:"compiled,omitempty"`
+	RefSide  string `json:"refside,omitempty"`
 	// Candidates and References are |Sc| and |Sr|; Entries is the ranked
 	// result size.
 	Candidates int `json:"candidates,omitempty"`
@@ -129,6 +135,8 @@ func (t *Trace) Event() *Event {
 		ParentSpanID: t.ParentSpanID,
 		TotalUs:      t.Total.Microseconds(),
 		Plan:         t.Plan,
+		Compiled:     t.Compiled,
+		RefSide:      t.RefSide,
 		trace:        t,
 	}
 	for _, s := range t.Spans {

@@ -61,6 +61,10 @@ type Trace struct {
 	// waist a cached materializer finishes that path's misses from (empty
 	// otherwise).
 	Plan []string
+	// Compiled says whether a serve pool held the query text's compiled entry
+	// ("hit" or "miss"), RefSide whether the reduced reference side came from
+	// it ("memo") or was computed; both "" for a query outside a pool.
+	Compiled, RefSide string
 }
 
 // ShardSpan is one shard's contribution to a scattered query.
@@ -109,6 +113,9 @@ func (t *Trace) Format() string {
 	}
 	if t.TraceID != "" {
 		fmt.Fprintf(&sb, "  trace=%s", t.TraceID)
+	}
+	if t.Compiled != "" {
+		fmt.Fprintf(&sb, "  compiled=%s refside=%s", t.Compiled, t.RefSide)
 	}
 	sb.WriteString("\n")
 	for _, s := range t.Spans {

@@ -42,6 +42,18 @@ func TestTracerContiguousSpans(t *testing.T) {
 			t.Errorf("Format missing %q:\n%s", want, out)
 		}
 	}
+	// A query outside a serve pool says nothing about compiled entries; one
+	// inside says both things on the header line, and its event carries them.
+	if strings.Contains(out, "compiled=") {
+		t.Errorf("Format names a compiled entry outside a pool:\n%s", out)
+	}
+	trace.Compiled, trace.RefSide = "hit", "memo"
+	if head, _, _ := strings.Cut(trace.Format(), "\n"); !strings.HasSuffix(head, "  compiled=hit refside=memo") {
+		t.Errorf("Format header = %q", head)
+	}
+	if ev := trace.Event(); ev.Compiled != "hit" || ev.RefSide != "memo" {
+		t.Errorf("event compiled=%q refside=%q", ev.Compiled, ev.RefSide)
+	}
 }
 
 func TestTraceShardRendering(t *testing.T) {

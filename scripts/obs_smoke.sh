@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Observability smoke test: boot `netout -serve` with an event log, run one
-# query, and assert every admin surface answers — /metrics, /debug/events,
+# query twice, and assert every admin surface answers — /metrics, /debug/events,
 # /debug/slow, /debug/requests, /readyz — and that the JSONL journal got the
 # event; then run a two-query batch on two workers and assert it journals one
 # event per query, like every other mode. Run via `make obs-smoke`; CI runs it
@@ -63,9 +63,23 @@ grep -q "rid=$RID" "$TMP/slow" || fail "/debug/slow does not list request $RID: 
 curl -fsS "http://$ADDR/debug/requests" >"$TMP/requests" || fail "/debug/requests unreachable"
 grep -q 'in-flight' "$TMP/requests" || fail "/debug/requests did not answer"
 
-# The JSONL journal on disk has exactly the served query's wide event.
+# The first query compiled its text; the same text again is served from the
+# pool's compiled entry, and every per-query surface says so.
+grep -q '"compiled": "miss"' "$TMP/events" || fail "/debug/events does not report the first query as compiled=miss"
+curl -fsS -X POST --data "$Q" "http://$ADDR/query" >/dev/null || fail "second POST /query failed"
+curl -fsS "http://$ADDR/debug/events" >"$TMP/events" || fail "/debug/events unreachable"
+grep -q '"compiled": "hit"' "$TMP/events" || fail "/debug/events does not report the repeated query as compiled=hit"
+grep -q '"refside": "memo"' "$TMP/events" || fail "/debug/events does not report the repeated query as refside=memo"
+curl -fsS "http://$ADDR/debug/slow" >"$TMP/slow" || fail "/debug/slow unreachable"
+grep -q 'compiled=hit refside=memo' "$TMP/slow" || fail "/debug/slow does not show compiled=hit: $(cat "$TMP/slow")"
+curl -fsS "http://$ADDR/metrics" >"$TMP/metrics" || fail "/metrics unreachable"
+grep -q '^netout_compiled_queries_total{result="hit"} 1$' "$TMP/metrics" \
+    || fail "/metrics does not count one compiled hit"
+
+# The JSONL journal on disk has exactly the served queries' wide events.
 [ -s "$LOG" ] || fail "event log $LOG is empty"
 grep -q '"outcome":"ok"' "$LOG" || fail "event log has no ok event: $(cat "$LOG")"
+grep -q '"compiled":"hit"' "$LOG" || fail "event log has no compiled=hit event: $(cat "$LOG")"
 
 SERVED="$(wc -l <"$LOG")"
 
