@@ -25,8 +25,9 @@ test: vet
 	$(GO) test ./...
 
 # -cpu 1,4 runs every test at both GOMAXPROCS values: 1 pins inline
-# execution, 4 exercises local candidate ranges and the re-entrant Engine
-# under contention. This is also the gate for the fault-injection
+# execution, 4 exercises local candidate ranges and one Engine called from
+# eight goroutines over every strategy (TestOneEngineManyGoroutines, DESIGN
+# §6's contract). This is also the gate for the fault-injection
 # suite (internal/core/faultinject_test.go): panic isolation, admission
 # control and deadline degradation are only proven if they hold under -race.
 race:
@@ -132,16 +133,20 @@ examples:
 	$(GO) run ./examples/relational
 	$(GO) run ./examples/progressive
 
-# The two tracked size numbers (ROADMAP): non-test Go outside bench/, and of
-# that the engine. Neither may pass its ceiling, so each only rises in a diff
-# that raises the literal too.
-LOC_CEILING = 19828
-CORE_LOC_CEILING = 5952
+# The tracked size numbers (ROADMAP): non-test Go outside bench/, of that the
+# engine, and the lines of DESIGN.md — a document that describes the tree as it
+# is must not regrow while the code shrinks. None may pass its ceiling, so each
+# only rises in a diff that raises the literal too.
+LOC_CEILING = 19717
+CORE_LOC_CEILING = 5939
+DESIGN_LINES_CEILING = 999
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \
+	d=$$(wc -l < DESIGN.md); echo $$d; \
 	[ $$n -le $(LOC_CEILING) ] || { echo "make loc: $$n lines, ceiling $(LOC_CEILING) (Makefile)" >&2; exit 1; }; \
-	[ $$c -le $(CORE_LOC_CEILING) ] || { echo "make loc: internal/core $$c lines, ceiling $(CORE_LOC_CEILING) (Makefile)" >&2; exit 1; }
+	[ $$c -le $(CORE_LOC_CEILING) ] || { echo "make loc: internal/core $$c lines, ceiling $(CORE_LOC_CEILING) (Makefile)" >&2; exit 1; }; \
+	[ $$d -le $(DESIGN_LINES_CEILING) ] || { echo "make loc: DESIGN.md $$d lines, ceiling $(DESIGN_LINES_CEILING) (Makefile)" >&2; exit 1; }
 
 clean:
 	rm -rf results test_output.txt bench_output.txt .bench_build bench/out

@@ -148,9 +148,7 @@ func main() {
 		slow = netout.NewSlowLog(16)
 		ring := netout.NewEventRing(0)
 		inflight = netout.NewInflight()
-		netout.RegisterProcessMetrics(reg)
-		netout.RegisterMaterializerMetrics(reg, mat)
-		inflight.RegisterMetrics(reg)
+		netout.RegisterProcessMetrics(reg) // the engine registers its materializer and in-flight table
 		adminOpts = []netout.AdminOption{netout.AdminWithEventRing(ring), netout.AdminWithInflight(inflight)}
 		events = ring
 	}

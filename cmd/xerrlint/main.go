@@ -1,7 +1,7 @@
 // Command xerrlint enforces the serving error taxonomy: inside the serving
 // layer, every constructed error must carry a taxonomy code, so naked
 // fmt.Errorf(...) and errors.New(...) calls are forbidden there — use
-// xerr.New/Newf/Wrap/Defectf/Interrupt (or the netout facade's
+// xerr.New/Newf/Wrap/Interrupt (or the netout facade's
 // NewError/Errorf) instead. An untyped error silently classifies
 // as INTERNAL at the HTTP boundary, which is exactly the bug class this
 // repo's issue #6 removed; the linter keeps it from creeping back.

@@ -11,12 +11,13 @@ import (
 
 // Batch execution answers the paper's third motivating challenge — "data
 // analysts need to obtain results promptly" — for workloads of many
-// queries: queries are independent, so a worker pool with per-worker
-// engines processes them in parallel. Pre-materialized indexes are shared
-// read-only across workers via views (the index is immutable after
-// construction; only the per-materializer statistics are worker-local).
-// Cached materializers are shared warm: every view references the same
-// shard set, so one worker's miss is every other worker's hit.
+// queries: queries are independent, so a few goroutines run them in parallel
+// on one engine, each query on the materializer handles it borrows
+// (Engine.borrow). Pre-materialized indexes are shared read-only through
+// views (the index is immutable after construction; only traversal scratch
+// and statistics are private to a view). Cached materializers are shared
+// warm: every view references the same shard set, so one worker's miss is
+// every other worker's hit.
 
 // NewView returns a materializer that shares m's pre-computed state but is
 // safe to use concurrently with other views of m:
@@ -74,11 +75,10 @@ type BatchResult struct {
 	Err    error
 }
 
-// ExecuteBatch runs the queries in parallel on worker engines built from eng
-// (its configuration, each on its own view of its materializer) and returns
-// per-query results in input order. Individual query failures are reported
-// per entry, not as a global error; the global error covers setup problems
-// only.
+// ExecuteBatch runs the queries in parallel on eng, from opts.Workers
+// goroutines, and returns per-query results in input order. Individual query
+// failures are reported per entry, not as a global error; the global error
+// covers setup problems only.
 func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -87,7 +87,7 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 	if workers > len(queries) && len(queries) > 0 {
 		workers = len(queries)
 	}
-	engines, err := eng.workers(workers)
+	ranges, err := eng.pooled()
 	if err != nil {
 		return nil, err
 	}
@@ -98,15 +98,15 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 	results := make([]BatchResult, len(queries))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for _, eng := range engines {
-		wg.Add(1)
-		go func(eng *Engine) {
+	wg.Add(workers)
+	for range workers {
+		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				res, err := eng.executeIsolated(ctx, queries[i])
+				res, err := eng.executeIsolated(ctx, queries[i], nil, ranges)
 				results[i] = BatchResult{Index: i, Result: res, Err: err}
 			}
-		}(eng)
+		}()
 	}
 dispatch:
 	for i := range queries {
@@ -127,11 +127,26 @@ dispatch:
 	return results, nil
 }
 
-// executeIsolated is ExecuteContext behind a pool worker's panic isolation: a
+// pooled is what a pool of goroutines over e starts from: the bound on a
+// query's local ranges — an unset query parallelism means 1 here, not
+// GOMAXPROCS: a pool already spreads queries across cores, and per-query
+// fan-out on top would oversubscribe the machine — and one view in the
+// engine's pool, so a materializer NewView cannot view fails the pool's
+// construction, not the first two queries that overlap.
+func (e *Engine) pooled() (ranges int, err error) {
+	view, err := NewView(e.mat)
+	if err != nil {
+		return 0, err
+	}
+	e.viewPool.Put(view)
+	return max(e.parallelism, 1), nil
+}
+
+// executeIsolated is execute behind a pool worker's panic isolation: a
 // panicking query becomes that query's *PanicError and the worker moves on,
 // so one hostile query neither kills the process, strands its caller nor
 // shrinks the pool.
-func (e *Engine) executeIsolated(ctx context.Context, src string) (res *Result, err error) {
+func (e *Engine) executeIsolated(ctx context.Context, src string, cc *compiledCache, ranges int) (res *Result, err error) {
 	defer recoverAsError(&err)
-	return e.ExecuteContext(ctx, src)
+	return e.execute(ctx, src, cc, ranges)
 }

@@ -13,9 +13,10 @@ import (
 // before the candidates — parse, validation, Engine.resolve's sets and paths,
 // the canonical rendering, the reduction — is a pure function of the query
 // text, so a ServePool computes it once per distinct text and a repeated query
-// pays only for its candidates. The cache is the pool's, not the engine's:
-// Engine.Execute, ExecuteBatch, Explain, SuggestFeatures and progressive
-// execution compile per call, which is what Baseline means in Figure 3.
+// pays only for its candidates. The cache is the pool's, passed to the engine
+// with each call (Engine.execute): Engine.Execute, ExecuteBatch, Explain,
+// SuggestFeatures and progressive execution compile per call, which is what
+// Baseline means in Figure 3.
 
 const (
 	// compiledMaxBytes bounds the entries of a pool whose materializer has no
@@ -38,10 +39,11 @@ const (
 
 // compiledQuery is one text's entry. A retained entry is complete and
 // read-only — any number of workers execute from it at once; a blank one
-// (resolvedQuery nil) is a miss's private handle, carrying the key a clean
-// execution retains its results under. Methods are nil-safe: an engine
-// outside a pool has no entry.
+// (resolvedQuery nil) is a miss's private handle, carrying the cache and the
+// key a clean execution retains its results under. Methods are nil-safe: a
+// query outside a pool has no entry.
 type compiledQuery struct {
+	cache *compiledCache
 	// key is the trimmed source text.
 	key string
 	// text is the canonical rendering capped for retention — what the
@@ -147,7 +149,7 @@ func newCompiledCache(mat Materializer) *compiledCache {
 }
 
 // lookup returns the entry retained for src — two texts that differ only in
-// surrounding whitespace share one — or, on a miss, a blank entry for put.
+// surrounding whitespace share one — or, on a miss, a blank entry for retain.
 // nil without a cache.
 func (c *compiledCache) lookup(src string) *compiledQuery {
 	if c == nil {
@@ -165,19 +167,20 @@ func (c *compiledCache) lookup(src string) *compiledQuery {
 		return cq
 	}
 	c.misses.Add(1)
-	return &compiledQuery{key: key}
+	return &compiledQuery{cache: c, key: key}
 }
 
-// put retains what a clean, complete execution of blank's text produced: the
+// retain keeps what a clean, complete execution of blank's text produced: the
 // whole entry when it fits the per-entry share, the entry without the scorers
 // when only they do not, nothing otherwise. A retained entry (a hit) and a
-// missing cache are no-ops. Least recently used entries go until the budget
+// missing one are no-ops. Least recently used entries go until the budget
 // holds; under the cached strategy the vector LRU then gives way for the net
 // growth.
-func (c *compiledCache) put(blank *compiledQuery, text string, rq *resolvedQuery, scorers *queryScorers) {
-	if c == nil || blank == nil || blank.resolvedQuery != nil {
+func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *queryScorers) {
+	if blank == nil || blank.resolvedQuery != nil {
 		return
 	}
+	c := blank.cache
 	// The key is cloned: as a substring it would pin the whole request body.
 	cq := &compiledQuery{key: strings.Clone(blank.key), text: text, resolvedQuery: rq, scorers: scorers}
 	if cq.bytes = cq.size(); cq.bytes > c.entryMax {

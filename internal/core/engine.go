@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netout/internal/hin"
@@ -16,16 +17,12 @@ import (
 )
 
 // Engine executes outlier queries over a heterogeneous information network.
-// An Engine is configured once with a measure and a materialization
-// strategy. It is re-entrant: queries carry their own context and trace, so
-// concurrent calls on one Engine never observe each other's per-query
-// state. Whether concurrent use is actually SAFE depends on the
-// materializer: the cached strategy (NewCached) is internally synchronized,
-// so a cached Engine may serve queries from any number of goroutines;
-// baseline and PM/SPM materializers carry unsynchronized scratch and stats,
-// so engines over those still need one engine per goroutine (share the
-// index through NewView, or route traffic through a ServePool) — see the
-// concurrency contract in DESIGN.md.
+// An Engine is configured once with a measure and a materialization strategy
+// and is safe for concurrent use: queries carry their own context and trace,
+// and each borrows the materializer handles it runs on (borrow) — the
+// engine's own materializer when no other query holds it, views of it
+// otherwise — so any number of goroutines may call one Engine, over every
+// strategy. The concurrency contract is in DESIGN.md.
 type Engine struct {
 	g  *hin.Graph
 	tr *metapath.Traverser
@@ -39,8 +36,9 @@ type Engine struct {
 	// parallelism bounds how many local ranges a query's candidates split
 	// into (WithQueryParallelism); 0 means GOMAXPROCS, 1 means inline.
 	parallelism int
-	// viewPool recycles the materializer views local ranges run on
-	// (acquireViews).
+	// rootLent says a query holds mat; viewPool recycles the views the queries
+	// overlapping it, and every range after a query's first, run on (borrow).
+	rootLent atomic.Bool
 	viewPool sync.Pool
 	// remotes, when set via WithRemoteShards, scatter queries across
 	// out-of-process shards instead of local ranges. The engine does not own
@@ -56,11 +54,6 @@ type Engine struct {
 	// inflight, when set via WithInflight, tracks executing queries for the
 	// /debug/requests inspector.
 	inflight *obs.Inflight
-	// opts is what NewEngine was given, replayed for a pool's workers.
-	opts []Option
-	// compiled is the serve pool's compiled-query cache (compiled.go), set on
-	// its workers only: nil on every other engine, which compiles per call.
-	compiled *compiledCache
 }
 
 // ctxErr reports the context error, if any (nil context never cancels).
@@ -82,8 +75,8 @@ func WithMaterializer(m Materializer) Option { return func(e *Engine) { e.mat = 
 
 // WithQueryParallelism bounds intra-query parallelism: a query with more than
 // a chunk of candidates (128) splits them into up to n contiguous ranges,
-// each scored by its own goroutine on a view of the engine's materializer,
-// and merges the ranges' rankings. n <= 0 (the default) uses GOMAXPROCS;
+// each scored by its own goroutine on a handle of the engine's materializer
+// (borrow), and merges the ranges' rankings. n <= 0 (the default) uses GOMAXPROCS;
 // n == 1 runs every query inline. Results are identical for every n — the
 // ranges change wall-clock time, never the ranking, the skip list or the
 // vector counters (execute.go).
@@ -122,28 +115,16 @@ func WithInflight(t *obs.Inflight) Option {
 	return func(e *Engine) { e.inflight = t }
 }
 
-// NewEngine creates an engine over g with the given options.
+// NewEngine creates an engine over g with the given options. With a registry
+// (WithObs) the materializer's instruments, and the in-flight gauge of
+// WithInflight, are registered on it, once per pair.
 func NewEngine(g *hin.Graph, opts ...Option) *Engine {
-	e := &Engine{g: g, tr: metapath.NewTraverser(g), measure: MeasureNetOut, opts: opts}
+	e := &Engine{g: g, tr: metapath.NewTraverser(g), measure: MeasureNetOut}
 	for _, o := range opts {
 		o(e)
 	}
 	if e.mat == nil {
 		e.mat = NewBaseline(g)
-	}
-	return e
-}
-
-// workers builds the engines of a worker pool (ExecuteBatch, ServePool) from
-// e: n of them (default GOMAXPROCS), each a new engine from e's own options —
-// so whatever e was configured with, a worker is too — on its own view of e's
-// materializer. An unset query parallelism means 1 here, not GOMAXPROCS: a
-// pool already spreads queries across cores, and per-query fan-out on top
-// would oversubscribe the machine. With a registry on e, the materializer's
-// instruments and the in-flight gauge are registered there (once per pair).
-func (e *Engine) workers(n int) ([]*Engine, error) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
 	}
 	if e.obs != nil {
 		RegisterMaterializerMetrics(e.obs, e.mat)
@@ -151,16 +132,7 @@ func (e *Engine) workers(n int) ([]*Engine, error) {
 			e.inflight.RegisterMetrics(e.obs)
 		}
 	}
-	engines := make([]*Engine, n)
-	for i := range engines {
-		mat, err := NewView(e.mat)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = NewEngine(e.g, append(e.opts[:len(e.opts):len(e.opts)], WithMaterializer(mat))...)
-		engines[i].parallelism = max(e.parallelism, 1)
-	}
-	return engines, nil
+	return e
 }
 
 // Graph returns the engine's network.
@@ -274,25 +246,32 @@ func (e *Engine) Execute(src string) (*Result, error) {
 // interactivity the paper motivates ("react to outliers or further
 // elaborate their queries") needs runaway queries to be abortable.
 func (e *Engine) ExecuteContext(ctx context.Context, src string) (*Result, error) {
+	return e.execute(ctx, src, nil, e.QueryParallelism())
+}
+
+// execute is the one way query text enters the engine: ExecuteContext, and a
+// pool's workers with what is the pool's per call — its compiled-query cache
+// (compiled.go; nil compiles per call) and its bound on the query's local
+// ranges.
+func (e *Engine) execute(ctx context.Context, src string, cc *compiledCache, ranges int) (*Result, error) {
 	tr := obs.StartTrace()
-	cq := e.compiled.lookup(src)
+	plan := &queryPlan{compiled: cc.lookup(src), ranges: ranges}
 	var q *oql.Query
 	var err error
-	if rq, _ := cq.resolved(); rq != nil {
+	if rq, _ := plan.compiled.resolved(); rq != nil {
 		q = rq.q
 	} else {
 		q, err = oql.Parse(src)
 	}
+	tr.EndPhase("parse", obs.SpanStats{})
 	if err != nil {
 		// A parse failure never reaches executeQuery, but it is a finished
 		// query like any other: observed here with the raw source (there is no
 		// *oql.Query to print) and a parse-only trace.
-		tr.EndPhase("parse", obs.SpanStats{})
-		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, nil, cq)
+		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, plan)
 		return nil, err
 	}
-	tr.EndPhase("parse", obs.SpanStats{})
-	return e.executeQuery(ctx, q, tr, cq)
+	return e.executeQuery(ctx, q, tr, plan)
 }
 
 // stampIdentity copies the request ID and span context carried by ctx onto
@@ -311,10 +290,10 @@ func stampIdentity(ctx context.Context, trace *obs.Trace) {
 // and emits the query's event. The serving layer's request ID, when ctx
 // carries one, is stamped onto the trace so the event — and with it
 // /debug/slow — is addressable by the X-Request-Id a client saw.
-func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, res *Result, err error, kernels map[string]int64, cq *compiledQuery) {
+func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, res *Result, err error, plan *queryPlan) {
 	trace := tr.Finish()
 	stampIdentity(ctx, trace)
-	trace.Compiled, trace.RefSide = cq.labels()
+	trace.Compiled, trace.RefSide = plan.compiled.labels()
 	if res != nil {
 		res.Trace = trace
 	}
@@ -381,14 +360,14 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, 
 			}
 		}
 	}
-	e.emitEvent(ctx, trace, text, res, err, kernels)
+	e.emitEvent(ctx, trace, text, res, err, plan)
 }
 
 // emitEvent completes and emits the wide event for one finished query. The
 // event's durations and counters are read from the same sealed trace the
 // /metrics instruments observed, so the views always agree. query is the text
 // already capped for retention (obs.TruncateQuery).
-func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, res *Result, err error, kernels map[string]int64) {
+func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, res *Result, err error, plan *queryPlan) {
 	if e.events == nil {
 		return
 	}
@@ -396,9 +375,9 @@ func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, 
 	ev.Query = query
 	ev.Measure = e.measure.String()
 	ev.Strategy = e.mat.Strategy().String()
-	ev.Parallelism = e.QueryParallelism()
+	ev.Parallelism = plan.ranges
 	ev.QueueWaitUs = obs.QueueWaitFrom(ctx).Microseconds()
-	ev.Kernels = kernels
+	ev.Kernels = kernelDelta(plan.kernels)
 	ev.Outcome = xerr.Outcome(err)
 	if err != nil {
 		// A failure carries its error text and, for a defect, its stack, so a
@@ -420,10 +399,10 @@ func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, 
 }
 
 // kernelCountsOf reads the cumulative traversal-kernel counters behind a
-// materializer, when it owns a private traverser whose counters the
-// executing goroutine may read (baseline and PM/SPM). The shared cached
-// strategy is excluded: its state is touched by every pool worker and the
-// counters are not synchronized for cross-goroutine reads.
+// handle, when it owns a private traverser whose counters the query that
+// borrowed it may read (baseline and PM/SPM). The cached strategy is
+// excluded: its traversers are pooled behind the cache, shared by every query,
+// and their counters are not synchronized for cross-goroutine reads.
 func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
 	switch x := m.(type) {
 	case *baseline:
@@ -461,52 +440,36 @@ func (e *Engine) ExecuteQuery(q *oql.Query) (*Result, error) {
 // threaded through the whole call chain (never stored on the Engine), so
 // concurrent queries on one engine each observe exactly their own context.
 func (e *Engine) ExecuteQueryContext(ctx context.Context, q *oql.Query) (*Result, error) {
-	return e.executeQuery(ctx, q, obs.StartTrace(), nil)
+	return e.executeQuery(ctx, q, obs.StartTrace(), &queryPlan{ranges: e.QueryParallelism()})
 }
 
 // executeQuery runs a parsed query against a trace whose parse phase (if
-// any) has already been recorded. cq is the serve pool's entry for the query's
-// text (compiledCache.lookup; nil outside a pool): retained, it supplies the
+// any) has already been recorded. plan arrives with what the caller decided:
+// the range bound and the serve pool's entry for the query's text
+// (compiledCache.lookup; nil outside a pool). Retained, the entry supplies the
 // canonical text, the resolution and — through referenceSide — the reduced
 // reference side, and the validate and plan spans close at once; blank, a
 // clean complete execution fills it.
-func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer, cq *compiledQuery) (res *Result, err error) {
+func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer, plan *queryPlan) (res *Result, err error) {
 	start := time.Now()
 	// The canonical text is rendered once, for whoever records the query: the
 	// in-flight table now, the event when it finishes.
-	rq, text := cq.resolved()
+	rq, text := plan.compiled.resolved()
 	if rq == nil && (e.inflight != nil || e.events != nil) {
 		text = obs.TruncateQuery(q.String())
 	}
 	// Live registration for the /debug/requests inspector. Deregistration is
 	// the first defer, so it runs last — after observation — and a panicking
 	// query still leaves the table.
-	var ifq *obs.InflightQuery
 	if e.inflight != nil {
 		traceID := ""
 		if sc, ok := obs.SpanContextFrom(ctx); ok {
 			traceID = sc.TraceID
 		}
-		ifq = e.inflight.Register(obs.RequestIDFrom(ctx), traceID, text)
+		plan.ifq = e.inflight.Register(obs.RequestIDFrom(ctx), traceID, text)
 	}
-	defer e.inflight.Deregister(ifq)
-	// Kernel counters are snapshotted around execution when the materializer
-	// exposes them (see kernelCountsOf); the delta is computed inside the
-	// observation defer so recovered panics still report the work done.
-	kernelBefore, _ := kernelCountsOf(e.mat)
-	var plan *queryPlan
-	defer func() {
-		var kernels map[string]int64
-		if after, ok := kernelCountsOf(e.mat); ok {
-			// Hops done on the ranges' views count too: they are the query's
-			// work wherever it ran.
-			if plan != nil {
-				after = after.Add(plan.viewKernels)
-			}
-			kernels = kernelDelta(after.Sub(kernelBefore))
-		}
-		e.observeQuery(ctx, tr, text, res, err, kernels, cq)
-	}()
+	defer e.inflight.Deregister(plan.ifq)
+	defer func() { e.observeQuery(ctx, tr, text, res, err, plan) }()
 	// Panic isolation (registered after observeQuery so it runs first and
 	// the observation sees the error): a panic in the engine's own phases
 	// returns a *PanicError instead of unwinding through the serving layers
@@ -519,10 +482,10 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	ifq.SetPhase("validate")
+	plan.ifq.SetPhase("validate")
 	validated := func() {
 		tr.EndPhase("validate", obs.SpanStats{})
-		ifq.SetPhase("plan")
+		plan.ifq.SetPhase("plan")
 	}
 	res = &Result{}
 	if rq != nil {
@@ -533,7 +496,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 		}
 		res.Timing.SetRetrieval = rq.setRetrieval
 	}
-	plan = &queryPlan{resolvedQuery: rq, compiled: cq, ifq: ifq}
+	plan.resolvedQuery = rq
 	res.CandidateCount, res.ReferenceCount = len(rq.cands), len(rq.refs)
 	// A cached materializer names the waist that misses of a feature path
 	// finish from; observeQuery copies the lines onto the wide event, so
@@ -551,7 +514,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 		return nil, err
 	}
 	if !res.Partial {
-		e.compiled.put(cq, text, rq, plan.scorers)
+		plan.compiled.retain(text, rq, plan.scorers)
 	}
 	res.Timing.Total = time.Since(start)
 	return res, nil

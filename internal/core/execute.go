@@ -18,13 +18,11 @@ import (
 // contiguous ranges, score each range into a bounded top-k (scoreRange), and
 // k-way merge. What varies is where a range runs:
 //
-//   - inline (R = 1): on the engine's own materializer, on the caller's
-//     goroutine;
-//   - local ranges (R = min(QueryParallelism, ⌈|Sc|/128⌉) > 1): one goroutine
-//     per range, each on a pooled view of the engine's materializer, all
-//     sharing ONE candidateSide — so the vectors a reference pass over
-//     Sr ≡ Sc holds, and the single reverse propagation of a warm scan, serve
-//     every range;
+//   - locally (R = min(the range bound, ⌈|Sc|/128⌉)): one goroutine per range
+//     — R = 1 is fanOut's inline case, on the caller's — each on a materializer
+//     handle the query borrowed from the engine (borrow), all sharing ONE
+//     candidateSide — so the vectors a reference pass over Sr ≡ Sc holds, and
+//     the single reverse propagation of a warm scan, serve every range;
 //   - remote (WithRemoteShards): one RemoteShard.Call per shard process; the
 //     shard server wraps the same scoreRange (ServeShardRequest) around a
 //     candidateSide over its own slice.
@@ -84,7 +82,9 @@ type resolvedQuery struct {
 	setRetrieval time.Duration
 }
 
-// queryPlan carries a resolved query through one execution: the per-run half.
+// queryPlan carries a query through one execution: what its caller decided
+// (compiled, ranges), the resolution once there is one, and what the run
+// leaves for the query's record.
 type queryPlan struct {
 	*resolvedQuery
 	// compiled is the serve pool's entry for the query's text: retained (a
@@ -93,13 +93,11 @@ type queryPlan struct {
 	// for the entry.
 	compiled *compiledQuery
 	scorers  *queryScorers
-	// views are the pooled materializer views the query's local ranges run
-	// on, one per range; nil when it runs inline or on remote shards.
-	// referenceSide shares its per-vertex loads among them.
-	views []Materializer
-	// viewKernels sums the expansion-kernel deltas of views; the engine's own
-	// traverser is read directly (executeQuery).
-	viewKernels metapath.KernelCounts
+	// ranges bounds the local ranges the candidates split into: the engine's
+	// QueryParallelism, or inside a pool what the pool allows.
+	ranges int
+	// kernels is the expansion-kernel hops the run did on its handles.
+	kernels metapath.KernelCounts
 	// ifq is the query's live in-flight record for phase and chunk-progress
 	// updates (nil when no inspector is attached; all mutators are nil-safe).
 	ifq *obs.InflightQuery
@@ -184,50 +182,90 @@ func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
 	wg.Wait()
 }
 
-// acquireViews returns one view of the engine's materializer per local range
-// a set of nCands candidates splits into, recycled across queries — a view's
-// traversal scratch is the expensive part of query setup. nil means inline:
-// parallelism 1, no more than a chunk of candidates, or a materializer
-// without concurrent views.
-func (e *Engine) acquireViews(nCands int) []Materializer {
-	n := min(e.QueryParallelism(), chunksOf(nCands))
-	if n <= 1 {
-		return nil
+// handles are the materializer handles one query runs on. A handle is a
+// Materializer one goroutine uses at a time: the engine's own, or a view of it
+// (NewView) — private traversal scratch and counters over the shared index or
+// visibility table. The query that borrowed them is their only user until it
+// gives them back, so it may read their counters unsynchronized.
+type handles struct {
+	mats []Materializer
+	// n is how many ranges they serve: len(mats), unless one handle serves
+	// them all.
+	n int
+	// root says mats[0] is the engine's own materializer.
+	root bool
+}
+
+// at is the handle range i runs on.
+func (hs handles) at(i int) Materializer { return hs.mats[min(i, len(hs.mats)-1)] }
+
+// borrow lends the handles a query of n ranges runs on. The engine's own
+// materializer is the first one lent, so a caller running one query at a time
+// executes on the materializer it configured; a query that finds it taken,
+// and every range after the first, gets a view, recycled across queries — a
+// view's traversal scratch is the expensive part of query setup. A cached
+// handle is only a reference to the synchronized cache, so one serves every
+// range and the cache's counters are read once. A materializer NewView cannot
+// view still serves one query at a time, as one range; err is set only when
+// there is no handle to run on at all.
+func (e *Engine) borrow(n int) (hs handles, err error) {
+	hs.n = max(n, 1)
+	want := hs.n
+	if _, shared := e.mat.(*cached); shared {
+		want = 1
 	}
-	views := make([]Materializer, 0, n)
-	for len(views) < n {
+	hs.mats = make([]Materializer, 0, want)
+	if hs.root = e.rootLent.CompareAndSwap(false, true); hs.root {
+		hs.mats = append(hs.mats, e.mat)
+	}
+	for len(hs.mats) < want {
 		view, _ := e.viewPool.Get().(Materializer)
 		if view == nil {
-			var err error
 			if view, err = NewView(e.mat); err != nil {
-				e.releaseViews(views)
-				return nil
+				if hs.n = len(hs.mats); hs.n == 0 {
+					return hs, err
+				}
+				break
 			}
 		}
-		views = append(views, view)
+		hs.mats = append(hs.mats, view)
 	}
-	return views
+	return hs, nil
 }
 
-func (e *Engine) releaseViews(views []Materializer) {
-	for _, view := range views {
-		e.viewPool.Put(view)
+// release gives back what borrow lent.
+func (e *Engine) release(hs handles) {
+	for i, mat := range hs.mats {
+		if i == 0 && hs.root {
+			e.rootLent.Store(false)
+		} else {
+			e.viewPool.Put(mat)
+		}
 	}
 }
 
-// viewTotals sums the cumulative counters of views, for a delta around their
-// use. Views of the cached materializer share its counters — the engine's own
-// delta already covers them — and report none here.
-func viewTotals(views []Materializer) (st MatStats, k metapath.KernelCounts) {
-	for _, view := range views {
-		if _, shared := view.(*cached); !shared {
-			st = st.Add(view.Stats())
-		}
-		if c, ok := kernelCountsOf(view); ok {
-			k = k.Add(c)
-		}
+// work is the cumulative counters of a query's handles. Per-query accounting
+// is one rule: the sum over the borrowed handles of after − before.
+type work struct {
+	mat          MatStats
+	hits, misses int64
+	kernels      metapath.KernelCounts
+}
+
+// countKernels leaves on the plan the hops done on hs since before.
+func (plan *queryPlan) countKernels(hs handles, before metapath.KernelCounts) {
+	plan.kernels = hs.work().kernels.Sub(before)
+}
+
+func (hs handles) work() (w work) {
+	for _, mat := range hs.mats {
+		w.mat = w.mat.Add(mat.Stats())
+		cache, _ := CacheStatsOf(mat)
+		w.hits, w.misses = w.hits+cache.Hits, w.misses+cache.Misses
+		k, _ := kernelCountsOf(mat)
+		w.kernels = w.kernels.Add(k)
 	}
-	return st, k
+	return w
 }
 
 // run executes a planned query, filling res in place: the reference side
@@ -240,36 +278,40 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	cands := plan.cands
 	remote := len(e.remotes) > 0
 	phase := [3]string{"materialize", "score", "rank"}
+	ranges := min(plan.ranges, chunksOf(len(cands)))
 	if remote {
-		phase = [3]string{"reduce", "scatter", "merge"}
-	} else {
-		plan.views = e.acquireViews(len(cands))
-		defer e.releaseViews(plan.views)
+		// The reference side alone runs here, on one handle.
+		phase, ranges = [3]string{"reduce", "scatter", "merge"}, 1
 	}
-	matLast := e.mat.Stats()
-	cacheLast, _ := CacheStatsOf(e.mat)
-	// endPhase closes a span with the work of the engine's own materializer
-	// since the last one, plus off: what the phase cost on views and shards.
+	hs, err := e.borrow(ranges)
+	if err != nil {
+		return err
+	}
+	// Deferred, so a panicking phase still returns its handles and reports
+	// the hops it did on them.
+	defer e.release(hs)
+	last := hs.work()
+	defer plan.countKernels(hs, last.kernels)
+	// endPhase closes a span with the work of the query's handles since the
+	// last one, plus off: what the phase cost on remote shards.
 	endPhase := func(name string, off MatStats) {
-		mat := e.mat.Stats()
-		cache, _ := CacheStatsOf(e.mat)
-		d := mat.Sub(matLast).Add(off)
+		now := hs.work()
+		d := now.mat.Sub(last.mat).Add(off)
 		res.Timing.charge(d)
 		tr.EndPhase(name, obs.SpanStats{
 			TraversedVectors: d.TraversedVectors,
 			IndexedVectors:   d.IndexedVectors,
-			CacheHits:        cache.Hits - cacheLast.Hits,
-			CacheMisses:      cache.Misses - cacheLast.Misses,
+			CacheHits:        now.hits - last.hits,
+			CacheMisses:      now.misses - last.misses,
 		})
-		matLast, cacheLast = mat, cache
+		last = now
 	}
-	viewStats, viewKernels := viewTotals(plan.views)
 
 	// The inspector's chunk progress restarts with each phase that has any: a
 	// reader sees "materialize 3/7", then "score 12/40". Updates touch only
 	// the record's atomics, never the result.
 	plan.ifq.SetPhase(phase[0])
-	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
+	scorers, held, err := e.referenceSide(ctx, plan, hs)
 	if err != nil {
 		return err
 	}
@@ -281,28 +323,24 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		endPhase(phase[0], MatStats{})
 	} else {
 		// One candidate side over the whole set, shared by every range.
-		if cs, err = newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, plan.paths, cands, held); err != nil {
+		if cs, err = newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held); err != nil {
 			return err
 		}
 		cs.ifq = plan.ifq
 	}
 
 	plan.ifq.SetPhase(phase[1])
-	results := make([]rangeResult, max(len(plan.views), len(e.remotes), 1))
+	results := make([]rangeResult, max(hs.n, len(e.remotes)))
 	plan.ifq.StartChunks(chunksOf(len(cands)), len(results))
 	fanOut(cands, len(results), func(i, lo, hi int) {
-		switch {
-		case remote:
+		if remote {
 			results[i] = e.callRemote(ctx, plan, bcast, i, cands[lo:hi:hi])
-		case plan.views == nil:
-			results[i] = scoreRange(ctx, cs, e.mat, lo, hi, plan.q.TopK)
-		default:
-			results[i] = scoreRange(ctx, cs, plan.views[i], lo, hi, plan.q.TopK)
+		} else {
+			results[i] = scoreRange(ctx, cs, hs.at(i), lo, hi, plan.q.TopK)
 		}
 		results[i].cands = hi - lo
 	})
-	off, kernels := viewTotals(plan.views)
-	off, plan.viewKernels = off.Sub(viewStats), kernels.Sub(viewKernels)
+	var off MatStats
 	for _, rr := range results {
 		off = off.Add(rr.stats)
 		res.Timing.Scoring += rr.scoring
@@ -310,8 +348,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	if !remote {
 		// Local ranges fuse loading with scoring, so all of it belongs to the
 		// first span and the second stays empty.
-		endPhase(phase[0], off)
-		off = MatStats{}
+		endPhase(phase[0], MatStats{})
 	}
 	endPhase(phase[1], off)
 

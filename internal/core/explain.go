@@ -79,18 +79,6 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 		return nil, err
 	}
 	tr.EndPhase("parse", obs.SpanStats{})
-	return e.explainQuery(q, candidateName, topN, tr)
-}
-
-// ExplainQuery is Explain for a parsed query.
-func (e *Engine) ExplainQuery(q *oql.Query, candidateName string, topN int) (*Explanation, error) {
-	return e.explainQuery(q, candidateName, topN, obs.StartTrace())
-}
-
-// explainQuery explains against a trace whose parse phase (if any) has
-// already been recorded; the tracer travels as a parameter so concurrent
-// Explain calls on one engine never share trace state.
-func (e *Engine) explainQuery(q *oql.Query, candidateName string, topN int, tr *obs.Tracer) (*Explanation, error) {
 	if e.measure != MeasureNetOut {
 		return nil, fmt.Errorf("core: explanations are defined for the NetOut measure (engine uses %s)", e.measure)
 	}
@@ -116,25 +104,29 @@ func (e *Engine) explainQuery(q *oql.Query, candidateName string, topN int, tr *
 	// Materialize the candidate's Φ under every path and reduce the reference
 	// side up front, so the trace's materialize phase covers all network
 	// work. S comes from referenceSide, the function Execute reduces with.
-	matBefore := e.mat.Stats()
-	cacheBefore, _ := CacheStatsOf(e.mat)
-	phis := make([]sparse.Vector, len(plan.paths))
-	for m, p := range plan.paths {
-		if phis[m], err = e.mat.NeighborVector(p, target); err != nil {
-			return nil, err
-		}
-	}
-	scorers, _, err := e.referenceSide(ctx, &queryPlan{resolvedQuery: plan}, e.mat)
+	hs, err := e.borrow(1)
 	if err != nil {
 		return nil, err
 	}
-	matDelta := e.mat.Stats().Sub(matBefore)
-	cacheAfter, _ := CacheStatsOf(e.mat)
+	defer e.release(hs)
+	before := hs.work()
+	phis := make([]sparse.Vector, len(plan.paths))
+	for m, p := range plan.paths {
+		if phis[m], err = hs.at(0).NeighborVector(p, target); err != nil {
+			return nil, err
+		}
+	}
+	scorers, _, err := e.referenceSide(ctx, &queryPlan{resolvedQuery: plan}, hs)
+	if err != nil {
+		return nil, err
+	}
+	after := hs.work()
+	d := after.mat.Sub(before.mat)
 	tr.EndPhase("materialize", obs.SpanStats{
-		TraversedVectors: matDelta.TraversedVectors,
-		IndexedVectors:   matDelta.IndexedVectors,
-		CacheHits:        cacheAfter.Hits - cacheBefore.Hits,
-		CacheMisses:      cacheAfter.Misses - cacheBefore.Misses,
+		TraversedVectors: d.TraversedVectors,
+		IndexedVectors:   d.IndexedVectors,
+		CacheHits:        after.hits - before.hits,
+		CacheMisses:      after.misses - before.misses,
 	})
 
 	out := &Explanation{Vertex: target, Name: candidateName}

@@ -614,6 +614,7 @@ func TestExecuteBatchSharedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := NewEngine(g)
+	var indexed int64
 	for i, br := range results {
 		if br.Err != nil {
 			t.Fatalf("query %d: %v", i, br.Err)
@@ -622,10 +623,12 @@ func TestExecuteBatchSharedIndex(t *testing.T) {
 		if !resultsEqual(br.Result, want) {
 			t.Fatalf("query %d diverges under shared PM index", i)
 		}
+		indexed += br.Result.Timing.IndexedVectors
 	}
-	// Views are per worker: the shared materializer's own stats stay zero.
-	if s := pm.Stats(); s.IndexedVectors != 0 || s.TraversedVectors != 0 {
-		t.Fatalf("shared materializer mutated: %+v", s)
+	// The engine's own materializer is one handle among the workers': it
+	// counts the queries that borrowed it and no others.
+	if s := pm.Stats(); s.IndexedVectors > indexed || s.TraversedVectors != 0 {
+		t.Fatalf("shared materializer counts %+v, the whole batch indexed %d", s, indexed)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // Baseline and PM/SPM carry unsynchronized per-view stats, so for those only
 // the index size — immutable after construction — is exposed.
 //
-// Registration is idempotent per (registry, materializer): every pool built
-// from an engine calls it (Engine.workers), and so may the engine's owner.
+// Registration is idempotent per (registry, materializer): NewEngine calls it
+// for an engine with a registry, and so may the materializer's owner.
 func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%T:%p", m, m)) {
 		return

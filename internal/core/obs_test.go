@@ -203,8 +203,8 @@ func TestResultTracePhases(t *testing.T) {
 		}
 		next = sp.Start + sp.Duration
 	}
-	if sum, total := res.Trace.PhaseSum(), res.Trace.Total; sum != next || sum > total {
-		t.Fatalf("phase sum %v, last span ends at %v, total %v", sum, next, total)
+	if total := res.Trace.Total; next > total {
+		t.Fatalf("last span ends at %v, total %v", next, total)
 	}
 	matSpan, ok := res.Trace.Span("materialize")
 	if !ok {

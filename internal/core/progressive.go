@@ -132,17 +132,6 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecuteQueryProgressiveContext(ctx, q, opts)
-}
-
-// ExecuteQueryProgressive is ExecuteProgressive for a parsed query.
-func (e *Engine) ExecuteQueryProgressive(q *oql.Query, opts ProgressiveOptions) (*Result, error) {
-	return e.ExecuteQueryProgressiveContext(context.Background(), q, opts)
-}
-
-// ExecuteQueryProgressiveContext is ExecuteProgressiveContext for a parsed
-// query.
-func (e *Engine) ExecuteQueryProgressiveContext(ctx context.Context, q *oql.Query, opts ProgressiveOptions) (*Result, error) {
 	if e.measure != MeasureNetOut {
 		return nil, xerr.Newf(xerr.InvalidArgument, "core: progressive execution supports the NetOut measure only (engine uses %s)", e.measure)
 	}
@@ -158,12 +147,17 @@ func (e *Engine) ExecuteQueryProgressiveContext(ctx context.Context, q *oql.Quer
 	res := &Result{CandidateCount: len(cands), ReferenceCount: len(refs)}
 	res.Timing.SetRetrieval = plan.setRetrieval
 
+	hs, err := e.borrow(1)
+	if err != nil {
+		return nil, err
+	}
+	defer e.release(hs)
 	// A vertex's vector, concatenated across features when there are several.
 	stride := int32(e.g.NumVertices())
 	one := make([]sparse.Vector, len(paths))
 	combinedVec := func(v hin.VertexID) (sparse.Vector, error) {
 		for m, p := range paths {
-			vec, err := e.mat.NeighborVector(p, v)
+			vec, err := hs.at(0).NeighborVector(p, v)
 			if err != nil {
 				return sparse.Vector{}, err
 			}

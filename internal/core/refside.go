@@ -11,7 +11,8 @@ import (
 // — everything Equation (1) needs from Sr. Query execution, wherever its
 // candidate ranges run, and Explain/SuggestFeatures call it, so the
 // reduction is written once and their scores and counters agree by
-// construction. mat is the caller's own materializer. Any failure,
+// construction. hs are the caller's handles: a propagation runs on the first,
+// per-vertex loads on all of them. Any failure,
 // cancellation and deadline included, fails the query whole: without the
 // reduction no candidate can be scored, so there is no prefix to keep.
 //
@@ -36,17 +37,16 @@ import (
 //     for the candidates. When Sr and Sc are the same set the loaded vectors
 //     ARE the candidates' vectors and come back as held (held[m][i] is
 //     Φ_paths[m](cands[i])), so the caller scores them instead of loading
-//     each vertex a second time; held is nil otherwise. A query running as
-//     local ranges shares the loads among their views (plan.views), a
-//     contiguous range of Sr each; slots are reference-ordered, so the sums
-//     associate the same for any schedule.
-func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materializer) (scorers *queryScorers, held [][]sparse.Vector, err error) {
+//     each vertex a second time; held is nil otherwise. The handles share the
+//     loads, a contiguous range of Sr each; slots are reference-ordered, so
+//     the sums associate the same for any schedule.
+func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles) (scorers *queryScorers, held [][]sparse.Vector, err error) {
 	if scorers = plan.compiled.memo(); scorers != nil {
 		return scorers, nil, nil
 	}
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
-	if sm, ok := mat.(setMaterializer); ok && e.measure == MeasureNetOut && plan.combine == CombineAverage {
+	if sm, ok := hs.at(0).(setMaterializer); ok && e.measure == MeasureNetOut && plan.combine == CombineAverage {
 		scorers = &queryScorers{weights: plan.weights, stride: stride, perPath: make([]*refScorer, len(paths))}
 		exact := true
 		for m := 0; m < len(paths) && exact; m++ {
@@ -64,42 +64,30 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, mat Materia
 	for m := range vecs {
 		vecs[m] = make([]sparse.Vector, len(refs))
 	}
-	load := func(mat Materializer, lo, hi int) error {
-		for m := range paths {
-			for j := lo; j < hi; j++ {
-				if err := ctxErr(ctx); err != nil {
-					return err
+	errs := make([]error, hs.n)
+	plan.ifq.StartChunks(chunksOf(len(refs)), len(errs))
+	fanOut(refs, len(errs), func(i, lo, hi int) {
+		defer recoverAsError(&errs[i])
+		mat := hs.at(i)
+		for ; lo < hi; lo += parallelChunk {
+			end := min(lo+parallelChunk, hi)
+			for m := range paths {
+				for j := lo; j < end; j++ {
+					if errs[i] = ctxErr(ctx); errs[i] != nil {
+						return
+					}
+					if vecs[m][j], errs[i] = mat.NeighborVector(paths[m], refs[j]); errs[i] != nil {
+						return
+					}
 				}
-				vec, err := mat.NeighborVector(paths[m], refs[j])
-				if err != nil {
-					return err
-				}
-				vecs[m][j] = vec
 			}
+			plan.ifq.ChunkDone()
 		}
-		return nil
-	}
-	if plan.views == nil {
-		err = load(mat, 0, len(refs))
-	} else {
-		errs := make([]error, len(plan.views))
-		plan.ifq.StartChunks(chunksOf(len(refs)), len(errs))
-		fanOut(refs, len(errs), func(i, lo, hi int) {
-			defer recoverAsError(&errs[i])
-			for ; lo < hi && errs[i] == nil; lo += parallelChunk {
-				errs[i] = load(plan.views[i], lo, min(lo+parallelChunk, hi))
-				plan.ifq.ChunkDone()
-			}
-		})
-		for _, rangeErr := range errs {
-			if rangeErr != nil {
-				err = rangeErr // the first failing range's, by index
-				break
-			}
+	})
+	for _, rangeErr := range errs {
+		if rangeErr != nil {
+			return nil, nil, rangeErr // the first failing range's, by index
 		}
-	}
-	if err != nil {
-		return nil, nil, err
 	}
 	scorers = newQueryScorers(e.measure, plan.combine, vecs, plan.weights, stride)
 	if slices.Equal(refs, plan.cands) {

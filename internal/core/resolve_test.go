@@ -56,7 +56,7 @@ func TestResolveServesEveryEntryPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := eng.ExecuteQueryProgressive(q, ProgressiveOptions{})
+		prog, err := eng.ExecuteProgressive(tc.src, ProgressiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestResolveServesEveryEntryPoint(t *testing.T) {
 			}
 		}
 		top := res.Entries[0]
-		x, err := eng.ExplainQuery(q, top.Name, 0)
+		x, err := eng.Explain(tc.src, top.Name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestResolveServesEveryEntryPoint(t *testing.T) {
 			if containsVertex(cands, outsider) {
 				t.Fatalf("%s: the paperless %s is a candidate", tc.name, g.Name(outsider))
 			}
-			if _, err := eng.ExplainQuery(q, g.Name(outsider), 0); err == nil {
+			if _, err := eng.Explain(tc.src, g.Name(outsider), 0); err == nil {
 				t.Fatalf("%s: Explain accepted %s, which is outside Sc", tc.name, g.Name(outsider))
 			}
 		}

@@ -138,9 +138,6 @@ func WithRemoteShards(shards ...RemoteShard) Option {
 	return func(e *Engine) { e.remotes = shards }
 }
 
-// Shards returns the number of remote shards (0 = none configured).
-func (e *Engine) Shards() int { return len(e.remotes) }
-
 // Close does nothing: an engine holds no resident resources (remote shard
 // clients are owned by their dialer). It stays, nil-safe, for the callers
 // that defer it.
@@ -288,6 +285,11 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req 
 		scorers, err := scorersFromRequest(req, b)
 		if err != nil {
 			return rangeResult{err: err}
+		}
+		for i, p := range req.Paths {
+			if err := p.Validate(g.Schema()); err != nil {
+				return rangeResult{err: xerr.Newf(xerr.InvalidArgument, "core: shard feature path %d: %v", i, err)}
+			}
 		}
 		n := hin.VertexID(g.NumVertices())
 		for _, v := range req.Candidates {

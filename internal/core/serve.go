@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,12 +25,12 @@ var ErrOverloaded = xerr.New(xerr.ResourceExhausted, "core: serve pool overloade
 var ErrPoolClosed = xerr.New(xerr.Unavailable, "core: ServePool is closed")
 
 // ServePool is the serving front door for heavy query traffic: a bounded
-// pool of workers, each with its own engine built from the one engine the
-// caller configured (Engine.workers), all sharing its materializer through
-// views. With a cached materializer the pool realizes the shared
-// warm cache end to end — every worker's traversals warm every other
-// worker's lookups, and concurrent misses on the same vertex are
-// singleflighted. Unlike ExecuteBatch (one shot over a fixed query slice),
+// number of goroutines executing on the one engine the caller configured,
+// each query on the materializer handles it borrows. With a cached
+// materializer the pool realizes the shared warm cache end to end — every
+// worker's traversals warm every other worker's lookups, and concurrent
+// misses on the same vertex are singleflighted. Unlike ExecuteBatch (one shot
+// over a fixed query slice),
 // a ServePool stays up and accepts queries one at a time from any number
 // of goroutines, which matches an online analyst workload.
 type ServePool struct {
@@ -38,8 +39,11 @@ type ServePool struct {
 	jobs   chan serveJob
 	wg     sync.WaitGroup
 
-	// compiled is the workers' compiled-query cache (compiled.go).
+	eng *Engine
+	// compiled is the pool's compiled-query cache (compiled.go) and ranges its
+	// bound on a query's local ranges, passed to eng with every call.
 	compiled *compiledCache
+	ranges   int
 
 	timeout time.Duration // default per-query deadline (0 = none)
 	grace   time.Duration // post-deadline wait for a degraded reply (serveDrainGrace)
@@ -93,8 +97,7 @@ type ServeStats struct {
 	// cancellations observed by a worker).
 	Served, Failed int64
 	// QueueWait is total time queries spent waiting for a free worker;
-	// Execute is total time spent executing. MeanQueueWait and MeanExecute
-	// report the per-query means.
+	// Execute is total time spent executing.
 	QueueWait, Execute time.Duration
 	// Shed counts queries rejected with ErrOverloaded by admission control
 	// (they never reached a worker and are in neither Served nor Failed).
@@ -112,24 +115,6 @@ type ServeStats struct {
 	Canceled int64
 }
 
-// MeanQueueWait returns the mean time a query waited for a free worker,
-// or 0 before any query completed.
-func (s ServeStats) MeanQueueWait() time.Duration {
-	if n := s.Served + s.Failed; n > 0 {
-		return s.QueueWait / time.Duration(n)
-	}
-	return 0
-}
-
-// MeanExecute returns the mean query execution time, or 0 before any query
-// completed.
-func (s ServeStats) MeanExecute() time.Duration {
-	if n := s.Served + s.Failed; n > 0 {
-		return s.Execute / time.Duration(n)
-	}
-	return 0
-}
-
 type serveJob struct {
 	ctx      context.Context
 	src      string
@@ -142,45 +127,48 @@ type serveDone struct {
 	err error
 }
 
-// NewServePool starts a worker pool whose engines are built from eng: its
-// configuration, each on its own view of its materializer. With a registry on
-// eng (WithObs) the pool's traffic counters are registered there. The pool
-// does not close eng's remote shards. Callers must Close the pool to release
-// its workers.
+// NewServePool starts opts.Workers goroutines executing queries on eng. With a
+// registry on eng (WithObs) the pool's traffic counters are registered there.
+// The pool does not close eng's remote shards, and leaves eng as usable as it
+// found it. Callers must Close the pool to release its workers.
 func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
-	engines, err := eng.workers(opts.Workers)
+	ranges, err := eng.pooled()
 	if err != nil {
 		return nil, err
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &ServePool{
 		// The queue buffer IS the admission bound: with MaxQueue set, a send
 		// that cannot buffer means MaxQueue queries are already waiting.
 		jobs:     make(chan serveJob, max(opts.MaxQueue, 0)),
+		eng:      eng,
 		compiled: newCompiledCache(eng.mat),
+		ranges:   ranges,
 		timeout:  opts.DefaultTimeout,
 		grace:    serveDrainGrace,
 	}
 	if eng.obs != nil {
-		p.registerMetrics(eng.obs, len(engines))
+		p.registerMetrics(eng.obs, workers)
 	}
-	for _, eng := range engines {
-		eng.compiled = p.compiled
-		p.wg.Add(1)
-		go func(eng *Engine) {
+	p.wg.Add(workers)
+	for range workers {
+		go func() {
 			defer p.wg.Done()
 			for job := range p.jobs {
-				p.serveJob(eng, job)
+				p.serveJob(job)
 			}
-		}(eng)
+		}()
 	}
 	return p, nil
 }
 
-// serveJob runs one query on a worker's engine behind executeIsolated, so the
-// reply channel is ALWAYS written (a panic would otherwise strand the caller
-// forever on a background context) and the worker survives to take the next
-// job.
-func (p *ServePool) serveJob(eng *Engine, job serveJob) {
+// serveJob runs one query behind executeIsolated, so the reply channel is
+// ALWAYS written (a panic would otherwise strand the caller forever on a
+// background context) and the worker survives to take the next job.
+func (p *ServePool) serveJob(job serveJob) {
 	wait := time.Since(job.enqueued)
 	p.queueNs.Add(wait.Nanoseconds())
 	if p.queueHist != nil {
@@ -190,7 +178,7 @@ func (p *ServePool) serveJob(eng *Engine, job serveJob) {
 	// reports how long it sat in the queue before a worker picked it up.
 	ctx := obs.WithQueueWait(job.ctx, wait)
 	start := time.Now()
-	res, err := eng.executeIsolated(ctx, job.src)
+	res, err := p.eng.executeIsolated(ctx, job.src, p.compiled, p.ranges)
 	elapsed := time.Since(start)
 	p.executeNs.Add(elapsed.Nanoseconds())
 	if p.execHist != nil {

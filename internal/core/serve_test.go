@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
@@ -72,15 +71,8 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 	if st.Served != int64(clients*len(queries)) || st.Failed != 0 {
 		t.Fatalf("stats = %+v, want %d served / 0 failed", st, clients*len(queries))
 	}
-	if st.MeanExecute() <= 0 {
-		t.Fatalf("stats = %+v, want positive mean execute time", st)
-	}
-	if mean := st.MeanQueueWait(); mean < 0 {
-		t.Fatalf("negative mean queue wait %v", mean)
-	}
-	// Means are totals divided by completed-query count.
-	if want := st.Execute / time.Duration(st.Served+st.Failed); st.MeanExecute() != want {
-		t.Fatalf("MeanExecute = %v, want %v", st.MeanExecute(), want)
+	if st.Execute <= 0 || st.QueueWait < 0 {
+		t.Fatalf("stats = %+v, want positive execute time and no negative queue wait", st)
 	}
 	// Workers share one warm cache through views: repeated workloads must
 	// be overwhelmingly cache hits.
@@ -128,17 +120,6 @@ func TestServePoolContextAndClose(t *testing.T) {
 	pool.Close() // idempotent
 	if _, err := pool.Execute(context.Background(), src); err == nil {
 		t.Fatal("Execute after Close should fail")
-	}
-}
-
-func TestServeStatsMeansGuardZeroCounts(t *testing.T) {
-	var zero ServeStats
-	if zero.MeanQueueWait() != 0 || zero.MeanExecute() != 0 {
-		t.Fatalf("zero-count means must be 0, got %v / %v", zero.MeanQueueWait(), zero.MeanExecute())
-	}
-	st := ServeStats{Served: 3, Failed: 1, QueueWait: 8 * time.Millisecond, Execute: 20 * time.Millisecond}
-	if st.MeanQueueWait() != 2*time.Millisecond || st.MeanExecute() != 5*time.Millisecond {
-		t.Fatalf("means = %v / %v", st.MeanQueueWait(), st.MeanExecute())
 	}
 }
 

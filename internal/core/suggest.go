@@ -66,9 +66,14 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 		return nil, fmt.Errorf("core: candidate set too small (%d) to rank feature paths", len(plan.cands))
 	}
 
+	hs, err := e.borrow(1)
+	if err != nil {
+		return nil, err
+	}
+	defer e.release(hs)
 	var out []Suggestion
 	for _, p := range metapath.Enumerate(e.g.Schema(), plan.elemType, 2, maxHops) {
-		sug, ok, err := e.evaluateFeaturePath(ctx, p, plan.cands, plan.refs)
+		sug, ok, err := e.evaluateFeaturePath(ctx, hs, p, plan.cands, plan.refs)
 		if err != nil {
 			return nil, err
 		}
@@ -93,19 +98,19 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 // would: one path at weight 1, so its scorer is the measure's whole reference
 // side and the weighted mean of one score is that score bit for bit. ok is
 // false when p characterizes fewer than three candidates.
-func (e *Engine) evaluateFeaturePath(ctx context.Context, p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool, error) {
+func (e *Engine) evaluateFeaturePath(ctx context.Context, hs handles, p metapath.Path, cands, refs []hin.VertexID) (Suggestion, bool, error) {
 	plan := &queryPlan{resolvedQuery: &resolvedQuery{cands: cands, refs: refs, paths: []metapath.Path{p}, weights: []float64{1}, combine: CombineAverage}}
-	scorers, held, err := e.referenceSide(ctx, plan, e.mat)
+	scorers, held, err := e.referenceSide(ctx, plan, hs)
 	if err != nil {
 		return Suggestion{}, false, err
 	}
-	cs, err := newCandidateSide(ctx, e.g, e.mat, scorers, e.measure, plan.paths, cands, held)
+	cs, err := newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held)
 	if err != nil {
 		return Suggestion{}, false, err
 	}
 	// Unbounded, so the ranking is every characterized candidate in
 	// (score, vertex) order.
-	rr := scoreRange(ctx, cs, e.mat, 0, len(cands), 0)
+	rr := scoreRange(ctx, cs, hs.at(0), 0, len(cands), 0)
 	if rr.err != nil {
 		return Suggestion{}, false, rr.err
 	}

@@ -30,14 +30,3 @@ func PartitionVertices(vs []VertexID, n int) [][]VertexID {
 	}
 	return out
 }
-
-// PartitionVerticesOfType splits the type-t vertex list (ascending ID
-// order, see VerticesOfType) into n contiguous shard ranges. The ranges
-// share the graph's storage and must not be modified. A type with no
-// vertices — or an out-of-range t — yields n empty ranges.
-func (g *Graph) PartitionVerticesOfType(t TypeID, n int) [][]VertexID {
-	if int(t) < 0 || int(t) >= len(g.byType) {
-		return PartitionVertices(nil, n)
-	}
-	return PartitionVertices(g.byType[t], n)
-}

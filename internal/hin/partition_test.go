@@ -71,33 +71,3 @@ func TestPartitionVerticesSharesBackingWithoutAliasing(t *testing.T) {
 		}
 	}
 }
-
-func TestPartitionVerticesOfType(t *testing.T) {
-	s := MustSchema("author", "paper")
-	a, _ := s.TypeByName("author")
-	p, _ := s.TypeByName("paper")
-	s.AllowLink(p, a)
-	b := NewBuilder(s)
-	for i := 0; i < 5; i++ {
-		b.MustAddVertex(a, string(rune('A'+i)))
-	}
-	g := b.Build()
-
-	ranges := g.PartitionVerticesOfType(a, 2)
-	if len(ranges) != 2 || len(ranges[0]) != 3 || len(ranges[1]) != 2 {
-		t.Fatalf("author ranges = %v", ranges)
-	}
-	// A type with no vertices still yields the requested shard count.
-	empty := g.PartitionVerticesOfType(p, 3)
-	if len(empty) != 3 {
-		t.Fatalf("empty type yields %d ranges, want 3", len(empty))
-	}
-	for i, r := range empty {
-		if len(r) != 0 {
-			t.Fatalf("empty-type range %d not empty: %v", i, r)
-		}
-	}
-	if out := g.PartitionVerticesOfType(TypeID(99), 2); len(out) != 2 || len(out[0]) != 0 {
-		t.Fatalf("out-of-range type = %v", out)
-	}
-}

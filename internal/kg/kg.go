@@ -51,9 +51,6 @@ func NewStore() *Store {
 // Len reports the number of non-type triples stored.
 func (st *Store) Len() int { return len(st.triples) }
 
-// NumEntities reports the number of typed entities.
-func (st *Store) NumEntities() int { return len(st.types) }
-
 // Add records one triple. Type declarations (predicate "type") assign the
 // subject's vertex type; an entity may be declared once (re-declaring the
 // same type is idempotent, conflicting declarations fail).
@@ -70,20 +67,6 @@ func (st *Store) Add(subject, predicate, object string) error {
 	}
 	st.triples = append(st.triples, Triple{subject, predicate, object})
 	return nil
-}
-
-// Predicates returns the distinct non-type predicates, sorted.
-func (st *Store) Predicates() []string {
-	seen := map[string]bool{}
-	for _, t := range st.triples {
-		seen[t.Predicate] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ToHIN converts the store into a heterogeneous information network.

@@ -385,9 +385,6 @@ func TestInstrumentsConcurrentWithScrapes(t *testing.T) {
 				h.Observe(float64(i%5) * 0.005)
 				g.Add(1)
 				g.Add(-1)
-				if i%3 == 0 {
-					h.Quantile(0.5)
-				}
 			}
 		}(w)
 	}

@@ -102,39 +102,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear interpolation
-// within the bucket holding it, the same estimate Prometheus's
-// histogram_quantile computes. Observations in the +Inf bucket clamp to the
-// largest finite bound. Returns NaN when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		cum += n
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.upper) { // +Inf bucket
-			return h.upper[len(h.upper)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.upper[i-1]
-		}
-		if n == 0 {
-			return h.upper[i]
-		}
-		frac := (rank - float64(cum-n)) / float64(n)
-		return lo + (h.upper[i]-lo)*frac
-	}
-	return h.upper[len(h.upper)-1]
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 

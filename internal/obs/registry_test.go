@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,34 +71,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if h.Count() != 6 || h.Sum() != 17 {
 		t.Fatalf("count/sum = %d/%g", h.Count(), h.Sum())
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{0.01, 0.1, 1, 10})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-	// 100 observations uniformly in (0, 0.01]: all land in the first bucket,
-	// so the interpolated median is mid-bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.005)
-	}
-	if q := h.Quantile(0.5); q < 0 || q > 0.01 {
-		t.Fatalf("p50 = %g, want within first bucket", q)
-	}
-	// Push 100 more into the 1..10 bucket: p95 must land there.
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	if q := h.Quantile(0.95); q < 1 || q > 10 {
-		t.Fatalf("p95 = %g, want in (1,10]", q)
-	}
-	// +Inf observations clamp to the largest finite bound.
-	h2 := newHistogram([]float64{1})
-	h2.Observe(100)
-	if q := h2.Quantile(0.99); q != 1 {
-		t.Fatalf("overflow quantile = %g, want clamp to 1", q)
 	}
 }
 

@@ -84,16 +84,6 @@ type ShardSpan struct {
 	Err     string
 }
 
-// PhaseSum returns the summed duration of all spans. By construction it
-// tracks Total to within the tracer's own bookkeeping overhead.
-func (t *Trace) PhaseSum() time.Duration {
-	var sum time.Duration
-	for _, s := range t.Spans {
-		sum += s.Duration
-	}
-	return sum
-}
-
 // Span returns the span for a phase, if recorded.
 func (t *Trace) Span(phase string) (Span, bool) {
 	for _, s := range t.Spans {

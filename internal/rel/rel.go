@@ -142,12 +142,6 @@ func (db *DB) TableNames() []string {
 	return append([]string(nil), db.order...)
 }
 
-// Def returns the table's definition.
-func (t *Table) Def() TableDef { return t.def }
-
-// NumRows reports the number of rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Insert adds a row. Missing columns are rejected; values must match the
 // declared column types; primary keys must be unique.
 func (t *Table) Insert(r Row) error {
@@ -187,18 +181,6 @@ func (t *Table) MustInsert(r Row) {
 func (t *Table) Lookup(key Value) (int, bool) {
 	i, ok := t.byKey[keyString(key)]
 	return i, ok
-}
-
-// ValueAt returns the value of column col in row i.
-func (t *Table) ValueAt(i int, col string) (Value, error) {
-	ci, ok := t.colIdx[col]
-	if !ok {
-		return nil, fmt.Errorf("rel: %s: unknown column %q", t.def.Name, col)
-	}
-	if i < 0 || i >= len(t.rows) {
-		return nil, fmt.Errorf("rel: %s: row %d out of range", t.def.Name, i)
-	}
-	return t.rows[i][ci], nil
 }
 
 // Validate checks referential integrity: every foreign-key value must

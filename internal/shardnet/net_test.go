@@ -339,24 +339,25 @@ func TestNetworkAdmissionShed(t *testing.T) {
 		close(parked)
 	}()
 	<-reached
-	// ...then fire requests until one is shed. A request that sneaks into
-	// the queue slot parks (its client side times out and moves on); once
-	// worker and queue are both full, the next one must shed.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("no shed observed with worker and queue saturated")
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-		resp, err := c.Call(ctx, minimalRequest(0), nil)
-		cancel()
-		if err != nil {
-			continue // parked in the queue slot; client gave up
-		}
-		if resp.Err != "" && resp.Code == xerr.ResourceExhausted {
-			break // the typed shed
-		}
-		t.Fatalf("saturated shard answered %+v, want RESOURCE_EXHAUSTED shed", resp)
+	// ...then fire two requests at once: whichever gets the queue slot waits
+	// out its budget there (the server answers DEADLINE_EXCEEDED, or its
+	// client gives up first), and with worker and queue both full the other
+	// must shed.
+	codes := make(chan xerr.Code, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			resp, err := c.Call(ctx, minimalRequest(0), nil)
+			if err != nil {
+				codes <- xerr.CodeOf(err)
+				return
+			}
+			codes <- resp.Code
+		}()
+	}
+	if a, b := <-codes, <-codes; a != xerr.ResourceExhausted && b != xerr.ResourceExhausted {
+		t.Fatalf("saturated shard answered %q and %q, want one RESOURCE_EXHAUSTED shed", a, b)
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
@@ -517,5 +518,91 @@ func TestConnectionReuseAcrossQueries(t *testing.T) {
 		} else if !bitIdentical(first, res) {
 			t.Fatalf("query %d diverged from query 0 on reused connections", i)
 		}
+	}
+}
+
+// A wrong-graph shard — its schema lacks a type the query's feature path
+// names — refuses the request as INVALID_ARGUMENT, and that fails the query at
+// the coordinator: a shard that cannot walk the path must not fold into a
+// Partial, let alone answer "every candidate skipped".
+func TestNetworkForeignPathFailsQuery(t *testing.T) {
+	g := testGraph(t)
+	s := hin.MustSchema("author", "paper")
+	a, _ := s.TypeByName("author")
+	p, _ := s.TypeByName("paper")
+	s.AllowLink(p, a)
+	b := hin.NewBuilder(s)
+	for i := 0; i < g.NumVertices(); i++ { // every candidate ID exists there too
+		b.MustAddVertex(a, fmt.Sprintf("A%d", i))
+	}
+	wrong, addr := startShard(t, b.Build(), ServerOptions{})
+	defer wrong.Close()
+	right, servers, clients := fleetOf(t, g, 1, nil)
+	defer closeFleet(servers, clients)
+	c := Dial(addr, nil)
+	defer c.Close()
+
+	eng := core.NewEngine(g, core.WithRemoteShards(right[0], c))
+	_, err := eng.Execute(netQuery)
+	if xerr.CodeOf(err) != xerr.InvalidArgument || !strings.Contains(err.Error(), "feature path") {
+		t.Fatalf("query over a wrong-graph shard: %v, want the shard's INVALID_ARGUMENT", err)
+	}
+}
+
+// A request's budget runs from its arrival, not from the moment it gets a
+// view: with the one view held by A, B's budget expires in the queue and B is
+// answered DEADLINE_EXCEEDED, nothing done, while A is still running — it
+// used to wait for A, then run its whole budget for a coordinator long gone.
+func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
+	g := testGraph(t)
+	srv, addr := startShard(t, g, ServerOptions{Workers: 1, Queue: 1})
+	defer srv.Close()
+	release, reached := make(chan struct{}), make(chan struct{})
+	var once atomic.Bool
+	srv.gate = func(*core.ShardRequest) {
+		if once.CompareAndSwap(false, true) {
+			close(reached)
+			<-release
+		}
+	}
+	call := func(budget time.Duration) (*core.ShardResponse, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := WriteRequest(conn, &Request{Req: minimalRequest(0), Broadcast: &core.ShardBroadcast{}, Deadline: budget}); err != nil {
+			return nil, err
+		}
+		return ReadResponse(conn)
+	}
+	type reply struct {
+		resp *core.ShardResponse
+		err  error
+	}
+	held := make(chan reply, 1)
+	go func() {
+		resp, err := call(0)
+		held <- reply{resp, err}
+	}()
+	<-reached
+
+	resp, err := call(50 * time.Millisecond)
+	if err != nil {
+		close(release)
+		t.Fatalf("B got no reply while A held the view: %v", err)
+	}
+	if resp.Code != xerr.DeadlineExceeded || resp.Done != 0 {
+		t.Errorf("B answered %+v, want DEADLINE_EXCEEDED with nothing done", resp)
+	}
+	select {
+	case a := <-held:
+		t.Errorf("A finished before its release: %+v, %v", a.resp, a.err)
+	default:
+	}
+	close(release)
+	if a := <-held; a.err != nil || a.resp.Err != "" {
+		t.Fatalf("A = %+v, %v; want a clean reply after B's expiry", a.resp, a.err)
 	}
 }

@@ -37,8 +37,8 @@ type ServerOptions struct {
 // over a listener, one goroutine per connection reading request frames, a
 // bounded view pool as the execution limit, and a slots channel as the
 // admission queue. Every decoded request gets exactly one response frame —
-// executed, or shed with RESOURCE_EXHAUSTED — mirroring the in-process rule
-// that shards always reply.
+// executed, shed with RESOURCE_EXHAUSTED, or out of budget in the queue with
+// DEADLINE_EXCEEDED — mirroring the in-process rule that shards always reply.
 type Server struct {
 	g     *hin.Graph
 	opts  ServerOptions
@@ -180,7 +180,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // handle executes one decoded request: admission first (non-blocking slot
 // acquire, shed with RESOURCE_EXHAUSTED when the queue is full), then a
 // view from the bounded pool, then core.ServeShardRequest under the
-// propagated deadline, trace identity and request ID.
+// propagated deadline, trace identity and request ID. The deadline's budget
+// runs from arrival: the wait for a view is time the coordinator has been
+// waiting too, and a request whose budget ends in the queue is answered
+// DEADLINE_EXCEEDED without ever taking one.
 func (s *Server) handle(wire *Request) *core.ShardResponse {
 	start := time.Now()
 	select {
@@ -190,12 +193,9 @@ func (s *Server) handle(wire *Request) *core.ShardResponse {
 			s.sheds.Inc()
 		}
 		s.observe("shed", time.Since(start))
-		return shedResponse(wire.Req)
+		return failedResponse(wire.Req, xerr.New(xerr.ResourceExhausted, "shardnet: shard overloaded, request shed"))
 	}
 	defer func() { <-s.slots }()
-
-	view := <-s.views
-	defer func() { s.views <- view }()
 
 	ctx := context.Background()
 	if wire.Deadline > 0 {
@@ -203,6 +203,16 @@ func (s *Server) handle(wire *Request) *core.ShardResponse {
 		ctx, cancel = context.WithTimeout(ctx, wire.Deadline)
 		defer cancel()
 	}
+	var view core.Materializer
+	select {
+	case view = <-s.views:
+	case <-ctx.Done():
+		resp := failedResponse(wire.Req, xerr.New(xerr.DeadlineExceeded, "shardnet: deadline expired waiting for a view"))
+		s.observe(string(resp.Code), time.Since(start))
+		return resp
+	}
+	defer func() { s.views <- view }()
+
 	if wire.Req.QueryID != "" {
 		ctx = obs.WithRequestID(ctx, wire.Req.QueryID)
 	}
@@ -233,11 +243,11 @@ func (s *Server) observe(outcome string, d time.Duration) {
 		"Shard request service time (admission to response).").Observe(d.Seconds())
 }
 
-// shedResponse is the typed admission-control rejection: a well-formed
-// reply, not a dropped connection, so the coordinator can fold the shed
-// into its Partial accounting (or the client can retry with backoff).
-func shedResponse(req *core.ShardRequest) *core.ShardResponse {
-	err := xerr.New(xerr.ResourceExhausted, "shardnet: shard overloaded, request shed")
+// failedResponse is the typed reply of a request that never ran — shed by
+// admission control, or out of budget in the queue: a well-formed reply, not a
+// dropped connection, so the coordinator can fold it into its Partial
+// accounting (or the client can retry with backoff).
+func failedResponse(req *core.ShardRequest, err *xerr.Error) *core.ShardResponse {
 	return &core.ShardResponse{
 		Version:    core.ShardProtocolVersion,
 		QueryID:    req.QueryID,

@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 )
 
 // Code is a stable machine-readable error code, wire-safe by design: the
@@ -106,8 +105,7 @@ type requestIDer interface{ RequestID() string }
 type Error struct {
 	code      Code
 	kind      Kind
-	err       error  // message-bearing cause; never nil
-	stack     string // defects only
+	err       error // message-bearing cause; never nil
 	requestID string
 }
 
@@ -122,9 +120,6 @@ func (e *Error) ErrorCode() Code { return e.code }
 
 // ErrorKind returns the taxonomy kind.
 func (e *Error) ErrorKind() Kind { return e.kind }
-
-// ErrorStack returns the captured stack ("" unless the error is a defect).
-func (e *Error) ErrorStack() string { return e.stack }
 
 // RequestID returns the per-request correlation ID attached via
 // WithRequestID ("" when none).
@@ -166,18 +161,6 @@ func Wrap(code Code, err error) *Error {
 		return nil
 	}
 	return &Error{code: code, kind: KindOf(err), err: err}
-}
-
-// Defectf returns a Defect (code INTERNAL) carrying the stack captured at
-// the call site — for invariant violations detected in code rather than via
-// panic.
-func Defectf(format string, args ...any) *Error {
-	return &Error{
-		code:  Internal,
-		kind:  KindDefect,
-		err:   fmt.Errorf(format, args...),
-		stack: string(debug.Stack()),
-	}
 }
 
 // Interrupt wraps a context error so it classifies as CANCELED or

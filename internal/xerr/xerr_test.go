@@ -80,16 +80,6 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
-func TestDefectf(t *testing.T) {
-	err := Defectf("invariant broken: %d != %d", 1, 2)
-	if CodeOf(err) != Internal || KindOf(err) != KindDefect {
-		t.Fatalf("Defectf classified as %s/%s", KindOf(err), CodeOf(err))
-	}
-	if !strings.Contains(StackOf(err), "TestDefectf") {
-		t.Fatal("Defectf must capture the call-site stack")
-	}
-}
-
 // stackedErr simulates a foreign defect type (like core.PanicError) that
 // participates via the Coder/Kinder/Stacker interfaces without wrapping.
 type stackedErr struct{ stack string }
@@ -134,8 +124,8 @@ func TestWithRequestID(t *testing.T) {
 }
 
 func TestStackOfSkipsEmptyStackWrappers(t *testing.T) {
-	// A request-ID wrapper is itself a Stacker (with an empty stack); the
-	// walk must keep going to find the defect's stack underneath.
+	// A request-ID wrapper carries no stack of its own; the walk must keep
+	// going to find the defect's stack underneath.
 	defect := &stackedErr{stack: "the real stack"}
 	wrapped := WithRequestID(defect, "req-7")
 	if StackOf(wrapped) != "the real stack" {
@@ -206,14 +196,14 @@ func TestOutcome(t *testing.T) {
 }
 
 func TestFormatVerbose(t *testing.T) {
-	err := WithRequestID(Defectf("it broke"), "req-9")
+	err := WithRequestID(&stackedErr{stack: "goroutine 1 [running]"}, "req-9")
 	s := fmt.Sprintf("%+v", err)
-	for _, want := range []string{"it broke", "defect", "INTERNAL", "rid=req-9", "goroutine"} {
+	for _, want := range []string{"boom", "defect", "INTERNAL", "rid=req-9", "goroutine"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("%%+v output missing %q:\n%s", want, s)
 		}
 	}
-	if plain := fmt.Sprintf("%v", err); plain != "it broke" {
+	if plain := fmt.Sprintf("%v", err); plain != "boom" {
 		t.Errorf("%%v output = %q, want just the message", plain)
 	}
 }

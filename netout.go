@@ -403,10 +403,10 @@ type (
 	BatchResult  = core.BatchResult
 )
 
-// ExecuteBatch runs queries in parallel on worker engines built from eng: its
-// measure, sinks and shards, each on its own view of its materializer —
-// PM/SPM indexes read-only, cached materializers warm, so one worker's
-// traversal is every other worker's cache hit.
+// ExecuteBatch runs queries in parallel on eng, from opts.Workers goroutines:
+// an Engine is safe for concurrent use, each query borrowing the materializer
+// handles it runs on — PM/SPM indexes read-only, cached materializers warm, so
+// one worker's traversal is every other worker's cache hit.
 func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
 	return core.ExecuteBatch(eng, queries, opts)
 }
@@ -427,10 +427,10 @@ type (
 )
 
 // NewServePool starts a bounded worker pool that accepts queries from any
-// number of goroutines via ServePool.Execute. Its engines are built from eng
-// — configure measure, materializer, shards, registry and sinks there, once —
-// and ServeOptions holds only the pool's own size, queue bound and default
-// deadline. Close the pool to release its workers.
+// number of goroutines via ServePool.Execute. Its workers execute on eng
+// itself — configure measure, materializer, shards, registry and sinks there,
+// once — and ServeOptions holds only the pool's own size, queue bound and
+// default deadline. Close the pool to release its workers.
 func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
 	return core.NewServePool(eng, opts)
 }
