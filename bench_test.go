@@ -321,12 +321,13 @@ func BenchmarkNeighborVector(b *testing.B) {
 // nnz rows (author frontier → paper on the fixture graph) are the evidence
 // for the merge and dense crossovers: the merge path's head scan is linear in
 // the frontier size, so it only runs at the sizes the adaptive heuristic
-// would actually route to it. The hop/share rows are the evidence for the
+// would actually route to it; the hop/nnz rows repeat the smallest of them
+// over the scale-4 generator graph the serving benchmark uses, where a row is
+// 2.5, 1 or 291 entries long. The hop/share rows are the evidence for the
 // pull crossover (pullEdgeGain, DESIGN.md "Expansion kernels"): dense against
 // pull at a random 5, 10, 25, 50 and 100 % of the source type on the three
-// hops a whole-type scan walks, over the scale-4 generator graph the serving
-// benchmark uses. `make bench-json` distills this (plus
-// BenchmarkPathIndexProbe) into BENCH_kernel.json.
+// hops a whole-type scan walks, over the same graph. `make bench-json`
+// distills this (plus BenchmarkPathIndexProbe) into BENCH_kernel.json.
 func BenchmarkExpand(b *testing.B) {
 	f := getFixture(b)
 	author, _ := f.graph.Schema().TypeByName("author")
@@ -351,6 +352,16 @@ func BenchmarkExpand(b *testing.B) {
 		}
 		return netout.Vector{Idx: idx, Val: val}
 	}
+	run := func(name string, g *netout.Graph, k netout.ExpandKernel, fr netout.Vector, to netout.TypeID) {
+		b.Run(fmt.Sprintf("%s/%v", name, k), func(b *testing.B) {
+			tr := netout.NewTraverser(g)
+			tr.SetKernel(k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = tr.Expand(fr, to)
+			}
+		})
+	}
 	for _, size := range []int{1, 4, 32, 256, 2048} {
 		fr := frontier(f.graph, author, size, 11)
 		kernels := []netout.ExpandKernel{netout.KernelMap, netout.KernelDense}
@@ -360,14 +371,7 @@ func BenchmarkExpand(b *testing.B) {
 			kernels = append(kernels, netout.KernelPull)
 		}
 		for _, k := range kernels {
-			b.Run(fmt.Sprintf("nnz=%d/%v", fr.NNZ(), k), func(b *testing.B) {
-				tr := netout.NewTraverser(f.graph)
-				tr.SetKernel(k)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = tr.Expand(fr, paper)
-				}
-			})
+			run(fmt.Sprintf("nnz=%d", fr.NNZ()), f.graph, k, fr, paper)
 		}
 	}
 
@@ -380,17 +384,17 @@ func BenchmarkExpand(b *testing.B) {
 	for _, hop := range [][2]string{{"author", "paper"}, {"paper", "venue"}, {"venue", "paper"}} {
 		from, _ := g.Schema().TypeByName(hop[0])
 		to, _ := g.Schema().TypeByName(hop[1])
+		name := fmt.Sprintf("hop=%s.%s", hop[0], hop[1])
+		for _, size := range []int{1, 2, 4} {
+			fr := frontier(g, from, size, 11)
+			for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelMerge} {
+				run(fmt.Sprintf("%s/nnz=%d", name, size), g, k, fr, to)
+			}
+		}
 		for _, share := range []int{5, 10, 25, 50, 100} {
 			fr := frontier(g, from, (g.NumVerticesOfType(from)*share+99)/100, 11)
 			for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelPull} {
-				b.Run(fmt.Sprintf("hop=%s.%s/share=%d/%v", hop[0], hop[1], share, k), func(b *testing.B) {
-					tr := netout.NewTraverser(g)
-					tr.SetKernel(k)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_ = tr.Expand(fr, to)
-					}
-				})
+				run(fmt.Sprintf("%s/share=%d", name, share), g, k, fr, to)
 			}
 		}
 	}

@@ -220,6 +220,7 @@ func (c *compiledCache) evictLocked(cq *compiledQuery) {
 func (c *compiledCache) charge(delta int64) {
 	if c.state != nil {
 		c.state.bytes.Add(delta)
+		c.state.compiledBytes.Add(delta)
 		c.state.enforceBudget()
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
+	"netout/internal/sparse"
 )
 
 // compiledStrategies are the materializers the compiled-query tests run over,
@@ -199,8 +200,8 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 			if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground {
 				t.Fatalf("budget %d pass %d: cache account %d, re-summed %d", budget, pass, got, ground)
 			}
-			if got, ground := c.bytes.Load(), c.recomputeBytes(); got != ground || got > c.budget || got == 0 {
-				t.Fatalf("budget %d pass %d: entries charged %d, hold %d, budget %d", budget, pass, got, ground, c.budget)
+			if got, ground := c.bytes.Load(), c.recomputeBytes(); got != ground || got > c.budget || got == 0 || got != st.compiledBytes.Load() {
+				t.Fatalf("budget %d pass %d: entries charged %d (the cache counts %d), hold %d, budget %d", budget, pass, got, st.compiledBytes.Load(), ground, c.budget)
 			}
 			if st.bytes.Load() > budget {
 				t.Fatalf("budget %d pass %d: cache holds %d", budget, pass, st.bytes.Load())
@@ -213,12 +214,63 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 			t.Fatalf("small budget: %d entries for %d texts, want some evicted", entries, len(texts))
 		}
 		pool.Close()
-		if c.bytes.Load() != 0 || c.count.Load() != 0 || len(st.compiled) != 0 {
+		if c.bytes.Load() != 0 || c.count.Load() != 0 || len(st.compiled) != 0 || st.compiledBytes.Load() != 0 {
 			t.Fatalf("budget %d: closed pool still holds %d bytes in %d entries", budget, c.bytes.Load(), c.count.Load())
 		}
 		if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground {
 			t.Fatalf("budget %d after Close: cache account %d, re-summed %d", budget, got, ground)
 		}
+	}
+}
+
+// The LRU refuses a vector larger than what the LRU can ever hold, and the
+// compiled entries' share is not the LRU's: an insert that fits the budget
+// less the waist tables, but not less the compiled entries too, must leave
+// the resident vectors alone — let in, it evicts every one of them and then
+// itself.
+func TestOversizeInsertSparesTheCacheUnderCompiledCharge(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
+	const budget = 128 << 10
+	mat := mustCached(t, g, budget)
+	st := mat.(*cached).state
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for i := 0; i < 4; i++ {
+		src := fmt.Sprintf(`FIND OUTLIERS FROM author{"A%d"}.paper.author JUDGED BY author.paper.venue TOP 5;`, i)
+		if _, err := pool.Execute(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := func() (n int) {
+		for i := range st.shards {
+			sh := &st.shards[i]
+			sh.mu.Lock()
+			n += len(sh.entries)
+			sh.mu.Unlock()
+		}
+		return n
+	}
+	charged, before := pool.compiled.bytes.Load(), resident()
+	if charged == 0 || before == 0 {
+		t.Fatalf("set-up: compiled entries hold %d bytes, %d vectors resident", charged, before)
+	}
+	// Half the compiled charge past what the LRU has room for when empty.
+	room := budget - st.waists.bytes.Load() - charged
+	n := int((room + charged/2 - cacheEntrySize(ckey{path: "oversize"}, sparse.Vector{})) / 12)
+	big := sparse.Vector{Idx: make([]int32, n), Val: make([]float64, n)}
+	if size := cacheEntrySize(ckey{path: "oversize"}, big); size <= room || size > budget-st.waists.bytes.Load() {
+		t.Fatalf("set-up: entry of %d bytes, want between %d and %d", size, room, budget-st.waists.bytes.Load())
+	}
+	evicted := st.evictions.Load()
+	st.insert(ckey{path: "oversize"}, big)
+	if after := resident(); after != before || st.evictions.Load() != evicted {
+		t.Errorf("an insert the LRU has no room for left %d of %d vectors resident (%d evictions)", after, before, st.evictions.Load()-evicted)
+	}
+	if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground || got > budget {
+		t.Errorf("cache account %d, re-summed %d, budget %d", got, ground, budget)
 	}
 }
 

@@ -205,7 +205,7 @@ type indexedMaterializer struct {
 	// vertex-ID space is small enough it replaces a per-chunk map
 	// accumulator with hash-free scatters (same crossover cap as the
 	// traverser's dense kernel). acc is the map fallback.
-	dense *sparse.DenseAccumulator
+	dense sparse.DenseAccumulator
 	acc   *sparse.Accumulator
 }
 
@@ -214,11 +214,8 @@ type indexedMaterializer struct {
 // graph's ID space when that fits under the cap.
 func (m *indexedMaterializer) chunkAcc(hint int) sparse.Acc {
 	if n := m.tr.Graph().NumVertices(); n <= sparse.MaxDenseSpan {
-		if m.dense == nil {
-			m.dense = sparse.NewDenseAccumulator(n)
-		}
 		m.dense.Grow(n)
-		return m.dense
+		return &m.dense
 	}
 	if m.acc == nil {
 		m.acc = sparse.NewAccumulator(hint)

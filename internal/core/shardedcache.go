@@ -79,9 +79,10 @@ type sharedCacheState struct {
 
 	// compiled are the compiled-query caches of the serve pools built over
 	// this materializer, from newCompiledCache to close (compiled.go); their
-	// bytes are part of bytes below.
-	compiledMu sync.Mutex
-	compiled   []*compiledCache
+	// bytes are part of bytes below, and compiledBytes is their sum.
+	compiledMu    sync.Mutex
+	compiled      []*compiledCache
+	compiledBytes atomic.Int64
 
 	// victim rotates eviction across shards (approximate global LRU).
 	victim atomic.Uint64
@@ -282,7 +283,7 @@ func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexI
 // budget is then enforced by evicting LRU tails, rotating across shards.
 func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
 	size := cacheEntrySize(key, vec)
-	if size > st.maxBytes-st.waists.bytes.Load() {
+	if size > st.maxBytes-st.waists.bytes.Load()-st.compiledBytes.Load() {
 		return // larger than the whole LRU: do not thrash
 	}
 	sh := st.shard(key)

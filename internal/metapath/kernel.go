@@ -24,12 +24,12 @@ const (
 	// coordinate space, one hash per scattered edge. The fallback.
 	KernelMap
 	// KernelDense scatters into a dense scratch sized to the target type's
-	// ID span with a touched list: hash-free adds, and a drain that scans
-	// the touched range when it is dense and sorts the list when it is not.
+	// ID span, marking each slot it writes in a bitmap: hash-free adds, and a
+	// drain that walks the marked slots only, in ascending order.
 	KernelDense
 	// KernelMerge k-way-merges the already-sorted CSR adjacency rows
-	// directly into a sorted vector, touching no scratch at all. Only
-	// sensible for tiny frontiers (the scan over row heads is linear in k).
+	// directly into a sorted vector, touching no scratch at all: for one row
+	// a straight scale, which is all KernelAuto asks of it.
 	KernelMerge
 	// KernelPull gathers instead of scattering: the frontier is written once
 	// into a dense array over its own type's ID span, and every vertex of the
@@ -56,16 +56,19 @@ func (k Kernel) String() string {
 }
 
 // Crossover constants for KernelAuto, calibrated with BenchmarkExpand (see
-// DESIGN.md "Expansion kernels"): the merge path wins while the head scan
-// over frontier rows stays trivially small; the dense scratch wins over the
-// map at every frontier size but is capped so a traverser never pins more
-// than ~32 MiB of scratch per hop on huge vertex types; pull wins once the
-// edges the frontier would scatter are a large enough share of all the edges
-// between the two types. Which body a pull then runs (pullRows) is a constant
-// of hin, flatRowMean: Build needs it to keep Pair.Row for short rows only.
+// DESIGN.md "Expansion kernels"): the merge path wins for the one row it only
+// has to scale; the dense scratch wins over the map at every frontier size
+// but is capped so a traverser never pins more than ~32 MiB of scratch per
+// hop on huge vertex types; pull wins once the edges the frontier would
+// scatter are a large enough share of all the edges between the two types.
+// Which body a pull then runs (pullRows) is a constant of hin, flatRowMean:
+// Build needs it to keep Pair.Row for short rows only.
 const (
-	// MergeMaxFrontier is the largest frontier NNZ the merge path accepts.
-	MergeMaxFrontier = 4
+	// mergeMaxFrontier is the largest frontier NNZ the merge path accepts:
+	// in BenchmarkExpand's hop=/nnz= rows (BENCH_kernel.json) merge beats dense
+	// for one long row (venue→paper, 0.72 vs 1.33 µs), is level for one short
+	// row and for two rows, and 1.1–2.1× behind at four.
+	mergeMaxFrontier = 1
 	// MaxDenseSpan is the largest target-type ID span (entries, 8 B each)
 	// the dense kernel will allocate scratch for.
 	MaxDenseSpan = sparse.MaxDenseSpan
@@ -76,9 +79,9 @@ const (
 	maxHopBuf = 1 << 18
 	// pullEdgeGain is how many pulled edges or row heads cost what one pushed
 	// edge does (pullPays): BenchmarkExpand's share rows (BENCH_kernel.json)
-	// cross near 25, 25 and 10 % of the source type on paper→venue, venue→paper
-	// and author→paper; the rule, older than the flat body, says 25, 50, 35 %.
-	pullEdgeGain = 4
+	// cross near 25, 70 and 40 % of the source type on paper→venue, venue→paper
+	// and author→paper; the rule says 33, 67 and 47 % (at 4: 25, 50, 35 %).
+	pullEdgeGain = 3
 	// pullMinEdges keeps hops of a few dozen edges pushed: a guard, not a
 	// crossover. The estimate in pullPays says little about five vertices of
 	// seven, and a push is bounded by the frontier, a pull by the type.
@@ -115,7 +118,7 @@ func (tr *Traverser) pick(frontier sparse.Vector, next hin.TypeID) Kernel {
 	if tr.kernel != KernelAuto {
 		return tr.kernel
 	}
-	if frontier.NNZ() <= MergeMaxFrontier {
+	if frontier.NNZ() <= mergeMaxFrontier {
 		return KernelMerge
 	}
 	if tr.pullPays(frontier, next, tr.g.NumVerticesOfType(next)) {
@@ -138,7 +141,7 @@ func (tr *Traverser) pickPush(next hin.TypeID) Kernel {
 // reads the frontier's rows, estimated as its share of its type (taken from
 // the first vertex) times all the edges between the two types; pulling reads
 // the targets' share of those edges plus one row head each, at 1/pullEdgeGain
-// of the price: no read-modify-write, no touched list, no drain.
+// of the price: no read-modify-write, no marks, no drain.
 func (tr *Traverser) pullPays(frontier sparse.Vector, next hin.TypeID, targets int) bool {
 	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
 	edges := float64(tr.g.EdgesBetween(cur, next))
@@ -170,28 +173,23 @@ func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID, buf sp
 		return sparse.Vector{} // no vertices of the target type at all
 	}
 	tr.counts.Dense++
-	acc, base := tr.denseOver(lo, hi), int32(lo)
-	for i := range frontier.Idx {
+	acc, base := &tr.dense, int32(lo)
+	acc.Grow(int(hi) - int(lo) + 1)
+	unit := tr.unitInto[next]
+	for i, v := range frontier.Idx {
 		w := frontier.Val[i]
-		nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[i]), next)
+		nbrs, mults := tr.g.Neighbors(hin.VertexID(v), next)
+		if unit { // x·1 is x: skip the multiplicity, as pullRows does
+			for _, u := range nbrs {
+				acc.Add(int32(u)-base, w)
+			}
+			continue
+		}
 		for j, u := range nbrs {
 			acc.Add(int32(u)-base, float64(w*float64(mults[j])))
 		}
 	}
-	out := acc.TakeInto(buf)
-	for i := range out.Idx {
-		out.Idx[i] += base
-	}
-	return out
-}
-
-// denseOver returns the dense scratch, grown to hold the ID span [lo, hi].
-func (tr *Traverser) denseOver(lo, hi hin.VertexID) *sparse.DenseAccumulator {
-	if tr.dense == nil {
-		tr.dense = sparse.NewDenseAccumulator(0)
-	}
-	tr.dense.Grow(int(hi) - int(lo) + 1)
-	return tr.dense
+	return acc.TakeInto(buf, base)
 }
 
 // expandPull is the gather kernel: out[u] = Σ_w in[w]·mult(u,w) over u's
@@ -382,9 +380,9 @@ type mergeCursor struct {
 
 // expandMerge k-way-merges the sorted CSR rows of the frontier vertices
 // straight into a sorted output vector: no scratch, no post-sort. The head
-// scan is linear in the number of rows, so KernelAuto only routes frontiers
-// with NNZ ≤ MergeMaxFrontier here. The result is written into buf when it
-// has room (see expandInto).
+// scan is linear in the number of rows, and from two rows on the dense
+// scratch is no dearer: KernelAuto only routes frontiers with NNZ ≤
+// mergeMaxFrontier here. The result is written into buf when it has room.
 func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	tr.counts.Merge++
 	cursors := tr.cursors[:0]

@@ -117,8 +117,8 @@ func TestKernelHeuristic(t *testing.T) {
 		n    int
 		want Kernel
 	}{
-		{MergeMaxFrontier, KernelMerge},
-		{MergeMaxFrontier + 1, KernelDense},
+		{mergeMaxFrontier, KernelMerge},
+		{mergeMaxFrontier + 1, KernelDense},
 		{cross - 1, KernelDense},
 		{cross, KernelPull},
 		{256, KernelPull},
@@ -145,6 +145,43 @@ func TestKernelHeuristic(t *testing.T) {
 	tr.Expand(front(2), dst)
 	if c := tr.KernelCounts(); c.Dense != 1 || c.Pull != 1 {
 		t.Fatalf("forced pull on an unsorted then a sorted frontier: counts %+v, want one dense, one pull", c)
+	}
+}
+
+// Once its scratch and hop buffers have grown, a dense hop allocates nothing
+// (either push body), and neither does a drain into a buffer with room: the
+// allocation columns of the benchmarks, held where `go test ./...` sees them.
+func TestWarmDenseHopAllocatesNothing(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		g, src, dst := unevenPair(t, 256, 512, 4, mixed)
+		if g.Pair(src, dst).Unit == mixed {
+			t.Fatalf("mixed=%v: pair Unit = %v", mixed, !mixed)
+		}
+		tr := NewTraverser(g)
+		tr.SetKernel(KernelDense)
+		frontier := sparse.Vector{}
+		for i, v := range g.VerticesOfType(src)[:64] {
+			frontier.Idx, frontier.Val = append(frontier.Idx, int32(v)), append(frontier.Val, float64(i%5+1))
+		}
+		want := tr.Expand(frontier, dst)
+		tr.ExpandScratch(frontier, dst, 1) // grows the scratch and the slot
+		var got sparse.Vector
+		if n := testing.AllocsPerRun(50, func() { got = tr.ExpandScratch(frontier, dst, 1) }); n != 0 {
+			t.Errorf("mixed=%v: a warm dense hop allocates %v times", mixed, n)
+		}
+		if c := tr.KernelCounts(); !sameBits(got, want) || c.Map+c.Merge+c.Pull != 0 {
+			t.Errorf("mixed=%v: scratch hop = %v, want %v (counts %+v)", mixed, got, want, c)
+		}
+	}
+	acc := sparse.NewDenseAccumulator(1 << 12)
+	buf := sparse.Vector{Idx: make([]int32, 0, 64), Val: make([]float64, 0, 64)}
+	if n := testing.AllocsPerRun(50, func() {
+		for ix := int32(0); ix < 64; ix++ {
+			acc.Add(ix*61, 1)
+		}
+		buf = acc.TakeInto(buf, 7)
+	}); n != 0 || buf.NNZ() != 64 {
+		t.Errorf("TakeInto a buffer with room allocates %v times, %d coordinates", n, buf.NNZ())
 	}
 }
 
@@ -438,6 +475,10 @@ func FuzzExpandKernels(f *testing.F) {
 	f.Add([]byte{8, 8, 0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 5, 4}) // wider fan
 	f.Add([]byte{7, 0, 8, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 3, 0, 200, 1, 100, 2, 50, 1})
 	f.Add([]byte{7, 0, 12, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 0, 0, 0, 0, 5, 0, 6, 0, 4, 7, 129, 1, 127, 2, 3, 5, 90, 0})
+	// The dense kernel's two push bodies: every edge once (all multiplicities
+	// 1, the unit body), and the same graph with one edge repeated.
+	f.Add([]byte{2, 3, 4, 0, 0, 1, 1, 2, 2, 0, 3, 3, 0, 131, 1, 125, 2, 140, 0, 0, 1, 1, 2, 3, 3})
+	f.Add([]byte{2, 3, 5, 0, 0, 0, 0, 1, 1, 2, 2, 0, 3, 3, 0, 131, 1, 125, 2, 140, 0, 0, 1, 1, 2, 3, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pop := func() byte {
 			if len(data) == 0 {

@@ -23,7 +23,10 @@ type Traverser struct {
 	acc *sparse.Accumulator
 	// dense is the span-offset scratch for KernelDense, grown lazily to the
 	// largest target-type ID span seen.
-	dense *sparse.DenseAccumulator
+	dense sparse.DenseAccumulator
+	// unitInto[t]: every edge into type t has multiplicity 1, whatever type
+	// it comes from (a frontier may mix types).
+	unitInto []bool
 	// cursors is the reusable row set for KernelMerge.
 	cursors []mergeCursor
 	// in is KernelPull's scratch, all zero between hops: the frontier scattered
@@ -42,7 +45,15 @@ type Traverser struct {
 
 // NewTraverser creates a traverser over g.
 func NewTraverser(g *hin.Graph) *Traverser {
-	return &Traverser{g: g, acc: sparse.NewAccumulator(64)}
+	nt := g.Schema().NumTypes()
+	tr := &Traverser{g: g, acc: sparse.NewAccumulator(64), unitInto: make([]bool, nt)}
+	for t := range tr.unitInto {
+		tr.unitInto[t] = true
+		for from := 0; from < nt; from++ {
+			tr.unitInto[t] = tr.unitInto[t] && g.Pair(hin.TypeID(from), hin.TypeID(t)).Unit
+		}
+	}
+	return tr
 }
 
 // Graph returns the traversed graph.
@@ -318,17 +329,17 @@ func (tr *Traverser) Combine(frontier sparse.Vector, suffix func(hin.VertexID) s
 	if int64(hi)-int64(lo) >= MaxDenseSpan {
 		return sparse.Vector{}, false
 	}
-	acc, base := tr.denseOver(lo, hi), int32(lo)
+	acc, base := &tr.dense, int32(lo)
+	acc.Grow(int(hi) - int(lo) + 1)
 	for i, u := range frontier.Idx {
 		w, vec := frontier.Val[i], suffix(hin.VertexID(u))
 		for k, ix := range vec.Idx {
 			acc.Add(ix-base, w*vec.Val[k])
 		}
 	}
-	out, exact = acc.Take(), true
-	for i := range out.Idx {
-		out.Idx[i] += base
-		if !(out.Val[i] < maxExactCount) { // an overflow to +Inf fails too
+	out, exact = acc.TakeInto(sparse.Vector{}, base), true
+	for _, x := range out.Val {
+		if !(x < maxExactCount) { // an overflow to +Inf fails too
 			exact = false
 		}
 	}

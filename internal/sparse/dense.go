@@ -1,6 +1,6 @@
 package sparse
 
-import "slices"
+import "math/bits"
 
 // MaxDenseSpan is the largest coordinate span (entries, 8 B each) any dense
 // scratch in the repository is sized for: the traverser's per-hop scratch,
@@ -9,51 +9,44 @@ import "slices"
 // ever pins more than ~32 MiB.
 const MaxDenseSpan = 4 << 20
 
-// scanTakeRatio is the Take crossover: a drain whose touched coordinates
-// span fewer than scanTakeRatio slots each is emitted by one linear scan of
-// that range instead of sorting the touched list. In BenchmarkAccumulators'
-// take arms the scan stops winning between 8 and 16 slots per coordinate at
-// 64–1 024 touched and between 32 and 64 at 16 384 (the sort is n·log n, the
-// scan n·slots); the wide frontiers that dominate traversal sit at 1–8.
-const scanTakeRatio = 16
-
 // DenseAccumulator is the Gustavson-style scratch structure for frontier
-// accumulation: a dense value array indexed by coordinate plus a touched
-// list. Compared to the map-backed Accumulator it trades O(span) resident
-// memory for hash-free O(1) scatter adds; clearing is O(touched) (or one
-// pass over the touched range, see Take), not O(span), so a long-lived
-// accumulator amortizes its scratch across many drains.
-//
-// The scratch grows lazily (Grow), so a zero-sized accumulator costs nothing
-// until its first dense hop. The adaptive kernel in internal/metapath
-// offsets coordinates by the target type's ID span base, keeping the scratch
-// proportional to one vertex type rather than the whole graph. Both
-// accumulators produce identical vectors (property-tested); see
-// BenchmarkAccumulators and BenchmarkExpand for the measured crossovers.
+// accumulation: a dense value array indexed by coordinate, a bitmap with one
+// bit per slot that Add marks, and a summary bitmap with one bit per word of
+// the first. Compared to the map-backed Accumulator it trades O(span)
+// resident memory for hash-free O(1) scatter adds. A drain walks the summary
+// (span/4 096 words), then the marked words and their set bits only:
+// ascending by construction, so nothing is sorted and no empty slot is read,
+// and it clears what it visits, so a long-lived accumulator amortizes its
+// scratch across many drains. The zero value is an empty scratch; it grows
+// lazily (Grow). Both accumulators produce identical vectors
+// (property-tested); BenchmarkAccumulators has the drain's cost by density.
 type DenseAccumulator struct {
-	val     []float64
-	touched []int32
+	val  []float64
+	mark []uint64 // bit i&63 of mark[i>>6]: slot i was added to since the last drain
+	sum  []uint64 // bit w&63 of sum[w>>6]: mark[w] != 0
 }
 
 // NewDenseAccumulator creates an accumulator for coordinate space [0, n).
 // n may be 0; the scratch then grows on the first Grow call.
 func NewDenseAccumulator(n int) *DenseAccumulator {
-	return &DenseAccumulator{val: make([]float64, n)}
+	acc := &DenseAccumulator{}
+	acc.Grow(n)
+	return acc
 }
 
 // Grow ensures the accumulator accepts coordinates in [0, n). Growth
-// preserves accumulated values and doubles capacity to amortize repeated
-// calls with creeping spans.
+// preserves accumulated values and their marks, and doubles capacity to
+// amortize repeated calls with creeping spans.
 func (acc *DenseAccumulator) Grow(n int) {
 	if n <= len(acc.val) {
 		return
 	}
-	if c := 2 * len(acc.val); n < c {
-		n = c
-	}
-	val := make([]float64, n)
-	copy(val, acc.val)
-	acc.val = val
+	n = max(n, 2*len(acc.val))
+	words := (n + 63) >> 6
+	// Fresh zeroed storage of the new size, the old contents copied in.
+	acc.val = append(make([]float64, 0, n), acc.val...)[:n]
+	acc.mark = append(make([]uint64, 0, words), acc.mark...)[:words]
+	acc.sum = append(make([]uint64, 0, (words+63)>>6), acc.sum...)[:(words+63)>>6]
 }
 
 // Size reports the current coordinate-space size.
@@ -61,9 +54,9 @@ func (acc *DenseAccumulator) Size() int { return len(acc.val) }
 
 // Add adds x at coordinate i. i must be < the current Size.
 func (acc *DenseAccumulator) Add(i int32, x float64) {
-	if acc.val[i] == 0 && x != 0 {
-		acc.touched = append(acc.touched, i)
-	}
+	w := uint(i) >> 6
+	acc.mark[w] |= 1 << (uint(i) & 63)
+	acc.sum[w>>6] |= 1 << (w & 63)
 	acc.val[i] += x
 }
 
@@ -74,68 +67,65 @@ func (acc *DenseAccumulator) AddVector(v Vector, w float64) {
 	}
 }
 
-// Len reports the number of touched coordinates (including exact cancels).
-func (acc *DenseAccumulator) Len() int { return len(acc.touched) }
+// Len reports the number of marked coordinates: every one added to since the
+// last drain, exact cancels and zero-valued adds included.
+func (acc *DenseAccumulator) Len() int {
+	n := 0
+	for s, sw := range acc.sum {
+		for ; sw != 0; sw &= sw - 1 {
+			n += bits.OnesCount64(acc.mark[s<<6|bits.TrailingZeros64(sw)])
+		}
+	}
+	return n
+}
 
 // Take drains the accumulator into a freshly allocated sorted Vector and
 // resets it for reuse.
-func (acc *DenseAccumulator) Take() Vector { return acc.TakeInto(Vector{}) }
+func (acc *DenseAccumulator) Take() Vector { return acc.TakeInto(Vector{}, 0) }
 
-// TakeInto is Take writing into buf's storage when it has room for every
-// touched coordinate (a fresh vector is allocated otherwise), so a caller
-// that drains intermediates can recycle one buffer. The result aliases buf
-// in that case; buf's previous contents are overwritten.
-//
-// When the touched coordinates are dense in their own [lo, hi] range the
-// range is scanned once, emitting and zeroing as it goes; sparse drains sort
-// the touched list instead. Both emit the non-zero coordinates in ascending
-// order, so the output does not depend on which ran.
-func (acc *DenseAccumulator) TakeInto(buf Vector) Vector {
-	n := len(acc.touched)
+// TakeInto is Take with base added to every coordinate (the span offset a
+// caller subtracted on the way in), writing into buf's storage when it has
+// room for every marked coordinate, so a caller that drains intermediates can
+// recycle one buffer; a fresh vector is allocated otherwise.
+func (acc *DenseAccumulator) TakeInto(buf Vector, base int32) Vector {
+	n := acc.Len()
 	if n == 0 {
 		return Vector{}
 	}
-	out := Vector{Idx: buf.Idx[:0], Val: buf.Val[:0]}
-	if cap(out.Idx) < n || cap(out.Val) < n {
-		out = Vector{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
+	if cap(buf.Idx) < n || cap(buf.Val) < n {
+		buf = Vector{Idx: make([]int32, n), Val: make([]float64, n)}
 	}
-	lo, hi := acc.touched[0], acc.touched[0]
-	for _, ix := range acc.touched[1:] {
-		lo, hi = min(lo, ix), max(hi, ix)
-	}
-	if int(hi-lo) < scanTakeRatio*n {
-		// Cancelled coordinates already hold 0 and re-touched ones are met
-		// once, so the scan needs neither rule of the sort path spelled out.
-		for ix, x := range acc.val[lo : hi+1] {
-			if x != 0 {
-				out.Idx = append(out.Idx, lo+int32(ix))
-				out.Val = append(out.Val, x)
-				acc.val[int(lo)+ix] = 0
-			}
-		}
-	} else {
-		slices.Sort(acc.touched)
-		prev := int32(-1)
-		for _, ix := range acc.touched {
-			if ix == prev {
-				continue // coordinate re-touched after cancelling to zero
-			}
-			prev = ix
-			if x := acc.val[ix]; x != 0 {
-				out.Idx = append(out.Idx, ix)
-				out.Val = append(out.Val, x)
-			}
-			acc.val[ix] = 0
-		}
-	}
-	acc.touched = acc.touched[:0]
-	return out
+	n = acc.drain(buf.Idx[:n], buf.Val[:n], base)
+	return Vector{Idx: buf.Idx[:n], Val: buf.Val[:n]}
 }
 
 // Reset clears the accumulator without producing a vector.
-func (acc *DenseAccumulator) Reset() {
-	for _, ix := range acc.touched {
-		acc.val[ix] = 0
+func (acc *DenseAccumulator) Reset() { acc.drain(nil, nil, 0) }
+
+// drain is the one walk over the marked slots, ascending: it clears every
+// mark and slot it meets and, given room for Len coordinates, emits the
+// non-zero ones offset by base and returns how many.
+func (acc *DenseAccumulator) drain(idx []int32, val []float64, base int32) (n int) {
+	emit := idx != nil
+	for s, sw := range acc.sum {
+		if sw == 0 {
+			continue
+		}
+		acc.sum[s] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			w := s<<6 | bits.TrailingZeros64(sw)
+			m := acc.mark[w]
+			acc.mark[w] = 0
+			for ; m != 0; m &= m - 1 {
+				i := w<<6 | bits.TrailingZeros64(m)
+				x := acc.val[i]
+				acc.val[i] = 0
+				if emit && x != 0 {
+					idx[n], val[n] = int32(i)+base, x
+					n++
+				}
+			}
+		}
 	}
-	acc.touched = acc.touched[:0]
+	return n
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,10 +10,10 @@ import (
 	"testing/quick"
 )
 
-// Reference kernels: the implementations Dot, Sum and DenseAccumulator.Take
-// replaced, kept as the oracle the production kernels must match
-// Float64bits for Float64bits (and as the "before" arm of the benchmarks
-// that place the crossover constants).
+// Reference kernels: the implementations Dot and Sum replaced, and the dense
+// drain restated over its Add log, kept as the oracle the production kernels
+// must match Float64bits for Float64bits (and, for Dot and Sum, as the
+// "before" arm of the benchmarks that place the crossover constants).
 
 // refDot is the linear merge over both index lists.
 func refDot(a, b Vector) float64 {
@@ -42,40 +43,25 @@ func refSum(vs []Vector) Vector {
 	return acc.Take()
 }
 
-// refTake drains by sorting the touched list, whatever its density.
-func refTake(acc *DenseAccumulator) Vector {
-	slices.Sort(acc.touched)
-	out := Vector{Idx: make([]int32, 0, len(acc.touched)), Val: make([]float64, 0, len(acc.touched))}
-	prev := int32(-1)
-	for _, ix := range acc.touched {
-		if ix == prev {
-			continue
+// refDrain is the drain's oracle and shares nothing with the dense scratch:
+// the Add log sorted by coordinate (stably, so each coordinate keeps its
+// order of addition), summed per coordinate onto +0, exact zeros dropped,
+// base added. It also returns how many distinct coordinates the log names.
+func refDrain(log []coord, base int32) (out Vector, distinct int) {
+	log = slices.Clone(log)
+	slices.SortStableFunc(log, func(a, b coord) int { return cmp.Compare(a.ix, b.ix) })
+	for i := 0; i < len(log); {
+		var sum float64
+		j := i
+		for ; j < len(log) && log[j].ix == log[i].ix; j++ {
+			sum += log[j].x
 		}
-		prev = ix
-		if x := acc.val[ix]; x != 0 {
-			out.Idx = append(out.Idx, ix)
-			out.Val = append(out.Val, x)
+		if sum != 0 {
+			out.Idx, out.Val = append(out.Idx, log[i].ix+base), append(out.Val, sum)
 		}
-		acc.val[ix] = 0
+		i, distinct = j, distinct+1
 	}
-	acc.touched = acc.touched[:0]
-	return out
-}
-
-// scanTake drains by scanning the touched range, whatever its density (the
-// other benchmark arm; production picks between the two).
-func scanTake(acc *DenseAccumulator) Vector {
-	out := Vector{Idx: make([]int32, 0, len(acc.touched)), Val: make([]float64, 0, len(acc.touched))}
-	lo, hi := slices.Min(acc.touched), slices.Max(acc.touched)
-	for ix := lo; ix <= hi; ix++ {
-		if x := acc.val[ix]; x != 0 {
-			out.Idx = append(out.Idx, ix)
-			out.Val = append(out.Val, x)
-			acc.val[ix] = 0
-		}
-	}
-	acc.touched = acc.touched[:0]
-	return out
+	return out, distinct
 }
 
 // bitsEqual is Equal with values compared by Float64bits, so +0/−0 and NaN
@@ -231,8 +217,8 @@ func TestQuickSumMatchesMap(t *testing.T) {
 	}
 }
 
-// takeSequences draws Add sequences on both sides of the scan/sort rule:
-// a dense cluster, a sparse scatter, and a cluster with one far outlier.
+// takeSequences draws Add sequences of every density: a dense cluster, a
+// sparse scatter, a cluster with one far outlier, one slot, nothing.
 // Roughly a third of the adds cancel an earlier one exactly, and cancelled
 // coordinates are touched again.
 func takeSequences(r *rand.Rand, size int) [][]coord {
@@ -259,38 +245,56 @@ func takeSequences(r *rand.Rand, size int) [][]coord {
 	}
 }
 
-// checkTake replays s into both accumulators and compares acc.TakeInto(buf)
-// with the sort drain of ref; it returns the taken vector.
-func checkTake(acc, ref *DenseAccumulator, s []coord, buf Vector) (Vector, error) {
-	for _, c := range s {
-		acc.Add(c.ix, c.x)
-		ref.Add(c.ix, c.x)
-	}
-	if acc.Len() != ref.Len() {
-		return Vector{}, fmt.Errorf("Len = %d, want %d", acc.Len(), ref.Len())
-	}
-	got, want := acc.TakeInto(buf), refTake(ref)
-	if !bitsEqual(got, want) {
-		return got, fmt.Errorf("Take = %v, sort drain = %v", got, want)
-	}
+// checkDrained holds a drained scratch to its resting state: no mark, no
+// summary bit, every slot +0 (not −0).
+func checkDrained(acc *DenseAccumulator) error {
 	if acc.Len() != 0 {
-		return got, fmt.Errorf("Len = %d after Take", acc.Len())
+		return fmt.Errorf("Len = %d after a drain", acc.Len())
+	}
+	for _, words := range [][]uint64{acc.mark, acc.sum} {
+		for w, m := range words {
+			if m != 0 {
+				return fmt.Errorf("bitmap word %d = %x after a drain", w, m)
+			}
+		}
 	}
 	for ix, x := range acc.val {
 		if math.Float64bits(x) != 0 {
-			return got, fmt.Errorf("scratch[%d] = %x after Take", ix, math.Float64bits(x))
+			return fmt.Errorf("scratch[%d] = %x after a drain", ix, math.Float64bits(x))
 		}
 	}
-	return got, nil
+	return nil
 }
 
-// Take (scan or sort, fresh or into a recycled buffer) must equal the sort
-// drain bit for bit and leave the scratch all +0.
-func TestQuickTakeMatchesSort(t *testing.T) {
+// checkTake replays s into an empty acc and checks the drain against it.
+func checkTake(acc *DenseAccumulator, s []coord, buf Vector, base int32) (Vector, error) {
+	for _, c := range s {
+		acc.Add(c.ix, c.x)
+	}
+	return checkDrain(acc, s, buf, base)
+}
+
+// checkDrain compares acc.TakeInto(buf, base) with the sorted log of the adds
+// acc holds; it returns the taken vector.
+func checkDrain(acc *DenseAccumulator, log []coord, buf Vector, base int32) (Vector, error) {
+	want, distinct := refDrain(log, base)
+	if acc.Len() != distinct {
+		return Vector{}, fmt.Errorf("Len = %d, want %d", acc.Len(), distinct)
+	}
+	got := acc.TakeInto(buf, base)
+	if !bitsEqual(got, want) {
+		return got, fmt.Errorf("Take = %v, sorted log = %v", got, want)
+	}
+	return got, checkDrained(acc)
+}
+
+// Take (fresh or into a recycled buffer, with or without a base) must equal
+// the sorted Add log bit for bit and leave the scratch all +0.
+func TestQuickTakeMatchesSortedLog(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const size = 1 << 12
-		acc, ref := NewDenseAccumulator(size), NewDenseAccumulator(size)
+		acc := NewDenseAccumulator(size)
 		var buf Vector
 		for round := 0; round < 3; round++ {
 			for i, s := range takeSequences(r, size) {
@@ -298,7 +302,7 @@ func TestQuickTakeMatchesSort(t *testing.T) {
 				if r.Intn(2) == 0 {
 					b = Vector{} // fresh output
 				}
-				got, err := checkTake(acc, ref, s, b)
+				got, err := checkTake(acc, s, b, int32(r.Intn(3)-1)*1000)
 				if err != nil {
 					t.Logf("seed %d round %d seq %d: %v", seed, round, i, err)
 					return false
@@ -315,15 +319,99 @@ func TestQuickTakeMatchesSort(t *testing.T) {
 	}
 }
 
+// The places a two-level bitmap can go wrong, each against the sorted log.
+func TestTakeBitmapEdges(t *testing.T) {
+	const size = 64*64 + 130 // two summary words, the last mark word partial
+	edges := []coord{{63, 1}, {64, 2}, {127, 3}, {128, 4}, {0, 5}, {4095, 6}, {4096, 7}, {size - 1, 8}}
+	for name, s := range map[string][]coord{
+		"word and summary boundaries": edges,
+		"descending":                  {{size - 1, 8}, {4096, 7}, {4095, 6}, {128, 4}, {127, 3}, {64, 2}, {63, 1}, {0, 5}},
+		"re-touched after a cancel":   {{70, 0.1}, {70, -0.1}, {70, 1e-300}, {9, 1}, {9, -1}},
+		"zeros only":                  {{5, 0}, {64, negZero}, {4100, 0}, {4100, negZero}},
+		"−0 onto a value":             {{5, negZero}, {5, 2}, {5, negZero}, {6, negZero}, {6, 0}},
+		"one word full": func() (s []coord) {
+			for ix := int32(128); ix < 192; ix++ {
+				s = append(s, coord{ix, float64(ix)})
+			}
+			return s
+		}(),
+		"nothing": nil,
+	} {
+		acc := NewDenseAccumulator(size)
+		for _, base := range []int32{0, 1 << 20, -7} {
+			if _, err := checkTake(acc, s, Vector{}, base); err != nil {
+				t.Errorf("%s, base %d: %v", name, base, err)
+			}
+		}
+	}
+
+	t.Run("Grow between adds", func(t *testing.T) {
+		acc := NewDenseAccumulator(0)
+		acc.Grow(65)
+		log := []coord{{64, 1}, {3, 0.1}, {3, -0.1}, {0, negZero}}
+		for _, c := range log {
+			acc.Add(c.ix, c.x)
+		}
+		acc.Grow(64*64*3 + 1) // more mark words and a second summary word
+		for _, c := range []coord{{64 * 64 * 3, 2}, {64, 1}, {3, 5}} {
+			acc.Add(c.ix, c.x)
+			log = append(log, c)
+		}
+		acc.Grow(2 * acc.Size())
+		if _, err := checkDrain(acc, log, Vector{}, 0); err != nil {
+			t.Fatalf("marks and values pending across Grow: %v", err)
+		}
+	})
+
+	t.Run("Reset after a partial fill", func(t *testing.T) {
+		acc := NewDenseAccumulator(size)
+		for _, c := range edges {
+			acc.Add(c.ix, c.x)
+		}
+		acc.Reset()
+		if err := checkDrained(acc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkTake(acc, edges[2:5], Vector{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("two fills through one scratch", func(t *testing.T) {
+		// Sum's pool: one scratch, successive callers with their own span and
+		// base, the second reading nothing of the first.
+		acc := NewDenseAccumulator(size)
+		buf := Vector{Idx: make([]int32, 0, 2), Val: make([]float64, 0, 2)} // too small for either
+		first, err := checkTake(acc, edges, buf, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := first.Clone()
+		if _, err := checkTake(acc, []coord{{64, -2}, {63, 9}, {4097, 1}}, buf, -100); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(first, kept) {
+			t.Errorf("a later drain rewrote an earlier result: %v, was %v", first, kept)
+		}
+		a := Vector{Idx: []int32{-3, 900}, Val: []float64{1, 2}}
+		b := Vector{Idx: []int32{5000, 5001}, Val: []float64{3, 4}}
+		for _, vs := range [][]Vector{{a, a}, {b}, {a, b, a}} {
+			if err := checkSum(vs); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+}
+
 // TakeInto writes into the buffer exactly when it has room for every
-// touched coordinate, and a fresh Take never hands out scratch.
+// marked coordinate, and a fresh Take never hands out scratch.
 func TestTakeIntoBuffer(t *testing.T) {
 	acc := NewDenseAccumulator(64)
 	buf := Vector{Idx: make([]int32, 0, 4), Val: make([]float64, 0, 4)}
 	for _, ix := range []int32{9, 3, 7} {
 		acc.Add(ix, float64(ix))
 	}
-	got := acc.TakeInto(buf)
+	got := acc.TakeInto(buf, 0)
 	if !got.Equal(FromMap(map[int32]float64{3: 3, 7: 7, 9: 9})) {
 		t.Fatalf("TakeInto = %v", got)
 	}
@@ -333,7 +421,7 @@ func TestTakeIntoBuffer(t *testing.T) {
 	for ix := int32(0); ix < 5; ix++ {
 		acc.Add(ix, 1)
 	}
-	big := acc.TakeInto(buf)
+	big := acc.TakeInto(buf, 0)
 	if big.NNZ() != 5 || &big.Idx[0] == &buf.Idx[:1][0] {
 		t.Errorf("TakeInto without room should allocate, got %v", big)
 	}
@@ -364,13 +452,17 @@ func TestSumScratchRetentionBounded(t *testing.T) {
 // FuzzSparseKernels decodes arbitrary bytes into a handful of vectors and
 // an Add sequence and holds Dot, Sum and Take to their reference kernels.
 // The seeds cover: empty input, a lopsided pair (gallop), cancelling
-// blocks, a strided pair, and a far outlier (sort drain).
+// blocks, a strided pair, a far outlier, and the bitmap's word boundaries.
 func FuzzSparseKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 200, 3, 1, 7, 2, 9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{4, 4, 1, 1, 1, 2, 1, 1, 1, 3, 1, 10, 1, 11, 1, 0, 1, 1})
 	f.Add([]byte{2, 2, 255, 1, 255, 2, 255, 3, 255, 4})
 	f.Add([]byte{3, 3, 1, 1, 2, 2, 250, 250, 250, 250, 250, 250, 250, 250, 9})
+	// No vectors, then adds on both sides of the bitmap's word boundaries:
+	// slots 63, 64, 127, 128, 192, 1 020 and 63 again, every third of them
+	// cancelled and re-touched.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 63, 0, 64, 0, 127, 0, 128, 0, 64, 2, 255, 3, 63, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pop := func() int {
 			if len(data) == 0 {
@@ -406,7 +498,7 @@ func FuzzSparseKernels(f *testing.F) {
 			t.Fatal(err)
 		}
 		const size = 1 << 10
-		acc, ref := NewDenseAccumulator(size), NewDenseAccumulator(size)
+		acc := NewDenseAccumulator(size)
 		var s []coord
 		for len(data) >= 2 {
 			ix := int32(pop()) * int32(1+pop()%4) // 0 … 1020, clustered low
@@ -415,7 +507,7 @@ func FuzzSparseKernels(f *testing.F) {
 				s = append(s, coord{ix, -s[len(s)-1].x}, coord{ix, 2})
 			}
 		}
-		if _, err := checkTake(acc, ref, s, Vector{}); err != nil {
+		if _, err := checkTake(acc, s, Vector{}, int32(len(s))); err != nil {
 			t.Fatal(err)
 		}
 	})

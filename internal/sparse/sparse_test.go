@@ -344,30 +344,25 @@ func TestQuickAccumulatorsAgree(t *testing.T) {
 }
 
 // BenchmarkAccumulators compares the two scratch structures across frontier
-// densities (the design choice documented on DenseAccumulator), then the two
-// ways of draining the dense one — sorting the touched list (refTake) or
-// scanning the touched range (scanTake) — across touched counts and slots
-// per touched coordinate, which places scanTakeRatio; "pick" is Take itself.
+// densities (the design choice documented on DenseAccumulator), after the
+// dense one's fill-and-drain alone across touched counts and slots per
+// touched coordinate: from every slot written to one in 256, the sparse end
+// being where a drain that reads its span, or sorts what it wrote, loses.
 func BenchmarkAccumulators(b *testing.B) {
-	for _, n := range []int{64, 1024, 16384} {
-		for _, slots := range []int{2, 8, 16, 32, 64} {
+	for _, n := range []int{8, 64, 1024, 16384} {
+		for _, slots := range []int{1, 2, 8, 16, 32, 64, 256} {
 			idx := rawVector(rand.New(rand.NewSource(1)), n, 0, n*slots).Idx
 			rand.New(rand.NewSource(2)).Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-			for _, arm := range []struct {
-				name string
-				take func(*DenseAccumulator) Vector
-			}{{"sort", refTake}, {"scan", scanTake}, {"pick", (*DenseAccumulator).Take}} {
-				b.Run(fmt.Sprintf("take=%s/touched=%d/slots=%d", arm.name, n, slots), func(b *testing.B) {
-					acc := NewDenseAccumulator(n * slots)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						for _, ix := range idx {
-							acc.Add(ix, 1)
-						}
-						sinkVector = arm.take(acc)
+			b.Run(fmt.Sprintf("take/touched=%d/slots=%d", n, slots), func(b *testing.B) {
+				acc := NewDenseAccumulator(n * slots)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, ix := range idx {
+						acc.Add(ix, 1)
 					}
-				})
-			}
+					sinkVector = acc.Take()
+				}
+			})
 		}
 	}
 	const space = 1 << 16

@@ -347,10 +347,7 @@ func Sum(vs []Vector) Vector {
 			acc.Add(ix-lo, v.Val[k])
 		}
 	}
-	out := acc.Take()
-	for k := range out.Idx {
-		out.Idx[k] += lo
-	}
+	out := acc.TakeInto(Vector{}, lo)
 	// A scratch that Grow's doubling pushed past the cap is left to the
 	// collector instead of riding the pool for the life of the process.
 	if acc.Size() <= MaxDenseSpan {
