@@ -41,7 +41,7 @@ bench:
 
 # Kernel/index microbenchmarks distilled to JSON (cited from README.md and
 # DESIGN.md). BenchmarkExpand's nnz and hop/nnz rows are the evidence for the
-# merge and dense crossovers (mergeMaxFrontier) and its hop/share rows for the
+# one-row merge and the dense scratch (mergeMaxFrontier) and its hop/share rows for the
 # pull kernel's (pullEdgeGain, DESIGN.md "Expansion kernels");
 # internal/metapath's own BenchmarkExpand times the pull kernel's two bodies,
 # pull=rows against pull=flat per type pair and per mean row length, the
@@ -112,8 +112,9 @@ profile:
 # Short fuzzing passes over the three parsers, the sparse kernels (Dot, Sum
 # and the dense drain against their reference implementations), the four
 # expansion kernels against each other, the set-frontier propagation
-# (against the per-vertex sum) and the shard codec's two readers; regression
-# seeds always run as part of `make test`.
+# (against the per-vertex sum), the shard codec's two readers and the PM/SPM
+# index loader (against its own decode of the file); regression seeds always
+# run as part of `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/oql/
 	$(GO) test -fuzz=FuzzReadTSV -fuzztime=30s ./internal/hinio/
@@ -123,6 +124,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSetVector -fuzztime=30s ./internal/metapath/
 	$(GO) test -fuzz=FuzzReadRequest -fuzztime=30s ./internal/shardnet/
 	$(GO) test -fuzz=FuzzReadResponse -fuzztime=30s ./internal/shardnet/
+	$(GO) test -fuzz=FuzzLoadIndex -fuzztime=30s ./internal/core/
 
 # Regenerate every paper table and figure (EXPERIMENTS.md documents the
 # expected shapes). The paper-scale run:
@@ -142,8 +144,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19712
-CORE_LOC_CEILING = 5938
+LOC_CEILING = 19609
+CORE_LOC_CEILING = 5903
 DESIGN_LINES_CEILING = 997
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

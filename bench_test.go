@@ -315,15 +315,31 @@ func BenchmarkNeighborVector(b *testing.B) {
 			}
 		})
 	}
+	// The indexed strategies on a 4-hop path: two chunks, each combined from
+	// the index (SPM: Q1's vertices; the rest traversed).
+	p, err := netout.ParseMetaPath(f.graph.Schema(), "author.paper.author.paper.venue")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range []struct {
+		name string
+		mat  netout.Materializer
+	}{{"PM", f.pm}, {"SPM", f.spm["Q1"]}} {
+		b.Run(s.name+"/author.paper.author.paper.venue", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.mat.NeighborVector(p, hub); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkExpand compares the frontier-expansion kernels on one hop. The
 // nnz rows (author frontier → paper on the fixture graph) are the evidence
-// for the merge and dense crossovers: the merge path's head scan is linear in
-// the frontier size, so it only runs at the sizes the adaptive heuristic
-// would actually route to it; the hop/nnz rows repeat the smallest of them
-// over the scale-4 generator graph the serving benchmark uses, where a row is
-// 2.5, 1 or 291 entries long. The hop/share rows are the evidence for the
+// for the dense and map choice, with merge at the one row it scales; the
+// hop/nnz rows repeat that row over the scale-4 generator graph the serving
+// benchmark uses, where a row is 2.5, 1 or 291 entries long. The hop/share rows are the evidence for the
 // pull crossover (pullEdgeGain, DESIGN.md "Expansion kernels"): dense against
 // pull at a random 5, 10, 25, 50 and 100 % of the source type on the three
 // hops a whole-type scan walks, over the same graph. `make bench-json`
@@ -365,7 +381,7 @@ func BenchmarkExpand(b *testing.B) {
 	for _, size := range []int{1, 4, 32, 256, 2048} {
 		fr := frontier(f.graph, author, size, 11)
 		kernels := []netout.ExpandKernel{netout.KernelMap, netout.KernelDense}
-		if size <= 4 {
+		if size == 1 {
 			kernels = append(kernels, netout.KernelMerge)
 		} else {
 			kernels = append(kernels, netout.KernelPull)
@@ -385,11 +401,9 @@ func BenchmarkExpand(b *testing.B) {
 		from, _ := g.Schema().TypeByName(hop[0])
 		to, _ := g.Schema().TypeByName(hop[1])
 		name := fmt.Sprintf("hop=%s.%s", hop[0], hop[1])
-		for _, size := range []int{1, 2, 4} {
-			fr := frontier(g, from, size, 11)
-			for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelMerge} {
-				run(fmt.Sprintf("%s/nnz=%d", name, size), g, k, fr, to)
-			}
+		fr := frontier(g, from, 1, 11)
+		for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelMerge} {
+			run(name+"/nnz=1", g, k, fr, to)
 		}
 		for _, share := range []int{5, 10, 25, 50, 100} {
 			fr := frontier(g, from, (g.NumVerticesOfType(from)*share+99)/100, 11)

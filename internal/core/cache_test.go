@@ -434,6 +434,18 @@ func TestIndexLoadErrors(t *testing.T) {
 		"bad magic": []byte("XXXX0123456789"),
 		"truncated": good[:len(good)/2],
 	}
+	// A coordinate of another type than the path's target: Combine would
+	// scatter it outside the target's span.
+	apv, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	a, _ := g.Schema().TypeByName("author")
+	zoe, _ := g.VertexByName(a, "Zoe")
+	ix := newPathIndex(g)
+	ix.put(apv, zoe, sparse.Vector{Idx: []int32{int32(zoe)}, Val: []float64{1}})
+	var foreign bytes.Buffer
+	if err := SaveIndex(&indexedMaterializer{tr: metapath.NewTraverser(g), ix: ix, strategy: StrategyPM}, &foreign); err != nil {
+		t.Fatal(err)
+	}
+	cases["foreign coordinate"] = foreign.Bytes()
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := LoadIndex(g, bytes.NewReader(data)); err == nil {
@@ -444,7 +456,6 @@ func TestIndexLoadErrors(t *testing.T) {
 	// Graph mismatch.
 	g2 := fig1Graph(t)
 	b := hin.NewBuilder(g2.Schema())
-	a, _ := g2.Schema().TypeByName("author")
 	b.MustAddVertex(a, "Extra")
 	other := b.Build()
 	if _, err := LoadIndex(other, bytes.NewReader(good)); err == nil ||
@@ -511,8 +522,8 @@ func TestBuildIndexMatchesPerVertexTraversal(t *testing.T) {
 			ix := m.(*indexedMaterializer).ix
 			for _, p := range paths {
 				for _, v := range g.VerticesOfType(p.Source()) {
-					want, inRef := ref.get(p, v)
-					got, ok := ix.get(p, v)
+					want, inRef := ref.probe(ref.table(p), v)
+					got, ok := ix.probe(ix.table(p), v)
 					if ok != inRef || ok != tc.indexed(v) {
 						t.Fatalf("%s: %v from %d indexed=%v, reference %v", label, p, v, ok, inRef)
 					}

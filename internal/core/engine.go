@@ -408,6 +408,9 @@ func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
 	case *baseline:
 		return x.tr.KernelCounts(), true
 	case *indexedMaterializer:
+		if x.fill != nil {
+			return x.tr.KernelCounts().Add(x.fill.KernelCounts()), true
+		}
 		return x.tr.KernelCounts(), true
 	}
 	return metapath.KernelCounts{}, false

@@ -12,8 +12,8 @@ import (
 	"netout/internal/sparse"
 )
 
-// Explanations decompose a candidate's NetOut score coordinate by
-// coordinate. Under feature meta-path P,
+// Explanations decompose a candidate's NetOut score — Execute's, bit for bit
+// — coordinate by coordinate. Under feature meta-path P,
 //
 //	Ω(vi) = Φ(vi)·S / ‖Φ(vi)‖²  with  S = Σ_{vj∈Sr} Φ(vj),
 //
@@ -129,49 +129,42 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 		CacheMisses:      after.misses - before.misses,
 	})
 
+	// The scores are Execute's arithmetic, bit for bit: each path's Ω from its
+	// scorer, the paths combined by queryScorers.score. The contributions are
+	// their per-coordinate display, whose Ω parts sum to Ω up to rounding.
 	out := &Explanation{Vertex: target, Name: candidateName}
-	// Matches Execute's CombineAverage semantics: the combined score is
-	// renormalized by the summed weight of the paths that characterize the
-	// candidate, not by the total feature weight.
-	seenWeight := 0.0
+	out.Score, _ = scorers.score(phis)
 	for m, f := range q.Features {
 		phi, s := phis[m], scorers.perPath[m].s
 		pe := PathExplanation{
 			Path:       strings.Join(f.Segments, "."),
 			Weight:     f.Weight,
+			Score:      scorers.perPath[m].score(phi),
 			Visibility: phi.Norm2Sq(),
 		}
-		if pe.Visibility > 0 {
-			for k := range phi.Idx {
-				u := hin.VertexID(phi.Idx[k])
-				c := Contribution{
-					Neighbor:       u,
-					Name:           e.g.Name(u),
-					CandidateCount: phi.Val[k],
-					CandidateShare: phi.Val[k] * phi.Val[k] / pe.Visibility,
-					ReferenceCount: s.At(phi.Idx[k]),
-				}
-				c.Omega = c.CandidateCount * c.ReferenceCount / pe.Visibility
-				pe.Score += c.Omega
-				pe.Contributions = append(pe.Contributions, c)
+		for k := range phi.Idx { // none at zero visibility
+			u := hin.VertexID(phi.Idx[k])
+			c := Contribution{
+				Neighbor:       u,
+				Name:           e.g.Name(u),
+				CandidateCount: phi.Val[k],
+				CandidateShare: phi.Val[k] * phi.Val[k] / pe.Visibility,
+				ReferenceCount: s.At(phi.Idx[k]),
 			}
-			sort.Slice(pe.Contributions, func(a, b int) bool {
-				ca, cb := pe.Contributions[a], pe.Contributions[b]
-				if ca.CandidateShare != cb.CandidateShare {
-					return ca.CandidateShare > cb.CandidateShare
-				}
-				return ca.Neighbor < cb.Neighbor
-			})
-			if topN > 0 && len(pe.Contributions) > topN {
-				pe.Contributions = pe.Contributions[:topN]
+			c.Omega = c.CandidateCount * c.ReferenceCount / pe.Visibility
+			pe.Contributions = append(pe.Contributions, c)
+		}
+		sort.Slice(pe.Contributions, func(a, b int) bool {
+			ca, cb := pe.Contributions[a], pe.Contributions[b]
+			if ca.CandidateShare != cb.CandidateShare {
+				return ca.CandidateShare > cb.CandidateShare
 			}
-			out.Score += f.Weight * pe.Score
-			seenWeight += f.Weight
+			return ca.Neighbor < cb.Neighbor
+		})
+		if topN > 0 && len(pe.Contributions) > topN {
+			pe.Contributions = pe.Contributions[:topN]
 		}
 		out.Paths = append(out.Paths, pe)
-	}
-	if seenWeight > 0 {
-		out.Score /= seenWeight
 	}
 	tr.EndPhase("score", obs.SpanStats{})
 	out.Trace = tr.Finish()

@@ -345,7 +345,7 @@ func TestExplainTruncationAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(x.Paths[0].Contributions) != 0 || x.Score != 0 {
+	if len(x.Paths[0].Contributions) != 0 || x.Score != 0 || !math.IsNaN(x.Paths[0].Score) {
 		t.Fatalf("hermit explanation = %+v", x)
 	}
 	if !strings.Contains(x.Format(), "skipped") {
@@ -374,7 +374,7 @@ JUDGED BY author.paper.venue, author.paper.term : 2.0;`, anchor)
 				t.Logf("explain %q: %v", e.Name, err)
 				return false
 			}
-			if math.Abs(x.Score-e.Score) > 1e-9 {
+			if math.Float64bits(x.Score) != math.Float64bits(e.Score) {
 				t.Logf("%s: explain %g vs execute %g", e.Name, x.Score, e.Score)
 				return false
 			}

@@ -191,9 +191,10 @@ func allLength2Paths(s *hin.Schema) []metapath.Path {
 }
 
 // indexedMaterializer resolves arbitrary meta-paths against a (possibly
-// partial) length-2 index: the path is consumed two hops at a time, looking
-// up the indexed vector when present and traversing otherwise, exactly as
-// the decomposition identity of Section 6.2 prescribes:
+// partial) length-2 index: the path is consumed two hops at a time by the
+// decomposition identity of Section 6.2, which Traverser.Combine computes,
+// with the indexed vector of each frontier vertex when present and a
+// traversed one otherwise:
 //
 //	Φ_{P1 P2}(v) = Σ_j |π_P1(v, vj)| · Φ_P2(vj)
 type indexedMaterializer struct {
@@ -201,26 +202,9 @@ type indexedMaterializer struct {
 	ix       *pathIndex
 	strategy Strategy
 	stats    MatStats
-	// dense is the reusable chunk-combination scratch: when the graph's
-	// vertex-ID space is small enough it replaces a per-chunk map
-	// accumulator with hash-free scatters (same crossover cap as the
-	// traverser's dense kernel). acc is the map fallback.
-	dense sparse.DenseAccumulator
-	acc   *sparse.Accumulator
-}
-
-// chunkAcc returns the accumulator used to combine chunk vectors. Chunk
-// coordinates are raw vertex IDs, so the dense scratch is sized to the whole
-// graph's ID space when that fits under the cap.
-func (m *indexedMaterializer) chunkAcc(hint int) sparse.Acc {
-	if n := m.tr.Graph().NumVertices(); n <= sparse.MaxDenseSpan {
-		m.dense.Grow(n)
-		return &m.dense
-	}
-	if m.acc == nil {
-		m.acc = sparse.NewAccumulator(hint)
-	}
-	return m.acc
+	// fill traverses the chunk vectors the index lacks, created on the first
+	// miss: Combine holds tr's scratch while it asks for them.
+	fill *metapath.Traverser
 }
 
 func (m *indexedMaterializer) Strategy() Strategy { return m.strategy }
@@ -233,43 +217,21 @@ func (m *indexedMaterializer) NeighborVector(p metapath.Path, v hin.VertexID) (s
 	}
 	// Whole-path fast path: length-2 paths are looked up directly.
 	if p.Hops() == 2 {
-		if vec, ok := m.lookup(p, v); ok {
+		if vec, ok := m.probe(m.ix.table(p), v); ok {
 			return vec, nil
 		}
 		return m.traverseFrontier(p, 0, sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}), nil
 	}
-
 	frontier := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}
 	hop := 0
-	for p.Hops()-hop >= 2 {
-		chunk := metapath.MustNew(p.Type(hop), p.Type(hop+1), p.Type(hop+2))
-		// One key build + one map probe per chunk; the per-vertex probes
-		// below are then pure array loads.
-		tbl := m.ix.table(chunk)
-		next := m.chunkAcc(frontier.NNZ() * 4)
-		for i := range frontier.Idx {
-			u := hin.VertexID(frontier.Idx[i])
-			w := frontier.Val[i]
-			if vec, ok := m.probe(tbl, u); ok {
-				next.AddVector(vec, w)
-				continue
-			}
-			start := time.Now()
-			vec, err := m.tr.NeighborVector(chunk, u)
-			m.stats.TraversalTime += time.Since(start)
-			m.stats.TraversedVectors++
-			if err != nil {
-				return sparse.Vector{}, err
-			}
-			next.AddVector(vec, w)
-		}
-		frontier = next.Take()
-		hop += 2
-		if frontier.IsZero() {
-			return frontier, nil
+	for ; p.Hops()-hop >= 2; hop += 2 {
+		var err error
+		frontier, err = m.combine(metapath.MustNew(p.Type(hop), p.Type(hop+1), p.Type(hop+2)), frontier)
+		if err != nil || frontier.IsZero() {
+			return frontier, err
 		}
 	}
-	if p.Hops()-hop == 1 {
+	if hop < p.Hops() {
 		// Odd-length tail: a single network hop (Section 6.2: "even if the
 		// original meta-path is odd-length, we only need to traverse the
 		// network for a single hop").
@@ -281,8 +243,44 @@ func (m *indexedMaterializer) NeighborVector(p metapath.Path, v hin.VertexID) (s
 	return frontier, nil
 }
 
-func (m *indexedMaterializer) lookup(chunk metapath.Path, v hin.VertexID) (sparse.Vector, bool) {
-	return m.probe(m.ix.table(chunk), v)
+// combine advances frontier along the length-2 chunk through Combine. A
+// chunk whose counts reach 2⁵³, where Combine's sums stop being order-free,
+// is expanded hop by hop instead: the result is then Baseline's bit for bit
+// whatever the counts.
+func (m *indexedMaterializer) combine(chunk metapath.Path, frontier sparse.Vector) (sparse.Vector, error) {
+	// One key build + one map probe per chunk; the per-vertex probes are then
+	// pure array loads.
+	tbl := m.ix.table(chunk)
+	var err error
+	out, exact := m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
+		// probe's body, inlined: a call fewer per frontier vertex is ~5 % of a
+		// 4-hop PM vector (BenchmarkNeighborVector).
+		start := time.Now()
+		vec, ok := m.ix.probe(tbl, u)
+		m.stats.IndexedTime += time.Since(start)
+		if ok {
+			m.stats.IndexedVectors++
+			return vec
+		}
+		if m.fill == nil {
+			m.fill = metapath.NewTraverser(m.tr.Graph())
+		}
+		start = time.Now()
+		vec, e := m.fill.NeighborVector(chunk, u)
+		m.stats.TraversalTime += time.Since(start)
+		m.stats.TraversedVectors++
+		if e != nil {
+			err = e
+		}
+		return vec
+	}, chunk.Target())
+	switch {
+	case err != nil:
+		return sparse.Vector{}, err
+	case !exact:
+		return m.traverseFrontier(chunk, 0, frontier), nil
+	}
+	return out, nil
 }
 
 func (m *indexedMaterializer) probe(t *pathTable, v hin.VertexID) (sparse.Vector, bool) {

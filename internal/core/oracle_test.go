@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -277,14 +278,20 @@ func (o oracleResult) check(t *testing.T, label string, got *Result) {
 }
 
 // Every place a query's candidate ranges run — inline, local ranges, a remote
-// fleet — on a traversal-only and a caching materializer, cold and warm,
-// against the oracle: random schemas and multigraphs × {Sr ≡ Sc, COMPARED TO
-// a subset} × the three measures × one path or several.
+// fleet — on a traversal-only, a caching and both indexed materializers (PM,
+// and SPM over a random half of t0), cold and warm, against the oracle:
+// random schemas and multigraphs × {Sr ≡ Sc, COMPARED TO a subset} × the
+// three measures × one path or several.
 func TestExecutionMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomHIN(r, 5)
 		all := g.VerticesOfType(0)
+		// Drawn from a source of its own, so r draws the same fixtures as
+		// before the indexed materializers joined.
+		half := slices.Clone(all)
+		rand.New(rand.NewSource(-seed)).Shuffle(len(half), func(i, j int) { half[i], half[j] = half[j], half[i] })
+		half = half[:len(half)/2]
 		var subset []hin.VertexID
 		for _, v := range all {
 			if r.Intn(4) == 0 {
@@ -317,6 +324,8 @@ func TestExecutionMatchesOracle(t *testing.T) {
 							}
 							return m
 						},
+						"pm":  NewPM,
+						"spm": func(g *hin.Graph) Materializer { return NewSPMVertices(g, half) },
 					} {
 						for exName, opts := range map[string][]Option{
 							"inline": {WithMaterializer(newMat(g)), WithQueryParallelism(1)},

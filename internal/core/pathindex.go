@@ -78,12 +78,9 @@ func (ix *pathIndex) probe(t *pathTable, v hin.VertexID) (sparse.Vector, bool) {
 	}, true
 }
 
-// get is the one-shot probe (table + entry); loops should hoist table.
-func (ix *pathIndex) get(p metapath.Path, v hin.VertexID) (sparse.Vector, bool) {
-	return ix.probe(ix.tables[p.Key()], v)
-}
-
-// put stores Φ_p(v), copying the payload into the arena. Re-putting a
+// put stores Φ_p(v) for a vertex v of p's source type — buildIndex hands
+// vertices out by type, LoadIndex checks it — copying the payload into the
+// arena. A path's table is sized once, to that type's ID span. Re-putting a
 // vertex overwrites in place when the new payload fits; otherwise the new
 // payload is appended and the old span goes dead (dead bytes stay counted —
 // IndexBytes reports what the arena actually holds).
@@ -91,39 +88,16 @@ func (ix *pathIndex) put(p metapath.Path, v hin.VertexID, vec sparse.Vector) {
 	key := p.Key()
 	t := ix.tables[key]
 	if t == nil {
-		lo, hi, ok := ix.g.TypeIDSpan(p.Source())
-		if !ok {
-			lo, hi = v, v
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		lo, hi, _ := ix.g.TypeIDSpan(p.Source()) // the type has v
 		span := int(hi) - int(lo) + 1
-		t = &pathTable{path: p, lo: int32(lo), entries: newAbsentSpans(span)}
+		t = &pathTable{path: p, lo: int32(lo), entries: make([]vecSpan, span)}
+		for i := range t.entries {
+			t.entries[i].n = spanAbsent
+		}
 		ix.tables[key] = t
 		ix.bytes += int64(span)*vecSpanBytes + int64(len(key))
 	}
-	i := int64(v) - int64(t.lo)
-	if i < 0 {
-		// Vertex below the span base (only possible for indexes loaded
-		// against unusual graphs): rebase the table.
-		grow := -i
-		entries := newAbsentSpans(int(grow) + len(t.entries))
-		copy(entries[grow:], t.entries)
-		t.entries = entries
-		t.lo = int32(v)
-		ix.bytes += grow * vecSpanBytes
-		i = 0
-	}
-	if i >= int64(len(t.entries)) {
-		grow := i + 1 - int64(len(t.entries))
-		t.entries = append(t.entries, newAbsentSpans(int(grow))...)
-		ix.bytes += grow * vecSpanBytes
-	}
-	e := &t.entries[i]
+	e := &t.entries[v-hin.VertexID(t.lo)]
 	n := int32(vec.NNZ())
 	if e.n >= 0 && n <= e.n {
 		copy(ix.idx[e.off:], vec.Idx)
@@ -139,14 +113,6 @@ func (ix *pathIndex) put(p metapath.Path, v hin.VertexID, vec sparse.Vector) {
 	ix.idx = append(ix.idx, vec.Idx...)
 	ix.val = append(ix.val, vec.Val...)
 	ix.bytes += int64(n) * 12 // 4 B index + 8 B value per coordinate
-}
-
-func newAbsentSpans(n int) []vecSpan {
-	s := make([]vecSpan, n)
-	for i := range s {
-		s[i].n = spanAbsent
-	}
-	return s
 }
 
 // numPaths reports how many paths have at least one indexed vector.

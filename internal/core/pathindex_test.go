@@ -64,7 +64,7 @@ func TestPathIndexPutGet(t *testing.T) {
 	g, apa, authors := pathIndexGraph(t, 8)
 	ix := newPathIndex(g)
 
-	if _, ok := ix.get(apa, authors[0]); ok {
+	if _, ok := ix.probe(ix.table(apa), authors[0]); ok {
 		t.Fatal("empty index returned a vector")
 	}
 	if ix.table(apa) != nil {
@@ -99,7 +99,7 @@ func TestPathIndexPutGet(t *testing.T) {
 	}
 	// A vertex of the wrong type (the paper, whose ID is past the author
 	// span) misses rather than aliasing garbage.
-	if _, ok := ix.get(apa, hin.VertexID(len(authors))); ok {
+	if _, ok := ix.probe(tbl, hin.VertexID(len(authors))); ok {
 		t.Fatal("paper vertex resolved in an author table")
 	}
 
@@ -127,7 +127,7 @@ func TestPathIndexOverwrite(t *testing.T) {
 	if len(ix.idx) != arenaLen {
 		t.Fatalf("in-place overwrite grew the arena: %d -> %d", arenaLen, len(ix.idx))
 	}
-	if got, ok := ix.get(apa, v); !ok || !got.Equal(small) {
+	if got, ok := ix.probe(ix.table(apa), v); !ok || !got.Equal(small) {
 		t.Fatalf("after shrink overwrite: %v, %v", got, ok)
 	}
 
@@ -137,7 +137,7 @@ func TestPathIndexOverwrite(t *testing.T) {
 	if len(ix.idx) != arenaLen+bigger.NNZ() {
 		t.Fatalf("append overwrite arena length = %d, want %d", len(ix.idx), arenaLen+bigger.NNZ())
 	}
-	if got, ok := ix.get(apa, v); !ok || !got.Equal(bigger) {
+	if got, ok := ix.probe(ix.table(apa), v); !ok || !got.Equal(bigger) {
 		t.Fatalf("after grow overwrite: %v, %v", got, ok)
 	}
 	if tbl := ix.table(apa); tbl.count != 1 {

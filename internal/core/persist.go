@@ -189,9 +189,14 @@ func LoadIndex(g *hin.Graph, r io.Reader) (Materializer, error) {
 			if err := binary.Read(br, binary.LittleEndian, vec.Val); err != nil {
 				return nil, fmt.Errorf("core: reading values: %w", err)
 			}
-			for k := range vec.Idx {
-				if k > 0 && vec.Idx[k-1] >= vec.Idx[k] {
+			for k, u := range vec.Idx {
+				if k > 0 && vec.Idx[k-1] >= u {
 					return nil, fmt.Errorf("core: index vector for vertex %d not sorted", v)
+				}
+				// Traverser.Combine scatters a coordinate into its type's span.
+				if !g.Valid(hin.VertexID(u)) || g.Type(hin.VertexID(u)) != path.Target() {
+					return nil, fmt.Errorf("core: index vector for vertex %d has coordinate %d outside type %s",
+						v, u, g.Schema().TypeName(path.Target()))
 				}
 				if math.IsNaN(vec.Val[k]) || math.IsInf(vec.Val[k], 0) {
 					return nil, fmt.Errorf("core: index vector for vertex %d has non-finite value", v)

@@ -74,8 +74,7 @@ func TestResolveServesEveryEntryPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Explain sums Ω coordinate by coordinate, so it rounds differently.
-		if math.Abs(x.Score-top.Score) > 1e-9*top.Score {
+		if math.Float64bits(x.Score) != math.Float64bits(top.Score) {
 			t.Fatalf("%s: Explain(%s) = %v, Execute scored %v", tc.name, top.Name, x.Score, top.Score)
 		}
 		if tc.anchored {

@@ -13,8 +13,9 @@ import (
 // at every interior boundary, Σ_u Φ_P1(v)[u]·Φ_P2(u) is NeighborVector(P1·P2, v)
 // bit for bit and exact — counts on these graphs stay far below 2⁵³ — over
 // interleaved vertex IDs, multiplicities above 1, sources without a route
-// (an empty frontier) and waist vertices whose suffix vector is zero. A walk
-// through ExpandScratch, alternating slots, is the same vector too.
+// (an empty frontier) and waist vertices whose suffix vector is zero, into the
+// dense scratch and into the map one. A walk through ExpandScratch,
+// alternating slots, is the same vector too.
 func TestQuickCombineIsNeighborVector(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -28,7 +29,8 @@ func TestQuickCombineIsNeighborVector(t *testing.T) {
 			return true
 		}
 		v := src[r.Intn(len(src))]
-		tr, fill := NewTraverser(g), NewTraverser(g)
+		tr, fill, mapped := NewTraverser(g), NewTraverser(g), NewTraverser(g)
+		mapped.SetKernel(KernelMap) // Combine's branch for a span past MaxDenseSpan
 		want, err := tr.NeighborVector(p, v)
 		if err != nil {
 			return false
@@ -39,16 +41,18 @@ func TestQuickCombineIsNeighborVector(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, exact := tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
-				vec, err := fill.NeighborVector(suffix, u)
-				if err != nil {
-					t.Errorf("seed %d: suffix from %d: %v", seed, u, err)
+			for _, c := range []*Traverser{tr, mapped} {
+				got, exact := c.Combine(frontier, func(u hin.VertexID) sparse.Vector {
+					vec, err := fill.NeighborVector(suffix, u)
+					if err != nil {
+						t.Errorf("seed %d: suffix from %d: %v", seed, u, err)
+					}
+					return vec
+				}, p.Target())
+				if !exact || !sameBits(got, want) {
+					t.Logf("seed %d cut %d of %v from %d (%v): Combine = %v (exact=%v), want %v", seed, b, p, v, c.kernel, got, exact, want)
+					return false
 				}
-				return vec
-			}, p.Target())
-			if !exact || !sameBits(got, want) {
-				t.Logf("seed %d cut %d of %v from %d: Combine = %v (exact=%v), want %v", seed, b, p, v, got, exact, want)
-				return false
 			}
 		}
 		cur := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}

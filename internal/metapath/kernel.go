@@ -27,9 +27,9 @@ const (
 	// ID span, marking each slot it writes in a bitmap: hash-free adds, and a
 	// drain that walks the marked slots only, in ascending order.
 	KernelDense
-	// KernelMerge k-way-merges the already-sorted CSR adjacency rows
-	// directly into a sorted vector, touching no scratch at all: for one row
-	// a straight scale, which is all KernelAuto asks of it.
+	// KernelMerge scales the one already-sorted CSR adjacency row of a
+	// single-vertex frontier into a sorted vector, touching no scratch at all.
+	// Forced on a wider frontier it pushes instead, and counts what ran.
 	KernelMerge
 	// KernelPull gathers instead of scattering: the frontier is written once
 	// into a dense array over its own type's ID span, and every vertex of the
@@ -67,7 +67,8 @@ const (
 	// mergeMaxFrontier is the largest frontier NNZ the merge path accepts:
 	// in BenchmarkExpand's hop=/nnz= rows (BENCH_kernel.json) merge beats dense
 	// for one long row (venue→paper, 0.72 vs 1.33 µs), is level for one short
-	// row and for two rows, and 1.1–2.1× behind at four.
+	// row and was level for two rows and 1.1–2.1× behind at four before its
+	// k-way body went. expandMerge scales one row only.
 	mergeMaxFrontier = 1
 	// MaxDenseSpan is the largest target-type ID span (entries, 8 B each)
 	// the dense kernel will allocate scratch for.
@@ -371,73 +372,25 @@ func outVector(buf sparse.Vector, n int) sparse.Vector {
 	return sparse.Vector{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 }
 
-// mergeCursor is one frontier row being consumed by the merge path.
-type mergeCursor struct {
-	nbrs  []hin.VertexID
-	mults []int32
-	w     float64
-}
-
-// expandMerge k-way-merges the sorted CSR rows of the frontier vertices
-// straight into a sorted output vector: no scratch, no post-sort. The head
-// scan is linear in the number of rows, and from two rows on the dense
-// scratch is no dearer: KernelAuto only routes frontiers with NNZ ≤
-// mergeMaxFrontier here. The result is written into buf when it has room.
+// expandMerge scales the sorted CSR row of a frontier of at most
+// mergeMaxFrontier (one) vertex straight into a sorted output vector: no
+// scratch, no drain. The result is written into buf when it has room.
 func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID, buf sparse.Vector) sparse.Vector {
 	tr.counts.Merge++
-	cursors := tr.cursors[:0]
-	total := 0
-	for i := range frontier.Idx {
-		nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[i]), next)
-		if len(nbrs) == 0 {
-			continue
-		}
-		cursors = append(cursors, mergeCursor{nbrs, mults, frontier.Val[i]})
-		total += len(nbrs)
-	}
-	tr.cursors = cursors[:0] // keep the grown scratch
-	if len(cursors) == 0 {
+	if frontier.IsZero() {
 		return sparse.Vector{}
 	}
-	if len(cursors) == 1 {
-		// Single row: a straight scale of the adjacency row.
-		c := cursors[0]
-		out := outVector(buf, len(c.nbrs))
-		for j, u := range c.nbrs {
-			if x := float64(c.w * float64(c.mults[j])); x != 0 {
-				out.Idx = append(out.Idx, int32(u))
-				out.Val = append(out.Val, x)
-			}
-		}
-		return out
+	w := frontier.Val[0]
+	nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[0]), next)
+	if len(nbrs) == 0 {
+		return sparse.Vector{}
 	}
-	out := outVector(buf, total)
-	for {
-		best := -1
-		var bestID hin.VertexID
-		for ci := range cursors {
-			c := &cursors[ci]
-			if len(c.nbrs) == 0 {
-				continue
-			}
-			if best < 0 || c.nbrs[0] < bestID {
-				best, bestID = ci, c.nbrs[0]
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		var sum float64
-		for ci := range cursors {
-			c := &cursors[ci]
-			if len(c.nbrs) > 0 && c.nbrs[0] == bestID {
-				sum += float64(c.w * float64(c.mults[0]))
-				c.nbrs, c.mults = c.nbrs[1:], c.mults[1:]
-			}
-		}
-		if sum != 0 { // exact cancellation drops the coordinate, like the accumulators
-			out.Idx = append(out.Idx, int32(bestID))
-			out.Val = append(out.Val, sum)
+	out := outVector(buf, len(nbrs))
+	for j, u := range nbrs {
+		if x := float64(w * float64(mults[j])); x != 0 {
+			out.Idx = append(out.Idx, int32(u))
+			out.Val = append(out.Val, x)
 		}
 	}
+	return out
 }

@@ -146,6 +146,13 @@ func TestKernelHeuristic(t *testing.T) {
 	if c := tr.KernelCounts(); c.Dense != 1 || c.Pull != 1 {
 		t.Fatalf("forced pull on an unsorted then a sorted frontier: counts %+v, want one dense, one pull", c)
 	}
+	// Merge scales one row; forced on two it scatters.
+	tr.SetKernel(KernelMerge)
+	tr.Expand(front(2), dst)
+	tr.Expand(front(1), dst)
+	if c := tr.KernelCounts(); c.Dense != 2 || c.Merge != 1 {
+		t.Fatalf("forced merge on two rows then one: counts %+v, want a second dense and one merge", c)
+	}
 }
 
 // Once its scratch and hop buffers have grown, a dense hop allocates nothing

@@ -27,8 +27,6 @@ type Traverser struct {
 	// unitInto[t]: every edge into type t has multiplicity 1, whatever type
 	// it comes from (a frontier may mix types).
 	unitInto []bool
-	// cursors is the reusable row set for KernelMerge.
-	cursors []mergeCursor
 	// in is KernelPull's scratch, all zero between hops: the frontier scattered
 	// over its own type's ID span, grown lazily to the widest type pulled
 	// from. spare is where a pull gathers a result it will hand out fresh.
@@ -281,8 +279,8 @@ func (tr *Traverser) seedWalk(ctx context.Context, p Path, hops int, seed sparse
 
 // Expand advances a weighted frontier one hop to the given neighbor type:
 // out[u] = Σ_w frontier[w] · mult(w,u) over neighbors u of type next. The
-// expansion kernel is chosen per hop (tiny frontiers merge sorted CSR rows
-// directly; a frontier that is most of its type is gathered by the target
+// expansion kernel is chosen per hop (a one-vertex frontier scales its sorted
+// CSR row; a frontier that is most of its type is gathered by the target
 // type's rows; others scatter into a dense scratch; the map accumulator is
 // the fallback for huge sparse types). All kernels are bit-equal, so the
 // choice affects speed only, never the vector. Expand does not require the
@@ -309,9 +307,10 @@ func (tr *Traverser) ExpandScratch(frontier sparse.Vector, next hin.TypeID, slot
 // Combine returns Σ_i frontier.Val[i]·suffix(frontier.Idx[i]): Section 6.2's
 // decomposition Φ_{P1·P2}(v) = Σ_j |π_P1(v,vj)|·Φ_P2(vj), with frontier the
 // vector Φ_P1(v) and suffix(vj) the vector Φ_P2(vj), whose coordinates are
-// vertices of type target. The sums are scattered into the dense scratch the
-// dense kernel uses, offset by target's ID span; the result is freshly
-// allocated at the size of its non-zeros.
+// vertices of type target. The sums are scattered into the scratch the push
+// kernels use — the dense one offset by target's ID span, the map one past
+// MaxDenseSpan or when KernelMap is forced; the result is freshly allocated
+// at the size of its non-zeros. suffix must not use the traverser.
 //
 // exact reports that every coordinate of the result is below 2⁵³. All terms
 // are non-negative, so every product and partial sum is bounded by the
@@ -319,31 +318,37 @@ func (tr *Traverser) ExpandScratch(frontier sparse.Vector, next hin.TypeID, slot
 // and nothing was rounded — and walking P1·P2 hop by hop from v adds up the
 // same integers under the same bound, so the result is Float64bits-identical
 // to NeighborVector's (SeedVector's argument). Otherwise the vector must not
-// be used; exact is also false, nothing computed, when target's span is past
-// MaxDenseSpan.
+// be used.
 func (tr *Traverser) Combine(frontier sparse.Vector, suffix func(hin.VertexID) sparse.Vector, target hin.TypeID) (out sparse.Vector, exact bool) {
 	lo, hi, ok := tr.g.TypeIDSpan(target)
 	if !ok {
 		return sparse.Vector{}, true // no vertex of the target type: Φ is zero
 	}
-	if int64(hi)-int64(lo) >= MaxDenseSpan {
-		return sparse.Vector{}, false
-	}
-	acc, base := &tr.dense, int32(lo)
-	acc.Grow(int(hi) - int(lo) + 1)
-	for i, u := range frontier.Idx {
-		w, vec := frontier.Val[i], suffix(hin.VertexID(u))
-		for k, ix := range vec.Idx {
-			acc.Add(ix-base, w*vec.Val[k])
+	if tr.kernel == KernelMap || int64(hi)-int64(lo) >= MaxDenseSpan {
+		for i, u := range frontier.Idx {
+			w, vec := frontier.Val[i], suffix(hin.VertexID(u))
+			for k, ix := range vec.Idx {
+				tr.acc.Add(ix, w*vec.Val[k])
+			}
 		}
+		out = tr.acc.Take()
+	} else {
+		acc, base := &tr.dense, int32(lo)
+		acc.Grow(int(hi) - int(lo) + 1)
+		for i, u := range frontier.Idx {
+			w, vec := frontier.Val[i], suffix(hin.VertexID(u))
+			for k, ix := range vec.Idx {
+				acc.Add(ix-base, w*vec.Val[k])
+			}
+		}
+		out = acc.TakeInto(sparse.Vector{}, base)
 	}
-	out, exact = acc.TakeInto(sparse.Vector{}, base), true
 	for _, x := range out.Val {
 		if !(x < maxExactCount) { // an overflow to +Inf fails too
-			exact = false
+			return out, false
 		}
 	}
-	return out, exact
+	return out, true
 }
 
 // expandInto is Expand with a kernel of the caller's choice and an output
@@ -361,6 +366,9 @@ func (tr *Traverser) expandInto(k Kernel, frontier sparse.Vector, next hin.TypeI
 			return out
 		}
 		k = tr.pickPush(next)
+	}
+	if k == KernelMerge && frontier.NNZ() > mergeMaxFrontier {
+		k = tr.pickPush(next) // merge only scales one row
 	}
 	switch k {
 	case KernelMerge:

@@ -1,22 +1,5 @@
 package sparse
 
-// Acc is the contract every frontier accumulator satisfies: scatter adds in,
-// one sorted Vector out. The map-backed Accumulator and the DenseAccumulator
-// are interchangeable behind it (property-tested to emit identical vectors),
-// so hot paths can pick a kernel per hop.
-type Acc interface {
-	// Add adds x at coordinate i.
-	Add(i int32, x float64)
-	// AddVector adds w·v into the accumulator.
-	AddVector(v Vector, w float64)
-	// Len reports the number of touched coordinates.
-	Len() int
-	// Take drains the accumulator into a sorted Vector and resets it.
-	Take() Vector
-	// Reset clears the accumulator without producing a vector.
-	Reset()
-}
-
 // Accumulator gathers coordinate contributions and emits a sorted Vector.
 // It is the fallback scratch structure for meta-path traversal: unbounded
 // coordinate space, memory proportional to the touched set, one hash per
@@ -43,13 +26,6 @@ func NewAccumulator(hint int) *Accumulator {
 
 // Add adds x at coordinate i.
 func (acc *Accumulator) Add(i int32, x float64) { acc.m[i] += x }
-
-// AddVector adds w·v into the accumulator.
-func (acc *Accumulator) AddVector(v Vector, w float64) {
-	for i := range v.Idx {
-		acc.m[v.Idx[i]] += w * v.Val[i]
-	}
-}
 
 // Len reports the number of touched coordinates.
 func (acc *Accumulator) Len() int { return len(acc.m) }

@@ -3,10 +3,10 @@ package sparse
 import "math/bits"
 
 // MaxDenseSpan is the largest coordinate span (entries, 8 B each) any dense
-// scratch in the repository is sized for: the traverser's per-hop scratch,
-// the indexed materializer's chunk scratch and Sum's pooled scratch. Wider
-// coordinate spaces fall back to the map-backed Accumulator, so no scratch
-// ever pins more than ~32 MiB.
+// scratch in the repository is sized for: the traverser's per-hop and
+// combination scratch and Sum's pooled scratch. Wider coordinate spaces fall
+// back to the map-backed Accumulator, so no scratch ever pins more than
+// ~32 MiB.
 const MaxDenseSpan = 4 << 20
 
 // DenseAccumulator is the Gustavson-style scratch structure for frontier
@@ -58,13 +58,6 @@ func (acc *DenseAccumulator) Add(i int32, x float64) {
 	acc.mark[w] |= 1 << (uint(i) & 63)
 	acc.sum[w>>6] |= 1 << (w & 63)
 	acc.val[i] += x
-}
-
-// AddVector adds w·v into the accumulator.
-func (acc *DenseAccumulator) AddVector(v Vector, w float64) {
-	for k := range v.Idx {
-		acc.Add(v.Idx[k], w*v.Val[k])
-	}
 }
 
 // Len reports the number of marked coordinates: every one added to since the

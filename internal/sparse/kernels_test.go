@@ -38,7 +38,9 @@ func refDot(a, b Vector) float64 {
 func refSum(vs []Vector) Vector {
 	acc := NewAccumulator(0)
 	for _, v := range vs {
-		acc.AddVector(v, 1)
+		for k, ix := range v.Idx {
+			acc.Add(ix, v.Val[k])
+		}
 	}
 	return acc.Take()
 }

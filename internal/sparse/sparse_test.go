@@ -241,11 +241,6 @@ func TestAccumulator(t *testing.T) {
 	if acc.Len() != 0 {
 		t.Error("Take should reset")
 	}
-	acc.AddVector(v, 2)
-	got := acc.Take()
-	if !got.Equal(v.Scale(2)) {
-		t.Fatalf("AddVector = %v", got)
-	}
 	acc.Add(1, 1)
 	acc.Reset()
 	if !acc.Take().IsZero() {
@@ -274,10 +269,6 @@ func TestDenseAccumulator(t *testing.T) {
 	if acc.Len() != 0 || !acc.Take().IsZero() {
 		t.Error("Take should reset")
 	}
-	acc.AddVector(v, 2)
-	if got := acc.Take(); !got.Equal(v.Scale(2)) {
-		t.Fatalf("AddVector = %v", got)
-	}
 	// Exact cancellation drops the coordinate; re-adding after a cancel
 	// must not duplicate it.
 	acc.Add(3, 1)
@@ -294,12 +285,6 @@ func TestDenseAccumulator(t *testing.T) {
 		t.Error("Reset should clear")
 	}
 }
-
-// Both accumulators satisfy the shared kernel contract.
-var (
-	_ Acc = (*Accumulator)(nil)
-	_ Acc = (*DenseAccumulator)(nil)
-)
 
 func TestDenseAccumulatorGrow(t *testing.T) {
 	acc := NewDenseAccumulator(0)

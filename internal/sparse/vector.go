@@ -336,7 +336,9 @@ func Sum(vs []Vector) Vector {
 	if span > MaxDenseSpan {
 		acc := NewAccumulator(0)
 		for _, v := range vs {
-			acc.AddVector(v, 1)
+			for k, ix := range v.Idx {
+				acc.Add(ix, v.Val[k])
+			}
 		}
 		return acc.Take()
 	}
