@@ -183,7 +183,7 @@ func main() {
 	}
 
 	// Remote shard fleet: one lazy-dialing client per -shard-addrs entry.
-	// The clients are shared by the engine and every pool worker; transport
+	// The clients are shared by every query the engine runs; transport
 	// failures fold into the exact-prefix Partial contract downstream.
 	var remotes []netout.RemoteShard
 	for _, a := range strings.Split(*shardAddrs, ",") {

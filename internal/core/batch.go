@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"netout/internal/metapath"
 	"netout/internal/xerr"
@@ -61,10 +62,9 @@ type viewable interface {
 type BatchOptions struct {
 	// Workers is the pool size (default: GOMAXPROCS, at most one per query).
 	Workers int
-	// Context, if set, cancels the whole batch: dispatch stops at the next
-	// query, in-flight queries abort at per-vertex granularity, and entries
-	// never dispatched report ctx.Err(). nil means the batch runs to
-	// completion.
+	// Context, if set, cancels the whole batch: in-flight queries abort at
+	// per-vertex granularity, and entries not yet started report ctx.Err().
+	// nil means the batch runs to completion.
 	Context context.Context
 }
 
@@ -76,9 +76,9 @@ type BatchResult struct {
 }
 
 // ExecuteBatch runs the queries in parallel on eng, from opts.Workers
-// goroutines, and returns per-query results in input order. Individual query
-// failures are reported per entry, not as a global error; the global error
-// covers setup problems only.
+// goroutines that each claim the next unstarted index, and returns per-query
+// results in input order. Individual query failures are reported per entry,
+// not as a global error; the global error covers setup problems only.
 func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -96,33 +96,23 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 		ctx = context.Background()
 	}
 	results := make([]BatchResult, len(queries))
-	jobs := make(chan int)
+	var next atomic.Int64 // the next index to claim
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for range workers {
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for i := int(next.Add(1) - 1); i < len(queries); i = int(next.Add(1) - 1) {
+				// Once the caller is gone, what is left is marked, not run.
+				if err := ctx.Err(); err != nil {
+					results[i] = BatchResult{Index: i, Err: err}
+					continue
+				}
 				res, err := eng.executeIsolated(ctx, queries[i], nil, ranges)
 				results[i] = BatchResult{Index: i, Result: res, Err: err}
 			}
 		}()
 	}
-dispatch:
-	for i := range queries {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// The caller is gone: stop feeding workers and mark everything
-			// not yet dispatched. Indices i.. are never sent, so these
-			// writes cannot race a worker's.
-			for j := i; j < len(queries); j++ {
-				results[j] = BatchResult{Index: j, Err: ctx.Err()}
-			}
-			break dispatch
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	return results, nil
 }
@@ -142,10 +132,10 @@ func (e *Engine) pooled() (ranges int, err error) {
 	return max(e.parallelism, 1), nil
 }
 
-// executeIsolated is execute behind a pool worker's panic isolation: a
-// panicking query becomes that query's *PanicError and the worker moves on,
-// so one hostile query neither kills the process, strands its caller nor
-// shrinks the pool.
+// executeIsolated is execute behind a pool's panic isolation: a panicking
+// query becomes that query's *PanicError on the goroutine that ran it — a
+// ServePool caller's or a batch goroutine's — so one hostile query neither
+// kills the process nor holds on to a pool's run token.
 func (e *Engine) executeIsolated(ctx context.Context, src string, cc *compiledCache, ranges int) (res *Result, err error) {
 	defer recoverAsError(&err)
 	return e.execute(ctx, src, cc, ranges)

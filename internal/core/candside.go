@@ -244,7 +244,7 @@ const maxVisBytes = 64 << 20
 // visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
 // traversals have computed: one visPath per feature path, created on first
 // use. The root baseline owns it and every NewView shares it, so a query's
-// local ranges, a shard server's view pool and a ServePool's engines fill and
+// local ranges, a shard server's view pool and a ServePool's queries fill and
 // read the same tables. When a new path's table would push the total past
 // limit, whole tables go, oldest first; a reader holding an evicted table
 // keeps a consistent one for the rest of its query.

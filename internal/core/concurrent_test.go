@@ -150,15 +150,7 @@ func TestPoolsLeaveTheEngineAsTheyFoundIt(t *testing.T) {
 				}
 			}
 
-			// Close and ExecuteBatch return once their workers are past their last
-			// statement; the runtime reaps them a moment later.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				runtime.Gosched()
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Fatalf("%d goroutines after Close, %d before the pool", n, before)
-			}
+			noGoroutineLeak(t, before)
 			if eng.QueryParallelism() != parallelism {
 				t.Fatalf("QueryParallelism = %d after the pools, configured %d", eng.QueryParallelism(), parallelism)
 			}
@@ -174,4 +166,43 @@ func TestPoolsLeaveTheEngineAsTheyFoundIt(t *testing.T) {
 			}
 		})
 	}
+}
+
+// noGoroutineLeak fails t unless the goroutine count settles back to before:
+// Close and ExecuteBatch return once their goroutines are past their last
+// statement, and the runtime reaps them a moment later. It reports with
+// Errorf, so a deferred call still runs its check after a failed test.
+func noGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Close, %d before", n, before)
+	}
+}
+
+// A pool is a gate, not a set of goroutines: building one with eight tokens,
+// serving a query through it and closing it each leave the goroutine count
+// where it was.
+func TestServePoolStartsNoGoroutines(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(29)))
+	eng := NewEngine(g)
+	before := runtime.NumGoroutine()
+	pool, err := NewServePool(eng, ServeOptions{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewServePool: %d goroutines, %d before", n, before)
+	}
+	if _, err := pool.Execute(context.Background(), concurrencyQueries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("after a served query: %d goroutines, %d before", n, before)
+	}
+	pool.Close()
+	noGoroutineLeak(t, before)
 }

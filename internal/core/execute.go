@@ -161,9 +161,10 @@ func scoreRange(ctx context.Context, cs *candidateSide, mat Materializer, lo, hi
 var candBufs = sync.Pool{New: func() any { return new(candBuf) }}
 
 // fanOut splits vs into n contiguous ranges (hin.PartitionVertices) and runs
-// fn on the bounds of each: inline when n is 1, otherwise one goroutine per
-// range, all joined before it returns. fn must recover its own panics — one
-// that escaped a goroutine would kill the process.
+// fn on the bounds of each: the last on the calling goroutine — so n = 1 is
+// inline — and every other on a goroutine of its own, all joined before it
+// returns. fn must recover its own panics — one that escaped a goroutine would
+// kill the process.
 func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
 	if n <= 1 {
 		fn(0, 0, len(vs))
@@ -171,7 +172,7 @@ func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	lo := 0
-	for i, r := range hin.PartitionVertices(vs, n) {
+	for i, r := range hin.PartitionVertices(vs, n)[:n-1] {
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
@@ -179,6 +180,7 @@ func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
 		}(i, lo, lo+len(r))
 		lo += len(r)
 	}
+	fn(n-1, lo, len(vs))
 	wg.Wait()
 }
 

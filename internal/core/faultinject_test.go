@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -123,6 +124,7 @@ func TestServePoolWorkerPanicIsolation(t *testing.T) {
 			g := randomBibGraph(rand.New(rand.NewSource(7)))
 			fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected serve fault")}
 			reg := obs.NewRegistry()
+			defer noGoroutineLeak(t, runtime.NumGoroutine())
 			pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -191,6 +193,7 @@ func TestServePoolOverloadSheds(t *testing.T) {
 		<-gate // stall every load until the gate opens
 	}}
 	reg := obs.NewRegistry()
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1, MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +266,8 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 
 	// Load 1..faultRefs is the reference side, the next load the first
 	// candidate; stalling the one after past the deadline leaves a non-empty
-	// candidate prefix, which the worker turns into a partial result that
-	// the caller collects within the pool's grace.
+	// candidate prefix, which the engine turns into the partial result
+	// Execute returns.
 	var loads atomic.Int64
 	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
 		if loads.Add(1) == faultRefs+2 {
@@ -272,13 +275,13 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 		}
 	}}
 	reg := obs.NewRegistry()
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{
 		Workers: 1, DefaultTimeout: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.grace = 5 * time.Second
 	defer pool.Close()
 
 	res, err := pool.Execute(context.Background(), faultRefQuery)
@@ -698,6 +701,7 @@ func TestRegisterMaterializerMetricsIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	before := runtime.NumGoroutine()
 	pool, err := NewServePool(eng, ServeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -706,6 +710,7 @@ func TestRegisterMaterializerMetricsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Close()
+	noGoroutineLeak(t, before)
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)

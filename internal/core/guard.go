@@ -10,15 +10,12 @@ import (
 )
 
 // Panic isolation for the serving layers. A production pool serving analyst
-// traffic cannot let one hostile query take the process down — or, more
-// subtly, strand its caller: a ServePool worker that panics before writing
-// job.done leaves the caller blocked forever on a background context, and a
-// dead worker silently shrinks pool capacity for everyone else. Every worker
-// goroutine (ServePool workers, ExecuteBatch workers, a query's candidate
-// ranges) therefore converts panics into *PanicError replies at its
-// unit-of-work boundary and keeps running.
+// traffic cannot let one hostile query take the process down. Every goroutine
+// that runs a unit of work (a ServePool caller's query, an ExecuteBatch
+// goroutine's, a query's candidate ranges) therefore converts panics into
+// *PanicError replies at its unit-of-work boundary and keeps running.
 
-// PanicError is a panic recovered by a serving-layer worker and converted
+// PanicError is a panic recovered by the serving layers and converted
 // into a per-query (or per-range) error. Value is the original panic value;
 // Stack is the goroutine stack captured at the recovery point, preserved so
 // the bug stays debuggable after isolation.
@@ -51,7 +48,7 @@ func newPanicError(v any) *PanicError {
 	return &PanicError{Value: v, Stack: string(debug.Stack())}
 }
 
-// IsPanicError reports whether err wraps a recovered worker panic.
+// IsPanicError reports whether err wraps a recovered panic.
 func IsPanicError(err error) bool {
 	var pe *PanicError
 	return errors.As(err, &pe)

@@ -116,7 +116,7 @@ func (st ShardRefState) scorer(m Measure) *refScorer {
 // Call executes one shard request against the remote process and returns
 // its reply; implementations own connection management, retry/backoff and
 // deadline propagation (internal/shardnet.Client). Call must be
-// safe for concurrent use — one client serves every ServePool worker — and
+// safe for concurrent use — one client serves every query a ServePool runs — and
 // should return an error only for transport-level faults (the remote
 // expressing a failure returns a response with Err/Code/Kind set instead).
 type RemoteShard interface {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,6 +34,7 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +89,7 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 
 func TestServePoolContextAndClose(t *testing.T) {
 	g := fig1Graph(t)
+	before := runtime.NumGoroutine()
 	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +121,7 @@ func TestServePoolContextAndClose(t *testing.T) {
 
 	pool.Close()
 	pool.Close() // idempotent
+	noGoroutineLeak(t, before)
 	if _, err := pool.Execute(context.Background(), src); err == nil {
 		t.Fatal("Execute after Close should fail")
 	}
@@ -126,6 +130,7 @@ func TestServePoolContextAndClose(t *testing.T) {
 func TestServePoolDefaultsAndErrors(t *testing.T) {
 	g := fig1Graph(t)
 	// Default worker count and baseline materializer.
+	before := runtime.NumGoroutine()
 	pool, err := NewServePool(NewEngine(g), ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +139,7 @@ func TestServePoolDefaultsAndErrors(t *testing.T) {
 		t.Fatalf("default pool: %v", err)
 	}
 	pool.Close()
+	noGoroutineLeak(t, before)
 
 	// A materializer that cannot be viewed is a setup error.
 	if _, err := NewServePool(NewEngine(g, WithMaterializer(badMaterializer{})), ServeOptions{}); err == nil {

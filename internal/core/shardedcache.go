@@ -13,7 +13,7 @@ import (
 
 // The cached materializer's state is sharded so that a query-serving
 // workload (ExecuteBatch, ServePool) can share one warm cache across all
-// workers: the map/LRU bookkeeping is split over cacheShardCount
+// concurrent queries: the map/LRU bookkeeping is split over cacheShardCount
 // mutex-guarded shards keyed by a hash of the cache key, all counters are
 // atomic, and concurrent misses on the same (path, vertex) are coalesced by
 // a singleflight group so the network is traversed once, not once per

@@ -31,7 +31,9 @@ func newTopSelector(k int) *topSelector {
 	}
 	s := &topSelector{k: k}
 	if k > 0 {
-		s.entries = make([]Entry, 0, k)
+		// The heap grows with what is pushed: a TOP far past |Sc| reserves
+		// nothing it will not fill.
+		s.entries = make([]Entry, 0, min(k, parallelChunk))
 	}
 	return s
 }
@@ -62,59 +64,22 @@ func (s *topSelector) ranked() []Entry {
 	return s.entries
 }
 
-// mergeRanked is the deterministic k-way merge of a query's candidate
-// ranges: lists are per-range rankings, each ascending under entryBefore,
-// and the result is the global top k in that same order. It uses the exact
-// total order ranked() sorts by — ascending score, vertex ID tie-break —
-// and candidates are unique across ranges (they are disjoint), so the
-// order is strict and the output is identical to pushing every entry
-// through one topSelector and ranking, duplicated scores included. k <= 0
-// merges everything.
+// mergeRanked is the deterministic merge of a query's candidate ranges:
+// lists are per-range rankings, and the result is the global top k under
+// entryBefore — literally what one selector over all candidates keeps, since
+// every member of the global top k is in its own range's top k. k <= 0 merges
+// everything; an empty merge is nil.
 func mergeRanked(lists [][]Entry, k int) []Entry {
-	var heads [][]Entry
-	total := 0
+	sel := newTopSelector(k)
 	for _, l := range lists {
-		if len(l) > 0 {
-			heads = append(heads, l)
-			total += len(l)
+		for _, e := range l {
+			sel.push(e)
 		}
 	}
-	if k <= 0 || k > total {
-		k = total
-	}
-	if k == 0 {
+	if len(sel.entries) == 0 {
 		return nil
 	}
-	// Index-free min-heap over the lists, keyed by each list's current head.
-	down := func(i int) {
-		for {
-			least := i
-			if l := 2*i + 1; l < len(heads) && entryBefore(heads[l][0], heads[least][0]) {
-				least = l
-			}
-			if r := 2*i + 2; r < len(heads) && entryBefore(heads[r][0], heads[least][0]) {
-				least = r
-			}
-			if least == i {
-				return
-			}
-			heads[i], heads[least] = heads[least], heads[i]
-			i = least
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	out := make([]Entry, 0, k)
-	for len(out) < k {
-		out = append(out, heads[0][0])
-		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		down(0)
-	}
-	return out
+	return sel.ranked()
 }
 
 // up restores the max-heap property from leaf i toward the root (a parent

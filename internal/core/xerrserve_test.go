@@ -8,9 +8,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
@@ -23,11 +25,13 @@ import (
 // anonymous error that the HTTP layer would misclassify as a 400.
 func TestServePoolClosedTyped(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(41)))
+	before := runtime.NumGoroutine()
 	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Close()
+	noGoroutineLeak(t, before)
 	res, err := pool.Execute(context.Background(), faultQuery)
 	if res != nil {
 		t.Fatalf("res = %+v, want nil from a closed pool", res)
@@ -74,6 +78,7 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 		}
 	}}
 	reg := obs.NewRegistry()
+	before := runtime.NumGoroutine()
 	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +91,7 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 		t.Fatalf("CodeOf = %s, want CANCELED", xerr.CodeOf(err))
 	}
 	pool.Close() // joins the worker, so the accounting below is settled
+	noGoroutineLeak(t, before)
 	st := pool.Stats()
 	if st.Failed != 1 || st.Canceled != 1 || st.Timeouts != 0 {
 		t.Fatalf("stats = %+v, want Failed=1 Canceled=1 Timeouts=0", st)
@@ -105,6 +111,7 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 // ID is honored verbatim.
 func TestServePoolRequestIDThreading(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(47)))
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +143,7 @@ func TestServePoolPanicRequestIDLocatesStack(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(53)))
 	fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected rid fault")}
 	slow := obs.NewSlowLog(4)
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithEventSink(slow)), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -204,5 +212,45 @@ func TestEngineErrorCodes(t *testing.T) {
 		if got := xerr.CodeOf(err); got != tc.code {
 			t.Errorf("%s: code = %s, want %s", tc.src, got, tc.code)
 		}
+	}
+}
+
+// A query whose deadline ends while it waits for a run token was admitted and
+// failed: it counts as a timeout like one that expired running, so
+// netout_serve_timeouts_total sees a pool too slow for its callers' budgets.
+func TestServePoolQueueExpiryIsATimeout(t *testing.T) {
+	g := randomBibGraph(rand.New(rand.NewSource(61)))
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var once atomic.Bool
+	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+		if once.CompareAndSwap(false, true) {
+			close(entered)
+			<-gate // hold the only token
+		}
+	}}
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm)), ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	held := make(chan error, 1)
+	go func() {
+		_, err := pool.Execute(context.Background(), faultQuery)
+		held <- err
+	}()
+	<-entered
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := pool.Execute(ctx, faultQuery)
+	close(gate)
+	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued past its deadline: got (%v, %v), want DEADLINE_EXCEEDED", res, err)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("token holder: %v", err)
+	}
+	if st := pool.Stats(); st.Served != 1 || st.Failed != 1 || st.Timeouts != 1 {
+		t.Fatalf("stats = %+v, want Served=1 Failed=1 Timeouts=1", st)
 	}
 }

@@ -75,7 +75,7 @@ type Event struct {
 	Measure     string `json:"measure,omitempty"`
 	Strategy    string `json:"strategy,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
-	// QueueWaitUs is the time the query waited for a free ServePool worker
+	// QueueWaitUs is the time the query waited for a ServePool run token
 	// (0 outside a pool).
 	QueueWaitUs int64 `json:"queue_wait_us,omitempty"`
 	// TotalUs is the query's wall time; Phases is the per-phase breakdown
@@ -357,9 +357,8 @@ func CombineSinks(sinks ...EventSink) EventSink {
 type qwCtxKey struct{}
 
 // WithQueueWait returns a context annotated with the time the query spent
-// queued before a worker picked it up. The ServePool sets it so the
-// engine-emitted wide event can report the wait; it has no effect on
-// execution.
+// waiting for a run token. The ServePool sets it so the engine-emitted wide
+// event can report the wait; it has no effect on execution.
 func WithQueueWait(ctx context.Context, d time.Duration) context.Context {
 	if d <= 0 {
 		return ctx

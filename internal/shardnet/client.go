@@ -32,17 +32,16 @@ const (
 	// no deadline of its own — the client's backstop against a hung shard.
 	defaultCallTimeout = 30 * time.Second
 	// defaultDrainGrace extends the connection read deadline past the
-	// query's deadline, mirroring core.ServePool's grace: a shard observing
-	// the expired deadline replies promptly with its exact prefix, and this
-	// window lets that degraded reply land instead of being severed
-	// mid-flight.
+	// query's deadline: a shard observing the expired deadline replies
+	// promptly with its exact prefix, and this window lets that degraded
+	// reply land instead of being severed mid-flight.
 	defaultDrainGrace = 250 * time.Millisecond
 )
 
 // Client is a coordinator-side remote shard: it implements core.RemoteShard
 // over the shardnet codec with connection pooling, bounded retry with
 // exponential backoff, and deadline propagation. Safe for concurrent use —
-// every ServePool worker shares one Client per shard.
+// every query a ServePool runs shares one Client per shard.
 type Client struct {
 	addr string
 	// obs, if set, receives per-shard RPC metrics (attempt counts by outcome,

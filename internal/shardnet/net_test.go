@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -110,6 +111,21 @@ func closeFleet(servers []*Server, clients []*Client) {
 	}
 }
 
+// noGoroutineLeak fails t unless the goroutine count settles back to before
+// once the test's servers are closed: Close joins its connection handlers, and
+// the runtime reaps them (and the returning Serve loop) a moment later. Every
+// test that closes a Server defers it first, so it runs last.
+func noGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Close, %d before", n, before)
+	}
+}
+
 func bitIdentical(a, b *core.Result) bool {
 	if len(a.Entries) != len(b.Entries) || len(a.Skipped) != len(b.Skipped) {
 		return false
@@ -144,6 +160,7 @@ func minimalRequest(shard int) *core.ShardRequest {
 // reply all crossing real TCP — is bit-identical to unsharded execution
 // for every measure and combination, and both sides' metrics register.
 func TestNetworkShardsBitIdentical(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	serverReg, clientReg := obs.NewRegistry(), obs.NewRegistry()
 	queries := []string{
@@ -205,6 +222,7 @@ func TestNetworkShardsBitIdentical(t *testing.T) {
 // severing its connections and listener, exactly what a process death does
 // to the coordinator — and the query must degrade, not fail.
 func TestNetworkShardKilledMidQueryDegradesToExactPrefix(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	want, err := core.NewEngine(g, core.WithMeasure(core.MeasureNetOut)).Execute(netQuery)
 	if err != nil {
@@ -291,6 +309,7 @@ func TestNetworkShardKilledMidQueryDegradesToExactPrefix(t *testing.T) {
 // with a typed INTERNAL skew error naming the shard's address — end to end
 // over TCP, the mixed-revision-fleet scenario.
 func TestNetworkForgedVersionSkewFailsQuery(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	remotes, servers, clients := fleetOf(t, g, 2, nil)
 	defer closeFleet(servers, clients)
@@ -314,6 +333,7 @@ func TestNetworkForgedVersionSkewFailsQuery(t *testing.T) {
 // request is shed with a well-formed RESOURCE_EXHAUSTED reply (not a
 // dropped connection), and the shed counter registers.
 func TestNetworkAdmissionShed(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	reg := obs.NewRegistry()
 	srv, addr := startShard(t, g, ServerOptions{Workers: 1, Queue: 1, Obs: reg})
@@ -444,6 +464,7 @@ func TestClientContextInterrupt(t *testing.T) {
 // query degrades to the survivors' exact prefix, and nothing hangs past the
 // drain grace.
 func TestNetworkDeadlinePropagation(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	want, err := core.NewEngine(g, core.WithMeasure(core.MeasureNetOut)).Execute(netQuery)
 	if err != nil {
@@ -502,6 +523,7 @@ func TestNetworkDeadlinePropagation(t *testing.T) {
 // queries — the idle pool re-reads from the SAME buffered reader, so any
 // read-ahead loss would corrupt the second query's frames.
 func TestConnectionReuseAcrossQueries(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	remotes, servers, clients := fleetOf(t, g, 2, nil)
 	defer closeFleet(servers, clients)
@@ -526,6 +548,7 @@ func TestConnectionReuseAcrossQueries(t *testing.T) {
 // the coordinator: a shard that cannot walk the path must not fold into a
 // Partial, let alone answer "every candidate skipped".
 func TestNetworkForeignPathFailsQuery(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	s := hin.MustSchema("author", "paper")
 	a, _ := s.TypeByName("author")
@@ -554,6 +577,7 @@ func TestNetworkForeignPathFailsQuery(t *testing.T) {
 // answered DEADLINE_EXCEEDED, nothing done, while A is still running — it
 // used to wait for A, then run its whole budget for a coordinator long gone.
 func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	srv, addr := startShard(t, g, ServerOptions{Workers: 1, Queue: 1})
 	defer srv.Close()
@@ -604,5 +628,34 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 	close(release)
 	if a := <-held; a.err != nil || a.resp.Err != "" {
 		t.Fatalf("A = %+v, %v; want a clean reply after B's expiry", a.resp, a.err)
+	}
+}
+
+// A Server closed before its Serve loop recorded the listener still stops:
+// Serve closes the listener itself instead of blocking in Accept forever, the
+// goroutine a caller's `go srv.Serve(lis)` would otherwise leak.
+func TestServeAfterCloseReturns(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	g := testGraph(t)
+	srv, err := NewServer(g, core.NewBaseline(g), ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(lis) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		lis.Close()
+		<-done
+		t.Fatal("Serve after Close blocked in Accept")
 	}
 }

@@ -103,6 +103,12 @@ func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	s.lis = lis
 	s.mu.Unlock()
+	if s.closed.Load() {
+		// Close ran before lis was recorded and could not close it; Accept
+		// would block forever.
+		lis.Close()
+		return nil
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {

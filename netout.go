@@ -403,10 +403,11 @@ type (
 	BatchResult  = core.BatchResult
 )
 
-// ExecuteBatch runs queries in parallel on eng, from opts.Workers goroutines:
-// an Engine is safe for concurrent use, each query borrowing the materializer
-// handles it runs on — PM/SPM indexes read-only, cached materializers warm, so
-// one worker's traversal is every other worker's cache hit.
+// ExecuteBatch runs queries in parallel on eng, from opts.Workers goroutines
+// that each claim the next unstarted query: an Engine is safe for concurrent
+// use, each query borrowing the materializer handles it runs on — PM/SPM
+// indexes read-only, cached materializers warm, so one query's traversal is
+// every other query's cache hit.
 func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
 	return core.ExecuteBatch(eng, queries, opts)
 }
@@ -418,19 +419,21 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 // concurrency contract.
 func NewMaterializerView(m Materializer) (Materializer, error) { return core.NewView(m) }
 
-// Serving (a resident worker pool for online query traffic, sharing one
-// materializer across workers — the concurrent complement to ExecuteBatch).
+// Serving (an admission gate for online query traffic in front of one engine
+// — the concurrent complement to ExecuteBatch).
 type (
 	ServePool    = core.ServePool
 	ServeOptions = core.ServeOptions
 	ServeStats   = core.ServeStats
 )
 
-// NewServePool starts a bounded worker pool that accepts queries from any
-// number of goroutines via ServePool.Execute. Its workers execute on eng
-// itself — configure measure, materializer, shards, registry and sinks there,
-// once — and ServeOptions holds only the pool's own size, queue bound and
-// default deadline. Close the pool to release its workers.
+// NewServePool builds an admission gate that accepts queries from any number
+// of goroutines via ServePool.Execute and starts no goroutine of its own: each
+// query runs on its caller's goroutine, on eng itself, once it holds one of
+// Workers run tokens — configure measure, materializer, shards, registry and
+// sinks on eng, once — and ServeOptions holds only the pool's run-token count,
+// queue bound and default deadline. Close stops admitting and waits for the
+// queries already admitted.
 func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
 	return core.NewServePool(eng, opts)
 }
@@ -449,7 +452,7 @@ var ErrOverloaded = core.ErrOverloaded
 // (code CodeUnavailable, HTTP 503).
 var ErrPoolClosed = core.ErrPoolClosed
 
-// PanicError is a panic recovered by a serving-layer worker and converted
+// PanicError is a panic recovered by the serving layers and converted
 // into a per-query error, with the stack captured at the panic site.
 type PanicError = core.PanicError
 
