@@ -144,8 +144,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19534
-CORE_LOC_CEILING = 5821
+LOC_CEILING = 19650
+CORE_LOC_CEILING = 5836
 DESIGN_LINES_CEILING = 995
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

@@ -187,9 +187,9 @@ func (cs *candidateSide) pathOmega(ctx context.Context, sm setMaterializer, m, i
 	if err != nil {
 		return 0, err
 	}
-	vis := phi.Norm2Sq()
+	dot, vis := cs.scorers.perPath[m].dir.DotNorm(phi)
 	tbl.put(v, vis)
-	return netOut(phi.Dot(cs.scorers.perPath[m].s), vis), nil
+	return netOut(dot, vis), nil
 }
 
 // score combines what load left in buf into buf.scores and buf.ok.

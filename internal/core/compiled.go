@@ -89,7 +89,7 @@ func (cq *compiledQuery) labels() (compiled, refSide string) {
 // size is what a complete entry is charged: the key, an estimate of the AST
 // parsed from it (four times the text: a node and a string header per name),
 // the rendering, 4 bytes per set member — once when Sr is Sc — and the
-// scorers' vectors.
+// scorers' vectors and directories.
 func (cq *compiledQuery) size() int64 {
 	n := compiledEntryOverhead + 5*int64(len(cq.key)) + int64(len(cq.text)) + 4*int64(len(cq.cands))
 	if cq.q.ComparedTo != nil {
@@ -98,14 +98,15 @@ func (cq *compiledQuery) size() int64 {
 	return n + cq.scorers.bytes()
 }
 
-// bytes is the payload of the scorers' vectors (0 for nil).
+// bytes is the payload of the scorers' vectors and S's directories (0 for
+// nil).
 func (qs *queryScorers) bytes() int64 {
 	if qs == nil {
 		return 0
 	}
 	var n int64
 	add := func(rs *refScorer) {
-		n += int64(rs.s.Bytes()) + 8*int64(len(rs.refVis))
+		n += int64(rs.s.Bytes()+rs.dir.Bytes()) + 8*int64(len(rs.refVis))
 		for _, r := range rs.refs {
 			n += int64(r.Bytes()) + 2*24
 		}

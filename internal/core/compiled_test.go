@@ -223,6 +223,43 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 	}
 }
 
+// A retained entry is charged what it holds, S's rank directories included:
+// its bytes are size(), and size() exceeds the same entry's without the
+// directories by exactly their bytes.
+func TestCompiledChargeCountsTheDirectories(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(3)), 150)
+	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.author, author.paper.venue TOP 5;`
+	if _, err := pool.Execute(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	cq := pool.compiled.entries[src]
+	if cq == nil || cq.scorers == nil {
+		t.Fatal("the scan's reduction was not retained")
+	}
+	bare := *cq.scorers
+	bare.perPath = nil
+	var dirBytes int64
+	for _, rs := range cq.scorers.perPath {
+		dirBytes += int64(rs.dir.Bytes())
+		stripped := *rs
+		stripped.dir = sparse.Directory{}
+		bare.perPath = append(bare.perPath, &stripped)
+	}
+	if dirBytes == 0 {
+		t.Fatal("fixture: no path's S has a directory")
+	}
+	without := *cq
+	without.scorers = &bare
+	if cq.bytes != cq.size() || cq.size() != without.size()+dirBytes {
+		t.Fatalf("entry charged %d, size %d, %d without the %d bytes of directories", cq.bytes, cq.size(), without.size(), dirBytes)
+	}
+}
+
 // The LRU refuses a vector larger than what the LRU can ever hold, and the
 // compiled entries' share is not the LRU's: an insert that fits the budget
 // less the waist tables, but not less the compiled entries too, must leave

@@ -79,8 +79,10 @@ func ScoreVectors(m Measure, cands, refs []sparse.Vector) []float64 {
 type refScorer struct {
 	m Measure
 	// s is the separable reference aggregate of Equation (1): Σ Φ(vj) for
-	// NetOut, Σ Φ(vj)/‖Φ(vj)‖ for CosSim.
-	s sparse.Vector
+	// NetOut, Σ Φ(vj)/‖Φ(vj)‖ for CosSim. dir is its rank directory, through
+	// which every candidate is dotted against it.
+	s   sparse.Vector
+	dir sparse.Directory
 	// refs and refVis are PathSim's pairwise inputs with the per-reference
 	// visibilities κ(vj,vj) hoisted out of the candidate loop. References
 	// with zero visibility are dropped up front: their term is
@@ -93,47 +95,55 @@ type refScorer struct {
 }
 
 func newRefScorer(m Measure, refs []sparse.Vector) *refScorer {
-	rs := &refScorer{m: m}
+	var st ShardRefState
 	switch m {
 	case MeasureNetOut:
 		// Ω(vi) = Φ(vi)·S / ‖Φ(vi)‖₂² with S = Σ_{vj∈Sr} Φ(vj).
-		rs.s = sparse.Sum(refs)
+		st.Agg = sparse.Sum(refs)
 	case MeasureCosSim:
-		// Σ_j cos(Φi,Φj) = (Φi/‖Φi‖)·Σ_j Φj/‖Φj‖: separable like NetOut.
-		normRefs := make([]sparse.Vector, 0, len(refs))
-		for _, r := range refs {
-			if n := r.Normalize(); !n.IsZero() {
-				normRefs = append(normRefs, n)
+		// Σ_j cos(Φi,Φj) = Φi·Σ_j (Φj/‖Φj‖) / ‖Φi‖: separable like NetOut.
+		// Each Φj is scaled as Normalize would, in the sum: weight 0 at zero
+		// norm.
+		inv := make([]float64, len(refs))
+		for j, r := range refs {
+			if n := r.Norm2(); n != 0 {
+				inv[j] = 1 / n
 			}
 		}
-		rs.s = sparse.Sum(normRefs)
+		st.Agg = sparse.WeightedSum(refs, inv)
 	case MeasurePathSim:
-		rs.refs = make([]sparse.Vector, 0, len(refs))
-		rs.refVis = make([]float64, 0, len(refs))
+		st.Refs = make([]sparse.Vector, 0, len(refs))
+		st.RefVis = make([]float64, 0, len(refs))
 		for _, r := range refs {
 			if vis := r.Norm2Sq(); vis > 0 {
-				rs.refs = append(rs.refs, r)
-				rs.refVis = append(rs.refVis, vis)
+				st.Refs = append(st.Refs, r)
+				st.RefVis = append(st.RefVis, vis)
 			}
 		}
 	default:
 		panic(fmt.Sprintf("core: unknown measure %d", int(m)))
 	}
-	return rs
+	return st.scorer(m)
 }
 
 // score evaluates one candidate against the precomputed reference side.
 // Safe for concurrent use: the receiver is read-only after newRefScorer.
+//
+// The separable measures take Φ·S and ‖Φ‖² from one pass over Φ
+// (sparse.Directory.DotNorm, bit for bit Dot and Norm2Sq) and allocate
+// nothing. CosSim divides Φ·S by ‖Φ‖ instead of normalizing Φ first: fewer
+// roundings than the oracle's CosSim bound allows for, and the same bits
+// whichever body DotNorm runs.
 func (rs *refScorer) score(phi sparse.Vector) float64 {
 	switch rs.m {
 	case MeasureNetOut:
-		return netOut(phi.Dot(rs.s), phi.Norm2Sq())
+		return netOut(rs.dir.DotNorm(phi))
 	case MeasureCosSim:
-		n := phi.Normalize()
-		if n.IsZero() {
+		dot, vis := rs.dir.DotNorm(phi)
+		if vis == 0 {
 			return math.NaN()
 		}
-		return n.Dot(rs.s)
+		return dot / math.Sqrt(vis)
 	default: // MeasurePathSim
 		vis := phi.Norm2Sq()
 		if vis == 0 {

@@ -169,6 +169,36 @@ func TestNetOutEquationOneMatchesNaive(t *testing.T) {
 	}
 }
 
+var scoreSink float64
+
+// The separable measures score a candidate without allocating, on both of
+// DotNorm's bodies: an S dense enough for a directory, and one too sparse for
+// it. Allocation counts are deterministic, so this is scoring's allocation
+// gate.
+func TestScoreAllocatesNothing(t *testing.T) {
+	for _, gap := range []int32{1, 200} { // a directory, Dot
+		refs := make([]sparse.Vector, 8)
+		for j := range refs {
+			m := map[int32]float64{}
+			for k := int32(0); k < 64; k++ {
+				if (k+int32(j))%3 != 0 {
+					m[k*gap] = float64(1 + (k+int32(j))%5)
+				}
+			}
+			refs[j] = sparse.FromMap(m)
+		}
+		for _, m := range []Measure{MeasureNetOut, MeasureCosSim} {
+			rs := newRefScorer(m, refs)
+			if dir := rs.dir.Bytes() > 0; dir != (gap == 1) {
+				t.Fatalf("%v, coordinates %d apart: a directory of %d bytes", m, gap, rs.dir.Bytes())
+			}
+			if n := testing.AllocsPerRun(100, func() { scoreSink = rs.score(refs[3]) }); n != 0 {
+				t.Errorf("%v, coordinates %d apart: %.0f allocations per candidate", m, gap, n)
+			}
+		}
+	}
+}
+
 func TestParseMeasure(t *testing.T) {
 	for name, want := range map[string]Measure{
 		"netout": MeasureNetOut, "NetOut": MeasureNetOut,

@@ -108,8 +108,12 @@ type ShardRefState struct {
 	RefVis []float64
 }
 
+// scorer is the one constructor of a refScorer: a reduction (newRefScorer), a
+// set-frontier propagation (referenceSide) and a shard's broadcast all end
+// here, so a shard scores a broadcast S exactly as the coordinator scores its
+// own.
 func (st ShardRefState) scorer(m Measure) *refScorer {
-	return &refScorer{m: m, s: st.Agg, refs: st.Refs, refVis: st.RefVis}
+	return &refScorer{m: m, s: st.Agg, dir: sparse.NewDirectory(st.Agg), refs: st.Refs, refVis: st.RefVis}
 }
 
 // RemoteShard is a coordinator-side client for one out-of-process shard.

@@ -119,8 +119,29 @@ func checkDot(a, b Vector) error {
 	return nil
 }
 
-// Dot must equal the merge bit for bit across skew ratios 1:1 … 1:4096 and
-// every span relation: nested, overlapping, disjoint on either side, empty.
+// checkDirectory holds a dotted against S's directory to the merge and
+// Norm2Sq, bit for bit, both for the directory the density rule gives S and
+// for one built whatever S's density (while its span is small enough).
+func checkDirectory(a, s Vector) error {
+	dirs := []Directory{NewDirectory(s)}
+	if n := len(s.Idx); n > 0 && int64(s.Idx[n-1])-int64(s.Idx[0]) < 1<<22 {
+		dirs = append(dirs, buildDirectory(s))
+	}
+	wantDot, wantVis := refDot(a, s), a.Norm2Sq()
+	for _, d := range dirs {
+		dot, vis := d.DotNorm(a)
+		if math.Float64bits(dot) != math.Float64bits(wantDot) || math.Float64bits(vis) != math.Float64bits(wantVis) {
+			return fmt.Errorf("DotNorm = %x, %x; merge, Norm2Sq = %x, %x (|a|=%d |S|=%d, %d directory words)",
+				math.Float64bits(dot), math.Float64bits(vis), math.Float64bits(wantDot), math.Float64bits(wantVis),
+				a.NNZ(), s.NNZ(), len(d.occ))
+		}
+	}
+	return nil
+}
+
+// Dot and the directory kernel must equal the merge bit for bit across skew
+// ratios 1:1 … 1:4096 and every span relation: nested, overlapping, disjoint
+// on either side, empty.
 func TestQuickDotMatchesMerge(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -138,9 +159,11 @@ func TestQuickDotMatchesMerge(t *testing.T) {
 				{Idx: b.Idx[:min(short, len(b.Idx))], Val: b.Val[:min(short, len(b.Idx))]}, // shared prefix: all hits
 				{},
 			} {
-				if err := checkDot(a, b); err != nil {
-					t.Logf("seed %d ratio %d: %v", seed, ratio, err)
-					return false
+				for _, err := range []error{checkDot(a, b), checkDirectory(a, b), checkDirectory(b, a)} {
+					if err != nil {
+						t.Logf("seed %d ratio %d: %v", seed, ratio, err)
+						return false
+					}
 				}
 			}
 		}
@@ -151,10 +174,21 @@ func TestQuickDotMatchesMerge(t *testing.T) {
 	}
 }
 
+// checkSum holds Sum to the map sum, and WeightedSum to the map sum of the
+// vectors scaled first, zero weights (either sign) included.
 func checkSum(vs []Vector) error {
 	got, want := Sum(vs), refSum(vs)
 	if !bitsEqual(got, want) {
 		return fmt.Errorf("Sum = %v, map sum = %v", got, want)
+	}
+	w := make([]float64, len(vs))
+	scaled := make([]Vector, len(vs))
+	for j, v := range vs {
+		w[j] = []float64{1.0 / 3, 0, 2, -0.1, 1e16, negZero}[j%6]
+		scaled[j] = v.Scale(w[j])
+	}
+	if got, want := WeightedSum(vs, w), refSum(scaled); !bitsEqual(got, want) {
+		return fmt.Errorf("WeightedSum = %v, map sum of the scaled vectors = %v", got, want)
 	}
 	return nil
 }
@@ -452,9 +486,10 @@ func TestSumScratchRetentionBounded(t *testing.T) {
 }
 
 // FuzzSparseKernels decodes arbitrary bytes into a handful of vectors and
-// an Add sequence and holds Dot, Sum and Take to their reference kernels.
-// The seeds cover: empty input, a lopsided pair (gallop), cancelling
-// blocks, a strided pair, a far outlier, and the bitmap's word boundaries.
+// an Add sequence and holds Dot, the directory kernel, Sum and Take to their
+// reference kernels. The seeds cover: empty input, a lopsided pair (gallop),
+// cancelling blocks, a strided pair, a far outlier, the bitmap's word
+// boundaries, and the directory's edges.
 func FuzzSparseKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 200, 3, 1, 7, 2, 9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -465,6 +500,23 @@ func FuzzSparseKernels(f *testing.F) {
 	// slots 63, 64, 127, 128, 192, 1 020 and 63 again, every third of them
 	// cancelled and re-touched.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 63, 0, 64, 0, 127, 0, 128, 0, 64, 2, 255, 3, 63, 0})
+	// The directory, a = Φ against b = S. Φ ⊄ S (a COMPARED TO set): Φ at
+	// 1, 12, 15, 19, 50 against S at 12, 13, 19 — below, hit, between, hit,
+	// above.
+	f.Add([]byte{5, 3, 64, 0, 1, 10, 2, 2, 3, 3, 4, 30, 5, 74, 1, 6, 0, 7, 5, 8})
+	// S = {1, hi} spanning 63, 64 and 65 IDs (hi = 63, 64, 65: one word, one
+	// full word, two words), Φ at 0, 1, 63, 64, 65, 66.
+	for _, gap := range []byte{61, 62, 63} {
+		f.Add([]byte{6, 2, 63, 0, 1, 0, 2, 61, 3, 0, 4, 0, 5, 0, 6, 64, 0, 7, gap, 8})
+	}
+	// A one-coordinate S at 2, and an empty S, under Φ at 1, 2, 3.
+	f.Add([]byte{3, 1, 64, 0, 1, 0, 2, 0, 3, 65, 0, 4})
+	f.Add([]byte{3, 0, 64, 0, 1, 0, 2, 0, 3, 64})
+	// S = {1, 128} (two words for two coordinates: a directory) and
+	// S = {1, 129} (three: Dot), Φ at 1, 127, 128, 129.
+	for _, gap := range []byte{126, 127} {
+		f.Add([]byte{4, 2, 64, 0, 1, 125, 2, 0, 3, 0, 4, 64, 0, 5, gap, 6})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pop := func() int {
 			if len(data) == 0 {
@@ -492,8 +544,10 @@ func FuzzSparseKernels(f *testing.F) {
 		}
 		na, nb := pop()%8, pop()
 		a, b := decode(na), decode(nb)
-		if err := checkDot(a, b); err != nil {
-			t.Fatal(err)
+		for _, err := range []error{checkDot(a, b), checkDirectory(a, b), checkDirectory(b, a)} {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		vs := []Vector{a, b, a.Scale(-1), decode(pop() % 16), b}
 		if err := checkSum(vs); err != nil {
@@ -532,8 +586,43 @@ func benchVector(r *rand.Rand, n, width int) Vector {
 // BenchmarkDot places gallopRatio: merge (the reference kernel) against
 // gallop across length ratios, for a scoring-sized long operand (a 4 096
 // coordinate S) and a small one (256). "pick" is the production Dot; at
-// ratio 1 it must not lose to merge (the balanced zipf_warm case).
+// ratio 1 it must not lose to merge (the balanced zipf_warm case). "dir" is
+// the short operand dotted against the long one's directory (16 coordinates
+// per word), its norm included.
+//
+// The density/ rows place dirMaxWordsPerCoord: a candidate Φ ⊂ S of 3/16 of
+// S's coordinates (the zipf_warm shape: ~370 of ~2 150) scored by
+// Dot + Norm2Sq ("dot") and by DotNorm ("dir"), and the directory's build, at
+// S densities from 1/16 to 64 coordinates per 64-ID word.
 func BenchmarkDot(b *testing.B) {
+	for _, nnz := range []int{64, 2048} {
+		for _, density := range []float64{1.0 / 16, 1.0 / 4, 1, 4, 16, 64} {
+			r := rand.New(rand.NewSource(1))
+			s := benchVector(r, nnz, int(64*float64(nnz)/density))
+			phi := Vector{}
+			for k := range s.Idx {
+				if r.Intn(16) < 3 {
+					phi.Idx, phi.Val = append(phi.Idx, s.Idx[k]), append(phi.Val, float64(1+r.Intn(9)))
+				}
+			}
+			d := buildDirectory(s)
+			for _, arm := range []struct {
+				name string
+				run  func()
+			}{
+				{"dot", func() { sinkFloat = phi.Dot(s) + phi.Norm2Sq() }},
+				{"dir", func() { dot, vis := d.DotNorm(phi); sinkFloat = dot + vis }},
+				{"build", func() { d := buildDirectory(s); sinkFloat = float64(d.rank[len(d.rank)-1]) }},
+			} {
+				b.Run(fmt.Sprintf("density/%s/nnz=%d/per_word=%g", arm.name, nnz, density), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						arm.run()
+					}
+				})
+			}
+		}
+	}
 	for _, long := range []int{256, 4096} {
 		for _, ratio := range []int{1, 2, 4, 8, 16, 64, 512} {
 			if long/ratio == 0 {
@@ -542,10 +631,12 @@ func BenchmarkDot(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			l := benchVector(r, long, 4*long)
 			s := benchVector(r, long/ratio, 4*long)
+			d := NewDirectory(l)
+			dir := func(a, _ Vector) float64 { dot, _ := d.DotNorm(a); return dot }
 			for _, arm := range []struct {
 				name string
 				dot  func(a, b Vector) float64
-			}{{"merge", refDot}, {"gallop", dotGallop}, {"pick", Vector.Dot}} {
+			}{{"merge", refDot}, {"gallop", dotGallop}, {"pick", Vector.Dot}, {"dir", dir}} {
 				b.Run(fmt.Sprintf("%s/long=%d/ratio=%d", arm.name, long, ratio), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {

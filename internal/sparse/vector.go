@@ -322,7 +322,20 @@ var sumScratch = sync.Pool{New: func() any { return NewDenseAccumulator(0) }}
 // coordinates (e.g. CombineConcat strides over a huge graph) go through the
 // map-backed Accumulator. Each coordinate receives its additions in vector
 // order on both routes, so the result does not depend on which ran.
-func Sum(vs []Vector) Vector {
+func Sum(vs []Vector) Vector { return WeightedSum(vs, nil) }
+
+// WeightedSum returns Σ_j w[j]·vs[j] like Sum (nil w: every weight 1). Each
+// product w[j]·x is formed before it is added and a vector of weight 0 is
+// skipped, so the result is Float64bits-identical to Sum over the vectors
+// scaled first (Vector.Scale), without allocating them; weight 1 changes no
+// bit.
+func WeightedSum(vs []Vector, w []float64) Vector {
+	weight := func(j int) float64 {
+		if w == nil {
+			return 1
+		}
+		return w[j]
+	}
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for _, v := range vs {
 		if n := len(v.Idx); n > 0 {
@@ -335,18 +348,22 @@ func Sum(vs []Vector) Vector {
 	span := int64(hi) - int64(lo) + 1
 	if span > MaxDenseSpan {
 		acc := NewAccumulator(0)
-		for _, v := range vs {
-			for k, ix := range v.Idx {
-				acc.Add(ix, v.Val[k])
+		for j, v := range vs {
+			if c := weight(j); c != 0 {
+				for k, ix := range v.Idx {
+					acc.Add(ix, c*v.Val[k])
+				}
 			}
 		}
 		return acc.Take()
 	}
 	acc := sumScratch.Get().(*DenseAccumulator)
 	acc.Grow(int(span))
-	for _, v := range vs {
-		for k, ix := range v.Idx {
-			acc.Add(ix-lo, v.Val[k])
+	for j, v := range vs {
+		if c := weight(j); c != 0 {
+			for k, ix := range v.Idx {
+				acc.Add(ix-lo, c*v.Val[k])
+			}
 		}
 	}
 	out := acc.TakeInto(Vector{}, lo)
