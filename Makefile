@@ -54,7 +54,8 @@ bench:
 # set-frontier propagation, the two branches of referenceSide (DESIGN.md
 # "Reference side"); BenchmarkCandidateSide one walk per candidate against
 # one reverse propagation plus the visibility table, the evidence for
-# candSideMinShare (DESIGN.md "Candidate side"); BenchmarkWaist finishing a
+# candSideMinShare, and the gather from a kept S̃ a served hit does (DESIGN.md
+# "Candidate side"); BenchmarkWaist finishing a
 # subpath-cache miss by expansion against combination from a waist table, the
 # evidence for waistRatio and the tables' byte shares (DESIGN.md
 # "Subpath-decomposed cache"). Every line runs with -benchmem so B/op and
@@ -68,7 +69,7 @@ bench-json:
 	$(GO) test -run XXX -bench='BenchmarkQuery/' -benchmem -cpu 1,2,4 . \
 		| $(GO) run ./cmd/benchjson -out BENCH_query.json
 
-# One iteration of every benchmark (BenchmarkCandidateSide's 60 arms,
+# One iteration of every benchmark (BenchmarkCandidateSide's 75 arms,
 # BenchmarkExpand's pull, hop/nnz, share and pull=rows|flat arms,
 # BenchmarkAccumulators' 28 take arms and BenchmarkWaist included): catches
 # bit-rot without measuring.
@@ -144,8 +145,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19650
-CORE_LOC_CEILING = 5836
+LOC_CEILING = 19823
+CORE_LOC_CEILING = 5936
 DESIGN_LINES_CEILING = 995
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

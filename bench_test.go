@@ -479,10 +479,14 @@ func BenchmarkReferenceSide(b *testing.B) {
 //     (SeedVector), then per candidate a norm — cold, by a walk that
 //     allocates nothing (Visibility); warm, read from the table — and a
 //     division.
+//   - memo (warm table only): what a serve pool's hit does — the numerators
+//     gathered from S walked back to the hop before the candidates, kept
+//     (SeedLastHop, outside the loop; Gather), then the same division.
 //
 // The crossover constant candSideMinKnown compares the warm propagated arm
 // with the per-vertex arm: a path is only ever propagated for the candidates
-// whose norms are known.
+// whose norms are known. The memo arm moves no constant: only a retained
+// entry has what it gathers from.
 func BenchmarkCandidateSide(b *testing.B) {
 	f := getFixture(b)
 	author, _ := f.graph.Schema().TypeByName("author")
@@ -504,6 +508,10 @@ func BenchmarkCandidateSide(b *testing.B) {
 		norms := make([]float64, hi-lo+1)
 		for _, v := range all {
 			norms[v-lo], _ = tr.Visibility(p, v)
+		}
+		back, err := tr.SeedLastHop(context.Background(), p.Reverse(), s)
+		if err != nil || back == nil {
+			b.Fatalf("SeedLastHop: %v", err)
 		}
 		for _, pct := range []int{1, 10, 25, 50, 100} {
 			cands := slices.Clone(shuffled[:max(1, len(all)*pct/100)])
@@ -547,6 +555,18 @@ func BenchmarkCandidateSide(b *testing.B) {
 					}
 				})
 			}
+			b.Run(name+"/table=warm/memo", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					n, exact := tr.Gather(back, cands)
+					if !exact {
+						b.Fatal("Gather: not exact")
+					}
+					for j, v := range cands {
+						scores[j] = n[j] / norms[v-lo]
+					}
+				}
+			})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -26,19 +27,21 @@ import (
 //   - From norms, where referenceSide could propagate (NetOut, CombineAverage,
 //     a setMaterializer): Ω_P(v) = Φ_P(v)·S / ‖Φ_P(v)‖², and the denominator
 //     is a per-(path, vertex) scalar the materializer memoizes (visTable).
-//     A path with enough of the slice's norms known (visTable.propagate) also
+//     A path with enough of the slice's norms known (visTable.known) also
 //     gets every numerator at once: N = M_P·S is S propagated back along
 //     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
 //     one per candidate, its last hop gathered at this side's candidates
-//     only. A candidate whose norm is known then costs a table read and a
+//     only — or, on a pool's hit, that last hop alone, from the walk its miss
+//     kept. A candidate whose norm is known then costs a table read and a
 //     division; one whose norm is not costs the walk it always did — Φ
 //     drained into scratch when only its norm is wanted — and leaves the
 //     norm behind. N is exact or absent: SeedValues reports when a count it
-//     used reached 2⁵³ and the path then keeps walking per vertex. Below 2⁵³ every
-//     term of Φ·S is a non-negative integer bounded by N[v], so every product
-//     and partial sum of Dot is exact in any order, fused or not, and N[v] is
-//     Float64bits-identical to it; the norm is the very float64 Norm2Sq
-//     returned. Scores are therefore the per-vertex path's bit for bit.
+//     used reached 2⁵³ and the path then keeps walking per vertex. Below 2⁵³
+//     every term of Φ·S is a non-negative integer bounded by N[v], so every
+//     product and partial sum of Dot is exact in any order, fused or not, and
+//     N[v] is Float64bits-identical to it; the norm is the very float64
+//     Norm2Sq returned. Scores are therefore the per-vertex path's bit for
+//     bit.
 type candidateSide struct {
 	g       *hin.Graph
 	scorers *queryScorers
@@ -52,21 +55,25 @@ type candidateSide struct {
 	// nil when candidates are scored from vectors.
 	memo []*visPath
 	num  [][]float64
+	// numer[m] says where num[m] came from, for the query's plan lines:
+	// "memo" (a retained S̃), "walk" (S walked back by this query), or
+	// "vertex" (a walk per candidate) with the crossover's inputs.
+	numer []string
 	// ifq receives scoreRange's chunk progress (nil-safe; nil on a shard
 	// server).
 	ifq *obs.InflightQuery
 }
 
 // The crossover of the reverse propagation, as the visTable applies it
-// (visTable.propagate): a path is propagated when the slice holds at least
+// (visTable.known): a path is propagated when the slice holds at least
 // candSideMinKnown candidates whose norm is known and they are at least
 // 1/candSideMinShare of the source type.
 //
 // The share is measured: in BenchmarkCandidateSide (BENCH_kernel.json) the
-// warm propagated scan is 1.9–11× ahead of the per-vertex one from 50 % of
-// the type up on all three scan paths, 1.7–2.3× ahead at 25 % on the author
-// and term paths and level with it on the venue path, and 1.3–2.8× behind at
-// 10 %. The count is a floor under it for the paper's sake: the anchor-derived sets
+// warm propagated scan is 4.3–18× ahead of the per-vertex one from 50 % of the
+// type up on all three scan paths, 2.5–3.8× ahead at 25 %, and level with it
+// at 10 % (0.8–1.1×; the run that set the share read 1.3–2.8× behind).
+// The count is a floor under it for the paper's sake: the anchor-derived sets
 // of Table 4 cover up to 60 % of the small venue and term types, where the
 // share alone would propagate them, but stay under 600 candidates at every
 // scale cmd/experiments runs — so Baseline there keeps meaning one traversal
@@ -80,27 +87,63 @@ const (
 // newCandidateSide plans the scoring of cands. mat is the caller's own
 // materializer; a reverse propagation runs on it, and its failure — the
 // context's included — fails the caller whole, like the reference side's.
-func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
+//
+// keep says a serve pool retains the scorers of a clean run (a compiled
+// miss). Then a path whose slice passes the static half of the crossover —
+// cold norms or warm — walks into an array kept on its scorer
+// (refScorer.back), and every hit gathers the numerators from there: the same
+// last hop over the same values, so the same bits, with no walk. Nowhere else
+// is that array allocated.
+func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector, keep bool) (*candidateSide, error) {
 	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
 	sm, ok := mat.(setMaterializer)
 	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil {
+		if scorers.concat != nil {
+			scorers.concat.withDir()
+		}
+		for _, rs := range scorers.perPath {
+			rs.withDir()
+		}
 		return cs, nil
 	}
 	cs.memo = make([]*visPath, len(paths))
 	cs.num = make([][]float64, len(paths))
+	cs.numer = make([]string, len(paths))
 	var err error
 	for m, p := range paths {
-		tbl, propagate := sm.norms(p, cands)
-		cs.memo[m] = tbl
-		if !propagate {
-			continue
+		rs := scorers.perPath[m]
+		tbl, known, need := sm.norms(p, cands)
+		cs.memo[m], cs.numer[m] = tbl, "walk"
+		// num is exact or nil: a path whose used numerators left 2⁵³ walks
+		// per vertex.
+		switch {
+		case rs.back != nil:
+			cs.numer[m] = "memo"
+			cs.num[m], err = sm.gather(ctx, rs.back, cands)
+		case keep && len(cands) >= need:
+			if rs.back, err = sm.seedLastHop(ctx, p.Reverse(), rs.s); rs.back != nil && known >= need {
+				cs.num[m], err = sm.gather(ctx, rs.back, cands)
+			}
+		case known >= need:
+			cs.num[m], _, err = sm.seedValues(ctx, p.Reverse(), rs.s, cands)
 		}
-		// exact or nil: a path whose used numerators left 2⁵³ walks per vertex.
-		if cs.num[m], _, err = sm.seedValues(ctx, p.Reverse(), scorers.perPath[m].s, cands); err != nil {
+		if err != nil {
 			return nil, err
+		}
+		if cs.num[m] == nil {
+			cs.numer[m] = fmt.Sprintf("vertex known=%d need=%d", known, need)
+			rs.withDir()
 		}
 	}
 	return cs, nil
+}
+
+// addPlan records numer as the query's plan lines, one per path in
+// waistLine's shape: "(0 1 2): numer=vertex known=0 need=1024".
+func (cs *candidateSide) addPlan(tr *obs.Tracer) {
+	for m, how := range cs.numer {
+		tr.AddPlan(cs.paths[m].String() + ": numer=" + how)
+	}
 }
 
 // candBuf is one goroutine's reusable scratch for walking candidate ranges.
@@ -265,7 +308,6 @@ type visTable struct {
 // type when a loader added them together).
 type visPath struct {
 	lo hin.VertexID
-	n  int // vertices of the source type
 	// bits[v-lo] is Float64bits(‖Φ(v)‖²)+1, or 0 while unknown: +0 is a
 	// legitimate visibility (an invisible vertex), so absence needs a word of
 	// its own, and no norm is the NaN whose bits are all ones. Every writer
@@ -291,7 +333,7 @@ func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
 		delete(t.paths, t.order[0])
 		t.order = t.order[1:]
 	}
-	vp := &visPath{lo: lo, n: g.NumVerticesOfType(p.Source()), bits: make([]atomic.Uint64, size/8)}
+	vp := &visPath{lo: lo, bits: make([]atomic.Uint64, size/8)}
 	if t.paths == nil {
 		t.paths = make(map[string]*visPath)
 	}
@@ -330,22 +372,21 @@ func (vp *visPath) put(v hin.VertexID, vis float64) {
 	}
 }
 
-// propagate reports whether enough of cands have their norm in vp to pay
-// for the path's reverse propagation (see candSideMinKnown).
-func (t *visTable) propagate(vp *visPath, cands []hin.VertexID) bool {
+// known is the crossover of the reverse propagation (see candSideMinKnown)
+// over cands, slice of a source type of n vertices: need is how many of them
+// must have their norm in vp to pay for it, known how many do, counted up to
+// need. A slice shorter than need never propagates, whatever is known.
+func (t *visTable) known(vp *visPath, cands []hin.VertexID, n int) (known, need int) {
+	need = max(t.minKnown, (n+t.minShare-1)/t.minShare)
 	if vp == nil {
-		return false
+		return 0, need
 	}
-	need := max(t.minKnown, (vp.n+t.minShare-1)/t.minShare)
-	for i, v := range cands {
-		if len(cands)-i < need {
-			break // too few candidates left to get there
-		}
+	for _, v := range cands {
 		if _, ok := vp.get(v); ok {
-			if need--; need <= 0 {
-				return true
+			if known++; known == need {
+				break
 			}
 		}
 	}
-	return false
+	return known, need
 }

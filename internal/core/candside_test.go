@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
+	"netout/internal/obs"
 	"netout/internal/sparse"
 )
 
@@ -588,5 +590,121 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 		if s, ok := score[e.Vertex]; !ok || math.Float64bits(s) != math.Float64bits(e.Score) || e.Vertex >= cands[first+served] {
 			t.Fatalf("partial entry %s = %v: want the full run's %v, inside the prefix", e.Name, e.Score, s)
 		}
+	}
+}
+
+// A pool's hit on a whole-type scan gathers every numerator from the S̃ its
+// miss kept, whose norms were still cold: the scores of a plain engine bit for
+// bit, one pulled hop per path, not one traversal. A deadline at that gather
+// fails the hit whole, as one inside the reverse walk does, and one a poll
+// later leaves the exact Done-prefix of the first step.
+func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(23)))
+	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author.paper.term : 0.5;`
+	want, err := NewEngine(g).Execute(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := obs.NewEventRing(4)
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1)), ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for run := 0; run < 3; run++ {
+		got, err := pool.Execute(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entriesBitEqual(t, fmt.Sprintf("run %d", run), want, got)
+		if run == 0 {
+			continue
+		}
+		if k := ring.Snapshot()[0].Kernels; got.Trace.Compiled != "hit" || got.Timing.TraversedVectors != 0 || k["pull"] != 2 || len(k) != 1 {
+			t.Fatalf("hit %d: compiled=%s, %d vectors traversed, kernels %v; want no traversal and two pulled hops",
+				run, got.Trace.Compiled, got.Timing.TraversedVectors, k)
+		}
+	}
+	// Polls: admission, query start, one per gather, one per path and step.
+	if res, err := pool.Execute(newDeadlineAfter(2), src); res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline at the gather: got (%v, %v), want the bare error", res, err)
+	}
+	res, err := pool.Execute(newDeadlineAfter(2+2+2), src)
+	if err != nil || !res.Partial || len(res.Entries)+len(res.Skipped) != parallelChunk {
+		t.Fatalf("deadline after the gathers: err=%v, want a Partial result of one step", err)
+	}
+	score := map[hin.VertexID]float64{}
+	for _, e := range want.Entries {
+		score[e.Vertex] = e.Score
+	}
+	for _, e := range res.Entries {
+		if s, ok := score[e.Vertex]; !ok || math.Float64bits(s) != math.Float64bits(e.Score) {
+			t.Fatalf("partial entry %s = %v, want the full run's %v", e.Name, e.Score, s)
+		}
+	}
+}
+
+// A shard request on a warm range that propagates allocates what its slice
+// needs and nothing the size of a type: no S̃ array — only a pool's miss keeps
+// one — and no directory of S, which a propagated path never dots against. A
+// cold range, which dots, builds the directory.
+func TestShardRequestAllocatesNoSpan(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(5)), 600)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
+	span := 8 * uint64(hi-lo+1) // what the S̃ of the path would take
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.author")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &ShardBroadcast{Stride: int32(g.NumVertices()), Refs: []ShardRefState{{Agg: s}}}
+	req := &ShardRequest{Version: ShardProtocolVersion, TopK: 5, Measure: MeasureNetOut, Combine: CombineAverage,
+		Weights: []float64{1}, Paths: []metapath.Path{p}, Candidates: all[:len(all)/2]}
+	mat := eagerBaseline(g)
+	dirs := func() *refScorer {
+		scorers, err := scorersFromRequest(req, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		return scorers.perPath[0]
+	}
+	if rs := dirs(); !rs.hasDir || rs.dir.Bytes() == 0 {
+		t.Fatal("a cold range walks per candidate without S's directory")
+	}
+	serve := func() {
+		resp := ServeShardRequest(ctx, g, mat, req, b)
+		if resp.Err != "" || resp.Done != len(req.Candidates) || resp.Stats.TraversedVectors != 1 {
+			t.Fatalf("warm range: %+v, want it complete on one propagation", resp)
+		}
+	}
+	ServeShardRequest(ctx, g, mat, req, b) // cold: fills the norms
+	serve()                                // grows the hop buffers
+	if rs := dirs(); rs.hasDir {
+		t.Fatalf("a propagated range built S's directory (%d bytes)", rs.dir.Bytes())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if perReq := (after.TotalAlloc - before.TotalAlloc) / runs; perReq >= span {
+		t.Fatalf("a propagated range allocated %d bytes per request, the S̃ array alone is %d", perReq, span)
+	}
+	if raceEnabled {
+		return // sync.Pool drops what it is handed
+	}
+	// Measured: 20 (3.7 KB, a third of the array); the ceiling leaves ~20 %.
+	if n := testing.AllocsPerRun(runs, serve); n > 24 {
+		t.Fatalf("a propagated range allocated %.0f times per request, ceiling 24", n)
 	}
 }

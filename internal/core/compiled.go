@@ -65,6 +65,11 @@ func (cq *compiledQuery) resolved() (*resolvedQuery, string) {
 	return cq.resolvedQuery, cq.text
 }
 
+// blank says cq is a miss's handle: a clean run's scorers will be retained.
+func (cq *compiledQuery) blank() bool {
+	return cq != nil && cq.resolvedQuery == nil
+}
+
 // memo is the retained reduction, nil when there is none.
 func (cq *compiledQuery) memo() *queryScorers {
 	if cq == nil {
@@ -78,7 +83,7 @@ func (cq *compiledQuery) labels() (compiled, refSide string) {
 	switch {
 	case cq == nil:
 		return "", ""
-	case cq.resolvedQuery == nil:
+	case cq.blank():
 		return "miss", "computed"
 	case cq.scorers == nil:
 		return "hit", "computed"
@@ -89,7 +94,7 @@ func (cq *compiledQuery) labels() (compiled, refSide string) {
 // size is what a complete entry is charged: the key, an estimate of the AST
 // parsed from it (four times the text: a node and a string header per name),
 // the rendering, 4 bytes per set member — once when Sr is Sc — and the
-// scorers' vectors and directories.
+// scorers' vectors, directories and S̃ arrays.
 func (cq *compiledQuery) size() int64 {
 	n := compiledEntryOverhead + 5*int64(len(cq.key)) + int64(len(cq.text)) + 4*int64(len(cq.cands))
 	if cq.q.ComparedTo != nil {
@@ -98,15 +103,15 @@ func (cq *compiledQuery) size() int64 {
 	return n + cq.scorers.bytes()
 }
 
-// bytes is the payload of the scorers' vectors and S's directories (0 for
-// nil).
+// bytes is the payload of the scorers' vectors, S's directories and the S̃
+// arrays (0 for nil).
 func (qs *queryScorers) bytes() int64 {
 	if qs == nil {
 		return 0
 	}
 	var n int64
 	add := func(rs *refScorer) {
-		n += int64(rs.s.Bytes()+rs.dir.Bytes()) + 8*int64(len(rs.refVis))
+		n += int64(rs.s.Bytes()+rs.dir.Bytes()+rs.back.Bytes()) + 8*int64(len(rs.refVis))
 		for _, r := range rs.refs {
 			n += int64(r.Bytes()) + 2*24
 		}
@@ -172,19 +177,26 @@ func (c *compiledCache) lookup(src string) *compiledQuery {
 }
 
 // retain keeps what a clean, complete execution of blank's text produced: the
-// whole entry when it fits the per-entry share, the entry without the scorers
-// when only they do not, nothing otherwise. A retained entry (a hit) and a
-// missing one are no-ops. Least recently used entries go until the budget
-// holds; under the cached strategy the vector LRU then gives way for the net
-// growth.
+// whole entry when it fits the per-entry share, else the entry without the S̃
+// arrays, else without the scorers, else nothing. The execution is over, so
+// the arrays are dropped from its scorers before anyone else can see them. A
+// retained entry (a hit) and a missing one are no-ops. Least recently used
+// entries go until the budget holds; under the cached strategy the vector LRU
+// then gives way for the net growth.
 func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *queryScorers) {
-	if blank == nil || blank.resolvedQuery != nil {
+	if !blank.blank() {
 		return
 	}
 	c := blank.cache
 	// The key is cloned: as a substring it would pin the whole request body.
 	cq := &compiledQuery{key: strings.Clone(blank.key), text: text, resolvedQuery: rq, scorers: scorers}
-	if cq.bytes = cq.size(); cq.bytes > c.entryMax {
+	if cq.bytes = cq.size(); cq.bytes > c.entryMax && scorers != nil {
+		for _, rs := range scorers.perPath {
+			rs.back = nil
+		}
+		cq.bytes = cq.size()
+	}
+	if cq.bytes > c.entryMax {
 		cq.scorers = nil
 		if cq.bytes = cq.size(); cq.bytes > c.entryMax {
 			return

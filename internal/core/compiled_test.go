@@ -223,40 +223,60 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 	}
 }
 
-// A retained entry is charged what it holds, S's rank directories included:
-// its bytes are size(), and size() exceeds the same entry's without the
-// directories by exactly their bytes.
+// A retained entry is charged what it holds, S's rank directories and the S̃
+// arrays included: its bytes are size(), and size() exceeds the same entry's
+// without them by exactly their bytes. An entry the arrays would take past the
+// per-entry share is retained without them — not without its scorers.
 func TestCompiledChargeCountsTheDirectories(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(3)), 150)
-	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.author, author.paper.venue TOP 5;`
-	if _, err := pool.Execute(context.Background(), src); err != nil {
-		t.Fatal(err)
+	// retained is the entry one miss leaves in a fresh pool whose entries may
+	// take entryMax bytes (0: the default share).
+	retained := func(entryMax int64) *compiledQuery {
+		pool, err := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g))), ServeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pool.Close)
+		if entryMax > 0 {
+			pool.compiled.entryMax = entryMax
+		}
+		if _, err := pool.Execute(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+		return pool.compiled.entries[src]
 	}
-	cq := pool.compiled.entries[src]
+	cq := retained(0)
 	if cq == nil || cq.scorers == nil {
 		t.Fatal("the scan's reduction was not retained")
 	}
 	bare := *cq.scorers
 	bare.perPath = nil
-	var dirBytes int64
+	var dirBytes, backBytes int64
 	for _, rs := range cq.scorers.perPath {
 		dirBytes += int64(rs.dir.Bytes())
+		backBytes += int64(rs.back.Bytes())
 		stripped := *rs
-		stripped.dir = sparse.Directory{}
+		stripped.dir, stripped.back = sparse.Directory{}, nil
 		bare.perPath = append(bare.perPath, &stripped)
 	}
-	if dirBytes == 0 {
-		t.Fatal("fixture: no path's S has a directory")
+	if dirBytes == 0 || backBytes == 0 {
+		t.Fatalf("fixture: %d bytes of directories, %d of S̃ arrays", dirBytes, backBytes)
 	}
 	without := *cq
 	without.scorers = &bare
-	if cq.bytes != cq.size() || cq.size() != without.size()+dirBytes {
-		t.Fatalf("entry charged %d, size %d, %d without the %d bytes of directories", cq.bytes, cq.size(), without.size(), dirBytes)
+	if cq.bytes != cq.size() || cq.size() != without.size()+dirBytes+backBytes {
+		t.Fatalf("entry charged %d, size %d, %d without the %d bytes of directories and %d of arrays",
+			cq.bytes, cq.size(), without.size(), dirBytes, backBytes)
+	}
+	small := retained(cq.bytes - 1)
+	if small == nil || small.scorers == nil || small.bytes != cq.bytes-backBytes {
+		t.Fatalf("one byte short of the whole entry: retained %+v, want it charged %d without its arrays", small, cq.bytes-backBytes)
+	}
+	for m, rs := range small.scorers.perPath {
+		if rs.back != nil || rs.dir.Bytes() == 0 {
+			t.Fatalf("path %d kept its S̃ (%v) or lost its directory", m, rs.back != nil)
+		}
 	}
 }
 

@@ -558,3 +558,46 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 		}
 	}
 }
+
+// The event says where each path's numerators came from: a cold engine walks
+// per candidate and names the crossover's inputs, a pool's miss on the warm
+// table walks S back and keeps it, and the pool's hit gathers from what it
+// kept.
+func TestEventNamesTheNumerators(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(47)))
+	ring := obs.NewEventRing(4)
+	eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1))
+	pool, err := NewServePool(eng, ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	need := (g.NumVerticesOfType(p.Source()) + candSideMinShare - 1) / candSideMinShare
+	served := func() error {
+		_, err := pool.Execute(context.Background(), faultQuery)
+		return err
+	}
+	for _, step := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"cold", fmt.Sprintf("numer=vertex known=0 need=%d", need), func() error {
+			_, err := eng.Execute(faultQuery)
+			return err
+		}},
+		{"warm pool miss", "numer=walk", served},
+		{"pool hit", "numer=memo", served},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatal(err)
+		}
+		want := p.String() + ": " + step.want
+		if plan := ring.Snapshot()[0].Plan; len(plan) != 1 || plan[0] != want {
+			t.Fatalf("%s: event plan %q, want [%q]", step.name, plan, want)
+		}
+	}
+}

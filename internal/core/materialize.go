@@ -127,9 +127,32 @@ func (b *baseline) seedValues(ctx context.Context, p metapath.Path, seed sparse.
 	return b.tr.SeedValues(ctx, p, seed, at)
 }
 
-func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, bool) {
+// seedLastHop is the same walk stopped before its last hop and kept
+// (Traverser.SeedLastHop), accounted the same.
+func (b *baseline) seedLastHop(ctx context.Context, p metapath.Path, seed sparse.Vector) (*metapath.LastHop, error) {
+	defer b.traversed(time.Now())
+	return b.tr.SeedLastHop(ctx, p, seed)
+}
+
+// gather finishes a kept walk at the vertices at (Traverser.Gather), nil
+// when it is not exact: a read of retained state, accounted as one indexed
+// vector, after a poll of ctx whose error fails the caller whole as the
+// walk's polls do.
+func (b *baseline) gather(ctx context.Context, h *metapath.LastHop, at []hin.VertexID) ([]float64, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	vals, _ := b.tr.Gather(h, at)
+	b.stats.IndexedTime += time.Since(start)
+	b.stats.IndexedVectors++
+	return vals, nil
+}
+
+func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {
 	tbl := b.vis.path(b.tr.Graph(), p)
-	return tbl, b.vis.propagate(tbl, cands)
+	known, need := b.vis.known(tbl, cands, b.tr.Graph().NumVerticesOfType(p.Source()))
+	return tbl, known, need
 }
 
 // visibility returns ‖Φ_p(v)‖² from tbl — an indexed vector, neither timed
@@ -163,9 +186,12 @@ type setMaterializer interface {
 	Materializer
 	setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error)
 	seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, at []hin.VertexID) (vals []float64, exact bool, err error)
-	// norms is p's visibility table (nil when none fits) and whether enough
-	// of cands is in it to propagate the path's numerators.
-	norms(p metapath.Path, cands []hin.VertexID) (tbl *visPath, propagate bool)
+	seedLastHop(ctx context.Context, p metapath.Path, seed sparse.Vector) (*metapath.LastHop, error)
+	gather(ctx context.Context, h *metapath.LastHop, at []hin.VertexID) ([]float64, error)
+	// norms is p's visibility table (nil when none fits) and the crossover's
+	// inputs over cands: how many have their norm in it, up to need, the count
+	// that propagates the path's numerators (visTable.known).
+	norms(p metapath.Path, cands []hin.VertexID) (tbl *visPath, known, need int)
 	visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error)
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"netout/internal/metapath"
 	"netout/internal/sparse"
 )
 
@@ -80,9 +81,16 @@ type refScorer struct {
 	m Measure
 	// s is the separable reference aggregate of Equation (1): Σ Φ(vj) for
 	// NetOut, Σ Φ(vj)/‖Φ(vj)‖ for CosSim. dir is its rank directory, through
-	// which every candidate is dotted against it.
-	s   sparse.Vector
-	dir sparse.Directory
+	// which every candidate is dotted against it, once hasDir: withDir builds
+	// it, on a shard only for a path its candidate side dots against.
+	s      sparse.Vector
+	dir    sparse.Directory
+	hasDir bool
+	// back is S̃, S walked back along the path's reverse to the hop before the
+	// candidates (metapath.LastHop), from which every numerator N = M_P·S is
+	// one row sum: set on a serve pool's miss before the entry is retained
+	// (newCandidateSide), nil everywhere else.
+	back *metapath.LastHop
 	// refs and refVis are PathSim's pairwise inputs with the per-reference
 	// visibilities κ(vj,vj) hoisted out of the candidate loop. References
 	// with zero visibility are dropped up front: their term is
@@ -123,7 +131,18 @@ func newRefScorer(m Measure, refs []sparse.Vector) *refScorer {
 	default:
 		panic(fmt.Sprintf("core: unknown measure %d", int(m)))
 	}
-	return st.scorer(m)
+	return st.scorer(m).withDir()
+}
+
+// withDir builds S's directory unless rs has one, and returns rs. Only the
+// builder of a scorer that has none may call it: every scorer reduced in this
+// process gets its directory at once, a shard's (scorersFromRequest) when its
+// candidate side is about to dot against it — a propagated path never does.
+func (rs *refScorer) withDir() *refScorer {
+	if !rs.hasDir {
+		rs.dir, rs.hasDir = sparse.NewDirectory(rs.s), true
+	}
+	return rs
 }
 
 // score evaluates one candidate against the precomputed reference side.

@@ -54,7 +54,7 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 			if s, exact, err = sm.setVector(ctx, paths[m], refs); err != nil {
 				return nil, nil, err
 			}
-			scorers.perPath[m] = ShardRefState{Agg: s}.scorer(MeasureNetOut)
+			scorers.perPath[m] = ShardRefState{Agg: s}.scorer(MeasureNetOut).withDir()
 		}
 		if exact {
 			return scorers, nil, nil

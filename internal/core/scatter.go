@@ -111,9 +111,9 @@ type ShardRefState struct {
 // scorer is the one constructor of a refScorer: a reduction (newRefScorer), a
 // set-frontier propagation (referenceSide) and a shard's broadcast all end
 // here, so a shard scores a broadcast S exactly as the coordinator scores its
-// own.
+// own. S's directory is built apart (withDir).
 func (st ShardRefState) scorer(m Measure) *refScorer {
-	return &refScorer{m: m, s: st.Agg, dir: sparse.NewDirectory(st.Agg), refs: st.Refs, refVis: st.RefVis}
+	return &refScorer{m: m, s: st.Agg, refs: st.Refs, refVis: st.RefVis}
 }
 
 // RemoteShard is a coordinator-side client for one out-of-process shard.
@@ -189,9 +189,10 @@ func (qs *queryScorers) broadcast() *ShardBroadcast {
 }
 
 // scorersFromRequest reconstructs the read-only scoring state on the far
-// side of the wire from a request plus its broadcast. Validation is the
-// shard server's input hygiene: a malformed pairing fails the request with
-// a typed error instead of scoring garbage.
+// side of the wire from a request plus its broadcast, without S's
+// directories: the candidate side builds those it dots against. Validation
+// is the shard server's input hygiene: a malformed pairing fails the request
+// with a typed error instead of scoring garbage.
 func scorersFromRequest(req *ShardRequest, b *ShardBroadcast) (*queryScorers, error) {
 	if b == nil {
 		return nil, xerr.New(xerr.InvalidArgument, "core: shard request without a reference broadcast")
@@ -302,7 +303,7 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req 
 					"core: shard candidate %d outside graph (%d vertices)", v, n)}
 			}
 		}
-		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil)
+		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil, false)
 		if err != nil {
 			return rangeResult{err: err}
 		}

@@ -242,9 +242,7 @@ func (tr *Traverser) expandPull(frontier sparse.Vector, next hin.TypeID, buf spa
 // becomes coordinate at[i] of the expanded frontier (not empty), 0 for a
 // vertex not of type next. It reports false, vals untouched, when gathering
 // those rows does not pay (pullPays; a forced kernel decides instead) or
-// scatterIn refuses. A run of the type's vertex list (what PartitionVertices
-// hands a local range or a shard) is gathered from the pair's run like the
-// whole type, anything else row by row.
+// scatterIn refuses.
 func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.VertexID, vals []float64) bool {
 	if tr.kernel != KernelPull && (tr.kernel != KernelAuto || !tr.pullPays(frontier, next, len(at))) {
 		return false
@@ -253,20 +251,28 @@ func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.
 	if !ok {
 		return false
 	}
-	tr.counts.Pull++
-	cur := tr.g.Type(hin.VertexID(frontier.Idx[0]))
-	if first, ok := runOf(tr.g.VerticesOfType(next), at); ok {
-		pullRows(tr.g.Pair(next, cur), first, in, lo, vals)
-	} else {
-		for i, v := range at {
-			if tr.g.Valid(v) && tr.g.Type(v) == next {
-				nbrs, mults := tr.g.Neighbors(v, cur)
-				vals[i] = rowSum(in, lo, nbrs, mults)
-			}
-		}
-	}
+	tr.gatherRows(in, lo, tr.g.Type(hin.VertexID(frontier.Idx[0])), next, at, vals)
 	tr.clearIn(frontier, lo)
 	return true
+}
+
+// gatherRows is one pulled hop from type cur, whose frontier in holds over
+// its ID span from lo, read at the vertices at of type next: vals[i] is the
+// row sum of at[i], 0 for a vertex not of type next. A run of the type's
+// vertex list (what PartitionVertices hands a local range or a shard) is
+// gathered from the pair's run like the whole type, anything else row by row.
+func (tr *Traverser) gatherRows(in []float64, lo int32, cur, next hin.TypeID, at []hin.VertexID, vals []float64) {
+	tr.counts.Pull++
+	if first, ok := runOf(tr.g.VerticesOfType(next), at); ok {
+		pullRows(tr.g.Pair(next, cur), first, in, lo, vals)
+		return
+	}
+	for i, v := range at {
+		if tr.g.Valid(v) && tr.g.Type(v) == next {
+			nbrs, mults := tr.g.Neighbors(v, cur)
+			vals[i] = rowSum(in, lo, nbrs, mults)
+		}
+	}
 }
 
 // runOf reports whether at is the run vs[first:first+len(at)] of the ascending

@@ -240,3 +240,83 @@ func TestPullAllocationDiscipline(t *testing.T) {
 		t.Fatal("a fresh pull result shares storage with the traverser")
 	}
 }
+
+// SeedValues split at its last hop: SeedLastHop's kept frontier, gathered by
+// another traverser at any slice, is SeedValues there bit for bit — on the
+// graphs and slices of the test above, for one to six hops — counts one
+// pulled hop and touches no scratch. A gather that reads a count of 2⁵³ is not
+// exact, and one past the bound on the way keeps nothing.
+func TestQuickGatherIsSeedValues(t *testing.T) {
+	bg := context.Background()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g, maxHops := sparseGraph(r), 6
+		switch uint64(seed) % 3 {
+		case 1:
+			g = interleavedGraph(r)
+		case 2:
+			g, maxHops = lopsidedGraph(r, 2), 3
+		}
+		for i := 0; i < 6; i++ {
+			p := randomValidPath(r, g.Schema(), maxHops)
+			src := g.VerticesOfType(p.Source())
+			if len(src) == 0 {
+				continue
+			}
+			s := sumOfVectors(t, g, p, randomSubset(r, src))
+			h, err := NewTraverser(g).SeedLastHop(bg, p.Reverse(), s)
+			if err != nil || h == nil {
+				t.Logf("seed %d: SeedLastHop(%v) = (%v, %v)", seed, p.Reverse(), h, err)
+				return false
+			}
+			for _, at := range candidateSlices(r, g, src) {
+				want, _, _ := NewTraverser(g).SeedValues(bg, p.Reverse(), s, at)
+				tr := NewTraverser(g)
+				got, exact := tr.Gather(h, at)
+				if !exact || len(got) != len(want) || tr.in != nil || tr.KernelCounts().Pull != min(uint64(len(h.in)), 1) {
+					t.Logf("seed %d path %v: Gather = (%d values, exact=%v), pulls %d", seed, p, len(got), exact, tr.KernelCounts().Pull)
+					return false
+				}
+				for j := range at {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Logf("seed %d path %v: N[%d] = %v, want %v", seed, p, at[j], got[j], want[j])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+
+	// TestSeedValuesExactnessCoversUsedOnly's graph: N[big] = 2⁵³, N[small] = 2³⁰.
+	s := hin.MustSchema("a", "b", "c")
+	s.AllowLink(0, 1)
+	s.AllowLink(1, 2)
+	bld := hin.NewBuilder(s)
+	big, small := bld.MustAddVertex(0, "big"), bld.MustAddVertex(0, "small")
+	mid, end := bld.MustAddVertex(1, "mid"), bld.MustAddVertex(2, "end")
+	for _, e := range [][3]int32{{int32(big), int32(mid), 1 << 23}, {int32(small), int32(mid), 1}, {int32(mid), int32(end), 1 << 10}} {
+		if err := bld.AddEdgeMult(hin.VertexID(e[0]), hin.VertexID(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := bld.Build()
+	tr := NewTraverser(g)
+	h, err := tr.SeedLastHop(bg, MustNew(1, 0), sparse.Vector{Idx: []int32{int32(mid)}, Val: []float64{1 << 30}})
+	if err != nil || h == nil {
+		t.Fatalf("SeedLastHop = (%v, %v)", h, err)
+	}
+	if vals, exact := tr.Gather(h, []hin.VertexID{small}); !exact || vals[0] != 1<<30 {
+		t.Fatalf("gather at small: (%v, %v), want ([2^30], true)", vals, exact)
+	}
+	if vals, exact := tr.Gather(h, []hin.VertexID{small, big}); exact || vals != nil {
+		t.Fatalf("gather at big: (%v, %v), want (nil, false)", vals, exact)
+	}
+	far := sparse.Vector{Idx: []int32{int32(end)}, Val: []float64{1 << 43}}
+	if h, err := tr.SeedLastHop(bg, MustNew(2, 1, 0), far); h != nil || err != nil {
+		t.Fatalf("frontier past the bound: (%v, %v), want (nil, nil)", h, err)
+	}
+}

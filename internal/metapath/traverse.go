@@ -32,9 +32,9 @@ type Traverser struct {
 	// from. spare is where a pull gathers a result it will hand out fresh.
 	in    []float64
 	spare sparse.Vector
-	// hops are the two ping-pong buffers NeighborVector, SetVector, SeedVector
-	// and SeedValues write the seed and every intermediate frontier into; only
-	// the final vector is allocated (Visibility drains that one into them too).
+	// hops are the two ping-pong buffers every walk writes the seed and each
+	// intermediate frontier into; only the final vector is allocated
+	// (Visibility drains that one into them too).
 	hops [2]sparse.Vector
 	// kernel forces a specific kernel when != KernelAuto.
 	kernel Kernel
@@ -209,12 +209,77 @@ func (tr *Traverser) SeedValues(ctx context.Context, p Path, seed sparse.Vector,
 			vals[i] = full.At(int32(v))
 		}
 	}
+	vals, exact = exactValues(vals)
+	return vals, exact, nil
+}
+
+// exactValues is vals, exact, when every value is below 2⁵³; nil otherwise.
+func exactValues(vals []float64) ([]float64, bool) {
 	for _, x := range vals {
 		if x >= maxExactCount {
-			return nil, false, nil
+			return nil, false
 		}
 	}
-	return vals, true, nil
+	return vals, true
+}
+
+// LastHop is SeedValues' walk kept for later gathers: the frontier before the
+// last hop of a path, held dense over its type's ID span — the array the pull
+// kernel scatters a frontier into. Read-only once built, so any number of
+// traversers may gather from it at once.
+type LastHop struct {
+	from, to hin.TypeID // the frontier's type and the path's target
+	lo       int32      // from's first ID
+	in       []float64  // nil when nothing reaches the last hop
+}
+
+// Bytes is what the dense frontier holds (0 for nil).
+func (h *LastHop) Bytes() int {
+	if h == nil {
+		return 0
+	}
+	return 8 * len(h.in)
+}
+
+// SeedLastHop walks seed along all of p but its last hop, validated and
+// polled as SeedValues walks it, and returns the frontier there for Gather to
+// finish as often as asked: SeedValues split at its last hop, with the
+// frontier in an array of its own instead of the pull scratch. It is nil when
+// SeedValues would not be exact there, and for a path without a hop or a
+// frontier type past MaxDenseSpan, which have no such array.
+func (tr *Traverser) SeedLastHop(ctx context.Context, p Path, seed sparse.Vector) (*LastHop, error) {
+	if p.Hops() == 0 {
+		return nil, nil
+	}
+	frontier, exact, err := tr.seedWalk(ctx, p, p.Hops()-1, seed, true)
+	if !exact || err != nil {
+		return nil, err
+	}
+	h := &LastHop{from: p.Type(p.Hops() - 1), to: p.Target()}
+	if frontier.IsZero() {
+		return h, nil
+	}
+	lo, hi, _ := tr.g.TypeIDSpan(h.from)
+	if int64(hi)-int64(lo) >= MaxDenseSpan {
+		return nil, nil
+	}
+	h.lo, h.in = int32(lo), make([]float64, int(hi)-int(lo)+1)
+	for i, ix := range frontier.Idx {
+		h.in[ix-h.lo] = frontier.Val[i]
+	}
+	return h, nil
+}
+
+// Gather is the last hop of the walk h holds, read at the vertices at as
+// SeedValues reads it: the same row sums in the same order, so vals are
+// SeedValues' bit for bit, and nil, not exact, when one reached 2⁵³. It is a
+// pulled hop that scatters and clears nothing.
+func (tr *Traverser) Gather(h *LastHop, at []hin.VertexID) (vals []float64, exact bool) {
+	vals = make([]float64, len(at))
+	if h.in != nil {
+		tr.gatherRows(h.in, h.lo, h.from, h.to, at, vals)
+	}
+	return exactValues(vals)
 }
 
 // seedWalk validates the seed of SeedVector and propagates it along the
@@ -292,9 +357,9 @@ func (tr *Traverser) Expand(frontier sparse.Vector, next hin.TypeID) sparse.Vect
 // ExpandScratch is Expand for a frontier the caller will not keep: the
 // result lives in hop buffer slot (0 or 1) and is valid until that slot is
 // written again — by this method or by any walk (NeighborVector, SetVector,
-// SeedVector, SeedValues, Visibility). The frontier may live in the other
-// slot, so a caller walking hop by hop alternates slots and allocates nothing
-// once the buffers have grown.
+// SeedVector, SeedValues, SeedLastHop, Visibility). The frontier may live in
+// the other slot, so a caller walking hop by hop alternates slots and
+// allocates nothing once the buffers have grown.
 func (tr *Traverser) ExpandScratch(frontier sparse.Vector, next hin.TypeID, slot int) sparse.Vector {
 	b := &tr.hops[slot&1]
 	out := tr.expandInto(KernelAuto, frontier, next, *b)

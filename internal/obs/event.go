@@ -90,7 +90,9 @@ type Event struct {
 	Kernels map[string]int64 `json:"kernels,omitempty"`
 	// Plan names, per feature meta-path that has one, the waist the cache
 	// finishes that path's misses from ("(0 1 2 1 0): waist=venue@2") — why
-	// such a path is cheap, or "(dropped)" why it no longer is.
+	// such a path is cheap, or "(dropped)" why it no longer is — and where a
+	// NetOut scan's numerators came from ("(0 1 2): numer=memo", "…=walk",
+	// "…=vertex known=K need=N").
 	Plan []string `json:"plan,omitempty"`
 	// Compiled is "hit" when a serve pool held the query text's compiled entry
 	// (parse, resolution) and "miss" when it did not; RefSide is "memo" when

@@ -58,8 +58,8 @@ type Trace struct {
 	// inside the scatter span — so their durations do NOT sum into Total.
 	Shards []ShardSpan
 	// Plan names, one rendered line per feature meta-path that has one, the
-	// waist a cached materializer finishes that path's misses from (empty
-	// otherwise).
+	// waist a cached materializer finishes that path's misses from and where
+	// its numerators came from when scored from norms (Event.Plan).
 	Plan []string
 	// Compiled says whether a serve pool held the query text's compiled entry
 	// ("hit" or "miss"), RefSide whether the reduced reference side came from
