@@ -52,18 +52,18 @@ bench:
 # dense/ arms;
 # BenchmarkReferenceSide measures per-vertex loads + Sum against one
 # set-frontier propagation, the two branches of referenceSide (DESIGN.md
-# "Reference side"); BenchmarkCandidateSide one walk per candidate against
-# one reverse propagation plus the visibility table, the evidence for
-# candSideMinShare, and the gather from a kept S̃ a served hit does (DESIGN.md
-# "Candidate side"); BenchmarkWaist finishing a
+# "Reference side"); internal/core's BenchmarkCandidateSide one walk per
+# candidate against one reverse propagation plus the visibility table, the
+# evidence for candSideMinShare, and the gather from a walk the table keeps
+# that a repeat does (DESIGN.md "Candidate side"); BenchmarkWaist finishing a
 # subpath-cache miss by expansion against combination from a waist table, the
 # evidence for waistRatio and the tables' byte shares (DESIGN.md
 # "Subpath-decomposed cache"). Every line runs with -benchmem so B/op and
 # allocs/op are recorded.
 bench-json:
-	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide|BenchmarkCandidateSide' -benchmem . ; \
+	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide' -benchmem . ; \
 	  $(GO) test -run XXX -bench='BenchmarkExpand$$' -benchmem ./internal/metapath/ ; \
-	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe|BenchmarkWaist' -benchmem ./internal/core/ ; \
+	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe|BenchmarkWaist|BenchmarkCandidateSide' -benchmem ./internal/core/ ; \
 	  $(GO) test -run XXX -bench='BenchmarkAccumulators|BenchmarkDot|BenchmarkSum' -benchmem ./internal/sparse/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
 	$(GO) test -run XXX -bench='BenchmarkQuery/' -benchmem -cpu 1,2,4 . \
@@ -95,8 +95,10 @@ obs-smoke:
 
 # Boot two `netout -shard-serve` processes plus a coordinator scattering
 # over them: the networked result must equal unsharded execution exactly,
-# both sides must export netout_shard_* metrics, and kill -9 on one shard
-# must degrade the next query to partial instead of failing it.
+# both sides must export netout_shard_* metrics, a repeated whole-type scan
+# must end up gathering from the walk the shards' norm tables keep (no
+# traversed vector), and kill -9 on one shard must degrade the next query to
+# partial instead of failing it.
 shard-net-smoke:
 	sh scripts/shard_net_smoke.sh
 
@@ -145,8 +147,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19823
-CORE_LOC_CEILING = 5936
+LOC_CEILING = 19877
+CORE_LOC_CEILING = 5990
 DESIGN_LINES_CEILING = 995
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

@@ -467,110 +467,6 @@ func BenchmarkReferenceSide(b *testing.B) {
 	}
 }
 
-// BenchmarkCandidateSide measures the two ways candidateSide scores a
-// NetOut candidate set on the baseline (DESIGN.md "Candidate side") with the
-// traverser primitives it is built from, over the three whole-type scan
-// paths of the serving benchmark and |Sc| at 1–100 % of the author type:
-//
-//   - per-vertex: one walk per candidate — Φ, its norm, its dot with S. The
-//     table cannot spare it the walk: cold, the norm is stored on the way;
-//     warm, it is stored again.
-//   - propagated: every numerator at once, S pushed back along P⁻¹
-//     (SeedVector), then per candidate a norm — cold, by a walk that
-//     allocates nothing (Visibility); warm, read from the table — and a
-//     division.
-//   - memo (warm table only): what a serve pool's hit does — the numerators
-//     gathered from S walked back to the hop before the candidates, kept
-//     (SeedLastHop, outside the loop; Gather), then the same division.
-//
-// The crossover constant candSideMinKnown compares the warm propagated arm
-// with the per-vertex arm: a path is only ever propagated for the candidates
-// whose norms are known. The memo arm moves no constant: only a retained
-// entry has what it gathers from.
-func BenchmarkCandidateSide(b *testing.B) {
-	f := getFixture(b)
-	author, _ := f.graph.Schema().TypeByName("author")
-	all := f.graph.VerticesOfType(author)
-	shuffled := slices.Clone(all)
-	r := rand.New(rand.NewSource(17))
-	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	lo, hi, _ := f.graph.TypeIDSpan(author)
-	for _, dotted := range []string{"author.paper.venue", "author.paper.term", "author.paper.author"} {
-		p, err := netout.ParseMetaPath(f.graph.Schema(), dotted)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr := netout.NewTraverser(f.graph)
-		s, _, err := tr.SetVector(context.Background(), p, all)
-		if err != nil {
-			b.Fatal(err)
-		}
-		norms := make([]float64, hi-lo+1)
-		for _, v := range all {
-			norms[v-lo], _ = tr.Visibility(p, v)
-		}
-		back, err := tr.SeedLastHop(context.Background(), p.Reverse(), s)
-		if err != nil || back == nil {
-			b.Fatalf("SeedLastHop: %v", err)
-		}
-		for _, pct := range []int{1, 10, 25, 50, 100} {
-			cands := slices.Clone(shuffled[:max(1, len(all)*pct/100)])
-			slices.Sort(cands)
-			scores := make([]float64, len(cands))
-			name := fmt.Sprintf("path=%s/cands=%d%%", dotted, pct)
-			for _, table := range []string{"cold", "warm"} {
-				b.Run(name+"/table="+table+"/per-vertex", func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						for j, v := range cands {
-							phi, _ := tr.NeighborVector(p, v)
-							vis := phi.Norm2Sq()
-							norms[v-lo] = vis
-							scores[j] = phi.Dot(s) / vis
-						}
-					}
-				})
-				b.Run(name+"/table="+table+"/propagated", func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						n, exact, err := tr.SeedVector(context.Background(), p.Reverse(), s)
-						if err != nil || !exact {
-							b.Fatalf("SeedVector: exact=%v err=%v", exact, err)
-						}
-						k := 0 // cands ascend: one cursor walks N beside them
-						for j, v := range cands {
-							vis := norms[v-lo]
-							if table == "cold" {
-								vis, _ = tr.Visibility(p, v)
-								norms[v-lo] = vis
-							}
-							for k < len(n.Idx) && n.Idx[k] < int32(v) {
-								k++
-							}
-							scores[j] = 0
-							if k < len(n.Idx) && n.Idx[k] == int32(v) {
-								scores[j] = n.Val[k] / vis
-							}
-						}
-					}
-				})
-			}
-			b.Run(name+"/table=warm/memo", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					n, exact := tr.Gather(back, cands)
-					if !exact {
-						b.Fatal("Gather: not exact")
-					}
-					for j, v := range cands {
-						scores[j] = n[j] / norms[v-lo]
-					}
-				}
-			})
-		}
-	}
-}
-
 // benchSink keeps benchmarked results alive.
 var benchSink netout.Vector
 

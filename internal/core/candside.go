@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sync"
@@ -31,17 +33,17 @@ import (
 //     gets every numerator at once: N = M_P·S is S propagated back along
 //     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
 //     one per candidate, its last hop gathered at this side's candidates
-//     only — or, on a pool's hit, that last hop alone, from the walk its miss
-//     kept. A candidate whose norm is known then costs a table read and a
-//     division; one whose norm is not costs the walk it always did — Φ
-//     drained into scratch when only its norm is wanted — and leaves the
-//     norm behind. N is exact or absent: SeedValues reports when a count it
-//     used reached 2⁵³ and the path then keeps walking per vertex. Below 2⁵³
-//     every term of Φ·S is a non-negative integer bounded by N[v], so every
-//     product and partial sum of Dot is exact in any order, fused or not, and
-//     N[v] is Float64bits-identical to it; the norm is the very float64
-//     Norm2Sq returned. Scores are therefore the per-vertex path's bit for
-//     bit.
+//     only — or that hop alone, from the walk the norm table keeps for an S
+//     it has seen before (baseline.seedValues). A candidate whose norm is
+//     known then costs a table read and a division; one whose norm is not
+//     costs the walk it always did — Φ drained into scratch when only its
+//     norm is wanted — and leaves the norm behind. N is exact or absent:
+//     SeedValues reports when a count it used reached 2⁵³ and the path then
+//     keeps walking per vertex. Below 2⁵³ every term of Φ·S is a non-negative
+//     integer bounded by N[v], so every product and partial sum of Dot is
+//     exact in any order, fused or not, and N[v] is Float64bits-identical to
+//     it; the norm is the very float64 Norm2Sq returned. Scores are therefore
+//     the per-vertex path's bit for bit.
 type candidateSide struct {
 	g       *hin.Graph
 	scorers *queryScorers
@@ -56,7 +58,7 @@ type candidateSide struct {
 	memo []*visPath
 	num  [][]float64
 	// numer[m] says where num[m] came from, for the query's plan lines:
-	// "memo" (a retained S̃), "walk" (S walked back by this query), or
+	// "memo" (a kept walk), "walk" (S walked back by this query), or
 	// "vertex" (a walk per candidate) with the crossover's inputs.
 	numer []string
 	// ifq receives scoreRange's chunk progress (nil-safe; nil on a shard
@@ -70,9 +72,9 @@ type candidateSide struct {
 // 1/candSideMinShare of the source type.
 //
 // The share is measured: in BenchmarkCandidateSide (BENCH_kernel.json) the
-// warm propagated scan is 4.3–18× ahead of the per-vertex one from 50 % of the
-// type up on all three scan paths, 2.5–3.8× ahead at 25 %, and level with it
-// at 10 % (0.8–1.1×; the run that set the share read 1.3–2.8× behind).
+// warm propagated scan is 4.5–17× ahead of the per-vertex one from 50 % of the
+// type up on all three scan paths, 1.9–3.7× ahead at 25 %, and level with it
+// at 10 % (0.75–1.1×; the run that set the share read 1.3–2.8× behind).
 // The count is a floor under it for the paper's sake: the anchor-derived sets
 // of Table 4 cover up to 60 % of the small venue and term types, where the
 // share alone would propagate them, but stay under 600 candidates at every
@@ -87,14 +89,7 @@ const (
 // newCandidateSide plans the scoring of cands. mat is the caller's own
 // materializer; a reverse propagation runs on it, and its failure — the
 // context's included — fails the caller whole, like the reference side's.
-//
-// keep says a serve pool retains the scorers of a clean run (a compiled
-// miss). Then a path whose slice passes the static half of the crossover —
-// cold norms or warm — walks into an array kept on its scorer
-// (refScorer.back), and every hit gathers the numerators from there: the same
-// last hop over the same values, so the same bits, with no walk. Nowhere else
-// is that array allocated.
-func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector, keep bool) (*candidateSide, error) {
+func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
 	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
 	sm, ok := mat.(setMaterializer)
 	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil {
@@ -113,22 +108,13 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 	for m, p := range paths {
 		rs := scorers.perPath[m]
 		tbl, known, need := sm.norms(p, cands)
-		cs.memo[m], cs.numer[m] = tbl, "walk"
+		cs.memo[m] = tbl
 		// num is exact or nil: a path whose used numerators left 2⁵³ walks
 		// per vertex.
-		switch {
-		case rs.back != nil:
-			cs.numer[m] = "memo"
-			cs.num[m], err = sm.gather(ctx, rs.back, cands)
-		case keep && len(cands) >= need:
-			if rs.back, err = sm.seedLastHop(ctx, p.Reverse(), rs.s); rs.back != nil && known >= need {
-				cs.num[m], err = sm.gather(ctx, rs.back, cands)
+		if known >= need {
+			if cs.num[m], cs.numer[m], err = sm.seedValues(ctx, p, tbl, rs.s, cands); err != nil {
+				return nil, err
 			}
-		case known >= need:
-			cs.num[m], _, err = sm.seedValues(ctx, p.Reverse(), rs.s, cands)
-		}
-		if err != nil {
-			return nil, err
 		}
 		if cs.num[m] == nil {
 			cs.numer[m] = fmt.Sprintf("vertex known=%d need=%d", known, need)
@@ -281,16 +267,21 @@ func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.V
 // ---------------------------------------------------------------------------
 // Visibility table
 
-// maxVisBytes bounds the norm tables of one baseline and all its views.
+// maxVisBytes bounds the norm tables and kept walks of one baseline and all
+// its views.
 const maxVisBytes = 64 << 20
 
+// walkSeed keys the fingerprints of first sightings (visPath.sighted).
+var walkSeed = maphash.MakeSeed()
+
 // visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
-// traversals have computed: one visPath per feature path, created on first
-// use. The root baseline owns it and every NewView shares it, so a query's
-// local ranges, a shard server's view pool and a ServePool's queries fill and
-// read the same tables. When a new path's table would push the total past
-// limit, whole tables go, oldest first; a reader holding an evicted table
-// keeps a consistent one for the rest of its query.
+// traversals have computed, and one reverse walk per path (keptWalk): one
+// visPath per feature path, created on first use. The root baseline owns it
+// and every NewView shares it, so a query's local ranges, a shard server's
+// view pool and a ServePool's queries fill and read the same tables. When a
+// new path's table would push the total past limit, whole tables go, oldest
+// first, walk and all; a walk never displaces a norm (keep). A reader holding
+// an evicted table keeps a consistent one for the rest of its query.
 type visTable struct {
 	limit int64
 	// minKnown and minShare are the propagation crossover (candSideMinKnown,
@@ -314,6 +305,21 @@ type visPath struct {
 	// of a slot stores the same word — the norm is a function of (path,
 	// vertex) — so concurrent fills need atomicity, not ordering.
 	bits []atomic.Uint64
+	// walk is the kept walk (nil: none), published whole and never written;
+	// seen fingerprints the last S walked without being kept. walkBytes (what
+	// walk is charged) and gone (the table was evicted) are t.mu's.
+	walk      atomic.Pointer[keptWalk]
+	seen      atomic.Uint64
+	walkBytes int64
+	gone      bool
+}
+
+// keptWalk is S walked back along P⁻¹ to the hop before the candidates
+// (Traverser.SeedLastHop), beside that S, held by reference: a reduced S or a
+// broadcast is never written.
+type keptWalk struct {
+	s   sparse.Vector
+	hop *metapath.LastHop
 }
 
 // path returns p's table, creating it when it fits (nil otherwise).
@@ -329,7 +335,9 @@ func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
 		return nil
 	}
 	for t.bytes+size > t.limit {
-		t.bytes -= int64(len(t.paths[t.order[0]].bits)) * 8
+		vp := t.paths[t.order[0]]
+		t.bytes -= int64(len(vp.bits))*8 + vp.walkBytes
+		vp.gone = true
 		delete(t.paths, t.order[0])
 		t.order = t.order[1:]
 	}
@@ -341,6 +349,59 @@ func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
 	t.order = append(t.order, p.Key())
 	t.bytes += size
 	return vp
+}
+
+// room is how many bytes a walk kept on vp may take: what the limit leaves
+// beside every norm table and the other paths' walks. A walk evicts nothing.
+func (t *visTable) room(vp *visPath) int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.limit - t.bytes + vp.walkBytes
+}
+
+// keep publishes w as vp's walk in place of the one it keeps, charged to t
+// beside the norms, unless it no longer fits vp's room. On a table evicted
+// meanwhile it is published uncharged and goes with the table.
+func (t *visTable) keep(vp *visPath, w *keptWalk) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := int64(w.s.Bytes() + w.hop.Bytes())
+	if !vp.gone {
+		if b > t.limit-t.bytes+vp.walkBytes {
+			return
+		}
+		t.bytes, vp.walkBytes = t.bytes+b-vp.walkBytes, b
+	}
+	vp.walk.Store(w)
+}
+
+// sighted records s as the last S walked on vp without being kept and
+// reports whether it already was, by a 64-bit maphash of its bits: it decides
+// when a walk is kept, never what a lookup matches.
+func (vp *visPath) sighted(s sparse.Vector) bool {
+	var h maphash.Hash
+	h.SetSeed(walkSeed)
+	var b [12]byte
+	for i, ix := range s.Idx {
+		h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(b[:0], uint32(ix)), math.Float64bits(s.Val[i])))
+	}
+	fp := h.Sum64()
+	return vp.seen.Swap(fp) == fp
+}
+
+// sameBits reports whether a and b hold the same coordinates with the same
+// Float64bits (so +0 is not −0, unlike sparse.Vector.Equal), comparing
+// nothing when they share their arrays.
+func sameBits(a, b sparse.Vector) bool {
+	if len(a.Idx) != len(b.Idx) {
+		return false
+	}
+	if len(a.Idx) == 0 || &a.Idx[0] == &b.Idx[0] && &a.Val[0] == &b.Val[0] {
+		return true
+	}
+	return slices.Equal(a.Idx, b.Idx) && slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
 }
 
 func (t *visTable) residentBytes() int64 {

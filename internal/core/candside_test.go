@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"netout/internal/gen"
 	"netout/internal/hin"
 	"netout/internal/metapath"
 	"netout/internal/obs"
@@ -257,8 +259,9 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
 	}
-	if _, exact, err := probe.seedValues(context.Background(), p.Reverse(), agg, all); err != nil || exact {
-		t.Fatalf("fixture: N stays in the exact domain (exact=%v, err=%v)", exact, err)
+	tbl, _, _ := probe.norms(p, all)
+	if n, _, err := probe.seedValues(context.Background(), p, tbl, agg, all); err != nil || n != nil {
+		t.Fatalf("fixture: N stays in the exact domain (N=%v, err=%v)", n != nil, err)
 	}
 	want := perVertexResult(t, g, all, all, []metapath.Path{p}, []float64{1}, 0)
 	for name, eng := range candSideExecutors(g) {
@@ -288,14 +291,26 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 }
 
 // Accounting without new series: a norm read from the table is an indexed
-// vector, a walk a traversed one, a propagation — forward or back — one
-// traversed vector per path, and IndexBytes is what the tables hold. With the
-// production crossover a scan only propagates once 1 024 of its candidates
-// are known and they are a quarter of the type.
+// vector, a walk a traversed one, a propagation — forward or back, its walk
+// kept or not — one traversed vector per path, a gather from a kept walk one
+// indexed vector, and IndexBytes is what the tables hold, norms and kept walks.
+// With the production crossover a scan only propagates once 1 024 of its
+// candidates are known and they are a quarter of the type.
 func TestCandidateSideAccounting(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(8)), 1500)
 	all := g.VerticesOfType(mustType(t, g, "author"))
 	span := int64(all[len(all)-1]-all[0]) + 1
+	// A kept walk holds the venue path's S and S walked back to the papers.
+	venue, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := metapath.NewTraverser(g).SetVector(context.Background(), venue, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
+	walk := int64(s.Bytes()) + 8*int64(hi-lo+1)
 	mat := NewBaseline(g)
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 	scan := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;`
@@ -311,9 +326,12 @@ func TestCandidateSideAccounting(t *testing.T) {
 		{"cold scan walks every candidate", scan, 1 + n, 0, 8 * span},
 		{"1 000 known candidates stay under the floor", few, 1 + 1000, 0, 8 * span},
 		{"warm scan: S, N, then the table", scan, 2, n, 8 * span},
-		{"a known subset above the floor propagates too", most, 2, 1300, 8 * span},
-		{"one warm path, one cold", two, 2 + 1 + n, n, 16 * span},
-		{"both warm", two, 4, 2 * n, 16 * span},
+		// The same S seen a second time: N's walk is kept, still one traversal.
+		{"a known subset above the floor propagates too", most, 2, 1300, 8*span + walk},
+		// The venue path gathers from the kept walk: an indexed vector, no walk.
+		{"one warm path, one cold", two, 2 + n, 1 + n, 16*span + walk},
+		// The venue path gathers again; the author path walks its S a first time.
+		{"both warm", two, 3, 1 + 2*n, 16*span + walk},
 	} {
 		res, err := eng.Execute(step.src)
 		if err != nil {
@@ -327,14 +345,16 @@ func TestCandidateSideAccounting(t *testing.T) {
 			t.Fatalf("%s: IndexBytes = %d, want %d", step.name, mat.IndexBytes(), step.bytes)
 		}
 	}
-	// A view reads and fills the root's table: warm from its first query.
+	// A view reads and fills the root's table: warm from its first query, and
+	// gathering from the walk the root kept.
 	view, err := NewView(mat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)).Execute(scan)
-	if err != nil || res.Timing.IndexedVectors != n || view.IndexBytes() != 16*span {
-		t.Fatalf("view: err=%v indexed=%d bytes=%d, want the root's warm table", err, res.Timing.IndexedVectors, view.IndexBytes())
+	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk {
+		t.Fatalf("view: err=%v traversed=%d indexed=%d bytes=%d, want the root's warm table and walk",
+			err, res.Timing.TraversedVectors, res.Timing.IndexedVectors, view.IndexBytes())
 	}
 }
 
@@ -593,11 +613,13 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 	}
 }
 
-// A pool's hit on a whole-type scan gathers every numerator from the S̃ its
-// miss kept, whose norms were still cold: the scores of a plain engine bit for
-// bit, one pulled hop per path, not one traversal. A deadline at that gather
-// fails the hit whole, as one inside the reverse walk does, and one a poll
-// later leaves the exact Done-prefix of the first step.
+// A pool's scan walks each path's S back when the norms are warm, keeps the
+// walk in the norm table the second time it sees that S — the retained S of
+// its compiled entry — and every later hit gathers every numerator from it:
+// the scores of a plain engine bit for bit, one pulled hop per path, not one
+// traversal. A deadline at that gather fails the hit whole, as one inside the
+// reverse walk does, and one a poll later leaves the exact Done-prefix of the
+// first step.
 func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(23)))
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author.paper.term : 0.5;`
@@ -611,18 +633,22 @@ func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	for run := 0; run < 3; run++ {
+	// Runs: a miss with cold norms, a first sighting of each S, a second that
+	// keeps its walk (two traversals each), then gathers.
+	for run, traversed := range []int64{-1, 2, 2, 0, 0} {
 		got, err := pool.Execute(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		entriesBitEqual(t, fmt.Sprintf("run %d", run), want, got)
-		if run == 0 {
+		if traversed < 0 {
 			continue
 		}
-		if k := ring.Snapshot()[0].Kernels; got.Trace.Compiled != "hit" || got.Timing.TraversedVectors != 0 || k["pull"] != 2 || len(k) != 1 {
-			t.Fatalf("hit %d: compiled=%s, %d vectors traversed, kernels %v; want no traversal and two pulled hops",
-				run, got.Trace.Compiled, got.Timing.TraversedVectors, k)
+		if got.Trace.Compiled != "hit" || got.Timing.TraversedVectors != traversed {
+			t.Fatalf("hit %d: compiled=%s, %d vectors traversed, want %d", run, got.Trace.Compiled, got.Timing.TraversedVectors, traversed)
+		}
+		if k := ring.Snapshot()[0].Kernels; traversed == 0 && (k["pull"] != 2 || len(k) != 1) {
+			t.Fatalf("hit %d: kernels %v; want two pulled hops", run, k)
 		}
 	}
 	// Polls: admission, query start, one per gather, one per path and step.
@@ -644,67 +670,404 @@ func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
 	}
 }
 
+// shardScan is a one-path NetOut shard request over cands.
+func shardScan(p metapath.Path, cands []hin.VertexID) *ShardRequest {
+	return &ShardRequest{Version: ShardProtocolVersion, TopK: 5, Measure: MeasureNetOut, Combine: CombineAverage,
+		Weights: []float64{1}, Paths: []metapath.Path{p}, Candidates: cands}
+}
+
+// broadcastOf broadcasts S on arrays of its own, as a decoded request does.
+func broadcastOf(g *hin.Graph, s sparse.Vector) *ShardBroadcast {
+	return &ShardBroadcast{Stride: int32(g.NumVertices()), Refs: []ShardRefState{{Agg: s.Clone()}}}
+}
+
 // A shard request on a warm range that propagates allocates what its slice
-// needs and nothing the size of a type: no S̃ array — only a pool's miss keeps
-// one — and no directory of S, which a propagated path never dots against. A
-// cold range, which dots, builds the directory.
+// needs and nothing the size of a type: no directory of S, which a propagated
+// path never dots against, and on a first sighting of S — its walk may never
+// be asked for again — no kept walk. A cold range, which dots, builds the
+// directory. A repeat gathers from the walk the second sighting kept, and a
+// stream of distinct S's keeps a small table inside its bound.
 func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(5)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
+	norms := 8 * int64(all[len(all)-1]-all[0]+1)
 	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
-	span := 8 * uint64(hi-lo+1) // what the S̃ of the path would take
+	span := 8 * int64(hi-lo+1) // the dense frontier a kept walk of the path holds
 	p, err := metapath.ParseDotted(g.Schema(), "author.paper.author")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all)
-	if err != nil {
-		t.Fatal(err)
+	sOf := func(refs []hin.VertexID) sparse.Vector {
+		s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	b := &ShardBroadcast{Stride: int32(g.NumVertices()), Refs: []ShardRefState{{Agg: s}}}
-	req := &ShardRequest{Version: ShardProtocolVersion, TopK: 5, Measure: MeasureNetOut, Combine: CombineAverage,
-		Weights: []float64{1}, Paths: []metapath.Path{p}, Candidates: all[:len(all)/2]}
+	bs, bo := broadcastOf(g, sOf(all)), broadcastOf(g, sOf(all[:len(all)/3]))
+	req := shardScan(p, all[:len(all)/2])
+	serve := func(mat Materializer, b *ShardBroadcast, traversed int64) {
+		resp := ServeShardRequest(ctx, g, mat, req, b)
+		if resp.Err != "" || resp.Done != len(req.Candidates) || resp.Stats.TraversedVectors != traversed {
+			t.Fatalf("warm range: %+v, want it complete on %d traversals", resp, traversed)
+		}
+	}
 	mat := eagerBaseline(g)
-	dirs := func() *refScorer {
+	dirs := func(b *ShardBroadcast) *refScorer {
 		scorers, err := scorersFromRequest(req, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil, false); err != nil {
+		if _, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil); err != nil {
 			t.Fatal(err)
 		}
 		return scorers.perPath[0]
 	}
-	if rs := dirs(); !rs.hasDir || rs.dir.Bytes() == 0 {
+	if rs := dirs(bs); !rs.hasDir || rs.dir.Bytes() == 0 {
 		t.Fatal("a cold range walks per candidate without S's directory")
 	}
-	serve := func() {
-		resp := ServeShardRequest(ctx, g, mat, req, b)
-		if resp.Err != "" || resp.Done != len(req.Candidates) || resp.Stats.TraversedVectors != 1 {
-			t.Fatalf("warm range: %+v, want it complete on one propagation", resp)
-		}
+	ServeShardRequest(ctx, g, mat, req, bs) // cold: fills the norms
+	// Two S's in turn: every request is a first sighting, walked in scratch.
+	alternate := func() {
+		serve(mat, bo, 1)
+		serve(mat, bs, 1)
 	}
-	ServeShardRequest(ctx, g, mat, req, b) // cold: fills the norms
-	serve()                                // grows the hop buffers
-	if rs := dirs(); rs.hasDir {
-		t.Fatalf("a propagated range built S's directory (%d bytes)", rs.dir.Bytes())
-	}
+	alternate() // grows the hop buffers
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const runs = 20
 	for i := 0; i < runs; i++ {
-		serve()
+		alternate()
 	}
 	runtime.ReadMemStats(&after)
-	if perReq := (after.TotalAlloc - before.TotalAlloc) / runs; perReq >= span {
-		t.Fatalf("a propagated range allocated %d bytes per request, the S̃ array alone is %d", perReq, span)
+	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / (2 * runs); perReq >= span || mat.IndexBytes() != norms {
+		t.Fatalf("first sightings allocated %d bytes per request (a kept walk's frontier is %d) and left %d bytes in the table, want the %d of the norms",
+			perReq, span, mat.IndexBytes(), norms)
+	}
+	// Measured: 20, the ceiling of a walk in scratch ("sync.Pool drops what it
+	// is handed" under -race).
+	if n := testing.AllocsPerRun(runs, alternate) / 2; n > 24 && !raceEnabled {
+		t.Fatalf("a first sighting allocated %.0f times per request, ceiling 24", n)
+	}
+	// bs was the last S seen: planning its range again keeps the walk — still
+	// without S's directory — and a repeat only gathers.
+	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+span+int64(bs.Refs[0].Agg.Bytes()) {
+		t.Fatalf("second sighting: directory %v, %d bytes in the table, want the norms and one walk", rs.hasDir, mat.IndexBytes())
+	}
+	repeat := func() { serve(mat, bs, 0) }
+	repeat()
+	// A table with room for the norms and one and a half walks: a stream of
+	// distinct S's, each sent three times, keeps each one's walk in place of
+	// the last on its second sighting, gathers on its third, and never holds
+	// more than its bound.
+	small := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: norms + 3*(span+12*int64(len(all)))/2, minKnown: 1, minShare: candSideMinShare}}
+	ServeShardRequest(ctx, g, small, req, bs)
+	for k := 1; k <= 8; k++ {
+		b := broadcastOf(g, sOf(all[k:]))
+		for _, traversed := range []int64{1, 1, 0} {
+			serve(small, b, traversed)
+			if n := small.IndexBytes(); n > small.vis.limit {
+				t.Fatalf("S %d: the table holds %d bytes, bound %d", k, n, small.vis.limit)
+			}
+		}
 	}
 	if raceEnabled {
 		return // sync.Pool drops what it is handed
 	}
-	// Measured: 20 (3.7 KB, a third of the array); the ceiling leaves ~20 %.
-	if n := testing.AllocsPerRun(runs, serve); n > 24 {
-		t.Fatalf("a propagated range allocated %.0f times per request, ceiling 24", n)
+	// Measured: 17, under the ceiling of a walk in scratch.
+	if n := testing.AllocsPerRun(runs, repeat); n > 24 {
+		t.Fatalf("a range gathering from a kept walk allocated %.0f times per request, ceiling 24", n)
+	}
+}
+
+// A walk never displaces a norm. In a table with room for two paths' norms
+// and one walk, the first path to see its S twice keeps the walk; the second
+// path's S, seen as often, walks in scratch every time — its walk does not
+// fit — and both paths keep their norms and the first its walk.
+func TestKeptWalkEvictsNoNorms(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(7)), 600)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	norms := 8 * int64(all[len(all)-1]-all[0]+1)
+	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
+	ctx := context.Background()
+	var paths []metapath.Path
+	var bs []*ShardBroadcast
+	for _, dotted := range []string{"author.paper.venue", "author.paper.author"} {
+		p, err := metapath.ParseDotted(g.Schema(), dotted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, bs = append(paths, p), append(bs, broadcastOf(g, s))
+	}
+	walk := 8*int64(hi-lo+1) + int64(bs[0].Refs[0].Agg.Bytes())
+	mat := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: 2*norms + walk, minKnown: 1, minShare: candSideMinShare}}
+	for i, p := range paths {
+		req := shardScan(p, all)
+		// Cold, two sightings, then what a repeat does: a gather on the first
+		// path, a walk on the second.
+		for run, traversed := range []int64{-1, 1, 1, int64(i)} {
+			resp := ServeShardRequest(ctx, g, mat, req, bs[i])
+			if resp.Err != "" || traversed >= 0 && resp.Stats.TraversedVectors != traversed {
+				t.Fatalf("%v, run %d: %+v, want %d vectors traversed", p, run, resp, traversed)
+			}
+		}
+	}
+	for _, p := range paths {
+		if _, ok := mat.vis.paths[p.Key()]; !ok {
+			t.Fatalf("the norms of %v were evicted", p)
+		}
+	}
+	if mat.IndexBytes() != 2*norms+walk || mat.vis.paths[paths[1].Key()].walk.Load() != nil {
+		t.Fatalf("the table holds %d bytes, want both paths' norms and the first path's walk", mat.IndexBytes())
+	}
+}
+
+// A broadcast whose S differs from a kept one in one value's bits is another
+// S: it walks anew and answers what a fresh baseline answers, bit for bit —
+// whether a +0 turned −0, which == cannot tell apart, or a count moved by one.
+func TestKeptWalkMatchesEveryBit(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(11)), 400)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	kept, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept.Val[0] = 0 // an explicit +0 coordinate
+	req := shardScan(p, all)
+	for name, edit := range map[string]func([]float64){
+		"+0 to -0":  func(v []float64) { v[0] = math.Copysign(0, -1) },
+		"count + 1": func(v []float64) { v[len(v)-1]++ },
+	} {
+		serve := func(mat Materializer, b *ShardBroadcast) *ShardResponse {
+			resp := ServeShardRequest(ctx, g, mat, req, b)
+			if resp.Err != "" {
+				t.Fatalf("%s: %s", name, resp.Err)
+			}
+			return resp
+		}
+		mat := eagerBaseline(g)
+		for _, traversed := range []int64{-1, 1, 1, 0} { // cold, two sightings, a gather
+			if resp := serve(mat, broadcastOf(g, kept)); traversed >= 0 && resp.Stats.TraversedVectors != traversed {
+				t.Fatalf("%s: fixture traversed %d vectors, want %d", name, resp.Stats.TraversedVectors, traversed)
+			}
+		}
+		other := broadcastOf(g, kept)
+		edit(other.Refs[0].Agg.Val)
+		got := serve(mat, other)
+		fresh := eagerBaseline(g)
+		serve(fresh, broadcastOf(g, other.Refs[0].Agg)) // fills the norms
+		want := serve(fresh, broadcastOf(g, other.Refs[0].Agg))
+		if got.Stats.TraversedVectors != 1 || want.Stats.TraversedVectors != 1 {
+			t.Fatalf("%s: traversed %d vectors (a fresh baseline %d), want a walk anew", name, got.Stats.TraversedVectors, want.Stats.TraversedVectors)
+		}
+		entriesBitEqual(t, name, &Result{Entries: want.Entries, Skipped: want.Skipped}, &Result{Entries: got.Entries, Skipped: got.Skipped})
+	}
+}
+
+// Views of one baseline gather from a path's kept walk while the walk of a
+// new S replaces it and the old one comes back, again and again (run under
+// -race): every request answers the kept S's bits, from a walk it loaded
+// whole or, once that was replaced, from a walk of its own.
+func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(13)), 600)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sOf := func(refs []hin.VertexID) sparse.Vector {
+		s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s0 := sOf(all)
+	req := shardScan(p, all)
+	root := eagerBaseline(g)
+	var want *ShardResponse
+	for range 4 { // cold, two sightings, a gather
+		want = ServeShardRequest(ctx, g, root, req, broadcastOf(g, s0))
+	}
+	if want.Err != "" || want.Stats.TraversedVectors != 0 {
+		t.Fatalf("fixture: %+v, want a gather", want)
+	}
+	tbl := root.(*baseline).vis.path(g, p)
+	kept := tbl.walk.Load()
+	var walks []*keptWalk // the walks of three more S's
+	for k := 1; k <= 3; k++ {
+		s := sOf(all[k:])
+		h, err := metapath.NewTraverser(g).SeedLastHop(ctx, p.Reverse(), s)
+		if err != nil || h == nil {
+			t.Fatalf("SeedLastHop = (%v, %v)", h, err)
+		}
+		walks = append(walks, &keptWalk{s, h})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 5; w++ {
+		view, err := NewView(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 0 { // the publisher
+				for i := 0; i < 20; i++ {
+					root.(*baseline).vis.keep(tbl, walks[i%len(walks)])
+					root.(*baseline).vis.keep(tbl, kept)
+				}
+				return
+			}
+			for i := 0; i < 20; i++ {
+				got := ServeShardRequest(ctx, g, view, req, broadcastOf(g, s0))
+				if got.Err != "" || got.Stats.TraversedVectors > 1 {
+					t.Errorf("gatherer %d: %+v, want a gather or one walk", w, got)
+					return
+				}
+				for j, e := range want.Entries {
+					if got.Entries[j].Vertex != e.Vertex || math.Float64bits(got.Entries[j].Score) != math.Float64bits(e.Score) {
+						t.Errorf("gatherer %d: entry %d = %+v, want %+v", w, j, got.Entries[j], e)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Whichever walk was published last, the table is charged for it alone.
+	if w := tbl.walk.Load(); root.IndexBytes() != 8*int64(len(tbl.bits))+int64(w.s.Bytes()+w.hop.Bytes()) {
+		t.Fatalf("the table holds %d bytes, want the norms and one walk", root.IndexBytes())
+	}
+}
+
+// BenchmarkCandidateSide measures the ways candidateSide scores a NetOut
+// candidate set on the baseline (DESIGN.md "Candidate side") with the
+// traverser primitives it is built from, over the three whole-type scan paths
+// of the serving benchmark on the scale-1 generated network and |Sc| at 1–100 %
+// of the author type:
+//
+//   - per-vertex: one walk per candidate — Φ, its norm, its dot with S. The
+//     table cannot spare it the walk: cold, the norm is stored on the way;
+//     warm, it is stored again.
+//   - propagated: every numerator at once, S pushed back along P⁻¹
+//     (SeedVector), then per candidate a norm — cold, by a walk that
+//     allocates nothing (Visibility); warm, read from the table — and a
+//     division.
+//   - memo (warm table only): what a repeat does once the norm table keeps
+//     S's walk — baseline.seedValues finds it by S's bits (S here is a copy,
+//     as a shard's decoded broadcast is) and gathers the numerators from it,
+//     then the same division.
+//
+// The crossover constant candSideMinKnown compares the warm propagated arm
+// with the per-vertex arm: a path is only ever propagated for the candidates
+// whose norms are known. The memo arm moves no constant: a walk is kept only
+// on a path that already propagates.
+func BenchmarkCandidateSide(b *testing.B) {
+	cfg := gen.Scaled(1)
+	cfg.Seed = 1
+	g, _, err := gen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	author, _ := g.Schema().TypeByName("author")
+	all := g.VerticesOfType(author)
+	shuffled := slices.Clone(all)
+	r := rand.New(rand.NewSource(17))
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	lo, hi, _ := g.TypeIDSpan(author)
+	ctx := context.Background()
+	for _, dotted := range []string{"author.paper.venue", "author.paper.term", "author.paper.author"} {
+		p, err := metapath.ParseDotted(g.Schema(), dotted)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := metapath.NewTraverser(g)
+		s, _, err := tr.SetVector(ctx, p, all)
+		if err != nil {
+			b.Fatal(err)
+		}
+		norms := make([]float64, hi-lo+1)
+		for _, v := range all {
+			norms[v-lo], _ = tr.Visibility(p, v)
+		}
+		// A baseline whose norm table has seen S twice, and so keeps its walk.
+		mat := eagerBaseline(g).(*baseline)
+		tbl := mat.vis.path(g, p)
+		for _, v := range all {
+			tbl.put(v, norms[v-lo])
+		}
+		for range 2 {
+			if _, _, err := mat.seedValues(ctx, p, tbl, s, all); err != nil {
+				b.Fatal(err)
+			}
+		}
+		copied := s.Clone()
+		for _, pct := range []int{1, 10, 25, 50, 100} {
+			cands := slices.Clone(shuffled[:max(1, len(all)*pct/100)])
+			slices.Sort(cands)
+			scores := make([]float64, len(cands))
+			name := fmt.Sprintf("path=%s/cands=%d%%", dotted, pct)
+			for _, table := range []string{"cold", "warm"} {
+				b.Run(name+"/table="+table+"/per-vertex", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for j, v := range cands {
+							phi, _ := tr.NeighborVector(p, v)
+							vis := phi.Norm2Sq()
+							norms[v-lo] = vis
+							scores[j] = phi.Dot(s) / vis
+						}
+					}
+				})
+				b.Run(name+"/table="+table+"/propagated", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						n, exact, err := tr.SeedVector(ctx, p.Reverse(), s)
+						if err != nil || !exact {
+							b.Fatalf("SeedVector: exact=%v err=%v", exact, err)
+						}
+						k := 0 // cands ascend: one cursor walks N beside them
+						for j, v := range cands {
+							vis := norms[v-lo]
+							if table == "cold" {
+								vis, _ = tr.Visibility(p, v)
+								norms[v-lo] = vis
+							}
+							for k < len(n.Idx) && n.Idx[k] < int32(v) {
+								k++
+							}
+							scores[j] = 0
+							if k < len(n.Idx) && n.Idx[k] == int32(v) {
+								scores[j] = n.Val[k] / vis
+							}
+						}
+					}
+				})
+			}
+			b.Run(name+"/table=warm/memo", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					n, how, err := mat.seedValues(ctx, p, tbl, copied, cands)
+					if err != nil || how != "memo" || n == nil {
+						b.Fatalf("seedValues: %s, %v", how, err)
+					}
+					for j, v := range cands {
+						scores[j] = n[j] / norms[v-lo]
+					}
+				}
+			})
+		}
 	}
 }

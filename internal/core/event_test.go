@@ -559,15 +559,14 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 	}
 }
 
-// The event says where each path's numerators came from: a cold engine walks
-// per candidate and names the crossover's inputs, a pool's miss on the warm
-// table walks S back and keeps it, and the pool's hit gathers from what it
-// kept.
+// The event says where each path's numerators came from: a pool's miss on
+// cold norms walks per candidate and names the crossover's inputs, the first
+// warm hit walks S back in scratch, the second walks it again and keeps the
+// walk in the norm table, and every later hit gathers from what it kept.
 func TestEventNamesTheNumerators(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(47)))
 	ring := obs.NewEventRing(4)
-	eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1))
-	pool, err := NewServePool(eng, ServeOptions{Workers: 1})
+	pool, err := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1)), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,22 +576,15 @@ func TestEventNamesTheNumerators(t *testing.T) {
 		t.Fatal(err)
 	}
 	need := (g.NumVerticesOfType(p.Source()) + candSideMinShare - 1) / candSideMinShare
-	served := func() error {
-		_, err := pool.Execute(context.Background(), faultQuery)
-		return err
-	}
 	for _, step := range []struct {
 		name, want string
-		run        func() error
 	}{
-		{"cold", fmt.Sprintf("numer=vertex known=0 need=%d", need), func() error {
-			_, err := eng.Execute(faultQuery)
-			return err
-		}},
-		{"warm pool miss", "numer=walk", served},
-		{"pool hit", "numer=memo", served},
+		{"pool miss, cold norms", fmt.Sprintf("numer=vertex known=0 need=%d", need)},
+		{"first sighting of S", "numer=walk"},
+		{"second sighting keeps the walk", "numer=walk"},
+		{"hit gathers", "numer=memo"},
 	} {
-		if err := step.run(); err != nil {
+		if _, err := pool.Execute(context.Background(), faultQuery); err != nil {
 			t.Fatal(err)
 		}
 		want := p.String() + ": " + step.want

@@ -325,7 +325,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		endPhase(phase[0], MatStats{})
 	} else {
 		// One candidate side over the whole set, shared by every range.
-		if cs, err = newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held, plan.compiled.blank()); err != nil {
+		if cs, err = newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held); err != nil {
 			return err
 		}
 		cs.ifq = plan.ifq

@@ -77,8 +77,8 @@ type Materializer interface {
 	// Strategy identifies the implementation.
 	Strategy() Strategy
 	// IndexBytes reports the in-memory size of the pre-materialized index
-	// (for the baseline, of the visibilities it has memoized), as studied in
-	// Figure 5b.
+	// (for the baseline, of the visibilities and reverse walks it has
+	// memoized), as studied in Figure 5b.
 	IndexBytes() int64
 	// Stats returns cumulative cost counters since construction.
 	Stats() MatStats
@@ -90,8 +90,8 @@ type Materializer interface {
 type baseline struct {
 	tr    *metapath.Traverser
 	stats MatStats
-	// vis memoizes the visibilities its traversals compute; the root's table
-	// is shared with every view (NewView).
+	// vis memoizes the norms and reverse walks its traversals compute; the
+	// root's table is shared with every view (NewView).
 	vis *visTable
 }
 
@@ -120,33 +120,46 @@ func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.Ver
 	return b.tr.SetVector(ctx, p, set)
 }
 
-// seedValues is its weighted form read at the vertices at
-// (Traverser.SeedValues), accounted the same.
-func (b *baseline) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, at []hin.VertexID) ([]float64, bool, error) {
-	defer b.traversed(time.Now())
-	return b.tr.SeedValues(ctx, p, seed, at)
-}
-
-// seedLastHop is the same walk stopped before its last hop and kept
-// (Traverser.SeedLastHop), accounted the same.
-func (b *baseline) seedLastHop(ctx context.Context, p metapath.Path, seed sparse.Vector) (*metapath.LastHop, error) {
-	defer b.traversed(time.Now())
-	return b.tr.SeedLastHop(ctx, p, seed)
-}
-
-// gather finishes a kept walk at the vertices at (Traverser.Gather), nil
-// when it is not exact: a read of retained state, accounted as one indexed
-// vector, after a poll of ctx whose error fails the caller whole as the
-// walk's polls do.
-func (b *baseline) gather(ctx context.Context, h *metapath.LastHop, at []hin.VertexID) ([]float64, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
+// seedValues is its weighted form along p⁻¹ read at the vertices at: N =
+// M_p·seed (Traverser.SeedValues), nil unless exact. tbl, p's norm table,
+// keeps the walk of a seed it sees twice running, stopped before the last hop
+// (Traverser.SeedLastHop), when the query is still live after it, in place of
+// the one it kept before; a later seed with that seed's arrays or bits only
+// gathers the hop: the same row sums over the same values, so the same bits.
+// how says which ran, "memo" or "walk". A walk is one traversed vector, kept
+// or not; a gather one indexed vector, after a poll of ctx whose error fails
+// the caller whole as the walk's polls do.
+func (b *baseline) seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error) {
+	if w := tbl.walk.Load(); w != nil && sameBits(w.s, seed) {
+		if err := ctxErr(ctx); err != nil {
+			return nil, "memo", err
+		}
+		start := time.Now()
+		vals, _ = b.tr.Gather(w.hop, at)
+		b.stats.IndexedTime += time.Since(start)
+		b.stats.IndexedVectors++
+		return vals, "memo", nil
 	}
-	start := time.Now()
-	vals, _ := b.tr.Gather(h, at)
-	b.stats.IndexedTime += time.Since(start)
-	b.stats.IndexedVectors++
-	return vals, nil
+	defer b.traversed(time.Now())
+	// SeedLastHop keeps a frontier of p's second type dense over its span: a
+	// seed is fingerprinted only when that and the seed fit the table's room.
+	back := p.Reverse()
+	lo, hi, _ := b.tr.Graph().TypeIDSpan(back.Type(max(back.Hops()-1, 0)))
+	span := int64(hi) - int64(lo) + 1
+	if back.Hops() == 0 || span > metapath.MaxDenseSpan || 8*span+int64(seed.Bytes()) > b.vis.room(tbl) || !tbl.sighted(seed) {
+		vals, _, err = b.tr.SeedValues(ctx, back, seed, at)
+		return vals, "walk", err
+	}
+	h, err := b.tr.SeedLastHop(ctx, back, seed)
+	if h == nil || err != nil {
+		return nil, "walk", err
+	}
+	if err := ctxErr(ctx); err != nil { // SeedValues' poll before the last hop
+		return nil, "walk", err
+	}
+	b.vis.keep(tbl, &keptWalk{seed, h})
+	vals, _ = b.tr.Gather(h, at)
+	return vals, "walk", nil
 }
 
 func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {
@@ -185,9 +198,7 @@ func (b *baseline) visibility(ctx context.Context, p metapath.Path, v hin.Vertex
 type setMaterializer interface {
 	Materializer
 	setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error)
-	seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, at []hin.VertexID) (vals []float64, exact bool, err error)
-	seedLastHop(ctx context.Context, p metapath.Path, seed sparse.Vector) (*metapath.LastHop, error)
-	gather(ctx context.Context, h *metapath.LastHop, at []hin.VertexID) ([]float64, error)
+	seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error)
 	// norms is p's visibility table (nil when none fits) and the crossover's
 	// inputs over cands: how many have their norm in it, up to need, the count
 	// that propagates the path's numerators (visTable.known).

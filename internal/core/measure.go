@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"netout/internal/metapath"
 	"netout/internal/sparse"
 )
 
@@ -86,11 +85,6 @@ type refScorer struct {
 	s      sparse.Vector
 	dir    sparse.Directory
 	hasDir bool
-	// back is S̃, S walked back along the path's reverse to the hop before the
-	// candidates (metapath.LastHop), from which every numerator N = M_P·S is
-	// one row sum: set on a serve pool's miss before the entry is retained
-	// (newCandidateSide), nil everywhere else.
-	back *metapath.LastHop
 	// refs and refVis are PathSim's pairwise inputs with the per-reference
 	// visibilities κ(vj,vj) hoisted out of the candidate loop. References
 	// with zero visibility are dropped up front: their term is

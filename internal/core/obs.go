@@ -27,7 +27,7 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%T:%p", m, m)) {
 		return
 	}
-	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index or cache.",
+	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index or cache (baseline: norm tables and kept reverse walks).",
 		func() float64 { return float64(m.IndexBytes()) })
 	c, ok := m.(*cached)
 	if !ok {

@@ -303,7 +303,7 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req 
 					"core: shard candidate %d outside graph (%d vertices)", v, n)}
 			}
 		}
-		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil, false)
+		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil)
 		if err != nil {
 			return rangeResult{err: err}
 		}

@@ -104,7 +104,7 @@ func (e *Engine) evaluateFeaturePath(ctx context.Context, hs handles, p metapath
 	if err != nil {
 		return Suggestion{}, false, err
 	}
-	cs, err := newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held, false)
+	cs, err := newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held)
 	if err != nil {
 		return Suggestion{}, false, err
 	}

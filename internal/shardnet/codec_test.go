@@ -8,16 +8,19 @@ package shardnet
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"netout/internal/core"
+	"netout/internal/gen"
 	"netout/internal/hin"
 	"netout/internal/metapath"
 	"netout/internal/sparse"
@@ -547,5 +550,67 @@ func TestCodecAllocationCeiling(t *testing.T) {
 	respond()
 	if n := testing.AllocsPerRun(100, respond); n > 2 {
 		t.Errorf("encoding a response: %v allocations with a warm pool, ceiling 2", n)
+	}
+}
+
+// A shard receives the same S on every repeat of a scan, each time decoded
+// into arrays of its own. With the norms warm, the first request walks S back
+// in scratch, the second walks it again and keeps the walk in the baseline's
+// norm table, and the third only gathers from it — no traversal — found by
+// S's bits, not its arrays. All three answer the cold request's bits.
+func TestDecodedRepeatGathersFromTheKeptWalk(t *testing.T) {
+	cfg := gen.Scaled(1)
+	cfg.Seed = 1
+	g, _, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := g.VerticesOfType(p.Source())
+	s, _, err := metapath.NewTraverser(g).SetVector(context.Background(), p, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := &Request{
+		Req: &core.ShardRequest{Version: core.ShardProtocolVersion, TopK: 5, Measure: core.MeasureNetOut,
+			Combine: core.CombineAverage, Weights: []float64{1}, Paths: []metapath.Path{p}, Candidates: all},
+		Broadcast: &core.ShardBroadcast{Stride: int32(g.NumVertices()), Refs: []core.ShardRefState{{Agg: s}}},
+	}
+	mat := core.NewBaseline(g) // the production crossover: the whole author type passes it
+	serve := func() *core.ShardResponse {
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, wire); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadRequest(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := core.ServeShardRequest(context.Background(), g, mat, r.Req, r.Broadcast)
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp
+	}
+	cold := serve()
+	if cold.Stats.TraversedVectors != int64(len(all)) {
+		t.Fatalf("cold request traversed %d vectors, want one walk per candidate", cold.Stats.TraversedVectors)
+	}
+	for i, traversed := range []int64{1, 1, 0} {
+		resp := serve()
+		if resp.Stats.TraversedVectors != traversed {
+			t.Fatalf("repeat %d traversed %d vectors, want %d", i+1, resp.Stats.TraversedVectors, traversed)
+		}
+		if len(resp.Entries) != len(cold.Entries) || !slices.Equal(resp.Skipped, cold.Skipped) {
+			t.Fatalf("repeat %d: %d entries, %d skipped; cold %d, %d", i+1, len(resp.Entries), len(resp.Skipped), len(cold.Entries), len(cold.Skipped))
+		}
+		for j, e := range cold.Entries {
+			if resp.Entries[j].Vertex != e.Vertex || math.Float64bits(resp.Entries[j].Score) != math.Float64bits(e.Score) {
+				t.Fatalf("repeat %d: entry %d = %+v, want %+v", i+1, j, resp.Entries[j], e)
+			}
+		}
 	}
 }

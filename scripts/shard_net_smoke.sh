@@ -4,8 +4,9 @@
 # assert (1) the scattered query's JSON is identical to unsharded execution,
 # (2) both sides export their netout_shard_* metrics, and (3) killing one
 # shard process degrades the next query to "partial":true instead of
-# failing it. Run via `make shard-net-smoke`; CI runs it after the
-# in-process shard smoke.
+# failing it. It also sends a whole-type scan until the shards gather its
+# numerators from the reverse walk their norm tables keep (4). Run via
+# `make shard-net-smoke`; CI runs it after the in-process shard smoke.
 set -eu
 
 BASE="${SHARD_SMOKE_PORT:-19230}"
@@ -38,8 +39,10 @@ fail() {
 go build -o "$BIN" ./cmd/netout
 
 # Every process loads the same network: the coordinator partitions
-# candidates per query, so shards must agree on vertex identity.
-GEN="-gen 1 -seed 1"
+# candidates per query, so shards must agree on vertex identity. Scale 4, so
+# that a shard's half of the authors clears the candidate side's crossover
+# (1 024 known candidates); at scale 1 it is 528.
+GEN="-gen 4 -seed 1"
 
 "$BIN" $GEN -shard-serve -shard-listen "$SHARD1" -workers 2 \
     -metrics-addr "$SHARD1_METRICS" >"$TMP/shard1.log" 2>&1 &
@@ -109,6 +112,35 @@ curl -fsS "http://$SHARD1_METRICS/metrics" >"$TMP/shard1.metrics" \
 grep -q '^netout_shardsrv_requests_total' "$TMP/shard1.metrics" \
     || fail "shard metrics missing netout_shardsrv_requests_total"
 
+# (4) A whole-type scan, scattered: the first request warms each shard's
+# norms (a walk per candidate), the next walks S back in scratch, the one
+# after walks it again and keeps the walk in the shard's norm table, and the
+# last gathers from it. Every reply ranks as the unsharded CLI does; the
+# newest event's scatter row — the shards' work — reads 2 traversed vectors
+# (one walk per shard) for the two middle requests and none for the last.
+SCAN='FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;'
+"$BIN" $GEN -quiet -json -query "$SCAN" >"$TMP/scan_base.json" \
+    || fail "unsharded reference scan failed"
+normalize "$TMP/scan_base.json" >"$TMP/scan_base.norm"
+scatter_traversed() {
+    curl -fsS "http://$COORD/debug/events" >"$TMP/scan.events" \
+        || fail "/debug/events unreachable"
+    awk '/^  }/ { exit }
+        /"phase": "scatter"/ { s = 1 }
+        s && /"traversed_vectors"/ { gsub(/[^0-9]/, ""); print; exit }
+        s && /^ *}/ { s = 0 }' "$TMP/scan.events"
+}
+for want in cold 2 2 ""; do
+    curl -fsS -X POST --data "$SCAN" "http://$COORD/query" >"$TMP/scan.json" \
+        || fail "scattered scan failed"
+    normalize "$TMP/scan.json" >"$TMP/scan.norm"
+    cmp -s "$TMP/scan_base.norm" "$TMP/scan.norm" \
+        || fail "scattered scan differs from unsharded execution: $(cat "$TMP/scan.json")"
+    got="$(scatter_traversed)"
+    [ "$want" = cold ] || [ "$got" = "$want" ] \
+        || fail "scan's shards traversed '$got' vectors, want '$want'"
+done
+
 # Kill one shard process outright (no drain). The next query must degrade
 # to the surviving shard's exact prefix — partial, not failed.
 kill -9 "$S2_PID" 2>/dev/null || true
@@ -119,4 +151,4 @@ curl -fsS -X POST --data "$Q" "http://$COORD/query" >"$TMP/degraded.json" \
 grep -q '"partial":true' "$TMP/degraded.json" \
     || fail "lost shard did not surface as partial: $(cat "$TMP/degraded.json")"
 
-echo "shard-net-smoke: OK (scattered = unsharded; shard loss degraded to partial)"
+echo "shard-net-smoke: OK (scattered = unsharded; repeated scan gathered; shard loss degraded to partial)"
