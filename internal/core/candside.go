@@ -33,8 +33,8 @@ import (
 //     gets every numerator at once: N = M_P·S is S propagated back along
 //     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
 //     one per candidate, its last hop gathered at this side's candidates
-//     only — or that hop alone, from the walk the norm table keeps for an S
-//     it has seen before (baseline.seedValues). A candidate whose norm is
+//     only — or no walk at all, N read where the norm table keeps it for an
+//     S it has seen before (baseline.seedValues). A candidate whose norm is
 //     known then costs a table read and a division; one whose norm is not
 //     costs the walk it always did — Φ drained into scratch when only its
 //     norm is wanted — and leaves the norm behind. N is exact or absent:
@@ -58,7 +58,7 @@ type candidateSide struct {
 	memo []*visPath
 	num  [][]float64
 	// numer[m] says where num[m] came from, for the query's plan lines:
-	// "memo" (a kept walk), "walk" (S walked back by this query), or
+	// "memo" (the table's kept N), "walk" (S walked back by this query), or
 	// "vertex" (a walk per candidate) with the crossover's inputs.
 	numer []string
 	// ifq receives scoreRange's chunk progress (nil-safe; nil on a shard
@@ -72,9 +72,9 @@ type candidateSide struct {
 // 1/candSideMinShare of the source type.
 //
 // The share is measured: in BenchmarkCandidateSide (BENCH_kernel.json) the
-// warm propagated scan is 4.5–17× ahead of the per-vertex one from 50 % of the
-// type up on all three scan paths, 1.9–3.7× ahead at 25 %, and level with it
-// at 10 % (0.75–1.1×; the run that set the share read 1.3–2.8× behind).
+// warm propagated scan is 4.7–18× ahead of the per-vertex one from 50 % of the
+// type up on all three scan paths, 2.4–4.6× ahead at 25 %, and level with it
+// at 10 % (0.76–1.2×; the run that set the share read 1.3–2.8× behind).
 // The count is a floor under it for the paper's sake: the anchor-derived sets
 // of Table 4 cover up to 60 % of the small venue and term types, where the
 // share alone would propagate them, but stay under 600 candidates at every
@@ -267,21 +267,21 @@ func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.V
 // ---------------------------------------------------------------------------
 // Visibility table
 
-// maxVisBytes bounds the norm tables and kept walks of one baseline and all
-// its views.
+// maxVisBytes bounds the norm tables and kept numerators of one baseline and
+// all its views.
 const maxVisBytes = 64 << 20
 
 // walkSeed keys the fingerprints of first sightings (visPath.sighted).
 var walkSeed = maphash.MakeSeed()
 
 // visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
-// traversals have computed, and one reverse walk per path (keptWalk): one
-// visPath per feature path, created on first use. The root baseline owns it
-// and every NewView shares it, so a query's local ranges, a shard server's
+// traversals have computed, and the numerators of one S per path (keptWalk):
+// one visPath per feature path, created on first use. The root baseline owns
+// it and every NewView shares it, so a query's local ranges, a shard server's
 // view pool and a ServePool's queries fill and read the same tables. When a
 // new path's table would push the total past limit, whole tables go, oldest
-// first, walk and all; a walk never displaces a norm (keep). A reader holding
-// an evicted table keeps a consistent one for the rest of its query.
+// first, kept N and all; a kept N never displaces a norm (keep). A reader
+// holding an evicted table keeps a consistent one for the rest of its query.
 type visTable struct {
 	limit int64
 	// minKnown and minShare are the propagation crossover (candSideMinKnown,
@@ -305,22 +305,51 @@ type visPath struct {
 	// of a slot stores the same word — the norm is a function of (path,
 	// vertex) — so concurrent fills need atomicity, not ordering.
 	bits []atomic.Uint64
-	// walk is the kept walk (nil: none), published whole and never written;
-	// seen fingerprints the last S walked without being kept. walkBytes (what
-	// walk is charged) and gone (the table was evicted) are t.mu's.
+	// walk is the kept N (nil: none), published whole and never written; seen
+	// fingerprints the last S walked without being kept. walkBytes (what walk
+	// is charged) and gone (the table was evicted) are t.mu's.
 	walk      atomic.Pointer[keptWalk]
 	seen      atomic.Uint64
 	walkBytes int64
 	gone      bool
 }
 
-// keptWalk is S walked back along P⁻¹ to the hop before the candidates
-// (Traverser.SeedLastHop), beside that S, held by reference: a reduced S or a
-// broadcast is never written.
+// keptWalk is S walked back along P⁻¹ to its end, N = M_P·S, beside that S,
+// held by reference: a reduced S or a broadcast is never written. num[i] is
+// N at vs[i], the graph's list of P's source type, every one below 2⁵³.
 type keptWalk struct {
 	s   sparse.Vector
-	hop *metapath.LastHop
+	vs  []hin.VertexID
+	num []float64
 }
+
+// read is N at the vertices at, as Traverser.SeedValues reads it: 0 at a
+// vertex not of P's source type. A run of vs — a whole-type scan's
+// candidates, or the slice PartitionVertices hands a shard — is a window of
+// num itself, which nobody writes.
+func (w *keptWalk) read(at []hin.VertexID) []float64 {
+	if n := len(at); n > 0 {
+		if i, _ := slices.BinarySearch(w.vs, at[0]); i+n <= len(w.vs) && slices.Equal(w.vs[i:i+n], at) {
+			return w.num[i : i+n : i+n]
+		}
+	}
+	vals := make([]float64, len(at))
+	j := 0 // candidate sets ascend, so a read mostly advances one cursor
+	for i, v := range at {
+		if j == len(w.vs) || w.vs[j] > v {
+			j, _ = slices.BinarySearch(w.vs, v)
+		}
+		for j < len(w.vs) && w.vs[j] < v {
+			j++
+		}
+		if j < len(w.vs) && w.vs[j] == v {
+			vals[i] = w.num[j]
+		}
+	}
+	return vals
+}
+
+func (w *keptWalk) bytes() int64 { return int64(w.s.Bytes() + 8*len(w.num)) }
 
 // path returns p's table, creating it when it fits (nil otherwise).
 func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
@@ -351,8 +380,8 @@ func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
 	return vp
 }
 
-// room is how many bytes a walk kept on vp may take: what the limit leaves
-// beside every norm table and the other paths' walks. A walk evicts nothing.
+// room is how many bytes an N kept on vp may take: what the limit leaves
+// beside every norm table and the other paths' N. A kept N evicts nothing.
 func (t *visTable) room(vp *visPath) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -365,7 +394,7 @@ func (t *visTable) room(vp *visPath) int64 {
 func (t *visTable) keep(vp *visPath, w *keptWalk) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := int64(w.s.Bytes() + w.hop.Bytes())
+	b := w.bytes()
 	if !vp.gone {
 		if b > t.limit-t.bytes+vp.walkBytes {
 			return
@@ -376,17 +405,31 @@ func (t *visTable) keep(vp *visPath, w *keptWalk) {
 }
 
 // sighted records s as the last S walked on vp without being kept and
-// reports whether it already was, by a 64-bit maphash of its bits: it decides
-// when a walk is kept, never what a lookup matches.
+// reports whether it already was, and was not spoiled since, by a 64-bit
+// maphash of its bits: it decides when N is kept, never what a lookup
+// matches.
 func (vp *visPath) sighted(s sparse.Vector) bool {
+	fp := fingerprint(s)
+	if vp.seen.Load() == fp|1 {
+		return false
+	}
+	return vp.seen.Swap(fp) == fp
+}
+
+// spoil records s, whose N reached 2⁵³ at some vertex of the type, as the
+// last S sighted on vp and never to be kept: its repeats walk as first
+// sightings do until another S is sighted.
+func (vp *visPath) spoil(s sparse.Vector) { vp.seen.Store(fingerprint(s) | 1) }
+
+// fingerprint is s's bits hashed, its lowest bit clear (spoil sets it).
+func fingerprint(s sparse.Vector) uint64 {
 	var h maphash.Hash
 	h.SetSeed(walkSeed)
 	var b [12]byte
 	for i, ix := range s.Idx {
 		h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(b[:0], uint32(ix)), math.Float64bits(s.Val[i])))
 	}
-	fp := h.Sum64()
-	return vp.seen.Swap(fp) == fp
+	return h.Sum64() &^ 1
 }
 
 // sameBits reports whether a and b hold the same coordinates with the same

@@ -291,16 +291,16 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 }
 
 // Accounting without new series: a norm read from the table is an indexed
-// vector, a walk a traversed one, a propagation — forward or back, its walk
-// kept or not — one traversed vector per path, a gather from a kept walk one
-// indexed vector, and IndexBytes is what the tables hold, norms and kept walks.
+// vector, a walk a traversed one, a propagation — forward or back, its N
+// kept or not — one traversed vector per path, a read of a kept N one indexed
+// vector, and IndexBytes is what the tables hold, norms and kept numerators.
 // With the production crossover a scan only propagates once 1 024 of its
 // candidates are known and they are a quarter of the type.
 func TestCandidateSideAccounting(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(8)), 1500)
 	all := g.VerticesOfType(mustType(t, g, "author"))
 	span := int64(all[len(all)-1]-all[0]) + 1
-	// A kept walk holds the venue path's S and S walked back to the papers.
+	// A kept N holds the venue path's S and N at every author.
 	venue, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +309,7 @@ func TestCandidateSideAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
-	walk := int64(s.Bytes()) + 8*int64(hi-lo+1)
+	walk := int64(s.Bytes()) + 8*int64(len(all))
 	mat := NewBaseline(g)
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 	scan := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;`
@@ -326,11 +325,11 @@ func TestCandidateSideAccounting(t *testing.T) {
 		{"cold scan walks every candidate", scan, 1 + n, 0, 8 * span},
 		{"1 000 known candidates stay under the floor", few, 1 + 1000, 0, 8 * span},
 		{"warm scan: S, N, then the table", scan, 2, n, 8 * span},
-		// The same S seen a second time: N's walk is kept, still one traversal.
+		// The same S seen a second time: N is kept, still one traversal.
 		{"a known subset above the floor propagates too", most, 2, 1300, 8*span + walk},
-		// The venue path gathers from the kept walk: an indexed vector, no walk.
+		// The venue path reads the kept N: an indexed vector, no walk.
 		{"one warm path, one cold", two, 2 + n, 1 + n, 16*span + walk},
-		// The venue path gathers again; the author path walks its S a first time.
+		// The venue path reads again; the author path walks its S a first time.
 		{"both warm", two, 3, 1 + 2*n, 16*span + walk},
 	} {
 		res, err := eng.Execute(step.src)
@@ -346,14 +345,14 @@ func TestCandidateSideAccounting(t *testing.T) {
 		}
 	}
 	// A view reads and fills the root's table: warm from its first query, and
-	// gathering from the walk the root kept.
+	// reading the N the root kept.
 	view, err := NewView(mat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)).Execute(scan)
 	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk {
-		t.Fatalf("view: err=%v traversed=%d indexed=%d bytes=%d, want the root's warm table and walk",
+		t.Fatalf("view: err=%v traversed=%d indexed=%d bytes=%d, want the root's warm table and kept N",
 			err, res.Timing.TraversedVectors, res.Timing.IndexedVectors, view.IndexBytes())
 	}
 }
@@ -613,14 +612,13 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 	}
 }
 
-// A pool's scan walks each path's S back when the norms are warm, keeps the
-// walk in the norm table the second time it sees that S — the retained S of
-// its compiled entry — and every later hit gathers every numerator from it:
-// the scores of a plain engine bit for bit, one pulled hop per path, not one
-// traversal. A deadline at that gather fails the hit whole, as one inside the
-// reverse walk does, and one a poll later leaves the exact Done-prefix of the
-// first step.
-func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
+// A pool's scan walks each path's S back when the norms are warm, keeps N in
+// the norm table the second time it sees that S — the retained S of its
+// compiled entry — and every later hit reads every numerator from it: the
+// scores of a plain engine bit for bit, no kernel and no traversal. A deadline
+// at that read fails the hit whole, as one inside the reverse walk does, and
+// one a poll later leaves the exact Done-prefix of the first step.
+func TestPoolHitReadsTheKeptNumerators(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(23)))
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author.paper.term : 0.5;`
 	want, err := NewEngine(g).Execute(src)
@@ -634,7 +632,7 @@ func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
 	}
 	defer pool.Close()
 	// Runs: a miss with cold norms, a first sighting of each S, a second that
-	// keeps its walk (two traversals each), then gathers.
+	// keeps its N (two traversals each), then reads.
 	for run, traversed := range []int64{-1, 2, 2, 0, 0} {
 		got, err := pool.Execute(context.Background(), src)
 		if err != nil {
@@ -647,17 +645,17 @@ func TestPoolHitGathersFromTheKeptWalk(t *testing.T) {
 		if got.Trace.Compiled != "hit" || got.Timing.TraversedVectors != traversed {
 			t.Fatalf("hit %d: compiled=%s, %d vectors traversed, want %d", run, got.Trace.Compiled, got.Timing.TraversedVectors, traversed)
 		}
-		if k := ring.Snapshot()[0].Kernels; traversed == 0 && (k["pull"] != 2 || len(k) != 1) {
-			t.Fatalf("hit %d: kernels %v; want two pulled hops", run, k)
+		if k := ring.Snapshot()[0].Kernels; traversed == 0 && len(k) != 0 {
+			t.Fatalf("hit %d: kernels %v; want none", run, k)
 		}
 	}
-	// Polls: admission, query start, one per gather, one per path and step.
+	// Polls: admission, query start, one per read, one per path and step.
 	if res, err := pool.Execute(newDeadlineAfter(2), src); res != nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline at the gather: got (%v, %v), want the bare error", res, err)
+		t.Fatalf("deadline at the read: got (%v, %v), want the bare error", res, err)
 	}
 	res, err := pool.Execute(newDeadlineAfter(2+2+2), src)
 	if err != nil || !res.Partial || len(res.Entries)+len(res.Skipped) != parallelChunk {
-		t.Fatalf("deadline after the gathers: err=%v, want a Partial result of one step", err)
+		t.Fatalf("deadline after the reads: err=%v, want a Partial result of one step", err)
 	}
 	score := map[hin.VertexID]float64{}
 	for _, e := range want.Entries {
@@ -683,16 +681,16 @@ func broadcastOf(g *hin.Graph, s sparse.Vector) *ShardBroadcast {
 
 // A shard request on a warm range that propagates allocates what its slice
 // needs and nothing the size of a type: no directory of S, which a propagated
-// path never dots against, and on a first sighting of S — its walk may never
-// be asked for again — no kept walk. A cold range, which dots, builds the
-// directory. A repeat gathers from the walk the second sighting kept, and a
-// stream of distinct S's keeps a small table inside its bound.
+// path never dots against, and on a first sighting of S — its N may never be
+// asked for again — no kept N. A cold range, which dots, builds the
+// directory. A repeat reads the N the second sighting kept, and a stream of
+// distinct S's keeps a small table inside its bound.
 func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(5)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
-	norms := 8 * int64(all[len(all)-1]-all[0]+1)
-	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
-	span := 8 * int64(hi-lo+1) // the dense frontier a kept walk of the path holds
+	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "author"))
+	span, kept := 8*int64(hi-lo+1), 8*int64(len(all)) // the norms, and the N a kept entry holds
+	norms := span
 	p, err := metapath.ParseDotted(g.Schema(), "author.paper.author")
 	if err != nil {
 		t.Fatal(err)
@@ -741,8 +739,10 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 		alternate()
 	}
 	runtime.ReadMemStats(&after)
-	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / (2 * runs); perReq >= span || mat.IndexBytes() != norms {
-		t.Fatalf("first sightings allocated %d bytes per request (a kept walk's frontier is %d) and left %d bytes in the table, want the %d of the norms",
+	// Under -race sync.Pool drops the chunk scratch, which a half-type range
+	// then allocates afresh: about the type's span again.
+	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / (2 * runs); perReq >= span && !raceEnabled || mat.IndexBytes() != norms {
+		t.Fatalf("first sightings allocated %d bytes per request (the author type's span is %d) and left %d bytes in the table, want the %d of the norms",
 			perReq, span, mat.IndexBytes(), norms)
 	}
 	// Measured: 20, the ceiling of a walk in scratch ("sync.Pool drops what it
@@ -750,18 +750,18 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, alternate) / 2; n > 24 && !raceEnabled {
 		t.Fatalf("a first sighting allocated %.0f times per request, ceiling 24", n)
 	}
-	// bs was the last S seen: planning its range again keeps the walk — still
-	// without S's directory — and a repeat only gathers.
-	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+span+int64(bs.Refs[0].Agg.Bytes()) {
-		t.Fatalf("second sighting: directory %v, %d bytes in the table, want the norms and one walk", rs.hasDir, mat.IndexBytes())
+	// bs was the last S seen: planning its range again keeps N — still
+	// without S's directory — and a repeat only reads it.
+	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+kept+int64(bs.Refs[0].Agg.Bytes()) {
+		t.Fatalf("second sighting: directory %v, %d bytes in the table, want the norms and one kept N", rs.hasDir, mat.IndexBytes())
 	}
 	repeat := func() { serve(mat, bs, 0) }
 	repeat()
-	// A table with room for the norms and one and a half walks: a stream of
-	// distinct S's, each sent three times, keeps each one's walk in place of
-	// the last on its second sighting, gathers on its third, and never holds
-	// more than its bound.
-	small := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: norms + 3*(span+12*int64(len(all)))/2, minKnown: 1, minShare: candSideMinShare}}
+	// A table with room for the norms and one and a half kept N: a stream of
+	// distinct S's, each sent three times, keeps each one's N in place of the
+	// last on its second sighting, reads it on its third, and never holds more
+	// than its bound.
+	small := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: norms + 3*(kept+12*int64(len(all)))/2, minKnown: 1, minShare: candSideMinShare}}
 	ServeShardRequest(ctx, g, small, req, bs)
 	for k := 1; k <= 8; k++ {
 		b := broadcastOf(g, sOf(all[k:]))
@@ -775,21 +775,21 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	if raceEnabled {
 		return // sync.Pool drops what it is handed
 	}
-	// Measured: 17, under the ceiling of a walk in scratch.
+	// Measured: 16, under the ceiling of a walk in scratch: a slice of
+	// consecutive IDs reads N in place.
 	if n := testing.AllocsPerRun(runs, repeat); n > 24 {
-		t.Fatalf("a range gathering from a kept walk allocated %.0f times per request, ceiling 24", n)
+		t.Fatalf("a range reading a kept N allocated %.0f times per request, ceiling 24", n)
 	}
 }
 
-// A walk never displaces a norm. In a table with room for two paths' norms
-// and one walk, the first path to see its S twice keeps the walk; the second
-// path's S, seen as often, walks in scratch every time — its walk does not
-// fit — and both paths keep their norms and the first its walk.
+// A kept N never displaces a norm. In a table with room for two paths' norms
+// and one kept N, the first path to see its S twice keeps its N; the second
+// path's S, seen as often, walks in scratch every time — its N and larger S
+// do not fit — and both paths keep their norms and the first its N.
 func TestKeptWalkEvictsNoNorms(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(7)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
 	norms := 8 * int64(all[len(all)-1]-all[0]+1)
-	lo, hi, _ := g.TypeIDSpan(mustType(t, g, "paper"))
 	ctx := context.Background()
 	var paths []metapath.Path
 	var bs []*ShardBroadcast
@@ -804,11 +804,11 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 		}
 		paths, bs = append(paths, p), append(bs, broadcastOf(g, s))
 	}
-	walk := 8*int64(hi-lo+1) + int64(bs[0].Refs[0].Agg.Bytes())
+	walk := 8*int64(len(all)) + int64(bs[0].Refs[0].Agg.Bytes())
 	mat := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: 2*norms + walk, minKnown: 1, minShare: candSideMinShare}}
 	for i, p := range paths {
 		req := shardScan(p, all)
-		// Cold, two sightings, then what a repeat does: a gather on the first
+		// Cold, two sightings, then what a repeat does: a read on the first
 		// path, a walk on the second.
 		for run, traversed := range []int64{-1, 1, 1, int64(i)} {
 			resp := ServeShardRequest(ctx, g, mat, req, bs[i])
@@ -823,7 +823,7 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 		}
 	}
 	if mat.IndexBytes() != 2*norms+walk || mat.vis.paths[paths[1].Key()].walk.Load() != nil {
-		t.Fatalf("the table holds %d bytes, want both paths' norms and the first path's walk", mat.IndexBytes())
+		t.Fatalf("the table holds %d bytes, want both paths' norms and the first path's N", mat.IndexBytes())
 	}
 }
 
@@ -856,7 +856,7 @@ func TestKeptWalkMatchesEveryBit(t *testing.T) {
 			return resp
 		}
 		mat := eagerBaseline(g)
-		for _, traversed := range []int64{-1, 1, 1, 0} { // cold, two sightings, a gather
+		for _, traversed := range []int64{-1, 1, 1, 0} { // cold, two sightings, a read
 			if resp := serve(mat, broadcastOf(g, kept)); traversed >= 0 && resp.Stats.TraversedVectors != traversed {
 				t.Fatalf("%s: fixture traversed %d vectors, want %d", name, resp.Stats.TraversedVectors, traversed)
 			}
@@ -874,10 +874,124 @@ func TestKeptWalkMatchesEveryBit(t *testing.T) {
 	}
 }
 
-// Views of one baseline gather from a path's kept walk while the walk of a
-// new S replaces it and the old one comes back, again and again (run under
-// -race): every request answers the kept S's bits, from a walk it loaded
-// whole or, once that was replaced, from a walk of its own.
+// A read of the kept N is what the walk returns at the same vertices, bit for
+// bit, on types whose IDs interleave with others': at the whole type, at a
+// run of it (a window of the kept array), at a subset, out of order and with
+// repeats, and at vertices of other types (0).
+func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := randomHIN(r, 5)
+		all := g.VerticesOfType(0)
+		_, paths, _ := randomFeatures(r, g)
+		p := paths[0]
+		s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all[:len(all)/2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat := eagerBaseline(g).(*baseline)
+		tbl := mat.vis.path(g, p)
+		for range 2 {
+			if _, _, err := mat.seedValues(ctx, p, tbl, s, all[:1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tbl.walk.Load() == nil {
+			t.Fatalf("seed %d: N was not kept", seed)
+		}
+		mixed := []hin.VertexID{all[7], all[3], all[7], g.VerticesOfType(1)[0], all[len(all)-1]}
+		for _, at := range [][]hin.VertexID{all, all[10:200], all[1:], mixed} {
+			got, how, err := mat.seedValues(ctx, p, tbl, s.Clone(), at)
+			want, _, _ := metapath.NewTraverser(g).SeedValues(ctx, p.Reverse(), s, at)
+			if err != nil || how != "memo" || len(got) != len(want) {
+				t.Fatalf("seed %d: %s read %d values (%v), want %d", seed, how, len(got), err, len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d: N[%d] = %v, want %v", seed, at[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// N is kept only when it is exact at every vertex of the type. Over a slice
+// whose numerators are exact, beside a vertex outside it whose N is 2⁵³
+// (TestSeedValuesExactnessCoversUsedOnly's shape), three repeats of a request
+// walk — the second sighting keeps nothing, the third walks as a first
+// sighting — and answer a fresh baseline's bits; the table holds the norms
+// alone. With that count made small, the second sighting keeps N and the
+// third reads it.
+func TestKeptWalkIsExactOverTheType(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		big       int32 // the multiplicity of big's one link
+		traversed []int64
+		kept      bool
+	}{
+		{1 << 23, []int64{1, 1, 1}, false},
+		{1, []int64{1, 1, 0}, true},
+	} {
+		s := hin.MustSchema("a", "b")
+		s.AllowLink(0, 1)
+		bld := hin.NewBuilder(s)
+		big, small := bld.MustAddVertex(0, "big"), bld.MustAddVertex(0, "small")
+		mid := bld.MustAddVertex(1, "mid")
+		for _, e := range []struct {
+			u    hin.VertexID
+			mult int32
+		}{{big, tc.big}, {small, 1}} {
+			if err := bld.AddEdgeMult(e.u, mid, e.mult); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := bld.Build()
+		p := metapath.MustNew(0, 1)
+		req := shardScan(p, []hin.VertexID{small})
+		sv := sparse.Vector{Idx: []int32{int32(mid)}, Val: []float64{1 << 30}} // N[big] = big·2³⁰
+		serve := func(mat Materializer) *ShardResponse {
+			resp := ServeShardRequest(ctx, g, mat, req, broadcastOf(g, sv))
+			if resp.Err != "" || resp.Done != 1 {
+				t.Fatalf("big=%d: %+v", tc.big, resp)
+			}
+			return resp
+		}
+		fresh := eagerBaseline(g)
+		serve(fresh) // fills the norm
+		want := serve(fresh)
+		mat := eagerBaseline(g)
+		serve(mat)
+		var first metapath.KernelCounts // the hops of a first sighting's walk
+		for i, traversed := range tc.traversed {
+			before, _ := kernelCountsOf(mat)
+			got := serve(mat)
+			hops, _ := kernelCountsOf(mat)
+			if hops = hops.Sub(before); i == 0 {
+				first = hops
+			}
+			if got.Stats.TraversedVectors != traversed {
+				t.Fatalf("big=%d, repeat %d: traversed %d vectors, want %d", tc.big, i+1, got.Stats.TraversedVectors, traversed)
+			}
+			if want := first; i == len(tc.traversed)-1 && (tc.kept && hops != (metapath.KernelCounts{}) || !tc.kept && hops != want) {
+				t.Fatalf("big=%d, repeat %d: kernel hops %+v, want a first sighting's %+v or, once kept, none", tc.big, i+1, hops, want)
+			}
+			entriesBitEqual(t, fmt.Sprintf("big=%d, repeat %d", tc.big, i+1), &Result{Entries: want.Entries, Skipped: want.Skipped}, &Result{Entries: got.Entries, Skipped: got.Skipped})
+		}
+		norms, kept := int64(16), int64(0) // big and small
+		if tc.kept {
+			kept = int64(sv.Bytes()) + norms
+		}
+		if mat.IndexBytes() != norms+kept {
+			t.Fatalf("big=%d: the table holds %d bytes, want %d", tc.big, mat.IndexBytes(), norms+kept)
+		}
+	}
+}
+
+// Views of one baseline read a path's kept N while the N of a new S replaces
+// it and the old one comes back, again and again (run under -race): every
+// request answers the kept S's bits, from an entry it loaded whole or, once
+// that was replaced, from a walk of its own.
 func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(13)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
@@ -897,22 +1011,25 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	req := shardScan(p, all)
 	root := eagerBaseline(g)
 	var want *ShardResponse
-	for range 4 { // cold, two sightings, a gather
+	for range 4 { // cold, two sightings, a read
 		want = ServeShardRequest(ctx, g, root, req, broadcastOf(g, s0))
 	}
 	if want.Err != "" || want.Stats.TraversedVectors != 0 {
-		t.Fatalf("fixture: %+v, want a gather", want)
+		t.Fatalf("fixture: %+v, want a read", want)
 	}
 	tbl := root.(*baseline).vis.path(g, p)
 	kept := tbl.walk.Load()
-	var walks []*keptWalk // the walks of three more S's
+	var walks []*keptWalk // the kept N of three more S's, each kept by a baseline of its own
 	for k := 1; k <= 3; k++ {
 		s := sOf(all[k:])
-		h, err := metapath.NewTraverser(g).SeedLastHop(ctx, p.Reverse(), s)
-		if err != nil || h == nil {
-			t.Fatalf("SeedLastHop = (%v, %v)", h, err)
+		other := eagerBaseline(g).(*baseline)
+		otbl := other.vis.path(g, p)
+		for range 2 {
+			if _, _, err := other.seedValues(ctx, p, otbl, s, all); err != nil {
+				t.Fatal(err)
+			}
 		}
-		walks = append(walks, &keptWalk{s, h})
+		walks = append(walks, otbl.walk.Load())
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 5; w++ {
@@ -933,12 +1050,12 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				got := ServeShardRequest(ctx, g, view, req, broadcastOf(g, s0))
 				if got.Err != "" || got.Stats.TraversedVectors > 1 {
-					t.Errorf("gatherer %d: %+v, want a gather or one walk", w, got)
+					t.Errorf("reader %d: %+v, want a read or one walk", w, got)
 					return
 				}
 				for j, e := range want.Entries {
 					if got.Entries[j].Vertex != e.Vertex || math.Float64bits(got.Entries[j].Score) != math.Float64bits(e.Score) {
-						t.Errorf("gatherer %d: entry %d = %+v, want %+v", w, j, got.Entries[j], e)
+						t.Errorf("reader %d: entry %d = %+v, want %+v", w, j, got.Entries[j], e)
 						return
 					}
 				}
@@ -946,9 +1063,9 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Whichever walk was published last, the table is charged for it alone.
-	if w := tbl.walk.Load(); root.IndexBytes() != 8*int64(len(tbl.bits))+int64(w.s.Bytes()+w.hop.Bytes()) {
-		t.Fatalf("the table holds %d bytes, want the norms and one walk", root.IndexBytes())
+	// Whichever N was published last, the table is charged for it alone.
+	if w := tbl.walk.Load(); w == nil || root.IndexBytes() != 8*int64(len(tbl.bits))+w.bytes() {
+		t.Fatalf("the table holds %d bytes, want the norms and one kept N", root.IndexBytes())
 	}
 }
 
@@ -966,14 +1083,14 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 //     allocates nothing (Visibility); warm, read from the table — and a
 //     division.
 //   - memo (warm table only): what a repeat does once the norm table keeps
-//     S's walk — baseline.seedValues finds it by S's bits (S here is a copy,
-//     as a shard's decoded broadcast is) and gathers the numerators from it,
-//     then the same division.
+//     S's numerators — baseline.seedValues finds them by S's bits (S here is
+//     a copy, as a shard's decoded broadcast is) and reads N at the
+//     candidates, then the same division.
 //
 // The crossover constant candSideMinKnown compares the warm propagated arm
 // with the per-vertex arm: a path is only ever propagated for the candidates
-// whose norms are known. The memo arm moves no constant: a walk is kept only
-// on a path that already propagates.
+// whose norms are known. The memo arm moves no constant: N is kept only on a
+// path that already propagates.
 func BenchmarkCandidateSide(b *testing.B) {
 	cfg := gen.Scaled(1)
 	cfg.Seed = 1
@@ -1002,7 +1119,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 		for _, v := range all {
 			norms[v-lo], _ = tr.Visibility(p, v)
 		}
-		// A baseline whose norm table has seen S twice, and so keeps its walk.
+		// A baseline whose norm table has seen S twice, and so keeps its N.
 		mat := eagerBaseline(g).(*baseline)
 		tbl := mat.vis.path(g, p)
 		for _, v := range all {

@@ -561,8 +561,9 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 
 // The event says where each path's numerators came from: a pool's miss on
 // cold norms walks per candidate and names the crossover's inputs, the first
-// warm hit walks S back in scratch, the second walks it again and keeps the
-// walk in the norm table, and every later hit gathers from what it kept.
+// warm hit walks S back in scratch, the second walks it again and keeps N in
+// the norm table, and every later hit reads what it kept. Only the miss
+// reduces Sr, and only its event names the reference side's branch.
 func TestEventNamesTheNumerators(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(47)))
 	ring := obs.NewEventRing(4)
@@ -577,19 +578,71 @@ func TestEventNamesTheNumerators(t *testing.T) {
 	}
 	need := (g.NumVerticesOfType(p.Source()) + candSideMinShare - 1) / candSideMinShare
 	for _, step := range []struct {
-		name, want string
+		name, refside, want string
 	}{
-		{"pool miss, cold norms", fmt.Sprintf("numer=vertex known=0 need=%d", need)},
-		{"first sighting of S", "numer=walk"},
-		{"second sighting keeps the walk", "numer=walk"},
-		{"hit gathers", "numer=memo"},
+		{"pool miss, cold norms", "refside=set", fmt.Sprintf("numer=vertex known=0 need=%d", need)},
+		{"first sighting of S", "", "numer=walk"},
+		{"second sighting keeps N", "", "numer=walk"},
+		{"hit reads N", "", "numer=memo"},
 	} {
 		if _, err := pool.Execute(context.Background(), faultQuery); err != nil {
 			t.Fatal(err)
 		}
-		want := p.String() + ": " + step.want
-		if plan := ring.Snapshot()[0].Plan; len(plan) != 1 || plan[0] != want {
-			t.Fatalf("%s: event plan %q, want [%q]", step.name, plan, want)
+		want := []string{p.String() + ": " + step.want}
+		if step.refside != "" {
+			want = append([]string{step.refside}, want...)
+		}
+		if plan := ring.Snapshot()[0].Plan; !slices.Equal(plan, want) {
+			t.Fatalf("%s: event plan %q, want %q", step.name, plan, want)
+		}
+	}
+}
+
+// A reduction of Sr names its branch in one plan line: the set frontier, or
+// per-vertex loads with the first reason the set frontier was out — the
+// materializer, the measure, the combination, or a count that reached 2⁵³.
+func TestEventNamesTheReferenceSide(t *testing.T) {
+	g := fig1Graph(t)
+	cache, err := NewCached(g, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One paper of two authors and a venue, every link 2²⁷: S at the venue is
+	// 2·2⁵⁴.
+	s := hin.MustSchema("author", "paper", "venue")
+	s.AllowLink(1, 0)
+	s.AllowLink(1, 2)
+	b := hin.NewBuilder(s)
+	paper := b.MustAddVertex(1, "P")
+	for _, v := range []hin.VertexID{b.MustAddVertex(0, "A0"), b.MustAddVertex(0, "A1"), b.MustAddVertex(2, "V")} {
+		if err := b.AddEdgeMult(paper, v, 1<<27); err != nil {
+			t.Fatal(err)
+		}
+	}
+	huge := b.Build()
+	for _, tc := range []struct {
+		want string
+		g    *hin.Graph
+		opts []Option
+	}{
+		{"refside=set", g, nil},
+		{"refside=vertex (materializer)", g, []Option{WithMaterializer(cache)}},
+		{"refside=vertex (measure)", g, []Option{WithMeasure(MeasurePathSim)}},
+		{"refside=vertex (concat)", g, []Option{WithCombination(CombineConcat)}},
+		{"refside=vertex (2^53)", huge, nil},
+	} {
+		ring := obs.NewEventRing(1)
+		if _, err := NewEngine(tc.g, append(tc.opts, WithEventSink(ring))...).Execute(faultQuery); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, line := range ring.Snapshot()[0].Plan {
+			if strings.HasPrefix(line, "refside=") {
+				lines = append(lines, line)
+			}
+		}
+		if len(lines) != 1 || lines[0] != tc.want {
+			t.Fatalf("reference-side plan lines %q, want [%q]", lines, tc.want)
 		}
 	}
 }

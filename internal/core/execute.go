@@ -93,6 +93,8 @@ type queryPlan struct {
 	// for the entry.
 	compiled *compiledQuery
 	scorers  *queryScorers
+	// refside is referenceSide's plan line ("" from the compiled entry).
+	refside string
 	// ranges bounds the local ranges the candidates split into: the engine's
 	// QueryParallelism, or inside a pool what the pool allows.
 	ranges int
@@ -318,6 +320,9 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		return err
 	}
 	plan.scorers = scorers
+	if plan.refside != "" {
+		tr.AddPlan(plan.refside)
+	}
 	var cs *candidateSide
 	var bcast *ShardBroadcast
 	if remote {

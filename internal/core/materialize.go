@@ -77,7 +77,7 @@ type Materializer interface {
 	// Strategy identifies the implementation.
 	Strategy() Strategy
 	// IndexBytes reports the in-memory size of the pre-materialized index
-	// (for the baseline, of the visibilities and reverse walks it has
+	// (for the baseline, of the visibilities and numerators it has
 	// memoized), as studied in Figure 5b.
 	IndexBytes() int64
 	// Stats returns cumulative cost counters since construction.
@@ -90,7 +90,7 @@ type Materializer interface {
 type baseline struct {
 	tr    *metapath.Traverser
 	stats MatStats
-	// vis memoizes the norms and reverse walks its traversals compute; the
+	// vis memoizes the norms and numerators its traversals compute; the
 	// root's table is shared with every view (NewView).
 	vis *visTable
 }
@@ -122,44 +122,43 @@ func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.Ver
 
 // seedValues is its weighted form along p⁻¹ read at the vertices at: N =
 // M_p·seed (Traverser.SeedValues), nil unless exact. tbl, p's norm table,
-// keeps the walk of a seed it sees twice running, stopped before the last hop
-// (Traverser.SeedLastHop), when the query is still live after it, in place of
-// the one it kept before; a later seed with that seed's arrays or bits only
-// gathers the hop: the same row sums over the same values, so the same bits.
-// how says which ran, "memo" or "walk". A walk is one traversed vector, kept
-// or not; a gather one indexed vector, after a poll of ctx whose error fails
-// the caller whole as the walk's polls do.
+// keeps N over all of p's source type for a seed it sees twice running, in
+// place of the one it kept before, unless a value reached 2⁵³ (the seed is
+// then spoiled: its repeats walk as first sightings do). A later seed with
+// that seed's arrays or bits reads N there: what the same walk returned, so
+// the same bits. how says which ran, "memo" or "walk". A walk is one
+// traversed vector, kept or not; a read one indexed vector, after a poll of
+// ctx whose error fails the caller whole as the walk's polls do.
 func (b *baseline) seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error) {
 	if w := tbl.walk.Load(); w != nil && sameBits(w.s, seed) {
 		if err := ctxErr(ctx); err != nil {
 			return nil, "memo", err
 		}
 		start := time.Now()
-		vals, _ = b.tr.Gather(w.hop, at)
+		vals = w.read(at)
 		b.stats.IndexedTime += time.Since(start)
 		b.stats.IndexedVectors++
 		return vals, "memo", nil
 	}
 	defer b.traversed(time.Now())
-	// SeedLastHop keeps a frontier of p's second type dense over its span: a
-	// seed is fingerprinted only when that and the seed fit the table's room.
-	back := p.Reverse()
-	lo, hi, _ := b.tr.Graph().TypeIDSpan(back.Type(max(back.Hops()-1, 0)))
-	span := int64(hi) - int64(lo) + 1
-	if back.Hops() == 0 || span > metapath.MaxDenseSpan || 8*span+int64(seed.Bytes()) > b.vis.room(tbl) || !tbl.sighted(seed) {
+	// N is kept beside the type's vertex list: a seed is fingerprinted only
+	// when that and the seed fit the table's room.
+	back, all := p.Reverse(), b.tr.Graph().VerticesOfType(p.Source())
+	if int64(8*len(all)+seed.Bytes()) > b.vis.room(tbl) || !tbl.sighted(seed) {
 		vals, _, err = b.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
-	h, err := b.tr.SeedLastHop(ctx, back, seed)
-	if h == nil || err != nil {
-		return nil, "walk", err
+	n, _, err := b.tr.SeedValues(ctx, back, seed, all)
+	if n == nil && err == nil {
+		tbl.spoil(seed)
+		vals, _, err = b.tr.SeedValues(ctx, back, seed, at)
 	}
-	if err := ctxErr(ctx); err != nil { // SeedValues' poll before the last hop
-		return nil, "walk", err
+	if n == nil || err != nil {
+		return vals, "walk", err
 	}
-	b.vis.keep(tbl, &keptWalk{seed, h})
-	vals, _ = b.tr.Gather(h, at)
-	return vals, "walk", nil
+	w := &keptWalk{s: seed, vs: all, num: n}
+	b.vis.keep(tbl, w)
+	return w.read(at), "walk", nil
 }
 
 func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {

@@ -21,7 +21,8 @@ import (
 // and loads nothing: it IS what the branches below produce, so scores are
 // bit-identical, and held is nil, so the candidates load through the
 // materializer as any COMPARED TO query's do. Otherwise two branches, chosen
-// from what the code can observe:
+// from what the code can observe and named by plan.refside: "refside=set", or
+// "refside=vertex (<why>)", why the set frontier's first unmet condition:
 //
 //   - Set-frontier: S = Σ_{vj∈Sr} Φ(vj) by ONE propagation per feature path
 //     (metapath.Traverser.SetVector), when S is all the measure needs
@@ -46,7 +47,15 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 	}
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
-	if sm, ok := hs.at(0).(setMaterializer); ok && e.measure == MeasureNetOut && plan.combine == CombineAverage {
+	sm, ok := hs.at(0).(setMaterializer)
+	switch {
+	case !ok:
+		plan.refside = "refside=vertex (materializer)"
+	case e.measure != MeasureNetOut:
+		plan.refside = "refside=vertex (measure)"
+	case plan.combine != CombineAverage:
+		plan.refside = "refside=vertex (concat)"
+	default:
 		scorers = &queryScorers{weights: plan.weights, stride: stride, perPath: make([]*refScorer, len(paths))}
 		exact := true
 		for m := 0; m < len(paths) && exact; m++ {
@@ -57,8 +66,10 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 			scorers.perPath[m] = ShardRefState{Agg: s}.scorer(MeasureNetOut).withDir()
 		}
 		if exact {
+			plan.refside = "refside=set"
 			return scorers, nil, nil
 		}
+		plan.refside = "refside=vertex (2^53)"
 	}
 	vecs := make([][]sparse.Vector, len(paths))
 	for m := range vecs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -392,9 +393,10 @@ func TestCacheProbeNoAllocs(t *testing.T) {
 	}
 }
 
-// TestSubpathPlanInTraceAndEvent checks the one plan line left: a feature
-// path with a waist is named in the query trace, its terminal rendering and
-// the wide event (the /debug/events view); a path without one stamps nothing.
+// TestSubpathPlanInTraceAndEvent checks the waist plan line: a feature path
+// with a waist is named in the query trace, its terminal rendering and the
+// wide event (the /debug/events view), ahead of the reference side's line; a
+// path without one stamps nothing.
 func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 	g := fig1Graph(t)
 	mat, _ := eagerWaists(t, g, 1<<20, 1) // ratio 1: the venue between papers is a waist
@@ -406,14 +408,15 @@ func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
-	if want := long.String() + ": waist=venue@2"; len(res.Trace.Plan) != 1 || res.Trace.Plan[0] != want {
-		t.Fatalf("trace plan lines %q, want only %q", res.Trace.Plan, want)
+	const refside = "refside=vertex (materializer)"
+	if want := []string{long.String() + ": waist=venue@2", refside}; !slices.Equal(res.Trace.Plan, want) {
+		t.Fatalf("trace plan lines %q, want %q", res.Trace.Plan, want)
 	}
 	if !strings.Contains(res.Trace.Format(), "plan "+res.Trace.Plan[0]) {
 		t.Fatalf("trace rendering lacks the plan line:\n%s", res.Trace.Format())
 	}
 	evs := ring.Snapshot()
-	if len(evs) != 1 || len(evs[0].Plan) != 1 || evs[0].Plan[0] != res.Trace.Plan[0] {
+	if len(evs) != 1 || !slices.Equal(evs[0].Plan, res.Trace.Plan) {
 		t.Fatalf("event plan lines %+v, want the trace's %q", evs, res.Trace.Plan)
 	}
 	// Under the production ratio neither path of this graph has a waist.
@@ -422,7 +425,7 @@ func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Trace.Plan) != 0 {
+	if len(res2.Trace.Plan) != 1 || res2.Trace.Plan[0] != refside {
 		t.Fatalf("paths without a waist stamped plan lines: %v", res2.Trace.Plan)
 	}
 }

@@ -555,9 +555,9 @@ func TestCodecAllocationCeiling(t *testing.T) {
 
 // A shard receives the same S on every repeat of a scan, each time decoded
 // into arrays of its own. With the norms warm, the first request walks S back
-// in scratch, the second walks it again and keeps the walk in the baseline's
-// norm table, and the third only gathers from it — no traversal — found by
-// S's bits, not its arrays. All three answer the cold request's bits.
+// in scratch, the second walks it again and keeps N in the baseline's norm
+// table, and the third only reads N there — no traversal — found by S's bits,
+// not its arrays. All three answer the cold request's bits.
 func TestDecodedRepeatGathersFromTheKeptWalk(t *testing.T) {
 	cfg := gen.Scaled(1)
 	cfg.Seed = 1

@@ -2,7 +2,8 @@
 # Observability smoke test: boot `netout -serve` with an event log, run one
 # query twice, and assert every admin surface answers — /metrics, /debug/events,
 # /debug/slow, /debug/requests, /readyz — and that the JSONL journal got the
-# event; then run a two-query batch on two workers and assert it journals one
+# event; send a whole-type scan until its numerators are read from the norm
+# table; then run a two-query batch on two workers and assert it journals one
 # event per query, like every other mode. Run via `make obs-smoke`; CI runs it
 # next to bench-smoke.
 set -eu
@@ -75,6 +76,19 @@ grep -q 'compiled=hit refside=memo' "$TMP/slow" || fail "/debug/slow does not sh
 curl -fsS "http://$ADDR/metrics" >"$TMP/metrics" || fail "/metrics unreachable"
 grep -q '^netout_compiled_queries_total{result="hit"} 1$' "$TMP/metrics" \
     || fail "/metrics does not count one compiled hit"
+
+# A whole-type scan sent four times (1 057 authors clear the candidate side's
+# crossover): cold norms, a walk of S, a walk that keeps N in the path's norm
+# table, then a read of it. The newest event says numer=memo and traversed
+# nothing.
+SCAN='FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;'
+for _ in 1 2 3 4; do
+    curl -fsS -X POST --data "$SCAN" "http://$ADDR/query" >/dev/null || fail "POST of the scan failed"
+done
+curl -fsS "http://$ADDR/debug/events" >"$TMP/events" || fail "/debug/events unreachable"
+awk '/^  }/ { exit } { print }' "$TMP/events" >"$TMP/newest"
+grep -q 'numer=memo' "$TMP/newest" || fail "the fourth scan did not read its kept N: $(cat "$TMP/newest")"
+grep -q '"traversed_vectors"' "$TMP/newest" && fail "the fourth scan traversed vectors: $(cat "$TMP/newest")"
 
 # The JSONL journal on disk has exactly the served queries' wide events.
 [ -s "$LOG" ] || fail "event log $LOG is empty"

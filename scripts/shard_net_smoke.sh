@@ -4,8 +4,8 @@
 # assert (1) the scattered query's JSON is identical to unsharded execution,
 # (2) both sides export their netout_shard_* metrics, and (3) killing one
 # shard process degrades the next query to "partial":true instead of
-# failing it. It also sends a whole-type scan until the shards gather its
-# numerators from the reverse walk their norm tables keep (4). Run via
+# failing it. It also sends a whole-type scan until the shards read its
+# numerators from their norm tables (4). Run via
 # `make shard-net-smoke`; CI runs it after the in-process shard smoke.
 set -eu
 
@@ -114,8 +114,8 @@ grep -q '^netout_shardsrv_requests_total' "$TMP/shard1.metrics" \
 
 # (4) A whole-type scan, scattered: the first request warms each shard's
 # norms (a walk per candidate), the next walks S back in scratch, the one
-# after walks it again and keeps the walk in the shard's norm table, and the
-# last gathers from it. Every reply ranks as the unsharded CLI does; the
+# after walks it again and keeps N in the shard's norm table, and the last
+# reads it. Every reply ranks as the unsharded CLI does; the
 # newest event's scatter row — the shards' work — reads 2 traversed vectors
 # (one walk per shard) for the two middle requests and none for the last.
 SCAN='FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;'
@@ -151,4 +151,4 @@ curl -fsS -X POST --data "$Q" "http://$COORD/query" >"$TMP/degraded.json" \
 grep -q '"partial":true' "$TMP/degraded.json" \
     || fail "lost shard did not surface as partial: $(cat "$TMP/degraded.json")"
 
-echo "shard-net-smoke: OK (scattered = unsharded; repeated scan gathered; shard loss degraded to partial)"
+echo "shard-net-smoke: OK (scattered = unsharded; repeated scan read its kept numerators; shard loss degraded to partial)"
