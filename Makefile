@@ -148,8 +148,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19870
-CORE_LOC_CEILING = 6048
+LOC_CEILING = 19863
+CORE_LOC_CEILING = 6041
 DESIGN_LINES_CEILING = 994
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

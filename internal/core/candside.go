@@ -72,9 +72,9 @@ type candidateSide struct {
 // 1/candSideMinShare of the source type.
 //
 // The share is measured: in BenchmarkCandidateSide (BENCH_kernel.json) the
-// warm propagated scan is 4.7–18× ahead of the per-vertex one from 50 % of the
-// type up on all three scan paths, 2.4–4.6× ahead at 25 %, and level with it
-// at 10 % (0.76–1.2×; the run that set the share read 1.3–2.8× behind).
+// warm propagated scan is 3.8–18× ahead of the per-vertex one from 50 % of the
+// type up on all three scan paths, 2.0–4.2× ahead at 25 %, and level with it
+// at 10 % (0.74–1.1×; the run that set the share read 1.3–2.8× behind).
 // The count is a floor under it for the paper's sake: the anchor-derived sets
 // of Table 4 cover up to 60 % of the small venue and term types, where the
 // share alone would propagate them, but stay under 600 candidates at every
@@ -334,15 +334,8 @@ func (w *keptWalk) read(at []hin.VertexID) []float64 {
 		}
 	}
 	vals := make([]float64, len(at))
-	j := 0 // candidate sets ascend, so a read mostly advances one cursor
 	for i, v := range at {
-		if j == len(w.vs) || w.vs[j] > v {
-			j, _ = slices.BinarySearch(w.vs, v)
-		}
-		for j < len(w.vs) && w.vs[j] < v {
-			j++
-		}
-		if j < len(w.vs) && w.vs[j] == v {
+		if j, ok := slices.BinarySearch(w.vs, v); ok {
 			vals[i] = w.num[j]
 		}
 	}
