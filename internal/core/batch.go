@@ -17,7 +17,7 @@ import (
 // (Engine.borrow). Pre-materialized indexes are shared read-only through
 // views (the index is immutable after construction; only traversal scratch
 // and statistics are private to a view). Cached materializers are shared
-// warm: every view references the same shard set, so one worker's miss is
+// warm: every view references the same LRU, so one worker's miss is
 // every other worker's hit.
 
 // NewView returns a materializer that shares m's pre-computed state but is
@@ -27,7 +27,7 @@ import (
 //     visibility table (atomic words, see visTable).
 //   - PM/SPM: the immutable index is shared; traversal scratch space and
 //     statistics are private to the view.
-//   - cached: the view references the SAME shard set, singleflight group
+//   - cached: the view references the SAME LRU, singleflight group
 //     and counters, so warm entries and stats are shared across views
 //     (the whole point of the online-discovery strategy in a concurrent
 //     workload). The shared cache is internally synchronized.

@@ -17,8 +17,8 @@ import (
 const StrategyCached Strategy = 3
 
 // cached is a handle on a shared, concurrency-safe cache (see
-// shardedcache.go). Unlike the other materializers it IS safe for
-// concurrent use, and NewView returns handles on the same shard set, so a
+// cachestate.go). Unlike the other materializers it IS safe for
+// concurrent use, and NewView returns handles on the same LRU, so a
 // batch or serving workload shares one warm cache across all workers.
 type cached struct {
 	state *sharedCacheState

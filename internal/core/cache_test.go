@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
@@ -242,6 +243,100 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		t.Errorf("flight map not cleaned up: %d entries", len(fg.m))
 	}
 	fg.mu.Unlock()
+}
+
+// A miss that panics hands its caller and its followers a classified defect
+// and releases its key: the next load of the (path, vertex) runs instead of
+// waiting forever on the dead flight.
+func TestFlightGroupPanicReleasesKey(t *testing.T) {
+	var fg flightGroup
+	key := ckey{path: "k"}
+	errs := make(chan error, 3) // one slot per load
+	load := func(fn func() (sparse.Vector, error)) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs <- fmt.Errorf("panic escaped the flight: %v", r)
+			}
+		}()
+		_, err := fg.do(key, fn)
+		errs <- err
+	}
+	// Every receive is bounded: a wedged key blocks its loads forever.
+	next := func(what string) error {
+		select {
+		case err := <-errs:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never returned", what)
+			return nil
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	go load(func() (sparse.Vector, error) {
+		close(entered)
+		<-release
+		panic("boom")
+	})
+	<-entered
+	go load(func() (sparse.Vector, error) { panic("boom") })
+	// Time for the second load to join as a follower; should it run after the
+	// first ends, it leads and panics itself, and the checks below still hold.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := next("a load of a panicking miss"); !IsPanicError(err) {
+			t.Errorf("load %d of a panicking miss: %v, want a *PanicError", i, err)
+		}
+	}
+	go load(func() (sparse.Vector, error) { return sparse.Vector{}, nil })
+	if err := next("a load of the key after a panicking miss"); err != nil {
+		t.Fatalf("load after the panic: %v", err)
+	}
+}
+
+// The cache is one exact LRU: filled to its budget with equal entries, every
+// one touched but one, the next charge evicts exactly the untouched entry,
+// whether an insert or a compiled query's charge makes it.
+func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	const n, stale = 40, 5
+	vec := sparse.Vector{Idx: []int32{1, 2, 3}, Val: []float64{1, 2, 3}}
+	key := func(i int) ckey { return ckey{path: "ab", v: hin.VertexID(i)} }
+	size := cacheEntrySize(key(0), vec)
+	for _, tc := range []struct {
+		name   string
+		charge func(st *sharedCacheState)
+	}{
+		{"insert", func(st *sharedCacheState) { st.insert(key(n), vec) }},
+		{"compiled", func(st *sharedCacheState) { (&compiledCache{state: st}).charge(size) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newSharedCacheState(nil, n*size)
+			for i := 0; i < n; i++ {
+				st.insert(key(i), vec)
+			}
+			for i := 0; i < n; i++ {
+				if i == stale {
+					continue
+				}
+				if _, ok := st.lookup(key(i)); !ok {
+					t.Fatalf("entry %d of %d evicted while filling to the budget", i, n)
+				}
+			}
+			tc.charge(st)
+			var gone []int
+			for i := 0; i < n; i++ {
+				if _, ok := st.lookup(key(i)); !ok {
+					gone = append(gone, i)
+				}
+			}
+			if len(gone) != 1 || gone[0] != stale || st.evictions.Load() != 1 {
+				t.Fatalf("evicted %v (%d evictions), want only the least recently used entry %d", gone, st.evictions.Load(), stale)
+			}
+			if got := st.bytes.Load(); got != n*size {
+				t.Fatalf("account %d bytes after the charge, want the budget %d", got, n*size)
+			}
+		})
+	}
 }
 
 // Shared-cache stress: ≥8 goroutines hammer one cache (both the original

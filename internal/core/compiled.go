@@ -141,9 +141,9 @@ func newCompiledCache(mat Materializer) *compiledCache {
 	c := &compiledCache{budget: compiledMaxBytes, entries: make(map[string]*compiledQuery)}
 	if cm, ok := mat.(*cached); ok {
 		c.state, c.budget = cm.state, cm.state.maxBytes/compiledShare
-		c.state.compiledMu.Lock()
+		c.state.mu.Lock()
 		c.state.compiled = append(c.state.compiled, c)
-		c.state.compiledMu.Unlock()
+		c.state.mu.Unlock()
 	}
 	c.entryMax = c.budget / compiledEntryShare
 	return c
@@ -217,12 +217,14 @@ func (c *compiledCache) evictLocked(cq *compiledQuery) {
 }
 
 // charge moves the cached strategy's byte account by delta and lets its
-// vector LRU make room.
+// vector LRU make room. The caller does not hold c.mu (sharedCacheState.mu's
+// lock order).
 func (c *compiledCache) charge(delta int64) {
-	if c.state != nil {
-		c.state.bytes.Add(delta)
-		c.state.compiledBytes.Add(delta)
-		c.state.enforceBudget()
+	if st := c.state; st != nil {
+		st.mu.Lock()
+		st.compiledBytes.Add(delta)
+		st.chargeLocked(delta)
+		st.mu.Unlock()
 	}
 }
 
@@ -236,9 +238,9 @@ func (c *compiledCache) close() {
 	c.mu.Unlock()
 	c.charge(-held)
 	if st := c.state; st != nil {
-		st.compiledMu.Lock()
+		st.mu.Lock()
 		st.compiled = slices.DeleteFunc(st.compiled, func(x *compiledCache) bool { return x == c })
-		st.compiledMu.Unlock()
+		st.mu.Unlock()
 	}
 }
 

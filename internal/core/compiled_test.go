@@ -282,14 +282,10 @@ func TestOversizeInsertSparesTheCacheUnderCompiledCharge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resident := func() (n int) {
-		for i := range st.shards {
-			sh := &st.shards[i]
-			sh.mu.Lock()
-			n += len(sh.entries)
-			sh.mu.Unlock()
-		}
-		return n
+	resident := func() int {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return len(st.entries)
 	}
 	charged, before := pool.compiled.bytes.Load(), resident()
 	if charged == 0 || before == 0 {

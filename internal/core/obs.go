@@ -8,7 +8,7 @@ import (
 
 // Registry-backed instruments over the existing stats structs. The design
 // rule: wherever a stats struct is already the source of truth (atomic
-// counters in the sharded cache, the serve pool), the registry exposes it
+// counters in the shared cache, the serve pool), the registry exposes it
 // through CounterFunc/GaugeFunc reading the same atomics at scrape time —
 // never a second counter that could drift. A /metrics scrape therefore
 // matches Stats()/CacheStats()/ServeStats exactly, by construction.

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"netout/internal/hin"
@@ -512,7 +513,7 @@ func TestPrefixAdmission(t *testing.T) {
 	}
 	resident := func(path string, v hin.VertexID) bool {
 		key := ckey{path: path, v: v}
-		_, ok := st.shard(key).entries[key]
+		_, ok := st.entries[key]
 		return ok
 	}
 	all := append([]hin.VertexID{hub}, leaves...)
@@ -549,19 +550,23 @@ func TestPrefixAdmission(t *testing.T) {
 }
 
 // BenchmarkCacheProbe measures a warm cache probe end to end: key build,
-// shard lookup, LRU bump. Run with -benchmem — the headline is 0 allocs/op.
+// map lookup, LRU bump. Run with -benchmem — the headline is 0 allocs/op.
 // Before Path precomputed its canonical key and the cache moved to a
-// comparable struct key, every probe allocated a fresh key string.
+// comparable struct key, every probe allocated a fresh key string. The
+// parallel arm probes the ample fixture from GOMAXPROCS goroutines: what the
+// cache's one lock costs under contention (run it with -cpu 1,2).
 func BenchmarkCacheProbe(b *testing.B) {
 	const nAuthors = 4096
 	g, apa, authors := pathIndexGraph(b, nAuthors)
 	for _, tc := range []struct {
-		name  string
-		bytes int64
-		hot   int // authors probed: their 48 KB entries must all stay resident
+		name     string
+		bytes    int64
+		hot      int // authors probed: their 48 KB entries must all stay resident
+		parallel bool
 	}{
-		{"ample", 256 << 20, nAuthors},
-		{"starved", 1 << 20, 16},
+		{"ample", 256 << 20, nAuthors, false},
+		{"starved", 1 << 20, 16, false},
+		{"parallel", 256 << 20, nAuthors, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			mat, err := NewCached(g, tc.bytes)
@@ -578,6 +583,22 @@ func BenchmarkCacheProbe(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			if tc.parallel {
+				var start atomic.Int64
+				b.RunParallel(func(pb *testing.PB) {
+					i, nnz := int(start.Add(997)), 0 // goroutines start apart in the key space
+					for ; pb.Next(); i++ {
+						vec, err := mat.NeighborVector(apa, authors[i%tc.hot])
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						nnz += vec.NNZ()
+					}
+					sinkInt(nnz)
+				})
+				return
+			}
 			var nnz int
 			for i := 0; i < b.N; i++ {
 				vec, err := mat.NeighborVector(apa, authors[i%tc.hot])

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"netout/internal/hin"
@@ -21,11 +20,11 @@ import (
 // walk through the same vertices needs too. Those vectors — Φ_{P[b:]}(u) for
 // each vertex u of the waist's type — live in a waistTable, filled on first
 // use by one plain traversal and never evicted one by one: the LRU beside it
-// holds a handful of entries per shard on a small budget and would churn
-// exactly the entries every miss needs. The tables are charged to the cache's
-// byte budget (sharedCacheState.bytes), so the LRU shrinks to what they leave;
-// a table that outgrows its share is dropped whole and its suffix expanded
-// from then on.
+// holds few entries on a small budget and would churn exactly the entries
+// every miss needs. The tables are charged to the cache's byte budget
+// (sharedCacheState.bytes), so the LRU shrinks to what they leave; a table
+// that outgrows its share is dropped whole and its suffix expanded from then
+// on.
 
 const (
 	// waistRatio is how many times smaller than BOTH its neighbours on the path
@@ -70,11 +69,12 @@ type waistTable struct {
 	// of a slot stores the same vector — Φ is a function of (path, vertex) —
 	// and stored vectors are immutable, so readers need atomicity only.
 	slots []atomic.Pointer[sparse.Vector]
-	// bytes is what the table is charged for (guarded by waistSet.mu).
+	// bytes is what the table is charged for (guarded by sharedCacheState.mu).
 	bytes int64
 }
 
-// waistSet is the tables of one cache, shared by all its views.
+// waistSet is the tables of one cache, shared by all its views; its maps are
+// guarded by sharedCacheState.mu.
 type waistSet struct {
 	// ratio, tableShare and totalShare are waistRatio, waistTableShare and
 	// waistTotalShare (tests lower the ratio to reach the branch on small
@@ -82,7 +82,6 @@ type waistSet struct {
 	ratio                  int
 	tableShare, totalShare int64
 
-	mu sync.Mutex
 	// tables maps a suffix's key to its table; a nil entry is a suffix whose
 	// table was dropped: it is not retried, and takes no more fills from the
 	// misses still holding it.
@@ -129,7 +128,8 @@ func (st *sharedCacheState) finishAtWaist(tr *metapath.Traverser, p metapath.Pat
 // — every slot empty — when its slot array fits the shares; nil otherwise.
 func (st *sharedCacheState) waistTable(suffix string) *waistTable {
 	ws := &st.waists
-	ws.mu.Lock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	tbl, known := ws.tables[suffix]
 	if !known {
 		p := metapath.FromKey(suffix)
@@ -140,10 +140,6 @@ func (st *sharedCacheState) waistTable(suffix string) *waistTable {
 		} else {
 			tbl = nil
 		}
-	}
-	ws.mu.Unlock()
-	if !known {
-		st.enforceBudget()
 	}
 	return tbl
 }
@@ -170,17 +166,17 @@ func (st *sharedCacheState) waistVector(tbl *waistTable, u hin.VertexID) (sparse
 		vec = vec.Clone() // stored at the size of its non-zeros
 	}
 	ws := &st.waists
-	ws.mu.Lock()
+	st.mu.Lock()
 	if ws.tables[tbl.suffix.Key()] == tbl && slot.Load() == nil && st.growWaistLocked(tbl, int64(vec.Bytes())+waistSlotOverhead) {
 		slot.Store(&vec)
 	}
-	ws.mu.Unlock()
-	st.enforceBudget()
+	st.mu.Unlock()
 	return vec, nil
 }
 
 // growWaistLocked charges n more bytes to tbl, or drops it — false — when
 // that would take it, or all tables together, past their share of the budget.
+// The caller holds sharedCacheState.mu.
 func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
 	ws := &st.waists
 	if tbl.bytes+n > st.maxBytes/ws.tableShare || ws.bytes.Load()+n > st.maxBytes/ws.totalShare {
@@ -193,7 +189,7 @@ func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
 	}
 	tbl.bytes += n
 	ws.bytes.Add(n)
-	st.bytes.Add(n)
+	st.chargeLocked(n)
 	return true
 }
 
@@ -205,8 +201,8 @@ func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
 // lines, so they are kept until a table is dropped.
 func (st *sharedCacheState) waistLine(p metapath.Path) string {
 	ws := &st.waists
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	line, ok := ws.lines[p.Key()]
 	if ok {
 		return line
@@ -228,10 +224,9 @@ func (st *sharedCacheState) waistLine(p metapath.Path) string {
 	return line
 }
 
-// recomputeWaistBytes re-sums what the live tables hold, for recomputeBytes.
-func (st *sharedCacheState) recomputeWaistBytes() int64 {
-	st.waists.mu.Lock()
-	defer st.waists.mu.Unlock()
+// recomputeWaistBytesLocked re-sums what the live tables hold, for
+// recomputeBytes.
+func (st *sharedCacheState) recomputeWaistBytesLocked() int64 {
 	var total int64
 	for _, tbl := range st.waists.tables {
 		if tbl == nil {

@@ -402,7 +402,7 @@ func TestWaistConcurrentStress(t *testing.T) {
 		}
 		checkBytes(t, fmt.Sprintf("budget %d", budget), st)
 		dropped := 0
-		st.waists.mu.Lock()
+		st.mu.Lock()
 		for key, tbl := range st.waists.tables {
 			if tbl == nil {
 				dropped++
@@ -417,7 +417,7 @@ func TestWaistConcurrentStress(t *testing.T) {
 				}
 			}
 		}
-		st.waists.mu.Unlock()
+		st.mu.Unlock()
 		if (dropped > 0) != (budget < 1<<20) {
 			t.Fatalf("budget %d: %d tables dropped", budget, dropped)
 		}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -265,7 +266,9 @@ func TestExpositionConformance(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`netout_queries_total{outcome="ok"}`, "Queries by outcome.").Add(7)
 	reg.Counter(`netout_queries_total{outcome="error"}`, "Queries by outcome.").Add(2)
-	reg.Gauge("netout_index_bytes", "Index size.").Set(1.5e6)
+	var indexBytes atomic.Int64
+	indexBytes.Store(1.5e6)
+	reg.GaugeFunc("netout_index_bytes", "Index size.", func() float64 { return float64(indexBytes.Load()) })
 	reg.GaugeFunc("netout_workers", "Workers.", func() float64 { return 4 })
 	h := reg.Histogram("netout_query_seconds", "Query latency.")
 	for _, v := range []float64{0.0001, 0.003, 0.02, 0.4, 30} { // incl. +Inf bucket
@@ -373,7 +376,8 @@ func TestRegistrationRejectsMalformedNames(t *testing.T) {
 func TestInstrumentsConcurrentWithScrapes(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("netout_stress_seconds", "Stress.")
-	g := reg.Gauge("netout_stress_gauge", "Stress.")
+	var level atomic.Int64
+	reg.GaugeFunc("netout_stress_gauge", "Stress.", func() float64 { return float64(level.Load()) })
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -383,8 +387,8 @@ func TestInstrumentsConcurrentWithScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				h.Observe(float64(i%5) * 0.005)
-				g.Add(1)
-				g.Add(-1)
+				level.Add(1)
+				level.Add(-1)
 			}
 		}(w)
 	}
@@ -414,8 +418,8 @@ func TestInstrumentsConcurrentWithScrapes(t *testing.T) {
 	if math.Abs(h.Sum()-wantSum) > 1e-6 {
 		t.Fatalf("histogram sum = %v, want %v", h.Sum(), wantSum)
 	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %v, want 0 after balanced adds", g.Value())
+	if level.Load() != 0 {
+		t.Fatalf("gauge = %v, want 0 after balanced adds", level.Load())
 	}
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)

@@ -33,28 +33,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic float64 that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta to the gauge value.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // DefLatencyBuckets are the default histogram bucket upper bounds for query
 // latencies, in seconds: 100µs up to 10s, roughly logarithmic.
 var DefLatencyBuckets = []float64{
@@ -109,7 +87,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -119,7 +96,7 @@ func (k metricKind) promType() string {
 	switch k {
 	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -135,7 +112,6 @@ type metric struct {
 	help   string
 
 	c  *Counter
-	g  *Gauge
 	h  *Histogram
 	fn func() float64
 }
@@ -355,15 +331,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}).c
 }
 
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, func(m *metric) {
-		if m.g == nil {
-			m.g = &Gauge{}
-		}
-	}).g
-}
-
 // Histogram returns the histogram registered under name, creating it if
 // needed over DefLatencyBuckets — every series here is a latency in seconds.
 func (r *Registry) Histogram(name, help string) *Histogram {
@@ -457,8 +424,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		switch m.kind {
 		case kindCounter:
 			writeSample(w, m.family, m.labels, float64(m.c.Value()))
-		case kindGauge:
-			writeSample(w, m.family, m.labels, m.g.Value())
 		case kindCounterFunc, kindGaugeFunc:
 			writeSample(w, m.family, m.labels, m.fn())
 		case kindHistogram:

@@ -12,7 +12,6 @@ import (
 func TestCounterAndGaugeConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("test_ops_total", "ops")
-	g := reg.Gauge("test_level", "level")
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -21,20 +20,12 @@ func TestCounterAndGaugeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
 	if c.Value() != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*perWorker)
-	}
-	if g.Value() != workers*perWorker {
-		t.Fatalf("gauge = %g, want %d", g.Value(), workers*perWorker)
-	}
-	g.Set(-2.5)
-	if g.Value() != -2.5 {
-		t.Fatalf("gauge after Set = %g", g.Value())
 	}
 	// Get-or-create returns the same instrument.
 	if reg.Counter("test_ops_total", "ops") != c {
@@ -96,7 +87,9 @@ func TestExpositionFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`test_queries_total{outcome="ok"}`, "queries by outcome").Add(3)
 	reg.Counter(`test_queries_total{outcome="error"}`, "queries by outcome").Inc()
-	reg.Gauge("test_bytes", "resident bytes").Set(1024)
+	var resident atomic.Int64
+	resident.Store(1024)
+	reg.GaugeFunc("test_bytes", "resident bytes", func() float64 { return float64(resident.Load()) })
 	reg.CounterFunc("test_served_total", "served", func() float64 { return 42 })
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
@@ -144,7 +137,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge should panic")
 		}
 	}()
-	reg.Gauge("test_x", "")
+	reg.GaugeFunc("test_x", "", func() float64 { return 0 })
 }
 
 func TestAdminMux(t *testing.T) {

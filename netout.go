@@ -292,7 +292,7 @@ func NewSPMVertices(g *Graph, vertices []VertexID) Materializer {
 // frontier reaches a waist of the path (a type much smaller than its
 // neighbours) is finished from a table of suffix vectors under that budget
 // too — bit-identical to whole-path evaluation; only the work skipped
-// changes. The cache is sharded and safe for concurrent use from any number
+// changes. The cache is one LRU and safe for concurrent use from any number
 // of goroutines; concurrent misses on the same vector are deduplicated so the
 // network is traversed once. Views made with NewMaterializerView share the
 // same warm cache.
@@ -552,7 +552,6 @@ func SpanContextFromContext(ctx context.Context) (SpanContext, bool) {
 type (
 	MetricsRegistry = obs.Registry
 	MetricCounter   = obs.Counter
-	MetricGauge     = obs.Gauge
 	MetricHistogram = obs.Histogram
 	QueryTrace      = obs.Trace
 	TraceSpan       = obs.Span
@@ -624,14 +623,6 @@ func CombineEventSinks(sinks ...EventSink) EventSink { return obs.CombineSinks(s
 
 // NewInflight creates an empty in-flight query table.
 func NewInflight() *Inflight { return obs.NewInflight() }
-
-// RegisterMaterializerMetrics exposes a materializer's cost counters on a
-// registry: index/cache bytes for every strategy, plus the full hit/miss/
-// traversal instrument set for the concurrency-safe cached strategy, read
-// from the same atomics CacheStatsOf reports so scrapes match exactly.
-func RegisterMaterializerMetrics(reg *MetricsRegistry, m Materializer) {
-	core.RegisterMaterializerMetrics(reg, m)
-}
 
 // RegisterProcessMetrics adds process-level gauges (uptime, goroutines,
 // heap in use) to a registry.
