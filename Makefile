@@ -148,7 +148,7 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19775
+LOC_CEILING = 19738
 CORE_LOC_CEILING = 5997
 DESIGN_LINES_CEILING = 994
 loc:

@@ -7,10 +7,14 @@
 //	netout -net network.tsv -file queries.oql
 //	netout -net network.tsv                # REPL: statements from stdin
 //	netout -gen 2 -query '...'             # run against a generated network
+//	netout -gen 2 -serve :8080             # serve POST /query over HTTP
+//	netout -gen 2 -shard-serve -shard-listen :9201   # host a shard for -shard-addrs
 //
 // Flags select the outlierness measure (-measure netout|pathsim|cossim) and
-// the materialization strategy (-strategy baseline|pm|spm). SPM warms its
-// index from the supplied query file (or the single -query).
+// the materialization strategy (-strategy baseline|pm|spm|cached). SPM warms
+// its index from the supplied query file (or the single -query). Every mode
+// runs one engine; -serve and -shard-serve admit through a ServePool over it
+// (-workers run tokens, a -max-queue queue).
 package main
 
 import (
@@ -50,7 +54,7 @@ func main() {
 		saveIndex   = flag.String("save-index", "", "write the pm/spm index to this file after building")
 		loadIndex   = flag.String("load-index", "", "load a previously saved index instead of building one")
 		combine     = flag.String("combine", "average", "multi-path combination: average or concat")
-		workers     = flag.Int("workers", 1, "parallel workers for -file query batches")
+		workers     = flag.Int("workers", 1, "parallel workers for -file query batches; run tokens for -serve and -shard-serve")
 		parallelism = flag.Int("parallelism", 0, "local candidate ranges per query, one goroutine each, merged deterministically (0 = GOMAXPROCS, 1 = inline)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard server addresses; candidates scatter over the network to them instead of local ranges")
 		shardServe  = flag.Bool("shard-serve", false, "run as a shard server: host this network behind the shard protocol on -shard-listen")
@@ -62,7 +66,7 @@ func main() {
 		eventLog    = flag.String("event-log", "", "append one JSON wide event per completed query to this file")
 		eventSample = flag.Float64("event-sample", 1.0, "fraction of ok events kept in the journal; errors, partials and slow queries are always kept")
 		serveAddr   = flag.String("serve", "", "serve queries over HTTP on this address (GET/POST /query; admin endpoints ride along)")
-		maxQueue    = flag.Int("max-queue", 0, "with -serve: bound the admission queue; a full queue sheds queries with HTTP 429 (0 = unbounded)")
+		maxQueue    = flag.Int("max-queue", 0, "with -serve or -shard-serve: bound the admission queue; a full queue sheds queries with HTTP 429 or RESOURCE_EXHAUSTED (0 = unbounded; with -shard-serve, 2×-workers)")
 		timeout     = flag.Duration("timeout", 0, "with -serve: default per-query deadline for requests that carry none (0 = none)")
 		jsonOut     = flag.Bool("json", false, "emit results as JSON instead of tables")
 		progressive = flag.Bool("progressive", false, "run queries progressively, printing top-k snapshots")
@@ -209,7 +213,7 @@ func main() {
 
 	switch {
 	case *shardServe:
-		if err := runShardServe(g, mat, shardServeConfig{
+		if err := runShardServe(eng, shardServeConfig{
 			listen: *shardListen, workers: *workers, queue: *maxQueue,
 			reg: reg, grace: *drainGrace, adminSrv: adminSrv, quiet: *quiet,
 		}); err != nil {

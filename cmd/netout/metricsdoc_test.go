@@ -76,10 +76,12 @@ func TestEveryFamilyIsDocumented(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	shard, err := shardnet.NewServer(g, netout.NewBaseline(g), shardnet.ServerOptions{Workers: 1, Obs: reg})
+	shardPool, err := netout.NewServePool(netout.NewEngine(g), netout.ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer shardPool.Close()
+	shard := shardnet.NewServer(shardPool, shardnet.ServerOptions{Obs: reg})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -22,27 +22,27 @@ import (
 
 type shardServeConfig struct {
 	listen   string
-	workers  int // concurrent request executions (reuses -workers)
-	queue    int // admitted requests waiting beyond workers (reuses -max-queue)
+	workers  int // requests run at once (reuses -workers)
+	queue    int // admitted requests waiting beyond workers (reuses -max-queue; 0 = 2×workers)
 	reg      *netout.MetricsRegistry
 	grace    time.Duration
 	adminSrv *http.Server
 	quiet    bool
 }
 
-// runShardServe blocks serving shard requests on cfg.listen until
-// SIGINT/SIGTERM, then drains: the shard server finishes in-flight requests
-// (Close waits for them) and the admin endpoint gets cfg.grace to drain.
-func runShardServe(g *netout.Graph, mat netout.Materializer, cfg shardServeConfig) error {
-	srv, err := shardnet.NewServer(g, mat, shardnet.ServerOptions{
-		Workers: cfg.workers,
-		Queue:   cfg.queue,
-		Obs:     cfg.reg,
-		Logf:    log.Printf,
-	})
+// runShardServe builds the pool from eng, as -serve does, and blocks serving
+// shard requests through it on cfg.listen until SIGINT/SIGTERM, then drains:
+// the shard server finishes in-flight requests (Close waits for them), the
+// pool closes after it, and the admin endpoint gets cfg.grace to drain.
+func runShardServe(eng *netout.Engine, cfg shardServeConfig) error {
+	if cfg.queue <= 0 {
+		cfg.queue = 2 * max(cfg.workers, 1)
+	}
+	pool, err := netout.NewServePool(eng, netout.ServeOptions{Workers: cfg.workers, MaxQueue: cfg.queue})
 	if err != nil {
 		return err
 	}
+	srv := shardnet.NewServer(pool, shardnet.ServerOptions{Obs: cfg.reg, Logf: log.Printf})
 	lis, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
@@ -53,13 +53,20 @@ func runShardServe(g *netout.Graph, mat netout.Materializer, cfg shardServeConfi
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	drained := make(chan struct{})
 	go func() {
 		<-stop
 		if !cfg.quiet {
 			fmt.Println("shard server draining ...")
 		}
 		srv.Close()
+		pool.Close()
 		shutdownHTTP(cfg.adminSrv, cfg.grace)
+		close(drained)
 	}()
-	return srv.Serve(lis)
+	if err := srv.Serve(lis); err != nil {
+		return err
+	}
+	<-drained
+	return nil
 }

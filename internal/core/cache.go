@@ -64,16 +64,6 @@ func (s CacheStats) String() string {
 	return out
 }
 
-// CacheOption is what the deprecated options return. The cache has one mode
-// and nothing to configure; NewCached ignores them.
-type CacheOption struct{}
-
-// WithSubpathCache does nothing: subpath-decomposed evaluation is the only
-// thing NewCached does.
-//
-// Deprecated: drop the option.
-func WithSubpathCache() CacheOption { return CacheOption{} }
-
 // NewCached returns a materializer that memoizes neighbor vectors in an
 // LRU cache bounded to maxBytes of vector payload (plus fixed per-entry
 // overhead). maxBytes must be positive.
@@ -91,7 +81,7 @@ func WithSubpathCache() CacheOption { return CacheOption{} }
 // The cache is safe for concurrent use, and concurrent misses on the same
 // (path, vertex) traverse the network once (singleflight). Views created
 // with NewView share the same warm state and counters.
-func NewCached(g *hin.Graph, maxBytes int64, _ ...CacheOption) (Materializer, error) {
+func NewCached(g *hin.Graph, maxBytes int64) (Materializer, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("core: cache size must be positive, got %d", maxBytes)
 	}

@@ -277,8 +277,8 @@ var walkSeed = maphash.MakeSeed()
 // visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
 // traversals have computed, and the numerators of one S per path (keptWalk):
 // one visPath per feature path, created on first use. The root baseline owns
-// it and every NewView shares it, so a query's local ranges, a shard server's
-// view pool and a ServePool's queries fill and read the same tables. When a
+// it and every NewView shares it, so a query's local ranges and every query or
+// shard request a ServePool admits fill and read the same tables. When a
 // new path's table would push the total past limit, whole tables go, oldest
 // first, kept N and all; a kept N never displaces a norm (keep). A reader
 // holding an evicted table keeps a consistent one for the rest of its query.

@@ -333,13 +333,20 @@ func TestExecutionMatchesOracle(t *testing.T) {
 							"remote": {WithMaterializer(newMat(g)), WithRemoteShards(fakeFleetOf(g, 2, newMat)...)},
 						} {
 							eng := NewEngine(g, append(opts, WithMeasure(measure))...)
-							for _, temp := range []string{"cold", "warm"} {
+							// The third run keeps the paths' numerators N and the
+							// fourth reads them (candside.go's keptWalk).
+							for _, temp := range []string{"cold", "warm", "keeps N", "memo"} {
 								got, err := eng.Execute(src)
 								label := fmt.Sprintf("seed %d %v %s %s/%s %s: %s", seed, measure, sh.name, matName, exName, temp, clause)
 								if err != nil {
 									t.Fatalf("%s: %v", label, err)
 								}
 								want.check(t, label, got)
+								if temp == "memo" && matName == "baseline" && measure == MeasureNetOut && exName != "remote" {
+									if memo := strings.Count(strings.Join(got.Trace.Plan, "\n"), ": numer=memo"); memo != len(paths) {
+										t.Fatalf("%s: %d of %d paths read the kept N; plan %q", label, memo, len(paths), got.Trace.Plan)
+									}
+								}
 							}
 						}
 					}

@@ -276,8 +276,8 @@ func (a *weightedMean) value() (float64, bool) {
 // through a candidateSide of its own. It never fails: every fault — a panic
 // included — comes back as a classified failure response beside the exact
 // prefix scored before it, so a coordinator always has a reply to merge or
-// degrade. The materializer must be private to the caller for the duration
-// of the call (shard servers hold a view pool).
+// degrade. The materializer must be the caller's alone for the call (a
+// handle ServePool.Run lends).
 func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req *ShardRequest, b *ShardBroadcast) *ShardResponse {
 	start := time.Now()
 	base := mat.Stats()

@@ -8,32 +8,32 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netout/internal/hin"
 	"netout/internal/obs"
 	"netout/internal/xerr"
 )
 
-// ErrOverloaded is returned by ServePool.Execute when admission control is
-// on (ServeOptions.MaxQueue > 0) and the queue is full: the pool sheds the
-// query immediately instead of queueing unboundedly. Callers should treat it
-// as retryable back-pressure: code RESOURCE_EXHAUSTED, HTTP 429, not 500.
+// ErrOverloaded is returned by ServePool.Execute and Run when admission
+// control is on (ServeOptions.MaxQueue > 0) and the queue is full: the pool
+// sheds the query immediately instead of queueing unboundedly. Callers should
+// treat it as retryable back-pressure: code RESOURCE_EXHAUSTED, HTTP 429.
 var ErrOverloaded = xerr.New(xerr.ResourceExhausted, "core: serve pool overloaded")
 
-// ErrPoolClosed is returned by ServePool.Execute once Close has begun: the
-// pool is draining or gone and this replica cannot take the query. Its code
-// is UNAVAILABLE (HTTP 503) — a shutting-down server is never the client's
-// fault, and a load balancer should retry elsewhere.
+// ErrPoolClosed is returned by ServePool.Execute and Run once Close has
+// begun: the pool is draining or gone and this replica cannot take the query.
+// Its code is UNAVAILABLE (HTTP 503) — a shutting-down server is never the
+// client's fault, and a load balancer should retry elsewhere.
 var ErrPoolClosed = xerr.New(xerr.Unavailable, "core: ServePool is closed")
 
-// ServePool is the serving front door for heavy query traffic: an admission
-// gate in front of the one engine the caller configured. A query runs on the
-// goroutine that called Execute, on the materializer handles it borrows, once
-// it holds one of Workers run tokens; the pool itself runs no goroutine. With
-// a cached materializer the pool realizes the shared warm cache end to end —
-// every query's traversals warm every other query's lookups, and concurrent
-// misses on the same vertex are singleflighted. Unlike ExecuteBatch (one shot
-// over a fixed query slice), a ServePool stays up and accepts queries one at a
-// time from any number of goroutines, which matches an online analyst
-// workload.
+// ServePool is the serving front door: an admission gate in front of the one
+// engine the caller configured, for its queries (Execute) and a shard server's
+// requests (Run). Each runs on its caller's goroutine, on the materializer
+// handles it borrows, once it holds one of Workers run tokens; the pool itself
+// runs no goroutine. With a cached materializer every query's traversals warm
+// every other query's lookups, and concurrent misses on the same vertex are
+// singleflighted. Unlike ExecuteBatch (one shot over a fixed query slice), a
+// ServePool stays up and takes work one call at a time from any number of
+// goroutines, which matches an online analyst workload.
 type ServePool struct {
 	mu     sync.RWMutex // guards closed against concurrent Execute/Close
 	closed bool
@@ -141,13 +141,12 @@ func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
 }
 
 // Execute runs one query on the caller's goroutine once the pool admits it
-// and a run token is free. It is safe to call from any number of goroutines.
-// The context bounds both the wait for a token and the execution itself, and
-// the engine's degradation rule is the only one: a deadline that expires
-// mid-query returns the engine's Partial result or its error. When the pool
-// has a DefaultTimeout and ctx carries no deadline, the timeout is applied
-// here; with MaxQueue set, a full queue fails fast with ErrOverloaded; a
-// closed pool fails with ErrPoolClosed.
+// and a run token is free; it is safe to call from any number of goroutines.
+// The context bounds the wait for a token and the execution, and the engine's
+// degradation rule is the only one: a deadline that expires mid-query returns
+// the engine's Partial result or its error. A DefaultTimeout applies when ctx
+// has no deadline; a full MaxQueue fails fast with ErrOverloaded, a closed
+// pool with ErrPoolClosed.
 //
 // Every query is stamped with a per-request correlation ID — the caller's,
 // when ctx carries one (obs.WithRequestID), or a fresh one. The ID rides
@@ -170,13 +169,32 @@ func (p *ServePool) Execute(ctx context.Context, src string) (*Result, error) {
 			defer cancel()
 		}
 	}
-	res, err := p.admit(ctx, src)
+	res, err := p.admit(ctx, func(ctx context.Context) (*Result, error) {
+		return p.eng.executeIsolated(ctx, src, p.compiled, p.ranges)
+	})
 	return res, xerr.WithRequestID(err, rid)
 }
 
-// admit is Execute past the request ID and the default deadline: the gate
-// (closed, already interrupted, shed), the wait for a run token, the query.
-func (p *ServePool) admit(ctx context.Context, src string) (*Result, error) {
+// Run is Execute's gate around fn — a shard server's request (shardnet): fn
+// runs on a handle the engine lends, over its network g; its error (a panic as
+// a *PanicError) is Run's, counted like a query's. Run adds no deadline or ID.
+func (p *ServePool) Run(ctx context.Context, fn func(ctx context.Context, g *hin.Graph, mat Materializer) error) error {
+	_, err := p.admit(ctx, func(ctx context.Context) (_ *Result, err error) {
+		defer recoverAsError(&err)
+		hs, err := p.eng.borrow(1)
+		if err != nil {
+			return nil, err
+		}
+		defer p.eng.release(hs)
+		return nil, fn(ctx, p.eng.g, hs.at(0))
+	})
+	return err
+}
+
+// admit is the gate, written once for Execute and Run: closed, interrupted,
+// shed, the wait for a run token, then fn — timed and counted — with that wait
+// on its context, so a query's wide event reports it.
+func (p *ServePool) admit(ctx context.Context, fn func(context.Context) (*Result, error)) (*Result, error) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -209,21 +227,13 @@ func (p *ServePool) admit(ctx context.Context, src string) (*Result, error) {
 		// failed, counted like one that failed running.
 		return p.outcome(nil, xerr.Interrupt(ctx.Err()))
 	}
-	return p.serve(ctx, src, time.Since(enqueued))
-}
-
-// serve runs one query that waited wait for its token, behind
-// executeIsolated's panic isolation.
-func (p *ServePool) serve(ctx context.Context, src string, wait time.Duration) (*Result, error) {
+	wait := time.Since(enqueued)
 	p.queueNs.Add(wait.Nanoseconds())
 	if p.queueHist != nil {
 		p.queueHist.Observe(wait.Seconds())
 	}
-	// The wait rides the context into the engine so the query's wide event
-	// reports how long it waited for a token.
-	ctx = obs.WithQueueWait(ctx, wait)
 	start := time.Now()
-	res, err := p.eng.executeIsolated(ctx, src, p.compiled, p.ranges)
+	res, err := fn(obs.WithQueueWait(ctx, wait))
 	elapsed := time.Since(start)
 	p.executeNs.Add(elapsed.Nanoseconds())
 	if p.execHist != nil {

@@ -439,7 +439,7 @@ func TestSpillQueryAllocationCeiling(t *testing.T) {
 	}
 	const ceiling = 220
 	g := waistBenchGraph(t, 0)
-	mat, err := NewCached(g, 1<<20, WithSubpathCache())
+	mat, err := NewCached(g, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

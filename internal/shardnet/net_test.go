@@ -67,15 +67,19 @@ func testGraph(t *testing.T) *hin.Graph {
 	return b.Build()
 }
 
-// startShard boots one shard server on a loopback listener and returns it
-// with its address. The caller owns Close (ordering matters for tests that
-// gate handlers).
-func startShard(t *testing.T, g *hin.Graph, opts ServerOptions) (*Server, string) {
+// startShard boots one shard server on a loopback listener, in front of a
+// pool over its own engine on g, and returns it with its address. reg, when
+// set, receives the engine's, the pool's and the server's metrics. The caller
+// owns Close (ordering matters for tests that gate handlers); the pool closes
+// at cleanup, after the server.
+func startShard(t *testing.T, g *hin.Graph, reg *obs.Registry, opts core.ServeOptions) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(g, core.NewBaseline(g), opts)
+	pool, err := core.NewServePool(core.NewEngine(g, core.WithObs(reg)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(pool.Close)
+	srv := NewServer(pool, ServerOptions{Obs: reg})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +96,7 @@ func fleetOf(t *testing.T, g *hin.Graph, n int, tune func(*Client)) ([]core.Remo
 	servers := make([]*Server, n)
 	clients := make([]*Client, n)
 	for i := range remotes {
-		srv, addr := startShard(t, g, ServerOptions{})
+		srv, addr := startShard(t, g, nil, core.ServeOptions{})
 		c := Dial(addr, nil)
 		if tune != nil {
 			tune(c)
@@ -171,7 +175,7 @@ func TestNetworkShardsBitIdentical(t *testing.T) {
 	var remotes []core.RemoteShard
 	var servers []*Server
 	for i := 0; i < 2; i++ {
-		srv, addr := startShard(t, g, ServerOptions{Obs: serverReg})
+		srv, addr := startShard(t, g, serverReg, core.ServeOptions{})
 		defer srv.Close()
 		c := Dial(addr, clientReg)
 		defer c.Close()
@@ -209,7 +213,7 @@ func TestNetworkShardsBitIdentical(t *testing.T) {
 	}
 	buf.Reset()
 	serverReg.WritePrometheus(&buf)
-	for _, m := range []string{"netout_shardsrv_requests_total", "netout_shardsrv_seconds", "netout_shardsrv_workers"} {
+	for _, m := range []string{"netout_shardsrv_requests_total", "netout_shardsrv_seconds", "netout_serve_workers"} {
 		if !strings.Contains(buf.String(), m) {
 			t.Errorf("server registry missing %s", m)
 		}
@@ -305,6 +309,52 @@ func TestNetworkShardKilledMidQueryDegradesToExactPrefix(t *testing.T) {
 	}
 }
 
+// A draining shard — its pool closed while its server still accepts — answers
+// with a well-formed UNAVAILABLE reply, nothing done, and a query over a fleet
+// holding it degrades to Partial with the other shard's exact scores.
+func TestNetworkDrainingShardDegradesToExactPrefix(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	g := testGraph(t)
+	want, err := core.NewEngine(g, core.WithMeasure(core.MeasureNetOut)).Execute(netQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScore := make(map[hin.VertexID]uint64, len(want.Entries))
+	for _, e := range want.Entries {
+		wantScore[e.Vertex] = math.Float64bits(e.Score)
+	}
+	remotes, servers, clients := fleetOf(t, g, 2, func(c *Client) { c.maxAttempts, c.backoff = 2, time.Millisecond })
+	defer closeFleet(servers, clients)
+	servers[1].pool.Close()
+
+	resp, err := clients[1].Call(context.Background(), minimalRequest(1), nil)
+	if err != nil || resp.Code != xerr.Unavailable || resp.Done != 0 || resp.Err != core.ErrPoolClosed.Error() {
+		t.Fatalf("draining shard answered %+v, %v; want ErrPoolClosed's UNAVAILABLE with nothing done", resp, err)
+	}
+	res, err := core.NewEngine(g, core.WithMeasure(core.MeasureNetOut), core.WithRemoteShards(remotes...)).Execute(netQuery)
+	if err != nil {
+		t.Fatalf("draining shard failed the query instead of degrading: %v", err)
+	}
+	if !res.Partial || len(res.Shards) != 2 {
+		t.Fatalf("Partial = %v, shards %+v; want a Partial over two shards", res.Partial, res.Shards)
+	}
+	if st := res.Shards[1]; st.Done != 0 || !st.Partial || !strings.Contains(st.Err, core.ErrPoolClosed.Error()) {
+		t.Fatalf("draining shard accounting = %+v, want Done 0 with ErrPoolClosed", st)
+	}
+	if st := res.Shards[0]; st.Partial || st.Done != st.Candidates {
+		t.Fatalf("healthy shard accounting = %+v, want complete", st)
+	}
+	if got := len(res.Entries) + len(res.Skipped); got != res.Shards[0].Candidates {
+		t.Fatalf("partial covers %d candidates, want the healthy shard's %d", got, res.Shards[0].Candidates)
+	}
+	for _, e := range res.Entries {
+		bits, ok := wantScore[e.Vertex]
+		if !ok || bits != math.Float64bits(e.Score) {
+			t.Fatalf("surviving score for %q not bit-identical to unsharded", e.Name)
+		}
+	}
+}
+
 // A shard server stamped with a foreign protocol revision fails the query
 // with a typed INTERNAL skew error naming the shard's address — end to end
 // over TCP, the mixed-revision-fleet scenario.
@@ -336,7 +386,7 @@ func TestNetworkAdmissionShed(t *testing.T) {
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
 	reg := obs.NewRegistry()
-	srv, addr := startShard(t, g, ServerOptions{Workers: 1, Queue: 1, Obs: reg})
+	srv, addr := startShard(t, g, reg, core.ServeOptions{Workers: 1, MaxQueue: 1})
 	defer srv.Close()
 	release := make(chan struct{})
 	defer close(release) // before srv.Close in LIFO order: parked handlers drain first
@@ -352,7 +402,7 @@ func TestNetworkAdmissionShed(t *testing.T) {
 	c := Dial(addr, nil)
 	c.maxAttempts = 1
 	defer c.Close()
-	// Park one request mid-execution (holds worker slot + view)...
+	// Park one request mid-execution (holds the run token and a handle)...
 	parked := make(chan struct{})
 	go func() {
 		c.Call(context.Background(), minimalRequest(0), nil)
@@ -381,7 +431,7 @@ func TestNetworkAdmissionShed(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "netout_shardsrv_shed_total") {
+	if !strings.Contains(buf.String(), "netout_serve_shed_total") {
 		t.Error("shed counter not registered")
 	}
 	_ = parked
@@ -558,7 +608,7 @@ func TestNetworkForeignPathFailsQuery(t *testing.T) {
 	for i := 0; i < g.NumVertices(); i++ { // every candidate ID exists there too
 		b.MustAddVertex(a, fmt.Sprintf("A%d", i))
 	}
-	wrong, addr := startShard(t, b.Build(), ServerOptions{})
+	wrong, addr := startShard(t, b.Build(), nil, core.ServeOptions{})
 	defer wrong.Close()
 	right, servers, clients := fleetOf(t, g, 1, nil)
 	defer closeFleet(servers, clients)
@@ -572,14 +622,15 @@ func TestNetworkForeignPathFailsQuery(t *testing.T) {
 	}
 }
 
-// A request's budget runs from its arrival, not from the moment it gets a
-// view: with the one view held by A, B's budget expires in the queue and B is
-// answered DEADLINE_EXCEEDED, nothing done, while A is still running — it
-// used to wait for A, then run its whole budget for a coordinator long gone.
+// A request's budget runs from its arrival, not from the moment it gets a run
+// token: with the one token held by A, B's budget expires in the queue and B
+// is answered DEADLINE_EXCEEDED, nothing done, its reply's Duration the wait,
+// while A is still running — it used to wait for A, then run its whole budget
+// for a coordinator long gone.
 func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
-	srv, addr := startShard(t, g, ServerOptions{Workers: 1, Queue: 1})
+	srv, addr := startShard(t, g, nil, core.ServeOptions{Workers: 1, MaxQueue: 1})
 	defer srv.Close()
 	release, reached := make(chan struct{}), make(chan struct{})
 	var once atomic.Bool
@@ -615,10 +666,13 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 	resp, err := call(50 * time.Millisecond)
 	if err != nil {
 		close(release)
-		t.Fatalf("B got no reply while A held the view: %v", err)
+		t.Fatalf("B got no reply while A held the run token: %v", err)
 	}
 	if resp.Code != xerr.DeadlineExceeded || resp.Done != 0 {
 		t.Errorf("B answered %+v, want DEADLINE_EXCEEDED with nothing done", resp)
+	}
+	if resp.Duration < 50*time.Millisecond {
+		t.Errorf("B's reply says it took %v, but it waited out its 50ms budget", resp.Duration)
 	}
 	select {
 	case a := <-held:
@@ -637,10 +691,12 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 func TestServeAfterCloseReturns(t *testing.T) {
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
-	srv, err := NewServer(g, core.NewBaseline(g), ServerOptions{})
+	pool, err := core.NewServePool(core.NewEngine(g), core.ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pool.Close()
+	srv := NewServer(pool, ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

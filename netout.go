@@ -296,18 +296,18 @@ func NewSPMVertices(g *Graph, vertices []VertexID) Materializer {
 // of goroutines; concurrent misses on the same vector are deduplicated so the
 // network is traversed once. Views made with NewMaterializerView share the
 // same warm cache.
-func NewCached(g *Graph, maxBytes int64, opts ...CacheOption) (Materializer, error) {
-	return core.NewCached(g, maxBytes, opts...)
+func NewCached(g *Graph, maxBytes int64, _ ...CacheOption) (Materializer, error) {
+	return core.NewCached(g, maxBytes)
 }
 
 // CacheOption is what the two deprecated options below return; NewCached
 // ignores them.
-type CacheOption = core.CacheOption
+type CacheOption struct{}
 
 // WithSubpathCache does nothing: subpath keys are the only cache mode.
 //
 // Deprecated: drop the option.
-func WithSubpathCache() CacheOption { return core.WithSubpathCache() }
+func WithSubpathCache() CacheOption { return CacheOption{} }
 
 // WithCachePlanner does nothing: the cache admits an intermediate frontier by
 // its measured size and plans nothing.

@@ -102,7 +102,9 @@ grep -q '"partial":true' "$TMP/sharded.json" \
     && fail "healthy fleet produced a partial result"
 
 # Both sides of the RPC export their metrics: the coordinator the per-shard
-# client counters, the shard server its admission/served counters.
+# client counters, the shard server its served counters — and the shard's
+# ServePool, the one gate its requests pass, its run tokens and a non-zero
+# served count (a shard that bypassed its pool would serve none).
 curl -fsS "http://$COORD/metrics" >"$TMP/coord.metrics" \
     || fail "coordinator /metrics unreachable"
 grep -q '^netout_shard_rpc_total' "$TMP/coord.metrics" \
@@ -111,6 +113,10 @@ curl -fsS "http://$SHARD1_METRICS/metrics" >"$TMP/shard1.metrics" \
     || fail "shard /metrics unreachable"
 grep -q '^netout_shardsrv_requests_total' "$TMP/shard1.metrics" \
     || fail "shard metrics missing netout_shardsrv_requests_total"
+grep -q '^netout_serve_workers' "$TMP/shard1.metrics" \
+    || fail "shard metrics missing netout_serve_workers"
+awk '$1 == "netout_serve_served_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$TMP/shard1.metrics" \
+    || fail "shard's pool served nothing (netout_serve_served_total)"
 
 # (4) A whole-type scan, scattered: the first request warms each shard's
 # norms (a walk per candidate), the next walks S back in scratch, the one
