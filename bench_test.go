@@ -315,8 +315,9 @@ func BenchmarkNeighborVector(b *testing.B) {
 			}
 		})
 	}
-	// The indexed strategies on a 4-hop path: two chunks, each combined from
-	// the index (SPM: Q1's vertices; the rest traversed).
+	// The materializers on a 4-hop path: Baseline walks it (its overhead over
+	// the bare traverser above), PM and SPM combine two chunks from the index
+	// (SPM: Q1's vertices; the rest traversed).
 	p, err := netout.ParseMetaPath(f.graph.Schema(), "author.paper.author.paper.venue")
 	if err != nil {
 		b.Fatal(err)
@@ -324,7 +325,7 @@ func BenchmarkNeighborVector(b *testing.B) {
 	for _, s := range []struct {
 		name string
 		mat  netout.Materializer
-	}{{"PM", f.pm}, {"SPM", f.spm["Q1"]}} {
+	}{{"Baseline", netout.NewBaseline(f.graph)}, {"PM", f.pm}, {"SPM", f.spm["Q1"]}} {
 		b.Run(s.name+"/author.paper.author.paper.venue", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := s.mat.NeighborVector(p, hub); err != nil {

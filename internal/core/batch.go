@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"netout/internal/metapath"
 	"netout/internal/xerr"
 )
 
@@ -14,19 +13,18 @@ import (
 // analysts need to obtain results promptly" — for workloads of many
 // queries: queries are independent, so a few goroutines run them in parallel
 // on one engine, each query on the materializer handles it borrows
-// (Engine.borrow). Pre-materialized indexes are shared read-only through
-// views (the index is immutable after construction; only traversal scratch
-// and statistics are private to a view). Cached materializers are shared
-// warm: every view references the same LRU, so one worker's miss is
-// every other worker's hit.
+// (Engine.borrow). Every strategy is shared through views (NewView). A
+// Baseline, PM or SPM view reads the root's immutable index and shares its
+// norm tables; only traversal scratch and statistics are its own. Cached
+// materializers are shared warm: every view references the same LRU, so one
+// worker's miss is every other worker's hit.
 
 // NewView returns a materializer that shares m's pre-computed state but is
 // safe to use concurrently with other views of m:
 //
-//   - baseline: a fresh traverser and private statistics over the root's
-//     visibility table (atomic words, see visTable).
-//   - PM/SPM: the immutable index is shared; traversal scratch space and
-//     statistics are private to the view.
+//   - Baseline, PM and SPM: the immutable index and the visibility table
+//     are shared; traversal scratch space and statistics are private to the
+//     view.
 //   - cached: the view references the SAME LRU, singleflight group
 //     and counters, so warm entries and stats are shared across views
 //     (the whole point of the online-discovery strategy in a concurrent
@@ -35,25 +33,12 @@ func NewView(m Materializer) (Materializer, error) {
 	if v, ok := m.(viewable); ok {
 		return v.view()
 	}
-	switch v := m.(type) {
-	case *baseline:
-		return &baseline{tr: metapath.NewTraverser(v.tr.Graph()), vis: v.vis}, nil
-	case *indexedMaterializer:
-		return &indexedMaterializer{
-			tr:       metapath.NewTraverser(v.tr.Graph()),
-			ix:       v.ix,
-			strategy: v.strategy,
-		}, nil
-	case *cached:
-		return &cached{state: v.state}, nil
-	}
 	return nil, xerr.Newf(xerr.Internal, "core: cannot create a concurrent view of %T", m)
 }
 
-// viewable lets a materializer outside the built-in set supply its own
-// concurrent views. This is the seam the fault-injection harness wraps real
-// materializers through (faultinject_test.go); the built-in strategies use
-// the type switch above.
+// viewable is how a materializer supplies its concurrent views: every
+// built-in strategy implements it, and so does the fault-injection harness's
+// wrapper (faultinject_test.go).
 type viewable interface {
 	view() (Materializer, error)
 }

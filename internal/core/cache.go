@@ -88,6 +88,8 @@ func NewCached(g *hin.Graph, maxBytes int64) (Materializer, error) {
 	return &cached{state: newSharedCacheState(g, maxBytes)}, nil
 }
 
+func (c *cached) view() (Materializer, error) { return &cached{state: c.state}, nil }
+
 func (c *cached) Strategy() Strategy { return StrategyCached }
 func (c *cached) IndexBytes() int64  { return c.state.bytes.Load() }
 func (c *cached) Stats() MatStats    { return c.state.matStats() }

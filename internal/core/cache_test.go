@@ -537,7 +537,7 @@ func TestIndexLoadErrors(t *testing.T) {
 	ix := newPathIndex(g)
 	ix.put(apv, zoe, sparse.Vector{Idx: []int32{int32(zoe)}, Val: []float64{1}})
 	var foreign bytes.Buffer
-	if err := SaveIndex(&indexedMaterializer{tr: metapath.NewTraverser(g), ix: ix, strategy: StrategyPM}, &foreign); err != nil {
+	if err := SaveIndex(&indexed{tr: metapath.NewTraverser(g), ix: ix, strategy: StrategyPM}, &foreign); err != nil {
 		t.Fatal(err)
 	}
 	cases["foreign coordinate"] = foreign.Bytes()
@@ -614,7 +614,7 @@ func TestBuildIndexMatchesPerVertexTraversal(t *testing.T) {
 			if m.IndexBytes() != ref.bytes {
 				t.Fatalf("%s: IndexBytes %d, per-vertex loop %d", label, m.IndexBytes(), ref.bytes)
 			}
-			ix := m.(*indexedMaterializer).ix
+			ix := m.(*indexed).ix
 			for _, p := range paths {
 				for _, v := range g.VerticesOfType(p.Source()) {
 					want, inRef := ref.probe(ref.table(p), v)
@@ -708,13 +708,17 @@ func TestResultScoreHistogram(t *testing.T) {
 }
 
 // An SPM index with no materialized vertices must fall back to traversal
-// for length-2 paths (the traverseFrontier path) and still agree with the
-// baseline bit for bit.
+// (the walk of a chunk with no table) and still agree with the baseline bit
+// for bit. A load that walks is one traversed vector, however many hops it
+// walks (Figure 4's "not indexed vectors"), and so is a miss on a table that
+// exists: SPM over {Zoe} loading author.paper.venue at anyone else.
 func TestIndexedMaterializerTraversalFallback(t *testing.T) {
 	g := fig1Graph(t)
 	empty := NewSPMVertices(g, nil) // nothing indexed
 	base := NewBaseline(g)
 	a, _ := g.Schema().TypeByName("author")
+	zoe, _ := g.VertexByName(a, "Zoe")
+	onlyZoe := NewSPMVertices(g, []hin.VertexID{zoe})
 	for _, dotted := range []string{"author.paper.venue", "author.paper.author", "author.paper.venue.paper.author"} {
 		p, err := metapath.ParseDotted(g.Schema(), dotted)
 		if err != nil {
@@ -722,12 +726,26 @@ func TestIndexedMaterializerTraversalFallback(t *testing.T) {
 		}
 		for _, v := range g.VerticesOfType(a) {
 			want, err1 := base.NeighborVector(p, v)
+			before := empty.Stats()
 			got, err2 := empty.NeighborVector(p, v)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
 			if !want.Equal(got) {
 				t.Fatalf("fallback diverges for %s on %s: %v vs %v", dotted, g.Name(v), got, want)
+			}
+			if d := empty.Stats().Sub(before); d.TraversedVectors != 1 {
+				t.Fatalf("empty SPM load of %s at %s = %+v, want one traversed vector", dotted, g.Name(v), d)
+			}
+			if p.Hops() != 2 || v == zoe {
+				continue
+			}
+			before = onlyZoe.Stats()
+			if got, err := onlyZoe.NeighborVector(p, v); err != nil || !want.Equal(got) {
+				t.Fatalf("SPM{Zoe} miss for %s on %s: %v, %v vs %v", dotted, g.Name(v), err, got, want)
+			}
+			if d := onlyZoe.Stats().Sub(before); d.TraversedVectors != 1 || d.IndexedVectors != 0 {
+				t.Fatalf("SPM{Zoe} miss of %s at %s = %+v, want one traversed vector", dotted, g.Name(v), d)
 			}
 		}
 	}

@@ -27,14 +27,14 @@ import (
 //     when Sr ≡ Sc, loaded through the materializer otherwise — scored by the
 //     query's scorers. Any measure, combination and materializer.
 //   - From norms, where referenceSide could propagate (NetOut, CombineAverage,
-//     a setMaterializer): Ω_P(v) = Φ_P(v)·S / ‖Φ_P(v)‖², and the denominator
+//     a bare index): Ω_P(v) = Φ_P(v)·S / ‖Φ_P(v)‖², and the denominator
 //     is a per-(path, vertex) scalar the materializer memoizes (visTable).
 //     A path with enough of the slice's norms known (visTable.known) also
 //     gets every numerator at once: N = M_P·S is S propagated back along
 //     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
 //     one per candidate, its last hop gathered at this side's candidates
 //     only — or no walk at all, N read where the norm table keeps it for an
-//     S it has seen before (baseline.seedValues). A candidate whose norm is
+//     S it has seen before (indexed.seedValues). A candidate whose norm is
 //     known then costs a table read and a division; one whose norm is not
 //     costs the walk it always did — Φ drained into scratch when only its
 //     norm is wanted — and leaves the norm behind. N is exact or absent:
@@ -91,8 +91,8 @@ const (
 // context's included — fails the caller whole, like the reference side's.
 func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
 	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
-	sm, ok := mat.(setMaterializer)
-	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil {
+	sm, ok := mat.(*indexed)
+	if !ok || !sm.bare() || held != nil || measure != MeasureNetOut || scorers.concat != nil {
 		if scorers.concat != nil {
 			scorers.concat.withDir()
 		}
@@ -162,7 +162,7 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 		buf.vecs = make([][]sparse.Vector, len(cs.paths))
 		buf.omega = make([][]float64, len(cs.paths))
 	}
-	sm, _ := mat.(setMaterializer) // every view of one is one
+	sm, _ := mat.(*indexed) // every view of a bare index is one
 	for m, p := range cs.paths {
 		if cs.memo == nil {
 			buf.vecs[m] = slices.Grow(buf.vecs[m][:0], hi-lo)
@@ -203,7 +203,7 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 // pathOmega is Ω under path m of candidate i, scored from norms: NaN when it
 // is invisible under the path. ctx is polled before a traversal, not before
 // a table read.
-func (cs *candidateSide) pathOmega(ctx context.Context, sm setMaterializer, m, i int) (float64, error) {
+func (cs *candidateSide) pathOmega(ctx context.Context, sm *indexed, m, i int) (float64, error) {
 	p, tbl, v := cs.paths[m], cs.memo[m], cs.cands[i]
 	if num := cs.num[m]; num != nil {
 		vis, err := sm.visibility(ctx, p, v, tbl)

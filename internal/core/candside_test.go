@@ -76,7 +76,7 @@ func perVertexResult(t *testing.T, g *hin.Graph, cands, refs []hin.VertexID, pat
 // few hundred vertices reach the propagated branch: any known candidate, at
 // least a quarter of the type.
 func eagerBaseline(g *hin.Graph) Materializer {
-	return &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: maxVisBytes, minKnown: 1, minShare: candSideMinShare}}
+	return &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: maxVisBytes, minKnown: 1, minShare: candSideMinShare}}
 }
 
 // candSideExecutors are the three places a query's candidate ranges run, each
@@ -254,7 +254,7 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	mid := s.AllowedFrom(0)[0]
 	p := metapath.MustNew(0, mid, 0)
 	src := fmt.Sprintf("FIND OUTLIERS FROM t0 JUDGED BY t0.%s.t0;", s.TypeName(mid))
-	probe := eagerBaseline(g).(setMaterializer)
+	probe := eagerBaseline(g).(*indexed)
 	agg, exact, err := probe.setVector(context.Background(), p, all)
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
@@ -366,7 +366,7 @@ func TestVisTableConcurrentFills(t *testing.T) {
 	author := mustType(t, g, "author")
 	all := g.VerticesOfType(author)
 	span := int64(all[len(all)-1]-all[0]) + 1
-	root := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: 2*8*span + 7, minKnown: 1, minShare: candSideMinShare}}
+	root := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: 2*8*span + 7, minKnown: 1, minShare: candSideMinShare}}
 	features := []string{
 		"author.paper.venue", "author.paper.term", "author.paper.author",
 		"author.paper.venue.paper.author", "author.paper.term.paper.author", "author.paper.author.paper.venue",
@@ -443,7 +443,7 @@ func TestVisTableConcurrentFills(t *testing.T) {
 // candidate every time and still answers.
 func TestVisTableTooSmallForThePath(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(4)))
-	mat := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: 64, minKnown: 1, minShare: candSideMinShare}}
+	mat := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: 64, minKnown: 1, minShare: candSideMinShare}}
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 	want, err := NewEngine(g, WithQueryParallelism(1)).Execute(faultQuery)
 	if err != nil {
@@ -588,7 +588,7 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 	author, _ := g.Schema().TypeByName("author")
 	paper, _ := g.Schema().TypeByName("paper")
 	venue, _ := g.Schema().TypeByName("venue")
-	tbl := mat.(*baseline).vis.path(g, metapath.MustNew(author, paper, venue))
+	tbl := mat.(*indexed).vis.path(g, metapath.MustNew(author, paper, venue))
 	const first, holes, served = parallelChunk + 10, 10, 4
 	for _, v := range cands[first : first+holes] {
 		tbl.slot(v).Store(0)
@@ -766,7 +766,7 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	// distinct S's, each sent three times, keeps each one's N in place of the
 	// last on its second sighting, reads it on its third, and never holds more
 	// than its bound.
-	small := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: norms + 3*(kept+12*int64(len(all)))/2, minKnown: 1, minShare: candSideMinShare}}
+	small := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: norms + 3*(kept+12*int64(len(all)))/2, minKnown: 1, minShare: candSideMinShare}}
 	ServeShardRequest(ctx, g, small, req, bs)
 	for k := 1; k <= 8; k++ {
 		b := broadcastOf(g, sOf(all[k:]))
@@ -810,7 +810,7 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 		paths, bs = append(paths, p), append(bs, broadcastOf(g, s))
 	}
 	walk := 8*int64(len(all)) + int64(bs[0].Refs[0].Agg.Bytes())
-	mat := &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: 2*norms + walk, minKnown: 1, minShare: candSideMinShare}}
+	mat := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: 2*norms + walk, minKnown: 1, minShare: candSideMinShare}}
 	for i, p := range paths {
 		req := shardScan(p, all)
 		// Cold, two sightings, then what a repeat does: a read on the first
@@ -895,7 +895,7 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat := eagerBaseline(g).(*baseline)
+		mat := eagerBaseline(g).(*indexed)
 		tbl := mat.vis.path(g, p)
 		for range 2 {
 			if _, _, err := mat.seedValues(ctx, p, tbl, s, all[:1]); err != nil {
@@ -1022,12 +1022,12 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	if want.Err != "" || want.Stats.TraversedVectors != 0 {
 		t.Fatalf("fixture: %+v, want a read", want)
 	}
-	tbl := root.(*baseline).vis.path(g, p)
+	tbl := root.(*indexed).vis.path(g, p)
 	kept := tbl.walk.Load()
 	var walks []*keptWalk // the kept N of three more S's, each kept by a baseline of its own
 	for k := 1; k <= 3; k++ {
 		s := sOf(all[k:])
-		other := eagerBaseline(g).(*baseline)
+		other := eagerBaseline(g).(*indexed)
 		otbl := other.vis.path(g, p)
 		for range 2 {
 			if _, _, err := other.seedValues(ctx, p, otbl, s, all); err != nil {
@@ -1047,8 +1047,8 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 			defer wg.Done()
 			if w == 0 { // the publisher
 				for i := 0; i < 20; i++ {
-					root.(*baseline).vis.keep(tbl, walks[i%len(walks)])
-					root.(*baseline).vis.keep(tbl, kept)
+					root.(*indexed).vis.keep(tbl, walks[i%len(walks)])
+					root.(*indexed).vis.keep(tbl, kept)
 				}
 				return
 			}
@@ -1088,7 +1088,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 //     allocates nothing (Visibility); warm, read from the table — and a
 //     division.
 //   - memo (warm table only): what a repeat does once the norm table keeps
-//     S's numerators — baseline.seedValues finds them by S's bits (S here is
+//     S's numerators — indexed.seedValues finds them by S's bits (S here is
 //     a copy, as a shard's decoded broadcast is) and reads N at the
 //     candidates, then the same division.
 //
@@ -1125,7 +1125,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 			norms[v-lo], _ = tr.Visibility(p, v)
 		}
 		// A baseline whose norm table has seen S twice, and so keeps its N.
-		mat := eagerBaseline(g).(*baseline)
+		mat := eagerBaseline(g).(*indexed)
 		tbl := mat.vis.path(g, p)
 		for _, v := range all {
 			tbl.put(v, norms[v-lo])

@@ -20,7 +20,7 @@ import (
 
 const (
 	// compiledMaxBytes bounds the entries of a pool whose materializer has no
-	// byte budget of its own (baseline, PM, SPM).
+	// byte budget of its own (the index of Baseline, PM and SPM).
 	compiledMaxBytes = 16 << 20
 	// compiledShare is the cached strategy's: the entries may hold
 	// 1/compiledShare of its byte budget, charged to sharedCacheState.bytes

@@ -399,21 +399,19 @@ func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, 
 }
 
 // kernelCountsOf reads the cumulative traversal-kernel counters behind a
-// handle, when it owns a private traverser whose counters the query that
-// borrowed it may read (baseline and PM/SPM). The cached strategy is
+// handle, when it owns private traversers whose counters the query that
+// borrowed it may read (Baseline, PM and SPM). The cached strategy is
 // excluded: its traversers are pooled behind the cache, shared by every query,
 // and their counters are not synchronized for cross-goroutine reads.
 func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
-	switch x := m.(type) {
-	case *baseline:
-		return x.tr.KernelCounts(), true
-	case *indexedMaterializer:
-		if x.fill != nil {
-			return x.tr.KernelCounts().Add(x.fill.KernelCounts()), true
-		}
-		return x.tr.KernelCounts(), true
+	x, ok := m.(*indexed)
+	if !ok {
+		return metapath.KernelCounts{}, false
 	}
-	return metapath.KernelCounts{}, false
+	if x.fill != nil {
+		return x.tr.KernelCounts().Add(x.fill.KernelCounts()), true
+	}
+	return x.tr.KernelCounts(), true
 }
 
 // kernelDelta maps the non-zero per-kernel hop counts of an interval for an

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netout/internal/gen"
 	"netout/internal/hin"
 	"netout/internal/metapath"
+	"netout/internal/sparse"
 )
 
 // fig1Graph builds the Figure 1(b) network used throughout the metapath
@@ -578,6 +580,57 @@ func TestMaterializerBookkeeping(t *testing.T) {
 	d = base.Stats().Sub(before)
 	if d.TraversedVectors != 1 || d.IndexedVectors != 0 {
 		t.Fatalf("baseline stats = %+v", d)
+	}
+}
+
+// TestMaterializerLoadAllocs gates what one load allocates, on
+// BenchmarkNeighborVector's graph, hub and SPM (Q1's vertices): a Baseline
+// load allocates what the bare traverser's walk does, its result, and a
+// 4-hop PM or SPM load stays at its measured count (2 and 18 allocations).
+func TestMaterializerLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race allocates on its own account")
+	}
+	cfg := gen.Scaled(1)
+	cfg.Seed = 1
+	g, man, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := RandomVertexNames(g, "author", 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spm, err := NewSPM(g, BuildQuerySet(PaperTemplates()[0], names), SPMConfig{Threshold: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, _ := g.VertexByName(mustType(t, g, "author"), man.Hub)
+	allocs := func(load func(metapath.Path, hin.VertexID) (sparse.Vector, error), p metapath.Path) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := load(p, hub); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	tr, base := metapath.NewTraverser(g), NewBaseline(g)
+	for _, dotted := range []string{"author.paper.venue", "author.paper.venue.paper", "author.paper.author.paper.venue"} {
+		p, err := metapath.ParseDotted(g.Schema(), dotted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := allocs(base.NeighborVector, p), allocs(tr.NeighborVector, p); got != want {
+			t.Errorf("Baseline %s: %v allocations per load, the traverser's walk %v", dotted, got, want)
+		}
+	}
+	p, _ := metapath.ParseDotted(g.Schema(), "author.paper.author.paper.venue")
+	for _, c := range []struct {
+		mat Materializer
+		max float64
+	}{{NewPM(g), 2}, {spm, 18}} {
+		if n := allocs(c.mat.NeighborVector, p); n > c.max {
+			t.Errorf("%s 4-hop load: %v allocations, ceiling %v", c.mat.Strategy(), n, c.max)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ix := m.(*indexedMaterializer).ix
+		ix := m.(*indexed).ix
 		want := indexFileVectors(t, data)
 		present := 0
 		ix.forEachPath(func(_ string, tbl *pathTable) { present += tbl.count })

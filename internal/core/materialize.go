@@ -67,57 +67,182 @@ func (s MatStats) Add(o MatStats) MatStats {
 }
 
 // Materializer produces neighbor vectors Φ_P(v), possibly from a
-// pre-computed index. The baseline and indexed (PM/SPM) implementations
-// are not safe for concurrent use — share their immutable index across
-// goroutines via NewView. The cached materializer (NewCached) IS safe for
-// concurrent use, and its views share one warm cache.
+// pre-computed index. The Baseline, PM and SPM implementations are not safe
+// for concurrent use — share their immutable index across goroutines via
+// NewView. The cached materializer (NewCached) IS safe for concurrent use,
+// and its views share one warm cache.
 type Materializer interface {
 	// NeighborVector returns Φ_P(v).
 	NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error)
 	// Strategy identifies the implementation.
 	Strategy() Strategy
 	// IndexBytes reports the in-memory size of the pre-materialized index
-	// (for the baseline, of the visibilities and numerators it has
-	// memoized), as studied in Figure 5b.
+	// plus the visibilities and numerators a bare one has memoized, as
+	// studied in Figure 5b.
 	IndexBytes() int64
 	// Stats returns cumulative cost counters since construction.
 	Stats() MatStats
 }
 
 // ---------------------------------------------------------------------------
-// Baseline
+// Baseline, PM and SPM
 
-type baseline struct {
-	tr    *metapath.Traverser
-	stats MatStats
-	// vis memoizes the norms and numerators its traversals compute; the
-	// root's table is shared with every view (NewView).
-	vis *visTable
+// indexed is Section 6's materializer: a length-2 index (pathIndex) over a
+// traverser. Baseline is the index with no table; PM and SPM fill it with
+// every vertex's length-2 vectors or the frequent vertices' ones. A load goes
+// two hops at a time by Section 6.2's identity, which Traverser.Combine
+// computes from the index, traversing the vectors it lacks (fills):
+//
+//	Φ_{P1 P2}(v) = Σ_j |π_P1(v, vj)| · Φ_P2(vj)
+//
+// A chunk with no table, one whose counts reach 2⁵³ and the odd tail are
+// walked hop by hop instead, as Baseline walks the whole path. All the hops
+// one load walks are one traversed vector; each fill is one more.
+type indexed struct {
+	tr       *metapath.Traverser
+	ix       *pathIndex
+	strategy Strategy
+	stats    MatStats
+	// fill traverses the chunk vectors the index lacks, created on the first
+	// miss: Combine holds tr's scratch while it asks for them.
+	fill *metapath.Traverser
+	// vis memoizes the norms and numerators a bare index's traversals compute
+	// (bare); the root's table is shared with every view.
+	vis     *visTable
+	unitIdx [1]int32 // the frontier {v} a load starts from
+	unitVal [1]float64
 }
 
-// NewBaseline returns the traversal-only materializer of Section 6.1.
+func newIndexed(g *hin.Graph, ix *pathIndex, strategy Strategy) *indexed {
+	return &indexed{tr: metapath.NewTraverser(g), ix: ix, strategy: strategy,
+		vis: &visTable{limit: maxVisBytes, minKnown: candSideMinKnown, minShare: candSideMinShare}}
+}
+
+// NewBaseline returns the traversal-only materializer of Section 6.1: the
+// index with no table.
 func NewBaseline(g *hin.Graph) Materializer {
-	return &baseline{tr: metapath.NewTraverser(g), vis: &visTable{limit: maxVisBytes, minKnown: candSideMinKnown, minShare: candSideMinShare}}
+	return newIndexed(g, newPathIndex(g), StrategyBaseline)
 }
 
-func (b *baseline) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
-	start := time.Now()
-	vec, err := b.tr.NeighborVector(p, v)
-	b.traversed(start)
-	return vec, err
+// view shares the immutable index and the visibility table (atomic words,
+// see visTable); traversal scratch and statistics are the view's own.
+func (m *indexed) view() (Materializer, error) {
+	return &indexed{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, strategy: m.strategy, vis: m.vis}, nil
+}
+
+func (m *indexed) Strategy() Strategy { return m.strategy }
+func (m *indexed) IndexBytes() int64  { return m.ix.bytes + m.vis.residentBytes() }
+func (m *indexed) Stats() MatStats    { return m.stats }
+
+// bare reports an index with no table: Baseline, or an SPM that selected
+// nothing. Only there is every load a traversal that leaves no vector
+// behind, so only there is reducing a whole set in one propagation never
+// more work than loading its vertices one by one (see referenceSide), and
+// only there does a candidate's vector serve nothing but its two scalars, the
+// connectivity Φ·S and the visibility ‖Φ‖² vis memoizes (see candidateSide).
+func (m *indexed) bare() bool { return len(m.ix.tables) == 0 }
+
+func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
+		return sparse.Vector{}, err
+	}
+	n, key := p.Hops(), p.Key()
+	if n == 0 {
+		return m.tr.NeighborVector(p, v)
+	}
+	m.unitIdx, m.unitVal = [1]int32{int32(v)}, [1]float64{1}
+	frontier, slot, walks := sparse.Vector{Idx: m.unitIdx[:], Val: m.unitVal[:]}, 0, int64(0)
+	for hop := 0; hop < n && !frontier.IsZero(); {
+		if tbl := m.chunk(key, hop); tbl != nil {
+			out, ok, err := m.combine(tbl, frontier, hop)
+			if err != nil {
+				return sparse.Vector{}, err
+			}
+			if ok {
+				frontier, hop = out, hop+2
+				continue
+			}
+		}
+		// Walked: this chunk (or the tail) and every chunk after it up to the
+		// next with a table. Intermediate frontiers live in tr's hop buffers,
+		// so a walk allocates what Traverser.NeighborVector does: its result.
+		start := time.Now()
+		for end := hop + 2; hop < n && !frontier.IsZero() && (hop < end || m.chunk(key, hop) == nil); hop++ {
+			if hop == n-1 {
+				frontier = m.tr.Expand(frontier, p.Type(n))
+			} else {
+				frontier, slot = m.tr.ExpandScratch(frontier, p.Type(hop+1), slot), slot^1
+			}
+		}
+		m.stats.TraversalTime += time.Since(start)
+		walks = 1
+	}
+	m.stats.TraversedVectors += walks
+	if frontier.IsZero() {
+		return sparse.Vector{}, nil
+	}
+	return frontier, nil
+}
+
+// chunk is the table of the chunk of key (a path's Key) from hop to hop+2,
+// looked up by the substring that shares key's bytes: nil when the index has
+// none, at an odd hop, and past the last whole chunk.
+func (m *indexed) chunk(key string, hop int) *pathTable {
+	if hop%2 != 0 || hop+3 > len(key) {
+		return nil
+	}
+	return m.ix.tables[key[hop:hop+3]]
+}
+
+// combine advances frontier along tbl's chunk: at hop 0, where frontier is
+// {v}, by the probe at v (the vector buildIndex walked), later by Combine.
+// ok is false on a miss at hop 0 and where counts reach 2⁵³ and Combine's
+// sums stop being order-free: the caller walks the chunk, so the result is
+// Baseline's bit for bit whatever the counts.
+func (m *indexed) combine(tbl *pathTable, frontier sparse.Vector, hop int) (out sparse.Vector, ok bool, err error) {
+	if hop == 0 {
+		start := time.Now()
+		out, ok = m.ix.probe(tbl, hin.VertexID(frontier.Idx[0]))
+		m.stats.IndexedTime += time.Since(start) // a miss paid the lookup too
+		if ok {
+			m.stats.IndexedVectors++
+		}
+		return out, ok, nil
+	}
+	out, exact := m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
+		start := time.Now()
+		vec, ok := m.ix.probe(tbl, u)
+		m.stats.IndexedTime += time.Since(start)
+		if ok {
+			m.stats.IndexedVectors++
+			return vec
+		}
+		if m.fill == nil {
+			m.fill = metapath.NewTraverser(m.tr.Graph())
+		}
+		start = time.Now()
+		vec, e := m.fill.NeighborVector(tbl.path, u)
+		m.stats.TraversalTime += time.Since(start)
+		m.stats.TraversedVectors++
+		if e != nil {
+			err = e
+		}
+		return vec
+	}, tbl.path.Target())
+	return out, exact && err == nil, err
 }
 
 // traversed accounts one traversal begun at start.
-func (b *baseline) traversed(start time.Time) {
-	b.stats.TraversalTime += time.Since(start)
-	b.stats.TraversedVectors++
+func (m *indexed) traversed(start time.Time) {
+	m.stats.TraversalTime += time.Since(start)
+	m.stats.TraversedVectors++
 }
 
-// setVector is the baseline's set-frontier reduction (Traverser.SetVector),
+// setVector is a bare index's set-frontier reduction (Traverser.SetVector),
 // accounted as one traversed vector.
-func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
-	defer b.traversed(time.Now())
-	return b.tr.SetVector(ctx, p, set)
+func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
+	defer m.traversed(time.Now())
+	return m.tr.SetVector(ctx, p, set)
 }
 
 // seedValues is its weighted form along p⁻¹ read at the vertices at: N =
@@ -129,41 +254,44 @@ func (b *baseline) setVector(ctx context.Context, p metapath.Path, set []hin.Ver
 // the same bits. how says which ran, "memo" or "walk". A walk is one
 // traversed vector, kept or not; a read one indexed vector, after a poll of
 // ctx whose error fails the caller whole as the walk's polls do.
-func (b *baseline) seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error) {
+func (m *indexed) seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error) {
 	if w := tbl.walk.Load(); w != nil && sameBits(w.s, seed) {
 		if err := ctxErr(ctx); err != nil {
 			return nil, "memo", err
 		}
 		start := time.Now()
 		vals = w.read(at)
-		b.stats.IndexedTime += time.Since(start)
-		b.stats.IndexedVectors++
+		m.stats.IndexedTime += time.Since(start)
+		m.stats.IndexedVectors++
 		return vals, "memo", nil
 	}
-	defer b.traversed(time.Now())
+	defer m.traversed(time.Now())
 	// N is kept beside the type's vertex list: a seed is fingerprinted only
 	// when that and the seed fit the table's room.
-	back, all := p.Reverse(), b.tr.Graph().VerticesOfType(p.Source())
-	if int64(8*len(all)+seed.Bytes()) > b.vis.room(tbl) || !tbl.sighted(seed) {
-		vals, _, err = b.tr.SeedValues(ctx, back, seed, at)
+	back, all := p.Reverse(), m.tr.Graph().VerticesOfType(p.Source())
+	if int64(8*len(all)+seed.Bytes()) > m.vis.room(tbl) || !tbl.sighted(seed) {
+		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
-	n, _, err := b.tr.SeedValues(ctx, back, seed, all)
+	n, _, err := m.tr.SeedValues(ctx, back, seed, all)
 	if n == nil && err == nil {
 		tbl.spoil(seed)
-		vals, _, err = b.tr.SeedValues(ctx, back, seed, at)
+		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 	}
 	if n == nil || err != nil {
 		return vals, "walk", err
 	}
 	w := &keptWalk{s: seed, vs: all, num: n}
-	b.vis.keep(tbl, w)
+	m.vis.keep(tbl, w)
 	return w.read(at), "walk", nil
 }
 
-func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {
-	tbl := b.vis.path(b.tr.Graph(), p)
-	known, need := b.vis.known(tbl, cands, b.tr.Graph().NumVerticesOfType(p.Source()))
+// norms is p's visibility table (nil when none fits) and the crossover's
+// inputs over cands: how many have their norm in it, up to need, the count
+// that propagates the path's numerators (visTable.known).
+func (m *indexed) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {
+	tbl := m.vis.path(m.tr.Graph(), p)
+	known, need := m.vis.known(tbl, cands, m.tr.Graph().NumVerticesOfType(p.Source()))
 	return tbl, known, need
 }
 
@@ -171,47 +299,21 @@ func (b *baseline) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, 
 // nor preceded by a poll of ctx: the read is one atomic load, two clock reads
 // or the context's mutex would cost more — or by a traversal that allocates
 // nothing and leaves the norm in tbl.
-func (b *baseline) visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
+func (m *indexed) visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
 	if vis, ok := tbl.get(v); ok {
-		b.stats.IndexedVectors++
+		m.stats.IndexedVectors++
 		return vis, nil
 	}
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
 	}
-	defer b.traversed(time.Now())
-	vis, err := b.tr.Visibility(p, v)
+	defer m.traversed(time.Now())
+	vis, err := m.tr.Visibility(p, v)
 	if err == nil {
 		tbl.put(v, vis)
 	}
 	return vis, err
 }
-
-// setMaterializer is implemented by materializers for which a load is
-// always a traversal and leaves no vector behind — the baseline and its
-// views. Only there is reducing a whole set in one propagation never more
-// work than loading its vertices one by one (see referenceSide), and only
-// there does a candidate's vector serve nothing but its two scalars, the
-// connectivity Φ·S and the visibility ‖Φ‖² the materializer memoizes (see
-// candidateSide).
-type setMaterializer interface {
-	Materializer
-	setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (s sparse.Vector, exact bool, err error)
-	seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error)
-	// norms is p's visibility table (nil when none fits) and the crossover's
-	// inputs over cands: how many have their norm in it, up to need, the count
-	// that propagates the path's numerators (visTable.known).
-	norms(p metapath.Path, cands []hin.VertexID) (tbl *visPath, known, need int)
-	visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error)
-}
-
-func (b *baseline) Strategy() Strategy { return StrategyBaseline }
-func (b *baseline) IndexBytes() int64  { return b.vis.residentBytes() }
-func (b *baseline) Stats() MatStats    { return b.stats }
-
-// ---------------------------------------------------------------------------
-// Shared index machinery for PM and SPM (the arena-backed pathIndex lives in
-// pathindex.go)
 
 // allLength2Paths enumerates every schema-valid length-2 meta-path.
 func allLength2Paths(s *hin.Schema) []metapath.Path {
@@ -226,127 +328,6 @@ func allLength2Paths(s *hin.Schema) []metapath.Path {
 	return out
 }
 
-// indexedMaterializer resolves arbitrary meta-paths against a (possibly
-// partial) length-2 index: the path is consumed two hops at a time by the
-// decomposition identity of Section 6.2, which Traverser.Combine computes,
-// with the indexed vector of each frontier vertex when present and a
-// traversed one otherwise:
-//
-//	Φ_{P1 P2}(v) = Σ_j |π_P1(v, vj)| · Φ_P2(vj)
-type indexedMaterializer struct {
-	tr       *metapath.Traverser
-	ix       *pathIndex
-	strategy Strategy
-	stats    MatStats
-	// fill traverses the chunk vectors the index lacks, created on the first
-	// miss: Combine holds tr's scratch while it asks for them.
-	fill *metapath.Traverser
-}
-
-func (m *indexedMaterializer) Strategy() Strategy { return m.strategy }
-func (m *indexedMaterializer) IndexBytes() int64  { return m.ix.bytes }
-func (m *indexedMaterializer) Stats() MatStats    { return m.stats }
-
-func (m *indexedMaterializer) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
-	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
-		return sparse.Vector{}, err
-	}
-	// Whole-path fast path: length-2 paths are looked up directly.
-	if p.Hops() == 2 {
-		if vec, ok := m.probe(m.ix.table(p), v); ok {
-			return vec, nil
-		}
-		return m.traverseFrontier(p, 0, sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}), nil
-	}
-	frontier := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}
-	hop := 0
-	for ; p.Hops()-hop >= 2; hop += 2 {
-		var err error
-		frontier, err = m.combine(metapath.MustNew(p.Type(hop), p.Type(hop+1), p.Type(hop+2)), frontier)
-		if err != nil || frontier.IsZero() {
-			return frontier, err
-		}
-	}
-	if hop < p.Hops() {
-		// Odd-length tail: a single network hop (Section 6.2: "even if the
-		// original meta-path is odd-length, we only need to traverse the
-		// network for a single hop").
-		start := time.Now()
-		frontier = m.tr.Expand(frontier, p.Type(p.Hops()))
-		m.stats.TraversalTime += time.Since(start)
-		m.stats.TraversedVectors++
-	}
-	return frontier, nil
-}
-
-// combine advances frontier along the length-2 chunk through Combine. A
-// chunk whose counts reach 2⁵³, where Combine's sums stop being order-free,
-// is expanded hop by hop instead: the result is then Baseline's bit for bit
-// whatever the counts.
-func (m *indexedMaterializer) combine(chunk metapath.Path, frontier sparse.Vector) (sparse.Vector, error) {
-	// One key build + one map probe per chunk; the per-vertex probes are then
-	// pure array loads.
-	tbl := m.ix.table(chunk)
-	var err error
-	out, exact := m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
-		// probe's body, inlined: a call fewer per frontier vertex is ~5 % of a
-		// 4-hop PM vector (BenchmarkNeighborVector).
-		start := time.Now()
-		vec, ok := m.ix.probe(tbl, u)
-		m.stats.IndexedTime += time.Since(start)
-		if ok {
-			m.stats.IndexedVectors++
-			return vec
-		}
-		if m.fill == nil {
-			m.fill = metapath.NewTraverser(m.tr.Graph())
-		}
-		start = time.Now()
-		vec, e := m.fill.NeighborVector(chunk, u)
-		m.stats.TraversalTime += time.Since(start)
-		m.stats.TraversedVectors++
-		if e != nil {
-			err = e
-		}
-		return vec
-	}, chunk.Target())
-	switch {
-	case err != nil:
-		return sparse.Vector{}, err
-	case !exact:
-		return m.traverseFrontier(chunk, 0, frontier), nil
-	}
-	return out, nil
-}
-
-func (m *indexedMaterializer) probe(t *pathTable, v hin.VertexID) (sparse.Vector, bool) {
-	start := time.Now()
-	vec, ok := m.ix.probe(t, v)
-	// Probe time is index time whether the probe hits or misses — a miss
-	// still paid the lookup, and dropping it would understate the "indexed"
-	// share of Figure 4 style breakdowns for sparse indexes.
-	m.stats.IndexedTime += time.Since(start)
-	if ok {
-		m.stats.IndexedVectors++
-	}
-	return vec, ok
-}
-
-func (m *indexedMaterializer) traverseFrontier(p metapath.Path, fromHop int, frontier sparse.Vector) sparse.Vector {
-	start := time.Now()
-	for hop := fromHop; hop < p.Hops(); hop++ {
-		frontier = m.tr.Expand(frontier, p.Type(hop+1))
-		// One traversal per hop actually expanded, so a long fallback walk
-		// is not undercounted as a single vector.
-		m.stats.TraversedVectors++
-		if frontier.IsZero() {
-			break
-		}
-	}
-	m.stats.TraversalTime += time.Since(start)
-	return frontier
-}
-
 // ---------------------------------------------------------------------------
 // PM and SPM
 
@@ -355,22 +336,21 @@ func (m *indexedMaterializer) traverseFrontier(p metapath.Path, fromHop int, fro
 // the path's source type. Construction cost is deliberately front-loaded (it
 // models an offline indexing phase).
 func buildIndex(g *hin.Graph, strategy Strategy, paths []metapath.Path, sources func(hin.TypeID) []hin.VertexID) Materializer {
-	tr := metapath.NewTraverser(g)
-	ix := newPathIndex(g)
+	m := newIndexed(g, newPathIndex(g), strategy)
 	for _, p := range paths {
 		if p.Hops() != 2 {
 			panic(fmt.Sprintf("core: %s pre-materializes length-2 paths only, got %v", strategy, p))
 		}
 		for _, v := range sources(p.Source()) {
-			vec, err := tr.NeighborVector(p, v)
+			vec, err := m.tr.NeighborVector(p, v)
 			if err != nil {
 				// Unreachable: sources are handed out by type.
 				panic(err)
 			}
-			ix.put(p, v, vec)
+			m.ix.put(p, v, vec)
 		}
 	}
-	return &indexedMaterializer{tr: tr, ix: ix, strategy: strategy}
+	return m
 }
 
 // NewPM builds the full pre-materialization strategy: Φ vectors for every

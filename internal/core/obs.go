@@ -18,8 +18,9 @@ import (
 // netout_mat_* families read from its shared atomic counters (README's metric
 // table says what each answers). Only the cached materializer's full MatStats
 // are exported: its counters are safe to read from the scrape goroutine.
-// Baseline and PM/SPM carry unsynchronized per-view stats, so for those only
-// the index size — immutable after construction — is exposed.
+// Baseline, PM and SPM carry unsynchronized per-view stats, so for those only
+// IndexBytes is exposed: the index, immutable after construction, and the
+// norm tables, read under their lock.
 //
 // Registration is idempotent per (registry, materializer): NewEngine calls it
 // for an engine with a registry, and so may the materializer's owner.

@@ -33,8 +33,8 @@ const (
 // SaveIndex writes a pre-materialized index (PM or SPM) to w. Baseline and
 // cached materializers have no persistent index and are rejected.
 func SaveIndex(m Materializer, w io.Writer) error {
-	im, ok := m.(*indexedMaterializer)
-	if !ok {
+	im, ok := m.(*indexed)
+	if !ok || im.strategy == StrategyBaseline {
 		return fmt.Errorf("core: %s has no persistent index", m.Strategy())
 	}
 	g := im.tr.Graph()
@@ -205,7 +205,7 @@ func LoadIndex(g *hin.Graph, r io.Reader) (Materializer, error) {
 			ix.put(path, hin.VertexID(v), vec)
 		}
 	}
-	return &indexedMaterializer{tr: metapath.NewTraverser(g), ix: ix, strategy: strategy}, nil
+	return newIndexed(g, ix, strategy), nil
 }
 
 // SaveIndexFile writes the index to a file.

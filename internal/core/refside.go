@@ -29,7 +29,7 @@ import (
 //     (NetOut; CosSim and PathSim are not linear in the indicator of Sr),
 //     the paths combine after scoring (CombineConcat sums w·Φ, and
 //     w·(a+b) ≠ w·a+w·b in floats), and every load of mat is a traversal
-//     (setMaterializer). There the propagation never does more work than
+//     (indexed.bare). There the propagation never does more work than
 //     the loop below, for any Sr. S is Float64bits-identical to the loop's:
 //     path counts are integers, exact below 2⁵³, and SetVector reports when
 //     a count got there — then this branch is abandoned for the other.
@@ -47,9 +47,9 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 	}
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
-	sm, ok := hs.at(0).(setMaterializer)
+	sm, ok := hs.at(0).(*indexed)
 	switch {
-	case !ok:
+	case !ok || !sm.bare():
 		plan.refside = "refside=vertex (materializer)"
 	case e.measure != MeasureNetOut:
 		plan.refside = "refside=vertex (measure)"

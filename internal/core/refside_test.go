@@ -206,7 +206,7 @@ func TestReferenceSideFallsThroughPast2To53(t *testing.T) {
 	}
 	g := b.Build()
 	apv := metapath.MustNew(a, p, v)
-	if _, exact, err := NewBaseline(g).(setMaterializer).setVector(context.Background(), apv, g.VerticesOfType(a)); err != nil || exact {
+	if _, exact, err := NewBaseline(g).(*indexed).setVector(context.Background(), apv, g.VerticesOfType(a)); err != nil || exact {
 		t.Fatalf("fixture stays in the exact domain (exact=%v, err=%v)", exact, err)
 	}
 	cache, err := NewCached(g, 1<<20)

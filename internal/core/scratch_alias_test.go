@@ -93,7 +93,7 @@ func TestSetVectorResultOwnsItsStorage(t *testing.T) {
 		g := randomBibGraph(rand.New(rand.NewSource(seed)))
 		a, _ := g.Schema().TypeByName("author")
 		authors := g.VerticesOfType(a)
-		mat := NewBaseline(g).(*baseline)
+		mat := NewBaseline(g).(*indexed)
 		var got, want []sparse.Vector
 		var labels []string
 		for _, set := range [][]hin.VertexID{authors, authors[:2], authors[2:], authors} {

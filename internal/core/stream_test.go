@@ -1,0 +1,103 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"netout/internal/hin"
+)
+
+// An answer depends on the graph and the text alone, not on what ran before
+// it on the engine: every strategy, inline and over local ranges, runs one
+// stream of texts — a whole-type scan repeated until it reads its kept
+// numerators, two COMPARED TO sets taking turns on the scan's path with the
+// scan after each, and scans of a second path and of both — and every answer
+// is Float64bits-identical to a fresh engine's answer to the same text. The
+// stream must reach each branch of the kept state it is there to check.
+func TestStreamMatchesFreshEngine(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	g := randomHIN(r, 5)
+	all := g.VerticesOfType(0)
+	var half, setA, setB []hin.VertexID
+	for i, v := range all {
+		if i%2 == 0 {
+			half = append(half, v)
+		}
+		if r.Intn(5) == 0 {
+			setA = append(setA, v)
+		}
+		if r.Intn(3) == 0 {
+			setB = append(setB, v)
+		}
+	}
+	const long, short = "t0.t1.t2.t1.t0", "t0.t1.t2"
+	scan := func(clause string) string { return "FIND OUTLIERS FROM t0 JUDGED BY " + clause + ";" }
+	compared := func(set []hin.VertexID) string {
+		return "FIND OUTLIERS FROM t0 COMPARED TO t0" + quoted(g, set) + " JUDGED BY " + long + ";"
+	}
+	var stream []string
+	for range 4 { // vertex, walk, walk (keeps N), memo
+		stream = append(stream, scan(long))
+	}
+	for i := range 4 {
+		set := setA
+		if i%2 == 1 {
+			set = setB
+		}
+		stream = append(stream, compared(set), scan(long))
+	}
+	for range 3 {
+		stream = append(stream, scan(short))
+	}
+	stream = append(stream, scan(long+" : 1, "+short+" : 2"))
+
+	mats := map[string]func(*hin.Graph) Materializer{
+		"baseline": eagerBaseline,
+		"pm":       NewPM,
+		"spm/half": func(g *hin.Graph) Materializer { return NewSPMVertices(g, half) },
+		"spm/none": func(g *hin.Graph) Materializer { return NewSPMVertices(g, nil) },
+		"cached": func(g *hin.Graph) Materializer {
+			m, err := NewCached(g, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+	}
+	branches := []string{": numer=memo", ": numer=walk", ": numer=vertex", "refside=set", "refside=vertex (materializer)"}
+	reached := map[string]bool{}
+	for name, newMat := range mats {
+		for _, par := range []int{1, 3} {
+			eng := NewEngine(g, WithMaterializer(newMat(g)), WithQueryParallelism(par))
+			for i, src := range stream {
+				label := fmt.Sprintf("%s parallelism %d, text %d", name, par, i)
+				got, err := eng.Execute(src)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, err := NewEngine(g, WithMaterializer(newMat(g)), WithQueryParallelism(par)).Execute(src)
+				if err != nil {
+					t.Fatalf("%s, fresh: %v", label, err)
+				}
+				if !resultsEqual(got, want) {
+					t.Fatalf("%s: the stream's answer is not a fresh engine's; plan %q\ngot  %+v\nwant %+v",
+						label, got.Trace.Plan, got.Entries, want.Entries)
+				}
+				for _, line := range got.Trace.Plan {
+					for _, branch := range branches {
+						if strings.Contains(line, branch) {
+							reached[branch] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, branch := range branches {
+		if !reached[branch] {
+			t.Errorf("the stream never planned %q", branch)
+		}
+	}
+}
