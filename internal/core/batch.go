@@ -13,22 +13,16 @@ import (
 // analysts need to obtain results promptly" — for workloads of many
 // queries: queries are independent, so a few goroutines run them in parallel
 // on one engine, each query on the materializer handles it borrows
-// (Engine.borrow). Every strategy is shared through views (NewView). A
-// Baseline, PM or SPM view reads the root's immutable index and shares its
-// norm tables; only traversal scratch and statistics are its own. Cached
-// materializers are shared warm: every view references the same LRU, so one
-// worker's miss is every other worker's hit.
+// (Engine.borrow). Every strategy is shared through views (NewView): a view
+// reads the root's immutable index and shares its norm tables and cache, so
+// one worker's miss is every other worker's hit; only traversal scratch and
+// statistics are its own.
 
-// NewView returns a materializer that shares m's pre-computed state but is
-// safe to use concurrently with other views of m:
-//
-//   - Baseline, PM and SPM: the immutable index and the visibility table
-//     are shared; traversal scratch space and statistics are private to the
-//     view.
-//   - cached: the view references the SAME LRU, singleflight group
-//     and counters, so warm entries and stats are shared across views
-//     (the whole point of the online-discovery strategy in a concurrent
-//     workload). The shared cache is internally synchronized.
+// NewView returns a materializer that shares m's pre-computed state — the
+// immutable index, the visibility table, and for Cached the same LRU, waist
+// tables, singleflight group and cache-wide counters (CacheStatsOf) — but is
+// safe to use concurrently with other views of m: traversal scratch and
+// statistics (Stats) are private to the view.
 func NewView(m Materializer) (Materializer, error) {
 	if v, ok := m.(viewable); ok {
 		return v.view()

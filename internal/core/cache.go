@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
@@ -16,22 +17,15 @@ import (
 // query set, the cache discovers it online.
 const StrategyCached Strategy = 3
 
-// cached is a handle on a shared, concurrency-safe cache (see
-// cachestate.go). Unlike the other materializers it IS safe for
-// concurrent use, and NewView returns handles on the same LRU, so a
-// batch or serving workload shares one warm cache across all workers.
-type cached struct {
-	state *sharedCacheState
-}
-
-// CacheStats reports cache behaviour beyond the shared MatStats.
+// CacheStats reports the cache's behaviour over every view, beyond the
+// handles' MatStats.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	// Deduped counts loads that missed the cache but were served by another
 	// goroutine's concurrent traversal of the same (path, vertex) — the
 	// singleflight coalescing. Deduped loads are included in Hits (no
 	// network work was done on that call), so Hits+Misses always equals the
-	// number of NeighborVector calls.
+	// number of loads: NeighborVector calls on a path of one hop or more.
 	Deduped int64
 	// PrefixHits counts misses that resumed traversal from a cached prefix
 	// frontier instead of the source vertex, WaistFinishes misses that stopped
@@ -66,7 +60,8 @@ func (s CacheStats) String() string {
 
 // NewCached returns a materializer that memoizes neighbor vectors in an
 // LRU cache bounded to maxBytes of vector payload (plus fixed per-entry
-// overhead). maxBytes must be positive.
+// overhead). maxBytes must be positive. It is the index with no table and
+// the cache beside it.
 //
 // Entries are keyed on (canonical subpath, vertex): a miss on Φ_P(v) resumes
 // hop-by-hop expansion from the longest cached prefix of P at v (an APAPA
@@ -75,34 +70,31 @@ func (s CacheStats) String() string {
 // from, and a frontier that reaches a waist of the path — a type much smaller
 // than its neighbours, like a venue between papers — is finished from a table
 // of per-vertex suffix vectors under that budget too. Decomposed evaluation
-// is bit-identical to whole-path traversal (see materializeDecomposed); only
-// which work is skipped changes.
+// is bit-identical to whole-path traversal (see cachedLoad); only which work
+// is skipped changes.
 //
-// The cache is safe for concurrent use, and concurrent misses on the same
-// (path, vertex) traverse the network once (singleflight). Views created
-// with NewView share the same warm state and counters.
+// Like every Materializer it is one goroutine's at a time. Views created with
+// NewView share the same warm state, and concurrent misses of views on the
+// same (path, vertex) traverse the network once (singleflight); each view
+// counts its own work (Stats), the cache the work of all (CacheStatsOf).
 func NewCached(g *hin.Graph, maxBytes int64) (Materializer, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("core: cache size must be positive, got %d", maxBytes)
 	}
-	return &cached{state: newSharedCacheState(g, maxBytes)}, nil
+	m := newIndexed(g, newPathIndex(g), StrategyCached)
+	m.lru = newSharedCacheState(g, maxBytes)
+	return m, nil
 }
-
-func (c *cached) view() (Materializer, error) { return &cached{state: c.state}, nil }
-
-func (c *cached) Strategy() Strategy { return StrategyCached }
-func (c *cached) IndexBytes() int64  { return c.state.bytes.Load() }
-func (c *cached) Stats() MatStats    { return c.state.matStats() }
 
 // CacheStatsOf extracts cache counters, aggregated over every view, from a
 // materializer created by NewCached (or any view of one); ok is false for
 // other strategies.
 func CacheStatsOf(m Materializer) (CacheStats, bool) {
-	c, ok := m.(*cached)
-	if !ok {
+	c, ok := m.(*indexed)
+	if !ok || c.lru == nil {
 		return CacheStats{}, false
 	}
-	return c.state.cacheStats(), true
+	return c.lru.cacheStats(), true
 }
 
 // cacheKey builds the probe key for Φ_P(v). Path.Key is precomputed and
@@ -112,13 +104,58 @@ func cacheKey(p metapath.Path, v hin.VertexID) ckey {
 	return ckey{path: p.Key(), v: v}
 }
 
-func (c *cached) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
-	if err := metapath.CheckSource(c.state.g, p, v); err != nil {
-		return sparse.Vector{}, err
+// cachedLoad is a load under the cache. A hit reads the LRU: one indexed
+// vector. A miss walks, resuming from a kept prefix and finishing at a waist
+// where it can, and inserts the result: one traversed vector, whatever it
+// walked, and each fill one more. At most one goroutine per key walks: every
+// other concurrent caller for it waits for that result, a hit with Deduped
+// recording the coalescing. The leader re-checks the LRU inside the flight,
+// so a load that raced with a completed insert is served warm too.
+//
+// Bit-identity: a kept prefix is, by induction, exactly the frontier
+// whole-path traversal holds after that prefix's hops (it was itself produced
+// by this expansion sequence from the seed vertex), and every expansion
+// kernel is bit-equal, so resuming performs the identical floating-point
+// operation sequence as Traverser.NeighborVector — Float64bits-equal output,
+// not merely approximately equal. Finishing at a waist reassociates the
+// additions instead, which is invisible exactly while every count is below
+// 2⁵³ (Traverser.Combine checks, and says why); a combination that leaves
+// that domain is thrown away and the hops are expanded after all.
+//
+// The flight holds the full key only: prefix probes and inserts take the
+// cache's lock one at a time, so an entry evicted between probe and use
+// merely degrades this call to more traversal — the probed vector itself is
+// immutable and stays valid.
+func (m *indexed) cachedLoad(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+	st, key := m.lru, cacheKey(p, v)
+	start := time.Now()
+	vec, hit := st.get(key)
+	var err error
+	led := false
+	if !hit {
+		vec, err = st.flight.do(key, func() (sparse.Vector, error) {
+			if vec, ok := st.get(key); ok {
+				return vec, nil
+			}
+			led = true
+			vec, err := m.walk(p, v)
+			if err == nil {
+				st.insert(key, vec)
+			}
+			return vec, err
+		})
 	}
-	key := cacheKey(p, v)
-	if vec, ok := c.state.lookup(key); ok {
-		return vec, nil
+	if led {
+		m.misses++
+		st.misses.Add(1)
+		return vec, err
 	}
-	return c.state.load(p, v, key)
+	if !hit {
+		st.deduped.Add(1)
+	}
+	m.hits++
+	st.hits.Add(1)
+	m.stats.IndexedTime += time.Since(start)
+	m.stats.IndexedVectors++
+	return vec, err
 }

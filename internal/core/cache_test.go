@@ -59,6 +59,35 @@ func TestCachedBasics(t *testing.T) {
 	}
 }
 
+// A cached handle counts its own work: a view's load moves the cache's
+// shared account and the view's Stats, never the root's, so a query's
+// counters read off its handles are exact however many queries overlap it.
+func TestCachedHandleCountsItsOwnWork(t *testing.T) {
+	g := fig1Graph(t)
+	mat, _ := NewCached(g, 1<<20)
+	view, err := NewView(mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	a, _ := g.Schema().TypeByName("author")
+	zoe, _ := g.VertexByName(a, "Zoe")
+	root := mat.Stats()
+	before, _ := CacheStatsOf(mat)
+	if _, err := view.NeighborVector(p, zoe); err != nil {
+		t.Fatal(err)
+	}
+	if d := mat.Stats().Sub(root); d.TraversedVectors != 0 || d.IndexedVectors != 0 {
+		t.Fatalf("a view's miss moved the root's counters by %+v", d)
+	}
+	if d := view.Stats(); d.TraversedVectors != 1 || d.IndexedVectors != 0 {
+		t.Fatalf("view counted %+v for one miss", d)
+	}
+	if cs, _ := CacheStatsOf(mat); cs.Misses-before.Misses != 1 {
+		t.Fatalf("the cache counted %d misses for the view's load", cs.Misses-before.Misses)
+	}
+}
+
 func TestCachedErrors(t *testing.T) {
 	g := fig1Graph(t)
 	if _, err := NewCached(g, 0); err == nil {
@@ -318,14 +347,14 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 				if i == stale {
 					continue
 				}
-				if _, ok := st.lookup(key(i)); !ok {
+				if _, ok := st.get(key(i)); !ok {
 					t.Fatalf("entry %d of %d evicted while filling to the budget", i, n)
 				}
 			}
 			tc.charge(st)
 			var gone []int
 			for i := 0; i < n; i++ {
-				if _, ok := st.lookup(key(i)); !ok {
+				if _, ok := st.get(key(i)); !ok {
 					gone = append(gone, i)
 				}
 			}
@@ -339,14 +368,14 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// Shared-cache stress: ≥8 goroutines hammer one cache (both the original
-// handle and views) with overlapping keys under a budget small enough to
+// Shared-cache stress: ≥8 goroutines hammer one cache (the original handle
+// and views, one each) with overlapping keys under a budget small enough to
 // force constant eviction. Run under -race. Afterwards every counter
 // invariant must hold exactly:
 //
 //	hits + misses == total NeighborVector calls
-//	misses == TraversedVectors (singleflight: one traversal per miss)
-//	hits   == IndexedVectors
+//	misses == Σ TraversedVectors (singleflight: one traversal per miss)
+//	hits   == Σ IndexedVectors, both summed over the handles
 //	Bytes  == re-summed entry sizes, and ≤ maxBytes
 func TestSharedCacheConcurrentStress(t *testing.T) {
 	g := fig1Graph(t)
@@ -384,12 +413,14 @@ func TestSharedCacheConcurrentStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
+	handles := []Materializer{mat}
 	for w := 0; w < workers; w++ {
-		m := Materializer(mat)
-		if w%2 == 1 { // half the workers go through views
+		m := handles[0]
+		if w > 0 { // one handle per goroutine: the original, then views
 			if m, err = NewView(mat); err != nil {
 				t.Fatal(err)
 			}
+			handles = append(handles, m)
 		}
 		wg.Add(1)
 		go func(w int, m Materializer) {
@@ -420,7 +451,10 @@ func TestSharedCacheConcurrentStress(t *testing.T) {
 	if !ok {
 		t.Fatal("CacheStatsOf failed")
 	}
-	st := mat.Stats()
+	var st MatStats
+	for _, h := range handles {
+		st = st.Add(h.Stats())
+	}
 	total := int64(workers * rounds)
 	if cs.Hits+cs.Misses != total {
 		t.Fatalf("hits %d + misses %d != %d calls", cs.Hits, cs.Misses, total)
@@ -435,7 +469,7 @@ func TestSharedCacheConcurrentStress(t *testing.T) {
 		t.Fatalf("expected evictions under a %d-byte budget: %+v", maxBytes, cs)
 	}
 	// Byte accounting survives eviction churn exactly.
-	state := mat.(*cached).state
+	state := mat.(*indexed).lru
 	if got := state.recomputeBytes(); got != cs.Bytes {
 		t.Fatalf("atomic bytes %d != recomputed %d", cs.Bytes, got)
 	}

@@ -4,19 +4,18 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netout/internal/hin"
-	"netout/internal/metapath"
 	"netout/internal/sparse"
 )
 
-// The cached materializer's state is one LRU that every concurrent query of
-// a workload (ExecuteBatch, ServePool) shares: a map and a recency list under
-// one mutex, which also guards every charge to the cache's byte account, so
-// eviction always drops the global LRU tail. All counters are atomic, and
-// concurrent misses on the same (path, vertex) are coalesced by a singleflight
-// group so the network is traversed once, not once per worker.
+// The cached materializer's state is one LRU that every view — every
+// concurrent query of a workload (ExecuteBatch, ServePool) — shares: a map and
+// a recency list under one mutex, which also guards every charge to the
+// cache's byte account, so eviction always drops the global LRU tail. All
+// counters are atomic, and concurrent misses on the same (path, vertex) are
+// coalesced by a singleflight group so the network is traversed once, not
+// once per worker.
 
 // ckey identifies one cached Φ vector: the canonical subpath key (one byte
 // per vertex type, metapath.Path.Key) and the source vertex. It is a
@@ -35,9 +34,9 @@ type cacheEntry struct {
 }
 
 // sharedCacheState is the state every view of one cached materializer
-// shares: the LRU (warm entries), the singleflight group, a traverser pool and
-// the aggregated counters. All counter fields are atomic so that
-// Stats/CacheStats totals are exact under concurrency and readable without mu.
+// shares (indexed.lru): the LRU (warm entries), the singleflight group and
+// the cache-wide counters. All counter fields are atomic so that CacheStats
+// totals are exact under concurrency and readable without mu.
 type sharedCacheState struct {
 	g        *hin.Graph
 	maxBytes int64
@@ -52,10 +51,6 @@ type sharedCacheState struct {
 	order   list.List // front = most recent
 
 	flight flightGroup
-
-	// traversers pools per-goroutine scratch space for cache misses
-	// (metapath.Traverser is not safe for concurrent use).
-	traversers sync.Pool
 
 	// waists are the suffix-vector tables subpath misses finish from
 	// (waist.go); their bytes are part of bytes below.
@@ -79,20 +74,13 @@ type sharedCacheState struct {
 	// waist.
 	prefixHits atomic.Int64
 	hopsSaved  atomic.Int64
-
-	indexedNs     atomic.Int64
-	traversalNs   atomic.Int64
-	indexedVecs   atomic.Int64
-	traversedVecs atomic.Int64
 }
 
 func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
-	st := &sharedCacheState{g: g, maxBytes: maxBytes, entries: make(map[ckey]*list.Element), waists: waistSet{
+	return &sharedCacheState{g: g, maxBytes: maxBytes, entries: make(map[ckey]*list.Element), waists: waistSet{
 		ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare,
 		tables: make(map[string]*waistTable), lines: make(map[string]string),
 	}}
-	st.traversers.New = func() any { return metapath.NewTraverser(g) }
-	return st
 }
 
 // get returns the entry under key and moves it to the LRU front.
@@ -115,50 +103,6 @@ func cacheEntrySize(key ckey, vec sparse.Vector) int64 {
 	return int64(vec.Bytes()) + indexEntryOverhead + int64(len(key.path)) + 4
 }
 
-// lookup probes the cache, charging probe time and a hit to the counters.
-func (st *sharedCacheState) lookup(key ckey) (sparse.Vector, bool) {
-	start := time.Now()
-	vec, ok := st.get(key)
-	if ok {
-		st.indexedNs.Add(time.Since(start).Nanoseconds())
-		st.indexedVecs.Add(1)
-		st.hits.Add(1)
-	}
-	return vec, ok
-}
-
-// load resolves a miss: at most one goroutine per key traverses the
-// network; every other concurrent caller for the same key waits for that
-// result. The leader re-checks the cache inside the flight, so a load that
-// raced with a completed insert is served warm too.
-func (st *sharedCacheState) load(p metapath.Path, v hin.VertexID, key ckey) (sparse.Vector, error) {
-	start := time.Now()
-	traversed := false
-	vec, err := st.flight.do(key, func() (sparse.Vector, error) {
-		if vec, ok := st.get(key); ok {
-			return vec, nil
-		}
-		traversed = true
-		return st.materializeDecomposed(p, v, key)
-	})
-	elapsed := time.Since(start).Nanoseconds()
-	if traversed {
-		// This goroutine led the flight and traversed the network.
-		st.traversalNs.Add(elapsed)
-		st.traversedVecs.Add(1)
-		st.misses.Add(1)
-	} else {
-		// Served by another goroutine's in-flight traversal (or by the
-		// re-check): no network work was done on this call, so it counts as
-		// a warm load, with Deduped recording the coalescing.
-		st.indexedNs.Add(elapsed)
-		st.indexedVecs.Add(1)
-		st.hits.Add(1)
-		st.deduped.Add(1)
-	}
-	return vec, err
-}
-
 // prefixEntryShare caps one kept intermediate frontier at 1/prefixEntryShare
 // of the cache budget: a single huge frontier must not evict the long tail of
 // small, highly reusable entries. The size is the frontier's own — measured
@@ -167,82 +111,29 @@ func (st *sharedCacheState) load(p metapath.Path, v hin.VertexID, key ckey) (spa
 // "Subpath-decomposed cache".
 const prefixEntryShare = 64
 
-// materializeDecomposed computes Φ_P(v) by subpath decomposition: resume
-// hop-by-hop expansion from the longest cached prefix frontier of P at v,
-// keeping the intermediate frontiers that are small enough along the way, and
-// stop expanding at the first waist the frontier reaches (waist.go): the rest
-// of the path is then combined from that waist's table of suffix vectors.
-//
-// Bit-identity: a cached prefix entry is, by induction, exactly the frontier
-// whole-path traversal holds after that prefix's hops (the entry was itself
-// produced by this expansion sequence from the seed vertex), and every
-// expansion kernel is bit-equal, so resuming performs the identical floating-
-// point operation sequence as Traverser.NeighborVector — Float64bits-equal
-// output, not merely approximately equal. Finishing at a waist reassociates
-// the additions instead, which is invisible exactly while every count is
-// below 2⁵³ (Traverser.Combine checks, and says why); a combination that
-// leaves that domain is thrown away and the hops are expanded after all.
-//
-// The caller (load) holds the singleflight slot for the FULL key only;
-// prefix probes and intermediate inserts take mu one at a time, so an entry
-// evicted between probe and use merely degrades this call to more traversal
-// — the probed vector value itself is immutable and stays valid.
-func (st *sharedCacheState) materializeDecomposed(p metapath.Path, v hin.VertexID, key ckey) (sparse.Vector, error) {
-	pk := p.Key()
-	// Probe prefixes longest-first. A prefix of k types covers k-1 hops; the
-	// shortest one kept has 3 types: a one-hop prefix is one adjacency row,
-	// read faster than it is looked up. Probes move entries to the LRU front
-	// but do not count as Hits — the Hits+Misses == loads contract tracks
-	// NeighborVector calls, and this whole call is one Miss.
-	cur := sparse.Vector{Idx: []int32{int32(v)}, Val: []float64{1}}
-	startHop := 0
-	for k := p.Len() - 1; k >= 3; k-- {
-		pref := ckey{path: pk[:k], v: v}
-		if vec, ok := st.get(pref); ok {
-			cur, startHop = vec, k-1
-			break
+// resume is where a miss on the path with key pk starts at v: the longest
+// kept prefix frontier and the hops it covers, or unit ({v}) and 0. A prefix
+// of k types covers k-1 hops; the shortest one kept has 3 types: a one-hop
+// prefix is one adjacency row, read faster than it is looked up. Probes move
+// entries to the LRU front but are no Hits: the whole miss is one Miss.
+func (st *sharedCacheState) resume(pk string, v hin.VertexID, unit sparse.Vector) (sparse.Vector, int) {
+	for k := len(pk) - 1; k >= 3; k-- {
+		if vec, ok := st.get(ckey{path: pk[:k], v: v}); ok {
+			st.prefixHits.Add(1)
+			st.hopsSaved.Add(int64(k - 1))
+			return vec, k - 1
 		}
 	}
-	tr := st.traversers.Get().(*metapath.Traverser)
-	defer st.traversers.Put(tr)
-	for hop := startHop; hop < p.Hops(); hop++ {
-		if !cur.IsZero() && isWaist(st.g, p, hop, st.waists.ratio) {
-			vec, ok, err := st.finishAtWaist(tr, p, hop, cur)
-			if err != nil {
-				return sparse.Vector{}, err
-			}
-			if ok {
-				cur = vec
-				st.hopsSaved.Add(int64(p.Hops() - hop))
-				st.waists.finished.Add(1)
-				break
-			}
-		}
-		// Only a frontier that escapes — to the caller or the cache — is
-		// allocated; every intermediate lands in the traverser's hop scratch,
-		// the previous one in the other slot.
-		b := hop + 2 // types covered once this hop is done
-		if b == p.Len() {
-			cur = tr.Expand(cur, p.Type(hop+1))
-			break
-		}
-		cur = tr.ExpandScratch(cur, p.Type(hop+1), hop)
-		if cur.IsZero() {
-			break // empty frontier: Φ_P(v) is zero, like whole-path traversal
-		}
-		if pref := (ckey{path: pk[:b], v: v}); b >= 3 && cacheEntrySize(pref, cur) <= st.maxBytes/prefixEntryShare {
-			st.insert(pref, cur.Clone()) // at the size of its non-zeros
-		}
+	return unit, 0
+}
+
+// keepPrefix keeps frontier, Φ at v of the prefix with key pk, for other
+// misses to resume from: a non-zero one of 3 types or more, within its share
+// of the budget, cloned out of hop scratch at the size of its non-zeros.
+func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier sparse.Vector) {
+	if key := (ckey{path: pk, v: v}); len(pk) >= 3 && !frontier.IsZero() && cacheEntrySize(key, frontier) <= st.maxBytes/prefixEntryShare {
+		st.insert(key, frontier.Clone())
 	}
-	if cur.IsZero() {
-		cur = sparse.Vector{} // never a view of hop scratch
-	}
-	st.insert(key, cur)
-	if startHop > 0 {
-		st.prefixHits.Add(1)
-		st.hopsSaved.Add(int64(startHop))
-	}
-	return cur, nil
 }
 
 // insert stores a vector at the LRU front and evicts LRU tails until the
@@ -292,15 +183,6 @@ func (st *sharedCacheState) evictOne() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.evictLocked()
-}
-
-func (st *sharedCacheState) matStats() MatStats {
-	return MatStats{
-		IndexedTime:      time.Duration(st.indexedNs.Load()),
-		TraversalTime:    time.Duration(st.traversalNs.Load()),
-		IndexedVectors:   st.indexedVecs.Load(),
-		TraversedVectors: st.traversedVecs.Load(),
-	}
 }
 
 func (st *sharedCacheState) cacheStats() CacheStats {

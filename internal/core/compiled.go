@@ -139,8 +139,8 @@ type compiledCache struct {
 // newCompiledCache sizes a pool's cache from its materializer.
 func newCompiledCache(mat Materializer) *compiledCache {
 	c := &compiledCache{budget: compiledMaxBytes, entries: make(map[string]*compiledQuery)}
-	if cm, ok := mat.(*cached); ok {
-		c.state, c.budget = cm.state, cm.state.maxBytes/compiledShare
+	if cm, ok := mat.(*indexed); ok && cm.lru != nil {
+		c.state, c.budget = cm.lru, cm.lru.maxBytes/compiledShare
 		c.state.mu.Lock()
 		c.state.compiled = append(c.state.compiled, c)
 		c.state.mu.Unlock()

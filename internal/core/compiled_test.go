@@ -171,7 +171,7 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 	}
 	for _, budget := range []int64{64 << 20, 128 << 10} {
 		mat := mustCached(t, g, budget)
-		st := mat.(*cached).state
+		st := mat.(*indexed).lru
 		pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestOversizeInsertSparesTheCacheUnderCompiledCharge(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
 	const budget = 128 << 10
 	mat := mustCached(t, g, budget)
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -398,11 +398,9 @@ func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, 
 	e.events.Emit(ev)
 }
 
-// kernelCountsOf reads the cumulative traversal-kernel counters behind a
-// handle, when it owns private traversers whose counters the query that
-// borrowed it may read (Baseline, PM and SPM). The cached strategy is
-// excluded: its traversers are pooled behind the cache, shared by every query,
-// and their counters are not synchronized for cross-goroutine reads.
+// kernelCountsOf reads the cumulative traversal-kernel counters of a handle's
+// traversers, which are its own under every strategy, so the query that
+// borrowed it may read them.
 func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
 	x, ok := m.(*indexed)
 	if !ok {
@@ -502,9 +500,9 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 	// A cached materializer names the waist that misses of a feature path
 	// finish from; observeQuery copies the lines onto the wide event, so
 	// /debug/events shows why such a path is cheap — or no longer is.
-	if c, ok := e.mat.(*cached); ok {
+	if c, ok := e.mat.(*indexed); ok && c.lru != nil {
 		for _, p := range plan.paths {
-			if line := c.state.waistLine(p); line != "" {
+			if line := c.lru.waistLine(p); line != "" {
 				tr.AddPlan(line)
 			}
 		}

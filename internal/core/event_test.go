@@ -429,6 +429,42 @@ func TestEventKernelsCountWorkerViews(t *testing.T) {
 	}
 }
 
+// The cached strategy counts its kernels the same way: every range runs on a
+// view of its own, so a cold scan's event carries the hops of all of them,
+// as many at any parallelism.
+func TestEventKernelsCountCachedViews(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(47)))
+	cold := func(par int) (sum int64) {
+		mat, err := NewCached(g, 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := obs.NewEventRing(1)
+		eng := NewEngine(g, WithMaterializer(mat), WithEventSink(ring), WithQueryParallelism(par))
+		defer eng.Close()
+		res, err := eng.Execute(faultQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par > 1 && len(res.Shards) != par {
+			t.Fatalf("parallelism %d ran %d ranges", par, len(res.Shards))
+		}
+		for _, n := range ring.Snapshot()[0].Kernels {
+			sum += n
+		}
+		return sum
+	}
+	want := cold(1)
+	if want == 0 {
+		t.Fatal("a cold cached scan's event carries no kernel hops")
+	}
+	for _, par := range []int{2, 3} {
+		if got := cold(par); got != want {
+			t.Fatalf("parallelism %d: %d kernel hops, the sequential engine's %d", par, got, want)
+		}
+	}
+}
+
 // A warm whole-type scan is two propagations of two hops, every frontier
 // most of its type: the event must name the kernel that ran them.
 func TestEventKernelsNamePull(t *testing.T) {

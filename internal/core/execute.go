@@ -186,47 +186,35 @@ func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
 	wg.Wait()
 }
 
-// handles are the materializer handles one query runs on. A handle is a
-// Materializer one goroutine uses at a time: the engine's own, or a view of it
-// (NewView) — private traversal scratch and counters over the shared index or
-// visibility table. The query that borrowed them is their only user until it
-// gives them back, so it may read their counters unsynchronized.
+// handles are the materializer handles one query runs on, one per range. A
+// handle is a Materializer one goroutine uses at a time: the engine's own, or
+// a view of it (NewView) — private traversal scratch and counters over the
+// shared index, norm tables or cache. The query that borrowed them is their
+// only user until it gives them back, so it may read their counters
+// unsynchronized.
 type handles struct {
 	mats []Materializer
-	// n is how many ranges they serve: len(mats), unless one handle serves
-	// them all.
-	n int
 	// root says mats[0] is the engine's own materializer.
 	root bool
 }
 
-// at is the handle range i runs on.
-func (hs handles) at(i int) Materializer { return hs.mats[min(i, len(hs.mats)-1)] }
-
-// borrow lends the handles a query of n ranges runs on. The engine's own
-// materializer is the first one lent, so a caller running one query at a time
-// executes on the materializer it configured; a query that finds it taken,
-// and every range after the first, gets a view, recycled across queries — a
-// view's traversal scratch is the expensive part of query setup. A cached
-// handle is only a reference to the synchronized cache, so one serves every
-// range and the cache's counters are read once. A materializer NewView cannot
-// view still serves one query at a time, as one range; err is set only when
-// there is no handle to run on at all.
+// borrow lends the handles a query of n ranges runs on, one per range. The
+// engine's own materializer is the first one lent, so a caller running one
+// query at a time executes on the materializer it configured; a query that
+// finds it taken, and every range after the first, gets a view, recycled
+// across queries — a view's traversal scratch is the expensive part of query
+// setup. A materializer NewView cannot view still serves one query at a time,
+// as one range; err is set only when there is no handle to run on at all.
 func (e *Engine) borrow(n int) (hs handles, err error) {
-	hs.n = max(n, 1)
-	want := hs.n
-	if _, shared := e.mat.(*cached); shared {
-		want = 1
-	}
-	hs.mats = make([]Materializer, 0, want)
+	hs.mats = make([]Materializer, 0, max(n, 1))
 	if hs.root = e.rootLent.CompareAndSwap(false, true); hs.root {
 		hs.mats = append(hs.mats, e.mat)
 	}
-	for len(hs.mats) < want {
+	for len(hs.mats) < cap(hs.mats) {
 		view, _ := e.viewPool.Get().(Materializer)
 		if view == nil {
 			if view, err = NewView(e.mat); err != nil {
-				if hs.n = len(hs.mats); hs.n == 0 {
+				if len(hs.mats) == 0 {
 					return hs, err
 				}
 				break
@@ -264,8 +252,9 @@ func (plan *queryPlan) countKernels(hs handles, before metapath.KernelCounts) {
 func (hs handles) work() (w work) {
 	for _, mat := range hs.mats {
 		w.mat = w.mat.Add(mat.Stats())
-		cache, _ := CacheStatsOf(mat)
-		w.hits, w.misses = w.hits+cache.Hits, w.misses+cache.Misses
+		if x, ok := mat.(*indexed); ok {
+			w.hits, w.misses = w.hits+x.hits, w.misses+x.misses
+		}
 		k, _ := kernelCountsOf(mat)
 		w.kernels = w.kernels.Add(k)
 	}
@@ -330,7 +319,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		endPhase(phase[0], MatStats{})
 	} else {
 		// One candidate side over the whole set, shared by every range.
-		if cs, err = newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held); err != nil {
+		if cs, err = newCandidateSide(ctx, e.g, hs.mats[0], scorers, e.measure, plan.paths, cands, held); err != nil {
 			return err
 		}
 		cs.ifq = plan.ifq
@@ -338,13 +327,13 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	}
 
 	plan.ifq.SetPhase(phase[1])
-	results := make([]rangeResult, max(hs.n, len(e.remotes)))
+	results := make([]rangeResult, max(len(hs.mats), len(e.remotes)))
 	plan.ifq.StartChunks(chunksOf(len(cands)), len(results))
 	fanOut(cands, len(results), func(i, lo, hi int) {
 		if remote {
 			results[i] = e.callRemote(ctx, plan, bcast, i, cands[lo:hi:hi])
 		} else {
-			results[i] = scoreRange(ctx, cs, hs.at(i), lo, hi, plan.q.TopK)
+			results[i] = scoreRange(ctx, cs, hs.mats[i], lo, hi, plan.q.TopK)
 		}
 		results[i].cands = hi - lo
 	})

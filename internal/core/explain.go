@@ -112,7 +112,7 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 	before := hs.work()
 	phis := make([]sparse.Vector, len(plan.paths))
 	for m, p := range plan.paths {
-		if phis[m], err = hs.at(0).NeighborVector(p, target); err != nil {
+		if phis[m], err = hs.mats[0].NeighborVector(p, target); err != nil {
 			return nil, err
 		}
 	}

@@ -660,9 +660,9 @@ func TestExecuteBatchSharedCache(t *testing.T) {
 			t.Fatalf("query %d diverges under shared cache", i)
 		}
 	}
-	// Unlike PM views, cache views share warm state AND stats: the repeated
-	// workload must resolve mostly from cache, and the handle the caller
-	// kept sees the whole pool's counters.
+	// Cache views share warm state: the repeated workload must resolve mostly
+	// from cache. Each handle counts its own work, so the queries' counts,
+	// taken under four concurrent workers, add up to the cache's exactly.
 	cs, ok := CacheStatsOf(mat)
 	if !ok {
 		t.Fatal("CacheStatsOf failed")
@@ -670,8 +670,13 @@ func TestExecuteBatchSharedCache(t *testing.T) {
 	if cs.Hits <= cs.Misses || cs.Misses == 0 {
 		t.Fatalf("shared cache not warm across batch workers: %+v", cs)
 	}
-	if st := mat.Stats(); st.TraversedVectors != cs.Misses || st.IndexedVectors != cs.Hits {
-		t.Fatalf("stats disagree: %+v vs %+v", st, cs)
+	var traversed, indexed int64
+	for _, br := range results {
+		traversed += br.Result.Timing.TraversedVectors
+		indexed += br.Result.Timing.IndexedVectors
+	}
+	if traversed != cs.Misses || indexed != cs.Hits {
+		t.Fatalf("the queries counted %d traversed and %d indexed vectors, the cache %+v", traversed, indexed, cs)
 	}
 }
 

@@ -67,10 +67,9 @@ func (s MatStats) Add(o MatStats) MatStats {
 }
 
 // Materializer produces neighbor vectors Φ_P(v), possibly from a
-// pre-computed index. The Baseline, PM and SPM implementations are not safe
-// for concurrent use — share their immutable index across goroutines via
-// NewView. The cached materializer (NewCached) IS safe for concurrent use,
-// and its views share one warm cache.
+// pre-computed index or a cache. A Materializer is one goroutine's at a time,
+// whatever its strategy: share its index, norm tables and cache across
+// goroutines via NewView, each view with its own scratch and counters.
 type Materializer interface {
 	// NeighborVector returns Φ_P(v).
 	NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error)
@@ -78,33 +77,38 @@ type Materializer interface {
 	Strategy() Strategy
 	// IndexBytes reports the in-memory size of the pre-materialized index
 	// plus the visibilities and numerators a bare one has memoized, as
-	// studied in Figure 5b.
+	// studied in Figure 5b — or what a cache holds.
 	IndexBytes() int64
-	// Stats returns cumulative cost counters since construction.
+	// Stats returns this handle's cumulative cost counters since construction.
 	Stats() MatStats
 }
 
 // ---------------------------------------------------------------------------
-// Baseline, PM and SPM
+// Baseline, PM, SPM and Cached
 
 // indexed is Section 6's materializer: a length-2 index (pathIndex) over a
 // traverser. Baseline is the index with no table; PM and SPM fill it with
-// every vertex's length-2 vectors or the frequent vertices' ones. A load goes
+// every vertex's length-2 vectors or the frequent vertices' ones; Cached
+// keeps a bounded LRU beside the empty index (lru, cache.go). A load goes
 // two hops at a time by Section 6.2's identity, which Traverser.Combine
 // computes from the index, traversing the vectors it lacks (fills):
 //
 //	Φ_{P1 P2}(v) = Σ_j |π_P1(v, vj)| · Φ_P2(vj)
 //
 // A chunk with no table, one whose counts reach 2⁵³ and the odd tail are
-// walked hop by hop instead, as Baseline walks the whole path. All the hops
-// one load walks are one traversed vector; each fill is one more.
+// walked hop by hop instead, as Baseline walks the whole path (walk). All the
+// hops one load walks are one traversed vector; each fill is one more.
 type indexed struct {
-	tr       *metapath.Traverser
-	ix       *pathIndex
-	strategy Strategy
-	stats    MatStats
-	// fill traverses the chunk vectors the index lacks, created on the first
-	// miss: Combine holds tr's scratch while it asks for them.
+	tr *metapath.Traverser
+	ix *pathIndex
+	// lru is Cached's store, shared by every view; nil for Baseline, PM and
+	// SPM. hits and misses are this handle's loads from it.
+	lru          *sharedCacheState
+	hits, misses int64
+	strategy     Strategy
+	stats        MatStats
+	// fill traverses the vectors a table lacks, created on the first miss:
+	// Combine holds tr's scratch while it asks for them.
 	fill *metapath.Traverser
 	// vis memoizes the norms and numerators a bare index's traversals compute
 	// (bare); the root's table is shared with every view.
@@ -124,64 +128,105 @@ func NewBaseline(g *hin.Graph) Materializer {
 	return newIndexed(g, newPathIndex(g), StrategyBaseline)
 }
 
-// view shares the immutable index and the visibility table (atomic words,
-// see visTable); traversal scratch and statistics are the view's own.
+// view shares the immutable index, the visibility table (atomic words, see
+// visTable) and the cache; traversal scratch and statistics are the view's
+// own.
 func (m *indexed) view() (Materializer, error) {
-	return &indexed{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, strategy: m.strategy, vis: m.vis}, nil
+	return &indexed{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, lru: m.lru, strategy: m.strategy, vis: m.vis}, nil
 }
 
 func (m *indexed) Strategy() Strategy { return m.strategy }
-func (m *indexed) IndexBytes() int64  { return m.ix.bytes + m.vis.residentBytes() }
 func (m *indexed) Stats() MatStats    { return m.stats }
 
-// bare reports an index with no table: Baseline, or an SPM that selected
-// nothing. Only there is every load a traversal that leaves no vector
-// behind, so only there is reducing a whole set in one propagation never
-// more work than loading its vertices one by one (see referenceSide), and
-// only there does a candidate's vector serve nothing but its two scalars, the
-// connectivity Φ·S and the visibility ‖Φ‖² vis memoizes (see candidateSide).
-func (m *indexed) bare() bool { return len(m.ix.tables) == 0 }
+func (m *indexed) IndexBytes() int64 {
+	if m.lru != nil {
+		return m.lru.bytes.Load()
+	}
+	return m.ix.bytes + m.vis.residentBytes()
+}
+
+// bare reports an index with no table and no cache: Baseline, or an SPM that
+// selected nothing. Only there is every load a traversal that leaves no
+// vector behind, so only there is reducing a whole set in one propagation
+// never more work than loading its vertices one by one (see referenceSide),
+// and only there does a candidate's vector serve nothing but its two scalars,
+// the connectivity Φ·S and the visibility ‖Φ‖² vis memoizes (see
+// candidateSide).
+func (m *indexed) bare() bool { return m.lru == nil && len(m.ix.tables) == 0 }
 
 func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
 		return sparse.Vector{}, err
 	}
-	n, key := p.Hops(), p.Key()
-	if n == 0 {
+	if p.Hops() == 0 {
 		return m.tr.NeighborVector(p, v)
 	}
-	m.unitIdx, m.unitVal = [1]int32{int32(v)}, [1]float64{1}
-	frontier, slot, walks := sparse.Vector{Idx: m.unitIdx[:], Val: m.unitVal[:]}, 0, int64(0)
-	for hop := 0; hop < n && !frontier.IsZero(); {
-		if tbl := m.chunk(key, hop); tbl != nil {
-			out, ok, err := m.combine(tbl, frontier, hop)
-			if err != nil {
-				return sparse.Vector{}, err
-			}
-			if ok {
-				frontier, hop = out, hop+2
-				continue
-			}
-		}
-		// Walked: this chunk (or the tail) and every chunk after it up to the
-		// next with a table. Intermediate frontiers live in tr's hop buffers,
-		// so a walk allocates what Traverser.NeighborVector does: its result.
-		start := time.Now()
-		for end := hop + 2; hop < n && !frontier.IsZero() && (hop < end || m.chunk(key, hop) == nil); hop++ {
-			if hop == n-1 {
-				frontier = m.tr.Expand(frontier, p.Type(n))
-			} else {
-				frontier, slot = m.tr.ExpandScratch(frontier, p.Type(hop+1), slot), slot^1
-			}
-		}
-		m.stats.TraversalTime += time.Since(start)
-		walks = 1
+	if m.lru != nil {
+		return m.cachedLoad(p, v)
 	}
-	m.stats.TraversedVectors += walks
+	return m.walk(p, v)
+}
+
+// walk is the one evaluation of Φ_p(v), p of one hop or more. It starts at
+// {v}, or under a cache at the longest kept prefix (resume), and at each hop
+// does the first of: combine two hops from a chunk table (PM, SPM); under a
+// cache, finish the path from a waist's table (finishAtWaist); expand one hop.
+// Intermediate frontiers live in tr's hop buffers (slot = hop parity), so a
+// walk allocates what Traverser.NeighborVector does, its result, plus under a
+// cache the frontiers it keeps for resumes (keepPrefix). It is one traversed
+// vector if it expanded a hop, and under a cache always: it is a miss.
+func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+	n, key := p.Hops(), p.Key()
+	m.unitIdx, m.unitVal = [1]int32{int32(v)}, [1]float64{1}
+	frontier, hop := sparse.Vector{Idx: m.unitIdx[:], Val: m.unitVal[:]}, 0
+	if m.lru != nil {
+		frontier, hop = m.lru.resume(key, v, frontier)
+	}
+	var start time.Time // of the hops expanded since the last table step
+	var err error
+	walked := m.lru != nil
+	for hop < n && !frontier.IsZero() {
+		out, next, ok := sparse.Vector{}, n, false
+		if tbl := m.chunk(key, hop); tbl != nil {
+			out, ok, err = m.chunkStep(tbl, frontier, hop)
+			next = hop + 2
+		} else if m.lru != nil && isWaist(m.tr.Graph(), p, hop, m.lru.waists.ratio) {
+			out, ok, err = m.finishAtWaist(p, hop, frontier)
+		}
+		if err != nil {
+			return sparse.Vector{}, err
+		}
+		if ok {
+			m.clock(&start)
+			frontier, hop = out, next
+			continue
+		}
+		if start.IsZero() {
+			start, walked = time.Now(), true
+		}
+		if hop == n-1 {
+			frontier = m.tr.Expand(frontier, p.Type(n))
+		} else if frontier = m.tr.ExpandScratch(frontier, p.Type(hop+1), hop); m.lru != nil {
+			m.lru.keepPrefix(key[:hop+2], v, frontier)
+		}
+		hop++
+	}
+	m.clock(&start)
+	if walked {
+		m.stats.TraversedVectors++
+	}
 	if frontier.IsZero() {
-		return sparse.Vector{}, nil
+		return sparse.Vector{}, nil // never a view of hop scratch
 	}
 	return frontier, nil
+}
+
+// clock charges the hops expanded since *start, if any, to traversal time.
+func (m *indexed) clock(start *time.Time) {
+	if !start.IsZero() {
+		m.stats.TraversalTime += time.Since(*start)
+		*start = time.Time{}
+	}
 }
 
 // chunk is the table of the chunk of key (a path's Key) from hop to hop+2,
@@ -194,42 +239,57 @@ func (m *indexed) chunk(key string, hop int) *pathTable {
 	return m.ix.tables[key[hop:hop+3]]
 }
 
-// combine advances frontier along tbl's chunk: at hop 0, where frontier is
-// {v}, by the probe at v (the vector buildIndex walked), later by Combine.
-// ok is false on a miss at hop 0 and where counts reach 2⁵³ and Combine's
-// sums stop being order-free: the caller walks the chunk, so the result is
-// Baseline's bit for bit whatever the counts.
-func (m *indexed) combine(tbl *pathTable, frontier sparse.Vector, hop int) (out sparse.Vector, ok bool, err error) {
+// chunkStep advances frontier along tbl's chunk: at hop 0, where frontier is
+// {v}, by the probe at v (the vector buildIndex walked), later by combine.
+// ok is false on a miss at hop 0.
+func (m *indexed) chunkStep(tbl *pathTable, frontier sparse.Vector, hop int) (sparse.Vector, bool, error) {
 	if hop == 0 {
-		start := time.Now()
-		out, ok = m.ix.probe(tbl, hin.VertexID(frontier.Idx[0]))
-		m.stats.IndexedTime += time.Since(start) // a miss paid the lookup too
-		if ok {
-			m.stats.IndexedVectors++
-		}
+		out, ok := m.probe(tbl, hin.VertexID(frontier.Idx[0]))
 		return out, ok, nil
 	}
-	out, exact := m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
-		start := time.Now()
-		vec, ok := m.ix.probe(tbl, u)
-		m.stats.IndexedTime += time.Since(start)
-		if ok {
-			m.stats.IndexedVectors++
-			return vec
-		}
-		if m.fill == nil {
-			m.fill = metapath.NewTraverser(m.tr.Graph())
-		}
-		start = time.Now()
-		vec, e := m.fill.NeighborVector(tbl.path, u)
-		m.stats.TraversalTime += time.Since(start)
-		m.stats.TraversedVectors++
-		if e != nil {
-			err = e
+	return m.combine(frontier, tbl.path, func(u hin.VertexID) (sparse.Vector, bool) { return m.probe(tbl, u) }, nil)
+}
+
+// probe reads Φ at u from tbl: an indexed vector when there.
+func (m *indexed) probe(tbl *pathTable, u hin.VertexID) (sparse.Vector, bool) {
+	start := time.Now()
+	vec, ok := m.ix.probe(tbl, u)
+	m.stats.IndexedTime += time.Since(start) // a miss paid the lookup too
+	if ok {
+		m.stats.IndexedVectors++
+	}
+	return vec, ok
+}
+
+// combine advances frontier over the vectors of suffix (Traverser.Combine):
+// what get has, else a fill (fillVector) offered to keep, when not nil. ok
+// is false where a count reaches 2⁵³ and Combine's sums stop being
+// order-free: the caller expands the hops instead, so the result is
+// Baseline's bit for bit whatever the counts.
+func (m *indexed) combine(frontier sparse.Vector, suffix metapath.Path, get func(hin.VertexID) (sparse.Vector, bool), keep func(hin.VertexID, sparse.Vector)) (out sparse.Vector, ok bool, err error) {
+	out, ok = m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
+		vec, found := get(u)
+		if !found {
+			var e error
+			if vec, e = m.fillVector(suffix, u); e != nil {
+				err = e
+			} else if keep != nil {
+				keep(u, vec)
+			}
 		}
 		return vec
-	}, tbl.path.Target())
-	return out, exact && err == nil, err
+	}, suffix.Target())
+	return out, ok && err == nil, err
+}
+
+// fillVector traverses Φ_suffix(u) for a table that lacks it, on the fill
+// traverser: one traversed vector.
+func (m *indexed) fillVector(suffix metapath.Path, u hin.VertexID) (sparse.Vector, error) {
+	if m.fill == nil {
+		m.fill = metapath.NewTraverser(m.tr.Graph())
+	}
+	defer m.traversed(time.Now())
+	return m.fill.NeighborVector(suffix, u)
 }
 
 // traversed accounts one traversal begun at start.

@@ -11,16 +11,15 @@ import (
 // counters in the shared cache, the serve pool), the registry exposes it
 // through CounterFunc/GaugeFunc reading the same atomics at scrape time —
 // never a second counter that could drift. A /metrics scrape therefore
-// matches Stats()/CacheStats()/ServeStats exactly, by construction.
+// matches CacheStats()/ServeStats exactly, by construction.
 
 // RegisterMaterializerMetrics exposes a materializer on reg: netout_index_bytes
-// for every strategy, and for the cached one the netout_cache_* and
-// netout_mat_* families read from its shared atomic counters (README's metric
-// table says what each answers). Only the cached materializer's full MatStats
-// are exported: its counters are safe to read from the scrape goroutine.
-// Baseline, PM and SPM carry unsynchronized per-view stats, so for those only
-// IndexBytes is exposed: the index, immutable after construction, and the
-// norm tables, read under their lock.
+// for every strategy, and for the cached one the netout_cache_* family read
+// from the cache's shared atomic counters (README's metric table says what
+// each answers). A handle's MatStats are its own and unsynchronized; the
+// engine's netout_vectors_* series sum them per query, exactly, under every
+// strategy. IndexBytes reads the index, immutable after construction, the
+// norm tables under their lock, or the cache's byte account.
 //
 // Registration is idempotent per (registry, materializer): NewEngine calls it
 // for an engine with a registry, and so may the materializer's owner.
@@ -30,11 +29,11 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	}
 	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index or cache (baseline: norm tables and kept reverse walks).",
 		func() float64 { return float64(m.IndexBytes()) })
-	c, ok := m.(*cached)
-	if !ok {
+	c, ok := m.(*indexed)
+	if !ok || c.lru == nil {
 		return
 	}
-	st := c.state
+	st := c.lru
 	reg.CounterFunc("netout_cache_hits_total", "Cache hits (including singleflight-deduplicated loads).",
 		func() float64 { return float64(st.hits.Load()) })
 	reg.CounterFunc("netout_cache_misses_total", "Cache misses (each one network traversal).",
@@ -49,12 +48,4 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 		func() float64 { return float64(st.hopsSaved.Load()) })
 	reg.GaugeFunc("netout_cache_bytes", "Resident cache payload bytes.",
 		func() float64 { return float64(st.bytes.Load()) })
-	reg.CounterFunc("netout_mat_traversed_vectors_total", "Neighbor vectors materialized by network traversal.",
-		func() float64 { return float64(st.traversedVecs.Load()) })
-	reg.CounterFunc("netout_mat_indexed_vectors_total", "Neighbor vectors served warm from the cache.",
-		func() float64 { return float64(st.indexedVecs.Load()) })
-	reg.CounterFunc("netout_mat_traversal_seconds_total", "Seconds spent traversing the network for misses.",
-		func() float64 { return float64(st.traversalNs.Load()) / 1e9 })
-	reg.CounterFunc("netout_mat_indexed_seconds_total", "Seconds spent on warm loads and probes.",
-		func() float64 { return float64(st.indexedNs.Load()) / 1e9 })
 }

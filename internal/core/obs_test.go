@@ -117,10 +117,6 @@ func TestServePoolMetricsMatchStats(t *testing.T) {
 		"netout_cache_bytes":           float64(cs.Bytes),
 		"netout_index_bytes":           float64(mat.IndexBytes()),
 
-		// Materializer work: scrape == MatStats, exactly.
-		"netout_mat_traversed_vectors_total": float64(ms.TraversedVectors),
-		"netout_mat_indexed_vectors_total":   float64(ms.IndexedVectors),
-
 		// Engine outcome counters line up with the pool's (every failure here
 		// occurs past the parser, inside ExecuteQueryContext).
 		`netout_queries_total{outcome="ok"}`:    float64(st.Served),

@@ -34,7 +34,7 @@ const (
 // cached materializers have no persistent index and are rejected.
 func SaveIndex(m Materializer, w io.Writer) error {
 	im, ok := m.(*indexed)
-	if !ok || im.strategy == StrategyBaseline {
+	if !ok || im.strategy == StrategyBaseline || im.lru != nil {
 		return fmt.Errorf("core: %s has no persistent index", m.Strategy())
 	}
 	g := im.tr.Graph()

@@ -157,7 +157,7 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 	one := make([]sparse.Vector, len(paths))
 	combinedVec := func(v hin.VertexID) (sparse.Vector, error) {
 		for m, p := range paths {
-			vec, err := hs.at(0).NeighborVector(p, v)
+			vec, err := hs.mats[0].NeighborVector(p, v)
 			if err != nil {
 				return sparse.Vector{}, err
 			}

@@ -47,7 +47,7 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 	}
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
-	sm, ok := hs.at(0).(*indexed)
+	sm, ok := hs.mats[0].(*indexed)
 	switch {
 	case !ok || !sm.bare():
 		plan.refside = "refside=vertex (materializer)"
@@ -75,11 +75,11 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 	for m := range vecs {
 		vecs[m] = make([]sparse.Vector, len(refs))
 	}
-	errs := make([]error, hs.n)
+	errs := make([]error, len(hs.mats))
 	plan.ifq.StartChunks(chunksOf(len(refs)), len(errs))
 	fanOut(refs, len(errs), func(i, lo, hi int) {
 		defer recoverAsError(&errs[i])
-		mat := hs.at(i)
+		mat := hs.mats[i]
 		for ; lo < hi; lo += parallelChunk {
 			end := min(lo+parallelChunk, hi)
 			for m := range paths {

@@ -84,7 +84,7 @@ func TestReferenceSideMatchesPerVertexLoop(t *testing.T) {
 						e := NewEngine(g, WithMeasure(measure), WithCombination(combine), WithMaterializer(mat))
 						plan := &queryPlan{resolvedQuery: &resolvedQuery{cands: authors, refs: refs, paths: paths, weights: []float64{1, 2.5, 0.3}, combine: combine}}
 						want := loopScorers(t, e, plan)
-						got, held, err := e.referenceSide(context.Background(), plan, handles{mats: []Materializer{mat}, n: 1})
+						got, held, err := e.referenceSide(context.Background(), plan, handles{mats: []Materializer{mat}})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}

@@ -186,7 +186,7 @@ func (p *ServePool) Run(ctx context.Context, fn func(ctx context.Context, g *hin
 			return nil, err
 		}
 		defer p.eng.release(hs)
-		return nil, fn(ctx, p.eng.g, hs.at(0))
+		return nil, fn(ctx, p.eng.g, hs.mats[0])
 	})
 	return err
 }

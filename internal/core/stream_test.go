@@ -11,11 +11,15 @@ import (
 
 // An answer depends on the graph and the text alone, not on what ran before
 // it on the engine: every strategy, inline and over local ranges, runs one
-// stream of texts — a whole-type scan repeated until it reads its kept
-// numerators, two COMPARED TO sets taking turns on the scan's path with the
-// scan after each, and scans of a second path and of both — and every answer
-// is Float64bits-identical to a fresh engine's answer to the same text. The
-// stream must reach each branch of the kept state it is there to check.
+// stream of texts — a scan of a short path, then a whole-type scan of a path
+// it prefixes repeated until it reads its kept numerators, two COMPARED TO
+// sets taking turns on the scan's path with the scan after each, and scans of
+// the short path and of both — and every answer is Float64bits-identical to a
+// fresh engine's answer to the same text. The cache runs it on a budget every
+// query overflows and on an ample one, at the production waist ratio and at
+// 1. The stream must reach each branch of the kept state it is there to
+// check: the plan lines, and the cache's prefix resumes, waist finishes and
+// evictions.
 func TestStreamMatchesFreshEngine(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	g := randomHIN(r, 5)
@@ -37,7 +41,7 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 	compared := func(set []hin.VertexID) string {
 		return "FIND OUTLIERS FROM t0 COMPARED TO t0" + quoted(g, set) + " JUDGED BY " + long + ";"
 	}
-	var stream []string
+	stream := []string{scan(short)}
 	for range 4 { // vertex, walk, walk (keeps N), memo
 		stream = append(stream, scan(long))
 	}
@@ -58,19 +62,25 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 		"pm":       NewPM,
 		"spm/half": func(g *hin.Graph) Materializer { return NewSPMVertices(g, half) },
 		"spm/none": func(g *hin.Graph) Materializer { return NewSPMVertices(g, nil) },
-		"cached": func(g *hin.Graph) Materializer {
-			m, err := NewCached(g, 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
 	}
-	branches := []string{": numer=memo", ": numer=walk", ": numer=vertex", "refside=set", "refside=vertex (materializer)"}
+	for _, budget := range []int64{2 << 10, 1 << 20} {
+		for _, ratio := range []int{waistRatio, 1} {
+			mats[fmt.Sprintf("cached/%dB/waist=%d", budget, ratio)] = func(g *hin.Graph) Materializer {
+				m, err := NewCached(g, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.(*indexed).lru.waists.ratio = ratio
+				return m
+			}
+		}
+	}
+	branches := []string{": numer=memo", ": numer=walk", ": numer=vertex", "refside=set", "refside=vertex (materializer)", "waist="}
 	reached := map[string]bool{}
 	for name, newMat := range mats {
 		for _, par := range []int{1, 3} {
-			eng := NewEngine(g, WithMaterializer(newMat(g)), WithQueryParallelism(par))
+			mat := newMat(g)
+			eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(par))
 			for i, src := range stream {
 				label := fmt.Sprintf("%s parallelism %d, text %d", name, par, i)
 				got, err := eng.Execute(src)
@@ -93,11 +103,16 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 					}
 				}
 			}
+			if cs, ok := CacheStatsOf(mat); ok {
+				reached["prefix resume"] = reached["prefix resume"] || cs.PrefixHits > 0
+				reached["waist finish"] = reached["waist finish"] || cs.WaistFinishes > 0
+				reached["eviction"] = reached["eviction"] || cs.Evictions > 0
+			}
 		}
 	}
-	for _, branch := range branches {
+	for _, branch := range append(branches, "prefix resume", "waist finish", "eviction") {
 		if !reached[branch] {
-			t.Errorf("the stream never planned %q", branch)
+			t.Errorf("the stream never reached %q", branch)
 		}
 	}
 }

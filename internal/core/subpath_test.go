@@ -221,7 +221,7 @@ func TestSubpathEvictionDegradesToTraversal(t *testing.T) {
 	if cs.Bytes > maxBytes {
 		t.Fatalf("cache exceeded budget: %d > %d", cs.Bytes, maxBytes)
 	}
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	if ground := st.recomputeBytes(); ground != cs.Bytes {
 		t.Fatalf("byte accounting drifted: atomic %d, ground truth %d", cs.Bytes, ground)
 	}
@@ -236,7 +236,7 @@ func TestSubpathEvictedPrefixMidWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	short, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
 	a, _ := g.Schema().TypeByName("author")
@@ -273,8 +273,9 @@ func TestSubpathEvictedPrefixMidWorkload(t *testing.T) {
 }
 
 // TestSubpathConcurrentStress hammers a byte-starved subpath cache from 8
-// goroutines (half through views) with overlapping paths; run under -race.
-// Vectors must always match baseline and the counter contract must hold.
+// goroutines (the original handle and views, one each) with overlapping
+// paths; run under -race. Vectors must always match baseline and the counter
+// contract must hold.
 func TestSubpathConcurrentStress(t *testing.T) {
 	g := fig1Graph(t)
 	const maxBytes = 400
@@ -311,7 +312,7 @@ func TestSubpathConcurrentStress(t *testing.T) {
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		m := Materializer(mat)
-		if w%2 == 1 {
+		if w > 0 {
 			if m, err = NewView(mat); err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +351,7 @@ func TestSubpathConcurrentStress(t *testing.T) {
 	if cs.Bytes > maxBytes {
 		t.Fatalf("budget exceeded: %d > %d", cs.Bytes, maxBytes)
 	}
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	if ground := st.recomputeBytes(); ground != cs.Bytes {
 		t.Fatalf("byte accounting drifted: atomic %d, ground truth %d", cs.Bytes, ground)
 	}
@@ -498,7 +499,7 @@ func TestPrefixAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	abcd, abcba := metapath.MustNew(0, 1, 2, 3), metapath.MustNew(0, 1, 2, 1, 0)
 	abc := abcd.Key()[:3]
 	base := NewBaseline(g)

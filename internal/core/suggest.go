@@ -104,13 +104,13 @@ func (e *Engine) evaluateFeaturePath(ctx context.Context, hs handles, p metapath
 	if err != nil {
 		return Suggestion{}, false, err
 	}
-	cs, err := newCandidateSide(ctx, e.g, hs.at(0), scorers, e.measure, plan.paths, cands, held)
+	cs, err := newCandidateSide(ctx, e.g, hs.mats[0], scorers, e.measure, plan.paths, cands, held)
 	if err != nil {
 		return Suggestion{}, false, err
 	}
 	// Unbounded, so the ranking is every characterized candidate in
 	// (score, vertex) order.
-	rr := scoreRange(ctx, cs, hs.at(0), 0, len(cands), 0)
+	rr := scoreRange(ctx, cs, hs.mats[0], 0, len(cands), 0)
 	if rr.err != nil {
 		return Suggestion{}, false, rr.err
 	}

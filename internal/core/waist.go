@@ -105,23 +105,36 @@ func isWaist(g *hin.Graph, p metapath.Path, b, ratio int) bool {
 }
 
 // finishAtWaist completes Φ_p from frontier, the frontier after b hops of p,
-// by combination over the table of p's suffix from b. ok is false — and the
-// caller keeps expanding, frontier untouched — when the suffix has no table
-// (dropped, or never affordable) or a combined count reached 2⁵³, where the
-// sums stop being order-free (Traverser.Combine).
-func (st *sharedCacheState) finishAtWaist(tr *metapath.Traverser, p metapath.Path, b int, frontier sparse.Vector) (out sparse.Vector, ok bool, err error) {
+// by combination over the table of p's suffix from b, filling the slots it
+// lacks. ok is false — and the walk expands on, frontier untouched — when the
+// suffix has no table (dropped, or never affordable) or a combined count
+// reached 2⁵³, where the sums stop being order-free (Traverser.Combine).
+func (m *indexed) finishAtWaist(p metapath.Path, b int, frontier sparse.Vector) (sparse.Vector, bool, error) {
+	st := m.lru
 	tbl := st.waistTable(p.Key()[b:])
 	if tbl == nil {
 		return sparse.Vector{}, false, nil
 	}
-	out, ok = tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
-		vec, e := st.waistVector(tbl, u)
-		if e != nil {
-			err = e
-		}
-		return vec
-	}, p.Target())
-	return out, ok && err == nil, err
+	out, ok, err := m.combine(frontier, tbl.suffix, tbl.get, func(u hin.VertexID, vec sparse.Vector) { st.keepWaist(tbl, u, vec) })
+	if ok {
+		st.hopsSaved.Add(int64(p.Hops() - b))
+		st.waists.finished.Add(1)
+	}
+	return out, ok, err
+}
+
+// slot is tbl's slot of u, a vertex of the suffix's source type.
+func (tbl *waistTable) slot(u hin.VertexID) *atomic.Pointer[sparse.Vector] {
+	i, _ := slices.BinarySearch(tbl.ids, u)
+	return &tbl.slots[i]
+}
+
+// get returns Φ_suffix(u) when its slot is filled.
+func (tbl *waistTable) get(u hin.VertexID) (sparse.Vector, bool) {
+	if vec := tbl.slot(u).Load(); vec != nil {
+		return *vec, true
+	}
+	return sparse.Vector{}, false
 }
 
 // waistTable returns the table of the suffix with the given key, creating it
@@ -144,34 +157,19 @@ func (st *sharedCacheState) waistTable(suffix string) *waistTable {
 	return tbl
 }
 
-// waistVector returns Φ_suffix(u) from tbl, filling the slot by one traversal
-// when it is empty. A fill is a traversed vector but no load: the miss it
-// serves is counted by its own flight. A vector the table cannot take (it was
-// dropped, now or meanwhile) is still the caller's to use.
-func (st *sharedCacheState) waistVector(tbl *waistTable, u hin.VertexID) (sparse.Vector, error) {
-	i, _ := slices.BinarySearch(tbl.ids, u) // found: u is of the suffix's source type
-	slot := &tbl.slots[i]
-	if vec := slot.Load(); vec != nil {
-		return *vec, nil
-	}
-	// The caller's traverser holds the frontier in its hop scratch.
-	tr := st.traversers.Get().(*metapath.Traverser)
-	vec, err := tr.NeighborVector(tbl.suffix, u)
-	st.traversers.Put(tr)
-	if err != nil {
-		return sparse.Vector{}, err
-	}
-	st.traversedVecs.Add(1)
+// keepWaist fills tbl's slot of u with vec, a fill: a traversed vector but
+// no load, as the miss it serves is counted by its own flight. A vector the
+// table cannot take (it was dropped, now or meanwhile) is only the miss's.
+func (st *sharedCacheState) keepWaist(tbl *waistTable, u hin.VertexID, vec sparse.Vector) {
 	if cap(vec.Idx) > len(vec.Idx) {
 		vec = vec.Clone() // stored at the size of its non-zeros
 	}
-	ws := &st.waists
+	slot := tbl.slot(u)
 	st.mu.Lock()
-	if ws.tables[tbl.suffix.Key()] == tbl && slot.Load() == nil && st.growWaistLocked(tbl, int64(vec.Bytes())+waistSlotOverhead) {
+	defer st.mu.Unlock()
+	if st.waists.tables[tbl.suffix.Key()] == tbl && slot.Load() == nil && st.growWaistLocked(tbl, int64(vec.Bytes())+waistSlotOverhead) {
 		slot.Store(&vec)
 	}
-	st.mu.Unlock()
-	return vec, nil
 }
 
 // growWaistLocked charges n more bytes to tbl, or drops it — false — when

@@ -31,7 +31,7 @@ func eagerWaists(t testing.TB, g *hin.Graph, maxBytes int64, ratio int) (Materia
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	st.waists.ratio = ratio
 	return mat, st
 }
@@ -295,7 +295,7 @@ func TestWaistRuleAndShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := mat.(*cached).state
+		st := mat.(*indexed).lru
 		for _, p := range []metapath.Path{parse("author.paper.venue.paper.author"), long} {
 			for _, v := range authors {
 				want, _ := tr.NeighborVector(p, v)
@@ -321,7 +321,7 @@ func TestWaistRuleAndShares(t *testing.T) {
 	}
 }
 
-// TestWaistConcurrentStress: 8 goroutines, half through views, load
+// TestWaistConcurrentStress: 8 goroutines, one handle each, load
 // overlapping waisted paths from cold tables — concurrent fills of the same
 // slots — first on a roomy budget, then on one the tables outgrow while they
 // are being filled. Vectors always match traversal; afterwards the bytes are
@@ -354,13 +354,15 @@ func TestWaistConcurrentStress(t *testing.T) {
 		)
 		var wg sync.WaitGroup
 		errCh := make(chan error, workers)
+		handles := []Materializer{mat}
 		for w := 0; w < workers; w++ {
 			m := mat
-			if w%2 == 1 {
+			if w > 0 {
 				var err error
 				if m, err = NewView(mat); err != nil {
 					t.Fatal(err)
 				}
+				handles = append(handles, m)
 			}
 			wg.Add(1)
 			go func(w int, m Materializer) {
@@ -397,8 +399,12 @@ func TestWaistConcurrentStress(t *testing.T) {
 		if cs.WaistFinishes > cs.Misses || cs.WaistFinishes == 0 {
 			t.Fatalf("budget %d: %d of %d misses finished at a waist", budget, cs.WaistFinishes, cs.Misses)
 		}
-		if fills := mat.Stats().TraversedVectors - cs.Misses; fills < 0 {
-			t.Fatalf("budget %d: %d traversed vectors for %d misses", budget, mat.Stats().TraversedVectors, cs.Misses)
+		var traversed int64
+		for _, h := range handles {
+			traversed += h.Stats().TraversedVectors
+		}
+		if fills := traversed - cs.Misses; fills < 0 {
+			t.Fatalf("budget %d: %d traversed vectors for %d misses", budget, traversed, cs.Misses)
 		}
 		checkBytes(t, fmt.Sprintf("budget %d", budget), st)
 		dropped := 0
@@ -443,7 +449,7 @@ func TestSpillQueryAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*cached).state
+	st := mat.(*indexed).lru
 	a, _ := g.Schema().TypeByName("author")
 	apa, _ := metapath.ParseDotted(g.Schema(), "author.paper.author")
 	tr := metapath.NewTraverser(g)

@@ -292,10 +292,10 @@ func NewSPMVertices(g *Graph, vertices []VertexID) Materializer {
 // frontier reaches a waist of the path (a type much smaller than its
 // neighbours) is finished from a table of suffix vectors under that budget
 // too — bit-identical to whole-path evaluation; only the work skipped
-// changes. The cache is one LRU and safe for concurrent use from any number
-// of goroutines; concurrent misses on the same vector are deduplicated so the
-// network is traversed once. Views made with NewMaterializerView share the
-// same warm cache.
+// changes. Like every Materializer the value is one goroutine's at a time:
+// views made with NewMaterializerView share the same warm cache, concurrent
+// misses of views on the same vector are deduplicated so the network is
+// traversed once, and each view counts its own work.
 func NewCached(g *Graph, maxBytes int64, _ ...CacheOption) (Materializer, error) {
 	return core.NewCached(g, maxBytes)
 }
@@ -315,9 +315,9 @@ func WithSubpathCache() CacheOption { return CacheOption{} }
 // Deprecated: drop the option.
 func WithCachePlanner(bool) CacheOption { return CacheOption{} }
 
-// CacheStats reports hit/miss/eviction counters of a cached materializer.
-// Under concurrent use Deduped counts loads that were coalesced into
-// another goroutine's in-flight traversal (a subset of Hits).
+// CacheStats reports hit/miss/eviction counters of a cached materializer,
+// summed over its views. Deduped counts loads that were coalesced into
+// another view's in-flight traversal (a subset of Hits).
 // PrefixHits/WaistFinishes/HopsSaved report partial reuse on the miss path.
 type CacheStats = core.CacheStats
 
@@ -405,17 +405,17 @@ type (
 
 // ExecuteBatch runs queries in parallel on eng, from opts.Workers goroutines
 // that each claim the next unstarted query: an Engine is safe for concurrent
-// use, each query borrowing the materializer handles it runs on — PM/SPM
-// indexes read-only, cached materializers warm, so one query's traversal is
-// every other query's cache hit.
+// use, each query borrowing the materializer handles it runs on — views over
+// PM/SPM indexes read-only, over one warm cache, so one query's traversal is
+// every other query's cache hit — and counting on them its own work alone.
 func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
 	return core.ExecuteBatch(eng, queries, opts)
 }
 
 // NewMaterializerView returns a materializer that shares m's pre-computed
-// state but is safe to use concurrently with other views: PM/SPM views
-// share the immutable index with private traversal scratch; cached views
-// share the warm cache itself (entries and stats). See DESIGN.md's
+// state but is safe to use concurrently with other views: the immutable
+// index, the norm tables or the warm cache, with private traversal scratch
+// and counters (CacheStatsOf still reads the whole cache's). See DESIGN.md's
 // concurrency contract.
 func NewMaterializerView(m Materializer) (Materializer, error) { return core.NewView(m) }
 
