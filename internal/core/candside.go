@@ -140,19 +140,14 @@ type candBuf struct {
 	vecs  [][]sparse.Vector
 	omega [][]float64
 	one   []sparse.Vector // one candidate's vectors, gathered for the scorers
-	// scores[i] is the combined score of cands[lo+i]; ok[i] is false when no
-	// path characterizes it.
-	scores []float64
-	ok     []bool
 }
 
 // load materializes on mat what scoring cands[lo:hi] needs, path by path.
-// ctx is polled before every traversal and every load of a vector; a path
-// whose numerators were propagated may need neither for a whole call — a
-// table read costs less than the poll — and is polled once per call instead.
-// It returns how many leading candidates are complete under every path —
-// hi-lo, or with the error the prefix that deadline degradation may keep (buf
-// then covers that prefix).
+// ctx is polled before every traversal and every load of a vector, and once
+// per call on a path whose numerators were propagated (fromNumerators), where
+// a table read costs less than the poll. It returns how many leading
+// candidates are complete under every path — hi-lo, or with the error the
+// prefix that deadline degradation may keep (buf then covers that prefix).
 func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int, buf *candBuf) (int, error) {
 	buf.lo, buf.n = lo, hi-lo
 	if cs.held != nil {
@@ -162,68 +157,84 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 		buf.vecs = make([][]sparse.Vector, len(cs.paths))
 		buf.omega = make([][]float64, len(cs.paths))
 	}
-	sm, _ := mat.(*indexed) // every view of a bare index is one
 	for m, p := range cs.paths {
+		vecs, omega := buf.vecs[m][:0], buf.omega[m][:0] // one stays empty
 		if cs.memo == nil {
-			buf.vecs[m] = slices.Grow(buf.vecs[m][:0], hi-lo)
+			vecs = slices.Grow(vecs, hi-lo)
 		} else {
-			buf.omega[m] = slices.Grow(buf.omega[m][:0], hi-lo)
-			if cs.num[m] != nil {
-				if err := ctxErr(ctx); err != nil {
-					buf.n = 0
-					return 0, err
+			omega = slices.Grow(omega, hi-lo)
+		}
+		var err error
+		if cs.memo != nil && cs.num[m] != nil {
+			omega, err = cs.fromNumerators(ctx, mat.(*indexed), m, lo, hi, omega)
+		} else {
+			// One Φ per candidate: kept when scoring from vectors, reduced
+			// to Ω and its norm left in the table when scoring from norms.
+			for _, v := range cs.cands[lo:hi] {
+				var phi sparse.Vector
+				if err = ctxErr(ctx); err == nil {
+					phi, err = mat.NeighborVector(p, v)
 				}
+				if err != nil {
+					break
+				}
+				if cs.memo == nil {
+					vecs = append(vecs, phi)
+					continue
+				}
+				dot, vis := cs.scorers.perPath[m].dir.DotNorm(phi)
+				cs.memo[m].put(v, vis)
+				omega = append(omega, netOut(dot, vis))
 			}
 		}
-		for i, v := range cs.cands[lo:hi] {
-			var err error
-			if cs.memo != nil {
-				var w float64
-				w, err = cs.pathOmega(ctx, sm, m, lo+i)
-				buf.omega[m] = append(buf.omega[m], w)
-			} else if err = ctxErr(ctx); err == nil {
-				var phi sparse.Vector
-				phi, err = mat.NeighborVector(p, v)
-				buf.vecs[m] = append(buf.vecs[m], phi)
+		buf.vecs[m], buf.omega[m] = vecs, omega
+		if err != nil {
+			// A candidate counts once every path has it: nothing before
+			// the last path, that path's progress within it.
+			buf.n = 0
+			if m == len(cs.paths)-1 {
+				buf.n = len(vecs) + len(omega)
 			}
-			if err != nil {
-				// A candidate counts once every path has it: nothing before
-				// the last path, that path's progress within it.
-				buf.n = 0
-				if m == len(cs.paths)-1 {
-					buf.n = i
-				}
-				return buf.n, err
-			}
+			return buf.n, err
 		}
 	}
 	return buf.n, nil
 }
 
-// pathOmega is Ω under path m of candidate i, scored from norms: NaN when it
-// is invisible under the path. ctx is polled before a traversal, not before
-// a table read.
-func (cs *candidateSide) pathOmega(ctx context.Context, sm *indexed, m, i int) (float64, error) {
-	p, tbl, v := cs.paths[m], cs.memo[m], cs.cands[i]
-	if num := cs.num[m]; num != nil {
-		vis, err := sm.visibility(ctx, p, v, tbl)
-		return netOut(num[i], vis), err
-	}
+// fromNumerators appends Ω under path m of cands[lo:hi], whose numerators
+// were propagated, to omega in one pass over the path's norm table's words:
+// a known norm costs an atomic load and a division, an unknown one a poll and
+// a traversal (indexed.visibility). The hits count once per call. On an error
+// omega ends before the failing candidate.
+func (cs *candidateSide) fromNumerators(ctx context.Context, sm *indexed, m, lo, hi int, omega []float64) ([]float64, error) {
 	if err := ctxErr(ctx); err != nil {
-		return 0, err
+		return omega, err
 	}
-	phi, err := sm.NeighborVector(p, v)
-	if err != nil {
-		return 0, err
+	p, tbl, num := cs.paths[m], cs.memo[m], cs.num[m][lo:hi]
+	bits, base, hits := tbl.bits, tbl.lo, 0
+	defer func() { sm.stats.IndexedVectors += int64(hits) }()
+	for i, v := range cs.cands[lo:hi] {
+		var w uint64 // visPath.bits' word: 0 while unknown
+		if j := uint(v - base); j < uint(len(bits)) {
+			w = bits[j].Load()
+		}
+		vis := math.Float64frombits(w - 1)
+		if w != 0 {
+			hits++
+		} else if err := ctxErr(ctx); err != nil {
+			return omega, err
+		} else if vis, err = sm.visibility(p, v, tbl); err != nil {
+			return omega, err
+		}
+		omega = append(omega, netOut(num[i], vis))
 	}
-	dot, vis := cs.scorers.perPath[m].dir.DotNorm(phi)
-	tbl.put(v, vis)
-	return netOut(dot, vis), nil
+	return omega, nil
 }
 
-// score combines what load left in buf into buf.scores and buf.ok.
-func (cs *candidateSide) score(buf *candBuf) {
-	buf.scores, buf.ok = slices.Grow(buf.scores[:0], buf.n), slices.Grow(buf.ok[:0], buf.n)
+// collect scores what load left in buf and offers the candidates to sel,
+// appending the ones no path characterizes to skipped, in candidate order.
+// One sel would not admit is dropped before its name is read.
+func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.VertexID) []hin.VertexID {
 	if len(buf.one) != len(cs.paths) {
 		buf.one = make([]sparse.Vector, len(cs.paths))
 	}
@@ -246,20 +257,13 @@ func (cs *candidateSide) score(buf *candBuf) {
 			}
 			s, ok = cs.scorers.score(buf.one)
 		}
-		buf.scores, buf.ok = append(buf.scores, s), append(buf.ok, ok)
-	}
-}
-
-// collect offers buf's scored candidates to sel and appends the ones no
-// path characterizes to skipped, in candidate order.
-func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.VertexID) []hin.VertexID {
-	for i, s := range buf.scores {
 		v := cs.cands[buf.lo+i]
-		if !buf.ok[i] {
+		if !ok {
 			skipped = append(skipped, v)
-			continue
+		} else if e := (Entry{Vertex: v, Score: s}); sel.admits(e) {
+			e.Name = cs.g.Name(v)
+			sel.push(e)
 		}
-		sel.push(Entry{Vertex: v, Name: cs.g.Name(v), Score: s})
 	}
 	return skipped
 }

@@ -612,6 +612,92 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 	}
 }
 
+// A whole-type scan whose norms are known for some candidates and not for
+// others, interleaved, after a COMPARED TO subset warmed the table: once with
+// the numerators walked (the subset seen once) and once read from the kept N
+// (the subset's S seen three times). A deadline at the first unknown norm
+// keeps the exact prefix before it; the full scan answers a fresh engine bit
+// for bit, reads one indexed vector per known norm (plus the kept N), walks
+// one per unknown norm (plus S, plus the reverse walk), and leaves every norm
+// in the table.
+func TestCandidateSideInterleavedNorms(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(17)))
+	fresh, err := NewEngine(g, WithQueryParallelism(1)).Execute(faultQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, _ := NewEngine(g).CandidateSet(faultQuery)
+	// Every candidate before the 200th is known, then two in three.
+	const firstUnknown = 200
+	var subset []hin.VertexID
+	for i, v := range cands {
+		if i < firstUnknown || i%3 != 2 {
+			subset = append(subset, v)
+		}
+	}
+	warm := `FIND OUTLIERS FROM author` + quoted(g, subset) + ` COMPARED TO author JUDGED BY author.paper.venue;`
+	known, unknown := int64(len(subset)), int64(len(cands)-len(subset))
+	score := map[hin.VertexID]float64{}
+	for _, e := range fresh.Entries {
+		score[e.Vertex] = e.Score
+	}
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		numer              string
+		warmups            int
+		polls              int64 // before the first step: query start, S, then N
+		traversed, indexed int64
+	}{
+		{"walk", 1, 1 + setPolls + setPolls, 2 + unknown, known},
+		{"memo", 3, 1 + setPolls + 1, 1 + unknown, 1 + known},
+	} {
+		for _, par := range []int{1, 4} {
+			label := fmt.Sprintf("numer=%s parallelism %d", arm.numer, par)
+			mat := eagerBaseline(g)
+			eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(par))
+			for range arm.warmups {
+				if _, err := eng.Execute(warm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if par == 1 {
+				// One poll per step, the second step's fails at the first miss.
+				res, err := eng.ExecuteContext(newDeadlineAfter(arm.polls+2), faultQuery)
+				if err != nil || !res.Partial {
+					t.Fatalf("%s: deadline at the first unknown norm: (%v, %v), want a Partial result", label, res, err)
+				}
+				if covered := len(res.Entries) + len(res.Skipped); covered != firstUnknown {
+					t.Fatalf("%s: partial covers %d candidates, want the %d before the first unknown norm", label, covered, firstUnknown)
+				}
+				for _, e := range res.Entries {
+					if s, ok := score[e.Vertex]; !ok || math.Float64bits(s) != math.Float64bits(e.Score) || e.Vertex >= cands[firstUnknown] {
+						t.Fatalf("%s: partial entry %s = %v: want the full run's %v, inside the prefix", label, e.Name, e.Score, s)
+					}
+				}
+			}
+			got, err := eng.Execute(faultQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entriesBitEqual(t, label, fresh, got)
+			if got.Timing.TraversedVectors != arm.traversed || got.Timing.IndexedVectors != arm.indexed {
+				t.Fatalf("%s: traversed %d / indexed %d, want %d / %d", label,
+					got.Timing.TraversedVectors, got.Timing.IndexedVectors, arm.traversed, arm.indexed)
+			}
+			tbl := mat.(*indexed).vis.path(g, p)
+			for _, v := range cands {
+				if _, ok := tbl.get(v); !ok {
+					t.Fatalf("%s: the norm of %d is not in the table after the scan", label, v)
+				}
+			}
+			eng.Close()
+		}
+	}
+}
+
 // A pool's scan walks each path's S back when the norms are warm, keeps N in
 // the norm table the second time it sees that S — the retained S of its
 // compiled entry — and every later hit reads every numerator from it: the

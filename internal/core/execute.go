@@ -128,13 +128,13 @@ type rangeResult struct {
 }
 
 // scoreRange scores cands[lo:hi] of cs on mat, parallelChunk candidates at a
-// time: load, score, offer to one bounded selector, drop the vectors. It is
-// the body of inline execution, of a local range and of a shard server's
-// request. Faults never escape it — a panic or a per-vertex error comes back
-// on the result beside the exact prefix scored before it (a failed load
-// leaves buf covering the candidates complete under every path, and those are
-// still scored and kept), so the caller can degrade instead of the fault
-// killing the query, or the process.
+// time: load, then score and offer to one bounded selector (collect), drop
+// the vectors. It is the body of inline execution, of a local range and of a
+// shard server's request. Faults never escape it — a panic or a per-vertex
+// error comes back on the result beside the exact prefix scored before it (a
+// failed load leaves buf covering the candidates complete under every path,
+// and those are still scored and kept), so the caller can degrade instead of
+// the fault killing the query, or the process.
 func scoreRange(ctx context.Context, cs *candidateSide, mat Materializer, lo, hi, topK int) (rr rangeResult) {
 	start := time.Now()
 	sel := newTopSelector(topK)
@@ -149,7 +149,6 @@ func scoreRange(ctx context.Context, cs *candidateSide, mat Materializer, lo, hi
 		var n int
 		n, rr.err = cs.load(ctx, mat, lo, min(lo+parallelChunk, hi), buf)
 		scoreStart := time.Now()
-		cs.score(buf)
 		rr.skipped = cs.collect(buf, sel, rr.skipped)
 		rr.scoring += time.Since(scoreStart)
 		rr.done += n

@@ -355,18 +355,9 @@ func (m *indexed) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, i
 	return tbl, known, need
 }
 
-// visibility returns ‖Φ_p(v)‖² from tbl — an indexed vector, neither timed
-// nor preceded by a poll of ctx: the read is one atomic load, two clock reads
-// or the context's mutex would cost more — or by a traversal that allocates
-// nothing and leaves the norm in tbl.
-func (m *indexed) visibility(ctx context.Context, p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
-	if vis, ok := tbl.get(v); ok {
-		m.stats.IndexedVectors++
-		return vis, nil
-	}
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
+// visibility traverses ‖Φ_p(v)‖², allocating nothing, and leaves it in tbl:
+// one traversed vector. A known norm is read by the caller (fromNumerators).
+func (m *indexed) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
 	defer m.traversed(time.Now())
 	vis, err := m.tr.Visibility(p, v)
 	if err == nil {

@@ -309,6 +309,18 @@ func TestTopSelectorMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d k=%d: ranked = %v, want %v", trial, k, got, want)
 			}
 
+			// collect's early drop: entries filtered through admits before
+			// push rank exactly as the sort does, k = 0 included.
+			filtered := newTopSelector(k)
+			for _, e := range entries {
+				if filtered.admits(e) {
+					filtered.push(e)
+				}
+			}
+			if got := filtered.ranked(); !equal(got, want) {
+				t.Fatalf("trial %d k=%d: filtered = %v, want %v", trial, k, got, want)
+			}
+
 			// Split across three selectors and merge — the range shape
 			// (topSelector.merge went with the chunk pipeline; ranges merge
 			// their ranked lists).

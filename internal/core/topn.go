@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // entryBefore is the ranking order: ascending score (smaller = more
 // outlying), vertex ID breaking score ties. Candidates are unique per
@@ -26,9 +26,6 @@ type topSelector struct {
 }
 
 func newTopSelector(k int) *topSelector {
-	if k < 0 {
-		k = 0
-	}
 	s := &topSelector{k: k}
 	if k > 0 {
 		// The heap grows with what is pushed: a TOP far past |Sc| reserves
@@ -38,20 +35,23 @@ func newTopSelector(k int) *topSelector {
 	return s
 }
 
-// push offers one entry to the selection.
+// admits is push's rule: e is kept while there is room, and once the heap
+// is full only if it ranks strictly ahead of the root, the worst entry kept.
+func (s *topSelector) admits(e Entry) bool {
+	return s.k <= 0 || len(s.entries) < s.k || entryBefore(e, s.entries[0])
+}
+
+// push offers one entry to the selection: admitted, it is appended while
+// there is room and replaces the root once the heap is full.
 func (s *topSelector) push(e Entry) {
-	if s.k <= 0 {
+	switch {
+	case !s.admits(e):
+	case s.k <= 0:
 		s.entries = append(s.entries, e)
-		return
-	}
-	if len(s.entries) < s.k {
+	case len(s.entries) < s.k:
 		s.entries = append(s.entries, e)
 		s.up(len(s.entries) - 1)
-		return
-	}
-	// Full: the root is the worst retained entry; replace it only if the
-	// offered entry ranks strictly ahead of it.
-	if entryBefore(e, s.entries[0]) {
+	default:
 		s.entries[0] = e
 		s.down(0)
 	}
@@ -60,7 +60,12 @@ func (s *topSelector) push(e Entry) {
 // ranked returns the retained entries most outlying first, consuming the
 // selector.
 func (s *topSelector) ranked() []Entry {
-	sort.Slice(s.entries, func(i, j int) bool { return entryBefore(s.entries[i], s.entries[j]) })
+	slices.SortFunc(s.entries, func(a, b Entry) int {
+		if entryBefore(a, b) {
+			return -1
+		}
+		return 1 // entries are distinct: b is before a
+	})
 	return s.entries
 }
 
