@@ -14,15 +14,15 @@ import (
 // queries: queries are independent, so a few goroutines run them in parallel
 // on one engine, each query on the materializer handles it borrows
 // (Engine.borrow). Every strategy is shared through views (NewView): a view
-// reads the root's immutable index and shares its norm tables and cache, so
+// reads the root's immutable index and shares its store, so
 // one worker's miss is every other worker's hit; only traversal scratch and
 // statistics are its own.
 
 // NewView returns a materializer that shares m's pre-computed state — the
-// immutable index, the visibility table, and for Cached the same LRU, waist
-// tables, singleflight group and cache-wide counters (CacheStatsOf) — but is
-// safe to use concurrently with other views of m: traversal scratch and
-// statistics (Stats) are private to the view.
+// immutable index and the one store: its norm tables, and for Cached its LRU,
+// waist tables, singleflight group and cache-wide counters (CacheStatsOf) —
+// but is safe to use concurrently with other views of m: traversal scratch
+// and statistics (Stats) are private to the view.
 func NewView(m Materializer) (Materializer, error) {
 	if v, ok := m.(viewable); ok {
 		return v.view()

@@ -34,7 +34,8 @@ type CacheStats struct {
 	// load is still one Miss — it traverses the network for the other hops —
 	// so the Hits+Misses == loads contract is unchanged.
 	PrefixHits, WaistFinishes, HopsSaved int64
-	// Bytes is what the cache holds: entries and waist tables.
+	// Bytes is what the cache holds: entries, waist tables and a pool's
+	// compiled queries.
 	Bytes int64
 }
 
@@ -81,9 +82,7 @@ func NewCached(g *hin.Graph, maxBytes int64) (Materializer, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("core: cache size must be positive, got %d", maxBytes)
 	}
-	m := newIndexed(g, newPathIndex(g), StrategyCached)
-	m.lru = newSharedCacheState(g, maxBytes)
-	return m, nil
+	return newIndexed(g, newPathIndex(g), StrategyCached, maxBytes), nil
 }
 
 // CacheStatsOf extracts cache counters, aggregated over every view, from a
@@ -91,7 +90,7 @@ func NewCached(g *hin.Graph, maxBytes int64) (Materializer, error) {
 // other strategies.
 func CacheStatsOf(m Materializer) (CacheStats, bool) {
 	c, ok := m.(*indexed)
-	if !ok || c.lru == nil {
+	if !ok || !c.cached() {
 		return CacheStats{}, false
 	}
 	return c.lru.cacheStats(), true

@@ -9,16 +9,19 @@ import (
 	"netout/internal/sparse"
 )
 
-// The cached materializer's state is one LRU that every view — every
-// concurrent query of a workload (ExecuteBatch, ServePool) — shares: a map and
-// a recency list under one mutex, which also guards every charge to the
-// cache's byte account, so eviction always drops the global LRU tail. All
+// A materializer's store is what it keeps between queries, one per root
+// indexed, shared by every view — every concurrent query of a workload
+// (ExecuteBatch, ServePool): Cached's vectors and waist tables, a bare
+// index's norm tables and kept N, and every pool's compiled queries. It is a
+// map and a recency list under one mutex, which also guards every charge to
+// the store's byte account, so eviction always drops the global LRU tail. All
 // counters are atomic, and concurrent misses on the same (path, vertex) are
 // coalesced by a singleflight group so the network is traversed once, not
 // once per worker.
 
 // ckey identifies one cached Φ vector: the canonical subpath key (one byte
-// per vertex type, metapath.Path.Key) and the source vertex. It is a
+// per vertex type, metapath.Path.Key) and the source vertex — or, with the
+// vertex normsOf, the path's norm table. It is a
 // comparable struct rather than a concatenated string so building a probe
 // key is two field copies — no per-lookup allocation — and the key of any
 // prefix of a path is a substring of the full path's key, which in Go
@@ -28,27 +31,36 @@ type ckey struct {
 	v    hin.VertexID
 }
 
+// normsOf is the vertex a norm table is keyed on: no vector is keyed on a
+// negative vertex.
+const normsOf hin.VertexID = -1
+
 type cacheEntry struct {
 	key ckey
 	vec sparse.Vector
 }
 
-// sharedCacheState is the state every view of one cached materializer
-// shares (indexed.lru): the LRU (warm entries), the singleflight group and
-// the cache-wide counters. All counter fields are atomic so that CacheStats
-// totals are exact under concurrency and readable without mu.
+// sharedCacheState is the store every view of one materializer shares
+// (indexed.lru): the LRU (Cached's warm entries, a bare index's norm tables),
+// the singleflight group and the store-wide counters. All counter fields are
+// atomic so that CacheStats totals are exact under concurrency and readable
+// without mu.
 type sharedCacheState struct {
 	g        *hin.Graph
 	maxBytes int64
+	// minKnown and minShare are the propagation crossover (candSideMinKnown,
+	// candSideMinShare; tests lower them to reach the branch on small graphs).
+	minKnown, minShare int
 
-	// mu guards the LRU (entries, order), the waist tables and lines, the
-	// compiled caches' list, and every charge to bytes: a charge and the
-	// evictions it forces are one critical section (chargeLocked). Lock
-	// order: compiledCache.mu is never held while mu is taken; only the
-	// test-only recomputeBytes nests mu → compiledCache.mu.
+	// mu guards the LRU (entries, order), each norm table's walkBytes and
+	// gone, the waist tables and lines, the compiled caches' list, and every
+	// charge to bytes: a charge and the evictions it forces are one critical
+	// section (chargeLocked). Lock order: compiledCache.mu is never held while
+	// mu is taken; only the test-only recomputeBytes nests mu →
+	// compiledCache.mu.
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
-	order   list.List // front = most recent
+	order   list.List // front = most recent; *cacheEntry or *visPath
 
 	flight flightGroup
 
@@ -76,11 +88,17 @@ type sharedCacheState struct {
 	hopsSaved  atomic.Int64
 }
 
+// keptMaxBytes is the store's budget under Baseline, PM and SPM (-cache-mb
+// sets Cached's): a bare index's norm tables and kept N, and a pool's compiled
+// queries.
+const keptMaxBytes = 64 << 20
+
 func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
-	return &sharedCacheState{g: g, maxBytes: maxBytes, entries: make(map[ckey]*list.Element), waists: waistSet{
-		ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare,
-		tables: make(map[string]*waistTable), lines: make(map[string]string),
-	}}
+	return &sharedCacheState{g: g, maxBytes: maxBytes, minKnown: candSideMinKnown, minShare: candSideMinShare,
+		entries: make(map[ckey]*list.Element), waists: waistSet{
+			ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare,
+			tables: make(map[string]*waistTable), lines: make(map[string]string),
+		}}
 }
 
 // get returns the entry under key and moves it to the LRU front.
@@ -155,25 +173,31 @@ func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
 	st.chargeLocked(size)
 }
 
-// chargeLocked moves the byte account by n — an entry, a waist table or a
-// compiled query — and evicts LRU tails until the cache is back under its
-// budget. The caller holds mu.
+// chargeLocked moves the byte account by n — an entry, a norm table, a waist
+// table or a compiled query — and evicts LRU tails until the store is back
+// under its budget. The caller holds mu.
 func (st *sharedCacheState) chargeLocked(n int64) {
 	st.bytes.Add(n)
 	for st.bytes.Load() > st.maxBytes && st.evictLocked() {
 	}
 }
 
-// evictLocked drops the LRU tail; false when the LRU is empty. The caller
-// holds mu.
+// evictLocked drops the LRU tail, a norm table whole, kept N and all;
+// false when the LRU is empty. The caller holds mu.
 func (st *sharedCacheState) evictLocked() bool {
 	tail := st.order.Back()
 	if tail == nil {
 		return false
 	}
-	e := st.order.Remove(tail).(*cacheEntry)
-	delete(st.entries, e.key)
-	st.bytes.Add(-cacheEntrySize(e.key, e.vec))
+	switch e := st.order.Remove(tail).(type) {
+	case *cacheEntry:
+		delete(st.entries, e.key)
+		st.bytes.Add(-cacheEntrySize(e.key, e.vec))
+	case *visPath:
+		delete(st.entries, e.key)
+		st.bytes.Add(-e.bytes())
+		e.gone = true
+	}
 	st.evictions.Add(1)
 	return true
 }
@@ -209,8 +233,12 @@ func (st *sharedCacheState) recomputeBytes() int64 {
 		total += c.recomputeBytes()
 	}
 	for el := st.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		total += cacheEntrySize(e.key, e.vec)
+		switch e := el.Value.(type) {
+		case *cacheEntry:
+			total += cacheEntrySize(e.key, e.vec)
+		case *visPath:
+			total += e.bytes()
+		}
 	}
 	return total
 }

@@ -7,7 +7,6 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"netout/internal/hin"
@@ -28,8 +27,8 @@ import (
 //     query's scorers. Any measure, combination and materializer.
 //   - From norms, where referenceSide could propagate (NetOut, CombineAverage,
 //     a bare index): Ω_P(v) = Φ_P(v)·S / ‖Φ_P(v)‖², and the denominator
-//     is a per-(path, vertex) scalar the materializer memoizes (visTable).
-//     A path with enough of the slice's norms known (visTable.known) also
+//     is a per-(path, vertex) scalar the materializer's store memoizes
+//     (visPath). A path with enough of the slice's norms known (known) also
 //     gets every numerator at once: N = M_P·S is S propagated back along
 //     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
 //     one per candidate, its last hop gathered at this side's candidates
@@ -66,10 +65,10 @@ type candidateSide struct {
 	ifq *obs.InflightQuery
 }
 
-// The crossover of the reverse propagation, as the visTable applies it
-// (visTable.known): a path is propagated when the slice holds at least
-// candSideMinKnown candidates whose norm is known and they are at least
-// 1/candSideMinShare of the source type.
+// The crossover of the reverse propagation, as the store applies it (known):
+// a path is propagated when the slice holds at least candSideMinKnown
+// candidates whose norm is known and they are at least 1/candSideMinShare of
+// the source type.
 //
 // The share is measured: in BenchmarkCandidateSide (BENCH_kernel.json) the
 // warm propagated scan is 3.8–18× ahead of the per-vertex one from 50 % of the
@@ -269,40 +268,24 @@ func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.V
 }
 
 // ---------------------------------------------------------------------------
-// Visibility table
-
-// maxVisBytes bounds the norm tables and kept numerators of one baseline and
-// all its views.
-const maxVisBytes = 64 << 20
+// Norm tables
 
 // walkSeed keys the fingerprints of first sightings (visPath.sighted).
 var walkSeed = maphash.MakeSeed()
 
-// visTable memoizes the visibilities ‖Φ_P(v)‖² = κ(v,v) (Section 5.1) that
-// traversals have computed, and the numerators of one S per path (keptWalk):
-// one visPath per feature path, created on first use. The root baseline owns
-// it and every NewView shares it, so a query's local ranges and every query or
-// shard request a ServePool admits fill and read the same tables. When a
-// new path's table would push the total past limit, whole tables go, oldest
-// first, kept N and all; a kept N never displaces a norm (keep). A reader
-// holding an evicted table keeps a consistent one for the rest of its query.
-type visTable struct {
-	limit int64
-	// minKnown and minShare are the propagation crossover (candSideMinKnown,
-	// candSideMinShare; tests lower them to reach the branch on small graphs).
-	minKnown, minShare int
-
-	mu    sync.Mutex
-	paths map[string]*visPath
-	order []string // keys of paths, oldest first
-	bytes int64
-}
-
-// visPath is one path's table, indexed by vertex ID offset by the source
-// type's first ID (the dense kernel's span trick: one slot per vertex of the
-// type when a loader added them together).
+// visPath memoizes one feature path's visibilities ‖Φ_P(v)‖² = κ(v,v)
+// (Section 5.1) that traversals have computed, and the numerators of one S
+// (keptWalk). It is an element of the materializer's store, created on first
+// use (sharedCacheState.normTable) and shared by every view, so a query's
+// local ranges and every query or shard request a ServePool admits fill and
+// read the same table. It goes least recently used first, kept N and all; a
+// kept N never displaces anything (keep). A reader holding an evicted table
+// keeps a consistent one for the rest of its query. Norms are indexed by
+// vertex ID offset by the source type's first ID (the dense kernel's span
+// trick: one slot per vertex of the type when a loader added them together).
 type visPath struct {
-	lo hin.VertexID
+	key ckey
+	lo  hin.VertexID
 	// bits[v-lo] is Float64bits(‖Φ(v)‖²)+1, or 0 while unknown: +0 is a
 	// legitimate visibility (an invisible vertex), so absence needs a word of
 	// its own, and no norm is the NaN whose bits are all ones. Every writer
@@ -311,12 +294,15 @@ type visPath struct {
 	bits []atomic.Uint64
 	// walk is the kept N (nil: none), published whole and never written; seen
 	// fingerprints the last S walked without being kept. walkBytes (what walk
-	// is charged) and gone (the table was evicted) are t.mu's.
+	// is charged) and gone (the table was evicted) are the store's mu's.
 	walk      atomic.Pointer[keptWalk]
 	seen      atomic.Uint64
 	walkBytes int64
 	gone      bool
 }
+
+// bytes is what vp is charged: its norms and its kept N.
+func (vp *visPath) bytes() int64 { return 8*int64(len(vp.bits)) + vp.walkBytes }
 
 // keptWalk is S walked back along P⁻¹ to its end, N = M_P·S, beside that S,
 // held by reference: a reduced S or a broadcast is never written. num[i] is
@@ -348,55 +334,48 @@ func (w *keptWalk) read(at []hin.VertexID) []float64 {
 
 func (w *keptWalk) bytes() int64 { return int64(w.s.Bytes() + 8*len(w.num)) }
 
-// path returns p's table, creating it when it fits (nil otherwise).
-func (t *visTable) path(g *hin.Graph, p metapath.Path) *visPath {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if vp := t.paths[p.Key()]; vp != nil {
-		return vp
+// normTable returns p's norm table at the LRU front, creating it when it
+// fits beside what the LRU cannot evict (nil otherwise).
+func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
+	key := ckey{path: p.Key(), v: normsOf}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if el, ok := st.entries[key]; ok {
+		st.order.MoveToFront(el)
+		return el.Value.(*visPath)
 	}
-	lo, hi, ok := g.TypeIDSpan(p.Source())
+	lo, hi, ok := st.g.TypeIDSpan(p.Source())
 	size := (int64(hi) - int64(lo) + 1) * 8
-	if !ok || size > t.limit {
+	if !ok || size > st.maxBytes-st.waists.bytes.Load()-st.compiledBytes.Load() {
 		return nil
 	}
-	for t.bytes+size > t.limit {
-		vp := t.paths[t.order[0]]
-		t.bytes -= int64(len(vp.bits))*8 + vp.walkBytes
-		vp.gone = true
-		delete(t.paths, t.order[0])
-		t.order = t.order[1:]
-	}
-	vp := &visPath{lo: lo, bits: make([]atomic.Uint64, size/8)}
-	if t.paths == nil {
-		t.paths = make(map[string]*visPath)
-	}
-	t.paths[p.Key()] = vp
-	t.order = append(t.order, p.Key())
-	t.bytes += size
+	vp := &visPath{key: key, lo: lo, bits: make([]atomic.Uint64, size/8)}
+	st.entries[key] = st.order.PushFront(vp)
+	st.chargeLocked(size)
 	return vp
 }
 
-// room is how many bytes an N kept on vp may take: what the limit leaves
-// beside every norm table and the other paths' N. A kept N evicts nothing.
-func (t *visTable) room(vp *visPath) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.limit - t.bytes + vp.walkBytes
+// room is how many bytes an N kept on vp may take: what the budget leaves
+// beside everything else the store holds. A kept N evicts nothing.
+func (st *sharedCacheState) room(vp *visPath) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.maxBytes - st.bytes.Load() + vp.walkBytes
 }
 
-// keep publishes w as vp's walk in place of the one it keeps, charged to t
-// beside the norms, unless it no longer fits vp's room. On a table evicted
-// meanwhile it is published uncharged and goes with the table.
-func (t *visTable) keep(vp *visPath, w *keptWalk) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// keep publishes w as vp's walk in place of the one it keeps, charged to the
+// store, unless it no longer fits vp's room. On a table evicted meanwhile it
+// is published uncharged and goes with the table.
+func (st *sharedCacheState) keep(vp *visPath, w *keptWalk) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	b := w.bytes()
 	if !vp.gone {
-		if b > t.limit-t.bytes+vp.walkBytes {
+		if b > st.maxBytes-st.bytes.Load()+vp.walkBytes {
 			return
 		}
-		t.bytes, vp.walkBytes = t.bytes+b-vp.walkBytes, b
+		st.bytes.Add(b - vp.walkBytes)
+		vp.walkBytes = b
 	}
 	vp.walk.Store(w)
 }
@@ -444,12 +423,6 @@ func sameBits(a, b sparse.Vector) bool {
 	})
 }
 
-func (t *visTable) residentBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
-}
-
 // slot is v's word, nil when v is outside the table (or there is none).
 func (vp *visPath) slot(v hin.VertexID) *atomic.Uint64 {
 	if vp == nil || v < vp.lo || int(v-vp.lo) >= len(vp.bits) {
@@ -477,8 +450,8 @@ func (vp *visPath) put(v hin.VertexID, vis float64) {
 // over cands, slice of a source type of n vertices: need is how many of them
 // must have their norm in vp to pay for it, known how many do, counted up to
 // need. A slice shorter than need never propagates, whatever is known.
-func (t *visTable) known(vp *visPath, cands []hin.VertexID, n int) (known, need int) {
-	need = max(t.minKnown, (n+t.minShare-1)/t.minShare)
+func (st *sharedCacheState) known(vp *visPath, cands []hin.VertexID, n int) (known, need int) {
+	need = max(st.minKnown, (n+st.minShare-1)/st.minShare)
 	if vp == nil {
 		return 0, need
 	}

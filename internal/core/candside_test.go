@@ -76,7 +76,22 @@ func perVertexResult(t *testing.T, g *hin.Graph, cands, refs []hin.VertexID, pat
 // few hundred vertices reach the propagated branch: any known candidate, at
 // least a quarter of the type.
 func eagerBaseline(g *hin.Graph) Materializer {
-	return &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: maxVisBytes, minKnown: 1, minShare: candSideMinShare}}
+	return bareWithin(g, keptMaxBytes)
+}
+
+// bareWithin is an eager baseline whose store holds limit bytes.
+func bareWithin(g *hin.Graph, limit int64) *indexed {
+	m := newIndexed(g, newPathIndex(g), StrategyBaseline, limit)
+	m.lru.minKnown = 1
+	return m
+}
+
+// normsIn is p's norm table in st, nil when it has none; it moves nothing.
+func normsIn(st *sharedCacheState, p metapath.Path) *visPath {
+	if el, ok := st.entries[ckey{path: p.Key(), v: normsOf}]; ok {
+		return el.Value.(*visPath)
+	}
+	return nil
 }
 
 // candSideExecutors are the three places a query's candidate ranges run, each
@@ -361,12 +376,12 @@ func TestCandidateSideAccounting(t *testing.T) {
 // once (run under -race): every norm any of them stored is Norm2Sq of the
 // vertex's Φ bit for bit, queries answer the reference throughout, and the
 // byte bound holds while tables of six paths compete for room for two.
-func TestVisTableConcurrentFills(t *testing.T) {
+func TestNormTablesConcurrentFills(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(21)))
 	author := mustType(t, g, "author")
 	all := g.VerticesOfType(author)
 	span := int64(all[len(all)-1]-all[0]) + 1
-	root := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: 2*8*span + 7, minKnown: 1, minShare: candSideMinShare}}
+	root := bareWithin(g, 2*8*span+7)
 	features := []string{
 		"author.paper.venue", "author.paper.term", "author.paper.author",
 		"author.paper.venue.paper.author", "author.paper.term.paper.author", "author.paper.author.paper.venue",
@@ -406,19 +421,19 @@ func TestVisTableConcurrentFills(t *testing.T) {
 						return
 					}
 				}
-				if b := root.IndexBytes(); b > root.vis.limit {
-					t.Errorf("tables hold %d bytes, bound %d", b, root.vis.limit)
+				if b := root.IndexBytes(); b > root.lru.maxBytes {
+					t.Errorf("tables hold %d bytes, bound %d", b, root.lru.maxBytes)
 				}
 			}
 		}(w, NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)))
 	}
 	wg.Wait()
-	if b := root.IndexBytes(); b != 2*8*span {
-		t.Fatalf("tables hold %d bytes at rest, want two of %d", b, 8*span)
+	if b := root.IndexBytes(); b != 2*8*span || b != root.lru.recomputeBytes() {
+		t.Fatalf("tables hold %d bytes at rest (re-summed %d), want two of %d", b, root.lru.recomputeBytes(), 8*span)
 	}
 	stored := 0
 	for i, p := range paths {
-		tbl := root.vis.paths[p.Key()]
+		tbl := normsIn(root.lru, p)
 		for _, v := range all {
 			vis, ok := tbl.get(v)
 			if !ok {
@@ -439,11 +454,38 @@ func TestVisTableConcurrentFills(t *testing.T) {
 	}
 }
 
+// Norm tables go least recently used first: in a store with room for two
+// tables, the one read since the other was created survives a third.
+func TestNormTablesGoLeastRecentlyUsed(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(5)), 100)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	st := bareWithin(g, 2*8*int64(all[len(all)-1]-all[0]+1)+7).lru
+	var paths []metapath.Path
+	for _, dotted := range []string{"author.paper.venue", "author.paper.term", "author.paper.author"} {
+		p, err := metapath.ParseDotted(g.Schema(), dotted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	a, b := st.normTable(paths[0]), st.normTable(paths[1])
+	if st.normTable(paths[0]) != a || st.normTable(paths[2]) == nil {
+		t.Fatal("set-up: a table was not created or not found again")
+	}
+	if normsIn(st, paths[0]) != a || a.gone || normsIn(st, paths[1]) != nil || !b.gone {
+		t.Fatalf("A kept %v gone %v, B kept %v gone %v: want B, the least recently used, evicted",
+			normsIn(st, paths[0]) != nil, a.gone, normsIn(st, paths[1]) != nil, b.gone)
+	}
+	if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground {
+		t.Fatalf("account %d, re-summed %d", got, ground)
+	}
+}
+
 // A table that cannot fit at all is never created; the scan then walks every
 // candidate every time and still answers.
 func TestVisTableTooSmallForThePath(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(4)))
-	mat := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: 64, minKnown: 1, minShare: candSideMinShare}}
+	mat := bareWithin(g, 64)
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 	want, err := NewEngine(g, WithQueryParallelism(1)).Execute(faultQuery)
 	if err != nil {
@@ -588,7 +630,7 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 	author, _ := g.Schema().TypeByName("author")
 	paper, _ := g.Schema().TypeByName("paper")
 	venue, _ := g.Schema().TypeByName("venue")
-	tbl := mat.(*indexed).vis.path(g, metapath.MustNew(author, paper, venue))
+	tbl := mat.(*indexed).lru.normTable(metapath.MustNew(author, paper, venue))
 	const first, holes, served = parallelChunk + 10, 10, 4
 	for _, v := range cands[first : first+holes] {
 		tbl.slot(v).Store(0)
@@ -687,7 +729,7 @@ func TestCandidateSideInterleavedNorms(t *testing.T) {
 				t.Fatalf("%s: traversed %d / indexed %d, want %d / %d", label,
 					got.Timing.TraversedVectors, got.Timing.IndexedVectors, arm.traversed, arm.indexed)
 			}
-			tbl := mat.(*indexed).vis.path(g, p)
+			tbl := mat.(*indexed).lru.normTable(p)
 			for _, v := range cands {
 				if _, ok := tbl.get(v); !ok {
 					t.Fatalf("%s: the norm of %d is not in the table after the scan", label, v)
@@ -852,14 +894,14 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	// distinct S's, each sent three times, keeps each one's N in place of the
 	// last on its second sighting, reads it on its third, and never holds more
 	// than its bound.
-	small := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: norms + 3*(kept+12*int64(len(all)))/2, minKnown: 1, minShare: candSideMinShare}}
+	small := bareWithin(g, norms+3*(kept+12*int64(len(all)))/2)
 	ServeShardRequest(ctx, g, small, req, bs)
 	for k := 1; k <= 8; k++ {
 		b := broadcastOf(g, sOf(all[k:]))
 		for _, traversed := range []int64{1, 1, 0} {
 			serve(small, b, traversed)
-			if n := small.IndexBytes(); n > small.vis.limit {
-				t.Fatalf("S %d: the table holds %d bytes, bound %d", k, n, small.vis.limit)
+			if n := small.IndexBytes(); n > small.lru.maxBytes {
+				t.Fatalf("S %d: the table holds %d bytes, bound %d", k, n, small.lru.maxBytes)
 			}
 		}
 	}
@@ -896,7 +938,7 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 		paths, bs = append(paths, p), append(bs, broadcastOf(g, s))
 	}
 	walk := 8*int64(len(all)) + int64(bs[0].Refs[0].Agg.Bytes())
-	mat := &indexed{tr: metapath.NewTraverser(g), ix: newPathIndex(g), vis: &visTable{limit: 2*norms + walk, minKnown: 1, minShare: candSideMinShare}}
+	mat := bareWithin(g, 2*norms+walk)
 	for i, p := range paths {
 		req := shardScan(p, all)
 		// Cold, two sightings, then what a repeat does: a read on the first
@@ -909,11 +951,11 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 		}
 	}
 	for _, p := range paths {
-		if _, ok := mat.vis.paths[p.Key()]; !ok {
+		if normsIn(mat.lru, p) == nil {
 			t.Fatalf("the norms of %v were evicted", p)
 		}
 	}
-	if mat.IndexBytes() != 2*norms+walk || mat.vis.paths[paths[1].Key()].walk.Load() != nil {
+	if mat.IndexBytes() != 2*norms+walk || normsIn(mat.lru, paths[1]).walk.Load() != nil {
 		t.Fatalf("the table holds %d bytes, want both paths' norms and the first path's N", mat.IndexBytes())
 	}
 }
@@ -982,7 +1024,7 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 			t.Fatal(err)
 		}
 		mat := eagerBaseline(g).(*indexed)
-		tbl := mat.vis.path(g, p)
+		tbl := mat.lru.normTable(p)
 		for range 2 {
 			if _, _, err := mat.seedValues(ctx, p, tbl, s, all[:1]); err != nil {
 				t.Fatal(err)
@@ -1108,13 +1150,13 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	if want.Err != "" || want.Stats.TraversedVectors != 0 {
 		t.Fatalf("fixture: %+v, want a read", want)
 	}
-	tbl := root.(*indexed).vis.path(g, p)
+	tbl := root.(*indexed).lru.normTable(p)
 	kept := tbl.walk.Load()
 	var walks []*keptWalk // the kept N of three more S's, each kept by a baseline of its own
 	for k := 1; k <= 3; k++ {
 		s := sOf(all[k:])
 		other := eagerBaseline(g).(*indexed)
-		otbl := other.vis.path(g, p)
+		otbl := other.lru.normTable(p)
 		for range 2 {
 			if _, _, err := other.seedValues(ctx, p, otbl, s, all); err != nil {
 				t.Fatal(err)
@@ -1133,8 +1175,8 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 			defer wg.Done()
 			if w == 0 { // the publisher
 				for i := 0; i < 20; i++ {
-					root.(*indexed).vis.keep(tbl, walks[i%len(walks)])
-					root.(*indexed).vis.keep(tbl, kept)
+					root.(*indexed).lru.keep(tbl, walks[i%len(walks)])
+					root.(*indexed).lru.keep(tbl, kept)
 				}
 				return
 			}
@@ -1212,7 +1254,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 		}
 		// A baseline whose norm table has seen S twice, and so keeps its N.
 		mat := eagerBaseline(g).(*indexed)
-		tbl := mat.vis.path(g, p)
+		tbl := mat.lru.normTable(p)
 		for _, v := range all {
 			tbl.put(v, norms[v-lo])
 		}

@@ -19,14 +19,11 @@ import (
 // Baseline means in Figure 3.
 
 const (
-	// compiledMaxBytes bounds the entries of a pool whose materializer has no
-	// byte budget of its own (the index of Baseline, PM and SPM).
-	compiledMaxBytes = 16 << 20
-	// compiledShare is the cached strategy's: the entries may hold
-	// 1/compiledShare of its byte budget, charged to sharedCacheState.bytes
-	// like the waist tables, so the vector LRU shrinks to what they leave and
-	// the process does not grow. Evidence: the paired zipf_spill and zipf_warm
-	// runs in DESIGN.md "Reference side".
+	// compiledShare bounds the entries at 1/compiledShare of the
+	// materializer's store budget, charged to sharedCacheState.bytes like the
+	// waist tables, so the LRU shrinks to what they leave and the process does
+	// not grow. Evidence: the paired zipf_spill and zipf_warm runs in DESIGN.md
+	// "Reference side".
 	compiledShare = 8
 	// compiledEntryShare caps one entry at 1/compiledEntryShare of the
 	// entries' budget: a reduction that keeps |Sr| vectors (PathSim) must not
@@ -124,8 +121,7 @@ func (qs *queryScorers) bytes() int64 {
 // under a byte budget, shared by the pool's workers.
 type compiledCache struct {
 	budget, entryMax int64
-	// state is the cached strategy's byte account the entries are charged to;
-	// nil for a materializer without one.
+	// state is the materializer's store the entries are charged to.
 	state *sharedCacheState
 
 	mu      sync.Mutex
@@ -136,16 +132,18 @@ type compiledCache struct {
 	count, bytes atomic.Int64
 }
 
-// newCompiledCache sizes a pool's cache from its materializer.
+// newCompiledCache sizes a pool's cache from its materializer's store; a
+// Materializer that is no indexed gets a store of its own.
 func newCompiledCache(mat Materializer) *compiledCache {
-	c := &compiledCache{budget: compiledMaxBytes, entries: make(map[string]*compiledQuery)}
-	if cm, ok := mat.(*indexed); ok && cm.lru != nil {
-		c.state, c.budget = cm.lru, cm.lru.maxBytes/compiledShare
-		c.state.mu.Lock()
-		c.state.compiled = append(c.state.compiled, c)
-		c.state.mu.Unlock()
+	st := newSharedCacheState(nil, keptMaxBytes)
+	if cm, ok := mat.(*indexed); ok {
+		st = cm.lru
 	}
+	c := &compiledCache{state: st, budget: st.maxBytes / compiledShare, entries: make(map[string]*compiledQuery)}
 	c.entryMax = c.budget / compiledEntryShare
+	st.mu.Lock()
+	st.compiled = append(st.compiled, c)
+	st.mu.Unlock()
 	return c
 }
 
@@ -175,8 +173,7 @@ func (c *compiledCache) lookup(src string) *compiledQuery {
 // whole entry when it fits the per-entry share, the entry without the scorers
 // when only they do not, nothing otherwise. A retained entry (a hit) and a
 // missing one are no-ops. Least recently used entries go until the budget
-// holds; under the cached strategy the vector LRU then gives way for the net
-// growth.
+// holds; the store's LRU then gives way for the net growth.
 func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *queryScorers) {
 	if blank == nil || blank.resolvedQuery != nil {
 		return
@@ -216,16 +213,14 @@ func (c *compiledCache) evictLocked(cq *compiledQuery) {
 	c.bytes.Add(-cq.bytes)
 }
 
-// charge moves the cached strategy's byte account by delta and lets its
-// vector LRU make room. The caller does not hold c.mu (sharedCacheState.mu's
-// lock order).
+// charge moves the store's byte account by delta and lets its LRU make room.
+// The caller does not hold c.mu (sharedCacheState.mu's lock order).
 func (c *compiledCache) charge(delta int64) {
-	if st := c.state; st != nil {
-		st.mu.Lock()
-		st.compiledBytes.Add(delta)
-		st.chargeLocked(delta)
-		st.mu.Unlock()
-	}
+	st := c.state
+	st.mu.Lock()
+	st.compiledBytes.Add(delta)
+	st.chargeLocked(delta)
+	st.mu.Unlock()
 }
 
 // close drops every entry and releases their charge (ServePool.Close).
@@ -237,11 +232,10 @@ func (c *compiledCache) close() {
 	}
 	c.mu.Unlock()
 	c.charge(-held)
-	if st := c.state; st != nil {
-		st.mu.Lock()
-		st.compiled = slices.DeleteFunc(st.compiled, func(x *compiledCache) bool { return x == c })
-		st.mu.Unlock()
-	}
+	st := c.state
+	st.mu.Lock()
+	st.compiled = slices.DeleteFunc(st.compiled, func(x *compiledCache) bool { return x == c })
+	st.mu.Unlock()
 }
 
 // recomputeBytes re-sums what the entries hold, for

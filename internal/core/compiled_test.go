@@ -150,11 +150,12 @@ func TestCompiledKeyIsTheTrimmedText(t *testing.T) {
 	}
 }
 
-// Eight goroutines replay twenty texts over one cached materializer. The
-// entries are charged to the cache's byte account: after every pass the
-// account equals what shards, waist tables and entries hold, re-summed; the
-// entries stay inside their share; on the small budget they are evicted among
-// themselves; and closing the pool gives every byte back.
+// Eight goroutines replay twenty texts over one cached materializer, and over
+// a bare index with the same budget. The entries are charged to the store's
+// byte account: after every pass the account equals what the LRU, waist
+// tables and entries hold, re-summed; the entries stay inside their share; on
+// the small budget they are evicted among themselves; and closing the pool
+// gives every byte back.
 func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
 	var texts []string
@@ -169,8 +170,16 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, budget := range []int64{64 << 20, 128 << 10} {
-		mat := mustCached(t, g, budget)
+	for _, arm := range []struct {
+		name   string
+		budget int64
+	}{{"cached", 64 << 20}, {"cached", 128 << 10}, {"bare", 64 << 20}, {"bare", 128 << 10}} {
+		budget := arm.budget
+		label := fmt.Sprintf("%s budget %d", arm.name, budget)
+		mat := Materializer(bareWithin(g, budget))
+		if arm.name == "cached" {
+			mat = mustCached(t, g, budget)
+		}
 		st := mat.(*indexed).lru
 		pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
 		if err != nil {
@@ -186,11 +195,11 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 						k := (i*7 + w*3) % len(texts)
 						got, err := pool.Execute(context.Background(), texts[k])
 						if err != nil {
-							t.Errorf("budget %d: %v", budget, err)
+							t.Errorf("%s: %v", label, err)
 							return
 						}
 						if len(got.Entries) != len(want[k].Entries) || (len(got.Entries) > 0 && got.Entries[0] != want[k].Entries[0]) {
-							t.Errorf("budget %d text %d: top entry differs from a plain engine's", budget, k)
+							t.Errorf("%s text %d: top entry differs from a plain engine's", label, k)
 						}
 					}
 				}(w)
@@ -198,13 +207,13 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 			wg.Wait()
 			c := pool.compiled
 			if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground {
-				t.Fatalf("budget %d pass %d: cache account %d, re-summed %d", budget, pass, got, ground)
+				t.Fatalf("%s pass %d: cache account %d, re-summed %d", label, pass, got, ground)
 			}
 			if got, ground := c.bytes.Load(), c.recomputeBytes(); got != ground || got > c.budget || got == 0 || got != st.compiledBytes.Load() {
-				t.Fatalf("budget %d pass %d: entries charged %d (the cache counts %d), hold %d, budget %d", budget, pass, got, st.compiledBytes.Load(), ground, c.budget)
+				t.Fatalf("%s pass %d: entries charged %d (the cache counts %d), hold %d, budget %d", label, pass, got, st.compiledBytes.Load(), ground, c.budget)
 			}
 			if st.bytes.Load() > budget {
-				t.Fatalf("budget %d pass %d: cache holds %d", budget, pass, st.bytes.Load())
+				t.Fatalf("%s pass %d: cache holds %d", label, pass, st.bytes.Load())
 			}
 		}
 		c := pool.compiled
@@ -215,10 +224,10 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 		}
 		pool.Close()
 		if c.bytes.Load() != 0 || c.count.Load() != 0 || len(st.compiled) != 0 || st.compiledBytes.Load() != 0 {
-			t.Fatalf("budget %d: closed pool still holds %d bytes in %d entries", budget, c.bytes.Load(), c.count.Load())
+			t.Fatalf("%s: closed pool still holds %d bytes in %d entries", label, c.bytes.Load(), c.count.Load())
 		}
 		if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground {
-			t.Fatalf("budget %d after Close: cache account %d, re-summed %d", budget, got, ground)
+			t.Fatalf("%s after Close: cache account %d, re-summed %d", label, got, ground)
 		}
 	}
 }

@@ -500,7 +500,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 	// A cached materializer names the waist that misses of a feature path
 	// finish from; observeQuery copies the lines onto the wide event, so
 	// /debug/events shows why such a path is cheap — or no longer is.
-	if c, ok := e.mat.(*indexed); ok && c.lru != nil {
+	if c, ok := e.mat.(*indexed); ok && c.cached() {
 		for _, p := range plan.paths {
 			if line := c.lru.waistLine(p); line != "" {
 				tr.AddPlan(line)

@@ -75,9 +75,10 @@ type Materializer interface {
 	NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error)
 	// Strategy identifies the implementation.
 	Strategy() Strategy
-	// IndexBytes reports the in-memory size of the pre-materialized index
-	// plus the visibilities and numerators a bare one has memoized, as
-	// studied in Figure 5b — or what a cache holds.
+	// IndexBytes reports the in-memory size of the pre-materialized index,
+	// as studied in Figure 5b, plus what its store keeps between queries: a
+	// cache's vectors and waist tables, a bare index's norm tables and kept
+	// N, and a pool's compiled queries.
 	IndexBytes() int64
 	// Stats returns this handle's cumulative cost counters since construction.
 	Stats() MatStats
@@ -89,8 +90,8 @@ type Materializer interface {
 // indexed is Section 6's materializer: a length-2 index (pathIndex) over a
 // traverser. Baseline is the index with no table; PM and SPM fill it with
 // every vertex's length-2 vectors or the frequent vertices' ones; Cached
-// keeps a bounded LRU beside the empty index (lru, cache.go). A load goes
-// two hops at a time by Section 6.2's identity, which Traverser.Combine
+// keeps vectors in its store beside the empty index (lru, cache.go). A load
+// goes two hops at a time by Section 6.2's identity, which Traverser.Combine
 // computes from the index, traversing the vectors it lacks (fills):
 //
 //	Φ_{P1 P2}(v) = Σ_j |π_P1(v, vj)| · Φ_P2(vj)
@@ -101,58 +102,52 @@ type Materializer interface {
 type indexed struct {
 	tr *metapath.Traverser
 	ix *pathIndex
-	// lru is Cached's store, shared by every view; nil for Baseline, PM and
-	// SPM. hits and misses are this handle's loads from it.
+	// lru is the store, shared by every view: Cached's vectors, a bare
+	// index's norm tables, every pool's compiled queries. hits and misses are
+	// this handle's loads from Cached's.
 	lru          *sharedCacheState
 	hits, misses int64
 	strategy     Strategy
 	stats        MatStats
 	// fill traverses the vectors a table lacks, created on the first miss:
 	// Combine holds tr's scratch while it asks for them.
-	fill *metapath.Traverser
-	// vis memoizes the norms and numerators a bare index's traversals compute
-	// (bare); the root's table is shared with every view.
-	vis     *visTable
+	fill    *metapath.Traverser
 	unitIdx [1]int32 // the frontier {v} a load starts from
 	unitVal [1]float64
 }
 
-func newIndexed(g *hin.Graph, ix *pathIndex, strategy Strategy) *indexed {
-	return &indexed{tr: metapath.NewTraverser(g), ix: ix, strategy: strategy,
-		vis: &visTable{limit: maxVisBytes, minKnown: candSideMinKnown, minShare: candSideMinShare}}
+func newIndexed(g *hin.Graph, ix *pathIndex, strategy Strategy, maxBytes int64) *indexed {
+	return &indexed{tr: metapath.NewTraverser(g), ix: ix, strategy: strategy, lru: newSharedCacheState(g, maxBytes)}
 }
 
 // NewBaseline returns the traversal-only materializer of Section 6.1: the
 // index with no table.
 func NewBaseline(g *hin.Graph) Materializer {
-	return newIndexed(g, newPathIndex(g), StrategyBaseline)
+	return newIndexed(g, newPathIndex(g), StrategyBaseline, keptMaxBytes)
 }
 
-// view shares the immutable index, the visibility table (atomic words, see
-// visTable) and the cache; traversal scratch and statistics are the view's
-// own.
+// view shares the immutable index and the store (norm tables of atomic words,
+// see visPath); traversal scratch and statistics are the view's own.
 func (m *indexed) view() (Materializer, error) {
-	return &indexed{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, lru: m.lru, strategy: m.strategy, vis: m.vis}, nil
+	return &indexed{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, lru: m.lru, strategy: m.strategy}, nil
 }
 
 func (m *indexed) Strategy() Strategy { return m.strategy }
 func (m *indexed) Stats() MatStats    { return m.stats }
 
-func (m *indexed) IndexBytes() int64 {
-	if m.lru != nil {
-		return m.lru.bytes.Load()
-	}
-	return m.ix.bytes + m.vis.residentBytes()
-}
+func (m *indexed) IndexBytes() int64 { return m.ix.bytes + m.lru.bytes.Load() }
+
+// cached reports Cached: the store keeps vectors, and a load reads it first.
+func (m *indexed) cached() bool { return m.strategy == StrategyCached }
 
 // bare reports an index with no table and no cache: Baseline, or an SPM that
 // selected nothing. Only there is every load a traversal that leaves no
 // vector behind, so only there is reducing a whole set in one propagation
 // never more work than loading its vertices one by one (see referenceSide),
 // and only there does a candidate's vector serve nothing but its two scalars,
-// the connectivity Φ·S and the visibility ‖Φ‖² vis memoizes (see
+// the connectivity Φ·S and the visibility ‖Φ‖² the store memoizes (see
 // candidateSide).
-func (m *indexed) bare() bool { return m.lru == nil && len(m.ix.tables) == 0 }
+func (m *indexed) bare() bool { return !m.cached() && len(m.ix.tables) == 0 }
 
 func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
@@ -161,7 +156,7 @@ func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector
 	if p.Hops() == 0 {
 		return m.tr.NeighborVector(p, v)
 	}
-	if m.lru != nil {
+	if m.cached() {
 		return m.cachedLoad(p, v)
 	}
 	return m.walk(p, v)
@@ -179,18 +174,18 @@ func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	n, key := p.Hops(), p.Key()
 	m.unitIdx, m.unitVal = [1]int32{int32(v)}, [1]float64{1}
 	frontier, hop := sparse.Vector{Idx: m.unitIdx[:], Val: m.unitVal[:]}, 0
-	if m.lru != nil {
+	if m.cached() {
 		frontier, hop = m.lru.resume(key, v, frontier)
 	}
 	var start time.Time // of the hops expanded since the last table step
 	var err error
-	walked := m.lru != nil
+	walked := m.cached()
 	for hop < n && !frontier.IsZero() {
 		out, next, ok := sparse.Vector{}, n, false
 		if tbl := m.chunk(key, hop); tbl != nil {
 			out, ok, err = m.chunkStep(tbl, frontier, hop)
 			next = hop + 2
-		} else if m.lru != nil && isWaist(m.tr.Graph(), p, hop, m.lru.waists.ratio) {
+		} else if m.cached() && isWaist(m.tr.Graph(), p, hop, m.lru.waists.ratio) {
 			out, ok, err = m.finishAtWaist(p, hop, frontier)
 		}
 		if err != nil {
@@ -206,7 +201,7 @@ func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 		}
 		if hop == n-1 {
 			frontier = m.tr.Expand(frontier, p.Type(n))
-		} else if frontier = m.tr.ExpandScratch(frontier, p.Type(hop+1), hop); m.lru != nil {
+		} else if frontier = m.tr.ExpandScratch(frontier, p.Type(hop+1), hop); m.cached() {
 			m.lru.keepPrefix(key[:hop+2], v, frontier)
 		}
 		hop++
@@ -329,7 +324,7 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, tbl *visPath,
 	// N is kept beside the type's vertex list: a seed is fingerprinted only
 	// when that and the seed fit the table's room.
 	back, all := p.Reverse(), m.tr.Graph().VerticesOfType(p.Source())
-	if int64(8*len(all)+seed.Bytes()) > m.vis.room(tbl) || !tbl.sighted(seed) {
+	if int64(8*len(all)+seed.Bytes()) > m.lru.room(tbl) || !tbl.sighted(seed) {
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
@@ -342,16 +337,16 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, tbl *visPath,
 		return vals, "walk", err
 	}
 	w := &keptWalk{s: seed, vs: all, num: n}
-	m.vis.keep(tbl, w)
+	m.lru.keep(tbl, w)
 	return w.read(at), "walk", nil
 }
 
-// norms is p's visibility table (nil when none fits) and the crossover's
-// inputs over cands: how many have their norm in it, up to need, the count
-// that propagates the path's numerators (visTable.known).
+// norms is p's norm table (nil when none fits) and the crossover's inputs
+// over cands: how many have their norm in it, up to need, the count that
+// propagates the path's numerators (sharedCacheState.known).
 func (m *indexed) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {
-	tbl := m.vis.path(m.tr.Graph(), p)
-	known, need := m.vis.known(tbl, cands, m.tr.Graph().NumVerticesOfType(p.Source()))
+	tbl := m.lru.normTable(p)
+	known, need := m.lru.known(tbl, cands, m.tr.Graph().NumVerticesOfType(p.Source()))
 	return tbl, known, need
 }
 
@@ -387,7 +382,7 @@ func allLength2Paths(s *hin.Schema) []metapath.Path {
 // the path's source type. Construction cost is deliberately front-loaded (it
 // models an offline indexing phase).
 func buildIndex(g *hin.Graph, strategy Strategy, paths []metapath.Path, sources func(hin.TypeID) []hin.VertexID) Materializer {
-	m := newIndexed(g, newPathIndex(g), strategy)
+	m := newIndexed(g, newPathIndex(g), strategy, keptMaxBytes)
 	for _, p := range paths {
 		if p.Hops() != 2 {
 			panic(fmt.Sprintf("core: %s pre-materializes length-2 paths only, got %v", strategy, p))

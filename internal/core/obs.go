@@ -18,8 +18,8 @@ import (
 // from the cache's shared atomic counters (README's metric table says what
 // each answers). A handle's MatStats are its own and unsynchronized; the
 // engine's netout_vectors_* series sum them per query, exactly, under every
-// strategy. IndexBytes reads the index, immutable after construction, the
-// norm tables under their lock, or the cache's byte account.
+// strategy. IndexBytes reads the index, immutable after construction, and
+// the store's byte account.
 //
 // Registration is idempotent per (registry, materializer): NewEngine calls it
 // for an engine with a registry, and so may the materializer's owner.
@@ -27,10 +27,10 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%T:%p", m, m)) {
 		return
 	}
-	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index or cache (baseline: norm tables and kept reverse walks).",
+	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index plus what the materializer keeps between queries: cached vectors and waist tables, baseline norm tables and kept numerators, a pool's compiled queries.",
 		func() float64 { return float64(m.IndexBytes()) })
 	c, ok := m.(*indexed)
-	if !ok || c.lru == nil {
+	if !ok || !c.cached() {
 		return
 	}
 	st := c.lru

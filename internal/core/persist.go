@@ -34,7 +34,7 @@ const (
 // cached materializers have no persistent index and are rejected.
 func SaveIndex(m Materializer, w io.Writer) error {
 	im, ok := m.(*indexed)
-	if !ok || im.strategy == StrategyBaseline || im.lru != nil {
+	if !ok || im.strategy == StrategyBaseline || im.cached() {
 		return fmt.Errorf("core: %s has no persistent index", m.Strategy())
 	}
 	g := im.tr.Graph()
@@ -205,7 +205,7 @@ func LoadIndex(g *hin.Graph, r io.Reader) (Materializer, error) {
 			ix.put(path, hin.VertexID(v), vec)
 		}
 	}
-	return newIndexed(g, ix, strategy), nil
+	return newIndexed(g, ix, strategy, keptMaxBytes), nil
 }
 
 // SaveIndexFile writes the index to a file.
