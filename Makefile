@@ -148,9 +148,9 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19641
-CORE_LOC_CEILING = 5900
-DESIGN_LINES_CEILING = 990
+LOC_CEILING = 19822
+CORE_LOC_CEILING = 6108
+DESIGN_LINES_CEILING = 989
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \

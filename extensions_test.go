@@ -12,6 +12,12 @@ import (
 	"testing/quick"
 
 	"netout"
+	"netout/internal/aminer"
+	"netout/internal/core"
+	"netout/internal/eval"
+	"netout/internal/gen"
+	"netout/internal/kg"
+	"netout/internal/walk"
 )
 
 func TestFacadeCombination(t *testing.T) {
@@ -206,21 +212,21 @@ func dotJoin(steps []string) string {
 
 func TestFacadeAminerAndCompare(t *testing.T) {
 	dump := "#* Graph Outlier Mining\n#@ Ada;Bob\n#c KDD\n#index 1\n\n#* Fluid Rendering\n#@ Eve\n#c SIGGRAPH\n#index 2\n"
-	recs, err := netout.ParseAminer(strings.NewReader(dump))
+	recs, err := aminer.Parse(strings.NewReader(dump))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[0].Venue != "KDD" {
 		t.Fatalf("records = %+v", recs)
 	}
-	g, err := netout.BuildAminer(recs, netout.AminerBuildOptions{})
+	g, err := aminer.Build(recs, aminer.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumVertices() == 0 {
 		t.Fatal("empty graph")
 	}
-	if toks := netout.TokenizeTitle("The Graph of Mining", 3, true); len(toks) != 2 {
+	if toks := aminer.Tokenize("The Graph of Mining", 3, true); len(toks) != 2 {
 		t.Fatalf("TokenizeTitle = %v", toks)
 	}
 	if rep := g.StatsReport(); !strings.Contains(rep, "author->paper") {
@@ -244,7 +250,7 @@ func TestFacadeAminerAndCompare(t *testing.T) {
 	if _, err := netout.SpearmanRho(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netout.KendallTau(a, b); err != nil {
+	if _, err := core.KendallTau(a, b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +292,7 @@ func TestFacadeCachedAndPersistence(t *testing.T) {
 		t.Fatal("loaded index diverges")
 	}
 
-	h, err := netout.NewHistogram([]float64{1, 2, 3, 10}, 3)
+	h, err := core.NewHistogram([]float64{1, 2, 3, 10}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +327,7 @@ func TestFacadeRelAndKG(t *testing.T) {
 		t.Fatal("bridge lost vertices")
 	}
 
-	st := netout.NewTripleStore()
+	st := kg.NewStore()
 	for _, tr := range [][3]string{
 		{"x", "type", "thing"}, {"y", "type", "thing"}, {"x", "near", "y"},
 	} {
@@ -336,7 +342,7 @@ func TestFacadeRelAndKG(t *testing.T) {
 	if kgGraph.NumVertices() != 2 {
 		t.Fatal("kg graph wrong")
 	}
-	st2, err := netout.ReadTriples(strings.NewReader("a\ttype\tthing\nb\ttype\tthing\na\tnear\tb\n"))
+	st2, err := kg.Read(strings.NewReader("a\ttype\tthing\nb\ttype\tthing\na\tnear\tb\n"))
 	if err != nil || st2.Len() != 1 {
 		t.Fatalf("ReadTriples: %v %d", err, st2.Len())
 	}
@@ -364,22 +370,22 @@ func TestFacadeSurface(t *testing.T) {
 		t.Error("NewBaseline wrong")
 	}
 	p, _ := netout.ParseMetaPath(g.Schema(), "author.paper.venue")
-	if netout.NewPMPaths(g, []netout.MetaPath{p}).IndexBytes() <= 0 {
+	if core.NewPMPaths(g, []netout.MetaPath{p}).IndexBytes() <= 0 {
 		t.Error("NewPMPaths empty")
 	}
 	author, _ := g.Schema().TypeByName("author")
 	ann, _ := g.VertexByName(author, "Ann")
-	if netout.NewSPMVertices(g, []netout.VertexID{ann}).IndexBytes() <= 0 {
+	if core.NewSPMVertices(g, []netout.VertexID{ann}).IndexBytes() <= 0 {
 		t.Error("NewSPMVertices empty")
 	}
 
 	// Index persistence through io.Writer/Reader.
 	var buf bytes.Buffer
 	pm := netout.NewPM(g)
-	if err := netout.SaveIndex(pm, &buf); err != nil {
+	if err := core.SaveIndex(pm, &buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := netout.LoadIndex(g, bytes.NewReader(buf.Bytes()))
+	loaded, err := core.LoadIndex(g, bytes.NewReader(buf.Bytes()))
 	if err != nil || loaded.IndexBytes() != pm.IndexBytes() {
 		t.Fatalf("LoadIndex: %v", err)
 	}
@@ -400,9 +406,9 @@ func TestFacadeSurface(t *testing.T) {
 	}
 
 	// Security generator.
-	secCfg := netout.DefaultSecurityConfig()
+	secCfg := gen.DefaultSecurityConfig()
 	secCfg.HostsPerSubnet = 10
-	sg, sman, err := netout.GenerateSecurity(secCfg)
+	sg, sman, err := gen.GenerateSecurity(secCfg)
 	if err != nil || len(sman.Compromised) == 0 {
 		t.Fatalf("GenerateSecurity: %v", err)
 	}
@@ -416,7 +422,7 @@ func TestFacadeSurface(t *testing.T) {
 	if err := os.WriteFile(tPath, []byte("x\ttype\tthing\ny\ttype\tthing\nx\tnear\ty\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := netout.LoadTriples(tPath)
+	st, err := kg.Load(tPath)
 	if err != nil || st.Len() != 1 {
 		t.Fatalf("LoadTriples: %v", err)
 	}
@@ -426,7 +432,7 @@ func TestFacadeSurface(t *testing.T) {
 	if err := os.WriteFile(aPath, []byte("#* T\n#@ A\n#c V\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ag, err := netout.LoadAminer(aPath, netout.AminerBuildOptions{})
+	ag, err := netout.LoadAminer(aPath, aminer.BuildOptions{})
 	if err != nil || ag.NumVertices() == 0 {
 		t.Fatalf("LoadAminer: %v", err)
 	}
@@ -458,8 +464,8 @@ func TestFacadeSurface(t *testing.T) {
 	// Evaluation metric wrappers.
 	ranked := []string{"p", "n1", "n2"}
 	pos := map[string]bool{"p": true}
-	if netout.PrecisionAtK(ranked, pos, 1) != 1 || netout.RecallAtK(ranked, pos, 1) != 1 ||
-		netout.AveragePrecision(ranked, pos) != 1 {
+	if eval.PrecisionAtK(ranked, pos, 1) != 1 || eval.RecallAtK(ranked, pos, 1) != 1 ||
+		eval.AveragePrecision(ranked, pos) != 1 {
 		t.Error("eval wrappers wrong")
 	}
 	rep, err := netout.Evaluate("x", ranked, pos, 1)
@@ -476,7 +482,7 @@ func TestFacadeMetaPathWalk(t *testing.T) {
 	author, _ := g.Schema().TypeByName("author")
 	ann, _ := g.VertexByName(author, "Ann")
 	p, _ := netout.ParseMetaPath(g.Schema(), "author.paper.venue")
-	ppr, err := netout.PPRMetaPath(g, p, ann, netout.PPROptions{})
+	ppr, err := walk.PPRMetaPath(g, p, ann, netout.PPROptions{})
 	if err != nil || ppr.IsZero() {
 		t.Fatalf("PPRMetaPath: %v", err)
 	}

@@ -12,7 +12,8 @@ import (
 // A materializer's store is what it keeps between queries, one per root
 // indexed, shared by every view — every concurrent query of a workload
 // (ExecuteBatch, ServePool): Cached's vectors and waist tables, a bare
-// index's norm tables and kept N, and every pool's compiled queries. It is a
+// index's norm tables and kept N, the broadcast states a shard keeps, and
+// every pool's compiled queries. It is a
 // map and a recency list under one mutex, which also guards every charge to
 // the store's byte account, so eviction always drops the global LRU tail. All
 // counters are atomic, and concurrent misses on the same (path, vertex) are
@@ -31,14 +32,26 @@ type ckey struct {
 	v    hin.VertexID
 }
 
-// normsOf is the vertex a norm table is keyed on: no vector is keyed on a
-// negative vertex.
-const normsOf hin.VertexID = -1
+// normsOf is the vertex a norm table is keyed on, and refOf the one a kept
+// broadcast state is, under its digest: no vector is keyed on a negative
+// vertex.
+const (
+	normsOf hin.VertexID = -1
+	refOf   hin.VertexID = -2
+)
 
 type cacheEntry struct {
 	key ckey
 	vec sparse.Vector
 }
+
+// keptRef is a broadcast state a shard was asked to keep (RefsKeep).
+type keptRef struct {
+	key ckey
+	st  ShardRefState
+}
+
+func (k *keptRef) bytes() int64 { return k.st.bytes() + indexEntryOverhead + int64(len(k.key.path)) }
 
 // sharedCacheState is the store every view of one materializer shares
 // (indexed.lru): the LRU (Cached's warm entries, a bare index's norm tables),
@@ -60,7 +73,7 @@ type sharedCacheState struct {
 	// compiledCache.mu.
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
-	order   list.List // front = most recent; *cacheEntry or *visPath
+	order   list.List // front = most recent; *cacheEntry, *visPath or *keptRef
 
 	flight flightGroup
 
@@ -101,16 +114,28 @@ func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
 		}}
 }
 
-// get returns the entry under key and moves it to the LRU front.
-func (st *sharedCacheState) get(key ckey) (sparse.Vector, bool) {
+// lookup returns the entry under key, moved to the LRU front; nil when there
+// is none, or no store.
+func (st *sharedCacheState) lookup(key ckey) any {
+	if st == nil {
+		return nil
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	el, ok := st.entries[key]
 	if !ok {
-		return sparse.Vector{}, false
+		return nil
 	}
 	st.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).vec, true
+	return el.Value
+}
+
+// get returns the vector under key and moves it to the LRU front.
+func (st *sharedCacheState) get(key ckey) (sparse.Vector, bool) {
+	if e, ok := st.lookup(key).(*cacheEntry); ok {
+		return e.vec, true
+	}
+	return sparse.Vector{}, false
 }
 
 // indexEntryOverhead approximates the per-entry bookkeeping cost of a cache
@@ -159,7 +184,15 @@ func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier spars
 // misses of different paths can both keep a shared prefix) holds the same
 // vector — Φ is a function of (path, vertex) — and is only moved to the front.
 func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
-	size := cacheEntrySize(key, vec)
+	st.add(key, &cacheEntry{key: key, vec: vec}, cacheEntrySize(key, vec))
+}
+
+// add is insert's body for any entry e of size bytes; a nil store keeps
+// nothing.
+func (st *sharedCacheState) add(key ckey, e any, size int64) {
+	if st == nil {
+		return
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if el, ok := st.entries[key]; ok {
@@ -169,7 +202,7 @@ func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
 	if size > st.maxBytes-st.waists.bytes.Load()-st.compiledBytes.Load() {
 		return // larger than the whole LRU: do not thrash
 	}
-	st.entries[key] = st.order.PushFront(&cacheEntry{key: key, vec: vec})
+	st.entries[key] = st.order.PushFront(e)
 	st.chargeLocked(size)
 }
 
@@ -197,6 +230,9 @@ func (st *sharedCacheState) evictLocked() bool {
 		delete(st.entries, e.key)
 		st.bytes.Add(-e.bytes())
 		e.gone = true
+	case *keptRef:
+		delete(st.entries, e.key)
+		st.bytes.Add(-e.bytes())
 	}
 	st.evictions.Add(1)
 	return true
@@ -237,6 +273,8 @@ func (st *sharedCacheState) recomputeBytes() int64 {
 		case *cacheEntry:
 			total += cacheEntrySize(e.key, e.vec)
 		case *visPath:
+			total += e.bytes()
+		case *keptRef:
 			total += e.bytes()
 		}
 	}

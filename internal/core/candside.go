@@ -92,10 +92,7 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
 	sm, ok := mat.(*indexed)
 	if !ok || !sm.bare() || held != nil || measure != MeasureNetOut || scorers.concat != nil {
-		if scorers.concat != nil {
-			scorers.concat.withDir()
-		}
-		for _, rs := range scorers.perPath {
+		for _, rs := range scorers.all() {
 			rs.withDir()
 		}
 		return cs, nil
@@ -123,12 +120,14 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 	return cs, nil
 }
 
-// addPlan records numer as the query's plan lines, one per path in
-// waistLine's shape: "(0 1 2): numer=vertex known=0 need=1024".
-func (cs *candidateSide) addPlan(tr *obs.Tracer) {
+// plan is numer as plan lines, one per path in waistLine's shape:
+// "(0 1 2): numer=vertex known=0 need=1024".
+func (cs *candidateSide) plan() []string {
+	lines := make([]string, len(cs.numer))
 	for m, how := range cs.numer {
-		tr.AddPlan(cs.paths[m].String() + ": numer=" + how)
+		lines[m] = cs.paths[m].String() + ": numer=" + how
 	}
+	return lines
 }
 
 // candBuf is one goroutine's reusable scratch for walking candidate ranges.

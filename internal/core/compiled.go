@@ -102,17 +102,8 @@ func (qs *queryScorers) bytes() int64 {
 		return 0
 	}
 	var n int64
-	add := func(rs *refScorer) {
-		n += int64(rs.s.Bytes()+rs.dir.Bytes()) + 8*int64(len(rs.refVis))
-		for _, r := range rs.refs {
-			n += int64(r.Bytes()) + 2*24
-		}
-	}
-	if qs.concat != nil {
-		add(qs.concat)
-	}
-	for _, rs := range qs.perPath {
-		add(rs)
+	for _, rs := range qs.all() {
+		n += rs.state().bytes() + int64(rs.dir.Bytes())
 	}
 	return n
 }

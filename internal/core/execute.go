@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"time"
 
@@ -119,8 +120,10 @@ type rangeResult struct {
 	// cands is the size of the range.
 	cands int
 	// stats is the work of a range that ran in another process (a local
-	// range's is read off its view); addr names that process.
+	// range's is read off its view), plan its plan lines; addr names that
+	// process.
 	stats MatStats
+	plan  []string
 	addr  string
 	// scoring is the time spent in the outlierness arithmetic, duration the
 	// range's wall time.
@@ -314,7 +317,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	var cs *candidateSide
 	var bcast *ShardBroadcast
 	if remote {
-		bcast = scorers.broadcast()
+		bcast = scorers.broadcast(plan.compiled != nil)
 		endPhase(phase[0], MatStats{})
 	} else {
 		// One candidate side over the whole set, shared by every range.
@@ -322,7 +325,9 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 			return err
 		}
 		cs.ifq = plan.ifq
-		cs.addPlan(tr)
+		for _, line := range cs.plan() {
+			tr.AddPlan(line)
+		}
 	}
 
 	plan.ifq.SetPhase(phase[1])
@@ -377,6 +382,9 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 			return degradedErr
 		}
 		res.Partial = true
+	} else if bcast != nil && bcast.Form == RefsKeep {
+		// Every shard keeps S now: later broadcasts name it by digest.
+		scorers.sent.kept.Store(true)
 	}
 
 	// One range's ranking and skip list are the query's as they stand; more
@@ -403,6 +411,9 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 			}
 			tr.AddShard(st)
 			res.Shards = append(res.Shards, st)
+			for _, line := range rr.plan {
+				tr.AddPlan("shard " + strconv.Itoa(i) + " " + line)
+			}
 		}
 	}
 	endPhase(phase[2], MatStats{})
@@ -452,6 +463,7 @@ func (e *Engine) callRemote(ctx context.Context, plan *queryPlan, bcast *ShardBr
 		Weights:    plan.weights,
 		Paths:      plan.paths,
 		Candidates: cands,
+		Run:        runOf(e.g, plan.elemType, cands),
 	}
 	resp, err := func() (resp *ShardResponse, err error) {
 		defer recoverAsError(&err)
@@ -467,7 +479,7 @@ func (e *Engine) callRemote(ctx context.Context, plan *queryPlan, bcast *ShardBr
 			i, shard.Addr(), resp.Version, ShardProtocolVersion)
 	default:
 		rr := rangeResult{entries: resp.Entries, skipped: resp.Skipped, done: resp.Done,
-			stats: resp.Stats, addr: shard.Addr(), duration: resp.Duration}
+			stats: resp.Stats, plan: resp.Plan, addr: shard.Addr(), duration: resp.Duration}
 		if resp.Err != "" {
 			rr.err = xerr.FromWire(resp.Code, resp.Kind, resp.Err)
 		}

@@ -2,7 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"netout/internal/hin"
@@ -20,12 +25,14 @@ import (
 // transport-agnostic — plain data, no channels, no engine internals in the
 // exported fields — and internal/shardnet serializes exactly these messages
 // across the process boundary; the version field is how a mixed-revision
-// fleet detects skew instead of silently mis-merging. Version 2 added the
-// Kind field to ShardResponse (v1 never had a serialized form, so there is
-// no v1 peer to interoperate with). Both sides enforce the version: a shard
-// server rejects a request stamped with a foreign version, and the
-// coordinator fails the query on a reply that does not echo its own.
-const ShardProtocolVersion = 2
+// fleet detects skew instead of silently mis-merging. Both sides enforce it:
+// a shard server rejects a request stamped with a foreign version, and the
+// coordinator fails the query on a reply that does not echo its own. Version
+// 3 sends what a shard already holds by reference: a broadcast's S as its
+// digest once the shard keeps it (RefForm), a candidate slice that is a run of
+// its type's vertex list as the run (CandidateRun); a reply carries the
+// shard's plan lines.
+const ShardProtocolVersion = 3
 
 // ShardRequest is one shard's share of a scattered query: the full scoring
 // configuration plus the shard's contiguous slice of the ascending
@@ -50,6 +57,46 @@ type ShardRequest struct {
 	// set. Ranges across shards are disjoint and cover the set in ascending
 	// vertex order (hin.PartitionVertices).
 	Candidates []hin.VertexID
+	// Run, when set, names Candidates as a run of a type's vertex list; it
+	// travels instead of the IDs and the shard reads the slice off its graph.
+	Run *CandidateRun
+}
+
+// CandidateRun is a candidate slice that is VerticesOfType(Type)[Lo:Hi].
+type CandidateRun struct {
+	Type   hin.TypeID
+	Lo, Hi int
+}
+
+// runOf names cands, a slice of a candidate set of type t, as a run of t's
+// vertex list; nil when it is none. A candidate set ascends, holds no
+// duplicate and only vertices of t, so its ends decide.
+func runOf(g *hin.Graph, t hin.TypeID, cands []hin.VertexID) *CandidateRun {
+	vs := g.VerticesOfType(t)
+	if n := len(cands); n > 0 {
+		if i, ok := slices.BinarySearch(vs, cands[0]); ok && i+n <= len(vs) && vs[i+n-1] == cands[n-1] {
+			return &CandidateRun{Type: t, Lo: i, Hi: i + n}
+		}
+	}
+	return nil
+}
+
+// candidatesOf is the slice req names on g: a run read in place off the
+// type's vertex list, or the list with every ID checked against the graph.
+func candidatesOf(g *hin.Graph, req *ShardRequest) ([]hin.VertexID, error) {
+	if r := req.Run; r != nil {
+		if int(r.Type) >= g.Schema().NumTypes() || r.Lo < 0 || r.Lo > r.Hi || r.Hi > g.NumVerticesOfType(r.Type) {
+			return nil, xerr.Newf(xerr.InvalidArgument, "core: shard candidate run [%d:%d] of type %d outside graph", r.Lo, r.Hi, r.Type)
+		}
+		return g.VerticesOfType(r.Type)[r.Lo:r.Hi:r.Hi], nil
+	}
+	n := hin.VertexID(g.NumVertices())
+	for _, v := range req.Candidates {
+		if v < 0 || v >= n {
+			return nil, xerr.Newf(xerr.InvalidArgument, "core: shard candidate %d outside graph (%d vertices)", v, n)
+		}
+	}
+	return req.Candidates, nil
 }
 
 // ShardResponse is one shard's reply: its local ranking plus the exact
@@ -64,11 +111,10 @@ type ShardResponse struct {
 	// Skipped lists processed candidates with zero visibility under every
 	// feature path, in candidate order.
 	Skipped []hin.VertexID
-	// Candidates echoes the size of the shard's slice; Done counts the
-	// candidates fully scored. On a clean run Done == Candidates; on a fault
-	// Entries and Skipped cover exactly the Done-prefix, which is what a
-	// degraded merge keeps.
-	Candidates, Done int
+	// Done counts the candidates fully scored: the whole slice on a clean
+	// run; on a fault Entries and Skipped cover exactly the Done-prefix,
+	// which is what a degraded merge keeps.
+	Done int
 	// Err, Code and Kind classify a shard failure ("" / zero on success).
 	// The coordinator reconstructs a classified error from the three with
 	// xerr.FromWire — Kind is what lets a remote defect (a shard panic whose
@@ -80,6 +126,9 @@ type ShardResponse struct {
 	Stats MatStats
 	// Duration is the shard's wall time for this request.
 	Duration time.Duration
+	// Plan is the shard's plan lines, one per path scored from norms: where
+	// its numerators came from ("(0 1 2): numer=memo").
+	Plan []string
 }
 
 // ShardBroadcast is the reference reduction in wire form: everything a
@@ -95,7 +144,22 @@ type ShardBroadcast struct {
 	// with the same index arithmetic.
 	Stride int32
 	Refs   []ShardRefState
+	// Form is how Refs travel.
+	Form RefForm
 }
+
+// RefForm is how a broadcast's reference states travel.
+type RefForm uint8
+
+// RefsFull sends every state whole for this request alone (an engine without
+// compiled entries); RefsKeep whole, for the shard to keep under its digest;
+// RefsDigest as that Digest alone — a shard that keeps no state under it
+// answers NOT_FOUND with nothing done, and the transport sends RefsKeep.
+const (
+	RefsFull RefForm = iota
+	RefsKeep
+	RefsDigest
+)
 
 // ShardRefState is one refScorer's broadcastable state.
 type ShardRefState struct {
@@ -106,6 +170,35 @@ type ShardRefState struct {
 	// reference vectors and their κ(vj,vj)); nil for the separable measures.
 	Refs   []sparse.Vector
 	RefVis []float64
+	// Digest is the state's Sum where it travels as RefsDigest. A shard never
+	// trusts one that arrives beside the state: it sums what it decoded.
+	Digest [32]byte
+}
+
+// Sum is the SHA-256 of st's bits: the count of Refs, then Agg and every
+// vector of Refs as its length, indexes and Float64bits (so +0 is not −0),
+// then RefVis. Two states with one Sum score every candidate alike.
+func (st ShardRefState) Sum() (d [32]byte) {
+	h := sha256.New()
+	put := func(data any) { binary.Write(h, binary.LittleEndian, data) }
+	put(int64(len(st.Refs)))
+	for _, v := range append([]sparse.Vector{st.Agg}, st.Refs...) {
+		put(int64(len(v.Idx)))
+		put(v.Idx)
+		put(v.Val)
+	}
+	put(st.RefVis)
+	h.Sum(d[:0])
+	return d
+}
+
+// bytes is what st holds: S, and PathSim's vectors and visibilities.
+func (st ShardRefState) bytes() int64 {
+	n := int64(st.Agg.Bytes()) + 8*int64(len(st.RefVis))
+	for _, r := range st.Refs {
+		n += int64(r.Bytes()) + 2*24
+	}
+	return n
 }
 
 // scorer is the one constructor of a refScorer: a reduction (newRefScorer), a
@@ -114,6 +207,43 @@ type ShardRefState struct {
 // own. S's directory is built apart (withDir).
 func (st ShardRefState) scorer(m Measure) *refScorer {
 	return &refScorer{m: m, s: st.Agg, refs: st.Refs, refVis: st.RefVis}
+}
+
+// state is scorer's inverse.
+func (rs *refScorer) state() ShardRefState {
+	return ShardRefState{Agg: rs.s, Refs: rs.refs, RefVis: rs.refVis}
+}
+
+// refsOf is b as this shard scores it. A digest names the state the store
+// keeps under it (NOT_FOUND when there is none); a state sent to be kept is
+// replaced by the one kept under its own Sum, or kept. So every repeat scores
+// one S object, and a kept N matches it by identity (indexed.seedValues). A
+// materializer with no store keeps nothing.
+func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
+	if b == nil || b.Form == RefsFull {
+		return b, nil
+	}
+	var store *sharedCacheState
+	if sm, ok := mat.(*indexed); ok {
+		store = sm.lru
+	}
+	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs))}
+	for i, st := range b.Refs {
+		d := st.Digest
+		if b.Form == RefsKeep {
+			d = st.Sum()
+		}
+		k := &keptRef{key: ckey{path: string(d[:]), v: refOf}, st: st}
+		if kept, ok := store.lookup(k.key).(*keptRef); ok {
+			k = kept
+		} else if b.Form == RefsDigest {
+			return nil, xerr.New(xerr.NotFound, "core: unknown reference digest")
+		} else {
+			store.add(k.key, k, k.bytes())
+		}
+		out.Refs[i] = k.st
+	}
+	return out, nil
 }
 
 // RemoteShard is a coordinator-side client for one out-of-process shard.
@@ -157,10 +287,22 @@ type queryScorers struct {
 	perPath []*refScorer
 	weights []float64
 	stride  int32
+	// sent is what the coordinator's broadcasts of the scorers keep (nil on
+	// a shard).
+	sent *sentRefs
+}
+
+// sentRefs says whether a RefsKeep broadcast reached every shard without
+// error (kept), and holds the states with Digest, computed once, for the
+// RefsDigest broadcasts that follow.
+type sentRefs struct {
+	kept     atomic.Bool
+	once     sync.Once
+	digested []ShardRefState
 }
 
 func newQueryScorers(measure Measure, combine Combination, refPerPath [][]sparse.Vector, weights []float64, stride int32) *queryScorers {
-	qs := &queryScorers{weights: weights, stride: stride}
+	qs := &queryScorers{weights: weights, stride: stride, sent: new(sentRefs)}
 	if combine == CombineConcat {
 		qs.concat = newRefScorer(measure, concatVectors(refPerPath, weights, stride))
 		return qs
@@ -172,20 +314,43 @@ func newQueryScorers(measure Measure, combine Combination, refPerPath [][]sparse
 	return qs
 }
 
-// broadcast captures the scorers' post-reduction state in wire form. The
-// state is shared, not copied — the broadcast is read-only by contract on
-// both sides of the codec.
-func (qs *queryScorers) broadcast() *ShardBroadcast {
-	b := &ShardBroadcast{Stride: qs.stride}
+// all is the scorers: the concatenated one, or one per path.
+func (qs *queryScorers) all() []*refScorer {
 	if qs.concat != nil {
-		b.Refs = []ShardRefState{{Agg: qs.concat.s, Refs: qs.concat.refs, RefVis: qs.concat.refVis}}
+		return []*refScorer{qs.concat}
+	}
+	return qs.perPath
+}
+
+// broadcast captures the scorers' post-reduction state in wire form, shared,
+// not copied — the broadcast is read-only by contract on both sides of the
+// codec. Outside a compiled entry every broadcast is RefsFull; a compiled
+// entry's is RefsKeep until it has reached every shard, RefsDigest after.
+func (qs *queryScorers) broadcast(compiled bool) *ShardBroadcast {
+	b := &ShardBroadcast{Stride: qs.stride}
+	if sent := qs.sent; compiled && sent.kept.Load() {
+		sent.once.Do(func() {
+			sent.digested = qs.states()
+			for i := range sent.digested {
+				sent.digested[i].Digest = sent.digested[i].Sum()
+			}
+		})
+		b.Refs, b.Form = sent.digested, RefsDigest
 		return b
 	}
-	b.Refs = make([]ShardRefState, len(qs.perPath))
-	for i, rs := range qs.perPath {
-		b.Refs[i] = ShardRefState{Agg: rs.s, Refs: rs.refs, RefVis: rs.refVis}
+	if b.Refs = qs.states(); compiled {
+		b.Form = RefsKeep
 	}
 	return b
+}
+
+func (qs *queryScorers) states() []ShardRefState {
+	rss := qs.all()
+	sts := make([]ShardRefState, len(rss))
+	for i, rs := range rss {
+		sts[i] = rs.state()
+	}
+	return sts
 }
 
 // scorersFromRequest reconstructs the read-only scoring state on the far
@@ -272,53 +437,56 @@ func (a *weightedMean) value() (float64, bool) {
 // ServeShardRequest executes one shard request against a graph slice host:
 // the entry point a shard server (internal/shardnet) calls for each decoded
 // request. It enforces the protocol version, validates the request against
-// the broadcast and the local graph, and scores the slice with scoreRange
-// through a candidateSide of its own. It never fails: every fault — a panic
-// included — comes back as a classified failure response beside the exact
-// prefix scored before it, so a coordinator always has a reply to merge or
-// degrade. The materializer must be the caller's alone for the call (a
-// handle ServePool.Run lends).
+// the broadcast and the local graph, resolves the broadcast against the
+// store (refsOf), and scores the slice with scoreRange through a
+// candidateSide of its own, whose plan lines the reply carries. It never
+// fails: every fault — a panic included — comes back as a classified failure
+// response beside the exact prefix scored before it, so a coordinator always
+// has a reply to merge or degrade. The materializer must be the caller's
+// alone for the call (a handle ServePool.Run lends).
 func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req *ShardRequest, b *ShardBroadcast) *ShardResponse {
 	start := time.Now()
 	base := mat.Stats()
+	var plan []string
 	rr := func() (rr rangeResult) {
 		defer recoverAsError(&rr.err)
 		if req.Version != ShardProtocolVersion {
 			return rangeResult{err: xerr.Newf(xerr.Internal,
 				"core: shard protocol skew: request version %d, this shard speaks %d", req.Version, ShardProtocolVersion)}
 		}
-		scorers, err := scorersFromRequest(req, b)
-		if err != nil {
-			return rangeResult{err: err}
-		}
 		for i, p := range req.Paths {
 			if err := p.Validate(g.Schema()); err != nil {
 				return rangeResult{err: xerr.Newf(xerr.InvalidArgument, "core: shard feature path %d: %v", i, err)}
 			}
 		}
-		n := hin.VertexID(g.NumVertices())
-		for _, v := range req.Candidates {
-			if v < 0 || v >= n {
-				return rangeResult{err: xerr.Newf(xerr.InvalidArgument,
-					"core: shard candidate %d outside graph (%d vertices)", v, n)}
-			}
-		}
-		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, req.Candidates, nil)
+		cands, err := candidatesOf(g, req)
 		if err != nil {
 			return rangeResult{err: err}
 		}
-		return scoreRange(ctx, cs, mat, 0, len(req.Candidates), req.TopK)
+		if b, err = refsOf(mat, b); err != nil {
+			return rangeResult{err: err}
+		}
+		scorers, err := scorersFromRequest(req, b)
+		if err != nil {
+			return rangeResult{err: err}
+		}
+		cs, err := newCandidateSide(ctx, g, mat, scorers, req.Measure, req.Paths, cands, nil)
+		if err != nil {
+			return rangeResult{err: err}
+		}
+		plan = cs.plan()
+		return scoreRange(ctx, cs, mat, 0, len(cands), req.TopK)
 	}()
 	resp := &ShardResponse{
-		Version:    ShardProtocolVersion,
-		QueryID:    req.QueryID,
-		Shard:      req.Shard,
-		Entries:    rr.entries,
-		Skipped:    rr.skipped,
-		Candidates: len(req.Candidates),
-		Done:       rr.done,
-		Stats:      mat.Stats().Sub(base),
-		Duration:   time.Since(start),
+		Version:  ShardProtocolVersion,
+		QueryID:  req.QueryID,
+		Shard:    req.Shard,
+		Entries:  rr.entries,
+		Skipped:  rr.skipped,
+		Done:     rr.done,
+		Stats:    mat.Stats().Sub(base),
+		Duration: time.Since(start),
+		Plan:     plan,
 	}
 	if rr.err != nil {
 		resp.Err = rr.err.Error()

@@ -281,13 +281,12 @@ func TestRemoteShardReplyClassification(t *testing.T) {
 	replyWith := func(code xerr.Code, kind xerr.Kind) func(req *ShardRequest) (*ShardResponse, error) {
 		return func(req *ShardRequest) (*ShardResponse, error) {
 			return &ShardResponse{
-				Version:    ShardProtocolVersion,
-				QueryID:    req.QueryID,
-				Shard:      req.Shard,
-				Candidates: len(req.Candidates),
-				Err:        "injected remote failure",
-				Code:       code,
-				Kind:       kind,
+				Version: ShardProtocolVersion,
+				QueryID: req.QueryID,
+				Shard:   req.Shard,
+				Err:     "injected remote failure",
+				Code:    code,
+				Kind:    kind,
 			}, nil
 		}
 	}

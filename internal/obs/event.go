@@ -92,7 +92,8 @@ type Event struct {
 	// finishes that path's misses from ("(0 1 2 1 0): waist=venue@2") — why
 	// such a path is cheap, or "(dropped)" why it no longer is — and where a
 	// NetOut scan's numerators came from ("(0 1 2): numer=memo", "…=walk",
-	// "…=vertex known=K need=N").
+	// "…=vertex known=K need=N"), a remote shard's behind its index
+	// ("shard 1 (0 1 2): numer=memo").
 	Plan []string `json:"plan,omitempty"`
 	// Compiled is "hit" when a serve pool held the query text's compiled entry
 	// (parse, resolution) and "miss" when it did not; RefSide is "memo" when

@@ -77,9 +77,21 @@ const maxIdleConns = 8
 // blocks on a down shard; the per-call retry/degradation machinery owns
 // that failure instead. reg, if non-nil, receives the client's RPC metrics.
 func Dial(addr string, reg *obs.Registry) *Client {
-	return &Client{addr: addr, obs: reg,
+	c := &Client{addr: addr, obs: reg,
 		maxAttempts: defaultMaxAttempts, backoff: defaultBackoff,
 		dialTimeout: defaultDialTimeout, callTimeout: defaultCallTimeout, drainGrace: defaultDrainGrace}
+	c.resends() // registered at 0: a healthy fleet reads 0, not nothing
+	return c
+}
+
+// resends counts the broadcasts sent again in full after the shard answered
+// a digest with NOT_FOUND (nil without a registry).
+func (c *Client) resends() *obs.Counter {
+	if c.obs == nil {
+		return nil
+	}
+	return c.obs.Counter(`netout_shard_rpc_resends_total{addr="`+c.addr+`"}`,
+		"Reference broadcasts re-sent in full after the shard did not know their digest.")
 }
 
 // Addr names the remote endpoint (core.RemoteShard).
@@ -147,8 +159,24 @@ func retryable(resp *core.ShardResponse, err error) bool {
 // Call implements core.RemoteShard: one scattered shard request, retried
 // with backoff. A non-nil response with Err set is a shard-side failure the
 // coordinator classifies; a returned error is transport-level loss (or an
-// interrupt) after retries were exhausted.
+// interrupt) after retries were exhausted. A broadcast sent by digest that
+// the shard does not keep (restarted, or evicted) is sent once more in full,
+// to be kept: one round trip more, never a different ranking.
 func (c *Client) Call(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
+	resp, err := c.call(ctx, req, b)
+	if err == nil && b != nil && b.Form == core.RefsDigest && resp.Code == xerr.NotFound && resp.Done == 0 {
+		if n := c.resends(); n != nil {
+			n.Inc()
+		}
+		full := *b
+		full.Form = core.RefsKeep
+		resp, err = c.call(ctx, req, &full)
+	}
+	return resp, err
+}
+
+// call is Call's retry loop around one broadcast form.
+func (c *Client) call(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
 	backoff := c.backoff
 	for attempt := 0; ; attempt++ {
 		resp, err := c.callOnce(ctx, req, b)

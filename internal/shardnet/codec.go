@@ -1,8 +1,8 @@
 // Package shardnet is the network transport for the scatter–gather shard
-// tier (ROADMAP item 1, distributed half): a length-prefixed binary codec
-// over the PR 9 ShardRequest/ShardResponse protocol, a shard server hosting
-// a graph slice with per-shard admission control, and a coordinator-side
-// client with retry and deadline propagation implementing
+// tier: a length-prefixed binary codec over the core.ShardRequest /
+// core.ShardResponse protocol, a shard server in front of a process's
+// ServePool, and a coordinator-side client with retry, deadline propagation
+// and the one re-send a by-digest broadcast may need, implementing
 // core.RemoteShard.
 //
 // # Wire format
@@ -31,10 +31,14 @@
 //     hosts cannot stretch or collapse it.
 //
 // A request frame carries the ShardRequest, the reference broadcast
-// (ShardBroadcast), the remaining deadline budget and the W3C traceparent;
-// a response frame carries the ShardResponse including its classified
-// Err/Code/Kind triple, which the coordinator reconstructs with
-// xerr.FromWire.
+// (ShardBroadcast), the remaining deadline budget and the W3C traceparent.
+// Protocol version 3 sends what a shard already holds by reference: the
+// candidates are a byte 0 and the list of IDs, or a byte 1 and a run of the
+// type's vertex list (type byte, lo, hi: 18 bytes whatever its length); the
+// broadcast's form byte (core.RefForm) says whether every state follows in
+// full or as its 32-byte SHA-256 digest. A response frame carries the
+// ShardResponse including its classified Err/Code/Kind triple, which the
+// coordinator reconstructs with xerr.FromWire, and the shard's plan lines.
 //
 // The decoder trusts nothing: every count is checked against the bytes
 // actually remaining in the frame before allocation, so a hostile or
@@ -150,14 +154,24 @@ func appendRequest(b []byte, r *Request) []byte {
 	for _, p := range req.Paths {
 		b = appendString(b, p.Key())
 	}
-	b = appendVertices(b, req.Candidates)
+	if run := req.Run; run != nil {
+		b = append(b, 1, byte(run.Type))
+		b = appendInt(appendInt(b, run.Lo), run.Hi)
+	} else {
+		b = appendVertices(appendU8(b, 0), req.Candidates)
+	}
 	bc := r.Broadcast
 	if bc == nil {
 		bc = &core.ShardBroadcast{}
 	}
 	b = appendU32(b, uint32(int32(bc.Stride)))
+	b = appendU8(b, byte(bc.Form))
 	b = appendU32(b, uint32(len(bc.Refs)))
 	for _, st := range bc.Refs {
+		if bc.Form == core.RefsDigest {
+			b = append(b, st.Digest[:]...)
+			continue
+		}
 		b = appendVector(b, st.Agg)
 		b = appendVectors(b, st.Refs)
 		b = appendFloats(b, st.RefVis)
@@ -179,7 +193,6 @@ func appendResponse(b []byte, resp *core.ShardResponse) []byte {
 		b = appendF64(b, e.Score)
 	}
 	b = appendVertices(b, resp.Skipped)
-	b = appendInt(b, resp.Candidates)
 	b = appendInt(b, resp.Done)
 	b = appendString(b, resp.Err)
 	b = appendString(b, string(resp.Code))
@@ -189,6 +202,10 @@ func appendResponse(b []byte, resp *core.ShardResponse) []byte {
 	b = appendI64(b, resp.Stats.IndexedVectors)
 	b = appendI64(b, resp.Stats.TraversedVectors)
 	b = appendI64(b, int64(resp.Duration))
+	b = appendU32(b, uint32(len(resp.Plan)))
+	for _, line := range resp.Plan {
+		b = appendString(b, line)
+	}
 	return b
 }
 
@@ -341,12 +358,31 @@ func decodeRequest(payload []byte) (*Request, error) {
 			req.Paths[i] = metapath.FromKey(d.string())
 		}
 	}
-	req.Candidates = d.vertices()
-	bc := &core.ShardBroadcast{Stride: int32(d.u32())}
-	nRefs := d.count(12)
+	switch d.u8() {
+	case 0:
+		req.Candidates = d.vertices()
+	case 1:
+		req.Run = &core.CandidateRun{Type: hin.TypeID(d.u8()), Lo: d.int(), Hi: d.int()}
+	default:
+		d.fail("unknown candidate form")
+	}
+	bc := &core.ShardBroadcast{Stride: int32(d.u32()), Form: core.RefForm(d.u8())}
+	minRef := 12 // an empty state: three counts
+	switch bc.Form {
+	case core.RefsFull, core.RefsKeep:
+	case core.RefsDigest:
+		minRef = len(core.ShardRefState{}.Digest)
+	default:
+		d.fail("unknown reference form %d", bc.Form)
+	}
+	nRefs := d.count(minRef)
 	if d.err == nil && nRefs > 0 {
 		bc.Refs = make([]core.ShardRefState, nRefs)
 		for i := range bc.Refs {
+			if bc.Form == core.RefsDigest {
+				copy(bc.Refs[i].Digest[:], d.take(minRef))
+				continue
+			}
 			bc.Refs[i] = core.ShardRefState{
 				Agg:    d.vector(),
 				Refs:   d.vectors(),
@@ -381,7 +417,6 @@ func decodeResponse(payload []byte) (*core.ShardResponse, error) {
 		}
 	}
 	resp.Skipped = d.vertices()
-	resp.Candidates = d.int()
 	resp.Done = d.int()
 	resp.Err = d.string()
 	resp.Code = xerr.Code(d.string())
@@ -391,6 +426,12 @@ func decodeResponse(payload []byte) (*core.ShardResponse, error) {
 	resp.Stats.IndexedVectors = d.i64()
 	resp.Stats.TraversedVectors = d.i64()
 	resp.Duration = time.Duration(d.i64())
+	if n := d.count(4); d.err == nil && n > 0 {
+		resp.Plan = make([]string, n)
+		for i := range resp.Plan {
+			resp.Plan[i] = d.string()
+		}
+	}
 	if d.err == nil && d.remaining() != 0 {
 		d.fail("%d trailing bytes", d.remaining())
 	}

@@ -110,12 +110,23 @@ func randRequest(r *rand.Rand) *Request {
 		}
 		req.Paths = append(req.Paths, metapath.FromKey(string(key)))
 	}
-	for i := 0; i < r.Intn(10); i++ {
-		req.Candidates = append(req.Candidates, hin.VertexID(r.Intn(1<<20)))
+	if r.Intn(3) == 0 {
+		lo := r.Intn(1 << 20)
+		req.Run = &core.CandidateRun{Type: hin.TypeID(r.Intn(4)), Lo: lo, Hi: lo + r.Intn(1<<20)}
+	} else {
+		for i := 0; i < r.Intn(10); i++ {
+			req.Candidates = append(req.Candidates, hin.VertexID(r.Intn(1<<20)))
+		}
 	}
-	b := &core.ShardBroadcast{Stride: int32(r.Intn(1 << 20))}
+	b := &core.ShardBroadcast{Stride: int32(r.Intn(1 << 20)), Form: core.RefForm(r.Intn(3))}
 	for i := 0; i < 1+r.Intn(3); i++ {
-		st := core.ShardRefState{Agg: randVector(r)}
+		var st core.ShardRefState
+		if b.Form == core.RefsDigest {
+			r.Read(st.Digest[:]) // only the digest travels
+			b.Refs = append(b.Refs, st)
+			continue
+		}
+		st.Agg = randVector(r)
 		for j := 0; j < r.Intn(3); j++ {
 			st.Refs = append(st.Refs, randVector(r))
 		}
@@ -156,14 +167,18 @@ func requestsEqual(t *testing.T, a, b *Request) {
 			t.Fatalf("candidate %d diverges", i)
 		}
 	}
+	if (ra.Run == nil) != (rb.Run == nil) || ra.Run != nil && *ra.Run != *rb.Run {
+		t.Fatalf("candidate run diverges: %+v vs %+v", ra.Run, rb.Run)
+	}
 	ba, bb := a.Broadcast, b.Broadcast
-	if ba.Stride != bb.Stride || len(ba.Refs) != len(bb.Refs) {
+	if ba.Stride != bb.Stride || ba.Form != bb.Form || len(ba.Refs) != len(bb.Refs) {
 		t.Fatalf("broadcast shape diverges")
 	}
 	for i := range ba.Refs {
 		if !vecEqual(ba.Refs[i].Agg, bb.Refs[i].Agg) ||
 			!vecsEqual(ba.Refs[i].Refs, bb.Refs[i].Refs) ||
-			!floatsEqual(ba.Refs[i].RefVis, bb.Refs[i].RefVis) {
+			!floatsEqual(ba.Refs[i].RefVis, bb.Refs[i].RefVis) ||
+			ba.Refs[i].Digest != bb.Refs[i].Digest {
 			t.Fatalf("broadcast ref state %d diverges", i)
 		}
 	}
@@ -193,12 +208,11 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func randResponse(r *rand.Rand) *core.ShardResponse {
 	resp := &core.ShardResponse{
-		Version:    core.ShardProtocolVersion,
-		QueryID:    strings.Repeat("r", r.Intn(20)),
-		Shard:      r.Intn(8),
-		Candidates: r.Intn(1000),
-		Done:       r.Intn(1000),
-		Duration:   time.Duration(r.Int63n(int64(time.Minute))),
+		Version:  core.ShardProtocolVersion,
+		QueryID:  strings.Repeat("r", r.Intn(20)),
+		Shard:    r.Intn(8),
+		Done:     r.Intn(1000),
+		Duration: time.Duration(r.Int63n(int64(time.Minute))),
 	}
 	for i := 0; i < r.Intn(8); i++ {
 		resp.Entries = append(resp.Entries, core.Entry{
@@ -209,6 +223,9 @@ func randResponse(r *rand.Rand) *core.ShardResponse {
 	}
 	for i := 0; i < r.Intn(6); i++ {
 		resp.Skipped = append(resp.Skipped, hin.VertexID(r.Intn(1<<20)))
+	}
+	for i := 0; i < r.Intn(3); i++ {
+		resp.Plan = append(resp.Plan, "(0 1 2): numer="+strings.Repeat("m", r.Intn(8)))
 	}
 	resp.Stats = core.MatStats{
 		IndexedTime:      time.Duration(r.Int63n(int64(time.Second))),
@@ -222,12 +239,12 @@ func randResponse(r *rand.Rand) *core.ShardResponse {
 func responsesEqual(t *testing.T, a, b *core.ShardResponse) {
 	t.Helper()
 	if a.Version != b.Version || a.QueryID != b.QueryID || a.Shard != b.Shard ||
-		a.Candidates != b.Candidates || a.Done != b.Done ||
+		a.Done != b.Done ||
 		a.Err != b.Err || a.Code != b.Code || a.Kind != b.Kind ||
 		a.Stats != b.Stats || a.Duration != b.Duration {
 		t.Fatalf("response diverges:\n%+v\n%+v", a, b)
 	}
-	if len(a.Entries) != len(b.Entries) || len(a.Skipped) != len(b.Skipped) {
+	if len(a.Entries) != len(b.Entries) || len(a.Skipped) != len(b.Skipped) || !slices.Equal(a.Plan, b.Plan) {
 		t.Fatalf("response payload shape diverges")
 	}
 	for i := range a.Entries {
@@ -411,6 +428,19 @@ func FuzzReadRequest(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 1, 0x01})
+	// A repeat of a scan by digest over a run, and the S it names sent to be
+	// kept.
+	for _, form := range []core.RefForm{core.RefsDigest, core.RefsKeep} {
+		r := scanRequest(0, 3)
+		r.Req.Run = &core.CandidateRun{Type: 1, Lo: 2, Hi: 40}
+		r.Broadcast.Form = form
+		r.Broadcast.Refs[0].Digest = r.Broadcast.Refs[0].Sum()
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, r); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ReadRequest(bytes.NewReader(data))
 	})
@@ -540,6 +570,12 @@ func TestCodecAllocationCeiling(t *testing.T) {
 	if small != large || small > 16 {
 		t.Errorf("decoding: %v allocations for one frame, %v for one twice its size; want equal and at most 16", small, large)
 	}
+	// A repeat by digest over a run decodes neither S nor the candidates.
+	req.Req.Candidates, req.Req.Run = nil, &core.CandidateRun{Lo: 0, Hi: 2000}
+	req.Broadcast.Form = core.RefsDigest
+	if n := decodeAllocs(req); n >= small || n > 12 {
+		t.Errorf("decoding a repeat by digest: %v allocations, want fewer than the full frame's %v and at most 12", n, small)
+	}
 	resp := randResponse(rand.New(rand.NewSource(8)))
 	respond := func() {
 		wire.Reset()
@@ -595,22 +631,93 @@ func TestDecodedRepeatGathersFromTheKeptWalk(t *testing.T) {
 		}
 		return resp
 	}
-	cold := serve()
-	if cold.Stats.TraversedVectors != int64(len(all)) {
-		t.Fatalf("cold request traversed %d vectors, want one walk per candidate", cold.Stats.TraversedVectors)
-	}
-	for i, traversed := range []int64{1, 1, 0} {
-		resp := serve()
-		if resp.Stats.TraversedVectors != traversed {
-			t.Fatalf("repeat %d traversed %d vectors, want %d", i+1, resp.Stats.TraversedVectors, traversed)
+	repeats := func() {
+		cold := serve()
+		if cold.Stats.TraversedVectors != int64(len(all)) {
+			t.Fatalf("cold request traversed %d vectors, want one walk per candidate", cold.Stats.TraversedVectors)
 		}
-		if len(resp.Entries) != len(cold.Entries) || !slices.Equal(resp.Skipped, cold.Skipped) {
-			t.Fatalf("repeat %d: %d entries, %d skipped; cold %d, %d", i+1, len(resp.Entries), len(resp.Skipped), len(cold.Entries), len(cold.Skipped))
+		if wire.Broadcast.Form == core.RefsKeep { // the repeats name S by digest
+			wire.Broadcast = &core.ShardBroadcast{Stride: wire.Broadcast.Stride, Form: core.RefsDigest,
+				Refs: []core.ShardRefState{{Digest: wire.Broadcast.Refs[0].Sum()}}}
 		}
-		for j, e := range cold.Entries {
-			if resp.Entries[j].Vertex != e.Vertex || math.Float64bits(resp.Entries[j].Score) != math.Float64bits(e.Score) {
-				t.Fatalf("repeat %d: entry %d = %+v, want %+v", i+1, j, resp.Entries[j], e)
+		for i, traversed := range []int64{1, 1, 0} {
+			resp := serve()
+			if resp.Stats.TraversedVectors != traversed {
+				t.Fatalf("repeat %d traversed %d vectors, want %d", i+1, resp.Stats.TraversedVectors, traversed)
 			}
+			if len(resp.Entries) != len(cold.Entries) || !slices.Equal(resp.Skipped, cold.Skipped) {
+				t.Fatalf("repeat %d: %d entries, %d skipped; cold %d, %d", i+1, len(resp.Entries), len(resp.Skipped), len(cold.Entries), len(cold.Skipped))
+			}
+			for j, e := range cold.Entries {
+				if resp.Entries[j].Vertex != e.Vertex || math.Float64bits(resp.Entries[j].Score) != math.Float64bits(e.Score) {
+					t.Fatalf("repeat %d: entry %d = %+v, want %+v", i+1, j, resp.Entries[j], e)
+				}
+			}
+		}
+	}
+	repeats()
+	// A served scan's shape: S sent to be kept, then named by digest, and the
+	// candidates a run. The shard reads the same: N kept, then read.
+	mat = core.NewBaseline(g)
+	wire.Req.Candidates, wire.Req.Run = nil, &core.CandidateRun{Type: p.Source(), Hi: len(all)}
+	wire.Broadcast.Form = core.RefsKeep
+	repeats()
+}
+
+// encodingShard is a core.RemoteShard that carries each call through the
+// codec to core.ServeShardRequest on its own materializer, recording every
+// request frame's size.
+type encodingShard struct {
+	g     *hin.Graph
+	mat   core.Materializer
+	sizes []int
+}
+
+func (s *encodingShard) Addr() string { return "codec" }
+
+func (s *encodingShard) Call(ctx context.Context, req *core.ShardRequest, b *core.ShardBroadcast) (*core.ShardResponse, error) {
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, &Request{Req: req, Broadcast: b}); err != nil {
+		return nil, err
+	}
+	s.sizes = append(s.sizes, buf.Len())
+	r, err := ReadRequest(&buf)
+	if err != nil {
+		return nil, err
+	}
+	return core.ServeShardRequest(ctx, s.g, s.mat, r.Req, r.Broadcast), nil
+}
+
+// A served repeat of a whole-type scan names S by digest and each shard's
+// slice as a run: its request frame is under 2 KB, the same size whatever |S|
+// is, where the first request, which sends S to be kept, grows with S.
+func TestRepeatedScanRequestIsUnder2KB(t *testing.T) {
+	cfg := gen.Scaled(1)
+	cfg.Seed = 1
+	g, _, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repeat int
+	for _, path := range []string{"author.paper.venue", "author.paper.author"} {
+		shards := []*encodingShard{{g: g, mat: core.NewBaseline(g)}, {g: g, mat: core.NewBaseline(g)}}
+		pool, err := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(shards[0], shards[1])), core.ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, err := pool.Execute(context.Background(), "FIND OUTLIERS FROM author JUDGED BY "+path+" TOP 5;"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool.Close()
+		for i, sh := range shards {
+			first, again := sh.sizes[0], sh.sizes[1]
+			if again >= 2048 || first < 4*again || repeat != 0 && again != repeat {
+				t.Fatalf("%s, shard %d: request frames of %d then %d bytes, want the repeat under 2 KB and the same for every S (%d)",
+					path, i, first, again, repeat)
+			}
+			repeat = again
 		}
 	}
 }

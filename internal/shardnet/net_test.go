@@ -16,13 +16,16 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"netout/internal/core"
+	"netout/internal/gen"
 	"netout/internal/hin"
+	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/xerr"
 )
@@ -202,6 +205,27 @@ func TestNetworkShardsBitIdentical(t *testing.T) {
 					t.Fatalf("healthy fleet produced a partial result")
 				}
 			}
+			// Served, each text twice: its compiled entry sends S to be kept
+			// the first time and by digest the second.
+			full := serverReg.Counter("netout_shardsrv_full_broadcasts_total", "")
+			pool, err := core.NewServePool(eng, core.ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range queries {
+				want, _ := plain.Execute(src)
+				for repeat := range 2 {
+					before := full.Value()
+					got, err := pool.Execute(context.Background(), src)
+					if err != nil || !bitIdentical(want, got) || got.Partial {
+						t.Fatalf("measure %v combine %v %q served, repeat %d: %v", m, comb, src, repeat, err)
+					}
+					if sent, wantSent := full.Value()-before, int64(2*(1-repeat)); sent != wantSent {
+						t.Fatalf("measure %v combine %v %q served, repeat %d: %d broadcasts in full, want %d", m, comb, src, repeat, sent, wantSent)
+					}
+				}
+			}
+			pool.Close()
 			eng.Close()
 			plain.Close()
 		}
@@ -713,5 +737,234 @@ func TestServeAfterCloseReturns(t *testing.T) {
 		lis.Close()
 		<-done
 		t.Fatal("Serve after Close blocked in Accept")
+	}
+}
+
+// counterOf reads a counter some component registered on reg.
+func counterOf(reg *obs.Registry, name string) int64 { return reg.Counter(name, "").Value() }
+
+// servedFleet is a pool over an engine scattering over shards at addrs, its
+// clients' metrics on reg, and the inline answer it must give to src.
+func servedFleet(t *testing.T, g *hin.Graph, reg *obs.Registry, src string, addrs ...string) (run func()) {
+	t.Helper()
+	remotes := make([]core.RemoteShard, len(addrs))
+	for i, addr := range addrs {
+		c := Dial(addr, reg)
+		t.Cleanup(c.Close)
+		remotes[i] = c
+	}
+	pool, err := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(remotes...)), core.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	want, err := core.NewEngine(g).Execute(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		got, err := pool.Execute(context.Background(), src)
+		if err != nil || got.Partial || !bitIdentical(want, got) {
+			t.Fatalf("served %q: %v (partial %v), want inline execution's answer", src, err, got != nil && got.Partial)
+		}
+	}
+}
+
+// A shard restarted between two repeats no longer keeps the S the next one
+// names by digest: it answers NOT_FOUND once, the client sends S again in
+// full, and the answer is inline execution's. The restarted shard keeps S
+// from then on.
+func TestNetworkRestartedShardIsSentSAgain(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	g := testGraph(t)
+	old, addr := startShard(t, g, nil, core.ServeOptions{})
+	other, addr1 := startShard(t, g, nil, core.ServeOptions{})
+	defer other.Close()
+	reg := obs.NewRegistry()
+	run := servedFleet(t, g, reg, netQuery, addr, addr1)
+	run() // S sent to be kept
+	run() // by digest
+	old.Close()
+	pool, err := core.NewServePool(core.NewEngine(g), core.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	restarted := NewServer(pool, ServerOptions{})
+	defer restarted.Close()
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go restarted.Serve(lis)
+	run()
+	run()
+	resends := `netout_shard_rpc_resends_total{addr="` + addr + `"}`
+	notFound := `netout_shard_rpc_total{addr="` + addr + `",outcome="NOT_FOUND"}`
+	if r, n := counterOf(reg, resends), counterOf(reg, notFound); r != 1 || n != 1 {
+		t.Fatalf("restarted shard: %d NOT_FOUND replies and %d re-sends, want 1 and 1", n, r)
+	}
+	if r := counterOf(reg, `netout_shard_rpc_resends_total{addr="`+addr1+`"}`); r != 0 {
+		t.Fatalf("the shard that kept S was sent it again %d times", r)
+	}
+}
+
+// A shard whose store is too small to keep any S answers every digest
+// NOT_FOUND: every call by digest is sent again in full, and no answer is
+// Partial.
+func TestNetworkStoreTooSmallForSResendsEveryCall(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	g := testGraph(t)
+	addrs := make([]string, 2)
+	for i := range addrs {
+		mat, err := core.NewCached(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := core.NewServePool(core.NewEngine(g, core.WithMaterializer(mat)), core.ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		srv := NewServer(pool, ServerOptions{})
+		defer srv.Close()
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(lis)
+		addrs[i] = lis.Addr().String()
+	}
+	reg := obs.NewRegistry()
+	run := servedFleet(t, g, reg, netQuery, addrs...)
+	const runs = 4
+	for range runs {
+		run()
+	}
+	for _, addr := range addrs {
+		if r := counterOf(reg, `netout_shard_rpc_resends_total{addr="`+addr+`"}`); r != runs-1 {
+			t.Fatalf("shard %s: %d re-sends over %d calls by digest, want every one", addr, r, runs-1)
+		}
+	}
+}
+
+// scanFrame is a whole-type NetOut request over author.paper.venue on g with
+// the broadcast b.
+func scanFrame(t *testing.T, g *hin.Graph, b *core.ShardBroadcast, run *core.CandidateRun) *Request {
+	t.Helper()
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := minimalRequest(0)
+	req.Weights, req.Paths, req.Run = []float64{1}, []metapath.Path{p}, run
+	return &Request{Req: req, Broadcast: b}
+}
+
+// roundTrip sends one raw request frame to the shard at addr and reads its
+// reply.
+func roundTrip(t *testing.T, addr string, wire *Request) *core.ShardResponse {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteRequest(conn, wire); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ReadResponse(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// A frame naming by digest an S the shard never kept is answered with a
+// typed NOT_FOUND, nothing done and no entries.
+func TestNetworkUnknownDigestIsNotFound(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	g := testGraph(t)
+	srv, addr := startShard(t, g, nil, core.ServeOptions{})
+	defer srv.Close()
+	a, _ := g.Schema().TypeByName("author")
+	b := &core.ShardBroadcast{Form: core.RefsDigest, Refs: []core.ShardRefState{{Digest: [32]byte{1, 2, 3}}}}
+	resp := roundTrip(t, addr, scanFrame(t, g, b, &core.CandidateRun{Type: a, Hi: g.NumVerticesOfType(a)}))
+	if resp.Code != xerr.NotFound || !strings.Contains(resp.Err, "unknown reference digest") || resp.Done != 0 || len(resp.Entries) != 0 {
+		t.Fatalf("unknown digest answered %+v, want NOT_FOUND with nothing done", resp)
+	}
+}
+
+// A candidate run the shard's graph does not have — a foreign type, lo past
+// hi, hi past the type — is INVALID_ARGUMENT.
+func TestNetworkBadRunIsInvalidArgument(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	g := testGraph(t)
+	srv, addr := startShard(t, g, nil, core.ServeOptions{})
+	defer srv.Close()
+	a, _ := g.Schema().TypeByName("author")
+	n := g.NumVerticesOfType(a)
+	b := &core.ShardBroadcast{Refs: []core.ShardRefState{{}}}
+	if resp := roundTrip(t, addr, scanFrame(t, g, b, &core.CandidateRun{Type: a, Hi: n})); resp.Err != "" || resp.Done != n {
+		t.Fatalf("the whole type as a run: %+v", resp)
+	}
+	for _, run := range []core.CandidateRun{
+		{Type: hin.TypeID(g.Schema().NumTypes()), Hi: 1},
+		{Type: a, Lo: 3, Hi: 2},
+		{Type: a, Lo: 1, Hi: n + 1},
+	} {
+		if resp := roundTrip(t, addr, scanFrame(t, g, b, &run)); resp.Code != xerr.InvalidArgument || resp.Done != 0 {
+			t.Fatalf("run %+v answered %+v, want INVALID_ARGUMENT", run, resp)
+		}
+	}
+}
+
+// Each shard explains its plan: a whole-type scan's event carries the shards'
+// plan lines, behind their shard index. A shard's half of the type clears the
+// crossover, so a repeated scan reads, on every path of both shards, the
+// cold walk per vertex, a walk of S, a walk that keeps N, then N kept
+// (numer=memo), though every repeat names S by digest.
+func TestNetworkShardsExplainTheirPlans(t *testing.T) {
+	defer noGoroutineLeak(t, runtime.NumGoroutine())
+	cfg := gen.Scaled(2) // 2 057 authors: each half clears candSideMinKnown
+	cfg.Seed = 1
+	g, _, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		srv, addr := startShard(t, g, nil, core.ServeOptions{})
+		defer srv.Close()
+		addrs[i] = addr
+	}
+	remotes := make([]core.RemoteShard, len(addrs))
+	for i, addr := range addrs {
+		c := Dial(addr, nil)
+		defer c.Close()
+		remotes[i] = c
+	}
+	ring := obs.NewEventRing(4)
+	pool, err := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(remotes...), core.WithEventSink(ring)), core.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const scan = `FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author TOP 5;`
+	for i, numer := range []string{"vertex", "walk", "walk", "memo"} {
+		if _, err := pool.Execute(context.Background(), scan); err != nil {
+			t.Fatal(err)
+		}
+		plan := ring.Snapshot()[0].Plan
+		for shard := range 2 {
+			for _, path := range []string{"(0 1 2)", "(0 1 0)"} {
+				line := fmt.Sprintf("shard %d %s: numer=%s", shard, path, numer)
+				if !slices.ContainsFunc(plan, func(l string) bool { return strings.HasPrefix(l, line) }) {
+					t.Fatalf("request %d: plan %q, want a line %q", i, plan, line)
+				}
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // ServerOptions configures a shard server.
 type ServerOptions struct {
 	// Obs, if set, receives the server's metrics (requests by outcome,
-	// service latency).
+	// service latency, broadcasts received in full).
 	Obs *obs.Registry
 	// Logf, if set, receives connection-level diagnostics (accept and
 	// decode failures). Default log.Printf-compatible no-op.
@@ -167,6 +167,10 @@ func (s *Server) handle(wire *Request) *core.ShardResponse {
 		// so a distributed trace shows coordinator → shard edges.
 		ctx = obs.WithSpanContext(ctx, sc.Child())
 	}
+	if s.opts.Obs != nil && wire.Broadcast.Form != core.RefsDigest {
+		s.opts.Obs.Counter("netout_shardsrv_full_broadcasts_total",
+			"Shard requests whose reference broadcast arrived in full, not by digest.").Inc()
+	}
 	var resp *core.ShardResponse
 	err := s.pool.Run(ctx, func(ctx context.Context, g *hin.Graph, mat core.Materializer) error {
 		if s.gate != nil {
@@ -206,13 +210,12 @@ func (s *Server) observe(outcome string, d time.Duration) {
 // Duration is the time since arrival, the wait the coordinator saw.
 func failedResponse(req *core.ShardRequest, err error, waited time.Duration) *core.ShardResponse {
 	return &core.ShardResponse{
-		Version:    core.ShardProtocolVersion,
-		QueryID:    req.QueryID,
-		Shard:      req.Shard,
-		Candidates: len(req.Candidates),
-		Duration:   waited,
-		Err:        err.Error(),
-		Code:       xerr.CodeOf(err),
-		Kind:       xerr.KindOf(err),
+		Version:  core.ShardProtocolVersion,
+		QueryID:  req.QueryID,
+		Shard:    req.Shard,
+		Duration: waited,
+		Err:      err.Error(),
+		Code:     xerr.CodeOf(err),
+		Kind:     xerr.KindOf(err),
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"netout/internal/gen"
 	"netout/internal/hin"
 	"netout/internal/hinio"
-	"netout/internal/kg"
 	"netout/internal/lof"
 	"netout/internal/metapath"
 	"netout/internal/obs"
@@ -269,18 +268,10 @@ func NewBaseline(g *Graph) Materializer { return core.NewBaseline(g) }
 // NewPM pre-materializes all length-2 meta-path neighbor vectors.
 func NewPM(g *Graph) Materializer { return core.NewPM(g) }
 
-// NewPMPaths pre-materializes only the given length-2 meta-paths.
-func NewPMPaths(g *Graph, paths []MetaPath) Materializer { return core.NewPMPaths(g, paths) }
-
 // NewSPM selectively pre-materializes for vertices whose relative frequency
 // across the initialization queries' candidate sets reaches cfg.Threshold.
 func NewSPM(g *Graph, initQueries []string, cfg SPMConfig) (Materializer, error) {
 	return core.NewSPM(g, initQueries, cfg)
-}
-
-// NewSPMVertices builds SPM with an explicit pre-selected vertex set.
-func NewSPMVertices(g *Graph, vertices []VertexID) Materializer {
-	return core.NewSPMVertices(g, vertices)
 }
 
 // NewCached returns a materializer that memoizes neighbor vectors in an
@@ -324,29 +315,14 @@ type CacheStats = core.CacheStats
 // CacheStatsOf extracts cache counters from a NewCached materializer.
 func CacheStatsOf(m Materializer) (CacheStats, bool) { return core.CacheStatsOf(m) }
 
-// SaveIndex / LoadIndex persist a pre-materialized PM or SPM index so the
-// offline indexing phase can be shipped to query servers. The index must be
-// loaded against the same graph it was built from.
-func SaveIndex(m Materializer, w io.Writer) error { return core.SaveIndex(m, w) }
-
-// LoadIndex reads an index written by SaveIndex.
-func LoadIndex(g *Graph, r io.Reader) (Materializer, error) { return core.LoadIndex(g, r) }
-
-// SaveIndexFile writes an index to a file.
+// SaveIndexFile persists a pre-materialized PM or SPM index so the offline
+// indexing phase can be shipped to query servers. The index must be loaded
+// against the same graph it was built from.
 func SaveIndexFile(m Materializer, path string) error { return core.SaveIndexFile(m, path) }
 
 // LoadIndexFile reads an index from a file.
 func LoadIndexFile(g *Graph, path string) (Materializer, error) {
 	return core.LoadIndexFile(g, path)
-}
-
-// Histogram is a binned view of a score distribution; render with
-// Histogram.Render (Section 8's visualization extension).
-type Histogram = core.Histogram
-
-// NewHistogram bins the finite values among scores.
-func NewHistogram(scores []float64, bins int) (*Histogram, error) {
-	return core.NewHistogram(scores, bins)
 }
 
 // Combination selects how multiple feature meta-paths combine into one
@@ -724,22 +700,6 @@ func ScaledGenConfig(factor int) GenConfig { return gen.Scaled(factor) }
 // Generate builds a synthetic bibliographic network.
 func Generate(cfg GenConfig) (*Graph, *Manifest, error) { return gen.Generate(cfg) }
 
-// SecurityConfig configures the security-operations generator;
-// SecurityManifest records its planted compromised hosts.
-type (
-	SecurityConfig   = gen.SecurityConfig
-	SecurityManifest = gen.SecurityManifest
-)
-
-// DefaultSecurityConfig returns a small but non-trivial configuration.
-func DefaultSecurityConfig() SecurityConfig { return gen.DefaultSecurityConfig() }
-
-// GenerateSecurity builds a host/alert/signature/subnet network with
-// planted compromised hosts.
-func GenerateSecurity(cfg SecurityConfig) (*Graph, *SecurityManifest, error) {
-	return gen.GenerateSecurity(cfg)
-}
-
 // LoadGraph reads a network from a file (.json → JSON, otherwise TSV).
 func LoadGraph(path string) (*Graph, error) { return hinio.Load(path) }
 
@@ -777,50 +737,14 @@ func NewRelDB() *RelDB { return rel.NewDB() }
 func RelToHIN(db *RelDB, cfg RelBridgeConfig) (*Graph, error) { return rel.ToHIN(db, cfg) }
 
 // ---------------------------------------------------------------------------
-// Knowledge-graph ingestion (Section 8: open-schema networks)
-
-// TripleStore accumulates subject/predicate/object triples; `type`
-// declarations become vertex types and every other predicate becomes an
-// allowed link.
-type TripleStore = kg.Store
-
-// NewTripleStore creates an empty triple store.
-func NewTripleStore() *TripleStore { return kg.NewStore() }
-
-// ReadTriples parses tab-separated triples.
-func ReadTriples(r io.Reader) (*TripleStore, error) { return kg.Read(r) }
-
-// LoadTriples reads triples from a file.
-func LoadTriples(path string) (*TripleStore, error) { return kg.Load(path) }
-
-// ---------------------------------------------------------------------------
 // ArnetMiner import (the paper's data-set format)
-
-// AminerRecord is one publication entry of an ArnetMiner/DBLP citation dump.
-type AminerRecord = aminer.Record
 
 // AminerBuildOptions configures network construction from parsed records.
 type AminerBuildOptions = aminer.BuildOptions
 
-// ParseAminer reads ArnetMiner-format records (#* title, #@ authors,
-// #c venue, ...).
-func ParseAminer(r io.Reader) ([]AminerRecord, error) { return aminer.Parse(r) }
-
-// BuildAminer converts parsed records into the four-type bibliographic
-// network the paper's experiments use.
-func BuildAminer(records []AminerRecord, opts AminerBuildOptions) (*Graph, error) {
-	return aminer.Build(records, opts)
-}
-
 // LoadAminer parses a dump file and builds the network in one step.
 func LoadAminer(path string, opts AminerBuildOptions) (*Graph, error) {
 	return aminer.Load(path, opts)
-}
-
-// TokenizeTitle splits a paper title into term tokens the way the importer
-// does (lowercased, short tokens and optionally stopwords dropped).
-func TokenizeTitle(title string, minLen int, dropStopwords bool) []string {
-	return aminer.Tokenize(title, minLen, dropStopwords)
 }
 
 // ---------------------------------------------------------------------------
@@ -835,9 +759,6 @@ func OverlapAtK(a, b *Result, k int) (shared int, jaccard float64) {
 // SpearmanRho computes Spearman's rank correlation over the vertices both
 // results rank.
 func SpearmanRho(a, b *Result) (float64, error) { return core.SpearmanRho(a, b) }
-
-// KendallTau computes Kendall's τ-a over the vertices both results rank.
-func KendallTau(a, b *Result) (float64, error) { return core.KendallTau(a, b) }
 
 // DegreeSummary describes a one-hop degree distribution; obtain via
 // Graph.DegreeDistribution or Graph.StatsReport.
@@ -871,12 +792,6 @@ func PPROutlierScores(g *Graph, cands, refs []VertexID, opts PPROptions) ([]floa
 	return walk.PPROutlierScores(g, cands, refs, opts)
 }
 
-// PPRMetaPath computes the meta-path-constrained restart walk: each step
-// follows one full instantiation of P·P⁻¹, staying on the source type.
-func PPRMetaPath(g *Graph, p MetaPath, source VertexID, opts PPROptions) (Vector, error) {
-	return walk.PPRMetaPath(g, p, source, opts)
-}
-
 // PPRMetaPathOutlierScores scores candidates under the constrained walk,
 // excluding the self term (smaller = more outlying).
 func PPRMetaPathOutlierScores(g *Graph, p MetaPath, cands, refs []VertexID, opts PPROptions) ([]float64, error) {
@@ -905,23 +820,8 @@ func SimRankOutlierScores(m *SimRankMatrix, cands, refs []VertexID) []float64 {
 // EvalReport bundles precision/recall/AP/AUC for one method.
 type EvalReport = eval.Report
 
-// PrecisionAtK, RecallAtK, AveragePrecision and ROCAUC evaluate a ranking
-// (most outlying first) against a ground-truth positive set.
-func PrecisionAtK(ranked []string, positives map[string]bool, k int) float64 {
-	return eval.PrecisionAtK(ranked, positives, k)
-}
-
-// RecallAtK is the fraction of positives found in the top-k.
-func RecallAtK(ranked []string, positives map[string]bool, k int) float64 {
-	return eval.RecallAtK(ranked, positives, k)
-}
-
-// AveragePrecision is AP over the ranking.
-func AveragePrecision(ranked []string, positives map[string]bool) float64 {
-	return eval.AveragePrecision(ranked, positives)
-}
-
-// ROCAUC is the area under the ROC curve of the ranking.
+// ROCAUC is the area under the ROC curve of a ranking (most outlying first)
+// against a ground-truth positive set.
 func ROCAUC(ranked []string, positives map[string]bool) (float64, error) {
 	return eval.ROCAUC(ranked, positives)
 }

@@ -5,7 +5,7 @@
 # (2) both sides export their netout_shard_* metrics, and (3) killing one
 # shard process degrades the next query to "partial":true instead of
 # failing it. It also sends a whole-type scan until the shards read its
-# numerators from their norm tables (4). Run via
+# numerators from their norm tables, its repeats naming S by digest (4). Run via
 # `make shard-net-smoke`; CI runs it after the in-process shard smoke.
 set -eu
 
@@ -124,6 +124,9 @@ awk '$1 == "netout_serve_served_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$
 # reads it. Every reply ranks as the unsharded CLI does; the
 # newest event's scatter row — the shards' work — reads 2 traversed vectors
 # (one walk per shard) for the two middle requests and none for the last.
+# The first request sends S for the shards to keep; the repeats name it by
+# digest, so shard 1 receives no broadcast in full after it, and the
+# coordinator re-sends none.
 SCAN='FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;'
 "$BIN" $GEN -quiet -json -query "$SCAN" >"$TMP/scan_base.json" \
     || fail "unsharded reference scan failed"
@@ -136,9 +139,16 @@ scatter_traversed() {
         s && /"traversed_vectors"/ { gsub(/[^0-9]/, ""); print; exit }
         s && /^ *}/ { s = 0 }' "$TMP/scan.events"
 }
+full_broadcasts() {
+    curl -fsS "http://$SHARD1_METRICS/metrics" \
+        | awk '$1 == "netout_shardsrv_full_broadcasts_total" { print $2 }'
+}
 for want in cold 2 2 ""; do
     curl -fsS -X POST --data "$SCAN" "http://$COORD/query" >"$TMP/scan.json" \
         || fail "scattered scan failed"
+    if [ "$want" = cold ]; then
+        FULL="$(full_broadcasts)"
+    fi
     normalize "$TMP/scan.json" >"$TMP/scan.norm"
     cmp -s "$TMP/scan_base.norm" "$TMP/scan.norm" \
         || fail "scattered scan differs from unsharded execution: $(cat "$TMP/scan.json")"
@@ -146,6 +156,12 @@ for want in cold 2 2 ""; do
     [ "$want" = cold ] || [ "$got" = "$want" ] \
         || fail "scan's shards traversed '$got' vectors, want '$want'"
 done
+[ -n "$FULL" ] && [ "$(full_broadcasts)" = "$FULL" ] \
+    || fail "repeated scans sent S in full: shard 1 counted $FULL, then $(full_broadcasts) full broadcasts"
+curl -fsS "http://$COORD/metrics" >"$TMP/coord.metrics" \
+    || fail "coordinator /metrics unreachable"
+awk '/^netout_shard_rpc_resends_total/ { n++; if ($2 != 0) bad = 1 } END { exit bad || n != 2 }' \
+    "$TMP/coord.metrics" || fail "healthy fleet re-sent broadcasts: $(grep resends "$TMP/coord.metrics")"
 
 # Kill one shard process outright (no drain). The next query must degrade
 # to the surviving shard's exact prefix — partial, not failed.
@@ -157,4 +173,4 @@ curl -fsS -X POST --data "$Q" "http://$COORD/query" >"$TMP/degraded.json" \
 grep -q '"partial":true' "$TMP/degraded.json" \
     || fail "lost shard did not surface as partial: $(cat "$TMP/degraded.json")"
 
-echo "shard-net-smoke: OK (scattered = unsharded; repeated scan read its kept numerators; shard loss degraded to partial)"
+echo "shard-net-smoke: OK (scattered = unsharded; repeated scan sent no S and read its kept numerators; shard loss degraded to partial)"
