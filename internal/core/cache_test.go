@@ -843,3 +843,56 @@ func TestSaveIndexWriteFailures(t *testing.T) {
 		t.Fatalf("exact budget should succeed: %v", err)
 	}
 }
+
+// evictOne is evictLocked under mu; tests empty the LRU with it.
+func (st *sharedCacheState) evictOne() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.evictLocked()
+}
+
+// recomputeBytes walks the LRU, every waist table and every attached compiled
+// cache and re-sums what they hold; tests use it to verify the atomic byte
+// accounting against ground truth.
+func (st *sharedCacheState) recomputeBytes() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	total := st.recomputeWaistBytesLocked()
+	for _, c := range st.compiled {
+		total += c.recomputeBytes()
+	}
+	for el := st.order.Front(); el != nil; el = el.Next() {
+		total += el.Value.(storeEntry).bytes()
+	}
+	return total
+}
+
+// recomputeBytes re-sums what the entries hold, for
+// sharedCacheState.recomputeBytes.
+func (c *compiledCache) recomputeBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var total int64
+	for _, cq := range c.entries {
+		total += cq.size()
+	}
+	return total
+}
+
+// recomputeWaistBytesLocked re-sums what the live tables hold, for
+// recomputeBytes.
+func (st *sharedCacheState) recomputeWaistBytesLocked() int64 {
+	var total int64
+	for _, tbl := range st.waists.tables {
+		if tbl == nil {
+			continue
+		}
+		total += 8 * int64(len(tbl.slots))
+		for i := range tbl.slots {
+			if vec := tbl.slots[i].Load(); vec != nil {
+				total += int64(vec.Bytes()) + waistSlotOverhead
+			}
+		}
+	}
+	return total
+}

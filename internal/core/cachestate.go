@@ -12,13 +12,13 @@ import (
 // A materializer's store is what it keeps between queries, one per root
 // indexed, shared by every view — every concurrent query of a workload
 // (ExecuteBatch, ServePool): Cached's vectors and waist tables, a bare
-// index's norm tables and kept N, the broadcast states a shard keeps, and
-// every pool's compiled queries. It is a
-// map and a recency list under one mutex, which also guards every charge to
-// the store's byte account, so eviction always drops the global LRU tail. All
-// counters are atomic, and concurrent misses on the same (path, vertex) are
-// coalesced by a singleflight group so the network is traversed once, not
-// once per worker.
+// index's norm tables, the kept N of each (path, S) and the ghosts of S's
+// seen once, the broadcast states a shard keeps, and every pool's compiled
+// queries. It is a map and a recency list under one mutex, which also guards
+// every charge to the store's byte account, so eviction always drops the
+// global LRU tail. All counters are atomic, and concurrent misses on the same
+// (path, vertex) are coalesced by a singleflight group so the network is
+// traversed once, not once per worker.
 
 // ckey identifies one cached Φ vector: the canonical subpath key (one byte
 // per vertex type, metapath.Path.Key) and the source vertex — or, with the
@@ -32,18 +32,32 @@ type ckey struct {
 	v    hin.VertexID
 }
 
-// normsOf is the vertex a norm table is keyed on, and refOf the one a kept
-// broadcast state is, under its digest: no vector is keyed on a negative
+// normsOf is the vertex a norm table is keyed on, refOf the one a kept
+// broadcast state is, under its digest, and numerOf the one a kept N is, under
+// its path's key and S's digest (keptN): no vector is keyed on a negative
 // vertex.
 const (
 	normsOf hin.VertexID = -1
 	refOf   hin.VertexID = -2
+	numerOf hin.VertexID = -3
 )
+
+// storeEntry is what the LRU holds: a vector (cacheEntry), a norm table
+// (visPath), a kept broadcast state (keptRef) or a kept N or its ghost
+// (keptN), each under its key and charged its bytes, which never change while
+// it is held.
+type storeEntry interface {
+	ckey() ckey
+	bytes() int64
+}
 
 type cacheEntry struct {
 	key ckey
 	vec sparse.Vector
 }
+
+func (e *cacheEntry) ckey() ckey   { return e.key }
+func (e *cacheEntry) bytes() int64 { return cacheEntrySize(e.key, e.vec) }
 
 // keptRef is a broadcast state a shard was asked to keep (RefsKeep).
 type keptRef struct {
@@ -51,13 +65,14 @@ type keptRef struct {
 	st  ShardRefState
 }
 
+func (k *keptRef) ckey() ckey   { return k.key }
 func (k *keptRef) bytes() int64 { return k.st.bytes() + indexEntryOverhead + int64(len(k.key.path)) }
 
 // sharedCacheState is the store every view of one materializer shares
-// (indexed.lru): the LRU (Cached's warm entries, a bare index's norm tables),
-// the singleflight group and the store-wide counters. All counter fields are
-// atomic so that CacheStats totals are exact under concurrency and readable
-// without mu.
+// (indexed.lru): the LRU (Cached's warm entries, a bare index's norm tables
+// and kept N), the singleflight group and the store-wide counters. All
+// counter fields are atomic so that CacheStats totals are exact under
+// concurrency and readable without mu.
 type sharedCacheState struct {
 	g        *hin.Graph
 	maxBytes int64
@@ -65,15 +80,15 @@ type sharedCacheState struct {
 	// candSideMinShare; tests lower them to reach the branch on small graphs).
 	minKnown, minShare int
 
-	// mu guards the LRU (entries, order), each norm table's walkBytes and
-	// gone, the waist tables and lines, the compiled caches' list, and every
-	// charge to bytes: a charge and the evictions it forces are one critical
-	// section (chargeLocked). Lock order: compiledCache.mu is never held while
-	// mu is taken; only the test-only recomputeBytes nests mu →
-	// compiledCache.mu.
+	// mu guards the LRU (entries, order), the waist tables and lines, the
+	// compiled caches' list, and every charge to bytes: a charge and the
+	// evictions it forces are one critical section (chargeLocked), and so is
+	// putting an entry in another's place (admit). Lock order:
+	// compiledCache.mu is never held while mu is taken; only the test-only
+	// recomputeBytes nests mu → compiledCache.mu.
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
-	order   list.List // front = most recent; *cacheEntry, *visPath or *keptRef
+	order   list.List // front = most recent; every element a storeEntry
 
 	flight flightGroup
 
@@ -116,7 +131,7 @@ func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
 
 // lookup returns the entry under key, moved to the LRU front; nil when there
 // is none, or no store.
-func (st *sharedCacheState) lookup(key ckey) any {
+func (st *sharedCacheState) lookup(key ckey) storeEntry {
 	if st == nil {
 		return nil
 	}
@@ -127,7 +142,7 @@ func (st *sharedCacheState) lookup(key ckey) any {
 		return nil
 	}
 	st.order.MoveToFront(el)
-	return el.Value
+	return el.Value.(storeEntry)
 }
 
 // get returns the vector under key and moves it to the LRU front.
@@ -184,17 +199,17 @@ func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier spars
 // misses of different paths can both keep a shared prefix) holds the same
 // vector — Φ is a function of (path, vertex) — and is only moved to the front.
 func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
-	st.add(key, &cacheEntry{key: key, vec: vec}, cacheEntrySize(key, vec))
+	st.add(&cacheEntry{key: key, vec: vec})
 }
 
-// add is insert's body for any entry e of size bytes; a nil store keeps
-// nothing.
-func (st *sharedCacheState) add(key ckey, e any, size int64) {
+// add is insert's body for any entry; a nil store keeps nothing.
+func (st *sharedCacheState) add(e storeEntry) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	key, size := e.ckey(), e.bytes()
 	if el, ok := st.entries[key]; ok {
 		st.order.MoveToFront(el)
 		return
@@ -206,43 +221,75 @@ func (st *sharedCacheState) add(key ckey, e any, size int64) {
 	st.chargeLocked(size)
 }
 
-// chargeLocked moves the byte account by n — an entry, a norm table, a waist
-// table or a compiled query — and evicts LRU tails until the store is back
-// under its budget. The caller holds mu.
-func (st *sharedCacheState) chargeLocked(n int64) {
-	st.bytes.Add(n)
-	for st.bytes.Load() > st.maxBytes && st.evictLocked() {
-	}
-}
-
-// evictLocked drops the LRU tail, a norm table whole, kept N and all;
-// false when the LRU is empty. The caller holds mu.
-func (st *sharedCacheState) evictLocked() bool {
-	tail := st.order.Back()
-	if tail == nil {
-		return false
-	}
-	switch e := st.order.Remove(tail).(type) {
-	case *cacheEntry:
-		delete(st.entries, e.key)
-		st.bytes.Add(-cacheEntrySize(e.key, e.vec))
-	case *visPath:
-		delete(st.entries, e.key)
-		st.bytes.Add(-e.bytes())
-		e.gone = true
-	case *keptRef:
-		delete(st.entries, e.key)
-		st.bytes.Add(-e.bytes())
-	}
-	st.evictions.Add(1)
-	return true
-}
-
-// evictOne is evictLocked under mu; tests empty the LRU with it.
-func (st *sharedCacheState) evictOne() bool {
+// admit puts e, a kept N or a ghost, at the LRU front in old's place — old is
+// what the caller found under e's key, nil for nothing — unless another entry
+// took that place since, or e does not fit (fitsLocked).
+func (st *sharedCacheState) admit(old, e *keptN) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.evictLocked()
+	el := st.entries[e.key]
+	if el == nil && old != nil || el != nil && el.Value != old || !st.fitsLocked(old, e, false) {
+		return
+	}
+	st.fitsLocked(old, e, true)
+	if el != nil {
+		st.order.Remove(el)
+	}
+	st.entries[e.key] = st.order.PushFront(e)
+	st.bytes.Add(e.bytes() - old.bytes())
+}
+
+// fits is fitsLocked, evicting nothing, under mu.
+func (st *sharedCacheState) fits(old, e *keptN) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.fitsLocked(old, e, false)
+}
+
+// fitsLocked reports whether e fits in old's place: in the room the budget
+// leaves beside everything else, plus what e may evict — the kept N and
+// ghosts of other S's for an N, other ghosts for a ghost, never any other
+// entry, so a kept N displaces no norm — and with evict it evicts that, least
+// recently used first, until e fits. The caller holds mu.
+func (st *sharedCacheState) fitsLocked(old, e *keptN, evict bool) bool {
+	need := e.bytes() - old.bytes() - st.maxBytes + st.bytes.Load()
+	for el := st.order.Back(); need > 0 && el != nil; {
+		prev := el.Prev()
+		if k, ok := el.Value.(*keptN); ok && k != old && (e.vs != nil || k.vs == nil) {
+			if need -= k.bytes(); evict {
+				st.removeLocked(el)
+			}
+		}
+		el = prev
+	}
+	return need <= 0
+}
+
+// chargeLocked moves the byte account by n — an entry, a norm table, a waist
+// table or a compiled query — after evicting LRU tails until n fits the
+// budget, so a reader of bytes never sees more than it. The caller holds mu.
+func (st *sharedCacheState) chargeLocked(n int64) {
+	for st.bytes.Load()+n > st.maxBytes && st.evictLocked() {
+	}
+	st.bytes.Add(n)
+}
+
+// evictLocked drops the LRU tail; false when the LRU is empty. The caller
+// holds mu.
+func (st *sharedCacheState) evictLocked() bool {
+	tail := st.order.Back()
+	if tail != nil {
+		st.removeLocked(tail)
+	}
+	return tail != nil
+}
+
+// removeLocked evicts the entry at el. The caller holds mu.
+func (st *sharedCacheState) removeLocked(el *list.Element) {
+	e := st.order.Remove(el).(storeEntry)
+	delete(st.entries, e.ckey())
+	st.bytes.Add(-e.bytes())
+	st.evictions.Add(1)
 }
 
 func (st *sharedCacheState) cacheStats() CacheStats {
@@ -256,29 +303,6 @@ func (st *sharedCacheState) cacheStats() CacheStats {
 		WaistFinishes: st.waists.finished.Load(),
 		Bytes:         st.bytes.Load(),
 	}
-}
-
-// recomputeBytes walks the LRU, every waist table and every attached compiled
-// cache and re-sums what they hold; tests use it to verify the atomic byte
-// accounting against ground truth.
-func (st *sharedCacheState) recomputeBytes() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	total := st.recomputeWaistBytesLocked()
-	for _, c := range st.compiled {
-		total += c.recomputeBytes()
-	}
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		switch e := el.Value.(type) {
-		case *cacheEntry:
-			total += cacheEntrySize(e.key, e.vec)
-		case *visPath:
-			total += e.bytes()
-		case *keptRef:
-			total += e.bytes()
-		}
-	}
-	return total
 }
 
 // ---------------------------------------------------------------------------

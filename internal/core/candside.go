@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -32,8 +30,8 @@ import (
 //     gets every numerator at once: N = M_P·S is S propagated back along
 //     P⁻¹ (Traverser.SeedValues; edges are symmetric), one walk instead of
 //     one per candidate, its last hop gathered at this side's candidates
-//     only — or no walk at all, N read where the norm table keeps it for an
-//     S it has seen before (indexed.seedValues). A candidate whose norm is
+//     only — or no walk at all, N read where the store keeps it for an S it
+//     has seen before (indexed.seedValues). A candidate whose norm is
 //     known then costs a table read and a division; one whose norm is not
 //     costs the walk it always did — Φ drained into scratch when only its
 //     norm is wanted — and leaves the norm behind. N is exact or absent:
@@ -56,10 +54,11 @@ type candidateSide struct {
 	// nil when candidates are scored from vectors.
 	memo []*visPath
 	num  [][]float64
-	// numer[m] says where num[m] came from, for the query's plan lines:
-	// "memo" (the table's kept N), "walk" (S walked back by this query), or
-	// "vertex" (a walk per candidate) with the crossover's inputs.
-	numer []string
+	// plan[m] is path m's plan line, in waistLine's shape: where num[m] came
+	// from, "(0 1 2): numer=" and "memo" (the store's kept N), "walk" (S
+	// walked back by this query), or "vertex" (a walk per candidate) with the
+	// crossover's inputs, "vertex known=0 need=1024".
+	plan []string
 	// ifq receives scoreRange's chunk progress (nil-safe; nil on a shard
 	// server).
 	ifq *obs.InflightQuery
@@ -99,7 +98,7 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 	}
 	cs.memo = make([]*visPath, len(paths))
 	cs.num = make([][]float64, len(paths))
-	cs.numer = make([]string, len(paths))
+	cs.plan = make([]string, len(paths))
 	var err error
 	for m, p := range paths {
 		rs := scorers.perPath[m]
@@ -107,27 +106,20 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 		cs.memo[m] = tbl
 		// num is exact or nil: a path whose used numerators left 2⁵³ walks
 		// per vertex.
+		var how string
 		if known >= need {
-			if cs.num[m], cs.numer[m], err = sm.seedValues(ctx, p, tbl, rs.s, cands); err != nil {
+			if cs.num[m], how, err = sm.seedValues(ctx, p, rs.s, scorers.digested()[m].Digest, cands); err != nil {
 				return nil, err
 			}
 		}
-		if cs.num[m] == nil {
-			cs.numer[m] = fmt.Sprintf("vertex known=%d need=%d", known, need)
+		if cs.num[m] != nil {
+			cs.plan[m] = p.String() + ": numer=" + how
+		} else {
+			cs.plan[m] = fmt.Sprintf("%s: numer=vertex known=%d need=%d", p, known, need)
 			rs.withDir()
 		}
 	}
 	return cs, nil
-}
-
-// plan is numer as plan lines, one per path in waistLine's shape:
-// "(0 1 2): numer=vertex known=0 need=1024".
-func (cs *candidateSide) plan() []string {
-	lines := make([]string, len(cs.numer))
-	for m, how := range cs.numer {
-		lines[m] = cs.paths[m].String() + ": numer=" + how
-	}
-	return lines
 }
 
 // candBuf is one goroutine's reusable scratch for walking candidate ranges.
@@ -269,19 +261,15 @@ func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.V
 // ---------------------------------------------------------------------------
 // Norm tables
 
-// walkSeed keys the fingerprints of first sightings (visPath.sighted).
-var walkSeed = maphash.MakeSeed()
-
 // visPath memoizes one feature path's visibilities ‖Φ_P(v)‖² = κ(v,v)
-// (Section 5.1) that traversals have computed, and the numerators of one S
-// (keptWalk). It is an element of the materializer's store, created on first
-// use (sharedCacheState.normTable) and shared by every view, so a query's
-// local ranges and every query or shard request a ServePool admits fill and
-// read the same table. It goes least recently used first, kept N and all; a
-// kept N never displaces anything (keep). A reader holding an evicted table
-// keeps a consistent one for the rest of its query. Norms are indexed by
-// vertex ID offset by the source type's first ID (the dense kernel's span
-// trick: one slot per vertex of the type when a loader added them together).
+// (Section 5.1) that traversals have computed. It is an element of the
+// materializer's store, created on first use (sharedCacheState.normTable) and
+// shared by every view, so a query's local ranges and every query or shard
+// request a ServePool admits fill and read the same table. It goes least
+// recently used first; a reader holding an evicted table keeps a consistent
+// one for the rest of its query. Norms are indexed by vertex ID offset by the
+// source type's first ID (the dense kernel's span trick: one slot per vertex
+// of the type when a loader added them together).
 type visPath struct {
 	key ckey
 	lo  hin.VertexID
@@ -291,32 +279,41 @@ type visPath struct {
 	// of a slot stores the same word — the norm is a function of (path,
 	// vertex) — so concurrent fills need atomicity, not ordering.
 	bits []atomic.Uint64
-	// walk is the kept N (nil: none), published whole and never written; seen
-	// fingerprints the last S walked without being kept. walkBytes (what walk
-	// is charged) and gone (the table was evicted) are the store's mu's.
-	walk      atomic.Pointer[keptWalk]
-	seen      atomic.Uint64
-	walkBytes int64
-	gone      bool
 }
 
-// bytes is what vp is charged: its norms and its kept N.
-func (vp *visPath) bytes() int64 { return 8*int64(len(vp.bits)) + vp.walkBytes }
+func (vp *visPath) ckey() ckey   { return vp.key }
+func (vp *visPath) bytes() int64 { return 8 * int64(len(vp.bits)) }
 
-// keptWalk is S walked back along P⁻¹ to its end, N = M_P·S, beside that S,
-// held by reference: a reduced S or a broadcast is never written. num[i] is
-// N at vs[i], the graph's list of P's source type, every one below 2⁵³.
-type keptWalk struct {
-	s   sparse.Vector
-	vs  []hin.VertexID
-	num []float64
+// keptN is S walked back along P⁻¹ to its end, N = M_P·S, beside that S, held
+// by reference — a reduced S or a broadcast is never written — under P's key
+// and S's digest (indexed.seedValues). num[i] is N at vs[i], the graph's list
+// of P's source type, every one below 2⁵³. A ghost holds its key alone: S was
+// seen once, or (spoiled) its N reached 2⁵³ at some vertex of the type and
+// is never kept. Published whole and never written.
+type keptN struct {
+	key     ckey
+	s       sparse.Vector
+	vs      []hin.VertexID
+	num     []float64
+	spoiled bool
+}
+
+func (w *keptN) ckey() ckey { return w.key }
+
+// bytes is what w is charged: S, N at every vertex of vs, and its key; 0 for
+// nil.
+func (w *keptN) bytes() int64 {
+	if w == nil {
+		return 0
+	}
+	return int64(w.s.Bytes()+8*len(w.vs)) + indexEntryOverhead + int64(len(w.key.path))
 }
 
 // read is N at the vertices at, as Traverser.SeedValues reads it: 0 at a
 // vertex not of P's source type. A run of vs — a whole-type scan's
 // candidates, or the slice PartitionVertices hands a shard — is a window of
 // num itself, which nobody writes.
-func (w *keptWalk) read(at []hin.VertexID) []float64 {
+func (w *keptN) read(at []hin.VertexID) []float64 {
 	if n := len(at); n > 0 {
 		if i, _ := slices.BinarySearch(w.vs, at[0]); i+n <= len(w.vs) && slices.Equal(w.vs[i:i+n], at) {
 			return w.num[i : i+n : i+n]
@@ -330,8 +327,6 @@ func (w *keptWalk) read(at []hin.VertexID) []float64 {
 	}
 	return vals
 }
-
-func (w *keptWalk) bytes() int64 { return int64(w.s.Bytes() + 8*len(w.num)) }
 
 // normTable returns p's norm table at the LRU front, creating it when it
 // fits beside what the LRU cannot evict (nil otherwise).
@@ -352,59 +347,6 @@ func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
 	st.entries[key] = st.order.PushFront(vp)
 	st.chargeLocked(size)
 	return vp
-}
-
-// room is how many bytes an N kept on vp may take: what the budget leaves
-// beside everything else the store holds. A kept N evicts nothing.
-func (st *sharedCacheState) room(vp *visPath) int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.maxBytes - st.bytes.Load() + vp.walkBytes
-}
-
-// keep publishes w as vp's walk in place of the one it keeps, charged to the
-// store, unless it no longer fits vp's room. On a table evicted meanwhile it
-// is published uncharged and goes with the table.
-func (st *sharedCacheState) keep(vp *visPath, w *keptWalk) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	b := w.bytes()
-	if !vp.gone {
-		if b > st.maxBytes-st.bytes.Load()+vp.walkBytes {
-			return
-		}
-		st.bytes.Add(b - vp.walkBytes)
-		vp.walkBytes = b
-	}
-	vp.walk.Store(w)
-}
-
-// sighted records s as the last S walked on vp without being kept and
-// reports whether it already was, and was not spoiled since, by a 64-bit
-// maphash of its bits: it decides when N is kept, never what a lookup
-// matches.
-func (vp *visPath) sighted(s sparse.Vector) bool {
-	fp := fingerprint(s)
-	if vp.seen.Load() == fp|1 {
-		return false
-	}
-	return vp.seen.Swap(fp) == fp
-}
-
-// spoil records s, whose N reached 2⁵³ at some vertex of the type, as the
-// last S sighted on vp and never to be kept: its repeats walk as first
-// sightings do until another S is sighted.
-func (vp *visPath) spoil(s sparse.Vector) { vp.seen.Store(fingerprint(s) | 1) }
-
-// fingerprint is s's bits hashed, its lowest bit clear (spoil sets it).
-func fingerprint(s sparse.Vector) uint64 {
-	var h maphash.Hash
-	h.SetSeed(walkSeed)
-	var b [12]byte
-	for i, ix := range s.Idx {
-		h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(b[:0], uint32(ix)), math.Float64bits(s.Val[i])))
-	}
-	return h.Sum64() &^ 1
 }
 
 // sameBits reports whether a and b hold the same coordinates with the same

@@ -94,6 +94,29 @@ func normsIn(st *sharedCacheState, p metapath.Path) *visPath {
 	return nil
 }
 
+// sumOf is S's digest, the one a query's scorers hold (queryScorers.digested).
+func sumOf(s sparse.Vector) [32]byte { return ShardRefState{Agg: s}.Sum() }
+
+// keptIn is what st keeps for S on p: its N, its ghost, or nil; it moves
+// nothing.
+func keptIn(st *sharedCacheState, p metapath.Path, s sparse.Vector) *keptN {
+	d := sumOf(s)
+	return keptAt(st, ckey{path: p.Key() + string(d[:]), v: numerOf})
+}
+
+// keptAt is the kept N or ghost under key, or nil; it moves nothing.
+func keptAt(st *sharedCacheState, key ckey) *keptN {
+	if el, ok := st.entries[key]; ok {
+		return el.Value.(*keptN)
+	}
+	return nil
+}
+
+// ghostBytes is what the ghost of an S sighted once on p is charged.
+func ghostBytes(p metapath.Path) int64 {
+	return (&keptN{key: ckey{path: p.Key() + string(make([]byte, 32))}}).bytes()
+}
+
 // candSideExecutors are the three places a query's candidate ranges run, each
 // over an eager baseline of its own (the in-process shard arm went with the
 // tier; "pipeline" and "remote" cover it).
@@ -274,8 +297,7 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
 	}
-	tbl, _, _ := probe.norms(p, all)
-	if n, _, err := probe.seedValues(context.Background(), p, tbl, agg, all); err != nil || n != nil {
+	if n, _, err := probe.seedValues(context.Background(), p, agg, sumOf(agg), all); err != nil || n != nil {
 		t.Fatalf("fixture: N stays in the exact domain (N=%v, err=%v)", n != nil, err)
 	}
 	want := perVertexResult(t, g, all, all, []metapath.Path{p}, []float64{1}, 0)
@@ -308,7 +330,8 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 // Accounting without new series: a norm read from the table is an indexed
 // vector, a walk a traversed one, a propagation — forward or back, its N
 // kept or not — one traversed vector per path, a read of a kept N one indexed
-// vector, and IndexBytes is what the tables hold, norms and kept numerators.
+// vector, and IndexBytes is what the store holds: norms, kept numerators and
+// the ghosts of S's sighted once.
 // With the production crossover a scan only propagates once 1 024 of its
 // candidates are known and they are a quarter of the type.
 func TestCandidateSideAccounting(t *testing.T) {
@@ -324,7 +347,8 @@ func TestCandidateSideAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walk := int64(s.Bytes()) + 8*int64(len(all))
+	walk := (&keptN{key: ckey{path: venue.Key() + string(make([]byte, 32))}, s: s, vs: all}).bytes()
+	ghost := ghostBytes(venue) // the author path's key is as long
 	mat := NewBaseline(g)
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 	scan := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;`
@@ -339,13 +363,14 @@ func TestCandidateSideAccounting(t *testing.T) {
 	}{
 		{"cold scan walks every candidate", scan, 1 + n, 0, 8 * span},
 		{"1 000 known candidates stay under the floor", few, 1 + 1000, 0, 8 * span},
-		{"warm scan: S, N, then the table", scan, 2, n, 8 * span},
-		// The same S seen a second time: N is kept, still one traversal.
+		// A first sighting of S leaves its ghost.
+		{"warm scan: S, N, then the table", scan, 2, n, 8*span + ghost},
+		// The same S seen a second time: N is kept in its place, still one traversal.
 		{"a known subset above the floor propagates too", most, 2, 1300, 8*span + walk},
 		// The venue path reads the kept N: an indexed vector, no walk.
 		{"one warm path, one cold", two, 2 + n, 1 + n, 16*span + walk},
 		// The venue path reads again; the author path walks its S a first time.
-		{"both warm", two, 3, 1 + 2*n, 16*span + walk},
+		{"both warm", two, 3, 1 + 2*n, 16*span + walk + ghost},
 	} {
 		res, err := eng.Execute(step.src)
 		if err != nil {
@@ -366,7 +391,7 @@ func TestCandidateSideAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)).Execute(scan)
-	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk {
+	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk+ghost {
 		t.Fatalf("view: err=%v traversed=%d indexed=%d bytes=%d, want the root's warm table and kept N",
 			err, res.Timing.TraversedVectors, res.Timing.IndexedVectors, view.IndexBytes())
 	}
@@ -472,9 +497,9 @@ func TestNormTablesGoLeastRecentlyUsed(t *testing.T) {
 	if st.normTable(paths[0]) != a || st.normTable(paths[2]) == nil {
 		t.Fatal("set-up: a table was not created or not found again")
 	}
-	if normsIn(st, paths[0]) != a || a.gone || normsIn(st, paths[1]) != nil || !b.gone {
-		t.Fatalf("A kept %v gone %v, B kept %v gone %v: want B, the least recently used, evicted",
-			normsIn(st, paths[0]) != nil, a.gone, normsIn(st, paths[1]) != nil, b.gone)
+	if normsIn(st, paths[0]) != a || normsIn(st, paths[1]) != nil || b == nil {
+		t.Fatalf("A kept %v, B kept %v: want B, the least recently used, evicted",
+			normsIn(st, paths[0]) != nil, normsIn(st, paths[1]) != nil)
 	}
 	if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground {
 		t.Fatalf("account %d, re-summed %d", got, ground)
@@ -810,9 +835,9 @@ func broadcastOf(g *hin.Graph, s sparse.Vector) *ShardBroadcast {
 // A shard request on a warm range that propagates allocates what its slice
 // needs and nothing the size of a type: no directory of S, which a propagated
 // path never dots against, and on a first sighting of S — its N may never be
-// asked for again — no kept N. A cold range, which dots, builds the
-// directory. A repeat reads the N the second sighting kept, and a stream of
-// distinct S's keeps a small table inside its bound.
+// asked for again — no kept N, only its ghost. A cold range, which dots,
+// builds the directory. A repeat reads the N the second sighting kept, and a
+// stream of distinct S's keeps a small store inside its bound.
 func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(5)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
@@ -831,7 +856,16 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 		}
 		return s
 	}
-	bs, bo := broadcastOf(g, sOf(all)), broadcastOf(g, sOf(all[:len(all)/3]))
+	const runs = 20
+	bs := broadcastOf(g, sOf(all))
+	// Distinct S's, each sent once below: every request a first sighting.
+	var stream []*ShardBroadcast
+	for k, seen := 1, map[[32]byte]bool{sumOf(bs.Refs[0].Agg): true}; len(stream) < 2*runs+2; k++ {
+		if s := sOf(all[k:]); !seen[sumOf(s)] {
+			seen[sumOf(s)] = true
+			stream = append(stream, broadcastOf(g, s))
+		}
+	}
 	req := shardScan(p, all[:len(all)/2])
 	serve := func(mat Materializer, b *ShardBroadcast, traversed int64) {
 		resp := ServeShardRequest(ctx, g, mat, req, b)
@@ -854,17 +888,16 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 		t.Fatal("a cold range walks per candidate without S's directory")
 	}
 	ServeShardRequest(ctx, g, mat, req, bs) // cold: fills the norms
-	// Two S's in turn: every request is a first sighting, walked in scratch.
-	alternate := func() {
-		serve(mat, bo, 1)
-		serve(mat, bs, 1)
+	sent := 0
+	first := func() {
+		serve(mat, stream[sent], 1)
+		sent++
 	}
-	alternate() // grows the hop buffers
+	first() // grows the hop buffers
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	const runs = 20
 	for i := 0; i < runs; i++ {
-		alternate()
+		first()
 	}
 	runtime.ReadMemStats(&after)
 	// Under -race sync.Pool drops the chunk scratch, which a half-type range
@@ -874,34 +907,36 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	if raceEnabled {
 		bound += kept
 	}
-	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / (2 * runs); perReq >= bound || mat.IndexBytes() != norms {
-		t.Fatalf("first sightings allocated %d bytes per request (bound %d, the author type's span is %d) and left %d bytes in the table, want the %d of the norms",
-			perReq, bound, span, mat.IndexBytes(), norms)
+	ghost := ghostBytes(p)
+	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / runs; perReq >= bound || mat.IndexBytes() != norms+int64(sent)*ghost {
+		t.Fatalf("first sightings allocated %d bytes per request (bound %d, the author type's span is %d) and left %d bytes in the store, want the %d of the norms and %d ghosts",
+			perReq, bound, span, mat.IndexBytes(), norms, sent)
 	}
-	// Measured: 20, the ceiling of a walk in scratch ("sync.Pool drops what it
+	// Measured: 23, a walk in scratch and S's ghost ("sync.Pool drops what it
 	// is handed" under -race).
-	if n := testing.AllocsPerRun(runs, alternate) / 2; n > 24 && !raceEnabled {
+	if n := testing.AllocsPerRun(runs, first); n > 24 && !raceEnabled {
 		t.Fatalf("a first sighting allocated %.0f times per request, ceiling 24", n)
 	}
-	// bs was the last S seen: planning its range again keeps N — still
-	// without S's directory — and a repeat only reads it.
-	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+kept+int64(bs.Refs[0].Agg.Bytes()) {
-		t.Fatalf("second sighting: directory %v, %d bytes in the table, want the norms and one kept N", rs.hasDir, mat.IndexBytes())
+	// bs's first sighting leaves its ghost; planning its range again keeps N
+	// in the ghost's place — still without S's directory — and a repeat only
+	// reads it.
+	serve(mat, bs, 1)
+	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+int64(sent)*ghost+kept+int64(bs.Refs[0].Agg.Bytes())+ghost {
+		t.Fatalf("second sighting: directory %v, %d bytes in the store, want the norms, the ghosts and one kept N", rs.hasDir, mat.IndexBytes())
 	}
 	repeat := func() { serve(mat, bs, 0) }
 	repeat()
-	// A table with room for the norms and one and a half kept N: a stream of
+	// A store with room for the norms and one and a half kept N: a stream of
 	// distinct S's, each sent three times, keeps each one's N in place of the
 	// last on its second sighting, reads it on its third, and never holds more
 	// than its bound.
 	small := bareWithin(g, norms+3*(kept+12*int64(len(all)))/2)
 	ServeShardRequest(ctx, g, small, req, bs)
-	for k := 1; k <= 8; k++ {
-		b := broadcastOf(g, sOf(all[k:]))
-		for _, traversed := range []int64{1, 1, 0} {
+	for k, b := range stream[:8] {
+		for i, traversed := range []int64{1, 1, 0} {
 			serve(small, b, traversed)
-			if n := small.IndexBytes(); n > small.lru.maxBytes {
-				t.Fatalf("S %d: the table holds %d bytes, bound %d", k, n, small.lru.maxBytes)
+			if n := small.IndexBytes(); n > small.lru.maxBytes || n != small.lru.recomputeBytes() {
+				t.Fatalf("S %d, sighting %d: the store holds %d bytes (re-summed %d), bound %d", k, i+1, n, small.lru.recomputeBytes(), small.lru.maxBytes)
 			}
 		}
 	}
@@ -915,10 +950,10 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	}
 }
 
-// A kept N never displaces a norm. In a table with room for two paths' norms
+// A kept N never displaces a norm. In a store with room for two paths' norms
 // and one kept N, the first path to see its S twice keeps its N; the second
-// path's S, seen as often, walks in scratch every time — its N and larger S
-// do not fit — and both paths keep their norms and the first its N.
+// path's S, seen as often, walks in scratch every time — not even its ghost
+// fits — and both paths keep their norms and the first its N.
 func TestKeptWalkEvictsNoNorms(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(7)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
@@ -937,7 +972,7 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 		}
 		paths, bs = append(paths, p), append(bs, broadcastOf(g, s))
 	}
-	walk := 8*int64(len(all)) + int64(bs[0].Refs[0].Agg.Bytes())
+	walk := 8*int64(len(all)) + int64(bs[0].Refs[0].Agg.Bytes()) + ghostBytes(paths[0])
 	mat := bareWithin(g, 2*norms+walk)
 	for i, p := range paths {
 		req := shardScan(p, all)
@@ -955,8 +990,53 @@ func TestKeptWalkEvictsNoNorms(t *testing.T) {
 			t.Fatalf("the norms of %v were evicted", p)
 		}
 	}
-	if mat.IndexBytes() != 2*norms+walk || normsIn(mat.lru, paths[1]).walk.Load() != nil {
-		t.Fatalf("the table holds %d bytes, want both paths' norms and the first path's N", mat.IndexBytes())
+	if w := keptIn(mat.lru, paths[0], bs[0].Refs[0].Agg); mat.IndexBytes() != 2*norms+walk || w == nil || w.num == nil || keptIn(mat.lru, paths[1], bs[1].Refs[0].Agg) != nil {
+		t.Fatalf("the store holds %d bytes, want both paths' norms and the first path's N", mat.IndexBytes())
+	}
+}
+
+// Kept N and ghosts make room only among themselves. In a store with room for
+// the norms, one N and three ghosts, full with one N and three ghosts, a
+// fourth ghost evicts the oldest ghost and nothing else; promoting it evicts
+// the older N — a new S's N takes the place of a stale one, as one S's did on
+// its path — and the norms stay throughout, the account exact.
+func TestKeptEntriesEvictOnlyEachOther(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(11)), 600)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.author")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := func(i byte) *keptN {
+		return &keptN{key: ckey{path: p.Key() + strings.Repeat(string(rune('a'+i)), 32), v: numerOf}}
+	}
+	kept := func(i byte) *keptN { return &keptN{key: ghost(i).key, vs: all, num: make([]float64, len(all))} }
+	norms := 8 * int64(all[len(all)-1]-all[0]+1)
+	st := bareWithin(g, norms+kept(0).bytes()+3*ghost(0).bytes()).lru
+	st.normTable(p)
+	held := map[byte]*keptN{}
+	for _, i := range []byte{1, 1, 2, 3, 4, 5, 5} { // a ghost, then its N if it holds one
+		cur, _ := st.lookup(ghost(i).key).(*keptN)
+		e := ghost(i)
+		if cur != nil {
+			e = kept(i)
+		}
+		st.admit(cur, e)
+		held[i] = e
+		if i == 5 && cur == nil { // the fifth ghost found the store full
+			delete(held, 2)
+		}
+		if i == 5 && cur != nil { // its N evicted the older N
+			delete(held, 1)
+		}
+		for j := byte(1); j <= 5; j++ {
+			if got := keptAt(st, ghost(j).key); got != held[j] {
+				t.Fatalf("after %d: S %d holds %+v, want %+v", i, j, got, held[j])
+			}
+		}
+		if normsIn(st, p) == nil || st.bytes.Load() > st.maxBytes || st.bytes.Load() != st.recomputeBytes() {
+			t.Fatalf("after %d: norms kept %v, %d bytes (re-summed %d), bound %d", i, normsIn(st, p) != nil, st.bytes.Load(), st.recomputeBytes(), st.maxBytes)
+		}
 	}
 }
 
@@ -1024,18 +1104,17 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 			t.Fatal(err)
 		}
 		mat := eagerBaseline(g).(*indexed)
-		tbl := mat.lru.normTable(p)
 		for range 2 {
-			if _, _, err := mat.seedValues(ctx, p, tbl, s, all[:1]); err != nil {
+			if _, _, err := mat.seedValues(ctx, p, s, sumOf(s), all[:1]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if tbl.walk.Load() == nil {
+		if w := keptIn(mat.lru, p, s); w == nil || w.num == nil {
 			t.Fatalf("seed %d: N was not kept", seed)
 		}
 		mixed := []hin.VertexID{all[7], all[3], all[7], g.VerticesOfType(1)[0], all[len(all)-1]}
 		for _, at := range [][]hin.VertexID{all, all[10:200], all[1:], mixed} {
-			got, how, err := mat.seedValues(ctx, p, tbl, s.Clone(), at)
+			got, how, err := mat.seedValues(ctx, p, s.Clone(), sumOf(s), at)
 			want, _, _ := metapath.NewTraverser(g).SeedValues(ctx, p.Reverse(), s, at)
 			if err != nil || how != "memo" || len(got) != len(want) {
 				t.Fatalf("seed %d: %s read %d values (%v), want %d", seed, how, len(got), err, len(want))
@@ -1049,13 +1128,32 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 	}
 }
 
+// bigSmallGraph is two vertices of type a, big and small, each linked to mid,
+// the one vertex of type b: big by mult, small once.
+func bigSmallGraph(t *testing.T, mult int32) (g *hin.Graph, small, mid hin.VertexID) {
+	s := hin.MustSchema("a", "b")
+	s.AllowLink(0, 1)
+	bld := hin.NewBuilder(s)
+	big, small := bld.MustAddVertex(0, "big"), bld.MustAddVertex(0, "small")
+	mid = bld.MustAddVertex(1, "mid")
+	for _, e := range []struct {
+		u    hin.VertexID
+		mult int32
+	}{{big, mult}, {small, 1}} {
+		if err := bld.AddEdgeMult(e.u, mid, e.mult); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bld.Build(), small, mid
+}
+
 // N is kept only when it is exact at every vertex of the type. Over a slice
 // whose numerators are exact, beside a vertex outside it whose N is 2⁵³
 // (TestSeedValuesExactnessCoversUsedOnly's shape), three repeats of a request
-// walk — the second sighting keeps nothing, the third walks as a first
-// sighting — and answer a fresh baseline's bits; the table holds the norms
-// alone. With that count made small, the second sighting keeps N and the
-// third reads it.
+// walk — the second sighting keeps nothing but a spoiled ghost, the third
+// walks as a first sighting — and answer a fresh baseline's bits; the store
+// holds the norms and that ghost. With that count made small, the second
+// sighting keeps N in the ghost's place and the third reads it.
 func TestKeptWalkIsExactOverTheType(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -1066,20 +1164,7 @@ func TestKeptWalkIsExactOverTheType(t *testing.T) {
 		{1 << 23, []int64{1, 1, 1}, false},
 		{1, []int64{1, 1, 0}, true},
 	} {
-		s := hin.MustSchema("a", "b")
-		s.AllowLink(0, 1)
-		bld := hin.NewBuilder(s)
-		big, small := bld.MustAddVertex(0, "big"), bld.MustAddVertex(0, "small")
-		mid := bld.MustAddVertex(1, "mid")
-		for _, e := range []struct {
-			u    hin.VertexID
-			mult int32
-		}{{big, tc.big}, {small, 1}} {
-			if err := bld.AddEdgeMult(e.u, mid, e.mult); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g := bld.Build()
+		g, small, mid := bigSmallGraph(t, tc.big)
 		p := metapath.MustNew(0, 1)
 		req := shardScan(p, []hin.VertexID{small})
 		sv := sparse.Vector{Idx: []int32{int32(mid)}, Val: []float64{1 << 30}} // N[big] = big·2³⁰
@@ -1111,20 +1196,148 @@ func TestKeptWalkIsExactOverTheType(t *testing.T) {
 			}
 			entriesBitEqual(t, fmt.Sprintf("big=%d, repeat %d", tc.big, i+1), &Result{Entries: want.Entries, Skipped: want.Skipped}, &Result{Entries: got.Entries, Skipped: got.Skipped})
 		}
-		norms, kept := int64(16), int64(0) // big and small
+		norms, kept := int64(16), ghostBytes(p) // big and small; the ghost
 		if tc.kept {
-			kept = int64(sv.Bytes()) + norms
+			kept += int64(sv.Bytes()) + norms
 		}
-		if mat.IndexBytes() != norms+kept {
-			t.Fatalf("big=%d: the table holds %d bytes, want %d", tc.big, mat.IndexBytes(), norms+kept)
+		if w := keptIn(mat.(*indexed).lru, p, sv); mat.IndexBytes() != norms+kept || w == nil || w.spoiled == tc.kept || (w.num != nil) != tc.kept {
+			t.Fatalf("big=%d: the store holds %d bytes, want %d, and S's entry %+v", tc.big, mat.IndexBytes(), norms+kept, w)
 		}
 	}
 }
 
-// Views of one baseline read a path's kept N while the N of a new S replaces
-// it and the old one comes back, again and again (run under -race): every
-// request answers the kept S's bits, from an entry it loaded whole or, once
-// that was replaced, from a walk of its own.
+// Two S's that take turns on one path each keep an N of their own: sent A B A
+// B A B — as two COMPARED TO sets through an engine, and as shard requests —
+// each walks on its first two sightings and reads its N from the third on
+// (numer=memo, no walk), answering a fresh baseline's bits every
+// time. A spoiled S, whose N reaches 2⁵³ at a vertex outside the slice, walks
+// on every repeat while another S on the same path promotes beside it.
+func TestTwoSsInTurnEachKeepTheirN(t *testing.T) {
+	ctx := context.Background()
+	numer := func(plan []string) (lines []string) {
+		for _, line := range plan {
+			if strings.Contains(line, ": numer=") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	// check is one sighting: its plan line, its traversals, a fresh answer's bits.
+	check := func(t *testing.T, label string, p metapath.Path, how string, plan []string, traversed, wantTraversed int64, want, got *Result) {
+		t.Helper()
+		if line := p.String() + ": numer=" + how; !slices.Equal(numer(plan), []string{line}) || traversed != wantTraversed {
+			t.Fatalf("%s: plan %q, %d traversed; want [%q], %d", label, plan, traversed, line, wantTraversed)
+		}
+		entriesBitEqual(t, label, want, got)
+	}
+	g := bibGraphOf(rand.New(rand.NewSource(19)), 600)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sightings := []struct {
+		how       string
+		traversed int64 // the engine's S besides
+	}{{"walk", 1}, {"walk", 1}, {"memo", 0}}
+	t.Run("engine", func(t *testing.T) {
+		eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(1))
+		var srcs []string
+		var wants []*Result
+		for _, refs := range [][]hin.VertexID{all[:200], all[300:]} {
+			src := `FIND OUTLIERS FROM author COMPARED TO author` + quoted(g, refs) + ` JUDGED BY author.paper.venue TOP 10;`
+			want, err := NewEngine(g, WithQueryParallelism(1)).Execute(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs, wants = append(srcs, src), append(wants, want)
+		}
+		if _, err := eng.Execute(srcs[0]); err != nil { // cold: fills the norms
+			t.Fatal(err)
+		}
+		for round, sight := range sightings {
+			for i, src := range srcs {
+				got, err := eng.Execute(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, fmt.Sprintf("S %d, sighting %d", i, round+1), p, sight.how, got.Trace.Plan, got.Timing.TraversedVectors, 1+sight.traversed, wants[i], got)
+			}
+		}
+	})
+	t.Run("shard", func(t *testing.T) {
+		mat := eagerBaseline(g)
+		req := shardScan(p, all)
+		var ss []sparse.Vector
+		var wants []*Result
+		for _, refs := range [][]hin.VertexID{all[:200], all[300:]} {
+			s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ServeShardRequest(ctx, g, eagerBaseline(g), req, broadcastOf(g, s))
+			ss, wants = append(ss, s), append(wants, &Result{Entries: want.Entries, Skipped: want.Skipped})
+		}
+		ServeShardRequest(ctx, g, mat, req, broadcastOf(g, ss[0])) // cold: fills the norms
+		for round, sight := range sightings {
+			for i, s := range ss {
+				resp := ServeShardRequest(ctx, g, mat, req, broadcastOf(g, s))
+				if resp.Err != "" {
+					t.Fatal(resp.Err)
+				}
+				check(t, fmt.Sprintf("S %d, sighting %d", i, round+1), p, sight.how, resp.Plan, resp.Stats.TraversedVectors, sight.traversed, wants[i], &Result{Entries: resp.Entries, Skipped: resp.Skipped})
+			}
+		}
+	})
+	t.Run("spoiled", func(t *testing.T) {
+		g, small, mid := bigSmallGraph(t, 1<<23) // N[big] = 2²³·S[mid]
+		p := metapath.MustNew(0, 1)
+		req := shardScan(p, []hin.VertexID{small})
+		ss := []sparse.Vector{
+			{Idx: []int32{int32(mid)}, Val: []float64{1 << 30}}, // spoiled: N[big] = 2⁵³
+			{Idx: []int32{int32(mid)}, Val: []float64{3}},
+		}
+		var wants []*Result
+		for _, sv := range ss {
+			want := ServeShardRequest(ctx, g, eagerBaseline(g), req, broadcastOf(g, sv))
+			wants = append(wants, &Result{Entries: want.Entries, Skipped: want.Skipped})
+		}
+		mat := eagerBaseline(g)
+		ServeShardRequest(ctx, g, mat, req, broadcastOf(g, ss[0])) // cold: fills the norm
+		for round := range sightings {
+			for i, sv := range ss {
+				sight := sightings[round]
+				if i == 0 {
+					sight = sightings[0] // a spoiled S walks every time
+				}
+				resp := ServeShardRequest(ctx, g, mat, req, broadcastOf(g, sv))
+				if resp.Err != "" {
+					t.Fatal(resp.Err)
+				}
+				check(t, fmt.Sprintf("S %d, sighting %d", i, round+1), p, sight.how, resp.Plan, resp.Stats.TraversedVectors, sight.traversed, wants[i], &Result{Entries: resp.Entries, Skipped: resp.Skipped})
+			}
+		}
+		st := mat.(*indexed).lru
+		if w, v := keptIn(st, p, ss[0]), keptIn(st, p, ss[1]); w == nil || !w.spoiled || v == nil || v.num == nil {
+			t.Fatalf("the store keeps %+v for the spoiled S and %+v for the other, want a spoiled ghost and an N", w, v)
+		}
+	})
+}
+
+// drop removes the entry under key from st, as its eviction would.
+func drop(st *sharedCacheState, key ckey) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if el, ok := st.entries[key]; ok {
+		delete(st.entries, key)
+		st.bytes.Add(-st.order.Remove(el).(storeEntry).bytes())
+	}
+}
+
+// Views of one baseline read the kept N of S while it is dropped from the
+// store and kept again, and the N of other S's come and go beside it, again
+// and again (run under -race): every request answers the kept S's bits, from
+// an entry it loaded whole or, once that was dropped, from a walk of its own.
 func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(13)), 600)
 	all := g.VerticesOfType(mustType(t, g, "author"))
@@ -1143,26 +1356,25 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	s0 := sOf(all)
 	req := shardScan(p, all)
 	root := eagerBaseline(g)
+	st := root.(*indexed).lru
 	var want *ShardResponse
 	for range 4 { // cold, two sightings, a read
 		want = ServeShardRequest(ctx, g, root, req, broadcastOf(g, s0))
 	}
-	if want.Err != "" || want.Stats.TraversedVectors != 0 {
-		t.Fatalf("fixture: %+v, want a read", want)
+	kept := keptIn(st, p, s0)
+	if want.Err != "" || want.Stats.TraversedVectors != 0 || kept == nil || kept.num == nil {
+		t.Fatalf("fixture: %+v, want a read of a kept N", want)
 	}
-	tbl := root.(*indexed).lru.normTable(p)
-	kept := tbl.walk.Load()
-	var walks []*keptWalk // the kept N of three more S's, each kept by a baseline of its own
+	var others []*keptN // the kept N of three more S's, each kept by a baseline of its own
 	for k := 1; k <= 3; k++ {
 		s := sOf(all[k:])
 		other := eagerBaseline(g).(*indexed)
-		otbl := other.lru.normTable(p)
 		for range 2 {
-			if _, _, err := other.seedValues(ctx, p, otbl, s, all); err != nil {
+			if _, _, err := other.seedValues(ctx, p, s, sumOf(s), all); err != nil {
 				t.Fatal(err)
 			}
 		}
-		walks = append(walks, otbl.walk.Load())
+		others = append(others, keptIn(other.lru, p, s))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 5; w++ {
@@ -1175,8 +1387,11 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 			defer wg.Done()
 			if w == 0 { // the publisher
 				for i := 0; i < 20; i++ {
-					root.(*indexed).lru.keep(tbl, walks[i%len(walks)])
-					root.(*indexed).lru.keep(tbl, kept)
+					o := others[i%len(others)]
+					st.admit(nil, o)
+					drop(st, kept.key)
+					st.admit(nil, kept)
+					drop(st, o.key)
 				}
 				return
 			}
@@ -1196,9 +1411,9 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Whichever N was published last, the table is charged for it alone.
-	if w := tbl.walk.Load(); w == nil || root.IndexBytes() != 8*int64(len(tbl.bits))+w.bytes() {
-		t.Fatalf("the table holds %d bytes, want the norms and one kept N", root.IndexBytes())
+	// Whatever was kept last, the account is what the store holds.
+	if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground || root.IndexBytes() != got {
+		t.Fatalf("the store's account reads %d bytes, IndexBytes %d, re-summed %d", got, root.IndexBytes(), ground)
 	}
 }
 
@@ -1215,9 +1430,9 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 //     (SeedVector), then per candidate a norm — cold, by a walk that
 //     allocates nothing (Visibility); warm, read from the table — and a
 //     division.
-//   - memo (warm table only): what a repeat does once the norm table keeps
-//     S's numerators — indexed.seedValues finds them by S's bits (S here is
-//     a copy, as a shard's decoded broadcast is) and reads N at the
+//   - memo (warm table only): what a repeat does once the store keeps S's
+//     numerators — indexed.seedValues finds them by S's digest and bits (S
+//     here is a copy, as a shard's decoded broadcast is) and reads N at the
 //     candidates, then the same division.
 //
 // The crossover constant candSideMinKnown compares the warm propagated arm
@@ -1252,14 +1467,15 @@ func BenchmarkCandidateSide(b *testing.B) {
 		for _, v := range all {
 			norms[v-lo], _ = tr.Visibility(p, v)
 		}
-		// A baseline whose norm table has seen S twice, and so keeps its N.
+		// A baseline whose store has seen S twice, and so keeps its N.
 		mat := eagerBaseline(g).(*indexed)
 		tbl := mat.lru.normTable(p)
 		for _, v := range all {
 			tbl.put(v, norms[v-lo])
 		}
+		d := sumOf(s)
 		for range 2 {
-			if _, _, err := mat.seedValues(ctx, p, tbl, s, all); err != nil {
+			if _, _, err := mat.seedValues(ctx, p, s, d, all); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1309,7 +1525,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 			b.Run(name+"/table=warm/memo", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					n, how, err := mat.seedValues(ctx, p, tbl, copied, cands)
+					n, how, err := mat.seedValues(ctx, p, copied, d, cands)
 					if err != nil || how != "memo" || n == nil {
 						b.Fatalf("seedValues: %s, %v", how, err)
 					}

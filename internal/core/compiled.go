@@ -228,15 +228,3 @@ func (c *compiledCache) close() {
 	st.compiled = slices.DeleteFunc(st.compiled, func(x *compiledCache) bool { return x == c })
 	st.mu.Unlock()
 }
-
-// recomputeBytes re-sums what the entries hold, for
-// sharedCacheState.recomputeBytes.
-func (c *compiledCache) recomputeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, cq := range c.entries {
-		total += cq.size()
-	}
-	return total
-}

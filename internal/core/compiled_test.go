@@ -250,8 +250,7 @@ func TestCompiledChargeCountsTheDirectories(t *testing.T) {
 	if cq == nil || cq.scorers == nil {
 		t.Fatal("the scan's reduction was not retained")
 	}
-	bare := *cq.scorers
-	bare.perPath = nil
+	bare := queryScorers{weights: cq.scorers.weights, stride: cq.scorers.stride}
 	var dirBytes int64
 	for _, rs := range cq.scorers.perPath {
 		dirBytes += int64(rs.dir.Bytes())

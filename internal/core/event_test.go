@@ -598,7 +598,7 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 // The event says where each path's numerators came from: a pool's miss on
 // cold norms walks per candidate and names the crossover's inputs, the first
 // warm hit walks S back in scratch, the second walks it again and keeps N in
-// the norm table, and every later hit reads what it kept. Only the miss
+// the store, and every later hit reads what it kept. Only the miss
 // reduces Sr, and only its event names the reference side's branch.
 func TestEventNamesTheNumerators(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(47)))

@@ -325,7 +325,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 			return err
 		}
 		cs.ifq = plan.ifq
-		for _, line := range cs.plan() {
+		for _, line := range cs.plan {
 			tr.AddPlan(line)
 		}
 	}
@@ -384,7 +384,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		res.Partial = true
 	} else if bcast != nil && bcast.Form == RefsKeep {
 		// Every shard keeps S now: later broadcasts name it by digest.
-		scorers.sent.kept.Store(true)
+		scorers.kept.Store(true)
 	}
 
 	// One range's ranking and skip list are the query's as they stand; more

@@ -301,16 +301,20 @@ func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.Vert
 }
 
 // seedValues is its weighted form along p⁻¹ read at the vertices at: N =
-// M_p·seed (Traverser.SeedValues), nil unless exact. tbl, p's norm table,
-// keeps N over all of p's source type for a seed it sees twice running, in
-// place of the one it kept before, unless a value reached 2⁵³ (the seed is
-// then spoiled: its repeats walk as first sightings do). A later seed with
+// M_p·seed (Traverser.SeedValues), nil unless exact. The store keeps N over
+// all of p's source type under p's key and d, seed's digest (keptN): a first
+// sighting of a seed leaves a ghost there, and a second, finding it, walks N
+// over the type and keeps it in the ghost's place — each if it fits
+// (sharedCacheState.fitsLocked) — unless a value reached 2⁵³: the ghost is
+// then spoiled, and its repeats walk as first sightings do. A later seed with
 // that seed's arrays or bits reads N there: what the same walk returned, so
 // the same bits. how says which ran, "memo" or "walk". A walk is one
 // traversed vector, kept or not; a read one indexed vector, after a poll of
 // ctx whose error fails the caller whole as the walk's polls do.
-func (m *indexed) seedValues(ctx context.Context, p metapath.Path, tbl *visPath, seed sparse.Vector, at []hin.VertexID) (vals []float64, how string, err error) {
-	if w := tbl.walk.Load(); w != nil && sameBits(w.s, seed) {
+func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, d [32]byte, at []hin.VertexID) (vals []float64, how string, err error) {
+	key := ckey{path: p.Key() + string(d[:]), v: numerOf}
+	w, _ := m.lru.lookup(key).(*keptN)
+	if w != nil && w.num != nil && sameBits(w.s, seed) {
 		if err := ctxErr(ctx); err != nil {
 			return nil, "memo", err
 		}
@@ -321,24 +325,27 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, tbl *visPath,
 		return vals, "memo", nil
 	}
 	defer m.traversed(time.Now())
-	// N is kept beside the type's vertex list: a seed is fingerprinted only
-	// when that and the seed fit the table's room.
 	back, all := p.Reverse(), m.tr.Graph().VerticesOfType(p.Source())
-	if int64(8*len(all)+seed.Bytes()) > m.lru.room(tbl) || !tbl.sighted(seed) {
+	// A ghost promotes when N fits: the whole type is walked for nothing else.
+	if w == nil || w.num != nil || w.spoiled || !m.lru.fits(w, &keptN{key: key, s: seed, vs: all}) {
+		if w == nil {
+			m.lru.admit(nil, &keptN{key: key})
+		}
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
 	n, _, err := m.tr.SeedValues(ctx, back, seed, all)
-	if n == nil && err == nil {
-		tbl.spoil(seed)
-		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
+	if err != nil {
+		return nil, "walk", err
 	}
-	if n == nil || err != nil {
+	if n == nil {
+		m.lru.admit(w, &keptN{key: key, spoiled: true})
+		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
-	w := &keptWalk{s: seed, vs: all, num: n}
-	m.lru.keep(tbl, w)
-	return w.read(at), "walk", nil
+	kept := &keptN{key: key, s: seed, vs: all, num: n}
+	m.lru.admit(w, kept)
+	return kept.read(at), "walk", nil
 }
 
 // norms is p's norm table (nil when none fits) and the crossover's inputs

@@ -56,7 +56,7 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 	case plan.combine != CombineAverage:
 		plan.refside = "refside=vertex (concat)"
 	default:
-		scorers = &queryScorers{weights: plan.weights, stride: stride, perPath: make([]*refScorer, len(paths)), sent: new(sentRefs)}
+		scorers = &queryScorers{weights: plan.weights, stride: stride, perPath: make([]*refScorer, len(paths))}
 		exact := true
 		for m := 0; m < len(paths) && exact; m++ {
 			var s sparse.Vector

@@ -178,16 +178,34 @@ type ShardRefState struct {
 // Sum is the SHA-256 of st's bits: the count of Refs, then Agg and every
 // vector of Refs as its length, indexes and Float64bits (so +0 is not −0),
 // then RefVis. Two states with one Sum score every candidate alike.
+//
+// It is written through a fixed buffer, so summing S allocates nothing its
+// size.
 func (st ShardRefState) Sum() (d [32]byte) {
 	h := sha256.New()
-	put := func(data any) { binary.Write(h, binary.LittleEndian, data) }
-	put(int64(len(st.Refs)))
-	for _, v := range append([]sparse.Vector{st.Agg}, st.Refs...) {
-		put(int64(len(v.Idx)))
-		put(v.Idx)
-		put(v.Val)
+	var buf [512]byte
+	b := buf[:0]
+	put := func(x uint64, n int) { // x's n low bytes
+		if len(b)+8 > len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, x)[:len(b)+n]
 	}
-	put(st.RefVis)
+	put(uint64(len(st.Refs)), 8)
+	for _, v := range append([]sparse.Vector{st.Agg}, st.Refs...) {
+		put(uint64(len(v.Idx)), 8)
+		for _, ix := range v.Idx {
+			put(uint64(ix), 4)
+		}
+		for _, x := range v.Val {
+			put(math.Float64bits(x), 8)
+		}
+	}
+	for _, x := range st.RefVis {
+		put(math.Float64bits(x), 8)
+	}
+	h.Write(b)
 	h.Sum(d[:0])
 	return d
 }
@@ -217,8 +235,10 @@ func (rs *refScorer) state() ShardRefState {
 // refsOf is b as this shard scores it. A digest names the state the store
 // keeps under it (NOT_FOUND when there is none); a state sent to be kept is
 // replaced by the one kept under its own Sum, or kept. So every repeat scores
-// one S object, and a kept N matches it by identity (indexed.seedValues). A
-// materializer with no store keeps nothing.
+// one S object, which a kept N matches by identity (indexed.seedValues). The
+// result is RefsDigest: every state beside the Sum it is kept under, which the
+// shard's scorers take as theirs (scorersFromRequest). A materializer with no
+// store keeps nothing.
 func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 	if b == nil || b.Form == RefsFull {
 		return b, nil
@@ -227,19 +247,18 @@ func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 	if sm, ok := mat.(*indexed); ok {
 		store = sm.lru
 	}
-	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs))}
+	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs)), Form: RefsDigest}
 	for i, st := range b.Refs {
-		d := st.Digest
 		if b.Form == RefsKeep {
-			d = st.Sum()
+			st.Digest = st.Sum()
 		}
-		k := &keptRef{key: ckey{path: string(d[:]), v: refOf}, st: st}
+		k := &keptRef{key: ckey{path: string(st.Digest[:]), v: refOf}, st: st}
 		if kept, ok := store.lookup(k.key).(*keptRef); ok {
 			k = kept
 		} else if b.Form == RefsDigest {
 			return nil, xerr.New(xerr.NotFound, "core: unknown reference digest")
 		} else {
-			store.add(k.key, k, k.bytes())
+			store.add(k)
 		}
 		out.Refs[i] = k.st
 	}
@@ -287,22 +306,18 @@ type queryScorers struct {
 	perPath []*refScorer
 	weights []float64
 	stride  int32
-	// sent is what the coordinator's broadcasts of the scorers keep (nil on
-	// a shard).
-	sent *sentRefs
-}
-
-// sentRefs says whether a RefsKeep broadcast reached every shard without
-// error (kept), and holds the states with Digest, computed once, for the
-// RefsDigest broadcasts that follow.
-type sentRefs struct {
-	kept     atomic.Bool
-	once     sync.Once
-	digested []ShardRefState
+	// refs are the scorers' states, each beside its Sum — the digest that
+	// names S in a RefsDigest broadcast and keys its kept N — made at most once
+	// (digested), or taken from the broadcast a shard resolved.
+	refs []ShardRefState
+	once sync.Once
+	// kept says a RefsKeep broadcast of the scorers reached every shard
+	// without error (coordinator only).
+	kept atomic.Bool
 }
 
 func newQueryScorers(measure Measure, combine Combination, refPerPath [][]sparse.Vector, weights []float64, stride int32) *queryScorers {
-	qs := &queryScorers{weights: weights, stride: stride, sent: new(sentRefs)}
+	qs := &queryScorers{weights: weights, stride: stride}
 	if combine == CombineConcat {
 		qs.concat = newRefScorer(measure, concatVectors(refPerPath, weights, stride))
 		return qs
@@ -328,20 +343,25 @@ func (qs *queryScorers) all() []*refScorer {
 // entry's is RefsKeep until it has reached every shard, RefsDigest after.
 func (qs *queryScorers) broadcast(compiled bool) *ShardBroadcast {
 	b := &ShardBroadcast{Stride: qs.stride}
-	if sent := qs.sent; compiled && sent.kept.Load() {
-		sent.once.Do(func() {
-			sent.digested = qs.states()
-			for i := range sent.digested {
-				sent.digested[i].Digest = sent.digested[i].Sum()
-			}
-		})
-		b.Refs, b.Form = sent.digested, RefsDigest
+	if compiled && qs.kept.Load() {
+		b.Refs, b.Form = qs.digested(), RefsDigest
 		return b
 	}
 	if b.Refs = qs.states(); compiled {
 		b.Form = RefsKeep
 	}
 	return b
+}
+
+// digested is the scorers' states, in all()'s order, each beside its Sum.
+func (qs *queryScorers) digested() []ShardRefState {
+	qs.once.Do(func() {
+		qs.refs = qs.states()
+		for i := range qs.refs {
+			qs.refs[i].Digest = qs.refs[i].Sum()
+		}
+	})
+	return qs.refs
 }
 
 func (qs *queryScorers) states() []ShardRefState {
@@ -371,6 +391,9 @@ func scorersFromRequest(req *ShardRequest, b *ShardBroadcast) (*queryScorers, er
 		return nil, xerr.Newf(xerr.InvalidArgument, "core: shard request has %d weights for %d paths", len(req.Weights), len(req.Paths))
 	}
 	qs := &queryScorers{weights: req.Weights, stride: b.Stride}
+	if b.Form == RefsDigest {
+		qs.once.Do(func() { qs.refs = b.Refs }) // refsOf's sums: one per state
+	}
 	switch req.Combine {
 	case CombineConcat:
 		if len(b.Refs) != 1 {
@@ -474,7 +497,7 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req 
 		if err != nil {
 			return rangeResult{err: err}
 		}
-		plan = cs.plan()
+		plan = cs.plan
 		return scoreRange(ctx, cs, mat, 0, len(cands), req.TopK)
 	}()
 	resp := &ShardResponse{

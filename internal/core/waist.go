@@ -221,21 +221,3 @@ func (st *sharedCacheState) waistLine(p metapath.Path) string {
 	ws.lines[p.Key()] = line
 	return line
 }
-
-// recomputeWaistBytesLocked re-sums what the live tables hold, for
-// recomputeBytes.
-func (st *sharedCacheState) recomputeWaistBytesLocked() int64 {
-	var total int64
-	for _, tbl := range st.waists.tables {
-		if tbl == nil {
-			continue
-		}
-		total += 8 * int64(len(tbl.slots))
-		for i := range tbl.slots {
-			if vec := tbl.slots[i].Load(); vec != nil {
-				total += int64(vec.Bytes()) + waistSlotOverhead
-			}
-		}
-	}
-	return total
-}

@@ -2,8 +2,9 @@
 # Observability smoke test: boot `netout -serve` with an event log, run one
 # query twice, and assert every admin surface answers — /metrics, /debug/events,
 # /debug/slow, /debug/requests, /readyz — and that the JSONL journal got the
-# event; send a whole-type scan until its numerators are read from the norm
-# table; then run a two-query batch on two workers and assert it journals one
+# event; send a whole-type scan until its numerators are read from the store,
+# and two scans of it COMPARED TO two sets in turn until each reads its own;
+# then run a two-query batch on two workers and assert it journals one
 # event per query, like every other mode. Run via `make obs-smoke`; CI runs it
 # next to bench-smoke.
 set -eu
@@ -78,8 +79,8 @@ grep -q '^netout_compiled_queries_total{result="hit"} 1$' "$TMP/metrics" \
     || fail "/metrics does not count one compiled hit"
 
 # A whole-type scan sent four times (1 057 authors clear the candidate side's
-# crossover): cold norms, a walk of S, a walk that keeps N in the path's norm
-# table, then a read of it. The newest event says numer=memo and traversed
+# crossover): cold norms, a walk of S, a walk that keeps N in the store, then a
+# read of it. The newest event says numer=memo and traversed
 # nothing.
 SCAN='FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;'
 for _ in 1 2 3 4; do
@@ -89,6 +90,25 @@ curl -fsS "http://$ADDR/debug/events" >"$TMP/events" || fail "/debug/events unre
 awk '/^  }/ { exit } { print }' "$TMP/events" >"$TMP/newest"
 grep -q 'numer=memo' "$TMP/newest" || fail "the fourth scan did not read its kept N: $(cat "$TMP/newest")"
 grep -q '"traversed_vectors"' "$TMP/newest" && fail "the fourth scan traversed vectors: $(cat "$TMP/newest")"
+
+# Two scans of that path COMPARED TO two reference sets, sent in turn three
+# times each: every S keeps an N of its own (a ghost on its first sighting, N
+# on its second), so each third sighting reads it. The two newest events, B's
+# and A's, both say numer=memo.
+A='FIND OUTLIERS FROM author COMPARED TO author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue TOP 4;'
+B='FIND OUTLIERS FROM author COMPARED TO author{"Christos Hub"}.paper.venue.paper.author JUDGED BY author.paper.venue TOP 6;'
+for _ in 1 2 3; do
+    for q in "$A" "$B"; do
+        curl -fsS -X POST --data "$q" "http://$ADDR/query" >/dev/null || fail "POST of a COMPARED TO scan failed"
+    done
+done
+curl -fsS "http://$ADDR/debug/events" >"$TMP/events" || fail "/debug/events unreachable"
+for n in 1 2; do
+    awk -v n="$n" '/^  }/ { if (++k == n) exit; next } k == n - 1' "$TMP/events" >"$TMP/newest"
+    top=$((8 - 2 * n)) # B's TOP 6, then A's TOP 4
+    grep -q "TOP $top;" "$TMP/newest" || fail "event $n is not the third scan with TOP $top: $(cat "$TMP/newest")"
+    grep -q 'numer=memo' "$TMP/newest" || fail "the third scan with TOP $top did not read its kept N: $(cat "$TMP/newest")"
+done
 
 # The JSONL journal on disk has exactly the served queries' wide events.
 [ -s "$LOG" ] || fail "event log $LOG is empty"

@@ -5,7 +5,7 @@
 # (2) both sides export their netout_shard_* metrics, and (3) killing one
 # shard process degrades the next query to "partial":true instead of
 # failing it. It also sends a whole-type scan until the shards read its
-# numerators from their norm tables, its repeats naming S by digest (4). Run via
+# numerators from their stores, its repeats naming S by digest (4). Run via
 # `make shard-net-smoke`; CI runs it after the in-process shard smoke.
 set -eu
 
@@ -120,7 +120,7 @@ awk '$1 == "netout_serve_served_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$
 
 # (4) A whole-type scan, scattered: the first request warms each shard's
 # norms (a walk per candidate), the next walks S back in scratch, the one
-# after walks it again and keeps N in the shard's norm table, and the last
+# after walks it again and keeps N in the shard's store, and the last
 # reads it. Every reply ranks as the unsharded CLI does; the
 # newest event's scatter row — the shards' work — reads 2 traversed vectors
 # (one walk per shard) for the two middle requests and none for the last.
