@@ -97,11 +97,17 @@ func normsIn(st *sharedCacheState, p metapath.Path) *visPath {
 // sumOf is S's digest, the one a query's scorers hold (queryScorers.digested).
 func sumOf(s sparse.Vector) [32]byte { return ShardRefState{Agg: s}.Sum() }
 
+// keyOf is the store key of S's kept N on p, the one a query's scorers hold
+// (queryScorers.numerKeys).
+func keyOf(p metapath.Path, s sparse.Vector) ckey {
+	d := sumOf(s)
+	return ckey{path: p.Key() + string(d[:]), v: numerOf}
+}
+
 // keptIn is what st keeps for S on p: its N, its ghost, or nil; it moves
 // nothing.
 func keptIn(st *sharedCacheState, p metapath.Path, s sparse.Vector) *keptN {
-	d := sumOf(s)
-	return keptAt(st, ckey{path: p.Key() + string(d[:]), v: numerOf})
+	return keptAt(st, keyOf(p, s))
 }
 
 // keptAt is the kept N or ghost under key, or nil; it moves nothing.
@@ -297,7 +303,7 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
 	}
-	if n, _, err := probe.seedValues(context.Background(), p, agg, sumOf(agg), all); err != nil || n != nil {
+	if n, _, err := probe.seedValues(context.Background(), p, agg, keyOf(p, agg), all); err != nil || n != nil {
 		t.Fatalf("fixture: N stays in the exact domain (N=%v, err=%v)", n != nil, err)
 	}
 	want := perVertexResult(t, g, all, all, []metapath.Path{p}, []float64{1}, 0)
@@ -512,7 +518,7 @@ func TestVisTableTooSmallForThePath(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(4)))
 	mat := bareWithin(g, 64)
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
-	want, err := NewEngine(g, WithQueryParallelism(1)).Execute(faultQuery)
+	want, err := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(1)).Execute(faultQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1087,6 +1093,38 @@ func TestKeptWalkMatchesEveryBit(t *testing.T) {
 	}
 }
 
+// A read of the kept N at a run of the type allocates nothing: its store key
+// is the scorers' own, made once per reduced S (queryScorers.numerKeys), and
+// its values are a window of the kept array.
+func TestKeptNReadAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(3))
+	g := randomHIN(r, 5)
+	all := g.VerticesOfType(0)
+	_, paths, _ := randomFeatures(r, g)
+	s, _, err := metapath.NewTraverser(g).SetVector(ctx, paths[0], all[:len(all)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := newQueryScorers(MeasureNetOut, CombineAverage, [][]sparse.Vector{{s}}, []float64{1}, int32(g.NumVertices()))
+	mat := eagerBaseline(g).(*indexed)
+	read := func() string {
+		_, how, err := mat.seedValues(ctx, paths[0], qs.perPath[0].s, qs.numerKeys(paths[:1])[0], all[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return how
+	}
+	read() // a ghost
+	read() // N kept
+	if how := read(); how != "memo" {
+		t.Fatalf("third sighting read %s, want memo", how)
+	}
+	if n := testing.AllocsPerRun(100, func() { read() }); n != 0 {
+		t.Fatalf("a memo read allocates %.0f times, want 0", n)
+	}
+}
+
 // A read of the kept N is what the walk returns at the same vertices, bit for
 // bit, on types whose IDs interleave with others': at the whole type, at a
 // run of it (a window of the kept array), at a subset, out of order and with
@@ -1105,7 +1143,7 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 		}
 		mat := eagerBaseline(g).(*indexed)
 		for range 2 {
-			if _, _, err := mat.seedValues(ctx, p, s, sumOf(s), all[:1]); err != nil {
+			if _, _, err := mat.seedValues(ctx, p, s, keyOf(p, s), all[:1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1114,7 +1152,7 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 		}
 		mixed := []hin.VertexID{all[7], all[3], all[7], g.VerticesOfType(1)[0], all[len(all)-1]}
 		for _, at := range [][]hin.VertexID{all, all[10:200], all[1:], mixed} {
-			got, how, err := mat.seedValues(ctx, p, s.Clone(), sumOf(s), at)
+			got, how, err := mat.seedValues(ctx, p, s.Clone(), keyOf(p, s), at)
 			want, _, _ := metapath.NewTraverser(g).SeedValues(ctx, p.Reverse(), s, at)
 			if err != nil || how != "memo" || len(got) != len(want) {
 				t.Fatalf("seed %d: %s read %d values (%v), want %d", seed, how, len(got), err, len(want))
@@ -1370,7 +1408,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 		s := sOf(all[k:])
 		other := eagerBaseline(g).(*indexed)
 		for range 2 {
-			if _, _, err := other.seedValues(ctx, p, s, sumOf(s), all); err != nil {
+			if _, _, err := other.seedValues(ctx, p, s, keyOf(p, s), all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1473,9 +1511,9 @@ func BenchmarkCandidateSide(b *testing.B) {
 		for _, v := range all {
 			tbl.put(v, norms[v-lo])
 		}
-		d := sumOf(s)
+		key := keyOf(p, s)
 		for range 2 {
-			if _, _, err := mat.seedValues(ctx, p, s, d, all); err != nil {
+			if _, _, err := mat.seedValues(ctx, p, s, key, all); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1525,7 +1563,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 			b.Run(name+"/table=warm/memo", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					n, how, err := mat.seedValues(ctx, p, copied, d, cands)
+					n, how, err := mat.seedValues(ctx, p, copied, key, cands)
 					if err != nil || how != "memo" || n == nil {
 						b.Fatalf("seedValues: %s, %v", how, err)
 					}

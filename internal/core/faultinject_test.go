@@ -88,8 +88,10 @@ func (c *deadlineAfterCtx) Err() error {
 const faultQuery = `FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`
 
 // setPolls is what the reference side of faultQuery costs a baseline engine
-// in context polls: one propagation, polled before each of its two hops. The
-// candidates still load one by one after it, a poll each.
+// whose crossover the candidates reach (eagerBaseline) in context polls: one
+// propagation, polled before each of its two hops. The candidates still load
+// one by one after it, a poll each. Under the default crossover a test graph's
+// Sr = Sc loads per vertex instead, and a deadline there fails the query.
 const setPolls = 2
 
 // faultRefQuery is faultQuery against an explicit reference set that is not
@@ -337,7 +339,7 @@ func TestSequentialDeadlinePartialPrefix(t *testing.T) {
 	// propagation, then K candidate checks — check K+1 (0-indexed candidate K)
 	// trips the deadline, so exactly K candidates were materialized.
 	ctx := newDeadlineAfter(int64(1 + setPolls + K))
-	res, err := NewEngine(g).ExecuteContext(ctx, faultQuery)
+	res, err := NewEngine(g, WithMaterializer(eagerBaseline(g))).ExecuteContext(ctx, faultQuery)
 	if err != nil {
 		t.Fatalf("ExecuteContext: %v, want a degraded partial result", err)
 	}
@@ -475,7 +477,7 @@ func TestPipelineDeadlinePartial(t *testing.T) {
 	}
 	nA := len(cands)
 	reg := obs.NewRegistry()
-	eng := NewEngine(g, WithQueryParallelism(4), WithObs(reg))
+	eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(4), WithObs(reg))
 	// Poll budget: 1 at query start + setPolls across the reference
 	// propagation + nA-1 candidate checks. Exactly one candidate poll (the chronologically last of the nA
 	// issued) trips the deadline, so exactly one chunk fails and every other
@@ -868,7 +870,7 @@ func TestDegradedRangePanicIsCounted(t *testing.T) {
 func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 	g, nA, fullScore := rangeFaultFixture(t, 13, faultQuery)
 	K := nA / 2
-	eng := NewEngine(g, WithQueryParallelism(3))
+	eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(3))
 	defer eng.Close()
 	// Poll budget mirrors TestSequentialDeadlinePartialPrefix: 1 at query
 	// start, setPolls across the reference propagation, then K candidate
@@ -924,7 +926,7 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 // exact-prefix Partial.
 func TestRangesWithEmptyPrefixFailTheQuery(t *testing.T) {
 	g, _, fullScore := rangeFaultFixture(t, 11, faultQuery)
-	eng := NewEngine(g, WithQueryParallelism(4))
+	eng := NewEngine(g, WithMaterializer(eagerBaseline(g)), WithQueryParallelism(4))
 	res, err := eng.ExecuteContext(newDeadlineAfter(1+setPolls), faultQuery)
 	if res != nil || !errors.Is(err, context.DeadlineExceeded) || xerr.CodeOf(err) != xerr.DeadlineExceeded {
 		t.Fatalf("deadline before any candidate: got (%+v, %v), want (nil, DEADLINE_EXCEEDED)", res, err)

@@ -77,8 +77,8 @@ type Materializer interface {
 	Strategy() Strategy
 	// IndexBytes reports the in-memory size of the pre-materialized index,
 	// as studied in Figure 5b, plus what its store keeps between queries: a
-	// cache's vectors and waist tables, a bare index's norm tables and kept
-	// N, and a pool's compiled queries.
+	// cache's vectors and waist tables, the norm tables and kept N, and a
+	// pool's compiled queries.
 	IndexBytes() int64
 	// Stats returns this handle's cumulative cost counters since construction.
 	Stats() MatStats
@@ -102,8 +102,8 @@ type Materializer interface {
 type indexed struct {
 	tr *metapath.Traverser
 	ix *pathIndex
-	// lru is the store, shared by every view: Cached's vectors, a bare
-	// index's norm tables, every pool's compiled queries. hits and misses are
+	// lru is the store, shared by every view: Cached's vectors, the norm
+	// tables and kept N, every pool's compiled queries. hits and misses are
 	// this handle's loads from Cached's.
 	lru          *sharedCacheState
 	hits, misses int64
@@ -139,15 +139,6 @@ func (m *indexed) IndexBytes() int64 { return m.ix.bytes + m.lru.bytes.Load() }
 
 // cached reports Cached: the store keeps vectors, and a load reads it first.
 func (m *indexed) cached() bool { return m.strategy == StrategyCached }
-
-// bare reports an index with no table and no cache: Baseline, or an SPM that
-// selected nothing. Only there is every load a traversal that leaves no
-// vector behind, so only there is reducing a whole set in one propagation
-// never more work than loading its vertices one by one (see referenceSide),
-// and only there does a candidate's vector serve nothing but its two scalars,
-// the connectivity Φ·S and the visibility ‖Φ‖² the store memoizes (see
-// candidateSide).
-func (m *indexed) bare() bool { return !m.cached() && len(m.ix.tables) == 0 }
 
 func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
@@ -293,8 +284,8 @@ func (m *indexed) traversed(start time.Time) {
 	m.stats.TraversedVectors++
 }
 
-// setVector is a bare index's set-frontier reduction (Traverser.SetVector),
-// accounted as one traversed vector.
+// setVector is the set-frontier reduction (Traverser.SetVector) on the
+// traverser, whatever the strategy, accounted as one traversed vector.
 func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
 	defer m.traversed(time.Now())
 	return m.tr.SetVector(ctx, p, set)
@@ -302,7 +293,7 @@ func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.Vert
 
 // seedValues is its weighted form along p⁻¹ read at the vertices at: N =
 // M_p·seed (Traverser.SeedValues), nil unless exact. The store keeps N over
-// all of p's source type under p's key and d, seed's digest (keptN): a first
+// all of p's source type under key (queryScorers.numerKeys): a first
 // sighting of a seed leaves a ghost there, and a second, finding it, walks N
 // over the type and keeps it in the ghost's place — each if it fits
 // (sharedCacheState.fitsLocked) — unless a value reached 2⁵³: the ghost is
@@ -311,8 +302,7 @@ func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.Vert
 // the same bits. how says which ran, "memo" or "walk". A walk is one
 // traversed vector, kept or not; a read one indexed vector, after a poll of
 // ctx whose error fails the caller whole as the walk's polls do.
-func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, d [32]byte, at []hin.VertexID) (vals []float64, how string, err error) {
-	key := ckey{path: p.Key() + string(d[:]), v: numerOf}
+func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, key ckey, at []hin.VertexID) (vals []float64, how string, err error) {
 	w, _ := m.lru.lookup(key).(*keptN)
 	if w != nil && w.num != nil && sameBits(w.s, seed) {
 		if err := ctxErr(ctx); err != nil {
@@ -346,15 +336,6 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.V
 	kept := &keptN{key: key, s: seed, vs: all, num: n}
 	m.lru.admit(w, kept)
 	return kept.read(at), "walk", nil
-}
-
-// norms is p's norm table (nil when none fits) and the crossover's inputs
-// over cands: how many have their norm in it, up to need, the count that
-// propagates the path's numerators (sharedCacheState.known).
-func (m *indexed) norms(p metapath.Path, cands []hin.VertexID) (*visPath, int, int) {
-	tbl := m.lru.normTable(p)
-	known, need := m.lru.known(tbl, cands, m.tr.Graph().NumVerticesOfType(p.Source()))
-	return tbl, known, need
 }
 
 // visibility traverses ‖Φ_p(v)‖², allocating nothing, and leaves it in tbl:

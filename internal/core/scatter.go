@@ -309,8 +309,10 @@ type queryScorers struct {
 	// refs are the scorers' states, each beside its Sum — the digest that
 	// names S in a RefsDigest broadcast and keys its kept N — made at most once
 	// (digested), or taken from the broadcast a shard resolved.
-	refs []ShardRefState
-	once sync.Once
+	refs     []ShardRefState
+	once     sync.Once
+	keys     []ckey // numerKeys'
+	keysOnce sync.Once
 	// kept says a RefsKeep broadcast of the scorers reached every shard
 	// without error (coordinator only).
 	kept atomic.Bool
@@ -362,6 +364,17 @@ func (qs *queryScorers) digested() []ShardRefState {
 		}
 	})
 	return qs.refs
+}
+
+// numerKeys is each path's store key of its kept N (keptN): its Key and S's
+// digest, made once per reduced S, so a read of the kept N builds no key.
+func (qs *queryScorers) numerKeys(paths []metapath.Path) []ckey {
+	qs.keysOnce.Do(func() {
+		for m, st := range qs.digested() {
+			qs.keys = append(qs.keys, ckey{path: paths[m].Key() + string(st.Digest[:]), v: numerOf})
+		}
+	})
+	return qs.keys
 }
 
 func (qs *queryScorers) states() []ShardRefState {

@@ -17,9 +17,11 @@ import (
 // the short path and of both — and every answer is Float64bits-identical to a
 // fresh engine's answer to the same text. The cache runs it on a budget every
 // query overflows and on an ample one, at the production waist ratio and at
-// 1. The stream must reach each branch of the kept state it is there to
-// check: the plan lines, and the cache's prefix resumes, waist finishes and
-// evictions.
+// 1. Every arm but one baseline runs at a crossover this graph's type reaches
+// (lowered), so every strategy scans from the store. The stream must reach
+// each branch of the kept state it is there to check: the plan lines, the
+// kept numerators under every strategy, and the cache's prefix resumes,
+// waist finishes and evictions.
 func TestStreamMatchesFreshEngine(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	g := randomHIN(r, 5)
@@ -57,11 +59,17 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 	}
 	stream = append(stream, scan(long+" : 1, "+short+" : 2"))
 
+	// lowered sets a materializer's crossover to one known norm.
+	lowered := func(m Materializer) Materializer {
+		m.(*indexed).lru.minKnown = 1
+		return m
+	}
 	mats := map[string]func(*hin.Graph) Materializer{
-		"baseline": eagerBaseline,
-		"pm":       NewPM,
-		"spm/half": func(g *hin.Graph) Materializer { return NewSPMVertices(g, half) },
-		"spm/none": func(g *hin.Graph) Materializer { return NewSPMVertices(g, nil) },
+		"baseline":         eagerBaseline,
+		"baseline/default": NewBaseline,
+		"pm":               func(g *hin.Graph) Materializer { return lowered(NewPM(g)) },
+		"spm/half":         func(g *hin.Graph) Materializer { return lowered(NewSPMVertices(g, half)) },
+		"spm/none":         func(g *hin.Graph) Materializer { return lowered(NewSPMVertices(g, nil)) },
 	}
 	for _, budget := range []int64{2 << 10, 1 << 20} {
 		for _, ratio := range []int{waistRatio, 1} {
@@ -71,11 +79,11 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.(*indexed).lru.waists.ratio = ratio
-				return m
+				return lowered(m)
 			}
 		}
 	}
-	branches := []string{": numer=memo", ": numer=walk", ": numer=vertex", "refside=set", "refside=vertex (materializer)", "waist="}
+	branches := []string{": numer=walk", ": numer=vertex", "refside=set", "refside=vertex (held)", "waist="}
 	reached := map[string]bool{}
 	for name, newMat := range mats {
 		for _, par := range []int{1, 3} {
@@ -101,6 +109,9 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 							reached[branch] = true
 						}
 					}
+					if strings.Contains(line, ": numer=memo") {
+						reached[mat.Strategy().String()+" numer=memo"] = true
+					}
 				}
 			}
 			if cs, ok := CacheStatsOf(mat); ok {
@@ -109,6 +120,9 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 				reached["eviction"] = reached["eviction"] || cs.Evictions > 0
 			}
 		}
+	}
+	for _, st := range []Strategy{StrategyBaseline, StrategyPM, StrategySPM, StrategyCached} {
+		branches = append(branches, st.String()+" numer=memo")
 	}
 	for _, branch := range append(branches, "prefix resume", "waist finish", "eviction") {
 		if !reached[branch] {

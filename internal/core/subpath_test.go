@@ -410,7 +410,7 @@ func TestSubpathPlanInTraceAndEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
-	const refside = "refside=vertex (materializer)"
+	const refside = "refside=vertex (held)"
 	if want := []string{long.String() + ": waist=venue@2", refside}; !slices.Equal(res.Trace.Plan, want) {
 		t.Fatalf("trace plan lines %q, want %q", res.Trace.Plan, want)
 	}

@@ -5,7 +5,9 @@
 # (2) both sides export their netout_shard_* metrics, and (3) killing one
 # shard process degrades the next query to "partial":true instead of
 # failing it. It also sends a whole-type scan until the shards read its
-# numerators from their stores, its repeats naming S by digest (4). Run via
+# numerators from their stores, its repeats naming S by digest (4). Shard 2
+# runs the cached strategy: the query's shape, not the materializer, picks
+# how a slice is scored, so it must answer and keep N as shard 1 does. Run via
 # `make shard-net-smoke`; CI runs it after the in-process shard smoke.
 set -eu
 
@@ -47,7 +49,7 @@ GEN="-gen 4 -seed 1"
 "$BIN" $GEN -shard-serve -shard-listen "$SHARD1" -workers 2 \
     -metrics-addr "$SHARD1_METRICS" >"$TMP/shard1.log" 2>&1 &
 S1_PID=$!
-"$BIN" $GEN -shard-serve -shard-listen "$SHARD2" -workers 2 \
+"$BIN" $GEN -shard-serve -shard-listen "$SHARD2" -workers 2 -strategy cached \
     >"$TMP/shard2.log" 2>&1 &
 S2_PID=$!
 
