@@ -149,8 +149,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19787
-CORE_LOC_CEILING = 6073
+LOC_CEILING = 19970
+CORE_LOC_CEILING = 6239
 DESIGN_LINES_CEILING = 989
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

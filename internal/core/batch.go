@@ -19,7 +19,7 @@ import (
 // statistics are its own.
 
 // NewView returns a materializer that shares m's pre-computed state — the
-// immutable index and the one store: its norm tables, and for Cached its LRU,
+// immutable index and the one store: its norm tables, and for Cached its vectors,
 // waist tables, singleflight group and cache-wide counters (CacheStatsOf) —
 // but is safe to use concurrently with other views of m: traversal scratch
 // and statistics (Stats) are private to the view.

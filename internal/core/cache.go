@@ -9,7 +9,7 @@ import (
 	"netout/internal/sparse"
 )
 
-// StrategyCached is the LRU-cached materializer: no offline
+// StrategyCached is the cached materializer: no offline
 // pre-materialization, but computed neighbor vectors are kept in a
 // bounded-memory cache, so repeated workloads approach PM speed for their
 // hot vertices without PM's index-build cost. It sits between the paper's
@@ -59,8 +59,8 @@ func (s CacheStats) String() string {
 	return out
 }
 
-// NewCached returns a materializer that memoizes neighbor vectors in an
-// LRU cache bounded to maxBytes of vector payload (plus fixed per-entry
+// NewCached returns a materializer that memoizes neighbor vectors in a
+// cache bounded to maxBytes of vector payload (plus fixed per-entry
 // overhead). maxBytes must be positive. It is the index with no table and
 // the cache beside it.
 //
@@ -103,12 +103,12 @@ func cacheKey(p metapath.Path, v hin.VertexID) ckey {
 	return ckey{path: p.Key(), v: v}
 }
 
-// cachedLoad is a load under the cache. A hit reads the LRU: one indexed
+// cachedLoad is a load under the cache. A hit reads the store: one indexed
 // vector. A miss walks, resuming from a kept prefix and finishing at a waist
 // where it can, and inserts the result: one traversed vector, whatever it
 // walked, and each fill one more. At most one goroutine per key walks: every
 // other concurrent caller for it waits for that result, a hit with Deduped
-// recording the coalescing. The leader re-checks the LRU inside the flight,
+// recording the coalescing. The leader re-checks the store inside the flight,
 // so a load that raced with a completed insert is served warm too.
 //
 // Bit-identity: a kept prefix is, by induction, exactly the frontier
@@ -137,9 +137,9 @@ func (m *indexed) cachedLoad(p metapath.Path, v hin.VertexID) (sparse.Vector, er
 				return vec, nil
 			}
 			led = true
-			vec, err := m.walk(p, v)
+			vec, work, err := m.walk(p, v)
 			if err == nil {
-				st.insert(key, vec)
+				st.keep(key, vec, work)
 			}
 			return vec, err
 		})

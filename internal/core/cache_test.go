@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -365,6 +366,114 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 				t.Fatalf("account %d bytes after the charge, want the budget %d", got, n*size)
 			}
 		})
+	}
+}
+
+// The store evicts by work per byte, not by recency alone. Filled to its
+// budget — first a small entry whose walk read much, then larger ones that
+// read little — the next insert evicts the least recently used cheap entry
+// and keeps the expensive one, which LRU would have dropped. L then ages it:
+// unused, it goes once enough cheap entries went before it.
+func TestCacheKeepsWhatSavesMostPerByte(t *testing.T) {
+	const n = 20
+	small := sparse.Vector{Idx: []int32{1}, Val: []float64{1}}
+	wide := sparse.Vector{Idx: make([]int32, 8), Val: make([]float64, 8)}
+	key := func(i int) ckey { return ckey{path: "abc", v: hin.VertexID(i)} }
+	st := newSharedCacheState(nil, cacheEntrySize(key(0), small)+(n-1)*cacheEntrySize(key(1), wide))
+	st.keep(key(0), small, 100) // 16 times the work per byte of the others
+	for i := 1; i < n; i++ {
+		st.keep(key(i), wide, 10)
+	}
+	if got, want := st.bytes.Load(), st.maxBytes; got != want || st.evictions.Load() != 0 {
+		t.Fatalf("set-up: %d bytes of %d, %d evictions", got, want, st.evictions.Load())
+	}
+	st.keep(key(n), wide, 10)
+	if _, ok := st.get(key(0)); !ok {
+		t.Fatal("the expensive entry was evicted: recency alone decided")
+	}
+	if _, ok := st.get(key(1)); ok || st.evictions.Load() != 1 {
+		t.Fatalf("cheap entry 1 kept %v after %d evictions; want it, the least recently used cheap entry, alone gone", ok, st.evictions.Load())
+	}
+	for i := n + 1; i < 100*n; i++ {
+		if st.keep(key(i), wide, 10); keptVector(st, key(0)) == nil {
+			if i < 2*n {
+				t.Fatalf("the expensive entry went after only %d cheap inserts", i-n)
+			}
+			return
+		}
+	}
+	t.Fatal("the expensive entry never aged out: L does not rise")
+}
+
+// keptVector is the vector entry under key, nil when there is none; it uses
+// nothing.
+func keptVector(st *sharedCacheState, key ckey) *cacheEntry {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if el, ok := st.entries[key]; ok {
+		return el.Value.(*cacheEntry)
+	}
+	return nil
+}
+
+// Eviction is a function of the stream: two replays of one fixed stream of
+// anchored queries on a Cached engine whose budget evicts on every query
+// hold the same entries, have evicted as many and read the same work after
+// every query, and answer the same bits.
+func TestCachedReplayIsDeterministic(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(23)), 300)
+	a := mustType(t, g, "author")
+	authors := g.VerticesOfType(a)
+	features := []string{"author.paper.venue", "author.paper.venue.paper.author", "author.paper.author",
+		"author.paper.author.paper.venue", "author.paper.author.paper.term"}
+	r := rand.New(rand.NewSource(5))
+	var stream []string
+	for i := 0; i < 60; i++ {
+		stream = append(stream, fmt.Sprintf("FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY %s TOP 5;",
+			g.Name(authors[r.Intn(len(authors))]), features[r.Intn(len(features))]))
+	}
+	type step struct {
+		keys       []string
+		evictions  int64
+		work       int64
+		entries    []Entry
+		traversals int64
+	}
+	replay := func() []step {
+		mat, err := NewCached(g, 16<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mat.(*indexed)
+		eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
+		var steps []step
+		for _, src := range stream {
+			res, err := eng.Execute(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := step{evictions: m.lru.evictions.Load(), work: m.tr.Work(), entries: res.Entries, traversals: res.Timing.TraversedVectors}
+			m.lru.mu.Lock()
+			for k := range m.lru.entries {
+				st.keys = append(st.keys, fmt.Sprintf("%x/%d", k.path, k.v))
+			}
+			m.lru.mu.Unlock()
+			slices.Sort(st.keys)
+			steps = append(steps, st)
+		}
+		return steps
+	}
+	first, second := replay(), replay()
+	if last := first[len(first)-1]; last.evictions < int64(len(stream)) {
+		t.Fatalf("set-up: %d evictions over %d queries, want the budget to evict on every query", last.evictions, len(stream))
+	}
+	for i := range first {
+		a, b := first[i], second[i]
+		if !slices.Equal(a.keys, b.keys) || a.evictions != b.evictions || a.work != b.work || a.traversals != b.traversals {
+			t.Fatalf("query %d: replays hold %d and %d entries (same: %v), evicted %d and %d, read %d and %d, traversed %d and %d",
+				i, len(a.keys), len(b.keys), slices.Equal(a.keys, b.keys), a.evictions, b.evictions, a.work, b.work, a.traversals, b.traversals)
+		}
+		entriesBitEqual(t, fmt.Sprintf("query %d", i), &Result{Entries: a.entries}, &Result{Entries: b.entries})
 	}
 }
 
@@ -844,14 +953,18 @@ func TestSaveIndexWriteFailures(t *testing.T) {
 	}
 }
 
-// evictOne is evictLocked under mu; tests empty the LRU with it.
+// insert keeps a vector worth no work: every such entry is in one class, so
+// among them the store is an exact LRU.
+func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) { st.keep(key, vec, 0) }
+
+// evictOne is evictLocked under mu; tests empty the store with it.
 func (st *sharedCacheState) evictOne() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.evictLocked()
 }
 
-// recomputeBytes walks the LRU, every waist table and every attached compiled
+// recomputeBytes walks the entries, every waist table and every attached compiled
 // cache and re-sums what they hold; tests use it to verify the atomic byte
 // accounting against ground truth.
 func (st *sharedCacheState) recomputeBytes() int64 {
@@ -861,8 +974,10 @@ func (st *sharedCacheState) recomputeBytes() int64 {
 	for _, c := range st.compiled {
 		total += c.recomputeBytes()
 	}
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		total += el.Value.(storeEntry).bytes()
+	for c := range st.order {
+		for el := st.order[c].Front(); el != nil; el = el.Next() {
+			total += el.Value.(storeEntry).bytes()
+		}
 	}
 	return total
 }

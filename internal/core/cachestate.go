@@ -1,11 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"netout/internal/hin"
+	"netout/internal/metapath"
 	"netout/internal/sparse"
 )
 
@@ -14,8 +19,9 @@ import (
 // (ExecuteBatch, ServePool): Cached's vectors and waist tables, the norm
 // tables, the kept N of each (path, S) and the ghosts of S's seen once, the
 // broadcast states a shard keeps, and every pool's compiled queries. It is a
-// map and a recency list under one mutex, which also guards every charge to
-// the store's byte account, so eviction always drops the global LRU tail. All
+// map and one recency list per class of worth under one mutex, which also
+// guards every charge to the store's byte account, so eviction always drops
+// the entry that saves the least work per byte (GreedyDual-Size, below). All
 // counters are atomic, and concurrent misses on the same (path, vertex) are
 // coalesced by a singleflight group so the network is traversed once, not
 // once per worker.
@@ -42,16 +48,56 @@ const (
 	numerOf hin.VertexID = -3
 )
 
-// storeEntry is what the LRU holds: a vector (cacheEntry), a norm table
+// storeEntry is what the store holds: a vector (cacheEntry), a norm table
 // (visPath), a kept broadcast state (keptRef) or a kept N or its ghost
-// (keptN), each under its key and charged its bytes, which never change while
-// it is held.
+// (keptN), each under its key, charged its bytes, which never change while it
+// is held, and ranked by its work.
 type storeEntry interface {
 	ckey() ckey
 	bytes() int64
+	ranked() *rank
 }
 
+// rank is where the store ranks an entry, under its mu: GreedyDual-Size (Cao
+// & Irani, 1997) in CAMP's form (Ghandeharizadeh et al., 2014). Its priority h
+// is the floor L at its last use plus its class's worth, its work per byte
+// rounded down to a power of two; the victim has the least h, the least
+// recent use (tick) of a tie, and L rises to its h, so an entry nobody uses
+// ages below new ones whatever it saved. Within a class both grow with each
+// use, so the victim is a class's tail: a use is O(1) and allocates nothing.
+//
+// An entry's work is the adjacency and suffix-vector entries
+// (metapath.Traverser.Work) the walks that made it read, which a rebuild
+// would read again.
+type rank struct {
+	work     int64
+	h, worth float64
+	tick     uint64
+	class    int
+}
+
+func (r *rank) ranked() *rank { return r }
+
+// compare orders entries by eviction: least h first, then least recent use.
+func (r *rank) compare(o *rank) int {
+	return cmp.Or(cmp.Compare(r.h, o.h), cmp.Compare(r.tick, o.tick))
+}
+
+// classOf is the class of an entry that saved work in bytes: 0 when it saved
+// none (a ghost), else c for a work per byte in [2^(c-33), 2^(c-32)), clamped
+// to the classes there are.
+func classOf(work, bytes int64) (c int) {
+	if work > 0 {
+		_, exp := math.Frexp(float64(work) / float64(max(bytes, 1)))
+		c = min(max(exp+classBias, 1), classes-1)
+	}
+	return c
+}
+
+const classes, classBias = 64, 32
+
 type cacheEntry struct {
+	rank
 	key ckey
 	vec sparse.Vector
 }
@@ -59,17 +105,38 @@ type cacheEntry struct {
 func (e *cacheEntry) ckey() ckey   { return e.key }
 func (e *cacheEntry) bytes() int64 { return cacheEntrySize(e.key, e.vec) }
 
-// keptRef is a broadcast state a shard was asked to keep (RefsKeep).
+// keptRef is a broadcast state a shard was asked to keep (RefsKeep), beside
+// the key of its kept N on the path it was last scored along (numerKey). The
+// walk that made S ran on the coordinator: what keeping it saves the shard is
+// decoding S again, so its work is S's entries.
 type keptRef struct {
-	key ckey
-	st  ShardRefState
+	rank
+	key   ckey
+	st    ShardRefState
+	numer atomic.Pointer[ckey]
 }
 
 func (k *keptRef) ckey() ckey   { return k.key }
 func (k *keptRef) bytes() int64 { return k.st.bytes() + indexEntryOverhead + int64(len(k.key.path)) }
 
+// numerKey is the store key of S's kept N on p (queryScorers.numerKeys), made
+// once per path S is scored along in turn.
+func (k *keptRef) numerKey(p metapath.Path) ckey {
+	pk := p.Key()
+	if key := k.numer.Load(); key != nil && len(key.path) == len(pk)+len(k.st.Digest) && strings.HasPrefix(key.path, pk) {
+		return *key
+	}
+	key := numerKey(pk, k.st.Digest)
+	k.numer.Store(&key)
+	return key
+}
+
+// numerKey is the store key of the kept N on the path with key pk of the S
+// with digest d.
+func numerKey(pk string, d [32]byte) ckey { return ckey{path: pk + string(d[:]), v: numerOf} }
+
 // sharedCacheState is the store every view of one materializer shares
-// (indexed.lru): the LRU (Cached's warm entries, the norm tables and kept
+// (indexed.lru): its entries (Cached's warm vectors, the norm tables and kept
 // N), the singleflight group and the store-wide counters. All counter fields
 // are atomic so that CacheStats totals are exact under concurrency and
 // readable without mu.
@@ -80,15 +147,19 @@ type sharedCacheState struct {
 	// candSideMinShare; tests lower them to reach the branch on small graphs).
 	minKnown, minShare int
 
-	// mu guards the LRU (entries, order), the waist tables and lines, the
-	// compiled caches' list, and every charge to bytes: a charge and the
-	// evictions it forces are one critical section (chargeLocked), and so is
-	// putting an entry in another's place (admit). Lock order:
-	// compiledCache.mu is never held while mu is taken; only the test-only
-	// recomputeBytes nests mu → compiledCache.mu.
+	// mu guards the entries (entries, order, every rank, floor, tick), the
+	// waist tables and lines, the compiled caches' list, and every charge to
+	// bytes: a charge and the evictions it forces are one critical section
+	// (chargeLocked), and so is putting an entry in another's place (admit).
+	// Lock order: compiledCache.mu is never held while mu is taken; only the
+	// test-only recomputeBytes nests mu → compiledCache.mu.
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
-	order   list.List // front = most recent; every element a storeEntry
+	// order[c] is class c's entries (storeEntry), front = most recent; floor is
+	// GreedyDual's L, tick counts uses.
+	order [classes]list.List
+	floor float64
+	tick  uint64
 
 	flight flightGroup
 
@@ -128,8 +199,8 @@ func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
 		}}
 }
 
-// lookup returns the entry under key, moved to the LRU front; nil when there
-// is none, or no store.
+// lookup returns the entry under key, used (touchLocked); nil when there is
+// none, or no store.
 func (st *sharedCacheState) lookup(key ckey) storeEntry {
 	if st == nil {
 		return nil
@@ -140,16 +211,37 @@ func (st *sharedCacheState) lookup(key ckey) storeEntry {
 	if !ok {
 		return nil
 	}
-	st.order.MoveToFront(el)
-	return el.Value.(storeEntry)
+	return st.touchLocked(el)
 }
 
-// get returns the vector under key and moves it to the LRU front.
+// get returns the vector under key, used.
 func (st *sharedCacheState) get(key ckey) (sparse.Vector, bool) {
 	if e, ok := st.lookup(key).(*cacheEntry); ok {
 		return e.vec, true
 	}
 	return sparse.Vector{}, false
+}
+
+// pushLocked enters e, not held, in its class, worth its class's work per
+// byte (0 for class 0), and uses it; the caller holds mu and charges its
+// bytes. touchLocked uses the entry at el: to the front of its class, its
+// priority L plus its worth.
+func (st *sharedCacheState) pushLocked(e storeEntry) {
+	r := e.ranked()
+	r.class = classOf(r.work, e.bytes())
+	r.worth = math.Ldexp(float64(min(r.class, 1)), r.class-classBias-1)
+	el := st.order[r.class].PushFront(e)
+	st.entries[e.ckey()] = el
+	st.touchLocked(el)
+}
+
+func (st *sharedCacheState) touchLocked(el *list.Element) storeEntry {
+	e := el.Value.(storeEntry)
+	r := e.ranked()
+	st.order[r.class].MoveToFront(el)
+	st.tick++
+	r.h, r.tick = st.floor+r.worth, st.tick
+	return e
 }
 
 // indexEntryOverhead approximates the per-entry bookkeeping cost of a cache
@@ -165,64 +257,66 @@ func cacheEntrySize(key ckey, vec sparse.Vector) int64 {
 // small, highly reusable entries. The size is the frontier's own — measured
 // when the miss holds it, not estimated before. Evidence: BenchmarkWaist's
 // budget= rows in BENCH_kernel.json and the served table in DESIGN.md
-// "Subpath-decomposed cache".
+// "Subpath-decomposed cache"; beside the work-per-byte rule, its spill list
+// reads 45.3k entries per query with the share and 46.3k without.
 const prefixEntryShare = 64
 
 // resume is where a miss on the path with key pk starts at v: the longest
-// kept prefix frontier and the hops it covers, or unit ({v}) and 0. A prefix
-// of k types covers k-1 hops; the shortest one kept has 3 types: a one-hop
-// prefix is one adjacency row, read faster than it is looked up. Probes move
-// entries to the LRU front but are no Hits: the whole miss is one Miss.
-func (st *sharedCacheState) resume(pk string, v hin.VertexID, unit sparse.Vector) (sparse.Vector, int) {
+// kept prefix frontier, the hops it covers and the work it saved, or unit
+// ({v}), 0 and 0. A prefix of k types covers k-1 hops; the shortest one kept
+// has 3 types: a one-hop prefix is one adjacency row, read faster than it is
+// looked up. Probes use entries but are no Hits: the whole miss is one Miss.
+func (st *sharedCacheState) resume(pk string, v hin.VertexID, unit sparse.Vector) (sparse.Vector, int, int64) {
 	for k := len(pk) - 1; k >= 3; k-- {
-		if vec, ok := st.get(ckey{path: pk[:k], v: v}); ok {
+		if e, ok := st.lookup(ckey{path: pk[:k], v: v}).(*cacheEntry); ok {
 			st.prefixHits.Add(1)
 			st.hopsSaved.Add(int64(k - 1))
-			return vec, k - 1
+			return e.vec, k - 1, e.work
 		}
 	}
-	return unit, 0
+	return unit, 0, 0
 }
 
-// keepPrefix keeps frontier, Φ at v of the prefix with key pk, for other
-// misses to resume from: a non-zero one of 3 types or more, within its share
-// of the budget, cloned out of hop scratch at the size of its non-zeros.
-func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier sparse.Vector) {
+// keepPrefix keeps frontier, Φ at v of the prefix with key pk, worth work,
+// for other misses to resume from: a non-zero one of 3 types or more, within
+// its share of the budget, cloned out of hop scratch at the size of its
+// non-zeros.
+func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier sparse.Vector, work int64) {
 	if key := (ckey{path: pk, v: v}); len(pk) >= 3 && !frontier.IsZero() && cacheEntrySize(key, frontier) <= st.maxBytes/prefixEntryShare {
-		st.insert(key, frontier.Clone())
+		st.keep(key, frontier.Clone(), work)
 	}
 }
 
-// insert stores a vector at the LRU front and evicts LRU tails until the
-// cache is back under its byte budget. An entry already under the key (two
-// misses of different paths can both keep a shared prefix) holds the same
-// vector — Φ is a function of (path, vertex) — and is only moved to the front.
-func (st *sharedCacheState) insert(key ckey, vec sparse.Vector) {
-	st.add(&cacheEntry{key: key, vec: vec})
+// keep stores a vector worth work and evicts until the cache is back under
+// its byte budget. An entry already under the key (two misses of different
+// paths can both keep a shared prefix) holds the same vector — Φ is a
+// function of (path, vertex) — and is only used.
+func (st *sharedCacheState) keep(key ckey, vec sparse.Vector, work int64) {
+	st.add(&cacheEntry{key: key, vec: vec, rank: rank{work: work}})
 }
 
-// add is insert's body for any entry; a nil store keeps nothing.
+// add is keep's body for any entry; a nil store keeps nothing.
 func (st *sharedCacheState) add(e storeEntry) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key, size := e.ckey(), e.bytes()
-	if el, ok := st.entries[key]; ok {
-		st.order.MoveToFront(el)
+	if el, ok := st.entries[e.ckey()]; ok {
+		st.touchLocked(el)
 		return
 	}
+	size := e.bytes()
 	if size > st.maxBytes-st.waists.bytes.Load()-st.compiledBytes.Load() {
-		return // larger than the whole LRU: do not thrash
+		return // larger than all the entries may take: do not thrash
 	}
-	st.entries[key] = st.order.PushFront(e)
 	st.chargeLocked(size)
+	st.pushLocked(e)
 }
 
-// admit puts e, a kept N or a ghost, at the LRU front in old's place — old is
-// what the caller found under e's key, nil for nothing — unless another entry
-// took that place since, or e does not fit (fitsLocked).
+// admit puts e, a kept N or a ghost, in old's place — old is what the caller
+// found under e's key, nil for nothing — unless another entry took that place
+// since, or e does not fit (fitsLocked).
 func (st *sharedCacheState) admit(old, e *keptN) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -232,9 +326,9 @@ func (st *sharedCacheState) admit(old, e *keptN) {
 	}
 	st.fitsLocked(old, e, true)
 	if el != nil {
-		st.order.Remove(el)
+		st.order[old.class].Remove(el)
 	}
-	st.entries[e.key] = st.order.PushFront(e)
+	st.pushLocked(e)
 	st.bytes.Add(e.bytes() - old.bytes())
 }
 
@@ -248,44 +342,65 @@ func (st *sharedCacheState) fits(old, e *keptN) bool {
 // fitsLocked reports whether e fits in old's place: in the room the budget
 // leaves beside everything else, plus what e may evict — the kept N and
 // ghosts of other S's for an N, other ghosts for a ghost, never any other
-// entry, so a kept N displaces no norm — and with evict it evicts that, least
-// recently used first, until e fits. The caller holds mu.
+// entry, so a kept N displaces no norm — and with evict it evicts that, in the
+// store's order (rank.compare), until e fits. The caller holds mu.
 func (st *sharedCacheState) fitsLocked(old, e *keptN, evict bool) bool {
 	need := e.bytes() - old.bytes() - st.maxBytes + st.bytes.Load()
-	for el := st.order.Back(); need > 0 && el != nil; {
-		prev := el.Prev()
-		if k, ok := el.Value.(*keptN); ok && k != old && (e.vs != nil || k.vs == nil) {
-			if need -= k.bytes(); evict {
-				st.removeLocked(el)
+	if need <= 0 {
+		return true
+	}
+	var room []*keptN
+	for c := range st.order {
+		for el := st.order[c].Front(); el != nil; el = el.Next() {
+			if k, ok := el.Value.(*keptN); ok && k != old && (e.vs != nil || k.vs == nil) {
+				room = append(room, k)
 			}
 		}
-		el = prev
+	}
+	slices.SortFunc(room, func(a, b *keptN) int { return a.compare(&b.rank) })
+	for _, k := range room {
+		if need <= 0 {
+			break
+		}
+		if need -= k.bytes(); evict {
+			st.removeLocked(st.entries[k.key])
+		}
 	}
 	return need <= 0
 }
 
 // chargeLocked moves the byte account by n — an entry, a norm table, a waist
-// table or a compiled query — after evicting LRU tails until n fits the
-// budget, so a reader of bytes never sees more than it. The caller holds mu.
+// table or a compiled query — after evicting until n fits the budget, so a
+// reader of bytes never sees more than it. The caller holds mu.
 func (st *sharedCacheState) chargeLocked(n int64) {
 	for st.bytes.Load()+n > st.maxBytes && st.evictLocked() {
 	}
 	st.bytes.Add(n)
 }
 
-// evictLocked drops the LRU tail; false when the LRU is empty. The caller
+// evictLocked drops the entry of least priority, the least recently used of
+// a tie, and raises L to its priority; false when there is none. The caller
 // holds mu.
 func (st *sharedCacheState) evictLocked() bool {
-	tail := st.order.Back()
-	if tail != nil {
-		st.removeLocked(tail)
+	var victim *list.Element
+	for c := range st.order {
+		if el := st.order[c].Back(); el != nil && (victim == nil || el.Value.(storeEntry).ranked().compare(victim.Value.(storeEntry).ranked()) < 0) {
+			victim = el
+		}
 	}
-	return tail != nil
+	if victim != nil {
+		st.removeLocked(victim)
+	}
+	return victim != nil
 }
 
-// removeLocked evicts the entry at el. The caller holds mu.
+// removeLocked evicts the entry at el, raising L to its priority. The caller
+// holds mu.
 func (st *sharedCacheState) removeLocked(el *list.Element) {
-	e := st.order.Remove(el).(storeEntry)
+	e := el.Value.(storeEntry)
+	r := e.ranked()
+	st.order[r.class].Remove(el)
+	st.floor = max(st.floor, r.h)
 	delete(st.entries, e.ckey())
 	st.bytes.Add(-e.bytes())
 	st.evictions.Add(1)

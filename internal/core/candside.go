@@ -92,7 +92,7 @@ const (
 func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
 	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
 	sm, ok := mat.(*indexed)
-	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil || len(paths) == 0 || len(cands) < sm.lru.need(paths[0].Source()) {
+	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil || len(cands) < sm.lru.need(paths[0].Source()) {
 		for _, rs := range scorers.all() {
 			rs.withDir()
 		}
@@ -161,7 +161,12 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 			omega, err = cs.fromNumerators(ctx, mat.(*indexed), m, lo, hi, omega)
 		} else {
 			// One Φ per candidate: kept when scoring from vectors, reduced
-			// to Ω and its norm left in the table when scoring from norms.
+			// to Ω and its norm left in the table, worth the walks, when
+			// scoring from norms.
+			var work int64
+			if cs.memo != nil {
+				work = mat.(*indexed).tr.Work()
+			}
 			for _, v := range cs.cands[lo:hi] {
 				var phi sparse.Vector
 				if err = ctxErr(ctx); err == nil {
@@ -177,6 +182,9 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 				dot, vis := cs.scorers.perPath[m].dir.DotNorm(phi)
 				cs.memo[m].put(v, vis)
 				omega = append(omega, netOut(dot, vis))
+			}
+			if cs.memo != nil && cs.memo[m] != nil {
+				cs.memo[m].cost.Add(mat.(*indexed).tr.Work() - work)
 			}
 		}
 		buf.vecs[m], buf.omega[m] = vecs, omega
@@ -267,14 +275,18 @@ func (cs *candidateSide) collect(buf *candBuf, sel *topSelector, skipped []hin.V
 // (Section 5.1) that traversals have computed. It is an element of the
 // materializer's store, created on first use (sharedCacheState.normTable) and
 // shared by every view, so a query's local ranges and every query or shard
-// request a ServePool admits fill and read the same table. It goes least
-// recently used first; a reader holding an evicted table keeps a consistent
+// request a ServePool admits fill and read the same table. It is worth the
+// walks that filled it; a reader holding an evicted table keeps a consistent
 // one for the rest of its query. Norms are indexed by vertex ID offset by the
 // source type's first ID (the dense kernel's span trick: one slot per vertex
 // of the type when a loader added them together).
 type visPath struct {
+	rank
 	key ckey
 	lo  hin.VertexID
+	// cost is the work of the walks whose norms the table holds; the store
+	// ranks it by what cost was when it was last put in its class.
+	cost atomic.Int64
 	// bits[v-lo] is Float64bits(‖Φ(v)‖²)+1, or 0 while unknown: +0 is a
 	// legitimate visibility (an invisible vertex), so absence needs a word of
 	// its own, and no norm is the NaN whose bits are all ones. Every writer
@@ -291,8 +303,10 @@ func (vp *visPath) bytes() int64 { return 8 * int64(len(vp.bits)) }
 // and S's digest (indexed.seedValues). num[i] is N at vs[i], the graph's list
 // of P's source type, every one below 2⁵³. A ghost holds its key alone: S was
 // seen once, or (spoiled) its N reached 2⁵³ at some vertex of the type and
-// is never kept. Published whole and never written.
+// is never kept; it is worth no work. Published whole and never written but
+// for its rank, which only the store reads.
 type keptN struct {
+	rank
 	key     ckey
 	s       sparse.Vector
 	vs      []hin.VertexID
@@ -330,15 +344,22 @@ func (w *keptN) read(at []hin.VertexID) []float64 {
 	return vals
 }
 
-// normTable returns p's norm table at the LRU front, creating it when it
-// fits beside what the LRU cannot evict (nil otherwise).
+// normTable returns p's norm table, used, creating it when it fits beside
+// what the store cannot evict (nil otherwise).
 func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
 	key := ckey{path: p.Key(), v: normsOf}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if el, ok := st.entries[key]; ok {
-		st.order.MoveToFront(el)
-		return el.Value.(*visPath)
+		vp := el.Value.(*visPath)
+		if work := vp.cost.Load(); classOf(work, vp.bytes()) == vp.class {
+			st.touchLocked(el)
+		} else { // its walks moved it to another class
+			st.order[vp.class].Remove(el)
+			vp.work = work
+			st.pushLocked(vp)
+		}
+		return vp
 	}
 	lo, hi, ok := st.g.TypeIDSpan(p.Source())
 	size := (int64(hi) - int64(lo) + 1) * 8
@@ -346,8 +367,8 @@ func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
 		return nil
 	}
 	vp := &visPath{key: key, lo: lo, bits: make([]atomic.Uint64, size/8)}
-	st.entries[key] = st.order.PushFront(vp)
 	st.chargeLocked(size)
+	st.pushLocked(vp)
 	return vp
 }
 

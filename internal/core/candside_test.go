@@ -18,6 +18,7 @@ import (
 	"netout/internal/metapath"
 	"netout/internal/obs"
 	"netout/internal/sparse"
+	"netout/internal/xerr"
 )
 
 // The candidate side scores from norms and propagated numerators what the
@@ -1125,6 +1126,62 @@ func TestKeptNReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A by-digest repeat of a broadcast the shard keeps builds no store key for
+// its kept N: the kept S holds the key (keptRef.numerKey), so the scorers of
+// the repeat take it without an allocation.
+func TestDigestRepeatBuildsNoKey(t *testing.T) {
+	ctx := context.Background()
+	g := bibGraphOf(rand.New(rand.NewSource(5)), 200)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, req := eagerBaseline(g), shardScan(p, all)
+	keep := broadcastOf(g, s)
+	keep.Form = RefsKeep
+	if _, err := refsOf(mat, keep); err != nil {
+		t.Fatal(err)
+	}
+	repeat := &ShardBroadcast{Stride: keep.Stride, Refs: []ShardRefState{{Digest: sumOf(s)}}, Form: RefsDigest}
+	scorers := func() *queryScorers {
+		b, err := refsOf(mat, repeat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, err := scorersFromRequest(req, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qs
+	}
+	if got := scorers().numerKeys(req.Paths); len(got) != 1 || got[0] != keyOf(p, s) {
+		t.Fatalf("the repeat's keys are %q, want [%q]", got, keyOf(p, s))
+	}
+	bare := testing.AllocsPerRun(100, func() { scorers() })
+	keyed := testing.AllocsPerRun(100, func() { scorers().numerKeys(req.Paths) })
+	if keyed != bare {
+		t.Fatalf("a by-digest repeat's keys take %.0f allocations beyond its scorers' %.0f, want none", keyed-bare, bare)
+	}
+}
+
+// A shard request that names no feature path is refused whole: there is
+// nothing to score its candidates by.
+func TestShardRequestWithoutPathsIsRefused(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(5)), 50)
+	all := g.VerticesOfType(mustType(t, g, "author"))
+	req := &ShardRequest{Version: ShardProtocolVersion, Measure: MeasureNetOut, Combine: CombineAverage, Candidates: all}
+	resp := ServeShardRequest(context.Background(), g, eagerBaseline(g), req, &ShardBroadcast{Stride: int32(g.NumVertices())})
+	if resp.Code != xerr.InvalidArgument || resp.Done != 0 || len(resp.Entries)+len(resp.Skipped) != 0 {
+		t.Fatalf("a request with no feature path answered %q (code %v, %d done, %d entries, %d skipped), want INVALID_ARGUMENT with nothing done",
+			resp.Err, resp.Code, resp.Done, len(resp.Entries), len(resp.Skipped))
+	}
+}
+
 // A read of the kept N is what the walk returns at the same vertices, bit for
 // bit, on types whose IDs interleave with others': at the whole type, at a
 // run of it (a window of the kept array), at a subset, out of order and with
@@ -1367,8 +1424,10 @@ func drop(st *sharedCacheState, key ckey) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if el, ok := st.entries[key]; ok {
+		e := el.Value.(storeEntry)
 		delete(st.entries, key)
-		st.bytes.Add(-st.order.Remove(el).(storeEntry).bytes())
+		st.order[e.ranked().class].Remove(el)
+		st.bytes.Add(-e.bytes())
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 const (
 	// compiledShare bounds the entries at 1/compiledShare of the
 	// materializer's store budget, charged to sharedCacheState.bytes like the
-	// waist tables, so the LRU shrinks to what they leave and the process does
+	// waist tables, so the store shrinks to what they leave and the process does
 	// not grow. Evidence: the paired zipf_spill and zipf_warm runs in DESIGN.md
 	// "Reference side".
 	compiledShare = 8
@@ -164,7 +164,7 @@ func (c *compiledCache) lookup(src string) *compiledQuery {
 // whole entry when it fits the per-entry share, the entry without the scorers
 // when only they do not, nothing otherwise. A retained entry (a hit) and a
 // missing one are no-ops. Least recently used entries go until the budget
-// holds; the store's LRU then gives way for the net growth.
+// holds; the store's entries then give way for the net growth.
 func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *queryScorers) {
 	if blank == nil || blank.resolvedQuery != nil {
 		return
@@ -204,7 +204,7 @@ func (c *compiledCache) evictLocked(cq *compiledQuery) {
 	c.bytes.Add(-cq.bytes)
 }
 
-// charge moves the store's byte account by delta and lets its LRU make room.
+// charge moves the store's byte account by delta and lets its entries make room.
 // The caller does not hold c.mu (sharedCacheState.mu's lock order).
 func (c *compiledCache) charge(delta int64) {
 	st := c.state

@@ -150,7 +150,8 @@ func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector
 	if m.cached() {
 		return m.cachedLoad(p, v)
 	}
-	return m.walk(p, v)
+	vec, _, err := m.walk(p, v)
+	return vec, err
 }
 
 // walk is the one evaluation of Φ_p(v), p of one hop or more. It starts at
@@ -160,16 +161,19 @@ func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector
 // Intermediate frontiers live in tr's hop buffers (slot = hop parity), so a
 // walk allocates what Traverser.NeighborVector does, its result, plus under a
 // cache the frontiers it keeps for resumes (keepPrefix). It is one traversed
-// vector if it expanded a hop, and under a cache always: it is a miss.
-func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+// vector if it expanded a hop, and under a cache always: it is a miss. work is
+// what it read (metapath.Traverser.Work) plus what the prefix it resumed from
+// had: the work of walking it from {v}, which each frontier it keeps is worth
+// up to its hop.
+func (m *indexed) walk(p metapath.Path, v hin.VertexID) (_ sparse.Vector, work int64, err error) {
 	n, key := p.Hops(), p.Key()
 	m.unitIdx, m.unitVal = [1]int32{int32(v)}, [1]float64{1}
 	frontier, hop := sparse.Vector{Idx: m.unitIdx[:], Val: m.unitVal[:]}, 0
 	if m.cached() {
-		frontier, hop = m.lru.resume(key, v, frontier)
+		frontier, hop, work = m.lru.resume(key, v, frontier)
 	}
+	work -= m.tr.Work() // work + m.tr.Work() is the walk's so far
 	var start time.Time // of the hops expanded since the last table step
-	var err error
 	walked := m.cached()
 	for hop < n && !frontier.IsZero() {
 		out, next, ok := sparse.Vector{}, n, false
@@ -180,7 +184,7 @@ func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 			out, ok, err = m.finishAtWaist(p, hop, frontier)
 		}
 		if err != nil {
-			return sparse.Vector{}, err
+			return sparse.Vector{}, 0, err
 		}
 		if ok {
 			m.clock(&start)
@@ -193,7 +197,7 @@ func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 		if hop == n-1 {
 			frontier = m.tr.Expand(frontier, p.Type(n))
 		} else if frontier = m.tr.ExpandScratch(frontier, p.Type(hop+1), hop); m.cached() {
-			m.lru.keepPrefix(key[:hop+2], v, frontier)
+			m.lru.keepPrefix(key[:hop+2], v, frontier, work+m.tr.Work())
 		}
 		hop++
 	}
@@ -201,10 +205,11 @@ func (m *indexed) walk(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	if walked {
 		m.stats.TraversedVectors++
 	}
+	work += m.tr.Work()
 	if frontier.IsZero() {
-		return sparse.Vector{}, nil // never a view of hop scratch
+		return sparse.Vector{}, work, nil // never a view of hop scratch
 	}
-	return frontier, nil
+	return frontier, work, nil
 }
 
 // clock charges the hops expanded since *start, if any, to traversal time.
@@ -324,6 +329,7 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.V
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
+	work := m.tr.Work()
 	n, _, err := m.tr.SeedValues(ctx, back, seed, all)
 	if err != nil {
 		return nil, "walk", err
@@ -333,18 +339,21 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.V
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
-	kept := &keptN{key: key, s: seed, vs: all, num: n}
+	kept := &keptN{key: key, s: seed, vs: all, num: n, rank: rank{work: m.tr.Work() - work}}
 	m.lru.admit(w, kept)
 	return kept.read(at), "walk", nil
 }
 
-// visibility traverses ‖Φ_p(v)‖², allocating nothing, and leaves it in tbl:
-// one traversed vector. A known norm is read by the caller (fromNumerators).
+// visibility traverses ‖Φ_p(v)‖², allocating nothing, and leaves it in tbl,
+// worth the walk: one traversed vector. A known norm is read by the caller
+// (fromNumerators).
 func (m *indexed) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
 	defer m.traversed(time.Now())
+	work := m.tr.Work()
 	vis, err := m.tr.Visibility(p, v)
 	if err == nil {
 		tbl.put(v, vis)
+		tbl.cost.Add(m.tr.Work() - work)
 	}
 	return vis, err
 }

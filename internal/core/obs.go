@@ -40,7 +40,7 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 		func() float64 { return float64(st.misses.Load()) })
 	reg.CounterFunc("netout_cache_deduped_total", "Loads coalesced into another goroutine's in-flight traversal.",
 		func() float64 { return float64(st.deduped.Load()) })
-	reg.CounterFunc("netout_cache_evictions_total", "LRU evictions under the byte budget.",
+	reg.CounterFunc("netout_cache_evictions_total", "Store evictions under the byte budget.",
 		func() float64 { return float64(st.evictions.Load()) })
 	reg.CounterFunc("netout_cache_prefix_hits_total", "Misses resumed from a cached subpath prefix frontier.",
 		func() float64 { return float64(st.prefixHits.Load()) })

@@ -334,7 +334,7 @@ func TestExecutionMatchesOracle(t *testing.T) {
 						} {
 							eng := NewEngine(g, append(opts, WithMeasure(measure))...)
 							// The third run keeps the paths' numerators N and the
-							// fourth reads them (candside.go's keptWalk).
+							// fourth reads them (the store's keptN).
 							for _, temp := range []string{"cold", "warm", "keeps N", "memo"} {
 								got, err := eng.Execute(src)
 								label := fmt.Sprintf("seed %d %v %s %s/%s %s: %s", seed, measure, sh.name, matName, exName, temp, clause)

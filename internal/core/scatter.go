@@ -146,6 +146,9 @@ type ShardBroadcast struct {
 	Refs   []ShardRefState
 	// Form is how Refs travel.
 	Form RefForm
+	// kept are the store's entries of Refs on a broadcast refsOf resolved,
+	// which hold their kept N's keys (keptRef.numerKey); never on the wire.
+	kept []*keptRef
 }
 
 // RefForm is how a broadcast's reference states travel.
@@ -237,8 +240,8 @@ func (rs *refScorer) state() ShardRefState {
 // replaced by the one kept under its own Sum, or kept. So every repeat scores
 // one S object, which a kept N matches by identity (indexed.seedValues). The
 // result is RefsDigest: every state beside the Sum it is kept under, which the
-// shard's scorers take as theirs (scorersFromRequest). A materializer with no
-// store keeps nothing.
+// shard's scorers take as theirs (scorersFromRequest), and the kept entries,
+// which hold the keys of its N. A materializer with no store keeps nothing.
 func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 	if b == nil || b.Form == RefsFull {
 		return b, nil
@@ -247,7 +250,7 @@ func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 	if sm, ok := mat.(*indexed); ok {
 		store = sm.lru
 	}
-	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs)), Form: RefsDigest}
+	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs)), Form: RefsDigest, kept: make([]*keptRef, len(b.Refs))}
 	for i, st := range b.Refs {
 		if b.Form == RefsKeep {
 			st.Digest = st.Sum()
@@ -258,9 +261,13 @@ func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 		} else if b.Form == RefsDigest {
 			return nil, xerr.New(xerr.NotFound, "core: unknown reference digest")
 		} else {
+			k.work = int64(len(st.Agg.Idx)) // the decode of S keeping it saves
+			for _, r := range st.Refs {
+				k.work += int64(len(r.Idx))
+			}
 			store.add(k)
 		}
-		out.Refs[i] = k.st
+		out.Refs[i], out.kept[i] = k.st, k
 	}
 	return out, nil
 }
@@ -308,8 +315,10 @@ type queryScorers struct {
 	stride  int32
 	// refs are the scorers' states, each beside its Sum — the digest that
 	// names S in a RefsDigest broadcast and keys its kept N — made at most once
-	// (digested), or taken from the broadcast a shard resolved.
+	// (digested), or taken from the broadcast a shard resolved, with the
+	// store's entries of them (entries).
 	refs     []ShardRefState
+	entries  []*keptRef
 	once     sync.Once
 	keys     []ckey // numerKeys'
 	keysOnce sync.Once
@@ -367,11 +376,16 @@ func (qs *queryScorers) digested() []ShardRefState {
 }
 
 // numerKeys is each path's store key of its kept N (keptN): its Key and S's
-// digest, made once per reduced S, so a read of the kept N builds no key.
+// digest, made once per reduced S — on a shard once per kept S, which holds
+// it (keptRef.numerKey) — so a read of the kept N builds no key.
 func (qs *queryScorers) numerKeys(paths []metapath.Path) []ckey {
 	qs.keysOnce.Do(func() {
 		for m, st := range qs.digested() {
-			qs.keys = append(qs.keys, ckey{path: paths[m].Key() + string(st.Digest[:]), v: numerOf})
+			if qs.entries != nil {
+				qs.keys = append(qs.keys, qs.entries[m].numerKey(paths[m]))
+			} else {
+				qs.keys = append(qs.keys, numerKey(paths[m].Key(), st.Digest))
+			}
 		}
 	})
 	return qs.keys
@@ -406,6 +420,9 @@ func scorersFromRequest(req *ShardRequest, b *ShardBroadcast) (*queryScorers, er
 	qs := &queryScorers{weights: req.Weights, stride: b.Stride}
 	if b.Form == RefsDigest {
 		qs.once.Do(func() { qs.refs = b.Refs }) // refsOf's sums: one per state
+	}
+	if b.kept != nil {
+		qs.entries, qs.keys = b.kept, make([]ckey, 0, len(b.kept))
 	}
 	switch req.Combine {
 	case CombineConcat:
@@ -472,7 +489,8 @@ func (a *weightedMean) value() (float64, bool) {
 
 // ServeShardRequest executes one shard request against a graph slice host:
 // the entry point a shard server (internal/shardnet) calls for each decoded
-// request. It enforces the protocol version, validates the request against
+// request. It enforces the protocol version, refuses a request that names no
+// feature path (INVALID_ARGUMENT), validates the request against
 // the broadcast and the local graph, resolves the broadcast against the
 // store (refsOf), and scores the slice with scoreRange through a
 // candidateSide of its own, whose plan lines the reply carries. It never
@@ -489,6 +507,9 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req 
 		if req.Version != ShardProtocolVersion {
 			return rangeResult{err: xerr.Newf(xerr.Internal,
 				"core: shard protocol skew: request version %d, this shard speaks %d", req.Version, ShardProtocolVersion)}
+		}
+		if len(req.Paths) == 0 {
+			return rangeResult{err: xerr.New(xerr.InvalidArgument, "core: shard request names no feature path")}
 		}
 		for i, p := range req.Paths {
 			if err := p.Validate(g.Schema()); err != nil {

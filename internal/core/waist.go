@@ -19,10 +19,10 @@ import (
 // the path is a weighted sum of a few per-vertex vectors that every other
 // walk through the same vertices needs too. Those vectors — Φ_{P[b:]}(u) for
 // each vertex u of the waist's type — live in a waistTable, filled on first
-// use by one plain traversal and never evicted one by one: the LRU beside it
+// use by one plain traversal and never evicted one by one: the store beside it
 // holds few entries on a small budget and would churn exactly the entries
 // every miss needs. The tables are charged to the cache's byte budget
-// (sharedCacheState.bytes), so the LRU shrinks to what they leave; a table
+// (sharedCacheState.bytes), so the store shrinks to what they leave; a table
 // that outgrows its share is dropped whole and its suffix expanded from then
 // on.
 
@@ -48,7 +48,7 @@ const (
 	// tables of the serving benchmark's graph (179 KiB, 17 % of the budget) and
 	// run level with unbounded tables (48 against 49 µs per load, 119 without
 	// tables); a share that drops the larger table gives back a third of the
-	// gain (69–71 µs), and the LRU's hit rate moves by a point or two either way.
+	// gain (69–71 µs), and the store's hit rate moves by a point or two either way.
 	waistTableShare = 4
 	waistTotalShare = 2
 	// waistSlotOverhead is charged per filled slot beside the coordinates: the

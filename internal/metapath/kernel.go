@@ -158,6 +158,7 @@ func (tr *Traverser) expandMap(frontier sparse.Vector, next hin.TypeID) sparse.V
 	for i := range frontier.Idx {
 		w := frontier.Val[i]
 		nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[i]), next)
+		tr.work += int64(len(nbrs))
 		for j, u := range nbrs {
 			tr.acc.Add(int32(u), float64(w*float64(mults[j])))
 		}
@@ -180,6 +181,7 @@ func (tr *Traverser) expandDense(frontier sparse.Vector, next hin.TypeID, buf sp
 	for i, v := range frontier.Idx {
 		w := frontier.Val[i]
 		nbrs, mults := tr.g.Neighbors(hin.VertexID(v), next)
+		tr.work += int64(len(nbrs))
 		if unit { // x·1 is x: skip the multiplicity, as pullRows does
 			for _, u := range nbrs {
 				acc.Add(int32(u)-base, w)
@@ -220,7 +222,9 @@ func (tr *Traverser) expandPull(frontier sparse.Vector, next hin.TypeID, buf spa
 	out = outVector(buf, len(targets))
 	// Every row writes its slot; only a non-zero sum keeps it.
 	idx, val, n := out.Idx[:len(targets)], out.Val[:len(targets)], 0
-	pullRows(tr.g.Pair(next, cur), 0, in, lo, val)
+	pair := tr.g.Pair(next, cur)
+	tr.work += int64(pair.Off[len(targets)] - pair.Off[0])
+	pullRows(pair, 0, in, lo, val)
 	for i, u := range targets {
 		if x := val[i]; x != 0 {
 			idx[n], val[n] = int32(u), x
@@ -264,12 +268,15 @@ func (tr *Traverser) gatherAt(frontier sparse.Vector, next hin.TypeID, at []hin.
 func (tr *Traverser) gatherRows(in []float64, lo int32, cur, next hin.TypeID, at []hin.VertexID, vals []float64) {
 	tr.counts.Pull++
 	if first, ok := runOf(tr.g.VerticesOfType(next), at); ok {
-		pullRows(tr.g.Pair(next, cur), first, in, lo, vals)
+		pair := tr.g.Pair(next, cur)
+		tr.work += int64(pair.Off[first+len(at)] - pair.Off[first])
+		pullRows(pair, first, in, lo, vals)
 		return
 	}
 	for i, v := range at {
 		if tr.g.Valid(v) && tr.g.Type(v) == next {
 			nbrs, mults := tr.g.Neighbors(v, cur)
+			tr.work += int64(len(nbrs))
 			vals[i] = rowSum(in, lo, nbrs, mults)
 		}
 	}
@@ -388,6 +395,7 @@ func (tr *Traverser) expandMerge(frontier sparse.Vector, next hin.TypeID, buf sp
 	}
 	w := frontier.Val[0]
 	nbrs, mults := tr.g.Neighbors(hin.VertexID(frontier.Idx[0]), next)
+	tr.work += int64(len(nbrs))
 	if len(nbrs) == 0 {
 		return sparse.Vector{}
 	}

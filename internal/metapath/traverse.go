@@ -39,6 +39,7 @@ type Traverser struct {
 	// kernel forces a specific kernel when != KernelAuto.
 	kernel Kernel
 	counts KernelCounts
+	work   int64 // entries read (Work)
 }
 
 // NewTraverser creates a traverser over g.
@@ -56,6 +57,12 @@ func NewTraverser(g *hin.Graph) *Traverser {
 
 // Graph returns the traversed graph.
 func (tr *Traverser) Graph() *hin.Graph { return tr.g }
+
+// Work is how many adjacency entries and suffix-vector entries the traverser
+// has read so far: a deterministic count of its walks' work, taken once per
+// row a kernel reads (a pull counts the rows of its pair it sums), never per
+// edge. The difference across a walk is what walking it again would read.
+func (tr *Traverser) Work() int64 { return tr.work }
 
 // NeighborVector computes Φ_P(v) (Definition 7): coordinate u holds
 // |π_P(v,u)|, the number of path instances of P from v to u, counting edge
@@ -327,6 +334,7 @@ func (tr *Traverser) Combine(frontier sparse.Vector, suffix func(hin.VertexID) s
 	if tr.kernel == KernelMap || int64(hi)-int64(lo) >= MaxDenseSpan {
 		for i, u := range frontier.Idx {
 			w, vec := frontier.Val[i], suffix(hin.VertexID(u))
+			tr.work += int64(len(vec.Idx))
 			for k, ix := range vec.Idx {
 				tr.acc.Add(ix, w*vec.Val[k])
 			}
@@ -337,6 +345,7 @@ func (tr *Traverser) Combine(frontier sparse.Vector, suffix func(hin.VertexID) s
 		acc.Grow(int(hi) - int(lo) + 1)
 		for i, u := range frontier.Idx {
 			w, vec := frontier.Val[i], suffix(hin.VertexID(u))
+			tr.work += int64(len(vec.Idx))
 			for k, ix := range vec.Idx {
 				acc.Add(ix-base, w*vec.Val[k])
 			}

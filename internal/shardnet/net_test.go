@@ -151,8 +151,9 @@ func bitIdentical(a, b *core.Result) bool {
 	return true
 }
 
-// minimalRequest is a well-formed zero-work request (no paths, no
-// candidates) for transport-focused tests that never need real scoring.
+// minimalRequest is a zero-work request (no paths, no candidates) for
+// transport-focused tests that never need real scoring: a shard that runs it
+// answers INVALID_ARGUMENT, as it names no feature path.
 func minimalRequest(shard int) *core.ShardRequest {
 	return &core.ShardRequest{
 		Version: core.ShardProtocolVersion,
@@ -664,6 +665,7 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 			<-release
 		}
 	}
+	probe := scanFrame(t, g, &core.ShardBroadcast{Refs: make([]core.ShardRefState, 1)}, nil) // one path, no candidate
 	call := func(budget time.Duration) (*core.ShardResponse, error) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -671,7 +673,9 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := WriteRequest(conn, &Request{Req: minimalRequest(0), Broadcast: &core.ShardBroadcast{}, Deadline: budget}); err != nil {
+		wire := *probe
+		wire.Deadline = budget
+		if err := WriteRequest(conn, &wire); err != nil {
 			return nil, err
 		}
 		return ReadResponse(conn)
