@@ -57,13 +57,15 @@ bench:
 # evidence for candSideMinShare, and the read of the numerators the store
 # keeps that a repeat does (DESIGN.md "Candidate side"); BenchmarkWaist finishing a
 # subpath-cache miss by expansion against combination from a waist table, the
-# evidence for waistRatio and the tables' byte shares (DESIGN.md
+# evidence for waistRatio, and its budget= rows a spill list replayed with and
+# without tables ranked in the store; BenchmarkStoreCharge what the store
+# charges against the live heap per kind of entry (DESIGN.md
 # "Subpath-decomposed cache"). Every line runs with -benchmem so B/op and
 # allocs/op are recorded.
 bench-json:
 	{ $(GO) test -run XXX -bench='BenchmarkExpand$$|BenchmarkReferenceSide' -benchmem . ; \
 	  $(GO) test -run XXX -bench='BenchmarkExpand$$' -benchmem ./internal/metapath/ ; \
-	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe|BenchmarkWaist|BenchmarkCandidateSide' -benchmem ./internal/core/ ; \
+	  $(GO) test -run XXX -bench='BenchmarkPathIndexProbe|BenchmarkCacheProbe|BenchmarkWaist|BenchmarkCandidateSide|BenchmarkStoreCharge' -benchmem ./internal/core/ ; \
 	  $(GO) test -run XXX -bench='BenchmarkAccumulators|BenchmarkDot|BenchmarkSum' -benchmem ./internal/sparse/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
 	$(GO) test -run XXX -bench='BenchmarkQuery/' -benchmem -cpu 1,2,4 . \
@@ -149,9 +151,9 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19970
-CORE_LOC_CEILING = 6239
-DESIGN_LINES_CEILING = 989
+LOC_CEILING = 19925
+CORE_LOC_CEILING = 6194
+DESIGN_LINES_CEILING = 988
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"sync"
@@ -14,6 +17,7 @@ import (
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
+	"netout/internal/oql"
 	"netout/internal/sparse"
 )
 
@@ -337,7 +341,9 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 		charge func(st *sharedCacheState)
 	}{
 		{"insert", func(st *sharedCacheState) { st.insert(key(n), vec) }},
-		{"compiled", func(st *sharedCacheState) { (&compiledCache{state: st}).charge(size) }},
+		{"compiled", func(st *sharedCacheState) {
+			st.add(&compiledQuery{cache: newCompiledCache(&indexed{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newSharedCacheState(nil, n*size)
@@ -403,6 +409,72 @@ func TestCacheKeepsWhatSavesMostPerByte(t *testing.T) {
 		}
 	}
 	t.Fatal("the expensive entry never aged out: L does not rise")
+}
+
+// One store, one rule, every kind: a vector, a norm table, a waist table and
+// a compiled query share one store and one budget, all worth no work; the one
+// left idle — the least recently used, whatever its kind — is the one a charge
+// over the budget evicts, and the other three stay.
+func TestStoreEvictsAcrossKinds(t *testing.T) {
+	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
+	apv, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
+	pa, _ := metapath.ParseDotted(g.Schema(), "paper.author")
+	vec := sparse.Vector{Idx: []int32{1, 2, 3}, Val: []float64{1, 2, 3}}
+	fresh := ckey{path: "n"}
+	for _, idle := range []string{"vector", "norms", "waist", "compiled"} {
+		t.Run(idle, func(t *testing.T) {
+			st := newSharedCacheState(g, 1<<20)
+			pool := newCompiledCache(&indexed{lru: st})
+			keys := map[string]ckey{
+				"vector":   {path: apv.Key(), v: 0},
+				"norms":    {path: apv.Key(), v: normsOf},
+				"waist":    {path: pa.Key(), v: waistOf},
+				"compiled": {path: "q", v: pool.tag},
+			}
+			st.keep(keys["vector"], vec, 0)
+			st.normTable(apv)
+			st.waistTable(pa.Key())
+			cq := &compiledQuery{cache: pool, key: keys["compiled"], resolvedQuery: &resolvedQuery{q: &oql.Query{}}}
+			cq.charged = cq.size()
+			st.add(cq)
+			for kind, key := range keys {
+				if e := keptAny(st, key); e == nil || e.bytes() < cacheEntrySize(fresh, sparse.Vector{}) {
+					t.Fatalf("set-up: the %s entry is missing or smaller than the charge", kind)
+				}
+			}
+			for kind, key := range keys {
+				if kind != idle {
+					st.lookup(key)
+				}
+			}
+			st.maxBytes = st.bytes.Load()
+			st.insert(fresh, sparse.Vector{})
+			for kind, key := range keys {
+				if held := keptAny(st, key) != nil; held == (kind == idle) {
+					t.Errorf("the %s entry held %v after the charge", kind, held)
+				}
+			}
+			if keptAny(st, fresh) == nil || st.evictions.Load() != 1 {
+				t.Fatalf("%d evictions, the charge held %v: want the idle entry alone evicted", st.evictions.Load(), keptAny(st, fresh) != nil)
+			}
+			if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground || got > st.maxBytes {
+				t.Fatalf("account %d, re-summed %d, budget %d", got, ground, st.maxBytes)
+			}
+			if n := pool.count.Load(); n != int64(len(pool.entries())) || pool.bytes.Load() != cq.charged*n {
+				t.Fatalf("the pool counts %d entries of %d bytes, holds %d", n, pool.bytes.Load(), len(pool.entries()))
+			}
+		})
+	}
+}
+
+// keptAny is the entry under key, nil when there is none; it uses nothing.
+func keptAny(st *sharedCacheState, key ckey) storeEntry {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if el, ok := st.entries[key]; ok {
+		return el.Value.(storeEntry)
+	}
+	return nil
 }
 
 // keptVector is the vector entry under key, nil when there is none; it uses
@@ -964,50 +1036,172 @@ func (st *sharedCacheState) evictOne() bool {
 	return st.evictLocked()
 }
 
-// recomputeBytes walks the entries, every waist table and every attached compiled
-// cache and re-sums what they hold; tests use it to verify the atomic byte
-// accounting against ground truth.
+// recomputeBytes walks the entries and re-sums what they hold — a waist
+// table's slots and filled vectors, a compiled query's size; tests use it to
+// verify the atomic byte accounting against ground truth.
 func (st *sharedCacheState) recomputeBytes() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	total := st.recomputeWaistBytesLocked()
-	for _, c := range st.compiled {
-		total += c.recomputeBytes()
-	}
+	var total int64
 	for c := range st.order {
 		for el := st.order[c].Front(); el != nil; el = el.Next() {
-			total += el.Value.(storeEntry).bytes()
-		}
-	}
-	return total
-}
-
-// recomputeBytes re-sums what the entries hold, for
-// sharedCacheState.recomputeBytes.
-func (c *compiledCache) recomputeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, cq := range c.entries {
-		total += cq.size()
-	}
-	return total
-}
-
-// recomputeWaistBytesLocked re-sums what the live tables hold, for
-// recomputeBytes.
-func (st *sharedCacheState) recomputeWaistBytesLocked() int64 {
-	var total int64
-	for _, tbl := range st.waists.tables {
-		if tbl == nil {
-			continue
-		}
-		total += 8 * int64(len(tbl.slots))
-		for i := range tbl.slots {
-			if vec := tbl.slots[i].Load(); vec != nil {
-				total += int64(vec.Bytes()) + waistSlotOverhead
+			switch e := el.Value.(type) {
+			case *compiledQuery:
+				total += e.size()
+			case *waistTable:
+				total += 8 * int64(len(e.slots))
+				for i := range e.slots {
+					if vec := e.slots[i].Load(); vec != nil {
+						total += int64(vec.Bytes()) + waistSlotOverhead
+					}
+				}
+			default:
+				total += e.(storeEntry).bytes()
 			}
 		}
 	}
 	return total
+}
+
+// entries is the pool's entries in its store; it uses none.
+func (c *compiledCache) entries() (out []*compiledQuery) {
+	c.state.mu.Lock()
+	defer c.state.mu.Unlock()
+	for _, el := range c.state.entries {
+		if cq, ok := el.Value.(*compiledQuery); ok && cq.cache == c {
+			out = append(out, cq)
+		}
+	}
+	return out
+}
+
+// BenchmarkStoreCharge measures what the store's one byte account charges
+// against the live heap it holds, per kind of entry: a store of zipf_spill's
+// budget (1 MiB) on the serving benchmark's graph is filled with one kind
+// alone until it first evicts, or its input runs out, and charged/heap is the
+// growth of the account over the growth of the live heap
+// (runtime/metrics' /memory/classes/heap/objects:bytes after a collection).
+// Below 1 the store holds more than it is charged. Every store is warmed by
+// one offer first, so the handle's scratch is not counted.
+func BenchmarkStoreCharge(b *testing.B) {
+	g := waistBenchGraph(b, 0)
+	const budget = 1 << 20
+	parse := func(dotted string) metapath.Path {
+		p, err := metapath.ParseDotted(g.Schema(), dotted)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	a, _ := g.Schema().TypeByName("author")
+	authors := g.VerticesOfType(a)
+	apa := parse("author.paper.author")
+	tr := metapath.NewTraverser(g)
+	for _, kind := range []struct {
+		name string
+		// setup returns a store and its next offer, false once the input is
+		// out.
+		setup func() (*sharedCacheState, func() bool)
+	}{
+		{"vector", func() (*sharedCacheState, func() bool) {
+			mat, st := eagerWaists(b, g, budget, waistRatio)
+			i := 0
+			return st, func() bool {
+				_, err := mat.NeighborVector(apa, authors[i%len(authors)])
+				i++
+				return err == nil && i < len(authors)
+			}
+		}},
+		{"prefix", func() (*sharedCacheState, func() bool) {
+			st := newSharedCacheState(g, budget)
+			i := 0
+			return st, func() bool {
+				v := authors[i%len(authors)]
+				phi, _ := tr.NeighborVector(apa, v)
+				st.keepPrefix(apa.Key(), v, phi, 1)
+				i++
+				return i < len(authors)
+			}
+		}},
+		{"waist_table", func() (*sharedCacheState, func() bool) {
+			st := newSharedCacheState(g, budget)
+			var suffixes []metapath.Path
+			for _, dotted := range []string{"venue.paper.author", "venue.paper.term", "venue.paper.author.paper.venue", "venue.paper.author.paper.term", "venue.paper.term.paper.venue"} {
+				suffixes = append(suffixes, parse(dotted))
+			}
+			s, u := 0, 0
+			return st, func() bool {
+				tbl := st.waistTable(suffixes[s].Key())
+				vec, _ := tr.NeighborVector(suffixes[s], tbl.ids[u])
+				st.keepWaist(tbl, tbl.ids[u], vec, 1)
+				if u++; u == len(tbl.ids) {
+					s, u = s+1, 0
+				}
+				return s < len(suffixes)
+			}
+		}},
+		{"compiled_query", func() (*sharedCacheState, func() bool) {
+			mat := newIndexed(g, newPathIndex(g), StrategyBaseline, budget)
+			pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			i := 0
+			return mat.lru, func() bool {
+				src := fmt.Sprintf("FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 5;", g.Name(authors[i%len(authors)]))
+				_, err := pool.Execute(context.Background(), src)
+				i++
+				return err == nil && i < len(authors)
+			}
+		}},
+		{"norm_table", func() (*sharedCacheState, func() bool) {
+			st := newSharedCacheState(g, budget)
+			var paths []metapath.Path
+			for _, dotted := range []string{"author.paper", "author.paper.author", "author.paper.venue", "author.paper.term", "author.paper.author.paper", "author.paper.venue.paper", "author.paper.term.paper", "author.paper.author.paper.author", "author.paper.author.paper.venue", "author.paper.venue.paper.author"} {
+				paths = append(paths, parse(dotted))
+			}
+			i := 0
+			return st, func() bool {
+				st.normTable(paths[i])
+				i++
+				return i < len(paths)
+			}
+		}},
+		{"kept_n", func() (*sharedCacheState, func() bool) {
+			st := newSharedCacheState(g, budget)
+			p := parse("author.paper.venue")
+			i := 0
+			return st, func() bool {
+				s, _, _ := tr.SetVector(context.Background(), p, authors[i:i+5])
+				st.add(&keptN{key: numerKey(p.Key(), sumOf(s)), s: s, vs: authors, num: make([]float64, len(authors)), rank: rank{work: 1}})
+				i += 5
+				return i+5 <= len(authors)
+			}
+		}},
+	} {
+		b.Run("kind="+kind.name, func(b *testing.B) {
+			var charged, heap int64
+			for i := 0; i < b.N; i++ {
+				st, offer := kind.setup()
+				more := offer()
+				heap0, bytes0 := liveHeap(), st.bytes.Load()
+				for more && st.evictions.Load() == 0 {
+					more = offer()
+				}
+				heap = liveHeap() - heap0
+				charged = st.bytes.Load() - bytes0
+				runtime.KeepAlive(st)
+			}
+			b.ReportMetric(float64(charged)/float64(heap), "charged/heap")
+			b.ReportMetric(float64(charged)/1024, "charged-KiB")
+		})
+	}
+}
+
+// liveHeap is the heap's live objects' bytes after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }

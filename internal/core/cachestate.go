@@ -20,11 +20,11 @@ import (
 // tables, the kept N of each (path, S) and the ghosts of S's seen once, the
 // broadcast states a shard keeps, and every pool's compiled queries. It is a
 // map and one recency list per class of worth under one mutex, which also
-// guards every charge to the store's byte account, so eviction always drops
-// the entry that saves the least work per byte (GreedyDual-Size, below). All
-// counters are atomic, and concurrent misses on the same (path, vertex) are
-// coalesced by a singleflight group so the network is traversed once, not
-// once per worker.
+// guards every charge to the store's one byte account, so eviction always
+// drops the entry that saves the least work per byte (GreedyDual-Size,
+// below), whatever its kind. All counters are atomic, and concurrent misses on
+// the same (path, vertex) are coalesced by a singleflight group so the network
+// is traversed once, not once per worker.
 
 // ckey identifies one cached Φ vector: the canonical subpath key (one byte
 // per vertex type, metapath.Path.Key) and the source vertex — or, with the
@@ -39,19 +39,23 @@ type ckey struct {
 }
 
 // normsOf is the vertex a norm table is keyed on, refOf the one a kept
-// broadcast state is, under its digest, and numerOf the one a kept N is, under
-// its path's key and S's digest (keptN): no vector is keyed on a negative
-// vertex.
+// broadcast state is, under its digest, numerOf the one a kept N is, under its
+// path's key and S's digest (keptN), and waistOf the one a waist table is,
+// under its suffix's key; a pool's compiled queries are keyed on their text
+// and a vertex below waistOf, the pool's own (compiledCache.tag): no vector is
+// keyed on a negative vertex.
 const (
 	normsOf hin.VertexID = -1
 	refOf   hin.VertexID = -2
 	numerOf hin.VertexID = -3
+	waistOf hin.VertexID = -4
 )
 
 // storeEntry is what the store holds: a vector (cacheEntry), a norm table
-// (visPath), a kept broadcast state (keptRef) or a kept N or its ghost
-// (keptN), each under its key, charged its bytes, which never change while it
-// is held, and ranked by its work.
+// (visPath), a waist table (waistTable), a compiled query (compiledQuery), a
+// kept broadcast state (keptRef) or a kept N or its ghost (keptN), each under
+// its key, charged its bytes and ranked by its work. Its bytes change only
+// under mu, with the charge (a waist table's fill, rerankLocked).
 type storeEntry interface {
 	ckey() ckey
 	bytes() int64
@@ -136,10 +140,9 @@ func (k *keptRef) numerKey(p metapath.Path) ckey {
 func numerKey(pk string, d [32]byte) ckey { return ckey{path: pk + string(d[:]), v: numerOf} }
 
 // sharedCacheState is the store every view of one materializer shares
-// (indexed.lru): its entries (Cached's warm vectors, the norm tables and kept
-// N), the singleflight group and the store-wide counters. All counter fields
-// are atomic so that CacheStats totals are exact under concurrency and
-// readable without mu.
+// (indexed.lru): its entries (every kind storeEntry names), the singleflight
+// group and the store-wide counters. All counter fields are atomic so that
+// CacheStats totals are exact under concurrency and readable without mu.
 type sharedCacheState struct {
 	g        *hin.Graph
 	maxBytes int64
@@ -148,11 +151,9 @@ type sharedCacheState struct {
 	minKnown, minShare int
 
 	// mu guards the entries (entries, order, every rank, floor, tick), the
-	// waist tables and lines, the compiled caches' list, and every charge to
-	// bytes: a charge and the evictions it forces are one critical section
-	// (chargeLocked), and so is putting an entry in another's place (admit).
-	// Lock order: compiledCache.mu is never held while mu is taken; only the
-	// test-only recomputeBytes nests mu → compiledCache.mu.
+	// waist lines and every charge to bytes: a charge and the evictions it
+	// forces are one critical section (chargeLocked), and so is putting an
+	// entry in another's place (admit).
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
 	// order[c] is class c's entries (storeEntry), front = most recent; floor is
@@ -163,15 +164,12 @@ type sharedCacheState struct {
 
 	flight flightGroup
 
-	// waists are the suffix-vector tables subpath misses finish from
-	// (waist.go); their bytes are part of bytes below.
+	// waists is what the store knows of its waist tables beside the entries
+	// (waist.go).
 	waists waistSet
-
-	// compiled are the compiled-query caches of the serve pools built over
-	// this materializer, from newCompiledCache to close (compiled.go); their
-	// bytes are part of bytes below, and compiledBytes is their sum.
-	compiled      []*compiledCache
-	compiledBytes atomic.Int64
+	// pools numbers the serve pools built over this store: pool n's compiled
+	// queries are keyed on the vertex waistOf-n.
+	pools atomic.Int32
 
 	bytes     atomic.Int64
 	hits      atomic.Int64
@@ -193,10 +191,7 @@ const keptMaxBytes = 64 << 20
 
 func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
 	return &sharedCacheState{g: g, maxBytes: maxBytes, minKnown: candSideMinKnown, minShare: candSideMinShare,
-		entries: make(map[ckey]*list.Element), waists: waistSet{
-			ratio: waistRatio, tableShare: waistTableShare, totalShare: waistTotalShare,
-			tables: make(map[string]*waistTable), lines: make(map[string]string),
-		}}
+		entries: make(map[ckey]*list.Element), waists: waistSet{ratio: waistRatio, lines: make(map[string]string)}}
 }
 
 // lookup returns the entry under key, used (touchLocked); nil when there is
@@ -252,14 +247,15 @@ func cacheEntrySize(key ckey, vec sparse.Vector) int64 {
 	return int64(vec.Bytes()) + indexEntryOverhead + int64(len(key.path)) + 4
 }
 
-// prefixEntryShare caps one kept intermediate frontier at 1/prefixEntryShare
-// of the cache budget: a single huge frontier must not evict the long tail of
-// small, highly reusable entries. The size is the frontier's own — measured
-// when the miss holds it, not estimated before. Evidence: BenchmarkWaist's
+// entryShare caps one entry a query offers the store — a kept intermediate
+// frontier (keepPrefix), a compiled query (compiledQuery.retain) — at
+// 1/entryShare of the budget: a single huge offer must not evict the long tail
+// of small, highly reusable entries. The size is the entry's own, measured
+// when the query holds it, not estimated before. Evidence: BenchmarkWaist's
 // budget= rows in BENCH_kernel.json and the served table in DESIGN.md
 // "Subpath-decomposed cache"; beside the work-per-byte rule, its spill list
-// reads 45.3k entries per query with the share and 46.3k without.
-const prefixEntryShare = 64
+// reads 45.3k entries per query with the cap and 46.3k without.
+const entryShare = 64
 
 // resume is where a miss on the path with key pk starts at v: the longest
 // kept prefix frontier, the hops it covers and the work it saved, or unit
@@ -279,10 +275,10 @@ func (st *sharedCacheState) resume(pk string, v hin.VertexID, unit sparse.Vector
 
 // keepPrefix keeps frontier, Φ at v of the prefix with key pk, worth work,
 // for other misses to resume from: a non-zero one of 3 types or more, within
-// its share of the budget, cloned out of hop scratch at the size of its
+// the cap (entryShare), cloned out of hop scratch at the size of its
 // non-zeros.
 func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier sparse.Vector, work int64) {
-	if key := (ckey{path: pk, v: v}); len(pk) >= 3 && !frontier.IsZero() && cacheEntrySize(key, frontier) <= st.maxBytes/prefixEntryShare {
+	if key := (ckey{path: pk, v: v}); len(pk) >= 3 && !frontier.IsZero() && cacheEntrySize(key, frontier) <= st.maxBytes/entryShare {
 		st.keep(key, frontier.Clone(), work)
 	}
 }
@@ -307,11 +303,15 @@ func (st *sharedCacheState) add(e storeEntry) {
 		return
 	}
 	size := e.bytes()
-	if size > st.maxBytes-st.waists.bytes.Load()-st.compiledBytes.Load() {
-		return // larger than all the entries may take: do not thrash
+	if size > st.maxBytes {
+		return // larger than the whole budget: do not thrash
 	}
 	st.chargeLocked(size)
 	st.pushLocked(e)
+	if cq, ok := e.(*compiledQuery); ok {
+		cq.cache.count.Add(1)
+		cq.cache.bytes.Add(size)
+	}
 }
 
 // admit puts e, a kept N or a ghost, in old's place — old is what the caller
@@ -369,9 +369,9 @@ func (st *sharedCacheState) fitsLocked(old, e *keptN, evict bool) bool {
 	return need <= 0
 }
 
-// chargeLocked moves the byte account by n — an entry, a norm table, a waist
-// table or a compiled query — after evicting until n fits the budget, so a
-// reader of bytes never sees more than it. The caller holds mu.
+// chargeLocked moves the byte account by n — an entry, or a waist table's
+// fill — after evicting until n fits the budget, so a reader of bytes never
+// sees more than it. The caller holds mu.
 func (st *sharedCacheState) chargeLocked(n int64) {
 	for st.bytes.Load()+n > st.maxBytes && st.evictLocked() {
 	}
@@ -394,16 +394,38 @@ func (st *sharedCacheState) evictLocked() bool {
 	return victim != nil
 }
 
-// removeLocked evicts the entry at el, raising L to its priority. The caller
-// holds mu.
-func (st *sharedCacheState) removeLocked(el *list.Element) {
+// rerankLocked puts the entry at el, now worth work, in its class again —
+// that of its work and its bytes, which grow by grow — and uses it. It is out
+// of the order while grow is charged, so it is not its own victim. The caller
+// holds mu and has grown the entry.
+func (st *sharedCacheState) rerankLocked(el *list.Element, work, grow int64) {
 	e := el.Value.(storeEntry)
 	r := e.ranked()
 	st.order[r.class].Remove(el)
-	st.floor = max(st.floor, r.h)
+	st.chargeLocked(grow)
+	r.work = work
+	st.pushLocked(e)
+}
+
+// removeLocked evicts the entry at el, raising L to its priority. The caller
+// holds mu.
+func (st *sharedCacheState) removeLocked(el *list.Element) {
+	st.floor = max(st.floor, el.Value.(storeEntry).ranked().h)
+	st.evictions.Add(1)
+	st.dropLocked(el)
+}
+
+// dropLocked takes the entry at el out of the store and gives back its bytes.
+// The caller holds mu.
+func (st *sharedCacheState) dropLocked(el *list.Element) {
+	e := el.Value.(storeEntry)
+	st.order[e.ranked().class].Remove(el)
 	delete(st.entries, e.ckey())
 	st.bytes.Add(-e.bytes())
-	st.evictions.Add(1)
+	if cq, ok := e.(*compiledQuery); ok {
+		cq.cache.count.Add(-1)
+		cq.cache.bytes.Add(-cq.charged)
+	}
 }
 
 func (st *sharedCacheState) cacheStats() CacheStats {

@@ -344,8 +344,8 @@ func (w *keptN) read(at []hin.VertexID) []float64 {
 	return vals
 }
 
-// normTable returns p's norm table, used, creating it when it fits beside
-// what the store cannot evict (nil otherwise).
+// normTable returns p's norm table, used, creating it when it fits the budget
+// (nil otherwise).
 func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
 	key := ckey{path: p.Key(), v: normsOf}
 	st.mu.Lock()
@@ -355,15 +355,13 @@ func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
 		if work := vp.cost.Load(); classOf(work, vp.bytes()) == vp.class {
 			st.touchLocked(el)
 		} else { // its walks moved it to another class
-			st.order[vp.class].Remove(el)
-			vp.work = work
-			st.pushLocked(vp)
+			st.rerankLocked(el, work, 0)
 		}
 		return vp
 	}
 	lo, hi, ok := st.g.TypeIDSpan(p.Source())
 	size := (int64(hi) - int64(lo) + 1) * 8
-	if !ok || size > st.maxBytes-st.waists.bytes.Load()-st.compiledBytes.Load() {
+	if !ok || size > st.maxBytes {
 		return nil
 	}
 	vp := &visPath{key: key, lo: lo, bits: make([]atomic.Uint64, size/8)}

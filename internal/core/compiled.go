@@ -1,11 +1,10 @@
 package core
 
 import (
-	"container/list"
-	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"netout/internal/hin"
 )
 
 // Compiled queries. Equation (1) splits a query into a reference reduction
@@ -18,41 +17,33 @@ import (
 // SuggestFeatures and progressive execution compile per call, which is what
 // Baseline means in Figure 3.
 
-const (
-	// compiledShare bounds the entries at 1/compiledShare of the
-	// materializer's store budget, charged to sharedCacheState.bytes like the
-	// waist tables, so the store shrinks to what they leave and the process does
-	// not grow. Evidence: the paired zipf_spill and zipf_warm runs in DESIGN.md
-	// "Reference side".
-	compiledShare = 8
-	// compiledEntryShare caps one entry at 1/compiledEntryShare of the
-	// entries' budget: a reduction that keeps |Sr| vectors (PathSim) must not
-	// evict a hundred anchor queries, and is recomputed per query as before.
-	compiledEntryShare = 8
-	// compiledEntryOverhead is charged per entry beside what it holds: the
-	// structs, the map and list slots, the slice headers.
-	compiledEntryOverhead = 512
-)
+// compiledEntryOverhead is charged per entry beside what it holds: the
+// structs, the map and list slots, the slice headers.
+const compiledEntryOverhead = 512
 
-// compiledQuery is one text's entry. A retained entry is complete and
-// read-only — any number of workers execute from it at once; a blank one
-// (resolvedQuery nil) is a miss's private handle, carrying the cache and the
-// key a clean execution retains its results under. Methods are nil-safe: a
-// query outside a pool has no entry.
+// compiledQuery is one text's entry, an entry of the store (storeEntry)
+// worth the walks its resolution and reduction read. A retained entry is
+// complete and read-only — any number of workers execute from it at once; a
+// blank one (resolvedQuery nil) is a miss's private handle, carrying the cache
+// and the key a clean execution retains its results under. Methods are
+// nil-safe: a query outside a pool has no entry.
 type compiledQuery struct {
+	rank
 	cache *compiledCache
-	// key is the trimmed source text.
-	key string
+	// key is the trimmed source text under the pool's tag.
+	key ckey
 	// text is the canonical rendering capped for retention — what the
 	// in-flight table and the event show ("" when the pool records neither).
 	text string
 	*resolvedQuery
 	// scorers is the reduced reference side; nil when it alone would take the
-	// entry past its share, and the reduction is then computed per query.
+	// entry past the cap, and the reduction is then computed per query.
 	scorers *queryScorers
-	bytes   int64
-	el      *list.Element
+	charged int64
 }
+
+func (cq *compiledQuery) ckey() ckey   { return cq.key }
+func (cq *compiledQuery) bytes() int64 { return cq.charged }
 
 // resolved is the resolution and canonical text of a retained entry.
 func (cq *compiledQuery) resolved() (*resolvedQuery, string) {
@@ -88,7 +79,7 @@ func (cq *compiledQuery) labels() (compiled, refSide string) {
 // the rendering, 4 bytes per set member — once when Sr is Sc — and the
 // scorers' vectors and directories.
 func (cq *compiledQuery) size() int64 {
-	n := compiledEntryOverhead + 5*int64(len(cq.key)) + int64(len(cq.text)) + 4*int64(len(cq.cands))
+	n := compiledEntryOverhead + 5*int64(len(cq.key.path)) + int64(len(cq.text)) + 4*int64(len(cq.cands))
 	if cq.q.ComparedTo != nil {
 		n += 4 * int64(len(cq.refs))
 	}
@@ -108,34 +99,25 @@ func (qs *queryScorers) bytes() int64 {
 	return n
 }
 
-// compiledCache is a pool's entries: text → compiledQuery, LRU among entries
-// under a byte budget, shared by the pool's workers.
+// compiledCache is a pool's view of its entries in its materializer's store:
+// the tag they are keyed under, and their counters. The store keeps count and
+// bytes as it takes entries in and gives them up.
 type compiledCache struct {
-	budget, entryMax int64
-	// state is the materializer's store the entries are charged to.
 	state *sharedCacheState
-
-	mu      sync.Mutex
-	entries map[string]*compiledQuery
-	order   list.List // front = most recent
+	tag   hin.VertexID
 
 	hits, misses atomic.Int64
 	count, bytes atomic.Int64
 }
 
-// newCompiledCache sizes a pool's cache from its materializer's store; a
+// newCompiledCache keys a pool's entries in its materializer's store; a
 // Materializer that is no indexed gets a store of its own.
 func newCompiledCache(mat Materializer) *compiledCache {
 	st := newSharedCacheState(nil, keptMaxBytes)
 	if cm, ok := mat.(*indexed); ok {
 		st = cm.lru
 	}
-	c := &compiledCache{state: st, budget: st.maxBytes / compiledShare, entries: make(map[string]*compiledQuery)}
-	c.entryMax = c.budget / compiledEntryShare
-	st.mu.Lock()
-	st.compiled = append(st.compiled, c)
-	st.mu.Unlock()
-	return c
+	return &compiledCache{state: st, tag: waistOf - hin.VertexID(st.pools.Add(1))}
 }
 
 // lookup returns the entry retained for src — two texts that differ only in
@@ -145,14 +127,8 @@ func (c *compiledCache) lookup(src string) *compiledQuery {
 	if c == nil {
 		return nil
 	}
-	key := strings.TrimSpace(src)
-	c.mu.Lock()
-	cq := c.entries[key]
-	if cq != nil {
-		c.order.MoveToFront(cq.el)
-	}
-	c.mu.Unlock()
-	if cq != nil {
+	key := ckey{path: strings.TrimSpace(src), v: c.tag}
+	if cq, ok := c.state.lookup(key).(*compiledQuery); ok {
 		c.hits.Add(1)
 		return cq
 	}
@@ -160,71 +136,36 @@ func (c *compiledCache) lookup(src string) *compiledQuery {
 	return &compiledQuery{cache: c, key: key}
 }
 
-// retain keeps what a clean, complete execution of blank's text produced: the
-// whole entry when it fits the per-entry share, the entry without the scorers
-// when only they do not, nothing otherwise. A retained entry (a hit) and a
-// missing one are no-ops. Least recently used entries go until the budget
-// holds; the store's entries then give way for the net growth.
-func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *queryScorers) {
+// retain offers the store what a clean, complete execution of blank's text
+// produced, worth the walks that resolved it and, with the scorers, reduced
+// it: the whole entry when it is within the cap (entryShare), the entry
+// without the scorers when only they take it past, nothing otherwise. A
+// retained entry (a hit) and a missing one are no-ops.
+func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *queryScorers, reduced int64) {
 	if blank == nil || blank.resolvedQuery != nil {
 		return
 	}
-	c := blank.cache
+	st := blank.cache.state
 	// The key is cloned: as a substring it would pin the whole request body.
-	cq := &compiledQuery{key: strings.Clone(blank.key), text: text, resolvedQuery: rq, scorers: scorers}
-	if cq.bytes = cq.size(); cq.bytes > c.entryMax {
-		cq.scorers = nil
-		if cq.bytes = cq.size(); cq.bytes > c.entryMax {
+	cq := &compiledQuery{cache: blank.cache, key: ckey{path: strings.Clone(blank.key.path), v: blank.key.v}, text: text,
+		resolvedQuery: rq, scorers: scorers, rank: rank{work: rq.setWork + reduced}}
+	if cq.charged = cq.size(); cq.charged > st.maxBytes/entryShare {
+		cq.scorers, cq.work = nil, rq.setWork
+		if cq.charged = cq.size(); cq.charged > st.maxBytes/entryShare {
 			return
 		}
 	}
-	c.mu.Lock()
-	if _, raced := c.entries[cq.key]; raced {
-		c.mu.Unlock()
-		return // a concurrent miss of the same text got here first
-	}
-	before := c.bytes.Load()
-	cq.el = c.order.PushFront(cq)
-	c.entries[cq.key] = cq
-	c.count.Add(1)
-	c.bytes.Add(cq.bytes)
-	for c.bytes.Load() > c.budget { // stops before the new entry: it fits its share
-		c.evictLocked(c.order.Back().Value.(*compiledQuery))
-	}
-	delta := c.bytes.Load() - before
-	c.mu.Unlock()
-	c.charge(delta)
+	st.add(cq)
 }
 
-// evictLocked unlinks one entry and gives back its bytes.
-func (c *compiledCache) evictLocked(cq *compiledQuery) {
-	c.order.Remove(cq.el)
-	delete(c.entries, cq.key)
-	c.count.Add(-1)
-	c.bytes.Add(-cq.bytes)
-}
-
-// charge moves the store's byte account by delta and lets its entries make room.
-// The caller does not hold c.mu (sharedCacheState.mu's lock order).
-func (c *compiledCache) charge(delta int64) {
-	st := c.state
-	st.mu.Lock()
-	st.compiledBytes.Add(delta)
-	st.chargeLocked(delta)
-	st.mu.Unlock()
-}
-
-// close drops every entry and releases their charge (ServePool.Close).
+// close takes the pool's entries out of the store (ServePool.Close).
 func (c *compiledCache) close() {
-	c.mu.Lock()
-	held := c.bytes.Load()
-	for c.order.Len() > 0 {
-		c.evictLocked(c.order.Back().Value.(*compiledQuery))
-	}
-	c.mu.Unlock()
-	c.charge(-held)
 	st := c.state
 	st.mu.Lock()
-	st.compiled = slices.DeleteFunc(st.compiled, func(x *compiledCache) bool { return x == c })
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	for key, el := range st.entries {
+		if key.v == c.tag {
+			st.dropLocked(el)
+		}
+	}
 }

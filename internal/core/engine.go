@@ -513,7 +513,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 		return nil, err
 	}
 	if !res.Partial {
-		plan.compiled.retain(text, rq, plan.scorers)
+		plan.compiled.retain(text, rq, plan.scorers, plan.reduced)
 	}
 	res.Timing.Total = time.Since(start)
 	return res, nil
@@ -535,12 +535,12 @@ func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*
 	}
 	start := time.Now()
 	plan := &resolvedQuery{q: q, elemType: elemType, combine: e.combine}
-	if plan.cands, err = e.EvalSetContext(ctx, q.From); err != nil {
+	if plan.cands, err = e.evalSet(ctx, q.From, &plan.setWork); err != nil {
 		return nil, err
 	}
 	plan.refs = plan.cands
 	if q.ComparedTo != nil {
-		if plan.refs, err = e.EvalSetContext(ctx, q.ComparedTo); err != nil {
+		if plan.refs, err = e.evalSet(ctx, q.ComparedTo, &plan.setWork); err != nil {
 			return nil, err
 		}
 	}
@@ -578,15 +578,22 @@ func (e *Engine) EvalSet(expr oql.SetExpr) ([]hin.VertexID, error) {
 // EvalSetContext is EvalSet with cancellation, checked at per-vertex
 // granularity while WHERE conditions are evaluated.
 func (e *Engine) EvalSetContext(ctx context.Context, expr oql.SetExpr) ([]hin.VertexID, error) {
+	var work int64
+	return e.evalSet(ctx, expr, &work)
+}
+
+// evalSet is EvalSetContext adding what its expansions read
+// (metapath.Traverser.Work) to *work.
+func (e *Engine) evalSet(ctx context.Context, expr oql.SetExpr, work *int64) ([]hin.VertexID, error) {
 	switch x := expr.(type) {
 	case *oql.SetChain:
-		return e.evalChain(ctx, x)
+		return e.evalChain(ctx, x, work)
 	case *oql.SetBinary:
-		left, err := e.EvalSetContext(ctx, x.Left)
+		left, err := e.evalSet(ctx, x.Left, work)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.EvalSetContext(ctx, x.Right)
+		right, err := e.evalSet(ctx, x.Right, work)
 		if err != nil {
 			return nil, err
 		}
@@ -603,17 +610,20 @@ func (e *Engine) EvalSetContext(ctx context.Context, expr oql.SetExpr) ([]hin.Ve
 	return nil, xerr.Newf(xerr.Internal, "core: unknown set expression %T", expr)
 }
 
-// expandSet advances a vertex set one hop on the engine's shared traverser.
-// The mutex makes set evaluation safe under concurrent queries (the
-// traverser's scratch is single-goroutine); expansion itself stays
-// sequential per step.
-func (e *Engine) expandSet(set []hin.VertexID, t hin.TypeID) []hin.VertexID {
+// expandSet advances a vertex set one hop on the engine's shared traverser,
+// adding what it read to *work. The mutex makes set evaluation safe under
+// concurrent queries (the traverser's scratch is single-goroutine); expansion
+// itself stays sequential per step.
+func (e *Engine) expandSet(set []hin.VertexID, t hin.TypeID, work *int64) []hin.VertexID {
 	e.trMu.Lock()
 	defer e.trMu.Unlock()
-	return e.tr.ExpandSet(set, t)
+	before := e.tr.Work()
+	set = e.tr.ExpandSet(set, t)
+	*work += e.tr.Work() - before
+	return set
 }
 
-func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain) ([]hin.VertexID, error) {
+func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain, work *int64) ([]hin.VertexID, error) {
 	s := e.g.Schema()
 	anchorType, ok := s.TypeByName(c.TypeName)
 	if !ok {
@@ -638,7 +648,7 @@ func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain) ([]hin.VertexID
 		if !ok {
 			return nil, xerr.Newf(xerr.InvalidArgument, "core: unknown vertex type %q", step)
 		}
-		set = e.expandSet(set, t)
+		set = e.expandSet(set, t, work)
 	}
 	if c.Where != nil {
 		filtered := set[:0:0]
@@ -646,7 +656,7 @@ func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain) ([]hin.VertexID
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
-			keep, err := e.evalCond(ctx, c.Where, v)
+			keep, err := e.evalCond(ctx, c.Where, v, work)
 			if err != nil {
 				return nil, err
 			}
@@ -659,10 +669,10 @@ func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain) ([]hin.VertexID
 	return set, nil
 }
 
-func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID) (bool, error) {
+func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID, work *int64) (bool, error) {
 	switch c := cond.(type) {
 	case *oql.CondBinary:
-		l, err := e.evalCond(ctx, c.Left, v)
+		l, err := e.evalCond(ctx, c.Left, v, work)
 		if err != nil {
 			return false, err
 		}
@@ -674,12 +684,12 @@ func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID) (b
 		if c.Op == oql.CondOr && l {
 			return true, nil
 		}
-		return e.evalCond(ctx, c.Right, v)
+		return e.evalCond(ctx, c.Right, v, work)
 	case *oql.CondNot:
-		inner, err := e.evalCond(ctx, c.Inner, v)
+		inner, err := e.evalCond(ctx, c.Inner, v, work)
 		return !inner, err
 	case *oql.CondCount:
-		n, err := e.countNeighbors(v, c.Segments)
+		n, err := e.countNeighbors(v, c.Segments, work)
 		if err != nil {
 			return false, err
 		}
@@ -691,7 +701,7 @@ func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID) (b
 // countNeighbors counts the distinct meta-path neighbors of v along the
 // dotted steps: COUNT(A.paper) is the number of distinct papers of an
 // author ("has published at least 10 papers").
-func (e *Engine) countNeighbors(v hin.VertexID, steps []string) (int, error) {
+func (e *Engine) countNeighbors(v hin.VertexID, steps []string, work *int64) (int, error) {
 	s := e.g.Schema()
 	set := []hin.VertexID{v}
 	for _, step := range steps {
@@ -699,7 +709,7 @@ func (e *Engine) countNeighbors(v hin.VertexID, steps []string) (int, error) {
 		if !ok {
 			return 0, xerr.Newf(xerr.InvalidArgument, "core: unknown vertex type %q", step)
 		}
-		set = e.expandSet(set, t)
+		set = e.expandSet(set, t, work)
 	}
 	return len(set), nil
 }

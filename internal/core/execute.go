@@ -79,8 +79,10 @@ type resolvedQuery struct {
 	weights  []float64
 	combine  Combination
 	// setRetrieval is what evaluating the sets and resolving the paths took
-	// (Timing.SetRetrieval of the execution that did).
+	// (Timing.SetRetrieval of the execution that did), setWork what the sets'
+	// expansions read (metapath.Traverser.Work).
 	setRetrieval time.Duration
+	setWork      int64
 }
 
 // queryPlan carries a query through one execution: what its caller decided
@@ -91,9 +93,11 @@ type queryPlan struct {
 	// compiled is the serve pool's entry for the query's text: retained (a
 	// hit), blank (a miss this execution may fill) or nil (no pool; every
 	// method is nil-safe). scorers is what referenceSide reduced Sr to, kept
-	// for the entry.
+	// for the entry, worth reduced: what referenceSide's walks read
+	// (metapath.Traverser.Work) that a hit does not read again.
 	compiled *compiledQuery
 	scorers  *queryScorers
+	reduced  int64
 	// refside is referenceSide's plan line ("" from the compiled entry).
 	refside string
 	// ranges bounds the local ranges the candidates split into: the engine's
@@ -244,6 +248,7 @@ type work struct {
 	mat          MatStats
 	hits, misses int64
 	kernels      metapath.KernelCounts
+	read         int64 // metapath.Traverser.Work
 }
 
 // countKernels leaves on the plan the hops done on hs since before.
@@ -255,7 +260,10 @@ func (hs handles) work() (w work) {
 	for _, mat := range hs.mats {
 		w.mat = w.mat.Add(mat.Stats())
 		if x, ok := mat.(*indexed); ok {
-			w.hits, w.misses = w.hits+x.hits, w.misses+x.misses
+			w.hits, w.misses, w.read = w.hits+x.hits, w.misses+x.misses, w.read+x.tr.Work()
+			if x.fill != nil {
+				w.read += x.fill.Work()
+			}
 		}
 		k, _ := kernelCountsOf(mat)
 		w.kernels = w.kernels.Add(k)
@@ -311,6 +319,9 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		return err
 	}
 	plan.scorers = scorers
+	if held == nil { // held, the reduction's loads are the candidates': a hit loads them too
+		plan.reduced = hs.work().read - last.read
+	}
 	if plan.refside != "" {
 		tr.AddPlan(plan.refside)
 	}

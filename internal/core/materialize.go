@@ -253,19 +253,20 @@ func (m *indexed) probe(tbl *pathTable, u hin.VertexID) (sparse.Vector, bool) {
 }
 
 // combine advances frontier over the vectors of suffix (Traverser.Combine):
-// what get has, else a fill (fillVector) offered to keep, when not nil. ok
-// is false where a count reaches 2⁵³ and Combine's sums stop being
-// order-free: the caller expands the hops instead, so the result is
-// Baseline's bit for bit whatever the counts.
-func (m *indexed) combine(frontier sparse.Vector, suffix metapath.Path, get func(hin.VertexID) (sparse.Vector, bool), keep func(hin.VertexID, sparse.Vector)) (out sparse.Vector, ok bool, err error) {
+// what get has, else a fill (fillVector) offered to keep, when not nil, with
+// the work it read. ok is false where a count reaches 2⁵³ and Combine's sums
+// stop being order-free: the caller expands the hops instead, so the result
+// is Baseline's bit for bit whatever the counts.
+func (m *indexed) combine(frontier sparse.Vector, suffix metapath.Path, get func(hin.VertexID) (sparse.Vector, bool), keep func(hin.VertexID, sparse.Vector, int64)) (out sparse.Vector, ok bool, err error) {
 	out, ok = m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
 		vec, found := get(u)
 		if !found {
 			var e error
-			if vec, e = m.fillVector(suffix, u); e != nil {
+			var work int64
+			if vec, work, e = m.fillVector(suffix, u); e != nil {
 				err = e
 			} else if keep != nil {
-				keep(u, vec)
+				keep(u, vec, work)
 			}
 		}
 		return vec
@@ -274,13 +275,15 @@ func (m *indexed) combine(frontier sparse.Vector, suffix metapath.Path, get func
 }
 
 // fillVector traverses Φ_suffix(u) for a table that lacks it, on the fill
-// traverser: one traversed vector.
-func (m *indexed) fillVector(suffix metapath.Path, u hin.VertexID) (sparse.Vector, error) {
+// traverser: one traversed vector, and the work it read.
+func (m *indexed) fillVector(suffix metapath.Path, u hin.VertexID) (sparse.Vector, int64, error) {
 	if m.fill == nil {
 		m.fill = metapath.NewTraverser(m.tr.Graph())
 	}
 	defer m.traversed(time.Now())
-	return m.fill.NeighborVector(suffix, u)
+	work := m.fill.Work()
+	vec, err := m.fill.NeighborVector(suffix, u)
+	return vec, m.fill.Work() - work, err
 }
 
 // traversed accounts one traversal begun at start.

@@ -27,7 +27,7 @@ func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
 	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%T:%p", m, m)) {
 		return
 	}
-	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index plus what the materializer keeps between queries: cached vectors and waist tables, baseline norm tables and kept numerators, a pool's compiled queries.",
+	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index plus the materializer's store, one budget ranked by work per byte: cached vectors and waist tables, norm tables and kept numerators, a pool's compiled queries.",
 		func() float64 { return float64(m.IndexBytes()) })
 	c, ok := m.(*indexed)
 	if !ok || !c.cached() {

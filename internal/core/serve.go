@@ -291,7 +291,7 @@ func (p *ServePool) registerMetrics(reg *obs.Registry, workers int) {
 		func() float64 { return float64(p.compiled.misses.Load()) })
 	reg.GaugeFunc("netout_compiled_entries", "Compiled-query entries the pool holds.",
 		func() float64 { return float64(p.compiled.count.Load()) })
-	reg.GaugeFunc("netout_compiled_bytes", "Bytes the compiled-query entries are charged (under the cached strategy, part of netout_cache_bytes).",
+	reg.GaugeFunc("netout_compiled_bytes", "Bytes the pool's compiled-query entries are charged in the materializer's store, ranked and evicted with its other entries (part of netout_index_bytes).",
 		func() float64 { return float64(p.compiled.bytes.Load()) })
 	p.queueHist = reg.Histogram("netout_serve_queue_seconds",
 		"Per-query time spent waiting for a run token.")

@@ -464,7 +464,7 @@ func TestSubpathSharedAcrossViews(t *testing.T) {
 
 // TestPrefixAdmission pins the one admission rule: an intermediate frontier
 // is kept iff it covers at least two hops and its measured entry size is at
-// most maxBytes/prefixEntryShare. On a hub-and-leaves graph (a–b–c–d: one
+// most maxBytes/entryShare. On a hub-and-leaves graph (a–b–c–d: one
 // hub a with 20 b's of 10 c's each, eight leaf a's with one b of two c's) the
 // mean degrees say every a.b.c frontier is small; the hub's is not.
 func TestPrefixAdmission(t *testing.T) {
@@ -522,7 +522,7 @@ func TestPrefixAdmission(t *testing.T) {
 		load(abcd, v)
 	}
 	frontier, _ := base.NeighborVector(metapath.MustNew(0, 1, 2), hub)
-	if size := cacheEntrySize(ckey{path: abc, v: hub}, frontier); size <= maxBytes/prefixEntryShare {
+	if size := cacheEntrySize(ckey{path: abc, v: hub}, frontier); size <= maxBytes/entryShare {
 		t.Fatalf("fixture: the hub's two-hop frontier takes %d bytes, inside the share", size)
 	}
 	if resident(abc, hub) {

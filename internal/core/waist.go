@@ -19,12 +19,11 @@ import (
 // the path is a weighted sum of a few per-vertex vectors that every other
 // walk through the same vertices needs too. Those vectors — Φ_{P[b:]}(u) for
 // each vertex u of the waist's type — live in a waistTable, filled on first
-// use by one plain traversal and never evicted one by one: the store beside it
-// holds few entries on a small budget and would churn exactly the entries
-// every miss needs. The tables are charged to the cache's byte budget
-// (sharedCacheState.bytes), so the store shrinks to what they leave; a table
-// that outgrows its share is dropped whole and its suffix expanded from then
-// on.
+// use by one plain traversal and never evicted one by one: the store holds few
+// entries on a small budget and would churn exactly the entries every miss
+// needs. A table is one entry of the store, worth its fills' walks, charged
+// what it holds and evicted whole like any other; its next miss builds it
+// again.
 
 const (
 	// waistRatio is how many times smaller than BOTH its neighbours on the path
@@ -38,19 +37,9 @@ const (
 	// 3–10× at 8 and 2, 4–32× at its terms (10 papers each) and authors (4;
 	// rule: no) — while a full table grows from 34–146 KiB at 290 papers per
 	// venue to 0.3–3.4 MiB at 16 and 0.4–26 MiB below, and the author and term
-	// tables take 0.4–1.3 MiB: a small cache's whole allowance for tables, of
-	// which they would fill a quarter before being dropped.
+	// tables take 0.4–1.3 MiB, more than a small store could keep beside its
+	// vectors.
 	waistRatio = 16
-	// waistTableShare and waistTotalShare bound the tables by what they
-	// actually hold: one table at most 1/waistTableShare of the byte budget,
-	// all of them together 1/waistTotalShare. In BenchmarkWaist's budget= rows
-	// (a spill-shaped load list on a 1 MiB cache) these shares admit both venue
-	// tables of the serving benchmark's graph (179 KiB, 17 % of the budget) and
-	// run level with unbounded tables (48 against 49 µs per load, 119 without
-	// tables); a share that drops the larger table gives back a third of the
-	// gain (69–71 µs), and the store's hit rate moves by a point or two either way.
-	waistTableShare = 4
-	waistTotalShare = 2
 	// waistSlotOverhead is charged per filled slot beside the coordinates: the
 	// heap copy of the vector's two slice headers.
 	waistSlotOverhead = 2 * 24
@@ -63,33 +52,28 @@ const (
 // 58 venues span 21 417 IDs — 171 KB of empty slots per table, more than the
 // vectors); finding a slot is a binary search over a few dozen IDs instead.
 type waistTable struct {
+	rank
+	key    ckey
 	suffix metapath.Path
 	ids    []hin.VertexID // Graph.VerticesOfType(suffix.Source()): ascending
 	// A nil slot is unfilled; the zero vector is a legitimate Φ. Every writer
 	// of a slot stores the same vector — Φ is a function of (path, vertex) —
 	// and stored vectors are immutable, so readers need atomicity only.
 	slots []atomic.Pointer[sparse.Vector]
-	// bytes is what the table is charged for (guarded by sharedCacheState.mu).
-	bytes int64
+	// size is what the table is charged: its slots and the vectors filled
+	// (guarded by sharedCacheState.mu).
+	size int64
 }
 
-// waistSet is the tables of one cache, shared by all its views; its maps are
-// guarded by sharedCacheState.mu.
+func (tbl *waistTable) ckey() ckey   { return tbl.key }
+func (tbl *waistTable) bytes() int64 { return tbl.size }
+
+// waistSet is what one store knows of its waists beside its tables.
 type waistSet struct {
-	// ratio, tableShare and totalShare are waistRatio, waistTableShare and
-	// waistTotalShare (tests lower the ratio to reach the branch on small
-	// graphs; BenchmarkWaist varies the shares).
-	ratio                  int
-	tableShare, totalShare int64
-
-	// tables maps a suffix's key to its table; a nil entry is a suffix whose
-	// table was dropped: it is not retried, and takes no more fills from the
-	// misses still holding it.
-	tables map[string]*waistTable
-	// lines memoizes waistLine per path key; emptied when a table is dropped.
-	lines map[string]string
-
-	bytes    atomic.Int64 // of all live tables; part of sharedCacheState.bytes
+	// ratio is waistRatio (tests lower it to reach the branch on small graphs).
+	ratio int
+	// lines memoizes waistLine per path key (guarded by sharedCacheState.mu).
+	lines    map[string]string
 	finished atomic.Int64 // misses finished by combination
 }
 
@@ -107,7 +91,7 @@ func isWaist(g *hin.Graph, p metapath.Path, b, ratio int) bool {
 // finishAtWaist completes Φ_p from frontier, the frontier after b hops of p,
 // by combination over the table of p's suffix from b, filling the slots it
 // lacks. ok is false — and the walk expands on, frontier untouched — when the
-// suffix has no table (dropped, or never affordable) or a combined count
+// suffix has no table (its slots alone exceed the budget) or a combined count
 // reached 2⁵³, where the sums stop being order-free (Traverser.Combine).
 func (m *indexed) finishAtWaist(p metapath.Path, b int, frontier sparse.Vector) (sparse.Vector, bool, error) {
 	st := m.lru
@@ -115,7 +99,7 @@ func (m *indexed) finishAtWaist(p metapath.Path, b int, frontier sparse.Vector) 
 	if tbl == nil {
 		return sparse.Vector{}, false, nil
 	}
-	out, ok, err := m.combine(frontier, tbl.suffix, tbl.get, func(u hin.VertexID, vec sparse.Vector) { st.keepWaist(tbl, u, vec) })
+	out, ok, err := m.combine(frontier, tbl.suffix, tbl.get, func(u hin.VertexID, vec sparse.Vector, work int64) { st.keepWaist(tbl, u, vec, work) })
 	if ok {
 		st.hopsSaved.Add(int64(p.Hops() - b))
 		st.waists.finished.Add(1)
@@ -137,66 +121,52 @@ func (tbl *waistTable) get(u hin.VertexID) (sparse.Vector, bool) {
 	return sparse.Vector{}, false
 }
 
-// waistTable returns the table of the suffix with the given key, creating it
-// — every slot empty — when its slot array fits the shares; nil otherwise.
+// waistTable returns the table of the suffix with the given key, used, or
+// creates it — every slot empty — unless its slots alone exceed the budget
+// (nil).
 func (st *sharedCacheState) waistTable(suffix string) *waistTable {
-	ws := &st.waists
+	key := ckey{path: suffix, v: waistOf}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tbl, known := ws.tables[suffix]
-	if !known {
-		p := metapath.FromKey(suffix)
-		tbl = &waistTable{suffix: p, ids: st.g.VerticesOfType(p.Source())}
-		ws.tables[suffix] = tbl
-		if st.growWaistLocked(tbl, 8*int64(len(tbl.ids))) {
-			tbl.slots = make([]atomic.Pointer[sparse.Vector], len(tbl.ids))
-		} else {
-			tbl = nil
-		}
+	if el, ok := st.entries[key]; ok {
+		return st.touchLocked(el).(*waistTable)
 	}
+	p := metapath.FromKey(suffix)
+	tbl := &waistTable{key: key, suffix: p, ids: st.g.VerticesOfType(p.Source())}
+	if tbl.size = 8 * int64(len(tbl.ids)); tbl.size > st.maxBytes {
+		return nil
+	}
+	tbl.slots = make([]atomic.Pointer[sparse.Vector], len(tbl.ids))
+	st.chargeLocked(tbl.size)
+	st.pushLocked(tbl)
 	return tbl
 }
 
-// keepWaist fills tbl's slot of u with vec, a fill: a traversed vector but
-// no load, as the miss it serves is counted by its own flight. A vector the
-// table cannot take (it was dropped, now or meanwhile) is only the miss's.
-func (st *sharedCacheState) keepWaist(tbl *waistTable, u hin.VertexID, vec sparse.Vector) {
+// keepWaist fills tbl's slot of u with vec, a fill that read work: a
+// traversed vector but no load, as the miss it serves is counted by its own
+// flight. The table grows by the vector, is worth work more and is ranked
+// again. A vector the table cannot take — it was evicted, or would outgrow the
+// budget — is only the miss's.
+func (st *sharedCacheState) keepWaist(tbl *waistTable, u hin.VertexID, vec sparse.Vector, work int64) {
 	if cap(vec.Idx) > len(vec.Idx) {
 		vec = vec.Clone() // stored at the size of its non-zeros
 	}
-	slot := tbl.slot(u)
+	slot, n := tbl.slot(u), int64(vec.Bytes())+waistSlotOverhead
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.waists.tables[tbl.suffix.Key()] == tbl && slot.Load() == nil && st.growWaistLocked(tbl, int64(vec.Bytes())+waistSlotOverhead) {
+	if el, ok := st.entries[tbl.key]; ok && el.Value == tbl && slot.Load() == nil && tbl.size+n <= st.maxBytes {
+		tbl.size += n
+		st.rerankLocked(el, tbl.work+work, n)
 		slot.Store(&vec)
 	}
-}
-
-// growWaistLocked charges n more bytes to tbl, or drops it — false — when
-// that would take it, or all tables together, past their share of the budget.
-// The caller holds sharedCacheState.mu.
-func (st *sharedCacheState) growWaistLocked(tbl *waistTable, n int64) bool {
-	ws := &st.waists
-	if tbl.bytes+n > st.maxBytes/ws.tableShare || ws.bytes.Load()+n > st.maxBytes/ws.totalShare {
-		ws.tables[tbl.suffix.Key()] = nil
-		clear(ws.lines)
-		ws.bytes.Add(-tbl.bytes)
-		st.bytes.Add(-tbl.bytes)
-		tbl.bytes = 0
-		return false
-	}
-	tbl.bytes += n
-	ws.bytes.Add(n)
-	st.chargeLocked(n)
-	return true
 }
 
 // waistLine renders the one decision about p that the counters do not show —
 // where its misses stop expanding — as the plan line of the query trace and
 // wide event: "(0 1 2 1 0): waist=venue@2" (type@hops done), with "(dropped)"
-// once the suffix's table outgrew its share and the hops are expanded after
-// all. A path without a waist has no line. Every query asks for its paths'
-// lines, so they are kept until a table is dropped.
+// where the suffix's slots alone exceed the budget and the hops are expanded
+// after all. A path without a waist has no line. Every query asks for its
+// paths' lines, so they are kept.
 func (st *sharedCacheState) waistLine(p metapath.Path) string {
 	ws := &st.waists
 	st.mu.Lock()
@@ -214,7 +184,7 @@ func (st *sharedCacheState) waistLine(p metapath.Path) string {
 			line, sep = p.String()+":", " waist="
 		}
 		line += fmt.Sprintf("%s%s@%d", sep, st.g.Schema().TypeName(p.Type(b)), b)
-		if tbl, known := ws.tables[p.Key()[b:]]; known && tbl == nil {
+		if 8*int64(st.g.NumVerticesOfType(p.Type(b))) > st.maxBytes {
 			line += "(dropped)"
 		}
 	}

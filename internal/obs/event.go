@@ -90,7 +90,7 @@ type Event struct {
 	Kernels map[string]int64 `json:"kernels,omitempty"`
 	// Plan names, per feature meta-path that has one, the waist the cache
 	// finishes that path's misses from ("(0 1 2 1 0): waist=venue@2") — why
-	// such a path is cheap, or "(dropped)" why it no longer is — and where a
+	// such a path is cheap, or "(dropped)" why it is not — and where a
 	// NetOut scan's numerators came from ("(0 1 2): numer=memo", "…=walk",
 	// "…=vertex known=K need=N"), a remote shard's behind its index
 	// ("shard 1 (0 1 2): numer=memo").
