@@ -699,28 +699,47 @@ func BenchmarkAblationSharedCache(b *testing.B) {
 }
 
 // BenchmarkAblationProgressiveChunk measures the progressive executor at
-// different chunk sizes against the exact Equation (1) execution.
+// different chunk sizes against the exact Equation (1) execution: on the hub
+// query's small anchor set, on a whole-type scan, and under PathSim — whose
+// exact answer is pairwise — as the time to the scan's first snapshot.
+// snapshots is how many each run took.
 func BenchmarkAblationProgressiveChunk(b *testing.B) {
 	f := getFixture(b)
-	src := fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, f.manifest.Hub)
-	b.Run("exact", func(b *testing.B) {
-		eng := netout.NewEngine(f.graph)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, chunk := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("progressive/chunk=%d", chunk), func(b *testing.B) {
-			eng := netout.NewEngine(f.graph)
+	hub := fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, f.manifest.Hub)
+	const scan = `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 25;`
+	exact := func(name, src string, opts ...netout.EngineOption) {
+		b.Run(name+"/exact", func(b *testing.B) {
+			eng := netout.NewEngine(f.graph, opts...)
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.ExecuteProgressive(src, netout.ProgressiveOptions{ChunkSize: chunk}); err != nil {
+				if _, err := eng.Execute(src); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	progressive := func(name, src string, chunk int, first bool, opts ...netout.EngineOption) {
+		b.Run(fmt.Sprintf("%s/chunk=%d", name, chunk), func(b *testing.B) {
+			eng := netout.NewEngine(f.graph, opts...)
+			snaps := 0
+			popts := netout.ProgressiveOptions{ChunkSize: chunk,
+				OnSnapshot: func(netout.ProgressiveSnapshot) bool { snaps++; return !first }}
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.ExecuteProgressive(src, popts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(snaps)/float64(b.N), "snapshots")
+		})
+	}
+	for _, q := range []struct{ name, src string }{{"hub", hub}, {"scan", scan}} {
+		exact(q.name, q.src)
+		for _, chunk := range []int{8, 32, 128} {
+			progressive(q.name, q.src, chunk, false)
+		}
+	}
+	pathSim := netout.WithMeasure(netout.MeasurePathSim)
+	exact("pathsim", scan, pathSim)
+	progressive("pathsim/first", scan, 64, true, pathSim)
 }
 
 // BenchmarkExplain measures the per-candidate explanation cost.

@@ -100,30 +100,47 @@ JUDGED BY author.paper.venue, author.paper.author : 2.0 TOP 10;`, man.Hub)
 	}
 	fmt.Println()
 
-	// --- Progressive executor overhead vs exact execution.
-	single := fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, man.Hub)
-	eng := netout.NewEngine(g)
-	start := time.Now()
-	exact, err := eng.Execute(single)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exactTime := time.Since(start)
-	fmt.Println("progressive vs exact on the hub query:")
-	fmt.Printf("  exact (Equation 1)     %10.1f µs\n", float64(exactTime.Microseconds()))
-	for _, chunk := range []int{8, 32, 128} {
-		start = time.Now()
-		prog, err := eng.ExecuteProgressive(single, netout.ProgressiveOptions{ChunkSize: chunk})
+	// --- Progressive executor overhead vs exact execution: the hub query's
+	// small anchor set, a whole-type scan, and the scan under PathSim, whose
+	// exact answer is pairwise, timed to its first snapshot.
+	hub := fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 10;`, man.Hub)
+	const scan = `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 25;`
+	progressive := func(eng *netout.Engine, src string, chunk int, first bool, exact *netout.Result) {
+		snaps := 0
+		start := time.Now()
+		prog, err := eng.ExecuteProgressive(src, netout.ProgressiveOptions{ChunkSize: chunk,
+			OnSnapshot: func(netout.ProgressiveSnapshot) bool { snaps++; return !first }})
 		if err != nil {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
 		match := "top-1 matches"
 		if len(prog.Entries) == 0 || len(exact.Entries) == 0 || prog.Entries[0].Vertex != exact.Entries[0].Vertex {
-			match = "TOP-1 DIVERGES"
+			match = "top-1 differs"
 		}
-		fmt.Printf("  progressive chunk=%-4d %10.1f µs   (%s)\n", chunk, float64(elapsed.Microseconds()), match)
+		fmt.Printf("  progressive chunk=%-4d %10.1f µs   %3d snapshots (%s)\n", chunk, float64(elapsed.Microseconds()), snaps, match)
 	}
-	fmt.Println("  the pairwise variance tracking is the price of confidence intervals.")
+	for _, arm := range []struct {
+		name, src string
+		measure   netout.Measure
+		chunks    []int
+		first     bool
+	}{
+		{"the hub query", hub, netout.MeasureNetOut, []int{8, 32, 128}, false},
+		{"a whole-type scan", scan, netout.MeasureNetOut, []int{8, 32, 128}, false},
+		{"a whole-type scan under PathSim, to the first snapshot", scan, netout.MeasurePathSim, []int{64}, true},
+	} {
+		eng := netout.NewEngine(g, netout.WithMeasure(arm.measure))
+		start := time.Now()
+		exact, err := eng.Execute(arm.src)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("progressive vs exact on %s:\n", arm.name)
+		fmt.Printf("  exact (Equation 1)     %10.1f µs\n", float64(time.Since(start).Microseconds()))
+		for _, chunk := range arm.chunks {
+			progressive(eng, arm.src, chunk, arm.first, exact)
+		}
+	}
 	fmt.Println()
 }

@@ -266,6 +266,26 @@ func TestHistIgnoresTop(t *testing.T) {
 	}
 }
 
+// .progressive runs under the engine's measure: started with -measure
+// pathsim, it prints its snapshots and then the final ranking.
+func TestProgressiveUnderPathSim(t *testing.T) {
+	g := smallGraph(t)
+	m, err := netout.ParseMeasure("pathsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := netout.NewEngine(g, netout.WithMeasure(m))
+	bare := `.progressive FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 3`
+	var derr error
+	out := captureStdout(t, func() { derr = dispatch(eng, newNameIndex(g), bare+";", bare, false) })
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if !strings.Contains(out, " refs]") || !strings.Contains(out, "rank ") || !strings.Contains(out, "reference vertices") {
+		t.Fatalf(".progressive under pathsim printed no snapshot or no result:\n%s", out)
+	}
+}
+
 func TestReplFromScriptedSession(t *testing.T) {
 	g := smallGraph(t)
 	eng := netout.NewEngine(g)

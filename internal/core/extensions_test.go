@@ -203,26 +203,63 @@ func TestProgressiveMultiFeatureAndErrors(t *testing.T) {
 	g := fig1Graph(t)
 	multi := `FIND OUTLIERS FROM author{"Zoe"}.paper.author
 JUDGED BY author.paper.venue, author.paper.author;`
-	res, err := NewEngine(g).ExecuteProgressive(multi, ProgressiveOptions{})
-	if err != nil {
+	if _, err := NewEngine(g).ExecuteProgressive(multi, ProgressiveOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	// Multi-feature progressive uses concat semantics: must equal the
-	// concat-combination exact execution.
-	cc, err := NewEngine(g, WithCombination(CombineConcat)).Execute(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cc.Entries {
-		if math.Abs(res.Entries[i].Score-cc.Entries[i].Score) > 1e-9 {
-			t.Fatalf("multi-feature progressive diverges: %+v vs %+v", res.Entries, cc.Entries)
-		}
-	}
-	if _, err := NewEngine(g, WithMeasure(MeasurePathSim)).ExecuteProgressive(multi, ProgressiveOptions{}); err == nil {
-		t.Error("progressive with PathSim should fail")
 	}
 	if _, err := NewEngine(g).ExecuteProgressive("bogus", ProgressiveOptions{}); err == nil {
 		t.Error("bad query should fail")
+	}
+}
+
+// The snapshot that completes Sr reduces the whole of it with the engine's
+// own reduction and scorers, so under every measure, combination and
+// strategy its answer is Execute's on the same engine bit for bit, entries
+// and skip list, whatever the chunk size. The strategies run at a crossover
+// the graph's type reaches, so Execute scores the scan from norms.
+func TestProgressiveExactIsExecute(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(41)))
+	texts := []string{
+		`FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 15;`,
+		`FIND OUTLIERS FROM author COMPARED TO author{"A3"}.paper.venue.paper.author
+JUDGED BY author.paper.venue : 1, author.paper.term : 2;`,
+	}
+	lowered := func(m Materializer, err error) Materializer {
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.(*indexed).lru.minKnown = 1
+		return m
+	}
+	mats := map[string]func() Materializer{
+		"baseline": func() Materializer { return eagerBaseline(g) },
+		"pm":       func() Materializer { return lowered(NewPM(g), nil) },
+		"cached":   func() Materializer { return lowered(NewCached(g, 1<<20)) },
+	}
+	for _, m := range []Measure{MeasureNetOut, MeasurePathSim, MeasureCosSim} {
+		for _, c := range []Combination{CombineAverage, CombineConcat} {
+			for name, newMat := range mats {
+				eng := NewEngine(g, WithMeasure(m), WithCombination(c), WithMaterializer(newMat()))
+				for _, chunk := range []int{1, 5, 64} {
+					for i, src := range texts {
+						label := fmt.Sprintf("%s/%s/%s chunk %d, text %d", m, c, name, chunk, i)
+						var last ProgressiveSnapshot
+						prog, err := eng.ExecuteProgressive(src, ProgressiveOptions{ChunkSize: chunk, Seed: 7,
+							OnSnapshot: func(s ProgressiveSnapshot) bool { last = s; return true }})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						exact, err := eng.Execute(src)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !last.Exact || prog.Partial || !resultsEqual(prog, exact) {
+							t.Fatalf("%s: exact snapshot (exact %v, partial %v) is not Execute's answer\ngot  %+v\nwant %+v",
+								label, last.Exact, prog.Partial, prog.Entries, exact.Entries)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -4,13 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"netout/internal/hin"
 	"netout/internal/oql"
 	"netout/internal/sparse"
-	"netout/internal/xerr"
 )
 
 // Progressive query execution implements the extension sketched in
@@ -18,13 +17,15 @@ import (
 // confidences, while the query is being processed so that users can
 // determine whether to continue processing the query."
 //
-// NetOut is a sum over the reference set, Ω(vi) = Σ_{vj∈Sr} σ(vi,vj), so a
-// uniform random sample of Sr yields an unbiased estimator
-// Ω̂(vi) = (|Sr|/m)·Σ_{sampled} σ(vi,vj). The executor processes the
-// (shuffled) reference set in chunks; after each chunk it reports the
-// current top-k estimates with a CLT confidence half-width computed over
-// the per-chunk contributions. The estimate is exact once every reference
-// vertex has been processed.
+// Every measure is a sum over the reference set (Definitions 9–10), and so is
+// every combination of them, so the score of a candidate against a chunk S_c
+// of Sr — the query's own reduction (referenceSide) of S_c, scored by its own
+// scorers (queryScorers.score) — is a term Ω_c of Ω = Σ_c Ω_c. The executor
+// walks the shuffled reference set a chunk at a time; after K of the n/B
+// chunks of B references it reports the top k of the unbiased estimate
+// Ω̂ = (n/KB)·Σ_c Ω_c with a CLT half-width over the chunk scores. The
+// snapshot that completes Sr reduces the whole of it instead of its last
+// chunk, so its scores are Execute's bit for bit.
 
 // ProgressiveEstimate is one candidate's running estimate.
 type ProgressiveEstimate struct {
@@ -70,49 +71,28 @@ type ProgressiveOptions struct {
 // determine whether to continue processing the query". Wrap an existing
 // callback to observe snapshots too (inner may be nil).
 func StopWhenStable(k, rounds int, inner func(ProgressiveSnapshot) bool) func(ProgressiveSnapshot) bool {
-	if k < 1 {
-		k = 1
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
+	k, rounds = max(k, 1), max(rounds, 1)
 	var prev []hin.VertexID
 	stable := 0
 	return func(s ProgressiveSnapshot) bool {
 		if inner != nil && !inner(s) {
 			return false
 		}
-		n := k
-		if n > len(s.TopK) {
-			n = len(s.TopK)
-		}
-		cur := make([]hin.VertexID, n)
-		for i := 0; i < n; i++ {
+		cur := make([]hin.VertexID, min(k, len(s.TopK)))
+		for i := range cur {
 			cur[i] = s.TopK[i].Vertex
 		}
-		same := len(cur) == len(prev)
-		if same {
-			for i := range cur {
-				if cur[i] != prev[i] {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
+		if slices.Equal(cur, prev) {
 			stable++
 		} else {
-			stable = 0
-			prev = cur
+			stable, prev = 0, cur
 		}
 		return stable < rounds
 	}
 }
 
-// ExecuteProgressive runs a query progressively. It supports single-feature
-// queries under the NetOut measure (the separable sum the estimator needs);
-// multi-feature queries are combined with CombineConcat semantics, which
-// also reduce to a single separable sum.
+// ExecuteProgressive runs a query progressively, under the engine's measure
+// and combination.
 //
 // The returned result's entries come from the last snapshot taken; they are
 // exact if processing was not stopped early (Result.Partial marks results
@@ -132,19 +112,19 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 	if err != nil {
 		return nil, err
 	}
-	if e.measure != MeasureNetOut {
-		return nil, xerr.Newf(xerr.InvalidArgument, "core: progressive execution supports the NetOut measure only (engine uses %s)", e.measure)
-	}
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = 64
+	}
+	if opts.Seed == 0 {
+		opts.Seed = 1
 	}
 	start := time.Now()
 	plan, err := e.resolve(ctx, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	cands, refs, paths := plan.cands, plan.refs, plan.paths
-	res := &Result{CandidateCount: len(cands), ReferenceCount: len(refs)}
+	cands, n := plan.cands, len(plan.refs)
+	res := &Result{CandidateCount: len(cands), ReferenceCount: n}
 	res.Timing.SetRetrieval = plan.setRetrieval
 
 	hs, err := e.borrow(1)
@@ -152,151 +132,91 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 		return nil, err
 	}
 	defer e.release(hs)
-	// A vertex's vector, concatenated across features when there are several.
-	stride := int32(e.g.NumVertices())
-	one := make([]sparse.Vector, len(paths))
-	combinedVec := func(v hin.VertexID) (sparse.Vector, error) {
-		for m, p := range paths {
-			vec, err := hs.mats[0].NeighborVector(p, v)
-			if err != nil {
-				return sparse.Vector{}, err
-			}
-			one[m] = vec
-		}
-		if len(paths) == 1 {
-			return one[0], nil
-		}
-		return concatOne(one, plan.weights, stride), nil
+	// Every candidate's Φ, loaded once and held for every snapshot. No
+	// degradation here: without every candidate there are no estimates at
+	// all, so a context error is a hard stop.
+	cs := &candidateSide{g: e.g, paths: plan.paths, cands: cands}
+	var buf candBuf
+	if _, err := cs.load(ctx, hs.mats[0], 0, len(cands), &buf); err != nil {
+		return nil, err
 	}
 
-	candVecs := make([]sparse.Vector, len(cands))
-	visibility := make([]float64, len(cands))
-	for i, v := range cands {
-		// No degradation here: without every candidate's Φ there are no
-		// estimates at all, so a context error is a hard stop.
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if candVecs[i], err = combinedVec(v); err != nil {
-			return nil, err
-		}
-		visibility[i] = candVecs[i].Norm2Sq()
-		if visibility[i] == 0 {
-			res.Skipped = append(res.Skipped, v)
-		}
-	}
-
-	// Shuffle the reference set for unbiased sampling.
-	order := make([]int, len(refs))
-	for i := range order {
-		order[i] = i
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) {
-		order[i], order[j] = order[j], order[i]
+	shuffled := slices.Clone(plan.refs)
+	rand.New(rand.NewSource(opts.Seed)).Shuffle(n, func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-
-	n := len(refs)
-	processed := 0
-	partialSum := make([]float64, len(cands)) // Σ per-reference dot contributions
-	chunkSumSq := make([]float64, len(cands)) // Σ (per-ref contribution)² for variance
-	var lastSnapshot ProgressiveSnapshot
-
-	emit := func() bool {
-		exact := processed == n
-		snap := ProgressiveSnapshot{
-			ProcessedRefs: processed,
-			TotalRefs:     n,
-			Exact:         exact,
+	// sum and sumSq are Σ_c Ω_c and Σ_c Ω_c² per candidate; a snapshot's
+	// sample is its K chunks out of a population of n/B.
+	sum, sumSq := make([]float64, len(cands)), make([]float64, len(cands))
+	pop := float64(n) / float64(opts.ChunkSize)
+	halfWidth := func(i, k int) float64 {
+		if k < 2 {
+			return 0
 		}
-		ests := make([]ProgressiveEstimate, 0, len(cands))
+		kf := float64(k)
+		mean := sum[i] / kf
+		v := (sumSq[i] - kf*mean*mean) / (kf - 1)
+		if v <= 0 {
+			return 0
+		}
+		return 1.96 * pop * math.Sqrt(v/kf*(pop-kf)/(pop-1))
+	}
+	// chunk is the query with the snapshot's S_c for Sr.
+	chunk := *plan
+	sub := &queryPlan{resolvedQuery: &chunk}
+	one := make([]sparse.Vector, len(plan.paths))
+	processed := 0
+	for {
+		end := min(processed+opts.ChunkSize, n)
+		chunk.refs = plan.refs
+		if end < n {
+			chunk.refs = shuffled[processed:end]
+			slices.Sort(chunk.refs) // the chunks are disjoint
+		}
+		scorers, _, err := e.referenceSide(ctx, sub, hs)
+		if err != nil {
+			if degradable(err) && processed > 0 {
+				// The last snapshot's estimates are already an unbiased
+				// answer: return them flagged Partial.
+				break
+			}
+			return nil, err
+		}
+		processed = end
+		exact := processed == n
+		sel := newTopSelector(q.TopK)
+		var skipped []hin.VertexID
 		for i, v := range cands {
-			if visibility[i] == 0 {
+			for m := range one {
+				one[m] = buf.vecs[m][i]
+			}
+			s, ok := scorers.score(one)
+			if !ok {
+				skipped = append(skipped, v)
 				continue
 			}
-			mean := partialSum[i] / float64(processed)
-			est := mean * float64(n) / visibility[i]
-			if exact {
-				est = partialSum[i] / visibility[i]
+			if !exact {
+				sum[i] += s
+				sumSq[i] += s * s
+				s = sum[i] * float64(n) / float64(processed)
 			}
-			hw := 0.0
-			if !exact && processed > 1 {
-				// Sample variance of per-reference contributions, scaled to
-				// the full-population sum, with finite-population correction.
-				varC := (chunkSumSq[i] - float64(processed)*mean*mean) / float64(processed-1)
-				if varC > 0 {
-					fpc := float64(n-processed) / float64(n-1)
-					hw = 1.96 * float64(n) * math.Sqrt(varC/float64(processed)*fpc) / visibility[i]
-				}
-			}
-			ests = append(ests, ProgressiveEstimate{
-				Vertex: v, Name: e.g.Name(v), Score: est, HalfWidth: hw,
-			})
+			sel.push(Entry{Vertex: v, Score: s})
 		}
-		sort.Slice(ests, func(a, b int) bool {
-			if ests[a].Score != ests[b].Score {
-				return ests[a].Score < ests[b].Score
-			}
-			return ests[a].Vertex < ests[b].Vertex
-		})
-		if q.TopK > 0 && len(ests) > q.TopK {
-			ests = ests[:q.TopK]
-		}
-		snap.TopK = ests
-		lastSnapshot = snap
-		if opts.OnSnapshot != nil {
-			return opts.OnSnapshot(snap)
-		}
-		return true
-	}
-
-sample:
-	for processed < n {
-		chunkEnd := processed + opts.ChunkSize
-		if chunkEnd > n {
-			chunkEnd = n
-		}
-		// Per-reference contributions, tracked per candidate so the
-		// variance (and hence the confidence half-width) is available.
-		// Progressive mode therefore pays the O(|Sr|·|Sc|) pairwise cost
-		// that Equation (1) avoids — the price of confidence intervals.
-		for _, j := range order[processed:chunkEnd] {
-			if err := ctxErr(ctx); err != nil {
-				if degradable(err) && processed > 0 {
-					// Graceful degradation: the estimates at the last chunk
-					// boundary are already an unbiased answer — return them
-					// flagged Partial instead of the bare deadline error.
-					// The in-flight chunk's partialSum contributions are
-					// harmless: lastSnapshot was sealed before them.
-					break sample
-				}
-				return nil, err
-			}
-			refVec, err := combinedVec(refs[j])
-			if err != nil {
-				return nil, err
-			}
-			for i := range cands {
-				if visibility[i] == 0 {
-					continue
-				}
-				c := candVecs[i].Dot(refVec)
-				partialSum[i] += c
-				chunkSumSq[i] += c * c
+		res.Entries, res.Skipped = sel.ranked(), skipped
+		snap := ProgressiveSnapshot{ProcessedRefs: processed, TotalRefs: n, Exact: exact,
+			TopK: make([]ProgressiveEstimate, len(res.Entries))}
+		for j := range res.Entries {
+			en := &res.Entries[j]
+			en.Name = e.g.Name(en.Vertex)
+			snap.TopK[j] = ProgressiveEstimate{Vertex: en.Vertex, Name: en.Name, Score: en.Score}
+			if !exact {
+				i, _ := slices.BinarySearch(cands, en.Vertex)
+				snap.TopK[j].HalfWidth = halfWidth(i, processed/opts.ChunkSize)
 			}
 		}
-		processed = chunkEnd
-		if !emit() {
+		if opts.OnSnapshot != nil && !opts.OnSnapshot(snap) || exact {
 			break
 		}
-	}
-
-	res.Entries = make([]Entry, len(lastSnapshot.TopK))
-	for i, est := range lastSnapshot.TopK {
-		res.Entries[i] = Entry{Vertex: est.Vertex, Name: est.Name, Score: est.Score}
 	}
 	// An early stop — deadline degradation above or OnSnapshot returning
 	// false — leaves the estimates inexact; surface that the same way the

@@ -7,21 +7,22 @@ import (
 	"testing"
 
 	"netout/internal/hin"
+	"netout/internal/obs"
 )
 
-// An answer depends on the graph and the text alone, not on what ran before
-// it on the engine: every strategy, inline and over local ranges, runs one
-// stream of texts — a scan of a short path, then a whole-type scan of a path
-// it prefixes repeated until it reads its kept numerators, two COMPARED TO
-// sets taking turns on the scan's path with the scan after each, and scans of
-// the short path and of both — and every answer is Float64bits-identical to a
-// fresh engine's answer to the same text. The cache runs it on a budget every
-// query overflows and on an ample one, at the production waist ratio and at
-// 1. Every arm but one baseline runs at a crossover this graph's type reaches
-// (lowered), so every strategy scans from the store. The stream must reach
-// each branch of the kept state it is there to check: the plan lines, the
-// kept numerators under every strategy, and the cache's prefix resumes,
-// waist finishes and evictions.
+// An answer depends on the graph and the text alone, not on what ran before it
+// on the engine: every strategy, inline and over local ranges, runs one stream
+// of texts — a scan of a short path, then a whole-type scan of a path it
+// prefixes repeated until it reads its kept numerators, two COMPARED TO sets
+// taking turns on the scan's path with the scan after each, the scan run
+// progressively, and scans of the short path and of both — and every answer is
+// Float64bits-identical to a fresh engine's answer to the same text. The cache
+// runs it on a budget every query overflows and on an ample one, at the
+// production waist ratio and at 1. Every arm but one baseline runs at a
+// crossover this graph's type reaches (lowered), so every strategy scans from
+// the store. The stream must reach each branch of the kept state it is there to
+// check: the plan lines, the kept numerators under every strategy, and the
+// cache's prefix resumes, waist finishes and evictions.
 func TestStreamMatchesFreshEngine(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	g := randomHIN(r, 5)
@@ -54,6 +55,9 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 		}
 		stream = append(stream, compared(set), scan(long))
 	}
+	// The one progressive run, at a chunk size that takes several snapshots.
+	progressive := len(stream)
+	stream = append(stream, scan(long))
 	for range 3 {
 		stream = append(stream, scan(short))
 	}
@@ -91,7 +95,17 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 			eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(par))
 			for i, src := range stream {
 				label := fmt.Sprintf("%s parallelism %d, text %d", name, par, i)
-				got, err := eng.Execute(src)
+				run := eng.Execute
+				if i == progressive {
+					run = func(src string) (*Result, error) {
+						res, err := eng.ExecuteProgressive(src, ProgressiveOptions{ChunkSize: 3})
+						if res != nil {
+							res.Trace = new(obs.Trace) // it records no plan lines
+						}
+						return res, err
+					}
+				}
+				got, err := run(src)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
