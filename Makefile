@@ -119,9 +119,11 @@ profile:
 # Short fuzzing passes over the three parsers, the sparse kernels (Dot, Sum
 # and the dense drain against their reference implementations), the four
 # expansion kernels against each other, the set-frontier propagation
-# (against the per-vertex sum), the shard codec's two readers and the PM/SPM
-# index loader (against its own decode of the file); regression seeds always
-# run as part of `make test`.
+# (against the per-vertex sum), the shard codec's two readers, the PM/SPM
+# index loader (against its own decode of the file) and query streams on one
+# engine (against a fresh engine and the oracle); regression seeds always run
+# as part of `make test`, and FuzzExecuteStream's seed corpus as
+# TestStreamCorpusReachesEveryBranch.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/oql/
 	$(GO) test -fuzz=FuzzReadTSV -fuzztime=30s ./internal/hinio/
@@ -132,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadRequest -fuzztime=30s ./internal/shardnet/
 	$(GO) test -fuzz=FuzzReadResponse -fuzztime=30s ./internal/shardnet/
 	$(GO) test -fuzz=FuzzLoadIndex -fuzztime=30s ./internal/core/
+	$(GO) test -run XXX -fuzz=FuzzExecuteStream -fuzztime=30s ./internal/core/
 
 # Regenerate every paper table and figure (EXPERIMENTS.md documents the
 # expected shapes). The paper-scale run:
@@ -151,9 +154,9 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19862
-CORE_LOC_CEILING = 6114
-DESIGN_LINES_CEILING = 988
+LOC_CEILING = 19807
+CORE_LOC_CEILING = 6059
+DESIGN_LINES_CEILING = 987
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \

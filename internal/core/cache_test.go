@@ -342,7 +342,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}{
 		{"insert", func(st *sharedCacheState) { st.insert(key(n), vec) }},
 		{"compiled", func(st *sharedCacheState) {
-			st.add(&compiledQuery{cache: newCompiledCache(&indexed{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
+			st.put(nil, &compiledQuery{cache: newCompiledCache(&indexed{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,18 +411,33 @@ func TestCacheKeepsWhatSavesMostPerByte(t *testing.T) {
 	t.Fatal("the expensive entry never aged out: L does not rise")
 }
 
-// One store, one rule, every kind: a vector, a norm table, a waist table and
-// a compiled query share one store and one budget, all worth no work; the one
-// left idle — the least recently used, whatever its kind — is the one a charge
-// over the budget evicts, and the other three stay.
+// One store, one rule, every kind: a vector, a norm table, a waist table, a
+// compiled query, a kept N and a ghost share one store and one budget, all
+// worth no work; the one left idle — the least recently used, whatever its
+// kind — is the one a charge over the budget evicts, and the others stay. The
+// charge is a vector's, or a kept N's: an N evicts an idle vector as any entry
+// does, not only other kept N and ghosts.
 func TestStoreEvictsAcrossKinds(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
 	apv, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	pa, _ := metapath.ParseDotted(g.Schema(), "paper.author")
 	vec := sparse.Vector{Idx: []int32{1, 2, 3}, Val: []float64{1, 2, 3}}
-	fresh := ckey{path: "n"}
-	for _, idle := range []string{"vector", "norms", "waist", "compiled"} {
-		t.Run(idle, func(t *testing.T) {
+	numer := func(c string) ckey { return ckey{path: apv.Key() + strings.Repeat(c, 32), v: numerOf} }
+	offerOf := func(kind string) storeEntry {
+		if kind == "kept N" {
+			return &keptN{key: ckey{path: "m", v: numerOf}, vs: []hin.VertexID{0}, num: []float64{1}}
+		}
+		return &cacheEntry{key: ckey{path: "n"}}
+	}
+	for _, arm := range []struct{ idle, offer string }{
+		{"vector", "vector"}, {"norms", "vector"}, {"waist", "vector"}, {"compiled", "vector"},
+		{"kept N", "vector"}, {"ghost", "vector"}, {"vector", "kept N"},
+	} {
+		name := arm.idle
+		if arm.offer != "vector" {
+			name += " by " + arm.offer
+		}
+		t.Run(name, func(t *testing.T) {
 			st := newSharedCacheState(g, 1<<20)
 			pool := newCompiledCache(&indexed{lru: st})
 			keys := map[string]ckey{
@@ -430,32 +445,37 @@ func TestStoreEvictsAcrossKinds(t *testing.T) {
 				"norms":    {path: apv.Key(), v: normsOf},
 				"waist":    {path: pa.Key(), v: waistOf},
 				"compiled": {path: "q", v: pool.tag},
+				"kept N":   numer("a"),
+				"ghost":    numer("b"),
 			}
 			st.keep(keys["vector"], vec, 0)
 			st.normTable(apv)
 			st.waistTable(pa.Key())
 			cq := &compiledQuery{cache: pool, key: keys["compiled"], resolvedQuery: &resolvedQuery{q: &oql.Query{}}}
 			cq.charged = cq.size()
-			st.add(cq)
+			st.put(nil, cq)
+			st.put(nil, &keptN{key: keys["kept N"], vs: []hin.VertexID{0}, num: []float64{1}})
+			st.put(nil, &keptN{key: keys["ghost"]})
+			offer := offerOf(arm.offer)
 			for kind, key := range keys {
-				if e := keptAny(st, key); e == nil || e.bytes() < cacheEntrySize(fresh, sparse.Vector{}) {
+				if e := keptAny(st, key); e == nil || e.bytes() < offer.bytes() {
 					t.Fatalf("set-up: the %s entry is missing or smaller than the charge", kind)
 				}
 			}
 			for kind, key := range keys {
-				if kind != idle {
+				if kind != arm.idle {
 					st.lookup(key)
 				}
 			}
 			st.maxBytes = st.bytes.Load()
-			st.insert(fresh, sparse.Vector{})
+			st.put(nil, offer)
 			for kind, key := range keys {
-				if held := keptAny(st, key) != nil; held == (kind == idle) {
+				if held := keptAny(st, key) != nil; held == (kind == arm.idle) {
 					t.Errorf("the %s entry held %v after the charge", kind, held)
 				}
 			}
-			if keptAny(st, fresh) == nil || st.evictions.Load() != 1 {
-				t.Fatalf("%d evictions, the charge held %v: want the idle entry alone evicted", st.evictions.Load(), keptAny(st, fresh) != nil)
+			if keptAny(st, offer.ckey()) == nil || st.evictions.Load() != 1 {
+				t.Fatalf("%d evictions, the charge held %v: want the idle entry alone evicted", st.evictions.Load(), keptAny(st, offer.ckey()) != nil)
 			}
 			if got, ground := st.bytes.Load(), st.recomputeBytes(); got != ground || got > st.maxBytes {
 				t.Fatalf("account %d, re-summed %d, budget %d", got, ground, st.maxBytes)
@@ -1173,7 +1193,7 @@ func BenchmarkStoreCharge(b *testing.B) {
 			i := 0
 			return st, func() bool {
 				s, _, _ := tr.SetVector(context.Background(), p, authors[i:i+5])
-				st.add(&keptN{key: numerKey(p.Key(), sumOf(s)), s: s, vs: authors, num: make([]float64, len(authors)), rank: rank{work: 1}})
+				st.put(nil, &keptN{key: numerKey(p.Key(), sumOf(s)), s: s, vs: authors, num: make([]float64, len(authors)), rank: rank{work: 1}})
 				i += 5
 				return i+5 <= len(authors)
 			}

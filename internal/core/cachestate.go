@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"container/list"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,7 +152,7 @@ type sharedCacheState struct {
 	// mu guards the entries (entries, order, every rank, floor, tick), the
 	// waist lines and every charge to bytes: a charge and the evictions it
 	// forces are one critical section (chargeLocked), and so is putting an
-	// entry in another's place (admit).
+	// entry in another's place (put).
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
 	// order[c] is class c's entries (storeEntry), front = most recent; floor is
@@ -283,28 +282,35 @@ func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier spars
 	}
 }
 
-// keep stores a vector worth work and evicts until the cache is back under
-// its byte budget. An entry already under the key (two misses of different
-// paths can both keep a shared prefix) holds the same vector — Φ is a
-// function of (path, vertex) — and is only used.
+// keep stores a vector worth work (put). An entry already under the key (two
+// misses of different paths can both keep a shared prefix) holds the same
+// vector — Φ is a function of (path, vertex) — and is only used.
 func (st *sharedCacheState) keep(key ckey, vec sparse.Vector, work int64) {
-	st.add(&cacheEntry{key: key, vec: vec, rank: rank{work: work}})
+	st.put(nil, &cacheEntry{key: key, vec: vec, rank: rank{work: work}})
 }
 
-// add is keep's body for any entry; a nil store keeps nothing.
-func (st *sharedCacheState) add(e storeEntry) {
+// put enters e in old's place — old is what the caller found under e's key,
+// an untyped nil for nothing — unless another entry holds that place now,
+// which is then only used. An e larger than the whole budget is refused, so
+// it does not thrash; any other is charged (chargeLocked) and evicts by the
+// one rule, whatever the kinds. A nil store keeps nothing.
+func (st *sharedCacheState) put(old, e storeEntry) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.entries[e.ckey()]; ok {
+	el := st.entries[e.ckey()]
+	if el != nil && el.Value != old {
 		st.touchLocked(el)
 		return
 	}
 	size := e.bytes()
 	if size > st.maxBytes {
-		return // larger than the whole budget: do not thrash
+		return
+	}
+	if el != nil {
+		st.dropLocked(el)
 	}
 	st.chargeLocked(size)
 	st.pushLocked(e)
@@ -312,61 +318,6 @@ func (st *sharedCacheState) add(e storeEntry) {
 		cq.cache.count.Add(1)
 		cq.cache.bytes.Add(size)
 	}
-}
-
-// admit puts e, a kept N or a ghost, in old's place — old is what the caller
-// found under e's key, nil for nothing — unless another entry took that place
-// since, or e does not fit (fitsLocked).
-func (st *sharedCacheState) admit(old, e *keptN) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	el := st.entries[e.key]
-	if el == nil && old != nil || el != nil && el.Value != old || !st.fitsLocked(old, e, false) {
-		return
-	}
-	st.fitsLocked(old, e, true)
-	if el != nil {
-		st.order[old.class].Remove(el)
-	}
-	st.pushLocked(e)
-	st.bytes.Add(e.bytes() - old.bytes())
-}
-
-// fits is fitsLocked, evicting nothing, under mu.
-func (st *sharedCacheState) fits(old, e *keptN) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.fitsLocked(old, e, false)
-}
-
-// fitsLocked reports whether e fits in old's place: in the room the budget
-// leaves beside everything else, plus what e may evict — the kept N and
-// ghosts of other S's for an N, other ghosts for a ghost, never any other
-// entry, so a kept N displaces no norm — and with evict it evicts that, in the
-// store's order (rank.compare), until e fits. The caller holds mu.
-func (st *sharedCacheState) fitsLocked(old, e *keptN, evict bool) bool {
-	need := e.bytes() - old.bytes() - st.maxBytes + st.bytes.Load()
-	if need <= 0 {
-		return true
-	}
-	var room []*keptN
-	for c := range st.order {
-		for el := st.order[c].Front(); el != nil; el = el.Next() {
-			if k, ok := el.Value.(*keptN); ok && k != old && (e.vs != nil || k.vs == nil) {
-				room = append(room, k)
-			}
-		}
-	}
-	slices.SortFunc(room, func(a, b *keptN) int { return a.compare(&b.rank) })
-	for _, k := range room {
-		if need <= 0 {
-			break
-		}
-		if need -= k.bytes(); evict {
-			st.removeLocked(st.entries[k.key])
-		}
-	}
-	return need <= 0
 }
 
 // chargeLocked moves the byte account by n — an entry, or a waist table's

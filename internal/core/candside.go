@@ -316,12 +316,8 @@ type keptN struct {
 
 func (w *keptN) ckey() ckey { return w.key }
 
-// bytes is what w is charged: S, N at every vertex of vs, and its key; 0 for
-// nil.
+// bytes is what w is charged: S, N at every vertex of vs, and its key.
 func (w *keptN) bytes() int64 {
-	if w == nil {
-		return 0
-	}
 	return int64(w.s.Bytes()+8*len(w.vs)) + indexEntryOverhead + int64(len(w.key.path))
 }
 

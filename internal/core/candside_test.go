@@ -957,96 +957,6 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	}
 }
 
-// A kept N never displaces a norm. In a store with room for two paths' norms
-// and one kept N, the first path to see its S twice keeps its N; the second
-// path's S, seen as often, walks in scratch every time — not even its ghost
-// fits — and both paths keep their norms and the first its N.
-func TestKeptWalkEvictsNoNorms(t *testing.T) {
-	g := bibGraphOf(rand.New(rand.NewSource(7)), 600)
-	all := g.VerticesOfType(mustType(t, g, "author"))
-	norms := 8 * int64(all[len(all)-1]-all[0]+1)
-	ctx := context.Background()
-	var paths []metapath.Path
-	var bs []*ShardBroadcast
-	for _, dotted := range []string{"author.paper.venue", "author.paper.author"} {
-		p, err := metapath.ParseDotted(g.Schema(), dotted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, _, err := metapath.NewTraverser(g).SetVector(ctx, p, all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths, bs = append(paths, p), append(bs, broadcastOf(g, s))
-	}
-	walk := 8*int64(len(all)) + int64(bs[0].Refs[0].Agg.Bytes()) + ghostBytes(paths[0])
-	mat := bareWithin(g, 2*norms+walk)
-	for i, p := range paths {
-		req := shardScan(p, all)
-		// Cold, two sightings, then what a repeat does: a read on the first
-		// path, a walk on the second.
-		for run, traversed := range []int64{-1, 1, 1, int64(i)} {
-			resp := ServeShardRequest(ctx, g, mat, req, bs[i])
-			if resp.Err != "" || traversed >= 0 && resp.Stats.TraversedVectors != traversed {
-				t.Fatalf("%v, run %d: %+v, want %d vectors traversed", p, run, resp, traversed)
-			}
-		}
-	}
-	for _, p := range paths {
-		if normsIn(mat.lru, p) == nil {
-			t.Fatalf("the norms of %v were evicted", p)
-		}
-	}
-	if w := keptIn(mat.lru, paths[0], bs[0].Refs[0].Agg); mat.IndexBytes() != 2*norms+walk || w == nil || w.num == nil || keptIn(mat.lru, paths[1], bs[1].Refs[0].Agg) != nil {
-		t.Fatalf("the store holds %d bytes, want both paths' norms and the first path's N", mat.IndexBytes())
-	}
-}
-
-// Kept N and ghosts make room only among themselves. In a store with room for
-// the norms, one N and three ghosts, full with one N and three ghosts, a
-// fourth ghost evicts the oldest ghost and nothing else; promoting it evicts
-// the older N — a new S's N takes the place of a stale one, as one S's did on
-// its path — and the norms stay throughout, the account exact.
-func TestKeptEntriesEvictOnlyEachOther(t *testing.T) {
-	g := bibGraphOf(rand.New(rand.NewSource(11)), 600)
-	all := g.VerticesOfType(mustType(t, g, "author"))
-	p, err := metapath.ParseDotted(g.Schema(), "author.paper.author")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghost := func(i byte) *keptN {
-		return &keptN{key: ckey{path: p.Key() + strings.Repeat(string(rune('a'+i)), 32), v: numerOf}}
-	}
-	kept := func(i byte) *keptN { return &keptN{key: ghost(i).key, vs: all, num: make([]float64, len(all))} }
-	norms := 8 * int64(all[len(all)-1]-all[0]+1)
-	st := bareWithin(g, norms+kept(0).bytes()+3*ghost(0).bytes()).lru
-	st.normTable(p)
-	held := map[byte]*keptN{}
-	for _, i := range []byte{1, 1, 2, 3, 4, 5, 5} { // a ghost, then its N if it holds one
-		cur, _ := st.lookup(ghost(i).key).(*keptN)
-		e := ghost(i)
-		if cur != nil {
-			e = kept(i)
-		}
-		st.admit(cur, e)
-		held[i] = e
-		if i == 5 && cur == nil { // the fifth ghost found the store full
-			delete(held, 2)
-		}
-		if i == 5 && cur != nil { // its N evicted the older N
-			delete(held, 1)
-		}
-		for j := byte(1); j <= 5; j++ {
-			if got := keptAt(st, ghost(j).key); got != held[j] {
-				t.Fatalf("after %d: S %d holds %+v, want %+v", i, j, got, held[j])
-			}
-		}
-		if normsIn(st, p) == nil || st.bytes.Load() > st.maxBytes || st.bytes.Load() != st.recomputeBytes() {
-			t.Fatalf("after %d: norms kept %v, %d bytes (re-summed %d), bound %d", i, normsIn(st, p) != nil, st.bytes.Load(), st.recomputeBytes(), st.maxBytes)
-		}
-	}
-}
-
 // A broadcast whose S differs from a kept one in one value's bits is another
 // S: it walks anew and answers what a fresh baseline answers, bit for bit —
 // whether a +0 turned −0, which == cannot tell apart, or a count moved by one.
@@ -1485,9 +1395,9 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 			if w == 0 { // the publisher
 				for i := 0; i < 20; i++ {
 					o := others[i%len(others)]
-					st.admit(nil, o)
+					st.put(nil, o)
 					drop(st, kept.key)
-					st.admit(nil, kept)
+					st.put(nil, kept)
 					drop(st, o.key)
 				}
 				return

@@ -155,7 +155,7 @@ func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *quer
 			return
 		}
 	}
-	st.add(cq)
+	st.put(nil, cq)
 }
 
 // close takes the pool's entries out of the store (ServePool.Close).

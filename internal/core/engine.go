@@ -199,12 +199,12 @@ type Result struct {
 	Skipped []hin.VertexID
 	// CandidateCount and ReferenceCount are the sizes of Sc and Sr.
 	CandidateCount, ReferenceCount int
-	// Partial marks a degraded result: under the NetOut measure the query's
-	// deadline expired mid-execution (or one of its candidate ranges
-	// panicked) and the engine returned the ranking over the candidates
-	// scored so far instead of the bare error. Scores of the entries present
-	// are exact (NetOut is separable per candidate once the reference side
-	// is fixed); what is missing is the candidates never reached. Entries and Skipped
+	// Partial marks a degraded result: the query's deadline expired
+	// mid-execution (or one of its candidate ranges panicked) and the engine
+	// returned the ranking over the candidates scored so far instead of the
+	// bare error. Scores of the entries present are exact under every measure
+	// (a candidate's score depends only on its own Φ once the reference side
+	// is reduced); what is missing is the candidates never reached. Entries and Skipped
 	// cover only the processed prefix; CandidateCount still reports the full
 	// |Sc|. Cancellation never degrades — a cancelled caller gets the error.
 	Partial bool

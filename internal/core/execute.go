@@ -49,11 +49,11 @@ import (
 //     same loads and counts a propagation the same way.
 //
 // Degradation contract (Engine.degrades is the one place it is decided): under
-// NetOut a range that hit the deadline or panicked contributes the exact
-// prefix of candidates it fully scored — prefix scores are exact because the
-// measure is separable once the reference reduction is fixed — and the query
-// completes with Partial=true. A remote reply additionally degrades on
-// transport loss, admission shed and remote defects, the network's
+// every measure a range that hit the deadline or panicked contributes the
+// exact prefix of candidates it fully scored — once the reference side is
+// reduced, a candidate's score depends only on its own Φ and that reduction —
+// and the query completes with Partial=true. A remote reply additionally
+// degrades on transport loss, admission shed and remote defects, the network's
 // equivalents of a range dying mid-query. Cancellation, protocol skew, any
 // other error, an empty total prefix, and every failure of the reference side
 // fail the query.
@@ -439,9 +439,6 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 // Remote INTERNAL failures that are not defects (protocol-level rejections)
 // fail the query: they signal misconfiguration, not load.
 func (e *Engine) degrades(err error, remote bool) bool {
-	if e.measure != MeasureNetOut {
-		return false
-	}
 	if degradable(err) || xerr.KindOf(err) == xerr.KindDefect {
 		return true
 	}

@@ -906,15 +906,31 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 		}
 	}
 
-	// Degradation is NetOut-only (prefix scores under the relative measures
-	// are not exact): an expiry K candidates past PathSim's per-vertex
-	// reduction (a poll per reference) fails the query instead. The reference
-	// set is explicit because ranges, unlike the shards this ran on, score
-	// Sr = Sc out of the reference pass and would never poll again.
+	// Every measure degrades the same way: once the reference side is reduced,
+	// a candidate's PathSim score depends only on its own Φ and that
+	// reduction, so an expiry K candidates past PathSim's per-vertex
+	// reduction (a poll per reference) leaves an exact prefix, bit-identical
+	// to the full run's. The reference set is explicit because ranges, unlike
+	// the shards this ran on, score Sr = Sc out of the reference pass and
+	// would never poll again.
 	psEng := NewEngine(g, WithMeasure(MeasurePathSim), WithQueryParallelism(3))
 	defer psEng.Close()
-	if _, err := psEng.ExecuteContext(newDeadlineAfter(int64(1+faultRefs+K)), faultRefQuery); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("PathSim ranged deadline err = %v, want context.DeadlineExceeded", err)
+	full, err := psEng.Execute(faultRefQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psScore := map[hin.VertexID]uint64{}
+	for _, e := range full.Entries {
+		psScore[e.Vertex] = math.Float64bits(e.Score)
+	}
+	res, err = psEng.ExecuteContext(newDeadlineAfter(int64(1+faultRefs+K)), faultRefQuery)
+	if err != nil || !res.Partial || len(res.Entries) == 0 || len(res.Entries) >= len(full.Entries) {
+		t.Fatalf("PathSim ranged deadline: %v, want a partial prefix", err)
+	}
+	for _, e := range res.Entries {
+		if bits, ok := psScore[e.Vertex]; !ok || bits != math.Float64bits(e.Score) {
+			t.Fatalf("PathSim partial score for %s = %v, want the full run's bits", e.Name, e.Score)
+		}
 	}
 }
 

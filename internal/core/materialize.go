@@ -303,8 +303,8 @@ func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.Vert
 // M_p·seed (Traverser.SeedValues), nil unless exact. The store keeps N over
 // all of p's source type under key (queryScorers.numerKeys): a first
 // sighting of a seed leaves a ghost there, and a second, finding it, walks N
-// over the type and keeps it in the ghost's place — each if it fits
-// (sharedCacheState.fitsLocked) — unless a value reached 2⁵³: the ghost is
+// over the type and keeps it in the ghost's place (sharedCacheState.put) when
+// N's bytes fit the whole budget — unless a value reached 2⁵³: the ghost is
 // then spoiled, and its repeats walk as first sightings do. A later seed with
 // that seed's arrays or bits reads N there: what the same walk returned, so
 // the same bits. how says which ran, "memo" or "walk". A walk is one
@@ -324,10 +324,11 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.V
 	}
 	defer m.traversed(time.Now())
 	back, all := p.Reverse(), m.tr.Graph().VerticesOfType(p.Source())
-	// A ghost promotes when N fits: the whole type is walked for nothing else.
-	if w == nil || w.num != nil || w.spoiled || !m.lru.fits(w, &keptN{key: key, s: seed, vs: all}) {
+	// A ghost promotes when N fits the budget: the whole type is walked for
+	// nothing else.
+	if w == nil || w.num != nil || w.spoiled || (&keptN{key: key, s: seed, vs: all}).bytes() > m.lru.maxBytes {
 		if w == nil {
-			m.lru.admit(nil, &keptN{key: key})
+			m.lru.put(nil, &keptN{key: key})
 		}
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
@@ -338,12 +339,12 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.V
 		return nil, "walk", err
 	}
 	if n == nil {
-		m.lru.admit(w, &keptN{key: key, spoiled: true})
+		m.lru.put(w, &keptN{key: key, spoiled: true})
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
 	kept := &keptN{key: key, s: seed, vs: all, num: n, rank: rank{work: m.tr.Work() - work}}
-	m.lru.admit(w, kept)
+	m.lru.put(w, kept)
 	return kept.read(at), "walk", nil
 }
 

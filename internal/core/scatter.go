@@ -265,7 +265,7 @@ func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 			for _, r := range st.Refs {
 				k.work += int64(len(r.Idx))
 			}
-			store.add(k)
+			store.put(nil, k)
 		}
 		out.Refs[i], out.kept[i] = k.st, k
 	}

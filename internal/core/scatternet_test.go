@@ -205,7 +205,7 @@ func TestServeShardRequestRejectsForeignPaths(t *testing.T) {
 // every surviving entry and skip is bit-identical to the unsharded run.
 func expectPrefixPartial(t *testing.T, g *hin.Graph, eng *Engine, lost int) {
 	t.Helper()
-	want, err := NewEngine(g, WithMeasure(MeasureNetOut)).Execute(faultQuery)
+	want, err := NewEngine(g, WithMeasure(eng.measure)).Execute(faultQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,18 +325,17 @@ func TestRemoteShardReplyClassification(t *testing.T) {
 			t.Fatalf("cancelled remote returned %v, want context.Canceled to fail the query", err)
 		}
 	})
-	t.Run("loss under pathsim fails", func(t *testing.T) {
-		// Exact-prefix degradation is a NetOut-only contract (separability);
-		// under PathSim a lost remote must fail the query.
+	t.Run("loss under pathsim degrades", func(t *testing.T) {
+		// A lost remote under PathSim leaves the survivors' exact scores, as
+		// under NetOut: a candidate's score depends only on its own Φ and the
+		// reduced reference side.
 		remotes := newFakeFleet(t, g, 2)
 		remotes[1].(*fakeRemote).intercept = func(*ShardRequest) (*ShardResponse, error) {
 			return nil, xerr.New(xerr.Unavailable, "connection reset")
 		}
 		eng := NewEngine(g, WithMeasure(MeasurePathSim), WithRemoteShards(remotes...))
 		defer eng.Close()
-		if _, err := eng.Execute(faultQuery); xerr.CodeOf(err) != xerr.Unavailable {
-			t.Fatalf("lost PathSim remote returned %v, want UNAVAILABLE failure", err)
-		}
+		expectPrefixPartial(t, g, eng, 1)
 	})
 }
 

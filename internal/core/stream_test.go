@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"netout/internal/hin"
 	"netout/internal/obs"
+	"netout/internal/xerr"
 )
 
 // An answer depends on the graph and the text alone, not on what ran before it
@@ -143,4 +149,306 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 			t.Errorf("the stream never reached %q", branch)
 		}
 	}
+}
+
+// streamSeeds is FuzzExecuteStream's seed corpus, (graph, stream, pick) as
+// streamRun reads them. TestStreamCorpusReachesEveryBranch runs it and holds
+// it to every branch of the kept state in streamBranches.
+var streamSeeds = [][3]int64{
+	{1, 4, 24},  // NetOut, Baseline, one norm table, inline: an N evicted by a norm table
+	{1, 1, 18},  // NetOut, Cached, overflowed, inline: waist tables evicted and rebuilt
+	{2, 2, 282}, // NetOut, Cached, 1 MiB, pool: compiled hits and evictions, memo
+	{2, 2, 285}, // NetOut concatenated, Cached, 1 MiB, pool
+	{3, 3, 194}, // CosSim, Baseline, 1 MiB, remote
+	{3, 5, 151}, // PathSim, PM, overflowed, remote
+	{1, 2, 208}, // PathSim concatenated, SPM, 1 MiB, remote
+	{3, 7, 132}, // NetOut, SPM, 1 MiB, ranges
+	{1, 3, 126}, // NetOut, PM, 1 MiB, ranges
+	{3, 9, 100}, // PathSim concatenated, Baseline, one norm table, ranges
+	{3, 11, 45}, // NetOut concatenated, Cached, one norm table, inline
+}
+
+// streamBranches is every branch of the kept state the corpus must reach: the
+// plan lines' numerator and reference-side reasons, compiled hits and
+// evictions, a ghost promoted to N and a kept N evicted by an entry of another
+// kind, a waist table evicted and rebuilt, a prefix resume and a waist finish.
+var streamBranches = []string{
+	": numer=memo", ": numer=walk", ": numer=vertex",
+	"refside=set", "refside=vertex (held)", "refside=vertex (small)", "refside=vertex (measure)", "refside=vertex (concat)",
+	"compiled hit", "compiled evicted", "ghost promoted", "kept N evicted by another kind",
+	"waist rebuilt", "prefix resume", "waist finish",
+}
+
+// An answer depends on the graph and the text alone, whatever ran before it,
+// over random streams: each input draws a random graph, a measure and a
+// combination, a strategy (Baseline, PM, SPM over half the type, Cached, each
+// at a crossover the graph reaches), a store budget (one every query
+// overflows, one that holds a single norm table, 1 MiB) and an executor
+// (inline, three local ranges, two remote shards, a serve pool), then runs
+// about sixteen texts with Zipf repeats — whole-type scans of one or two
+// weighted paths, two COMPARED TO sets taking turns on one path, an anchored
+// chain. Every answer is a fresh engine's bit for bit and within the oracle's
+// bound (bit for bit for one NetOut path); an error carries an xerr code and
+// is the fresh engine's too. The seed corpus runs in
+// TestStreamCorpusReachesEveryBranch; `make fuzz` adds it here and fuzzes.
+func FuzzExecuteStream(f *testing.F) {
+	if fz := flag.Lookup("test.fuzz"); fz != nil && fz.Value.String() != "" {
+		for _, s := range streamSeeds {
+			f.Add(s[0], s[1], uint16(s[2]))
+		}
+	}
+	f.Fuzz(func(t *testing.T, graph, stream int64, pick uint16) {
+		streamRun(t, graph, stream, pick, map[string]bool{})
+	})
+}
+
+// The seed corpus of FuzzExecuteStream passes, and reaches every branch of
+// streamBranches.
+func TestStreamCorpusReachesEveryBranch(t *testing.T) {
+	reached := map[string]bool{}
+	for _, s := range streamSeeds {
+		t.Run(fmt.Sprint(s), func(t *testing.T) { streamRun(t, s[0], s[1], uint16(s[2]), reached) })
+	}
+	for _, b := range streamBranches {
+		if !reached[b] {
+			t.Errorf("the corpus never reached %q", b)
+		}
+	}
+}
+
+// streamText is one text of a stream with what the oracle needs of it.
+type streamText struct {
+	src         string
+	paths       [][]hin.TypeID
+	weights     []float64
+	cands, refs []hin.VertexID
+}
+
+// streamTexts draws a graph's texts from its seed: a 4-hop path A from t0
+// and its 2-hop prefix B (whose vectors A's misses resume from), scans of A,
+// of B and of both weighted, A COMPARED TO a large set and to a small one, and
+// A from the t0 an anchor reaches through t1. The second of the returned
+// texts is the COMPARED TO slot: a stream takes its two sets in turn.
+func streamTexts(g *hin.Graph, seed int64) (texts []streamText, setB streamText) {
+	r := rand.New(rand.NewSource(seed))
+	s := g.Schema()
+	a := []hin.TypeID{0}
+	for len(a) < 5 {
+		next := s.AllowedFrom(a[len(a)-1])
+		a = append(a, next[r.Intn(len(next))])
+	}
+	b := a[:3]
+	dotted := func(types []hin.TypeID) string {
+		names := make([]string, len(types))
+		for i, ty := range types {
+			names[i] = s.TypeName(ty)
+		}
+		return strings.Join(names, ".")
+	}
+	all := g.VerticesOfType(0)
+	scan := func(clause string, paths [][]hin.TypeID, weights []float64) streamText {
+		return streamText{src: "FIND OUTLIERS FROM t0 JUDGED BY " + clause + ";", paths: paths, weights: weights, cands: all, refs: all}
+	}
+	compared := func(every int) streamText {
+		var set []hin.VertexID
+		for _, v := range all {
+			if r.Intn(every) == 0 {
+				set = append(set, v)
+			}
+		}
+		t := scan(dotted(a), [][]hin.TypeID{a}, []float64{1})
+		t.src, t.refs = "FIND OUTLIERS FROM t0 COMPARED TO t0"+quoted(g, set)+" JUDGED BY "+dotted(a)+";", set
+		return t
+	}
+	wa, wb := float64(1+r.Intn(4)), float64(1+r.Intn(4))/2
+	texts = []streamText{
+		scan(dotted(a), [][]hin.TypeID{a}, []float64{1}),
+		compared(2),
+		scan(fmt.Sprintf("%s : %g, %s : %g", dotted(a), wa, dotted(b), wb), [][]hin.TypeID{a, b}, []float64{wa, wb}),
+		scan(dotted(b), [][]hin.TypeID{b}, []float64{1}),
+	}
+	setB = compared(8)
+	// The anchor is a t0 with a t1 neighbour; its chain is the t0 those reach.
+	var anchor hin.VertexID
+	var via, chain []hin.VertexID
+	for len(via) == 0 {
+		anchor = all[r.Intn(len(all))]
+		via, _ = g.Neighbors(anchor, 1)
+	}
+	for _, u := range via {
+		nbrs, _ := g.Neighbors(u, 0)
+		chain = append(chain, nbrs...)
+	}
+	slices.Sort(chain)
+	chain = slices.Compact(chain)
+	texts = append(texts, streamText{src: fmt.Sprintf("FIND OUTLIERS FROM t0{%q}.t1.t0 JUDGED BY %s;", g.Name(anchor), dotted(a)),
+		paths: [][]hin.TypeID{a}, weights: []float64{1}, cands: chain, refs: chain})
+	return texts, setB
+}
+
+// streamOracles caches the oracle's answer per (graph, measure, text).
+var streamOracles sync.Map
+
+// streamRun runs one input of FuzzExecuteStream, marking in reached the
+// branches of streamBranches it took.
+func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[string]bool) {
+	g := randomHIN(rand.New(rand.NewSource(graph)), 5)
+	texts, setB := streamTexts(g, graph)
+	measure := allMeasures[pick%3]
+	combine := []Combination{CombineAverage, CombineConcat}[pick/3%2]
+	strategy, executor := int(pick/6%4), int(pick/72%4)
+	lo, hi, _ := g.TypeIDSpan(0)
+	budget := []int64{2 << 10, 12 * int64(hi-lo+1), 1 << 20}[pick/24%3]
+	var half []hin.VertexID
+	for i, v := range g.VerticesOfType(0) {
+		if i%2 == 0 {
+			half = append(half, v)
+		}
+	}
+	newMat := func(g *hin.Graph) Materializer {
+		var m Materializer
+		switch strategy {
+		case 0:
+			m = NewBaseline(g)
+		case 1:
+			m = NewPM(g)
+		case 2:
+			m = NewSPMVertices(g, half)
+		default:
+			m, _ = NewCached(g, budget)
+			m.(*indexed).lru.waists.ratio = 1
+		}
+		st := m.(*indexed).lru
+		st.minKnown, st.maxBytes = 1, budget
+		return m
+	}
+	// newRun is a fresh engine on the executor, its materializer, and its
+	// close. A pool runs its queries inline, so that the store's evictions,
+	// and the branches the corpus reaches, do not depend on the schedule.
+	newRun := func() (func(string) (*Result, error), Materializer, func()) {
+		mat := newMat(g)
+		opts := []Option{WithMaterializer(mat), WithMeasure(measure), WithCombination(combine)}
+		switch executor {
+		case 0, 3:
+			opts = append(opts, WithQueryParallelism(1))
+		case 1:
+			opts = append(opts, WithQueryParallelism(3))
+		case 2:
+			opts = append(opts, WithRemoteShards(fakeFleetOf(g, 2, newMat)...))
+		}
+		eng := NewEngine(g, opts...)
+		if executor != 3 {
+			return eng.Execute, mat, eng.Close
+		}
+		pool, err := NewServePool(eng, ServeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(src string) (*Result, error) { return pool.Execute(context.Background(), src) }, mat, func() {
+			if pool.compiled.hits.Load() > 0 {
+				reached["compiled hit"] = true
+			}
+			pool.Close()
+			eng.Close()
+		}
+	}
+	run, mat, done := newRun()
+	defer done()
+	st := mat.(*indexed).lru
+	r := rand.New(rand.NewSource(stream))
+	order := r.Perm(len(texts))
+	zipf := rand.NewZipf(r, 1.3, 1, uint64(len(texts)-1))
+	before, turn := storeKinds(st), 0
+	gone := map[ckey]bool{}
+	for i := range 12 + r.Intn(9) {
+		text := texts[order[zipf.Uint64()]]
+		if text.src == texts[1].src {
+			if turn++; turn%2 == 0 {
+				text = setB
+			}
+		}
+		label := fmt.Sprintf("graph %d stream %d pick %d (%v %v strategy %d budget %d executor %d), text %d %q",
+			graph, stream, pick, measure, combine, strategy, budget, executor, i, text.src)
+		got, err := run(text.src)
+		want, wantErr := func() (*Result, error) {
+			run, _, done := newRun()
+			defer done()
+			return run(text.src)
+		}()
+		if err != nil || wantErr != nil {
+			var c xerr.Coder
+			if !errors.As(err, &c) || xerr.CodeOf(err) != xerr.CodeOf(wantErr) {
+				t.Fatalf("%s: %v, a fresh engine: %v", label, err, wantErr)
+			}
+			continue
+		}
+		if !resultsEqual(got, want) {
+			t.Fatalf("%s: the stream's answer is not a fresh engine's; plan %q\ngot  %+v\nwant %+v", label, got.Trace.Plan, got.Entries, want.Entries)
+		}
+		if combine == CombineAverage || len(text.paths) == 1 {
+			key := fmt.Sprint(graph, measure, text.src)
+			o, ok := streamOracles.Load(key)
+			if !ok {
+				o, _ = streamOracles.LoadOrStore(key, oracleQuery(t, g, measure, text.paths, text.weights, text.cands, text.refs))
+			}
+			o.(oracleResult).check(t, label, got)
+		}
+		walked := false
+		for _, line := range got.Trace.Plan {
+			for _, b := range streamBranches {
+				if strings.Contains(line, b) {
+					reached[b] = true
+				}
+			}
+			walked = walked || strings.Contains(line, ": numer=walk")
+		}
+		after := storeKinds(st)
+		for key, kind := range before {
+			if after[key] != "" {
+				continue
+			}
+			switch kind {
+			case "compiled":
+				reached["compiled evicted"] = true
+			case "kept N":
+				// Only a walk puts a kept N or a ghost: with none, another kind evicted it.
+				reached["kept N evicted by another kind"] = reached["kept N evicted by another kind"] || !walked
+			case "waist":
+				gone[key] = true
+			}
+		}
+		for key, kind := range after {
+			reached["ghost promoted"] = reached["ghost promoted"] || kind == "kept N"
+			reached["waist rebuilt"] = reached["waist rebuilt"] || kind == "waist" && gone[key]
+		}
+		before = after
+	}
+	if cs, ok := CacheStatsOf(mat); ok {
+		reached["prefix resume"] = reached["prefix resume"] || cs.PrefixHits > 0
+		reached["waist finish"] = reached["waist finish"] || cs.WaistFinishes > 0
+	}
+}
+
+// storeKinds is the kind of each entry in st: "kept N", "ghost", "compiled",
+// "waist", or "other".
+func storeKinds(st *sharedCacheState) map[ckey]string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make(map[ckey]string, len(st.entries))
+	for key, el := range st.entries {
+		kind := "other"
+		switch e := el.Value.(type) {
+		case *keptN:
+			kind = "ghost"
+			if e.num != nil {
+				kind = "kept N"
+			}
+		case *compiledQuery:
+			kind = "compiled"
+		case *waistTable:
+			kind = "waist"
+		}
+		out[key] = kind
+	}
+	return out
 }
