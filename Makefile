@@ -27,9 +27,12 @@ test: vet
 # -cpu 1,4 runs every test at both GOMAXPROCS values: 1 pins inline
 # execution, 4 exercises local candidate ranges and one Engine called from
 # eight goroutines over every strategy (TestOneEngineManyGoroutines, DESIGN
-# §6's contract). This is also the gate for the fault-injection
-# suite (internal/core/faultinject_test.go): panic isolation, admission
-# control and deadline degradation are only proven if they hold under -race.
+# §6's contract) and four query streams sharing one engine
+# (TestConcurrentStreamsMatchFreshEngine). This is also the gate for the
+# fault-injection suite (internal/core/faultinject_test.go, faults injected
+# through the materializer's hook on the shipped strategies): panic isolation,
+# admission control and deadline degradation are only proven if they hold
+# under -race.
 race:
 	$(GO) test -race -cpu 1,4 ./...
 
@@ -154,9 +157,9 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19807
-CORE_LOC_CEILING = 6059
-DESIGN_LINES_CEILING = 987
+LOC_CEILING = 19710
+CORE_LOC_CEILING = 5973
+DESIGN_LINES_CEILING = 986
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \

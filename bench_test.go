@@ -593,10 +593,7 @@ func BenchmarkAblationBatchWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng := netout.NewEngine(f.graph, netout.WithMaterializer(f.pm))
 			for i := 0; i < b.N; i++ {
-				results, err := netout.ExecuteBatch(eng, qs, netout.BatchOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
+				results := netout.ExecuteBatch(eng, qs, netout.BatchOptions{Workers: workers})
 				for _, br := range results {
 					if br.Err != nil {
 						b.Fatal(br.Err)
@@ -662,11 +659,7 @@ func BenchmarkAblationSharedCache(b *testing.B) {
 			}
 			engines := make([]*netout.Engine, workers)
 			for w := range engines {
-				view, err := netout.NewMaterializerView(mat)
-				if err != nil {
-					b.Fatal(err)
-				}
-				engines[w] = netout.NewEngine(f.graph, netout.WithMaterializer(view))
+				engines[w] = netout.NewEngine(f.graph, netout.WithMaterializer(netout.NewMaterializerView(mat)))
 			}
 			runPool(b, engines)
 			cs, _ := netout.CacheStatsOf(mat)

@@ -87,10 +87,7 @@ JUDGED BY author.paper.venue, author.paper.author : 2.0 TOP 10;`, man.Hub)
 	pmEngine := netout.NewEngine(g, netout.WithMaterializer(pm))
 	for _, workers := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		results, err := netout.ExecuteBatch(pmEngine, q1, netout.BatchOptions{Workers: workers})
-		if err != nil {
-			log.Fatal(err)
-		}
+		results := netout.ExecuteBatch(pmEngine, q1, netout.BatchOptions{Workers: workers})
 		for _, br := range results {
 			if br.Err != nil {
 				log.Fatal(br.Err)

@@ -238,10 +238,7 @@ func main() {
 		}
 		fmt.Print(x.Format())
 	case len(queries) > 0 && *workers > 1:
-		results, err := netout.ExecuteBatch(eng, queries, netout.BatchOptions{Workers: *workers})
-		if err != nil {
-			log.Fatal(err)
-		}
+		results := netout.ExecuteBatch(eng, queries, netout.BatchOptions{Workers: *workers})
 		for i, br := range results {
 			fmt.Printf("-- query %d --\n", i+1)
 			if br.Err != nil {

@@ -60,11 +60,8 @@ func TestEveryFamilyIsDocumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := netout.NewServePool(netout.NewEngine(g, netout.WithMaterializer(mat),
+	pool := netout.NewServePool(netout.NewEngine(g, netout.WithMaterializer(mat),
 		netout.WithObs(reg), netout.WithInflight(netout.NewInflight())), netout.ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer pool.Close()
 	front := httptest.NewServer(serveHandler(pool, reg, nil))
 	defer front.Close()
@@ -76,10 +73,7 @@ func TestEveryFamilyIsDocumented(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	shardPool, err := netout.NewServePool(netout.NewEngine(g), netout.ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shardPool := netout.NewServePool(netout.NewEngine(g), netout.ServeOptions{Workers: 1})
 	defer shardPool.Close()
 	shard := shardnet.NewServer(shardPool, shardnet.ServerOptions{Obs: reg})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

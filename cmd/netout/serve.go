@@ -56,14 +56,11 @@ type serveConfig struct {
 // finish before the server force-closes, and the separate admin endpoint
 // (if any) drains under the same grace.
 func runServe(eng *netout.Engine, cfg serveConfig) error {
-	pool, err := netout.NewServePool(eng, netout.ServeOptions{
+	pool := netout.NewServePool(eng, netout.ServeOptions{
 		Workers:        cfg.workers,
 		MaxQueue:       cfg.maxQueue,
 		DefaultTimeout: cfg.timeout,
 	})
-	if err != nil {
-		return err
-	}
 	defer pool.Close()
 	lis, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

@@ -26,14 +26,11 @@ func serveTestServer(t *testing.T) (*httptest.Server, *netout.ServePool, *netout
 	inflight := netout.NewInflight()
 	eng := netout.NewEngine(g, netout.WithObs(reg),
 		netout.WithEventSink(netout.CombineEventSinks(ring, slow)), netout.WithInflight(inflight))
-	pool, err := netout.NewServePool(eng, netout.ServeOptions{
+	pool := netout.NewServePool(eng, netout.ServeOptions{
 		Workers:        2,
 		MaxQueue:       4,
 		DefaultTimeout: 30 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(pool.Close)
 	srv := httptest.NewServer(serveHandler(pool, reg, slow,
 		netout.AdminWithReadiness(pool.Ready),

@@ -274,10 +274,7 @@ func TestServeHandlerClosedPool503(t *testing.T) {
 	g := smallGraph(t)
 	reg := netout.NewMetricsRegistry()
 	slow := netout.NewSlowLog(4)
-	pool, err := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithEventSink(slow)), netout.ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithEventSink(slow)), netout.ServeOptions{Workers: 1})
 	srv := httptest.NewServer(serveHandler(pool, reg, slow))
 	defer srv.Close()
 	pool.Close()

@@ -38,10 +38,7 @@ func runShardServe(eng *netout.Engine, cfg shardServeConfig) error {
 	if cfg.queue <= 0 {
 		cfg.queue = 2 * max(cfg.workers, 1)
 	}
-	pool, err := netout.NewServePool(eng, netout.ServeOptions{Workers: cfg.workers, MaxQueue: cfg.queue})
-	if err != nil {
-		return err
-	}
+	pool := netout.NewServePool(eng, netout.ServeOptions{Workers: cfg.workers, MaxQueue: cfg.queue})
 	srv := shardnet.NewServer(pool, shardnet.ServerOptions{Obs: cfg.reg, Logf: log.Printf})
 	lis, err := net.Listen("tcp", cfg.listen)
 	if err != nil {

@@ -157,11 +157,8 @@ func TestServeObservabilitySurfaces(t *testing.T) {
 	g := smallGraph(t)
 	reg := netout.NewMetricsRegistry()
 	inflight := netout.NewInflight()
-	pool, err := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithInflight(inflight)),
+	pool := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithInflight(inflight)),
 		netout.ServeOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(serveHandler(pool, reg, nil,
 		netout.AdminWithReadiness(pool.Ready),
 		netout.AdminWithInflight(inflight)))

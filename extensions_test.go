@@ -106,10 +106,7 @@ func TestFacadeExplainAndSuggest(t *testing.T) {
 func TestFacadeBatch(t *testing.T) {
 	g := buildQuickstartGraph(t)
 	pm := netout.NewPM(g)
-	view, err := netout.NewMaterializerView(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := netout.NewMaterializerView(pm)
 	if view.Strategy() != netout.StrategyPM {
 		t.Fatal("view strategy wrong")
 	}
@@ -117,10 +114,7 @@ func TestFacadeBatch(t *testing.T) {
 		`FIND OUTLIERS FROM author{"Ann"}.paper.author JUDGED BY author.paper.venue;`,
 		`FIND OUTLIERS FROM author{"Eve"}.paper.author JUDGED BY author.paper.venue;`,
 	}
-	results, err := netout.ExecuteBatch(netout.NewEngine(g, netout.WithMaterializer(pm)), queries, netout.BatchOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := netout.ExecuteBatch(netout.NewEngine(g, netout.WithMaterializer(pm)), queries, netout.BatchOptions{Workers: 2})
 	for i, br := range results {
 		if br.Err != nil {
 			t.Fatalf("query %d: %v", i, br.Err)

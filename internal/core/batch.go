@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"netout/internal/xerr"
+	"netout/internal/metapath"
 )
 
 // Batch execution answers the paper's third motivating challenge — "data
@@ -22,19 +22,10 @@ import (
 // immutable index and the one store: its norm tables, and for Cached its vectors,
 // waist tables, singleflight group and cache-wide counters (CacheStatsOf) —
 // but is safe to use concurrently with other views of m: traversal scratch
-// and statistics (Stats) are private to the view.
-func NewView(m Materializer) (Materializer, error) {
-	if v, ok := m.(viewable); ok {
-		return v.view()
-	}
-	return nil, xerr.Newf(xerr.Internal, "core: cannot create a concurrent view of %T", m)
-}
-
-// viewable is how a materializer supplies its concurrent views: every
-// built-in strategy implements it, and so does the fault-injection harness's
-// wrapper (faultinject_test.go).
-type viewable interface {
-	view() (Materializer, error)
+// and statistics (Stats) are private to the view. The store's norm tables are
+// atomic words (visPath), so views read and fill them at once.
+func NewView(m *Materializer) *Materializer {
+	return &Materializer{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, lru: m.lru, strategy: m.strategy, hook: m.hook}
 }
 
 // BatchOptions configures ExecuteBatch.
@@ -57,8 +48,8 @@ type BatchResult struct {
 // ExecuteBatch runs the queries in parallel on eng, from opts.Workers
 // goroutines that each claim the next unstarted index, and returns per-query
 // results in input order. Individual query failures are reported per entry,
-// not as a global error; the global error covers setup problems only.
-func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
+// not as one error.
+func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) []BatchResult {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -66,10 +57,7 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 	if workers > len(queries) && len(queries) > 0 {
 		workers = len(queries)
 	}
-	ranges, err := eng.pooled()
-	if err != nil {
-		return nil, err
-	}
+	ranges := eng.pooled()
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -93,23 +81,14 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 		}()
 	}
 	wg.Wait()
-	return results, nil
+	return results
 }
 
-// pooled is what a pool of goroutines over e starts from: the bound on a
-// query's local ranges — an unset query parallelism means 1 here, not
-// GOMAXPROCS: a pool already spreads queries across cores, and per-query
-// fan-out on top would oversubscribe the machine — and one view in the
-// engine's pool, so a materializer NewView cannot view fails the pool's
-// construction, not the first two queries that overlap.
-func (e *Engine) pooled() (ranges int, err error) {
-	view, err := NewView(e.mat)
-	if err != nil {
-		return 0, err
-	}
-	e.viewPool.Put(view)
-	return max(e.parallelism, 1), nil
-}
+// pooled is the bound on the local ranges of a query a pool of goroutines
+// over e runs: an unset query parallelism means 1 here, not GOMAXPROCS — a
+// pool already spreads queries across cores, and per-query fan-out on top
+// would oversubscribe the machine.
+func (e *Engine) pooled() int { return max(e.parallelism, 1) }
 
 // executeIsolated is execute behind a pool's panic isolation: a panicking
 // query becomes that query's *PanicError on the goroutine that ran it — a

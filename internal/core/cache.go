@@ -78,22 +78,21 @@ func (s CacheStats) String() string {
 // NewView share the same warm state, and concurrent misses of views on the
 // same (path, vertex) traverse the network once (singleflight); each view
 // counts its own work (Stats), the cache the work of all (CacheStatsOf).
-func NewCached(g *hin.Graph, maxBytes int64) (Materializer, error) {
+func NewCached(g *hin.Graph, maxBytes int64) (*Materializer, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("core: cache size must be positive, got %d", maxBytes)
 	}
-	return newIndexed(g, newPathIndex(g), StrategyCached, maxBytes), nil
+	return newMaterializer(g, newPathIndex(g), StrategyCached, maxBytes), nil
 }
 
 // CacheStatsOf extracts cache counters, aggregated over every view, from a
 // materializer created by NewCached (or any view of one); ok is false for
 // other strategies.
-func CacheStatsOf(m Materializer) (CacheStats, bool) {
-	c, ok := m.(*indexed)
-	if !ok || !c.cached() {
+func CacheStatsOf(m *Materializer) (CacheStats, bool) {
+	if !m.cached() {
 		return CacheStats{}, false
 	}
-	return c.lru.cacheStats(), true
+	return m.lru.cacheStats(), true
 }
 
 // cacheKey builds the probe key for Φ_P(v). Path.Key is precomputed and
@@ -125,7 +124,7 @@ func cacheKey(p metapath.Path, v hin.VertexID) ckey {
 // cache's lock one at a time, so an entry evicted between probe and use
 // merely degrades this call to more traversal — the probed vector itself is
 // immutable and stays valid.
-func (m *indexed) cachedLoad(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+func (m *Materializer) cachedLoad(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
 	st, key := m.lru, cacheKey(p, v)
 	start := time.Now()
 	vec, hit := st.get(key)

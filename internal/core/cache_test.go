@@ -70,10 +70,7 @@ func TestCachedBasics(t *testing.T) {
 func TestCachedHandleCountsItsOwnWork(t *testing.T) {
 	g := fig1Graph(t)
 	mat, _ := NewCached(g, 1<<20)
-	view, err := NewView(mat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := NewView(mat)
 	p, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	a, _ := g.Schema().TypeByName("author")
 	zoe, _ := g.VertexByName(a, "Zoe")
@@ -185,10 +182,7 @@ func TestNewViewCachedSharesWarmState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	view, err := NewView(mat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := NewView(mat)
 	if view.Strategy() != StrategyCached {
 		t.Fatal("view strategy wrong")
 	}
@@ -342,7 +336,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}{
 		{"insert", func(st *sharedCacheState) { st.insert(key(n), vec) }},
 		{"compiled", func(st *sharedCacheState) {
-			st.put(nil, &compiledQuery{cache: newCompiledCache(&indexed{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
+			st.put(nil, &compiledQuery{cache: newCompiledCache(&Materializer{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -439,7 +433,7 @@ func TestStoreEvictsAcrossKinds(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			st := newSharedCacheState(g, 1<<20)
-			pool := newCompiledCache(&indexed{lru: st})
+			pool := newCompiledCache(&Materializer{lru: st})
 			keys := map[string]ckey{
 				"vector":   {path: apv.Key(), v: 0},
 				"norms":    {path: apv.Key(), v: normsOf},
@@ -536,7 +530,7 @@ func TestCachedReplayIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mat.(*indexed)
+		m := mat
 		eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 		var steps []step
 		for _, src := range stream {
@@ -614,17 +608,15 @@ func TestSharedCacheConcurrentStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
-	handles := []Materializer{mat}
+	handles := []*Materializer{mat}
 	for w := 0; w < workers; w++ {
 		m := handles[0]
 		if w > 0 { // one handle per goroutine: the original, then views
-			if m, err = NewView(mat); err != nil {
-				t.Fatal(err)
-			}
+			m = NewView(mat)
 			handles = append(handles, m)
 		}
 		wg.Add(1)
-		go func(w int, m Materializer) {
+		go func(w int, m *Materializer) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < rounds; i++ {
@@ -670,7 +662,7 @@ func TestSharedCacheConcurrentStress(t *testing.T) {
 		t.Fatalf("expected evictions under a %d-byte budget: %+v", maxBytes, cs)
 	}
 	// Byte accounting survives eviction churn exactly.
-	state := mat.(*indexed).lru
+	state := mat.lru
 	if got := state.recomputeBytes(); got != cs.Bytes {
 		t.Fatalf("atomic bytes %d != recomputed %d", cs.Bytes, got)
 	}
@@ -772,7 +764,7 @@ func TestIndexLoadErrors(t *testing.T) {
 	ix := newPathIndex(g)
 	ix.put(apv, zoe, sparse.Vector{Idx: []int32{int32(zoe)}, Val: []float64{1}})
 	var foreign bytes.Buffer
-	if err := SaveIndex(&indexed{tr: metapath.NewTraverser(g), ix: ix, strategy: StrategyPM}, &foreign); err != nil {
+	if err := SaveIndex(&Materializer{tr: metapath.NewTraverser(g), ix: ix, strategy: StrategyPM}, &foreign); err != nil {
 		t.Fatal(err)
 	}
 	cases["foreign coordinate"] = foreign.Bytes()
@@ -812,7 +804,7 @@ func TestBuildIndexMatchesPerVertexTraversal(t *testing.T) {
 	isSome := func(v hin.VertexID) bool { return v%3 == 0 }
 	for _, tc := range []struct {
 		name     string
-		built    Materializer
+		built    *Materializer
 		strategy Strategy
 		indexed  func(hin.VertexID) bool
 	}{
@@ -844,12 +836,12 @@ func TestBuildIndexMatchesPerVertexTraversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for label, m := range map[string]Materializer{"built": tc.built, "reloaded": loaded} {
+		for label, m := range map[string]*Materializer{"built": tc.built, "reloaded": loaded} {
 			label = tc.name + " " + label
 			if m.IndexBytes() != ref.bytes {
 				t.Fatalf("%s: IndexBytes %d, per-vertex loop %d", label, m.IndexBytes(), ref.bytes)
 			}
-			ix := m.(*indexed).ix
+			ix := m.ix
 			for _, p := range paths {
 				for _, v := range g.VerticesOfType(p.Source()) {
 					want, inRef := ref.probe(ref.table(p), v)
@@ -1161,11 +1153,8 @@ func BenchmarkStoreCharge(b *testing.B) {
 			}
 		}},
 		{"compiled_query", func() (*sharedCacheState, func() bool) {
-			mat := newIndexed(g, newPathIndex(g), StrategyBaseline, budget)
-			pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
+			mat := newMaterializer(g, newPathIndex(g), StrategyBaseline, budget)
+			pool := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
 			i := 0
 			return mat.lru, func() bool {
 				src := fmt.Sprintf("FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue TOP 5;", g.Name(authors[i%len(authors)]))

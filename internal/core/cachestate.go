@@ -14,7 +14,7 @@ import (
 )
 
 // A materializer's store is what it keeps between queries, one per root
-// indexed, shared by every view — every concurrent query of a workload
+// Materializer, shared by every view — every concurrent query of a workload
 // (ExecuteBatch, ServePool): Cached's vectors and waist tables, the norm
 // tables, the kept N of each (path, S) and the ghosts of S's seen once, the
 // broadcast states a shard keeps, and every pool's compiled queries. It is a
@@ -139,7 +139,7 @@ func (k *keptRef) numerKey(p metapath.Path) ckey {
 func numerKey(pk string, d [32]byte) ckey { return ckey{path: pk + string(d[:]), v: numerOf} }
 
 // sharedCacheState is the store every view of one materializer shares
-// (indexed.lru): its entries (every kind storeEntry names), the singleflight
+// (Materializer.lru): its entries (every kind storeEntry names), the singleflight
 // group and the store-wide counters. All counter fields are atomic so that
 // CacheStats totals are exact under concurrency and readable without mu.
 type sharedCacheState struct {
@@ -194,11 +194,8 @@ func newSharedCacheState(g *hin.Graph, maxBytes int64) *sharedCacheState {
 }
 
 // lookup returns the entry under key, used (touchLocked); nil when there is
-// none, or no store.
+// none.
 func (st *sharedCacheState) lookup(key ckey) storeEntry {
-	if st == nil {
-		return nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	el, ok := st.entries[key]
@@ -293,11 +290,8 @@ func (st *sharedCacheState) keep(key ckey, vec sparse.Vector, work int64) {
 // an untyped nil for nothing — unless another entry holds that place now,
 // which is then only used. An e larger than the whole budget is refused, so
 // it does not thrash; any other is charged (chargeLocked) and evicts by the
-// one rule, whatever the kinds. A nil store keeps nothing.
+// one rule, whatever the kinds.
 func (st *sharedCacheState) put(old, e storeEntry) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	el := st.entries[e.ckey()]

@@ -33,7 +33,7 @@ import (
 //     is S propagated back along P⁻¹ (Traverser.SeedValues; edges are
 //     symmetric), one walk instead of one per candidate, its last hop gathered
 //     at this side's candidates only — or no walk at all, N read where the
-//     store keeps it for an S it has seen before (indexed.seedValues). A
+//     store keeps it for an S it has seen before (Materializer.seedValues). A
 //     candidate whose norm is known then costs a table read and a division;
 //     one whose norm is not costs the walk it always did — Φ drained into
 //     scratch when only its norm is wanted — and leaves the norm behind. N is
@@ -89,10 +89,9 @@ const (
 // newCandidateSide plans the scoring of cands. mat is the caller's own
 // materializer; a reverse propagation runs on it, and its failure — the
 // context's included — fails the caller whole, like the reference side's.
-func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
+func newCandidateSide(ctx context.Context, g *hin.Graph, mat *Materializer, scorers *queryScorers, measure Measure, paths []metapath.Path, cands []hin.VertexID, held [][]sparse.Vector) (*candidateSide, error) {
 	cs := &candidateSide{g: g, scorers: scorers, paths: paths, cands: cands, held: held}
-	sm, ok := mat.(*indexed)
-	if !ok || held != nil || measure != MeasureNetOut || scorers.concat != nil || len(cands) < sm.lru.need(paths[0].Source()) {
+	if held != nil || measure != MeasureNetOut || scorers.concat != nil || len(cands) < mat.lru.need(paths[0].Source()) {
 		for _, rs := range scorers.all() {
 			rs.withDir()
 		}
@@ -104,13 +103,13 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat Materializer, score
 	var err error
 	for m, p := range paths {
 		rs := scorers.perPath[m]
-		cs.memo[m] = sm.lru.normTable(p) // nil when none fits
-		known, need := sm.lru.known(cs.memo[m], p.Source(), cands)
+		cs.memo[m] = mat.lru.normTable(p) // nil when none fits
+		known, need := mat.lru.known(cs.memo[m], p.Source(), cands)
 		// num is exact or nil: a path whose used numerators left 2⁵³ walks
 		// per vertex.
 		var how string
 		if known >= need {
-			if cs.num[m], how, err = sm.seedValues(ctx, p, rs.s, scorers.numerKeys(paths)[m], cands); err != nil {
+			if cs.num[m], how, err = mat.seedValues(ctx, p, rs.s, scorers.numerKeys(paths)[m], cands); err != nil {
 				return nil, err
 			}
 		}
@@ -140,7 +139,7 @@ type candBuf struct {
 // a table read costs less than the poll. It returns how many leading
 // candidates are complete under every path — hi-lo, or with the error the
 // prefix that deadline degradation may keep (buf then covers that prefix).
-func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int, buf *candBuf) (int, error) {
+func (cs *candidateSide) load(ctx context.Context, mat *Materializer, lo, hi int, buf *candBuf) (int, error) {
 	buf.lo, buf.n = lo, hi-lo
 	if cs.held != nil {
 		return buf.n, nil
@@ -158,14 +157,14 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 		}
 		var err error
 		if cs.memo != nil && cs.num[m] != nil {
-			omega, err = cs.fromNumerators(ctx, mat.(*indexed), m, lo, hi, omega)
+			omega, err = cs.fromNumerators(ctx, mat, m, lo, hi, omega)
 		} else {
 			// One Φ per candidate: kept when scoring from vectors, reduced
 			// to Ω and its norm left in the table, worth the walks, when
 			// scoring from norms.
 			var work int64
 			if cs.memo != nil {
-				work = mat.(*indexed).tr.Work()
+				work = mat.tr.Work()
 			}
 			for _, v := range cs.cands[lo:hi] {
 				var phi sparse.Vector
@@ -184,7 +183,7 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 				omega = append(omega, netOut(dot, vis))
 			}
 			if cs.memo != nil && cs.memo[m] != nil {
-				cs.memo[m].cost.Add(mat.(*indexed).tr.Work() - work)
+				cs.memo[m].cost.Add(mat.tr.Work() - work)
 			}
 		}
 		buf.vecs[m], buf.omega[m] = vecs, omega
@@ -204,9 +203,9 @@ func (cs *candidateSide) load(ctx context.Context, mat Materializer, lo, hi int,
 // fromNumerators appends Ω under path m of cands[lo:hi], whose numerators
 // were propagated, to omega in one pass over the path's norm table's words:
 // a known norm costs an atomic load and a division, an unknown one a poll and
-// a traversal (indexed.visibility). The hits count once per call. On an error
-// omega ends before the failing candidate.
-func (cs *candidateSide) fromNumerators(ctx context.Context, sm *indexed, m, lo, hi int, omega []float64) ([]float64, error) {
+// a traversal (Materializer.visibility). The hits count once per call. On an
+// error omega ends before the failing candidate.
+func (cs *candidateSide) fromNumerators(ctx context.Context, sm *Materializer, m, lo, hi int, omega []float64) ([]float64, error) {
 	if err := ctxErr(ctx); err != nil {
 		return omega, err
 	}
@@ -300,9 +299,9 @@ func (vp *visPath) bytes() int64 { return 8 * int64(len(vp.bits)) }
 
 // keptN is S walked back along P⁻¹ to its end, N = M_P·S, beside that S, held
 // by reference — a reduced S or a broadcast is never written — under P's key
-// and S's digest (indexed.seedValues). num[i] is N at vs[i], the graph's list
-// of P's source type, every one below 2⁵³. A ghost holds its key alone: S was
-// seen once, or (spoiled) its N reached 2⁵³ at some vertex of the type and
+// and S's digest (Materializer.seedValues). num[i] is N at vs[i], the graph's
+// list of P's source type, every one below 2⁵³. A ghost holds its key alone: S
+// was seen once, or (spoiled) its N reached 2⁵³ at some vertex of the type and
 // is never kept; it is worth no work. Published whole and never written but
 // for its rank, which only the store reads.
 type keptN struct {

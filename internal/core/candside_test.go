@@ -76,13 +76,13 @@ func perVertexResult(t *testing.T, g *hin.Graph, cands, refs []hin.VertexID, pat
 // eagerBaseline is a baseline whose crossover is lowered so that graphs of a
 // few hundred vertices reach the propagated branch: any known candidate, at
 // least a quarter of the type.
-func eagerBaseline(g *hin.Graph) Materializer {
+func eagerBaseline(g *hin.Graph) *Materializer {
 	return bareWithin(g, keptMaxBytes)
 }
 
 // bareWithin is an eager baseline whose store holds limit bytes.
-func bareWithin(g *hin.Graph, limit int64) *indexed {
-	m := newIndexed(g, newPathIndex(g), StrategyBaseline, limit)
+func bareWithin(g *hin.Graph, limit int64) *Materializer {
+	m := newMaterializer(g, newPathIndex(g), StrategyBaseline, limit)
 	m.lru.minKnown = 1
 	return m
 }
@@ -299,7 +299,7 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	mid := s.AllowedFrom(0)[0]
 	p := metapath.MustNew(0, mid, 0)
 	src := fmt.Sprintf("FIND OUTLIERS FROM t0 JUDGED BY t0.%s.t0;", s.TypeName(mid))
-	probe := eagerBaseline(g).(*indexed)
+	probe := eagerBaseline(g)
 	agg, exact, err := probe.setVector(context.Background(), p, all)
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
@@ -393,10 +393,7 @@ func TestCandidateSideAccounting(t *testing.T) {
 	}
 	// A view reads and fills the root's table: warm from its first query, and
 	// reading the N the root kept.
-	view, err := NewView(mat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := NewView(mat)
 	res, err := NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)).Execute(scan)
 	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk+ghost {
 		t.Fatalf("view: err=%v traversed=%d indexed=%d bytes=%d, want the root's warm table and kept N",
@@ -429,10 +426,7 @@ func TestNormTablesConcurrentFills(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		view, err := NewView(root)
-		if err != nil {
-			t.Fatal(err)
-		}
+		view := NewView(root)
 		wg.Add(1)
 		go func(w int, eng *Engine) {
 			defer wg.Done()
@@ -662,7 +656,7 @@ func TestCandidateSideDeadlineAtAMiss(t *testing.T) {
 	author, _ := g.Schema().TypeByName("author")
 	paper, _ := g.Schema().TypeByName("paper")
 	venue, _ := g.Schema().TypeByName("venue")
-	tbl := mat.(*indexed).lru.normTable(metapath.MustNew(author, paper, venue))
+	tbl := mat.lru.normTable(metapath.MustNew(author, paper, venue))
 	const first, holes, served = parallelChunk + 10, 10, 4
 	for _, v := range cands[first : first+holes] {
 		tbl.slot(v).Store(0)
@@ -761,7 +755,7 @@ func TestCandidateSideInterleavedNorms(t *testing.T) {
 				t.Fatalf("%s: traversed %d / indexed %d, want %d / %d", label,
 					got.Timing.TraversedVectors, got.Timing.IndexedVectors, arm.traversed, arm.indexed)
 			}
-			tbl := mat.(*indexed).lru.normTable(p)
+			tbl := mat.lru.normTable(p)
 			for _, v := range cands {
 				if _, ok := tbl.get(v); !ok {
 					t.Fatalf("%s: the norm of %d is not in the table after the scan", label, v)
@@ -786,10 +780,7 @@ func TestPoolHitReadsTheKeptNumerators(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := obs.NewEventRing(4)
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1)), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1)), ServeOptions{Workers: 1})
 	defer pool.Close()
 	// Runs: a miss with cold norms, a first sighting of each S, a second that
 	// keeps its N (two traversals each), then reads.
@@ -874,7 +865,7 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 		}
 	}
 	req := shardScan(p, all[:len(all)/2])
-	serve := func(mat Materializer, b *ShardBroadcast, traversed int64) {
+	serve := func(mat *Materializer, b *ShardBroadcast, traversed int64) {
 		resp := ServeShardRequest(ctx, g, mat, req, b)
 		if resp.Err != "" || resp.Done != len(req.Candidates) || resp.Stats.TraversedVectors != traversed {
 			t.Fatalf("warm range: %+v, want it complete on %d traversals", resp, traversed)
@@ -978,7 +969,7 @@ func TestKeptWalkMatchesEveryBit(t *testing.T) {
 		"+0 to -0":  func(v []float64) { v[0] = math.Copysign(0, -1) },
 		"count + 1": func(v []float64) { v[len(v)-1]++ },
 	} {
-		serve := func(mat Materializer, b *ShardBroadcast) *ShardResponse {
+		serve := func(mat *Materializer, b *ShardBroadcast) *ShardResponse {
 			resp := ServeShardRequest(ctx, g, mat, req, b)
 			if resp.Err != "" {
 				t.Fatalf("%s: %s", name, resp.Err)
@@ -1018,7 +1009,7 @@ func TestKeptNReadAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := newQueryScorers(MeasureNetOut, CombineAverage, [][]sparse.Vector{{s}}, []float64{1}, int32(g.NumVertices()))
-	mat := eagerBaseline(g).(*indexed)
+	mat := eagerBaseline(g)
 	read := func() string {
 		_, how, err := mat.seedValues(ctx, paths[0], qs.perPath[0].s, qs.numerKeys(paths[:1])[0], all[1:])
 		if err != nil {
@@ -1108,7 +1099,7 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat := eagerBaseline(g).(*indexed)
+		mat := eagerBaseline(g)
 		for range 2 {
 			if _, _, err := mat.seedValues(ctx, p, s, keyOf(p, s), all[:1]); err != nil {
 				t.Fatal(err)
@@ -1173,7 +1164,7 @@ func TestKeptWalkIsExactOverTheType(t *testing.T) {
 		p := metapath.MustNew(0, 1)
 		req := shardScan(p, []hin.VertexID{small})
 		sv := sparse.Vector{Idx: []int32{int32(mid)}, Val: []float64{1 << 30}} // N[big] = big·2³⁰
-		serve := func(mat Materializer) *ShardResponse {
+		serve := func(mat *Materializer) *ShardResponse {
 			resp := ServeShardRequest(ctx, g, mat, req, broadcastOf(g, sv))
 			if resp.Err != "" || resp.Done != 1 {
 				t.Fatalf("big=%d: %+v", tc.big, resp)
@@ -1187,9 +1178,9 @@ func TestKeptWalkIsExactOverTheType(t *testing.T) {
 		serve(mat)
 		var first metapath.KernelCounts // the hops of a first sighting's walk
 		for i, traversed := range tc.traversed {
-			before, _ := kernelCountsOf(mat)
+			before := kernelCountsOf(mat)
 			got := serve(mat)
-			hops, _ := kernelCountsOf(mat)
+			hops := kernelCountsOf(mat)
 			if hops = hops.Sub(before); i == 0 {
 				first = hops
 			}
@@ -1205,7 +1196,7 @@ func TestKeptWalkIsExactOverTheType(t *testing.T) {
 		if tc.kept {
 			kept += int64(sv.Bytes()) + norms
 		}
-		if w := keptIn(mat.(*indexed).lru, p, sv); mat.IndexBytes() != norms+kept || w == nil || w.spoiled == tc.kept || (w.num != nil) != tc.kept {
+		if w := keptIn(mat.lru, p, sv); mat.IndexBytes() != norms+kept || w == nil || w.spoiled == tc.kept || (w.num != nil) != tc.kept {
 			t.Fatalf("big=%d: the store holds %d bytes, want %d, and S's entry %+v", tc.big, mat.IndexBytes(), norms+kept, w)
 		}
 	}
@@ -1322,7 +1313,7 @@ func TestTwoSsInTurnEachKeepTheirN(t *testing.T) {
 				check(t, fmt.Sprintf("S %d, sighting %d", i, round+1), p, sight.how, resp.Plan, resp.Stats.TraversedVectors, sight.traversed, wants[i], &Result{Entries: resp.Entries, Skipped: resp.Skipped})
 			}
 		}
-		st := mat.(*indexed).lru
+		st := mat.lru
 		if w, v := keptIn(st, p, ss[0]), keptIn(st, p, ss[1]); w == nil || !w.spoiled || v == nil || v.num == nil {
 			t.Fatalf("the store keeps %+v for the spoiled S and %+v for the other, want a spoiled ghost and an N", w, v)
 		}
@@ -1363,7 +1354,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	s0 := sOf(all)
 	req := shardScan(p, all)
 	root := eagerBaseline(g)
-	st := root.(*indexed).lru
+	st := root.lru
 	var want *ShardResponse
 	for range 4 { // cold, two sightings, a read
 		want = ServeShardRequest(ctx, g, root, req, broadcastOf(g, s0))
@@ -1375,7 +1366,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	var others []*keptN // the kept N of three more S's, each kept by a baseline of its own
 	for k := 1; k <= 3; k++ {
 		s := sOf(all[k:])
-		other := eagerBaseline(g).(*indexed)
+		other := eagerBaseline(g)
 		for range 2 {
 			if _, _, err := other.seedValues(ctx, p, s, keyOf(p, s), all); err != nil {
 				t.Fatal(err)
@@ -1385,10 +1376,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 5; w++ {
-		view, err := NewView(root)
-		if err != nil {
-			t.Fatal(err)
-		}
+		view := NewView(root)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -1438,7 +1426,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 //     allocates nothing (Visibility); warm, read from the table — and a
 //     division.
 //   - memo (warm table only): what a repeat does once the store keeps S's
-//     numerators — indexed.seedValues finds them by S's digest and bits (S
+//     numerators — Materializer.seedValues finds them by S's digest and bits (S
 //     here is a copy, as a shard's decoded broadcast is) and reads N at the
 //     candidates, then the same division.
 //
@@ -1475,7 +1463,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 			norms[v-lo], _ = tr.Visibility(p, v)
 		}
 		// A baseline whose store has seen S twice, and so keeps its N.
-		mat := eagerBaseline(g).(*indexed)
+		mat := eagerBaseline(g)
 		tbl := mat.lru.normTable(p)
 		for _, v := range all {
 			tbl.put(v, norms[v-lo])

@@ -110,13 +110,9 @@ type compiledCache struct {
 	count, bytes atomic.Int64
 }
 
-// newCompiledCache keys a pool's entries in its materializer's store; a
-// Materializer that is no indexed gets a store of its own.
-func newCompiledCache(mat Materializer) *compiledCache {
-	st := newSharedCacheState(nil, keptMaxBytes)
-	if cm, ok := mat.(*indexed); ok {
-		st = cm.lru
-	}
+// newCompiledCache keys a pool's entries in its materializer's store.
+func newCompiledCache(mat *Materializer) *compiledCache {
+	st := mat.lru
 	return &compiledCache{state: st, tag: waistOf - hin.VertexID(st.pools.Add(1))}
 }
 

@@ -21,15 +21,15 @@ import (
 var compiledStrategies = []struct {
 	name     string
 	retains  bool
-	material func(t *testing.T, g *hin.Graph) Materializer
+	material func(t *testing.T, g *hin.Graph) *Materializer
 }{
-	{"baseline", true, func(t *testing.T, g *hin.Graph) Materializer { return NewBaseline(g) }},
-	{"cached64MiB", true, func(t *testing.T, g *hin.Graph) Materializer { return mustCached(t, g, 64<<20) }},
-	{"cached4KiB", false, func(t *testing.T, g *hin.Graph) Materializer { return mustCached(t, g, 4<<10) }},
-	{"pm", true, func(t *testing.T, g *hin.Graph) Materializer { return NewPM(g) }},
+	{"baseline", true, func(t *testing.T, g *hin.Graph) *Materializer { return NewBaseline(g) }},
+	{"cached64MiB", true, func(t *testing.T, g *hin.Graph) *Materializer { return mustCached(t, g, 64<<20) }},
+	{"cached4KiB", false, func(t *testing.T, g *hin.Graph) *Materializer { return mustCached(t, g, 4<<10) }},
+	{"pm", true, func(t *testing.T, g *hin.Graph) *Materializer { return NewPM(g) }},
 }
 
-func mustCached(t *testing.T, g *hin.Graph, maxBytes int64) Materializer {
+func mustCached(t *testing.T, g *hin.Graph, maxBytes int64) *Materializer {
 	t.Helper()
 	mat, err := NewCached(g, maxBytes)
 	if err != nil {
@@ -74,10 +74,7 @@ func TestCompiledQueryIsTheUncompiledQuery(t *testing.T) {
 			for _, strat := range compiledStrategies {
 				opts := []Option{WithMeasure(measure), WithCombination(combine), WithQueryParallelism(2)}
 				plain := NewEngine(g, append(opts, WithMaterializer(strat.material(t, g)))...)
-				pool, err := NewServePool(NewEngine(g, append(opts, WithMaterializer(strat.material(t, g)))...), ServeOptions{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
+				pool := NewServePool(NewEngine(g, append(opts, WithMaterializer(strat.material(t, g)))...), ServeOptions{Workers: 2})
 				for _, shape := range shapes {
 					label := fmt.Sprintf("%v/%v/%s/%s", measure, combine, strat.name, shape.name)
 					want, err := plain.Execute(shape.src)
@@ -119,10 +116,7 @@ func TestCompiledQueryIsTheUncompiledQuery(t *testing.T) {
 // other difference — TOP included — does not.
 func TestCompiledKeyIsTheTrimmedText(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(5)))
-	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	defer pool.Close()
 	q := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 3;`
 	for i, tc := range []struct {
@@ -176,15 +170,12 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 	}{{"cached", 64 << 20}, {"cached", 128 << 10}, {"bare", 64 << 20}, {"bare", 128 << 10}} {
 		budget := arm.budget
 		label := fmt.Sprintf("%s budget %d", arm.name, budget)
-		mat := Materializer(bareWithin(g, budget))
+		mat := bareWithin(g, budget)
 		if arm.name == "cached" {
 			mat = mustCached(t, g, budget)
 		}
-		st := mat.(*indexed).lru
-		pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := mat.lru
+		pool := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
 		for pass := 0; pass < 4; pass++ {
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {
@@ -244,10 +235,7 @@ func TestCompiledEntriesAreChargedToTheCache(t *testing.T) {
 func TestCompiledChargeCountsTheDirectories(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(3)), 150)
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.author, author.paper.venue TOP 5;`
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g))), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g))), ServeOptions{Workers: 1})
 	defer pool.Close()
 	if _, err := pool.Execute(context.Background(), src); err != nil {
 		t.Fatal(err)
@@ -283,11 +271,8 @@ func TestOversizeInsertSparesTheCacheUnderCompiledCharge(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
 	const budget = 128 << 10
 	mat := mustCached(t, g, budget)
-	st := mat.(*indexed).lru
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mat.lru
+	pool := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 1})
 	defer pool.Close()
 	for i := 0; i < 4; i++ {
 		src := fmt.Sprintf(`FIND OUTLIERS FROM author{"A%d"}.paper.author JUDGED BY author.paper.venue TOP 5;`, i)
@@ -339,7 +324,7 @@ func TestInterruptedReductionLeavesNoEntry(t *testing.T) {
 			ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
 		}
 		var fired atomic.Bool
-		fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+		fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 			if !fired.CompareAndSwap(false, true) {
 				return
 			}
@@ -351,11 +336,8 @@ func TestInterruptedReductionLeavesNoEntry(t *testing.T) {
 			default:
 				<-ctx.Done()
 			}
-		}}
-		pool, err := NewServePool(NewEngine(g, WithMaterializer(fm)), ServeOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
+		pool := NewServePool(NewEngine(g, WithMaterializer(fm)), ServeOptions{Workers: 1})
 		if res, err := pool.Execute(ctx, faultRefQuery); err == nil {
 			t.Fatalf("%s in the reference loads: answered %+v", fault, res)
 		}
@@ -400,10 +382,7 @@ func TestOverShareEntryIsAnsweredNotRetained(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 128 KiB of cache: 2 KiB for any one entry.
-		pool, err := NewServePool(NewEngine(g, WithMeasure(tc.measure), WithMaterializer(mustCached(t, g, 128<<10))), ServeOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := NewServePool(NewEngine(g, WithMeasure(tc.measure), WithMaterializer(mustCached(t, g, 128<<10))), ServeOptions{Workers: 1})
 		var got *Result
 		for run := 0; run < 2; run++ {
 			if got, err = pool.Execute(context.Background(), tc.src); err != nil {
@@ -444,10 +423,7 @@ func TestServedHitAllocationCeiling(t *testing.T) {
 	if anchor < 0 {
 		t.Fatal("fixture: no author with ten candidates")
 	}
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(mustCached(t, g, 64<<20))), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(mustCached(t, g, 64<<20))), ServeOptions{Workers: 1})
 	defer pool.Close()
 	src := fmt.Sprintf("FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue.paper.author TOP 10;", g.Name(anchor))
 	ctx := context.Background()

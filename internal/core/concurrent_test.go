@@ -25,14 +25,14 @@ var concurrencyQueries = []string{
 	`FIND OUTLIERS FROM author{"A2"}.paper.venue.paper.author COMPARED TO author JUDGED BY author.paper.term;`,
 }
 
-func concurrencyMaterializers(t *testing.T, g *hin.Graph) map[string]func() Materializer {
+func concurrencyMaterializers(t *testing.T, g *hin.Graph) map[string]func() *Materializer {
 	a, _ := g.Schema().TypeByName("author")
 	authors := g.VerticesOfType(a)
-	return map[string]func() Materializer{
-		"baseline": func() Materializer { return NewBaseline(g) },
-		"pm":       func() Materializer { return NewPM(g) },
-		"spm":      func() Materializer { return NewSPMVertices(g, authors[:len(authors)/2]) },
-		"cached": func() Materializer {
+	return map[string]func() *Materializer{
+		"baseline": func() *Materializer { return NewBaseline(g) },
+		"pm":       func() *Materializer { return NewPM(g) },
+		"spm":      func() *Materializer { return NewSPMVertices(g, authors[:len(authors)/2]) },
+		"cached": func() *Materializer {
 			mat, err := NewCached(g, 8<<20)
 			if err != nil {
 				t.Fatal(err)
@@ -112,10 +112,7 @@ func TestPoolsLeaveTheEngineAsTheyFoundIt(t *testing.T) {
 			}
 			before := runtime.NumGoroutine()
 
-			pool, err := NewServePool(eng, ServeOptions{Workers: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pool := NewServePool(eng, ServeOptions{Workers: 3})
 			for i := 0; i < 2; i++ { // a compiled miss, then a hit
 				got, err := pool.Execute(context.Background(), src)
 				if err != nil {
@@ -137,10 +134,7 @@ func TestPoolsLeaveTheEngineAsTheyFoundIt(t *testing.T) {
 			}
 			pool.Close()
 
-			results, err := ExecuteBatch(eng, []string{src, src, src}, BatchOptions{Workers: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := ExecuteBatch(eng, []string{src, src, src}, BatchOptions{Workers: 3})
 			for i, br := range results {
 				if br.Err != nil {
 					t.Fatal(br.Err)
@@ -190,10 +184,7 @@ func TestServePoolStartsNoGoroutines(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(29)))
 	eng := NewEngine(g)
 	before := runtime.NumGoroutine()
-	pool, err := NewServePool(eng, ServeOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(eng, ServeOptions{Workers: 8})
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("NewServePool: %d goroutines, %d before", n, before)
 	}

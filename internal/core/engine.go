@@ -24,13 +24,8 @@ import (
 // otherwise — so any number of goroutines may call one Engine, over every
 // strategy. The concurrency contract is in DESIGN.md.
 type Engine struct {
-	g  *hin.Graph
-	tr *metapath.Traverser
-	// trMu guards tr: set evaluation (EvalSet and WHERE conditions) shares
-	// one traverser across concurrent queries, and the traverser's scratch
-	// is not concurrency-safe.
-	trMu    sync.Mutex
-	mat     Materializer
+	g       *hin.Graph
+	mat     *Materializer
 	measure Measure
 	combine Combination
 	// parallelism bounds how many local ranges a query's candidates split
@@ -71,7 +66,7 @@ type Option func(*Engine)
 func WithMeasure(m Measure) Option { return func(e *Engine) { e.measure = m } }
 
 // WithMaterializer selects the materialization strategy (default Baseline).
-func WithMaterializer(m Materializer) Option { return func(e *Engine) { e.mat = m } }
+func WithMaterializer(m *Materializer) Option { return func(e *Engine) { e.mat = m } }
 
 // WithQueryParallelism bounds intra-query parallelism: a query with more than
 // a chunk of candidates (128) splits them into up to n contiguous ranges,
@@ -119,7 +114,7 @@ func WithInflight(t *obs.Inflight) Option {
 // (WithObs) the materializer's instruments, and the in-flight gauge of
 // WithInflight, are registered on it, once per pair.
 func NewEngine(g *hin.Graph, opts ...Option) *Engine {
-	e := &Engine{g: g, tr: metapath.NewTraverser(g), measure: MeasureNetOut}
+	e := &Engine{g: g, measure: MeasureNetOut}
 	for _, o := range opts {
 		o(e)
 	}
@@ -142,7 +137,7 @@ func (e *Engine) Graph() *hin.Graph { return e.g }
 func (e *Engine) Measure() Measure { return e.measure }
 
 // Materializer returns the configured materialization strategy.
-func (e *Engine) Materializer() Materializer { return e.mat }
+func (e *Engine) Materializer() *Materializer { return e.mat }
 
 // Combination returns the configured multi-path combination mode.
 func (e *Engine) Combination() Combination { return e.combine }
@@ -401,15 +396,11 @@ func (e *Engine) emitEvent(ctx context.Context, trace *obs.Trace, query string, 
 // kernelCountsOf reads the cumulative traversal-kernel counters of a handle's
 // traversers, which are its own under every strategy, so the query that
 // borrowed it may read them.
-func kernelCountsOf(m Materializer) (metapath.KernelCounts, bool) {
-	x, ok := m.(*indexed)
-	if !ok {
-		return metapath.KernelCounts{}, false
+func kernelCountsOf(m *Materializer) metapath.KernelCounts {
+	if m.fill != nil {
+		return m.tr.KernelCounts().Add(m.fill.KernelCounts())
 	}
-	if x.fill != nil {
-		return x.tr.KernelCounts().Add(x.fill.KernelCounts()), true
-	}
-	return x.tr.KernelCounts(), true
+	return m.tr.KernelCounts()
 }
 
 // kernelDelta maps the non-zero per-kernel hop counts of an interval for an
@@ -500,9 +491,9 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 	// A cached materializer names the waist that misses of a feature path
 	// finish from; observeQuery copies the lines onto the wide event, so
 	// /debug/events shows why such a path is cheap — or no longer is.
-	if c, ok := e.mat.(*indexed); ok && c.cached() {
+	if e.mat.cached() {
 		for _, p := range plan.paths {
-			if line := c.lru.waistLine(p); line != "" {
+			if line := e.mat.lru.waistLine(p); line != "" {
 				tr.AddPlan(line)
 			}
 		}
@@ -524,7 +515,9 @@ func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer,
 // query validated against the schema, Sc and Sr as ascending vertex sets
 // (Sr is Sc when COMPARED TO is omitted), and the feature meta-paths with
 // their weights. validated, when non-nil, runs between validation and set
-// evaluation, where a traced caller closes its validate span.
+// evaluation, where a traced caller closes its validate span. The sets are
+// evaluated on a handle the query borrows (evalSet), and setWork is what that
+// read.
 func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*resolvedQuery, error) {
 	elemType, err := oql.Validate(q, e.g.Schema())
 	if err != nil {
@@ -535,15 +528,20 @@ func (e *Engine) resolve(ctx context.Context, q *oql.Query, validated func()) (*
 	}
 	start := time.Now()
 	plan := &resolvedQuery{q: q, elemType: elemType, combine: e.combine}
-	if plan.cands, err = e.evalSet(ctx, q.From, &plan.setWork); err != nil {
+	hs := e.borrow(1)
+	defer e.release(hs)
+	tr := hs.mats[0].tr
+	before := tr.Work()
+	if plan.cands, err = e.evalSet(ctx, q.From, tr); err != nil {
 		return nil, err
 	}
 	plan.refs = plan.cands
 	if q.ComparedTo != nil {
-		if plan.refs, err = e.evalSet(ctx, q.ComparedTo, &plan.setWork); err != nil {
+		if plan.refs, err = e.evalSet(ctx, q.ComparedTo, tr); err != nil {
 			return nil, err
 		}
 	}
+	plan.setWork = tr.Work() - before
 	plan.paths = make([]metapath.Path, len(q.Features))
 	plan.weights = make([]float64, len(q.Features))
 	for m, f := range q.Features {
@@ -578,22 +576,23 @@ func (e *Engine) EvalSet(expr oql.SetExpr) ([]hin.VertexID, error) {
 // EvalSetContext is EvalSet with cancellation, checked at per-vertex
 // granularity while WHERE conditions are evaluated.
 func (e *Engine) EvalSetContext(ctx context.Context, expr oql.SetExpr) ([]hin.VertexID, error) {
-	var work int64
-	return e.evalSet(ctx, expr, &work)
+	hs := e.borrow(1)
+	defer e.release(hs)
+	return e.evalSet(ctx, expr, hs.mats[0].tr)
 }
 
-// evalSet is EvalSetContext adding what its expansions read
-// (metapath.Traverser.Work) to *work.
-func (e *Engine) evalSet(ctx context.Context, expr oql.SetExpr, work *int64) ([]hin.VertexID, error) {
+// evalSet is EvalSetContext on tr, the traverser of a handle the caller
+// borrowed: every hop of a chain or a COUNT expands on it.
+func (e *Engine) evalSet(ctx context.Context, expr oql.SetExpr, tr *metapath.Traverser) ([]hin.VertexID, error) {
 	switch x := expr.(type) {
 	case *oql.SetChain:
-		return e.evalChain(ctx, x, work)
+		return e.evalChain(ctx, x, tr)
 	case *oql.SetBinary:
-		left, err := e.evalSet(ctx, x.Left, work)
+		left, err := e.evalSet(ctx, x.Left, tr)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.evalSet(ctx, x.Right, work)
+		right, err := e.evalSet(ctx, x.Right, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -610,20 +609,7 @@ func (e *Engine) evalSet(ctx context.Context, expr oql.SetExpr, work *int64) ([]
 	return nil, xerr.Newf(xerr.Internal, "core: unknown set expression %T", expr)
 }
 
-// expandSet advances a vertex set one hop on the engine's shared traverser,
-// adding what it read to *work. The mutex makes set evaluation safe under
-// concurrent queries (the traverser's scratch is single-goroutine); expansion
-// itself stays sequential per step.
-func (e *Engine) expandSet(set []hin.VertexID, t hin.TypeID, work *int64) []hin.VertexID {
-	e.trMu.Lock()
-	defer e.trMu.Unlock()
-	before := e.tr.Work()
-	set = e.tr.ExpandSet(set, t)
-	*work += e.tr.Work() - before
-	return set
-}
-
-func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain, work *int64) ([]hin.VertexID, error) {
+func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain, tr *metapath.Traverser) ([]hin.VertexID, error) {
 	s := e.g.Schema()
 	anchorType, ok := s.TypeByName(c.TypeName)
 	if !ok {
@@ -648,7 +634,7 @@ func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain, work *int64) ([
 		if !ok {
 			return nil, xerr.Newf(xerr.InvalidArgument, "core: unknown vertex type %q", step)
 		}
-		set = e.expandSet(set, t, work)
+		set = tr.ExpandSet(set, t)
 	}
 	if c.Where != nil {
 		filtered := set[:0:0]
@@ -656,7 +642,7 @@ func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain, work *int64) ([
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
-			keep, err := e.evalCond(ctx, c.Where, v, work)
+			keep, err := e.evalCond(ctx, c.Where, v, tr)
 			if err != nil {
 				return nil, err
 			}
@@ -669,10 +655,10 @@ func (e *Engine) evalChain(ctx context.Context, c *oql.SetChain, work *int64) ([
 	return set, nil
 }
 
-func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID, work *int64) (bool, error) {
+func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID, tr *metapath.Traverser) (bool, error) {
 	switch c := cond.(type) {
 	case *oql.CondBinary:
-		l, err := e.evalCond(ctx, c.Left, v, work)
+		l, err := e.evalCond(ctx, c.Left, v, tr)
 		if err != nil {
 			return false, err
 		}
@@ -684,12 +670,12 @@ func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID, wo
 		if c.Op == oql.CondOr && l {
 			return true, nil
 		}
-		return e.evalCond(ctx, c.Right, v, work)
+		return e.evalCond(ctx, c.Right, v, tr)
 	case *oql.CondNot:
-		inner, err := e.evalCond(ctx, c.Inner, v, work)
+		inner, err := e.evalCond(ctx, c.Inner, v, tr)
 		return !inner, err
 	case *oql.CondCount:
-		n, err := e.countNeighbors(v, c.Segments, work)
+		n, err := e.countNeighbors(v, c.Segments, tr)
 		if err != nil {
 			return false, err
 		}
@@ -701,7 +687,7 @@ func (e *Engine) evalCond(ctx context.Context, cond oql.Cond, v hin.VertexID, wo
 // countNeighbors counts the distinct meta-path neighbors of v along the
 // dotted steps: COUNT(A.paper) is the number of distinct papers of an
 // author ("has published at least 10 papers").
-func (e *Engine) countNeighbors(v hin.VertexID, steps []string, work *int64) (int, error) {
+func (e *Engine) countNeighbors(v hin.VertexID, steps []string, tr *metapath.Traverser) (int, error) {
 	s := e.g.Schema()
 	set := []hin.VertexID{v}
 	for _, step := range steps {
@@ -709,7 +695,7 @@ func (e *Engine) countNeighbors(v hin.VertexID, steps []string, work *int64) (in
 		if !ok {
 			return 0, xerr.Newf(xerr.InvalidArgument, "core: unknown vertex type %q", step)
 		}
-		set = e.expandSet(set, t, work)
+		set = tr.ExpandSet(set, t)
 	}
 	return len(set), nil
 }

@@ -625,7 +625,7 @@ func TestMaterializerLoadAllocs(t *testing.T) {
 	}
 	p, _ := metapath.ParseDotted(g.Schema(), "author.paper.author.paper.venue")
 	for _, c := range []struct {
-		mat Materializer
+		mat *Materializer
 		max float64
 	}{{NewPM(g), 2}, {spm, 18}} {
 		if n := allocs(c.mat.NeighborVector, p); n > c.max {
@@ -637,7 +637,7 @@ func TestMaterializerLoadAllocs(t *testing.T) {
 func TestMaterializerErrors(t *testing.T) {
 	g := fig1Graph(t)
 	p, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
-	for _, mat := range []Materializer{NewBaseline(g), NewPM(g), NewSPMVertices(g, nil)} {
+	for _, mat := range []*Materializer{NewBaseline(g), NewPM(g), NewSPMVertices(g, nil)} {
 		if _, err := mat.NeighborVector(metapath.Path{}, 0); err == nil {
 			t.Errorf("%s: zero path should fail", mat.Strategy())
 		}

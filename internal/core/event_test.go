@@ -95,7 +95,7 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 	expectOne("plan", "not_found", false)
 
 	// recovered panic
-	fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("journal panic probe")}
+	fm := hooked(NewBaseline(g), fireOnce("journal panic probe"))
 	engPanic := NewEngine(g, WithMaterializer(fm), WithEventSink(ring))
 	if _, err := engPanic.Execute(faultQuery); !IsPanicError(err) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -261,11 +261,11 @@ func TestInflightVisibleMidExecution(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(53)))
 	gate := make(chan struct{})
 	var entered atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		if entered.Add(1) == 1 {
 			<-gate // stall the first load until the inspector has looked
 		}
-	}}
+	})
 	tab := obs.NewInflight()
 	reg := obs.NewRegistry()
 	tab.RegisterMetrics(reg)
@@ -326,13 +326,13 @@ func TestInflightChunkProgressUnderPipeline(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(59)))
 	tab := obs.NewInflight()
 	var maxTotal atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		for _, row := range tab.Snapshot() {
 			if row.ChunksTotal > maxTotal.Load() {
 				maxTotal.Store(row.ChunksTotal)
 			}
 		}
-	}}
+	})
 	eng := NewEngine(g, WithMaterializer(fm), WithQueryParallelism(4), WithInflight(tab))
 	if _, err := eng.Execute(faultQuery); err != nil {
 		t.Fatal(err)
@@ -351,11 +351,8 @@ func TestServePoolEmitsEventsWithQueueWait(t *testing.T) {
 	ring := obs.NewEventRing(8)
 	reg := obs.NewRegistry()
 	tab := obs.NewInflight()
-	pool, err := NewServePool(NewEngine(g, WithObs(reg), WithEventSink(ring), WithInflight(tab)),
+	pool := NewServePool(NewEngine(g, WithObs(reg), WithEventSink(ring), WithInflight(tab)),
 		ServeOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer pool.Close()
 	if err := pool.Ready(); err != nil {
 		t.Fatalf("open pool not ready: %v", err)
@@ -511,11 +508,7 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 			// A view per call: one client serves every pool worker at once.
 			serve: func(ctx context.Context, req *ShardRequest, b *ShardBroadcast) *ShardResponse {
 				seenInflight.Store(max(seenInflight.Load(), tab.Len()))
-				mat, err := NewView(root)
-				if err != nil {
-					t.Error(err)
-				}
-				return ServeShardRequest(ctx, g, mat, req, b)
+				return ServeShardRequest(ctx, g, NewView(root), req, b)
 			},
 		}
 	}
@@ -558,13 +551,11 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 	}
 
 	t.Run("ServePool", func(t *testing.T) {
-		pool, err := NewServePool(eng, ServeOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := NewServePool(eng, ServeOptions{Workers: 2})
 		defer pool.Close()
 		got := make([]*Result, len(queries))
 		for i, q := range queries {
+			var err error
 			if got[i], err = pool.Execute(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
@@ -572,10 +563,7 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 		check(t, got)
 	})
 	t.Run("ExecuteBatch", func(t *testing.T) {
-		results, err := ExecuteBatch(eng, queries, BatchOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := ExecuteBatch(eng, queries, BatchOptions{Workers: 2})
 		got := make([]*Result, len(queries))
 		for i, br := range results {
 			if br.Err != nil {
@@ -606,10 +594,7 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 func TestEventNamesTheNumerators(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(47)))
 	ring := obs.NewEventRing(4)
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1)), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(eagerBaseline(g)), WithEventSink(ring), WithQueryParallelism(1)), ServeOptions{Workers: 1})
 	defer pool.Close()
 	p, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	if err != nil {
@@ -639,9 +624,8 @@ func TestEventNamesTheNumerators(t *testing.T) {
 
 // A reduction of Sr names its branch in one plan line: the set frontier, or
 // per-vertex loads with the first reason the set frontier was out — the
-// measure, the combination, a materializer with no traverser, a count that
-// reached 2⁵³, or Sr under the crossover with its candidates scored here,
-// Sr = Sc (held) or not (small). The branch follows the query's shape, not
+// measure, the combination, a count that reached 2⁵³, or Sr under the
+// crossover with its candidates scored here, Sr = Sc (held) or not (small). The branch follows the query's shape, not
 // the materializer: a cache whose crossover the set reaches propagates too,
 // and so does a coordinator of remote shards.
 func TestEventNamesTheReferenceSide(t *testing.T) {
@@ -650,7 +634,7 @@ func TestEventNamesTheReferenceSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.(*indexed).lru.minKnown = 1
+	cache.lru.minKnown = 1
 	// One paper of two authors and a venue, every link 2²⁷: S at the venue is
 	// 2·2⁵⁴.
 	s := hin.MustSchema("author", "paper", "venue")
@@ -676,7 +660,6 @@ func TestEventNamesTheReferenceSide(t *testing.T) {
 		{"refside=set", g, []Option{WithRemoteShards(newFakeFleet(t, g, 2)...)}, faultQuery},
 		{"refside=vertex (held)", g, nil, faultQuery},
 		{"refside=vertex (small)", g, nil, compared},
-		{"refside=vertex (materializer)", g, []Option{WithMaterializer(&faultMat{inner: eagerBaseline(g)})}, faultQuery},
 		{"refside=vertex (measure)", g, []Option{WithMeasure(MeasurePathSim)}, faultQuery},
 		{"refside=vertex (concat)", g, []Option{WithCombination(CombineConcat)}, faultQuery},
 		{"refside=vertex (2^53)", huge, []Option{WithMaterializer(eagerBaseline(huge))}, faultQuery},

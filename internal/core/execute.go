@@ -142,7 +142,7 @@ type rangeResult struct {
 // failed load leaves buf covering the candidates complete under every path,
 // and those are still scored and kept), so the caller can degrade instead of
 // the fault killing the query, or the process.
-func scoreRange(ctx context.Context, cs *candidateSide, mat Materializer, lo, hi, topK int) (rr rangeResult) {
+func scoreRange(ctx context.Context, cs *candidateSide, mat *Materializer, lo, hi, topK int) (rr rangeResult) {
 	start := time.Now()
 	sel := newTopSelector(topK)
 	defer func() {
@@ -195,11 +195,10 @@ func fanOut(vs []hin.VertexID, n int, fn func(i, lo, hi int)) {
 // handles are the materializer handles one query runs on, one per range. A
 // handle is a Materializer one goroutine uses at a time: the engine's own, or
 // a view of it (NewView) — private traversal scratch and counters over the
-// shared index, norm tables or cache. The query that borrowed them is their
-// only user until it gives them back, so it may read their counters
-// unsynchronized.
+// shared index and store. The query that borrowed them is their only user
+// until it gives them back, so it may read their counters unsynchronized.
 type handles struct {
-	mats []Materializer
+	mats []*Materializer
 	// root says mats[0] is the engine's own materializer.
 	root bool
 }
@@ -209,26 +208,20 @@ type handles struct {
 // query at a time executes on the materializer it configured; a query that
 // finds it taken, and every range after the first, gets a view, recycled
 // across queries — a view's traversal scratch is the expensive part of query
-// setup. A materializer NewView cannot view still serves one query at a time,
-// as one range; err is set only when there is no handle to run on at all.
-func (e *Engine) borrow(n int) (hs handles, err error) {
-	hs.mats = make([]Materializer, 0, max(n, 1))
+// setup.
+func (e *Engine) borrow(n int) (hs handles) {
+	hs.mats = make([]*Materializer, 0, max(n, 1))
 	if hs.root = e.rootLent.CompareAndSwap(false, true); hs.root {
 		hs.mats = append(hs.mats, e.mat)
 	}
 	for len(hs.mats) < cap(hs.mats) {
-		view, _ := e.viewPool.Get().(Materializer)
+		view, _ := e.viewPool.Get().(*Materializer)
 		if view == nil {
-			if view, err = NewView(e.mat); err != nil {
-				if len(hs.mats) == 0 {
-					return hs, err
-				}
-				break
-			}
+			view = NewView(e.mat)
 		}
 		hs.mats = append(hs.mats, view)
 	}
-	return hs, nil
+	return hs
 }
 
 // release gives back what borrow lent.
@@ -258,15 +251,12 @@ func (plan *queryPlan) countKernels(hs handles, before metapath.KernelCounts) {
 
 func (hs handles) work() (w work) {
 	for _, mat := range hs.mats {
-		w.mat = w.mat.Add(mat.Stats())
-		if x, ok := mat.(*indexed); ok {
-			w.hits, w.misses, w.read = w.hits+x.hits, w.misses+x.misses, w.read+x.tr.Work()
-			if x.fill != nil {
-				w.read += x.fill.Work()
-			}
+		w.mat = w.mat.Add(mat.stats)
+		w.hits, w.misses, w.read = w.hits+mat.hits, w.misses+mat.misses, w.read+mat.tr.Work()
+		if mat.fill != nil {
+			w.read += mat.fill.Work()
 		}
-		k, _ := kernelCountsOf(mat)
-		w.kernels = w.kernels.Add(k)
+		w.kernels = w.kernels.Add(kernelCountsOf(mat))
 	}
 	return w
 }
@@ -286,10 +276,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		// The reference side alone runs here, on one handle.
 		phase, ranges = [3]string{"reduce", "scatter", "merge"}, 1
 	}
-	hs, err := e.borrow(ranges)
-	if err != nil {
-		return err
-	}
+	hs := e.borrow(ranges)
 	// Deferred, so a panicking phase still returns its handles and reports
 	// the hops it did on them.
 	defer e.release(hs)

@@ -104,10 +104,7 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 	// Materialize the candidate's Φ under every path and reduce the reference
 	// side up front, so the trace's materialize phase covers all network
 	// work. S comes from referenceSide, the function Execute reduces with.
-	hs, err := e.borrow(1)
-	if err != nil {
-		return nil, err
-	}
+	hs := e.borrow(1)
 	defer e.release(hs)
 	before := hs.work()
 	phis := make([]sparse.Vector, len(plan.paths))

@@ -223,17 +223,17 @@ func TestProgressiveExactIsExecute(t *testing.T) {
 		`FIND OUTLIERS FROM author COMPARED TO author{"A3"}.paper.venue.paper.author
 JUDGED BY author.paper.venue : 1, author.paper.term : 2;`,
 	}
-	lowered := func(m Materializer, err error) Materializer {
+	lowered := func(m *Materializer, err error) *Materializer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.(*indexed).lru.minKnown = 1
+		m.lru.minKnown = 1
 		return m
 	}
-	mats := map[string]func() Materializer{
-		"baseline": func() Materializer { return eagerBaseline(g) },
-		"pm":       func() Materializer { return lowered(NewPM(g), nil) },
-		"cached":   func() Materializer { return lowered(NewCached(g, 1<<20)) },
+	mats := map[string]func() *Materializer{
+		"baseline": func() *Materializer { return eagerBaseline(g) },
+		"pm":       func() *Materializer { return lowered(NewPM(g), nil) },
+		"cached":   func() *Materializer { return lowered(NewCached(g, 1<<20)) },
 	}
 	for _, m := range []Measure{MeasureNetOut, MeasurePathSim, MeasureCosSim} {
 		for _, c := range []Combination{CombineAverage, CombineConcat} {
@@ -546,7 +546,7 @@ func TestSuggestMatchesPerVertexLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, mat := range map[string]Materializer{"baseline": NewBaseline(g), "eager": eagerBaseline(g), "cached": cache} {
+		for name, mat := range map[string]*Materializer{"baseline": NewBaseline(g), "eager": eagerBaseline(g), "cached": cache} {
 			eng := NewEngine(g, WithMeasure(measure), WithMaterializer(mat))
 			for _, src := range queries {
 				q := mustParse(t, src)
@@ -613,10 +613,7 @@ func TestExecuteBatch(t *testing.T) {
 		`bogus query`,
 		`FIND OUTLIERS FROM author JUDGED BY author.paper.author;`,
 	}
-	results, err := ExecuteBatch(NewEngine(g), queries, BatchOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := ExecuteBatch(NewEngine(g), queries, BatchOptions{Workers: 3})
 	if len(results) != len(queries) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -646,10 +643,7 @@ func TestExecuteBatchSharedIndex(t *testing.T) {
 				fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue;`, n))
 		}
 	}
-	results, err := ExecuteBatch(NewEngine(g, WithMaterializer(pm)), queries, BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := ExecuteBatch(NewEngine(g, WithMaterializer(pm)), queries, BatchOptions{Workers: 4})
 	serial := NewEngine(g)
 	var indexed int64
 	for i, br := range results {
@@ -683,10 +677,7 @@ func TestExecuteBatchSharedCache(t *testing.T) {
 				fmt.Sprintf(`FIND OUTLIERS FROM author{%q}.paper.author JUDGED BY author.paper.venue;`, n))
 		}
 	}
-	results, err := ExecuteBatch(NewEngine(g, WithMaterializer(mat)), queries, BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := ExecuteBatch(NewEngine(g, WithMaterializer(mat)), queries, BatchOptions{Workers: 4})
 	serial := NewEngine(g)
 	for i, br := range results {
 		if br.Err != nil {
@@ -717,17 +708,10 @@ func TestExecuteBatchSharedCache(t *testing.T) {
 	}
 }
 
-func TestNewViewErrors(t *testing.T) {
-	if _, err := NewView(nil); err == nil {
-		t.Error("nil materializer view should fail")
-	}
-}
-
 func TestExecuteBatchEmpty(t *testing.T) {
 	g := fig1Graph(t)
-	results, err := ExecuteBatch(NewEngine(g), nil, BatchOptions{})
-	if err != nil || len(results) != 0 {
-		t.Fatalf("empty batch: %v, %v", results, err)
+	if results := ExecuteBatch(NewEngine(g), nil, BatchOptions{}); len(results) != 0 {
+		t.Fatalf("empty batch: %v", results)
 	}
 }
 

@@ -1,12 +1,11 @@
 package core
 
 // Fault-injection harness for the serving-robustness layer: deterministic
-// panics, stalls and cancellations injected at the materializer seam (a
-// faultMat wrapping a real materializer via the viewable interface). Every
-// test here must pass under
-// `go test -race -cpu 1,4` — the whole point is proving the isolation,
-// shedding and degradation paths are correct under concurrency, not just on
-// the happy path.
+// panics, stalls and cancellations injected at the materializer's own seam,
+// its hook, on the strategies the engine ships (hooked). Every test here must
+// pass under `go test -race -cpu 1,4` — the whole point is proving the
+// isolation, shedding and degradation paths are correct under concurrency,
+// not just on the happy path.
 
 import (
 	"context"
@@ -15,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,36 +23,17 @@ import (
 	"netout/internal/hin"
 	"netout/internal/metapath"
 	"netout/internal/obs"
-	"netout/internal/sparse"
 	"netout/internal/xerr"
 )
 
-// faultMat wraps a real materializer and calls hook before every load. The
-// hook may panic, stall, cancel a context, or trip a synthetic deadline —
-// the injection point for every pipeline stage, since all of them load
-// vectors through this seam. Views share the same hook, so ServePool
-// workers, batch workers and pipeline chunk workers all inherit the faults.
-type faultMat struct {
-	inner Materializer
-	hook  func(p metapath.Path, v hin.VertexID)
-}
-
-func (f *faultMat) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
-	if f.hook != nil {
-		f.hook(p, v)
-	}
-	return f.inner.NeighborVector(p, v)
-}
-func (f *faultMat) Strategy() Strategy { return f.inner.Strategy() }
-func (f *faultMat) IndexBytes() int64  { return f.inner.IndexBytes() }
-func (f *faultMat) Stats() MatStats    { return f.inner.Stats() }
-
-func (f *faultMat) view() (Materializer, error) {
-	iv, err := NewView(f.inner)
-	if err != nil {
-		return nil, err
-	}
-	return &faultMat{inner: iv, hook: f.hook}, nil
+// hooked sets m's hook, which runs before every per-(path, vertex) load — a
+// NeighborVector or a visibility walk — and may panic, stall, cancel a
+// context, or trip a synthetic deadline: the injection point for every
+// pipeline stage, since all of them load through it. Views inherit the hook,
+// so ServePool workers, batch workers and ranges all inherit the faults.
+func hooked(m *Materializer, hook func(p metapath.Path, v hin.VertexID)) *Materializer {
+	m.hook = hook
+	return m
 }
 
 // deadlineAfterCtx reports context.DeadlineExceeded after a fixed number of
@@ -98,8 +79,8 @@ const setPolls = 2
 // the candidate set (every test graph has at least five authors), so on
 // every materializer the faultRefs reference loads are followed by one load
 // per candidate. Fault placement by load count goes through it: under
-// faultQuery a faultMat's single pass over Sr = Sc is the reference pass and
-// no candidate is loaded afterwards.
+// faultQuery and the default crossover the single pass over Sr = Sc is the
+// reference pass and no candidate is loaded afterwards.
 const (
 	faultRefQuery = `FIND OUTLIERS FROM author COMPARED TO author{"A0", "A1", "A2"} JUDGED BY author.paper.venue;`
 	faultRefs     = 3
@@ -124,13 +105,10 @@ func TestServePoolWorkerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			g := randomBibGraph(rand.New(rand.NewSource(7)))
-			fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected serve fault")}
+			fm := hooked(NewBaseline(g), fireOnce("injected serve fault"))
 			reg := obs.NewRegistry()
 			defer noGoroutineLeak(t, runtime.NumGoroutine())
-			pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pool := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: workers})
 			defer pool.Close()
 
 			done := make(chan struct{})
@@ -190,16 +168,13 @@ func TestServePoolOverloadSheds(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(9)))
 	gate := make(chan struct{})
 	var entered atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		entered.Add(1)
 		<-gate // stall every load until the gate opens
-	}}
+	})
 	reg := obs.NewRegistry()
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1, MaxQueue: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1, MaxQueue: 1})
 	defer pool.Close()
 
 	first := make(chan error, 1)
@@ -271,19 +246,16 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 	// candidate prefix, which the engine turns into the partial result
 	// Execute returns.
 	var loads atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		if loads.Add(1) == faultRefs+2 {
 			time.Sleep(300 * time.Millisecond)
 		}
-	}}
+	})
 	reg := obs.NewRegistry()
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{
+	pool := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{
 		Workers: 1, DefaultTimeout: 60 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer pool.Close()
 
 	res, err := pool.Execute(context.Background(), faultRefQuery)
@@ -390,11 +362,11 @@ func TestSequentialCancellationDoesNotDegrade(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(3)))
 	ctx, cancel := context.WithCancel(context.Background())
 	var loads atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		if loads.Add(1) == faultRefs+2 { // mid-candidate-phase, where degradation COULD apply
 			cancel()
 		}
-	}}
+	})
 	res, err := NewEngine(g, WithMaterializer(fm)).ExecuteContext(ctx, faultRefQuery)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
@@ -527,7 +499,7 @@ func TestQueryPanicIsolation(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			g := bigBibGraph(rand.New(rand.NewSource(13)))
-			fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected query fault")}
+			fm := hooked(NewBaseline(g), fireOnce("injected query fault"))
 			reg := obs.NewRegistry()
 			eng := NewEngine(g, WithMaterializer(fm), WithQueryParallelism(par), WithObs(reg))
 			res, err := eng.Execute(faultQuery)
@@ -562,21 +534,18 @@ func TestBatchCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var loads atomic.Int64
-			fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+			fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 				if loads.Add(1) == 3 { // no query can have finished yet
 					cancel()
 				}
-			}}
+			})
 			queries := make([]string, 6)
 			for i := range queries {
 				queries[i] = faultQuery
 			}
-			results, err := ExecuteBatch(NewEngine(g, WithMaterializer(fm)), queries, BatchOptions{
+			results := ExecuteBatch(NewEngine(g, WithMaterializer(fm)), queries, BatchOptions{
 				Workers: workers, Context: ctx,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if len(results) != len(queries) {
 				t.Fatalf("got %d results, want %d", len(results), len(queries))
 			}
@@ -595,15 +564,12 @@ func TestBatchPanicEntry(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			g := randomBibGraph(rand.New(rand.NewSource(19)))
-			fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected batch fault")}
+			fm := hooked(NewBaseline(g), fireOnce("injected batch fault"))
 			queries := make([]string, 6)
 			for i := range queries {
 				queries[i] = faultQuery
 			}
-			results, err := ExecuteBatch(NewEngine(g, WithMaterializer(fm)), queries, BatchOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := ExecuteBatch(NewEngine(g, WithMaterializer(fm)), queries, BatchOptions{Workers: workers})
 			panics := 0
 			for i, br := range results {
 				switch {
@@ -699,15 +665,10 @@ func TestRegisterMaterializerMetricsIdempotent(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := NewEngine(g, WithMaterializer(mat), WithObs(reg))
 	for i := 0; i < 2; i++ { // the call-twice regression for ExecuteBatch
-		if _, err := ExecuteBatch(eng, []string{faultQuery}, BatchOptions{Workers: 2}); err != nil {
-			t.Fatal(err)
-		}
+		ExecuteBatch(eng, []string{faultQuery}, BatchOptions{Workers: 2})
 	}
 	before := runtime.NumGoroutine()
-	pool, err := NewServePool(eng, ServeOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(eng, ServeOptions{Workers: 2})
 	if _, err := pool.Execute(context.Background(), faultQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -769,11 +730,11 @@ func rangeFaultFixture(t *testing.T, seed int64, src string) (g *hin.Graph, nA i
 func TestShardPanicIsolatesToPartial(t *testing.T) {
 	g, _, fullScore := rangeFaultFixture(t, 9, faultRefQuery)
 	var loads atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		if loads.Add(1) == faultRefs+2 {
 			panic("injected shard fault")
 		}
-	}}
+	})
 	eng := NewEngine(g, WithMaterializer(fm), WithQueryParallelism(3))
 	defer eng.Close()
 	res, err := eng.Execute(faultRefQuery)
@@ -819,19 +780,19 @@ func TestShardPanicIsolatesToPartial(t *testing.T) {
 // The wide event names the panic on the struck range.
 func TestDegradedRangePanicIsCounted(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(9)))
-	panicAt := func(n int64) Materializer {
+	panicAt := func(n int64) *Materializer {
 		var loads atomic.Int64
-		return &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+		return hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 			if loads.Add(1) == n {
 				panic("injected range fault")
 			}
-		}}
+		})
 	}
 	shards := 0
 	for name, opts := range map[string][]Option{
 		"local": {WithMaterializer(panicAt(faultRefs + 2)), WithQueryParallelism(3)},
 		// The second shard of two panics on its second candidate.
-		"remote": {WithRemoteShards(fakeFleetOf(g, 2, func(g *hin.Graph) Materializer {
+		"remote": {WithRemoteShards(fakeFleetOf(g, 2, func(g *hin.Graph) *Materializer {
 			if shards++; shards == 2 {
 				return panicAt(2)
 			}
@@ -860,6 +821,39 @@ func TestDegradedRangePanicIsCounted(t *testing.T) {
 				t.Fatalf("event names the panic on %d ranges, want 1: %+v", named, ring.Snapshot()[0].Shards)
 			}
 		})
+	}
+}
+
+// A panic in a visibility walk, the one load of a scan scored from its
+// numerators, degrades like a panicking vector load. On an eager baseline whose
+// norm table knows the first half of the authors (an anchored query scored
+// them), faultQuery reads its numerators (numer=walk) and walks the norms it
+// lacks; the third walk in the last of three ranges panics. That range
+// contributes nothing, and every other entry is the unfaulted run's bit for
+// bit.
+func TestVisibilityPanicDegradesToPartial(t *testing.T) {
+	g := bigBibGraph(rand.New(rand.NewSource(9)))
+	mat := eagerBaseline(g)
+	ring := obs.NewEventRing(1)
+	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(3), WithEventSink(ring))
+	cands, err := eng.CandidateSet(faultQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := `FIND OUTLIERS FROM author` + quoted(g, cands[:len(cands)/2]) + ` JUDGED BY author.paper.venue;`
+	if _, err := eng.Execute(half); err != nil {
+		t.Fatal(err)
+	}
+	ranges := hin.PartitionVertices(cands, 3)
+	var walks atomic.Int64
+	mat.hook = func(_ metapath.Path, v hin.VertexID) {
+		if v >= ranges[2][0] && walks.Add(1) == 3 {
+			panic("injected visibility fault")
+		}
+	}
+	expectPrefixPartial(t, g, eng, 2)
+	if plan := ring.Snapshot()[0].Plan; !slices.ContainsFunc(plan, func(line string) bool { return strings.HasSuffix(line, ": numer=walk") }) {
+		t.Fatalf("plan %q, want the scan scored from its numerators", plan)
 	}
 }
 

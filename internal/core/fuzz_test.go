@@ -20,7 +20,7 @@ func FuzzLoadIndex(f *testing.F) {
 	g := fig1Graph(f)
 	a, _ := g.Schema().TypeByName("author")
 	zoe, _ := g.VertexByName(a, "Zoe")
-	for _, m := range []Materializer{NewPM(g), NewSPMVertices(g, []hin.VertexID{zoe})} {
+	for _, m := range []*Materializer{NewPM(g), NewSPMVertices(g, []hin.VertexID{zoe})} {
 		var buf bytes.Buffer
 		if err := SaveIndex(m, &buf); err != nil {
 			f.Fatal(err)
@@ -36,7 +36,7 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ix := m.(*indexed).ix
+		ix := m.ix
 		want := indexFileVectors(t, data)
 		present := 0
 		ix.forEachPath(func(_ string, tbl *pathTable) { present += tbl.count })

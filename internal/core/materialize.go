@@ -66,40 +66,27 @@ func (s MatStats) Add(o MatStats) MatStats {
 	}
 }
 
-// Materializer produces neighbor vectors Φ_P(v), possibly from a
-// pre-computed index or a cache. A Materializer is one goroutine's at a time,
-// whatever its strategy: share its index, norm tables and cache across
-// goroutines via NewView, each view with its own scratch and counters.
-type Materializer interface {
-	// NeighborVector returns Φ_P(v).
-	NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error)
-	// Strategy identifies the implementation.
-	Strategy() Strategy
-	// IndexBytes reports the in-memory size of the pre-materialized index,
-	// as studied in Figure 5b, plus what its store keeps between queries: a
-	// cache's vectors and waist tables, the norm tables and kept N, and a
-	// pool's compiled queries.
-	IndexBytes() int64
-	// Stats returns this handle's cumulative cost counters since construction.
-	Stats() MatStats
-}
-
 // ---------------------------------------------------------------------------
 // Baseline, PM, SPM and Cached
 
-// indexed is Section 6's materializer: a length-2 index (pathIndex) over a
-// traverser. Baseline is the index with no table; PM and SPM fill it with
-// every vertex's length-2 vectors or the frequent vertices' ones; Cached
-// keeps vectors in its store beside the empty index (lru, cache.go). A load
-// goes two hops at a time by Section 6.2's identity, which Traverser.Combine
-// computes from the index, traversing the vectors it lacks (fills):
+// Materializer produces neighbor vectors Φ_P(v). It is Section 6's one
+// materializer: a length-2 index (pathIndex) over a traverser. Baseline is the
+// index with no table; PM and SPM fill it with every vertex's length-2 vectors
+// or the frequent vertices' ones; Cached keeps vectors in its store beside the
+// empty index (lru, cache.go). A load goes two hops at a time by Section 6.2's
+// identity, which Traverser.Combine computes from the index, traversing the
+// vectors it lacks (fills):
 //
 //	Φ_{P1 P2}(v) = Σ_j |π_P1(v, vj)| · Φ_P2(vj)
 //
 // A chunk with no table, one whose counts reach 2⁵³ and the odd tail are
 // walked hop by hop instead, as Baseline walks the whole path (walk). All the
 // hops one load walks are one traversed vector; each fill is one more.
-type indexed struct {
+//
+// A Materializer is one goroutine's at a time, whatever its strategy: share
+// its index and store across goroutines via NewView, each view with its own
+// traversal scratch and counters.
+type Materializer struct {
 	tr *metapath.Traverser
 	ix *pathIndex
 	// lru is the store, shared by every view: Cached's vectors, the norm
@@ -114,33 +101,42 @@ type indexed struct {
 	fill    *metapath.Traverser
 	unitIdx [1]int32 // the frontier {v} a load starts from
 	unitVal [1]float64
+	// hook, when set, runs first in each per-(path, vertex) load —
+	// NeighborVector and visibility — and views inherit it. Only the fault
+	// tests set it.
+	hook func(metapath.Path, hin.VertexID)
 }
 
-func newIndexed(g *hin.Graph, ix *pathIndex, strategy Strategy, maxBytes int64) *indexed {
-	return &indexed{tr: metapath.NewTraverser(g), ix: ix, strategy: strategy, lru: newSharedCacheState(g, maxBytes)}
+func newMaterializer(g *hin.Graph, ix *pathIndex, strategy Strategy, maxBytes int64) *Materializer {
+	return &Materializer{tr: metapath.NewTraverser(g), ix: ix, strategy: strategy, lru: newSharedCacheState(g, maxBytes)}
 }
 
 // NewBaseline returns the traversal-only materializer of Section 6.1: the
 // index with no table.
-func NewBaseline(g *hin.Graph) Materializer {
-	return newIndexed(g, newPathIndex(g), StrategyBaseline, keptMaxBytes)
+func NewBaseline(g *hin.Graph) *Materializer {
+	return newMaterializer(g, newPathIndex(g), StrategyBaseline, keptMaxBytes)
 }
 
-// view shares the immutable index and the store (norm tables of atomic words,
-// see visPath); traversal scratch and statistics are the view's own.
-func (m *indexed) view() (Materializer, error) {
-	return &indexed{tr: metapath.NewTraverser(m.tr.Graph()), ix: m.ix, lru: m.lru, strategy: m.strategy}, nil
-}
+// Strategy identifies the strategy the materializer was built for.
+func (m *Materializer) Strategy() Strategy { return m.strategy }
 
-func (m *indexed) Strategy() Strategy { return m.strategy }
-func (m *indexed) Stats() MatStats    { return m.stats }
+// Stats returns this handle's cumulative cost counters since construction.
+func (m *Materializer) Stats() MatStats { return m.stats }
 
-func (m *indexed) IndexBytes() int64 { return m.ix.bytes + m.lru.bytes.Load() }
+// IndexBytes reports the in-memory size of the pre-materialized index, as
+// studied in Figure 5b, plus what its store keeps between queries: a cache's
+// vectors and waist tables, the norm tables and kept N, and a pool's compiled
+// queries.
+func (m *Materializer) IndexBytes() int64 { return m.ix.bytes + m.lru.bytes.Load() }
 
 // cached reports Cached: the store keeps vectors, and a load reads it first.
-func (m *indexed) cached() bool { return m.strategy == StrategyCached }
+func (m *Materializer) cached() bool { return m.strategy == StrategyCached }
 
-func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+// NeighborVector returns Φ_P(v).
+func (m *Materializer) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector, error) {
+	if m.hook != nil {
+		m.hook(p, v)
+	}
 	if err := metapath.CheckSource(m.tr.Graph(), p, v); err != nil {
 		return sparse.Vector{}, err
 	}
@@ -165,7 +161,7 @@ func (m *indexed) NeighborVector(p metapath.Path, v hin.VertexID) (sparse.Vector
 // what it read (metapath.Traverser.Work) plus what the prefix it resumed from
 // had: the work of walking it from {v}, which each frontier it keeps is worth
 // up to its hop.
-func (m *indexed) walk(p metapath.Path, v hin.VertexID) (_ sparse.Vector, work int64, err error) {
+func (m *Materializer) walk(p metapath.Path, v hin.VertexID) (_ sparse.Vector, work int64, err error) {
 	n, key := p.Hops(), p.Key()
 	m.unitIdx, m.unitVal = [1]int32{int32(v)}, [1]float64{1}
 	frontier, hop := sparse.Vector{Idx: m.unitIdx[:], Val: m.unitVal[:]}, 0
@@ -213,7 +209,7 @@ func (m *indexed) walk(p metapath.Path, v hin.VertexID) (_ sparse.Vector, work i
 }
 
 // clock charges the hops expanded since *start, if any, to traversal time.
-func (m *indexed) clock(start *time.Time) {
+func (m *Materializer) clock(start *time.Time) {
 	if !start.IsZero() {
 		m.stats.TraversalTime += time.Since(*start)
 		*start = time.Time{}
@@ -223,7 +219,7 @@ func (m *indexed) clock(start *time.Time) {
 // chunk is the table of the chunk of key (a path's Key) from hop to hop+2,
 // looked up by the substring that shares key's bytes: nil when the index has
 // none, at an odd hop, and past the last whole chunk.
-func (m *indexed) chunk(key string, hop int) *pathTable {
+func (m *Materializer) chunk(key string, hop int) *pathTable {
 	if hop%2 != 0 || hop+3 > len(key) {
 		return nil
 	}
@@ -233,7 +229,7 @@ func (m *indexed) chunk(key string, hop int) *pathTable {
 // chunkStep advances frontier along tbl's chunk: at hop 0, where frontier is
 // {v}, by the probe at v (the vector buildIndex walked), later by combine.
 // ok is false on a miss at hop 0.
-func (m *indexed) chunkStep(tbl *pathTable, frontier sparse.Vector, hop int) (sparse.Vector, bool, error) {
+func (m *Materializer) chunkStep(tbl *pathTable, frontier sparse.Vector, hop int) (sparse.Vector, bool, error) {
 	if hop == 0 {
 		out, ok := m.probe(tbl, hin.VertexID(frontier.Idx[0]))
 		return out, ok, nil
@@ -242,7 +238,7 @@ func (m *indexed) chunkStep(tbl *pathTable, frontier sparse.Vector, hop int) (sp
 }
 
 // probe reads Φ at u from tbl: an indexed vector when there.
-func (m *indexed) probe(tbl *pathTable, u hin.VertexID) (sparse.Vector, bool) {
+func (m *Materializer) probe(tbl *pathTable, u hin.VertexID) (sparse.Vector, bool) {
 	start := time.Now()
 	vec, ok := m.ix.probe(tbl, u)
 	m.stats.IndexedTime += time.Since(start) // a miss paid the lookup too
@@ -257,7 +253,7 @@ func (m *indexed) probe(tbl *pathTable, u hin.VertexID) (sparse.Vector, bool) {
 // the work it read. ok is false where a count reaches 2⁵³ and Combine's sums
 // stop being order-free: the caller expands the hops instead, so the result
 // is Baseline's bit for bit whatever the counts.
-func (m *indexed) combine(frontier sparse.Vector, suffix metapath.Path, get func(hin.VertexID) (sparse.Vector, bool), keep func(hin.VertexID, sparse.Vector, int64)) (out sparse.Vector, ok bool, err error) {
+func (m *Materializer) combine(frontier sparse.Vector, suffix metapath.Path, get func(hin.VertexID) (sparse.Vector, bool), keep func(hin.VertexID, sparse.Vector, int64)) (out sparse.Vector, ok bool, err error) {
 	out, ok = m.tr.Combine(frontier, func(u hin.VertexID) sparse.Vector {
 		vec, found := get(u)
 		if !found {
@@ -276,7 +272,7 @@ func (m *indexed) combine(frontier sparse.Vector, suffix metapath.Path, get func
 
 // fillVector traverses Φ_suffix(u) for a table that lacks it, on the fill
 // traverser: one traversed vector, and the work it read.
-func (m *indexed) fillVector(suffix metapath.Path, u hin.VertexID) (sparse.Vector, int64, error) {
+func (m *Materializer) fillVector(suffix metapath.Path, u hin.VertexID) (sparse.Vector, int64, error) {
 	if m.fill == nil {
 		m.fill = metapath.NewTraverser(m.tr.Graph())
 	}
@@ -287,14 +283,14 @@ func (m *indexed) fillVector(suffix metapath.Path, u hin.VertexID) (sparse.Vecto
 }
 
 // traversed accounts one traversal begun at start.
-func (m *indexed) traversed(start time.Time) {
+func (m *Materializer) traversed(start time.Time) {
 	m.stats.TraversalTime += time.Since(start)
 	m.stats.TraversedVectors++
 }
 
 // setVector is the set-frontier reduction (Traverser.SetVector) on the
 // traverser, whatever the strategy, accounted as one traversed vector.
-func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
+func (m *Materializer) setVector(ctx context.Context, p metapath.Path, set []hin.VertexID) (sparse.Vector, bool, error) {
 	defer m.traversed(time.Now())
 	return m.tr.SetVector(ctx, p, set)
 }
@@ -310,7 +306,7 @@ func (m *indexed) setVector(ctx context.Context, p metapath.Path, set []hin.Vert
 // the same bits. how says which ran, "memo" or "walk". A walk is one
 // traversed vector, kept or not; a read one indexed vector, after a poll of
 // ctx whose error fails the caller whole as the walk's polls do.
-func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, key ckey, at []hin.VertexID) (vals []float64, how string, err error) {
+func (m *Materializer) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, key ckey, at []hin.VertexID) (vals []float64, how string, err error) {
 	w, _ := m.lru.lookup(key).(*keptN)
 	if w != nil && w.num != nil && sameBits(w.s, seed) {
 		if err := ctxErr(ctx); err != nil {
@@ -351,7 +347,10 @@ func (m *indexed) seedValues(ctx context.Context, p metapath.Path, seed sparse.V
 // visibility traverses ‖Φ_p(v)‖², allocating nothing, and leaves it in tbl,
 // worth the walk: one traversed vector. A known norm is read by the caller
 // (fromNumerators).
-func (m *indexed) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
+func (m *Materializer) visibility(p metapath.Path, v hin.VertexID, tbl *visPath) (float64, error) {
+	if m.hook != nil {
+		m.hook(p, v)
+	}
 	defer m.traversed(time.Now())
 	work := m.tr.Work()
 	vis, err := m.tr.Visibility(p, v)
@@ -382,8 +381,8 @@ func allLength2Paths(s *hin.Schema) []metapath.Path {
 // path of paths (length 2, Section 6.2) from every vertex sources returns for
 // the path's source type. Construction cost is deliberately front-loaded (it
 // models an offline indexing phase).
-func buildIndex(g *hin.Graph, strategy Strategy, paths []metapath.Path, sources func(hin.TypeID) []hin.VertexID) Materializer {
-	m := newIndexed(g, newPathIndex(g), strategy, keptMaxBytes)
+func buildIndex(g *hin.Graph, strategy Strategy, paths []metapath.Path, sources func(hin.TypeID) []hin.VertexID) *Materializer {
+	m := newMaterializer(g, newPathIndex(g), strategy, keptMaxBytes)
 	for _, p := range paths {
 		if p.Hops() != 2 {
 			panic(fmt.Sprintf("core: %s pre-materializes length-2 paths only, got %v", strategy, p))
@@ -403,13 +402,13 @@ func buildIndex(g *hin.Graph, strategy Strategy, paths []metapath.Path, sources 
 // NewPM builds the full pre-materialization strategy: Φ vectors for every
 // schema-valid length-2 meta-path from every vertex. Query time then pays
 // only index lookups plus single-hop traversal for odd-length paths.
-func NewPM(g *hin.Graph) Materializer {
+func NewPM(g *hin.Graph) *Materializer {
 	return NewPMPaths(g, allLength2Paths(g.Schema()))
 }
 
 // NewPMPaths builds PM restricted to a subset of length-2 meta-paths
 // (Section 6.2: "we may compute all length-2 paths or only a subset").
-func NewPMPaths(g *hin.Graph, paths []metapath.Path) Materializer {
+func NewPMPaths(g *hin.Graph, paths []metapath.Path) *Materializer {
 	return buildIndex(g, StrategyPM, paths, g.VerticesOfType)
 }
 
@@ -427,7 +426,7 @@ type SPMConfig struct {
 // throwaway baseline engine, counts how often each vertex appears across
 // candidate sets, and pre-materializes all length-2 meta-paths starting
 // from the vertices whose relative frequency reaches the threshold.
-func NewSPM(g *hin.Graph, initQueries []string, cfg SPMConfig) (Materializer, error) {
+func NewSPM(g *hin.Graph, initQueries []string, cfg SPMConfig) (*Materializer, error) {
 	if cfg.Threshold < 0 || cfg.Threshold > 1 {
 		return nil, fmt.Errorf("core: SPM threshold must be in [0,1], got %g", cfg.Threshold)
 	}
@@ -455,7 +454,7 @@ func NewSPM(g *hin.Graph, initQueries []string, cfg SPMConfig) (Materializer, er
 // NewSPMVertices builds SPM with an explicit pre-selected vertex set,
 // bypassing the frequency-counting phase. Useful for tests and for callers
 // that track query logs themselves.
-func NewSPMVertices(g *hin.Graph, vertices []hin.VertexID) Materializer {
+func NewSPMVertices(g *hin.Graph, vertices []hin.VertexID) *Materializer {
 	byType := make(map[hin.TypeID][]hin.VertexID)
 	for _, v := range vertices {
 		byType[g.Type(v)] = append(byType[g.Type(v)], v)

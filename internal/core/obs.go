@@ -23,17 +23,16 @@ import (
 //
 // Registration is idempotent per (registry, materializer): NewEngine calls it
 // for an engine with a registry, and so may the materializer's owner.
-func RegisterMaterializerMetrics(reg *obs.Registry, m Materializer) {
-	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%T:%p", m, m)) {
+func RegisterMaterializerMetrics(reg *obs.Registry, m *Materializer) {
+	if !reg.Once(fmt.Sprintf("core:materializer-metrics:%p", m)) {
 		return
 	}
 	reg.GaugeFunc("netout_index_bytes", "In-memory size of the pre-materialized index plus the materializer's store, one budget ranked by work per byte: cached vectors and waist tables, norm tables and kept numerators, a pool's compiled queries.",
 		func() float64 { return float64(m.IndexBytes()) })
-	c, ok := m.(*indexed)
-	if !ok || !c.cached() {
+	if !m.cached() {
 		return
 	}
-	st := c.lru
+	st := m.lru
 	reg.CounterFunc("netout_cache_hits_total", "Cache hits (including singleflight-deduplicated loads).",
 		func() float64 { return float64(st.hits.Load()) })
 	reg.CounterFunc("netout_cache_misses_total", "Cache misses (each one network traversal).",

@@ -66,10 +66,7 @@ func TestServePoolMetricsMatchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat), WithObs(reg), WithEventSink(slow)), ServeOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(mat), WithObs(reg), WithEventSink(slow)), ServeOptions{Workers: 3})
 	defer pool.Close()
 
 	// Sequential submission keeps the engines' delta-based vector counters

@@ -32,22 +32,21 @@ const (
 
 // SaveIndex writes a pre-materialized index (PM or SPM) to w. Baseline and
 // cached materializers have no persistent index and are rejected.
-func SaveIndex(m Materializer, w io.Writer) error {
-	im, ok := m.(*indexed)
-	if !ok || im.strategy == StrategyBaseline || im.cached() {
+func SaveIndex(m *Materializer, w io.Writer) error {
+	if m.strategy == StrategyBaseline || m.cached() {
 		return fmt.Errorf("core: %s has no persistent index", m.Strategy())
 	}
-	g := im.tr.Graph()
+	g := m.tr.Graph()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(indexMagic); err != nil {
 		return err
 	}
 	head := []uint64{
 		indexVersion,
-		uint64(im.strategy),
+		uint64(m.strategy),
 		uint64(g.NumVertices()),
 		uint64(g.NumEdges()),
-		uint64(im.ix.numPaths()),
+		uint64(m.ix.numPaths()),
 	}
 	for _, h := range head {
 		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
@@ -55,7 +54,7 @@ func SaveIndex(m Materializer, w io.Writer) error {
 		}
 	}
 	var werr error
-	im.ix.forEachPath(func(key string, t *pathTable) {
+	m.ix.forEachPath(func(key string, t *pathTable) {
 		if werr != nil {
 			return
 		}
@@ -73,7 +72,7 @@ func SaveIndex(m Materializer, w io.Writer) error {
 		}
 		// The arena stores each table's vectors in vertex order, so this walk
 		// streams the idx/val arrays near-sequentially.
-		t.forEach(im.ix, func(v hin.VertexID, vec sparse.Vector) {
+		t.forEach(m.ix, func(v hin.VertexID, vec sparse.Vector) {
 			if werr != nil {
 				return
 			}
@@ -103,7 +102,7 @@ func SaveIndex(m Materializer, w io.Writer) error {
 
 // LoadIndex reads an index written by SaveIndex and returns a materializer
 // over g. The graph must match the one the index was built from.
-func LoadIndex(g *hin.Graph, r io.Reader) (Materializer, error) {
+func LoadIndex(g *hin.Graph, r io.Reader) (*Materializer, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -205,11 +204,11 @@ func LoadIndex(g *hin.Graph, r io.Reader) (Materializer, error) {
 			ix.put(path, hin.VertexID(v), vec)
 		}
 	}
-	return newIndexed(g, ix, strategy, keptMaxBytes), nil
+	return newMaterializer(g, ix, strategy, keptMaxBytes), nil
 }
 
 // SaveIndexFile writes the index to a file.
-func SaveIndexFile(m Materializer, path string) error {
+func SaveIndexFile(m *Materializer, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -222,7 +221,7 @@ func SaveIndexFile(m Materializer, path string) error {
 }
 
 // LoadIndexFile reads an index from a file.
-func LoadIndexFile(g *hin.Graph, path string) (Materializer, error) {
+func LoadIndexFile(g *hin.Graph, path string) (*Materializer, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -126,20 +126,17 @@ func TestPipelineDeterminism(t *testing.T) {
 		}
 		mats := []struct {
 			name string
-			mk   func() Materializer
+			mk   func() *Materializer
 		}{
-			{"baseline", func() Materializer { return NewBaseline(g) }},
-			{"pm", func() Materializer {
-				view, err := NewView(pm)
-				if err != nil {
-					t.Fatal(err)
-				}
+			{"baseline", func() *Materializer { return NewBaseline(g) }},
+			{"pm", func() *Materializer {
+				view := NewView(pm)
 				return view
 			}},
 			// Fresh (cold) cache per run: the hit/miss split is deterministic
 			// for a fixed starting state, which is what the engine's stats
 			// aggregation promises.
-			{"cached", func() Materializer {
+			{"cached", func() *Materializer {
 				c, err := NewCached(g, 64<<20)
 				if err != nil {
 					t.Fatal(err)

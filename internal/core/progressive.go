@@ -127,10 +127,7 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 	res := &Result{CandidateCount: len(cands), ReferenceCount: n}
 	res.Timing.SetRetrieval = plan.setRetrieval
 
-	hs, err := e.borrow(1)
-	if err != nil {
-		return nil, err
-	}
+	hs := e.borrow(1)
 	defer e.release(hs)
 	// Every candidate's Φ, loaded once and held for every snapshot. No
 	// degradation here: without every candidate there are no estimates at

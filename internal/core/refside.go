@@ -31,8 +31,7 @@ import (
 //     candidates are scored on remote shards. S is Float64bits-identical to
 //     the loop's: path counts are integers, exact below 2⁵³, and SetVector
 //     reports a count that got there; the other branch then runs.
-//   - Per-vertex loads + sparse.Sum otherwise: a materializer with no
-//     traverser (a fault-injecting wrapper), or a set under the crossover
+//   - Per-vertex loads + sparse.Sum otherwise: a set under the crossover
 //     whose candidates are scored here, its loads reads wherever a store or
 //     an index holds its vectors. When Sr ≡ Sc the loaded vectors ARE the
 //     candidates' and come back as held (held[m][i] is Φ_paths[m](cands[i])),
@@ -45,14 +44,12 @@ func (e *Engine) referenceSide(ctx context.Context, plan *queryPlan, hs handles)
 	}
 	refs, paths := plan.refs, plan.paths
 	stride := int32(e.g.NumVertices())
-	sm, ok := hs.mats[0].(*indexed)
+	sm := hs.mats[0]
 	switch {
 	case e.measure != MeasureNetOut:
 		plan.refside = "refside=vertex (measure)"
 	case plan.combine != CombineAverage:
 		plan.refside = "refside=vertex (concat)"
-	case !ok:
-		plan.refside = "refside=vertex (materializer)"
 	case len(e.remotes) > 0 || len(refs) >= sm.lru.need(paths[0].Source()):
 		scorers = &queryScorers{weights: plan.weights, stride: stride, perPath: make([]*refScorer, len(paths))}
 		exact := true

@@ -48,7 +48,7 @@ func scorerBitEqual(t *testing.T, label string, want, got *refScorer) {
 // refSideMaterializers builds a fresh one of each materializer kind:
 // traversal-only, cache-backed and index-backed, and the first two again
 // with the crossover lowered (eagerBaseline) so small sets propagate.
-func refSideMaterializers(t *testing.T, g *hin.Graph) map[string]Materializer {
+func refSideMaterializers(t *testing.T, g *hin.Graph) map[string]*Materializer {
 	t.Helper()
 	cache, err := NewCached(g, 64<<20)
 	if err != nil {
@@ -58,8 +58,8 @@ func refSideMaterializers(t *testing.T, g *hin.Graph) map[string]Materializer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eagerCache.(*indexed).lru.minKnown = 1
-	return map[string]Materializer{"baseline": NewBaseline(g), "cached": cache, "pm": NewPM(g),
+	eagerCache.lru.minKnown = 1
+	return map[string]*Materializer{"baseline": NewBaseline(g), "cached": cache, "pm": NewPM(g),
 		"baseline/eager": eagerBaseline(g), "cached/eager": eagerCache}
 }
 
@@ -91,7 +91,7 @@ func TestReferenceSideMatchesPerVertexLoop(t *testing.T) {
 						e := NewEngine(g, WithMeasure(measure), WithCombination(combine), WithMaterializer(mat))
 						plan := &queryPlan{resolvedQuery: &resolvedQuery{cands: authors, refs: refs, paths: paths, weights: []float64{1, 2.5, 0.3}, combine: combine}}
 						want := loopScorers(t, e, plan)
-						got, held, err := e.referenceSide(context.Background(), plan, handles{mats: []Materializer{mat}})
+						got, held, err := e.referenceSide(context.Background(), plan, handles{mats: []*Materializer{mat}})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -104,7 +104,7 @@ func TestReferenceSideMatchesPerVertexLoop(t *testing.T) {
 						for m := range want.perPath {
 							scorerBitEqual(t, fmt.Sprintf("%s path %d", label, m), want.perPath[m], got.perPath[m])
 						}
-						propagated := measure == MeasureNetOut && combine == CombineAverage && len(refs) >= mat.(*indexed).lru.need(a)
+						propagated := measure == MeasureNetOut && combine == CombineAverage && len(refs) >= mat.lru.need(a)
 						if wantHeld := len(refs) == len(authors) && !propagated; (held != nil) != wantHeld {
 							t.Fatalf("%s: held vectors returned = %v, want %v", label, held != nil, wantHeld)
 						}
@@ -214,7 +214,7 @@ func TestReferenceSideFallsThroughPast2To53(t *testing.T) {
 	}
 	g := b.Build()
 	apv := metapath.MustNew(a, p, v)
-	if _, exact, err := NewBaseline(g).(*indexed).setVector(context.Background(), apv, g.VerticesOfType(a)); err != nil || exact {
+	if _, exact, err := NewBaseline(g).setVector(context.Background(), apv, g.VerticesOfType(a)); err != nil || exact {
 		t.Fatalf("fixture stays in the exact domain (exact=%v, err=%v)", exact, err)
 	}
 	cache, err := NewCached(g, 1<<20)

@@ -238,17 +238,13 @@ func (rs *refScorer) state() ShardRefState {
 // refsOf is b as this shard scores it. A digest names the state the store
 // keeps under it (NOT_FOUND when there is none); a state sent to be kept is
 // replaced by the one kept under its own Sum, or kept. So every repeat scores
-// one S object, which a kept N matches by identity (indexed.seedValues). The
-// result is RefsDigest: every state beside the Sum it is kept under, which the
-// shard's scorers take as theirs (scorersFromRequest), and the kept entries,
-// which hold the keys of its N. A materializer with no store keeps nothing.
-func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
+// one S object, which a kept N matches by identity (Materializer.seedValues).
+// The result is RefsDigest: every state beside the Sum it is kept under, which
+// the shard's scorers take as theirs (scorersFromRequest), and the kept
+// entries, which hold the keys of its N.
+func refsOf(mat *Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 	if b == nil || b.Form == RefsFull {
 		return b, nil
-	}
-	var store *sharedCacheState
-	if sm, ok := mat.(*indexed); ok {
-		store = sm.lru
 	}
 	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs)), Form: RefsDigest, kept: make([]*keptRef, len(b.Refs))}
 	for i, st := range b.Refs {
@@ -256,7 +252,7 @@ func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 			st.Digest = st.Sum()
 		}
 		k := &keptRef{key: ckey{path: string(st.Digest[:]), v: refOf}, st: st}
-		if kept, ok := store.lookup(k.key).(*keptRef); ok {
+		if kept, ok := mat.lru.lookup(k.key).(*keptRef); ok {
 			k = kept
 		} else if b.Form == RefsDigest {
 			return nil, xerr.New(xerr.NotFound, "core: unknown reference digest")
@@ -265,7 +261,7 @@ func refsOf(mat Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 			for _, r := range st.Refs {
 				k.work += int64(len(r.Idx))
 			}
-			store.put(nil, k)
+			mat.lru.put(nil, k)
 		}
 		out.Refs[i], out.kept[i] = k.st, k
 	}
@@ -498,7 +494,7 @@ func (a *weightedMean) value() (float64, bool) {
 // response beside the exact prefix scored before it, so a coordinator always
 // has a reply to merge or degrade. The materializer must be the caller's
 // alone for the call (a handle ServePool.Run lends).
-func ServeShardRequest(ctx context.Context, g *hin.Graph, mat Materializer, req *ShardRequest, b *ShardBroadcast) *ShardResponse {
+func ServeShardRequest(ctx context.Context, g *hin.Graph, mat *Materializer, req *ShardRequest, b *ShardBroadcast) *ShardResponse {
 	start := time.Now()
 	base := mat.Stats()
 	var plan []string

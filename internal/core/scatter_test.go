@@ -97,9 +97,9 @@ func TestShardedStrategiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mats := map[string]func() Materializer{
-		"pm": func() Materializer { return NewPM(g) },
-		"cached": func() Materializer {
+	mats := map[string]func() *Materializer{
+		"pm": func() *Materializer { return NewPM(g) },
+		"cached": func() *Materializer {
 			m, err := NewCached(g, 1<<20)
 			if err != nil {
 				t.Fatal(err)

@@ -58,7 +58,7 @@ func newFakeFleet(t *testing.T, g *hin.Graph, n int) []RemoteShard {
 
 // fakeFleetOf is newFakeFleet with the shards' materializer chosen by the
 // caller.
-func fakeFleetOf(g *hin.Graph, n int, newMat func(*hin.Graph) Materializer) []RemoteShard {
+func fakeFleetOf(g *hin.Graph, n int, newMat func(*hin.Graph) *Materializer) []RemoteShard {
 	remotes := make([]RemoteShard, n)
 	for i := range remotes {
 		mat := newMat(g)
@@ -182,7 +182,7 @@ func TestServeShardRequestRejectsForeignPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mat := range map[string]Materializer{"baseline": NewBaseline(g), "cached": cache} {
+	for name, mat := range map[string]*Materializer{"baseline": NewBaseline(g), "cached": cache} {
 		for label, p := range map[string]metapath.Path{
 			"empty":          {},
 			"foreign source": metapath.MustNew(0x7f, a),

@@ -20,9 +20,9 @@ import (
 // frontier is copied out of hop scratch and kept; byte-starved: none is, and
 // results are evicted behind the caller's back) and a PM view, whose longer
 // paths take the traverser's odd-tail hop.
-func aliasMaterializers(t *testing.T, g *hin.Graph) map[string]Materializer {
+func aliasMaterializers(t *testing.T, g *hin.Graph) map[string]*Materializer {
 	t.Helper()
-	mats := map[string]Materializer{"baseline": NewBaseline(g)}
+	mats := map[string]*Materializer{"baseline": NewBaseline(g)}
 	for name, maxBytes := range map[string]int64{"cached": 64 << 20, "cached-starved": 900} {
 		m, err := NewCached(g, maxBytes)
 		if err != nil {
@@ -30,10 +30,7 @@ func aliasMaterializers(t *testing.T, g *hin.Graph) map[string]Materializer {
 		}
 		mats[name] = m
 	}
-	view, err := NewView(NewPM(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := NewView(NewPM(g))
 	mats["pm-view"] = view
 	return mats
 }
@@ -93,7 +90,7 @@ func TestSetVectorResultOwnsItsStorage(t *testing.T) {
 		g := randomBibGraph(rand.New(rand.NewSource(seed)))
 		a, _ := g.Schema().TypeByName("author")
 		authors := g.VerticesOfType(a)
-		mat := NewBaseline(g).(*indexed)
+		mat := NewBaseline(g)
 		var got, want []sparse.Vector
 		var labels []string
 		for _, set := range [][]hin.VertexID{authors, authors[:2], authors[2:], authors} {

@@ -115,11 +115,7 @@ type ServeStats struct {
 // goroutine. With a registry on eng (WithObs) the pool's traffic counters are
 // registered there. The pool does not close eng's remote shards, and leaves
 // eng as usable as it found it. Close waits for the queries it admitted.
-func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
-	ranges, err := eng.pooled()
-	if err != nil {
-		return nil, err
-	}
+func NewServePool(eng *Engine, opts ServeOptions) *ServePool {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -128,7 +124,7 @@ func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
 		tokens:   make(chan struct{}, workers),
 		eng:      eng,
 		compiled: newCompiledCache(eng.mat),
-		ranges:   ranges,
+		ranges:   eng.pooled(),
 		timeout:  opts.DefaultTimeout,
 	}
 	if opts.MaxQueue > 0 {
@@ -137,7 +133,7 @@ func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
 	if eng.obs != nil {
 		p.registerMetrics(eng.obs, workers)
 	}
-	return p, nil
+	return p
 }
 
 // Execute runs one query on the caller's goroutine once the pool admits it
@@ -178,13 +174,10 @@ func (p *ServePool) Execute(ctx context.Context, src string) (*Result, error) {
 // Run is Execute's gate around fn — a shard server's request (shardnet): fn
 // runs on a handle the engine lends, over its network g; its error (a panic as
 // a *PanicError) is Run's, counted like a query's. Run adds no deadline or ID.
-func (p *ServePool) Run(ctx context.Context, fn func(ctx context.Context, g *hin.Graph, mat Materializer) error) error {
+func (p *ServePool) Run(ctx context.Context, fn func(ctx context.Context, g *hin.Graph, mat *Materializer) error) error {
 	_, err := p.admit(ctx, func(ctx context.Context) (_ *Result, err error) {
 		defer recoverAsError(&err)
-		hs, err := p.eng.borrow(1)
-		if err != nil {
-			return nil, err
-		}
+		hs := p.eng.borrow(1)
 		defer p.eng.release(hs)
 		return nil, fn(ctx, p.eng.g, hs.mats[0])
 	})

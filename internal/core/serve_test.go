@@ -7,10 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"netout/internal/hin"
-	"netout/internal/metapath"
-	"netout/internal/sparse"
 )
 
 func TestServePoolMatchesSerialEngine(t *testing.T) {
@@ -35,10 +31,7 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
 	defer pool.Close()
 
 	// Hammer the pool from more goroutines than workers, each running the
@@ -90,10 +83,7 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 func TestServePoolContextAndClose(t *testing.T) {
 	g := fig1Graph(t)
 	before := runtime.NumGoroutine()
-	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 2})
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`
 
 	// A cancelled context aborts instead of executing.
@@ -131,29 +121,10 @@ func TestServePoolDefaultsAndErrors(t *testing.T) {
 	g := fig1Graph(t)
 	// Default worker count and baseline materializer.
 	before := runtime.NumGoroutine()
-	pool, err := NewServePool(NewEngine(g), ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g), ServeOptions{})
 	if res, err := pool.Execute(context.Background(), `FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`); err != nil || len(res.Entries) == 0 {
 		t.Fatalf("default pool: %v", err)
 	}
 	pool.Close()
 	noGoroutineLeak(t, before)
-
-	// A materializer that cannot be viewed is a setup error.
-	if _, err := NewServePool(NewEngine(g, WithMaterializer(badMaterializer{})), ServeOptions{}); err == nil {
-		t.Fatal("unviewable materializer should fail pool construction")
-	}
 }
-
-// badMaterializer is a foreign implementation NewView cannot make a
-// concurrent view of.
-type badMaterializer struct{}
-
-func (badMaterializer) NeighborVector(metapath.Path, hin.VertexID) (sparse.Vector, error) {
-	return sparse.Vector{}, nil
-}
-func (badMaterializer) Strategy() Strategy { return StrategyBaseline }
-func (badMaterializer) IndexBytes() int64  { return 0 }
-func (badMaterializer) Stats() MatStats    { return MatStats{} }

@@ -16,12 +16,9 @@ import (
 // calls fn.
 func TestServePoolRunCountsLikeExecute(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(7)))
-	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1, MaxQueue: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 1, MaxQueue: 1})
 	ctx := context.Background()
-	err = pool.Run(ctx, func(_ context.Context, got *hin.Graph, mat Materializer) error {
+	err := pool.Run(ctx, func(_ context.Context, got *hin.Graph, mat *Materializer) error {
 		if got != g || mat == nil {
 			t.Errorf("fn got graph %p and handle %v, want %p and one", got, mat, g)
 		}
@@ -31,10 +28,10 @@ func TestServePoolRunCountsLikeExecute(t *testing.T) {
 		t.Fatalf("Run = %v, want nil", err)
 	}
 	refused := xerr.New(xerr.InvalidArgument, "refused")
-	if err := pool.Run(ctx, func(context.Context, *hin.Graph, Materializer) error { return refused }); !errors.Is(err, refused) {
+	if err := pool.Run(ctx, func(context.Context, *hin.Graph, *Materializer) error { return refused }); !errors.Is(err, refused) {
 		t.Fatalf("Run = %v, want fn's error", err)
 	}
-	if err := pool.Run(ctx, func(context.Context, *hin.Graph, Materializer) error { panic("boom") }); !IsPanicError(err) {
+	if err := pool.Run(ctx, func(context.Context, *hin.Graph, *Materializer) error { panic("boom") }); !IsPanicError(err) {
 		t.Fatalf("Run = %v, want a *PanicError", err)
 	}
 	if st := pool.Stats(); st.Served != 1 || st.Failed != 2 || st.Panics != 1 {
@@ -42,7 +39,7 @@ func TestServePoolRunCountsLikeExecute(t *testing.T) {
 	}
 	pool.Close()
 	ran := false
-	err = pool.Run(ctx, func(context.Context, *hin.Graph, Materializer) error { ran = true; return nil })
+	err = pool.Run(ctx, func(context.Context, *hin.Graph, *Materializer) error { ran = true; return nil })
 	if !errors.Is(err, ErrPoolClosed) || ran {
 		t.Fatalf("Run on a closed pool = %v (fn ran: %v), want ErrPoolClosed", err, ran)
 	}

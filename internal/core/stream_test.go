@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"slices"
 	"strings"
@@ -70,25 +71,25 @@ func TestStreamMatchesFreshEngine(t *testing.T) {
 	stream = append(stream, scan(long+" : 1, "+short+" : 2"))
 
 	// lowered sets a materializer's crossover to one known norm.
-	lowered := func(m Materializer) Materializer {
-		m.(*indexed).lru.minKnown = 1
+	lowered := func(m *Materializer) *Materializer {
+		m.lru.minKnown = 1
 		return m
 	}
-	mats := map[string]func(*hin.Graph) Materializer{
+	mats := map[string]func(*hin.Graph) *Materializer{
 		"baseline":         eagerBaseline,
 		"baseline/default": NewBaseline,
-		"pm":               func(g *hin.Graph) Materializer { return lowered(NewPM(g)) },
-		"spm/half":         func(g *hin.Graph) Materializer { return lowered(NewSPMVertices(g, half)) },
-		"spm/none":         func(g *hin.Graph) Materializer { return lowered(NewSPMVertices(g, nil)) },
+		"pm":               func(g *hin.Graph) *Materializer { return lowered(NewPM(g)) },
+		"spm/half":         func(g *hin.Graph) *Materializer { return lowered(NewSPMVertices(g, half)) },
+		"spm/none":         func(g *hin.Graph) *Materializer { return lowered(NewSPMVertices(g, nil)) },
 	}
 	for _, budget := range []int64{2 << 10, 1 << 20} {
 		for _, ratio := range []int{waistRatio, 1} {
-			mats[fmt.Sprintf("cached/%dB/waist=%d", budget, ratio)] = func(g *hin.Graph) Materializer {
+			mats[fmt.Sprintf("cached/%dB/waist=%d", budget, ratio)] = func(g *hin.Graph) *Materializer {
 				m, err := NewCached(g, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.(*indexed).lru.waists.ratio = ratio
+				m.lru.waists.ratio = ratio
 				return lowered(m)
 			}
 		}
@@ -297,35 +298,12 @@ func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[strin
 	measure := allMeasures[pick%3]
 	combine := []Combination{CombineAverage, CombineConcat}[pick/3%2]
 	strategy, executor := int(pick/6%4), int(pick/72%4)
-	lo, hi, _ := g.TypeIDSpan(0)
-	budget := []int64{2 << 10, 12 * int64(hi-lo+1), 1 << 20}[pick/24%3]
-	var half []hin.VertexID
-	for i, v := range g.VerticesOfType(0) {
-		if i%2 == 0 {
-			half = append(half, v)
-		}
-	}
-	newMat := func(g *hin.Graph) Materializer {
-		var m Materializer
-		switch strategy {
-		case 0:
-			m = NewBaseline(g)
-		case 1:
-			m = NewPM(g)
-		case 2:
-			m = NewSPMVertices(g, half)
-		default:
-			m, _ = NewCached(g, budget)
-			m.(*indexed).lru.waists.ratio = 1
-		}
-		st := m.(*indexed).lru
-		st.minKnown, st.maxBytes = 1, budget
-		return m
-	}
+	budget := streamBudgets(g)[pick/24%3]
+	newMat := streamMaterializer(g, strategy, budget)
 	// newRun is a fresh engine on the executor, its materializer, and its
 	// close. A pool runs its queries inline, so that the store's evictions,
 	// and the branches the corpus reaches, do not depend on the schedule.
-	newRun := func() (func(string) (*Result, error), Materializer, func()) {
+	newRun := func() (func(string) (*Result, error), *Materializer, func()) {
 		mat := newMat(g)
 		opts := []Option{WithMaterializer(mat), WithMeasure(measure), WithCombination(combine)}
 		switch executor {
@@ -340,10 +318,7 @@ func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[strin
 		if executor != 3 {
 			return eng.Execute, mat, eng.Close
 		}
-		pool, err := NewServePool(eng, ServeOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := NewServePool(eng, ServeOptions{Workers: 1})
 		return func(src string) (*Result, error) { return pool.Execute(context.Background(), src) }, mat, func() {
 			if pool.compiled.hits.Load() > 0 {
 				reached["compiled hit"] = true
@@ -354,27 +329,27 @@ func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[strin
 	}
 	run, mat, done := newRun()
 	defer done()
-	st := mat.(*indexed).lru
-	r := rand.New(rand.NewSource(stream))
-	order := r.Perm(len(texts))
-	zipf := rand.NewZipf(r, 1.3, 1, uint64(len(texts)-1))
-	before, turn := storeKinds(st), 0
+	st := mat.lru
+	before := storeKinds(st)
 	gone := map[ckey]bool{}
-	for i := range 12 + r.Intn(9) {
-		text := texts[order[zipf.Uint64()]]
-		if text.src == texts[1].src {
-			if turn++; turn%2 == 0 {
-				text = setB
-			}
-		}
+	omegas := map[string][]*big.Float{} // the oracle's Ω per path, cands and refs: texts share them
+	wants := map[string]struct {
+		res *Result
+		err error
+	}{}
+	for i, text := range streamOrder(texts, setB, stream) {
 		label := fmt.Sprintf("graph %d stream %d pick %d (%v %v strategy %d budget %d executor %d), text %d %q",
 			graph, stream, pick, measure, combine, strategy, budget, executor, i, text.src)
 		got, err := run(text.src)
-		want, wantErr := func() (*Result, error) {
+		// A fresh engine's answer is the text's alone: asked once per text.
+		fresh, ok := wants[text.src]
+		if !ok {
 			run, _, done := newRun()
-			defer done()
-			return run(text.src)
-		}()
+			fresh.res, fresh.err = run(text.src)
+			done()
+			wants[text.src] = fresh
+		}
+		want, wantErr := fresh.res, fresh.err
 		if err != nil || wantErr != nil {
 			var c xerr.Coder
 			if !errors.As(err, &c) || xerr.CodeOf(err) != xerr.CodeOf(wantErr) {
@@ -389,7 +364,7 @@ func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[strin
 			key := fmt.Sprint(graph, measure, text.src)
 			o, ok := streamOracles.Load(key)
 			if !ok {
-				o, _ = streamOracles.LoadOrStore(key, oracleQuery(t, g, measure, text.paths, text.weights, text.cands, text.refs))
+				o, _ = streamOracles.LoadOrStore(key, oracleQuery(t, g, measure, text.paths, text.weights, text.cands, text.refs, omegas))
 			}
 			o.(oracleResult).check(t, label, got)
 		}
@@ -426,6 +401,127 @@ func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[strin
 	if cs, ok := CacheStatsOf(mat); ok {
 		reached["prefix resume"] = reached["prefix resume"] || cs.PrefixHits > 0
 		reached["waist finish"] = reached["waist finish"] || cs.WaistFinishes > 0
+	}
+}
+
+// streamBudgets are the store budgets an input draws from: one every query
+// overflows, one that holds a single norm table of t0, 1 MiB.
+func streamBudgets(g *hin.Graph) []int64 {
+	lo, hi, _ := g.TypeIDSpan(0)
+	return []int64{2 << 10, 12 * int64(hi-lo+1), 1 << 20}
+}
+
+// streamMaterializer returns new materializers of a strategy (Baseline, PM,
+// SPM over half of t0, Cached) at a crossover the graph reaches, each with a
+// store of its own under budget. The index is built once: every engine of an
+// input, fresh or not, gets a fresh store over it, and only the store keeps
+// history.
+func streamMaterializer(g *hin.Graph, strategy int, budget int64) func(*hin.Graph) *Materializer {
+	var root *Materializer
+	switch strategy {
+	case 0:
+		root = NewBaseline(g)
+	case 1:
+		root = NewPM(g)
+	case 2:
+		var half []hin.VertexID
+		for i, v := range g.VerticesOfType(0) {
+			if i%2 == 0 {
+				half = append(half, v)
+			}
+		}
+		root = NewSPMVertices(g, half)
+	default:
+		root, _ = NewCached(g, budget)
+	}
+	return func(g *hin.Graph) *Materializer {
+		m := newMaterializer(g, root.ix, root.strategy, budget)
+		m.lru.minKnown, m.lru.waists.ratio = 1, 1
+		return m
+	}
+}
+
+// streamOrder is the stream a seed draws from a graph's texts: 12 to 20 of
+// them with Zipf repeats, the COMPARED TO slot taking its two sets in turn.
+func streamOrder(texts []streamText, setB streamText, stream int64) []streamText {
+	r := rand.New(rand.NewSource(stream))
+	order := r.Perm(len(texts))
+	zipf := rand.NewZipf(r, 1.3, 1, uint64(len(texts)-1))
+	var out []streamText
+	turn := 0
+	for range 12 + r.Intn(9) {
+		text := texts[order[zipf.Uint64()]]
+		if text.src == texts[1].src {
+			if turn++; turn%2 == 0 {
+				text = setB
+			}
+		}
+		out = append(out, text)
+	}
+	return out
+}
+
+// One engine answers streams that run at once as a fresh engine answers each
+// text: per strategy and store budget, four goroutines each replay one
+// seed-corpus stream on one shared engine, and every answer (entries, skipped,
+// partial, or the error's code) is a fresh engine's. The store, the compiled
+// entries and the handles are what the goroutines share; `make race` holds
+// them to it under the race detector.
+func TestConcurrentStreamsMatchFreshEngine(t *testing.T) {
+	const graph = 1
+	g := randomHIN(rand.New(rand.NewSource(graph)), 5)
+	texts, setB := streamTexts(g, graph)
+	var streams [][]streamText
+	seen := map[int64]bool{}
+	for _, s := range streamSeeds {
+		if !seen[s[1]] && len(streams) < 4 {
+			seen[s[1]] = true
+			streams = append(streams, streamOrder(texts, setB, s[1]))
+		}
+	}
+	for strategy := range 4 {
+		for _, budget := range streamBudgets(g) {
+			newMat := streamMaterializer(g, strategy, budget)
+			type answer struct {
+				res *Result
+				err error
+			}
+			wants := map[string]answer{}
+			for _, text := range append(texts, setB) {
+				res, err := NewEngine(g, WithMaterializer(newMat(g))).Execute(text.src)
+				wants[text.src] = answer{res, err}
+			}
+			eng := NewEngine(g, WithMaterializer(newMat(g)))
+			pool := NewServePool(eng, ServeOptions{Workers: len(streams)})
+			var wg sync.WaitGroup
+			for i, stream := range streams {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j, text := range stream {
+						// Half the streams go through the pool, so its compiled
+						// entries are shared too.
+						run := eng.Execute
+						if i%2 == 1 {
+							run = func(src string) (*Result, error) { return pool.Execute(context.Background(), src) }
+						}
+						got, err := run(text.src)
+						want := wants[text.src]
+						label := fmt.Sprintf("strategy %d budget %d stream %d text %d %q", strategy, budget, i, j, text.src)
+						switch {
+						case err != nil || want.err != nil:
+							if xerr.CodeOf(err) != xerr.CodeOf(want.err) {
+								t.Errorf("%s: %v, a fresh engine: %v", label, err, want.err)
+							}
+						case got.Partial != want.res.Partial || !resultsEqual(got, want.res):
+							t.Errorf("%s: the shared engine's answer is not a fresh engine's\ngot  %+v\nwant %+v", label, got.Entries, want.res.Entries)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			pool.Close()
+		}
 	}
 }
 

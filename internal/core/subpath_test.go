@@ -221,7 +221,7 @@ func TestSubpathEvictionDegradesToTraversal(t *testing.T) {
 	if cs.Bytes > maxBytes {
 		t.Fatalf("cache exceeded budget: %d > %d", cs.Bytes, maxBytes)
 	}
-	st := mat.(*indexed).lru
+	st := mat.lru
 	if ground := st.recomputeBytes(); ground != cs.Bytes {
 		t.Fatalf("byte accounting drifted: atomic %d, ground truth %d", cs.Bytes, ground)
 	}
@@ -236,7 +236,7 @@ func TestSubpathEvictedPrefixMidWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*indexed).lru
+	st := mat.lru
 	short, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
 	a, _ := g.Schema().TypeByName("author")
@@ -311,14 +311,12 @@ func TestSubpathConcurrentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
-		m := Materializer(mat)
+		m := mat
 		if w > 0 {
-			if m, err = NewView(mat); err != nil {
-				t.Fatal(err)
-			}
+			m = NewView(mat)
 		}
 		wg.Add(1)
-		go func(w int, m Materializer) {
+		go func(w int, m *Materializer) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < rounds; i++ {
@@ -351,7 +349,7 @@ func TestSubpathConcurrentStress(t *testing.T) {
 	if cs.Bytes > maxBytes {
 		t.Fatalf("budget exceeded: %d > %d", cs.Bytes, maxBytes)
 	}
-	st := mat.(*indexed).lru
+	st := mat.lru
 	if ground := st.recomputeBytes(); ground != cs.Bytes {
 		t.Fatalf("byte accounting drifted: atomic %d, ground truth %d", cs.Bytes, ground)
 	}
@@ -442,10 +440,7 @@ func TestSubpathSharedAcrossViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := NewView(mat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := NewView(mat)
 	short, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	long, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue.paper.author")
 	a, _ := g.Schema().TypeByName("author")
@@ -499,7 +494,7 @@ func TestPrefixAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*indexed).lru
+	st := mat.lru
 	abcd, abcba := metapath.MustNew(0, 1, 2, 3), metapath.MustNew(0, 1, 2, 1, 0)
 	abc := abcd.Key()[:3]
 	base := NewBaseline(g)

@@ -66,10 +66,7 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 		return nil, fmt.Errorf("core: candidate set too small (%d) to rank feature paths", len(plan.cands))
 	}
 
-	hs, err := e.borrow(1)
-	if err != nil {
-		return nil, err
-	}
+	hs := e.borrow(1)
 	defer e.release(hs)
 	var out []Suggestion
 	for _, p := range metapath.Enumerate(e.g.Schema(), plan.elemType, 2, maxHops) {

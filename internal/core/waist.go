@@ -93,7 +93,7 @@ func isWaist(g *hin.Graph, p metapath.Path, b, ratio int) bool {
 // lacks. ok is false — and the walk expands on, frontier untouched — when the
 // suffix has no table (its slots alone exceed the budget) or a combined count
 // reached 2⁵³, where the sums stop being order-free (Traverser.Combine).
-func (m *indexed) finishAtWaist(p metapath.Path, b int, frontier sparse.Vector) (sparse.Vector, bool, error) {
+func (m *Materializer) finishAtWaist(p metapath.Path, b int, frontier sparse.Vector) (sparse.Vector, bool, error) {
 	st := m.lru
 	tbl := st.waistTable(p.Key()[b:])
 	if tbl == nil {

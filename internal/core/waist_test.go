@@ -25,13 +25,13 @@ import (
 // eagerWaists builds a subpath cache whose waist rule is lowered to ratio, so
 // graphs of a few dozen vertices reach the branch (ratio 1: any interior type
 // no larger than its neighbours).
-func eagerWaists(t testing.TB, g *hin.Graph, maxBytes int64, ratio int) (Materializer, *sharedCacheState) {
+func eagerWaists(t testing.TB, g *hin.Graph, maxBytes int64, ratio int) (*Materializer, *sharedCacheState) {
 	t.Helper()
 	mat, err := NewCached(g, maxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*indexed).lru
+	st := mat.lru
 	st.waists.ratio = ratio
 	return mat, st
 }
@@ -324,7 +324,7 @@ func TestWaistRuleAndShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := mat.(*indexed).lru
+		st := mat.lru
 		for _, p := range []metapath.Path{parse("author.paper.venue.paper.author"), long} {
 			for _, v := range authors {
 				want, _ := tr.NeighborVector(p, v)
@@ -383,18 +383,15 @@ func TestWaistConcurrentStress(t *testing.T) {
 		)
 		var wg sync.WaitGroup
 		errCh := make(chan error, workers)
-		handles := []Materializer{mat}
+		handles := []*Materializer{mat}
 		for w := 0; w < workers; w++ {
 			m := mat
 			if w > 0 {
-				var err error
-				if m, err = NewView(mat); err != nil {
-					t.Fatal(err)
-				}
+				m = NewView(mat)
 				handles = append(handles, m)
 			}
 			wg.Add(1)
-			go func(w int, m Materializer) {
+			go func(w int, m *Materializer) {
 				defer wg.Done()
 				r := rand.New(rand.NewSource(int64(w)))
 				for i := 0; i < rounds; i++ {
@@ -471,7 +468,7 @@ func TestSpillQueryAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mat.(*indexed).lru
+	st := mat.lru
 	a, _ := g.Schema().TypeByName("author")
 	apa, _ := metapath.ParseDotted(g.Schema(), "author.paper.author")
 	tr := metapath.NewTraverser(g)
@@ -697,7 +694,7 @@ func BenchmarkWaist(b *testing.B) {
 	}{{"tables=off", 1 << 30}, {"tables=on", waistRatio}} {
 		b.Run("budget=1MiB/"+arm.name, func(b *testing.B) {
 			mat, st := eagerWaists(b, g, 1<<20, arm.ratio)
-			x := mat.(*indexed)
+			x := mat
 			read := func() int64 {
 				if x.fill == nil {
 					return x.tr.Work()

@@ -26,10 +26,7 @@ import (
 func TestServePoolClosedTyped(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(41)))
 	before := runtime.NumGoroutine()
-	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	pool.Close()
 	noGoroutineLeak(t, before)
 	res, err := pool.Execute(context.Background(), faultQuery)
@@ -72,17 +69,14 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var loads atomic.Int64
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		if loads.Add(1) == 2 { // mid-execution, after the worker picked it up
 			cancel()
 		}
-	}}
+	})
 	reg := obs.NewRegistry()
 	before := runtime.NumGoroutine()
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1})
 	res, err := pool.Execute(ctx, faultQuery)
 	if res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
@@ -112,10 +106,7 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 func TestServePoolRequestIDThreading(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(47)))
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool, err := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 1})
 	defer pool.Close()
 
 	res, err := pool.Execute(context.Background(), faultQuery)
@@ -141,13 +132,10 @@ func TestServePoolRequestIDThreading(t *testing.T) {
 // slow log's failure ring, where the stack of the panic is retained.
 func TestServePoolPanicRequestIDLocatesStack(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(53)))
-	fm := &faultMat{inner: NewBaseline(g), hook: fireOnce("injected rid fault")}
+	fm := hooked(NewBaseline(g), fireOnce("injected rid fault"))
 	slow := obs.NewSlowLog(4)
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm), WithEventSink(slow)), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(fm), WithEventSink(slow)), ServeOptions{Workers: 1})
 	defer pool.Close()
 
 	res, err := pool.Execute(context.Background(), faultQuery)
@@ -222,17 +210,14 @@ func TestServePoolQueueExpiryIsATimeout(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(61)))
 	gate, entered := make(chan struct{}), make(chan struct{})
 	var once atomic.Bool
-	fm := &faultMat{inner: NewBaseline(g), hook: func(metapath.Path, hin.VertexID) {
+	fm := hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
 		if once.CompareAndSwap(false, true) {
 			close(entered)
 			<-gate // hold the only token
 		}
-	}}
+	})
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool, err := NewServePool(NewEngine(g, WithMaterializer(fm)), ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewServePool(NewEngine(g, WithMaterializer(fm)), ServeOptions{Workers: 1})
 	defer pool.Close()
 	held := make(chan error, 1)
 	go func() {

@@ -669,7 +669,7 @@ func TestDecodedRepeatGathersFromTheKeptWalk(t *testing.T) {
 // request frame's size.
 type encodingShard struct {
 	g     *hin.Graph
-	mat   core.Materializer
+	mat   *core.Materializer
 	sizes []int
 }
 
@@ -701,10 +701,7 @@ func TestRepeatedScanRequestIsUnder2KB(t *testing.T) {
 	var repeat int
 	for _, path := range []string{"author.paper.venue", "author.paper.author"} {
 		shards := []*encodingShard{{g: g, mat: core.NewBaseline(g)}, {g: g, mat: core.NewBaseline(g)}}
-		pool, err := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(shards[0], shards[1])), core.ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(shards[0], shards[1])), core.ServeOptions{})
 		for range 2 {
 			if _, err := pool.Execute(context.Background(), "FIND OUTLIERS FROM author JUDGED BY "+path+" TOP 5;"); err != nil {
 				t.Fatal(err)

@@ -77,10 +77,7 @@ func testGraph(t *testing.T) *hin.Graph {
 // at cleanup, after the server.
 func startShard(t *testing.T, g *hin.Graph, reg *obs.Registry, opts core.ServeOptions) (*Server, string) {
 	t.Helper()
-	pool, err := core.NewServePool(core.NewEngine(g, core.WithObs(reg)), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := core.NewServePool(core.NewEngine(g, core.WithObs(reg)), opts)
 	t.Cleanup(pool.Close)
 	srv := NewServer(pool, ServerOptions{Obs: reg})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -209,10 +206,7 @@ func TestNetworkShardsBitIdentical(t *testing.T) {
 			// Served, each text twice: its compiled entry sends S to be kept
 			// the first time and by digest the second.
 			full := serverReg.Counter("netout_shardsrv_full_broadcasts_total", "")
-			pool, err := core.NewServePool(eng, core.ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pool := core.NewServePool(eng, core.ServeOptions{})
 			for _, src := range queries {
 				want, _ := plain.Execute(src)
 				for repeat := range 2 {
@@ -719,10 +713,7 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 func TestServeAfterCloseReturns(t *testing.T) {
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
-	pool, err := core.NewServePool(core.NewEngine(g), core.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := core.NewServePool(core.NewEngine(g), core.ServeOptions{})
 	defer pool.Close()
 	srv := NewServer(pool, ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -757,10 +748,7 @@ func servedFleet(t *testing.T, g *hin.Graph, reg *obs.Registry, src string, addr
 		t.Cleanup(c.Close)
 		remotes[i] = c
 	}
-	pool, err := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(remotes...)), core.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(remotes...)), core.ServeOptions{})
 	t.Cleanup(pool.Close)
 	want, err := core.NewEngine(g).Execute(src)
 	if err != nil {
@@ -790,10 +778,7 @@ func TestNetworkRestartedShardIsSentSAgain(t *testing.T) {
 	run() // S sent to be kept
 	run() // by digest
 	old.Close()
-	pool, err := core.NewServePool(core.NewEngine(g), core.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := core.NewServePool(core.NewEngine(g), core.ServeOptions{})
 	defer pool.Close()
 	restarted := NewServer(pool, ServerOptions{})
 	defer restarted.Close()
@@ -826,10 +811,7 @@ func TestNetworkStoreTooSmallForSResendsEveryCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, err := core.NewServePool(core.NewEngine(g, core.WithMaterializer(mat)), core.ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := core.NewServePool(core.NewEngine(g, core.WithMaterializer(mat)), core.ServeOptions{})
 		defer pool.Close()
 		srv := NewServer(pool, ServerOptions{})
 		defer srv.Close()
@@ -951,10 +933,7 @@ func TestNetworkShardsExplainTheirPlans(t *testing.T) {
 		remotes[i] = c
 	}
 	ring := obs.NewEventRing(4)
-	pool, err := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(remotes...), core.WithEventSink(ring)), core.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := core.NewServePool(core.NewEngine(g, core.WithRemoteShards(remotes...), core.WithEventSink(ring)), core.ServeOptions{})
 	defer pool.Close()
 	const scan = `FIND OUTLIERS FROM author JUDGED BY author.paper.venue, author.paper.author TOP 5;`
 	for i, numer := range []string{"vertex", "walk", "walk", "memo"} {

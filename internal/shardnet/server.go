@@ -172,7 +172,7 @@ func (s *Server) handle(wire *Request) *core.ShardResponse {
 			"Shard requests whose reference broadcast arrived in full, not by digest.").Inc()
 	}
 	var resp *core.ShardResponse
-	err := s.pool.Run(ctx, func(ctx context.Context, g *hin.Graph, mat core.Materializer) error {
+	err := s.pool.Run(ctx, func(ctx context.Context, g *hin.Graph, mat *core.Materializer) error {
 		if s.gate != nil {
 			s.gate(wire.Req)
 		}

@@ -192,8 +192,9 @@ const (
 	StrategyCached   = core.StrategyCached
 )
 
-// Materializer produces meta-path neighbor vectors, possibly from an index.
-type Materializer = core.Materializer
+// Materializer produces meta-path neighbor vectors, possibly from an index
+// or a cache: one type for every strategy, one goroutine's at a time.
+type Materializer = *core.Materializer
 
 // MaterializerStats accumulates indexed vs traversed cost counters.
 type MaterializerStats = core.MatStats
@@ -384,7 +385,7 @@ type (
 // use, each query borrowing the materializer handles it runs on — views over
 // PM/SPM indexes read-only, over one warm cache, so one query's traversal is
 // every other query's cache hit — and counting on them its own work alone.
-func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResult, error) {
+func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) []BatchResult {
 	return core.ExecuteBatch(eng, queries, opts)
 }
 
@@ -393,7 +394,7 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) ([]BatchResu
 // index, the norm tables or the warm cache, with private traversal scratch
 // and counters (CacheStatsOf still reads the whole cache's). See DESIGN.md's
 // concurrency contract.
-func NewMaterializerView(m Materializer) (Materializer, error) { return core.NewView(m) }
+func NewMaterializerView(m Materializer) Materializer { return core.NewView(m) }
 
 // Serving (an admission gate for online query traffic in front of one engine
 // — the concurrent complement to ExecuteBatch).
@@ -410,7 +411,7 @@ type (
 // sinks on eng, once — and ServeOptions holds only the pool's run-token count,
 // queue bound and default deadline. Close stops admitting and waits for the
 // queries already admitted.
-func NewServePool(eng *Engine, opts ServeOptions) (*ServePool, error) {
+func NewServePool(eng *Engine, opts ServeOptions) *ServePool {
 	return core.NewServePool(eng, opts)
 }
 
