@@ -157,8 +157,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19710
-CORE_LOC_CEILING = 5973
+LOC_CEILING = 19610
+CORE_LOC_CEILING = 5885
 DESIGN_LINES_CEILING = 986
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

@@ -143,8 +143,8 @@ func TestQueryBodyIsTheJSONResult(t *testing.T) {
 	}
 }
 
-// The admin endpoints ride on the serve mux, and the pool's robustness
-// counters are present in the scrape after traffic.
+// The admin endpoints ride on the serve mux, and the pool's series and the
+// engine's outcome count are present in the scrape after traffic.
 func TestServeHandlerAdminEndpoints(t *testing.T) {
 	srv, _, _ := serveTestServer(t)
 	q := `FIND OUTLIERS FROM author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue TOP 3;`
@@ -168,11 +168,10 @@ func TestServeHandlerAdminEndpoints(t *testing.T) {
 	}
 	scrape := string(body)
 	for _, metric := range []string{
-		"netout_serve_served_total",
-		"netout_serve_shed_total",
-		"netout_serve_panics_total",
-		"netout_serve_timeouts_total",
-		"netout_serve_partials_total",
+		"netout_serve_workers",
+		"netout_serve_queue_seconds_count",
+		"netout_serve_execute_seconds_count",
+		`netout_queries_total{outcome="ok"}`,
 	} {
 		if !strings.Contains(scrape, metric) {
 			t.Fatalf("scrape missing %s:\n%s", metric, scrape)

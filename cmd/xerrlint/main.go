@@ -40,6 +40,8 @@ var defaultScope = []string{
 	"internal/core/progressive.go",
 	"internal/core/execute.go",
 	"internal/core/scatter.go",
+	"internal/core/explain.go",
+	"internal/core/suggest.go",
 	"internal/shardnet",
 	"cmd/netout",
 }

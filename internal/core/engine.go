@@ -256,17 +256,24 @@ func (e *Engine) execute(ctx context.Context, src string, cc *compiledCache, ran
 	if rq, _ := plan.compiled.resolved(); rq != nil {
 		q = rq.q
 	} else {
-		q, err = oql.Parse(src)
+		q, err = parse(src)
 	}
 	tr.EndPhase("parse", obs.SpanStats{})
 	if err != nil {
-		// A parse failure never reaches executeQuery, but it is a finished
-		// query like any other: observed here with the raw source (there is no
-		// *oql.Query to print) and a parse-only trace.
+		// A parse failure — a panic in the parser included — never reaches
+		// executeQuery, but it is a finished query like any other: observed
+		// here with the raw source (there is no *oql.Query to print) and a
+		// parse-only trace.
 		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, plan)
 		return nil, err
 	}
 	return e.executeQuery(ctx, q, tr, plan)
+}
+
+// parse is oql.Parse with a panic returned as its *PanicError.
+func parse(src string) (q *oql.Query, err error) {
+	defer recoverAsError(&err)
+	return oql.Parse(src)
 }
 
 // stampIdentity copies the request ID and span context carried by ctx onto
@@ -293,10 +300,6 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, 
 		res.Trace = trace
 	}
 	if e.obs != nil {
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		}
 		// A recovered panic counts whether it failed the query or one of its
 		// ranges degraded on it.
 		panics := 0
@@ -313,16 +316,8 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, 
 			e.obs.Counter("netout_query_partial_total",
 				"Queries answered with a deadline-degraded Partial=true result.").Inc()
 		}
-		e.obs.Counter(`netout_queries_total{outcome="`+outcome+`"}`,
-			"Queries executed by outcome (parse/validation failures and cancellations count as errors).").Inc()
-		if err != nil {
-			// Finer-grained taxonomy counter alongside the coarse ok/error
-			// pair: the coarse counter's exact Served/Failed correspondence is
-			// load-bearing for dashboards and tests, so the breakdown by code
-			// lives in its own metric.
-			e.obs.Counter(`netout_query_errors_total{outcome="`+xerr.Outcome(err)+`"}`,
-				"Query errors by taxonomy outcome (finer-grained companion to netout_queries_total).").Inc()
-		}
+		e.obs.Counter(`netout_queries_total{outcome="`+xerr.Outcome(err)+`"}`,
+			"Queries the engine finished, by taxonomy outcome: ok, or whose fault the failure is.").Inc()
 		e.obs.Histogram("netout_query_seconds", "Query wall time.").Observe(trace.Total.Seconds())
 		var traversed, indexed int64
 		for _, s := range trace.Spans {

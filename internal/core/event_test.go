@@ -130,10 +130,11 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 	expectOne("pre-parsed", "ok", false)
 
 	// One observation per finished query too: the registry's latency histogram
-	// counts all five of eng's queries, the parse failure among them.
+	// counts all five of eng's queries, the parse failure among them, and each
+	// failure under its own outcome.
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
-	for _, want := range []string{"netout_query_seconds_count 5", `netout_queries_total{outcome="error"} 2`, `netout_query_phase_seconds_count{phase="parse"} 4`} {
+	for _, want := range []string{"netout_query_seconds_count 5", `netout_queries_total{outcome="invalid"} 1`, `netout_queries_total{outcome="not_found"} 1`, `netout_query_phase_seconds_count{phase="parse"} 4`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("scrape is missing %q:\n%s", want, sb.String())
 		}

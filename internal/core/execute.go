@@ -473,12 +473,8 @@ func (e *Engine) callRemote(ctx context.Context, plan *queryPlan, bcast *ShardBr
 			"core: shard protocol skew: shard %d (%s) replied version %d, coordinator speaks %d",
 			i, shard.Addr(), resp.Version, ShardProtocolVersion)
 	default:
-		rr := rangeResult{entries: resp.Entries, skipped: resp.Skipped, done: resp.Done,
-			stats: resp.Stats, plan: resp.Plan, addr: shard.Addr(), duration: resp.Duration}
-		if resp.Err != "" {
-			rr.err = xerr.FromWire(resp.Code, resp.Kind, resp.Err)
-		}
-		return rr
+		return rangeResult{entries: resp.Entries, skipped: resp.Skipped, done: resp.Done,
+			stats: resp.Stats, plan: resp.Plan, addr: shard.Addr(), duration: resp.Duration, err: resp.Failure()}
 	}
 	return rangeResult{err: err, addr: shard.Addr(), duration: time.Since(start)}
 }

@@ -10,6 +10,7 @@ import (
 	"netout/internal/obs"
 	"netout/internal/oql"
 	"netout/internal/sparse"
+	"netout/internal/xerr"
 )
 
 // Explanations decompose a candidate's NetOut score — Execute's, bit for bit
@@ -80,7 +81,7 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 	}
 	tr.EndPhase("parse", obs.SpanStats{})
 	if e.measure != MeasureNetOut {
-		return nil, fmt.Errorf("core: explanations are defined for the NetOut measure (engine uses %s)", e.measure)
+		return nil, xerr.Newf(xerr.InvalidArgument, "core: explanations are defined for the NetOut measure (engine uses %s)", e.measure)
 	}
 	// The signature carries no context, so neither set evaluation nor the
 	// reduction below can be cancelled.
@@ -91,10 +92,10 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 	}
 	target, ok := e.g.VertexByName(plan.elemType, candidateName)
 	if !ok {
-		return nil, fmt.Errorf("core: no %s named %q", e.g.Schema().TypeName(plan.elemType), candidateName)
+		return nil, xerr.Newf(xerr.NotFound, "core: no %s named %q", e.g.Schema().TypeName(plan.elemType), candidateName)
 	}
 	if !containsVertex(plan.cands, target) {
-		return nil, fmt.Errorf("core: %q is not in the query's candidate set", candidateName)
+		return nil, xerr.Newf(xerr.InvalidArgument, "core: %q is not in the query's candidate set", candidateName)
 	}
 	// An explanation is per path: S under CombineAverage whatever the engine
 	// combines with.

@@ -100,7 +100,7 @@ func fireOnce(msg string) func(metapath.Path, hin.VertexID) {
 // worker goroutine (crashing the process) and never wrote job.done, so on a
 // background context the caller hung forever. This test hangs/crashes
 // pre-fix; post-fix the caller gets a *PanicError, the pool keeps its full
-// capacity, and the stats/metrics record the panic.
+// capacity, and the engine's series record the panic once.
 func TestServePoolWorkerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -148,14 +148,10 @@ func TestServePoolWorkerPanicIsolation(t *testing.T) {
 					t.Fatalf("post-panic query %d: %v", i, err)
 				}
 			}
-			st := pool.Stats()
-			if st.Served != int64(2*workers) || st.Failed != 1 || st.Panics != 1 {
-				t.Fatalf("stats = %+v, want Served=%d Failed=1 Panics=1", st, 2*workers)
-			}
-			var sb strings.Builder
-			reg.WritePrometheus(&sb)
-			if !strings.Contains(sb.String(), "netout_serve_panics_total 1") {
-				t.Fatalf("scrape missing panic counter:\n%s", sb.String())
+			m := metricsOf(t, reg)
+			if m[`netout_queries_total{outcome="ok"}`] != float64(2*workers) || m[`netout_queries_total{outcome="internal"}`] != 1 || m["netout_query_panics_total"] != 1 {
+				t.Fatalf("ok %v / internal %v / panics %v, want %d / 1 / 1",
+					m[`netout_queries_total{outcome="ok"}`], m[`netout_queries_total{outcome="internal"}`], m["netout_query_panics_total"], 2*workers)
 			}
 		})
 	}
@@ -163,7 +159,8 @@ func TestServePoolWorkerPanicIsolation(t *testing.T) {
 
 // Admission control: with MaxQueue=1 and the single worker stalled, one
 // extra query queues and the next is shed with ErrOverloaded instead of
-// blocking unboundedly.
+// blocking unboundedly. The shed query never reaches the engine, which
+// counts the other two.
 func TestServePoolOverloadSheds(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(9)))
 	gate := make(chan struct{})
@@ -215,14 +212,8 @@ func TestServePoolOverloadSheds(t *testing.T) {
 	if err := <-contested; err != nil {
 		t.Fatalf("queued query: %v", err)
 	}
-	st := pool.Stats()
-	if st.Served != 2 || st.Shed != 1 {
-		t.Fatalf("stats = %+v, want Served=2 Shed=1", st)
-	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), "netout_serve_shed_total 1") {
-		t.Fatalf("scrape missing shed counter:\n%s", sb.String())
+	if m := metricsOf(t, reg); m[`netout_queries_total{outcome="ok"}`] != 2 || m["netout_query_seconds_count"] != 2 {
+		t.Fatalf("engine counted %v ok of %v queries, want 2 of 2", m[`netout_queries_total{outcome="ok"}`], m["netout_query_seconds_count"])
 	}
 }
 
@@ -277,14 +268,10 @@ func TestServePoolDefaultTimeoutPartial(t *testing.T) {
 			t.Fatalf("partial score for %s = %v, want the full run's %v", e.Name, e.Score, want)
 		}
 	}
-	st := pool.Stats()
-	if st.Partials != 1 || st.Served != 1 || st.Timeouts != 0 {
-		t.Fatalf("stats = %+v, want Served=1 Partials=1 Timeouts=0", st)
-	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), "netout_serve_partials_total 1") {
-		t.Fatalf("scrape missing partials counter:\n%s", sb.String())
+	m := metricsOf(t, reg)
+	if m[`netout_queries_total{outcome="ok"}`] != 1 || m["netout_query_partial_total"] != 1 || m["netout_query_seconds_count"] != 1 {
+		t.Fatalf("ok %v / partial %v of %v queries, want 1 / 1 of 1 (a partial is an answer, not a timeout)",
+			m[`netout_queries_total{outcome="ok"}`], m["netout_query_partial_total"], m["netout_query_seconds_count"])
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 )
 
 // Registry-backed instruments over the existing stats structs. The design
-// rule: wherever a stats struct is already the source of truth (atomic
-// counters in the shared cache, the serve pool), the registry exposes it
-// through CounterFunc/GaugeFunc reading the same atomics at scrape time —
-// never a second counter that could drift. A /metrics scrape therefore
-// matches CacheStats()/ServeStats exactly, by construction.
+// rule: wherever a stats struct is already the source of truth (the shared
+// cache's atomic counters), the registry exposes it through
+// CounterFunc/GaugeFunc reading the same atomics at scrape time — never a
+// second counter that could drift. A /metrics scrape therefore matches
+// CacheStatsOf exactly, by construction. How a query ended is counted once,
+// by the engine (observeQuery); the serve pool counts none of it.
 
 // RegisterMaterializerMetrics exposes a materializer on reg: netout_index_bytes
 // for every strategy, and for the cached one the netout_cache_* family read

@@ -143,6 +143,20 @@ func oracleOmega(t *testing.T, measure Measure, cand, ref [][]float64) []*big.Fl
 		return out
 	}
 	candVis, refVis := vis(cand), vis(ref)
+	// CosSim's square roots, one per row: a pair's term is then
+	// κ(vi,vj) / (√κ(vi,vi)·√κ(vj,vj)), each root rounded once at oraclePrec.
+	roots := func(vis []float64) []*big.Float {
+		out := make([]*big.Float, len(vis))
+		for i, v := range vis {
+			out[i] = bigOf(v)
+			out[i].Sqrt(out[i])
+		}
+		return out
+	}
+	var candRoot, refRoot []*big.Float
+	if measure == MeasureCosSim {
+		candRoot, refRoot = roots(candVis), roots(refVis)
+	}
 	out := make([]*big.Float, len(cand))
 	for i, row := range cand {
 		if candVis[i] == 0 {
@@ -161,8 +175,8 @@ func oracleOmega(t *testing.T, measure Measure, cand, ref [][]float64) []*big.Fl
 			case MeasurePathSim:
 				sum.Add(sum, new(big.Float).Quo(bigOf(2*k), bigOf(candVis[i]+refVis[j])))
 			case MeasureCosSim:
-				den := new(big.Float).Mul(bigOf(candVis[i]), bigOf(refVis[j]))
-				sum.Add(sum, new(big.Float).Quo(bigOf(k), den.Sqrt(den)))
+				den := new(big.Float).Mul(candRoot[i], refRoot[j])
+				sum.Add(sum, den.Quo(bigOf(k), den))
 			}
 		}
 		if measure == MeasureNetOut {

@@ -131,6 +131,15 @@ type ShardResponse struct {
 	Plan []string
 }
 
+// Failure is the classified error r carries (xerr.FromWire), nil for a reply
+// without one or for no reply.
+func (r *ShardResponse) Failure() error {
+	if r == nil || r.Err == "" {
+		return nil
+	}
+	return xerr.FromWire(r.Code, r.Kind, r.Err)
+}
+
 // ShardBroadcast is the reference reduction in wire form: everything a
 // shard needs from the reference side, already reduced on the coordinator
 // so the O(|Sr|) work happens once per query, not once per shard. For

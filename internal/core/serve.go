@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netout/internal/hin"
@@ -52,18 +50,8 @@ type ServePool struct {
 
 	timeout time.Duration // default per-query deadline (0 = none)
 
-	served    atomic.Int64
-	failed    atomic.Int64
-	queueNs   atomic.Int64
-	executeNs atomic.Int64
-	shed      atomic.Int64
-	panics    atomic.Int64
-	timeouts  atomic.Int64
-	partials  atomic.Int64
-	canceled  atomic.Int64
-
-	// queueHist and execHist are the per-query distributions of the two
-	// durations summed above, set when the engine has a registry.
+	// queueHist and execHist are the per-query wait for a run token and time
+	// holding it, set when the engine has a registry.
 	queueHist *obs.Histogram
 	execHist  *obs.Histogram
 }
@@ -87,33 +75,10 @@ type ServeOptions struct {
 	DefaultTimeout time.Duration
 }
 
-// ServeStats summarizes a pool's lifetime traffic.
-type ServeStats struct {
-	// Served and Failed count admitted queries by outcome (Failed includes
-	// those whose context ended while they waited for a run token).
-	Served, Failed int64
-	// QueueWait is total time queries spent waiting for a run token;
-	// Execute is total time spent executing.
-	QueueWait, Execute time.Duration
-	// Shed counts queries rejected with ErrOverloaded by admission control
-	// (they never ran and are in neither Served nor Failed).
-	Shed int64
-	// Panics counts query panics recovered and converted into query errors
-	// (each is also counted in Failed).
-	Panics int64
-	// Timeouts counts admitted queries that failed with an expired deadline
-	// (counted in Failed); Partials counts deadline-degraded queries that
-	// still produced a Partial=true result (counted in Served).
-	Timeouts, Partials int64
-	// Canceled counts admitted queries that aborted with context.Canceled —
-	// a caller that went away, not a timeout and not a server fault (counted
-	// in Failed, never in Timeouts).
-	Canceled int64
-}
-
 // NewServePool builds the admission gate for eng's queries; it starts no
-// goroutine. With a registry on eng (WithObs) the pool's traffic counters are
-// registered there. The pool does not close eng's remote shards, and leaves
+// goroutine. With a registry on eng (WithObs) it registers its run tokens,
+// queue and execute times and compiled-query series there; how a query ended
+// is the engine's to count. It does not close eng's remote shards, and leaves
 // eng as usable as it found it. Close waits for the queries it admitted.
 func NewServePool(eng *Engine, opts ServeOptions) *ServePool {
 	workers := opts.Workers
@@ -173,7 +138,7 @@ func (p *ServePool) Execute(ctx context.Context, src string) (*Result, error) {
 
 // Run is Execute's gate around fn — a shard server's request (shardnet): fn
 // runs on a handle the engine lends, over its network g; its error (a panic as
-// a *PanicError) is Run's, counted like a query's. Run adds no deadline or ID.
+// a *PanicError) is Run's. Run adds no deadline or ID.
 func (p *ServePool) Run(ctx context.Context, fn func(ctx context.Context, g *hin.Graph, mat *Materializer) error) error {
 	_, err := p.admit(ctx, func(ctx context.Context) (_ *Result, err error) {
 		defer recoverAsError(&err)
@@ -185,8 +150,10 @@ func (p *ServePool) Run(ctx context.Context, fn func(ctx context.Context, g *hin
 }
 
 // admit is the gate, written once for Execute and Run: closed, interrupted,
-// shed, the wait for a run token, then fn — timed and counted — with that wait
-// on its context, so a query's wide event reports it.
+// shed, the wait for a run token, then fn — timed — with that wait on its
+// context, so a query's wide event reports it. What the gate refuses never
+// reaches the engine: its caller gets the typed error, and the front door
+// (HTTP status, shard outcome) counts it.
 func (p *ServePool) admit(ctx context.Context, fn func(context.Context) (*Result, error)) (*Result, error) {
 	p.mu.RLock()
 	if p.closed {
@@ -203,7 +170,6 @@ func (p *ServePool) admit(ctx context.Context, fn func(context.Context) (*Result
 			defer func() { <-p.slots }()
 		default:
 			p.mu.RUnlock()
-			p.shed.Add(1)
 			return nil, ErrOverloaded
 		}
 	}
@@ -216,68 +182,26 @@ func (p *ServePool) admit(ctx context.Context, fn func(context.Context) (*Result
 	case p.tokens <- struct{}{}:
 		defer func() { <-p.tokens }()
 	case <-ctx.Done():
-		// Out of budget (or abandoned) in the queue: an admitted query that
-		// failed, counted like one that failed running.
-		return p.outcome(nil, xerr.Interrupt(ctx.Err()))
+		// Out of budget (or abandoned) in the queue.
+		return nil, xerr.Interrupt(ctx.Err())
 	}
 	wait := time.Since(enqueued)
-	p.queueNs.Add(wait.Nanoseconds())
 	if p.queueHist != nil {
 		p.queueHist.Observe(wait.Seconds())
 	}
 	start := time.Now()
 	res, err := fn(obs.WithQueueWait(ctx, wait))
-	elapsed := time.Since(start)
-	p.executeNs.Add(elapsed.Nanoseconds())
 	if p.execHist != nil {
-		p.execHist.Observe(elapsed.Seconds())
+		p.execHist.Observe(time.Since(start).Seconds())
 	}
-	return p.outcome(res, err)
+	return res, err
 }
 
-// outcome counts how an admitted query ended and returns it as the caller
-// gets it.
-func (p *ServePool) outcome(res *Result, err error) (*Result, error) {
-	if err != nil {
-		p.failed.Add(1)
-		switch {
-		case IsPanicError(err):
-			p.panics.Add(1)
-		case degradable(err):
-			// Deadline expiry only: cancellation must never inflate the
-			// timeout count — degradable excludes context.Canceled.
-			p.timeouts.Add(1)
-		case errors.Is(err, context.Canceled):
-			p.canceled.Add(1)
-		}
-		return nil, err
-	}
-	p.served.Add(1)
-	if res != nil && res.Partial {
-		p.partials.Add(1)
-	}
-	return res, nil
-}
-
-// registerMetrics exposes the pool's traffic counters on reg, reading the
-// same atomics Stats snapshots so scrape and ServeStats agree exactly.
+// registerMetrics exposes the pool's run tokens, its queue and execute
+// histograms and its compiled-query cache on reg.
 func (p *ServePool) registerMetrics(reg *obs.Registry, workers int) {
 	reg.GaugeFunc("netout_serve_workers", "Queries the serve pool runs at once (its run tokens).",
 		func() float64 { return float64(workers) })
-	reg.CounterFunc("netout_serve_served_total", "Queries completed successfully by the serve pool.",
-		func() float64 { return float64(p.served.Load()) })
-	reg.CounterFunc("netout_serve_failed_total", "Queries that failed or were cancelled in the serve pool.",
-		func() float64 { return float64(p.failed.Load()) })
-	reg.CounterFunc("netout_serve_shed_total", "Queries rejected with ErrOverloaded by admission control.",
-		func() float64 { return float64(p.shed.Load()) })
-	reg.CounterFunc("netout_serve_panics_total", "Query panics recovered and converted into query errors.",
-		func() float64 { return float64(p.panics.Load()) })
-	reg.CounterFunc("netout_serve_timeouts_total", "Queries that failed with an expired deadline.",
-		func() float64 { return float64(p.timeouts.Load()) })
-	reg.CounterFunc("netout_serve_partials_total", "Deadline-degraded queries answered with a Partial=true result.",
-		func() float64 { return float64(p.partials.Load()) })
-	reg.CounterFunc("netout_serve_canceled_total", "Queries aborted by caller cancellation (not timeouts).",
-		func() float64 { return float64(p.canceled.Load()) })
 	reg.CounterFunc(`netout_compiled_queries_total{result="hit"}`, "Queries by whether the pool held their text's compiled entry (parse, resolution, reduced reference side).",
 		func() float64 { return float64(p.compiled.hits.Load()) })
 	reg.CounterFunc(`netout_compiled_queries_total{result="miss"}`, "Queries by whether the pool held their text's compiled entry (parse, resolution, reduced reference side).",
@@ -303,21 +227,6 @@ func (p *ServePool) Ready() error {
 		return ErrPoolClosed
 	}
 	return nil
-}
-
-// Stats returns a snapshot of the pool's traffic counters.
-func (p *ServePool) Stats() ServeStats {
-	return ServeStats{
-		Served:    p.served.Load(),
-		Failed:    p.failed.Load(),
-		QueueWait: time.Duration(p.queueNs.Load()),
-		Execute:   time.Duration(p.executeNs.Load()),
-		Shed:      p.shed.Load(),
-		Panics:    p.panics.Load(),
-		Timeouts:  p.timeouts.Load(),
-		Partials:  p.partials.Load(),
-		Canceled:  p.canceled.Load(),
-	}
 }
 
 // Close stops admitting and waits for the queries already admitted to

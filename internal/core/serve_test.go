@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"netout/internal/obs"
 )
 
 func TestServePoolMatchesSerialEngine(t *testing.T) {
@@ -31,7 +33,8 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool := NewServePool(NewEngine(g, WithMaterializer(mat)), ServeOptions{Workers: 4})
+	reg := obs.NewRegistry()
+	pool := NewServePool(NewEngine(g, WithMaterializer(mat), WithObs(reg)), ServeOptions{Workers: 4})
 	defer pool.Close()
 
 	// Hammer the pool from more goroutines than workers, each running the
@@ -62,12 +65,15 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := pool.Stats()
-	if st.Served != int64(clients*len(queries)) || st.Failed != 0 {
-		t.Fatalf("stats = %+v, want %d served / 0 failed", st, clients*len(queries))
+	m := metricsOf(t, reg)
+	n := float64(clients * len(queries))
+	if m[`netout_queries_total{outcome="ok"}`] != n || m["netout_query_seconds_count"] != n {
+		t.Fatalf("engine counted %v ok of %v queries, want all %v ok",
+			m[`netout_queries_total{outcome="ok"}`], m["netout_query_seconds_count"], n)
 	}
-	if st.Execute <= 0 || st.QueueWait < 0 {
-		t.Fatalf("stats = %+v, want positive execute time and no negative queue wait", st)
+	if m["netout_serve_execute_seconds_count"] != n || m["netout_serve_execute_seconds_sum"] <= 0 || m["netout_serve_queue_seconds_sum"] < 0 {
+		t.Fatalf("pool timed %v executions (sum %vs, queue %vs), want %v, a positive execute time and no negative queue wait",
+			m["netout_serve_execute_seconds_count"], m["netout_serve_execute_seconds_sum"], m["netout_serve_queue_seconds_sum"], n)
 	}
 	// Workers share one warm cache through views: repeated workloads must
 	// be overwhelmingly cache hits.
@@ -83,10 +89,11 @@ func TestServePoolMatchesSerialEngine(t *testing.T) {
 func TestServePoolContextAndClose(t *testing.T) {
 	g := fig1Graph(t)
 	before := runtime.NumGoroutine()
-	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 2})
+	reg := obs.NewRegistry()
+	pool := NewServePool(NewEngine(g, WithObs(reg)), ServeOptions{Workers: 2})
 	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue;`
 
-	// A cancelled context aborts instead of executing.
+	// A cancelled context aborts at the gate, never reaching the engine.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := pool.Execute(ctx, src); err == nil {
@@ -104,9 +111,10 @@ func TestServePoolContextAndClose(t *testing.T) {
 	if res, err := pool.Execute(context.Background(), src); err != nil || len(res.Entries) == 0 {
 		t.Fatalf("pool unusable after a failed query: %v", err)
 	}
-	st := pool.Stats()
-	if st.Served != 2 || st.Failed != 1 {
-		t.Fatalf("stats = %+v, want 2 served / 1 failed", st)
+	m := metricsOf(t, reg)
+	if m[`netout_queries_total{outcome="ok"}`] != 2 || m[`netout_queries_total{outcome="not_found"}`] != 1 || m["netout_query_seconds_count"] != 3 {
+		t.Fatalf("engine counted ok %v / not_found %v of %v, want 2 / 1 of 3 (the gate's refusal is not the engine's)",
+			m[`netout_queries_total{outcome="ok"}`], m[`netout_queries_total{outcome="not_found"}`], m["netout_query_seconds_count"])
 	}
 
 	pool.Close()

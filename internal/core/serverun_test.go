@@ -11,9 +11,9 @@ import (
 )
 
 // Run is Execute's gate around other work: fn gets the engine's graph and a
-// handle of its own, its error is Run's, a panic in it comes back as a
-// *PanicError, and the pool counts all three like queries. A closed pool never
-// calls fn.
+// handle of its own, its error is Run's and a panic in it comes back as a
+// *PanicError; shardnet's server counts each by its outcome. A closed pool
+// never calls fn.
 func TestServePoolRunCountsLikeExecute(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(7)))
 	pool := NewServePool(NewEngine(g), ServeOptions{Workers: 1, MaxQueue: 1})
@@ -33,9 +33,6 @@ func TestServePoolRunCountsLikeExecute(t *testing.T) {
 	}
 	if err := pool.Run(ctx, func(context.Context, *hin.Graph, *Materializer) error { panic("boom") }); !IsPanicError(err) {
 		t.Fatalf("Run = %v, want a *PanicError", err)
-	}
-	if st := pool.Stats(); st.Served != 1 || st.Failed != 2 || st.Panics != 1 {
-		t.Fatalf("stats after ok, error and panic = %+v", st)
 	}
 	pool.Close()
 	ran := false

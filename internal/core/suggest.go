@@ -9,6 +9,7 @@ import (
 	"netout/internal/hin"
 	"netout/internal/metapath"
 	"netout/internal/oql"
+	"netout/internal/xerr"
 )
 
 // Feature suggestion implements the last extension Section 8 sketches:
@@ -63,7 +64,7 @@ func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, 
 		return nil, err
 	}
 	if len(plan.cands) < 3 {
-		return nil, fmt.Errorf("core: candidate set too small (%d) to rank feature paths", len(plan.cands))
+		return nil, xerr.Newf(xerr.InvalidArgument, "core: candidate set too small (%d) to rank feature paths", len(plan.cands))
 	}
 
 	hs := e.borrow(1)

@@ -61,9 +61,8 @@ func TestServeSentinelCodes(t *testing.T) {
 	}
 }
 
-// Cancellation is not a timeout: a query aborted by its caller must count
-// in ServeStats.Canceled (and Failed), never in Timeouts, and surface in
-// its own metric.
+// Cancellation is not a timeout: a query aborted by its caller counts under
+// the engine's canceled outcome, never under deadline.
 func TestServePoolCancelNotTimeout(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(43)))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -86,17 +85,12 @@ func TestServePoolCancelNotTimeout(t *testing.T) {
 	}
 	pool.Close() // joins the worker, so the accounting below is settled
 	noGoroutineLeak(t, before)
-	st := pool.Stats()
-	if st.Failed != 1 || st.Canceled != 1 || st.Timeouts != 0 {
-		t.Fatalf("stats = %+v, want Failed=1 Canceled=1 Timeouts=0", st)
+	m := metricsOf(t, reg)
+	if m[`netout_queries_total{outcome="canceled"}`] != 1 {
+		t.Fatalf("canceled outcome = %v, want 1", m[`netout_queries_total{outcome="canceled"}`])
 	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), "netout_serve_canceled_total 1") {
-		t.Fatalf("scrape missing canceled counter:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "netout_serve_timeouts_total 0") {
-		t.Fatalf("cancellation inflated the timeout counter:\n%s", sb.String())
+	if v, ok := m[`netout_queries_total{outcome="deadline"}`]; ok {
+		t.Fatalf("cancellation inflated the deadline outcome to %v", v)
 	}
 }
 
@@ -203,9 +197,10 @@ func TestEngineErrorCodes(t *testing.T) {
 	}
 }
 
-// A query whose deadline ends while it waits for a run token was admitted and
-// failed: it counts as a timeout like one that expired running, so
-// netout_serve_timeouts_total sees a pool too slow for its callers' budgets.
+// A query whose deadline ends while it waits for a run token fails with
+// DEADLINE_EXCEEDED like one that expired running. It never reached the
+// engine, which counts only the token holder; the front door counts the
+// expiry (HTTP 504, a shard's deadline outcome).
 func TestServePoolQueueExpiryIsATimeout(t *testing.T) {
 	g := randomBibGraph(rand.New(rand.NewSource(61)))
 	gate, entered := make(chan struct{}), make(chan struct{})
@@ -217,7 +212,8 @@ func TestServePoolQueueExpiryIsATimeout(t *testing.T) {
 		}
 	})
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
-	pool := NewServePool(NewEngine(g, WithMaterializer(fm)), ServeOptions{Workers: 1})
+	reg := obs.NewRegistry()
+	pool := NewServePool(NewEngine(g, WithMaterializer(fm), WithObs(reg)), ServeOptions{Workers: 1})
 	defer pool.Close()
 	held := make(chan error, 1)
 	go func() {
@@ -235,7 +231,7 @@ func TestServePoolQueueExpiryIsATimeout(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Fatalf("token holder: %v", err)
 	}
-	if st := pool.Stats(); st.Served != 1 || st.Failed != 1 || st.Timeouts != 1 {
-		t.Fatalf("stats = %+v, want Served=1 Failed=1 Timeouts=1", st)
+	if m := metricsOf(t, reg); m[`netout_queries_total{outcome="ok"}`] != 1 || m["netout_query_seconds_count"] != 1 {
+		t.Fatalf("engine counted %v ok of %v queries, want the token holder's alone", m[`netout_queries_total{outcome="ok"}`], m["netout_query_seconds_count"])
 	}
 }

@@ -342,9 +342,9 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time. Use it to expose an existing atomic counter (a CacheStats or
-// ServeStats field) without double-counting: the scrape reads the same
-// source of truth the stats struct reports. Re-registering replaces fn.
+// time. Use it to expose an existing atomic counter (a CacheStats field, a
+// compiled-query cache's hits) without double-counting: the scrape reads the
+// same source of truth the stats struct reports. Re-registering replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindCounterFunc, func(m *metric) { m.fn = fn })
 }

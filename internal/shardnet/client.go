@@ -2,6 +2,7 @@ package shardnet
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -202,14 +203,7 @@ func (c *Client) callOnce(ctx context.Context, req *core.ShardRequest, b *core.S
 	start := time.Now()
 	resp, err := c.attempt(ctx, req, b)
 	if c.obs != nil {
-		out := "ok"
-		switch {
-		case err != nil:
-			out = string(xerr.CodeOf(err))
-		case resp.Err != "":
-			out = string(resp.Code)
-		}
-		c.observe(out, time.Since(start))
+		c.observe(xerr.Outcome(cmp.Or(err, resp.Failure())), time.Since(start))
 	}
 	return resp, err
 }

@@ -400,7 +400,7 @@ func TestNetworkForgedVersionSkewFailsQuery(t *testing.T) {
 
 // Admission control: with every worker and queue slot held, the next
 // request is shed with a well-formed RESOURCE_EXHAUSTED reply (not a
-// dropped connection), and the shed counter registers.
+// dropped connection), and the server counts it once, as overloaded.
 func TestNetworkAdmissionShed(t *testing.T) {
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
@@ -448,10 +448,8 @@ func TestNetworkAdmissionShed(t *testing.T) {
 	if a, b := <-codes, <-codes; a != xerr.ResourceExhausted && b != xerr.ResourceExhausted {
 		t.Fatalf("saturated shard answered %q and %q, want one RESOURCE_EXHAUSTED shed", a, b)
 	}
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "netout_serve_shed_total") {
-		t.Error("shed counter not registered")
+	if n := counterOf(reg, `netout_shardsrv_requests_total{outcome="overloaded"}`); n != 1 {
+		t.Errorf("shard counted %d overloaded requests, want the one shed", n)
 	}
 	_ = parked
 }
@@ -645,11 +643,12 @@ func TestNetworkForeignPathFailsQuery(t *testing.T) {
 // token: with the one token held by A, B's budget expires in the queue and B
 // is answered DEADLINE_EXCEEDED, nothing done, its reply's Duration the wait,
 // while A is still running — it used to wait for A, then run its whole budget
-// for a coordinator long gone.
+// for a coordinator long gone. The shard counts each once, by its outcome.
 func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 	defer noGoroutineLeak(t, runtime.NumGoroutine())
 	g := testGraph(t)
-	srv, addr := startShard(t, g, nil, core.ServeOptions{Workers: 1, MaxQueue: 1})
+	reg := obs.NewRegistry()
+	srv, addr := startShard(t, g, reg, core.ServeOptions{Workers: 1, MaxQueue: 1})
 	defer srv.Close()
 	release, reached := make(chan struct{}), make(chan struct{})
 	var once atomic.Bool
@@ -704,6 +703,11 @@ func TestNetworkDeadlineRunsFromArrival(t *testing.T) {
 	close(release)
 	if a := <-held; a.err != nil || a.resp.Err != "" {
 		t.Fatalf("A = %+v, %v; want a clean reply after B's expiry", a.resp, a.err)
+	}
+	for outcome, want := range map[string]int64{"ok": 1, "deadline": 1} {
+		if n := counterOf(reg, `netout_shardsrv_requests_total{outcome="`+outcome+`"}`); n != want {
+			t.Errorf("shard counted %d %s requests, want %d", n, outcome, want)
+		}
 	}
 }
 
@@ -790,7 +794,7 @@ func TestNetworkRestartedShardIsSentSAgain(t *testing.T) {
 	run()
 	run()
 	resends := `netout_shard_rpc_resends_total{addr="` + addr + `"}`
-	notFound := `netout_shard_rpc_total{addr="` + addr + `",outcome="NOT_FOUND"}`
+	notFound := `netout_shard_rpc_total{addr="` + addr + `",outcome="not_found"}`
 	if r, n := counterOf(reg, resends), counterOf(reg, notFound); r != 1 || n != 1 {
 		t.Fatalf("restarted shard: %d NOT_FOUND replies and %d re-sends, want 1 and 1", n, r)
 	}

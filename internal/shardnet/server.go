@@ -177,19 +177,12 @@ func (s *Server) handle(wire *Request) *core.ShardResponse {
 			s.gate(wire.Req)
 		}
 		resp = core.ServeShardRequest(ctx, g, mat, wire.Req, wire.Broadcast)
-		if resp.Err != "" {
-			return xerr.FromWire(resp.Code, resp.Kind, resp.Err)
-		}
-		return nil
+		return resp.Failure()
 	})
 	if resp == nil {
 		resp = failedResponse(wire.Req, err, time.Since(start))
 	}
-	outcome := "ok"
-	if resp.Err != "" {
-		outcome = string(resp.Code)
-	}
-	s.observe(outcome, time.Since(start))
+	s.observe(xerr.Outcome(err), time.Since(start))
 	return resp
 }
 

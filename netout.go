@@ -401,7 +401,6 @@ func NewMaterializerView(m Materializer) Materializer { return core.NewView(m) }
 type (
 	ServePool    = core.ServePool
 	ServeOptions = core.ServeOptions
-	ServeStats   = core.ServeStats
 )
 
 // NewServePool builds an admission gate that accepts queries from any number

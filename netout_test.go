@@ -233,3 +233,35 @@ func TestFacadeQueryWorkloads(t *testing.T) {
 		t.Fatal("ScoreVectors length mismatch")
 	}
 }
+
+// Explain's and SuggestFeatures' refusals are the caller's mistakes and say
+// so: a missing name is NOT_FOUND, the rest INVALID_ARGUMENT, never INTERNAL.
+func TestExplainAndSuggestErrorsAreTyped(t *testing.T) {
+	g := buildQuickstartGraph(t)
+	eng := netout.NewEngine(g)
+	const q = `FIND OUTLIERS FROM author{"Eve"}.paper.author JUDGED BY author.paper.venue;`
+	explain := func(e *netout.Engine, name string) func() error {
+		return func() error { _, err := e.Explain(q, name, 0); return err }
+	}
+	for _, tc := range []struct {
+		call func() error
+		code netout.ErrorCode
+		msg  string
+	}{
+		{explain(eng, "Zed"), netout.CodeNotFound, `core: no author named "Zed"`},
+		{explain(eng, "Ben"), netout.CodeInvalidArgument, `core: "Ben" is not in the query's candidate set`},
+		{explain(netout.NewEngine(g, netout.WithMeasure(netout.MeasurePathSim)), "Eve"), netout.CodeInvalidArgument,
+			"core: explanations are defined for the NetOut measure (engine uses PathSim)"},
+		{func() error { _, err := eng.SuggestFeatures(q, 2); return err }, netout.CodeInvalidArgument,
+			"core: candidate set too small (2) to rank feature paths"},
+	} {
+		err := tc.call()
+		if err == nil {
+			t.Errorf("no error, want %s %q", tc.code, tc.msg)
+			continue
+		}
+		if got := netout.ErrorCodeOf(err); got != tc.code || err.Error() != tc.msg {
+			t.Errorf("%q: code %s, want %s (message %q)", err, got, tc.code, tc.msg)
+		}
+	}
+}

@@ -117,8 +117,8 @@ grep -q '^netout_shardsrv_requests_total' "$TMP/shard1.metrics" \
     || fail "shard metrics missing netout_shardsrv_requests_total"
 grep -q '^netout_serve_workers' "$TMP/shard1.metrics" \
     || fail "shard metrics missing netout_serve_workers"
-awk '$1 == "netout_serve_served_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$TMP/shard1.metrics" \
-    || fail "shard's pool served nothing (netout_serve_served_total)"
+awk '$1 == "netout_shardsrv_requests_total{outcome=\"ok\"}" && $2 > 0 { ok = 1 } END { exit !ok }' "$TMP/shard1.metrics" \
+    || fail "shard served nothing (netout_shardsrv_requests_total{outcome=\"ok\"})"
 
 # (4) A whole-type scan, scattered: the first request warms each shard's
 # norms (a walk per candidate), the next walks S back in scratch, the one
