@@ -126,7 +126,9 @@ profile:
 # index loader (against its own decode of the file) and query streams on one
 # engine (against a fresh engine and the oracle); regression seeds always run
 # as part of `make test`, and FuzzExecuteStream's seed corpus as
-# TestStreamCorpusReachesEveryBranch.
+# TestStreamCorpusReachesEveryBranch. FuzzExecuteStream starts from an empty
+# cache of its own: replaying the hundreds of finds a long-lived default cache
+# holds would take its whole 30 s, and nothing would be mutated.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/oql/
 	$(GO) test -fuzz=FuzzReadTSV -fuzztime=30s ./internal/hinio/
@@ -137,7 +139,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadRequest -fuzztime=30s ./internal/shardnet/
 	$(GO) test -fuzz=FuzzReadResponse -fuzztime=30s ./internal/shardnet/
 	$(GO) test -fuzz=FuzzLoadIndex -fuzztime=30s ./internal/core/
-	$(GO) test -run XXX -fuzz=FuzzExecuteStream -fuzztime=30s ./internal/core/
+	d=$$(mktemp -d) && { $(GO) test -run XXX -fuzz=FuzzExecuteStream -fuzztime=30s ./internal/core/ -test.fuzzcachedir=$$d; s=$$?; rm -rf $$d; exit $$s; }
 
 # Regenerate every paper table and figure (EXPERIMENTS.md documents the
 # expected shapes). The paper-scale run:
@@ -157,9 +159,9 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19610
-CORE_LOC_CEILING = 5885
-DESIGN_LINES_CEILING = 986
+LOC_CEILING = 19299
+CORE_LOC_CEILING = 5841
+DESIGN_LINES_CEILING = 985
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \
 	c=$$(find internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); echo $$c; \

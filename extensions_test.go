@@ -16,7 +16,6 @@ import (
 	"netout/internal/core"
 	"netout/internal/eval"
 	"netout/internal/gen"
-	"netout/internal/kg"
 	"netout/internal/walk"
 )
 
@@ -244,9 +243,6 @@ func TestFacadeAminerAndCompare(t *testing.T) {
 	if _, err := netout.SpearmanRho(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.KendallTau(a, b); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeCachedAndPersistence(t *testing.T) {
@@ -320,26 +316,6 @@ func TestFacadeRelAndKG(t *testing.T) {
 	if g.NumVerticesOfType(pt) != 2 {
 		t.Fatal("bridge lost vertices")
 	}
-
-	st := kg.NewStore()
-	for _, tr := range [][3]string{
-		{"x", "type", "thing"}, {"y", "type", "thing"}, {"x", "near", "y"},
-	} {
-		if err := st.Add(tr[0], tr[1], tr[2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kgGraph, err := st.ToHIN()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kgGraph.NumVertices() != 2 {
-		t.Fatal("kg graph wrong")
-	}
-	st2, err := kg.Read(strings.NewReader("a\ttype\tthing\nb\ttype\tthing\na\tnear\tb\n"))
-	if err != nil || st2.Len() != 1 {
-		t.Fatalf("ReadTriples: %v %d", err, st2.Len())
-	}
 }
 
 // TestFacadeSurface exercises every remaining thin wrapper so the public
@@ -410,19 +386,8 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatal("empty security graph")
 	}
 
-	// Triples from a file.
-	dir := t.TempDir()
-	tPath := filepath.Join(dir, "triples.tsv")
-	if err := os.WriteFile(tPath, []byte("x\ttype\tthing\ny\ttype\tthing\nx\tnear\ty\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := kg.Load(tPath)
-	if err != nil || st.Len() != 1 {
-		t.Fatalf("LoadTriples: %v", err)
-	}
-
 	// ArnetMiner from a file.
-	aPath := filepath.Join(dir, "dump.txt")
+	aPath := filepath.Join(t.TempDir(), "dump.txt")
 	if err := os.WriteFile(aPath, []byte("#* T\n#@ A\n#c V\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

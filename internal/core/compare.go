@@ -77,54 +77,10 @@ func SpearmanRho(a, b *Result) (float64, error) {
 	return cov / math.Sqrt(varA*varB), nil
 }
 
-// KendallTau computes Kendall's τ-a over the vertices both results rank.
-func KendallTau(a, b *Result) (float64, error) {
-	rankA := make(map[hin.VertexID]int, len(a.Entries))
-	for i, e := range a.Entries {
-		rankA[e.Vertex] = i
-	}
-	var ra, rb []int
-	for i, e := range b.Entries {
-		if j, ok := rankA[e.Vertex]; ok {
-			ra = append(ra, j)
-			rb = append(rb, i)
-		}
-	}
-	n := len(ra)
-	if n < 2 {
-		return 0, fmt.Errorf("core: results share %d ranked vertices; need at least 2", n)
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			x := sign(ra[i] - ra[j])
-			y := sign(rb[i] - rb[j])
-			switch {
-			case x*y > 0:
-				concordant++
-			case x*y < 0:
-				discordant++
-			}
-		}
-	}
-	pairs := n * (n - 1) / 2
-	return float64(concordant-discordant) / float64(pairs), nil
-}
-
 func mean(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func sign(x int) int {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
 }

@@ -62,29 +62,6 @@ func TestSpearmanRho(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	a := resultOf(1, 2, 3, 4)
-	tau, err := KendallTau(a, resultOf(1, 2, 3, 4))
-	if err != nil || tau != 1 {
-		t.Fatalf("identical τ = %g, %v", tau, err)
-	}
-	tau, err = KendallTau(a, resultOf(4, 3, 2, 1))
-	if err != nil || tau != -1 {
-		t.Fatalf("reversed τ = %g, %v", tau, err)
-	}
-	tau, err = KendallTau(a, resultOf(2, 1, 3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One swapped adjacent pair out of 6: (6-2·1)/6? concordant 5, discordant 1 → 4/6.
-	if math.Abs(tau-4.0/6.0) > 1e-12 {
-		t.Fatalf("one-swap τ = %g", tau)
-	}
-	if _, err := KendallTau(a, resultOf(99)); err == nil {
-		t.Error("too few shared vertices should fail")
-	}
-}
-
 // The Table 5 claim, quantified: the venue-judged and coauthor-judged
 // rankings of the hub coauthors differ substantially.
 func TestDifferentCriteriaDifferentOutliers(t *testing.T) {
@@ -100,9 +77,6 @@ func TestDifferentCriteriaDifferentOutliers(t *testing.T) {
 	}
 	if _, err := SpearmanRho(byVenue, byCoauthor); err != nil {
 		t.Fatalf("rho on real results: %v", err)
-	}
-	if _, err := KendallTau(byVenue, byCoauthor); err != nil {
-		t.Fatalf("tau on real results: %v", err)
 	}
 	shared, _ := OverlapAtK(byVenue, byCoauthor, 3)
 	if shared < 0 || shared > 3 {

@@ -142,29 +142,23 @@ func TestScoreVectorsZeroVisibility(t *testing.T) {
 	}
 }
 
-// NetOut's fast path (Equation (1)) must agree with the naive pairwise
-// definition Ω(vi) = Σ_j σ(vi, vj).
+// Each measure's fast path (for NetOut, Equation (1)) must agree with the
+// naive pairwise definition Ω(vi) = Σ_j σ(vi, vj).
 func TestNetOutEquationOneMatchesNaive(t *testing.T) {
 	cands, refs, _ := table1()
-	fast := ScoreVectors(MeasureNetOut, cands, refs)
-	for i, c := range cands {
-		var naive float64
-		for _, r := range refs {
-			naive += NormalizedConnectivity(c, r)
-		}
-		if math.Abs(fast[i]-naive) > 1e-9 {
-			t.Errorf("candidate %d: fast %g vs naive %g", i, fast[i], naive)
-		}
-	}
-	// Same for the CosSim separable path.
-	fastCos := ScoreVectors(MeasureCosSim, cands, refs)
-	for i, c := range cands {
-		var naive float64
-		for _, r := range refs {
-			naive += CosSim(c, r)
-		}
-		if math.Abs(fastCos[i]-naive) > 1e-9 {
-			t.Errorf("cossim candidate %d: fast %g vs naive %g", i, fastCos[i], naive)
+	for _, tc := range []struct {
+		m    Measure
+		pair func(a, b sparse.Vector) float64
+	}{{MeasureNetOut, NormalizedConnectivity}, {MeasurePathSim, PathSim}, {MeasureCosSim, CosSim}} {
+		fast := ScoreVectors(tc.m, cands, refs)
+		for i, c := range cands {
+			var naive float64
+			for _, r := range refs {
+				naive += tc.pair(c, r)
+			}
+			if math.Abs(fast[i]-naive) > 1e-9 {
+				t.Errorf("%v candidate %d: fast %g vs naive %g", tc.m, i, fast[i], naive)
+			}
 		}
 	}
 }

@@ -174,24 +174,3 @@ func KNNScores(points []sparse.Vector, k int, dist DistanceFunc) ([]float64, err
 	}
 	return out, nil
 }
-
-// TopK returns the indices of the k most outlying points given scores,
-// with higher==more outlying when descending is true (LOF, kNN) and
-// lower==more outlying otherwise (NetOut-style scores).
-func TopK(scores []float64, k int, descending bool) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		x, y := scores[idx[a]], scores[idx[b]]
-		if descending {
-			return x > y
-		}
-		return x < y
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}

@@ -71,9 +71,8 @@ func TestScoresClusterPlusOutlier(t *testing.T) {
 	if scores[outlier] < 3 {
 		t.Fatalf("outlier LOF = %.3f, want well above cluster", scores[outlier])
 	}
-	top := TopK(scores, 1, true)
-	if top[0] != outlier {
-		t.Fatalf("TopK = %v, want [%d]", top, outlier)
+	if top := argmax(scores); top != outlier {
+		t.Fatalf("argmax = %d, want %d", top, outlier)
 	}
 }
 
@@ -135,9 +134,8 @@ func TestKNNScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := TopK(scores, 1, true)
-	if top[0] != 3 {
-		t.Fatalf("kNN top outlier = %v, want 3", top)
+	if top := argmax(scores); top != 3 {
+		t.Fatalf("kNN top outlier = %d, want 3", top)
 	}
 	// k-th neighbor distance of the origin: second nearest is (0,1) or (1,0).
 	if math.Abs(scores[0]-1) > 1e-12 {
@@ -155,20 +153,21 @@ func TestCosineLOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := TopK(scores, 1, true)
-	if top[0] != 5 {
-		t.Fatalf("cosine LOF top = %v (scores %v), want 5", top, scores)
+	if top := argmax(scores); top != 5 {
+		t.Fatalf("cosine LOF top = %d (scores %v), want 5", top, scores)
 	}
 }
 
-func TestTopKAscending(t *testing.T) {
-	scores := []float64{5, 1, 3}
-	if got := TopK(scores, 2, false); got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ascending TopK = %v", got)
+// argmax returns the index of the first highest score: the most outlying
+// point under LOF and kNN.
+func argmax(scores []float64) int {
+	top := 0
+	for i, s := range scores {
+		if s > scores[top] {
+			top = i
+		}
 	}
-	if got := TopK(scores, 99, true); len(got) != 3 || got[0] != 0 {
-		t.Fatalf("clamped TopK = %v", got)
-	}
+	return top
 }
 
 func TestQuickDistanceAxioms(t *testing.T) {

@@ -20,17 +20,10 @@ func vec(t *testing.T, pairs ...float64) Vector {
 	return FromMap(m)
 }
 
-func TestNewAndFromMap(t *testing.T) {
-	v, err := New([]int32{5, 1, 5, 9}, []float64{1, 2, 3, 0})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	want := vec(t, 1, 2, 5, 4)
-	if !v.Equal(want) {
-		t.Fatalf("New = %v, want %v", v, want)
-	}
-	if _, err := New([]int32{1}, nil); err == nil {
-		t.Error("length mismatch should fail")
+func TestFromMap(t *testing.T) {
+	v := FromMap(map[int32]float64{5: 4, 1: 2, 9: 0})
+	if !v.Equal(Vector{Idx: []int32{1, 5}, Val: []float64{2, 4}}) {
+		t.Fatalf("FromMap = %v", v)
 	}
 	if v.NNZ() != 2 || v.IsZero() {
 		t.Errorf("NNZ/IsZero wrong for %v", v)
@@ -91,19 +84,6 @@ func TestScaleNormalize(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := vec(t, 1, 1, 3, 2)
-	b := vec(t, 2, 5, 3, -2, 9, 1)
-	got := Add(a, b)
-	want := vec(t, 1, 1, 2, 5, 9, 1) // coordinate 3 cancels exactly
-	if !got.Equal(want) {
-		t.Fatalf("Add = %v, want %v", got, want)
-	}
-	if !Add(Vector{}, Vector{}).IsZero() {
-		t.Error("Add of zeros should be zero")
-	}
-}
-
 func TestSum(t *testing.T) {
 	vs := []Vector{vec(t, 0, 1), vec(t, 0, 2, 5, 1), vec(t, 5, -1)}
 	got := Sum(vs)
@@ -125,7 +105,7 @@ func TestApproxEqual(t *testing.T) {
 	if a.ApproxEqual(c, 1e-9) {
 		t.Error("extra coordinate should break approx equality")
 	}
-	if !a.ApproxEqual(Add(a, vec(t, 9, 1e-12)), 1e-9) {
+	if !a.ApproxEqual(vec(t, 1, 1.0, 2, 2.0, 9, 1e-12), 1e-9) {
 		t.Error("tiny extra coordinate within tol should pass")
 	}
 }
@@ -174,7 +154,7 @@ func TestQuickAddCommutativeAndConsistentWithAt(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		a, b := randomVector(rr, 40), randomVector(rr, 40)
-		s1, s2 := Add(a, b), Add(b, a)
+		s1, s2 := Sum([]Vector{a, b}), Sum([]Vector{b, a})
 		if !s1.Equal(s2) {
 			return false
 		}
@@ -208,7 +188,7 @@ func TestQuickDotMatchesDense(t *testing.T) {
 func TestQuickSortedInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		v := Add(randomVector(rr, 60), randomVector(rr, 60))
+		v := Sum([]Vector{randomVector(rr, 60), randomVector(rr, 60)})
 		for i := 1; i < len(v.Idx); i++ {
 			if v.Idx[i-1] >= v.Idx[i] {
 				return false

@@ -28,19 +28,6 @@ type Vector struct {
 	Val []float64
 }
 
-// New builds a Vector from unsorted coordinate pairs, combining duplicates
-// by addition and dropping zeros.
-func New(idx []int32, val []float64) (Vector, error) {
-	if len(idx) != len(val) {
-		return Vector{}, fmt.Errorf("sparse: index/value length mismatch (%d vs %d)", len(idx), len(val))
-	}
-	m := make(map[int32]float64, len(idx))
-	for i, ix := range idx {
-		m[ix] += val[i]
-	}
-	return FromMap(m), nil
-}
-
 // FromMap builds a Vector from a coordinate map, dropping zeros.
 func FromMap(m map[int32]float64) Vector {
 	v, _ := sortedVector(m, make([]coord, 0, len(m)))
@@ -205,42 +192,6 @@ func (a Vector) Normalize() Vector {
 		return Vector{}
 	}
 	return a.Scale(1 / n)
-}
-
-// Add returns a+b as a new vector (linear merge; exact zeros are dropped).
-func Add(a, b Vector) Vector {
-	out := Vector{
-		Idx: make([]int32, 0, len(a.Idx)+len(b.Idx)),
-		Val: make([]float64, 0, len(a.Idx)+len(b.Idx)),
-	}
-	i, j := 0, 0
-	push := func(ix int32, x float64) {
-		if x != 0 {
-			out.Idx = append(out.Idx, ix)
-			out.Val = append(out.Val, x)
-		}
-	}
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			push(a.Idx[i], a.Val[i])
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			push(b.Idx[j], b.Val[j])
-			j++
-		default:
-			push(a.Idx[i], a.Val[i]+b.Val[j])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.Idx); i++ {
-		push(a.Idx[i], a.Val[i])
-	}
-	for ; j < len(b.Idx); j++ {
-		push(b.Idx[j], b.Val[j])
-	}
-	return out
 }
 
 // Equal reports exact coordinate-wise equality.
