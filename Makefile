@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-smoke bench-e2e bench-e2e-smoke obs-smoke shard-net-smoke profile fuzz experiments examples loc clean
+.PHONY: all build vet lint test race flake cover bench bench-json bench-smoke bench-e2e bench-e2e-smoke obs-smoke shard-net-smoke profile fuzz experiments examples loc clean
 
 all: build vet lint test
 
@@ -35,6 +35,12 @@ test: vet
 # under -race.
 race:
 	$(GO) test -race -cpu 1,4 ./...
+
+# The engine's concurrency, stream and norm-table tests, 50 times at each of
+# GOMAXPROCS 1 and 4: a test whose outcome depends on the schedule fails here
+# before it fails a tier-1 run at random (~3.5 min on 2 vCPU).
+flake:
+	$(GO) test -count=50 -cpu 1,4 -run 'Concurrent|Stream|NormTables' ./internal/core
 
 cover:
 	$(GO) test -cover ./...
@@ -159,8 +165,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19299
-CORE_LOC_CEILING = 5841
+LOC_CEILING = 19275
+CORE_LOC_CEILING = 5837
 DESIGN_LINES_CEILING = 985
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

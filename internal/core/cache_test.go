@@ -336,7 +336,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}{
 		{"insert", func(st *sharedCacheState) { st.insert(key(n), vec) }},
 		{"compiled", func(st *sharedCacheState) {
-			st.put(nil, &compiledQuery{cache: newCompiledCache(&Materializer{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
+			st.put(&compiledQuery{cache: newCompiledCache(&Materializer{lru: st}), key: ckey{path: "q", v: waistOf - 1}, charged: size})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -406,17 +406,16 @@ func TestCacheKeepsWhatSavesMostPerByte(t *testing.T) {
 }
 
 // One store, one rule, every kind: a vector, a norm table, a waist table, a
-// compiled query, a kept N and a ghost share one store and one budget, all
-// worth no work; the one left idle — the least recently used, whatever its
-// kind — is the one a charge over the budget evicts, and the others stay. The
-// charge is a vector's, or a kept N's: an N evicts an idle vector as any entry
-// does, not only other kept N and ghosts.
+// compiled query and a kept N share one store and one budget, all worth no
+// work; the one left idle — the least recently used, whatever its kind — is
+// the one a charge over the budget evicts, and the others stay. The charge is
+// a vector's, or a kept N's: an N evicts an idle vector as any entry does, not
+// only other kept N.
 func TestStoreEvictsAcrossKinds(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(9)), 60)
 	apv, _ := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	pa, _ := metapath.ParseDotted(g.Schema(), "paper.author")
 	vec := sparse.Vector{Idx: []int32{1, 2, 3}, Val: []float64{1, 2, 3}}
-	numer := func(c string) ckey { return ckey{path: apv.Key() + strings.Repeat(c, 32), v: numerOf} }
 	offerOf := func(kind string) storeEntry {
 		if kind == "kept N" {
 			return &keptN{key: ckey{path: "m", v: numerOf}, vs: []hin.VertexID{0}, num: []float64{1}}
@@ -425,7 +424,7 @@ func TestStoreEvictsAcrossKinds(t *testing.T) {
 	}
 	for _, arm := range []struct{ idle, offer string }{
 		{"vector", "vector"}, {"norms", "vector"}, {"waist", "vector"}, {"compiled", "vector"},
-		{"kept N", "vector"}, {"ghost", "vector"}, {"vector", "kept N"},
+		{"kept N", "vector"}, {"vector", "kept N"},
 	} {
 		name := arm.idle
 		if arm.offer != "vector" {
@@ -439,17 +438,15 @@ func TestStoreEvictsAcrossKinds(t *testing.T) {
 				"norms":    {path: apv.Key(), v: normsOf},
 				"waist":    {path: pa.Key(), v: waistOf},
 				"compiled": {path: "q", v: pool.tag},
-				"kept N":   numer("a"),
-				"ghost":    numer("b"),
+				"kept N":   {path: apv.Key() + strings.Repeat("a", 32), v: numerOf},
 			}
 			st.keep(keys["vector"], vec, 0)
 			st.normTable(apv)
 			st.waistTable(pa.Key())
 			cq := &compiledQuery{cache: pool, key: keys["compiled"], resolvedQuery: &resolvedQuery{q: &oql.Query{}}}
 			cq.charged = cq.size()
-			st.put(nil, cq)
-			st.put(nil, &keptN{key: keys["kept N"], vs: []hin.VertexID{0}, num: []float64{1}})
-			st.put(nil, &keptN{key: keys["ghost"]})
+			st.put(cq)
+			st.put(&keptN{key: keys["kept N"], vs: []hin.VertexID{0}, num: []float64{1}})
 			offer := offerOf(arm.offer)
 			for kind, key := range keys {
 				if e := keptAny(st, key); e == nil || e.bytes() < offer.bytes() {
@@ -462,7 +459,7 @@ func TestStoreEvictsAcrossKinds(t *testing.T) {
 				}
 			}
 			st.maxBytes = st.bytes.Load()
-			st.put(nil, offer)
+			st.put(offer)
 			for kind, key := range keys {
 				if held := keptAny(st, key) != nil; held == (kind == arm.idle) {
 					t.Errorf("the %s entry held %v after the charge", kind, held)
@@ -1182,7 +1179,7 @@ func BenchmarkStoreCharge(b *testing.B) {
 			i := 0
 			return st, func() bool {
 				s, _, _ := tr.SetVector(context.Background(), p, authors[i:i+5])
-				st.put(nil, &keptN{key: numerKey(p.Key(), sumOf(s)), s: s, vs: authors, num: make([]float64, len(authors)), rank: rank{work: 1}})
+				st.put(&keptN{key: numerKey(p.Key(), sumOf(s)), vs: authors, num: make([]float64, len(authors)), rank: rank{work: 1}})
 				i += 5
 				return i+5 <= len(authors)
 			}

@@ -16,12 +16,11 @@ import (
 // A materializer's store is what it keeps between queries, one per root
 // Materializer, shared by every view — every concurrent query of a workload
 // (ExecuteBatch, ServePool): Cached's vectors and waist tables, the norm
-// tables, the kept N of each (path, S) and the ghosts of S's seen once, the
-// broadcast states a shard keeps, and every pool's compiled queries. It is a
-// map and one recency list per class of worth under one mutex, which also
-// guards every charge to the store's one byte account, so eviction always
-// drops the entry that saves the least work per byte (GreedyDual-Size,
-// below), whatever its kind. All counters are atomic, and concurrent misses on
+// tables, the kept N of each (path, S), the broadcast states a shard keeps,
+// and every pool's compiled queries. It is a map and one recency list per
+// class of worth under one mutex, which also guards every charge to the
+// store's one byte account, so eviction always drops the entry that saves the
+// least work per byte (GreedyDual-Size, below), whatever its kind. All counters are atomic, and concurrent misses on
 // the same (path, vertex) are coalesced by a singleflight group so the network
 // is traversed once, not once per worker.
 
@@ -52,8 +51,8 @@ const (
 
 // storeEntry is what the store holds: a vector (cacheEntry), a norm table
 // (visPath), a waist table (waistTable), a compiled query (compiledQuery), a
-// kept broadcast state (keptRef) or a kept N or its ghost (keptN), each under
-// its key, charged its bytes and ranked by its work. Its bytes change only
+// kept broadcast state (keptRef) or a kept N (keptN), each under its key,
+// charged its bytes and ranked by its work. Its bytes change only
 // under mu, with the charge (a waist table's fill, rerankLocked).
 type storeEntry interface {
 	ckey() ckey
@@ -87,8 +86,8 @@ func (r *rank) compare(o *rank) int {
 }
 
 // classOf is the class of an entry that saved work in bytes: 0 when it saved
-// none (a ghost), else c for a work per byte in [2^(c-33), 2^(c-32)), clamped
-// to the classes there are.
+// none (a fresh norm table), else c for a work per byte in [2^(c-33),
+// 2^(c-32)), clamped to the classes there are.
 func classOf(work, bytes int64) (c int) {
 	if work > 0 {
 		_, exp := math.Frexp(float64(work) / float64(max(bytes, 1)))
@@ -122,7 +121,7 @@ type keptRef struct {
 func (k *keptRef) ckey() ckey   { return k.key }
 func (k *keptRef) bytes() int64 { return k.st.bytes() + indexEntryOverhead + int64(len(k.key.path)) }
 
-// numerKey is the store key of S's kept N on p (queryScorers.numerKeys), made
+// numerKey is the store key of S's kept N on p (queryScorers.numerKey), made
 // once per path S is scored along in turn.
 func (k *keptRef) numerKey(p metapath.Path) ckey {
 	pk := p.Key()
@@ -151,8 +150,7 @@ type sharedCacheState struct {
 
 	// mu guards the entries (entries, order, every rank, floor, tick), the
 	// waist lines and every charge to bytes: a charge and the evictions it
-	// forces are one critical section (chargeLocked), and so is putting an
-	// entry in another's place (put).
+	// forces are one critical section (chargeLocked).
 	mu      sync.Mutex
 	entries map[ckey]*list.Element
 	// order[c] is class c's entries (storeEntry), front = most recent; floor is
@@ -283,28 +281,22 @@ func (st *sharedCacheState) keepPrefix(pk string, v hin.VertexID, frontier spars
 // misses of different paths can both keep a shared prefix) holds the same
 // vector — Φ is a function of (path, vertex) — and is only used.
 func (st *sharedCacheState) keep(key ckey, vec sparse.Vector, work int64) {
-	st.put(nil, &cacheEntry{key: key, vec: vec, rank: rank{work: work}})
+	st.put(&cacheEntry{key: key, vec: vec, rank: rank{work: work}})
 }
 
-// put enters e in old's place — old is what the caller found under e's key,
-// an untyped nil for nothing — unless another entry holds that place now,
-// which is then only used. An e larger than the whole budget is refused, so
-// it does not thrash; any other is charged (chargeLocked) and evicts by the
-// one rule, whatever the kinds.
-func (st *sharedCacheState) put(old, e storeEntry) {
+// put enters e unless an entry holds its key, which is then only used. An e
+// larger than the whole budget is refused, so it does not thrash; any other
+// is charged (chargeLocked) and evicts by the one rule, whatever the kinds.
+func (st *sharedCacheState) put(e storeEntry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	el := st.entries[e.ckey()]
-	if el != nil && el.Value != old {
+	if el := st.entries[e.ckey()]; el != nil {
 		st.touchLocked(el)
 		return
 	}
 	size := e.bytes()
 	if size > st.maxBytes {
 		return
-	}
-	if el != nil {
-		st.dropLocked(el)
 	}
 	st.chargeLocked(size)
 	st.pushLocked(e)

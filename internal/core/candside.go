@@ -109,7 +109,7 @@ func newCandidateSide(ctx context.Context, g *hin.Graph, mat *Materializer, scor
 		// per vertex.
 		var how string
 		if known >= need {
-			if cs.num[m], how, err = mat.seedValues(ctx, p, rs.s, scorers.numerKeys(paths)[m], cands); err != nil {
+			if cs.num[m], how, err = mat.seedValues(ctx, p, rs.s, scorers.numerKey(m, paths), cs.memo[m], cands); err != nil {
 				return nil, err
 			}
 		}
@@ -292,32 +292,32 @@ type visPath struct {
 	// of a slot stores the same word — the norm is a function of (path,
 	// vertex) — so concurrent fills need atomicity, not ordering.
 	bits []atomic.Uint64
+	// seen is what the table remembers of the S's sighted on its path, outside
+	// the store's budget (sight): the last word of the digest of each S sighted
+	// once, or its complement once S is spoiled; 0 is an empty slot.
+	seen [4]atomic.Uint64
 }
 
 func (vp *visPath) ckey() ckey   { return vp.key }
 func (vp *visPath) bytes() int64 { return 8 * int64(len(vp.bits)) }
 
-// keptN is S walked back along P⁻¹ to its end, N = M_P·S, beside that S, held
-// by reference — a reduced S or a broadcast is never written — under P's key
-// and S's digest (Materializer.seedValues). num[i] is N at vs[i], the graph's
-// list of P's source type, every one below 2⁵³. A ghost holds its key alone: S
-// was seen once, or (spoiled) its N reached 2⁵³ at some vertex of the type and
-// is never kept; it is worth no work. Published whole and never written but
-// for its rank, which only the store reads.
+// keptN is S walked back along P⁻¹ to its end, N = M_P·S, under P's key and
+// S's digest, which names S (ShardRefState.Sum; Materializer.seedValues).
+// num[i] is N at vs[i], the graph's list of P's source type, every one below
+// 2⁵³. Published whole and never written but for its rank, which only the
+// store reads.
 type keptN struct {
 	rank
-	key     ckey
-	s       sparse.Vector
-	vs      []hin.VertexID
-	num     []float64
-	spoiled bool
+	key ckey
+	vs  []hin.VertexID
+	num []float64
 }
 
 func (w *keptN) ckey() ckey { return w.key }
 
-// bytes is what w is charged: S, N at every vertex of vs, and its key.
+// bytes is what w is charged: N at every vertex of vs, and its key.
 func (w *keptN) bytes() int64 {
-	return int64(w.s.Bytes()+8*len(w.vs)) + indexEntryOverhead + int64(len(w.key.path))
+	return int64(8*len(w.vs)) + indexEntryOverhead + int64(len(w.key.path))
 }
 
 // read is N at the vertices at, as Traverser.SeedValues reads it: 0 at a
@@ -365,21 +365,6 @@ func (st *sharedCacheState) normTable(p metapath.Path) *visPath {
 	return vp
 }
 
-// sameBits reports whether a and b hold the same coordinates with the same
-// Float64bits (so +0 is not −0, unlike sparse.Vector.Equal), comparing
-// nothing when they share their arrays.
-func sameBits(a, b sparse.Vector) bool {
-	if len(a.Idx) != len(b.Idx) {
-		return false
-	}
-	if len(a.Idx) == 0 || &a.Idx[0] == &b.Idx[0] && &a.Val[0] == &b.Val[0] {
-		return true
-	}
-	return slices.Equal(a.Idx, b.Idx) && slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	})
-}
-
 // slot is v's word, nil when v is outside the table (or there is none).
 func (vp *visPath) slot(v hin.VertexID) *atomic.Uint64 {
 	if vp == nil || v < vp.lo || int(v-vp.lo) >= len(vp.bits) {
@@ -401,6 +386,32 @@ func (vp *visPath) put(v hin.VertexID, vis float64) {
 	if s := vp.slot(v); s != nil {
 		s.Store(math.Float64bits(vis) + 1)
 	}
+}
+
+// sight notes a sighting of the S whose digest ends in the word d and says
+// whether it repeats one noted before, which it takes out; a spoiled S, noted
+// as ^d, never does. This is 2Q's A1out (Johnson & Shasha, 1994) beside the
+// store, not in it: a first sighting puts nothing there. Two S's sharing a
+// word only walk the type sooner or again; what is kept is named by the whole
+// digest.
+func (vp *visPath) sight(d uint64) bool {
+	for i := range vp.seen {
+		if w := vp.seen[i].Load(); w == d || w == ^d {
+			return w == d && vp.seen[i].CompareAndSwap(d, 0)
+		}
+	}
+	vp.note(d)
+	return false
+}
+
+// note keeps w in an empty slot, else in the one w picks.
+func (vp *visPath) note(w uint64) {
+	for i := range vp.seen {
+		if vp.seen[i].CompareAndSwap(0, w) {
+			return
+		}
+	}
+	vp.seen[w%uint64(len(vp.seen))].Store(w)
 }
 
 // need is the crossover of the reverse propagation (see candSideMinKnown)

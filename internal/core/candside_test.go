@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"netout/internal/gen"
@@ -89,6 +91,8 @@ func bareWithin(g *hin.Graph, limit int64) *Materializer {
 
 // normsIn is p's norm table in st, nil when it has none; it moves nothing.
 func normsIn(st *sharedCacheState, p metapath.Path) *visPath {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if el, ok := st.entries[ckey{path: p.Key(), v: normsOf}]; ok {
 		return el.Value.(*visPath)
 	}
@@ -99,29 +103,34 @@ func normsIn(st *sharedCacheState, p metapath.Path) *visPath {
 func sumOf(s sparse.Vector) [32]byte { return ShardRefState{Agg: s}.Sum() }
 
 // keyOf is the store key of S's kept N on p, the one a query's scorers hold
-// (queryScorers.numerKeys).
+// (queryScorers.numerKey).
 func keyOf(p metapath.Path, s sparse.Vector) ckey {
 	d := sumOf(s)
 	return ckey{path: p.Key() + string(d[:]), v: numerOf}
 }
 
-// keptIn is what st keeps for S on p: its N, its ghost, or nil; it moves
-// nothing.
+// keptIn is the N st keeps for S on p, or nil; it moves nothing.
 func keptIn(st *sharedCacheState, p metapath.Path, s sparse.Vector) *keptN {
-	return keptAt(st, keyOf(p, s))
-}
-
-// keptAt is the kept N or ghost under key, or nil; it moves nothing.
-func keptAt(st *sharedCacheState, key ckey) *keptN {
-	if el, ok := st.entries[key]; ok {
+	if el, ok := st.entries[keyOf(p, s)]; ok {
 		return el.Value.(*keptN)
 	}
 	return nil
 }
 
-// ghostBytes is what the ghost of an S sighted once on p is charged.
-func ghostBytes(p metapath.Path) int64 {
-	return (&keptN{key: ckey{path: p.Key() + string(make([]byte, 32))}}).bytes()
+// seenIn is what p's norm table in st remembers of S (visPath.sight): "once",
+// "spoiled" or "".
+func seenIn(st *sharedCacheState, p metapath.Path, s sparse.Vector) string {
+	d, tbl := sumOf(s), normsIn(st, p)
+	w := binary.BigEndian.Uint64(d[24:])
+	for i := range tbl.seen {
+		switch tbl.seen[i].Load() {
+		case w:
+			return "once"
+		case ^w:
+			return "spoiled"
+		}
+	}
+	return ""
 }
 
 // candSideExecutors are the three places a query's candidate ranges run, each
@@ -304,7 +313,7 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 	if err != nil || !exact {
 		t.Fatalf("fixture: S left the exact domain (exact=%v, err=%v)", exact, err)
 	}
-	if n, _, err := probe.seedValues(context.Background(), p, agg, keyOf(p, agg), all); err != nil || n != nil {
+	if n, _, err := probe.seedValues(context.Background(), p, agg, keyOf(p, agg), probe.lru.normTable(p), all); err != nil || n != nil {
 		t.Fatalf("fixture: N stays in the exact domain (N=%v, err=%v)", n != nil, err)
 	}
 	want := perVertexResult(t, g, all, all, []metapath.Path{p}, []float64{1}, 0)
@@ -337,25 +346,20 @@ func TestCandidateSideFallsThroughPast2To53(t *testing.T) {
 // Accounting without new series: a norm read from the table is an indexed
 // vector, a walk a traversed one, a propagation — forward or back, its N
 // kept or not — one traversed vector per path, a read of a kept N one indexed
-// vector, and IndexBytes is what the store holds: norms, kept numerators and
-// the ghosts of S's sighted once.
+// vector, and IndexBytes is what the store holds: norms and kept numerators;
+// a first sighting of S is noted on the norm table, outside the store.
 // With the production crossover a scan only propagates once 1 024 of its
 // candidates are known and they are a quarter of the type.
 func TestCandidateSideAccounting(t *testing.T) {
 	g := bibGraphOf(rand.New(rand.NewSource(8)), 1500)
 	all := g.VerticesOfType(mustType(t, g, "author"))
 	span := int64(all[len(all)-1]-all[0]) + 1
-	// A kept N holds the venue path's S and N at every author.
+	// A kept N holds N at every author.
 	venue, err := metapath.ParseDotted(g.Schema(), "author.paper.venue")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := metapath.NewTraverser(g).SetVector(context.Background(), venue, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	walk := (&keptN{key: ckey{path: venue.Key() + string(make([]byte, 32))}, s: s, vs: all}).bytes()
-	ghost := ghostBytes(venue) // the author path's key is as long
+	walk := (&keptN{key: ckey{path: venue.Key() + string(make([]byte, 32))}, vs: all}).bytes()
 	mat := NewBaseline(g)
 	eng := NewEngine(g, WithMaterializer(mat), WithQueryParallelism(1))
 	scan := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;`
@@ -370,14 +374,14 @@ func TestCandidateSideAccounting(t *testing.T) {
 	}{
 		{"cold scan walks every candidate", scan, 1 + n, 0, 8 * span},
 		{"1 000 known candidates stay under the floor", few, 1 + 1000, 0, 8 * span},
-		// A first sighting of S leaves its ghost.
-		{"warm scan: S, N, then the table", scan, 2, n, 8*span + ghost},
-		// The same S seen a second time: N is kept in its place, still one traversal.
+		// A first sighting of S puts nothing in the store.
+		{"warm scan: S, N, then the table", scan, 2, n, 8 * span},
+		// The same S seen a second time: N is kept, still one traversal.
 		{"a known subset above the floor propagates too", most, 2, 1300, 8*span + walk},
 		// The venue path reads the kept N: an indexed vector, no walk.
 		{"one warm path, one cold", two, 2 + n, 1 + n, 16*span + walk},
 		// The venue path reads again; the author path walks its S a first time.
-		{"both warm", two, 3, 1 + 2*n, 16*span + walk + ghost},
+		{"both warm", two, 3, 1 + 2*n, 16*span + walk},
 	} {
 		res, err := eng.Execute(step.src)
 		if err != nil {
@@ -395,7 +399,7 @@ func TestCandidateSideAccounting(t *testing.T) {
 	// reading the N the root kept.
 	view := NewView(mat)
 	res, err := NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)).Execute(scan)
-	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk+ghost {
+	if err != nil || res.Timing.TraversedVectors != 1 || res.Timing.IndexedVectors != 1+n || view.IndexBytes() != 16*span+walk {
 		t.Fatalf("view: err=%v traversed=%d indexed=%d bytes=%d, want the root's warm table and kept N",
 			err, res.Timing.TraversedVectors, res.Timing.IndexedVectors, view.IndexBytes())
 	}
@@ -404,7 +408,9 @@ func TestCandidateSideAccounting(t *testing.T) {
 // Eight goroutines on views of one baseline fill and read the same tables at
 // once (run under -race): every norm any of them stored is Norm2Sq of the
 // vertex's Φ bit for bit, queries answer the reference throughout, and the
-// byte bound holds while tables of six paths compete for room for two.
+// byte bound holds while tables of six paths compete for room for two. What
+// is left at rest — tables, kept N, or both — is the schedule's: the bound
+// and the account are all that hold of it.
 func TestNormTablesConcurrentFills(t *testing.T) {
 	g := bigBibGraph(rand.New(rand.NewSource(21)))
 	author := mustType(t, g, "author")
@@ -417,13 +423,23 @@ func TestNormTablesConcurrentFills(t *testing.T) {
 	}
 	paths := make([]metapath.Path, len(features))
 	want := make([]*Result, len(features))
-	for i, f := range features {
+	norms := make([][]float64, len(features)) // norms[k][i]: Norm2Sq of Φ at all[i]
+	for k, f := range features {
 		var err error
-		if paths[i], err = metapath.ParseDotted(g.Schema(), f); err != nil {
+		if paths[k], err = metapath.ParseDotted(g.Schema(), f); err != nil {
 			t.Fatal(err)
 		}
-		want[i] = perVertexResult(t, g, all, all, paths[i:i+1], []float64{1}, 0)
+		want[k] = perVertexResult(t, g, all, all, paths[k:k+1], []float64{1}, 0)
+		tr := metapath.NewTraverser(g)
+		for _, v := range all {
+			phi, err := tr.NeighborVector(paths[k], v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norms[k] = append(norms[k], phi.Norm2Sq())
+		}
 	}
+	var stored atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		view := NewView(root)
@@ -450,33 +466,25 @@ func TestNormTablesConcurrentFills(t *testing.T) {
 				if b := root.IndexBytes(); b > root.lru.maxBytes {
 					t.Errorf("tables hold %d bytes, bound %d", b, root.lru.maxBytes)
 				}
+				tbl := normsIn(root.lru, paths[k]) // nil once evicted
+				for j, v := range all {
+					if vis, ok := tbl.get(v); ok {
+						stored.Add(1)
+						if math.Float64bits(vis) != math.Float64bits(norms[k][j]) {
+							t.Errorf("worker %d %s: stored norm of %d = %v, want %v", w, features[k], v, vis, norms[k][j])
+							return
+						}
+					}
+				}
 			}
 		}(w, NewEngine(g, WithMaterializer(view), WithQueryParallelism(1)))
 	}
 	wg.Wait()
-	if b := root.IndexBytes(); b != 2*8*span || b != root.lru.recomputeBytes() {
-		t.Fatalf("tables hold %d bytes at rest (re-summed %d), want two of %d", b, root.lru.recomputeBytes(), 8*span)
+	if b := root.IndexBytes(); b > root.lru.maxBytes || b != root.lru.recomputeBytes() {
+		t.Fatalf("the store holds %d bytes at rest (re-summed %d), bound %d", b, root.lru.recomputeBytes(), root.lru.maxBytes)
 	}
-	stored := 0
-	for i, p := range paths {
-		tbl := normsIn(root.lru, p)
-		for _, v := range all {
-			vis, ok := tbl.get(v)
-			if !ok {
-				continue
-			}
-			stored++
-			phi, err := metapath.NewTraverser(g).NeighborVector(p, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(vis) != math.Float64bits(phi.Norm2Sq()) {
-				t.Fatalf("%s: stored norm of %d = %v, want %v", features[i], v, vis, phi.Norm2Sq())
-			}
-		}
-	}
-	if stored == 0 {
-		t.Fatal("no norm survived in any table")
+	if stored.Load() == 0 {
+		t.Fatal("no norm was stored in any table")
 	}
 }
 
@@ -833,7 +841,7 @@ func broadcastOf(g *hin.Graph, s sparse.Vector) *ShardBroadcast {
 // A shard request on a warm range that propagates allocates what its slice
 // needs and nothing the size of a type: no directory of S, which a propagated
 // path never dots against, and on a first sighting of S — its N may never be
-// asked for again — no kept N, only its ghost. A cold range, which dots,
+// asked for again — nothing in the store. A cold range, which dots,
 // builds the directory. A repeat reads the N the second sighting kept, and a
 // stream of distinct S's keeps a small store inside its bound.
 func TestShardRequestAllocatesNoSpan(t *testing.T) {
@@ -905,22 +913,22 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	if raceEnabled {
 		bound += kept
 	}
-	ghost := ghostBytes(p)
-	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / runs; perReq >= bound || mat.IndexBytes() != norms+int64(sent)*ghost {
-		t.Fatalf("first sightings allocated %d bytes per request (bound %d, the author type's span is %d) and left %d bytes in the store, want the %d of the norms and %d ghosts",
-			perReq, bound, span, mat.IndexBytes(), norms, sent)
+	if perReq := int64(after.TotalAlloc-before.TotalAlloc) / runs; perReq >= bound || mat.IndexBytes() != norms {
+		t.Fatalf("first sightings allocated %d bytes per request (bound %d, the author type's span is %d) and left %d bytes in the store, want the %d of the norms",
+			perReq, bound, span, mat.IndexBytes(), norms)
 	}
-	// Measured: 23, a walk in scratch and S's ghost ("sync.Pool drops what it
-	// is handed" under -race).
-	if n := testing.AllocsPerRun(runs, first); n > 24 && !raceEnabled {
-		t.Fatalf("a first sighting allocated %.0f times per request, ceiling 24", n)
+	// Measured: 22, a walk in scratch ("sync.Pool drops what it is handed"
+	// under -race).
+	if n := testing.AllocsPerRun(runs, first); n > 22 && !raceEnabled {
+		t.Fatalf("a first sighting allocated %.0f times per request, ceiling 22", n)
 	}
-	// bs's first sighting leaves its ghost; planning its range again keeps N
-	// in the ghost's place — still without S's directory — and a repeat only
-	// reads it.
+	// bs's first sighting is noted on the norm table; planning its range
+	// again keeps N — still without S's directory — and a repeat only reads
+	// it.
 	serve(mat, bs, 1)
-	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+int64(sent)*ghost+kept+int64(bs.Refs[0].Agg.Bytes())+ghost {
-		t.Fatalf("second sighting: directory %v, %d bytes in the store, want the norms, the ghosts and one kept N", rs.hasDir, mat.IndexBytes())
+	one := (&keptN{key: keyOf(p, bs.Refs[0].Agg), vs: all}).bytes()
+	if rs := dirs(bs); rs.hasDir || mat.IndexBytes() != norms+one {
+		t.Fatalf("second sighting: directory %v, %d bytes in the store, want the norms and one kept N", rs.hasDir, mat.IndexBytes())
 	}
 	repeat := func() { serve(mat, bs, 0) }
 	repeat()
@@ -928,7 +936,7 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	// distinct S's, each sent three times, keeps each one's N in place of the
 	// last on its second sighting, reads it on its third, and never holds more
 	// than its bound.
-	small := bareWithin(g, norms+3*(kept+12*int64(len(all)))/2)
+	small := bareWithin(g, norms+3*one/2)
 	ServeShardRequest(ctx, g, small, req, bs)
 	for k, b := range stream[:8] {
 		for i, traversed := range []int64{1, 1, 0} {
@@ -941,10 +949,20 @@ func TestShardRequestAllocatesNoSpan(t *testing.T) {
 	if raceEnabled {
 		return // sync.Pool drops what it is handed
 	}
-	// Measured: 16, under the ceiling of a walk in scratch: a slice of
+	// Measured: 19, under the first sighting's walk in scratch: a slice of
 	// consecutive IDs reads N in place.
-	if n := testing.AllocsPerRun(runs, repeat); n > 24 {
-		t.Fatalf("a range reading a kept N allocated %.0f times per request, ceiling 24", n)
+	if n := testing.AllocsPerRun(runs, repeat); n > 19 {
+		t.Fatalf("a range reading a kept N allocated %.0f times per request, ceiling 19", n)
+	}
+	// A by-digest repeat of S the shard keeps reads the same N, and neither
+	// resolving the broadcast nor keying N allocates a slice: the kept S rides
+	// on its state and holds the key (keptRef.numerKey). Measured: 20.
+	keep := *bs
+	keep.Form = RefsKeep
+	ServeShardRequest(ctx, g, mat, req, &keep)
+	digest := &ShardBroadcast{Stride: bs.Stride, Refs: []ShardRefState{{Digest: sumOf(bs.Refs[0].Agg)}}, Form: RefsDigest}
+	if n := testing.AllocsPerRun(runs, func() { serve(mat, digest, 0) }); n > 20 {
+		t.Fatalf("a by-digest repeat allocated %.0f times per request, ceiling 20", n)
 	}
 }
 
@@ -996,7 +1014,7 @@ func TestKeptWalkMatchesEveryBit(t *testing.T) {
 }
 
 // A read of the kept N at a run of the type allocates nothing: its store key
-// is the scorers' own, made once per reduced S (queryScorers.numerKeys), and
+// is the scorers' own, made once per reduced S (queryScorers.numerKey), and
 // its values are a window of the kept array.
 func TestKeptNReadAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
@@ -1010,14 +1028,15 @@ func TestKeptNReadAllocatesNothing(t *testing.T) {
 	}
 	qs := newQueryScorers(MeasureNetOut, CombineAverage, [][]sparse.Vector{{s}}, []float64{1}, int32(g.NumVertices()))
 	mat := eagerBaseline(g)
+	tbl := mat.lru.normTable(paths[0])
 	read := func() string {
-		_, how, err := mat.seedValues(ctx, paths[0], qs.perPath[0].s, qs.numerKeys(paths[:1])[0], all[1:])
+		_, how, err := mat.seedValues(ctx, paths[0], qs.perPath[0].s, qs.numerKey(0, paths[:1]), tbl, all[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		return how
 	}
-	read() // a ghost
+	read() // noted on the table
 	read() // N kept
 	if how := read(); how != "memo" {
 		t.Fatalf("third sighting read %s, want memo", how)
@@ -1060,11 +1079,11 @@ func TestDigestRepeatBuildsNoKey(t *testing.T) {
 		}
 		return qs
 	}
-	if got := scorers().numerKeys(req.Paths); len(got) != 1 || got[0] != keyOf(p, s) {
-		t.Fatalf("the repeat's keys are %q, want [%q]", got, keyOf(p, s))
+	if got := scorers().numerKey(0, req.Paths); got != keyOf(p, s) {
+		t.Fatalf("the repeat's key is %q, want %q", got, keyOf(p, s))
 	}
 	bare := testing.AllocsPerRun(100, func() { scorers() })
-	keyed := testing.AllocsPerRun(100, func() { scorers().numerKeys(req.Paths) })
+	keyed := testing.AllocsPerRun(100, func() { scorers().numerKey(0, req.Paths) })
 	if keyed != bare {
 		t.Fatalf("a by-digest repeat's keys take %.0f allocations beyond its scorers' %.0f, want none", keyed-bare, bare)
 	}
@@ -1101,16 +1120,16 @@ func TestKeptNReadsWhatTheWalkReturns(t *testing.T) {
 		}
 		mat := eagerBaseline(g)
 		for range 2 {
-			if _, _, err := mat.seedValues(ctx, p, s, keyOf(p, s), all[:1]); err != nil {
+			if _, _, err := mat.seedValues(ctx, p, s, keyOf(p, s), mat.lru.normTable(p), all[:1]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if w := keptIn(mat.lru, p, s); w == nil || w.num == nil {
+		if keptIn(mat.lru, p, s) == nil {
 			t.Fatalf("seed %d: N was not kept", seed)
 		}
 		mixed := []hin.VertexID{all[7], all[3], all[7], g.VerticesOfType(1)[0], all[len(all)-1]}
 		for _, at := range [][]hin.VertexID{all, all[10:200], all[1:], mixed} {
-			got, how, err := mat.seedValues(ctx, p, s.Clone(), keyOf(p, s), at)
+			got, how, err := mat.seedValues(ctx, p, s.Clone(), keyOf(p, s), mat.lru.normTable(p), at)
 			want, _, _ := metapath.NewTraverser(g).SeedValues(ctx, p.Reverse(), s, at)
 			if err != nil || how != "memo" || len(got) != len(want) {
 				t.Fatalf("seed %d: %s read %d values (%v), want %d", seed, how, len(got), err, len(want))
@@ -1146,10 +1165,10 @@ func bigSmallGraph(t *testing.T, mult int32) (g *hin.Graph, small, mid hin.Verte
 // N is kept only when it is exact at every vertex of the type. Over a slice
 // whose numerators are exact, beside a vertex outside it whose N is 2⁵³
 // (TestSeedValuesExactnessCoversUsedOnly's shape), three repeats of a request
-// walk — the second sighting keeps nothing but a spoiled ghost, the third
-// walks as a first sighting — and answer a fresh baseline's bits; the store
-// holds the norms and that ghost. With that count made small, the second
-// sighting keeps N in the ghost's place and the third reads it.
+// walk — the second sighting keeps nothing and notes S spoiled on the norm
+// table, the third walks as a first sighting — and answer a fresh baseline's
+// bits; the store holds the norms alone. With that count made small, the
+// second sighting keeps N and the third reads it.
 func TestKeptWalkIsExactOverTheType(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -1192,12 +1211,13 @@ func TestKeptWalkIsExactOverTheType(t *testing.T) {
 			}
 			entriesBitEqual(t, fmt.Sprintf("big=%d, repeat %d", tc.big, i+1), &Result{Entries: want.Entries, Skipped: want.Skipped}, &Result{Entries: got.Entries, Skipped: got.Skipped})
 		}
-		norms, kept := int64(16), ghostBytes(p) // big and small; the ghost
+		norms, kept, seen := int64(16), int64(0), "spoiled" // big and small
 		if tc.kept {
-			kept += int64(sv.Bytes()) + norms
+			kept, seen = (&keptN{key: keyOf(p, sv), vs: g.VerticesOfType(0)}).bytes(), ""
 		}
-		if w := keptIn(mat.lru, p, sv); mat.IndexBytes() != norms+kept || w == nil || w.spoiled == tc.kept || (w.num != nil) != tc.kept {
-			t.Fatalf("big=%d: the store holds %d bytes, want %d, and S's entry %+v", tc.big, mat.IndexBytes(), norms+kept, w)
+		if w := keptIn(mat.lru, p, sv); mat.IndexBytes() != norms+kept || (w != nil) != tc.kept || seenIn(mat.lru, p, sv) != seen {
+			t.Fatalf("big=%d: the store holds %d bytes, want %d, S's entry %+v and its table notes %q, want %q",
+				tc.big, mat.IndexBytes(), norms+kept, w, seenIn(mat.lru, p, sv), seen)
 		}
 	}
 }
@@ -1314,8 +1334,8 @@ func TestTwoSsInTurnEachKeepTheirN(t *testing.T) {
 			}
 		}
 		st := mat.lru
-		if w, v := keptIn(st, p, ss[0]), keptIn(st, p, ss[1]); w == nil || !w.spoiled || v == nil || v.num == nil {
-			t.Fatalf("the store keeps %+v for the spoiled S and %+v for the other, want a spoiled ghost and an N", w, v)
+		if w, v := keptIn(st, p, ss[0]), keptIn(st, p, ss[1]); w != nil || seenIn(st, p, ss[0]) != "spoiled" || v == nil {
+			t.Fatalf("the store keeps %+v for the spoiled S, noted %q, and %+v for the other, want S noted spoiled and an N", w, seenIn(st, p, ss[0]), v)
 		}
 	})
 }
@@ -1360,7 +1380,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 		want = ServeShardRequest(ctx, g, root, req, broadcastOf(g, s0))
 	}
 	kept := keptIn(st, p, s0)
-	if want.Err != "" || want.Stats.TraversedVectors != 0 || kept == nil || kept.num == nil {
+	if want.Err != "" || want.Stats.TraversedVectors != 0 || kept == nil {
 		t.Fatalf("fixture: %+v, want a read of a kept N", want)
 	}
 	var others []*keptN // the kept N of three more S's, each kept by a baseline of its own
@@ -1368,7 +1388,7 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 		s := sOf(all[k:])
 		other := eagerBaseline(g)
 		for range 2 {
-			if _, _, err := other.seedValues(ctx, p, s, keyOf(p, s), all); err != nil {
+			if _, _, err := other.seedValues(ctx, p, s, keyOf(p, s), other.lru.normTable(p), all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1383,9 +1403,9 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 			if w == 0 { // the publisher
 				for i := 0; i < 20; i++ {
 					o := others[i%len(others)]
-					st.put(nil, o)
+					st.put(o)
 					drop(st, kept.key)
-					st.put(nil, kept)
+					st.put(kept)
 					drop(st, o.key)
 				}
 				return
@@ -1426,8 +1446,8 @@ func TestViewsGatherWhileAWalkIsKept(t *testing.T) {
 //     allocates nothing (Visibility); warm, read from the table — and a
 //     division.
 //   - memo (warm table only): what a repeat does once the store keeps S's
-//     numerators — Materializer.seedValues finds them by S's digest and bits (S
-//     here is a copy, as a shard's decoded broadcast is) and reads N at the
+//     numerators — Materializer.seedValues finds them by S's digest (S here
+//     is a copy, as a shard's decoded broadcast is) and reads N at the
 //     candidates, then the same division.
 //
 // The crossover constant candSideMinKnown compares the warm propagated arm
@@ -1470,7 +1490,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 		}
 		key := keyOf(p, s)
 		for range 2 {
-			if _, _, err := mat.seedValues(ctx, p, s, key, all); err != nil {
+			if _, _, err := mat.seedValues(ctx, p, s, key, tbl, all); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1520,7 +1540,7 @@ func BenchmarkCandidateSide(b *testing.B) {
 			b.Run(name+"/table=warm/memo", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					n, how, err := mat.seedValues(ctx, p, copied, key, cands)
+					n, how, err := mat.seedValues(ctx, p, copied, key, tbl, cands)
 					if err != nil || how != "memo" || n == nil {
 						b.Fatalf("seedValues: %s, %v", how, err)
 					}

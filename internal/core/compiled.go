@@ -151,7 +151,7 @@ func (blank *compiledQuery) retain(text string, rq *resolvedQuery, scorers *quer
 			return
 		}
 	}
-	st.put(nil, cq)
+	st.put(cq)
 }
 
 // close takes the pool's entries out of the store (ServePool.Close).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -297,18 +298,18 @@ func (m *Materializer) setVector(ctx context.Context, p metapath.Path, set []hin
 
 // seedValues is its weighted form along p⁻¹ read at the vertices at: N =
 // M_p·seed (Traverser.SeedValues), nil unless exact. The store keeps N over
-// all of p's source type under key (queryScorers.numerKeys): a first
-// sighting of a seed leaves a ghost there, and a second, finding it, walks N
-// over the type and keeps it in the ghost's place (sharedCacheState.put) when
-// N's bytes fit the whole budget — unless a value reached 2⁵³: the ghost is
-// then spoiled, and its repeats walk as first sightings do. A later seed with
-// that seed's arrays or bits reads N there: what the same walk returned, so
-// the same bits. how says which ran, "memo" or "walk". A walk is one
-// traversed vector, kept or not; a read one indexed vector, after a poll of
-// ctx whose error fails the caller whole as the walk's polls do.
-func (m *Materializer) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, key ckey, at []hin.VertexID) (vals []float64, how string, err error) {
-	w, _ := m.lru.lookup(key).(*keptN)
-	if w != nil && w.num != nil && sameBits(w.s, seed) {
+// all of p's source type under key (queryScorers.numerKey), which names seed
+// by its digest: a first sighting of a seed is noted on p's norm table tbl
+// (visPath.sight), and a second, finding the note, walks N over the type and
+// keeps it (sharedCacheState.put) when N's bytes fit the whole budget —
+// unless a value reached 2⁵³: the seed is then noted spoiled, and its repeats
+// walk as first sightings do. A later seed under key reads N there: what the
+// same walk returned, so the same bits. how says which ran, "memo" or "walk".
+// A walk is one traversed vector, kept or not; a read one indexed vector,
+// after a poll of ctx whose error fails the caller whole as the walk's polls
+// do.
+func (m *Materializer) seedValues(ctx context.Context, p metapath.Path, seed sparse.Vector, key ckey, tbl *visPath, at []hin.VertexID) (vals []float64, how string, err error) {
+	if w, ok := m.lru.lookup(key).(*keptN); ok {
 		if err := ctxErr(ctx); err != nil {
 			return nil, "memo", err
 		}
@@ -320,12 +321,10 @@ func (m *Materializer) seedValues(ctx context.Context, p metapath.Path, seed spa
 	}
 	defer m.traversed(time.Now())
 	back, all := p.Reverse(), m.tr.Graph().VerticesOfType(p.Source())
-	// A ghost promotes when N fits the budget: the whole type is walked for
+	d := binary.BigEndian.Uint64([]byte(key.path[len(key.path)-8:])) // the digest's last word
+	// A repeat keeps N when it fits the budget: the whole type is walked for
 	// nothing else.
-	if w == nil || w.num != nil || w.spoiled || (&keptN{key: key, s: seed, vs: all}).bytes() > m.lru.maxBytes {
-		if w == nil {
-			m.lru.put(nil, &keptN{key: key})
-		}
+	if (&keptN{key: key, vs: all}).bytes() > m.lru.maxBytes || !tbl.sight(d) {
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
@@ -335,12 +334,12 @@ func (m *Materializer) seedValues(ctx context.Context, p metapath.Path, seed spa
 		return nil, "walk", err
 	}
 	if n == nil {
-		m.lru.put(w, &keptN{key: key, spoiled: true})
+		tbl.note(^d)
 		vals, _, err = m.tr.SeedValues(ctx, back, seed, at)
 		return vals, "walk", err
 	}
-	kept := &keptN{key: key, s: seed, vs: all, num: n, rank: rank{work: m.tr.Work() - work}}
-	m.lru.put(w, kept)
+	kept := &keptN{key: key, vs: all, num: n, rank: rank{work: m.tr.Work() - work}}
+	m.lru.put(kept)
 	return kept.read(at), "walk", nil
 }
 

@@ -155,9 +155,6 @@ type ShardBroadcast struct {
 	Refs   []ShardRefState
 	// Form is how Refs travel.
 	Form RefForm
-	// kept are the store's entries of Refs on a broadcast refsOf resolved,
-	// which hold their kept N's keys (keptRef.numerKey); never on the wire.
-	kept []*keptRef
 }
 
 // RefForm is how a broadcast's reference states travel.
@@ -185,6 +182,9 @@ type ShardRefState struct {
 	// Digest is the state's Sum where it travels as RefsDigest. A shard never
 	// trusts one that arrives beside the state: it sums what it decoded.
 	Digest [32]byte
+	// kept is the store's entry of the state on a broadcast refsOf resolved,
+	// which holds the key of its kept N (keptRef.numerKey); never on the wire.
+	kept *keptRef
 }
 
 // Sum is the SHA-256 of st's bits: the count of Refs, then Agg and every
@@ -247,15 +247,14 @@ func (rs *refScorer) state() ShardRefState {
 // refsOf is b as this shard scores it. A digest names the state the store
 // keeps under it (NOT_FOUND when there is none); a state sent to be kept is
 // replaced by the one kept under its own Sum, or kept. So every repeat scores
-// one S object, which a kept N matches by identity (Materializer.seedValues).
-// The result is RefsDigest: every state beside the Sum it is kept under, which
-// the shard's scorers take as theirs (scorersFromRequest), and the kept
-// entries, which hold the keys of its N.
+// one S object. The result is RefsDigest: every state beside the Sum it is
+// kept under and its kept entry, which holds the keys of its N; the shard's
+// scorers take them as theirs (scorersFromRequest).
 func refsOf(mat *Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 	if b == nil || b.Form == RefsFull {
 		return b, nil
 	}
-	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs)), Form: RefsDigest, kept: make([]*keptRef, len(b.Refs))}
+	out := &ShardBroadcast{Stride: b.Stride, Refs: make([]ShardRefState, len(b.Refs)), Form: RefsDigest}
 	for i, st := range b.Refs {
 		if b.Form == RefsKeep {
 			st.Digest = st.Sum()
@@ -270,9 +269,10 @@ func refsOf(mat *Materializer, b *ShardBroadcast) (*ShardBroadcast, error) {
 			for _, r := range st.Refs {
 				k.work += int64(len(r.Idx))
 			}
-			mat.lru.put(nil, k)
+			mat.lru.put(k)
 		}
-		out.Refs[i], out.kept[i] = k.st, k
+		out.Refs[i] = k.st
+		out.Refs[i].kept = k
 	}
 	return out, nil
 }
@@ -320,12 +320,10 @@ type queryScorers struct {
 	stride  int32
 	// refs are the scorers' states, each beside its Sum — the digest that
 	// names S in a RefsDigest broadcast and keys its kept N — made at most once
-	// (digested), or taken from the broadcast a shard resolved, with the
-	// store's entries of them (entries).
+	// (digested), or taken from the broadcast a shard resolved.
 	refs     []ShardRefState
-	entries  []*keptRef
 	once     sync.Once
-	keys     []ckey // numerKeys'
+	keys     []ckey // numerKey's
 	keysOnce sync.Once
 	// kept says a RefsKeep broadcast of the scorers reached every shard
 	// without error (coordinator only).
@@ -380,20 +378,19 @@ func (qs *queryScorers) digested() []ShardRefState {
 	return qs.refs
 }
 
-// numerKeys is each path's store key of its kept N (keptN): its Key and S's
+// numerKey is path m's store key of its kept N (keptN): its Key and S's
 // digest, made once per reduced S — on a shard once per kept S, which holds
 // it (keptRef.numerKey) — so a read of the kept N builds no key.
-func (qs *queryScorers) numerKeys(paths []metapath.Path) []ckey {
+func (qs *queryScorers) numerKey(m int, paths []metapath.Path) ckey {
+	if k := qs.digested()[m].kept; k != nil {
+		return k.numerKey(paths[m])
+	}
 	qs.keysOnce.Do(func() {
 		for m, st := range qs.digested() {
-			if qs.entries != nil {
-				qs.keys = append(qs.keys, qs.entries[m].numerKey(paths[m]))
-			} else {
-				qs.keys = append(qs.keys, numerKey(paths[m].Key(), st.Digest))
-			}
+			qs.keys = append(qs.keys, numerKey(paths[m].Key(), st.Digest))
 		}
 	})
-	return qs.keys
+	return qs.keys[m]
 }
 
 func (qs *queryScorers) states() []ShardRefState {
@@ -425,9 +422,6 @@ func scorersFromRequest(req *ShardRequest, b *ShardBroadcast) (*queryScorers, er
 	qs := &queryScorers{weights: req.Weights, stride: b.Stride}
 	if b.Form == RefsDigest {
 		qs.once.Do(func() { qs.refs = b.Refs }) // refsOf's sums: one per state
-	}
-	if b.kept != nil {
-		qs.entries, qs.keys = b.kept, make([]ckey, 0, len(b.kept))
 	}
 	switch req.Combine {
 	case CombineConcat:

@@ -171,12 +171,13 @@ var streamSeeds = [][3]int64{
 
 // streamBranches is every branch of the kept state the corpus must reach: the
 // plan lines' numerator and reference-side reasons, compiled hits and
-// evictions, a ghost promoted to N and a kept N evicted by an entry of another
-// kind, a waist table evicted and rebuilt, a prefix resume and a waist finish.
+// evictions, an N kept on a second sighting and a kept N evicted by an entry
+// of another kind, a waist table evicted and rebuilt, a prefix resume and a
+// waist finish.
 var streamBranches = []string{
 	": numer=memo", ": numer=walk", ": numer=vertex",
 	"refside=set", "refside=vertex (held)", "refside=vertex (small)", "refside=vertex (measure)", "refside=vertex (concat)",
-	"compiled hit", "compiled evicted", "ghost promoted", "kept N evicted by another kind",
+	"compiled hit", "compiled evicted", "N kept", "kept N evicted by another kind",
 	"waist rebuilt", "prefix resume", "waist finish",
 }
 
@@ -386,14 +387,14 @@ func streamRun(t *testing.T, graph, stream int64, pick uint16, reached map[strin
 			case "compiled":
 				reached["compiled evicted"] = true
 			case "kept N":
-				// Only a walk puts a kept N or a ghost: with none, another kind evicted it.
+				// Only a walk puts a kept N: with none, another kind evicted it.
 				reached["kept N evicted by another kind"] = reached["kept N evicted by another kind"] || !walked
 			case "waist":
 				gone[key] = true
 			}
 		}
 		for key, kind := range after {
-			reached["ghost promoted"] = reached["ghost promoted"] || kind == "kept N"
+			reached["N kept"] = reached["N kept"] || kind == "kept N"
 			reached["waist rebuilt"] = reached["waist rebuilt"] || kind == "waist" && gone[key]
 		}
 		before = after
@@ -525,20 +526,17 @@ func TestConcurrentStreamsMatchFreshEngine(t *testing.T) {
 	}
 }
 
-// storeKinds is the kind of each entry in st: "kept N", "ghost", "compiled",
-// "waist", or "other".
+// storeKinds is the kind of each entry in st: "kept N", "compiled", "waist",
+// or "other".
 func storeKinds(st *sharedCacheState) map[ckey]string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make(map[ckey]string, len(st.entries))
 	for key, el := range st.entries {
 		kind := "other"
-		switch e := el.Value.(type) {
+		switch el.Value.(type) {
 		case *keptN:
-			kind = "ghost"
-			if e.num != nil {
-				kind = "kept N"
-			}
+			kind = "kept N"
 		case *compiledQuery:
 			kind = "compiled"
 		case *waistTable:

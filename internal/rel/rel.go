@@ -13,7 +13,6 @@ package rel
 
 import (
 	"fmt"
-	"sort"
 )
 
 // ColumnType is the type of a column.
@@ -242,14 +241,4 @@ func keyString(v Value) string {
 	default:
 		return fmt.Sprintf("?:%v", v)
 	}
-}
-
-// sortedColumns returns column names sorted, for deterministic output.
-func (t *Table) sortedColumns() []string {
-	out := make([]string, 0, len(t.colIdx))
-	for n := range t.colIdx {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

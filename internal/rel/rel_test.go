@@ -79,9 +79,6 @@ func TestDBBasics(t *testing.T) {
 	if _, ok := papers.Lookup(int64(3)); !ok {
 		t.Fatal("Lookup failed")
 	}
-	if cols := papers.sortedColumns(); len(cols) != 3 || cols[0] != "id" {
-		t.Fatalf("sortedColumns = %v", cols)
-	}
 }
 
 func TestCreateTableErrors(t *testing.T) {

@@ -42,6 +42,3 @@ func (acc *Accumulator) Take() Vector {
 	clear(acc.m)
 	return v
 }
-
-// Reset clears the accumulator without producing a vector.
-func (acc *Accumulator) Reset() { clear(acc.m) }

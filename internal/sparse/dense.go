@@ -72,14 +72,11 @@ func (acc *DenseAccumulator) Len() int {
 	return n
 }
 
-// Take drains the accumulator into a freshly allocated sorted Vector and
-// resets it for reuse.
-func (acc *DenseAccumulator) Take() Vector { return acc.TakeInto(Vector{}, 0) }
-
-// TakeInto is Take with base added to every coordinate (the span offset a
-// caller subtracted on the way in), writing into buf's storage when it has
-// room for every marked coordinate, so a caller that drains intermediates can
-// recycle one buffer; a fresh vector is allocated otherwise.
+// TakeInto drains the accumulator into a sorted Vector and resets it for
+// reuse, with base added to every coordinate (the span offset a caller
+// subtracted on the way in), writing into buf's storage when it has room for
+// every marked coordinate, so a caller that drains intermediates can recycle
+// one buffer; a fresh vector is allocated otherwise.
 func (acc *DenseAccumulator) TakeInto(buf Vector, base int32) Vector {
 	n := acc.Len()
 	if n == 0 {
@@ -91,9 +88,6 @@ func (acc *DenseAccumulator) TakeInto(buf Vector, base int32) Vector {
 	n = acc.drain(buf.Idx[:n], buf.Val[:n], base)
 	return Vector{Idx: buf.Idx[:n], Val: buf.Val[:n]}
 }
-
-// Reset clears the accumulator without producing a vector.
-func (acc *DenseAccumulator) Reset() { acc.drain(nil, nil, 0) }
 
 // drain is the one walk over the marked slots, ascending: it clears every
 // mark and slot it meets and, given room for Len coordinates, emits the

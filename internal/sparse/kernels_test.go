@@ -404,7 +404,7 @@ func TestTakeBitmapEdges(t *testing.T) {
 		for _, c := range edges {
 			acc.Add(c.ix, c.x)
 		}
-		acc.Reset()
+		acc.TakeInto(Vector{}, 0)
 		if err := checkDrained(acc); err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func TestTakeBitmapEdges(t *testing.T) {
 }
 
 // TakeInto writes into the buffer exactly when it has room for every
-// marked coordinate, and a fresh Take never hands out scratch.
+// marked coordinate, and one into no buffer never hands out scratch.
 func TestTakeIntoBuffer(t *testing.T) {
 	acc := NewDenseAccumulator(64)
 	buf := Vector{Idx: make([]int32, 0, 4), Val: make([]float64, 0, 4)}
@@ -462,9 +462,9 @@ func TestTakeIntoBuffer(t *testing.T) {
 		t.Errorf("TakeInto without room should allocate, got %v", big)
 	}
 	acc.Add(1, 1)
-	fresh := acc.Take()
+	fresh := acc.TakeInto(Vector{}, 0)
 	acc.Add(2, 1)
-	if again := acc.Take(); &fresh.Idx[0] == &again.Idx[0] || fresh.Idx[0] != 1 {
+	if again := acc.TakeInto(Vector{}, 0); &fresh.Idx[0] == &again.Idx[0] || fresh.Idx[0] != 1 {
 		t.Error("Take results must not share storage")
 	}
 }

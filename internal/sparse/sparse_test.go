@@ -221,11 +221,6 @@ func TestAccumulator(t *testing.T) {
 	if acc.Len() != 0 {
 		t.Error("Take should reset")
 	}
-	acc.Add(1, 1)
-	acc.Reset()
-	if !acc.Take().IsZero() {
-		t.Error("Reset should clear")
-	}
 	// Exact cancellation inside the accumulator drops the coordinate.
 	acc.Add(3, 1)
 	acc.Add(3, -1)
@@ -242,11 +237,11 @@ func TestDenseAccumulator(t *testing.T) {
 	if acc.Len() != 2 {
 		t.Fatalf("Len = %d", acc.Len())
 	}
-	v := acc.Take()
+	v := acc.TakeInto(Vector{}, 0)
 	if !v.Equal(FromMap(map[int32]float64{2: 3, 5: 3})) {
 		t.Fatalf("Take = %v", v)
 	}
-	if acc.Len() != 0 || !acc.Take().IsZero() {
+	if acc.Len() != 0 || !acc.TakeInto(Vector{}, 0).IsZero() {
 		t.Error("Take should reset")
 	}
 	// Exact cancellation drops the coordinate; re-adding after a cancel
@@ -254,15 +249,9 @@ func TestDenseAccumulator(t *testing.T) {
 	acc.Add(3, 1)
 	acc.Add(3, -1)
 	acc.Add(3, 7)
-	got := acc.Take()
+	got := acc.TakeInto(Vector{}, 0)
 	if !got.Equal(FromMap(map[int32]float64{3: 7})) {
 		t.Fatalf("cancel+readd = %v", got)
-	}
-	// Reset clears without emitting.
-	acc.Add(1, 1)
-	acc.Reset()
-	if !acc.Take().IsZero() {
-		t.Error("Reset should clear")
 	}
 }
 
@@ -278,7 +267,7 @@ func TestDenseAccumulatorGrow(t *testing.T) {
 	if acc.Size() < 100 {
 		t.Fatalf("Size = %d after Grow(100)", acc.Size())
 	}
-	got := acc.Take()
+	got := acc.TakeInto(Vector{}, 0)
 	if !got.Equal(FromMap(map[int32]float64{3: 2, 99: 1})) {
 		t.Fatalf("Take after Grow = %v", got)
 	}
@@ -301,7 +290,7 @@ func TestQuickAccumulatorsAgree(t *testing.T) {
 			m.Add(ix, x)
 			d.Add(ix, x)
 		}
-		return m.Take().Equal(d.Take())
+		return m.Take().Equal(d.TakeInto(Vector{}, 0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -325,7 +314,7 @@ func BenchmarkAccumulators(b *testing.B) {
 					for _, ix := range idx {
 						acc.Add(ix, 1)
 					}
-					sinkVector = acc.Take()
+					sinkVector = acc.TakeInto(Vector{}, 0)
 				}
 			})
 		}
@@ -352,7 +341,7 @@ func BenchmarkAccumulators(b *testing.B) {
 				for _, ix := range idx {
 					acc.Add(ix, 1)
 				}
-				_ = acc.Take()
+				_ = acc.TakeInto(Vector{}, 0)
 			}
 		})
 	}

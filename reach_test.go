@@ -14,9 +14,9 @@ import (
 	"testing"
 )
 
-// reachAllowlist names the package-level declarations that no program
-// reaches but a test needs, each with that test. Keys are
-// "<import path>.<name>".
+// reachAllowlist names the package-level declarations and methods that no
+// program reaches but a test needs, each with that test. Keys are
+// "<import path>.<name>", or "<import path>.<type>.<method>" for a method.
 var reachAllowlist = map[string]string{
 	"netout/internal/core.PathSim":              "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
 	"netout/internal/core.CosSim":               "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
@@ -26,15 +26,20 @@ var reachAllowlist = map[string]string{
 	"netout/internal/gen.GenerateSecurity":      "TestSecurityQueryFindsCompromisedHosts builds its network with it",
 	"netout/internal/xerr.RequestIDOf":          "the serving tests read the request ID ServePool.Execute stamps on its errors",
 	"netout/internal/xerr.requestIDer":          "the serving tests read the request ID ServePool.Execute stamps on its errors",
+	"netout/internal/core.pathIndex.table":      "TestBuildIndexMatchesPerVertexTraversal (cache_test.go) and FuzzLoadIndex (fuzz_test.go) probe tables with it",
 }
 
 // TestEveryDeclarationIsReachable type-checks every non-test package of the
-// module and walks what each top-level declaration refers to, from the
-// roots: main and init of every main package and every exported name of
-// package netout. A named type that is reached reaches all of its methods.
-// It fails on each package-level func, type, var or const that is not
-// reached, is outside bench/ (frozen: a root, never reported) and is not on
-// reachAllowlist.
+// module and walks what each top-level declaration and method refers to, from
+// the roots: main and init of every main package and every exported name of
+// package netout. A reached type reaches a method of its own only when an
+// interface names it (its name and signature are an interface method's, of an
+// interface the module spells or a package it imports exports), or when the
+// method is exported on a type package netout exports: every other method is
+// reached only by a call or a method value. Allowlisted names are walked from
+// too, after the programs. It fails on each package-level func, type, var or
+// const and each method that is not reached, is outside bench/ (frozen: a
+// root, never reported) and is not on reachAllowlist.
 func TestEveryDeclarationIsReachable(t *testing.T) {
 	const module = "netout"
 	dirs := map[string]string{} // import path -> directory
@@ -61,7 +66,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		Defs: map[*ast.Ident]types.Object{},
 		Uses: map[*ast.Ident]types.Object{},
 	}
-	imp := &moduleImporter{fset: fset, info: info, dirs: dirs, std: importer.Default(), pkgs: map[string]*checkedPackage{}}
+	imp := &moduleImporter{fset: fset, info: info, dirs: dirs, std: importer.Default(), pkgs: map[string]*checkedPackage{}, imported: map[string]*types.Package{}}
 	for path := range dirs {
 		if _, err := imp.load(path); err != nil {
 			t.Fatal(err)
@@ -114,10 +119,11 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 				case *ast.FuncDecl:
 					o := info.Defs[d.Name]
 					record([]types.Object{o}, d)
-					if d.Recv != nil {
-						continue
-					}
 					switch {
+					case d.Recv != nil:
+						if !frozen {
+							declared = append(declared, o)
+						}
 					case frozen, isMain && (d.Name.Name == "main" || d.Name.Name == "init"), path == module && d.Name.IsExported():
 						roots = append(roots, o)
 					case d.Name.Name != "init":
@@ -154,6 +160,48 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		}
 	}
 
+	// named: the signatures of every interface method by name, from the
+	// interfaces the module spells (their methods are defined in it), those
+	// the packages it imports export, and error and the methods errors.Is, As
+	// and Unwrap assert on an error through interfaces of their own.
+	named := map[string][]types.Type{}
+	for _, o := range info.Defs {
+		if f, ok := o.(*types.Func); ok {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				named[f.Name()] = append(named[f.Name()], f.Type())
+			}
+		}
+	}
+	const protocols = "package p; type E interface{ error; Is(error) bool; As(any) bool; Unwrap() error }; type J interface{ Unwrap() []error }"
+	f, err := parser.ParseFile(fset, "protocols.go", protocols, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := new(types.Config).Check("protocols", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp.imported["protocols"] = pkg
+	for _, pkg := range imp.imported {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumMethods(); i++ {
+						named[it.Method(i).Name()] = append(named[it.Method(i).Name()], it.Method(i).Type())
+					}
+				}
+			}
+		}
+	}
+	interfaceNames := func(m *types.Func) bool {
+		for _, t := range named[m.Name()] {
+			if types.Identical(t, m.Type()) { // receivers are ignored
+				return true
+			}
+		}
+		return false
+	}
+
 	reached := map[types.Object]bool{}
 	var visit func(types.Object)
 	visit = func(o types.Object) {
@@ -164,10 +212,18 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		for _, d := range deps[o] {
 			visit(d)
 		}
-		if tn, ok := o.(*types.TypeName); ok && !tn.IsAlias() {
-			if named, ok := tn.Type().(*types.Named); ok {
-				for i := 0; i < named.NumMethods(); i++ {
-					visit(named.Method(i))
+		tn, ok := o.(*types.TypeName)
+		if !ok {
+			return
+		}
+		facade := tn.Pkg().Path() == module && tn.Exported()
+		if tn.IsAlias() && !facade {
+			return
+		}
+		if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+			for i := 0; i < n.NumMethods(); i++ {
+				if m := n.Method(i); facade && m.Exported() || !tn.IsAlias() && interfaceNames(m) {
+					visit(m.Origin())
 				}
 			}
 		}
@@ -176,16 +232,35 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		visit(o)
 	}
 
+	keyOf := func(o types.Object) string {
+		if f, ok := o.(*types.Func); ok && f.Type().(*types.Signature).Recv() != nil {
+			t := f.Type().(*types.Signature).Recv().Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			return o.Pkg().Path() + "." + t.(*types.Named).Obj().Name() + "." + o.Name()
+		}
+		return o.Pkg().Path() + "." + o.Name()
+	}
+	byKey := map[string]types.Object{}
+	for _, o := range declared {
+		key := keyOf(o)
+		byKey[key] = o
+		if _, ok := reachAllowlist[key]; ok && reached[o] {
+			t.Errorf("%s is reached by a program; take it off reachAllowlist", key)
+		}
+	}
+	for key := range reachAllowlist {
+		if o, ok := byKey[key]; ok {
+			visit(o)
+		} else {
+			t.Errorf("reachAllowlist names %s, which is not declared", key)
+		}
+	}
+
 	var unreached []string
 	for _, o := range declared {
-		key := o.Pkg().Path() + "." + o.Name()
-		if reached[o] {
-			if _, ok := reachAllowlist[key]; ok {
-				t.Errorf("%s is reached by a program; take it off reachAllowlist", key)
-			}
-			continue
-		}
-		if _, ok := reachAllowlist[key]; !ok {
+		if key := keyOf(o); !reached[o] {
 			unreached = append(unreached, key+" ("+fset.Position(o.Pos()).String()+")")
 		}
 	}
@@ -208,11 +283,17 @@ type moduleImporter struct {
 	dirs map[string]string
 	std  types.Importer
 	pkgs map[string]*checkedPackage
+	// imported is every package from outside the module the module imports.
+	imported map[string]*types.Package
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if _, ok := m.dirs[path]; !ok {
-		return m.std.Import(path)
+		pkg, err := m.std.Import(path)
+		if err == nil {
+			m.imported[path] = pkg
+		}
+		return pkg, err
 	}
 	cp, err := m.load(path)
 	if err != nil {

@@ -92,8 +92,8 @@ grep -q 'numer=memo' "$TMP/newest" || fail "the fourth scan did not read its kep
 grep -q '"traversed_vectors"' "$TMP/newest" && fail "the fourth scan traversed vectors: $(cat "$TMP/newest")"
 
 # Two scans of that path COMPARED TO two reference sets, sent in turn three
-# times each: every S keeps an N of its own (a ghost on its first sighting, N
-# on its second), so each third sighting reads it. The two newest events, B's
+# times each: every S keeps an N of its own (noted on its first sighting, N
+# kept on its second), so each third sighting reads it. The two newest events, B's
 # and A's, both say numer=memo.
 A='FIND OUTLIERS FROM author COMPARED TO author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue TOP 4;'
 B='FIND OUTLIERS FROM author COMPARED TO author{"Christos Hub"}.paper.venue.paper.author JUDGED BY author.paper.venue TOP 6;'
