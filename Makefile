@@ -32,9 +32,10 @@ test: vet
 # fault-injection suite (internal/core/faultinject_test.go, faults injected
 # through the materializer's hook on the shipped strategies): panic isolation,
 # admission control and deadline degradation are only proven if they hold
-# under -race.
+# under -race. -count=1 bypasses the test cache, so a second run on an
+# unchanged tree runs the tests again instead of replaying the first.
 race:
-	$(GO) test -race -cpu 1,4 ./...
+	$(GO) test -race -count=1 -cpu 1,4 ./...
 
 # The engine's concurrency, stream and norm-table tests, 50 times at each of
 # GOMAXPROCS 1 and 4: a test whose outcome depends on the schedule fails here
@@ -165,8 +166,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 19275
-CORE_LOC_CEILING = 5837
+LOC_CEILING = 18977
+CORE_LOC_CEILING = 5828
 DESIGN_LINES_CEILING = 985
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

@@ -27,6 +27,8 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/core"
+	"netout/internal/metapath"
 	"netout/internal/sparse"
 )
 
@@ -409,7 +411,7 @@ func BenchmarkExpand(b *testing.B) {
 		}
 		return netout.Vector{Idx: idx, Val: val}
 	}
-	run := func(name string, g *netout.Graph, k netout.ExpandKernel, fr netout.Vector, to netout.TypeID) {
+	run := func(name string, g *netout.Graph, k metapath.Kernel, fr netout.Vector, to netout.TypeID) {
 		b.Run(fmt.Sprintf("%s/%v", name, k), func(b *testing.B) {
 			tr := netout.NewTraverser(g)
 			tr.SetKernel(k)
@@ -421,11 +423,11 @@ func BenchmarkExpand(b *testing.B) {
 	}
 	for _, size := range []int{1, 4, 32, 256, 2048} {
 		fr := frontier(f.graph, author, size, 11)
-		kernels := []netout.ExpandKernel{netout.KernelMap, netout.KernelDense}
+		kernels := []metapath.Kernel{metapath.KernelMap, metapath.KernelDense}
 		if size == 1 {
-			kernels = append(kernels, netout.KernelMerge)
+			kernels = append(kernels, metapath.KernelMerge)
 		} else {
-			kernels = append(kernels, netout.KernelPull)
+			kernels = append(kernels, metapath.KernelPull)
 		}
 		for _, k := range kernels {
 			run(fmt.Sprintf("nnz=%d", fr.NNZ()), f.graph, k, fr, paper)
@@ -443,12 +445,12 @@ func BenchmarkExpand(b *testing.B) {
 		to, _ := g.Schema().TypeByName(hop[1])
 		name := fmt.Sprintf("hop=%s.%s", hop[0], hop[1])
 		fr := frontier(g, from, 1, 11)
-		for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelMerge} {
+		for _, k := range []metapath.Kernel{metapath.KernelDense, metapath.KernelMerge} {
 			run(name+"/nnz=1", g, k, fr, to)
 		}
 		for _, share := range []int{5, 10, 25, 50, 100} {
 			fr := frontier(g, from, (g.NumVerticesOfType(from)*share+99)/100, 11)
-			for _, k := range []netout.ExpandKernel{netout.KernelDense, netout.KernelPull} {
+			for _, k := range []metapath.Kernel{metapath.KernelDense, metapath.KernelPull} {
 				run(fmt.Sprintf("%s/share=%d", name, share), g, k, fr, to)
 			}
 		}
@@ -659,7 +661,7 @@ func BenchmarkAblationSharedCache(b *testing.B) {
 			}
 			engines := make([]*netout.Engine, workers)
 			for w := range engines {
-				engines[w] = netout.NewEngine(f.graph, netout.WithMaterializer(netout.NewMaterializerView(mat)))
+				engines[w] = netout.NewEngine(f.graph, netout.WithMaterializer(core.NewView(mat)))
 			}
 			runPool(b, engines)
 			cs, _ := netout.CacheStatsOf(mat)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/gen"
 )
 
 func TestSplitStatements(t *testing.T) {
@@ -87,7 +88,7 @@ func TestLoadNetwork(t *testing.T) {
 
 func smallGraph(t *testing.T) *netout.Graph {
 	t.Helper()
-	cfg := netout.DefaultGenConfig()
+	cfg := gen.Default()
 	cfg.Papers = 200
 	cfg.AuthorsPerCommunity = 25
 	cfg.TermsPerCommunity = 25

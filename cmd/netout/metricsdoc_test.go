@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/obs"
 	"netout/internal/shardnet"
 )
 
@@ -53,7 +54,7 @@ func documentedFamilies(t *testing.T) map[string]bool {
 // does.
 func TestEveryFamilyIsDocumented(t *testing.T) {
 	g := smallGraph(t)
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	q := `FIND OUTLIERS FROM author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue TOP 3;`
 
 	mat, err := netout.NewCached(g, 1<<20)

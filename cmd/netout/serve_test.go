@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netout"
+	"netout/internal/obs"
 )
 
 // serveTestServer spins up the serve-mode handler over a small generated
@@ -20,7 +21,7 @@ import (
 func serveTestServer(t *testing.T) (*httptest.Server, *netout.ServePool, *netout.EventRing) {
 	t.Helper()
 	g := smallGraph(t)
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	slow := netout.NewSlowLog(4)
 	ring := netout.NewEventRing(16)
 	inflight := netout.NewInflight()

@@ -20,6 +20,9 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/core"
+	"netout/internal/obs"
+	"netout/internal/xerr"
 )
 
 // fakeExecutor returns a canned (result, error) pair and records the
@@ -63,12 +66,12 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 		pad      int    // blanks between the query and a second feature path
 	}{
 		"overloaded": {
-			err:    netout.ErrOverloaded,
+			err:    core.ErrOverloaded,
 			status: http.StatusTooManyRequests,
 			code:   "RESOURCE_EXHAUSTED",
 		},
 		"pool closed": {
-			err:    netout.ErrPoolClosed,
+			err:    core.ErrPoolClosed,
 			status: http.StatusServiceUnavailable,
 			code:   "UNAVAILABLE",
 		},
@@ -83,17 +86,17 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 			noBody: true,
 		},
 		"panic defect": {
-			err:    &netout.PanicError{Value: "boom", Stack: "goroutine 1 [running]:"},
+			err:    &core.PanicError{Value: "boom", Stack: "goroutine 1 [running]:"},
 			status: http.StatusInternalServerError,
 			code:   "INTERNAL",
 		},
 		"invalid argument": {
-			err:    netout.NewError(netout.CodeInvalidArgument, "oql: bad query"),
+			err:    xerr.New(netout.CodeInvalidArgument, "oql: bad query"),
 			status: http.StatusBadRequest,
 			code:   "INVALID_ARGUMENT",
 		},
 		"not found": {
-			err:    netout.NewError(netout.CodeNotFound, `core: no author named "X"`),
+			err:    xerr.New(netout.CodeNotFound, `core: no author named "X"`),
 			status: http.StatusNotFound,
 			code:   "NOT_FOUND",
 		},
@@ -115,7 +118,7 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			reg := netout.NewMetricsRegistry()
+			reg := obs.NewRegistry()
 			fake := &fakeExecutor{err: tc.err}
 			srv := httptest.NewServer(serveHandler(fake, reg, netout.NewSlowLog(4)))
 			defer srv.Close()
@@ -169,8 +172,8 @@ func TestServeHandlerStatusMapping(t *testing.T) {
 // A caller-supplied X-Request-Id is honored: echoed on the response, in the
 // error body, and passed to the executor's context.
 func TestServeHandlerRequestIDPropagation(t *testing.T) {
-	reg := netout.NewMetricsRegistry()
-	fake := &fakeExecutor{err: netout.NewError(netout.CodeInvalidArgument, "bad")}
+	reg := obs.NewRegistry()
+	fake := &fakeExecutor{err: xerr.New(netout.CodeInvalidArgument, "bad")}
 	srv := httptest.NewServer(serveHandler(fake, reg, netout.NewSlowLog(4)))
 	defer srv.Close()
 
@@ -193,17 +196,17 @@ func TestServeHandlerRequestIDPropagation(t *testing.T) {
 	if je.Error.RequestID != "lb-assigned-77" {
 		t.Fatalf("body rid = %q, want the caller's", je.Error.RequestID)
 	}
-	if netout.RequestIDFromContext(fake.lastCtx) != "lb-assigned-77" {
-		t.Fatalf("executor ctx rid = %q, want the caller's", netout.RequestIDFromContext(fake.lastCtx))
+	if obs.RequestIDFrom(fake.lastCtx) != "lb-assigned-77" {
+		t.Fatalf("executor ctx rid = %q, want the caller's", obs.RequestIDFrom(fake.lastCtx))
 	}
 }
 
 // Success path: the request ID rides the JSON result, and the 200 counter
 // bumps.
 func TestServeHandlerSuccessRequestID(t *testing.T) {
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	fake := &fakeExecutor{res: &netout.Result{
-		Entries:        []netout.Entry{{Name: "A", Score: 0.5}},
+		Entries:        []core.Entry{{Name: "A", Score: 0.5}},
 		CandidateCount: 3,
 		ReferenceCount: 3,
 	}}
@@ -235,9 +238,9 @@ func TestServeHandlerSuccessRequestID(t *testing.T) {
 // yield one clean 500 JSON error — not a 200 with an error message glued
 // onto a half-written body.
 func TestServeHandlerEncodeFailureClean500(t *testing.T) {
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	fake := &fakeExecutor{res: &netout.Result{
-		Entries: []netout.Entry{{Name: "NaN", Score: math.NaN()}},
+		Entries: []core.Entry{{Name: "NaN", Score: math.NaN()}},
 	}}
 	srv := httptest.NewServer(serveHandler(fake, reg, netout.NewSlowLog(4)))
 	defer srv.Close()
@@ -272,7 +275,7 @@ func TestServeHandlerEncodeFailureClean500(t *testing.T) {
 // while the server was the one shutting down.
 func TestServeHandlerClosedPool503(t *testing.T) {
 	g := smallGraph(t)
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	slow := netout.NewSlowLog(4)
 	pool := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithEventSink(slow)), netout.ServeOptions{Workers: 1})
 	srv := httptest.NewServer(serveHandler(pool, reg, slow))

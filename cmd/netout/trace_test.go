@@ -15,13 +15,14 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/obs"
 )
 
 const traceQuery = `FIND OUTLIERS FROM author{"Christos Hub"}.paper.author JUDGED BY author.paper.venue TOP 3;`
 
 func TestServeHandlerTraceparentRoundTrip(t *testing.T) {
 	fake := &fakeExecutor{res: &netout.Result{}}
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	srv := httptest.NewServer(serveHandler(fake, reg, nil))
 	defer srv.Close()
 
@@ -56,7 +57,7 @@ func TestServeHandlerTraceparentRoundTrip(t *testing.T) {
 	}
 	// The executor's context carried the server's span (parented on the
 	// caller's), so the engine's trace and event join the distributed trace.
-	got, ok := netout.SpanContextFromContext(fake.lastCtx)
+	got, ok := obs.SpanContextFrom(fake.lastCtx)
 	if !ok || got.TraceID != callerTrace || got.ParentSpanID != callerSpan || got.SpanID != sc.SpanID {
 		t.Fatalf("execution span context = %+v (ok=%v), want trace %s parent %s span %s",
 			got, ok, callerTrace, callerSpan, sc.SpanID)
@@ -141,7 +142,7 @@ func TestServeTraceReachesJournal(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var served []netout.QueryEvent
+	var served []obs.Event
 	if err := json.Unmarshal(body, &served); err != nil {
 		t.Fatalf("/debug/events is not JSON: %v\n%s", err, body)
 	}
@@ -155,7 +156,7 @@ func TestServeTraceReachesJournal(t *testing.T) {
 // request-latency histogram records by status code.
 func TestServeObservabilitySurfaces(t *testing.T) {
 	g := smallGraph(t)
-	reg := netout.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	inflight := netout.NewInflight()
 	pool := netout.NewServePool(netout.NewEngine(g, netout.WithObs(reg), netout.WithInflight(inflight)),
 		netout.ServeOptions{Workers: 2})

@@ -1,8 +1,8 @@
 // Command xerrlint enforces the serving error taxonomy: inside the serving
 // layer, every constructed error must carry a taxonomy code, so naked
 // fmt.Errorf(...) and errors.New(...) calls are forbidden there — use
-// xerr.New/Newf/Wrap/Interrupt (or the netout facade's
-// NewError/Errorf) instead. An untyped error silently classifies
+// xerr.New/Newf/Wrap/Interrupt (or the netout facade's Errorf)
+// instead. An untyped error silently classifies
 // as INTERNAL at the HTTP boundary, which is exactly the bug class this
 // repo's issue #6 removed; the linter keeps it from creeping back.
 //
@@ -53,7 +53,7 @@ type finding struct {
 }
 
 func (f finding) String() string {
-	return fmt.Sprintf("%s: naked %s in serving code; construct a typed error (xerr.New/Newf/Wrap or netout.NewError/Errorf) so it classifies", f.pos, f.call)
+	return fmt.Sprintf("%s: naked %s in serving code; construct a typed error (xerr.New/Newf/Wrap or netout.Errorf) so it classifies", f.pos, f.call)
 }
 
 func main() {

@@ -82,24 +82,6 @@ judged by author.paper.venue : 2.0 top 5`)
 	// TOP 5;
 }
 
-// Neighbor vectors Φ count meta-path instances; NormalizedConnectivity is
-// the building block of NetOut.
-func ExampleNormalizedConnectivity() {
-	g := exampleGraph()
-	tr := netout.NewTraverser(g)
-	p, _ := netout.ParseMetaPath(g.Schema(), "author.paper.venue")
-	author, _ := g.Schema().TypeByName("author")
-	ann, _ := g.VertexByName(author, "Ann")
-	eve, _ := g.VertexByName(author, "Eve")
-	phiAnn, _ := tr.NeighborVector(p, ann)
-	phiEve, _ := tr.NeighborVector(p, eve)
-	fmt.Printf("sigma(Eve,Ann) = %.2f\n", netout.NormalizedConnectivity(phiEve, phiAnn))
-	fmt.Printf("sigma(Eve,Eve) = %.2f\n", netout.NormalizedConnectivity(phiEve, phiEve))
-	// Output:
-	// sigma(Eve,Ann) = 0.30
-	// sigma(Eve,Eve) = 1.00
-}
-
 // Explanations decompose a score coordinate by coordinate, making the
 // outlier judgment auditable.
 func ExampleEngine_Explain() {

@@ -16,6 +16,7 @@ import (
 	"netout/internal/core"
 	"netout/internal/eval"
 	"netout/internal/gen"
+	"netout/internal/hin"
 	"netout/internal/walk"
 )
 
@@ -105,8 +106,8 @@ func TestFacadeExplainAndSuggest(t *testing.T) {
 func TestFacadeBatch(t *testing.T) {
 	g := buildQuickstartGraph(t)
 	pm := netout.NewPM(g)
-	view := netout.NewMaterializerView(pm)
-	if view.Strategy() != netout.StrategyPM {
+	view := core.NewView(pm)
+	if view.Strategy() != core.StrategyPM {
 		t.Fatal("view strategy wrong")
 	}
 	queries := []string{
@@ -251,7 +252,7 @@ func TestFacadeCachedAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mat.Strategy() != netout.StrategyCached {
+	if mat.Strategy() != core.StrategyCached {
 		t.Fatal("strategy wrong")
 	}
 	src := `FIND OUTLIERS FROM author{"Ann"}.paper.author JUDGED BY author.paper.venue;`
@@ -321,22 +322,10 @@ func TestFacadeRelAndKG(t *testing.T) {
 // TestFacadeSurface exercises every remaining thin wrapper so the public
 // surface is covered end to end.
 func TestFacadeSurface(t *testing.T) {
-	// Schema constructor error path + success.
-	if _, err := netout.NewSchema(); err == nil {
-		t.Error("empty schema accepted")
-	}
-	s, err := netout.NewSchema("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta, _ := s.TypeByName("a")
-	tb, _ := s.TypeByName("b")
-	s.AllowLink(ta, tb)
-
 	g := buildQuickstartGraph(t)
 
 	// Materializer constructors.
-	if netout.NewBaseline(g).Strategy() != netout.StrategyBaseline {
+	if netout.NewBaseline(g).Strategy() != core.StrategyBaseline {
 		t.Error("NewBaseline wrong")
 	}
 	p, _ := netout.ParseMetaPath(g.Schema(), "author.paper.venue")
@@ -402,12 +391,12 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatalf("EgoNetwork: %v", err)
 	}
 	sub, mapping, err := netout.InducedSubgraph(g, ego)
-	if err != nil || sub.NumVertices() != len(ego) || mapping[ann] == netout.InvalidVertex {
+	if err != nil || sub.NumVertices() != len(ego) || mapping[ann] == hin.InvalidVertex {
 		t.Fatalf("InducedSubgraph: %v", err)
 	}
 
 	// Random-walk measures.
-	ppr, err := netout.PPR(g, ann, netout.PPROptions{})
+	ppr, err := walk.PPR(g, ann, netout.PPROptions{})
 	if err != nil || ppr.IsZero() {
 		t.Fatalf("PPR: %v", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/eval"
+	"netout/internal/gen"
 )
 
 // TestPaperShapesEndToEnd asserts the EXPERIMENTS.md claims as code, at a
@@ -18,7 +20,7 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test skipped in -short mode")
 	}
-	cfg := netout.DefaultGenConfig()
+	cfg := gen.Default()
 	cfg.Papers = 1500
 	cfg.AuthorsPerCommunity = 80
 	cfg.TermsPerCommunity = 60
@@ -175,7 +177,7 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	netAUC, err := netout.ROCAUC(rankOf(netout.ScoreVectors(netout.MeasureNetOut, vecs, vecs), false), positives)
+	netAUC, err := eval.ROCAUC(rankOf(netout.ScoreVectors(netout.MeasureNetOut, vecs, vecs), false), positives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +185,12 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	knnAUC, _ := netout.ROCAUC(rankOf(knn, true), positives)
+	knnAUC, _ := eval.ROCAUC(rankOf(knn, true), positives)
 	ppr, err := netout.PPROutlierScores(g, cands, cands, netout.PPROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pprAUC, _ := netout.ROCAUC(rankOf(ppr, false), positives)
+	pprAUC, _ := eval.ROCAUC(rankOf(ppr, false), positives)
 	for name, auc := range map[string]float64{"kNN": knnAUC, "PPR": pprAUC} {
 		if auc > netAUC+1e-9 {
 			t.Fatalf("%s AUC %.3f beats NetOut's %.3f — Section 8 shape violated", name, auc, netAUC)

@@ -986,14 +986,14 @@ func TestEngineAccessors(t *testing.T) {
 	if eng.Graph() != g {
 		t.Error("Graph accessor wrong")
 	}
-	if eng.Measure() != MeasureCosSim {
-		t.Error("Measure accessor wrong")
+	if eng.measure != MeasureCosSim {
+		t.Error("WithMeasure not applied")
 	}
-	if eng.Materializer() != pm {
-		t.Error("Materializer accessor wrong")
+	if eng.mat != pm {
+		t.Error("WithMaterializer not applied")
 	}
-	if eng.Combination() != CombineConcat {
-		t.Error("Combination accessor wrong")
+	if eng.combine != CombineConcat {
+		t.Error("WithCombination not applied")
 	}
 }
 

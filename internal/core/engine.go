@@ -133,15 +133,6 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 // Graph returns the engine's network.
 func (e *Engine) Graph() *hin.Graph { return e.g }
 
-// Measure returns the configured outlierness measure.
-func (e *Engine) Measure() Measure { return e.measure }
-
-// Materializer returns the configured materialization strategy.
-func (e *Engine) Materializer() *Materializer { return e.mat }
-
-// Combination returns the configured multi-path combination mode.
-func (e *Engine) Combination() Combination { return e.combine }
-
 // QueryParallelism returns the effective bound on a query's local ranges.
 func (e *Engine) QueryParallelism() int {
 	if e.parallelism > 0 {

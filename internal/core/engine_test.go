@@ -478,12 +478,12 @@ func strategiesAgree(t *testing.T, g *hin.Graph, queries []string) bool {
 		for _, e2 := range []*Engine{pm, spm} {
 			ro, err := e2.Execute(src)
 			if err != nil {
-				t.Logf("%s %q: %v", e2.Materializer().Strategy(), src, err)
+				t.Logf("%s %q: %v", e2.mat.Strategy(), src, err)
 				return false
 			}
 			if !resultsEqual(rb, ro) {
 				t.Logf("%s diverges on %q:\nbase %+v\nother %+v",
-					e2.Materializer().Strategy(), src, rb.Entries, ro.Entries)
+					e2.mat.Strategy(), src, rb.Entries, ro.Entries)
 				return false
 			}
 		}

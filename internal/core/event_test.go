@@ -195,7 +195,7 @@ func TestEventAgreesWithTraceAndMetrics(t *testing.T) {
 	if ev.TopScore == nil || *ev.TopScore != res.Entries[0].Score {
 		t.Fatalf("event top score = %v, want %v", ev.TopScore, res.Entries[0].Score)
 	}
-	if ev.Measure != eng.Measure().String() || ev.Strategy != eng.Materializer().Strategy().String() || ev.Parallelism != eng.QueryParallelism() {
+	if ev.Measure != eng.measure.String() || ev.Strategy != eng.mat.Strategy().String() || ev.Parallelism != eng.QueryParallelism() {
 		t.Fatalf("event config = %s/%s/%d", ev.Measure, ev.Strategy, ev.Parallelism)
 	}
 

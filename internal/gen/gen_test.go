@@ -73,8 +73,10 @@ func TestGenerateDeterministic(t *testing.T) {
 		if g1.Name(hin.VertexID(v)) != g2.Name(hin.VertexID(v)) {
 			t.Fatalf("vertex %d name differs", v)
 		}
-		if g1.TotalDegree(hin.VertexID(v)) != g2.TotalDegree(hin.VertexID(v)) {
-			t.Fatalf("vertex %d degree differs", v)
+		for tp := 0; tp < g1.Schema().NumTypes(); tp++ {
+			if g1.Degree(hin.VertexID(v), hin.TypeID(tp)) != g2.Degree(hin.VertexID(v), hin.TypeID(tp)) {
+				t.Fatalf("vertex %d degree differs", v)
+			}
 		}
 	}
 	cfg2 := cfg

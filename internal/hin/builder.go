@@ -37,12 +37,6 @@ func NewBuilder(schema *Schema) *Builder {
 	return b
 }
 
-// Schema returns the builder's schema.
-func (b *Builder) Schema() *Schema { return b.schema }
-
-// NumVertices reports the number of vertices added so far.
-func (b *Builder) NumVertices() int { return len(b.types) }
-
 // AddVertex adds a vertex of type t with the given display name and returns
 // its ID. Names must be unique within a type; adding a duplicate returns the
 // existing vertex (upsert semantics), which makes incremental loaders simple.
@@ -68,18 +62,6 @@ func (b *Builder) MustAddVertex(t TypeID, name string) VertexID {
 		panic(err)
 	}
 	return v
-}
-
-// Vertex resolves a (type, name) pair among the vertices added so far.
-func (b *Builder) Vertex(t TypeID, name string) (VertexID, bool) {
-	if int(t) >= len(b.byName) {
-		return InvalidVertex, false
-	}
-	v, ok := b.byName[t][name]
-	if !ok {
-		return InvalidVertex, false
-	}
-	return v, true
 }
 
 // AddEdge records an undirected edge between v and u, increasing its

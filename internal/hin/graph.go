@@ -149,14 +149,6 @@ func (g *Graph) Degree(v VertexID, t TypeID) int {
 	return int(h.hi - h.lo)
 }
 
-// TotalDegree reports the number of distinct neighbors of v of any type.
-func (g *Graph) TotalDegree(v VertexID) (d int) {
-	for t := 0; t < g.nt; t++ {
-		d += g.Degree(v, TypeID(t))
-	}
-	return d
-}
-
 // EdgeMultiplicity reports the multiplicity of the edge from v to u, or 0 if
 // no edge exists.
 func (g *Graph) EdgeMultiplicity(v, u VertexID) int32 {

@@ -110,11 +110,6 @@ func TestPairMajorLayout(t *testing.T) {
 				}
 			}
 		}
-		for v := range types {
-			if d := g.Degree(VertexID(v), 0) + g.Degree(VertexID(v), 1) + g.Degree(VertexID(v), 2); g.TotalDegree(VertexID(v)) != d {
-				t.Fatalf("seed %d: TotalDegree(%d) = %d, its rows hold %d", seed, v, g.TotalDegree(VertexID(v)), d)
-			}
-		}
 		if entries != len(g.nbr) || cap(g.nbr) != len(g.nbr) {
 			t.Fatalf("seed %d: pairs hold %d entries, the one store %d (cap %d)", seed, entries, len(g.nbr), cap(g.nbr))
 		}

@@ -133,28 +133,6 @@ func (s *Schema) Clone() *Schema {
 	return c
 }
 
-// Equal reports whether two schemas declare the same types (in the same
-// order) and the same allowed edges.
-func (s *Schema) Equal(o *Schema) bool {
-	if s == o {
-		return true
-	}
-	if o == nil || len(s.names) != len(o.names) {
-		return false
-	}
-	for i := range s.names {
-		if s.names[i] != o.names[i] {
-			return false
-		}
-	}
-	for i := range s.allowed {
-		if s.allowed[i] != o.allowed[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema compactly, e.g.
 // "schema{author, paper, term, venue; paper-author, paper-term, paper-venue}".
 func (s *Schema) String() string {

@@ -3,6 +3,7 @@ package hinio
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func sampleGraph(t *testing.T) *hin.Graph {
 
 func graphsEqual(t *testing.T, a, b *hin.Graph) {
 	t.Helper()
-	if !a.Schema().Equal(b.Schema()) {
+	if !reflect.DeepEqual(a.Schema(), b.Schema()) {
 		t.Fatal("schemas differ")
 	}
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {

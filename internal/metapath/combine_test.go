@@ -36,7 +36,7 @@ func TestQuickCombineIsNeighborVector(t *testing.T) {
 			return false
 		}
 		for b := 1; b < p.Hops(); b++ {
-			prefix, suffix := MustNew(p.Types()[:b+1]...), MustNew(p.Types()[b:]...)
+			prefix, suffix := MustNew(p.types[:b+1]...), MustNew(p.types[b:]...)
 			frontier, err := tr.NeighborVector(prefix, v)
 			if err != nil {
 				return false

@@ -90,9 +90,6 @@ func (p Path) IsZero() bool { return len(p.types) == 0 }
 // Type returns the i-th vertex type.
 func (p Path) Type(i int) hin.TypeID { return p.types[i] }
 
-// Types returns a copy of the type sequence.
-func (p Path) Types() []hin.TypeID { return append([]hin.TypeID(nil), p.types...) }
-
 // Source returns the first vertex type T0.
 func (p Path) Source() hin.TypeID { return p.types[0] }
 
@@ -134,17 +131,6 @@ func (p Path) Symmetric() Path {
 	return sym
 }
 
-// IsSymmetric reports whether the path reads the same forwards and
-// backwards.
-func (p Path) IsSymmetric() bool {
-	for i, j := 0, len(p.types)-1; i < j; i, j = i+1, j-1 {
-		if p.types[i] != p.types[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks that every type exists in the schema and every
 // consecutive pair is an allowed edge.
 func (p Path) Validate(s *hin.Schema) error {
@@ -163,19 +149,6 @@ func (p Path) Validate(s *hin.Schema) error {
 		}
 	}
 	return nil
-}
-
-// Equal reports whether two paths have identical type sequences.
-func (p Path) Equal(q Path) bool {
-	if len(p.types) != len(q.types) {
-		return false
-	}
-	for i := range p.types {
-		if p.types[i] != q.types[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Key returns a compact comparable key for use as a map key: one byte per

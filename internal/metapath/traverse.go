@@ -389,30 +389,6 @@ func (tr *Traverser) expandInto(k Kernel, frontier sparse.Vector, next hin.TypeI
 	}
 }
 
-// CountInstances returns |π_P(vi,vj)|, the number of instances of P
-// connecting vi to vj (Definition 5).
-func (tr *Traverser) CountInstances(p Path, vi, vj hin.VertexID) (float64, error) {
-	phi, err := tr.NeighborVector(p, vi)
-	if err != nil {
-		return 0, err
-	}
-	return phi.At(int32(vj)), nil
-}
-
-// Neighborhood returns N_P(vi) = {vj : π_P(vi,vj) ≠ ∅} (Definition 6), in
-// ascending vertex order.
-func (tr *Traverser) Neighborhood(p Path, v hin.VertexID) ([]hin.VertexID, error) {
-	phi, err := tr.NeighborVector(p, v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hin.VertexID, len(phi.Idx))
-	for i, ix := range phi.Idx {
-		out[i] = hin.VertexID(ix)
-	}
-	return out, nil
-}
-
 // ExpandSet advances a set of vertices one hop to the given neighbor type,
 // returning the distinct neighbors (set semantics, no counts). Used by the
 // query engine to resolve candidate/reference set chains.

@@ -153,17 +153,6 @@ func (a Vector) Norm2Sq() float64 {
 // Norm2 returns the Euclidean norm ‖a‖₂.
 func (a Vector) Norm2() float64 { return math.Sqrt(a.Norm2Sq()) }
 
-// L1 returns the sum of absolute values ‖a‖₁. For a neighbor vector with
-// non-negative counts this is the total number of path instances from the
-// source vertex.
-func (a Vector) L1() float64 {
-	var s float64
-	for _, x := range a.Val {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // Sum returns the plain coordinate sum Σᵢ aᵢ.
 func (a Vector) Sum() float64 {
 	var s float64
@@ -185,15 +174,6 @@ func (a Vector) Scale(s float64) Vector {
 	return out
 }
 
-// Normalize returns a/‖a‖₂, or the zero vector if a is zero.
-func (a Vector) Normalize() Vector {
-	n := a.Norm2()
-	if n == 0 {
-		return Vector{}
-	}
-	return a.Scale(1 / n)
-}
-
 // Equal reports exact coordinate-wise equality.
 func (a Vector) Equal(b Vector) bool {
 	if len(a.Idx) != len(b.Idx) {
@@ -202,33 +182,6 @@ func (a Vector) Equal(b Vector) bool {
 	for i := range a.Idx {
 		if a.Idx[i] != b.Idx[i] || a.Val[i] != b.Val[i] {
 			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports coordinate-wise equality within an absolute tolerance,
-// treating absent coordinates as zero.
-func (a Vector) ApproxEqual(b Vector, tol float64) bool {
-	i, j := 0, 0
-	for i < len(a.Idx) || j < len(b.Idx) {
-		switch {
-		case j >= len(b.Idx) || (i < len(a.Idx) && a.Idx[i] < b.Idx[j]):
-			if math.Abs(a.Val[i]) > tol {
-				return false
-			}
-			i++
-		case i >= len(a.Idx) || a.Idx[i] > b.Idx[j]:
-			if math.Abs(b.Val[j]) > tol {
-				return false
-			}
-			j++
-		default:
-			if math.Abs(a.Val[i]-b.Val[j]) > tol {
-				return false
-			}
-			i++
-			j++
 		}
 	}
 	return true

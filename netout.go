@@ -71,17 +71,10 @@ type (
 	VertexID = hin.VertexID
 	// Builder accumulates vertices and edges and produces a Graph.
 	Builder = hin.Builder
-	// GraphStats summarizes a Graph.
-	GraphStats = hin.Stats
 )
 
-// InvalidVertex is returned by lookups for unknown vertices.
-const InvalidVertex = hin.InvalidVertex
-
-// NewSchema creates a schema with the given vertex type names.
-func NewSchema(typeNames ...string) (*Schema, error) { return hin.NewSchema(typeNames...) }
-
-// MustSchema is NewSchema panicking on error, for statically-known schemas.
+// MustSchema creates a schema with the given vertex type names, panicking on
+// error, for statically-known schemas.
 func MustSchema(typeNames ...string) *Schema { return hin.MustSchema(typeNames...) }
 
 // NewBuilder creates a graph builder for the given schema.
@@ -109,25 +102,6 @@ type Traverser = metapath.Traverser
 // NewTraverser creates a traverser over g.
 func NewTraverser(g *Graph) *Traverser { return metapath.NewTraverser(g) }
 
-// ExpandKernel selects the frontier-expansion kernel a Traverser uses
-// (Traverser.SetKernel). KernelAuto, the default, picks per hop.
-type ExpandKernel = metapath.Kernel
-
-// Expansion kernels: auto picks merge/pull/dense/map per hop from the
-// frontier's size and share of its type and the target type's vertex-ID span;
-// the forced kernels exist for benchmarks and equivalence tests.
-const (
-	KernelAuto  ExpandKernel = metapath.KernelAuto
-	KernelMap   ExpandKernel = metapath.KernelMap
-	KernelDense ExpandKernel = metapath.KernelDense
-	KernelMerge ExpandKernel = metapath.KernelMerge
-	KernelPull  ExpandKernel = metapath.KernelPull
-)
-
-// KernelCounts reports how many hops each expansion kernel handled
-// (Traverser.KernelCounts).
-type KernelCounts = metapath.KernelCounts
-
 // Vector is a sparse neighbor vector Φ_P(v): coordinate u holds the number
 // of meta-path instances from v to vertex u.
 type Vector = sparse.Vector
@@ -137,9 +111,6 @@ type Vector = sparse.Vector
 
 // Query is a parsed FIND OUTLIERS statement.
 type Query = oql.Query
-
-// SyntaxError reports a lexical or parse error with its source position.
-type SyntaxError = oql.SyntaxError
 
 // ParseQuery parses an outlier query:
 //
@@ -160,11 +131,9 @@ type Engine = core.Engine
 // EngineOption configures an Engine.
 type EngineOption = core.Option
 
-// Result is a ranked query outcome; Entry is one ranked outlier; Timing is
-// the per-query cost breakdown.
+// Result is a ranked query outcome; Timing is the per-query cost breakdown.
 type (
 	Result = core.Result
-	Entry  = core.Entry
 	Timing = core.Timing
 )
 
@@ -181,23 +150,9 @@ const (
 // ParseMeasure resolves "netout", "pathsim" or "cossim".
 func ParseMeasure(name string) (Measure, error) { return core.ParseMeasure(name) }
 
-// Strategy identifies a materialization strategy.
-type Strategy = core.Strategy
-
-// The available materialization strategies.
-const (
-	StrategyBaseline = core.StrategyBaseline
-	StrategyPM       = core.StrategyPM
-	StrategySPM      = core.StrategySPM
-	StrategyCached   = core.StrategyCached
-)
-
 // Materializer produces meta-path neighbor vectors, possibly from an index
 // or a cache: one type for every strategy, one goroutine's at a time.
 type Materializer = *core.Materializer
-
-// MaterializerStats accumulates indexed vs traversed cost counters.
-type MaterializerStats = core.MatStats
 
 // SPMConfig configures selective pre-materialization.
 type SPMConfig = core.SPMConfig
@@ -227,11 +182,6 @@ func WithQueryParallelism(n int) EngineOption { return core.WithQueryParallelism
 // mechanism; use WithQueryParallelism.
 func WithShards(n int) EngineOption { return core.WithQueryParallelism(n) }
 
-// ShardStatus is one candidate range's per-query accounting, attached to
-// Result.Shards when a query ran as more than one range (local ranges or
-// remote shards).
-type ShardStatus = core.ShardStatus
-
 // The versioned shard protocol: a coordinator speaks to shards in
 // ShardRequest/ShardResponse pairs, with the reference reduction broadcast
 // alongside as a ShardBroadcast; internal/shardnet serializes exactly these
@@ -240,7 +190,6 @@ type (
 	ShardRequest   = core.ShardRequest
 	ShardResponse  = core.ShardResponse
 	ShardBroadcast = core.ShardBroadcast
-	ShardRefState  = core.ShardRefState
 )
 
 // ShardProtocolVersion is the current shard protocol version, stamped on
@@ -285,9 +234,9 @@ func NewSPM(g *Graph, initQueries []string, cfg SPMConfig) (Materializer, error)
 // neighbours) is finished from a table of suffix vectors under that budget
 // too — bit-identical to whole-path evaluation; only the work skipped
 // changes. Like every Materializer the value is one goroutine's at a time:
-// views made with NewMaterializerView share the same warm cache, concurrent
-// misses of views on the same vector are deduplicated so the network is
-// traversed once, and each view counts its own work.
+// the engine runs each query on a view of its own that shares the same warm
+// cache, concurrent misses of views on the same vector are deduplicated so the
+// network is traversed once, and each view counts its own work.
 func NewCached(g *Graph, maxBytes int64, _ ...CacheOption) (Materializer, error) {
 	return core.NewCached(g, maxBytes)
 }
@@ -347,7 +296,6 @@ func WithCombination(c Combination) EngineOption { return core.WithCombination(c
 type (
 	ProgressiveOptions  = core.ProgressiveOptions
 	ProgressiveSnapshot = core.ProgressiveSnapshot
-	ProgressiveEstimate = core.ProgressiveEstimate
 )
 
 // StopWhenStable builds an OnSnapshot callback that stops a progressive
@@ -356,14 +304,6 @@ type (
 func StopWhenStable(k, rounds int, inner func(ProgressiveSnapshot) bool) func(ProgressiveSnapshot) bool {
 	return core.StopWhenStable(k, rounds, inner)
 }
-
-// Explanations decompose a candidate's NetOut score coordinate by
-// coordinate, making the outlier judgment auditable.
-type (
-	Explanation     = core.Explanation
-	PathExplanation = core.PathExplanation
-	Contribution    = core.Contribution
-)
 
 // Query suggestion (alternative feature meta-paths ranked by how sharply
 // they separate outliers — the Section 8 extension).
@@ -389,13 +329,6 @@ func ExecuteBatch(eng *Engine, queries []string, opts BatchOptions) []BatchResul
 	return core.ExecuteBatch(eng, queries, opts)
 }
 
-// NewMaterializerView returns a materializer that shares m's pre-computed
-// state but is safe to use concurrently with other views: the immutable
-// index, the norm tables or the warm cache, with private traversal scratch
-// and counters (CacheStatsOf still reads the whole cache's). See DESIGN.md's
-// concurrency contract.
-func NewMaterializerView(m Materializer) Materializer { return core.NewView(m) }
-
 // Serving (an admission gate for online query traffic in front of one engine
 // — the concurrent complement to ExecuteBatch).
 type (
@@ -417,48 +350,22 @@ func NewServePool(eng *Engine, opts ServeOptions) *ServePool {
 // Serving robustness: admission control, panic isolation and the typed
 // error taxonomy (DESIGN.md, "Serving robustness").
 
-// ErrOverloaded is returned by ServePool.Execute when the pool's bounded
-// queue (ServeOptions.MaxQueue) is full: the query is shed immediately
-// instead of queueing unboundedly. Treat it as retryable back-pressure
-// (code CodeResourceExhausted, HTTP 429).
-var ErrOverloaded = core.ErrOverloaded
-
-// ErrPoolClosed is returned by ServePool.Execute once Close has begun: the
-// pool cannot take the query and a load balancer should retry elsewhere
-// (code CodeUnavailable, HTTP 503).
-var ErrPoolClosed = core.ErrPoolClosed
-
-// PanicError is a panic recovered by the serving layers and converted
-// into a per-query error, with the stack captured at the panic site.
-type PanicError = core.PanicError
-
 // ErrorCode is a stable, machine-readable classification of a serving
 // error. Codes — not error strings — are the contract HTTP statuses and
-// metrics labels are derived from.
+// metrics labels are derived from; internal/xerr declares them all.
 type ErrorCode = xerr.Code
 
-// The serving error codes.
+// The serving error codes the programs construct.
 const (
 	// CodeInvalidArgument: the query is malformed or fails validation; the
 	// client must change it (the ONLY code that maps to HTTP 400).
 	CodeInvalidArgument = xerr.InvalidArgument
 	// CodeNotFound: a vertex or resource named by the query does not exist.
 	CodeNotFound = xerr.NotFound
-	// CodeResourceExhausted: admission control shed the query (retryable).
-	CodeResourceExhausted = xerr.ResourceExhausted
-	// CodeDeadlineExceeded: the query's deadline expired.
-	CodeDeadlineExceeded = xerr.DeadlineExceeded
-	// CodeCanceled: the caller went away before the query finished.
-	CodeCanceled = xerr.Canceled
-	// CodeUnavailable: this replica cannot serve (draining or closed).
-	CodeUnavailable = xerr.Unavailable
 	// CodeInternal: the server's own fault — bugs, recovered panics, and
 	// every unclassified error.
 	CodeInternal = xerr.Internal
 )
-
-// NewError builds a classified failure with the given message.
-func NewError(code ErrorCode, msg string) error { return xerr.New(code, msg) }
 
 // Errorf builds a classified failure with fmt.Errorf semantics (%w wraps).
 func Errorf(code ErrorCode, format string, args ...any) error {
@@ -489,9 +396,6 @@ func ContextWithRequestID(ctx context.Context, id string) context.Context {
 	return obs.WithRequestID(ctx, id)
 }
 
-// RequestIDFromContext extracts the request ID from a context ("" if none).
-func RequestIDFromContext(ctx context.Context) string { return obs.RequestIDFrom(ctx) }
-
 // NewRequestID generates a fresh process-unique request ID.
 func NewRequestID() string { return obs.NewRequestID() }
 
@@ -512,32 +416,17 @@ func ContextWithSpanContext(ctx context.Context, sc SpanContext) context.Context
 	return obs.WithSpanContext(ctx, sc)
 }
 
-// SpanContextFromContext extracts the span context from a context.
-func SpanContextFromContext(ctx context.Context) (SpanContext, bool) {
-	return obs.SpanContextFrom(ctx)
-}
-
 // ---------------------------------------------------------------------------
 // Observability (metrics registry, query traces, slow-query log, admin HTTP)
 
 // Observability types: a MetricsRegistry holds atomic counters, gauges and
 // fixed-bucket latency histograms exposed in Prometheus text format; a
-// QueryTrace is the per-phase breakdown attached to every Result; a SlowLog
-// is the EventSink that retains the N slowest queries' events and the last N
-// failures'.
+// SlowLog is the EventSink that retains the N slowest queries' events and the
+// last N failures'.
 type (
 	MetricsRegistry = obs.Registry
-	MetricCounter   = obs.Counter
-	MetricHistogram = obs.Histogram
-	QueryTrace      = obs.Trace
-	TraceSpan       = obs.Span
-	TraceSpanStats  = obs.SpanStats
-	TraceShardSpan  = obs.ShardSpan
 	SlowLog         = obs.SlowLog
 )
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // DefaultMetrics returns the process-wide metrics registry.
 func DefaultMetrics() *MetricsRegistry { return obs.Default() }
@@ -554,23 +443,18 @@ func WithObs(reg *MetricsRegistry) EngineOption { return core.WithObs(reg) }
 // Wide-event query journal: one flat JSON record per completed query (ok,
 // error, partial or recovered panic), emitted through an EventSink.
 type (
-	// QueryEvent is one wide event; QueryEventPhase is its per-phase row;
-	// QueryEventShard is its per-shard row for sharded executions.
-	QueryEvent      = obs.Event
+	// QueryEventPhase is one wide event's per-phase row.
 	QueryEventPhase = obs.EventPhase
-	QueryEventShard = obs.EventShard
 	// EventSink receives completed query events (must be concurrency-safe).
 	EventSink = obs.EventSink
 	// EventRing retains the last N events in memory for /debug/events.
 	EventRing = obs.EventRing
-	// Inflight is the live table of executing queries behind /debug/requests;
-	// InflightSnapshot is one row of its snapshot.
-	Inflight         = obs.Inflight
-	InflightSnapshot = obs.InflightSnapshot
+	// Inflight is the live table of executing queries behind /debug/requests.
+	Inflight = obs.Inflight
 )
 
 // WithEventSink connects an engine to a wide-event journal: every completed
-// query emits exactly one QueryEvent. nil disables emission.
+// query emits exactly one wide event. nil disables emission.
 func WithEventSink(s EventSink) EngineOption { return core.WithEventSink(s) }
 
 // WithInflight registers every executing query in the table for the live
@@ -633,9 +517,6 @@ func ScoreVectors(m Measure, cands, refs []Vector) []float64 {
 	return core.ScoreVectors(m, cands, refs)
 }
 
-// NormalizedConnectivity returns σ(a,b) = κ(a,b)/κ(a,a) (Definition 9).
-func NormalizedConnectivity(a, b Vector) float64 { return core.NormalizedConnectivity(a, b) }
-
 // ---------------------------------------------------------------------------
 // Query workloads (Table 4 style)
 
@@ -672,12 +553,9 @@ func KNNOutlierScores(points []Vector, k int) ([]float64, error) {
 	return lof.KNNScores(points, k, nil)
 }
 
-// EuclideanDistance and CosineDistance are the distance functions available
-// to the baselines.
-var (
-	EuclideanDistance = lof.Euclidean
-	CosineDistance    = lof.Cosine
-)
+// CosineDistance is the cosine distance function for the baselines
+// (LOFOptions.Distance; Euclidean is the default).
+var CosineDistance = lof.Cosine
 
 // ---------------------------------------------------------------------------
 // Synthetic networks and I/O
@@ -690,9 +568,6 @@ type (
 	GenPlanted = gen.Planted
 	Manifest   = gen.Manifest
 )
-
-// DefaultGenConfig returns a mid-sized deterministic generator configuration.
-func DefaultGenConfig() GenConfig { return gen.Default() }
 
 // ScaledGenConfig scales the default background network by a factor.
 func ScaledGenConfig(factor int) GenConfig { return gen.Scaled(factor) }
@@ -713,10 +588,8 @@ func SaveGraph(path string, g *Graph) error { return hinio.Save(path, g) }
 // and junction tables become links.
 type (
 	RelDB           = rel.DB
-	RelTable        = rel.Table
 	RelTableDef     = rel.TableDef
 	RelColumn       = rel.Column
-	RelColumnType   = rel.ColumnType
 	RelRow          = rel.Row
 	RelBridgeConfig = rel.BridgeConfig
 	RelEntityTable  = rel.EntityTable
@@ -724,9 +597,8 @@ type (
 
 // Relational column types.
 const (
-	RelText  = rel.TextCol
-	RelInt   = rel.IntCol
-	RelFloat = rel.FloatCol
+	RelText = rel.TextCol
+	RelInt  = rel.IntCol
 )
 
 // NewRelDB creates an empty in-memory relational database.
@@ -760,10 +632,6 @@ func OverlapAtK(a, b *Result, k int) (shared int, jaccard float64) {
 // results rank.
 func SpearmanRho(a, b *Result) (float64, error) { return core.SpearmanRho(a, b) }
 
-// DegreeSummary describes a one-hop degree distribution; obtain via
-// Graph.DegreeDistribution or Graph.StatsReport.
-type DegreeSummary = hin.DegreeSummary
-
 // InducedSubgraph builds the subgraph induced by the given vertices,
 // returning the new graph and the old→new vertex mapping.
 func InducedSubgraph(g *Graph, vertices []VertexID) (*Graph, map[VertexID]VertexID, error) {
@@ -780,11 +648,6 @@ func EgoNetwork(g *Graph, seeds []VertexID, hops int) ([]VertexID, error) {
 
 // PPROptions configures Personalized PageRank (random walk with restart).
 type PPROptions = walk.PPROptions
-
-// PPR computes the Personalized PageRank vector from a source vertex.
-func PPR(g *Graph, source VertexID, opts PPROptions) (Vector, error) {
-	return walk.PPR(g, source, opts)
-}
 
 // PPROutlierScores scores candidates as Ω(vi) = Σ_{vj∈Sr} ppr_vi(vj)
 // (smaller = more outlying).
@@ -819,12 +682,6 @@ func SimRankOutlierScores(m *SimRankMatrix, cands, refs []VertexID) []float64 {
 
 // EvalReport bundles precision/recall/AP/AUC for one method.
 type EvalReport = eval.Report
-
-// ROCAUC is the area under the ROC curve of a ranking (most outlying first)
-// against a ground-truth positive set.
-func ROCAUC(ranked []string, positives map[string]bool) (float64, error) {
-	return eval.ROCAUC(ranked, positives)
-}
 
 // Evaluate computes the full report for one method's ranking.
 func Evaluate(method string, ranked []string, positives map[string]bool, k int) (EvalReport, error) {

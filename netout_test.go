@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"netout"
+	"netout/internal/core"
+	"netout/internal/gen"
+	"netout/internal/lof"
 )
 
 // buildQuickstartGraph builds the small bibliographic network the README's
@@ -96,7 +99,7 @@ func TestFacadeMeasuresAndStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spmMat.Strategy() != netout.StrategySPM || spmMat.IndexBytes() <= 0 {
+	if spmMat.Strategy() != core.StrategySPM || spmMat.IndexBytes() <= 0 {
 		t.Fatal("SPM index missing")
 	}
 	for _, m := range []netout.Measure{netout.MeasurePathSim, netout.MeasureCosSim} {
@@ -127,7 +130,7 @@ func TestFacadeParseHelpers(t *testing.T) {
 		t.Fatalf("hops = %d", p.Hops())
 	}
 	p2, err := netout.NewMetaPath(g.Schema(), "author", "paper", "venue")
-	if err != nil || !p2.Equal(p) {
+	if err != nil || p2.Key() != p.Key() {
 		t.Fatal("NewMetaPath mismatch")
 	}
 	m, err := netout.ParseMeasure("pathsim")
@@ -141,7 +144,7 @@ func TestFacadeParseHelpers(t *testing.T) {
 	if err != nil || vec.IsZero() {
 		t.Fatalf("NeighborVector: %v %v", vec, err)
 	}
-	if s := netout.NormalizedConnectivity(vec, vec); s != 1 {
+	if s := core.NormalizedConnectivity(vec, vec); s != 1 {
 		t.Fatalf("σ(v,v) = %g", s)
 	}
 }
@@ -169,13 +172,13 @@ func TestFacadeBaselines(t *testing.T) {
 	if _, err := netout.KNNOutlierScores(points, 2); err != nil {
 		t.Fatal(err)
 	}
-	if d := netout.EuclideanDistance(points[0], points[0]); d != 0 {
+	if d := lof.Euclidean(points[0], points[0]); d != 0 {
 		t.Fatalf("self distance = %g", d)
 	}
 }
 
 func TestFacadeGenerateAndIO(t *testing.T) {
-	cfg := netout.DefaultGenConfig()
+	cfg := gen.Default()
 	cfg.Papers = 200
 	cfg.AuthorsPerCommunity = 25
 	cfg.TermsPerCommunity = 25

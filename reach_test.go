@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -18,28 +19,35 @@ import (
 // program reaches but a test needs, each with that test. Keys are
 // "<import path>.<name>", or "<import path>.<type>.<method>" for a method.
 var reachAllowlist = map[string]string{
-	"netout/internal/core.PathSim":              "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
-	"netout/internal/core.CosSim":               "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
-	"netout/internal/gen.SecurityConfig":        "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/gen.DefaultSecurityConfig": "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/gen.SecurityManifest":      "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/gen.GenerateSecurity":      "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/xerr.RequestIDOf":          "the serving tests read the request ID ServePool.Execute stamps on its errors",
-	"netout/internal/xerr.requestIDer":          "the serving tests read the request ID ServePool.Execute stamps on its errors",
-	"netout/internal/core.pathIndex.table":      "TestBuildIndexMatchesPerVertexTraversal (cache_test.go) and FuzzLoadIndex (fuzz_test.go) probe tables with it",
+	"netout/internal/core.PathSim":                 "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
+	"netout/internal/core.CosSim":                  "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
+	"netout/internal/gen.SecurityConfig":           "TestSecurityQueryFindsCompromisedHosts builds its network with it",
+	"netout/internal/gen.DefaultSecurityConfig":    "TestSecurityQueryFindsCompromisedHosts builds its network with it",
+	"netout/internal/gen.SecurityManifest":         "TestSecurityQueryFindsCompromisedHosts builds its network with it",
+	"netout/internal/gen.GenerateSecurity":         "TestSecurityQueryFindsCompromisedHosts builds its network with it",
+	"netout/internal/xerr.RequestIDOf":             "TestServePoolClosedTyped and TestServePoolPanicRequestIDLocatesStack read the request ID ServePool.Execute stamps on its errors",
+	"netout/internal/core.pathIndex.table":         "TestBuildIndexMatchesPerVertexTraversal (cache_test.go) and FuzzLoadIndex (fuzz_test.go) probe tables with it",
+	"netout/internal/core.NormalizedConnectivity":  "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
+	"netout/internal/hin.Graph.Validate":           "TestPairMajorLayout, TestValidateChecksLayout, FuzzReadTSV and FuzzParse check every graph they build with it",
+	"netout/internal/metapath.Traverser.SetKernel": "TestQuickExpandKernelsAgree, FuzzExpandKernels and BenchmarkExpand force each kernel with it",
+	"netout/internal/sparse.Vector.Equal":          "TestQuickNeighborVectorKernelsAgree and TestTakeIntoBuffer compare vectors with it",
+	"netout/internal/sparse.Vector.Scale":          "FuzzSparseKernels, FuzzExpandKernels and TestQuickLOFScaleInvariance build their inputs with it",
 }
 
 // TestEveryDeclarationIsReachable type-checks every non-test package of the
 // module and walks what each top-level declaration and method refers to, from
-// the roots: main and init of every main package and every exported name of
-// package netout. A reached type reaches a method of its own only when an
-// interface names it (its name and signature are an interface method's, of an
-// interface the module spells or a package it imports exports), or when the
-// method is exported on a type package netout exports: every other method is
-// reached only by a call or a method value. Allowlisted names are walked from
-// too, after the programs. It fails on each package-level func, type, var or
-// const and each method that is not reached, is outside bench/ (frozen: a
-// root, never reported) and is not on reachAllowlist.
+// the programs alone: main and init of every main package, and every
+// declaration under bench/ (frozen). An exported name of package netout is
+// not a root: it is reached only when a program uses it. A reached type
+// reaches a method of its own only when an interface names it (its name and
+// signature are an interface method's, of an interface the module spells or a
+// package it imports exports): every other method is reached only by a call or
+// a method value. Allowlisted names are walked from too, after the programs.
+// It fails on each package-level func, type, var or const and each method that
+// is not reached, is outside bench/ (never reported) and is not on
+// reachAllowlist, and on each allowlist reason that names no Test, Fuzz,
+// Example or Benchmark function of the module, or names one that no _test.go
+// file declares.
 func TestEveryDeclarationIsReachable(t *testing.T) {
 	const module = "netout"
 	dirs := map[string]string{} // import path -> directory
@@ -124,7 +132,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 						if !frozen {
 							declared = append(declared, o)
 						}
-					case frozen, isMain && (d.Name.Name == "main" || d.Name.Name == "init"), path == module && d.Name.IsExported():
+					case frozen, isMain && (d.Name.Name == "main" || d.Name.Name == "init"):
 						roots = append(roots, o)
 					case d.Name.Name != "init":
 						declared = append(declared, o)
@@ -148,7 +156,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 						}
 						record(owners, spec)
 						for _, o := range owners {
-							if frozen || path == module && o.Exported() {
+							if frozen {
 								roots = append(roots, o)
 							} else {
 								declared = append(declared, o)
@@ -216,13 +224,12 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		if !ok {
 			return
 		}
-		facade := tn.Pkg().Path() == module && tn.Exported()
-		if tn.IsAlias() && !facade {
+		if tn.IsAlias() {
 			return
 		}
-		if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+		if n, ok := tn.Type().(*types.Named); ok {
 			for i := 0; i < n.NumMethods(); i++ {
-				if m := n.Method(i); facade && m.Exported() || !tn.IsAlias() && interfaceNames(m) {
+				if m := n.Method(i); interfaceNames(m) {
 					visit(m.Origin())
 				}
 			}
@@ -255,6 +262,37 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 			visit(o)
 		} else {
 			t.Errorf("reachAllowlist names %s, which is not declared", key)
+		}
+	}
+
+	tests := map[string]bool{} // the top-level funcs of the module's _test.go files
+	for _, dir := range dirs {
+		names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+					tests[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	testName := regexp.MustCompile(`\b(Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
+	for key, reason := range reachAllowlist {
+		named := testName.FindAllString(reason, -1)
+		if len(named) == 0 {
+			t.Errorf("reachAllowlist's reason for %s names no test", key)
+		}
+		for _, n := range named {
+			if !tests[n] {
+				t.Errorf("reachAllowlist's reason for %s names %s, which no _test.go file declares", key, n)
+			}
 		}
 	}
 
