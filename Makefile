@@ -166,8 +166,8 @@ examples:
 # engine, and the lines of DESIGN.md — a document that describes the tree as it
 # is must not regrow while the code shrinks. None may pass its ceiling, so each
 # only rises in a diff that raises the literal too.
-LOC_CEILING = 18977
-CORE_LOC_CEILING = 5828
+LOC_CEILING = 18889
+CORE_LOC_CEILING = 5790
 DESIGN_LINES_CEILING = 985
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); echo $$n; \

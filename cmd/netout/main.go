@@ -592,7 +592,7 @@ func dispatch(eng *netout.Engine, names *nameIndex, src, bare string, timing boo
 		}
 		// Drop any TOP clause so the histogram covers the full candidate set.
 		q.TopK = 0
-		res, err := eng.ExecuteQuery(q)
+		res, err := eng.Execute(q.String())
 		if err != nil {
 			return err
 		}

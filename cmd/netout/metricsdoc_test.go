@@ -86,7 +86,7 @@ func TestEveryFamilyIsDocumented(t *testing.T) {
 	client := shardnet.Dial(lis.Addr().String(), reg)
 	defer client.Close()
 	res, err := netout.NewEngine(g, netout.WithRemoteShards(client), netout.WithObs(reg)).Execute(q)
-	if err != nil || len(res.Shards) != 1 {
+	if err != nil || len(res.Trace.Shards) != 1 {
 		t.Fatalf("scattered query: err=%v shards=%+v", err, res)
 	}
 

@@ -1,97 +1,38 @@
 // Command security demonstrates the query language on a non-bibliographic
 // schema: a security-operations network of hosts, alerts, signatures and
 // subnets (the application domain that motivated the paper's ARL funding).
-// The analyst asks: among the hosts in the web subnet, which ones raise
-// alerts with unusual signatures compared to their peers?
+// The analyst asks: among the hosts of one subnet, which ones raise alerts
+// with unusual signatures compared to their peers?
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"netout"
 )
 
 func main() {
-	// Schema: alerts are the event vertices, linked to the host that raised
-	// them and the detection signature that fired; hosts belong to subnets.
-	schema := netout.MustSchema("host", "alert", "signature", "subnet")
-	host, _ := schema.TypeByName("host")
-	alert, _ := schema.TypeByName("alert")
-	signature, _ := schema.TypeByName("signature")
-	subnet, _ := schema.TypeByName("subnet")
-	schema.AllowLink(alert, host)
-	schema.AllowLink(alert, signature)
-	schema.AllowLink(host, subnet)
-
-	b := netout.NewBuilder(schema)
-	r := rand.New(rand.NewSource(11))
-
-	web := b.MustAddVertex(subnet, "web-dmz")
-	db := b.MustAddVertex(subnet, "db-internal")
-
-	// Ordinary web-tier noise signatures vs. lateral-movement signatures
-	// that normally fire only in the database tier.
-	webSigs := make([]netout.VertexID, 6)
-	for i := range webSigs {
-		webSigs[i] = b.MustAddVertex(signature, fmt.Sprintf("HTTP-Scan-%d", i))
+	// Alerts are the event vertices, linked to the host that raised them and
+	// the detection signature that fired; hosts belong to subnets. Ordinary
+	// hosts raise their subnet's routine signatures; the planted compromised
+	// hosts of the first subnet mix routine noise with another subnet's
+	// signatures and exfiltration alerts.
+	g, man, err := netout.GenerateSecurity()
+	if err != nil {
+		log.Fatal(err)
 	}
-	dbSigs := make([]netout.VertexID, 4)
-	for i := range dbSigs {
-		dbSigs[i] = b.MustAddVertex(signature, fmt.Sprintf("SQL-Lateral-%d", i))
-	}
-	exfil := b.MustAddVertex(signature, "DNS-Exfil")
-
-	alertSeq := 0
-	raise := func(h netout.VertexID, sig netout.VertexID) {
-		alertSeq++
-		a := b.MustAddVertex(alert, fmt.Sprintf("alert-%05d", alertSeq))
-		b.MustAddEdge(a, h)
-		b.MustAddEdge(a, sig)
-	}
-
-	// 20 ordinary web hosts: lots of scan noise.
-	for i := 0; i < 20; i++ {
-		h := b.MustAddVertex(host, fmt.Sprintf("web-%02d", i))
-		b.MustAddEdge(h, web)
-		for k := 0; k < 15+r.Intn(10); k++ {
-			raise(h, webSigs[r.Intn(len(webSigs))])
-		}
-	}
-	// 8 database hosts: lateral-movement signatures are routine there.
-	for i := 0; i < 8; i++ {
-		h := b.MustAddVertex(host, fmt.Sprintf("db-%02d", i))
-		b.MustAddEdge(h, db)
-		for k := 0; k < 10+r.Intn(6); k++ {
-			raise(h, dbSigs[r.Intn(len(dbSigs))])
-		}
-	}
-	// The compromised web host: normal scan noise plus database-tier
-	// lateral movement and DNS exfiltration.
-	bad := b.MustAddVertex(host, "web-99-compromised")
-	b.MustAddEdge(bad, web)
-	for k := 0; k < 10; k++ {
-		raise(bad, webSigs[r.Intn(len(webSigs))])
-	}
-	for k := 0; k < 12; k++ {
-		raise(bad, dbSigs[r.Intn(len(dbSigs))])
-	}
-	for k := 0; k < 6; k++ {
-		raise(bad, exfil)
-	}
-	g := b.Build()
-
 	st := g.Stats()
-	fmt.Printf("security network: %d hosts, %d alerts, %d signatures, %d subnets\n\n",
-		st.PerType["host"], st.PerType["alert"], st.PerType["signature"], st.PerType["subnet"])
+	fmt.Printf("security network: %d hosts, %d alerts, %d signatures, %d subnets; planted %v\n\n",
+		st.PerType["host"], st.PerType["alert"], st.PerType["signature"], st.PerType["subnet"], man.Compromised)
 
-	// Outlying hosts in the web subnet, judged by the signatures of the
+	// Outlying hosts of the first subnet, judged by the signatures of the
 	// alerts they raise — compared against their own subnet's peers.
-	query := `FIND OUTLIERS
-FROM subnet{"web-dmz"}.host
+	home, foreign := man.Subnets[0], man.Subnets[1]
+	query := fmt.Sprintf(`FIND OUTLIERS
+FROM subnet{%q}.host
 JUDGED BY host.alert.signature
-TOP 5;`
+TOP 5;`, home)
 	fmt.Println(query)
 	eng := netout.NewEngine(g)
 	res, err := eng.Execute(query)
@@ -103,19 +44,20 @@ TOP 5;`
 		fmt.Printf("%-4d %-9.3f %s\n", i+1, e.Score, e.Name)
 	}
 
-	// Cross-subnet comparison: web hosts judged against database hosts —
-	// under this reference set the compromised host looks *least* outlying,
-	// illustrating how the reference set changes outlier semantics.
-	query2 := `FIND OUTLIERS
-FROM subnet{"web-dmz"}.host
-COMPARED TO subnet{"db-internal"}.host
-JUDGED BY host.alert.signature;`
+	// Cross-subnet comparison: the same hosts judged against another
+	// subnet's — under this reference set the host whose foreign alerts came
+	// from that subnet looks *least* outlying, illustrating how the reference
+	// set changes outlier semantics.
+	query2 := fmt.Sprintf(`FIND OUTLIERS
+FROM subnet{%q}.host
+COMPARED TO subnet{%q}.host
+JUDGED BY host.alert.signature;`, home, foreign)
 	fmt.Printf("\n%s\n", query2)
 	res2, err := eng.Execute(query2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%-4s %-9s %s   (least connected to db-tier behavior first)\n", "rank", "Ω-value", "host")
+	fmt.Printf("\n%-4s %-9s %s   (least connected to %s behavior first)\n", "rank", "Ω-value", "host", foreign)
 	for i, e := range res2.Entries {
 		if i >= 5 {
 			break
@@ -123,5 +65,5 @@ JUDGED BY host.alert.signature;`
 		fmt.Printf("%-4d %-9.3f %s\n", i+1, e.Score, e.Name)
 	}
 	last := res2.Entries[len(res2.Entries)-1]
-	fmt.Printf("\nnote: %q ranks last here — its alert profile is the one most like the db tier.\n", last.Name)
+	fmt.Printf("\nnote: %q ranks last here — its alert profile is the one most like %s's.\n", last.Name, foreign)
 }

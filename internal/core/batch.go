@@ -96,5 +96,5 @@ func (e *Engine) pooled() int { return max(e.parallelism, 1) }
 // kills the process nor holds on to a pool's run token.
 func (e *Engine) executeIsolated(ctx context.Context, src string, cc *compiledCache, ranges int) (res *Result, err error) {
 	defer recoverAsError(&err)
-	return e.execute(ctx, src, cc, ranges)
+	return e.execute(ctx, src, cc, ranges, nil)
 }

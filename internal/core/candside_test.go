@@ -610,7 +610,7 @@ func TestCandidateSideDeadlines(t *testing.T) {
 			steps := covered / parallelChunk
 			if ex.name == "remote" {
 				steps = 0
-				for _, sh := range res.Shards {
+				for _, sh := range res.Trace.Shards {
 					if sh.Done%parallelChunk != 0 && sh.Done != sh.Candidates {
 						t.Fatalf("shard %d stopped inside a step: %d of %d candidates", sh.Shard, sh.Done, sh.Candidates)
 					}

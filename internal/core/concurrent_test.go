@@ -121,8 +121,8 @@ func TestPoolsLeaveTheEngineAsTheyFoundIt(t *testing.T) {
 				if !bitIdentical(want, got) {
 					t.Fatal("pool: ranking differs from the engine's own")
 				}
-				if len(got.Shards) != 0 {
-					t.Fatalf("pool: unset parallelism ran %d ranges, want 1", len(got.Shards))
+				if len(got.Trace.Shards) != 0 {
+					t.Fatalf("pool: unset parallelism ran %d ranges, want 1", len(got.Trace.Shards))
 				}
 			}
 			direct, err := eng.Execute(src) // beside the pool, compiled per call
@@ -155,8 +155,8 @@ func TestPoolsLeaveTheEngineAsTheyFoundIt(t *testing.T) {
 			if !bitIdentical(want, after) {
 				t.Fatal("engine after its pools: ranking differs")
 			}
-			if wantShards := min(parallelism, chunksOf(want.CandidateCount)); wantShards > 1 && len(after.Shards) != wantShards {
-				t.Fatalf("engine after its pools ran %d ranges, configured for %d", len(after.Shards), wantShards)
+			if wantShards := min(parallelism, chunksOf(want.CandidateCount)); wantShards > 1 && len(after.Trace.Shards) != wantShards {
+				t.Fatalf("engine after its pools ran %d ranges, configured for %d", len(after.Trace.Shards), wantShards)
 			}
 		})
 	}

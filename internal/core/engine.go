@@ -192,28 +192,23 @@ type Result struct {
 	// (a candidate's score depends only on its own Φ once the reference side
 	// is reduced); what is missing is the candidates never reached. Entries and Skipped
 	// cover only the processed prefix; CandidateCount still reports the full
-	// |Sc|. Cancellation never degrades — a cancelled caller gets the error.
+	// |Sc|. A progressive run stopped early — by its deadline or by
+	// OnSnapshot — is Partial too, its entries the last snapshot's estimates.
+	// Cancellation never degrades — a cancelled caller gets the error.
 	Partial bool
-	// Shards is the per-range accounting of a query that ran as more than one
-	// candidate range — local ranges or remote shards — one entry per range
-	// in index order; nil for a query that ran inline. On a Partial result
-	// the entries with Partial=true are the ranges that degraded: a
-	// deadline-expired or panicking range contributes the exact prefix of
-	// candidates it fully scored (Done of Candidates) instead of failing the
-	// query.
-	Shards []ShardStatus
-	Timing Timing
+	Timing  Timing
 	// Trace is the per-phase breakdown (parse → validate → plan →
 	// materialize → score → rank); phases recorded contiguously, so their
-	// durations sum to the trace total. The parse span is present only for
-	// queries entered as text (Execute/ExecuteContext). Scoring is fused
-	// into the materialize span and the score span is (near-)empty; the
-	// span's vector and cache counters aggregate every range and are the
-	// same for any range count. Remote execution replaces materialize →
-	// score → rank with reduce (reference side, on the coordinator) →
-	// scatter (the shards' fused scoring) → merge (k-way merge). Either way
-	// a query of more than one range has one ShardSpan per range on the
-	// trace.
+	// durations sum to the trace total. Scoring is fused into the
+	// materialize span and the score span is (near-)empty; the span's vector
+	// and cache counters aggregate every range and are the same for any range
+	// count. Remote execution replaces materialize → score → rank with reduce
+	// (reference side, on the coordinator) → scatter (the shards' fused
+	// scoring) → merge (k-way merge). Either way a query of more than one
+	// range has one ShardSpan per range on Trace.Shards, in index order; on a
+	// Partial result those with Partial=true are the ranges that degraded,
+	// each contributing the exact prefix it fully scored (Done of
+	// Candidates).
 	Trace *obs.Trace
 
 	// panics counts the ranges of a Partial result that degraded on a
@@ -232,39 +227,128 @@ func (e *Engine) Execute(src string) (*Result, error) {
 // interactivity the paper motivates ("react to outliers or further
 // elaborate their queries") needs runaway queries to be abortable.
 func (e *Engine) ExecuteContext(ctx context.Context, src string) (*Result, error) {
-	return e.execute(ctx, src, nil, e.QueryParallelism())
+	return e.execute(ctx, src, nil, e.QueryParallelism(), nil)
 }
 
-// execute is the one way query text enters the engine: ExecuteContext, and a
-// pool's workers with what is the pool's per call — its compiled-query cache
+// backHalf runs a resolved query to its answer on hs — a side mode's own
+// back half (Explain, SuggestFeatures, progressive execution) — filling res;
+// Engine.run is every other query's (a nil backHalf). A side mode touches no
+// span: execute closes its one, materialize, after it returns, so no pointer
+// to the trace reaches a function value and the served path's stays on the
+// stack.
+type backHalf func(ctx context.Context, plan *queryPlan, hs handles, res *Result) error
+
+// execute is the one way a query enters the engine: ExecuteContext, a pool's
+// workers with what is the pool's per call — its compiled-query cache
 // (compiled.go; nil compiles per call) and its bound on the query's local
-// ranges.
-func (e *Engine) execute(ctx context.Context, src string, cc *compiledCache, ranges int) (*Result, error) {
+// ranges — and the side modes with their back half. It is the front half
+// every query shares: parse → validate → resolve under one panic recover, one
+// trace, the in-flight record, the registry and the wide event. A retained
+// compiled entry supplies the canonical text, the resolution and — through
+// referenceSide — the reduced reference side, and the parse, validate and
+// plan spans close at once; a blank one, a clean complete execution fills.
+func (e *Engine) execute(ctx context.Context, src string, cc *compiledCache, ranges int, back backHalf) (res *Result, err error) {
+	start := time.Now()
 	tr := obs.StartTrace()
 	plan := &queryPlan{compiled: cc.lookup(src), ranges: ranges}
+	rq, text := plan.compiled.resolved()
+	// Deregistration from the /debug/requests inspector is the first defer,
+	// so it runs last — after observation — and a panicking query still
+	// leaves the table.
+	defer func() { e.inflight.Deregister(plan.ifq) }()
+	// Panic isolation, before the observation so that it sees the error: a
+	// panic in the parser or the engine's own phases returns a *PanicError
+	// instead of unwinding through the serving layers (one inside a
+	// candidate range is recovered there, see scoreRange).
 	var q *oql.Query
-	var err error
-	if rq, _ := plan.compiled.resolved(); rq != nil {
-		q = rq.q
-	} else {
-		q, err = parse(src)
+	defer func() {
+		if r := recover(); r != nil {
+			if rq == nil && q == nil {
+				// The parser panicked: its span is still open.
+				tr.EndPhase("parse", obs.SpanStats{})
+			}
+			res, err = nil, newPanicError(r)
+		}
+		e.observeQuery(ctx, tr, text, res, err, plan)
+	}()
+	if rq == nil {
+		// Until it parses, a query is recorded by its raw source (one whose
+		// parser panicked too); then its canonical text is rendered once,
+		// for whoever records it: the in-flight table now, the event when it
+		// finishes.
+		text = obs.TruncateQuery(src)
+		if q, err = oql.Parse(src); err == nil {
+			text = ""
+			if e.inflight != nil || e.events != nil {
+				text = obs.TruncateQuery(q.String())
+			}
+		}
 	}
 	tr.EndPhase("parse", obs.SpanStats{})
 	if err != nil {
-		// A parse failure — a panic in the parser included — never reaches
-		// executeQuery, but it is a finished query like any other: observed
-		// here with the raw source (there is no *oql.Query to print) and a
-		// parse-only trace.
-		e.observeQuery(ctx, tr, obs.TruncateQuery(src), nil, err, plan)
 		return nil, err
 	}
-	return e.executeQuery(ctx, q, tr, plan)
-}
+	if e.inflight != nil {
+		traceID := ""
+		if sc, ok := obs.SpanContextFrom(ctx); ok {
+			traceID = sc.TraceID
+		}
+		plan.ifq = e.inflight.Register(obs.RequestIDFrom(ctx), traceID, text)
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	plan.ifq.SetPhase("validate")
+	validated := func() {
+		tr.EndPhase("validate", obs.SpanStats{})
+		plan.ifq.SetPhase("plan")
+	}
+	res = &Result{}
+	if rq != nil {
+		validated()
+	} else {
+		if rq, err = e.resolve(ctx, q, validated); err != nil {
+			return nil, err
+		}
+		res.Timing.SetRetrieval = rq.setRetrieval
+	}
+	plan.resolvedQuery = rq
+	res.CandidateCount, res.ReferenceCount = len(rq.cands), len(rq.refs)
+	// A cached materializer names the waist that misses of a feature path
+	// finish from; observeQuery copies the lines onto the wide event, so
+	// /debug/events shows why such a path is cheap — or no longer is.
+	if e.mat.cached() {
+		for _, p := range plan.paths {
+			if line := e.mat.lru.waistLine(p); line != "" {
+				tr.AddPlan(line)
+			}
+		}
+	}
+	tr.EndPhase("plan", obs.SpanStats{})
 
-// parse is oql.Parse with a panic returned as its *PanicError.
-func parse(src string) (q *oql.Query, err error) {
-	defer recoverAsError(&err)
-	return oql.Parse(src)
+	// One handle per local range; a remote query's reference side and every
+	// side mode run on one.
+	n := min(plan.ranges, chunksOf(len(rq.cands)))
+	if len(e.remotes) > 0 {
+		n = 1
+	}
+	hs := e.borrow(n)
+	w := hs.work()
+	m := meter{hs: hs, first: w, last: w, res: res}
+	defer e.giveBack(&m, plan)
+	if back == nil {
+		err = e.run(ctx, plan, &m, tr)
+	} else if err = back(ctx, plan, hs, res); err == nil {
+		m.endPhase(tr, "materialize", MatStats{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !res.Partial {
+		plan.compiled.retain(text, rq, plan.scorers, plan.reduced)
+	}
+	res.Timing.Total = time.Since(start)
+	return res, nil
 }
 
 // stampIdentity copies the request ID and span context carried by ctx onto
@@ -305,7 +389,7 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, 
 		}
 		if err == nil && res != nil && res.Partial {
 			e.obs.Counter("netout_query_partial_total",
-				"Queries answered with a deadline-degraded Partial=true result.").Inc()
+				"Queries answered with a Partial=true result: deadline-degraded, or a progressive run stopped early by OnSnapshot.").Inc()
 		}
 		e.obs.Counter(`netout_queries_total{outcome="`+xerr.Outcome(err)+`"}`,
 			"Queries the engine finished, by taxonomy outcome: ok, or whose fault the failure is.").Inc()
@@ -326,8 +410,8 @@ func (e *Engine) observeQuery(ctx context.Context, tr *obs.Tracer, text string, 
 			e.obs.Counter("netout_vectors_indexed_total",
 				"Neighbor vectors served from an index or cache.").Add(indexed)
 		}
-		if res != nil && len(res.Shards) > 0 {
-			for _, st := range res.Shards {
+		if len(trace.Shards) > 0 {
+			for _, st := range trace.Shards {
 				e.obs.Counter(`netout_shard_queries_total{shard="`+strconv.Itoa(st.Shard)+`"}`,
 					"Candidate ranges scored, by range index (remote shards and local ranges).").Inc()
 				if st.Partial {
@@ -405,95 +489,6 @@ func kernelDelta(d metapath.KernelCounts) map[string]int64 {
 		return nil
 	}
 	return out
-}
-
-// ExecuteQuery runs a parsed query.
-func (e *Engine) ExecuteQuery(q *oql.Query) (*Result, error) {
-	return e.ExecuteQueryContext(context.Background(), q)
-}
-
-// ExecuteQueryContext runs a parsed query with cancellation. The context is
-// threaded through the whole call chain (never stored on the Engine), so
-// concurrent queries on one engine each observe exactly their own context.
-func (e *Engine) ExecuteQueryContext(ctx context.Context, q *oql.Query) (*Result, error) {
-	return e.executeQuery(ctx, q, obs.StartTrace(), &queryPlan{ranges: e.QueryParallelism()})
-}
-
-// executeQuery runs a parsed query against a trace whose parse phase (if
-// any) has already been recorded. plan arrives with what the caller decided:
-// the range bound and the serve pool's entry for the query's text
-// (compiledCache.lookup; nil outside a pool). Retained, the entry supplies the
-// canonical text, the resolution and — through referenceSide — the reduced
-// reference side, and the validate and plan spans close at once; blank, a
-// clean complete execution fills it.
-func (e *Engine) executeQuery(ctx context.Context, q *oql.Query, tr *obs.Tracer, plan *queryPlan) (res *Result, err error) {
-	start := time.Now()
-	// The canonical text is rendered once, for whoever records the query: the
-	// in-flight table now, the event when it finishes.
-	rq, text := plan.compiled.resolved()
-	if rq == nil && (e.inflight != nil || e.events != nil) {
-		text = obs.TruncateQuery(q.String())
-	}
-	// Live registration for the /debug/requests inspector. Deregistration is
-	// the first defer, so it runs last — after observation — and a panicking
-	// query still leaves the table.
-	if e.inflight != nil {
-		traceID := ""
-		if sc, ok := obs.SpanContextFrom(ctx); ok {
-			traceID = sc.TraceID
-		}
-		plan.ifq = e.inflight.Register(obs.RequestIDFrom(ctx), traceID, text)
-	}
-	defer e.inflight.Deregister(plan.ifq)
-	defer func() { e.observeQuery(ctx, tr, text, res, err, plan) }()
-	// Panic isolation (registered after observeQuery so it runs first and
-	// the observation sees the error): a panic in the engine's own phases
-	// returns a *PanicError instead of unwinding through the serving layers
-	// (one inside a candidate range is recovered there, see scoreRange).
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, newPanicError(r)
-		}
-	}()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	plan.ifq.SetPhase("validate")
-	validated := func() {
-		tr.EndPhase("validate", obs.SpanStats{})
-		plan.ifq.SetPhase("plan")
-	}
-	res = &Result{}
-	if rq != nil {
-		validated()
-	} else {
-		if rq, err = e.resolve(ctx, q, validated); err != nil {
-			return nil, err
-		}
-		res.Timing.SetRetrieval = rq.setRetrieval
-	}
-	plan.resolvedQuery = rq
-	res.CandidateCount, res.ReferenceCount = len(rq.cands), len(rq.refs)
-	// A cached materializer names the waist that misses of a feature path
-	// finish from; observeQuery copies the lines onto the wide event, so
-	// /debug/events shows why such a path is cheap — or no longer is.
-	if e.mat.cached() {
-		for _, p := range plan.paths {
-			if line := e.mat.lru.waistLine(p); line != "" {
-				tr.AddPlan(line)
-			}
-		}
-	}
-	tr.EndPhase("plan", obs.SpanStats{})
-
-	if err := e.run(ctx, plan, res, tr); err != nil {
-		return nil, err
-	}
-	if !res.Partial {
-		plan.compiled.retain(text, rq, plan.scorers, plan.reduced)
-	}
-	res.Timing.Total = time.Since(start)
-	return res, nil
 }
 
 // resolve turns a parsed query into what every way of running it starts

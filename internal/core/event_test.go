@@ -76,7 +76,7 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 		t.Fatalf("ok event incomplete: %+v", ev)
 	}
 
-	// parse failure (never reaches executeQuery)
+	// parse failure
 	if _, err := eng.Execute("THIS IS NOT OQL;"); err == nil {
 		t.Fatal("parse should fail")
 	}
@@ -123,18 +123,17 @@ func TestExactlyOneEventPerQuery(t *testing.T) {
 		t.Fatalf("partial event candidates = %d, want full |Sc| %d", ev.Candidates, nA)
 	}
 
-	// The pre-parsed entry point journals too.
-	if _, err := eng.ExecuteQuery(mustParse(t, faultQuery)); err != nil {
+	if _, err := eng.Execute(faultQuery); err != nil {
 		t.Fatal(err)
 	}
-	expectOne("pre-parsed", "ok", false)
+	expectOne("again", "ok", false)
 
 	// One observation per finished query too: the registry's latency histogram
 	// counts all five of eng's queries, the parse failure among them, and each
 	// failure under its own outcome.
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
-	for _, want := range []string{"netout_query_seconds_count 5", `netout_queries_total{outcome="invalid"} 1`, `netout_queries_total{outcome="not_found"} 1`, `netout_query_phase_seconds_count{phase="parse"} 4`} {
+	for _, want := range []string{"netout_query_seconds_count 5", `netout_queries_total{outcome="invalid"} 1`, `netout_queries_total{outcome="not_found"} 1`, `netout_query_phase_seconds_count{phase="parse"} 5`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("scrape is missing %q:\n%s", want, sb.String())
 		}
@@ -447,8 +446,8 @@ func TestEventKernelsCountCachedViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par > 1 && len(res.Shards) != par {
-			t.Fatalf("parallelism %d ran %d ranges", par, len(res.Shards))
+		if par > 1 && len(res.Trace.Shards) != par {
+			t.Fatalf("parallelism %d ran %d ranges", par, len(res.Trace.Shards))
 		}
 		for _, n := range ring.Snapshot()[0].Kernels {
 			sum += n
@@ -542,8 +541,8 @@ func TestPoolsInheritTheEngine(t *testing.T) {
 			if !bitIdentical(res, want[i]) {
 				t.Fatalf("query %d diverges from the engine's own Execute", i)
 			}
-			if len(res.Shards) != len(fleet) || res.Shards[1].Addr != fleet[1].Addr() {
-				t.Fatalf("query %d: Result.Shards = %+v, want the two remotes", i, res.Shards)
+			if len(res.Trace.Shards) != len(fleet) || res.Trace.Shards[1].Addr != fleet[1].Addr() {
+				t.Fatalf("query %d: Trace.Shards = %+v, want the two remotes", i, res.Trace.Shards)
 			}
 		}
 		if seenInflight.Swap(0) == 0 || tab.Len() != 0 {

@@ -244,11 +244,6 @@ type work struct {
 	read         int64 // metapath.Traverser.Work
 }
 
-// countKernels leaves on the plan the hops done on hs since before.
-func (plan *queryPlan) countKernels(hs handles, before metapath.KernelCounts) {
-	plan.kernels = hs.work().kernels.Sub(before)
-}
-
 func (hs handles) work() (w work) {
 	for _, mat := range hs.mats {
 		w.mat = w.mat.Add(mat.stats)
@@ -261,40 +256,52 @@ func (hs handles) work() (w work) {
 	return w
 }
 
-// run executes a planned query, filling res in place: the reference side
-// once, the candidate ranges wherever they run, one degradation rule, one
-// merge. Span names are a contract with the dashboards and the benchmark
-// harness: local execution records materialize (reference side and the fused
-// load+score of every range) → score (empty) → rank (merge); remote execution
-// reduce (reference side) → scatter (the shards' work) → merge.
-func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.Tracer) error {
-	cands := plan.cands
+// meter is the handles a query's back half runs on, and the account of its
+// spans (endPhase): each closes with the work the handles did since the
+// previous one. The trace stays out of it: a meter's handles reach function
+// values, and the trace would follow them to the heap.
+type meter struct {
+	hs          handles
+	first, last work
+	res         *Result
+}
+
+// giveBack leaves on the plan the hops done on m's handles and returns them.
+// Deferred, so a panicking phase still returns its handles and reports the
+// hops it did on them.
+func (e *Engine) giveBack(m *meter, plan *queryPlan) {
+	plan.kernels = m.hs.work().kernels.Sub(m.first.kernels)
+	e.release(m.hs)
+}
+
+// endPhase closes a span of tr with the work of the handles since the last
+// one, plus off: what the phase cost on remote shards.
+func (m *meter) endPhase(tr *obs.Tracer, name string, off MatStats) {
+	now := m.hs.work()
+	d := now.mat.Sub(m.last.mat).Add(off)
+	m.res.Timing.charge(d)
+	tr.EndPhase(name, obs.SpanStats{
+		TraversedVectors: d.TraversedVectors,
+		IndexedVectors:   d.IndexedVectors,
+		CacheHits:        now.hits - m.last.hits,
+		CacheMisses:      now.misses - m.last.misses,
+	})
+	m.last = now
+}
+
+// run executes a planned query on m's handles, one per local range, filling
+// m.res in place: the reference side once, the candidate ranges wherever they
+// run, one degradation rule, one merge. Span names are a contract with the
+// dashboards and the benchmark harness: local execution records materialize
+// (reference side and the fused load+score of every range) → score (empty) →
+// rank (merge); remote execution reduce (reference side) → scatter (the
+// shards' work) → merge.
+func (e *Engine) run(ctx context.Context, plan *queryPlan, m *meter, tr *obs.Tracer) error {
+	cands, hs, res := plan.cands, m.hs, m.res
 	remote := len(e.remotes) > 0
 	phase := [3]string{"materialize", "score", "rank"}
-	ranges := min(plan.ranges, chunksOf(len(cands)))
 	if remote {
-		// The reference side alone runs here, on one handle.
-		phase, ranges = [3]string{"reduce", "scatter", "merge"}, 1
-	}
-	hs := e.borrow(ranges)
-	// Deferred, so a panicking phase still returns its handles and reports
-	// the hops it did on them.
-	defer e.release(hs)
-	last := hs.work()
-	defer plan.countKernels(hs, last.kernels)
-	// endPhase closes a span with the work of the query's handles since the
-	// last one, plus off: what the phase cost on remote shards.
-	endPhase := func(name string, off MatStats) {
-		now := hs.work()
-		d := now.mat.Sub(last.mat).Add(off)
-		res.Timing.charge(d)
-		tr.EndPhase(name, obs.SpanStats{
-			TraversedVectors: d.TraversedVectors,
-			IndexedVectors:   d.IndexedVectors,
-			CacheHits:        now.hits - last.hits,
-			CacheMisses:      now.misses - last.misses,
-		})
-		last = now
+		phase = [3]string{"reduce", "scatter", "merge"}
 	}
 
 	// The inspector's chunk progress restarts with each phase that has any: a
@@ -307,7 +314,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	}
 	plan.scorers = scorers
 	if held == nil { // held, the reduction's loads are the candidates': a hit loads them too
-		plan.reduced = hs.work().read - last.read
+		plan.reduced = hs.work().read - m.last.read
 	}
 	if plan.refside != "" {
 		tr.AddPlan(plan.refside)
@@ -316,7 +323,7 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	var bcast *ShardBroadcast
 	if remote {
 		bcast = scorers.broadcast(plan.compiled != nil)
-		endPhase(phase[0], MatStats{})
+		m.endPhase(tr, phase[0], MatStats{})
 	} else {
 		// One candidate side over the whole set, shared by every range.
 		if cs, err = newCandidateSide(ctx, e.g, hs.mats[0], scorers, e.measure, plan.paths, cands, held); err != nil {
@@ -347,9 +354,9 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 	if !remote {
 		// Local ranges fuse loading with scoring, so all of it belongs to the
 		// first span and the second stays empty.
-		endPhase(phase[0], MatStats{})
+		m.endPhase(tr, phase[0], MatStats{})
 	}
-	endPhase(phase[1], off)
+	m.endPhase(tr, phase[1], off)
 
 	plan.ifq.SetPhase(phase[2])
 	mergeStart := time.Now()
@@ -402,19 +409,18 @@ func (e *Engine) run(ctx context.Context, plan *queryPlan, res *Result, tr *obs.
 		// Per-range accounting, in the shard tier's vocabulary: a local range
 		// is a shard without an address.
 		for i, rr := range results {
-			st := ShardStatus{Shard: i, Addr: rr.addr, Duration: rr.duration,
+			st := obs.ShardSpan{Shard: i, Addr: rr.addr, Duration: rr.duration,
 				Candidates: rr.cands, Done: rr.done, Partial: rr.err != nil}
 			if rr.err != nil {
 				st.Err = rr.err.Error()
 			}
 			tr.AddShard(st)
-			res.Shards = append(res.Shards, st)
 			for _, line := range rr.plan {
 				tr.AddPlan("shard " + strconv.Itoa(i) + " " + line)
 			}
 		}
 	}
-	endPhase(phase[2], MatStats{})
+	m.endPhase(tr, phase[2], MatStats{})
 	res.Timing.Scoring += time.Since(mergeStart)
 	return nil
 }

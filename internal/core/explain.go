@@ -65,72 +65,62 @@ type Explanation struct {
 	// Score is the candidate's combined score as Execute would report it.
 	Score float64
 	Paths []PathExplanation
-	// Trace is the explanation's own phase breakdown (validate → plan →
-	// materialize → score), printed by Format.
+	// Trace is the explanation's phase breakdown (parse → validate → plan →
+	// materialize), printed by Format.
 	Trace *obs.Trace
 }
 
 // Explain runs the query's set resolution and explains the given candidate
 // vertex (by name, within the candidate element type). topN bounds the
-// contributions listed per path (0 means all).
+// contributions listed per path (0 means all). Like Execute it is one query
+// to the engine's record: traced, counted and emitted as one event, a panic
+// returned as its *PanicError.
 func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanation, error) {
-	tr := obs.StartTrace()
-	q, err := oql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	tr.EndPhase("parse", obs.SpanStats{})
-	if e.measure != MeasureNetOut {
-		return nil, xerr.Newf(xerr.InvalidArgument, "core: explanations are defined for the NetOut measure (engine uses %s)", e.measure)
-	}
-	// The signature carries no context, so neither set evaluation nor the
-	// reduction below can be cancelled.
-	ctx := context.TODO()
-	plan, err := e.resolve(ctx, q, func() { tr.EndPhase("validate", obs.SpanStats{}) })
-	if err != nil {
-		return nil, err
-	}
-	target, ok := e.g.VertexByName(plan.elemType, candidateName)
-	if !ok {
-		return nil, xerr.Newf(xerr.NotFound, "core: no %s named %q", e.g.Schema().TypeName(plan.elemType), candidateName)
-	}
-	if !containsVertex(plan.cands, target) {
-		return nil, xerr.Newf(xerr.InvalidArgument, "core: %q is not in the query's candidate set", candidateName)
-	}
-	// An explanation is per path: S under CombineAverage whatever the engine
-	// combines with.
-	plan.combine = CombineAverage
-	tr.EndPhase("plan", obs.SpanStats{})
-
-	// Materialize the candidate's Φ under every path and reduce the reference
-	// side up front, so the trace's materialize phase covers all network
-	// work. S comes from referenceSide, the function Execute reduces with.
-	hs := e.borrow(1)
-	defer e.release(hs)
-	before := hs.work()
-	phis := make([]sparse.Vector, len(plan.paths))
-	for m, p := range plan.paths {
-		if phis[m], err = hs.mats[0].NeighborVector(p, target); err != nil {
-			return nil, err
+	var out *Explanation
+	res, err := e.execute(context.Background(), src, nil, 1, func(ctx context.Context, plan *queryPlan, hs handles, _ *Result) error {
+		if e.measure != MeasureNetOut {
+			return xerr.Newf(xerr.InvalidArgument, "core: explanations are defined for the NetOut measure (engine uses %s)", e.measure)
 		}
-	}
-	scorers, _, err := e.referenceSide(ctx, &queryPlan{resolvedQuery: plan}, hs)
+		target, ok := e.g.VertexByName(plan.elemType, candidateName)
+		if !ok {
+			return xerr.Newf(xerr.NotFound, "core: no %s named %q", e.g.Schema().TypeName(plan.elemType), candidateName)
+		}
+		if !containsVertex(plan.cands, target) {
+			return xerr.Newf(xerr.InvalidArgument, "core: %q is not in the query's candidate set", candidateName)
+		}
+		// The candidate's Φ under every path, and S from referenceSide, the
+		// function Execute reduces with, under CombineAverage: an
+		// explanation is per path, whatever the engine combines with (no pool
+		// shares this resolution).
+		phis := make([]sparse.Vector, len(plan.paths))
+		for i, p := range plan.paths {
+			var err error
+			if phis[i], err = hs.mats[0].NeighborVector(p, target); err != nil {
+				return err
+			}
+		}
+		plan.combine = CombineAverage
+		scorers, _, err := e.referenceSide(ctx, plan, hs)
+		if err != nil {
+			return err
+		}
+		out = e.explain(plan.q, scorers, phis, target, candidateName, topN)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	after := hs.work()
-	d := after.mat.Sub(before.mat)
-	tr.EndPhase("materialize", obs.SpanStats{
-		TraversedVectors: d.TraversedVectors,
-		IndexedVectors:   d.IndexedVectors,
-		CacheHits:        after.hits - before.hits,
-		CacheMisses:      after.misses - before.misses,
-	})
+	out.Trace = res.Trace
+	return out, nil
+}
 
-	// The scores are Execute's arithmetic, bit for bit: each path's Ω from its
-	// scorer, the paths combined by queryScorers.score. The contributions are
-	// their per-coordinate display, whose Ω parts sum to Ω up to rounding.
-	out := &Explanation{Vertex: target, Name: candidateName}
+// explain is target's audit record from its Φ under every path and the
+// reduced reference side. The scores are Execute's arithmetic, bit for bit:
+// each path's Ω from its scorer, the paths combined by queryScorers.score.
+// The contributions are their per-coordinate display, whose Ω parts sum to Ω
+// up to rounding.
+func (e *Engine) explain(q *oql.Query, scorers *queryScorers, phis []sparse.Vector, target hin.VertexID, name string, topN int) *Explanation {
+	out := &Explanation{Vertex: target, Name: name}
 	out.Score, _ = scorers.score(phis)
 	for m, f := range q.Features {
 		phi, s := phis[m], scorers.perPath[m].s
@@ -164,9 +154,7 @@ func (e *Engine) Explain(src string, candidateName string, topN int) (*Explanati
 		}
 		out.Paths = append(out.Paths, pe)
 	}
-	tr.EndPhase("score", obs.SpanStats{})
-	out.Trace = tr.Finish()
-	return out, nil
+	return out
 }
 
 // Format renders the explanation for terminal display.

@@ -566,7 +566,7 @@ func TestSuggestMatchesPerVertexLoop(t *testing.T) {
 				// Twice: the second pass finds the norms the first left behind.
 				for pass := 0; pass < 2; pass++ {
 					before := mat.Stats()
-					got, err := eng.SuggestFeaturesQuery(q, maxHops)
+					got, err := eng.SuggestFeatures(src, maxHops)
 					if err != nil {
 						t.Fatal(err)
 					}

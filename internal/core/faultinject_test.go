@@ -731,11 +731,11 @@ func TestShardPanicIsolatesToPartial(t *testing.T) {
 	if !res.Partial {
 		t.Fatal("res.Partial = false, want true")
 	}
-	if len(res.Shards) != 3 {
-		t.Fatalf("len(res.Shards) = %d, want 3", len(res.Shards))
+	if len(res.Trace.Shards) != 3 {
+		t.Fatalf("len(res.Trace.Shards) = %d, want 3", len(res.Trace.Shards))
 	}
 	panicked := 0
-	for _, st := range res.Shards {
+	for _, st := range res.Trace.Shards {
 		if st.Partial {
 			panicked++
 			if !strings.Contains(st.Err, "injected shard fault") {
@@ -748,7 +748,7 @@ func TestShardPanicIsolatesToPartial(t *testing.T) {
 		}
 	}
 	if panicked != 1 {
-		t.Fatalf("%d shards marked partial, want exactly 1: %+v", panicked, res.Shards)
+		t.Fatalf("%d shards marked partial, want exactly 1: %+v", panicked, res.Trace.Shards)
 	}
 	// Every surviving entry is exact: bit-identical to the full run's score
 	// for the same vertex.
@@ -865,7 +865,7 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 		t.Fatal("res.Partial = false, want true")
 	}
 	expired, totalDone := 0, 0
-	for _, st := range res.Shards {
+	for _, st := range res.Trace.Shards {
 		totalDone += st.Done
 		if st.Partial {
 			expired++
@@ -875,7 +875,7 @@ func TestShardDeadlineDegradesToMergedPartial(t *testing.T) {
 		}
 	}
 	if expired == 0 {
-		t.Fatalf("no shard marked partial: %+v", res.Shards)
+		t.Fatalf("no shard marked partial: %+v", res.Trace.Shards)
 	}
 	if totalDone != K {
 		t.Fatalf("shards scored %d candidates total, want exactly the %d-poll budget", totalDone, K)
@@ -959,8 +959,8 @@ func TestShardedEngineCloseSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Execute after Close #%d: %v", i+1, err)
 		}
-		if !bitIdentical(want, res) || len(res.Shards) != 3 {
-			t.Fatalf("Execute after Close #%d: %d ranges, identical to inline = %v", i+1, len(res.Shards), bitIdentical(want, res))
+		if !bitIdentical(want, res) || len(res.Trace.Shards) != 3 {
+			t.Fatalf("Execute after Close #%d: %d ranges, identical to inline = %v", i+1, len(res.Trace.Shards), bitIdentical(want, res))
 		}
 	}
 }

@@ -148,3 +148,71 @@ func TestEachOutcomeCountedOnce(t *testing.T) {
 		}
 	}
 }
+
+// Every entry point is one query to the engine's record: Execute, Explain,
+// SuggestFeatures and ExecuteProgressive each emit exactly one event and add
+// one to netout_queries_total per call, ok for a valid query and invalid for
+// one that does not parse, and a panic inside a side mode comes back as a
+// *PanicError counted internal instead of unwinding through its caller.
+func TestEveryEntryPointIsObservedOnce(t *testing.T) {
+	g := randomBibGraph(rand.New(rand.NewSource(13)))
+	entries := []struct {
+		name string
+		call func(eng *Engine, src string) error
+	}{
+		{"Execute", func(eng *Engine, src string) error { _, err := eng.Execute(src); return err }},
+		{"Explain", func(eng *Engine, src string) error { _, err := eng.Explain(src, "A0", 3); return err }},
+		{"SuggestFeatures", func(eng *Engine, src string) error { _, err := eng.SuggestFeatures(src, 2); return err }},
+		{"ExecuteProgressive", func(eng *Engine, src string) error {
+			_, err := eng.ExecuteProgressive(src, ProgressiveOptions{ChunkSize: 2})
+			return err
+		}},
+	}
+	reg, ring := obs.NewRegistry(), obs.NewEventRing(16)
+	eng := NewEngine(g, WithObs(reg), WithEventSink(ring))
+	calls := 0
+	for _, ep := range entries {
+		for _, tc := range []struct{ src, outcome string }{{faultQuery, "ok"}, {"THIS IS NOT OQL;", "invalid"}} {
+			err := ep.call(eng, tc.src)
+			if got := xerr.Outcome(err); got != tc.outcome {
+				t.Fatalf("%s(%q): %v, want outcome %s", ep.name, tc.src, err, tc.outcome)
+			}
+			calls++
+			evs := ring.Snapshot()
+			if len(evs) != calls || evs[0].Outcome != tc.outcome {
+				t.Fatalf("%s(%q): ring holds %d events, want %d, the last %s", ep.name, tc.src, len(evs), calls, tc.outcome)
+			}
+		}
+	}
+	total := 0.0
+	for name, v := range metricsOf(t, reg) {
+		if strings.HasPrefix(name, "netout_queries_total{") {
+			total += v
+		}
+	}
+	if total != float64(calls) {
+		t.Fatalf("netout_queries_total sums to %v over %d calls", total, calls)
+	}
+
+	reg, ring = obs.NewRegistry(), obs.NewEventRing(16)
+	eng = NewEngine(g, WithMaterializer(hooked(NewBaseline(g), func(metapath.Path, hin.VertexID) {
+		panic("side mode probe")
+	})), WithObs(reg), WithEventSink(ring))
+	for _, ep := range entries[1:] {
+		if err := ep.call(eng, faultQuery); !IsPanicError(err) {
+			t.Fatalf("%s on a panicking materializer: %v, want a *PanicError", ep.name, err)
+		}
+	}
+	if got := metricsOf(t, reg)[`netout_queries_total{outcome="internal"}`]; got != 3 {
+		t.Fatalf(`netout_queries_total{outcome="internal"} = %v, want one per side mode (3)`, got)
+	}
+	evs := ring.Snapshot()
+	if len(evs) != 3 {
+		t.Fatalf("ring holds %d events, want one per side mode (3)", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Outcome != "internal" || !strings.Contains(ev.Error, "side mode probe") {
+			t.Fatalf("panic event = outcome %s, error %q", ev.Outcome, ev.Error)
+		}
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"netout/internal/hin"
-	"netout/internal/oql"
 )
 
 // bigBibGraph builds a random bibliographic network large enough to cross
@@ -191,10 +190,6 @@ func TestEngineReentrantRace(t *testing.T) {
 	}
 	eng := NewEngine(g, WithMaterializer(mat))
 	src := `FIND OUTLIERS FROM author{"Zoe"}.paper.author JUDGED BY author.paper.venue TOP 5;`
-	q, err := oql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -203,10 +198,10 @@ func TestEngineReentrantRace(t *testing.T) {
 			for iter := 0; iter < 10; iter++ {
 				if i%2 == 0 {
 					ctx, cancel := context.WithCancel(context.Background())
-					res, err := eng.ExecuteQueryContext(ctx, q)
+					res, err := eng.ExecuteContext(ctx, src)
 					cancel()
 					if err != nil {
-						t.Errorf("ExecuteQueryContext: %v", err)
+						t.Errorf("ExecuteContext: %v", err)
 					} else if len(res.Entries) != 3 {
 						t.Errorf("entries = %+v", res.Entries)
 					}
@@ -244,13 +239,10 @@ func TestPipelineCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := bigBibGraph(r)
 	eng := NewEngine(g, WithQueryParallelism(4))
-	q, err := oql.Parse(`FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 10;`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := `FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 10;`
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.remaining.Store(60) // enough to pass planning, not materialization
-	res, err := eng.ExecuteQueryContext(ctx, q)
+	res, err := eng.ExecuteContext(ctx, src)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -258,7 +250,7 @@ func TestPipelineCancellation(t *testing.T) {
 		t.Fatalf("res = %+v, want nil", res)
 	}
 	// The engine must remain fully usable afterwards (no poisoned state).
-	if _, err := eng.ExecuteQuery(q); err != nil {
+	if _, err := eng.Execute(src); err != nil {
 		t.Fatalf("follow-up query: %v", err)
 	}
 }

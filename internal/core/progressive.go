@@ -5,10 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"time"
 
 	"netout/internal/hin"
-	"netout/internal/oql"
 	"netout/internal/sparse"
 )
 
@@ -107,35 +105,30 @@ func (e *Engine) ExecuteProgressive(src string, opts ProgressiveOptions) (*Resul
 // snapshot's estimates are returned with Result.Partial=true (the
 // progressive estimator exists precisely to have a usable answer at every
 // prefix); cancellation and pre-snapshot deadlines return the context error.
+// Like Execute it is one query to the engine's record: traced, counted and
+// emitted as one event, a panic returned as its *PanicError.
 func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts ProgressiveOptions) (*Result, error) {
-	q, err := oql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = 64
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	start := time.Now()
-	plan, err := e.resolve(ctx, q, nil)
-	if err != nil {
-		return nil, err
-	}
-	cands, n := plan.cands, len(plan.refs)
-	res := &Result{CandidateCount: len(cands), ReferenceCount: n}
-	res.Timing.SetRetrieval = plan.setRetrieval
+	return e.execute(ctx, src, nil, 1, func(ctx context.Context, plan *queryPlan, hs handles, res *Result) error {
+		return e.progressive(ctx, plan, hs, res, opts)
+	})
+}
 
-	hs := e.borrow(1)
-	defer e.release(hs)
+// progressive is ExecuteProgressiveContext's back half.
+func (e *Engine) progressive(ctx context.Context, plan *queryPlan, hs handles, res *Result, opts ProgressiveOptions) error {
+	cands, n := plan.cands, len(plan.refs)
 	// Every candidate's Φ, loaded once and held for every snapshot. No
 	// degradation here: without every candidate there are no estimates at
 	// all, so a context error is a hard stop.
 	cs := &candidateSide{g: e.g, paths: plan.paths, cands: cands}
 	var buf candBuf
 	if _, err := cs.load(ctx, hs.mats[0], 0, len(cands), &buf); err != nil {
-		return nil, err
+		return err
 	}
 
 	shuffled := slices.Clone(plan.refs)
@@ -159,7 +152,7 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 		return 1.96 * pop * math.Sqrt(v/kf*(pop-kf)/(pop-1))
 	}
 	// chunk is the query with the snapshot's S_c for Sr.
-	chunk := *plan
+	chunk := *plan.resolvedQuery
 	sub := &queryPlan{resolvedQuery: &chunk}
 	one := make([]sparse.Vector, len(plan.paths))
 	processed := 0
@@ -177,11 +170,11 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 				// answer: return them flagged Partial.
 				break
 			}
-			return nil, err
+			return err
 		}
 		processed = end
 		exact := processed == n
-		sel := newTopSelector(q.TopK)
+		sel := newTopSelector(plan.q.TopK)
 		var skipped []hin.VertexID
 		for i, v := range cands {
 			for m := range one {
@@ -219,6 +212,5 @@ func (e *Engine) ExecuteProgressiveContext(ctx context.Context, src string, opts
 	// false — leaves the estimates inexact; surface that the same way the
 	// deadline-degraded engine paths do.
 	res.Partial = processed < n
-	res.Timing.Total = time.Since(start)
-	return res, nil
+	return nil
 }

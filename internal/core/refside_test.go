@@ -239,7 +239,7 @@ func TestReferenceSideFallsThroughPast2To53(t *testing.T) {
 		// which the sequential path reuses for the candidates and the shard
 		// tier loads again.
 		wantLoads := int64(1 + nA)
-		if len(got.Shards) > 0 {
+		if len(got.Trace.Shards) > 0 {
 			wantLoads += nA
 		}
 		if got.Timing.TraversedVectors != wantLoads {

@@ -98,7 +98,7 @@ JUDGED BY author.paper.venue : 1.0, author.paper.term : 3.0;`)
 	}
 }
 
-// ExecuteQueryContext must clear the engine's context on every exit path.
+// ExecuteContext must clear the engine's context on every exit path.
 // The protected entry points (Explain, SuggestFeatures, ...) reset it
 // themselves pre-fix; a direct EvalSet on a WHERE-bearing expression did
 // not, and inherited the dead context of whichever query ran last.

@@ -52,7 +52,7 @@ func TestResolveServesEveryEntryPoint(t *testing.T) {
 				len(plan.cands), len(plan.refs), plan.paths, plan.weights)
 		}
 
-		res, err := eng.ExecuteQuery(q)
+		res, err := eng.Execute(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestResolveServesEveryEntryPoint(t *testing.T) {
 				t.Fatalf("%s: Explain accepted %s, which is outside Sc", tc.name, g.Name(outsider))
 			}
 		}
-		sugs, err := eng.SuggestFeaturesQuery(q, 2)
+		sugs, err := eng.SuggestFeatures(tc.src, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
-	"netout/internal/obs"
 	"netout/internal/sparse"
 	"netout/internal/xerr"
 )
@@ -551,7 +550,3 @@ func ServeShardRequest(ctx context.Context, g *hin.Graph, mat *Materializer, req
 	}
 	return resp
 }
-
-// ShardStatus is one range's per-query accounting on a Result: a remote
-// shard's, or a local range's (a shard without an address).
-type ShardStatus = obs.ShardSpan

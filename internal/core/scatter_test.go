@@ -193,11 +193,11 @@ func TestShardedResultAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Shards) != shards {
-				t.Fatalf("len(res.Shards) = %d, want %d", len(res.Shards), shards)
+			if len(res.Trace.Shards) != shards {
+				t.Fatalf("len(res.Trace.Shards) = %d, want %d", len(res.Trace.Shards), shards)
 			}
 			total := 0
-			for i, st := range res.Shards {
+			for i, st := range res.Trace.Shards {
 				if st.Shard != i {
 					t.Errorf("Shards[%d].Shard = %d", i, st.Shard)
 				}
@@ -222,9 +222,6 @@ func TestShardedResultAccounting(t *testing.T) {
 					t.Errorf("trace records a %q span of the other phase shape", phase)
 				}
 			}
-			if len(res.Trace.Shards) != shards {
-				t.Errorf("len(Trace.Shards) = %d, want %d", len(res.Trace.Shards), shards)
-			}
 		})
 	}
 }
@@ -241,8 +238,8 @@ func TestUnshardedEngineHasNoShardState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Shards) != 0 || len(res.Trace.Shards) != 0 {
-			t.Fatalf("%s produced range accounting: %+v", name, res.Shards)
+		if len(res.Trace.Shards) != 0 {
+			t.Fatalf("%s produced range accounting: %+v", name, res.Trace.Shards)
 		}
 		eng.Close()
 		eng.Close() // idempotent

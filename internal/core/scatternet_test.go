@@ -99,7 +99,7 @@ func TestRemoteShardsBitIdentical(t *testing.T) {
 						t.Fatalf("measure %v combine %v remotes=%d diverges on %q:\nunsharded %+v\nremote    %+v",
 							m, comb, n, src, want.Entries, got.Entries)
 					}
-					for i, st := range got.Shards {
+					for i, st := range got.Trace.Shards {
 						if st.Addr != fmt.Sprintf("fake-shard-%d", i) {
 							t.Fatalf("Shards[%d].Addr = %q", i, st.Addr)
 						}
@@ -121,8 +121,8 @@ func TestRemoteShardsWinOverLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Shards) != 2 || res.Shards[0].Addr == "" {
-		t.Fatalf("accounting = %+v, want 2 addressed remote shards", res.Shards)
+	if len(res.Trace.Shards) != 2 || res.Trace.Shards[0].Addr == "" {
+		t.Fatalf("accounting = %+v, want 2 addressed remote shards", res.Trace.Shards)
 	}
 }
 
@@ -221,7 +221,7 @@ func expectPrefixPartial(t *testing.T, g *hin.Graph, eng *Engine, lost int) {
 		t.Fatal("Partial = false after losing a remote shard")
 	}
 	covered := 0
-	for i, st := range res.Shards {
+	for i, st := range res.Trace.Shards {
 		if i == lost {
 			if st.Done != 0 || !st.Partial || st.Err == "" {
 				t.Fatalf("lost shard accounting = %+v, want Done 0 with its classified error", st)

@@ -8,7 +8,6 @@ import (
 
 	"netout/internal/hin"
 	"netout/internal/metapath"
-	"netout/internal/oql"
 	"netout/internal/xerr"
 )
 
@@ -43,41 +42,28 @@ type Suggestion struct {
 // candidate/reference sets and returns them ranked, best first. maxHops
 // bounds the explored path length (2 or 4 are sensible; values below 2 are
 // raised to 2). The query's own feature paths are included in the ranking,
-// so the user can see where their current choice stands.
+// so the user can see where their current choice stands. Like Execute it is
+// one query to the engine's record: traced, counted and emitted as one event,
+// a panic returned as its *PanicError.
 func (e *Engine) SuggestFeatures(src string, maxHops int) ([]Suggestion, error) {
-	q, err := oql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.SuggestFeaturesQuery(q, maxHops)
-}
-
-// SuggestFeaturesQuery is SuggestFeatures for a parsed query.
-func (e *Engine) SuggestFeaturesQuery(q *oql.Query, maxHops int) ([]Suggestion, error) {
-	if maxHops < 2 {
-		maxHops = 2
-	}
-	// The signature carries no context, so the evaluation cannot be cancelled.
-	ctx := context.TODO()
-	plan, err := e.resolve(ctx, q, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(plan.cands) < 3 {
-		return nil, xerr.Newf(xerr.InvalidArgument, "core: candidate set too small (%d) to rank feature paths", len(plan.cands))
-	}
-
-	hs := e.borrow(1)
-	defer e.release(hs)
 	var out []Suggestion
-	for _, p := range metapath.Enumerate(e.g.Schema(), plan.elemType, 2, maxHops) {
-		sug, ok, err := e.evaluateFeaturePath(ctx, hs, p, plan.cands, plan.refs)
-		if err != nil {
-			return nil, err
+	_, err := e.execute(context.Background(), src, nil, 1, func(ctx context.Context, plan *queryPlan, hs handles, _ *Result) error {
+		if len(plan.cands) < 3 {
+			return xerr.Newf(xerr.InvalidArgument, "core: candidate set too small (%d) to rank feature paths", len(plan.cands))
 		}
-		if ok {
-			out = append(out, sug)
+		for _, p := range metapath.Enumerate(e.g.Schema(), plan.elemType, 2, max(maxHops, 2)) {
+			sug, ok, err := e.evaluateFeaturePath(ctx, hs, p, plan.cands, plan.refs)
+			if err != nil {
+				return err
+			}
+			if ok {
+				out = append(out, sug)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(a, b int) bool {
 		// Prefer sharply separating paths that still characterize most of

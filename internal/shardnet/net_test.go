@@ -301,11 +301,11 @@ func TestNetworkShardKilledMidQueryDegradesToExactPrefix(t *testing.T) {
 	if !res.Partial {
 		t.Fatal("Partial = false after killing a shard mid-query")
 	}
-	if len(res.Shards) != 3 {
-		t.Fatalf("shard accounting = %+v", res.Shards)
+	if len(res.Trace.Shards) != 3 {
+		t.Fatalf("shard accounting = %+v", res.Trace.Shards)
 	}
 	covered := 0
-	for i, st := range res.Shards {
+	for i, st := range res.Trace.Shards {
 		if i == 1 {
 			if st.Done != 0 || !st.Partial || st.Err == "" {
 				t.Fatalf("victim accounting = %+v, want Done 0 with classified error", st)
@@ -354,17 +354,17 @@ func TestNetworkDrainingShardDegradesToExactPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("draining shard failed the query instead of degrading: %v", err)
 	}
-	if !res.Partial || len(res.Shards) != 2 {
-		t.Fatalf("Partial = %v, shards %+v; want a Partial over two shards", res.Partial, res.Shards)
+	if !res.Partial || len(res.Trace.Shards) != 2 {
+		t.Fatalf("Partial = %v, shards %+v; want a Partial over two shards", res.Partial, res.Trace.Shards)
 	}
-	if st := res.Shards[1]; st.Done != 0 || !st.Partial || !strings.Contains(st.Err, core.ErrPoolClosed.Error()) {
+	if st := res.Trace.Shards[1]; st.Done != 0 || !st.Partial || !strings.Contains(st.Err, core.ErrPoolClosed.Error()) {
 		t.Fatalf("draining shard accounting = %+v, want Done 0 with ErrPoolClosed", st)
 	}
-	if st := res.Shards[0]; st.Partial || st.Done != st.Candidates {
+	if st := res.Trace.Shards[0]; st.Partial || st.Done != st.Candidates {
 		t.Fatalf("healthy shard accounting = %+v, want complete", st)
 	}
-	if got := len(res.Entries) + len(res.Skipped); got != res.Shards[0].Candidates {
-		t.Fatalf("partial covers %d candidates, want the healthy shard's %d", got, res.Shards[0].Candidates)
+	if got := len(res.Entries) + len(res.Skipped); got != res.Trace.Shards[0].Candidates {
+		t.Fatalf("partial covers %d candidates, want the healthy shard's %d", got, res.Trace.Shards[0].Candidates)
 	}
 	for _, e := range res.Entries {
 		bits, ok := wantScore[e.Vertex]
@@ -567,11 +567,11 @@ func TestNetworkDeadlinePropagation(t *testing.T) {
 	if !res.Partial {
 		t.Fatal("Partial = false with one shard past the deadline")
 	}
-	if res.Shards[1].Done != 0 || !res.Shards[1].Partial {
-		t.Fatalf("stalled shard accounting = %+v", res.Shards[1])
+	if res.Trace.Shards[1].Done != 0 || !res.Trace.Shards[1].Partial {
+		t.Fatalf("stalled shard accounting = %+v", res.Trace.Shards[1])
 	}
-	if res.Shards[0].Done != res.Shards[0].Candidates {
-		t.Fatalf("healthy shard accounting = %+v", res.Shards[0])
+	if res.Trace.Shards[0].Done != res.Trace.Shards[0].Candidates {
+		t.Fatalf("healthy shard accounting = %+v", res.Trace.Shards[0])
 	}
 	for _, e := range res.Entries {
 		bits, ok := wantScore[e.Vertex]

@@ -575,6 +575,14 @@ func ScaledGenConfig(factor int) GenConfig { return gen.Scaled(factor) }
 // Generate builds a synthetic bibliographic network.
 func Generate(cfg GenConfig) (*Graph, *Manifest, error) { return gen.Generate(cfg) }
 
+// GenerateSecurity builds the synthetic security-operations network (hosts in
+// three subnets raising alerts of detection signatures, two of the first
+// subnet's hosts planted as compromised); the manifest names its subnets and
+// the compromised hosts.
+func GenerateSecurity() (*Graph, *gen.SecurityManifest, error) {
+	return gen.GenerateSecurity(gen.DefaultSecurityConfig())
+}
+
 // LoadGraph reads a network from a file (.json → JSON, otherwise TSV).
 func LoadGraph(path string) (*Graph, error) { return hinio.Load(path) }
 

@@ -21,10 +21,6 @@ import (
 var reachAllowlist = map[string]string{
 	"netout/internal/core.PathSim":                 "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
 	"netout/internal/core.CosSim":                  "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
-	"netout/internal/gen.SecurityConfig":           "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/gen.DefaultSecurityConfig":    "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/gen.SecurityManifest":         "TestSecurityQueryFindsCompromisedHosts builds its network with it",
-	"netout/internal/gen.GenerateSecurity":         "TestSecurityQueryFindsCompromisedHosts builds its network with it",
 	"netout/internal/xerr.RequestIDOf":             "TestServePoolClosedTyped and TestServePoolPanicRequestIDLocatesStack read the request ID ServePool.Execute stamps on its errors",
 	"netout/internal/core.pathIndex.table":         "TestBuildIndexMatchesPerVertexTraversal (cache_test.go) and FuzzLoadIndex (fuzz_test.go) probe tables with it",
 	"netout/internal/core.NormalizedConnectivity":  "TestNetOutEquationOneMatchesNaive checks ScoreVectors against it",
